@@ -91,6 +91,7 @@ type Model struct {
 	forest    *cluster.RandomForest
 	perGroup  []string // group -> forecaster name
 	defaultFC string   // forecaster for apps without a completed block
+	fcIndex   []int    // see index
 	extractor *features.Extractor
 
 	// Diagnostics from training.
@@ -124,8 +125,8 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 	if cfg.BlockSize < 8 {
 		return nil, fmt.Errorf("femux: block size %d too small", cfg.BlockSize)
 	}
-	if len(cfg.Forecasters) == 0 {
-		return nil, errors.New("femux: empty forecaster set")
+	if n := len(cfg.Forecasters); n == 0 || n > maxForecasters {
+		return nil, fmt.Errorf("femux: forecaster set of %d, want 1..%d", n, maxForecasters)
 	}
 	if cfg.Horizon < 1 {
 		cfg.Horizon = 1
@@ -337,7 +338,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 	m.Diag.BlockRUM = rumByBlock
 	m.Diag.GroupOf = groupOf
 	m.Diag.TrainTime = time.Since(start)
-	return m, nil
+	return m.index(), nil
 }
 
 // blockSamples simulates one forecaster over the app's whole series and
@@ -441,29 +442,35 @@ func (m *Model) Classify(vec features.Vector) int {
 	}
 }
 
-// ForecasterFor returns the forecaster assigned to a group.
-func (m *Model) ForecasterFor(group int) forecast.Forecaster {
-	name := m.defaultFC
-	if group >= 0 && group < len(m.perGroup) {
-		name = m.perGroup[group]
+// index resolves the assignment table (perGroup, then defaultFC) to
+// positions in cfg.Forecasters, so no policy looks one up by name (Name
+// formats on every call). An unknown name falls back to the first.
+func (m *Model) index() *Model {
+	names := append(m.perGroup[:len(m.perGroup):len(m.perGroup)], m.defaultFC)
+	m.fcIndex = make([]int, len(names))
+	for g, name := range names {
+		for i, fc := range m.cfg.Forecasters {
+			if fc.Name() == name {
+				m.fcIndex[g] = i
+				break
+			}
+		}
 	}
-	fc, err := forecast.ByName(m.cfg.Forecasters, name)
-	if err != nil {
-		// The assignment table only holds names from the set; fall back
-		// to the first forecaster defensively.
-		return m.cfg.Forecasters[0]
+	return m
+}
+
+// forecasterOf indexes a group's forecaster; outside the table, the default's.
+func (m *Model) forecasterOf(group int) int {
+	if group < 0 || group >= len(m.perGroup) {
+		group = len(m.perGroup)
 	}
-	return fc
+	return m.fcIndex[group]
 }
 
 // DefaultForecaster returns the globally best forecaster, used before an
 // app completes its first block.
 func (m *Model) DefaultForecaster() forecast.Forecaster {
-	fc, err := forecast.ByName(m.cfg.Forecasters, m.defaultFC)
-	if err != nil {
-		return m.cfg.Forecasters[0]
-	}
-	return fc
+	return m.cfg.Forecasters[m.forecasterOf(-1)]
 }
 
 // Config returns the model's training configuration.

@@ -95,8 +95,8 @@ func Load(r io.Reader, extra ...forecast.Forecaster) (*Model, error) {
 		}
 		set = append(set, fc)
 	}
-	if len(set) == 0 {
-		return nil, fmt.Errorf("femux: model has no forecasters")
+	if len(set) == 0 || len(set) > maxForecasters {
+		return nil, fmt.Errorf("femux: model has %d forecasters, want 1..%d", len(set), maxForecasters)
 	}
 	var metric rum.Metric
 	switch mj.Metric.Kind {
@@ -146,5 +146,5 @@ func Load(r io.Reader, extra ...forecast.Forecaster) (*Model, error) {
 	}
 	m.Diag.Clusters = len(mj.PerGroup)
 	m.Diag.GroupForecaster = append([]string(nil), mj.PerGroup...)
-	return m, nil
+	return m.index(), nil
 }

@@ -1,6 +1,7 @@
 package femux
 
 import (
+	"math/bits"
 	"sync"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
@@ -19,21 +20,53 @@ type AppPolicy struct {
 	execSec float64
 
 	mu         sync.Mutex
-	current    forecast.Forecaster
+	cur, group int // the forecaster in use, as an index into cfg.Forecasters; its cluster group
 	blocksSeen int
 	switches   int
-	used       map[string]bool
+	used       uint64 // bit i: cfg.Forecasters[i] has been current
 }
+
+// maxForecasters is the width of AppPolicy.used (the default zoo holds 13).
+const maxForecasters = 64
 
 // NewAppPolicy returns a FeMux policy for one application. execSec supplies
 // the execution-time feature when the model was trained with it.
 func (m *Model) NewAppPolicy(execSec float64) *AppPolicy {
-	return &AppPolicy{
-		model:   m,
-		execSec: execSec,
-		current: m.DefaultForecaster(),
-		used:    map[string]bool{m.DefaultForecaster().Name(): true},
+	i := m.forecasterOf(-1)
+	return &AppPolicy{model: m, execSec: execSec, cur: i, used: 1 << i}
+}
+
+// ResumeAppPolicy rebuilds the policy of an app whose n-observation
+// history had its last completed block classified into group — the state
+// NewAppPolicy reaches after its first call on that history — without
+// extracting features. resumed is false if no block had completed.
+func (m *Model) ResumeAppPolicy(execSec float64, n, group int) (p *AppPolicy, resumed bool) {
+	p = m.NewAppPolicy(execSec)
+	if completed := n / m.cfg.BlockSize; completed > 0 {
+		p.assign(group, completed)
+		return p, true
 	}
+	return p, false
+}
+
+// Classified returns the cluster group behind the current forecaster and
+// whether p is up to date for an n-observation history: the next call on
+// it extracts nothing, and ResumeAppPolicy(execSec, n, group) rebuilds p.
+func (p *AppPolicy) Classified(n int) (group int, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.group, n/p.model.cfg.BlockSize == p.blocksSeen
+}
+
+// assign installs the forecaster of a newly classified block. Caller
+// holds p.mu (or owns p exclusively).
+func (p *AppPolicy) assign(group, completed int) {
+	i := p.model.forecasterOf(group)
+	if i != p.cur {
+		p.switches++
+	}
+	p.cur, p.group, p.blocksSeen = i, group, completed
+	p.used |= 1 << i
 }
 
 // Name implements sim.Policy.
@@ -80,16 +113,9 @@ func (p *AppPolicy) currentFor(history []float64) forecast.Forecaster {
 		}
 		block := history[(completed-1)*bs : completed*bs]
 		vec := p.model.extractor.Extract(block, execFeat)
-		group := p.model.Classify(vec)
-		next := p.model.ForecasterFor(group)
-		if next.Name() != p.current.Name() {
-			p.switches++
-		}
-		p.current = next
-		p.used[next.Name()] = true
-		p.blocksSeen = completed
+		p.assign(p.model.Classify(vec), completed)
 	}
-	fc := p.current
+	fc := p.model.cfg.Forecasters[p.cur]
 	p.mu.Unlock()
 	return fc
 }
@@ -103,14 +129,8 @@ func (p *AppPolicy) Forecast(history []float64, horizon int) []float64 {
 // ForecastWS is Forecast with caller-owned destination and workspace, the
 // allocation-free form used by the serving path. dst and ws may be nil.
 func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws *forecast.Workspace) []float64 {
-	p.mu.Lock()
-	fc := p.current
-	w := p.model.cfg.Window
-	p.mu.Unlock()
-	if w > len(history) {
-		w = len(history)
-	}
-	return forecast.Into(fc, history[len(history)-w:], horizon, dst, ws)
+	fc := p.currentFor(history)
+	return forecast.Into(fc, history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, dst, ws)
 }
 
 // ForecastQuantilesWS emits level-major quantile curves
@@ -118,21 +138,15 @@ func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws
 // assigned forecaster over the windowed history — the serving path
 // behind /v1/forecast?quantiles=. dst and ws may be nil.
 func (p *AppPolicy) ForecastQuantilesWS(history []float64, horizon int, levels, dst []float64, ws *forecast.Workspace) []float64 {
-	p.mu.Lock()
-	fc := p.current
-	w := p.model.cfg.Window
-	p.mu.Unlock()
-	if w > len(history) {
-		w = len(history)
-	}
-	return forecast.QuantilesInto(fc, history[len(history)-w:], horizon, levels, dst, ws)
+	fc := p.currentFor(history)
+	return forecast.QuantilesInto(fc, history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, levels, dst, ws)
 }
 
 // CurrentForecaster returns the name of the forecaster in use.
 func (p *AppPolicy) CurrentForecaster() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.current.Name()
+	return p.model.cfg.Forecasters[p.cur].Name()
 }
 
 // Switches returns how many times the policy changed forecasters.
@@ -146,7 +160,7 @@ func (p *AppPolicy) Switches() int {
 func (p *AppPolicy) ForecastersUsed() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.used)
+	return bits.OnesCount64(p.used)
 }
 
 // EvalResult aggregates a fleet evaluation.

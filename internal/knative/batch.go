@@ -192,6 +192,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		a.history = append(a.history, obs.Concurrency)
 		a.drift.Observe(obs.Concurrency)
 		res := &resp.Results[i]
+		s.countExtract(a.policy, len(a.history))
 		res.Target = a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
 		res.Forecaster = a.policy.CurrentForecaster()
 		res.History = len(a.history)

@@ -1,0 +1,487 @@
+package knative
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http/httptest"
+	"sort"
+	"testing"
+
+	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
+	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
+)
+
+// muxModel is trainTinyModel with its forecaster assignment rewritten.
+// The tiny model gives every cluster group its default forecaster, which
+// hides any path that skips classification or resumes the wrong one; here
+// the default (what an unclassified policy answers with) differs from
+// every group's forecaster, so such a path changes name and values.
+// rotate renumbers the cluster groups (centroid i becomes group
+// i-rotate), so a group index carried from one model to another names the
+// wrong cluster.
+func muxModel(t testing.TB, rotate int, def string, perGroup ...string) *femux.Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trainTinyModel(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var mj map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &mj); err != nil {
+		t.Fatal(err)
+	}
+	mj["defaultForecaster"], mj["perGroup"] = def, perGroup
+	c := mj["centroids"].([]any)
+	mj["centroids"] = append(c[rotate:len(c):len(c)], c[:rotate]...)
+	b, err := json.Marshal(mj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := femux.Load(bytes.NewReader(b), forecast.NewMovingAverage(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// muxModelA and muxModelB disagree on the default, on every group's
+// forecaster, and on which group a block falls into.
+func muxModelA(t testing.TB) *femux.Model {
+	return muxModel(t, 0, "fft10", "expsmooth", "ma1", "expsmooth")
+}
+func muxModelB(t testing.TB) *femux.Model {
+	return muxModel(t, 1, "ma1", "fft10", "expsmooth", "fft10")
+}
+
+// shapedValue gives app i a regime of its own — bursty noise, a period-10
+// spike train, mostly idle — so the fleet's blocks land in different
+// cluster groups (bursty -> group 1, the other two -> group 2).
+func shapedValue(i, minute int) float64 {
+	h := uint64(i+1)*0x9E3779B97F4A7C15 + uint64(minute+1)*0xBF58476D1CE4E5B9
+	h ^= h >> 31
+	h *= 0x94D049BB133111EB
+	h ^= h >> 29
+	u := float64(h>>11) / (1 << 53)
+	switch i % 3 {
+	case 0:
+		if h%3 == 0 {
+			return math.Round(u*50*1000) / 1000
+		}
+		return 0
+	case 1:
+		if (minute+i)%10 < 2 {
+			return 2 + math.Round(u*1000)/1000
+		}
+		return 0
+	default:
+		if h%11 == 0 {
+			return 1
+		}
+		return 0
+	}
+}
+
+func shapedWindow(i, from, n int) []float64 {
+	w := make([]float64, n)
+	for m := range w {
+		w[m] = shapedValue(i, from+m)
+	}
+	return w
+}
+
+func classifications(sm *ServiceMetrics) (extract, resumed int) {
+	return int(sm.Classifications.Value("extract")), int(sm.Classifications.Value("resumed"))
+}
+
+// tieredFleet opens a store-backed (dir != "") or store-less service with
+// a one-app hot budget on one stripe, so touching one app evicts the other.
+func tieredFleet(t *testing.T, model *femux.Model, dir string, opt store.Options) (*Service, *ServiceMetrics, *store.Store) {
+	t.Helper()
+	so := ServiceOptions{MaxHotApps: 1, TierShards: 1}
+	var st *store.Store
+	if dir != "" {
+		opt.Sync, opt.CompactEvery = store.SyncNever, -1
+		var err error
+		if st, err = store.Open(dir, opt); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		so.Store = st
+	}
+	svc := NewServiceWith(model, so)
+	return svc, svc.InstrumentWith(serving.NewRegistry()), st
+}
+
+// TestForecastFirstAfterRestore is the regression test for the
+// bit-identity hole: ForecastWS and ForecastQuantilesWS used to read the
+// policy's forecaster without classifying, so a forecast issued first on
+// a just-restored (or just-swapped) app answered with the model's
+// default forecaster. Every path below must answer exactly as an
+// uninterrupted control does.
+func TestForecastFirstAfterRestore(t *testing.T) {
+	modelA, modelB := muxModelA(t), muxModelB(t)
+	ctl := NewService(modelA)
+	ctlSrv := httptest.NewServer(ctl.Handler())
+	defer ctlSrv.Close()
+	dir := t.TempDir()
+	svc, _, st := tieredFleet(t, modelA, dir, store.Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	const app = "spiky-1" // shape 1: classifies into a non-default group
+	for m := 0; m < 70; m++ {
+		v := shapedValue(1, m)
+		if postObserve(t, ctlSrv.URL, app, v) != 200 || postObserve(t, srv.URL, app, v) != 200 {
+			t.Fatal("observe failed")
+		}
+	}
+	same := func(when, url string) {
+		t.Helper()
+		// The control is asked for a target first, which always
+		// classified; the subject for a forecast with quantiles, before
+		// anything has classified its restored (or swapped) app.
+		want, wantQ := fetchDecision(t, ctlSrv.URL, app), fetchQuantileBands(t, ctlSrv.URL, app)
+		gotQ, got := fetchQuantileBands(t, url, app), fetchDecision(t, url, app)
+		if got.forecast.Forecaster != want.forecast.Forecaster || got.target.Forecaster != want.target.Forecaster {
+			t.Fatalf("%s: forecaster %q/%q, control %q", when, got.forecast.Forecaster, got.target.Forecaster, want.forecast.Forecaster)
+		}
+		if want.forecast.Forecaster == ctl.Model().DefaultForecaster().Name() {
+			t.Fatalf("%s: control serves the default forecaster; the test would not notice a skipped classification", when)
+		}
+		for q := range wantQ {
+			for i := range wantQ[q].Values {
+				if math.Float64bits(gotQ[q].Values[i]) != math.Float64bits(wantQ[q].Values[i]) {
+					t.Fatalf("%s: p%g[%d] %v != control %v", when, wantQ[q].Level*100, i, gotQ[q].Values[i], wantQ[q].Values[i])
+				}
+			}
+		}
+		for i := range want.forecast.Values {
+			if math.Float64bits(got.forecast.Values[i]) != math.Float64bits(want.forecast.Values[i]) {
+				t.Fatalf("%s: forecast[%d] %v != control %v", when, i, got.forecast.Values[i], want.forecast.Values[i])
+			}
+		}
+	}
+
+	// Evict (another app takes the only hot slot), then forecast first.
+	postObserve(t, srv.URL, "other", 1)
+	same("after evict", srv.URL)
+	// Cold: paged out as well.
+	postObserve(t, srv.URL, "other", 1)
+	if err := st.PageOut(app); err != nil {
+		t.Fatal(err)
+	}
+	same("after page-out", srv.URL)
+	// Swapped: the fresh policy of a hot app must classify on a forecast.
+	ctl.SwapModel(modelB)
+	svc.SwapModel(modelB)
+	same("after swap", srv.URL)
+	// Restarted: a new process over the same directory has no memo.
+	st.Close()
+	svc2, _, _ := tieredFleet(t, modelB, dir, store.Options{})
+	srv2 := httptest.NewServer(svc2.Handler())
+	defer srv2.Close()
+	same("after restart", srv2.URL)
+}
+
+// TestClassificationsCounted pins what a restore costs: K evict->restore
+// cycles of one app inside one block perform exactly one feature
+// extraction between them — the rest resume the demoted record's memo —
+// warm, cold and store-less alike; a newly completed block and a model
+// swap each cost exactly one more.
+func TestClassificationsCounted(t *testing.T) {
+	const app, other, K = "counted-1", "other", 5
+	for _, tc := range []struct {
+		name         string
+		store, paged bool
+	}{{"warm", true, false}, {"cold", true, true}, {"storeless", false, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := ""
+			if tc.store {
+				dir = t.TempDir()
+			}
+			svc, sm, st := tieredFleet(t, muxModelA(t), dir, store.Options{})
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+			// cycle evicts app (other takes the hot slot) and restores it
+			// with a read, optionally from a cold page.
+			cycle := func() {
+				t.Helper()
+				postObserve(t, srv.URL, other, 0)
+				if materialized(svc, app) {
+					t.Fatal("app was not evicted")
+				}
+				if tc.paged {
+					if err := st.PageOut(app); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fetchDecision(t, srv.URL, app)
+			}
+			expect := func(when string, wantExtract, wantResumed int) {
+				t.Helper()
+				if e, r := classifications(sm); e != wantExtract || r != wantResumed {
+					t.Fatalf("%s: extract=%d resumed=%d, want %d and %d", when, e, r, wantExtract, wantResumed)
+				}
+			}
+
+			// 40 observations: one completed block of 30.
+			if tc.store {
+				var obs []store.Observation
+				for m := 0; m < 40; m++ {
+					obs = append(obs, store.Observation{App: app, Concurrency: shapedValue(1, m)})
+				}
+				if err := st.AppendBatch(obs); err != nil {
+					t.Fatal(err)
+				}
+				expect("seeded behind the service's back", 0, 0)
+				for k := 0; k < K; k++ {
+					cycle()
+				}
+				expect("K cycles from a record without a memo", 1, K-1)
+			} else {
+				for m := 0; m < 40; m++ {
+					postObserve(t, srv.URL, app, shapedValue(1, m))
+				}
+				expect("first block completed while hot", 1, 0)
+				for k := 0; k < K-1; k++ {
+					cycle()
+				}
+				expect("K-1 cycles", 1, K-1)
+			}
+			if tc.paged {
+				if cold := sm.Restores.Value("cold"); int(cold) != K {
+					t.Fatalf("cold restores = %v, want %d", cold, K)
+				}
+			}
+
+			// Crossing the next block boundary (60) costs one extraction,
+			// whether the app is hot or cycling at the time.
+			for m := 40; m < 65; m++ {
+				postObserve(t, srv.URL, app, shapedValue(1, m))
+				if m%5 == 0 {
+					cycle()
+				}
+			}
+			e, r := classifications(sm)
+			if e != 2 {
+				t.Fatalf("after the second block: extract=%d, want 2 (resumed=%d)", e, r)
+			}
+			// A swap costs one extraction per classified app, then resumes again.
+			svc.SwapModel(muxModelB(t))
+			cycle()
+			cycle()
+			expect("after a model swap", 3, r+1)
+		})
+	}
+}
+
+// TestMemoInvalidation plants a memo that matches on every key but names
+// the wrong group — so a hit answers with the wrong forecaster, which the
+// first case shows — and then requires each event that must invalidate a
+// memo to make the restore classify for itself.
+func TestMemoInvalidation(t *testing.T) {
+	modelA := muxModelA(t)
+	const app, n = "planted-1", 40
+	window := shapedWindow(1, 0, n)
+	// unmemoized is what a service that has never seen a memo answers.
+	unmemoized := func(t *testing.T, win []float64) string {
+		t.Helper()
+		ref := NewService(modelA)
+		refSrv := httptest.NewServer(ref.Handler())
+		defer refSrv.Close()
+		if err := ref.AdoptApp(app, win, int64(len(win))); err != nil {
+			t.Fatal(err)
+		}
+		return fetchDecision(t, refSrv.URL, app).target.Forecaster
+	}
+	// modelA assigns expsmooth to group 0 and ma1 to group 1: plant
+	// whichever the window's own classification is not.
+	right, wrong, planted := unmemoized(t, window), "ma1", uint8(1)
+	if right == wrong {
+		wrong, planted = "expsmooth", 0
+	}
+
+	cases := []struct {
+		name  string
+		opt   store.Options
+		event func(t *testing.T, svc *Service, st *store.Store) *Service
+		want  string
+	}{
+		{"control: nothing happens, the planted memo hits", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service { return svc }, wrong},
+		{"model swap", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.SwapModel(modelA); return svc }, right},
+		{"dropCached", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.dropCached(app); return svc }, right},
+		{"ImportApp of a same-length window", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				if err := svc.AdoptApp(app, window, n); err != nil {
+					t.Fatal(err)
+				}
+				return svc
+			}, right},
+		{"DropApp and re-create", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				svc.DrainApp(app, 1)
+				if err := svc.HandoffApp(app); err != nil {
+					t.Fatal(err)
+				}
+				if err := svc.AdoptApp(app, window, n); err != nil {
+					t.Fatal(err)
+				}
+				return svc
+			}, right},
+		{"an append changes the window length", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				if err := st.Append(app, 0); err != nil {
+					t.Fatal(err)
+				}
+				return svc
+			}, right},
+		{"a second Service over the same open Store", store.Options{},
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				return NewServiceWith(modelA, ServiceOptions{Store: st, MaxHotApps: 1, TierShards: 1})
+			}, right},
+		{"WindowCap trims the demoted window", store.Options{WindowCap: n},
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				// Served hot past the cap, then evicted: the memo describes
+				// 45 observations, the restore hands back the last 40.
+				srv := httptest.NewServer(svc.Handler())
+				defer srv.Close()
+				for m := 0; m < 5; m++ {
+					postObserve(t, srv.URL, app, shapedValue(0, m))
+				}
+				postObserve(t, srv.URL, "other", 0)
+				if materialized(svc, app) {
+					t.Fatal("app was not evicted")
+				}
+				return svc
+			}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, _, st := tieredFleet(t, modelA, t.TempDir(), tc.opt)
+			if err := st.ImportApp(app, window, n); err != nil {
+				t.Fatal(err)
+			}
+			st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
+			svc = tc.event(t, svc, st)
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+			got := fetchDecision(t, srv.URL, app)
+			want := tc.want
+			if want == "" { // whatever the trimmed window classifies as
+				win, _, _ := st.RestoreWindow(app)
+				want = unmemoized(t, win)
+			}
+			if got.target.Forecaster != want {
+				t.Fatalf("forecaster %q, want %q", got.target.Forecaster, want)
+			}
+		})
+	}
+
+	t.Run("promotion", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{Sync: store.SyncNever, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.ImportApp(app, window, n); err != nil {
+			t.Fatal(err)
+		}
+		svc := NewServiceWith(modelA, ServiceOptions{Store: st, Replica: true})
+		st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
+		svc.Promote()
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		if got := fetchDecision(t, srv.URL, app).target.Forecaster; got != right {
+			t.Fatalf("forecaster after promotion %q, want %q", got, right)
+		}
+	})
+
+	// The stamp is 16 bits wide: versions beyond it must stop memoizing
+	// rather than wrap onto a live stamp.
+	if memoGen(1) != 1 || memoGen(1<<16-1) != 1<<16-1 || memoGen(1<<16) != 0 || memoGen(1<<16+1) != 0 || memoGen(1<<40) != 0 {
+		t.Fatal("memoGen does not saturate to 0")
+	}
+}
+
+// TestRestoreAheadSameWithAndWithoutMemos: a restore-ahead cycle over
+// records that carry memos promotes exactly the apps a cycle that has to
+// classify every candidate promotes, and resumes instead of extracting.
+// (The store-less roster is a map walk, so there only the counts and the
+// counters are comparable.)
+func TestRestoreAheadSameWithAndWithoutMemos(t *testing.T) {
+	for _, storeBacked := range []bool{true, false} {
+		t.Run(fmt.Sprintf("store=%v", storeBacked), func(t *testing.T) {
+			model := muxModelA(t)
+			type side struct {
+				svc *Service
+				sm  *ServiceMetrics
+			}
+			var sides [2]side // [0] resumes memos, [1] never memoizes
+			for k := range sides {
+				so := ServiceOptions{MaxHotApps: 4, TierShards: 1}
+				if storeBacked {
+					st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 6})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					so.Store = st
+				}
+				svc := NewServiceWith(model, so)
+				if k == 1 {
+					svc.version = 1 << 16 // memoGen 0: every restore and scan classifies
+				}
+				sides[k] = side{svc, svc.InstrumentWith(serving.NewRegistry())}
+				srv := httptest.NewServer(svc.Handler())
+				defer srv.Close()
+				// 12 apps x 45 minutes through the service: every app is
+				// classified, evicted (4 hot slots) and so carries a memo.
+				for m := 0; m < 45; m++ {
+					for i := 0; i < 12; i++ {
+						postObserve(t, srv.URL, fmt.Sprintf("ra-%d", i), shapedValue(i, m))
+					}
+				}
+			}
+			hotSet := func(s *Service) []string {
+				var names []string
+				for _, st := range s.tier.stripes {
+					st.mu.Lock()
+					for name := range st.apps {
+						names = append(names, name)
+					}
+					st.mu.Unlock()
+				}
+				sort.Strings(names)
+				return names
+			}
+			e0, r0 := classifications(sides[0].sm)
+			e1, _ := classifications(sides[1].sm)
+			for cycle := 0; cycle < 6; cycle++ {
+				sa, pa := sides[0].svc.RestoreAheadCycle(0.9, 2)
+				sb, pb := sides[1].svc.RestoreAheadCycle(0.9, 2)
+				if storeBacked && (sa != sb || pa != pb) {
+					t.Fatalf("cycle %d: scanned/promoted %d/%d with memos, %d/%d without", cycle, sa, pa, sb, pb)
+				}
+				if a, b := hotSet(sides[0].svc), hotSet(sides[1].svc); storeBacked && fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("cycle %d: hot set %v with memos, %v without", cycle, a, b)
+				}
+			}
+			if scans, promos, _, _ := sides[0].svc.RestoreAheadStats(); scans == 0 || promos == 0 {
+				t.Fatalf("cycles scanned %d and promoted %d: nothing was exercised", scans, promos)
+			}
+			if e, r := classifications(sides[0].sm); e != e0 || r == r0 {
+				t.Errorf("with memos the cycles extracted %d times and resumed %d, want 0 and > 0", e-e0, r-r0)
+			}
+			if e, r := classifications(sides[1].sm); e == e1 || r != 0 {
+				t.Errorf("without memos the cycles extracted %d times and resumed %d, want > 0 and 0", e-e1, r)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
 // Restore-ahead: the forecast-driven analogue of pod pre-warming. A
@@ -108,20 +109,24 @@ func (s *Service) RestoreAheadCycle(level float64, budget int) (scanned, promote
 		return 0, 0
 	}
 
-	model, _ := s.modelAt()
+	model, version := s.modelAt()
 	ws := forecast.GetWorkspace()
 	defer forecast.PutWorkspace(ws)
 	levels := [1]float64{level}
 	var dst []float64
 
-	evaluate := func(win []float64) bool {
+	evaluate := func(win []float64, memo store.Memo) bool {
 		if len(win) == 0 {
 			return false
 		}
-		// A fresh policy per candidate: forecaster multiplexing is stateful
-		// per app, and the promoted app derives its own policy anyway —
-		// this one only answers "does the p-level forecast fire".
-		policy := model.NewAppPolicy(0)
+		// A policy per candidate, built as the promotion itself would
+		// build it: forecaster multiplexing is stateful per app, and this
+		// one only answers "does the p-level forecast fire".
+		policy, resumed := policyFor(model, memoGen(version), memo, len(win))
+		if sm := s.svcMetrics(); resumed && sm != nil {
+			sm.Classifications.Inc("resumed")
+		}
+		s.countExtract(policy, len(win))
 		dst = policy.ForecastQuantilesWS(win, 1, levels[:], dst[:0], ws)
 		return len(dst) > 0 && dst[0] > 0
 	}
@@ -135,7 +140,7 @@ func (s *Service) RestoreAheadCycle(level float64, budget int) (scanned, promote
 				}
 				scanned++
 				s.tier.prefetchScans.Add(1)
-				if !evaluate(rw.Window) {
+				if !evaluate(rw.Window, rw.Memo) {
 					continue
 				}
 				if s.promoteAhead(rw.App) {
@@ -151,8 +156,9 @@ func (s *Service) RestoreAheadCycle(level float64, budget int) (scanned, promote
 			t := s.tier.stripe(name)
 			t.mu.Lock()
 			var win []float64
-			if cw := t.warm[name]; cw != nil {
-				win = cw.Values(nil)
+			var memo store.Memo
+			if w := t.warm[name]; w != nil {
+				win, memo = w.Values(nil), w.memo
 			}
 			t.mu.Unlock()
 			if win == nil {
@@ -160,7 +166,7 @@ func (s *Service) RestoreAheadCycle(level float64, budget int) (scanned, promote
 			}
 			scanned++
 			s.tier.prefetchScans.Add(1)
-			if !evaluate(win) {
+			if !evaluate(win, memo) {
 				continue
 			}
 			if s.promoteAhead(name) {

@@ -106,6 +106,7 @@ func (s *Service) Promote() int {
 	}
 	s.replica = false
 	s.promotions++
+	s.version = modelVersions.Add(1)
 	if s.st != nil {
 		for _, t := range s.tier.stripes {
 			t.mu.Lock()
@@ -196,7 +197,7 @@ func (s *Service) AdoptApp(app string, window []float64, total int64) error {
 	s.mu.Lock()
 	s.adopted[app] = true
 	delete(s.moved, app)
-	model := s.model
+	model, gen := s.model, memoGen(s.version)
 	s.mu.Unlock()
 	if s.st == nil {
 		// No store to restore from: install the imported history directly
@@ -204,7 +205,7 @@ func (s *Service) AdoptApp(app string, window []float64, total int64) error {
 		t := s.tier.stripe(app)
 		a := &svcApp{
 			name: app, stripe: t,
-			policy:  model.NewAppPolicy(0),
+			policy: model.NewAppPolicy(0), gen: gen,
 			history: append([]float64(nil), window...),
 			ws:      forecast.GetWorkspace(),
 			drift:   lifecycle.DetectorOf(window, s.driftBlock),

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
@@ -43,6 +44,7 @@ type Service struct {
 	// (the -quantile-level knob; immutable after construction).
 	qlevel  float64
 	reloads int
+	version int64 // modelVersions stamp of the serving model's installation
 	// swapMu serializes whole model swaps (pointer flip + per-app policy
 	// refresh); without it two racing swaps could interleave their
 	// refresh sweeps and leave apps on the losing model.
@@ -151,6 +153,7 @@ type svcApp struct {
 	mu      sync.Mutex
 	name    string
 	policy  *femux.AppPolicy
+	gen     uint16 // memoGen of the model policy was built from
 	history []float64
 	// ws holds the app's forecast scratch state; targets and forecasts are
 	// computed under mu so the workspace is never used concurrently. After
@@ -213,7 +216,7 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 		replica: opts.Replica, epoch: opts.Epoch, joining: opts.Joining,
 		qlevel: opts.QuantileLevel,
 		moved:  map[string]int{}, adopted: map[string]bool{},
-		driftBlock: model.Config().BlockSize,
+		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
 	}
 	s.tier.stripes = newStripes(opts.MaxHotApps, opts.MaxWorkspaces, opts.TierShards)
 	if s.st != nil {
@@ -246,10 +249,44 @@ func (s *Service) Reloads() int {
 // modelAt returns the serving model together with its reload version,
 // so a caller that derived state from the model can detect a concurrent
 // swap afterwards (see materializeAs).
-func (s *Service) modelAt() (*femux.Model, int) {
+func (s *Service) modelAt() (*femux.Model, int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.model, s.reloads
+	return s.model, s.version
+}
+
+// modelVersions numbers model installations (service start, swap,
+// promotion) across the process, so a memo one Service left in a Store
+// never matches the model another serves it with.
+var modelVersions atomic.Int64
+
+// memoGen maps a version onto a memo's generation stamp. 0 is "no memo",
+// also for every version past the stamp's width (the conversion wraps
+// 1<<16 to 0): a wrapped stamp could alias an old model's.
+func memoGen(version int64) uint16 { return uint16(min(version, 1<<16)) }
+
+// policyFor builds the policy of an app demoted with a window of n
+// observations and memo m, for request-path restores and restore-ahead
+// scans alike. A memo of this generation and this window length names
+// the group of the window's last completed block — a record keeps its
+// memo only across appends and WindowCap trims, which change n — so the
+// policy resumes instead of extracting; otherwise it starts fresh.
+// Callers count resumed once no stripe lock is held.
+func policyFor(model *femux.Model, gen uint16, m store.Memo, n int) (p *femux.AppPolicy, resumed bool) {
+	if gen == 0 || m.Gen != gen || int(m.Len) != n {
+		return model.NewAppPolicy(0), false
+	}
+	return model.ResumeAppPolicy(0, n, int(m.Group))
+}
+
+// countExtract counts the feature extraction, if any, that p's next call
+// on an n-observation history will perform.
+func (s *Service) countExtract(p *femux.AppPolicy, n int) {
+	if _, ok := p.Classified(n); !ok {
+		if sm := s.svcMetrics(); sm != nil {
+			sm.Classifications.Inc("extract")
+		}
+	}
 }
 
 // SwapModel atomically replaces the serving model (the paper retrains
@@ -267,6 +304,8 @@ func (s *Service) SwapModel(m *femux.Model) {
 	s.mu.Lock()
 	s.model = m
 	s.reloads++
+	s.version = modelVersions.Add(1)
+	gen := memoGen(s.version)
 	sm := s.metrics
 	s.mu.Unlock()
 	for _, t := range s.tier.stripes {
@@ -282,7 +321,7 @@ func (s *Service) SwapModel(m *femux.Model) {
 		for _, a := range apps {
 			a.mu.Lock()
 			if !a.gone {
-				a.policy = m.NewAppPolicy(0)
+				a.policy, a.gen = m.NewAppPolicy(0), gen
 			}
 			a.mu.Unlock()
 		}
@@ -308,9 +347,10 @@ type ServiceMetrics struct {
 	Adoptions   *serving.Counter // femux_shard_adoptions_total
 	Handoffs    *serving.Counter // femux_shard_handoffs_total
 
-	Evictions      *serving.Counter   // femux_tier_evictions_total
-	Restores       *serving.Counter   // femux_tier_restores_total{from}
-	RestoreSeconds *serving.Histogram // femux_tier_restore_seconds{from}
+	Classifications *serving.Counter   // femux_classifications_total{source}
+	Evictions       *serving.Counter   // femux_tier_evictions_total
+	Restores        *serving.Counter   // femux_tier_restores_total{from}
+	RestoreSeconds  *serving.Histogram // femux_tier_restore_seconds{from}
 }
 
 func (sm *ServiceMetrics) setModelInfo(m *femux.Model) {
@@ -352,6 +392,8 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 			"Apps imported from another shard during resharding."),
 		Handoffs: reg.NewCounter("femux_shard_handoffs_total",
 			"Apps dropped after migrating to another shard."),
+		Classifications: reg.NewCounter("femux_classifications_total",
+			"Block classifications, by source: a feature extraction, or a demoted app's memo resumed on restore.", "source"),
 		Evictions: reg.NewCounter("femux_tier_evictions_total",
 			"Hot apps demoted to the warm tier by the LRU budget."),
 		Restores: reg.NewCounter("femux_tier_restores_total",
@@ -501,21 +543,24 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 		}
 	}
 	model, version := s.modelAt()
-	var history []float64
-	var from string
-	if s.st != nil {
-		history, from = s.restoreHistory(name)
-		if prefetched && from == "" {
-			return nil
-		}
-	}
 	a := &svcApp{
-		name: name, stripe: t, policy: model.NewAppPolicy(0),
+		name: name, stripe: t, gen: memoGen(version),
 		prefetched: prefetched, prefetchEpoch: epoch,
 	}
+	var from string
+	var resumed bool
 	if s.st != nil {
-		a.history = history
-		a.drift = lifecycle.DetectorOf(history, s.driftBlock)
+		win, memo, paged, ok := s.st.RestoreWindowMemo(name)
+		if paged {
+			from = "cold"
+		} else if ok {
+			from = "warm"
+		} else if prefetched {
+			return nil
+		}
+		a.history = win
+		a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
+		a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
 	}
 	t.mu.Lock()
 	for {
@@ -547,14 +592,16 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 		// The store-less warm lookup consumes its entry, so it must be
 		// atomic with the install: two racing misses must not leave one
 		// holding the window and the other installing an empty app.
-		if cw := t.warm[name]; cw != nil {
-			a.history, from = cw.Values(nil), "warm"
+		var memo store.Memo
+		if w := t.warm[name]; w != nil {
+			a.history, memo, from = w.Values(nil), w.memo, "warm"
 			delete(t.warm, name)
 		}
 		if prefetched && from == "" {
 			t.mu.Unlock()
 			return nil
 		}
+		a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
 		a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
 	}
 	a.ws = forecast.GetWorkspace()
@@ -566,10 +613,14 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 		// old model forever. Re-derive from the current model — the same
 		// policy the sweep would have installed.
 		a.mu.Lock()
-		a.policy = m2.NewAppPolicy(0)
+		a.policy, a.gen = m2.NewAppPolicy(0), memoGen(v2)
 		a.mu.Unlock()
+		resumed = false
 	}
 	s.noteRestore(from, time.Since(start))
+	if sm := s.svcMetrics(); resumed && sm != nil {
+		sm.Classifications.Inc("resumed")
+	}
 	return a
 }
 
@@ -724,6 +775,7 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		// The scale decision happens under the app lock: the per-app
 		// workspace is single-threaded by construction, and concurrent
 		// observes for one app serialize exactly as the WAL order does.
+		s.countExtract(a.policy, len(a.history))
 		target := a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
 		fcName := a.policy.CurrentForecaster()
 		histLen := len(a.history)
@@ -748,6 +800,7 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		a := s.acquire(name)
+		s.countExtract(a.policy, len(a.history))
 		target := a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
 		fcName := a.policy.CurrentForecaster()
 		histLen := len(a.history)
@@ -780,6 +833,7 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		// dst is nil: the response slices escape into the JSON encoder
 		// after the lock is released, so they must not alias the
 		// workspace.
+		s.countExtract(a.policy, len(a.history))
 		values := a.policy.ForecastWS(a.history, horizon, nil, a.ws)
 		var bands []QuantileBand
 		if len(levels) > 0 {

@@ -2,6 +2,7 @@ package knative
 
 import (
 	"log"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,13 +43,15 @@ import (
 // still holds exactly; -tier-shards=1 reproduces the unstriped layer.
 //
 // Demotion is invisible to callers: hot state for a store-backed app is
-// a pure cache of the store (eviction writes nothing), and a restored
-// app re-derives its forecaster from the same history an uninterrupted
-// process would hold, so forecasts are Float64bits-identical across any
-// evict/page/restore cycle at every stripe count (pinned by
-// tierequiv_test.go). The one caveat matches restarts: with a WindowCap
-// set, history beyond the cap is dropped on demotion, exactly as it
-// would be across a restart.
+// a pure cache of the store, and a restored app derives its forecaster
+// from the same history an uninterrupted process would hold, so
+// forecasts are Float64bits-identical across any evict/page/restore
+// cycle at every stripe count (pinned by tierequiv_test.go). Demotion
+// keeps the window and, beside it, a memo of the cluster group its last
+// completed block fell into (store.Memo), so a restore decodes a window
+// and extracts no features; the memo only caches extract-and-classify
+// (policyFor says when it hits). The one caveat matches restarts: a
+// WindowCap drops history beyond the cap on demotion, as a restart would.
 type tierStripe struct {
 	maxHot int // hot apps this stripe may hold; -1 = unlimited
 	maxWS  int // apps holding workspaces; -1 = unlimited
@@ -61,10 +64,16 @@ type tierStripe struct {
 	// warm holds evicted apps' compact windows for store-less services;
 	// with a store, warm state lives in the store itself. Entries are
 	// consumed (deleted) on restore.
-	warm map[string]*store.CompactWindow
+	warm map[string]*warmApp
 
 	evictions  int64 // hot -> warm demotions
 	wsReleases int64 // workspaces returned to the pool by the ws LRU
+}
+
+// warmApp is a store-less demoted app: window and classification memo.
+type warmApp struct {
+	store.CompactWindow
+	memo store.Memo
 }
 
 // tiers is the striped tier layer plus the cross-stripe counters that
@@ -134,7 +143,7 @@ func newStripes(maxHot, maxWS, shards int) []*tierStripe {
 			maxHot: hotB[i], maxWS: wsB[i],
 			apps: map[string]*svcApp{},
 			hot:  newLRUList(), ws: newLRUList(),
-			warm: map[string]*store.CompactWindow{},
+			warm: map[string]*warmApp{},
 		}
 	}
 	return stripes
@@ -168,7 +177,7 @@ func (t *tierStripe) resetLocked() {
 	t.apps = map[string]*svcApp{}
 	t.hot.Init()
 	t.ws.Init()
-	t.warm = map[string]*store.CompactWindow{}
+	t.warm = map[string]*warmApp{}
 }
 
 // touch bumps a to the front of its stripe's hot and workspace LRUs,
@@ -292,6 +301,18 @@ func (s *Service) enforceStripe(t *tierStripe) {
 // exactly the budget, not above it.
 func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 	v.mu.Lock()
+	var memo store.Memo
+	if !wsOnly && !v.gone {
+		// The classification, if current for this history, goes to the
+		// demoted record while v is still published: dropCached clears it
+		// after unpublishing, so none lands on state an import replaced.
+		if group, ok := v.policy.Classified(len(v.history)); ok && group <= math.MaxUint8 {
+			memo = store.Memo{Len: uint32(len(v.history)), Gen: v.gen, Group: uint8(group)}
+		}
+		if s.st != nil {
+			s.st.SetMemo(v.name, memo)
+		}
+	}
 	t := v.stripe
 	t.mu.Lock()
 	if v.pins > 0 {
@@ -341,11 +362,11 @@ func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 		// Store-less warm tier: keep the history, compressed. With a
 		// store this write is unnecessary — the store already holds the
 		// app's window; hot state is a pure cache.
-		var cw store.CompactWindow
+		w := &warmApp{memo: memo}
 		for _, x := range v.history {
-			cw.Append(x)
+			w.Append(x)
 		}
-		t.warm[v.name] = &cw
+		t.warm[v.name] = w
 	}
 	if t.apps[v.name] == v {
 		delete(t.apps, v.name)
@@ -364,25 +385,6 @@ func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 	return true
 }
 
-// restoreHistory fetches an evicted/paged app's window from the durable
-// store during an app-map miss. from is "" when the app has no demoted
-// state (genuinely new), "warm" for an in-memory compact window, "cold"
-// for a disk page-in. It runs outside the stripe lock — it may touch
-// disk — which is safe because RestoreWindow promotes in the store: a
-// racing loser discards an identical copy. Store-less restores go
-// through the stripe's warm map under its lock instead (see
-// materialize), because deleting the warm entry is destructive.
-func (s *Service) restoreHistory(name string) (history []float64, from string) {
-	win, paged, ok := s.st.RestoreWindow(name)
-	if !ok {
-		return nil, ""
-	}
-	if paged {
-		return win, "cold"
-	}
-	return win, "warm"
-}
-
 // noteRestore records restore metrics (counter + latency histogram).
 func (s *Service) noteRestore(from string, elapsed time.Duration) {
 	if from == "" {
@@ -398,8 +400,13 @@ func (s *Service) noteRestore(from string, elapsed time.Duration) {
 // tracking (migration handoff/adopt replaced or dropped it); the next
 // touch lazily restores from the store. The stripe's warm map is purged
 // whether or not the app was materialized — a store-less warm window
-// left behind would resurrect pre-migration history on the next touch.
+// left behind would resurrect pre-migration history on the next touch —
+// and so is the store's memo of the old window, last, once no eviction
+// of the dropped state can still write one.
 func (s *Service) dropCached(name string) {
+	if s.st != nil {
+		defer s.st.SetMemo(name, store.Memo{})
+	}
 	t := s.tier.stripe(name)
 	t.mu.Lock()
 	a := t.apps[name]

@@ -11,7 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
+	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -19,51 +21,133 @@ import (
 // property: a service squeezed through every demotion path — hot LRU
 // eviction under a tiny -max-hot-apps, workspace reclamation, store
 // warm->cold paging, compaction embedding page stubs in snapshots,
-// restore-ahead prefetch promotions — must serve Float64bits-identical
-// targets and forecasts to an untiered, store-less control that saw the
-// same observation stream. Random interleavings of single observes,
-// batches, explicit page-outs, compactions, prefetch cycles, and
-// read-only queries are compared mid-stream and at the end, at every
-// tier stripe count.
+// restore-ahead prefetch promotions, restores resumed from a
+// classification memo — and through everything that must invalidate such
+// a memo — model swaps, Promote, an imported window of the same length,
+// a store reopen — must serve the same forecaster and
+// Float64bits-identical targets, forecasts and quantile bands as an
+// untiered, store-less control that saw the same stream. Random
+// interleavings are compared mid-stream and at the end, at every tier
+// stripe count, store-backed and store-less. With a WindowCap the
+// untiered control no longer applies (demotion drops history); there the
+// reference is a twin that never memoizes, i.e. the uncached path.
 func TestTieredForecastsBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			testTieredForecastsBitIdentical(t, shards)
-		})
+		for _, v := range []struct {
+			name      string
+			storeless bool
+			windowCap int
+		}{{"store", false, 0}, {"storeless", true, 0}, {"store-windowcap", false, 45}} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, v.name), func(t *testing.T) {
+				testTieredForecastsBitIdentical(t, shards, v.storeless, v.windowCap)
+			})
+		}
 	}
 }
 
-func testTieredForecastsBitIdentical(t *testing.T, tierShards int) {
-	model := trainTinyModel(t)
+// tierNode is one service under the replay: its handler sits behind an
+// indirection so a store reopen can swap in the restarted service.
+type tierNode struct {
+	svc *Service
+	sm  *ServiceMetrics
+	st  *store.Store
+	dir string
+	srv *httptest.Server
+	// restart reopens the store (nil for store-less nodes) and builds the
+	// service, serving model.
+	restart func(model *femux.Model)
+	// extracts and resumes total femux_classifications_total over the
+	// services restart has retired.
+	extracts, resumes int
+}
+
+func (n *tierNode) classifications() (extract, resumed int) {
+	e, r := classifications(n.sm)
+	return n.extracts + e, n.resumes + r
+}
+
+func newTierNode(t *testing.T, so ServiceOptions, storeOpt *store.Options, noMemo bool) *tierNode {
+	t.Helper()
+	n := &tierNode{}
+	if storeOpt != nil {
+		n.dir = t.TempDir()
+	}
+	n.restart = func(model *femux.Model) {
+		if n.sm != nil {
+			n.extracts, n.resumes = n.classifications()
+		}
+		if storeOpt != nil {
+			if n.st != nil {
+				if err := n.st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := store.Open(n.dir, *storeOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.st, so.Store = st, st
+		}
+		n.svc = NewServiceWith(model, so)
+		n.sm = n.svc.InstrumentWith(serving.NewRegistry())
+		n.forget(noMemo)
+	}
+	n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.svc.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		n.srv.Close()
+		if n.st != nil {
+			n.st.Close()
+		}
+	})
+	return n
+}
+
+// forget puts the node's service on a model version past the memo
+// stamp's width, where nothing is memoized: the uncached path.
+func (n *tierNode) forget(noMemo bool) {
+	if noMemo {
+		n.svc.mu.Lock()
+		n.svc.version = 1 << 16
+		n.svc.mu.Unlock()
+	}
+}
+
+func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless bool, windowCap int) {
+	models := []*femux.Model{muxModelA(t), muxModelB(t)}
+	cur := 0 // index of the model every node serves
 	apps := make([]string, 8)
 	for i := range apps {
 		apps[i] = fmt.Sprintf("eq-%d", i)
 	}
+	minute := make([]int, len(apps)) // next minute of each app's shaped series
 
-	ctl := NewService(model)
-	ctlSrv := httptest.NewServer(ctl.Handler())
-	defer ctlSrv.Close()
-
-	st, err := store.Open(t.TempDir(), store.Options{
-		Sync: store.SyncNever, CompactEvery: -1,
-		InlineBudget: 3, // most of the fleet is forced cold
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	tiered := NewServiceWith(model, ServiceOptions{
-		Store: st, MaxHotApps: 2, MaxWorkspaces: 1, TierShards: tierShards,
-	})
-	tieredSrv := httptest.NewServer(tiered.Handler())
-	defer tieredSrv.Close()
-
-	conc := func(rng *rand.Rand) float64 {
-		if rng.Intn(3) > 0 {
-			return 0 // idle minutes dominate sparse fleets
+	so := ServiceOptions{MaxHotApps: 2, MaxWorkspaces: 1, TierShards: tierShards}
+	var storeOpt *store.Options
+	if !storeless {
+		storeOpt = &store.Options{
+			Sync: store.SyncNever, CompactEvery: -1, WindowCap: windowCap,
+			InlineBudget: 3, // most of the fleet is forced cold
 		}
-		return math.Round(rng.Float64()*50*1000) / 1000
 	}
+	tiered := newTierNode(t, so, storeOpt, false)
+	// The reference: the untiered store-less control, or under a
+	// WindowCap the never-memoizing twin.
+	var ref *tierNode
+	if windowCap == 0 {
+		ref = newTierNode(t, ServiceOptions{}, nil, false)
+	} else {
+		ref = newTierNode(t, so, storeOpt, true)
+	}
+	nodes, tieredNodes := []*tierNode{ref, tiered}, []*tierNode{tiered}
+	if windowCap > 0 {
+		tieredNodes = nodes
+	}
+	for _, n := range nodes {
+		n.restart(models[cur])
+	}
+
 	// driftState reads an app's drift detector and history through the
 	// same acquire path serving uses (restoring it if demoted).
 	driftState := func(s *Service, app string) (d lifecycle.Detector, history []float64) {
@@ -73,30 +157,45 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int) {
 		s.releaseApp(a)
 		return d, history
 	}
+	compares, scans := 0, 0
 	compare := func(when string) {
 		t.Helper()
+		compares++
 		for _, app := range apps {
-			// Drift satellite: the control's incrementally maintained
-			// moments, the tiered service's (rebuilt across every
-			// evict/page/compact/restore), and a from-scratch batch
-			// recomputation of the same window must all be
-			// Float64bits-identical.
-			dc, hist := driftState(ctl, app)
-			dt, _ := driftState(tiered, app)
+			// Drift satellite: the reference's moments, the tiered
+			// service's (rebuilt across every evict/page/compact/restore),
+			// and a from-scratch batch recomputation of the same window
+			// must all be Float64bits-identical.
+			dc, hist := driftState(ref.svc, app)
+			dt, _ := driftState(tiered.svc, app)
 			if !dc.BitEqual(dt) {
-				t.Fatalf("%s: %s: tiered drift state diverged from control", when, app)
+				t.Fatalf("%s: %s: tiered drift state diverged from reference", when, app)
 			}
-			if batch := lifecycle.DetectorOf(hist, model.Config().BlockSize); !dc.BitEqual(batch) {
+			if batch := lifecycle.DetectorOf(hist, models[0].Config().BlockSize); !dc.BitEqual(batch) {
 				t.Fatalf("%s: %s: incremental drift state diverged from batch recomputation", when, app)
 			}
 			if a, b := dc.Score(), dt.Score(); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("%s: %s: drift score %v != %v (not bit-identical)", when, app, a, b)
 			}
 		}
-		for _, app := range apps {
-			a, b := fetchDecision(t, ctlSrv.URL, app), fetchDecision(t, tieredSrv.URL, app)
+		for i, app := range apps {
+			// The reference answers a target first (which always
+			// classified). The tiered service alternates: half the apps
+			// are asked for their quantile forecast first, so a restored
+			// app's first call is a forecast.
+			a, qa := fetchDecision(t, ref.srv.URL, app), fetchQuantileBands(t, ref.srv.URL, app)
+			var b decision
+			var qb []QuantileBand
+			if (i+compares)%2 == 0 {
+				qb, b = fetchQuantileBands(t, tiered.srv.URL, app), fetchDecision(t, tiered.srv.URL, app)
+			} else {
+				b, qb = fetchDecision(t, tiered.srv.URL, app), fetchQuantileBands(t, tiered.srv.URL, app)
+			}
 			if a.target != b.target {
 				t.Fatalf("%s: %s: target %+v != %+v", when, app, a.target, b.target)
+			}
+			if a.forecast.Forecaster != b.forecast.Forecaster {
+				t.Fatalf("%s: %s: forecaster %q != %q", when, app, a.forecast.Forecaster, b.forecast.Forecaster)
 			}
 			if len(a.forecast.Values) != len(b.forecast.Values) {
 				t.Fatalf("%s: %s: forecast lengths %d != %d",
@@ -109,8 +208,6 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int) {
 				}
 			}
 			// The quantile curves ride the same invisibility contract.
-			qa := fetchQuantileBands(t, ctlSrv.URL, app)
-			qb := fetchQuantileBands(t, tieredSrv.URL, app)
 			if len(qa) != len(qb) {
 				t.Fatalf("%s: %s: quantile band counts %d != %d", when, app, len(qa), len(qb))
 			}
@@ -129,49 +226,95 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int) {
 	}
 
 	rng := rand.New(rand.NewSource(42))
-	for op := 0; op < 600; op++ {
+	next := func(i int) float64 { // app i's next observation
+		minute[i]++
+		return shapedValue(i, minute[i]-1)
+	}
+	ops := 700
+	if testing.Short() {
+		ops = 300
+	}
+	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 55: // single observe
-			app := apps[rng.Intn(len(apps))]
-			v := conc(rng)
-			if code := postObserve(t, ctlSrv.URL, app, v); code != 200 {
-				t.Fatalf("op %d: control observe: %d", op, code)
+		case r < 45: // single observe
+			i := rng.Intn(len(apps))
+			v := next(i)
+			for _, n := range nodes {
+				if code := postObserve(t, n.srv.URL, apps[i], v); code != 200 {
+					t.Fatalf("op %d: observe: %d", op, code)
+				}
 			}
-			if code := postObserve(t, tieredSrv.URL, app, v); code != 200 {
-				t.Fatalf("op %d: tiered observe: %d", op, code)
-			}
-		case r < 80: // batch observe (may repeat an app within the batch)
-			n := 1 + rng.Intn(12)
-			obs := make([]BatchObservation, n)
-			for i := range obs {
-				obs[i] = BatchObservation{App: apps[rng.Intn(len(apps))], Concurrency: conc(rng)}
+		case r < 68: // batch observe (may repeat an app within the batch)
+			obs := make([]BatchObservation, 1+rng.Intn(12))
+			for k := range obs {
+				i := rng.Intn(len(apps))
+				obs[k] = BatchObservation{App: apps[i], Concurrency: next(i)}
 			}
 			body := marshalBatch(t, obs...)
-			if resp, out := postBatchJSON(t, ctlSrv.URL, body); resp.StatusCode != 200 || out.Rejected != 0 {
-				t.Fatalf("op %d: control batch: %d/%d", op, resp.StatusCode, out.Rejected)
+			for _, n := range nodes {
+				if resp, out := postBatchJSON(t, n.srv.URL, body); resp.StatusCode != 200 || out.Rejected != 0 {
+					t.Fatalf("op %d: batch: %d/%d", op, resp.StatusCode, out.Rejected)
+				}
 			}
-			if resp, out := postBatchJSON(t, tieredSrv.URL, body); resp.StatusCode != 200 || out.Rejected != 0 {
-				t.Fatalf("op %d: tiered batch: %d/%d", op, resp.StatusCode, out.Rejected)
+		case r < 76: // force a warm->cold demotion in the store
+			app := apps[rng.Intn(len(apps))]
+			for _, n := range nodes {
+				if n.st != nil {
+					if err := n.st.PageOut(app); err != nil {
+						t.Fatalf("op %d: page out: %v", op, err)
+					}
+				}
 			}
-		case r < 90: // force a warm->cold demotion in the store
-			if err := st.PageOut(apps[rng.Intn(len(apps))]); err != nil {
-				t.Fatalf("op %d: page out: %v", op, err)
+		case r < 79: // snapshot (fsyncs pages, embeds stubs, GCs page files)
+			for _, n := range nodes {
+				if n.st != nil {
+					if err := n.st.Compact(); err != nil {
+						t.Fatalf("op %d: compact: %v", op, err)
+					}
+				}
 			}
-		case r < 93: // snapshot (fsyncs pages, embeds stubs, GCs page files)
-			if err := st.Compact(); err != nil {
-				t.Fatalf("op %d: compact: %v", op, err)
-			}
-		case r < 96: // restore-ahead: promotions must be forecast-invisible
+		case r < 82: // restore-ahead: promotions must be forecast-invisible
 			// Demote one materialized app first so the cycle exercises both
 			// promotion shapes: into freed capacity here, and by displacing
 			// the LRU tail of a still-full stripe. The dropped app's state
-			// survives in the store, so the cycle may promote it (or a
-			// sibling) back and the next compare proves the round trip —
-			// including any displacement eviction — changed nothing.
-			if hot := tiered.HotApps(); hot > 0 {
-				tiered.dropCached(apps[rng.Intn(len(apps))])
+			// survives demoted, so the cycle may promote it (or a sibling)
+			// back and the next compare proves the round trip — including
+			// any displacement eviction — changed nothing. (dropCached purges
+			// a store-less warm window, so only store-backed nodes drop.)
+			app := apps[rng.Intn(len(apps))]
+			for _, n := range tieredNodes {
+				if n.st != nil && n.svc.HotApps() > 0 {
+					n.svc.dropCached(app)
+				}
+				scanned, _ := n.svc.RestoreAheadCycle(0.95, 2)
+				scans += scanned
 			}
-			tiered.RestoreAheadCycle(0.95, 2)
+		case r < 86: // hot-swap the model: every memo goes stale
+			cur = 1 - cur
+			for _, n := range nodes {
+				n.svc.SwapModel(models[cur])
+			}
+			ref.forget(windowCap > 0)
+		case r < 88: // promoting a primary is a no-op, memos included
+			for _, n := range nodes {
+				n.svc.Promote()
+			}
+		case r < 92: // dropCached + ImportApp: another window, same length
+			i := rng.Intn(len(apps))
+			_, hist := driftState(ref.svc, apps[i])
+			minute[i] += 1000                              // a different stretch of the app's series...
+			win := shapedWindow(i+1, minute[i], len(hist)) // ...and another app's regime
+			for _, n := range nodes {
+				if err := n.svc.AdoptApp(apps[i], win, int64(len(win))); err != nil {
+					t.Fatalf("op %d: adopt: %v", op, err)
+				}
+			}
+		case r < 94: // restart: reopen the store, rebuild the service
+			for _, n := range nodes {
+				if n.st != nil {
+					n.restart(models[cur])
+				}
+			}
 		default:
 			compare(fmt.Sprintf("op %d", op))
 		}
@@ -179,123 +322,172 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int) {
 	compare("final")
 
 	// The budgets actually did something: demotions happened and the hot
-	// tier stayed within bounds — including every prefetch promotion.
-	if hot := tiered.HotApps(); hot > 2 {
+	// tier stayed within bounds — including every prefetch promotion —
+	// and the replay exercised both sides of the memo.
+	if hot := tiered.svc.HotApps(); hot > 2 {
 		t.Errorf("hot apps = %d, want <= 2", hot)
 	}
-	if st.Stats().PageOuts == 0 {
+	if tiered.st != nil && tiered.st.Stats().PageOuts == 0 {
 		t.Error("inline budget never paged an app out")
 	}
-	if scans, _, _, _ := tiered.RestoreAheadStats(); scans == 0 {
+	if scans == 0 {
 		t.Error("restore-ahead cycles never evaluated a candidate")
+	}
+	if e, r := tiered.classifications(); e == 0 || r == 0 {
+		t.Errorf("the tiered service extracted %d times and resumed %d: want both", e, r)
+	}
+	if _, r := ref.classifications(); r != 0 {
+		t.Errorf("the reference resumed %d classifications, want 0", r)
 	}
 }
 
 // TestTierShardCountEquivalence pins the shard split itself: one
-// deterministic replay served at -tier-shards 1, 2, and 8 must end with
-// Float64bits-identical forecasts, drift state, and conserved durable
-// totals — striping changes contention, never results.
+// deterministic replay — observes, batches, page-outs, restore-ahead
+// cycles, model swaps, Promote, imported windows and store reopens —
+// served at -tier-shards 1, 2, and 8, store-backed and store-less, must
+// end with the same forecasters, Float64bits-identical forecasts, drift
+// state, and conserved durable totals — striping changes contention,
+// never results.
 func TestTierShardCountEquivalence(t *testing.T) {
-	model := trainTinyModel(t)
+	for _, storeless := range []bool{false, true} {
+		t.Run(fmt.Sprintf("storeless=%v", storeless), func(t *testing.T) {
+			testTierShardCountEquivalence(t, storeless)
+		})
+	}
+}
+
+func testTierShardCountEquivalence(t *testing.T, storeless bool) {
+	models := []*femux.Model{muxModelA(t), muxModelB(t)}
+	cur := 0
 	apps := make([]string, 12)
 	for i := range apps {
 		apps[i] = fmt.Sprintf("sc-%d", i)
 	}
-	type run struct {
-		shards int
-		svc    *Service
-		st     *store.Store
-		srv    *httptest.Server
-	}
-	runs := make([]*run, 0, 3)
-	for _, n := range []int{1, 2, 8} {
-		st, err := store.Open(t.TempDir(), store.Options{
-			Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
+	minute := make([]int, len(apps))
+	shardCounts := []int{1, 2, 8}
+	runs := make([]*tierNode, len(shardCounts))
+	for k, n := range shardCounts {
+		var storeOpt *store.Options
+		if !storeless {
+			storeOpt = &store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 4}
 		}
-		defer st.Close()
-		svc := NewServiceWith(model, ServiceOptions{
-			Store: st, MaxHotApps: 3, MaxWorkspaces: 2, TierShards: n,
-		})
-		if got := svc.Stripes(); got != n {
+		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: 3, MaxWorkspaces: 2, TierShards: n}, storeOpt, false)
+		runs[k].restart(models[cur])
+		if got := runs[k].svc.Stripes(); got != n {
 			t.Fatalf("Stripes = %d, want %d", got, n)
 		}
-		r := &run{shards: n, svc: svc, st: st, srv: httptest.NewServer(svc.Handler())}
-		defer r.srv.Close()
-		runs = append(runs, r)
 	}
 
 	// One op stream, replayed identically against every shard count.
 	rng := rand.New(rand.NewSource(99))
+	next := func(i int) float64 {
+		minute[i]++
+		return shapedValue(i, minute[i]-1)
+	}
 	total := 0
-	for op := 0; op < 300; op++ {
+	for op := 0; op < 400; op++ {
 		switch r := rng.Intn(100); {
-		case r < 60:
-			app := apps[rng.Intn(len(apps))]
-			v := math.Round(rng.Float64()*20*1000) / 1000
+		case r < 55:
+			i := rng.Intn(len(apps))
+			v := next(i)
 			total++
-			for _, ru := range runs {
-				if code := postObserve(t, ru.srv.URL, app, v); code != 200 {
-					t.Fatalf("op %d shards=%d: observe: %d", op, ru.shards, code)
+			for k, ru := range runs {
+				if code := postObserve(t, ru.srv.URL, apps[i], v); code != 200 {
+					t.Fatalf("op %d shards=%d: observe: %d", op, shardCounts[k], code)
 				}
 			}
-		case r < 85:
-			n := 1 + rng.Intn(8)
-			obs := make([]BatchObservation, n)
-			for i := range obs {
-				obs[i] = BatchObservation{
-					App:         apps[rng.Intn(len(apps))],
-					Concurrency: math.Round(rng.Float64()*20*1000) / 1000,
-				}
+		case r < 78:
+			obs := make([]BatchObservation, 1+rng.Intn(8))
+			for j := range obs {
+				i := rng.Intn(len(apps))
+				obs[j] = BatchObservation{App: apps[i], Concurrency: next(i)}
 			}
-			total += n
+			total += len(obs)
 			body := marshalBatch(t, obs...)
-			for _, ru := range runs {
+			for k, ru := range runs {
 				if resp, out := postBatchJSON(t, ru.srv.URL, body); resp.StatusCode != 200 || out.Rejected != 0 {
-					t.Fatalf("op %d shards=%d: batch: %d/%d", op, ru.shards, resp.StatusCode, out.Rejected)
+					t.Fatalf("op %d shards=%d: batch: %d/%d", op, shardCounts[k], resp.StatusCode, out.Rejected)
 				}
 			}
-		case r < 92:
+		case r < 84:
 			app := apps[rng.Intn(len(apps))]
-			for _, ru := range runs {
+			for k, ru := range runs {
+				if ru.st == nil {
+					continue
+				}
 				if err := ru.st.PageOut(app); err != nil {
-					t.Fatalf("op %d shards=%d: page out: %v", op, ru.shards, err)
+					t.Fatalf("op %d shards=%d: page out: %v", op, shardCounts[k], err)
+				}
+			}
+		case r < 90:
+			for _, ru := range runs {
+				ru.svc.RestoreAheadCycle(0.9, 1)
+			}
+		case r < 93:
+			cur = 1 - cur
+			for _, ru := range runs {
+				ru.svc.SwapModel(models[cur])
+			}
+		case r < 94:
+			for _, ru := range runs {
+				ru.svc.Promote() // a primary: no-op
+			}
+		case r < 97: // dropCached + ImportApp: another window, same length
+			i := rng.Intn(len(apps))
+			a := runs[0].svc.acquire(apps[i])
+			n := len(a.history)
+			runs[0].svc.releaseApp(a)
+			minute[i] += 1000
+			win := shapedWindow(i+1, minute[i], n)
+			for k, ru := range runs {
+				if err := ru.svc.AdoptApp(apps[i], win, int64(n)); err != nil {
+					t.Fatalf("op %d shards=%d: adopt: %v", op, shardCounts[k], err)
 				}
 			}
 		default:
 			for _, ru := range runs {
-				ru.svc.RestoreAheadCycle(0.9, 1)
+				if ru.st != nil {
+					ru.restart(models[cur])
+				}
 			}
 		}
 	}
 
-	// Conservation: every run holds the identical durable fleet.
+	// Conservation: every run holds the identical durable fleet. (An
+	// import sets the app's durable total to its window length, which is
+	// what the app had observed: the replayed count is conserved.)
 	base := runs[0]
-	for _, ru := range runs[1:] {
-		if a, b := base.st.TotalObservations(), ru.st.TotalObservations(); a != b {
-			t.Errorf("shards=%d: durable total %d, want %d", ru.shards, b, a)
+	for k, ru := range runs[1:] {
+		if base.st != nil {
+			if a, b := base.st.TotalObservations(), ru.st.TotalObservations(); a != b {
+				t.Errorf("shards=%d: durable total %d, want %d", shardCounts[k+1], b, a)
+			}
 		}
 		if a, b := base.svc.Apps(), ru.svc.Apps(); a != b {
-			t.Errorf("shards=%d: Apps %d, want %d", ru.shards, b, a)
+			t.Errorf("shards=%d: Apps %d, want %d", shardCounts[k+1], b, a)
 		}
 	}
-	if got := base.st.TotalObservations(); got != int64(total) {
-		t.Errorf("durable total = %d, want %d (replayed)", got, total)
+	if base.st != nil {
+		if got := base.st.TotalObservations(); got != int64(total) {
+			t.Errorf("durable total = %d, want %d (replayed)", got, total)
+		}
 	}
 	// Bit-identical serving state across shard counts.
 	for _, app := range apps {
 		want := fetchDecision(t, base.srv.URL, app)
 		wantQ := fetchQuantileBands(t, base.srv.URL, app)
-		for _, ru := range runs[1:] {
+		for k, ru := range runs[1:] {
+			shards := shardCounts[k+1]
 			got := fetchDecision(t, ru.srv.URL, app)
 			if got.target != want.target {
-				t.Fatalf("%s: shards=%d target %+v != shards=1 %+v", app, ru.shards, got.target, want.target)
+				t.Fatalf("%s: shards=%d target %+v != shards=1 %+v", app, shards, got.target, want.target)
+			}
+			if got.forecast.Forecaster != want.forecast.Forecaster {
+				t.Fatalf("%s: shards=%d forecaster %q != shards=1 %q", app, shards, got.forecast.Forecaster, want.forecast.Forecaster)
 			}
 			for i := range want.forecast.Values {
 				if math.Float64bits(want.forecast.Values[i]) != math.Float64bits(got.forecast.Values[i]) {
-					t.Fatalf("%s: shards=%d forecast[%d] %v != %v", app, ru.shards, i,
+					t.Fatalf("%s: shards=%d forecast[%d] %v != %v", app, shards, i,
 						got.forecast.Values[i], want.forecast.Values[i])
 				}
 			}
@@ -303,7 +495,7 @@ func TestTierShardCountEquivalence(t *testing.T) {
 			for q := range wantQ {
 				for i := range wantQ[q].Values {
 					if math.Float64bits(wantQ[q].Values[i]) != math.Float64bits(gotQ[q].Values[i]) {
-						t.Fatalf("%s: shards=%d p%g[%d] %v != %v", app, ru.shards,
+						t.Fatalf("%s: shards=%d p%g[%d] %v != %v", app, shards,
 							wantQ[q].Level*100, i, gotQ[q].Values[i], wantQ[q].Values[i])
 					}
 				}
@@ -312,9 +504,9 @@ func TestTierShardCountEquivalence(t *testing.T) {
 	}
 	// The 3-hot budget held globally on every split, including the
 	// 8-stripe case where five stripes run at budget 0.
-	for _, ru := range runs {
+	for k, ru := range runs {
 		if hot := ru.svc.HotApps(); hot > 3 {
-			t.Errorf("shards=%d: hot apps = %d, want <= 3", ru.shards, hot)
+			t.Errorf("shards=%d: hot apps = %d, want <= 3", shardCounts[k], hot)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -58,6 +57,10 @@ type pager struct {
 	liveBytes int64 // bytes referenced by live stubs
 	deadBytes int64 // bytes in page files no stub references
 	fsyncs    int64
+
+	// rd holds a read handle per page file a page-in has touched, open
+	// until the file is deleted or the pager closes.
+	rd map[uint64]*os.File
 }
 
 // openPager scans dir for existing page files and positions the writer
@@ -68,7 +71,7 @@ func openPager(dir string) (*pager, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pager{dir: dir, seq: 1}
+	p := &pager{dir: dir, seq: 1, rd: map[uint64]*os.File{}}
 	for _, seq := range seqs {
 		if seq >= p.seq {
 			p.seq = seq + 1
@@ -115,37 +118,48 @@ func (p *pager) writeOut(app string, st *appState) (*pageRef, error) {
 	return ref, nil
 }
 
-// readBack loads the record a stub points to and returns the decoded
-// app state. The frame CRC plus the embedded app name guard against
-// stale or misdirected refs.
-func (p *pager) readBack(app string, ref *pageRef) (*appState, error) {
-	f, err := os.Open(filepath.Join(p.dir, pageName(ref.seq)))
+// reader returns the read handle of page file seq, opening it on first use.
+func (p *pager) reader(seq uint64) (*os.File, error) {
+	if f := p.rd[seq]; f != nil {
+		return f, nil
+	}
+	f, err := os.Open(filepath.Join(p.dir, pageName(seq)))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	buf := make([]byte, ref.recLen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, ref.off, ref.recLen), buf); err != nil {
-		return nil, fmt.Errorf("store: page %d@%d: %w", ref.seq, ref.off, err)
-	}
-	var got *appState
-	if _, err := readRecords(bytes.NewReader(buf), func(payload []byte) error {
-		name, st, err := decodeWireAppCompact(payload)
-		if err != nil {
-			return err
-		}
-		if name != app {
-			return fmt.Errorf("store: page %d@%d: holds %q, want %q", ref.seq, ref.off, name, app)
-		}
-		got = st
-		return nil
-	}); err != nil {
+	p.rd[seq] = f
+	return f, nil
+}
+
+// readBack loads the record a stub points to and returns the decoded
+// app state, verifying and decoding it in the buffer it was read into.
+// The stub must span exactly one frame; the frame CRC plus the embedded
+// app name guard against stale or misdirected refs.
+func (p *pager) readBack(app string, ref *pageRef) (*appState, error) {
+	f, err := p.reader(ref.seq)
+	if err != nil {
 		return nil, err
 	}
-	if got == nil {
-		return nil, fmt.Errorf("store: page %d@%d: empty record", ref.seq, ref.off)
+	if ref.recLen <= recordHeaderLen || ref.recLen > maxRecordLen+recordHeaderLen {
+		return nil, fmt.Errorf("store: page %d@%d: record length %d out of range", ref.seq, ref.off, ref.recLen)
 	}
-	return got, nil
+	buf := make([]byte, ref.recLen)
+	if _, err := f.ReadAt(buf, ref.off); err != nil {
+		return nil, fmt.Errorf("store: page %d@%d: %w", ref.seq, ref.off, err)
+	}
+	// One intact frame, and nothing else, in the span the stub names.
+	payload := buf[recordHeaderLen:]
+	if int(binary.LittleEndian.Uint32(buf)) != len(payload) || validRecordPrefix(buf) != len(buf) {
+		return nil, fmt.Errorf("store: page %d@%d: stub does not span one valid record: %w", ref.seq, ref.off, errTorn)
+	}
+	name, st, err := decodeWireAppCompact(payload)
+	if err != nil {
+		return nil, err
+	}
+	if name != app {
+		return nil, fmt.Errorf("store: page %d@%d: holds %q, want %q", ref.seq, ref.off, name, app)
+	}
+	return st, nil
 }
 
 // free retires a stub's bytes (app restored, replaced, or dropped).
@@ -231,6 +245,10 @@ func (p *pager) deleteBelow(apps map[string]*appState) {
 		if seq >= minLive {
 			continue
 		}
+		if f := p.rd[seq]; f != nil {
+			f.Close()
+			delete(p.rd, seq)
+		}
 		path := filepath.Join(p.dir, pageName(seq))
 		if fi, err := os.Stat(path); err == nil {
 			if os.Remove(path) == nil {
@@ -244,6 +262,10 @@ func (p *pager) deleteBelow(apps map[string]*appState) {
 }
 
 func (p *pager) close() error {
+	for seq, f := range p.rd {
+		f.Close()
+		delete(p.rd, seq)
+	}
 	if p.f == nil {
 		return nil
 	}

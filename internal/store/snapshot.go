@@ -50,6 +50,23 @@ type appState struct {
 	// (in-memory only, never serialized): set on every apply/restore,
 	// cleared by a sweep pass before the app becomes a page-out victim.
 	touched bool
+	// The caller's Memo, in memory only like touched, flattened into the
+	// padding after it so the record stays in its 96-byte size class.
+	memoGroup uint8
+	memoGen   uint16
+	memoLen   uint32
+}
+
+// Memo is what the serving layer keeps beside a demoted window so a
+// restore need not reclassify it: the cluster Group of the window's last
+// completed block, at window length Len, under the caller's generation
+// Gen (0 = none). The store only carries it, in memory and in no file or
+// wire record: replacing an app's state (ImportApp, ImportState, DropApp)
+// or restarting drops it; appends keep it, and the caller tells by Len.
+type Memo struct {
+	Len   uint32
+	Gen   uint16
+	Group uint8
 }
 
 // windowLen reports the stored window length without materializing it.

@@ -465,11 +465,26 @@ func (s *Store) Windows() map[string][]float64 {
 // restore, paging a cold app back in (it becomes warm). paged reports
 // whether a disk read happened; ok is false for unknown apps.
 func (s *Store) RestoreWindow(app string) (win []float64, paged bool, ok bool) {
+	win, _, paged, ok = s.RestoreWindowMemo(app)
+	return win, paged, ok
+}
+
+// SetMemo attaches m (see Memo; zero clears) to an app, if it is known.
+func (s *Store) SetMemo(app string, m Memo) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.apps[app]; st != nil {
+		st.memoLen, st.memoGen, st.memoGroup = m.Len, m.Gen, m.Group
+	}
+}
+
+// RestoreWindowMemo is RestoreWindow plus the app's Memo.
+func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.apps[app]
 	if st == nil {
-		return nil, false, false
+		return nil, Memo{}, false, false
 	}
 	paged = st.page != nil
 	s.ensureInlineLocked(app, st)
@@ -482,13 +497,14 @@ func (s *Store) RestoreWindow(app string) (win []float64, paged bool, ok bool) {
 	// legitimately re-demote this very app (tiny budgets), which must not
 	// truncate the window we are about to hand to the caller.
 	s.enforceInlineBudgetLocked()
-	return win, paged, true
+	return win, Memo{st.memoLen, st.memoGen, st.memoGroup}, paged, true
 }
 
 // RestoredWindow is one app's entry in a RestoreWindows batch.
 type RestoredWindow struct {
 	App    string
 	Window []float64
+	Memo   Memo
 	// Paged reports that the window was read from a cold page (a
 	// request-path restore of this app would pay a disk read).
 	Paged bool
@@ -518,7 +534,7 @@ func (s *Store) RestoreWindows(names []string) []RestoredWindow {
 			// promoting restore path would not produce.
 			continue
 		}
-		out = append(out, RestoredWindow{App: app, Window: win, Paged: st.page != nil})
+		out = append(out, RestoredWindow{App: app, Window: win, Memo: Memo{st.memoLen, st.memoGen, st.memoGroup}, Paged: st.page != nil})
 	}
 	return out
 }
