@@ -2,8 +2,6 @@ package knative
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -80,16 +78,8 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if s.replicaGated(w) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	var req BatchObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.Observations) == 0 {
@@ -196,10 +186,10 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		res.Target = a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
 		res.Forecaster = a.policy.CurrentForecaster()
 		res.History = len(a.history)
-		a.mu.Unlock()
 		if sm != nil {
-			sm.Observes.Inc(obs.App)
+			a.count(&a.observes, sm.Observes)
 		}
+		a.mu.Unlock()
 		resp.Accepted++
 	}
 	unpin()
@@ -209,13 +199,13 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if sm != nil {
 		sm.BatchReqs.Inc()
 	}
-	writeJSON(w, resp)
+	writeJSON(w, &resp)
 }
 
 // ObserveBatch posts a batch of observations through the real REST path
 // (used by knative-emu's scalability study and tests).
 func (p *HTTPProvider) ObserveBatch(items []BatchObservation) (*BatchObserveResponse, error) {
-	body, err := json.Marshal(BatchObserveRequest{Observations: items})
+	body, err := marshalWire(&BatchObserveRequest{Observations: items})
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +223,7 @@ func (p *HTTPProvider) ObserveBatch(items []BatchObservation) (*BatchObserveResp
 		return nil, fmt.Errorf("batch observe: HTTP %d", resp.StatusCode)
 	}
 	var out BatchObserveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeWire(resp.Body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -350,6 +350,9 @@ func FuzzBatchObserve(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte{0x00, 0xff, 0x13, 0x37})
 	f.Add([]byte(`{"observations":[{"app":"a","concurrency":1e308},{"app":"b","concurrency":0}]}`))
+	for _, body := range nonCanonicalBodies {
+		f.Add([]byte(body))
+	}
 
 	svc := NewService(trainTinyModel(f))
 	reg := serving.NewRegistry()

@@ -397,16 +397,8 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "batch observe requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	var req BatchObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.Observations) == 0 {
@@ -461,7 +453,7 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	rt.retryRedirected(&out, req.Observations)
-	writeJSON(w, out)
+	writeJSON(w, &out)
 }
 
 // retryRedirected re-sends every item the first round answered 421-with-
@@ -514,7 +506,7 @@ func (rt *ShardRouter) retryRedirected(out *BatchObserveResponse, obs []BatchObs
 
 // postBatch forwards one sub-batch to a backend and decodes the reply.
 func (rt *ShardRouter) postBatch(baseURL string, obs []BatchObservation) (*BatchObserveResponse, error) {
-	body, err := json.Marshal(BatchObserveRequest{Observations: obs})
+	body, err := marshalWire(&BatchObserveRequest{Observations: obs})
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +521,7 @@ func (rt *ShardRouter) postBatch(baseURL string, obs []BatchObservation) (*Batch
 		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
 	}
 	var out BatchObserveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeWire(resp.Body, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(obs) {

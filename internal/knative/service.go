@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,6 +168,12 @@ type svcApp struct {
 	// round trip — bit-identical to the incrementally maintained state
 	// (see tierequiv_test.go).
 	drift lifecycle.Detector
+
+	// observes/targets/forecasts are this app's children of the per-app
+	// counter families, so a batch item costs an atomic add instead of a
+	// label-key lookup. Each is resolved on first use rather than at
+	// materialization (see count), and guarded by mu.
+	observes, targets, forecasts serving.CounterChild
 
 	// Tier state (see tier.go). stripe is the tier stripe that owns this
 	// app, fixed at materialization. hotEl/wsEl are this app's positions
@@ -493,6 +500,18 @@ func (s *Service) svcMetrics() *ServiceMetrics {
 	return s.metrics
 }
 
+// count adds one to the app's child of the per-app family fam, through
+// the handle h cached on the app. The handle is resolved by the first
+// count, not when the app materializes, so the child's line enters the
+// exposition exactly when Inc(a.name) would have created it. Callers hold
+// a.mu.
+func (a *svcApp) count(h *serving.CounterChild, fam *serving.Counter) {
+	if *h == (serving.CounterChild{}) {
+		*h = fam.With(a.name)
+	}
+	h.Inc()
+}
+
 func (s *Service) app(name string) *svcApp {
 	t := s.tier.stripe(name)
 	t.mu.Lock()
@@ -709,13 +728,11 @@ func (s *Service) Handler() http.Handler {
 }
 
 func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/apps/")
-	parts := strings.Split(rest, "/")
-	if len(parts) != 2 || parts[0] == "" {
+	name, action, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/apps/"), "/")
+	if !ok || name == "" || strings.Contains(action, "/") {
 		http.Error(w, "expected /v1/apps/{app}/{observe|target|forecast}", http.StatusNotFound)
 		return
 	}
-	name, action := parts[0], parts[1]
 	if s.replicaGated(w) {
 		return
 	}
@@ -734,16 +751,8 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "observe requires POST", http.StatusMethodNotAllowed)
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxObserveBody)
 		var req ObserveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
-					http.StatusRequestEntityTooLarge)
-				return
-			}
-			http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, maxObserveBody, &req) {
 			return
 		}
 		if req.Concurrency < 0 {
@@ -779,11 +788,11 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		target := a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
 		fcName := a.policy.CurrentForecaster()
 		histLen := len(a.history)
-		s.releaseApp(a)
 		if sm := s.svcMetrics(); sm != nil {
-			sm.Observes.Inc(name)
+			a.count(&a.observes, sm.Observes)
 		}
-		writeJSON(w, TargetResponse{
+		s.releaseApp(a)
+		writeJSON(w, &TargetResponse{
 			App: name, Target: target,
 			Forecaster: fcName, History: histLen,
 		})
@@ -794,7 +803,8 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		}
 		unitC := 1
 		if v := r.URL.Query().Get("concurrency"); v != "" {
-			if _, err := fmt.Sscanf(v, "%d", &unitC); err != nil || unitC < 1 {
+			var err error
+			if unitC, err = strconv.Atoi(v); err != nil || unitC < 1 {
 				http.Error(w, "bad concurrency", http.StatusBadRequest)
 				return
 			}
@@ -804,11 +814,11 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		target := a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
 		fcName := a.policy.CurrentForecaster()
 		histLen := len(a.history)
-		s.releaseApp(a)
 		if sm := s.svcMetrics(); sm != nil {
-			sm.Targets.Inc(name)
+			a.count(&a.targets, sm.Targets)
 		}
-		writeJSON(w, TargetResponse{
+		s.releaseApp(a)
+		writeJSON(w, &TargetResponse{
 			App: name, Target: target,
 			Forecaster: fcName, History: histLen,
 		})
@@ -819,7 +829,8 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		}
 		horizon := 1
 		if v := r.URL.Query().Get("horizon"); v != "" {
-			if _, err := fmt.Sscanf(v, "%d", &horizon); err != nil || horizon < 1 || horizon > 1440 {
+			var err error
+			if horizon, err = strconv.Atoi(v); err != nil || horizon < 1 || horizon > 1440 {
 				http.Error(w, "bad horizon", http.StatusBadRequest)
 				return
 			}
@@ -847,10 +858,10 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		fcName := a.policy.CurrentForecaster()
-		s.releaseApp(a)
 		if sm := s.svcMetrics(); sm != nil {
-			sm.Forecasts.Inc(name)
+			a.count(&a.forecasts, sm.Forecasts)
 		}
+		s.releaseApp(a)
 		writeJSON(w, ForecastResponse{
 			App: name, Forecaster: fcName,
 			Values: values, Quantiles: bands,
@@ -884,12 +895,34 @@ func parseQuantileLevels(raw string) ([]float64, bool) {
 	return levels, true
 }
 
+// decodeBody decodes r's body, capped at limit bytes, into m. On failure
+// it has answered 413 or 400 and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, m wireMessage) bool {
+	err := decodeWire(http.MaxBytesReader(w, r.Body, limit), m)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
+			http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
+// writeJSON answers 200 with v as a JSON document: the four hot messages
+// through the wire codec, everything else through encoding/json.
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already sent; nothing more to do.
+	// A failed write means the client is gone; headers are already sent
+	// and there is nothing more to do.
+	if m, ok := v.(wireMessage); ok {
+		_ = encodeWire(w, m)
 		return
 	}
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // Apps returns the number of applications the service currently tracks
@@ -928,7 +961,7 @@ type HTTPProvider struct {
 
 // Target implements ScaleProvider.
 func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int) (int, bool) {
-	body, err := json.Marshal(ObserveRequest{Concurrency: minuteAvg, UnitConcurrency: unitConcurrency})
+	body, err := marshalWire(&ObserveRequest{Concurrency: minuteAvg, UnitConcurrency: unitConcurrency})
 	if err != nil {
 		return 0, false
 	}
@@ -937,7 +970,7 @@ func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int
 		client = http.DefaultClient
 	}
 	resp, err := client.Post(p.BaseURL+"/v1/apps/"+app+"/observe", "application/json",
-		strings.NewReader(string(body)))
+		bytes.NewReader(body))
 	if err != nil {
 		return 0, false
 	}
@@ -946,7 +979,7 @@ func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int
 		return 0, false
 	}
 	var tr TargetResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+	if err := decodeWire(resp.Body, &tr); err != nil {
 		return 0, false
 	}
 	return tr.Target, true

@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -104,6 +105,42 @@ func TestQuantileLevelZeroMatchesPointPath(t *testing.T) {
 		}
 		if want := ref.Target(hist, 1); got != want {
 			t.Fatalf("obs %d: zero-level target %d, plain Target %d", i, got, want)
+		}
+	}
+}
+
+// TestWireCodecAllocs bounds what the wire codec allocates on the batch
+// path: decoding an N-item canonical batch copies out N app names and
+// makes one slice (N+2 leaves the pool a miss), and encoding into a
+// buffer that is already big enough allocates nothing.
+func TestWireCodecAllocs(t *testing.T) {
+	const n = 64
+	req, resp := wireBenchBatch(n)
+	doc, err := marshalWire(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var into BatchObserveRequest
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := decodeWire(bytes.NewReader(doc), &into); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// bytes.NewReader is the test's own allocation.
+	if allocs > n+2+1 {
+		t.Errorf("decoding a %d-item batch: %v allocs, want at most %d", n, allocs, n+2)
+	}
+	if len(into.Observations) != n || into.Observations[n-1] != req.Observations[n-1] {
+		t.Fatalf("decoded %d items, last %+v", len(into.Observations), into.Observations[n-1])
+	}
+	w := &wireBuf{b: make([]byte, 0, 16<<10)}
+	for _, m := range []wireMessage{req, resp} {
+		allocs := testing.AllocsPerRun(50, func() {
+			w.b = w.b[:0]
+			m.appendWire(w)
+		})
+		if allocs != 0 || w.bad {
+			t.Errorf("encoding %T into a sized buffer: %v allocs (declined: %v), want 0", m, allocs, w.bad)
 		}
 	}
 }

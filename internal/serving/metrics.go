@@ -216,14 +216,36 @@ func (r *Registry) NewCounter(name, help string, labelNames ...string) *Counter 
 }
 
 // Inc adds one to the child identified by labelValues.
-func (c *Counter) Inc(labelValues ...string) { c.Add(1, labelValues...) }
+func (c *Counter) Inc(labelValues ...string) { c.With(labelValues...).Add(1) }
 
 // Add adds delta (must be >= 0) to the child identified by labelValues.
-func (c *Counter) Add(delta float64, labelValues ...string) {
+func (c *Counter) Add(delta float64, labelValues ...string) { c.With(labelValues...).Add(delta) }
+
+// With resolves labelValues once and returns a handle on that child, for
+// callers that update the same label set many times: a handle's Inc skips
+// the key join and map lookup Counter.Inc pays per call. The child is the
+// one Inc(labelValues...) would have used at this moment — created now if
+// new, the "_other" child if the family is at its LimitCardinality cap —
+// so resolving early versus late changes nothing a scrape can see except
+// when the child's first line appears.
+func (c *Counter) With(labelValues ...string) CounterChild {
+	return CounterChild{c.fam.child(labelValues)}
+}
+
+// CounterChild is one label set of a Counter. The zero value is not
+// usable; handles are comparable, so a caller that resolves lazily can
+// test for it.
+type CounterChild struct{ c *child }
+
+// Inc adds one.
+func (h CounterChild) Inc() { h.Add(1) }
+
+// Add adds delta (must be >= 0).
+func (h CounterChild) Add(delta float64) {
 	if delta < 0 {
 		panic("serving: counter decrease")
 	}
-	addFloatBits(&c.fam.child(labelValues).valBits, delta)
+	addFloatBits(&h.c.valBits, delta)
 }
 
 // Value reads the current value of one child (testing and self-checks).
@@ -322,13 +344,27 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64, labelNames
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64, labelValues ...string) {
-	c := h.fam.child(labelValues)
+func (h *Histogram) Observe(v float64, labelValues ...string) { h.With(labelValues...).Observe(v) }
+
+// With resolves labelValues once and returns a handle on that child; see
+// Counter.With.
+func (h *Histogram) With(labelValues ...string) HistogramChild {
+	return HistogramChild{h.fam.child(labelValues), h.fam.buckets}
+}
+
+// HistogramChild is one label set of a Histogram.
+type HistogramChild struct {
+	c       *child
+	buckets []float64
+}
+
+// Observe records one value.
+func (h HistogramChild) Observe(v float64) {
 	// Find the first bucket with upper bound >= v; +Inf is the last slot.
-	idx := sort.SearchFloat64s(h.fam.buckets, v)
-	c.bucketCounts[idx].Add(1)
-	addFloatBits(&c.sumBits, v)
-	c.count.Add(1)
+	idx := sort.SearchFloat64s(h.buckets, v)
+	h.c.bucketCounts[idx].Add(1)
+	addFloatBits(&h.c.sumBits, v)
+	h.c.count.Add(1)
 }
 
 // Count returns the total number of observations for one child.

@@ -221,3 +221,44 @@ func TestCounterCardinalityCap(t *testing.T) {
 		t.Errorf("app-1 after cap = %v, want 11", got)
 	}
 }
+
+// TestWithHandlesSameExposition: updating through With handles and
+// through label values is one operation spelled two ways — the same
+// children in the same order with the same values, folded into "_other"
+// at the same point — so the two scrapes are byte-identical.
+func TestWithHandlesSameExposition(t *testing.T) {
+	apps := []string{"a", "b", "a", "c", "d", "b", `e"quoted`, "a"}
+	byValues, byHandles := NewRegistry(), NewRegistry()
+	{
+		c := byValues.NewCounter("femux_obs_total", "obs.", "app").LimitCardinality(3)
+		h := byValues.NewHistogram("femux_lat_seconds", "lat.", []float64{0.1, 1}, "endpoint")
+		for i, app := range apps {
+			c.Inc(app)
+			c.Add(float64(i), app)
+			h.Observe(float64(i)/4, "ep-"+app)
+		}
+	}
+	{
+		c := byHandles.NewCounter("femux_obs_total", "obs.", "app").LimitCardinality(3)
+		h := byHandles.NewHistogram("femux_lat_seconds", "lat.", []float64{0.1, 1}, "endpoint")
+		counters, hists := map[string]CounterChild{}, map[string]HistogramChild{}
+		for i, app := range apps {
+			if _, ok := counters[app]; !ok {
+				counters[app], hists[app] = c.With(app), h.With("ep-"+app)
+			}
+			counters[app].Inc()
+			counters[app].Add(float64(i))
+			hists[app].Observe(float64(i) / 4)
+		}
+		if counters["a"] != c.With("a") || counters["d"] != counters[`e"quoted`] {
+			t.Error("With must return the child Inc uses: the same one per label set, one overflow child past the cap")
+		}
+	}
+	want, got := scrape(t, byValues), scrape(t, byHandles)
+	if got != want {
+		t.Errorf("exposition differs:\nby label values:\n%s\nby handles:\n%s", want, got)
+	}
+	if !strings.Contains(want, `femux_obs_total{app="_other"} `) {
+		t.Errorf("the cap was never reached, the overflow path went untested:\n%s", want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -72,6 +73,43 @@ type HTTPMetrics struct {
 	Requests *Counter   // femux_http_requests_total{endpoint,method,code}
 	Latency  *Histogram // femux_http_request_duration_seconds{endpoint}
 	InFlight *Gauge     // femux_http_in_flight_requests
+
+	// series caches the children a request outcome updates, so counting a
+	// request formats no status code and joins no label key.
+	mu     sync.RWMutex
+	series map[httpOutcome]httpSeries
+}
+
+type httpOutcome struct {
+	endpoint, method string
+	code             int
+}
+
+type httpSeries struct {
+	requests CounterChild
+	latency  HistogramChild
+}
+
+// seriesFor returns the children for one outcome, resolving them the first
+// time it is seen — in the order Instrument has always touched them, so
+// the exposition's line order is unchanged.
+func (m *HTTPMetrics) seriesFor(o httpOutcome) httpSeries {
+	m.mu.RLock()
+	hs, ok := m.series[o]
+	m.mu.RUnlock()
+	if ok {
+		return hs
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if hs, ok = m.series[o]; !ok {
+		hs = httpSeries{
+			requests: m.Requests.With(o.endpoint, o.method, strconv.Itoa(o.code)),
+			latency:  m.Latency.With(o.endpoint),
+		}
+		m.series[o] = hs
+	}
+	return hs
 }
 
 // NewHTTPMetrics registers the serving metric families on reg.
@@ -84,13 +122,18 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 			"HTTP request latency by endpoint.", DefaultLatencyBuckets, "endpoint"),
 		InFlight: reg.NewGauge("femux_http_in_flight_requests",
 			"Requests currently being served."),
+		series: map[httpOutcome]httpSeries{},
 	}
 }
 
 // Instrument wraps next with request counting and latency histograms.
 func (m *HTTPMetrics) Instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
+		// Under LogRequests the writer already records the status.
+		sw, ok := w.(*statusWriter)
+		if !ok {
+			sw = &statusWriter{ResponseWriter: w}
+		}
 		endpoint := EndpointLabel(r.URL.Path)
 		m.InFlight.Add(1)
 		start := time.Now()
@@ -101,8 +144,9 @@ func (m *HTTPMetrics) Instrument(next http.Handler) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		m.Requests.Inc(endpoint, r.Method, strconv.Itoa(status))
-		m.Latency.Observe(elapsed, endpoint)
+		hs := m.seriesFor(httpOutcome{endpoint, r.Method, status})
+		hs.requests.Inc()
+		hs.latency.Observe(elapsed)
 	})
 }
 

@@ -189,3 +189,34 @@ func TestRunGracefulShutdown(t *testing.T) {
 		t.Errorf("Run returned %v", err)
 	}
 }
+
+// TestInstrumentUnderLogRequests: stacked the way femuxd stacks them,
+// Instrument reads the status off LogRequests' writer instead of wrapping
+// a second one, and both still see what the handler answered.
+func TestInstrumentUnderLogRequests(t *testing.T) {
+	reg := NewRegistry()
+	m := NewHTTPMetrics(reg)
+	var seen http.ResponseWriter
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = w
+		http.Error(w, "nope", http.StatusTeapot)
+	})
+	var logged strings.Builder
+	h := LogRequests(log.New(&logged, "", 0), m.Instrument(inner))
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe/batch", nil))
+		if sw, ok := seen.(*statusWriter); !ok || sw.ResponseWriter != http.ResponseWriter(rec) {
+			t.Fatalf("handler saw %T wrapping %T, want one statusWriter around the recorder", seen, sw.ResponseWriter)
+		}
+	}
+	if got := m.Requests.Value("observe_batch", "POST", "418"); got != 2 {
+		t.Errorf("requests{observe_batch,POST,418} = %v, want 2", got)
+	}
+	if got := m.Latency.Count("observe_batch"); got != 2 {
+		t.Errorf("latency count = %v, want 2", got)
+	}
+	if n := strings.Count(logged.String(), "status=418"); n != 2 {
+		t.Errorf("logged %d status=418 lines, want 2:\n%s", n, logged.String())
+	}
+}
