@@ -46,23 +46,7 @@ func TestFemuxdSigtermRestartBitIdentical(t *testing.T) {
 			for i, app := range apps {
 				obs[i] = knative.BatchObservation{App: app, Concurrency: float64((m*5+i)%7) + 0.5}
 			}
-			body, err := json.Marshal(knative.BatchObserveRequest{Observations: obs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(baseURL+"/v1/observe/batch", "application/json",
-				strings.NewReader(string(body)))
-			if err != nil {
-				t.Fatalf("minute %d: %v", m, err)
-			}
-			var out knative.BatchObserveResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || out.Rejected != 0 {
-				t.Fatalf("minute %d: status=%d rejected=%d", m, resp.StatusCode, out.Rejected)
-			}
+			postBatch(t, baseURL, m, obs)
 		}
 	}
 
@@ -75,7 +59,7 @@ func TestFemuxdSigtermRestartBitIdentical(t *testing.T) {
 
 	// First femuxd process: half the replay, then SIGTERM.
 	addr := freeAddr(t)
-	proc1 := startFemuxd(t, bin, addr, modelPath, dataDir)
+	proc1 := startFemuxd(t, bin, addr, modelPath, "-data-dir", dataDir, "-fsync", "always")
 	feed("http://"+addr, 0, half)
 	if err := proc1.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -85,7 +69,7 @@ func TestFemuxdSigtermRestartBitIdentical(t *testing.T) {
 	}
 
 	// Second process, same data dir: must restore and resume.
-	proc2 := startFemuxd(t, bin, addr, modelPath, dataDir)
+	proc2 := startFemuxd(t, bin, addr, modelPath, "-data-dir", dataDir, "-fsync", "always")
 	defer func() {
 		proc2.Process.Signal(syscall.SIGTERM)
 		proc2.Wait()
@@ -121,6 +105,91 @@ func TestFemuxdSigtermRestartBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFemuxdBoundedInMemoryChurn is the CI sparse-churn smoke's third run
+// in miniature: a femuxd binary started without -data-dir, its hot tier
+// bounded far below the fleet, must evict and restore through the memory
+// store without losing an observation — femux_store_observations, exported
+// whatever the store, equals what was acknowledged, and every app answers
+// with its whole history.
+func TestFemuxdBoundedInMemoryChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.json")
+	if err := writeModel(modelPath, tinyModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	addr := freeAddr(t)
+	proc := startFemuxd(t, buildFemuxd(t), addr, modelPath,
+		"-max-hot-apps", "4", "-max-workspaces", "2", "-tier-shards", "0")
+	defer func() {
+		proc.Process.Signal(syscall.SIGTERM)
+		proc.Wait()
+	}()
+
+	// 40 apps, app i firing every (i%5)+1 minutes: most requests find
+	// their app evicted.
+	const apps, minutes = 40, 30
+	sent := make([]int, apps)
+	acked := 0
+	for m := 0; m < minutes; m++ {
+		var obs []knative.BatchObservation
+		for i := 0; i < apps; i++ {
+			if m%(i%5+1) == 0 {
+				obs = append(obs, knative.BatchObservation{App: fmt.Sprintf("sparse-%d", i), Concurrency: float64((m+i)%4) + 0.25})
+				sent[i]++
+			}
+		}
+		acked += postBatch(t, "http://"+addr, m, obs)
+	}
+
+	scrape := httpGet(t, "http://"+addr+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("femux_store_observations %d\n", acked),
+		fmt.Sprintf("femux_store_apps %d\n", apps),
+		"femux_store_wal_segments 0\n",
+	} {
+		if !strings.Contains(scrape, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(scrape, "femux_tier_evictions_total 0\n") {
+		t.Error("no evictions: the hot budget never bound")
+	}
+	for i := 0; i < apps; i++ {
+		var got knative.TargetResponse
+		mustGetJSON(t, fmt.Sprintf("http://%s/v1/apps/sparse-%d/target", addr, i), &got)
+		if got.History != sent[i] {
+			t.Errorf("sparse-%d: history %d, want the %d observations sent", i, got.History, sent[i])
+		}
+	}
+}
+
+// postBatch posts one minute's batch, requires every item accepted, and
+// returns how many were.
+func postBatch(t *testing.T, baseURL string, minute int, obs []knative.BatchObservation) int {
+	t.Helper()
+	body, err := json.Marshal(knative.BatchObserveRequest{Observations: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(baseURL+"/v1/observe/batch", "application/json",
+		strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("minute %d: %v", minute, err)
+	}
+	defer resp.Body.Close()
+	var out knative.BatchObserveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || out.Rejected != 0 {
+		t.Fatalf("minute %d: status=%d rejected=%d", minute, resp.StatusCode, out.Rejected)
+	}
+	return out.Accepted
+}
+
 func buildFemuxd(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "femuxd")
@@ -143,15 +212,13 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-func startFemuxd(t *testing.T, bin, addr, modelPath, dataDir string) *exec.Cmd {
+func startFemuxd(t *testing.T, bin, addr, modelPath string, flags ...string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin,
+	cmd := exec.Command(bin, append([]string{
 		"-addr", addr,
 		"-model", modelPath,
-		"-data-dir", dataDir,
-		"-fsync", "always",
 		"-shutdown-timeout", "10s",
-	)
+	}, flags...)...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

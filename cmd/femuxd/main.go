@@ -20,15 +20,17 @@
 // With -data-dir, every acknowledged observation is persisted through a
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
-// loses no state. -max-hot-apps / -max-workspaces / -max-warm-apps bound
-// the hot, workspace, and in-memory-window tiers so a million-app fleet
-// serves in bounded RSS: the LRU excess is demoted to compact windows
-// and, past the warm budget, paged to disk, then restored transparently
-// (and bit-identically) on first touch. With -shards/-shard-id the instance owns only its
-// FNV-1a hash partition of the apps (see cmd/femux-shard for the
-// router), and -watch-model hot-reloads the -model file whenever it
-// changes, so one retrain in a shared model directory propagates across
-// the fleet.
+// loses no state. Without it the same store is held in memory: same
+// tiering, no files, nothing survives the process. -max-hot-apps /
+// -max-workspaces / -max-warm-apps bound the hot, workspace, and
+// in-memory-window tiers so a million-app fleet serves in bounded RSS:
+// the LRU excess is demoted to compact windows and, past the warm
+// budget, paged to disk, then restored transparently (and
+// bit-identically) on first touch. With -shards/-shard-id the instance
+// owns only its FNV-1a hash partition of the apps (see cmd/femux-shard
+// for the router), and -watch-model hot-reloads the -model file whenever
+// it changes, so one retrain in a shared model directory propagates
+// across the fleet.
 package main
 
 import (
@@ -88,7 +90,7 @@ func main() {
 		reqTimeout      = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout on the API path")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "drain deadline on SIGINT/SIGTERM")
 
-		dataDir       = flag.String("data-dir", "", "durable observation store directory (empty = in-memory only)")
+		dataDir       = flag.String("data-dir", "", "durable observation store directory (empty = the same store held in memory only: no WAL, no paging, nothing survives a restart)")
 		fsyncPolicy   = flag.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period for -fsync interval")
 		compactEvery  = flag.Int("compact-every", 1<<16, "snapshot-compact the WAL after this many observations (-1 = never)")
@@ -160,20 +162,25 @@ func main() {
 		log.Printf("saved model to %s", *savePath)
 	}
 
+	if *maxWarmApps > 0 && *dataDir == "" {
+		log.Fatal("-max-warm-apps requires -data-dir (paging needs a store)")
+	}
+	pol, err := store.ParseSyncPolicy(*fsyncPolicy)
+	if err != nil {
+		log.Fatal(err)
+	}
+	storeOpt := store.Options{
+		Sync:         pol,
+		SyncInterval: *fsyncInterval,
+		WindowCap:    *windowCap,
+		CompactEvery: *compactEvery,
+		InlineBudget: *maxWarmApps,
+	}
 	var st *store.Store
-	if *dataDir != "" {
-		pol, err := store.ParseSyncPolicy(*fsyncPolicy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, err = store.Open(*dataDir, store.Options{
-			Sync:         pol,
-			SyncInterval: *fsyncInterval,
-			WindowCap:    *windowCap,
-			CompactEvery: *compactEvery,
-			InlineBudget: *maxWarmApps,
-		})
-		if err != nil {
+	if *dataDir == "" {
+		st = store.OpenMemory(storeOpt)
+	} else {
+		if st, err = store.Open(*dataDir, storeOpt); err != nil {
 			log.Fatal(err)
 		}
 		stats := st.Stats()
@@ -184,9 +191,6 @@ func main() {
 		}
 	}
 
-	if *maxWarmApps > 0 && st == nil {
-		log.Fatal("-max-warm-apps requires -data-dir (paging needs a store)")
-	}
 	if *quantileLevel < 0 || *quantileLevel >= 1 {
 		log.Fatalf("-quantile-level must be in [0, 1), got %g", *quantileLevel)
 	}
@@ -212,9 +216,7 @@ func main() {
 	reg := serving.NewRegistry()
 	reg.RegisterGoMetrics()
 	svc.InstrumentWith(reg)
-	if st != nil {
-		registerStoreMetrics(reg, st)
-	}
+	registerStoreMetrics(reg, st)
 
 	var repl *knative.Replicator
 	if *replicaOf != "" {
@@ -321,20 +323,19 @@ func main() {
 	if repl != nil {
 		repl.Stop()
 	}
-	if st != nil {
-		if cerr := st.Close(); cerr != nil {
-			log.Printf("closing durable store: %v", cerr)
-		}
+	if cerr := st.Close(); cerr != nil {
+		log.Printf("closing durable store: %v", cerr)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-// registerStoreMetrics exposes the durable store's state. The counters
-// are derived from on-disk state, so femux_store_observations survives
-// SIGKILL and restart — the CI crash smoke test cross-checks it against
-// the number of replayed observations.
+// registerStoreMetrics exposes the store's state. With -data-dir the
+// counters are derived from on-disk state, so femux_store_observations
+// survives SIGKILL and restart — the CI crash smoke test cross-checks it
+// against the number of replayed observations; the file gauges of a
+// memory store read 0.
 func registerStoreMetrics(reg *serving.Registry, st *store.Store) {
 	reg.NewGaugeFunc("femux_store_observations",
 		"Lifetime observations in the durable store (restored + appended).",

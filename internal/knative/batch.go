@@ -158,7 +158,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 
 	// Group commit: the whole batch becomes durable under one fsync
 	// before any of it is applied or acknowledged.
-	if s.st != nil && len(durable) > 0 {
+	if len(durable) > 0 {
 		if err := s.st.AppendBatch(durable); err != nil {
 			unpin()
 			if sm := s.svcMetrics(); sm != nil {

@@ -1,11 +1,6 @@
 package knative
 
-import (
-	"sort"
-
-	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
-	"github.com/ubc-cirrus-lab/femux-go/internal/store"
-)
+import "github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 
 // The service side of the retrain lifecycle: drift summaries for the
 // femux_drift_score gauge and the snapshot a lifecycle.Manager retrains
@@ -64,11 +59,9 @@ func (s *Service) MaxDriftScore() float64 {
 // fleet's observation windows (sorted by app name; maxApps > 0 keeps the
 // first maxApps names) for retraining and shadow evaluation.
 //
-// Store-backed services read windows straight from the durable store —
-// the write-ahead observe path keeps hot histories and store windows
-// identical, and reading the store does not promote cold apps out of
-// their tier. Store-less services copy hot histories and decode warm
-// compact windows.
+// Windows are read straight from the store — the write-ahead observe
+// path keeps hot histories and store windows identical, and reading the
+// store does not promote cold apps out of their tier.
 func (s *Service) LifecycleSnapshot(maxApps int, driftThreshold float64) lifecycle.Snapshot {
 	snap := lifecycle.Snapshot{Model: s.Model(), Gated: s.IsReplica()}
 	snap.MaxDrift, snap.Drifted, snap.Tracked = s.DriftSummary(driftThreshold)
@@ -76,70 +69,14 @@ func (s *Service) LifecycleSnapshot(maxApps int, driftThreshold float64) lifecyc
 		// A catching-up replica never retrains; skip the window copies.
 		return snap
 	}
-	if st := s.store(); st != nil {
-		names := st.AppNames() // sorted
-		if maxApps > 0 && len(names) > maxApps {
-			names = names[:maxApps]
-		}
-		for _, name := range names {
-			if w := st.Window(name); len(w) > 0 {
-				snap.Apps = append(snap.Apps, lifecycle.AppWindow{Name: name, Window: w})
-			}
-		}
-		return snap
-	}
-
-	// Store-less: warm windows first (under each stripe lock), then hot
-	// histories. An app evicted between the two scans is picked up by the
-	// re-check of its stripe's warm map; one that rematerialized in that
-	// window is simply read hot. Either way each app contributes exactly
-	// one window.
-	windows := map[string][]float64{}
-	var hot []*svcApp
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		for name, cw := range t.warm {
-			windows[name] = cw.Values(nil)
-		}
-		for el := t.hot.Front(); el != nil; el = el.Next() {
-			hot = append(hot, el.Value)
-		}
-		t.mu.Unlock()
-	}
-	for _, a := range hot {
-		a.mu.Lock()
-		if a.gone {
-			a.mu.Unlock()
-			t := a.stripe
-			t.mu.Lock()
-			if cw := t.warm[a.name]; cw != nil {
-				windows[a.name] = cw.Values(nil)
-			}
-			t.mu.Unlock()
-			continue
-		}
-		windows[a.name] = append([]float64(nil), a.history...)
-		a.mu.Unlock()
-	}
-	names := make([]string, 0, len(windows))
-	for name := range windows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := s.st.AppNames() // sorted
 	if maxApps > 0 && len(names) > maxApps {
 		names = names[:maxApps]
 	}
 	for _, name := range names {
-		if w := windows[name]; len(w) > 0 {
+		if w := s.st.Window(name); len(w) > 0 {
 			snap.Apps = append(snap.Apps, lifecycle.AppWindow{Name: name, Window: w})
 		}
 	}
 	return snap
-}
-
-// store returns the durable store under the service lock.
-func (s *Service) store() *store.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st
 }

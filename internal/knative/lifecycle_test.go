@@ -91,8 +91,8 @@ func TestLifecycleReplicaGateOnService(t *testing.T) {
 }
 
 // TestLifecycleSnapshotParity feeds the same observation streams to a
-// store-backed and a store-less service and requires both snapshot paths
-// to produce identical, name-sorted windows.
+// service over a directory store and one over a memory store and requires
+// both snapshots to hold identical, name-sorted windows.
 func TestLifecycleSnapshotParity(t *testing.T) {
 	model := trainTinyModel(t)
 	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})

@@ -96,22 +96,21 @@ func classifications(sm *ServiceMetrics) (extract, resumed int) {
 	return int(sm.Classifications.Value("extract")), int(sm.Classifications.Value("resumed"))
 }
 
-// tieredFleet opens a store-backed (dir != "") or store-less service with
-// a one-app hot budget on one stripe, so touching one app evicts the other.
+// tieredFleet opens a service over a directory store (dir != "") or a
+// memory store with a one-app hot budget on one stripe, so touching one
+// app evicts the other.
 func tieredFleet(t *testing.T, model *femux.Model, dir string, opt store.Options) (*Service, *ServiceMetrics, *store.Store) {
 	t.Helper()
-	so := ServiceOptions{MaxHotApps: 1, TierShards: 1}
-	var st *store.Store
+	st := store.OpenMemory(opt)
 	if dir != "" {
 		opt.Sync, opt.CompactEvery = store.SyncNever, -1
 		var err error
 		if st, err = store.Open(dir, opt); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { st.Close() })
-		so.Store = st
 	}
-	svc := NewServiceWith(model, so)
+	t.Cleanup(func() { st.Close() })
+	svc := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 1, TierShards: 1})
 	return svc, svc.InstrumentWith(serving.NewRegistry()), st
 }
 
@@ -189,14 +188,14 @@ func TestForecastFirstAfterRestore(t *testing.T) {
 // TestClassificationsCounted pins what a restore costs: K evict->restore
 // cycles of one app inside one block perform exactly one feature
 // extraction between them — the rest resume the demoted record's memo —
-// warm, cold and store-less alike; a newly completed block and a model
+// warm, cold and on a memory store alike; a newly completed block and a model
 // swap each cost exactly one more.
 func TestClassificationsCounted(t *testing.T) {
 	const app, other, K = "counted-1", "other", 5
 	for _, tc := range []struct {
 		name         string
 		store, paged bool
-	}{{"warm", true, false}, {"cold", true, true}, {"storeless", false, false}} {
+	}{{"warm", true, false}, {"cold", true, true}, {"memory", false, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := ""
 			if tc.store {
@@ -362,25 +361,31 @@ func TestMemoInvalidation(t *testing.T) {
 			}, ""},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			svc, _, st := tieredFleet(t, modelA, t.TempDir(), tc.opt)
-			if err := st.ImportApp(app, window, n); err != nil {
-				t.Fatal(err)
-			}
-			st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
-			svc = tc.event(t, svc, st)
-			srv := httptest.NewServer(svc.Handler())
-			defer srv.Close()
-			got := fetchDecision(t, srv.URL, app)
-			want := tc.want
-			if want == "" { // whatever the trimmed window classifies as
-				win, _, _ := st.RestoreWindow(app)
-				want = unmemoized(t, win)
-			}
-			if got.target.Forecaster != want {
-				t.Fatalf("forecaster %q, want %q", got.target.Forecaster, want)
-			}
-		})
+		for _, backend := range []string{"dir", "memory"} {
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
+				dir := ""
+				if backend == "dir" {
+					dir = t.TempDir()
+				}
+				svc, _, st := tieredFleet(t, modelA, dir, tc.opt)
+				if err := st.ImportApp(app, window, n); err != nil {
+					t.Fatal(err)
+				}
+				st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
+				svc = tc.event(t, svc, st)
+				srv := httptest.NewServer(svc.Handler())
+				defer srv.Close()
+				got := fetchDecision(t, srv.URL, app)
+				want := tc.want
+				if want == "" { // whatever the trimmed window classifies as
+					win, _, _ := st.RestoreWindow(app)
+					want = unmemoized(t, win)
+				}
+				if got.target.Forecaster != want {
+					t.Fatalf("forecaster %q, want %q", got.target.Forecaster, want)
+				}
+			})
+		}
 	}
 
 	t.Run("promotion", func(t *testing.T) {
@@ -412,12 +417,11 @@ func TestMemoInvalidation(t *testing.T) {
 
 // TestRestoreAheadSameWithAndWithoutMemos: a restore-ahead cycle over
 // records that carry memos promotes exactly the apps a cycle that has to
-// classify every candidate promotes, and resumes instead of extracting.
-// (The store-less roster is a map walk, so there only the counts and the
-// counters are comparable.)
+// classify every candidate promotes, and resumes instead of extracting,
+// over a directory store and a memory store alike.
 func TestRestoreAheadSameWithAndWithoutMemos(t *testing.T) {
-	for _, storeBacked := range []bool{true, false} {
-		t.Run(fmt.Sprintf("store=%v", storeBacked), func(t *testing.T) {
+	for _, backend := range []string{"dir", "memory"} {
+		t.Run(backend, func(t *testing.T) {
 			model := muxModelA(t)
 			type side struct {
 				svc *Service
@@ -426,7 +430,7 @@ func TestRestoreAheadSameWithAndWithoutMemos(t *testing.T) {
 			var sides [2]side // [0] resumes memos, [1] never memoizes
 			for k := range sides {
 				so := ServiceOptions{MaxHotApps: 4, TierShards: 1}
-				if storeBacked {
+				if backend == "dir" {
 					st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 6})
 					if err != nil {
 						t.Fatal(err)
@@ -466,10 +470,10 @@ func TestRestoreAheadSameWithAndWithoutMemos(t *testing.T) {
 			for cycle := 0; cycle < 6; cycle++ {
 				sa, pa := sides[0].svc.RestoreAheadCycle(0.9, 2)
 				sb, pb := sides[1].svc.RestoreAheadCycle(0.9, 2)
-				if storeBacked && (sa != sb || pa != pb) {
+				if sa != sb || pa != pb {
 					t.Fatalf("cycle %d: scanned/promoted %d/%d with memos, %d/%d without", cycle, sa, pa, sb, pb)
 				}
-				if a, b := hotSet(sides[0].svc), hotSet(sides[1].svc); storeBacked && fmt.Sprint(a) != fmt.Sprint(b) {
+				if a, b := hotSet(sides[0].svc), hotSet(sides[1].svc); fmt.Sprint(a) != fmt.Sprint(b) {
 					t.Fatalf("cycle %d: hot set %v with memos, %v without", cycle, a, b)
 				}
 			}

@@ -131,45 +131,18 @@ func (s *Service) RestoreAheadCycle(level float64, budget int) (scanned, promote
 		return len(dst) > 0 && dst[0] > 0
 	}
 
-	if s.st != nil {
-		for start := 0; start < len(names) && promoted < budget; start += restoreAheadChunk {
-			chunk := names[start:min(start+restoreAheadChunk, len(names))]
-			for _, rw := range s.st.RestoreWindows(chunk) {
-				if promoted >= budget {
-					break
-				}
-				scanned++
-				s.tier.prefetchScans.Add(1)
-				if !evaluate(rw.Window, rw.Memo) {
-					continue
-				}
-				if s.promoteAhead(rw.App) {
-					promoted++
-				}
-			}
-		}
-	} else {
-		for _, name := range names {
+	for start := 0; start < len(names) && promoted < budget; start += restoreAheadChunk {
+		chunk := names[start:min(start+restoreAheadChunk, len(names))]
+		for _, rw := range s.st.RestoreWindows(chunk) {
 			if promoted >= budget {
 				break
 			}
-			t := s.tier.stripe(name)
-			t.mu.Lock()
-			var win []float64
-			var memo store.Memo
-			if w := t.warm[name]; w != nil {
-				win, memo = w.Values(nil), w.memo
-			}
-			t.mu.Unlock()
-			if win == nil {
-				continue // restored (or dropped) since the candidate scan
-			}
 			scanned++
 			s.tier.prefetchScans.Add(1)
-			if !evaluate(win, memo) {
+			if !evaluate(rw.Window, rw.Memo) {
 				continue
 			}
-			if s.promoteAhead(name) {
+			if s.promoteAhead(rw.App) {
 				promoted++
 			}
 		}
@@ -207,23 +180,9 @@ func (s *Service) promoteAhead(name string) bool {
 
 // prefetchCandidates collects up to max demoted candidate names this
 // instance owns, resuming from the rotation cursor, and returns the next
-// cursor position. Store-backed instances rotate through the durable
-// roster; store-less ones through the stripes' warm maps (which only
-// hold demoted apps, so no ownership of materialized state is checked
-// beyond the shard filter).
+// cursor position. The rotation runs through the store's roster.
 func (s *Service) prefetchCandidates(max int) ([]string, int) {
-	var roster []string
-	if s.st != nil {
-		roster = s.st.AppNames() // sorted: a stable rotation order
-	} else {
-		for _, t := range s.tier.stripes {
-			t.mu.Lock()
-			for name := range t.warm {
-				roster = append(roster, name)
-			}
-			t.mu.Unlock()
-		}
-	}
+	roster := s.st.AppNames() // sorted: a stable rotation order
 	if len(roster) == 0 {
 		return nil, 0
 	}
@@ -235,19 +194,16 @@ func (s *Service) prefetchCandidates(max int) ([]string, int) {
 		if msg, _, _ := s.rejectApp(name); msg != "" {
 			continue // not ours (moved, foreign shard, or awaiting adoption)
 		}
-		if s.st != nil {
-			// Skip apps that are already materialized, and stripes whose hot
-			// budget is 0 — those can never hold a promotion. A merely *full*
-			// stripe stays eligible: promotion displaces its LRU tail. (The
-			// store-less roster is the warm maps, which exclude hot apps.)
-			t := s.tier.stripe(name)
-			t.mu.Lock()
-			hot := t.apps[name] != nil
-			dead := t.maxHot == 0
-			t.mu.Unlock()
-			if hot || dead {
-				continue
-			}
+		// Skip apps that are already materialized, and stripes whose hot
+		// budget is 0 — those can never hold a promotion. A merely *full*
+		// stripe stays eligible: promotion displaces its LRU tail.
+		t := s.tier.stripe(name)
+		t.mu.Lock()
+		hot := t.apps[name] != nil
+		dead := t.maxHot == 0
+		t.mu.Unlock()
+		if hot || dead {
+			continue
 		}
 		names = append(names, name)
 	}

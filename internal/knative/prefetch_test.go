@@ -207,15 +207,16 @@ func TestRestoreAheadReplicaGated(t *testing.T) {
 	}
 }
 
-// TestRestoreAheadStoreless: without a store, candidates come from the
-// stripes' warm maps and promotion consumes the warm window losslessly.
-func TestRestoreAheadStoreless(t *testing.T) {
+// TestRestoreAheadMemory: on a memory store, candidates come from the
+// store's roster like anywhere else and promotion restores the window
+// losslessly.
+func TestRestoreAheadMemory(t *testing.T) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 4, TierShards: 1})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	// Six busy apps through the REST path: the LRU keeps 4 hot, demoting
-	// 2 to the warm map.
+	// 2 to the store.
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 6; i++ {
 			if code := postObserve(t, srv.URL, fmt.Sprintf("wl-%d", i), 4); code != 200 {
@@ -227,8 +228,10 @@ func TestRestoreAheadStoreless(t *testing.T) {
 		t.Fatalf("setup: (hot, warm) = (%d, %d), want (4, 2)", hot, warm)
 	}
 
-	// Free two hot slots (migration-style drop), then prefetch: the two
-	// warm apps are the only candidates and both forecasts fire.
+	// Free two hot slots (dropCached demotes without losing the store's
+	// window), then prefetch: the four demoted apps are the candidates,
+	// every forecast fires, and two promotions fill the stripe — the rest
+	// would only displace this cycle's own guesses.
 	st0 := svc.tier.stripes[0]
 	st0.mu.Lock()
 	var hotNames []string
@@ -240,15 +243,12 @@ func TestRestoreAheadStoreless(t *testing.T) {
 	svc.dropCached(hotNames[1])
 
 	scanned, promoted := svc.RestoreAheadCycle(0.5, 8)
-	if scanned != 2 || promoted != 2 {
-		t.Fatalf("(scanned, promoted) = (%d, %d), want (2, 2)", scanned, promoted)
+	if scanned != 4 || promoted != 2 {
+		t.Fatalf("(scanned, promoted) = (%d, %d), want (4, 2)", scanned, promoted)
 	}
-	// The promoted apps kept their full 10-observation history.
+	// Every app kept its full 10-observation history.
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("wl-%d", i)
-		if name == hotNames[0] || name == hotNames[1] {
-			continue // dropped by the migration-style dropCached above
-		}
 		d := fetchDecision(t, srv.URL, name)
 		if d.target.History != 10 {
 			t.Fatalf("%s: history = %d, want 10", name, d.target.History)

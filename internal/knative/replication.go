@@ -11,8 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
-	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -99,24 +97,18 @@ func (s *Service) Promote() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.replica {
-		if s.st != nil {
-			return s.st.Apps()
-		}
-		return s.appCount()
+		return s.st.Apps()
 	}
 	s.replica = false
 	s.promotions++
 	s.version = modelVersions.Add(1)
-	if s.st != nil {
-		for _, t := range s.tier.stripes {
-			t.mu.Lock()
-			t.resetLocked()
-			t.mu.Unlock()
-		}
-		s.restored = s.st.Apps()
-		return s.restored
+	for _, t := range s.tier.stripes {
+		t.mu.Lock()
+		t.resetLocked()
+		t.mu.Unlock()
 	}
-	return s.appCount()
+	s.restored = s.st.Apps()
+	return s.restored
 }
 
 // SetShards installs a new fleet size under a strictly newer ownership
@@ -165,10 +157,8 @@ func (s *Service) HandoffApp(app string) error {
 	if !drained {
 		return fmt.Errorf("knative: handoff of %q without drain", app)
 	}
-	if s.st != nil {
-		if err := s.st.DropApp(app); err != nil {
-			return err
-		}
+	if err := s.st.DropApp(app); err != nil {
+		return err
 	}
 	s.dropCached(app)
 	if sm := s.svcMetrics(); sm != nil {
@@ -185,10 +175,8 @@ func (s *Service) AdoptApp(app string, window []float64, total int64) error {
 	if app == "" {
 		return fmt.Errorf("knative: adopt: empty app name")
 	}
-	if s.st != nil {
-		if err := s.st.ImportApp(app, window, total); err != nil {
-			return err
-		}
+	if err := s.st.ImportApp(app, window, total); err != nil {
+		return err
 	}
 	// Any cached serving state predates the import (including a stale copy
 	// from a misroute bounce during resharding); drop it so the next touch
@@ -197,23 +185,7 @@ func (s *Service) AdoptApp(app string, window []float64, total int64) error {
 	s.mu.Lock()
 	s.adopted[app] = true
 	delete(s.moved, app)
-	model, gen := s.model, memoGen(s.version)
 	s.mu.Unlock()
-	if s.st == nil {
-		// No store to restore from: install the imported history directly
-		// into the owning stripe (dropCached above removed any stale copy).
-		t := s.tier.stripe(app)
-		a := &svcApp{
-			name: app, stripe: t,
-			policy: model.NewAppPolicy(0), gen: gen,
-			history: append([]float64(nil), window...),
-			ws:      forecast.GetWorkspace(),
-			drift:   lifecycle.DetectorOf(window, s.driftBlock),
-		}
-		t.mu.Lock()
-		t.apps[app] = a
-		t.mu.Unlock()
-	}
 	if sm := s.svcMetrics(); sm != nil {
 		sm.Adoptions.Inc()
 	}
@@ -226,18 +198,14 @@ func (s *Service) Status() ReplStatus {
 	s.mu.RLock()
 	st.Epoch, st.Shards, st.ShardID, st.Replica = s.epoch, s.shards, s.shardID, s.replica
 	st.Joining = s.joining
-	ds := s.st
 	s.mu.RUnlock()
 	st.Apps = s.Apps()
-	if ds != nil {
-		st.Total = ds.TotalObservations()
-		if pos, err := ds.Position(); err == nil {
-			st.Position = pos
-		}
-		if cur, ok := ds.ReplCursor(); ok {
-			c := cur
-			st.Cursor = &c
-		}
+	st.Total = s.st.TotalObservations()
+	if pos, err := s.st.Position(); err == nil {
+		st.Position = pos
+	}
+	if cur, ok := s.st.ReplCursor(); ok {
+		st.Cursor = &cur
 	}
 	return st
 }
@@ -259,19 +227,19 @@ func (s *Service) mountReplication(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/admin/epoch", s.epochHandler)
 }
 
-// needStore answers 503 when the instance has no durable store (nothing
-// to replicate or migrate).
-func (s *Service) needStore(w http.ResponseWriter) *store.Store {
-	if s.st == nil {
+// needStore reports whether the instance's store is durable, having
+// answered 503 when it is memory-only: its state cannot be replicated or
+// migrated. This is the one place the service asks which store it has.
+func (s *Service) needStore(w http.ResponseWriter) bool {
+	durable := s.st.Durable()
+	if !durable {
 		http.Error(w, "no durable store (-data-dir) on this instance", http.StatusServiceUnavailable)
-		return nil
 	}
-	return s.st
+	return durable
 }
 
 func (s *Service) walHandler(w http.ResponseWriter, r *http.Request) {
-	ds := s.needStore(w)
-	if ds == nil {
+	if !s.needStore(w) {
 		return
 	}
 	q := r.URL.Query()
@@ -287,7 +255,7 @@ func (s *Service) walHandler(w http.ResponseWriter, r *http.Request) {
 			maxBytes = m
 		}
 	}
-	data, next, err := ds.ReadWALFrom(store.ReplPos{Seq: seq, Off: off}, maxBytes)
+	data, next, err := s.st.ReadWALFrom(store.ReplPos{Seq: seq, Off: off}, maxBytes)
 	switch {
 	case errors.Is(err, store.ErrCompacted):
 		http.Error(w, err.Error(), http.StatusGone)
@@ -299,7 +267,7 @@ func (s *Service) walHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	head, _ := ds.Position()
+	head, _ := s.st.Position()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(hdrNextSeq, strconv.FormatUint(next.Seq, 10))
 	w.Header().Set(hdrNextOff, strconv.FormatInt(next.Off, 10))
@@ -309,11 +277,10 @@ func (s *Service) walHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) stateHandler(w http.ResponseWriter, r *http.Request) {
-	ds := s.needStore(w)
-	if ds == nil {
+	if !s.needStore(w) {
 		return
 	}
-	data, pos, err := ds.ExportState()
+	data, pos, err := s.st.ExportState()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -325,18 +292,16 @@ func (s *Service) stateHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) appListHandler(w http.ResponseWriter, r *http.Request) {
-	ds := s.needStore(w)
-	if ds == nil {
+	if !s.needStore(w) {
 		return
 	}
 	writeJSON(w, struct {
 		Apps []string `json:"apps"`
-	}{Apps: ds.AppNames()})
+	}{Apps: s.st.AppNames()})
 }
 
 func (s *Service) appExportHandler(w http.ResponseWriter, r *http.Request) {
-	ds := s.needStore(w)
-	if ds == nil {
+	if !s.needStore(w) {
 		return
 	}
 	name := r.URL.Query().Get("name")
@@ -344,7 +309,7 @@ func (s *Service) appExportHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "need name=", http.StatusBadRequest)
 		return
 	}
-	win, total, ok := ds.ExportApp(name)
+	win, total, ok := s.st.ExportApp(name)
 	if !ok {
 		http.Error(w, fmt.Sprintf("app %q has no durable state here", name), http.StatusNotFound)
 		return
@@ -360,7 +325,7 @@ func (s *Service) appImportHandler(w http.ResponseWriter, r *http.Request) {
 	if s.replicaGated(w) {
 		return
 	}
-	if s.needStore(w) == nil {
+	if !s.needStore(w) {
 		return
 	}
 	var req AppTransfer

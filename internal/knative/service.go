@@ -51,9 +51,11 @@ type Service struct {
 	// refresh sweeps and leave apps on the losing model.
 	swapMu sync.Mutex
 
-	// st, when set, persists every acknowledged observation through the
-	// WAL-backed store before it is applied in memory, and seeds per-app
-	// history on construction (zero-state-loss restart).
+	// st holds every acknowledged observation before it is applied in
+	// memory, and is the warm tier hot state is restored from (tier.go). A
+	// directory-backed store also makes observations durable and seeds
+	// per-app history on construction (zero-state-loss restart). Never nil
+	// and never reassigned.
 	st *store.Store
 	// shardID/shards make this instance own only its hash partition of
 	// apps; requests for foreign apps are rejected with 421 so a
@@ -115,6 +117,8 @@ type Service struct {
 // ServiceOptions configure the durable, shard-aware deployment mode.
 type ServiceOptions struct {
 	// Store persists observations and restores per-app windows on boot.
+	// Nil means a memory store (store.OpenMemory): same service, nothing
+	// survives the process.
 	Store *store.Store
 	// ShardID/Shards enable hash-partition ownership (Shards <= 1 means
 	// unsharded). The partition function is store.ShardOf.
@@ -139,10 +143,10 @@ type ServiceOptions struct {
 	// the LRU excess returns workspaces to the shared pool. 0 means
 	// unlimited.
 	MaxWorkspaces int
-	// TierShards splits the tier layer (app map, LRUs, warm map,
-	// budgets) into this many shared-nothing stripes so touches and
-	// evictions on different apps stop contending on one mutex. 0 means
-	// one stripe per logical CPU; 1 reproduces the unstriped layer.
+	// TierShards splits the tier layer (app map, LRUs, budgets) into this
+	// many shared-nothing stripes so touches and evictions on different
+	// apps stop contending on one mutex. 0 means one stripe per logical
+	// CPU; 1 reproduces the unstriped layer.
 	TierShards int
 	// QuantileLevel, when positive (e.g. 0.95), converts forecasts to
 	// pod targets at that demand quantile instead of the point forecast
@@ -217,6 +221,9 @@ func NewService(model *femux.Model) *Service {
 // restores it lazily, forecasting from the same history an uninterrupted
 // process would hold.
 func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
+	if opts.Store == nil {
+		opts.Store = store.OpenMemory(store.Options{})
+	}
 	s := &Service{
 		model: model,
 		st:    opts.Store, shardID: opts.ShardID, shards: opts.Shards,
@@ -226,9 +233,7 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
 	}
 	s.tier.stripes = newStripes(opts.MaxHotApps, opts.MaxWorkspaces, opts.TierShards)
-	if s.st != nil {
-		s.restored = s.st.Apps()
-	}
+	s.restored = s.st.Apps()
 	return s
 }
 
@@ -525,10 +530,10 @@ func (s *Service) app(name string) *svcApp {
 
 // materializeAs builds hot serving state for an app missing from its
 // stripe's map: a genuinely new app starts empty, a demoted one is
-// restored from the warm/cold tier. Store-backed restore runs before
-// taking the stripe lock (it may page in from disk); if another
-// goroutine installs the app first, its copy wins and ours — identical,
-// since store restores promote — is discarded.
+// restored from the warm/cold tier. The restore runs before taking the
+// stripe lock (it may page in from disk); if another goroutine installs
+// the app first, its copy wins and ours — identical, since store
+// restores promote — is discarded.
 //
 // prefetched marks a restore-ahead promotion, which is best-effort where
 // a request-path materialize is mandatory: it returns nil (installs
@@ -567,20 +572,18 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 		prefetched: prefetched, prefetchEpoch: epoch,
 	}
 	var from string
-	var resumed bool
-	if s.st != nil {
-		win, memo, paged, ok := s.st.RestoreWindowMemo(name)
-		if paged {
-			from = "cold"
-		} else if ok {
-			from = "warm"
-		} else if prefetched {
-			return nil
-		}
-		a.history = win
-		a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
-		a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
+	win, memo, paged, ok := s.st.RestoreWindowMemo(name)
+	if paged {
+		from = "cold"
+	} else if ok {
+		from = "warm"
+	} else if prefetched {
+		return nil
 	}
+	a.history = win
+	var resumed bool
+	a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
+	a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
 	t.mu.Lock()
 	for {
 		if cur := t.apps[name]; cur != nil {
@@ -591,8 +594,7 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 			break // capacity available (or a mandatory request-path install)
 		}
 		// Displace the LRU tail to make room — unless only this cycle's
-		// own guesses are left there. All of this happens before any state
-		// moves (before consuming a warm entry), so aborting is free.
+		// own guesses are left there.
 		back := t.hot.Back()
 		if back == nil || back.Value.prefetchEpoch == epoch {
 			t.mu.Unlock()
@@ -606,22 +608,6 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 			return nil
 		}
 		t.mu.Lock()
-	}
-	if s.st == nil {
-		// The store-less warm lookup consumes its entry, so it must be
-		// atomic with the install: two racing misses must not leave one
-		// holding the window and the other installing an empty app.
-		var memo store.Memo
-		if w := t.warm[name]; w != nil {
-			a.history, memo, from = w.Values(nil), w.memo, "warm"
-			delete(t.warm, name)
-		}
-		if prefetched && from == "" {
-			t.mu.Unlock()
-			return nil
-		}
-		a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
-		a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
 	}
 	a.ws = forecast.GetWorkspace()
 	t.apps[name] = a
@@ -768,16 +754,14 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		// memory or acknowledged, so an ACKed observation survives
 		// SIGKILL. The app lock is held across both steps to keep WAL
 		// order and in-memory order identical per app.
-		if s.st != nil {
-			if err := s.st.Append(name, req.Concurrency); err != nil {
-				s.releaseApp(a)
-				if sm := s.svcMetrics(); sm != nil {
-					sm.StoreErrors.Inc()
-				}
-				http.Error(w, "durable store append failed: "+err.Error(),
-					http.StatusInternalServerError)
-				return
+		if err := s.st.Append(name, req.Concurrency); err != nil {
+			s.releaseApp(a)
+			if sm := s.svcMetrics(); sm != nil {
+				sm.StoreErrors.Inc()
 			}
+			http.Error(w, "durable store append failed: "+err.Error(),
+				http.StatusInternalServerError)
+			return
 		}
 		a.history = append(a.history, req.Concurrency)
 		a.drift.Observe(req.Concurrency)
@@ -925,32 +909,9 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Apps returns the number of applications the service currently tracks
-// across every tier: the durable fleet size when store-backed, otherwise
-// materialized entries plus evicted warm windows, summed over stripes.
-func (s *Service) Apps() int {
-	if s.st != nil {
-		return s.st.Apps()
-	}
-	n := 0
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		n += len(t.apps) + len(t.warm)
-		t.mu.Unlock()
-	}
-	return n
-}
-
-// appCount reports how many apps are materialized across stripes.
-func (s *Service) appCount() int {
-	n := 0
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		n += len(t.apps)
-		t.mu.Unlock()
-	}
-	return n
-}
+// Apps returns the number of applications the service tracks across every
+// tier: the store's fleet, i.e. apps with at least one observation.
+func (s *Service) Apps() int { return s.st.Apps() }
 
 // HTTPProvider adapts a running FeMux service to the emulator's
 // ScaleProvider interface, exercising the real REST path end-to-end.

@@ -24,26 +24,30 @@ import (
 //	      layout, zero-allocation observe path. Bounded by MaxHotApps,
 //	      LRU-evicted. Workspaces are additionally bounded by
 //	      MaxWorkspaces and returned to the shared forecast pool.
-//	warm  the delta/varint-compressed window only — in the store for
-//	      store-backed services (every store app is warm at rest; the
-//	      boot path never materializes them), or in the stripe's warm map
-//	      for store-less ones. Bounded by the store's InlineBudget
-//	      (-max-warm-apps), beyond which apps go cold.
-//	cold  paged to disk by the store, a ~few-dozen-byte stub in memory.
+//	warm  the delta/varint-compressed window only, in the store: every
+//	      store app is warm at rest and the boot path never materializes
+//	      one. Bounded by the store's InlineBudget (-max-warm-apps),
+//	      beyond which apps go cold.
+//	cold  paged to disk by the store, a ~few-dozen-byte stub in memory
+//	      (directory-backed stores only; a memory store pages nothing).
+//
+// Every Service has a store — the one it was given, or a memory store
+// (store.OpenMemory) — and every acknowledged observation is in it before
+// it is in hot state, so hot state is a pure cache of the store and a
+// demotion writes nothing but the memo below.
 //
 // The layer is split into shared-nothing stripes (-tier-shards, default
 // one per logical CPU): each stripe owns its slice of the app map, its
-// own hot and workspace LRUs, its own store-less warm map, and its own
-// eviction counters, keyed by FNV-1a of the app name. Touches, evicts,
-// and restores on different stripes never contend — under full-speed
-// sparse-churn replay the single global tier mutex used to serialize
-// every restore, costing 6-12x throughput once the working set exceeded
-// the hot budget. The global budgets are split across stripes
-// (maxHot/N, remainder to the first stripes) so the fleet-wide bound
-// still holds exactly; -tier-shards=1 reproduces the unstriped layer.
+// own hot and workspace LRUs, and its own eviction counters, keyed by
+// FNV-1a of the app name. Touches, evicts, and restores on different
+// stripes never contend — under full-speed sparse-churn replay the
+// single global tier mutex used to serialize every restore, costing
+// 6-12x throughput once the working set exceeded the hot budget. The
+// global budgets are split across stripes (maxHot/N, remainder to the
+// first stripes) so the fleet-wide bound still holds exactly;
+// -tier-shards=1 reproduces the unstriped layer.
 //
-// Demotion is invisible to callers: hot state for a store-backed app is
-// a pure cache of the store, and a restored app derives its forecaster
+// Demotion is invisible to callers: a restored app derives its forecaster
 // from the same history an uninterrupted process would hold, so
 // forecasts are Float64bits-identical across any evict/page/restore
 // cycle at every stripe count (pinned by tierequiv_test.go). Demotion
@@ -61,19 +65,8 @@ type tierStripe struct {
 	hot  *lruList           // most recently touched first
 	ws   *lruList           // apps holding a workspace, most recent first
 
-	// warm holds evicted apps' compact windows for store-less services;
-	// with a store, warm state lives in the store itself. Entries are
-	// consumed (deleted) on restore.
-	warm map[string]*warmApp
-
 	evictions  int64 // hot -> warm demotions
 	wsReleases int64 // workspaces returned to the pool by the ws LRU
-}
-
-// warmApp is a store-less demoted app: window and classification memo.
-type warmApp struct {
-	store.CompactWindow
-	memo store.Memo
 }
 
 // tiers is the striped tier layer plus the cross-stripe counters that
@@ -81,10 +74,10 @@ type warmApp struct {
 type tiers struct {
 	stripes []*tierStripe
 
-	// countAnomalies counts TierCounts samples where the store-backed
-	// warm count came out negative — a hot app with no durable state yet,
-	// or a racy cross-structure sample. Counted (and logged once) instead
-	// of silently clamped.
+	// countAnomalies counts TierCounts samples where the warm count came
+	// out negative — a hot app with no durable state yet, or a racy
+	// cross-structure sample. Counted (and logged once) instead of
+	// silently clamped.
 	countAnomalies atomic.Int64
 	anomalyLog     sync.Once
 
@@ -143,7 +136,6 @@ func newStripes(maxHot, maxWS, shards int) []*tierStripe {
 			maxHot: hotB[i], maxWS: wsB[i],
 			apps: map[string]*svcApp{},
 			hot:  newLRUList(), ws: newLRUList(),
-			warm: map[string]*warmApp{},
 		}
 	}
 	return stripes
@@ -177,7 +169,6 @@ func (t *tierStripe) resetLocked() {
 	t.apps = map[string]*svcApp{}
 	t.hot.Init()
 	t.ws.Init()
-	t.warm = map[string]*warmApp{}
 }
 
 // touch bumps a to the front of its stripe's hot and workspace LRUs,
@@ -301,17 +292,15 @@ func (s *Service) enforceStripe(t *tierStripe) {
 // exactly the budget, not above it.
 func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 	v.mu.Lock()
-	var memo store.Memo
 	if !wsOnly && !v.gone {
 		// The classification, if current for this history, goes to the
 		// demoted record while v is still published: dropCached clears it
 		// after unpublishing, so none lands on state an import replaced.
+		var memo store.Memo
 		if group, ok := v.policy.Classified(len(v.history)); ok && group <= math.MaxUint8 {
 			memo = store.Memo{Len: uint32(len(v.history)), Gen: v.gen, Group: uint8(group)}
 		}
-		if s.st != nil {
-			s.st.SetMemo(v.name, memo)
-		}
+		s.st.SetMemo(v.name, memo)
 	}
 	t := v.stripe
 	t.mu.Lock()
@@ -358,16 +347,6 @@ func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 		v.prefetched = false
 		s.tier.prefetchWastes.Add(1)
 	}
-	if s.st == nil {
-		// Store-less warm tier: keep the history, compressed. With a
-		// store this write is unnecessary — the store already holds the
-		// app's window; hot state is a pure cache.
-		w := &warmApp{memo: memo}
-		for _, x := range v.history {
-			w.Append(x)
-		}
-		t.warm[v.name] = w
-	}
 	if t.apps[v.name] == v {
 		delete(t.apps, v.name)
 	}
@@ -398,20 +377,15 @@ func (s *Service) noteRestore(from string, elapsed time.Duration) {
 
 // dropCached removes an app's materialized serving state and tier
 // tracking (migration handoff/adopt replaced or dropped it); the next
-// touch lazily restores from the store. The stripe's warm map is purged
-// whether or not the app was materialized — a store-less warm window
-// left behind would resurrect pre-migration history on the next touch —
-// and so is the store's memo of the old window, last, once no eviction
-// of the dropped state can still write one.
+// touch lazily restores from the store. The store's memo of the old
+// window is purged whether or not the app was materialized, and last,
+// once no eviction of the dropped state can still write one.
 func (s *Service) dropCached(name string) {
-	if s.st != nil {
-		defer s.st.SetMemo(name, store.Memo{})
-	}
+	defer s.st.SetMemo(name, store.Memo{})
 	t := s.tier.stripe(name)
 	t.mu.Lock()
 	a := t.apps[name]
 	delete(t.apps, name)
-	delete(t.warm, name)
 	t.mu.Unlock()
 	if a == nil {
 		return
@@ -461,22 +435,13 @@ func (s *Service) Evictions() int64 {
 // TierCounts reports (hot, warm, cold) app counts for the gauges,
 // aggregated across stripes. Warm is everything tracked but not
 // materialized and not paged. The counts are sampled without a
-// cross-structure lock, so a store-backed sample can transiently
-// undershoot — a hot app that has no durable state yet (its first
-// observation is in flight), or stripes scraped while an app moves.
+// cross-structure lock, so a sample can transiently undershoot — a hot
+// app that has no durable state yet (its first observation is in
+// flight), or stripes scraped while an app moves.
 // Such samples are counted in femux_tier_count_anomalies_total (and
 // logged once) instead of being silently clamped away.
 func (s *Service) TierCounts() (hot, warm, cold int) {
-	warmless := 0
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		hot += t.hot.Len()
-		warmless += len(t.warm)
-		t.mu.Unlock()
-	}
-	if s.st == nil {
-		return hot, warmless, 0
-	}
+	hot = s.HotApps()
 	cold = s.st.PagedApps()
 	warm = s.st.Apps() - cold - hot
 	if warm < 0 {
@@ -491,7 +456,7 @@ func (s *Service) TierCounts() (hot, warm, cold int) {
 }
 
 // TierCountAnomalies reports how many TierCounts samples were internally
-// inconsistent (negative store-backed warm count).
+// inconsistent (negative warm count).
 func (s *Service) TierCountAnomalies() int64 {
 	return s.tier.countAnomalies.Load()
 }

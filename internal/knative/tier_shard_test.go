@@ -2,6 +2,8 @@ package knative
 
 import (
 	"fmt"
+	"math"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -73,9 +75,10 @@ func TestStripeAssignment(t *testing.T) {
 // bounded-backoff acquire loop: one app on a zero-budget stripe is
 // hammered by concurrent acquire/observe/release cycles, so every
 // release evicts and every next acquire races the eviction (the gone
-// retry path) and restores from the warm tier. Run under -race in CI.
-// Conservation proves no round trip lost state: the final history holds
-// every append.
+// retry path) and restores from the warm tier — the memory store, written
+// ahead of hot state under the app lock as the observe handler does. Run
+// under -race in CI. Conservation proves no round trip lost state: the
+// final history holds every append.
 func TestAcquireEvictHammer(t *testing.T) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{
 		MaxHotApps: 1, TierShards: 4, // stripes 1..3 run at hot budget 0
@@ -101,6 +104,9 @@ func TestAcquireEvictHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				a := svc.acquire(app)
+				if err := svc.st.Append(app, 1); err != nil {
+					t.Error(err)
+				}
 				a.history = append(a.history, 1)
 				svc.releaseApp(a) // budget 0: evicts immediately
 			}
@@ -158,41 +164,55 @@ func TestTierCountsAnomaly(t *testing.T) {
 	}
 }
 
-// TestDropCachedPurgesWarm pins the migration hole the stripe split
-// could have widened: dropCached on a store-less app must purge its
-// stripe's warm map too, or a handed-off app's pre-migration history
-// resurrects on the next touch.
+// TestDropCachedPurgesWarm pins what a migration leaves behind on a
+// memory-store service: after an adopt, nothing of the app's
+// pre-migration state — neither its window nor the memo its eviction
+// wrote — survives in the warm tier (the store) to resurrect on the next
+// touch, and after a handoff the app is gone from it.
 func TestDropCachedPurgesWarm(t *testing.T) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 1, TierShards: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
 
-	a := svc.acquire("mover")
-	a.history = append(a.history, 1, 2, 3)
-	svc.releaseApp(a)
-	// Evict it to the warm tier by touching another app.
-	b := svc.acquire("other")
-	svc.releaseApp(b)
-
-	st0 := svc.tier.stripes[0]
-	st0.mu.Lock()
-	_, warm := st0.warm["mover"]
-	st0.mu.Unlock()
-	if !warm {
-		t.Fatal("setup: mover should be in the warm map")
+	// 30 observations complete a block, so evicting mover (by touching
+	// another app) writes a memo beside its window.
+	for i := 0; i < 30; i++ {
+		postObserve(t, srv.URL, "mover", float64(i%3))
+	}
+	postObserve(t, srv.URL, "other", 1)
+	if _, memo, _, ok := svc.st.RestoreWindowMemo("mover"); !ok || memo == (store.Memo{}) {
+		t.Fatalf("setup: evicted mover should hold a memo in the store (ok=%v, memo=%+v)", ok, memo)
 	}
 
-	svc.dropCached("mover")
+	imported := shapedWindow(1, 0, 30) // same length: only the purge invalidates the memo
+	if err := svc.AdoptApp("mover", imported, 30); err != nil {
+		t.Fatal(err)
+	}
+	win, memo, _, ok := svc.st.RestoreWindowMemo("mover")
+	if !ok || memo != (store.Memo{}) {
+		t.Fatalf("after adopt: ok=%v memo=%+v, want the app with a zero memo", ok, memo)
+	}
+	if len(win) != len(imported) {
+		t.Fatalf("after adopt: window of %d, want the imported %d", len(win), len(imported))
+	}
+	for i := range win {
+		if math.Float64bits(win[i]) != math.Float64bits(imported[i]) {
+			t.Fatalf("after adopt: window[%d] = %v, want imported %v", i, win[i], imported[i])
+		}
+	}
 
-	st0.mu.Lock()
-	_, warm = st0.warm["mover"]
-	st0.mu.Unlock()
-	if warm {
-		t.Fatal("dropCached left the app in the stripe warm map")
+	svc.DrainApp("mover", 1)
+	if err := svc.HandoffApp("mover"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := svc.st.RestoreWindowMemo("mover"); ok {
+		t.Fatal("handed-off app still has a window in the store")
 	}
 	c := svc.acquire("mover")
 	got := len(c.history)
 	svc.releaseApp(c)
 	if got != 0 {
-		t.Fatalf("dropped app rematerialized %d observations, want 0", got)
+		t.Fatalf("handed-off app rematerialized %d observations, want 0", got)
 	}
 }
 

@@ -26,20 +26,20 @@ import (
 // a memo — model swaps, Promote, an imported window of the same length,
 // a store reopen — must serve the same forecaster and
 // Float64bits-identical targets, forecasts and quantile bands as an
-// untiered, store-less control that saw the same stream. Random
+// untiered, never-evicting control that saw the same stream. Random
 // interleavings are compared mid-stream and at the end, at every tier
-// stripe count, store-backed and store-less. With a WindowCap the
+// stripe count, over a directory store and a memory store. With a WindowCap the
 // untiered control no longer applies (demotion drops history); there the
 // reference is a twin that never memoizes, i.e. the uncached path.
 func TestTieredForecastsBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, v := range []struct {
 			name      string
-			storeless bool
+			memory    bool
 			windowCap int
-		}{{"store", false, 0}, {"storeless", true, 0}, {"store-windowcap", false, 45}} {
+		}{{"store", false, 0}, {"memory", true, 0}, {"store-windowcap", false, 45}} {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, v.name), func(t *testing.T) {
-				testTieredForecastsBitIdentical(t, shards, v.storeless, v.windowCap)
+				testTieredForecastsBitIdentical(t, shards, v.memory, v.windowCap)
 			})
 		}
 	}
@@ -50,11 +50,11 @@ func TestTieredForecastsBitIdentical(t *testing.T) {
 type tierNode struct {
 	svc *Service
 	sm  *ServiceMetrics
-	st  *store.Store
-	dir string
+	st  *store.Store // the service's store
+	dir string       // "" for a memory store, which cannot be reopened
 	srv *httptest.Server
-	// restart reopens the store (nil for store-less nodes) and builds the
-	// service, serving model.
+	// restart reopens the store (memory nodes: opens it, once) and builds
+	// the service, serving model.
 	restart func(model *femux.Model)
 	// extracts and resumes total femux_classifications_total over the
 	// services restart has retired.
@@ -76,19 +76,20 @@ func newTierNode(t *testing.T, so ServiceOptions, storeOpt *store.Options, noMem
 		if n.sm != nil {
 			n.extracts, n.resumes = n.classifications()
 		}
-		if storeOpt != nil {
-			if n.st != nil {
-				if err := n.st.Close(); err != nil {
-					t.Fatal(err)
-				}
+		if n.st != nil {
+			if err := n.st.Close(); err != nil {
+				t.Fatal(err)
 			}
+		}
+		if storeOpt != nil {
 			st, err := store.Open(n.dir, *storeOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.st, so.Store = st, st
+			so.Store = st
 		}
 		n.svc = NewServiceWith(model, so)
+		n.st = n.svc.st
 		n.sm = n.svc.InstrumentWith(serving.NewRegistry())
 		n.forget(noMemo)
 	}
@@ -114,7 +115,7 @@ func (n *tierNode) forget(noMemo bool) {
 	}
 }
 
-func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless bool, windowCap int) {
+func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, windowCap int) {
 	models := []*femux.Model{muxModelA(t), muxModelB(t)}
 	cur := 0 // index of the model every node serves
 	apps := make([]string, 8)
@@ -125,14 +126,14 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless boo
 
 	so := ServiceOptions{MaxHotApps: 2, MaxWorkspaces: 1, TierShards: tierShards}
 	var storeOpt *store.Options
-	if !storeless {
+	if !memory {
 		storeOpt = &store.Options{
 			Sync: store.SyncNever, CompactEvery: -1, WindowCap: windowCap,
 			InlineBudget: 3, // most of the fleet is forced cold
 		}
 	}
 	tiered := newTierNode(t, so, storeOpt, false)
-	// The reference: the untiered store-less control, or under a
+	// The reference: the untiered control on a memory store, or under a
 	// WindowCap the never-memoizing twin.
 	var ref *tierNode
 	if windowCap == 0 {
@@ -256,21 +257,17 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless boo
 					t.Fatalf("op %d: batch: %d/%d", op, resp.StatusCode, out.Rejected)
 				}
 			}
-		case r < 76: // force a warm->cold demotion in the store
+		case r < 76: // force a warm->cold demotion in the store (memory: no-op)
 			app := apps[rng.Intn(len(apps))]
 			for _, n := range nodes {
-				if n.st != nil {
-					if err := n.st.PageOut(app); err != nil {
-						t.Fatalf("op %d: page out: %v", op, err)
-					}
+				if err := n.st.PageOut(app); err != nil {
+					t.Fatalf("op %d: page out: %v", op, err)
 				}
 			}
-		case r < 79: // snapshot (fsyncs pages, embeds stubs, GCs page files)
+		case r < 79: // snapshot (fsyncs pages, embeds stubs, GCs page files; memory: no-op)
 			for _, n := range nodes {
-				if n.st != nil {
-					if err := n.st.Compact(); err != nil {
-						t.Fatalf("op %d: compact: %v", op, err)
-					}
+				if err := n.st.Compact(); err != nil {
+					t.Fatalf("op %d: compact: %v", op, err)
 				}
 			}
 		case r < 82: // restore-ahead: promotions must be forecast-invisible
@@ -279,11 +276,10 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless boo
 			// the LRU tail of a still-full stripe. The dropped app's state
 			// survives demoted, so the cycle may promote it (or a sibling)
 			// back and the next compare proves the round trip — including
-			// any displacement eviction — changed nothing. (dropCached purges
-			// a store-less warm window, so only store-backed nodes drop.)
+			// any displacement eviction — changed nothing.
 			app := apps[rng.Intn(len(apps))]
 			for _, n := range tieredNodes {
-				if n.st != nil && n.svc.HotApps() > 0 {
+				if n.svc.HotApps() > 0 {
 					n.svc.dropCached(app)
 				}
 				scanned, _ := n.svc.RestoreAheadCycle(0.95, 2)
@@ -311,7 +307,7 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless boo
 			}
 		case r < 94: // restart: reopen the store, rebuild the service
 			for _, n := range nodes {
-				if n.st != nil {
+				if n.dir != "" {
 					n.restart(models[cur])
 				}
 			}
@@ -327,7 +323,7 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless boo
 	if hot := tiered.svc.HotApps(); hot > 2 {
 		t.Errorf("hot apps = %d, want <= 2", hot)
 	}
-	if tiered.st != nil && tiered.st.Stats().PageOuts == 0 {
+	if tiered.dir != "" && tiered.st.Stats().PageOuts == 0 {
 		t.Error("inline budget never paged an app out")
 	}
 	if scans == 0 {
@@ -344,19 +340,19 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, storeless boo
 // TestTierShardCountEquivalence pins the shard split itself: one
 // deterministic replay — observes, batches, page-outs, restore-ahead
 // cycles, model swaps, Promote, imported windows and store reopens —
-// served at -tier-shards 1, 2, and 8, store-backed and store-less, must
+// served at -tier-shards 1, 2, and 8, over a directory store and a memory store, must
 // end with the same forecasters, Float64bits-identical forecasts, drift
 // state, and conserved durable totals — striping changes contention,
 // never results.
 func TestTierShardCountEquivalence(t *testing.T) {
-	for _, storeless := range []bool{false, true} {
-		t.Run(fmt.Sprintf("storeless=%v", storeless), func(t *testing.T) {
-			testTierShardCountEquivalence(t, storeless)
+	for _, memory := range []bool{false, true} {
+		t.Run(fmt.Sprintf("memory=%v", memory), func(t *testing.T) {
+			testTierShardCountEquivalence(t, memory)
 		})
 	}
 }
 
-func testTierShardCountEquivalence(t *testing.T, storeless bool) {
+func testTierShardCountEquivalence(t *testing.T, memory bool) {
 	models := []*femux.Model{muxModelA(t), muxModelB(t)}
 	cur := 0
 	apps := make([]string, 12)
@@ -368,7 +364,7 @@ func testTierShardCountEquivalence(t *testing.T, storeless bool) {
 	runs := make([]*tierNode, len(shardCounts))
 	for k, n := range shardCounts {
 		var storeOpt *store.Options
-		if !storeless {
+		if !memory {
 			storeOpt = &store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 4}
 		}
 		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: 3, MaxWorkspaces: 2, TierShards: n}, storeOpt, false)
@@ -412,9 +408,6 @@ func testTierShardCountEquivalence(t *testing.T, storeless bool) {
 		case r < 84:
 			app := apps[rng.Intn(len(apps))]
 			for k, ru := range runs {
-				if ru.st == nil {
-					continue
-				}
 				if err := ru.st.PageOut(app); err != nil {
 					t.Fatalf("op %d shards=%d: page out: %v", op, shardCounts[k], err)
 				}
@@ -446,7 +439,7 @@ func testTierShardCountEquivalence(t *testing.T, storeless bool) {
 			}
 		default:
 			for _, ru := range runs {
-				if ru.st != nil {
+				if ru.dir != "" {
 					ru.restart(models[cur])
 				}
 			}
@@ -458,19 +451,15 @@ func testTierShardCountEquivalence(t *testing.T, storeless bool) {
 	// what the app had observed: the replayed count is conserved.)
 	base := runs[0]
 	for k, ru := range runs[1:] {
-		if base.st != nil {
-			if a, b := base.st.TotalObservations(), ru.st.TotalObservations(); a != b {
-				t.Errorf("shards=%d: durable total %d, want %d", shardCounts[k+1], b, a)
-			}
+		if a, b := base.st.TotalObservations(), ru.st.TotalObservations(); a != b {
+			t.Errorf("shards=%d: durable total %d, want %d", shardCounts[k+1], b, a)
 		}
 		if a, b := base.svc.Apps(), ru.svc.Apps(); a != b {
 			t.Errorf("shards=%d: Apps %d, want %d", shardCounts[k+1], b, a)
 		}
 	}
-	if base.st != nil {
-		if got := base.st.TotalObservations(); got != int64(total) {
-			t.Errorf("durable total = %d, want %d (replayed)", got, total)
-		}
+	if got := base.st.TotalObservations(); got != int64(total) {
+		t.Errorf("durable total = %d, want %d (replayed)", got, total)
 	}
 	// Bit-identical serving state across shard counts.
 	for _, app := range apps {
@@ -561,9 +550,9 @@ func TestLazyBootKeepsAppsWarm(t *testing.T) {
 	}
 }
 
-// TestTierBudgetsStoreless exercises eviction without a store: demoted
-// apps live as in-memory compact windows and restore losslessly.
-func TestTierBudgetsStoreless(t *testing.T) {
+// TestTierBudgetsMemory exercises eviction over a memory store: demoted
+// apps live as its compact windows and restore losslessly.
+func TestTierBudgetsMemory(t *testing.T) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 4, MaxWorkspaces: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
@@ -599,33 +588,61 @@ func TestTierBudgetsStoreless(t *testing.T) {
 	}
 }
 
-// BenchmarkTieredObserve measures the observe path while the fleet is
-// 16x over the hot budget, so every request cycles the LRU and a
-// fraction restore from the warm tier — the steady state of a large
-// sparse fleet under -max-hot-apps.
-func BenchmarkTieredObserve(b *testing.B) {
-	st, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
-	if err != nil {
-		b.Fatal(err)
+// benchTieredService builds the tier benchmarks' service — 64 hot slots,
+// 1,024 apps seeded with five observations each — over a directory store
+// (backend "dir") or a memory store ("memory").
+func benchTieredService(b *testing.B, backend string, tierShards int) (*Service, []string) {
+	so := ServiceOptions{MaxHotApps: 64, MaxWorkspaces: 64, TierShards: tierShards}
+	if backend == "dir" {
+		st, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		so.Store = st
 	}
-	defer st.Close()
-	svc := NewServiceWith(trainTinyModel(b), ServiceOptions{
-		Store: st, MaxHotApps: 64, MaxWorkspaces: 64,
-	})
+	svc := NewServiceWith(trainTinyModel(b), so)
 	apps := make([]string, 1024)
+	var seed []store.Observation
 	for i := range apps {
 		apps[i] = fmt.Sprintf("bench-%d", i)
-		a := svc.acquire(apps[i])
-		a.history = append(a.history, 1, 2, 1, 0, 3)
-		svc.releaseApp(a)
+		for _, v := range []float64{1, 2, 1, 0, 3} {
+			seed = append(seed, store.Observation{App: apps[i], Concurrency: v})
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := svc.acquire(apps[i%len(apps)])
-		a.history = append(a.history, float64(i%5))
-		_ = a.policy.TargetWS(a.history, 1, a.ws)
-		svc.releaseApp(a)
+	if err := svc.st.AppendBatch(seed); err != nil {
+		b.Fatal(err)
+	}
+	return svc, apps
+}
+
+// benchObserve is the observe handler's critical section: the write-ahead
+// append to the store, the hot append, the scale decision, the release
+// that enforces the stripe's budgets.
+func benchObserve(b *testing.B, svc *Service, app string, v float64) {
+	a := svc.acquire(app)
+	if err := svc.st.Append(app, v); err != nil {
+		b.Error(err)
+	}
+	a.history = append(a.history, v)
+	_ = a.policy.TargetWS(a.history, 1, a.ws)
+	svc.releaseApp(a)
+}
+
+// BenchmarkTieredObserve measures the observe path while the fleet is
+// 16x over the hot budget, so every request cycles the LRU and restores
+// from the warm tier — the steady state of a large sparse fleet under
+// -max-hot-apps — over each store backend.
+func BenchmarkTieredObserve(b *testing.B) {
+	for _, backend := range []string{"dir", "memory"} {
+		b.Run(backend, func(b *testing.B) {
+			svc, apps := benchTieredService(b, backend, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchObserve(b, svc, apps[i%len(apps)], float64(i%5))
+			}
+		})
 	}
 }
 
@@ -647,46 +664,28 @@ func benchShardCounts() []int {
 // shard split: parallel observes across a working set 16x over the hot
 // budget, so nearly every request evicts on one app and restores
 // another. Single-striped, every goroutine serializes on one tier
-// mutex; striped, only same-stripe touches contend. Reported per stripe
-// count — compare ns/op at shards=1 vs shards=GOMAXPROCS.
+// mutex; striped, only same-stripe touches contend. Reported per store
+// backend and stripe count — compare ns/op at shards=1 vs
+// shards=GOMAXPROCS.
 func BenchmarkTieredObserveContended(b *testing.B) {
-	for _, shards := range benchShardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			st, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			svc := NewServiceWith(trainTinyModel(b), ServiceOptions{
-				Store: st, MaxHotApps: 64, MaxWorkspaces: 64, TierShards: shards,
+	for _, backend := range []string{"dir", "memory"} {
+		for _, shards := range benchShardCounts() {
+			b.Run(fmt.Sprintf("%s/shards=%d", backend, shards), func(b *testing.B) {
+				svc, apps := benchTieredService(b, backend, shards)
+				var next atomic.Int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					// Distinct stride per goroutine: different goroutines hammer
+					// different apps, the contention the stripe split removes.
+					i := int(next.Add(1)) * 131
+					for pb.Next() {
+						benchObserve(b, svc, apps[i%len(apps)], float64(i%5))
+						i++
+					}
+				})
 			})
-			apps := make([]string, 1024)
-			var seed []store.Observation
-			for i := range apps {
-				apps[i] = fmt.Sprintf("churn-%d", i)
-				for _, v := range []float64{1, 2, 1, 0, 3} {
-					seed = append(seed, store.Observation{App: apps[i], Concurrency: v})
-				}
-			}
-			if err := st.AppendBatch(seed); err != nil {
-				b.Fatal(err)
-			}
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Distinct stride per goroutine: different goroutines hammer
-				// different apps, the contention the stripe split removes.
-				i := int(next.Add(1)) * 131
-				for pb.Next() {
-					a := svc.acquire(apps[i%len(apps)])
-					a.history = append(a.history, float64(i%5))
-					_ = a.policy.TargetWS(a.history, 1, a.ws)
-					svc.releaseApp(a)
-					i++
-				}
-			})
-		})
+		}
 	}
 }
 

@@ -272,8 +272,8 @@ func TestRouterBatchMatchesUnsharded(t *testing.T) {
 	if !bytes.Equal(gotRaw, wantRaw) {
 		t.Errorf("reply bytes differ:\nrouted    %s\nunsharded %s", gotRaw, wantRaw)
 	}
-	if svcs[1].appCount() == 0 || svcs[0].appCount() == 0 {
-		t.Errorf("both shards should hold apps: %d and %d", svcs[0].appCount(), svcs[1].appCount())
+	if svcs[1].Apps() == 0 || svcs[0].Apps() == 0 {
+		t.Errorf("both shards should hold apps: %d and %d", svcs[0].Apps(), svcs[1].Apps())
 	}
 }
 

@@ -1,0 +1,259 @@
+package store
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+)
+
+// TestBackendConformance drives one random op sequence through a
+// directory store and a memory store and requires the same state from
+// both at every read and at the end: Float64bits-equal windows, equal
+// memos, totals and rosters. The directory side is also paged out and
+// compacted along the way, which the memory side accepts as no-ops; what
+// only a directory can do (stream its WAL) the memory store refuses with
+// ErrNotDurable, and it never creates a file.
+func TestBackendConformance(t *testing.T) {
+	before := listDir(t, ".")
+	for _, opt := range []Options{{}, {WindowCap: 12}} {
+		t.Run(fmt.Sprintf("WindowCap=%d", opt.WindowCap), func(t *testing.T) {
+			testBackendConformance(t, opt)
+		})
+	}
+	if after := listDir(t, "."); !reflect.DeepEqual(before, after) {
+		t.Errorf("working directory changed: %v -> %v", before, after)
+	}
+}
+
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+func testBackendConformance(t *testing.T, opt Options) {
+	memory := OpenMemory(opt)
+	opt.Sync, opt.CompactEvery = SyncNever, -1
+	stores := []*Store{mustOpen(t, t.TempDir(), opt), memory}
+	if stores[0].Durable() != true || memory.Durable() != false {
+		t.Fatalf("Durable: directory %v, memory %v", stores[0].Durable(), memory.Durable())
+	}
+	each := func(what string, f func(s *Store) error) {
+		t.Helper()
+		for i, s := range stores {
+			if err := f(s); err != nil {
+				t.Fatalf("%s on store %d: %v", what, i, err)
+			}
+		}
+	}
+	// same runs a read on both stores and requires equal answers.
+	same := func(what string, read func(s *Store) any) {
+		t.Helper()
+		if a, b := read(stores[0]), read(stores[1]); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: directory %+v, memory %+v", what, a, b)
+		}
+	}
+	type restored struct {
+		bits []uint64
+		memo Memo
+		ok   bool
+	}
+	apps := make([]string, 9)
+	for i := range apps {
+		apps[i] = appName(i)
+	}
+
+	rng := rand.New(rand.NewSource(18))
+	value := func() float64 { return float64(rng.Intn(2000)) / 8 * float64(rng.Intn(3)) }
+	for op := 0; op < 1500; op++ {
+		app := apps[rng.Intn(len(apps))]
+		when := fmt.Sprintf("op %d", op)
+		switch r := rng.Intn(100); {
+		case r < 35:
+			v := value()
+			each("Append", func(s *Store) error { return s.Append(app, v) })
+		case r < 50:
+			batch := make([]Observation, 1+rng.Intn(20))
+			for i := range batch {
+				batch[i] = Observation{App: apps[rng.Intn(len(apps))], Concurrency: value()}
+			}
+			each("AppendBatch", func(s *Store) error { return s.AppendBatch(batch) })
+		case r < 58:
+			m := Memo{Len: uint32(rng.Intn(50)), Gen: uint16(1 + rng.Intn(3)), Group: uint8(rng.Intn(4))}
+			each("SetMemo", func(s *Store) error { s.SetMemo(app, m); return nil })
+		case r < 70:
+			same(when+": RestoreWindowMemo", func(s *Store) any {
+				win, memo, _, ok := s.RestoreWindowMemo(app) // paged is the one answer that may differ
+				return restored{float64Bits(win), memo, ok}
+			})
+		case r < 76:
+			names := []string{app, "nobody", apps[rng.Intn(len(apps))]}
+			same(when+": RestoreWindows", func(s *Store) any {
+				var out []restored
+				for _, rw := range s.RestoreWindows(names) {
+					out = append(out, restored{float64Bits(rw.Window), rw.Memo, true})
+				}
+				return out
+			})
+		case r < 82:
+			win := make([]float64, rng.Intn(30))
+			for i := range win {
+				win[i] = value()
+			}
+			total := int64(len(win) + rng.Intn(5))
+			each("ImportApp", func(s *Store) error { return s.ImportApp(app, win, total) })
+		case r < 85:
+			each("DropApp", func(s *Store) error { return s.DropApp(app) })
+		case r < 90:
+			same(when+": ExportApp", func(s *Store) any {
+				win, total, ok := s.ExportApp(app)
+				return []any{float64Bits(win), total, ok}
+			})
+		case r < 92: // each store boots from the other's exported state
+			var states [2][]byte
+			for i, s := range stores {
+				data, _, err := s.ExportState()
+				if err != nil {
+					t.Fatalf("%s: ExportState on store %d: %v", when, i, err)
+				}
+				states[i] = data
+			}
+			for i, s := range stores {
+				if err := s.ImportState(states[1-i], ReplPos{Seq: uint64(op), Off: 7}); err != nil {
+					t.Fatalf("%s: ImportState on store %d: %v", when, i, err)
+				}
+			}
+			same(when+": ReplCursor", func(s *Store) any { pos, ok := s.ReplCursor(); return []any{pos, ok} })
+		case r < 97:
+			each("PageOut", func(s *Store) error { return s.PageOut(app) })
+		default:
+			each("Compact", func(s *Store) error { return s.Compact() })
+		}
+	}
+
+	same("AppNames", func(s *Store) any { return s.AppNames() })
+	same("TotalObservations", func(s *Store) any { return s.TotalObservations() })
+	same("Apps", func(s *Store) any { return s.Apps() })
+	for _, app := range apps {
+		same(app+": Window", func(s *Store) any { return float64Bits(s.Window(app)) })
+		same(app+": final state", func(s *Store) any {
+			win, total, ok := s.ExportApp(app)
+			_, memo, _, _ := s.RestoreWindowMemo(app)
+			return []any{float64Bits(win), total, ok, memo}
+		})
+	}
+	if stores[0].Stats().PageOuts == 0 {
+		t.Error("the directory store never paged an app out: the sequence is too tame")
+	}
+	if st := memory.Stats(); st.Apps != memory.Apps() || st.Observations != memory.TotalObservations() ||
+		st.PagedApps+st.PageFiles+st.Segments+st.Snapshots != 0 || st.WALBytes+st.PageBytes != 0 || st.WindowBytes == 0 {
+		t.Errorf("memory Stats = %+v", st)
+	}
+
+	if _, _, err := memory.ReadWALFrom(ReplPos{Seq: 1}, 1<<20); !errors.Is(err, ErrNotDurable) {
+		t.Errorf("memory ReadWALFrom: %v, want ErrNotDurable", err)
+	}
+	if _, _, err := stores[0].ReadWALFrom(ReplPos{Seq: 1}, 1<<20); errors.Is(err, ErrNotDurable) {
+		t.Errorf("directory ReadWALFrom: %v", err)
+	}
+	each("Sync", (*Store).Sync)
+	each("Close", (*Store).Close)
+	for i, s := range stores {
+		if err := s.Append(apps[0], 1); err == nil {
+			t.Errorf("store %d accepted an append after Close", i)
+		}
+	}
+}
+
+func float64Bits(win []float64) []uint64 {
+	bits := make([]uint64, len(win))
+	for i, v := range win {
+		bits[i] = math.Float64bits(v)
+	}
+	return bits
+}
+
+// TestStatsListsOutsideTheLock pins the /metrics satellite: Stats reads
+// the store's counters under the append mutex and lists the directory
+// after releasing it, so scraping a directory with many segments does not
+// hold up appends. With back-to-back Stats calls in flight, an append
+// behind a listing would take about as long as Stats does; in front of it,
+// a small fraction.
+func TestStatsListsOutsideTheLock(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1, SegmentBytes: 1}) // a segment per append
+	defer s.Close()
+	const segments = 400
+	for i := 0; i < segments; i++ {
+		if err := s.Append(appName(i%7), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var walBytes int64
+	files, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walBytes += fi.Size()
+	}
+	if st := s.Stats(); st.Segments != len(files) || st.Segments <= segments || st.WALBytes != walBytes ||
+		st.Observations != segments || st.Apps != 7 || st.Snapshots != 0 || st.PageFiles != 0 {
+		t.Fatalf("Stats = %+v, want %d segments of %d bytes", st, len(files), walBytes)
+	}
+
+	s.mu.Lock()
+	s.w.segBytes = 1 << 30 // the timed appends write, and do not rotate
+	s.mu.Unlock()
+	stop, scraped := make(chan struct{}), make(chan []time.Duration)
+	go func() {
+		var took []time.Duration
+		for {
+			select {
+			case <-stop:
+				scraped <- took
+				return
+			default:
+			}
+			start := time.Now()
+			s.Stats()
+			took = append(took, time.Since(start))
+		}
+	}()
+	appends := make([]time.Duration, 400)
+	for i := range appends {
+		time.Sleep(50 * time.Microsecond) // land anywhere in the scraper's cycle
+		start := time.Now()
+		if err := s.Append(appName(0), 1); err != nil {
+			t.Fatal(err)
+		}
+		appends[i] = time.Since(start)
+	}
+	close(stop)
+	scrapes := <-scraped
+	if len(scrapes) < 10 {
+		t.Fatalf("only %d Stats calls overlapped %d appends", len(scrapes), len(appends))
+	}
+	median := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	if a, st := median(appends), median(scrapes); a > st/4 {
+		t.Errorf("median Append took %v beside Stats calls of %v: appends wait for the directory listing", a, st)
+	}
+}

@@ -59,6 +59,10 @@ var ErrCompacted = errors.New("store: position compacted away; snapshot bootstra
 // was wiped). Replication must stop rather than regress the follower.
 var ErrOutOfRange = errors.New("store: position beyond end of WAL")
 
+// ErrNotDurable reports that the store was opened with OpenMemory: it has
+// no WAL to stream.
+var ErrNotDurable = errors.New("store: memory store has no WAL")
+
 // ErrStaleChunk reports a replication chunk whose cursor does not
 // advance the follower: a duplicated or reordered fetch. The chunk is
 // rejected without touching follower state.
@@ -314,6 +318,9 @@ func (s *Store) ReadWALFrom(pos ReplPos, maxBytes int) (data []byte, next ReplPo
 	// just because the caller's budget is smaller than one record.
 	if maxBytes < maxRecordLen+recordHeaderLen {
 		maxBytes = maxRecordLen + recordHeaderLen
+	}
+	if s.dir == "" {
+		return nil, pos, ErrNotDurable
 	}
 	for {
 		s.mu.Lock()

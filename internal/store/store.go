@@ -235,6 +235,22 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
+// OpenMemory returns a Store with no directory: the same app map, compact
+// windows, memos and methods as Open's, and no WAL file, pager or
+// snapshot, so nothing outlives the process (Durable reports false). Of
+// opt only WindowCap applies; the other fields describe files.
+func OpenMemory(opt Options) *Store {
+	return &Store{
+		opt: Options{WindowCap: opt.WindowCap, CompactEvery: -1},
+		w:   &wal{}, pg: &pager{},
+		apps: map[string]*appState{},
+	}
+}
+
+// Durable reports whether the store persists to a directory (Open) or
+// holds its state in memory only (OpenMemory).
+func (s *Store) Durable() bool { return s.dir != "" }
+
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
 	t := time.NewTicker(s.opt.SyncInterval)
@@ -551,7 +567,7 @@ func (s *Store) PageOut(app string) error {
 		return fmt.Errorf("store: closed")
 	}
 	st := s.apps[app]
-	if st == nil || st.page != nil {
+	if st == nil || st.page != nil || s.dir == "" {
 		return nil
 	}
 	return s.pageOutLocked(app, st)
@@ -605,6 +621,9 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
+	if s.dir == "" {
+		return nil
+	}
 	// Seal the current segment first: the snapshot then covers every
 	// segment below the new head, and post-snapshot appends land in a
 	// segment the snapshot does not claim.
@@ -656,43 +675,45 @@ func (s *Store) Sync() error {
 	return s.w.sync()
 }
 
-// Stats reports the store's durability counters.
+// Stats reports the store's durability counters. The directory is listed
+// after the lock is released, so a scrape never holds up an append; the
+// file counts may therefore be one compaction apart from the rest.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
 		Apps:         len(s.apps),
 		Observations: s.total,
 		TornTail:     s.torn,
 		Restored:     s.restored,
+		PagedApps:    s.pg.liveRefs,
+		PageErrors:   s.pageErrs,
+		PageOuts:     s.pageOuts,
 	}
 	if s.w != nil {
 		st.Fsyncs = s.w.fsyncs.Load()
 	}
-	if segs, err := listSeqs(s.dir, segPrefix, segSuffix); err == nil {
-		st.Segments = len(segs)
-		for _, seq := range segs {
-			if fi, err := os.Stat(filepath.Join(s.dir, segName(seq))); err == nil {
-				st.WALBytes += fi.Size()
-			}
-		}
-	}
-	if snaps, err := listSeqs(s.dir, snapPrefix, snapSuffix); err == nil {
-		st.Snapshots = len(snaps)
-	}
-	st.PagedApps = s.pg.liveRefs
-	st.PageErrors = s.pageErrs
-	st.PageOuts = s.pageOuts
-	if pages, err := listSeqs(s.dir, pagePrefix, pageSuffix); err == nil {
-		st.PageFiles = len(pages)
-		for _, seq := range pages {
-			if fi, err := os.Stat(filepath.Join(s.dir, pageName(seq))); err == nil {
-				st.PageBytes += fi.Size()
-			}
-		}
-	}
 	for _, a := range s.apps {
 		st.WindowBytes += int64(a.cw.MemBytes())
+	}
+	s.mu.Unlock()
+	if s.dir == "" {
+		return st
+	}
+	entries, _ := os.ReadDir(s.dir)
+	for _, e := range entries {
+		fi, err := e.Info()
+		if e.IsDir() || err != nil {
+			continue // err: deleted by a compaction since the listing
+		}
+		if _, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
+			st.Segments++
+			st.WALBytes += fi.Size()
+		} else if _, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
+			st.Snapshots++
+		} else if _, ok := parseSeq(e.Name(), pagePrefix, pageSuffix); ok {
+			st.PageFiles++
+			st.PageBytes += fi.Size()
+		}
 	}
 	return st
 }

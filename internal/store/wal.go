@@ -233,6 +233,9 @@ func (w *wal) openSegment(seq uint64) error {
 // single write syscall — the group-commit that makes a batched observe
 // POST cost one fsync regardless of batch size.
 func (w *wal) appendBatch(payloads [][]byte, syncNow bool) error {
+	if w.dir == "" {
+		return nil // memory store: nothing to write
+	}
 	w.buf = w.buf[:0]
 	for _, p := range payloads {
 		w.buf = appendRecord(w.buf, p)
@@ -278,6 +281,9 @@ func (w *wal) rotate() error {
 }
 
 func (w *wal) close() error {
+	if w.dir == "" {
+		return nil
+	}
 	if err := w.sync(); err != nil {
 		w.f.Close()
 		return err
