@@ -53,7 +53,13 @@ func EndpointLabel(path string) string {
 	case path == "/v1/observe/batch":
 		return "observe_batch"
 	case strings.HasPrefix(path, "/v1/admin/"):
-		return "admin_" + strings.TrimPrefix(path, "/v1/admin/")
+		// Only the actions femuxd and femux-shard register: any other
+		// suffix is a client's invention and must not mint a series.
+		switch action := strings.TrimPrefix(path, "/v1/admin/"); action {
+		case "drain", "handoff", "promote", "epoch", "reload", "reshard", "failover", "lifecycle":
+			return "admin_" + action
+		}
+		return "admin_other"
 	case strings.HasPrefix(path, "/v1/apps/"):
 		rest := strings.TrimPrefix(path, "/v1/apps/")
 		if i := strings.IndexByte(rest, '/'); i >= 0 && i+1 < len(rest) {

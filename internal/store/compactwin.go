@@ -17,11 +17,17 @@ import (
 // the uvarint of bits.ReverseBytes64(prevBits XOR curBits). XOR of
 // consecutive IEEE-754 bit patterns concentrates entropy in the high
 // (sign/exponent) bytes, so byte-reversing before the uvarint makes the
-// common cases tiny: a repeated value (the zero-concurrency runs that
-// dominate sparse fleets) costs 1 byte, and values sharing sign,
-// exponent, and leading mantissa bits cost 2-4 bytes instead of 8. The
-// transform is a bijection on uint64, so the codec is bit-exact for
-// every pattern including -0, NaN payloads, and infinities.
+// cheap cases tiny: a repeated value (the zero-concurrency runs that
+// dominate sparse fleets) costs 1 byte, and values with few mantissa
+// bits that share sign and exponent cost 2-4 bytes instead of 8 (the
+// quarter-quantised hot bench fleets: 2.7 B/obs on disk). A value that
+// fills its mantissa does not compress: a per-minute average such as
+// 0.137 XORs to a delta with low-order bits set, which costs a 9-10-byte
+// uvarint — more than the raw 8 (50 B/obs on sparse_churn). ROADMAP
+// item 4 holds the fix, a raw fallback for chunks that do not compress;
+// it is a format bump and is not taken here. The transform is a
+// bijection on uint64, so the codec is bit-exact for every pattern
+// including -0, NaN payloads, and infinities.
 //
 // Chunking bounds two costs: front-trimming drops whole chunks in O(1)
 // (exact caps are applied when the window is materialized), and the
@@ -90,26 +96,13 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 		dst = make([]float64, cw.n)
 	}
 	dst = dst[:cw.n]
-	idx := 0
-	for c := range cw.starts {
-		end := len(cw.buf)
-		if c+1 < len(cw.starts) {
-			end = int(cw.starts[c+1])
-		}
-		p := cw.buf[cw.starts[c]:end]
-		b := binary.LittleEndian.Uint64(p[:8])
-		p = p[8:]
-		dst[idx] = math.Float64frombits(b)
-		idx++
-		for len(p) > 0 {
-			d, m := binary.Uvarint(p)
-			p = p[m:]
-			b ^= bits.ReverseBytes64(d)
-			dst[idx] = math.Float64frombits(b)
-			idx++
-		}
+	if cw.n == 0 {
+		return dst
 	}
-	return dst[:idx]
+	if _, _, err := walkChunks(cw.buf[cw.starts[0]:], cw.n, nil, dst); err != nil {
+		panic(err) // the stream is Append's own output
+	}
+	return dst
 }
 
 // compactWindowOf encodes a value slice (e.g. a v1 snapshot window or a
@@ -136,11 +129,31 @@ func (cw *CompactWindow) appendEncoded(buf []byte) []byte {
 	return append(buf, cw.buf[start:]...)
 }
 
-// decodeCompactWindow parses an appendEncoded stream from untrusted
-// bytes, re-deriving chunk offsets and fully validating every varint so
-// a corrupt page or snapshot record errors out instead of over-reading.
-// It returns the remaining bytes after the encoded window.
-func decodeCompactWindow(p []byte) (cw CompactWindow, rest []byte, err error) {
+// cwMode selects what a decode of untrusted bytes produces.
+type cwMode uint8
+
+const (
+	// cwWindow yields a CompactWindow that owns the input's stream bytes
+	// (no copy) with its chunk offsets re-derived: one that can be
+	// appended to, trimmed and re-encoded.
+	cwWindow cwMode = 1 << iota
+	// cwValues yields the decoded values, with restoreHeadroom spare
+	// capacity. Alone, it touches no byte of the input after returning.
+	cwValues
+)
+
+// restoreHeadroom is the spare capacity of a decoded value slice, so the
+// observations that follow a restore append in place instead of copying
+// the history the restore just built.
+const restoreHeadroom = 32
+
+// decodeCompactWindow parses an appendEncoded image spanning exactly p,
+// untrusted bytes, in one walk: every varint is validated as it is
+// decoded, so a corrupt page or snapshot record errors out instead of
+// over-reading, and an error returns nothing decoded. With cwWindow the
+// result aliases p, which the caller must own and never reuse; spare
+// capacity behind p is where the window's next Append lands.
+func decodeCompactWindow(p []byte, mode cwMode) (cw CompactWindow, vals []float64, err error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count > math.MaxInt32 {
 		return cw, nil, fmt.Errorf("store: compact window: bad count")
@@ -150,36 +163,136 @@ func decodeCompactWindow(p []byte) (cw CompactWindow, rest []byte, err error) {
 	if n <= 0 || nb > uint64(len(p)-n) {
 		return cw, nil, fmt.Errorf("store: compact window: bad byte length")
 	}
-	p = p[n:]
-	stream, rest := p[:nb], p[nb:]
+	stream, rest := p[n:n+int(nb)], p[n+int(nb):]
+	if len(rest) != 0 {
+		return cw, nil, fmt.Errorf("store: compact window: %d trailing bytes", len(rest))
+	}
+	// Everything below is sized from count, so bound it by what the
+	// stream could hold first: a value costs at least one byte.
+	if count > nb {
+		return cw, nil, fmt.Errorf("store: compact window: %d values in %d bytes", count, nb)
+	}
+	var starts []uint32
+	if mode&cwWindow != 0 && count > 0 {
+		// One spare slot: a full last chunk makes the next Append open one.
+		starts = make([]uint32, 0, (count+cwChunkLen-1)/cwChunkLen+1)
+	}
+	if mode&cwValues != 0 {
+		vals = make([]float64, count, count+restoreHeadroom)
+	}
+	starts, prev, err := walkChunks(stream, int(count), starts, vals)
+	if err != nil {
+		return cw, nil, err
+	}
+	if starts != nil {
+		cw = CompactWindow{buf: stream, starts: starts, n: int(count), tail: int(count-1)%cwChunkLen + 1, prev: prev}
+	}
+	return cw, vals, nil
+}
 
-	cw.buf = append([]byte(nil), stream...)
-	q := cw.buf
-	for decoded := 0; decoded < int(count); {
-		if len(q) < 8 {
-			return CompactWindow{}, nil, fmt.Errorf("store: compact window: truncated chunk head")
+// walkChunks is the one decoder of a chunk stream: count values, each
+// chunk a raw 8-byte head and up to cwChunkLen-1 delta uvarints, ending
+// exactly where stream does. Each value is stored in vals (len count)
+// and each chunk's offset appended to starts, where those are non-nil.
+// prev is the bit pattern of the last value.
+func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (_ []uint32, prev uint64, err error) {
+	i := 0
+	for decoded := 0; decoded < count; {
+		if len(stream)-i < 8 {
+			return nil, 0, fmt.Errorf("store: compact window: truncated chunk head")
 		}
-		cw.starts = append(cw.starts, uint32(len(cw.buf)-len(q)))
-		b := binary.LittleEndian.Uint64(q[:8])
-		q = q[8:]
+		if starts != nil {
+			starts = append(starts, uint32(i))
+		}
+		prev = binary.LittleEndian.Uint64(stream[i:])
+		i += 8
+		if vals != nil {
+			vals[decoded] = math.Float64frombits(prev)
+		}
 		decoded++
-		cw.tail = 1
-		cw.prev = b
-		for cw.tail < cwChunkLen && decoded < int(count) {
-			d, m := binary.Uvarint(q)
+		for end := min(decoded+cwChunkLen-1, count); decoded < end; decoded++ {
+			d, m := uvarint(stream[i:])
 			if m <= 0 {
-				return CompactWindow{}, nil, fmt.Errorf("store: compact window: bad delta")
+				return nil, 0, fmt.Errorf("store: compact window: bad delta")
 			}
-			q = q[m:]
-			b ^= bits.ReverseBytes64(d)
-			decoded++
-			cw.tail++
-			cw.prev = b
+			i += m
+			prev ^= bits.ReverseBytes64(d)
+			if vals != nil {
+				vals[decoded] = math.Float64frombits(prev)
+			}
 		}
 	}
-	if len(q) != 0 {
-		return CompactWindow{}, nil, fmt.Errorf("store: compact window: %d trailing bytes", len(q))
+	if i != len(stream) {
+		return nil, 0, fmt.Errorf("store: compact window: %d trailing bytes", len(stream)-i)
 	}
-	cw.n = int(count)
-	return cw, rest, nil
+	return starts, prev, nil
+}
+
+// uvarint is binary.Uvarint — the same (value, n) for every input — with
+// the byte loop unrolled wherever all ten bytes a uvarint can span are
+// present. A value that fills its mantissa makes a 9-10-byte delta, and
+// the library loop pays an index, an overflow and a shift-count check on
+// each of those bytes, which made it the largest single cost of a restore.
+func uvarint(p []byte) (uint64, int) {
+	if len(p) < binary.MaxVarintLen64 {
+		// Too short to overflow: truncated, or a value that ends in time.
+		var x uint64
+		for i, b := range p {
+			if b < 0x80 {
+				return x | uint64(b)<<(7*uint(i)), i + 1
+			}
+			x |= uint64(b&0x7f) << (7 * uint(i))
+		}
+		return 0, 0
+	}
+	q := p[:binary.MaxVarintLen64]
+	b := uint64(q[0])
+	if b < 0x80 {
+		return b, 1
+	}
+	x := b & 0x7f
+	if b = uint64(q[1]); b < 0x80 {
+		return x | b<<7, 2
+	}
+	x |= (b & 0x7f) << 7
+	if b = uint64(q[2]); b < 0x80 {
+		return x | b<<14, 3
+	}
+	x |= (b & 0x7f) << 14
+	if b = uint64(q[3]); b < 0x80 {
+		return x | b<<21, 4
+	}
+	x |= (b & 0x7f) << 21
+	if b = uint64(q[4]); b < 0x80 {
+		return x | b<<28, 5
+	}
+	x |= (b & 0x7f) << 28
+	if b = uint64(q[5]); b < 0x80 {
+		return x | b<<35, 6
+	}
+	x |= (b & 0x7f) << 35
+	if b = uint64(q[6]); b < 0x80 {
+		return x | b<<42, 7
+	}
+	x |= (b & 0x7f) << 42
+	if b = uint64(q[7]); b < 0x80 {
+		return x | b<<49, 8
+	}
+	x |= (b & 0x7f) << 49
+	if b = uint64(q[8]); b < 0x80 {
+		return x | b<<56, 9
+	}
+	x |= (b & 0x7f) << 56
+	if b = uint64(q[9]); b < 0x80 {
+		if b > 1 {
+			return 0, -10 // the tenth byte holds one bit
+		}
+		return x | b<<63, 10
+	}
+	// Ten continuation bytes: binary.Uvarint reports a truncation when
+	// the input ends there and an overflow at the eleventh byte otherwise.
+	if len(p) == binary.MaxVarintLen64 {
+		return 0, 0
+	}
+	return 0, -11
 }

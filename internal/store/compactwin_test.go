@@ -75,13 +75,11 @@ func TestCompactWindowRoundtrip(t *testing.T) {
 		// Serialization round-trip, then keep appending to the decoded
 		// copy: the re-derived chunk state must continue identically.
 		enc := cw.appendEncoded(nil)
-		dec, rest, err := decodeCompactWindow(enc)
+		dec, vals, err := decodeCompactWindow(enc, cwWindow|cwValues)
 		if err != nil {
 			t.Fatalf("seq %d: decode: %v", si, err)
 		}
-		if len(rest) != 0 {
-			t.Fatalf("seq %d: %d bytes left after decode", si, len(rest))
-		}
+		assertBitIdentical(t, vals, seq, "values of the decode")
 		assertBitIdentical(t, dec.Values(nil), seq, "serialized decode")
 		want := append(append([]float64(nil), seq...), 7.25, 0, 0, math.Pi)
 		for _, v := range want[len(seq):] {
@@ -116,7 +114,7 @@ func TestCompactWindowTrimFront(t *testing.T) {
 		}
 		// Serialization after trimming drops the dead prefix.
 		enc := cw.appendEncoded(nil)
-		dec, _, err := decodeCompactWindow(enc)
+		dec, _, err := decodeCompactWindow(enc, cwWindow)
 		if err != nil {
 			t.Fatalf("max %d: decode after trim: %v", max, err)
 		}
@@ -132,13 +130,10 @@ func TestCompactWindowDecodeRejectsTruncation(t *testing.T) {
 	}
 	enc := cw.appendEncoded(nil)
 	for n := 0; n < len(enc); n++ {
-		if _, _, err := decodeCompactWindow(enc[:n]); err == nil {
-			// A truncation that still parses must decode fewer values
-			// (shorter uvarint count prefix), never silently corrupt.
-			dec, _, _ := decodeCompactWindow(enc[:n])
-			if dec.Len() >= cw.Len() {
-				t.Fatalf("truncation to %d bytes decoded %d values", n, dec.Len())
-			}
+		// A truncation that still parses must decode fewer values
+		// (shorter uvarint count prefix), never silently corrupt.
+		if dec, _, err := decodeCompactWindow(enc[:n:n], cwWindow); err == nil && dec.Len() >= cw.Len() {
+			t.Fatalf("truncation to %d bytes decoded %d values", n, dec.Len())
 		}
 	}
 }

@@ -61,6 +61,8 @@ type pager struct {
 	// rd holds a read handle per page file a page-in has touched, open
 	// until the file is deleted or the pager closes.
 	rd map[uint64]*os.File
+
+	buf []byte // the record being written out, reused
 }
 
 // openPager scans dir for existing page files and positions the writer
@@ -91,9 +93,11 @@ func (p *pager) noteLive(ref *pageRef) {
 	p.deadBytes -= ref.recLen
 }
 
-// encodePageRecord frames one app's state for paging.
-func encodePageRecord(app string, st *appState) []byte {
-	return appendRecord(nil, encodeWireAppCompact(nil, app, st))
+// appendPageRecord frames one app's state for paging onto buf, the
+// payload encoded in place behind its header.
+func appendPageRecord(buf []byte, app string, st *appState) []byte {
+	start := len(buf)
+	return sealRecord(encodeWireAppCompact(reserveHeader(buf), app, st), start)
 }
 
 // writeOut appends one framed record to the current page file and
@@ -106,14 +110,15 @@ func (p *pager) writeOut(app string, st *appState) (*pageRef, error) {
 		}
 		p.f, p.size = f, 0
 	}
-	rec := encodePageRecord(app, st)
-	if _, err := p.f.Write(rec); err != nil {
+	p.buf = appendPageRecord(p.buf[:0], app, st)
+	if _, err := p.f.Write(p.buf); err != nil {
 		return nil, err
 	}
-	ref := &pageRef{seq: p.seq, off: p.size, recLen: int64(len(rec)), count: st.cw.Len()}
-	p.size += int64(len(rec))
+	recLen := int64(len(p.buf))
+	ref := &pageRef{seq: p.seq, off: p.size, recLen: recLen, count: st.cw.Len()}
+	p.size += recLen
 	p.liveRefs++
-	p.liveBytes += int64(len(rec))
+	p.liveBytes += recLen
 	p.dirty = true
 	return ref, nil
 }
@@ -131,35 +136,56 @@ func (p *pager) reader(seq uint64) (*os.File, error) {
 	return f, nil
 }
 
-// readBack loads the record a stub points to and returns the decoded
-// app state, verifying and decoding it in the buffer it was read into.
-// The stub must span exactly one frame; the frame CRC plus the embedded
-// app name guard against stale or misdirected refs.
-func (p *pager) readBack(app string, ref *pageRef) (*appState, error) {
+// pageReadSpare is the capacity a page read leaves behind the record: the
+// window decoded with cwWindow owns that buffer, and the observation that
+// paged it in appends there (a chunk head is 8 bytes, a delta up to 10)
+// instead of copying the stream to grow it.
+const pageReadSpare = 32
+
+// load reads the record a stub points to, verifies it and decodes it in
+// the buffer it was read into, as mode says (see cwMode); a window it
+// returns owns that buffer. The stub must span exactly one frame; the
+// frame CRC plus the embedded app name guard against stale or
+// misdirected refs. An error returns nothing decoded.
+func (p *pager) load(app string, ref *pageRef, mode cwMode) (st appState, vals []float64, err error) {
 	f, err := p.reader(ref.seq)
 	if err != nil {
-		return nil, err
+		return appState{}, nil, err
 	}
 	if ref.recLen <= recordHeaderLen || ref.recLen > maxRecordLen+recordHeaderLen {
-		return nil, fmt.Errorf("store: page %d@%d: record length %d out of range", ref.seq, ref.off, ref.recLen)
+		return appState{}, nil, fmt.Errorf("store: page %d@%d: record length %d out of range", ref.seq, ref.off, ref.recLen)
 	}
-	buf := make([]byte, ref.recLen)
+	buf := make([]byte, ref.recLen, ref.recLen+pageReadSpare)
 	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return nil, fmt.Errorf("store: page %d@%d: %w", ref.seq, ref.off, err)
+		return appState{}, nil, fmt.Errorf("store: page %d@%d: %w", ref.seq, ref.off, err)
 	}
 	// One intact frame, and nothing else, in the span the stub names.
 	payload := buf[recordHeaderLen:]
 	if int(binary.LittleEndian.Uint32(buf)) != len(payload) || validRecordPrefix(buf) != len(buf) {
-		return nil, fmt.Errorf("store: page %d@%d: stub does not span one valid record: %w", ref.seq, ref.off, errTorn)
+		return appState{}, nil, fmt.Errorf("store: page %d@%d: stub does not span one valid record: %w", ref.seq, ref.off, errTorn)
 	}
-	name, st, err := decodeWireAppCompact(payload)
+	name, body, total, err := decodeAppHeader(payload, "page")
+	if err != nil {
+		return appState{}, nil, err
+	}
+	if name != app {
+		return appState{}, nil, fmt.Errorf("store: page %d@%d: holds %q, want %q", ref.seq, ref.off, name, app)
+	}
+	cw, vals, err := decodeCompactWindow(body, mode)
+	if err != nil {
+		return appState{}, nil, err
+	}
+	return appState{cw: cw, total: int64(total)}, vals, nil
+}
+
+// readBack loads a stub's record as a window that can be written out
+// again.
+func (p *pager) readBack(app string, ref *pageRef) (*appState, error) {
+	st, _, err := p.load(app, ref, cwWindow)
 	if err != nil {
 		return nil, err
 	}
-	if name != app {
-		return nil, fmt.Errorf("store: page %d@%d: holds %q, want %q", ref.seq, ref.off, name, app)
-	}
-	return st, nil
+	return &st, nil
 }
 
 // free retires a stub's bytes (app restored, replaced, or dropped).

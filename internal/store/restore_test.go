@@ -1,0 +1,601 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/bits"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// The three functions below are the framing and window decode as they
+// were before restore became one pass, kept verbatim: the oracles the new
+// code is compared against, byte for byte and bit for bit.
+
+func headAppendRecord(buf, payload []byte) []byte {
+	var hdr [recordHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	buf = append(buf, hdr[:]...)
+	return append(buf, payload...)
+}
+
+func headDecodeCompactWindow(p []byte) (cw CompactWindow, rest []byte, err error) {
+	count, n := binary.Uvarint(p)
+	if n <= 0 || count > math.MaxInt32 {
+		return cw, nil, fmt.Errorf("store: compact window: bad count")
+	}
+	p = p[n:]
+	nb, n := binary.Uvarint(p)
+	if n <= 0 || nb > uint64(len(p)-n) {
+		return cw, nil, fmt.Errorf("store: compact window: bad byte length")
+	}
+	p = p[n:]
+	stream, rest := p[:nb], p[nb:]
+
+	cw.buf = append([]byte(nil), stream...)
+	q := cw.buf
+	for decoded := 0; decoded < int(count); {
+		if len(q) < 8 {
+			return CompactWindow{}, nil, fmt.Errorf("store: compact window: truncated chunk head")
+		}
+		cw.starts = append(cw.starts, uint32(len(cw.buf)-len(q)))
+		b := binary.LittleEndian.Uint64(q[:8])
+		q = q[8:]
+		decoded++
+		cw.tail = 1
+		cw.prev = b
+		for cw.tail < cwChunkLen && decoded < int(count) {
+			d, m := binary.Uvarint(q)
+			if m <= 0 {
+				return CompactWindow{}, nil, fmt.Errorf("store: compact window: bad delta")
+			}
+			q = q[m:]
+			b ^= bits.ReverseBytes64(d)
+			decoded++
+			cw.tail++
+			cw.prev = b
+		}
+	}
+	if len(q) != 0 {
+		return CompactWindow{}, nil, fmt.Errorf("store: compact window: %d trailing bytes", len(q))
+	}
+	cw.n = int(count)
+	return cw, rest, nil
+}
+
+func headValues(cw *CompactWindow, dst []float64) []float64 {
+	if cap(dst) < cw.n {
+		dst = make([]float64, cw.n)
+	}
+	dst = dst[:cw.n]
+	idx := 0
+	for c := range cw.starts {
+		end := len(cw.buf)
+		if c+1 < len(cw.starts) {
+			end = int(cw.starts[c+1])
+		}
+		p := cw.buf[cw.starts[c]:end]
+		b := binary.LittleEndian.Uint64(p[:8])
+		p = p[8:]
+		dst[idx] = math.Float64frombits(b)
+		idx++
+		for len(p) > 0 {
+			d, m := binary.Uvarint(p)
+			p = p[m:]
+			b ^= bits.ReverseBytes64(d)
+			dst[idx] = math.Float64frombits(b)
+			idx++
+		}
+	}
+	return dst[:idx]
+}
+
+// restoreShapes are windows of the two costs the codec has: dyadic values
+// (few mantissa bits, 1-4-byte deltas) and non-dyadic ones (thousandths,
+// 9-10-byte deltas), at lengths on and around the chunk boundaries, plus
+// every special bit pattern.
+func restoreShapes() map[string][]float64 {
+	shapes := map[string][]float64{
+		"specials": {
+			0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+			math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000123),
+			math.SmallestNonzeroFloat64, math.MaxFloat64, 0.1,
+		},
+	}
+	for _, n := range []int{cwChunkLen - 1, cwChunkLen, cwChunkLen + 1, 2 * cwChunkLen, 300} {
+		shapes[fmt.Sprintf("dyadic/%d", n)] = benchWindow(n, true)
+		shapes[fmt.Sprintf("nondyadic/%d", n)] = benchWindow(n, false)
+	}
+	return shapes
+}
+
+// benchWindow is a deterministic window of n values: quarter-quantised
+// (the hot bench fleets) or thousandth-valued (sparse_churn).
+func benchWindow(n int, dyadic bool) []float64 {
+	rng := rand.New(rand.NewSource(int64(n)))
+	win := make([]float64, n)
+	for i := range win {
+		if dyadic {
+			win[i] = float64(rng.Intn(80)) / 4
+		} else {
+			win[i] = float64(rng.Intn(20000)) / 1000
+		}
+	}
+	return win
+}
+
+func encodedWindow(vals []float64) []byte {
+	cw := compactWindowOf(vals)
+	return cw.appendEncoded(nil)
+}
+
+// FuzzCompactWindowDecode: on arbitrary bytes the one-pass decoder never
+// panics, never allocates more than a constant factor of its input, and
+// agrees with the two-pass decode it replaced — on whether the bytes are a
+// window at all, on every field of the window, and on the bits of every
+// value — in each of its three modes.
+func FuzzCompactWindowDecode(f *testing.F) {
+	for _, vals := range restoreShapes() {
+		enc := encodedWindow(vals)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc[:len(enc):len(enc)], 0))
+		flipped := append([]byte(nil), enc...)
+		flipped[len(flipped)/2] ^= 0x80
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Add(encodedWindow(nil))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxInt32), 0)) // 2^31 values in no bytes
+	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(nil, 40), 40), make([]byte, 40)...))
+	// A delta of ten continuation bytes, then an eleventh: overflow.
+	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(nil, 2), 19), bytes.Repeat([]byte{0xff}, 19)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, rest, err := headDecodeCompactWindow(data)
+		wantOK := err == nil && len(rest) == 0
+		var wantVals []float64
+		if wantOK {
+			wantVals = headValues(&want, nil)
+		}
+		for _, mode := range []cwMode{cwWindow, cwValues, cwWindow | cwValues} {
+			in := append([]byte(nil), data...) // a cwWindow decode owns its input
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cw, vals, err := decodeCompactWindow(in, mode)
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(1<<16)); got > limit {
+				t.Fatalf("mode %d: decoding %d bytes allocated %d", mode, len(data), got)
+			}
+			if (err == nil) != wantOK {
+				t.Fatalf("mode %d: err = %v, the two-pass decode says ok=%v", mode, err, wantOK)
+			}
+			if err != nil {
+				if vals != nil || cw.buf != nil || cw.starts != nil || cw.n != 0 {
+					t.Fatalf("mode %d: a failed decode returned %d values, window %+v", mode, len(vals), cw)
+				}
+				continue
+			}
+			want := want
+			if mode&cwWindow == 0 {
+				want = CompactWindow{}
+			}
+			if !bytes.Equal(cw.buf, want.buf) || len(cw.starts) != len(want.starts) ||
+				cw.n != want.n || cw.tail != want.tail || cw.prev != want.prev {
+				t.Fatalf("mode %d: window %+v, want %+v", mode, cw, want)
+			}
+			for i, s := range want.starts {
+				if cw.starts[i] != s {
+					t.Fatalf("mode %d: chunk %d starts at %d, want %d", mode, i, cw.starts[i], s)
+				}
+			}
+			if mode&cwValues == 0 {
+				if vals != nil {
+					t.Fatalf("mode %d returned %d values", mode, len(vals))
+				}
+				continue
+			}
+			assertBitIdentical(t, vals, wantVals, fmt.Sprintf("mode %d", mode))
+		}
+	})
+}
+
+// TestUvarintMatchesBinary: the unrolled varint returns binary.Uvarint's
+// (value, n) for every input length 0-11 — every terminating position,
+// truncation, the tenth-byte overflow and the eleventh-byte one.
+func TestUvarintMatchesBinary(t *testing.T) {
+	check := func(p []byte) {
+		t.Helper()
+		wantV, wantN := binary.Uvarint(p)
+		if v, n := uvarint(p); v != wantV || n != wantN {
+			t.Fatalf("uvarint(%x) = (%d, %d), binary.Uvarint = (%d, %d)", p, v, n, wantV, wantN)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for length := 0; length <= 11; length++ {
+		p := make([]byte, length)
+		for _, cont := range []byte{0x80, 0xff, 0xaa} {
+			for i := range p {
+				p[i] = cont
+			}
+			check(p) // no terminator at all
+			for end := 0; end < length; end++ {
+				for _, last := range []byte{0, 1, 2, 0x7f} {
+					q := append([]byte(nil), p...)
+					q[end] = last
+					check(q)
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			rng.Read(p)
+			for j := range p {
+				if rng.Intn(3) > 0 {
+					p[j] |= 0x80 // long varints are the interesting ones
+				}
+			}
+			check(p)
+		}
+	}
+	for _, v := range []uint64{0, 1, 127, 128, 1<<56 - 1, 1 << 56, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, v)
+		check(enc)
+		check(append(enc, 0xff, 0xff))
+	}
+}
+
+// TestRecordsAreByteIdenticalToHead: framing a payload where it is encoded
+// writes the bytes that framing a separately built payload did, for the
+// three records that moved — page, snapshot and WAL observation.
+func TestRecordsAreByteIdenticalToHead(t *testing.T) {
+	for name, vals := range restoreShapes() {
+		st := &appState{cw: compactWindowOf(vals), total: int64(len(vals)) + 7}
+		app := "golden/" + name
+
+		want := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
+		if got := appendPageRecord(nil, app, st); !bytes.Equal(got, want) {
+			t.Fatalf("%s: page record\n got %x\nwant %x", name, got, want)
+		}
+		// Framed behind other records, as in a reused buffer.
+		if got := appendPageRecord(append([]byte(nil), want...), app, st); !bytes.Equal(got, append(want, want...)) {
+			t.Fatalf("%s: second page record in a buffer differs", name)
+		}
+
+		dir := t.TempDir()
+		if err := writeSnapshot(dir, 4, map[string]*appState{app: st}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, snapName(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV2)), encodeSnapshotApp(nil, app, st))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: snapshot\n got %x\nwant %x", name, got, want)
+		}
+
+		dir = t.TempDir()
+		s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
+		want = want[:0]
+		var batch []Observation
+		for _, v := range vals {
+			batch = append(batch, Observation{App: app, Concurrency: v})
+			want = headAppendRecord(want, encodeObservation(nil, Observation{App: app, Concurrency: v}))
+		}
+		// Two appends, so the second frames into a used buffer.
+		if err := s.AppendBatch(batch[:3]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(batch[3:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = os.ReadFile(filepath.Join(dir, segName(1))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: WAL segment\n got %x\nwant %x", name, got, want)
+		}
+	}
+}
+
+// TestHeadDirectoryReopens: a data directory laid out by the encoders as
+// they were — a v2 snapshot with inline and paged apps, the page file its
+// stubs name, and a WAL segment on top — opens, and every window comes
+// back bit for bit through the peek, the promoting restore and a rewrite.
+func TestHeadDirectoryReopens(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string][]float64{}
+	snap := headAppendRecord(nil, []byte(snapMagicV2))
+	var page, seg []byte
+	var total int64
+	i := 0
+	for name, vals := range restoreShapes() {
+		app := "head/" + name
+		st := &appState{cw: compactWindowOf(vals), total: int64(len(vals))}
+		if i++; i%2 == 0 {
+			rec := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
+			st = &appState{total: st.total, page: &pageRef{seq: 1, off: int64(len(page)), recLen: int64(len(rec)), count: len(vals)}}
+			page = append(page, rec...)
+		}
+		snap = headAppendRecord(snap, encodeSnapshotApp(nil, app, st))
+		o := Observation{App: app, Concurrency: 0.137 * float64(i)}
+		seg = headAppendRecord(seg, encodeObservation(nil, o))
+		want[app] = append(append([]float64(nil), vals...), o.Concurrency)
+		total += st.total + 1
+	}
+	for name, data := range map[string][]byte{snapName(1): snap, pageName(1): page, segName(2): seg} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		if got := s.TotalObservations(); got != total {
+			t.Fatalf("%s: total %d, want %d", when, got, total)
+		}
+		if got := s.Stats().PageErrors; got != 0 {
+			t.Fatalf("%s: %d page errors", when, got)
+		}
+		for app, w := range want {
+			assertBitIdentical(t, s.Window(app), w, when+": peek "+app)
+			win, _, ok := s.RestoreWindow(app)
+			if !ok {
+				t.Fatalf("%s: %s missing", when, app)
+			}
+			assertBitIdentical(t, win, w, when+": restore "+app)
+		}
+	}
+	opt := Options{Sync: SyncNever, CompactEvery: -1}
+	s := mustOpen(t, dir, opt)
+	check(s, "first open")
+	for app := range want {
+		if err := s.PageOut(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, opt)
+	defer s.Close()
+	if s.PagedApps() != len(want) {
+		t.Fatalf("reopened with %d cold apps, want %d", s.PagedApps(), len(want))
+	}
+	check(s, "rewritten and reopened")
+}
+
+// TestRestoredWindowIsTheCallers: what RestoreWindowMemo returns belongs
+// to the caller. Scribbling on it, or appending to it within and past its
+// headroom, changes nothing the store later returns or pages out — for a
+// warm restore and for a cold one, whose values come out of the page-in's
+// own decode.
+func TestRestoredWindowIsTheCallers(t *testing.T) {
+	for _, cold := range []bool{false, true} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
+		want := benchWindow(300, false)
+		for _, v := range want {
+			if err := s.Append("a", v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cold {
+			if err := s.PageOut("a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		win, _, paged, ok := s.RestoreWindowMemo("a")
+		if !ok || paged != cold {
+			t.Fatalf("cold=%v: restore ok=%v paged=%v", cold, ok, paged)
+		}
+		assertBitIdentical(t, win, want, "restored")
+		if spare := cap(win) - len(win); spare < restoreHeadroom {
+			t.Fatalf("cold=%v: restored window has %d spare slots, want %d", cold, spare, restoreHeadroom)
+		}
+		for i := range win {
+			win[i] = math.NaN()
+		}
+		for i := 0; i < 3*restoreHeadroom; i++ {
+			win = append(win, -1)
+		}
+		assertBitIdentical(t, s.Window("a"), want, "after the caller scribbled")
+		if err := s.PageOut("a"); err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, s.Window("a"), want, "paged out after the caller scribbled")
+		again, _, _, _ := s.RestoreWindowMemo("a")
+		assertBitIdentical(t, again, want, "restored again")
+		s.Close()
+	}
+}
+
+// TestPagedInWindowOwnsItsBuffer: a window paged in keeps the buffer its
+// record was read into and appends into the spare capacity behind it.
+// Neither those appends nor a second read of the same record may reach
+// another window: the neighbour in the page file, or a copy read earlier.
+func TestPagedInWindowOwnsItsBuffer(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Sync: SyncNever, CompactEvery: -1}
+	s := mustOpen(t, dir, opt)
+	obs := pageFleet(3, 70, 21)
+	if err := s.AppendBatch(obs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.PageOut(appName(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	ref := s.apps[appName(1)].page
+	first, err := s.pg.readBack(appName(1), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.pg.readBack(appName(1), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if spare := cap(first.cw.buf) - len(first.cw.buf); spare < 10 {
+		t.Fatalf("a paged-in stream has %d spare bytes: its first append would copy it", spare)
+	}
+	kept := second.cw.Values(nil)
+	for i := 0; i < 200; i++ {
+		first.cw.Append(0.001 * float64(i)) // through the spare bytes and past them
+	}
+	assertBitIdentical(t, second.cw.Values(nil), kept, "a second read of the record, after appends to the first")
+
+	// The same through the store: the middle app is paged in by an append
+	// and grows while its neighbours stay on disk.
+	for i := 0; i < 200; i++ {
+		o := Observation{App: appName(1), Concurrency: 0.001 * float64(i)}
+		if err := s.Append(o.App, o.Concurrency); err != nil {
+			t.Fatal(err)
+		}
+		obs = append(obs, o)
+	}
+	assertExactPrefix(t, s, obs)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, opt)
+	defer s.Close()
+	assertExactPrefix(t, s, obs)
+}
+
+// mallocsOf reports the fewest heap allocations one call of fn made over a
+// few tries (the minimum drops whatever another goroutine allocated
+// meanwhile). before runs untimed ahead of each try.
+func mallocsOf(before, fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var a, b runtime.MemStats
+	for try := 0; try < 5; try++ {
+		before()
+		runtime.ReadMemStats(&a)
+		fn()
+		runtime.ReadMemStats(&b)
+		least = min(least, b.Mallocs-a.Mallocs)
+	}
+	return least
+}
+
+// TestColdRestoreAllocations pins the one pass: a cold restore allocates
+// the read buffer, the record's app name, the chunk offsets and the
+// values — not a copy of the stream, an offsets slice grown by doubling, a
+// second appState and a second walk's slice on top.
+func TestColdRestoreAllocations(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
+	defer s.Close()
+	for _, v := range benchWindow(300, false) {
+		if err := s.Append("a", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageOut := func() {
+		if err := s.PageOut("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageOut()
+	s.RestoreWindowMemo("a") // opens the read handle
+	got := mallocsOf(pageOut, func() {
+		if win, _, paged, _ := s.RestoreWindowMemo("a"); !paged || len(win) != 300 {
+			t.Fatalf("restore: paged=%v len=%d", paged, len(win))
+		}
+	})
+	if got > 6 {
+		t.Fatalf("a cold restore of 300 values made %d allocations, want at most 6", got)
+	}
+	// And the observe path frames into the WAL's buffer: the per-app state
+	// exists, the window has room, nothing is left to allocate.
+	batch := make([]Observation, 64)
+	for i := range batch {
+		batch[i] = Observation{App: "a", Concurrency: 0.5}
+	}
+	s.AppendBatch(batch)
+	if got := mallocsOf(func() {}, func() { s.AppendBatch(batch[:8]) }); got > 1 {
+		t.Fatalf("appending 8 observations to a warm app made %d allocations, want at most 1", got)
+	}
+}
+
+var benchSink []float64
+
+// BenchmarkRestoreWindow times the promoting restore of one app: warm (a
+// decode of the in-memory window) and cold (a page read and its decode),
+// on windows that compress (dyadic) and windows that do not.
+func BenchmarkRestoreWindow(b *testing.B) {
+	for _, tier := range []string{"warm", "cold"} {
+		for _, shape := range []string{"dyadic", "nondyadic"} {
+			for _, n := range []int{300, 3000} {
+				b.Run(fmt.Sprintf("%s/%s/%d", tier, shape, n), func(b *testing.B) {
+					s, err := Open(b.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer s.Close()
+					var batch []Observation
+					for _, v := range benchWindow(n, shape == "dyadic") {
+						batch = append(batch, Observation{App: "a", Concurrency: v})
+					}
+					if err := s.AppendBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if tier == "cold" {
+							b.StopTimer()
+							if err := s.PageOut("a"); err != nil {
+								b.Fatal(err)
+							}
+							b.StartTimer()
+						}
+						benchSink, _, _ = s.RestoreWindow("a")
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkPageOut times the demotion of a 300-value non-dyadic window:
+// encode, frame, one write.
+func BenchmarkPageOut(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, v := range benchWindow(300, false) {
+		if err := s.Append("a", v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.PageOut("a"); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		benchSink, _, _ = s.RestoreWindow("a")
+		b.StartTimer()
+	}
+}

@@ -137,18 +137,16 @@ func encodeWireAppCompact(buf []byte, app string, st *appState) []byte {
 	return st.cw.appendEncoded(buf)
 }
 
-// decodeWireAppCompact parses an encodeWireAppCompact payload.
+// decodeWireAppCompact parses an encodeWireAppCompact payload. The
+// returned window aliases p (see decodeCompactWindow).
 func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	app, p, total, err := decodeAppHeader(p, "page")
 	if err != nil {
 		return "", nil, err
 	}
-	cw, rest, err := decodeCompactWindow(p)
+	cw, _, err := decodeCompactWindow(p, cwWindow)
 	if err != nil {
 		return "", nil, err
-	}
-	if len(rest) != 0 {
-		return "", nil, fmt.Errorf("store: page record: %d trailing bytes", len(rest))
 	}
 	return app, &appState{cw: cw, total: int64(total)}, nil
 }
@@ -216,7 +214,8 @@ func writeSnapshot(dir string, seq uint64, apps map[string]*appState) error {
 	var buf []byte
 	buf = appendRecord(buf, []byte(snapMagicV2))
 	for app, st := range apps {
-		buf = appendRecord(buf, encodeSnapshotApp(nil, app, st))
+		start := len(buf)
+		buf = sealRecord(encodeSnapshotApp(reserveHeader(buf), app, st), start)
 	}
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()

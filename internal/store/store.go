@@ -283,7 +283,7 @@ func decodeObservation(p []byte) (Observation, error) {
 	}
 	p = p[n:]
 	if uint64(len(p)) != nameLen+8 {
-		return Observation{}, fmt.Errorf("store: observation record: %d trailing bytes", len(p)-int(nameLen))
+		return Observation{}, fmt.Errorf("store: observation record: %d bytes after the app name, want 8", uint64(len(p))-nameLen)
 	}
 	return Observation{
 		App:         string(p[:nameLen]),
@@ -299,7 +299,7 @@ func (s *Store) apply(obs Observation) {
 		st = &appState{}
 		s.apps[obs.App] = st
 	}
-	s.ensureInlineLocked(obs.App, st)
+	s.ensureInlineLocked(obs.App, st, 0)
 	st.cw.Append(obs.Concurrency)
 	if cap := s.opt.WindowCap; cap > 0 {
 		// Chunk-granular in memory; the exact cap is applied when the
@@ -372,40 +372,43 @@ func (s *Store) enforceInlineBudgetLocked() {
 	}
 }
 
-// ensureInlineLocked pages a cold app's window back into memory. The
+// ensureInlineLocked pages a cold app's window back into memory, and
+// returns its values when mode asks for them and a page was read. The
 // record the stub points to is also covered by the snapshot+WAL chain
 // until the next compaction, so a read failure here — torn page file
 // after a crash mid-page-out, bit rot — costs the window only in the
 // rare case that chain was already compacted past it; the durable total
 // is kept either way and the app restarts with an empty window.
-func (s *Store) ensureInlineLocked(app string, st *appState) {
+func (s *Store) ensureInlineLocked(app string, st *appState, mode cwMode) []float64 {
 	if st.page == nil {
-		return
+		return nil
 	}
-	full, err := s.pg.readBack(app, st.page)
+	full, vals, err := s.pg.load(app, st.page, mode|cwWindow)
 	s.pg.free(st.page)
 	st.page = nil
 	if err != nil {
-		st.cw = CompactWindow{}
-		s.pageErrs++
-		return
+		s.pageErrs++ // full and vals are empty: the window is lost
 	}
 	st.cw = full.cw
+	return vals
 }
 
 // windowLocked materializes an app's window without changing its tier
 // (cold apps are read from disk but stay cold), applying the exact
 // WindowCap.
 func (s *Store) windowLocked(app string, st *appState) []float64 {
-	cw := &st.cw
-	if st.page != nil {
-		full, err := s.pg.readBack(app, st.page)
-		if err != nil {
-			return nil
-		}
-		cw = &full.cw
+	if st.page == nil {
+		return s.capWindow(st.cw.Values(nil))
 	}
-	win := cw.Values(nil)
+	_, win, err := s.pg.load(app, st.page, cwValues)
+	if err != nil {
+		return nil
+	}
+	return s.capWindow(win)
+}
+
+// capWindow applies the exact WindowCap to a materialized window.
+func (s *Store) capWindow(win []float64) []float64 {
 	if cap := s.opt.WindowCap; cap > 0 && len(win) > cap {
 		win = win[len(win)-cap:]
 	}
@@ -427,16 +430,12 @@ func (s *Store) AppendBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	payloads := make([][]byte, len(obs))
-	for i, o := range obs {
-		payloads[i] = encodeObservation(nil, o)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.w == nil {
 		return fmt.Errorf("store: closed")
 	}
-	if err := s.w.appendBatch(payloads, s.opt.Sync == SyncAlways); err != nil {
+	if err := s.w.appendObservations(obs, s.opt.Sync == SyncAlways); err != nil {
 		return err
 	}
 	for _, o := range obs {
@@ -503,12 +502,14 @@ func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok 
 		return nil, Memo{}, false, false
 	}
 	paged = st.page != nil
-	s.ensureInlineLocked(app, st)
-	st.touched = true
-	win = st.cw.Values(nil)
-	if cap := s.opt.WindowCap; cap > 0 && len(win) > cap {
-		win = win[len(win)-cap:]
+	// A page-in decodes the values in the same walk that rebuilds the
+	// window; only a warm app is walked here.
+	win = s.ensureInlineLocked(app, st, cwValues)
+	if win == nil {
+		win = st.cw.Values(make([]float64, 0, st.cw.Len()+restoreHeadroom))
 	}
+	win = s.capWindow(win)
+	st.touched = true
 	// Enforce after materializing: the sweep's second-chance pass may
 	// legitimately re-demote this very app (tiny budgets), which must not
 	// truncate the window we are about to hand to the caller.

@@ -58,15 +58,28 @@ func IsTorn(err error) bool { return errors.Is(err, errTorn) }
 
 // appendRecord frames payload into buf and returns the extended buffer.
 func appendRecord(buf, payload []byte) []byte {
+	start := len(buf)
+	return sealRecord(append(reserveHeader(buf), payload...), start)
+}
+
+// reserveHeader and sealRecord frame a record whose payload is encoded
+// straight into its place: reserve a header at len(buf), append the
+// payload, then seal with that offset to fill the header in.
+func reserveHeader(buf []byte) []byte {
 	var hdr [recordHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return append(buf, hdr[:]...)
+}
+
+func sealRecord(buf []byte, start int) []byte {
+	payload := buf[start+recordHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // readRecords streams every valid record from r into fn, stopping at the
-// first invalid frame. It returns the number of valid records and nil on
+// first invalid frame. Each payload is its own allocation, which fn may
+// keep. It returns the number of valid records and nil on
 // a clean EOF, or an error wrapping errTorn when the segment ends in a
 // truncated or corrupt frame. fn errors abort the scan unchanged.
 func readRecords(r io.Reader, fn func(payload []byte) error) (int, error) {
@@ -240,6 +253,25 @@ func (w *wal) appendBatch(payloads [][]byte, syncNow bool) error {
 	for _, p := range payloads {
 		w.buf = appendRecord(w.buf, p)
 	}
+	return w.commit(syncNow)
+}
+
+// appendObservations is appendBatch for the observe path: each record is
+// encoded where it is framed, so an observation costs no allocation.
+func (w *wal) appendObservations(obs []Observation, syncNow bool) error {
+	if w.dir == "" {
+		return nil
+	}
+	w.buf = w.buf[:0]
+	for _, o := range obs {
+		start := len(w.buf)
+		w.buf = sealRecord(encodeObservation(reserveHeader(w.buf), o), start)
+	}
+	return w.commit(syncNow)
+}
+
+// commit writes the framed records in w.buf to the segment.
+func (w *wal) commit(syncNow bool) error {
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("store: WAL append: %w", err)
 	}
