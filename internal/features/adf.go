@@ -2,14 +2,17 @@
 // classifier consumes (§4.3.2): stationarity (Augmented Dickey-Fuller
 // test), linearity (Broock-Dechert-Scheinkman test), periodicity (FFT
 // harmonic concentration), and density (traffic volume). Features are
-// computed once per completed block — 504 minutes by default, the smallest
-// multiple of the BDS test's ~400-point minimum that divides the 14-day
-// Azure trace evenly.
+// computed once per completed block. The paper's block is 504 minutes, the
+// smallest multiple of the BDS test's ~400-point minimum that divides the
+// 14-day Azure trace evenly, and the offline experiments use it; femuxd's
+// -block defaults to 144, well under that minimum, so a served app's
+// linearity feature is a finite-sample statistic rather than the
+// asymptotic test — consistently so between training and serving, which
+// is all the classifier needs.
 package features
 
 import (
 	"math"
-	"sync"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/mathx"
 )
@@ -36,14 +39,13 @@ type ADFResult struct {
 // observations. A constant series is reported as stationary with a strongly
 // negative sentinel statistic.
 func ADF(series []float64, lags int) ADFResult {
-	return adfTest(series, lags, isConstant(series))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.adfTest(series, lags, isConstant(series))
 }
 
-// adfTest is ADF with the series' constancy precomputed. The regression
-// buffers (differences, design matrix, normal equations) come from a
-// shared pool: feature extraction runs ADF once per block across thousands
-// of blocks, and these were the extractor's largest per-call allocations.
-func adfTest(series []float64, lags int, constant bool) ADFResult {
+// adfTest is ADF with the series' constancy precomputed.
+func (sc *scratch) adfTest(series []float64, lags int, constant bool) ADFResult {
 	n := len(series)
 	if n < 8 {
 		return ADFResult{Stat: 0, Stationary: false}
@@ -62,32 +64,23 @@ func adfTest(series []float64, lags int, constant bool) ADFResult {
 		lags = 0
 	}
 
-	sc := adfScratchPool.Get().(*adfScratch)
-	defer adfScratchPool.Put(sc)
-
-	diffs := sc.floats(&sc.diffs, n-1)
+	diffs := floats(&sc.diffs, n-1)
 	for i := 1; i < n; i++ {
 		diffs[i-1] = series[i] - series[i-1]
 	}
 	// Rows: t runs over diffs indices [lags, len(diffs)).
 	rows := len(diffs) - lags
-	cols := 2 + lags // intercept, y_{t-1}, lagged diffs
-	if rows <= cols {
+	k := 2 + lags // intercept, y_{t-1}, lagged diffs
+	if rows <= k {
 		return ADFResult{Stat: 0, Stationary: false}
 	}
-	x := sc.matrix(rows, cols)
-	y := sc.floats(&sc.y, rows)
-	for r := 0; r < rows; r++ {
-		t := r + lags // index into diffs
-		row := x[r]
-		row[0] = 1
-		row[1] = series[t] // y_{t-1} in original indexing: diffs[t] = y[t+1]-y[t]
-		for l := 1; l <= lags; l++ {
-			row[1+l] = diffs[t-l]
-		}
-		y[r] = diffs[t]
+	// Row r is t = r+lags: y_{t-1} is series[t] in original indexing
+	// (diffs[t] = y[t+1]-y[t]), lag l is diffs[t-l], the response diffs[t].
+	cols := append(sc.design(rows, k), series[lags:lags+rows])
+	for l := 1; l <= lags; l++ {
+		cols = append(cols, diffs[lags-l:lags-l+rows])
 	}
-	beta, se, ok := olsWithSE(x, y, 1, sc)
+	beta, se, ok := sc.olsWithSE(cols, diffs[lags:], 1)
 	if !ok || se == 0 {
 		return ADFResult{Stat: 0, Lags: lags, Stationary: false}
 	}
@@ -95,113 +88,35 @@ func adfTest(series []float64, lags int, constant bool) ADFResult {
 	return ADFResult{Stat: stat, Lags: lags, Stationary: stat < ADFCritical5}
 }
 
-// olsWithSE fits y ~ X by OLS and returns coefficient j and its standard
-// error. It solves the normal equations and extracts the needed diagonal of
-// (X'X)^{-1} by solving against a unit vector. sc supplies the X'X and
-// unit-vector buffers; SolveLinear copies its inputs, so reuse is safe.
-func olsWithSE(x [][]float64, y []float64, j int, sc *adfScratch) (coef, se float64, ok bool) {
-	rows, cols := len(x), len(x[0])
-	xtx := sc.xtxMatrix(cols)
-	xty := sc.floats(&sc.xty, cols)
-	for i := range xty {
-		xty[i] = 0
-	}
-	for r := 0; r < rows; r++ {
-		for a := 0; a < cols; a++ {
-			va := x[r][a]
-			if va == 0 {
-				continue
-			}
-			for b := a; b < cols; b++ {
-				xtx[a][b] += va * x[r][b]
-			}
-			xty[a] += va * y[r]
-		}
-	}
-	for a := 0; a < cols; a++ {
-		xtx[a][a] += 1e-9
-		for b := a + 1; b < cols; b++ {
-			xtx[b][a] = xtx[a][b]
-		}
-	}
-	beta, err := mathx.SolveLinear(xtx, xty)
-	if err != nil {
+// olsWithSE fits y ~ cols by OLS and returns coefficient j and its
+// standard error, taking the needed diagonal of (X'X)^{-1} from a second
+// solve against a unit vector.
+func (sc *scratch) olsWithSE(cols [][]float64, y []float64, j int) (coef, se float64, ok bool) {
+	rows, k := len(cols[0]), len(cols)
+	beta, ok := sc.solveOLS(cols, y)
+	if !ok {
 		return 0, 0, false
 	}
 	// Residual variance.
 	var rss float64
-	for r := 0; r < rows; r++ {
-		pred := mathx.Dot(x[r], beta)
+	for r, pred := range sc.fitted(cols, beta, rows) {
 		d := y[r] - pred
 		rss += d * d
 	}
-	dof := rows - cols
+	dof := rows - k
 	if dof <= 0 {
 		return 0, 0, false
 	}
 	sigma2 := rss / float64(dof)
 	// (X'X)^{-1}_{jj} via solving X'X z = e_j.
-	e := sc.floats(&sc.unit, cols)
-	for i := range e {
-		e[i] = 0
-	}
-	e[j] = 1
-	z, err := mathx.SolveLinear(xtx, e)
-	if err != nil || z[j] < 0 {
+	z := floats(&sc.unit, k)
+	clear(z)
+	z[j] = 1
+	copy(sc.work, sc.xtx)
+	if mathx.SolveLinearFlat(sc.work, z, k) != nil || z[j] < 0 {
 		return 0, 0, false
 	}
 	return beta[j], math.Sqrt(sigma2 * z[j]), true
-}
-
-// adfScratch holds the reusable regression buffers of one ADF evaluation.
-type adfScratch struct {
-	diffs   []float64
-	y       []float64
-	xty     []float64
-	unit    []float64
-	flat    []float64
-	rows    [][]float64
-	xtxFlat []float64
-	xtxRows [][]float64
-}
-
-var adfScratchPool = sync.Pool{New: func() any { return &adfScratch{} }}
-
-// floats resizes *buf to n (contents unspecified) and returns it.
-func (s *adfScratch) floats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// matrix returns an r×c row-view matrix over flat pooled storage; element
-// contents are unspecified (callers overwrite every cell).
-func (s *adfScratch) matrix(r, c int) [][]float64 {
-	flat := s.floats(&s.flat, r*c)
-	if cap(s.rows) < r {
-		s.rows = make([][]float64, r)
-	}
-	s.rows = s.rows[:r]
-	for i := 0; i < r; i++ {
-		s.rows[i] = flat[i*c : (i+1)*c]
-	}
-	return s.rows
-}
-
-// xtxMatrix returns a zeroed c×c matrix over flat pooled storage.
-func (s *adfScratch) xtxMatrix(c int) [][]float64 {
-	flat := s.floats(&s.xtxFlat, c*c)
-	clear(flat)
-	if cap(s.xtxRows) < c {
-		s.xtxRows = make([][]float64, c)
-	}
-	s.xtxRows = s.xtxRows[:c]
-	for i := 0; i < c; i++ {
-		s.xtxRows[i] = flat[i*c : (i+1)*c]
-	}
-	return s.xtxRows
 }
 
 func isConstant(series []float64) bool {

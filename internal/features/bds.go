@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-
-	"github.com/ubc-cirrus-lab/femux-go/internal/mathx"
 )
 
 // BDSResult reports a Broock-Dechert-Scheinkman independence test.
@@ -323,21 +321,23 @@ func (s *bdsScratch) degrees(nm int) []int {
 // that no linear model can capture, steering the classifier toward SETAR or
 // the Markov chain.
 func LinearityTest(series []float64, arLags, bdsDim int) BDSResult {
-	return linearityTest(series, arLags, bdsDim, isConstant(series))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.linearityTest(series, arLags, bdsDim, isConstant(series))
 }
 
 // linearityTest is LinearityTest with the series' constancy precomputed.
-func linearityTest(series []float64, arLags, bdsDim int, constant bool) BDSResult {
-	res := arResiduals(series, arLags, constant)
+func (sc *scratch) linearityTest(series []float64, arLags, bdsDim int, constant bool) BDSResult {
+	res := sc.arResiduals(series, arLags, constant)
 	if res == nil {
 		return BDSResult{Stat: 0, Linear: true}
 	}
 	return BDS(res, bdsDim, 0)
 }
 
-// arResiduals fits AR(lags) by least squares and returns the residuals, or
-// nil when the series is too short or degenerate.
-func arResiduals(series []float64, lags int, constant bool) []float64 {
+// arResiduals fits AR(lags) by least squares and returns the residuals
+// (scratch-owned), or nil when the series is too short or degenerate.
+func (sc *scratch) arResiduals(series []float64, lags int, constant bool) []float64 {
 	n := len(series)
 	if lags < 1 {
 		lags = 1
@@ -346,25 +346,19 @@ func arResiduals(series []float64, lags int, constant bool) []float64 {
 	if rows < lags+2 || constant {
 		return nil
 	}
-	x := make([][]float64, rows)
-	flat := make([]float64, rows*(lags+1))
-	y := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		row := flat[r*(lags+1) : (r+1)*(lags+1)]
-		row[0] = 1
-		for l := 1; l <= lags; l++ {
-			row[l] = series[r+lags-l]
-		}
-		x[r] = row
-		y[r] = series[r+lags]
+	// Row r predicts series[r+lags] from an intercept and series[r+lags-l].
+	cols := sc.design(rows, lags+1)
+	for l := 1; l <= lags; l++ {
+		cols = append(cols, series[lags-l:lags-l+rows])
 	}
-	coef, err := mathx.LeastSquares(x, y)
-	if err != nil {
+	y := series[lags:]
+	coef, ok := sc.solveOLS(cols, y)
+	if !ok {
 		return nil
 	}
-	res := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		res[r] = y[r] - mathx.Dot(x[r], coef)
+	res := sc.fitted(cols, coef, rows)
+	for r, pred := range res {
+		res[r] = y[r] - pred
 	}
 	return res
 }

@@ -235,24 +235,3 @@ func BenchmarkBDS(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkADF measures the stationarity test on one 504-point block
-// (Schwert-rule lags), the second-hottest extractor kernel.
-func BenchmarkADF(b *testing.B) {
-	series := benchSeries(504)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ADF(series, -1)
-	}
-}
-
-// BenchmarkExtract measures the full per-block feature extraction the
-// training sweep runs once per (block).
-func BenchmarkExtract(b *testing.B) {
-	series := benchSeries(504)
-	ext := NewExtractor()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ext.Extract(series, 0)
-	}
-}

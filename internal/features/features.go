@@ -2,6 +2,8 @@ package features
 
 import (
 	"fmt"
+	"math/cmplx"
+	"slices"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/mathx"
 )
@@ -71,23 +73,24 @@ func (e *Extractor) Params() (arLags, bdsDim, harmonics int) {
 //     concurrency), a popularity proxy (§4.2.2).
 func (e *Extractor) Extract(block []float64, execSec float64) Vector {
 	v := Vector{}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
 	// One moments pass serves every kernel: ADF and the linearity test
-	// need the constancy check, density is the running sum. Previously
-	// each kernel rescanned the block for its own copy of these.
+	// need the constancy check, density is the running sum.
 	mom := computeMoments(block)
 
-	adf := adfTest(block, -1, mom.constant)
+	adf := sc.adfTest(block, -1, mom.constant)
 	v[FeatStationarity] = mathx.Clamp(adf.Stat, -10, 10)
 
-	bds := linearityTest(block, e.arLags, e.bdsDim, mom.constant)
+	bds := sc.linearityTest(block, e.arLags, e.bdsDim, mom.constant)
 	abs := bds.Stat
 	if abs < 0 {
 		abs = -abs
 	}
 	v[FeatLinearity] = mathx.Clamp(abs, 0, 20)
 
-	v[FeatHarmonics] = harmonicConcentration(block, e.harmonics, mom.constant)
+	v[FeatHarmonics] = sc.harmonicConcentration(block, e.harmonics, mom.constant)
 
 	v[FeatDensity] = mom.sum
 
@@ -101,20 +104,30 @@ func (e *Extractor) Extract(block []float64, execSec float64) Vector {
 // top-k harmonics. A finite number of prominent harmonics — high
 // concentration — indicates a periodic or quasi-periodic block (§4.3.2).
 func HarmonicConcentration(block []float64, k int) float64 {
-	return harmonicConcentration(block, k, isConstant(block))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.harmonicConcentration(block, k, isConstant(block))
 }
 
 // harmonicConcentration is HarmonicConcentration with the block's
-// constancy precomputed.
-func harmonicConcentration(block []float64, k int, constant bool) float64 {
+// constancy precomputed. Energies are summed in descending amplitude
+// order (the order a top-k selection over every harmonic lists them), so
+// the sums do not depend on where in the spectrum the energy sits.
+func (sc *scratch) harmonicConcentration(block []float64, k int, constant bool) float64 {
 	n := len(block)
 	if n < 4 || constant {
 		return 0
 	}
-	hs := mathx.TopHarmonics(block, n/2)
+	spec := sc.fft.FFTReal(block)
+	amps := floats(&sc.amps, n/2)
+	for i := range amps {
+		amps[i] = cmplx.Abs(spec[i+1]) * 2 / float64(n)
+	}
+	slices.Sort(amps)
+	slices.Reverse(amps)
 	var total, top float64
-	for i, h := range hs {
-		e := h.Amplitude * h.Amplitude
+	for i, a := range amps {
+		e := a * a
 		total += e
 		if i < k {
 			top += e

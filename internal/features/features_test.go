@@ -262,17 +262,3 @@ func TestExtractFeatureSeparation(t *testing.T) {
 			vs[FeatDensity], vn[FeatDensity])
 	}
 }
-
-func BenchmarkExtract504(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	e := NewExtractor()
-	block := make([]float64, 504)
-	for i := range block {
-		block[i] = math.Abs(2 + math.Sin(2*math.Pi*float64(i)/60) + 0.2*rng.NormFloat64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Extract(block, 0)
-	}
-}

@@ -92,6 +92,7 @@ type Model struct {
 	perGroup  []string // group -> forecaster name
 	defaultFC string   // forecaster for apps without a completed block
 	fcIndex   []int    // see index
+	fcNames   []string // cfg.Forecasters[i].Name(), formatted once
 	extractor *features.Extractor
 
 	// Diagnostics from training.
@@ -443,14 +444,19 @@ func (m *Model) Classify(vec features.Vector) int {
 }
 
 // index resolves the assignment table (perGroup, then defaultFC) to
-// positions in cfg.Forecasters, so no policy looks one up by name (Name
-// formats on every call). An unknown name falls back to the first.
+// positions in cfg.Forecasters, so no policy looks one up by name, and
+// keeps each forecaster's name (Name formats on every call). An unknown
+// name falls back to the first.
 func (m *Model) index() *Model {
+	m.fcNames = make([]string, len(m.cfg.Forecasters))
+	for i, fc := range m.cfg.Forecasters {
+		m.fcNames[i] = fc.Name()
+	}
 	names := append(m.perGroup[:len(m.perGroup):len(m.perGroup)], m.defaultFC)
 	m.fcIndex = make([]int, len(names))
 	for g, name := range names {
-		for i, fc := range m.cfg.Forecasters {
-			if fc.Name() == name {
+		for i, fcName := range m.fcNames {
+			if fcName == name {
 				m.fcIndex[g] = i
 				break
 			}

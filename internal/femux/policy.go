@@ -83,9 +83,7 @@ func (p *AppPolicy) Target(history []float64, unitConcurrency int) int {
 // safe as long as each caller supplies its own workspace — femuxd keeps one
 // per served app under the app lock.
 func (p *AppPolicy) TargetWS(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
-	fc := p.currentFor(history)
-	return windowedPolicy{fc: fc, window: p.model.cfg.Window, horizon: p.model.cfg.Horizon}.
-		TargetWS(history, unitConcurrency, ws)
+	return p.TargetQuantilesWS(history, unitConcurrency, 0, ws)
 }
 
 // TargetQuantilesWS implements sim.QuantileTargeter: the same block
@@ -94,19 +92,33 @@ func (p *AppPolicy) TargetWS(history []float64, unitConcurrency int, ws *forecas
 // <= 0 reproduces TargetWS exactly, so a zero ServiceOptions/flag value
 // is always safe.
 func (p *AppPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) int {
-	fc := p.currentFor(history)
-	return windowedPolicy{fc: fc, window: p.model.cfg.Window, horizon: p.model.cfg.Horizon}.
+	target, _, _ := p.Decide(history, unitConcurrency, level, ws)
+	return target
+}
+
+// Decide is one observation's whole policy step, the call the serving
+// paths make: it re-classifies when a new block has completed, then
+// returns TargetQuantilesWS's target, the name of the forecaster that
+// produced it, and whether this call extracted features — all from one
+// hold of the policy lock.
+func (p *AppPolicy) Decide(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) (target int, forecaster string, extracted bool) {
+	cur, extracted := p.currentFor(history)
+	target = windowedPolicy{fc: p.model.cfg.Forecasters[cur], window: p.model.cfg.Window, horizon: p.model.cfg.Horizon}.
 		TargetQuantilesWS(history, unitConcurrency, level, ws)
+	return target, p.model.fcNames[cur], extracted
 }
 
 // currentFor re-classifies when a new block has completed and returns
-// the forecaster assigned to this app right now — the shared front half
-// of every Target variant.
-func (p *AppPolicy) currentFor(history []float64) forecast.Forecaster {
+// the forecaster assigned to this app right now, as an index into
+// cfg.Forecasters, and whether it extracted features to get there — the
+// shared front half of every Target and Forecast variant. A nil history
+// completes no block, so it only reads.
+func (p *AppPolicy) currentFor(history []float64) (cur int, extracted bool) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	bs := p.model.cfg.BlockSize
 	completed := len(history) / bs
-	if completed > p.blocksSeen {
+	if extracted = completed > p.blocksSeen; extracted {
 		execFeat := 0.0
 		if hasExecFeature(p.model.cfg.Features) {
 			execFeat = p.execSec
@@ -115,9 +127,7 @@ func (p *AppPolicy) currentFor(history []float64) forecast.Forecaster {
 		vec := p.model.extractor.Extract(block, execFeat)
 		p.assign(p.model.Classify(vec), completed)
 	}
-	fc := p.model.cfg.Forecasters[p.cur]
-	p.mu.Unlock()
-	return fc
+	return p.cur, extracted
 }
 
 // Forecast predicts the next horizon intervals with the currently assigned
@@ -129,8 +139,8 @@ func (p *AppPolicy) Forecast(history []float64, horizon int) []float64 {
 // ForecastWS is Forecast with caller-owned destination and workspace, the
 // allocation-free form used by the serving path. dst and ws may be nil.
 func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws *forecast.Workspace) []float64 {
-	fc := p.currentFor(history)
-	return forecast.Into(fc, history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, dst, ws)
+	cur, _ := p.currentFor(history)
+	return forecast.Into(p.model.cfg.Forecasters[cur], history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, dst, ws)
 }
 
 // ForecastQuantilesWS emits level-major quantile curves
@@ -138,15 +148,14 @@ func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws
 // assigned forecaster over the windowed history — the serving path
 // behind /v1/forecast?quantiles=. dst and ws may be nil.
 func (p *AppPolicy) ForecastQuantilesWS(history []float64, horizon int, levels, dst []float64, ws *forecast.Workspace) []float64 {
-	fc := p.currentFor(history)
-	return forecast.QuantilesInto(fc, history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, levels, dst, ws)
+	cur, _ := p.currentFor(history)
+	return forecast.QuantilesInto(p.model.cfg.Forecasters[cur], history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, levels, dst, ws)
 }
 
 // CurrentForecaster returns the name of the forecaster in use.
 func (p *AppPolicy) CurrentForecaster() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.model.cfg.Forecasters[p.cur].Name()
+	cur, _ := p.currentFor(nil)
+	return p.model.fcNames[cur]
 }
 
 // Switches returns how many times the policy changed forecasters.

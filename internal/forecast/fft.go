@@ -33,10 +33,10 @@ func (f *FFT) Forecast(history []float64, horizon int) []float64 {
 	return f.ForecastInto(history, horizon, nil, nil)
 }
 
-// ForecastInto implements IntoForecaster. The workspace caches the FFT
-// plan (twiddle and Bluestein chirp tables) per window length, so
-// repeated forecasts over the same window size skip all plan setup and
-// allocate nothing.
+// ForecastInto implements IntoForecaster. The FFT plan (twiddle and
+// Bluestein chirp tables) is cached per window length, process-wide, and
+// the workspace owns the transform buffers, so repeated forecasts over
+// the same window size skip all plan setup and allocate nothing.
 func (f *FFT) ForecastInto(history []float64, horizon int, dst []float64, ws *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil

@@ -102,6 +102,10 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	resp := BatchObserveResponse{Results: make([]BatchItemResult, len(req.Observations))}
 	valid := make([]int, 0, len(req.Observations))
 	durable := make([]store.Observation, 0, len(req.Observations))
+	// One read lock spans the ownership checks of the whole batch (pure
+	// CPU, at most maxBatchItems of them) instead of one per item.
+	s.mu.RLock()
+	sm := s.metrics
 	for i, obs := range req.Observations {
 		res := &resp.Results[i]
 		res.App = obs.App
@@ -111,14 +115,14 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		case obs.Concurrency < 0:
 			res.Error = "concurrency must be non-negative"
 		default:
-			if msg, status, owner := s.rejectApp(obs.App); msg != "" {
+			if msg, status, owner := s.rejectAppLocked(obs.App); msg != "" {
 				res.Error = msg
 				res.Status = status
 				if status == http.StatusMisdirectedRequest {
 					o := owner
 					res.Owner = &o
 				}
-				if sm := s.svcMetrics(); sm != nil {
+				if sm != nil {
 					sm.Misrouted.Inc()
 				}
 				break
@@ -129,6 +133,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rejected++
 	}
+	s.mu.RUnlock()
 
 	// Materialize and pin every app BEFORE the group commit. Ordering
 	// matters under tiering: a lazily-restored window is read from the
@@ -137,16 +142,15 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	// below would double-count them. The pin holds off LRU eviction in
 	// the window between commit and apply, where hot state is ahead of
 	// nothing but could otherwise be demoted and re-restored post-commit.
-	pinned := make(map[string]*svcApp, len(valid))
-	for _, i := range valid {
-		app := req.Observations[i].App
-		if pinned[app] != nil {
-			continue
-		}
-		a := s.acquire(app)
+	// pinned runs parallel to valid: an app the batch names twice is
+	// pinned twice and unpinned twice (pins is a count), which costs no
+	// hashing.
+	pinned := make([]*svcApp, len(valid))
+	for k, i := range valid {
+		a := s.acquire(req.Observations[i].App)
 		a.pins++
 		a.mu.Unlock()
-		pinned[app] = a
+		pinned[k] = a
 	}
 	unpin := func() {
 		for _, a := range pinned {
@@ -161,7 +165,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if len(durable) > 0 {
 		if err := s.st.AppendBatch(durable); err != nil {
 			unpin()
-			if sm := s.svcMetrics(); sm != nil {
+			if sm != nil {
 				sm.StoreErrors.Add(float64(len(durable)))
 			}
 			http.Error(w, "durable store append failed: "+err.Error(),
@@ -170,25 +174,17 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sm := s.svcMetrics()
-	for _, i := range valid {
+	for k, i := range valid {
 		obs := req.Observations[i]
 		unitC := obs.UnitConcurrency
 		if unitC < 1 {
 			unitC = 1
 		}
-		a := pinned[obs.App]
+		a := pinned[k]
 		a.mu.Lock()
-		a.history = append(a.history, obs.Concurrency)
-		a.drift.Observe(obs.Concurrency)
 		res := &resp.Results[i]
-		s.countExtract(a.policy, len(a.history))
-		res.Target = a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
-		res.Forecaster = a.policy.CurrentForecaster()
+		res.Target, res.Forecaster = s.apply(a, obs.Concurrency, unitC, sm)
 		res.History = len(a.history)
-		if sm != nil {
-			a.count(&a.observes, sm.Observes)
-		}
 		a.mu.Unlock()
 		resp.Accepted++
 	}

@@ -56,7 +56,7 @@ func (p *DirectProvider) Target(app string, minuteAvg float64, unitConcurrency i
 
 	st.mu.Lock()
 	st.history = append(st.history, minuteAvg)
-	target := st.policy.TargetQuantilesWS(st.history, unitConcurrency, p.QuantileLevel, st.ws)
+	target, _, _ := st.policy.Decide(st.history, unitConcurrency, p.QuantileLevel, st.ws)
 	st.mu.Unlock()
 	return target, true
 }

@@ -301,6 +301,33 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 	}
 }
 
+// apply is the in-memory half of one observation, written once for the
+// single and the batch path: once c is durable it joins the history and
+// the drift detector, and the app's policy takes its step on the grown
+// history (see decide). Callers hold a.mu, which keeps in-memory order
+// identical to WAL order per app and the workspace single-threaded.
+func (s *Service) apply(a *svcApp, c float64, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
+	a.history = append(a.history, c)
+	a.drift.Observe(c)
+	target, forecaster = s.decide(a, unitC, sm)
+	if sm != nil {
+		a.count(&a.observes, sm.Observes)
+	}
+	return target, forecaster
+}
+
+// decide is the app's scale decision on its history as it stands — one
+// policy call that re-classifies on a completed block, forecasts and
+// names the forecaster — with a feature extraction counted if that call
+// performed one. Callers hold a.mu.
+func (s *Service) decide(a *svcApp, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
+	target, forecaster, extracted := a.policy.Decide(a.history, unitC, s.qlevel, a.ws)
+	if extracted && sm != nil {
+		sm.Classifications.Inc("extract")
+	}
+	return target, forecaster
+}
+
 // SwapModel atomically replaces the serving model (the paper retrains
 // monthly offline and ships the classifier into the forecasting pods).
 // Each tracked application gets a fresh policy from the new model while
@@ -634,24 +661,27 @@ func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
 // the client should retry against (meaningful for 421).
 func (s *Service) rejectApp(name string) (msg string, status, owner int) {
 	s.mu.RLock()
-	movedTo, isMoved := s.moved[name]
-	adopted := s.adopted[name]
-	shards, shardID, epoch := s.shards, s.shardID, s.epoch
-	joining := s.joining
-	s.mu.RUnlock()
-	if isMoved {
-		return fmt.Sprintf("app %q migrated to shard %d (epoch %d)", name, movedTo, epoch),
+	defer s.mu.RUnlock()
+	return s.rejectAppLocked(name)
+}
+
+// rejectAppLocked is rejectApp for a caller that holds s.mu: a batch
+// validates all its items under one read lock.
+func (s *Service) rejectAppLocked(name string) (msg string, status, owner int) {
+	if movedTo, isMoved := s.moved[name]; isMoved {
+		return fmt.Sprintf("app %q migrated to shard %d (epoch %d)", name, movedTo, s.epoch),
 			http.StatusMisdirectedRequest, movedTo
 	}
-	if shards <= 1 || adopted {
+	shards := s.shards
+	if shards <= 1 || s.adopted[name] {
 		return "", 0, 0
 	}
 	own := store.ShardOf(name, shards)
-	if own != shardID {
+	if own != s.shardID {
 		return fmt.Sprintf("app %q belongs to shard %d, this instance is shard %d of %d",
-			name, own, shardID, shards), http.StatusMisdirectedRequest, own
+			name, own, s.shardID, shards), http.StatusMisdirectedRequest, own
 	}
-	if joining {
+	if s.joining {
 		// Ours under the new map, but its history has not been migrated
 		// here yet: accepting the write now would be overwritten by the
 		// import. Send the client back to the old-map owner.
@@ -763,18 +793,8 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 				http.StatusInternalServerError)
 			return
 		}
-		a.history = append(a.history, req.Concurrency)
-		a.drift.Observe(req.Concurrency)
-		// The scale decision happens under the app lock: the per-app
-		// workspace is single-threaded by construction, and concurrent
-		// observes for one app serialize exactly as the WAL order does.
-		s.countExtract(a.policy, len(a.history))
-		target := a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
-		fcName := a.policy.CurrentForecaster()
+		target, fcName := s.apply(a, req.Concurrency, unitC, s.svcMetrics())
 		histLen := len(a.history)
-		if sm := s.svcMetrics(); sm != nil {
-			a.count(&a.observes, sm.Observes)
-		}
 		s.releaseApp(a)
 		writeJSON(w, &TargetResponse{
 			App: name, Target: target,
@@ -794,11 +814,10 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		a := s.acquire(name)
-		s.countExtract(a.policy, len(a.history))
-		target := a.policy.TargetQuantilesWS(a.history, unitC, s.qlevel, a.ws)
-		fcName := a.policy.CurrentForecaster()
+		sm := s.svcMetrics()
+		target, fcName := s.decide(a, unitC, sm)
 		histLen := len(a.history)
-		if sm := s.svcMetrics(); sm != nil {
+		if sm != nil {
 			a.count(&a.targets, sm.Targets)
 		}
 		s.releaseApp(a)
@@ -811,15 +830,16 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "forecast requires GET", http.StatusMethodNotAllowed)
 			return
 		}
+		query := r.URL.Query()
 		horizon := 1
-		if v := r.URL.Query().Get("horizon"); v != "" {
+		if v := query.Get("horizon"); v != "" {
 			var err error
 			if horizon, err = strconv.Atoi(v); err != nil || horizon < 1 || horizon > 1440 {
 				http.Error(w, "bad horizon", http.StatusBadRequest)
 				return
 			}
 		}
-		levels, ok := parseQuantileLevels(r.URL.Query().Get("quantiles"))
+		levels, ok := parseQuantileLevels(query.Get("quantiles"))
 		if !ok {
 			http.Error(w, "bad quantiles", http.StatusBadRequest)
 			return

@@ -8,6 +8,45 @@ import (
 	"testing/quick"
 )
 
+// FFT computes the discrete Fourier transform of x.
+// For power-of-two lengths it uses an iterative radix-2 Cooley-Tukey
+// transform; other lengths go through Bluestein's algorithm so callers never
+// need to pad. The input slice is not modified.
+func FFT(x []complex128) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	out := make([]complex128, n)
+	copy(out, x)
+	if n&(n-1) == 0 {
+		fftRadix2(out, false)
+		return out
+	}
+	return bluestein(out, false)
+}
+
+// IFFT computes the inverse discrete Fourier transform of x, including the
+// 1/n normalization, so IFFT(FFT(x)) == x up to floating-point error.
+func IFFT(x []complex128) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	out := make([]complex128, n)
+	copy(out, x)
+	if n&(n-1) == 0 {
+		fftRadix2(out, true)
+	} else {
+		out = bluestein(out, true)
+	}
+	scale := complex(1/float64(n), 0)
+	for i := range out {
+		out[i] *= scale
+	}
+	return out
+}
+
 // naiveDFT is the O(n^2) reference transform used to validate both FFT paths.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)

@@ -10,6 +10,9 @@ var ErrSingular = errors.New("mathx: singular matrix")
 
 // SolveLinear solves A x = b by Gaussian elimination with partial pivoting.
 // A is given in row-major order as a slice of rows and is not modified.
+//
+// Reference implementation — no serving or training caller: the kernels
+// use SolveLinearFlat, asserted bit-identical to this by the tests.
 func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 || len(b) != n {
@@ -67,6 +70,10 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 // (X'X) beta = X'y. X is row-major with one observation per row.
 // A small ridge term stabilizes near-collinear designs, which occur for
 // constant or nearly-constant traffic series.
+//
+// Reference implementation — no serving or training caller: the forecast
+// and feature kernels accumulate the same sums in the same order without
+// building X, and their equivalence tests compare against this.
 func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 	rows := len(x)
 	if rows == 0 || len(y) != rows {
