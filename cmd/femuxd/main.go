@@ -106,12 +106,6 @@ func main() {
 			"provision pod targets for this forecast quantile of demand (e.g. 0.95) instead of the point forecast (0 = off)")
 		tierShards = flag.Int("tier-shards", 0,
 			"shared-nothing stripes for the tier layer (app map, LRUs, budgets); 0 = one per CPU, 1 = unstriped")
-		restoreAhead = flag.Duration("restore-ahead", 0,
-			"prefetch period: forecast demoted apps and promote predicted-to-fire ones off the request path (0 = disabled)")
-		restoreAheadLevel = flag.Float64("restore-ahead-level", knative.DefaultRestoreAheadLevel,
-			"forecast quantile a demoted app must fire at to be prefetched")
-		restoreAheadBudget = flag.Int("restore-ahead-budget", 0,
-			"max promotions per prefetch cycle (0 = hot budget / 8, clamped to [1, 256])")
 
 		shards     = flag.Int("shards", 1, "total femuxd instances in the fleet (hash-partitioned by app)")
 		shardID    = flag.Int("shard-id", 0, "this instance's shard index in [0, shards)")
@@ -197,9 +191,6 @@ func main() {
 	if *tierShards < 0 {
 		log.Fatalf("-tier-shards must be >= 0, got %d", *tierShards)
 	}
-	if *restoreAheadLevel <= 0 || *restoreAheadLevel >= 1 {
-		log.Fatalf("-restore-ahead-level must be in (0, 1), got %g", *restoreAheadLevel)
-	}
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
 		Store: st, ShardID: *shardID, Shards: *shards,
 		Replica: *replicaOf != "", Joining: *joining,
@@ -284,26 +275,6 @@ func main() {
 			return
 		}
 	}()
-
-	if *restoreAhead > 0 {
-		log.Printf("restore-ahead: prefetching every %s at the p%g forecast quantile",
-			*restoreAhead, *restoreAheadLevel*100)
-		go func() {
-			t := time.NewTicker(*restoreAhead)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					scanned, promoted := svc.RestoreAheadCycle(*restoreAheadLevel, *restoreAheadBudget)
-					if promoted > 0 {
-						log.Printf("restore-ahead: promoted %d of %d scanned apps", promoted, scanned)
-					}
-				}
-			}
-		}()
-	}
 
 	if *watchModel {
 		go watchModelFile(*modelPath, *watchEvery, stop, func() {

@@ -79,18 +79,6 @@ func (l *lruList) Remove(e *lruElem) {
 	l.len--
 }
 
-// MoveToBack makes e the least recently used element — the next
-// eviction victim (restore-ahead lists its guesses behind real traffic).
-func (l *lruList) MoveToBack(e *lruElem) {
-	if l.root.prev == e {
-		return
-	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = l.root.prev, &l.root
-	e.prev.next, e.next.prev = e, e
-}
-
 // MoveToFront makes e the most recently used element.
 func (l *lruList) MoveToFront(e *lruElem) {
 	if l.root.next == e {

@@ -3,10 +3,8 @@ package knative
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http/httptest"
-	"sort"
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
@@ -412,80 +410,5 @@ func TestMemoInvalidation(t *testing.T) {
 	// rather than wrap onto a live stamp.
 	if memoGen(1) != 1 || memoGen(1<<16-1) != 1<<16-1 || memoGen(1<<16) != 0 || memoGen(1<<16+1) != 0 || memoGen(1<<40) != 0 {
 		t.Fatal("memoGen does not saturate to 0")
-	}
-}
-
-// TestRestoreAheadSameWithAndWithoutMemos: a restore-ahead cycle over
-// records that carry memos promotes exactly the apps a cycle that has to
-// classify every candidate promotes, and resumes instead of extracting,
-// over a directory store and a memory store alike.
-func TestRestoreAheadSameWithAndWithoutMemos(t *testing.T) {
-	for _, backend := range []string{"dir", "memory"} {
-		t.Run(backend, func(t *testing.T) {
-			model := muxModelA(t)
-			type side struct {
-				svc *Service
-				sm  *ServiceMetrics
-			}
-			var sides [2]side // [0] resumes memos, [1] never memoizes
-			for k := range sides {
-				so := ServiceOptions{MaxHotApps: 4, TierShards: 1}
-				if backend == "dir" {
-					st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 6})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer st.Close()
-					so.Store = st
-				}
-				svc := NewServiceWith(model, so)
-				if k == 1 {
-					svc.version = 1 << 16 // memoGen 0: every restore and scan classifies
-				}
-				sides[k] = side{svc, svc.InstrumentWith(serving.NewRegistry())}
-				srv := httptest.NewServer(svc.Handler())
-				defer srv.Close()
-				// 12 apps x 45 minutes through the service: every app is
-				// classified, evicted (4 hot slots) and so carries a memo.
-				for m := 0; m < 45; m++ {
-					for i := 0; i < 12; i++ {
-						postObserve(t, srv.URL, fmt.Sprintf("ra-%d", i), shapedValue(i, m))
-					}
-				}
-			}
-			hotSet := func(s *Service) []string {
-				var names []string
-				for _, st := range s.tier.stripes {
-					st.mu.Lock()
-					for name := range st.apps {
-						names = append(names, name)
-					}
-					st.mu.Unlock()
-				}
-				sort.Strings(names)
-				return names
-			}
-			e0, r0 := classifications(sides[0].sm)
-			e1, _ := classifications(sides[1].sm)
-			for cycle := 0; cycle < 6; cycle++ {
-				sa, pa := sides[0].svc.RestoreAheadCycle(0.9, 2)
-				sb, pb := sides[1].svc.RestoreAheadCycle(0.9, 2)
-				if sa != sb || pa != pb {
-					t.Fatalf("cycle %d: scanned/promoted %d/%d with memos, %d/%d without", cycle, sa, pa, sb, pb)
-				}
-				if a, b := hotSet(sides[0].svc), hotSet(sides[1].svc); fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("cycle %d: hot set %v with memos, %v without", cycle, a, b)
-				}
-			}
-			if scans, promos, _, _ := sides[0].svc.RestoreAheadStats(); scans == 0 || promos == 0 {
-				t.Fatalf("cycles scanned %d and promoted %d: nothing was exercised", scans, promos)
-			}
-			if e, r := classifications(sides[0].sm); e != e0 || r == r0 {
-				t.Errorf("with memos the cycles extracted %d times and resumed %d, want 0 and > 0", e-e0, r-r0)
-			}
-			if e, r := classifications(sides[1].sm); e == e1 || r != 0 {
-				t.Errorf("without memos the cycles extracted %d times and resumed %d, want > 0 and 0", e-e1, r)
-			}
-		})
 	}
 }

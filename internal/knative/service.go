@@ -101,10 +101,6 @@ type Service struct {
 	// tier, not the fleet roster.
 	tier tiers
 
-	// prefetch is the restore-ahead loop's rotation cursor (see
-	// prefetch.go).
-	prefetch prefetchState
-
 	// driftBlock is the drift detector's block geometry, fixed at boot
 	// from the initial model's BlockSize so detector state stays
 	// comparable across model hot-swaps (the lifecycle retrains with the
@@ -183,20 +179,13 @@ type svcApp struct {
 	// app, fixed at materialization. hotEl/wsEl are this app's positions
 	// in the stripe's LRU lists (nil when not listed), guarded by
 	// stripe.mu; gone marks an evicted entry that acquire must not use,
-	// pins holds off eviction while a batch that already committed
-	// observations for this app has yet to apply them in memory, and
-	// prefetched marks an app the restore-ahead loop promoted that no
-	// real request has touched yet (gone/pins/prefetched guarded by mu).
+	// and pins holds off eviction while a batch that already committed
+	// observations for this app has yet to apply them in memory (gone and
+	// pins guarded by mu).
 	stripe      *tierStripe
 	hotEl, wsEl *lruElem
 	gone        bool
 	pins        int
-	prefetched  bool
-	// prefetchEpoch is the restore-ahead cycle that promoted this app
-	// (0 for request-path installs), written before the app is published
-	// and read under stripe.mu: displacement skips victims carrying the
-	// current cycle's epoch so a cycle never evicts its own guesses.
-	prefetchEpoch int64
 }
 
 // maxObserveBody bounds the observe POST body; real observations are a
@@ -260,7 +249,7 @@ func (s *Service) Reloads() int {
 
 // modelAt returns the serving model together with its reload version,
 // so a caller that derived state from the model can detect a concurrent
-// swap afterwards (see materializeAs).
+// swap afterwards (see materialize).
 func (s *Service) modelAt() (*femux.Model, int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -277,13 +266,12 @@ var modelVersions atomic.Int64
 // 1<<16 to 0): a wrapped stamp could alias an old model's.
 func memoGen(version int64) uint16 { return uint16(min(version, 1<<16)) }
 
-// policyFor builds the policy of an app demoted with a window of n
-// observations and memo m, for request-path restores and restore-ahead
-// scans alike. A memo of this generation and this window length names
-// the group of the window's last completed block — a record keeps its
-// memo only across appends and WindowCap trims, which change n — so the
-// policy resumes instead of extracting; otherwise it starts fresh.
-// Callers count resumed once no stripe lock is held.
+// policyFor builds the policy a restored app serves with, from its window
+// of n observations and memo m. A memo of this generation and this window
+// length names the group of the window's last completed block — a record
+// keeps its memo only across appends and WindowCap trims, which change n
+// — so the policy resumes instead of extracting; otherwise it starts
+// fresh. Callers count resumed once no stripe lock is held.
 func policyFor(model *femux.Model, gen uint16, m store.Memo, n int) (p *femux.AppPolicy, resumed bool) {
 	if gen == 0 || m.Gen != gen || int(m.Len) != n {
 		return model.NewAppPolicy(0), false
@@ -336,7 +324,7 @@ func (s *Service) decide(a *svcApp, unitC int, sm *ServiceMetrics) (target int, 
 // model — nothing in flight is dropped or torn. The refresh sweep walks
 // the stripes without a global lock; an app materializing concurrently
 // either is seen by the sweep or detects the version bump itself and
-// re-derives (materializeAs), so no app can keep the old model.
+// re-derives (materialize), so no app can keep the old model.
 func (s *Service) SwapModel(m *femux.Model) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -473,18 +461,6 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 	reg.NewCounterFunc("femux_tier_count_anomalies_total",
 		"Tier gauge samples whose store-backed warm count was internally inconsistent.",
 		func() float64 { return float64(s.TierCountAnomalies()) })
-	reg.NewCounterFunc("femux_restore_ahead_scans_total",
-		"Demoted apps whose next-interval forecast the restore-ahead loop evaluated.",
-		func() float64 { return float64(s.tier.prefetchScans.Load()) })
-	reg.NewCounterFunc("femux_restore_ahead_promotions_total",
-		"Apps the restore-ahead loop promoted to the hot tier off the request path.",
-		func() float64 { return float64(s.tier.prefetchPromotions.Load()) })
-	reg.NewCounterFunc("femux_restore_ahead_hits_total",
-		"Prefetched apps a real request touched before eviction (restore latency hidden).",
-		func() float64 { return float64(s.tier.prefetchHits.Load()) })
-	reg.NewCounterFunc("femux_restore_ahead_wastes_total",
-		"Prefetched apps evicted before any real request arrived.",
-		func() float64 { return float64(s.tier.prefetchWastes.Load()) })
 	reg.NewGaugeFunc("femux_drift_score",
 		"Largest per-app feature-drift score across hot apps.",
 		s.MaxDriftScore)
@@ -552,89 +528,37 @@ func (s *Service) app(name string) *svcApp {
 	if a != nil {
 		return a
 	}
-	return s.materializeAs(name, false)
+	return s.materialize(name)
 }
 
-// materializeAs builds hot serving state for an app missing from its
-// stripe's map: a genuinely new app starts empty, a demoted one is
-// restored from the warm/cold tier. The restore runs before taking the
+// materialize builds and installs hot serving state for an app missing
+// from its stripe's map: a genuinely new app starts empty, a demoted one
+// is restored from the warm/cold tier. The restore runs before taking the
 // stripe lock (it may page in from disk); if another goroutine installs
 // the app first, its copy wins and ours — identical, since store
-// restores promote — is discarded.
-//
-// prefetched marks a restore-ahead promotion, which is best-effort where
-// a request-path materialize is mandatory: it returns nil (installs
-// nothing) when the app has no demoted state to restore. Promotion into
-// a stripe that is at its hot budget displaces the LRU-tail resident —
-// at steady state under churn every stripe is always full, so a
-// promotion that required free capacity would never fire — but the
-// displacement is tightly bounded: a victim promoted by the *current*
-// prefetch cycle is never displaced (guesses park at the tail, so this
-// caps displacement at one resident per stripe per cycle), and a
-// pinned or just-touched victim wins its race exactly as in normal
-// eviction.
-func (s *Service) materializeAs(name string, prefetched bool) *svcApp {
+// restores promote — is discarded. The install never evicts: the caller
+// touches the app into the LRUs, and the stripe's budgets are enforced
+// when the request releases it.
+func (s *Service) materialize(name string) *svcApp {
 	start := time.Now()
 	t := s.tier.stripe(name)
-	var epoch int64
-	if prefetched {
-		epoch = s.tier.prefetchEpoch.Load()
-		t.mu.Lock()
-		exists := t.apps[name] != nil
-		blocked := false
-		if t.maxHot >= 0 && t.hot.Len() >= t.maxHot {
-			back := t.hot.Back()
-			// A budget-0 stripe (no tail to displace) or a tail this cycle
-			// itself promoted: nothing legitimate to displace.
-			blocked = back == nil || back.Value.prefetchEpoch == epoch
-		}
-		t.mu.Unlock()
-		if exists || blocked {
-			return nil
-		}
-	}
 	model, version := s.modelAt()
-	a := &svcApp{
-		name: name, stripe: t, gen: memoGen(version),
-		prefetched: prefetched, prefetchEpoch: epoch,
-	}
+	a := &svcApp{name: name, stripe: t, gen: memoGen(version)}
 	var from string
 	win, memo, paged, ok := s.st.RestoreWindowMemo(name)
 	if paged {
 		from = "cold"
 	} else if ok {
 		from = "warm"
-	} else if prefetched {
-		return nil
 	}
 	a.history = win
 	var resumed bool
 	a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
 	a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
 	t.mu.Lock()
-	for {
-		if cur := t.apps[name]; cur != nil {
-			t.mu.Unlock()
-			return cur
-		}
-		if !prefetched || t.maxHot < 0 || t.hot.Len() < t.maxHot {
-			break // capacity available (or a mandatory request-path install)
-		}
-		// Displace the LRU tail to make room — unless only this cycle's
-		// own guesses are left there.
-		back := t.hot.Back()
-		if back == nil || back.Value.prefetchEpoch == epoch {
-			t.mu.Unlock()
-			return nil
-		}
-		v := back.Value
+	if cur := t.apps[name]; cur != nil {
 		t.mu.Unlock()
-		if !s.evict(v, false, true) {
-			// The tail was pinned or re-touched mid-displacement: real
-			// traffic wins, the guess is dropped.
-			return nil
-		}
-		t.mu.Lock()
+		return cur
 	}
 	a.ws = forecast.GetWorkspace()
 	t.apps[name] = a

@@ -20,10 +20,11 @@ import (
 // apps-ever-seen instead of apps-currently-hot. The service therefore
 // keeps three tiers:
 //
-//	hot   materialized history + policy + (usually) a workspace: today's
-//	      layout, zero-allocation observe path. Bounded by MaxHotApps,
-//	      LRU-evicted. Workspaces are additionally bounded by
-//	      MaxWorkspaces and returned to the shared forecast pool.
+//	hot   materialized history + policy + (usually) a workspace: the
+//	      zero-allocation observe path. Bounded by MaxHotApps, LRU-evicted,
+//	      and entered only by a request's first touch. Workspaces are
+//	      additionally bounded by MaxWorkspaces and returned to the shared
+//	      forecast pool.
 //	warm  the delta/varint-compressed window only, in the store: every
 //	      store app is warm at rest and the boot path never materializes
 //	      one. Bounded by the store's InlineBudget (-max-warm-apps),
@@ -40,12 +41,11 @@ import (
 // one per logical CPU): each stripe owns its slice of the app map, its
 // own hot and workspace LRUs, and its own eviction counters, keyed by
 // FNV-1a of the app name. Touches, evicts, and restores on different
-// stripes never contend — under full-speed sparse-churn replay the
-// single global tier mutex used to serialize every restore, costing
-// 6-12x throughput once the working set exceeded the hot budget. The
-// global budgets are split across stripes (maxHot/N, remainder to the
-// first stripes) so the fleet-wide bound still holds exactly;
-// -tier-shards=1 reproduces the unstriped layer.
+// stripes never contend; one stripe (-tier-shards=1) serializes every
+// restore behind a single mutex, which costs 6-12x throughput under
+// full-speed sparse-churn replay once the working set exceeds the hot
+// budget. The global budgets are split across stripes (maxHot/N,
+// remainder to the first stripes) so the fleet-wide bound holds exactly.
 //
 // Demotion is invisible to callers: a restored app derives its forecaster
 // from the same history an uninterrupted process would hold, so
@@ -65,8 +65,7 @@ type tierStripe struct {
 	hot  *lruList           // most recently touched first
 	ws   *lruList           // apps holding a workspace, most recent first
 
-	evictions  int64 // hot -> warm demotions
-	wsReleases int64 // workspaces returned to the pool by the ws LRU
+	evictions int64 // hot -> warm demotions
 }
 
 // tiers is the striped tier layer plus the cross-stripe counters that
@@ -80,18 +79,6 @@ type tiers struct {
 	// silently clamped.
 	countAnomalies atomic.Int64
 	anomalyLog     sync.Once
-
-	// Restore-ahead prefetch accounting (see prefetch.go).
-	prefetchScans      atomic.Int64 // demoted apps whose forecast was evaluated
-	prefetchPromotions atomic.Int64 // apps promoted off the request path
-	prefetchHits       atomic.Int64 // prefetched apps touched by a real request
-	prefetchWastes     atomic.Int64 // prefetched apps evicted untouched
-
-	// prefetchEpoch is bumped once per restore-ahead cycle; apps promoted
-	// by the current cycle carry it, and displacement refuses victims with
-	// the current epoch so a cycle can never cannibalize its own guesses
-	// (which park at the LRU tail, exactly where victims are drawn from).
-	prefetchEpoch atomic.Int64
 }
 
 // stripeCount resolves the TierShards knob: 0 means one stripe per
@@ -220,12 +207,6 @@ func (s *Service) acquire(name string) *svcApp {
 		a.mu.Lock()
 		if !a.gone {
 			s.touch(a)
-			if a.prefetched {
-				// A real request reached state the prefetcher staged:
-				// the cold-restore latency was genuinely hidden.
-				a.prefetched = false
-				s.tier.prefetchHits.Add(1)
-			}
 			return a
 		}
 		// Lost a race with eviction: the map entry is about to be (or has
@@ -270,7 +251,7 @@ func (s *Service) enforceStripe(t *tierStripe) {
 		if victim == nil {
 			return
 		}
-		if !s.evict(victim, wsOnly, false) {
+		if !s.evict(victim, wsOnly) {
 			// The victim was pinned or re-touched; budgets are best-effort
 			// within a pass and the next release re-enforces.
 			return
@@ -285,12 +266,7 @@ func (s *Service) enforceStripe(t *tierStripe) {
 // eviction pass stops. Because the stripe owns both the LRUs and its
 // slice of the app map, the map removal is atomic with the LRU removal:
 // no window exists where a gone app is still reachable through the map.
-//
-// displace relaxes the over-budget requirement to at-budget: restore-
-// ahead promotion into a full stripe trades the LRU-tail resident for a
-// predicted-to-fire app (see materializeAs), which is an eviction at
-// exactly the budget, not above it.
-func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
+func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 	v.mu.Lock()
 	if !wsOnly && !v.gone {
 		// The classification, if current for this history, goes to the
@@ -319,17 +295,12 @@ func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 		v.wsEl = nil
 		ws := v.ws
 		v.ws = nil
-		t.wsReleases++
 		t.mu.Unlock()
 		v.mu.Unlock()
 		forecast.PutWorkspace(ws)
 		return true
 	}
-	over := t.hot.Len() > t.maxHot
-	if displace {
-		over = t.hot.Len() >= t.maxHot
-	}
-	if v.hotEl == nil || t.maxHot < 0 || !over || t.hot.Back() != v.hotEl {
+	if v.hotEl == nil || t.maxHot < 0 || t.hot.Len() <= t.maxHot || t.hot.Back() != v.hotEl {
 		t.mu.Unlock()
 		v.mu.Unlock()
 		return false
@@ -341,12 +312,6 @@ func (s *Service) evict(v *svcApp, wsOnly, displace bool) bool {
 		v.wsEl = nil
 	}
 	t.evictions++
-	if v.prefetched {
-		// Evicted before any real request arrived: the prefetch was wasted
-		// work (and the budget that allowed it was too optimistic).
-		v.prefetched = false
-		s.tier.prefetchWastes.Add(1)
-	}
 	if t.apps[v.name] == v {
 		delete(t.apps, v.name)
 	}

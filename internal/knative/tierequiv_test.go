@@ -21,10 +21,10 @@ import (
 // property: a service squeezed through every demotion path — hot LRU
 // eviction under a tiny -max-hot-apps, workspace reclamation, store
 // warm->cold paging, compaction embedding page stubs in snapshots,
-// restore-ahead prefetch promotions, restores resumed from a
-// classification memo — and through everything that must invalidate such
-// a memo — model swaps, Promote, an imported window of the same length,
-// a store reopen — must serve the same forecaster and
+// mid-replay drops, restores resumed from a classification memo — and
+// through everything that must invalidate such a memo — model swaps,
+// Promote, an imported window of the same length, a store reopen — must
+// serve the same forecaster and
 // Float64bits-identical targets, forecasts and quantile bands as an
 // untiered, never-evicting control that saw the same stream. Random
 // interleavings are compared mid-stream and at the end, at every tier
@@ -158,7 +158,7 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, 
 		s.releaseApp(a)
 		return d, history
 	}
-	compares, scans := 0, 0
+	compares := 0
 	compare := func(when string) {
 		t.Helper()
 		compares++
@@ -270,20 +270,15 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, 
 					t.Fatalf("op %d: compact: %v", op, err)
 				}
 			}
-		case r < 82: // restore-ahead: promotions must be forecast-invisible
-			// Demote one materialized app first so the cycle exercises both
-			// promotion shapes: into freed capacity here, and by displacing
-			// the LRU tail of a still-full stripe. The dropped app's state
-			// survives demoted, so the cycle may promote it (or a sibling)
-			// back and the next compare proves the round trip — including
-			// any displacement eviction — changed nothing.
+		case r < 82: // mid-replay drop: the next touch restores from the store
+			// The dropped app's state survives demoted (minus its memo), so
+			// the next compare proves the drop-and-restore round trip
+			// changed nothing.
 			app := apps[rng.Intn(len(apps))]
 			for _, n := range tieredNodes {
 				if n.svc.HotApps() > 0 {
 					n.svc.dropCached(app)
 				}
-				scanned, _ := n.svc.RestoreAheadCycle(0.95, 2)
-				scans += scanned
 			}
 		case r < 86: // hot-swap the model: every memo goes stale
 			cur = 1 - cur
@@ -318,16 +313,13 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, 
 	compare("final")
 
 	// The budgets actually did something: demotions happened and the hot
-	// tier stayed within bounds — including every prefetch promotion —
-	// and the replay exercised both sides of the memo.
+	// tier stayed within bounds, and the replay exercised both sides of
+	// the memo.
 	if hot := tiered.svc.HotApps(); hot > 2 {
 		t.Errorf("hot apps = %d, want <= 2", hot)
 	}
 	if tiered.dir != "" && tiered.st.Stats().PageOuts == 0 {
 		t.Error("inline budget never paged an app out")
-	}
-	if scans == 0 {
-		t.Error("restore-ahead cycles never evaluated a candidate")
 	}
 	if e, r := tiered.classifications(); e == 0 || r == 0 {
 		t.Errorf("the tiered service extracted %d times and resumed %d: want both", e, r)
@@ -338,8 +330,8 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, 
 }
 
 // TestTierShardCountEquivalence pins the shard split itself: one
-// deterministic replay — observes, batches, page-outs, restore-ahead
-// cycles, model swaps, Promote, imported windows and store reopens —
+// deterministic replay — observes, batches, page-outs, dropped apps,
+// model swaps, Promote, imported windows and store reopens —
 // served at -tier-shards 1, 2, and 8, over a directory store and a memory store, must
 // end with the same forecasters, Float64bits-identical forecasts, drift
 // state, and conserved durable totals — striping changes contention,
@@ -412,9 +404,10 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 					t.Fatalf("op %d shards=%d: page out: %v", op, shardCounts[k], err)
 				}
 			}
-		case r < 90:
+		case r < 90: // drop one app's hot state; the next touch restores it
+			app := apps[rng.Intn(len(apps))]
 			for _, ru := range runs {
-				ru.svc.RestoreAheadCycle(0.9, 1)
+				ru.svc.dropCached(app)
 			}
 		case r < 93:
 			cur = 1 - cur

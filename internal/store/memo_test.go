@@ -9,7 +9,7 @@ import (
 
 // TestMemoLifecycle pins what the store promises about a Memo: it rides
 // with the app's record through appends, page-out, page-in, page GC and
-// compaction, is returned by both restore paths, and disappears whenever
+// compaction, is returned by the restore path, and disappears whenever
 // the record is replaced or the store is reopened — without costing the
 // record a byte.
 func TestMemoLifecycle(t *testing.T) {
@@ -26,10 +26,9 @@ func TestMemoLifecycle(t *testing.T) {
 	memo := Memo{Len: 10, Gen: 7, Group: 2}
 	memoOf := func(app string) Memo {
 		t.Helper()
-		peek := s.RestoreWindows([]string{app})
 		_, m, _, ok := s.RestoreWindowMemo(app)
-		if !ok || len(peek) != 1 || peek[0].Memo != m {
-			t.Fatalf("%s: restore ok=%v memo %+v, peek %+v", app, ok, m, peek)
+		if !ok {
+			t.Fatalf("%s: restore found no such app", app)
 		}
 		return m
 	}
@@ -55,9 +54,6 @@ func TestMemoLifecycle(t *testing.T) {
 	expect("after an append (the caller tells by Len)", a, memo)
 	if err := s.PageOut(a); err != nil {
 		t.Fatal(err)
-	}
-	if peek := s.RestoreWindows([]string{a}); len(peek) != 1 || !peek[0].Paged || peek[0].Memo != memo {
-		t.Fatalf("peek of a cold app: %+v", peek)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)

@@ -95,19 +95,10 @@ func testBackendConformance(t *testing.T, opt Options) {
 		case r < 58:
 			m := Memo{Len: uint32(rng.Intn(50)), Gen: uint16(1 + rng.Intn(3)), Group: uint8(rng.Intn(4))}
 			each("SetMemo", func(s *Store) error { s.SetMemo(app, m); return nil })
-		case r < 70:
+		case r < 76:
 			same(when+": RestoreWindowMemo", func(s *Store) any {
 				win, memo, _, ok := s.RestoreWindowMemo(app) // paged is the one answer that may differ
 				return restored{float64Bits(win), memo, ok}
-			})
-		case r < 76:
-			names := []string{app, "nobody", apps[rng.Intn(len(apps))]}
-			same(when+": RestoreWindows", func(s *Store) any {
-				var out []restored
-				for _, rw := range s.RestoreWindows(names) {
-					out = append(out, restored{float64Bits(rw.Window), rw.Memo, true})
-				}
-				return out
 			})
 		case r < 82:
 			win := make([]float64, rng.Intn(30))

@@ -517,45 +517,6 @@ func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok 
 	return win, Memo{st.memoLen, st.memoGen, st.memoGroup}, paged, true
 }
 
-// RestoredWindow is one app's entry in a RestoreWindows batch.
-type RestoredWindow struct {
-	App    string
-	Window []float64
-	Memo   Memo
-	// Paged reports that the window was read from a cold page (a
-	// request-path restore of this app would pay a disk read).
-	Paged bool
-}
-
-// RestoreWindows reads a batch of windows WITHOUT changing any app's
-// tier: cold apps are decoded from disk but stay cold, and the inline
-// budget's CLOCK state is untouched. Built for restore-ahead scans,
-// which evaluate forecasts over many demoted candidates and promote only
-// a few — routing the scan through the promoting RestoreWindow would
-// thrash the warm tier with apps that were merely considered. Unknown
-// apps are skipped; the result keeps input order. The batch decodes
-// under one lock acquisition, so callers should chunk very large name
-// lists.
-func (s *Store) RestoreWindows(names []string) []RestoredWindow {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]RestoredWindow, 0, len(names))
-	for _, app := range names {
-		st := s.apps[app]
-		if st == nil {
-			continue
-		}
-		win := s.windowLocked(app, st)
-		if win == nil && st.page != nil {
-			// Unreadable page: skip rather than report an empty window the
-			// promoting restore path would not produce.
-			continue
-		}
-		out = append(out, RestoredWindow{App: app, Window: win, Memo: Memo{st.memoLen, st.memoGen, st.memoGroup}, Paged: st.page != nil})
-	}
-	return out
-}
-
 // PageOut moves one app's compact window to disk, leaving a stub — the
 // warm→cold demotion. Unknown or already-cold apps are a no-op. The
 // page write is buffered; it is fsynced before any snapshot that
