@@ -82,13 +82,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
-	if len(req.Observations) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	if len(req.Observations) > maxBatchItems {
-		http.Error(w, fmt.Sprintf("batch exceeds %d observations", maxBatchItems),
-			http.StatusBadRequest)
+	if !batchSizeOK(w, len(req.Observations)) {
 		return
 	}
 
@@ -196,6 +190,20 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		sm.BatchReqs.Inc()
 	}
 	writeJSON(w, &resp)
+}
+
+// batchSizeOK reports whether a batch of n items may be taken; otherwise
+// it has answered 400. The router asks it too, before forwarding anything.
+func batchSizeOK(w http.ResponseWriter, n int) bool {
+	switch {
+	case n == 0:
+		http.Error(w, "empty batch", http.StatusBadRequest)
+	case n > maxBatchItems:
+		http.Error(w, fmt.Sprintf("batch exceeds %d observations", maxBatchItems), http.StatusBadRequest)
+	default:
+		return true
+	}
+	return false
 }
 
 // ObserveBatch posts a batch of observations through the real REST path

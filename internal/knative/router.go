@@ -325,13 +325,18 @@ func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Inc(label)
 
 	// Per-app request bodies are tiny (maxObserveBody); buffer so the
-	// request can be replayed against the owner on a 421 redirect.
+	// request can be replayed against the owner on a 421 redirect. A body
+	// over the cap is refused as a shard refuses it, not cut to fit.
 	var body []byte
 	if r.Body != nil {
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxObserveBody))
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxObserveBody+1))
 		if err != nil {
 			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if len(body) > maxObserveBody {
+			http.Error(w, fmt.Sprintf("body exceeds %d bytes", maxObserveBody), http.StatusRequestEntityTooLarge)
 			return
 		}
 	}
@@ -391,143 +396,196 @@ func (rt *ShardRouter) forward(r *http.Request, target string, body []byte) (*ht
 // commits), so partial outages degrade instead of failing the
 // collector's entire interval. Items answered 421 with an owner are
 // re-sent to the owner in a second round, so apps mid-migration commit
-// on their new shard within the same client request.
+// on their new shard within the same client request. It moves bytes, not
+// observations: sub-batches hold the caller's item objects as sent, and
+// the reply the shards' result objects as sent, which is what decoding
+// and encoding them again would write.
 func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "batch observe requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	var req BatchObserveRequest
-	if !decodeBody(w, r, maxBatchBody, &req) {
-		return
-	}
-	if len(req.Observations) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-
 	shards := rt.snapshot()
 	n := len(shards)
-	subIdx := make([][]int, n)              // original index of each sub-batch item
-	subObs := make([][]BatchObservation, n) // per-shard sub-batches
-	for i, obs := range req.Observations {
-		s := store.ShardOf(obs.App, n)
-		subIdx[s] = append(subIdx[s], i)
-		subObs[s] = append(subObs[s], obs)
-	}
-
-	out := BatchObserveResponse{Results: make([]BatchItemResult, len(req.Observations))}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		if len(subObs[s]) == 0 {
-			continue
+	doc := getWireBuf()
+	defer putWireBuf(doc)
+	err := doc.readFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	items, ok := doc.scanRouted(n)
+	if err != nil || !ok {
+		// Not canonical: decode it as a shard would (a bad body gets its 400
+		// or 413), then append each item encoded again.
+		var req BatchObserveRequest
+		if !bodyOK(w, doc.decode(err, &req)) {
+			return
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			label := strconv.Itoa(s)
-			rt.routed.Inc(label)
-			sub, err := rt.postBatch(shards[s].url(), subObs[s])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rt.errs.Inc(label)
-				for _, orig := range subIdx[s] {
-					out.Results[orig] = BatchItemResult{
-						App:    req.Observations[orig].App,
-						Error:  fmt.Sprintf("shard %d: %v", s, err),
-						Status: http.StatusServiceUnavailable,
-					}
-				}
-				out.Rejected += len(subIdx[s])
-				return
-			}
-			for j, orig := range subIdx[s] {
-				out.Results[orig] = sub.Results[j]
-			}
-			out.Accepted += sub.Accepted
-			out.Rejected += sub.Rejected
-		}(s)
-	}
-	wg.Wait()
-
-	rt.retryRedirected(&out, req.Observations)
-	writeJSON(w, &out)
-}
-
-// retryRedirected re-sends every item the first round answered 421-with-
-// owner to the named owner, merging second-round results in place.
-func (rt *ShardRouter) retryRedirected(out *BatchObserveResponse, obs []BatchObservation) {
-	byOwner := map[int][]int{} // owner shard -> original indices
-	for i := range out.Results {
-		res := &out.Results[i]
-		if res.Status == http.StatusMisdirectedRequest && res.Owner != nil {
-			byOwner[*res.Owner] = append(byOwner[*res.Owner], i)
+		items = make([]routedItem, len(req.Observations))
+		for i := range req.Observations {
+			obs, start := &req.Observations[i], len(doc.b)
+			doc.putItem(obs)
+			items[i] = routedItem{start, len(doc.b), store.ShardOf(obs.App, n)}
 		}
 	}
-	if len(byOwner) == 0 {
+	if !batchSizeOK(w, len(items)) {
 		return
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for owner, idxs := range byOwner {
-		b := rt.backendForOwner(owner)
-		if b == nil {
+
+	// subs[s] takes idx[at[s]:at[s+1]], shard s's items in input order.
+	at := make([]int, n+1)
+	for _, it := range items {
+		at[it.shard+1]++
+	}
+	subs := make([]subBatch, n)
+	idx, res := make([]int, len(items)), make([][]byte, len(items))
+	for s := range subs {
+		if at[s+1] > 0 {
+			rt.routed.Inc(strconv.Itoa(s))
+		}
+		at[s+1] += at[s]
+		subs[s] = subBatch{url: shards[s].url(), idx: idx[at[s]:at[s]:at[s+1]], results: res[at[s]:at[s]:at[s+1]]}
+	}
+	for i, it := range items {
+		subs[it.shard].idx = append(subs[it.shard].idx, i)
+	}
+	defer func() {
+		for _, sub := range subs {
+			if sub.doc != nil {
+				putWireBuf(sub.doc)
+			}
+		}
+	}()
+	rt.postAll(subs, doc.b, items)
+
+	out := make([][]byte, len(items))
+	accepted, rejected := 0, 0
+	byOwner := map[int][]int{} // owner shard -> input indices redirected to it
+	for s, sub := range subs {
+		if sub.err != nil {
+			rt.errs.Inc(strconv.Itoa(s))
+			for _, i := range sub.idx {
+				var obs BatchObservation
+				_ = json.Unmarshal(doc.b[items[i].start:items[i].end], &obs) // valid: scanned or encoded above
+				start := len(doc.b)
+				doc.putItem(&BatchItemResult{App: obs.App, Error: fmt.Sprintf("shard %d: %v", s, sub.err),
+					Status: http.StatusServiceUnavailable})
+				out[i] = doc.b[start:]
+			}
+			rejected += len(sub.idx)
 			continue
 		}
-		wg.Add(1)
-		go func(owner int, idxs []int, b *shardBackend) {
-			defer wg.Done()
-			sub := make([]BatchObservation, len(idxs))
-			for j, i := range idxs {
-				sub[j] = obs[i]
-			}
+		for j, i := range sub.idx {
+			out[i] = sub.results[j]
+		}
+		accepted, rejected = accepted+sub.accepted, rejected+sub.rejected
+		for _, m := range sub.moved {
+			byOwner[m.owner] = append(byOwner[m.owner], sub.idx[m.pos])
+		}
+	}
+	for owner, idx := range byOwner {
+		if b := rt.backendForOwner(owner); b != nil {
 			rt.retries.Inc()
-			res, err := rt.postBatch(b.url(), sub)
-			if err != nil {
-				return // first-round 421s stand
+			subs = append(subs, subBatch{url: b.url(), idx: idx})
+		}
+	}
+	rt.postAll(subs[n:], doc.b, items)
+	for _, sub := range subs[n:] {
+		if sub.err == nil { // on error the first-round 421s stand
+			for j, i := range sub.idx {
+				out[i] = sub.results[j]
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for j, i := range idxs {
-				out.Results[i] = res.Results[j]
-				out.Rejected--
-				if res.Results[j].Error == "" {
-					out.Accepted++
-				} else {
-					out.Rejected++
-				}
-			}
-		}(owner, idxs, b)
+			accepted, rejected = accepted+sub.accepted, rejected+sub.rejected-len(sub.idx)
+		}
+	}
+
+	// The reply goes behind everything in doc, which router-made results
+	// alias.
+	start := len(doc.b)
+	doc.raw(`{"results":[`)
+	for i, span := range out {
+		if i > 0 {
+			doc.raw(`,`)
+		}
+		doc.b = append(doc.b, span...)
+	}
+	doc.putInt(`],"accepted":`, accepted)
+	doc.putInt(`,"rejected":`, rejected)
+	doc.raw("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(doc.b[start:]) // a failed write means the client is gone
+}
+
+// subBatch is one backend's share of a routed batch and, once posted, its
+// reply: each result's span in doc, the results that redirect (421 with
+// an owner, by position), and the counts.
+type subBatch struct {
+	url                string
+	idx                []int // input index of each item, in sub-batch order
+	err                error
+	doc                *wireBuf
+	results            [][]byte
+	moved              []redirect
+	accepted, rejected int
+}
+
+type redirect struct{ pos, owner int }
+
+// postAll posts every non-empty sub-batch at once: on goroutines, but the
+// last on the caller's, whose stack has already grown.
+func (rt *ShardRouter) postAll(subs []subBatch, doc []byte, items []routedItem) {
+	last := len(subs) - 1
+	for last >= 0 && len(subs[last].idx) == 0 {
+		last--
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < last; k++ {
+		if sub := &subs[k]; len(sub.idx) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sub.err = rt.post(sub, doc, items)
+			}()
+		}
+	}
+	if last >= 0 {
+		subs[last].err = rt.post(&subs[last], doc, items)
 	}
 	wg.Wait()
 }
 
-// postBatch forwards one sub-batch to a backend and decodes the reply.
-func (rt *ShardRouter) postBatch(baseURL string, obs []BatchObservation) (*BatchObserveResponse, error) {
-	body, err := marshalWire(&BatchObserveRequest{Observations: obs})
-	if err != nil {
-		return nil, err
+// post forwards sub's items, framed as one batch, and scans the reply.
+func (rt *ShardRouter) post(sub *subBatch, doc []byte, items []routedItem) error {
+	size := len(`{"observations":[]}`)
+	for _, i := range sub.idx {
+		size += items[i].end - items[i].start + 1
 	}
-	resp, err := rt.client.Post(baseURL+"/v1/observe/batch",
-		"application/json", bytes.NewReader(body))
+	// A body of its own: the transport may still read it after Do returns.
+	body := append(make([]byte, 0, size), `{"observations":[`...)
+	for k, i := range sub.idx {
+		if k > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, doc[items[i].start:items[i].end]...)
+	}
+	body = append(body, `]}`...)
+	resp, err := rt.client.Post(sub.url+"/v1/observe/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
+		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
 	}
-	var out BatchObserveResponse
-	if err := decodeWire(resp.Body, &out); err != nil {
-		return nil, err
+	sub.doc = getWireBuf()
+	if err := sub.doc.readFrom(resp.Body); err != nil {
+		return err
 	}
-	if len(out.Results) != len(obs) {
-		return nil, fmt.Errorf("shard returned %d results for %d observations", len(out.Results), len(obs))
+	if !sub.doc.scanReply(sub) {
+		return errors.New("malformed batch reply")
 	}
-	return &out, nil
+	if len(sub.results) != len(sub.idx) {
+		return fmt.Errorf("shard returned %d results for %d observations", len(sub.results), len(sub.idx))
+	}
+	return nil
 }
 
 // fanoutReload POSTs /v1/admin/reload to every shard, so one retrained

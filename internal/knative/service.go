@@ -826,7 +826,12 @@ func parseQuantileLevels(raw string) ([]float64, bool) {
 // decodeBody decodes r's body, capped at limit bytes, into m. On failure
 // it has answered 413 or 400 and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, m wireMessage) bool {
-	err := decodeWire(http.MaxBytesReader(w, r.Body, limit), m)
+	return bodyOK(w, decodeWire(http.MaxBytesReader(w, r.Body, limit), m))
+}
+
+// bodyOK reports whether a body decoded without err; otherwise it has
+// answered 413 or 400.
+func bodyOK(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return true
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
-	"strings"
 	"sync"
+
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
 // The wire codec for the four fixed-shape hot messages — ObserveRequest,
@@ -15,12 +17,15 @@ import (
 // observations costs well under a microsecond each of policy and WAL work,
 // so reflecting every one through encoding/json on the way into the router,
 // into the shard, out of the shard and out of the router was most of the
-// request. The codec is deliberately narrow: it recognises only the
-// canonical shape — the known lower-case keys, at most once each, strings
-// of plain ASCII, no null — and on anything else it declines and the same
-// bytes (or the same struct) go to encoding/json. What is accepted, every
-// error text and every emitted byte are therefore encoding/json's by
-// construction; FuzzWireCodec holds the two together.
+// request. The router now decodes nothing: scanRouted and scanReply record
+// where each item lies and it forwards those bytes, so an item is parsed
+// at its shard alone. The codec is deliberately narrow: it recognises only
+// the canonical shape — the known lower-case keys, at most once each,
+// strings of plain ASCII, no null — and on anything else it declines and
+// the same bytes (or the same struct) go to encoding/json. What is
+// accepted, every error text and every emitted byte are therefore
+// encoding/json's by construction; FuzzWireCodec and FuzzRouterBatch hold
+// the two together.
 
 // wireMessage is implemented by pointers to the four hot messages.
 type wireMessage interface {
@@ -66,13 +71,28 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // decodeWire reads r to its end and decodes one message from it, exactly
-// as json.NewDecoder(r).Decode(m) would.
+// as json.NewDecoder(r).Decode(m) would, except that a body overrunning
+// an http.MaxBytesReader is refused even after a complete value.
 func decodeWire(r io.Reader, m wireMessage) error {
 	w := getWireBuf()
 	defer putWireBuf(w)
+	return w.decode(w.readFrom(r), m)
+}
+
+// readFrom appends r's bytes to w.b up to its end (nil) or first error.
+func (w *wireBuf) readFrom(r io.Reader) error {
 	body := bytes.NewBuffer(w.b)
 	_, err := body.ReadFrom(r)
-	if w.b = body.Bytes(); err == nil {
+	w.b = body.Bytes()
+	return err
+}
+
+// decode decodes m from w.b, the bytes of a read that ended in err.
+func (w *wireBuf) decode(err error, m wireMessage) error {
+	if _, tooBig := err.(*http.MaxBytesError); tooBig {
+		return err // encoding/json would take a whole value ahead of the excess
+	}
+	if w.i, w.bad = 0, false; err == nil {
 		if m.scanWire(w) {
 			return nil
 		}
@@ -122,11 +142,14 @@ var wirePlain = func() (plain [256]bool) {
 // peek skips whitespace and returns the next byte without consuming it (0
 // at the end of input, which no caller accepts).
 func (w *wireBuf) peek() byte {
-	for ; w.i < len(w.b); w.i++ {
-		if c := w.b[w.i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+	b, i := w.b, w.i
+	for ; i < len(b); i++ {
+		if c := b[i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			w.i = i
 			return c
 		}
 	}
+	w.i = i
 	return 0
 }
 
@@ -192,22 +215,41 @@ func (w *wireBuf) member(o *wireObject) bool {
 
 // str scans a string of plain bytes and returns them, aliasing the input.
 func (w *wireBuf) str() []byte {
-	w.expect('"')
-	for start := w.i; w.i < len(w.b) && !w.bad; w.i++ {
-		if c := w.b[w.i]; c == '"' {
-			w.i++
-			return w.b[start : w.i-1]
-		} else if !wirePlain[c] {
-			break
+	if w.expect('"'); !w.bad {
+		b, start := w.b, w.i
+		for i := start; i < len(b); i++ {
+			if c := b[i]; c == '"' {
+				w.i = i + 1
+				return b[start:i]
+			} else if !wirePlain[c] {
+				break
+			}
 		}
 	}
 	w.bad = true
 	return nil
 }
 
-// accept consumes the next byte if it is one of set.
-func (w *wireBuf) accept(set string) bool {
-	if w.i < len(w.b) && strings.IndexByte(set, w.b[w.i]) >= 0 {
+// skipStr steps over a string that may hold escapes (encoding/json
+// writes '<' as one) without decoding it.
+func (w *wireBuf) skipStr() {
+	if w.expect('"'); !w.bad {
+		b := w.b
+		for i := w.i; i < len(b); i++ {
+			if c := b[i]; c == '"' {
+				w.i = i + 1
+				return
+			} else if c == '\\' {
+				i++ // the escaped byte; a \u's hex digits are plain
+			}
+		}
+	}
+	w.bad = true
+}
+
+// accept consumes the next byte if it is a or b.
+func (w *wireBuf) accept(a, b byte) bool {
+	if w.i < len(w.b) && (w.b[w.i] == a || w.b[w.i] == b) {
 		w.i++
 		return true
 	}
@@ -216,11 +258,12 @@ func (w *wireBuf) accept(set string) bool {
 
 // digits consumes a run of decimal digits, which must not be empty.
 func (w *wireBuf) digits() {
-	from := w.i
-	for w.i < len(w.b) && w.b[w.i] >= '0' && w.b[w.i] <= '9' {
-		w.i++
+	b, i := w.b, w.i
+	for i < len(b) && b[i]-'0' <= 9 {
+		i++
 	}
-	w.bad = w.bad || w.i == from
+	w.bad = w.bad || i == w.i
+	w.i = i
 }
 
 // num scans a JSON number literal,
@@ -228,15 +271,15 @@ func (w *wireBuf) digits() {
 func (w *wireBuf) num() []byte {
 	w.peek()
 	start := w.i
-	w.accept("-")
-	if !w.accept("0") {
+	w.accept('-', '-')
+	if !w.accept('0', '0') {
 		w.digits()
 	}
-	if w.accept(".") {
+	if w.accept('.', '.') {
 		w.digits()
 	}
-	if w.accept("eE") {
-		w.accept("+-")
+	if w.accept('e', 'E') {
+		w.accept('+', '-')
 		w.digits()
 	}
 	if w.bad {
@@ -374,19 +417,8 @@ func (v *BatchObserveRequest) scanWire(s *wireBuf) bool {
 	for s.member(&o) {
 		t.Observations = make([]BatchObservation, 0, s.itemHint())
 		for started := false; s.next('[', ']', &started); {
-			var it BatchObservation
-			item := wireObject{names: batchObsKeys}
-			for s.member(&item) {
-				switch item.k {
-				case 0:
-					it.App = string(s.str())
-				case 1:
-					it.Concurrency = s.float()
-				case 2:
-					it.UnitConcurrency = s.int()
-				}
-			}
-			t.Observations = append(t.Observations, it)
+			app, conc, unit := s.observation(true)
+			t.Observations = append(t.Observations, BatchObservation{string(app), conc, unit})
 		}
 	}
 	if !s.end() {
@@ -396,22 +428,81 @@ func (v *BatchObserveRequest) scanWire(s *wireBuf) bool {
 	return true
 }
 
+// observation scans one batch item. Unless parse, its concurrency is only
+// checked, and parsed just if it could overflow: a literal with no
+// exponent and under 309 bytes is under 1e308.
+func (s *wireBuf) observation(parse bool) (app []byte, conc float64, unit int) {
+	item := wireObject{names: batchObsKeys}
+	for s.member(&item) {
+		switch item.k {
+		case 0:
+			app = s.str()
+		case 1:
+			lit := s.num()
+			if parse || len(lit) > 308 || bytes.IndexByte(lit, 'e') >= 0 || bytes.IndexByte(lit, 'E') >= 0 {
+				var err error
+				conc, err = strconv.ParseFloat(string(lit), 64)
+				s.bad = s.bad || err != nil
+			}
+		case 2:
+			unit = s.int()
+		}
+	}
+	return app, conc, unit
+}
+
 func (v *BatchObserveRequest) appendWire(e *wireBuf) {
 	e.bad = e.bad || v.Observations == nil // encoding/json says null
 	e.raw(`{"observations":[`)
 	for i := range v.Observations {
-		it := &v.Observations[i]
 		if i > 0 {
 			e.raw(`,`)
 		}
-		e.putStr(`{"app":`, it.App)
-		e.putFloat(`,"concurrency":`, it.Concurrency)
-		if it.UnitConcurrency != 0 {
-			e.putInt(`,"unitConcurrency":`, it.UnitConcurrency)
-		}
-		e.raw(`}`)
+		v.Observations[i].appendWire(e)
 	}
 	e.raw(`]}`)
+}
+
+func (it *BatchObservation) appendWire(e *wireBuf) {
+	e.putStr(`{"app":`, it.App)
+	e.putFloat(`,"concurrency":`, it.Concurrency)
+	if it.UnitConcurrency != 0 {
+		e.putInt(`,"unitConcurrency":`, it.UnitConcurrency)
+	}
+	e.raw(`}`)
+}
+
+// putItem appends one batch item as json.Marshal would, handing that item
+// alone to encoding/json if the appender declines it.
+func (w *wireBuf) putItem(it interface{ appendWire(*wireBuf) }) {
+	n := len(w.b)
+	w.bad = false
+	if it.appendWire(w); w.bad {
+		b, _ := json.Marshal(it) // cannot fail: no NaN decodes, a result has no float
+		w.b, w.bad = append(w.b[:n], b...), false
+	}
+}
+
+// routedItem is a routed observation's span in the body and its shard.
+type routedItem struct{ start, end, shard int }
+
+// scanRouted is the router's pass over a canonical BatchObserveRequest:
+// each item's span and the shard among n its app hashes to. It checks all
+// that scanWire checks, so a shard takes every item it did, but builds
+// no observation.
+func (s *wireBuf) scanRouted(n int) ([]routedItem, bool) {
+	var items []routedItem
+	o := wireObject{names: batchRequestKeys}
+	for s.member(&o) {
+		items = make([]routedItem, 0, s.itemHint())
+		for started := false; s.next('[', ']', &started); {
+			s.peek()
+			start := s.i
+			app, _, _ := s.observation(false)
+			items = append(items, routedItem{start, s.i, store.ShardOf(string(app), n)})
+		}
+	}
+	return items, s.end()
 }
 
 var (
@@ -473,30 +564,71 @@ func (v *BatchObserveResponse) appendWire(e *wireBuf) {
 	e.bad = e.bad || v.Results == nil // encoding/json says null
 	e.raw(`{"results":[`)
 	for i := range v.Results {
-		it := &v.Results[i]
 		if i > 0 {
 			e.raw(`,`)
 		}
-		e.putStr(`{"app":`, it.App)
-		e.putInt(`,"target":`, it.Target)
-		if it.Forecaster != "" {
-			e.putStr(`,"forecaster":`, it.Forecaster)
-		}
-		if it.History != 0 {
-			e.putInt(`,"historyLen":`, it.History)
-		}
-		if it.Error != "" {
-			e.putStr(`,"error":`, it.Error)
-		}
-		if it.Status != 0 {
-			e.putInt(`,"status":`, it.Status)
-		}
-		if it.Owner != nil {
-			e.putInt(`,"owner":`, *it.Owner)
-		}
-		e.raw(`}`)
+		v.Results[i].appendWire(e)
 	}
 	e.putInt(`],"accepted":`, v.Accepted)
 	e.putInt(`,"rejected":`, v.Rejected)
 	e.raw(`}`)
+}
+
+func (it *BatchItemResult) appendWire(e *wireBuf) {
+	e.putStr(`{"app":`, it.App)
+	e.putInt(`,"target":`, it.Target)
+	if it.Forecaster != "" {
+		e.putStr(`,"forecaster":`, it.Forecaster)
+	}
+	if it.History != 0 {
+		e.putInt(`,"historyLen":`, it.History)
+	}
+	if it.Error != "" {
+		e.putStr(`,"error":`, it.Error)
+	}
+	if it.Status != 0 {
+		e.putInt(`,"status":`, it.Status)
+	}
+	if it.Owner != nil {
+		e.putInt(`,"owner":`, *it.Owner)
+	}
+	e.raw(`}`)
+}
+
+// scanReply is the router's pass over a shard's BatchObserveResponse: the
+// span of each result object, the positions of those that redirect (421
+// with an owner), and the counts. It skips strings instead of decoding them.
+func (s *wireBuf) scanReply(r *subBatch) bool {
+	o := wireObject{names: batchResponseKeys}
+	for s.member(&o) {
+		switch o.k {
+		case 0:
+			for started := false; s.next('[', ']', &started); {
+				s.peek()
+				start, status, owner := s.i, 0, 0
+				item := wireObject{names: batchResultKeys}
+				for s.member(&item) {
+					switch item.k {
+					case 0, 2, 4:
+						s.skipStr()
+					case 5:
+						status = s.int()
+					case 6:
+						owner = s.int()
+					default: // target and historyLen pass through unread
+						s.num()
+					}
+				}
+				if status == http.StatusMisdirectedRequest && item.seen&(1<<6) != 0 {
+					r.moved = append(r.moved, redirect{len(r.results), owner})
+				}
+				r.results = append(r.results, s.b[start:s.i])
+			}
+		case 1:
+			r.accepted = s.int()
+		case 2:
+			r.rejected = s.int()
+		}
+	}
+	return s.end()
 }
