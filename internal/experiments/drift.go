@@ -36,15 +36,15 @@ func RegimeChangeFleet(s Scale, shiftMin int) []femux.TrainApp {
 	apps := make([]femux.TrainApp, 0, s.Apps)
 	for a := 0; a < s.Apps; a++ {
 		rng := rand.New(rand.NewSource(s.Seed*1000003 + int64(a)))
-		base := 2 + 4*rng.Float64()                 // regime-A level
-		period := float64(240 + 60*rng.Intn(5))     // regime-A seasonality
-		phase := rng.Float64() * period             //
-		gap := 20 + rng.Intn(21)                    // regime-B burst spacing
-		burst := 2 + rng.Intn(3)                    // regime-B burst width
-		hi := 30 + 30*rng.Float64()                 // regime-B burst height
-		execSec := 0.5 + 1.5*rng.Float64()          // 0.5s..2s executions
-		memGB := 0.25 * float64(1+rng.Intn(4))      // 256MB..1GB
-		offset := rng.Intn(gap)                     // desynchronize bursts
+		base := 2 + 4*rng.Float64()             // regime-A level
+		period := float64(240 + 60*rng.Intn(5)) // regime-A seasonality
+		phase := rng.Float64() * period         //
+		gap := 20 + rng.Intn(21)                // regime-B burst spacing
+		burst := 2 + rng.Intn(3)                // regime-B burst width
+		hi := 30 + 30*rng.Float64()             // regime-B burst height
+		execSec := 0.5 + 1.5*rng.Float64()      // 0.5s..2s executions
+		memGB := 0.25 * float64(1+rng.Intn(4))  // 256MB..1GB
+		offset := rng.Intn(gap)                 // desynchronize bursts
 		counts := make([]float64, minutes)
 		for m := 0; m < minutes; m++ {
 			if m < shiftMin {

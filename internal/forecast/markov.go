@@ -1,9 +1,6 @@
 package forecast
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MarkovChain discretizes the history into quantile states, estimates the
 // state-transition matrix, and forecasts the expected value of the state
@@ -230,14 +227,12 @@ func (m *MarkovChain) ForecastQuantilesInto(history []float64, horizon int, leve
 }
 
 // discretizeWS splits the value range into up to k quantile states like
-// the reference discretize, using the workspace quantile and moment
-// buffers. It returns nil bounds for a constant series.
+// the reference discretize, selecting each rank in the workspace quantile
+// buffer instead of sorting it (rank.go), and accumulating into the
+// workspace moment buffers. It returns nil bounds for a constant series.
 func discretizeWS(history []float64, k int, ws *Workspace) (bounds, centroids []float64) {
-	sorted := growF(ws.sorted, len(history))
-	ws.sorted = sorted
-	copy(sorted, history)
-	sort.Float64s(sorted)
-	if sorted[0] == sorted[len(sorted)-1] {
+	a := minMaxWS(history, ws)
+	if a[0] == a[len(a)-1] {
 		return nil, nil
 	}
 	if ws.bounds == nil || cap(ws.bounds) < k-1 {
@@ -246,7 +241,7 @@ func discretizeWS(history []float64, k int, ws *Workspace) (bounds, centroids []
 	bounds = ws.bounds[:0]
 	for i := 1; i < k; i++ {
 		q := float64(i) / float64(k)
-		v := sorted[int(q*float64(len(sorted)-1))]
+		v := selectRank(a, int(q*float64(len(a)-1)))
 		if len(bounds) == 0 || v > bounds[len(bounds)-1] {
 			bounds = append(bounds, v)
 		}

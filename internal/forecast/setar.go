@@ -3,8 +3,16 @@ package forecast
 import (
 	"fmt"
 	"math"
-	"sort"
 )
+
+// Fits are lazy. A forecast at horizon 1 reads the coefficients of one
+// regime, the last value's; it falls back to the global fit only if that
+// regime's fit fails, and to the window mean only if that fails too. So
+// each regime, and the global model, is fit on its first use within a
+// call (setarFits). A longer horizon rolls forward through whatever
+// regimes its predictions visit, and the quantile path's pooled residual
+// visits every regime. A fit is a pure function of its rows, so fitting
+// lazily returns the coefficients fitting everything up front would.
 
 // SETAR is a Self-Excitation Threshold AutoRegressive forecaster: the series
 // is partitioned into regimes by thresholds on the most recent value, and a
@@ -46,93 +54,21 @@ func (s *SETAR) ForecastInto(history []float64, horizon int, dst []float64, ws *
 		ws = NewWorkspace()
 	}
 	thr := regimeThresholdsWS(history, s.thresholds, ws)
-	if len(thr) == 0 {
+	if len(thr) == 0 || len(history)-s.lags < s.lags+2 {
 		// Degenerate (constant or tiny) history: plain AR fallback.
 		return arForecastInto(history, horizon, s.lags, dst, ws)
 	}
-	// Partition training rows by regime of y_{t-1}.
-	nRegimes := len(thr) + 1
-	rows := len(history) - s.lags
-	if rows < s.lags+2 {
-		return arForecastInto(history, horizon, s.lags, dst, ws)
-	}
 	dst = ensureDst(dst, horizon)
-	// Bucket row indices by regime, preserving increasing-row order within
-	// each regime: one pass per regime into a shared index buffer, with
-	// rowOff marking each regime's span.
-	rowIdx := growI(ws.rowIdx, rows)
-	ws.rowIdx = rowIdx
-	rowOff := growI(ws.rowOff, nRegimes+1)
-	ws.rowOff = rowOff
-	pos := 0
-	for reg := 0; reg < nRegimes; reg++ {
-		rowOff[reg] = pos
-		for r := 0; r < rows; r++ {
-			if regimeOf(history[r+s.lags-1], thr) == reg {
-				rowIdx[pos] = r
-				pos++
-			}
-		}
-	}
-	rowOff[nRegimes] = pos
-	// Fit one AR per regime plus the global fallback; each fit's
-	// coefficients are copied out of the shared solver scratch into the
-	// workspace coefficient store before the next fit reuses it.
-	cols := s.lags + 1
-	coefStore := growF(ws.coef, (nRegimes+1)*cols)
-	ws.coef = coefStore
-	fitOK := growBool(ws.fitOK, nRegimes+1)
-	ws.fitOK = fitOK
-	for reg := 0; reg < nRegimes; reg++ {
-		coef, ok := fitARRowsWS(history, rowIdx[rowOff[reg]:rowOff[reg+1]], s.lags, ws)
-		fitOK[reg] = ok
-		if ok {
-			copy(coefStore[reg*cols:(reg+1)*cols], coef)
-		}
-	}
-	globalCoef, globalOK := fitARWS(history, s.lags, ws)
-	fitOK[nRegimes] = globalOK
-	if globalOK {
-		copy(coefStore[nRegimes*cols:], globalCoef)
-	}
-	histMean := mean(history)
-
-	buf := growBuf(ws.buf, history, horizon)
-	for t := 0; t < horizon; t++ {
-		reg := regimeOf(buf[len(buf)-1], thr)
-		var coef []float64
-		switch {
-		case fitOK[reg]:
-			coef = coefStore[reg*cols : (reg+1)*cols]
-		case globalOK:
-			coef = coefStore[nRegimes*cols:]
-		default:
-			dst[t] = histMean
-			buf = append(buf, dst[t])
-			continue
-		}
-		v := coef[0]
-		for l := 1; l <= s.lags; l++ {
-			idx := len(buf) - l
-			if idx >= 0 {
-				v += coef[l] * buf[idx]
-			}
-		}
-		if v < 0 || v != v {
-			v = 0
-		}
-		dst[t] = v
-		buf = append(buf, v)
-	}
-	ws.buf = buf[:0]
+	f := newSETARFits(history, s.lags, thr, ws)
+	f.roll(dst)
 	return dst
 }
 
-// ForecastQuantilesInto implements QuantileForecaster. The regime fits
-// are re-run exactly like the point path; the band scale is the pooled
-// in-sample one-step residual of the per-row forecasts under the same
-// regime → global → mean fallback chain the forecast loop uses, widened
-// by sqrt(t+1) for the compounding rolled-forward horizon.
+// ForecastQuantilesInto implements QuantileForecaster. The band scale is
+// the pooled in-sample one-step residual of the per-row forecasts under
+// the same regime → global → mean fallback chain the forecast loop uses,
+// widened by sqrt(t+1) for the compounding rolled-forward horizon. The
+// pooled residual reads every regime, so every regime is fit.
 func (s *SETAR) ForecastQuantilesInto(history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
 	if horizon <= 0 || len(levels) == 0 {
 		return nil
@@ -146,105 +82,26 @@ func (s *SETAR) ForecastQuantilesInto(history []float64, horizon int, levels, ds
 		return arQuantilesInto(history, horizon, s.lags, levels, dst, ws)
 	}
 	dst = ensureDst(dst, len(levels)*horizon)
-	// Fit phase: identical call sequence to ForecastInto, so the
-	// coefficients (and the 0.5-level trajectory) are bit-identical.
-	nRegimes := len(thr) + 1
-	rowIdx := growI(ws.rowIdx, rows)
-	ws.rowIdx = rowIdx
-	rowOff := growI(ws.rowOff, nRegimes+1)
-	ws.rowOff = rowOff
-	pos := 0
-	for reg := 0; reg < nRegimes; reg++ {
-		rowOff[reg] = pos
-		for r := 0; r < rows; r++ {
-			if regimeOf(history[r+s.lags-1], thr) == reg {
-				rowIdx[pos] = r
-				pos++
-			}
-		}
-	}
-	rowOff[nRegimes] = pos
-	cols := s.lags + 1
-	coefStore := growF(ws.coef, (nRegimes+1)*cols)
-	ws.coef = coefStore
-	fitOK := growBool(ws.fitOK, nRegimes+1)
-	ws.fitOK = fitOK
-	for reg := 0; reg < nRegimes; reg++ {
-		coef, ok := fitARRowsWS(history, rowIdx[rowOff[reg]:rowOff[reg+1]], s.lags, ws)
-		fitOK[reg] = ok
-		if ok {
-			copy(coefStore[reg*cols:(reg+1)*cols], coef)
-		}
-	}
-	globalCoef, globalOK := fitARWS(history, s.lags, ws)
-	fitOK[nRegimes] = globalOK
-	if globalOK {
-		copy(coefStore[nRegimes*cols:], globalCoef)
-	}
-	histMean := mean(history)
+	f := newSETARFits(history, s.lags, thr, ws)
 
 	// Pooled one-step residuals over the training rows.
-	drow := growF(ws.drow, cols)
-	ws.drow = drow
 	var sse float64
 	for r := 0; r < rows; r++ {
-		reg := regimeOf(history[r+s.lags-1], thr)
-		var coef []float64
-		switch {
-		case fitOK[reg]:
-			coef = coefStore[reg*cols : (reg+1)*cols]
-		case globalOK:
-			coef = coefStore[nRegimes*cols:]
-		}
-		var pred float64
-		if coef != nil {
-			arDesignRow(history, r, s.lags, drow)
-			for j, c := range coef {
-				pred += c * drow[j]
-			}
-		} else {
-			pred = histMean
+		pred := f.histMean
+		if coef := f.coefFor(regimeOf(history[r+s.lags-1], thr)); coef != nil {
+			pred = arFitted(history, coef, r, s.lags)
 		}
 		e := history[r+s.lags] - pred
 		sse += e * e
 	}
-	denom := rows - cols
+	denom := rows - (s.lags + 1)
 	if denom < 1 {
 		denom = 1
 	}
 	sigma := guardSigma(math.Sqrt(sse / float64(denom)))
 
-	// Point trajectory: the exact rolling loop from ForecastInto.
 	qpt := ws.qPoint(horizon)
-	buf := growBuf(ws.buf, history, horizon)
-	for t := 0; t < horizon; t++ {
-		reg := regimeOf(buf[len(buf)-1], thr)
-		var coef []float64
-		switch {
-		case fitOK[reg]:
-			coef = coefStore[reg*cols : (reg+1)*cols]
-		case globalOK:
-			coef = coefStore[nRegimes*cols:]
-		default:
-			qpt[t] = histMean
-			buf = append(buf, qpt[t])
-			continue
-		}
-		v := coef[0]
-		for l := 1; l <= s.lags; l++ {
-			idx := len(buf) - l
-			if idx >= 0 {
-				v += coef[l] * buf[idx]
-			}
-		}
-		if v < 0 || v != v {
-			v = 0
-		}
-		qpt[t] = v
-		buf = append(buf, v)
-	}
-	ws.buf = buf[:0]
-
+	f.roll(qpt)
 	sig := ws.qSig(horizon)
 	for t := range sig {
 		sig[t] = sigma * math.Sqrt(float64(t+1))
@@ -253,42 +110,98 @@ func (s *SETAR) ForecastQuantilesInto(history []float64, horizon int, levels, ds
 	return dst
 }
 
-// fitARRowsWS fits an AR(lags) model using only the given training rows
-// (row r predicts history[r+lags] from the preceding lags values),
-// accumulating the normal equations directly into workspace buffers in
-// the same term order as mathx.LeastSquares over the materialized rows.
-// The returned slice is solver scratch, invalidated by the next fit.
-func fitARRowsWS(history []float64, rowIdx []int, lags int, ws *Workspace) ([]float64, bool) {
-	if len(rowIdx) < lags+2 {
-		return nil, false
+// setarFits holds one call's fits, each made on first use (see the head
+// of this file). Coefficients are copied out of solver scratch into
+// ws.coef: slot k holds regime k's, slot len(thr)+1 the global fit's.
+type setarFits struct {
+	h        []float64
+	lags     int
+	thr      []float64
+	nz       []int
+	coef     []float64
+	state    []int8 // per slot: 0 not yet fit, 1 fit, -1 failed
+	histMean float64
+	ws       *Workspace
+}
+
+func newSETARFits(h []float64, lags int, thr []float64, ws *Workspace) setarFits {
+	slots := len(thr) + 2
+	ws.coef = growF(ws.coef, slots*(lags+1))
+	if cap(ws.fitState) < slots {
+		ws.fitState = make([]int8, slots)
 	}
-	cols := lags + 1
-	xtx := growZeroF(ws.xtx, cols*cols)
-	ws.xtx = xtx
-	xty := growZeroF(ws.xty, cols)
-	ws.xty = xty
-	row := growF(ws.drow, cols)
-	ws.drow = row
-	for _, r := range rowIdx {
-		arDesignRow(history, r, lags, row)
-		accumulateARRow(xtx, xty, row, history[r+lags], cols)
+	ws.fitState = ws.fitState[:slots]
+	clear(ws.fitState)
+	return setarFits{h: h, lags: lags, thr: thr, nz: nonzeroPositions(h, ws),
+		coef: ws.coef, state: ws.fitState, histMean: mean(h), ws: ws}
+}
+
+// coefFor returns the coefficients the forecast uses in regime reg: the
+// regime's own fit, else the global fit, else nil (the window mean).
+func (f *setarFits) coefFor(reg int) []float64 {
+	if c := f.fit(reg, f.thr); c != nil {
+		return c
 	}
-	return solveNormalEquations(xtx, xty, cols, ws)
+	return f.fit(len(f.thr)+1, nil)
+}
+
+// fit returns slot k's coefficients, fitting them over the rows of regime
+// k under thr (every row when thr is nil) on first use; nil if the fit
+// failed.
+func (f *setarFits) fit(k int, thr []float64) []float64 {
+	cols := f.lags + 1
+	c := f.coef[k*cols : (k+1)*cols]
+	if f.state[k] == 0 {
+		f.state[k] = -1
+		if coef, ok := fitRegimeWS(f.h, f.lags, f.nz, thr, k, f.ws); ok {
+			copy(c, coef)
+			f.state[k] = 1
+		}
+	}
+	if f.state[k] < 0 {
+		return nil
+	}
+	return c
+}
+
+// roll rolls the fitted models forward into dst, feeding predictions back
+// in as lagged inputs; each step uses the regime of the latest value.
+func (f *setarFits) roll(dst []float64) {
+	buf := growBuf(f.ws.buf, f.h, len(dst))
+	for t := range dst {
+		coef := f.coefFor(regimeOf(buf[len(buf)-1], f.thr))
+		if coef == nil {
+			dst[t] = f.histMean
+			buf = append(buf, dst[t])
+			continue
+		}
+		v := coef[0]
+		for l := 1; l <= f.lags; l++ {
+			idx := len(buf) - l
+			if idx >= 0 {
+				v += coef[l] * buf[idx]
+			}
+		}
+		if v < 0 || v != v {
+			v = 0
+		}
+		dst[t] = v
+		buf = append(buf, v)
+	}
+	f.ws.buf = buf[:0]
 }
 
 // regimeThresholdsWS picks up to k thresholds at evenly spaced quantiles
-// of the history, like the reference regimeThresholds, but sorts into the
-// workspace quantile buffer. It returns an empty slice when the history
-// has no spread (all regimes would coincide).
+// of the history, like the reference regimeThresholds, selecting each
+// rank in the workspace quantile buffer instead of sorting it (rank.go).
+// It returns an empty slice when the history has no spread (all regimes
+// would coincide).
 func regimeThresholdsWS(history []float64, k int, ws *Workspace) []float64 {
 	if len(history) < 4 {
 		return nil
 	}
-	sorted := growF(ws.sorted, len(history))
-	ws.sorted = sorted
-	copy(sorted, history)
-	sort.Float64s(sorted)
-	if sorted[0] == sorted[len(sorted)-1] {
+	a := minMaxWS(history, ws)
+	if a[0] == a[len(a)-1] {
 		return nil
 	}
 	if cap(ws.thr) < k {
@@ -297,7 +210,7 @@ func regimeThresholdsWS(history []float64, k int, ws *Workspace) []float64 {
 	out := ws.thr[:0]
 	for i := 1; i <= k; i++ {
 		q := float64(i) / float64(k+1)
-		v := sorted[int(q*float64(len(sorted)-1))]
+		v := selectRank(a, int(q*float64(len(a)-1)))
 		if len(out) == 0 || v > out[len(out)-1] {
 			out = append(out, v)
 		}

@@ -24,19 +24,17 @@ type Workspace struct {
 	// as lagged inputs).
 	buf []float64
 
-	// Least-squares state: normal equations, solver working copy,
-	// right-hand side, the materialized design row being accumulated, and
-	// the per-regime coefficient store for SETAR.
-	xtx, xm, xty, sol []float64
-	drow              []float64
-	coef              []float64
-	fitOK             []bool
+	// Least-squares state: the normal equations, solved in place; the
+	// window's nonzero positions and one column's regime rows (ar.go); and
+	// SETAR's per-regime coefficient store and fit states.
+	xtx, xty []float64
+	nz, sub  []int
+	coef     []float64
+	fitState []int8
 
 	// Quantile state shared by SETAR thresholds and Markov discretization.
 	sorted []float64
 	thr    []float64
-	rowIdx []int
-	rowOff []int
 
 	// Markov chain state.
 	trans, dist, next       []float64
@@ -174,14 +172,6 @@ func growI(s []int, n int) []int {
 		return s[:n]
 	}
 	return make([]int, n)
-}
-
-// growBool resizes a bool scratch slice without zeroing.
-func growBool(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
 }
 
 // growBuf returns a rolling buffer primed with history and capacity for
