@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
-// The batched observe path: the metrics collector completes a whole
-// interval for many apps at once, so POSTing them one by one pays one
-// HTTP round trip and (with durability on) one fsync per app. The batch
-// endpoint takes N observations in a single body and group-commits them
-// under a single fsync, which is what keeps the observe path cheap while
-// it becomes durable.
+// The commit path. A single observe is a batch of one: both handlers
+// decode their own bodies, run observe, and map its results onto their
+// own replies. A batch group-commits its items under one fsync, where a
+// POST per app would pay a round trip and an fsync each.
+//
+// Lock order, outermost first: drainMu (read, held by the handler across
+// the commit), s.mu (read, released after validation), each item's
+// app.mu in app-name order, then a stripe or store mutex, never held
+// while waiting on an app. Everything else that locks app state holds
+// one app lock at a time.
 
 // maxBatchBody bounds the batch POST body; maxBatchItems bounds the
 // per-request observation count so a single request cannot monopolize
@@ -66,10 +72,10 @@ type BatchObserveResponse struct {
 	Rejected int               `json:"rejected"`
 }
 
-// batchHandler implements POST /v1/observe/batch. Item validation happens
-// first; all valid observations are group-committed to the durable store
-// with one fsync, then applied in memory and answered with per-item scale
-// targets. A malformed body changes no counters and no state.
+// batchHandler implements POST /v1/observe/batch: every valid item is
+// group-committed under one fsync, then answered with its scale target;
+// an invalid or foreign item is answered with its error while the rest
+// land. A malformed body changes no counters and no state.
 func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "batch observe requires POST", http.StatusMethodNotAllowed)
@@ -85,23 +91,51 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if !batchSizeOK(w, len(req.Observations)) {
 		return
 	}
-
-	// The drain fence covers validation (the moved-app check) and the
-	// group commit together, exactly like the single-observe path: a
-	// concurrent DrainApp either lands before an item's ownership check
-	// (the item 421s) or after the batch append (the export sees it).
+	// The drain fence, as in appsHandler.
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
-
 	resp := BatchObserveResponse{Results: make([]BatchItemResult, len(req.Observations))}
-	valid := make([]int, 0, len(req.Observations))
-	durable := make([]store.Observation, 0, len(req.Observations))
-	// One read lock spans the ownership checks of the whole batch (pure
-	// CPU, at most maxBatchItems of them) instead of one per item.
+	accepted, err := s.observe(req.Observations, resp.Results)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	resp.Accepted, resp.Rejected = accepted, len(resp.Results)-accepted
+	if sm := s.svcMetrics(); sm != nil {
+		sm.BatchReqs.Inc()
+	}
+	writeJSON(w, &resp)
+}
+
+// observe is the one commit path. Every valid item is durable before any
+// is applied or answered in results (same index); it reports how many it
+// applied, none on a store error. Callers hold drainMu for reading.
+//
+// Each valid item's app stays locked from before its restore (a window
+// restored after the commit would count the item twice) until after its
+// apply, so no other observation of the app lands in between: hot
+// history grows in WAL order, and eviction, which locks the app first,
+// cannot demote it mid-commit. Budgets are enforced once every app is
+// unlocked; with one still held, eviction could pick it and wait on its
+// own lock.
+func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (accepted int, err error) {
+	// held[i] is item i's app (nil if invalid), byName the valid items'
+	// indices in app-name order, durable their records in input order. A
+	// single observe keeps all three on the stack.
+	var (
+		heldBuf   [1]*svcApp
+		byNameBuf [1]int
+		durBuf    [1]store.Observation
+	)
+	held := append(heldBuf[:0], make([]*svcApp, len(items))...)
+	byName, durable := byNameBuf[:0], durBuf[:0]
+
+	// One read lock spans every ownership check (pure CPU, at most
+	// maxBatchItems of them) and the metrics read.
 	s.mu.RLock()
 	sm := s.metrics
-	for i, obs := range req.Observations {
-		res := &resp.Results[i]
+	for i, obs := range items {
+		res := &results[i]
 		res.App = obs.App
 		switch {
 		case obs.App == "":
@@ -109,87 +143,56 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		case obs.Concurrency < 0:
 			res.Error = "concurrency must be non-negative"
 		default:
-			if msg, status, owner := s.rejectAppLocked(obs.App); msg != "" {
-				res.Error = msg
-				res.Status = status
-				if status == http.StatusMisdirectedRequest {
-					o := owner
-					res.Owner = &o
-				}
-				if sm != nil {
-					sm.Misrouted.Inc()
-				}
-				break
+			msg, status, owner := s.rejectAppLocked(obs.App)
+			if msg == "" {
+				byName = append(byName, i)
+				durable = append(durable, store.Observation{App: obs.App, Concurrency: obs.Concurrency})
+				continue
 			}
-			valid = append(valid, i)
-			durable = append(durable, store.Observation{App: obs.App, Concurrency: obs.Concurrency})
-			continue
+			o := owner
+			res.Error, res.Status, res.Owner = msg, status, &o
+			if sm != nil {
+				sm.Misrouted.Inc()
+			}
 		}
-		resp.Rejected++
 	}
 	s.mu.RUnlock()
 
-	// Materialize and pin every app BEFORE the group commit. Ordering
-	// matters under tiering: a lazily-restored window is read from the
-	// store, so restoring after the commit would hand back a window that
-	// already contains this batch's observations and the in-memory apply
-	// below would double-count them. The pin holds off LRU eviction in
-	// the window between commit and apply, where hot state is ahead of
-	// nothing but could otherwise be demoted and re-restored post-commit.
-	// pinned runs parallel to valid: an app the batch names twice is
-	// pinned twice and unpinned twice (pins is a count), which costs no
-	// hashing.
-	pinned := make([]*svcApp, len(valid))
-	for k, i := range valid {
-		a := s.acquire(req.Observations[i].App)
-		a.pins++
-		a.mu.Unlock()
-		pinned[k] = a
+	// Name order keeps two requests that share apps from deadlocking.
+	if len(byName) > 1 {
+		slices.SortStableFunc(byName, func(x, y int) int { return strings.Compare(items[x].App, items[y].App) })
 	}
-	unpin := func() {
-		for _, a := range pinned {
-			a.mu.Lock()
-			a.pins--
-			a.mu.Unlock()
+	for j, i := range byName {
+		if j > 0 && items[i].App == items[byName[j-1]].App {
+			held[i] = held[byName[j-1]]
+		} else {
+			held[i] = s.acquire(items[i].App)
 		}
 	}
-
-	// Group commit: the whole batch becomes durable under one fsync
-	// before any of it is applied or acknowledged.
-	if len(durable) > 0 {
-		if err := s.st.AppendBatch(durable); err != nil {
-			unpin()
-			if sm != nil {
-				sm.StoreErrors.Add(float64(len(durable)))
+	if err = s.st.AppendBatch(durable); err != nil {
+		if sm != nil {
+			sm.StoreErrors.Add(float64(len(durable)))
+		}
+		err = fmt.Errorf("durable store append failed: %w", err)
+	} else {
+		for i, a := range held {
+			if a != nil {
+				res := &results[i]
+				res.Target, res.Forecaster = s.apply(a, items[i].Concurrency, max(items[i].UnitConcurrency, 1), sm)
+				res.History = len(a.history)
 			}
-			http.Error(w, "durable store append failed: "+err.Error(),
-				http.StatusInternalServerError)
-			return
+		}
+		accepted = len(durable)
+	}
+	for j, i := range byName {
+		if j == 0 || held[i] != held[byName[j-1]] {
+			held[i].mu.Unlock()
 		}
 	}
-
-	for k, i := range valid {
-		obs := req.Observations[i]
-		unitC := obs.UnitConcurrency
-		if unitC < 1 {
-			unitC = 1
-		}
-		a := pinned[k]
-		a.mu.Lock()
-		res := &resp.Results[i]
-		res.Target, res.Forecaster = s.apply(a, obs.Concurrency, unitC, sm)
-		res.History = len(a.history)
-		a.mu.Unlock()
-		resp.Accepted++
+	for _, i := range byName {
+		s.enforceStripe(held[i].stripe)
 	}
-	unpin()
-	// One budget-enforcement pass for the whole batch: eviction work is
-	// amortized the same way the fsync is.
-	s.enforceTiers()
-	if sm != nil {
-		sm.BatchReqs.Inc()
-	}
-	writeJSON(w, &resp)
+	return accepted, err
 }
 
 // batchSizeOK reports whether a batch of n items may be taken; otherwise

@@ -338,9 +338,11 @@ func fetchDecision(t testing.TB, srvURL, app string) decision {
 }
 
 // FuzzBatchObserve hammers the batch endpoint with arbitrary bodies. The
-// invariants: the server never panics, answers only 200/400/413, and the
+// invariants: the server never panics, answers only 200/400/413, the
 // observation counter moves in lockstep with the Accepted counts it
-// acknowledged — a malformed body changes nothing.
+// acknowledged — a malformed body changes nothing — and every app an
+// accepted body touched holds its store window as its hot history, in
+// order, however often the body named it.
 func FuzzBatchObserve(f *testing.F) {
 	f.Add([]byte(`{"observations":[{"app":"a","concurrency":1.5}]}`))
 	f.Add([]byte(`{"observations":[]}`))
@@ -381,6 +383,14 @@ func FuzzBatchObserve(f *testing.F) {
 					out.Accepted, out.Rejected, len(out.Results))
 			}
 			accepted += out.Accepted
+			for _, res := range out.Results {
+				if res.Error != "" {
+					continue
+				}
+				if slips := walOrderSlips(t, svc, res.App); slips != 0 {
+					t.Fatalf("%q: %d hot history positions out of WAL order", res.App, slips)
+				}
+			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			// rejected wholesale; counters must not move (checked below)
 		default:

@@ -59,9 +59,9 @@ func (s *Service) MaxDriftScore() float64 {
 // fleet's observation windows (sorted by app name; maxApps > 0 keeps the
 // first maxApps names) for retraining and shadow evaluation.
 //
-// Windows are read straight from the store — the write-ahead observe
-// path keeps hot histories and store windows identical, and reading the
-// store does not promote cold apps out of their tier.
+// Windows are read straight from the store: observe holds each app's
+// lock from before the WAL commit until after the apply, so a hot history
+// is its store window, and reading the store promotes no cold app.
 func (s *Service) LifecycleSnapshot(maxApps int, driftThreshold float64) lifecycle.Snapshot {
 	snap := lifecycle.Snapshot{Model: s.Model(), Gated: s.IsReplica()}
 	snap.MaxDrift, snap.Drifted, snap.Tracked = s.DriftSummary(driftThreshold)

@@ -143,7 +143,8 @@ func TestStressObserveDuringRetrainAndReload(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				app := fmt.Sprintf("app-%d", (w+i)%apps)
-				if observe(app, float64((w+i)%9)) {
+				// Distinct values, so a reordered history shows.
+				if observe(app, float64((w+i)%9)+float64(w*perW+i)*1e-6) {
 					observeOK.Add(1)
 				} else {
 					failures.Add(1)
@@ -198,5 +199,11 @@ func TestStressObserveDuringRetrainAndReload(t *testing.T) {
 	}
 	if svc.Apps() != apps {
 		t.Errorf("apps tracked = %d, want %d", svc.Apps(), apps)
+	}
+	for a := 0; a < apps; a++ {
+		app := fmt.Sprintf("app-%d", a)
+		if slips := walOrderSlips(t, svc, app); slips != 0 {
+			t.Errorf("%s: %d hot history positions out of WAL order", app, slips)
+		}
 	}
 }

@@ -1,0 +1,247 @@
+package knative
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
+)
+
+// serveInProcess drives h with one request and returns the recorded reply.
+func serveInProcess(h http.Handler, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// walOrderSlips counts the positions where app's hot history differs, in
+// Float64bits, from its store window: the history a restart, an eviction
+// or a failover would rebuild the app from.
+func walOrderSlips(t testing.TB, svc *Service, app string) int {
+	t.Helper()
+	a := svc.acquire(app)
+	hot := append([]float64(nil), a.history...)
+	svc.releaseApp(a)
+	win := svc.st.Window(app)
+	if len(hot) != len(win) {
+		t.Fatalf("%s: hot history holds %d observations, the store window %d", app, len(hot), len(win))
+	}
+	slips := 0
+	for i := range hot {
+		if math.Float64bits(hot[i]) != math.Float64bits(win[i]) {
+			slips++
+		}
+	}
+	return slips
+}
+
+// decideInProcess reads app's target and horizon-6 forecast through h.
+func decideInProcess(t testing.TB, h http.Handler, app string) decision {
+	t.Helper()
+	var d decision
+	for _, q := range []struct {
+		path string
+		into any
+	}{
+		{"/v1/apps/" + app + "/target?concurrency=1", &d.target},
+		{"/v1/apps/" + app + "/forecast?horizon=6", &d.forecast},
+	} {
+		rec := serveInProcess(h, http.MethodGet, q.path, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", q.path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), q.into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// TestConcurrentObservesKeepWALOrder races four writers observing one app,
+// each value distinct, through single observes, batches, or both. When
+// they finish, the app's hot history must equal its store window bit for
+// bit, because the store's order is the one every restore rebuilds; and
+// dropping the hot state must not change the next target or forecast.
+// Run under -race -count=20 in CI: an ordering bug shows only in some
+// interleavings.
+func TestConcurrentObservesKeepWALOrder(t *testing.T) {
+	for _, backend := range []string{"dir", "memory"} {
+		for _, mix := range []struct {
+			name  string
+			batch [4]bool // which writers post batches
+		}{
+			{"batch+batch", [4]bool{true, true, true, true}},
+			{"batch+single", [4]bool{true, true, false, false}},
+			{"single+single", [4]bool{}},
+		} {
+			t.Run(backend+"/"+mix.name, func(t *testing.T) {
+				testConcurrentObservesKeepWALOrder(t, backend, mix.batch)
+			})
+		}
+	}
+}
+
+func testConcurrentObservesKeepWALOrder(t *testing.T, backend string, batch [4]bool) {
+	var so ServiceOptions
+	if backend == "dir" {
+		st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		so.Store = st
+	}
+	svc := NewServiceWith(trainTinyModel(t), so)
+	h := svc.Handler()
+	const app = "ordered"
+	perWriter := 400
+	if testing.Short() {
+		perWriter = 200
+	}
+	var wg sync.WaitGroup
+	for g, isBatch := range batch {
+		wg.Add(1)
+		go func(g int, isBatch bool) {
+			defer wg.Done()
+			side := fmt.Sprintf("side-%d", g)
+			for k := 0; k < perWriter; k++ {
+				v := float64(g*perWriter+k) + 0.25
+				var rec *httptest.ResponseRecorder
+				if isBatch {
+					// A second app per batch: the batch locks more than one.
+					rec = serveInProcess(h, http.MethodPost, "/v1/observe/batch", fmt.Sprintf(
+						`{"observations":[{"app":%q,"concurrency":%g},{"app":%q,"concurrency":%g}]}`,
+						app, v, side, v))
+				} else {
+					rec = serveInProcess(h, http.MethodPost, "/v1/apps/"+app+"/observe",
+						fmt.Sprintf(`{"concurrency": %g}`, v))
+				}
+				if rec.Code != http.StatusOK {
+					t.Errorf("writer %d: observe %d: %d %s", g, k, rec.Code, rec.Body)
+					return
+				}
+			}
+		}(g, isBatch)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	apps := []string{app}
+	for g, isBatch := range batch {
+		if isBatch {
+			apps = append(apps, fmt.Sprintf("side-%d", g))
+		}
+	}
+	for _, a := range apps {
+		if slips := walOrderSlips(t, svc, a); slips != 0 {
+			t.Errorf("%s: %d of %d hot history positions out of WAL order",
+				a, slips, len(svc.st.Window(a)))
+		}
+	}
+	before := decideInProcess(t, h, app)
+	svc.dropCached(app)
+	after := decideInProcess(t, h, app)
+	if before.target != after.target {
+		t.Errorf("target %+v before the drop, %+v after", before.target, after.target)
+	}
+	for i := range before.forecast.Values {
+		if math.Float64bits(before.forecast.Values[i]) != math.Float64bits(after.forecast.Values[i]) {
+			t.Errorf("forecast[%d] = %v before the drop, %v after", i,
+				before.forecast.Values[i], after.forecast.Values[i])
+		}
+	}
+}
+
+// TestBatchDrainFence hammers an app with batches while DrainApp runs.
+// Once DrainApp returns the app's history is final: every item a batch
+// acknowledged is in the window exported then, and its durable total
+// never grows again.
+func TestBatchDrainFence(t *testing.T) {
+	svc := NewService(trainTinyModel(t))
+	h := svc.Handler()
+	const (
+		app     = "leaving"
+		writers = 4
+		// Acknowledged items before the drain, and refusals each writer
+		// must see after it.
+		warmup, refusals = 40, 25
+	)
+	var (
+		wg     sync.WaitGroup
+		landed atomic.Int64
+		ready  = make(chan struct{})
+		acked  [writers][]float64
+	)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Other apps ride along so the batch spends time acquiring
+			// between its ownership check and its commit.
+			var body strings.Builder
+			for k, refused := 0, 0; refused < refusals; k++ {
+				v := float64(g*1_000_000+k) + 0.5
+				body.Reset()
+				fmt.Fprintf(&body, `{"observations":[{"app":%q,"concurrency":%g}`, app, v)
+				for j := 0; j < 8; j++ {
+					fmt.Fprintf(&body, `,{"app":"rider-%d-%d","concurrency":1}`, g, j)
+				}
+				body.WriteString(`]}`)
+				rec := serveInProcess(h, http.MethodPost, "/v1/observe/batch", body.String())
+				var out BatchObserveResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
+					t.Errorf("writer %d: batch %d: %d %s", g, k, rec.Code, rec.Body)
+					return
+				}
+				switch res := out.Results[0]; {
+				case res.Error == "":
+					acked[g] = append(acked[g], v)
+					if landed.Add(1) == warmup {
+						close(ready)
+					}
+				case res.Status == http.StatusMisdirectedRequest && res.Owner != nil && *res.Owner == 1:
+					refused++
+				default:
+					t.Errorf("writer %d: batch %d: unexpected result %+v", g, k, res)
+					return
+				}
+			}
+		}(g)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-ready:
+	case <-finished:
+		t.Fatal("every writer stopped before the drain")
+	}
+	svc.DrainApp(app, 1)
+	win, total, ok := svc.st.ExportApp(app)
+	wg.Wait()
+	if !ok {
+		t.Fatal("drained app has no durable state")
+	}
+	if _, final, _ := svc.st.ExportApp(app); final != total {
+		t.Errorf("durable total grew from %d to %d after DrainApp returned", total, final)
+	}
+	exported := make(map[uint64]bool, len(win))
+	for _, v := range win {
+		exported[math.Float64bits(v)] = true
+	}
+	for g := range acked {
+		for _, v := range acked[g] {
+			if !exported[math.Float64bits(v)] {
+				t.Errorf("writer %d: acknowledged %v is missing from the window exported at the drain", g, v)
+			}
+		}
+	}
+}

@@ -178,14 +178,13 @@ type svcApp struct {
 	// Tier state (see tier.go). stripe is the tier stripe that owns this
 	// app, fixed at materialization. hotEl/wsEl are this app's positions
 	// in the stripe's LRU lists (nil when not listed), guarded by
-	// stripe.mu; gone marks an evicted entry that acquire must not use,
-	// and pins holds off eviction while a batch that already committed
-	// observations for this app has yet to apply them in memory (gone and
-	// pins guarded by mu).
+	// stripe.mu; gone, guarded by mu, marks an evicted entry that acquire
+	// must not use. Eviction takes mu before anything else, so an app
+	// that a request holds from acquire to release is never demoted
+	// under it.
 	stripe      *tierStripe
 	hotEl, wsEl *lruElem
 	gone        bool
-	pins        int
 }
 
 // maxObserveBody bounds the observe POST body; real observations are a
@@ -289,11 +288,12 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 	}
 }
 
-// apply is the in-memory half of one observation, written once for the
-// single and the batch path: once c is durable it joins the history and
-// the drift detector, and the app's policy takes its step on the grown
-// history (see decide). Callers hold a.mu, which keeps in-memory order
-// identical to WAL order per app and the workspace single-threaded.
+// apply is the in-memory half of one observation: once c is durable it
+// joins the history and the drift detector, and the app's policy takes
+// its step on the grown history (see decide). Its one caller, observe,
+// holds a.mu from before c's commit until after this call, so no other
+// observation of the app can commit or apply in between: in-memory
+// order is WAL order per app, and the workspace stays single-threaded.
 func (s *Service) apply(a *svcApp, c float64, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
 	a.history = append(a.history, c)
 	a.drift.Observe(c)
@@ -580,17 +580,10 @@ func (s *Service) materialize(name string) *svcApp {
 	return a
 }
 
-// rejectApp decides whether a request for name may be served here. A
-// non-empty msg means reject with the given status; owner is the shard
-// the client should retry against (meaningful for 421).
-func (s *Service) rejectApp(name string) (msg string, status, owner int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rejectAppLocked(name)
-}
-
-// rejectAppLocked is rejectApp for a caller that holds s.mu: a batch
-// validates all its items under one read lock.
+// rejectAppLocked decides whether a request for name may be served
+// here; the caller holds s.mu. A non-empty msg means reject with the
+// given status; owner is the shard the client should retry against
+// (meaningful for 421).
 func (s *Service) rejectAppLocked(name string) (msg string, status, owner int) {
 	if movedTo, isMoved := s.moved[name]; isMoved {
 		return fmt.Sprintf("app %q migrated to shard %d (epoch %d)", name, movedTo, s.epoch),
@@ -626,17 +619,26 @@ func (s *Service) rejectAppLocked(name string) (msg string, status, owner int) {
 // learn the correct owner instead of silently splitting one app's
 // history across the fleet.
 func (s *Service) misrouted(w http.ResponseWriter, name string) bool {
-	msg, status, owner := s.rejectApp(name)
+	s.mu.RLock()
+	msg, status, owner := s.rejectAppLocked(name)
+	sm := s.metrics
+	s.mu.RUnlock()
 	if msg == "" {
 		return false
 	}
-	if sm := s.svcMetrics(); sm != nil {
+	if sm != nil {
 		sm.Misrouted.Inc()
 	}
+	s.redirect(w, msg, status, owner)
+	return true
+}
+
+// redirect answers a request for an app this instance does not serve,
+// naming the owning shard and the ownership epoch.
+func (s *Service) redirect(w http.ResponseWriter, msg string, status, owner int) {
 	w.Header().Set("X-Femux-Owner", strconv.Itoa(owner))
 	w.Header().Set("X-Femux-Epoch", strconv.Itoa(s.Epoch()))
 	http.Error(w, msg, status)
-	return true
 }
 
 // replicaGated answers 503 (retryable, unlike a 421 misroute) while the
@@ -695,108 +697,107 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		if !decodeBody(w, r, maxObserveBody, &req) {
 			return
 		}
-		if req.Concurrency < 0 {
-			http.Error(w, "concurrency must be non-negative", http.StatusBadRequest)
-			return
+		item := [1]BatchObservation{{App: name, Concurrency: req.Concurrency, UnitConcurrency: req.UnitConcurrency}}
+		var res [1]BatchItemResult
+		switch _, err := s.observe(item[:], res[:]); {
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		case res[0].Owner != nil: // ownership changed since misrouted
+			s.redirect(w, res[0].Error, res[0].Status, *res[0].Owner)
+		case res[0].Error != "":
+			http.Error(w, res[0].Error, http.StatusBadRequest)
+		default:
+			writeJSON(w, &TargetResponse{
+				App: name, Target: res[0].Target,
+				Forecaster: res[0].Forecaster, History: res[0].History,
+			})
 		}
-		unitC := req.UnitConcurrency
-		if unitC < 1 {
-			unitC = 1
-		}
-		a := s.acquire(name)
-		// Write-ahead: the observation is durable before it is applied in
-		// memory or acknowledged, so an ACKed observation survives
-		// SIGKILL. The app lock is held across both steps to keep WAL
-		// order and in-memory order identical per app.
-		if err := s.st.Append(name, req.Concurrency); err != nil {
-			s.releaseApp(a)
-			if sm := s.svcMetrics(); sm != nil {
-				sm.StoreErrors.Inc()
-			}
-			http.Error(w, "durable store append failed: "+err.Error(),
-				http.StatusInternalServerError)
-			return
-		}
-		target, fcName := s.apply(a, req.Concurrency, unitC, s.svcMetrics())
-		histLen := len(a.history)
-		s.releaseApp(a)
-		writeJSON(w, &TargetResponse{
-			App: name, Target: target,
-			Forecaster: fcName, History: histLen,
-		})
 	case "target":
-		if r.Method != http.MethodGet {
-			http.Error(w, "target requires GET", http.StatusMethodNotAllowed)
-			return
-		}
-		unitC := 1
-		if v := r.URL.Query().Get("concurrency"); v != "" {
-			var err error
-			if unitC, err = strconv.Atoi(v); err != nil || unitC < 1 {
-				http.Error(w, "bad concurrency", http.StatusBadRequest)
-				return
-			}
-		}
-		a := s.acquire(name)
-		sm := s.svcMetrics()
-		target, fcName := s.decide(a, unitC, sm)
-		histLen := len(a.history)
-		if sm != nil {
-			a.count(&a.targets, sm.Targets)
-		}
-		s.releaseApp(a)
-		writeJSON(w, &TargetResponse{
-			App: name, Target: target,
-			Forecaster: fcName, History: histLen,
-		})
+		s.targetHandler(w, r, name)
 	case "forecast":
-		if r.Method != http.MethodGet {
-			http.Error(w, "forecast requires GET", http.StatusMethodNotAllowed)
-			return
-		}
-		query := r.URL.Query()
-		horizon := 1
-		if v := query.Get("horizon"); v != "" {
-			var err error
-			if horizon, err = strconv.Atoi(v); err != nil || horizon < 1 || horizon > 1440 {
-				http.Error(w, "bad horizon", http.StatusBadRequest)
-				return
-			}
-		}
-		levels, ok := parseQuantileLevels(query.Get("quantiles"))
-		if !ok {
-			http.Error(w, "bad quantiles", http.StatusBadRequest)
-			return
-		}
-		a := s.acquire(name)
-		// dst is nil: the response slices escape into the JSON encoder
-		// after the lock is released, so they must not alias the
-		// workspace.
-		s.countExtract(a.policy, len(a.history))
-		values := a.policy.ForecastWS(a.history, horizon, nil, a.ws)
-		var bands []QuantileBand
-		if len(levels) > 0 {
-			flat := a.policy.ForecastQuantilesWS(a.history, horizon, levels, nil, a.ws)
-			bands = make([]QuantileBand, len(levels))
-			for q, lv := range levels {
-				bands[q] = QuantileBand{
-					Level:  lv,
-					Values: flat[q*horizon : (q+1)*horizon : (q+1)*horizon],
-				}
-			}
-		}
-		fcName := a.policy.CurrentForecaster()
-		if sm := s.svcMetrics(); sm != nil {
-			a.count(&a.forecasts, sm.Forecasts)
-		}
-		s.releaseApp(a)
-		writeJSON(w, ForecastResponse{
-			App: name, Forecaster: fcName,
-			Values: values, Quantiles: bands,
-		})
+		s.forecastHandler(w, r, name)
 	default:
 		http.Error(w, "unknown action "+action, http.StatusNotFound)
 	}
+}
+
+// targetHandler answers GET /v1/apps/{app}/target. The read endpoints
+// are methods of their own so that appsHandler's frame, which every
+// observe's deep commit path sits on, stays small: femuxd serves each
+// request on a fresh goroutine, whose stack grows by copying.
+func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name string) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "target requires GET", http.StatusMethodNotAllowed)
+		return
+	}
+	unitC := 1
+	if v := r.URL.Query().Get("concurrency"); v != "" {
+		var err error
+		if unitC, err = strconv.Atoi(v); err != nil || unitC < 1 {
+			http.Error(w, "bad concurrency", http.StatusBadRequest)
+			return
+		}
+	}
+	a := s.acquire(name)
+	sm := s.svcMetrics()
+	target, fcName := s.decide(a, unitC, sm)
+	histLen := len(a.history)
+	if sm != nil {
+		a.count(&a.targets, sm.Targets)
+	}
+	s.releaseApp(a)
+	writeJSON(w, &TargetResponse{
+		App: name, Target: target,
+		Forecaster: fcName, History: histLen,
+	})
+}
+
+// forecastHandler answers GET /v1/apps/{app}/forecast.
+func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name string) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "forecast requires GET", http.StatusMethodNotAllowed)
+		return
+	}
+	query := r.URL.Query()
+	horizon := 1
+	if v := query.Get("horizon"); v != "" {
+		var err error
+		if horizon, err = strconv.Atoi(v); err != nil || horizon < 1 || horizon > 1440 {
+			http.Error(w, "bad horizon", http.StatusBadRequest)
+			return
+		}
+	}
+	levels, ok := parseQuantileLevels(query.Get("quantiles"))
+	if !ok {
+		http.Error(w, "bad quantiles", http.StatusBadRequest)
+		return
+	}
+	a := s.acquire(name)
+	// dst is nil: the response slices escape into the JSON encoder
+	// after the lock is released, so they must not alias the
+	// workspace.
+	s.countExtract(a.policy, len(a.history))
+	values := a.policy.ForecastWS(a.history, horizon, nil, a.ws)
+	var bands []QuantileBand
+	if len(levels) > 0 {
+		flat := a.policy.ForecastQuantilesWS(a.history, horizon, levels, nil, a.ws)
+		bands = make([]QuantileBand, len(levels))
+		for q, lv := range levels {
+			bands[q] = QuantileBand{
+				Level:  lv,
+				Values: flat[q*horizon : (q+1)*horizon : (q+1)*horizon],
+			}
+		}
+	}
+	fcName := a.policy.CurrentForecaster()
+	if sm := s.svcMetrics(); sm != nil {
+		a.count(&a.forecasts, sm.Forecasts)
+	}
+	s.releaseApp(a)
+	writeJSON(w, ForecastResponse{
+		App: name, Forecaster: fcName,
+		Values: values, Quantiles: bands,
+	})
 }
 
 // parseQuantileLevels parses the ?quantiles= query parameter: a

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
 // newInstrumentedServer stands up the same stack femuxd serves in
@@ -145,6 +147,87 @@ func TestE2EErrorPaths(t *testing.T) {
 		resp, _ := doReq(t, c.method, srv.URL+c.path, c.body)
 		if resp.StatusCode != c.wantStatus {
 			t.Errorf("%s: %s %s = %d, want %d", c.name, c.method, c.path, resp.StatusCode, c.wantStatus)
+		}
+	}
+}
+
+// TestE2EObserveReplies pins a single observe's whole reply — status,
+// headers and body, byte for byte — down its precedence chain: a bad path
+// beats the replica gate, which beats a misroute, which beats the method,
+// the body size, the body, the value, and the store. Each case breaks
+// every later rule too, so a reordered check changes its reply.
+func TestE2EObserveReplies(t *testing.T) {
+	model := trainTinyModel(t)
+	var own, moved, foreign string // shards 0, 0 and 1 of 2
+	for i := 0; own == "" || moved == "" || foreign == ""; i++ {
+		name := fmt.Sprintf("app-%d", i)
+		switch {
+		case store.ShardOf(name, 2) == 1:
+			if foreign == "" {
+				foreign = name
+			}
+		case own == "":
+			own = name
+		case moved == "":
+			moved = name
+		}
+	}
+	replica := NewServiceWith(model, ServiceOptions{Replica: true, Shards: 2})
+	sharded := NewServiceWith(model, ServiceOptions{Shards: 2, Epoch: 3})
+	sharded.DrainApp(moved, 1)
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := NewServiceWith(model, ServiceOptions{Store: st, Shards: 2})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	oversized := `{"concurrency": -1, "pad": "` + strings.Repeat("x", maxObserveBody) + `"}`
+	cases := []struct {
+		name         string
+		svc          *Service
+		method, path string
+		body         string
+		want         string
+	}{
+		{"404 path", replica, "GET", "/v1/apps/" + foreign + "/observe/more", "{bad",
+			"404\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nexpected /v1/apps/{app}/{observe|target|forecast}\n"},
+		{"503 replica", replica, "GET", "/v1/apps/" + foreign + "/observe", "{bad",
+			"503\nContent-Type: text/plain; charset=utf-8\nRetry-After: 1\nX-Content-Type-Options: nosniff\nreplica: awaiting promotion\n"},
+		{"421 foreign", sharded, "GET", "/v1/apps/" + foreign + "/observe", "{bad",
+			"421\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nX-Femux-Epoch: 3\nX-Femux-Owner: 1\napp \"app-3\" belongs to shard 1, this instance is shard 0 of 2\n"},
+		{"421 moved", sharded, "GET", "/v1/apps/" + moved + "/observe", "{bad",
+			"421\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nX-Femux-Epoch: 3\nX-Femux-Owner: 1\napp \"app-1\" migrated to shard 1 (epoch 3)\n"},
+		{"405 method", sharded, "GET", "/v1/apps/" + own + "/observe", oversized,
+			"405\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nobserve requires POST\n"},
+		{"413 size", sharded, "POST", "/v1/apps/" + own + "/observe", oversized,
+			"413\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nbody exceeds 1048576 bytes\n"},
+		{"400 body", sharded, "POST", "/v1/apps/" + own + "/observe", `{"concurrency": "high"}`,
+			"400\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nbad body: json: cannot unmarshal string into Go struct field ObserveRequest.concurrency of type float64\n"},
+		{"400 negative", closed, "POST", "/v1/apps/" + own + "/observe", `{"concurrency": -1}`,
+			"400\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nconcurrency must be non-negative\n"},
+		{"500 store", closed, "POST", "/v1/apps/" + own + "/observe", `{"concurrency": 1}`,
+			"500\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\ndurable store append failed: store: closed\n"},
+		{"200", sharded, "POST", "/v1/apps/" + own + "/observe", `{"concurrency": 2.5, "unitConcurrency": 2}`,
+			"200\nContent-Type: application/json\n{\"app\":\"app-0\",\"target\":2,\"forecaster\":\"fft10\",\"historyLen\":1}\n"},
+	}
+	for _, c := range cases {
+		rec := serveInProcess(c.svc.Handler(), c.method, c.path, c.body)
+		var got strings.Builder
+		fmt.Fprintf(&got, "%d\n", rec.Code)
+		keys := make([]string, 0, len(rec.Header()))
+		for k := range rec.Header() {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&got, "%s: %s\n", k, strings.Join(rec.Header()[k], ","))
+		}
+		got.WriteString(rec.Body.String())
+		if got.String() != c.want {
+			t.Errorf("%s: reply\n%q\nwant\n%q", c.name, got.String(), c.want)
 		}
 	}
 }

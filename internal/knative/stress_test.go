@@ -88,8 +88,9 @@ func TestStressObserveDuringReload(t *testing.T) {
 				app := fmt.Sprintf("app-%d", (w+i)%apps)
 				switch i % 3 {
 				case 0:
+					// Distinct values, so a reordered history shows.
 					resp, err := client.Post(srv.URL+"/v1/apps/"+app+"/observe",
-						"application/json", strings.NewReader(`{"concurrency": 2.5}`))
+						"application/json", strings.NewReader(fmt.Sprintf(`{"concurrency": %d.5}`, w*perW+i)))
 					if err != nil || resp.StatusCode != http.StatusOK {
 						failures.Add(1)
 					} else {
@@ -164,6 +165,12 @@ func TestStressObserveDuringReload(t *testing.T) {
 	}
 	if svc.Apps() != apps {
 		t.Errorf("apps tracked = %d, want %d", svc.Apps(), apps)
+	}
+	for a := 0; a < apps; a++ {
+		app := fmt.Sprintf("app-%d", a)
+		if slips := walOrderSlips(t, svc, app); slips != 0 {
+			t.Errorf("%s: %d hot history positions out of WAL order", app, slips)
+		}
 	}
 }
 

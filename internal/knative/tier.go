@@ -50,7 +50,7 @@ import (
 // Demotion is invisible to callers: a restored app derives its forecaster
 // from the same history an uninterrupted process would hold, so
 // forecasts are Float64bits-identical across any evict/page/restore
-// cycle at every stripe count (pinned by tierequiv_test.go). Demotion
+// cycle at every stripe count (asserted by tierequiv_test.go). Demotion
 // keeps the window and, beside it, a memo of the cluster group its last
 // completed block fell into (store.Memo), so a restore decodes a window
 // and extracts no features; the memo only caches extract-and-classify
@@ -200,7 +200,7 @@ func lostRaceBackoff(attempt int) {
 
 // acquire returns the named app with its lock held, lazily restoring
 // warm/cold state and bumping the tier LRUs. Callers must a.mu.Unlock()
-// (via releaseApp on serving paths, so budgets are re-enforced).
+// and then enforce the stripe's budgets (releaseApp does both).
 func (s *Service) acquire(name string) *svcApp {
 	for attempt := 0; ; attempt++ {
 		a := s.app(name)
@@ -225,17 +225,9 @@ func (s *Service) releaseApp(a *svcApp) {
 	s.enforceStripe(t)
 }
 
-// enforceTiers demotes LRU victims on every stripe until the hot-app
-// and workspace budgets hold. Safe to call from any goroutine at any
-// time; serving paths use the per-stripe enforceStripe instead.
-func (s *Service) enforceTiers() {
-	for _, t := range s.tier.stripes {
-		s.enforceStripe(t)
-	}
-}
-
 // enforceStripe demotes one stripe's LRU victims until its share of the
-// hot-app and workspace budgets holds.
+// hot-app and workspace budgets holds. The caller holds no app lock: the
+// victim may be any app on the stripe, and evict waits for its lock.
 func (s *Service) enforceStripe(t *tierStripe) {
 	for {
 		t.mu.Lock()
@@ -252,8 +244,8 @@ func (s *Service) enforceStripe(t *tierStripe) {
 			return
 		}
 		if !s.evict(victim, wsOnly) {
-			// The victim was pinned or re-touched; budgets are best-effort
-			// within a pass and the next release re-enforces.
+			// The victim was re-touched; budgets are best-effort within a
+			// pass and the next release re-enforces.
 			return
 		}
 	}
@@ -262,8 +254,8 @@ func (s *Service) enforceStripe(t *tierStripe) {
 // evict demotes one app (or just releases its workspace), reporting
 // whether it made progress. The victim was chosen without its lock;
 // everything is re-checked under victim.mu -> stripe.mu (the same order
-// touch uses), so a concurrent touch or pin simply wins and the
-// eviction pass stops. Because the stripe owns both the LRUs and its
+// touch uses), so a concurrent touch simply wins and the eviction pass
+// stops. Because the stripe owns both the LRUs and its
 // slice of the app map, the map removal is atomic with the LRU removal:
 // no window exists where a gone app is still reachable through the map.
 func (s *Service) evict(v *svcApp, wsOnly bool) bool {
@@ -280,11 +272,6 @@ func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 	}
 	t := v.stripe
 	t.mu.Lock()
-	if v.pins > 0 {
-		t.mu.Unlock()
-		v.mu.Unlock()
-		return false
-	}
 	if wsOnly {
 		if v.wsEl == nil || t.maxWS < 0 || t.ws.Len() <= t.maxWS || t.ws.Back() != v.wsEl {
 			t.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -81,23 +82,33 @@ func TestStripeAssignment(t *testing.T) {
 }
 
 // TestAcquireEvictHammer is the lost-race regression test for the
-// bounded-backoff acquire loop: one app on a zero-budget stripe is
-// hammered by concurrent acquire/observe/release cycles, so every
-// release evicts and every next acquire races the eviction (the gone
-// retry path) and restores from the warm tier — the memory store, written
-// ahead of hot state under the app lock as the observe handler does. Run
-// under -race in CI. Conservation proves no round trip lost state: the
-// final history holds every append.
+// bounded-backoff acquire loop: apps on zero-budget stripes are hammered
+// by concurrent observes, so every commit ends in an eviction and every
+// next acquire races one (the gone retry path) and restores from the
+// warm tier. In the batch variant each observe names several such apps,
+// all held until every one is applied: an observe that enforced a budget
+// with any app still locked would pick it as the victim and wait on its
+// own lock forever. Run under -race in CI. Conservation proves no round
+// trip lost state or order: every history holds every commit, in the
+// store's order.
 func TestAcquireEvictHammer(t *testing.T) {
+	for _, apps := range []int{1, 3} {
+		t.Run(fmt.Sprintf("apps=%d", apps), func(t *testing.T) {
+			testAcquireEvictHammer(t, apps)
+		})
+	}
+}
+
+func testAcquireEvictHammer(t *testing.T, napps int) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{
 		MaxHotApps: 1, TierShards: 4, // stripes 1..3 run at hot budget 0
 	})
-	app := ""
-	for i := 0; ; i++ {
+	// Every app on one zero-budget stripe, so each is the others' victim.
+	var apps []string
+	for i := 0; len(apps) < napps; i++ {
 		name := fmt.Sprintf("hammer-%d", i)
-		if svc.tier.stripe(name).maxHot == 0 {
-			app = name
-			break
+		if st := svc.tier.stripe(name); st.maxHot == 0 && (apps == nil || st == svc.tier.stripe(apps[0])) {
+			apps = append(apps, name)
 		}
 	}
 
@@ -109,25 +120,44 @@ func TestAcquireEvictHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
+			items := make([]BatchObservation, len(apps))
+			results := make([]BatchItemResult, len(apps))
 			for i := 0; i < iters; i++ {
-				a := svc.acquire(app)
-				if err := svc.st.Append(app, 1); err != nil {
-					t.Error(err)
+				for k, app := range apps {
+					// Reverse order on odd goroutines: acquisition by name
+					// order is what keeps them from deadlocking.
+					if g%2 == 1 {
+						app = apps[len(apps)-1-k]
+					}
+					items[k] = BatchObservation{App: app, Concurrency: float64(g*iters + i)}
 				}
-				a.history = append(a.history, 1)
-				svc.releaseApp(a) // budget 0: evicts immediately
+				if n, err := svc.observe(items, results); err != nil || n != len(items) {
+					t.Errorf("observe applied %d of %d: %v", n, len(items), err)
+					return
+				}
 			}
-		}()
+		}(g)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("observes deadlocked")
+	}
 
-	a := svc.acquire(app)
-	got := len(a.history)
-	svc.releaseApp(a)
-	if want := goroutines * iters; got != want {
-		t.Fatalf("history length = %d, want %d (acquire/evict race lost observations)", got, want)
+	for _, app := range apps {
+		a := svc.acquire(app)
+		got := len(a.history)
+		svc.releaseApp(a)
+		if want := goroutines * iters; got != want {
+			t.Fatalf("%s: history length = %d, want %d (acquire/evict race lost observations)", app, got, want)
+		}
+		if slips := walOrderSlips(t, svc, app); slips != 0 {
+			t.Errorf("%s: %d history positions out of WAL order", app, slips)
+		}
 	}
 	if ev := svc.Evictions(); ev == 0 {
 		t.Fatal("zero evictions: the hammer never exercised the race")

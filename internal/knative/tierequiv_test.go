@@ -609,17 +609,15 @@ func benchTieredService(b *testing.B, backend string, tierShards int) (*Service,
 	return svc, apps
 }
 
-// benchObserve is the observe handler's critical section: the write-ahead
-// append to the store, the hot append, the scale decision, the release
-// that enforces the stripe's budgets.
+// benchObserve is the observe handler's critical section: the commit
+// path a single observe takes, from ownership check to the enforcement
+// of the stripe's budgets.
 func benchObserve(b *testing.B, svc *Service, app string, v float64) {
-	a := svc.acquire(app)
-	if err := svc.st.Append(app, v); err != nil {
+	item := [1]BatchObservation{{App: app, Concurrency: v}}
+	var res [1]BatchItemResult
+	if _, err := svc.observe(item[:], res[:]); err != nil {
 		b.Error(err)
 	}
-	a.history = append(a.history, v)
-	_ = a.policy.TargetWS(a.history, 1, a.ws)
-	svc.releaseApp(a)
 }
 
 // BenchmarkTieredObserve measures the observe path while the fleet is

@@ -2,7 +2,10 @@ package knative
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -31,6 +34,40 @@ func TestServiceTargetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state target computation: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestObserveHandlerAllocs bounds what a warm single observe allocates
+// end to end inside the service handler: decode, fence, ownership check,
+// commit, apply, decision and encode. The bound is the count before the
+// single observe became a batch of one (go1.24); the observations cross
+// block boundaries, so reclassification is in the average too.
+func TestObserveHandlerAllocs(t *testing.T) {
+	if poolDropsItems() {
+		t.Skip("sync.Pool is dropping items (race detector)")
+	}
+	const parentAllocs = 4
+	svc := NewService(trainTinyModel(t))
+	body := []byte(`{"concurrency": 2, "unitConcurrency": 1}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/apps/alloc/observe", nil)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{h: http.Header{}}
+	observe := func() {
+		rd.Reset(body)
+		clear(w.h)
+		w.body = w.body[:0]
+		svc.appsHandler(w, req)
+	}
+	for i := 0; i < 45; i++ {
+		observe()
+	}
+	allocs := testing.AllocsPerRun(200, observe)
+	if w.status != 0 && w.status != http.StatusOK {
+		t.Fatalf("observe answered %d: %s", w.status, w.body)
+	}
+	if allocs > parentAllocs {
+		t.Errorf("warm single observe: %v allocs/op, want at most %d", allocs, parentAllocs)
 	}
 }
 
