@@ -104,8 +104,6 @@ func main() {
 			"apps with in-memory compact windows in the store; excess is paged to disk (0 = unlimited, requires -data-dir)")
 		quantileLevel = flag.Float64("quantile-level", 0,
 			"provision pod targets for this forecast quantile of demand (e.g. 0.95) instead of the point forecast (0 = off)")
-		tierShards = flag.Int("tier-shards", 0,
-			"shared-nothing stripes for the tier layer (app map, LRUs, budgets); 0 = one per CPU, 1 = unstriped")
 
 		shards     = flag.Int("shards", 1, "total femuxd instances in the fleet (hash-partitioned by app)")
 		shardID    = flag.Int("shard-id", 0, "this instance's shard index in [0, shards)")
@@ -188,21 +186,14 @@ func main() {
 	if *quantileLevel < 0 || *quantileLevel >= 1 {
 		log.Fatalf("-quantile-level must be in [0, 1), got %g", *quantileLevel)
 	}
-	if *tierShards < 0 {
-		log.Fatalf("-tier-shards must be >= 0, got %d", *tierShards)
-	}
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
 		Store: st, ShardID: *shardID, Shards: *shards,
 		Replica: *replicaOf != "", Joining: *joining,
 		MaxHotApps: *maxHotApps, MaxWorkspaces: *maxWorkspaces,
-		TierShards:    *tierShards,
 		QuantileLevel: *quantileLevel,
 	})
 	if *quantileLevel > 0 {
 		log.Printf("SLO-aware provisioning: pod targets use the p%g demand quantile", *quantileLevel*100)
-	}
-	if svc.Stripes() > 1 {
-		log.Printf("tier layer striped %d ways (shared-nothing; -tier-shards)", svc.Stripes())
 	}
 	reg := serving.NewRegistry()
 	reg.RegisterGoMetrics()

@@ -17,7 +17,7 @@ import (
 //
 // Lock order, outermost first: drainMu (read, held by the handler across
 // the commit), s.mu (read, released after validation), each item's
-// app.mu in app-name order, then a stripe or store mutex, never held
+// app.mu in app-name order, then the tier or store mutex, never held
 // while waiting on an app. Everything else that locks app state holds
 // one app lock at a time.
 
@@ -115,9 +115,9 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 // restored after the commit would count the item twice) until after its
 // apply, so no other observation of the app lands in between: hot
 // history grows in WAL order, and eviction, which locks the app first,
-// cannot demote it mid-commit. Budgets are enforced once every app is
-// unlocked; with one still held, eviction could pick it and wait on its
-// own lock.
+// cannot demote it mid-commit. Budgets are enforced once per request,
+// after every app is unlocked; with one still held, eviction could pick
+// it and wait on its own lock.
 func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (accepted int, err error) {
 	// held[i] is item i's app (nil if invalid), byName the valid items'
 	// indices in app-name order, durable their records in input order. A
@@ -189,9 +189,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			held[i].mu.Unlock()
 		}
 	}
-	for _, i := range byName {
-		s.enforceStripe(held[i].stripe)
-	}
+	s.enforceBudgets()
 	return accepted, err
 }
 

@@ -14,17 +14,16 @@ import "github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 // rematerializes, so an idle app cannot hold the fleet's max score
 // forever.
 func (s *Service) DriftSummary(threshold float64) (maxScore float64, drifted, tracked int) {
-	var hot []*svcApp
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		for el := t.hot.Front(); el != nil; el = el.Next() {
-			hot = append(hot, el.Value)
-		}
-		t.mu.Unlock()
+	t := &s.tier
+	t.mu.Lock()
+	hot := make([]*svcApp, 0, t.hot.Len())
+	for el := t.hot.Front(); el != nil; el = el.Next() {
+		hot = append(hot, el.Value)
 	}
-	// Scores are read under each app's lock, never under a stripe lock —
-	// the eviction path locks app.mu before stripe.mu, so the reverse
-	// order here would deadlock.
+	t.mu.Unlock()
+	// Scores are read under each app's lock, never under the tier lock —
+	// the eviction path locks app.mu before tier.mu, so the reverse order
+	// here would deadlock.
 	for _, a := range hot {
 		a.mu.Lock()
 		gone := a.gone

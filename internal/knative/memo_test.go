@@ -95,8 +95,8 @@ func classifications(sm *ServiceMetrics) (extract, resumed int) {
 }
 
 // tieredFleet opens a service over a directory store (dir != "") or a
-// memory store with a one-app hot budget on one stripe, so touching one
-// app evicts the other.
+// memory store with a one-app hot budget, so touching one app evicts the
+// other.
 func tieredFleet(t *testing.T, model *femux.Model, dir string, opt store.Options) (*Service, *ServiceMetrics, *store.Store) {
 	t.Helper()
 	st := store.OpenMemory(opt)
@@ -108,7 +108,7 @@ func tieredFleet(t *testing.T, model *femux.Model, dir string, opt store.Options
 		}
 	}
 	t.Cleanup(func() { st.Close() })
-	svc := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 1, TierShards: 1})
+	svc := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 1})
 	return svc, svc.InstrumentWith(serving.NewRegistry()), st
 }
 
@@ -340,7 +340,7 @@ func TestMemoInvalidation(t *testing.T) {
 			}, right},
 		{"a second Service over the same open Store", store.Options{},
 			func(t *testing.T, svc *Service, st *store.Store) *Service {
-				return NewServiceWith(modelA, ServiceOptions{Store: st, MaxHotApps: 1, TierShards: 1})
+				return NewServiceWith(modelA, ServiceOptions{Store: st, MaxHotApps: 1})
 			}, right},
 		{"WindowCap trims the demoted window", store.Options{WindowCap: n},
 			func(t *testing.T, svc *Service, st *store.Store) *Service {

@@ -49,7 +49,7 @@ func TestNeedStoreOnMemoryService(t *testing.T) {
 // means "apps with at least one observation", and Status reports the
 // observation total.
 func TestMemoryServiceIsTieredLikeAnyOther(t *testing.T) {
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 2, TierShards: 1})
+	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 

@@ -102,11 +102,12 @@ func (s *Service) Promote() int {
 	s.replica = false
 	s.promotions++
 	s.version = modelVersions.Add(1)
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		t.resetLocked()
-		t.mu.Unlock()
-	}
+	t := &s.tier
+	t.mu.Lock()
+	t.apps = map[string]*svcApp{}
+	t.hot.Init()
+	t.ws.Init()
+	t.mu.Unlock()
 	s.restored = s.st.Apps()
 	return s.restored
 }

@@ -63,7 +63,7 @@ func TestRestoreSameWithAndWithoutMemos(t *testing.T) {
 			var urls [2]string
 			for k := range svcs {
 				st := backendStore(t, backend, store.Options{InlineBudget: 6})
-				svc := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 4, TierShards: 1})
+				svc := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 4})
 				if k == 1 {
 					svc.version = 1 << 16 // memoGen 0: every restore classifies
 				}
@@ -140,7 +140,7 @@ func TestDemotedFleetRestoresOnDemand(t *testing.T) {
 				}
 				coldN = 3
 			}
-			svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 8, TierShards: 1})
+			svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 8})
 			sm := svc.InstrumentWith(serving.NewRegistry())
 			srv := httptest.NewServer(svc.Handler())
 			defer srv.Close()
@@ -182,7 +182,7 @@ func TestDemotedFleetRestoresOnDemand(t *testing.T) {
 	}
 }
 
-// TestEvictionDisplacesLRUTail: on a full stripe a newly requested app
+// TestEvictionDisplacesLRUTail: on a full hot tier a newly requested app
 // displaces the least recently used one — never the one a request just
 // touched — the hot tier stays at its budget, and the displaced app comes
 // back whole on its next request.
@@ -190,7 +190,7 @@ func TestEvictionDisplacesLRUTail(t *testing.T) {
 	st := store.OpenMemory(store.Options{})
 	defer st.Close()
 	seedStoreFleet(t, st, 4, 0)
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 2, TierShards: 1})
+	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -209,7 +209,7 @@ func TestEvictionDisplacesLRUTail(t *testing.T) {
 	fetchDecision(t, srv.URL, "busy-1")
 	hotSet("busy-0", "busy-1")
 	if ev := svc.Evictions(); ev != 0 {
-		t.Fatalf("evictions = %d filling the stripe, want 0", ev)
+		t.Fatalf("evictions = %d filling the hot tier, want 0", ev)
 	}
 
 	// busy-0 is the tail.
@@ -245,7 +245,7 @@ func TestEvictionDisplacesLRUTail(t *testing.T) {
 func TestReplicaMaterializesNothingUntilPromoted(t *testing.T) {
 	st := backendStore(t, "dir", store.Options{})
 	seedStoreFleet(t, st, 4, 0)
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 8, Replica: true, TierShards: 2})
+	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 8, Replica: true})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -286,7 +286,7 @@ func TestReplicaMaterializesNothingUntilPromoted(t *testing.T) {
 // serving state frees their slots without losing a window — every app
 // comes back with its full history and the hot tier refills to budget.
 func TestDropCachedKeepsHistory(t *testing.T) {
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 4, TierShards: 1})
+	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 4})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -300,13 +300,7 @@ func TestDropCachedKeepsHistory(t *testing.T) {
 		t.Fatalf("setup: TierCounts = (%d, %d, %d), want (4, 2, 0)", hot, warm, cold)
 	}
 
-	st0 := svc.tier.stripes[0]
-	st0.mu.Lock()
-	var hotNames []string
-	for el := st0.hot.Front(); el != nil; el = el.Next() {
-		hotNames = append(hotNames, el.Value.name)
-	}
-	st0.mu.Unlock()
+	hotNames := lruNames(svc, svc.tier.hot)
 	svc.dropCached(hotNames[0])
 	svc.dropCached(hotNames[1])
 	if hot, warm, cold := svc.TierCounts(); hot != 2 || warm != 4 || cold != 0 {

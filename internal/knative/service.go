@@ -37,6 +37,7 @@ import (
 //	    raw concurrency forecast from the app's current forecaster,
 //	    optionally with one curve per requested quantile level.
 //	GET  /healthz
+//	    200, or 503 once the store's WAL has failed (store.Store.Err).
 type Service struct {
 	mu    sync.RWMutex
 	model *femux.Model
@@ -96,9 +97,7 @@ type Service struct {
 	drainMu sync.RWMutex
 
 	// tier bounds how much of the fleet is materialized and owns the app
-	// map, striped across -tier-shards shared-nothing stripes (see
-	// tier.go): each stripe's slice of the map is a cache of the hot
-	// tier, not the fleet roster.
+	// map (see tier.go): a cache of the hot tier, not the fleet roster.
 	tier tiers
 
 	// driftBlock is the drift detector's block geometry, fixed at boot
@@ -139,11 +138,6 @@ type ServiceOptions struct {
 	// the LRU excess returns workspaces to the shared pool. 0 means
 	// unlimited.
 	MaxWorkspaces int
-	// TierShards splits the tier layer (app map, LRUs, budgets) into this
-	// many shared-nothing stripes so touches and evictions on different
-	// apps stop contending on one mutex. 0 means one stripe per logical
-	// CPU; 1 reproduces the unstriped layer.
-	TierShards int
 	// QuantileLevel, when positive (e.g. 0.95), converts forecasts to
 	// pod targets at that demand quantile instead of the point forecast
 	// — SLO-aware provisioning. 0 keeps the point × headroom default.
@@ -175,14 +169,11 @@ type svcApp struct {
 	// materialization (see count), and guarded by mu.
 	observes, targets, forecasts serving.CounterChild
 
-	// Tier state (see tier.go). stripe is the tier stripe that owns this
-	// app, fixed at materialization. hotEl/wsEl are this app's positions
-	// in the stripe's LRU lists (nil when not listed), guarded by
-	// stripe.mu; gone, guarded by mu, marks an evicted entry that acquire
-	// must not use. Eviction takes mu before anything else, so an app
-	// that a request holds from acquire to release is never demoted
-	// under it.
-	stripe      *tierStripe
+	// Tier state (see tier.go). hotEl/wsEl are this app's positions in
+	// the tier's LRU lists (nil when not listed), guarded by tier.mu;
+	// gone, guarded by mu, marks an evicted entry that acquire must not
+	// use. Eviction takes mu before anything else, so an app that a
+	// request holds from acquire to release is never demoted under it.
 	hotEl, wsEl *lruElem
 	gone        bool
 }
@@ -219,8 +210,11 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 		qlevel: opts.QuantileLevel,
 		moved:  map[string]int{}, adopted: map[string]bool{},
 		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
+		tier: tiers{
+			maxHot: opts.MaxHotApps, maxWS: opts.MaxWorkspaces,
+			apps: map[string]*svcApp{}, hot: newLRUList(), ws: newLRUList(),
+		},
 	}
-	s.tier.stripes = newStripes(opts.MaxHotApps, opts.MaxWorkspaces, opts.TierShards)
 	s.restored = s.st.Apps()
 	return s
 }
@@ -270,7 +264,7 @@ func memoGen(version int64) uint16 { return uint16(min(version, 1<<16)) }
 // length names the group of the window's last completed block — a record
 // keeps its memo only across appends and WindowCap trims, which change n
 // — so the policy resumes instead of extracting; otherwise it starts
-// fresh. Callers count resumed once no stripe lock is held.
+// fresh. Callers count resumed once no tier lock is held.
 func policyFor(model *femux.Model, gen uint16, m store.Memo, n int) (p *femux.AppPolicy, resumed bool) {
 	if gen == 0 || m.Gen != gen || int(m.Len) != n {
 		return model.NewAppPolicy(0), false
@@ -321,10 +315,10 @@ func (s *Service) decide(a *svcApp, unitC int, sm *ServiceMetrics) (target int, 
 // Each tracked application gets a fresh policy from the new model while
 // keeping its observation history, so forecasting continuity survives the
 // swap. Requests already holding the old policy finish against the old
-// model — nothing in flight is dropped or torn. The refresh sweep walks
-// the stripes without a global lock; an app materializing concurrently
-// either is seen by the sweep or detects the version bump itself and
-// re-derives (materialize), so no app can keep the old model.
+// model — nothing in flight is dropped or torn. An app materializing
+// concurrently with the refresh sweep either is seen by it or detects
+// the version bump itself and re-derives (materialize), so no app can
+// keep the old model.
 func (s *Service) SwapModel(m *femux.Model) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -335,23 +329,22 @@ func (s *Service) SwapModel(m *femux.Model) {
 	gen := memoGen(s.version)
 	sm := s.metrics
 	s.mu.Unlock()
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		apps := make([]*svcApp, 0, len(t.apps))
-		for _, a := range t.apps {
-			apps = append(apps, a)
+	t := &s.tier
+	t.mu.Lock()
+	apps := make([]*svcApp, 0, len(t.apps))
+	for _, a := range t.apps {
+		apps = append(apps, a)
+	}
+	t.mu.Unlock()
+	// Policies are refreshed under each app's lock, never under the tier
+	// lock — eviction locks app.mu before tier.mu, so the reverse order
+	// here would deadlock.
+	for _, a := range apps {
+		a.mu.Lock()
+		if !a.gone {
+			a.policy, a.gen = m.NewAppPolicy(0), gen
 		}
-		t.mu.Unlock()
-		// Policies are refreshed under each app's lock, never under the
-		// stripe lock — eviction locks app.mu before stripe.mu, so the
-		// reverse order here would deadlock.
-		for _, a := range apps {
-			a.mu.Lock()
-			if !a.gone {
-				a.policy, a.gen = m.NewAppPolicy(0), gen
-			}
-			a.mu.Unlock()
-		}
+		a.mu.Unlock()
 	}
 	if sm != nil {
 		sm.Reloads.Inc()
@@ -455,9 +448,6 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 	reg.NewGaugeFunc("femux_apps_cold",
 		"Apps paged to disk with an in-memory stub (cold tier).",
 		func() float64 { _, _, c := s.TierCounts(); return float64(c) })
-	reg.NewGaugeFunc("femux_tier_shards",
-		"Shared-nothing stripes the tier layer is split into (-tier-shards).",
-		func() float64 { return float64(s.Stripes()) })
 	reg.NewCounterFunc("femux_tier_count_anomalies_total",
 		"Tier gauge samples whose store-backed warm count was internally inconsistent.",
 		func() float64 { return float64(s.TierCountAnomalies()) })
@@ -521,7 +511,7 @@ func (a *svcApp) count(h *serving.CounterChild, fam *serving.Counter) {
 }
 
 func (s *Service) app(name string) *svcApp {
-	t := s.tier.stripe(name)
+	t := &s.tier
 	t.mu.Lock()
 	a := t.apps[name]
 	t.mu.Unlock()
@@ -532,18 +522,18 @@ func (s *Service) app(name string) *svcApp {
 }
 
 // materialize builds and installs hot serving state for an app missing
-// from its stripe's map: a genuinely new app starts empty, a demoted one
+// from the tier's map: a genuinely new app starts empty, a demoted one
 // is restored from the warm/cold tier. The restore runs before taking the
-// stripe lock (it may page in from disk); if another goroutine installs
+// tier lock (it may page in from disk); if another goroutine installs
 // the app first, its copy wins and ours — identical, since store
 // restores promote — is discarded. The install never evicts: the caller
-// touches the app into the LRUs, and the stripe's budgets are enforced
-// when the request releases it.
+// touches the app into the LRUs, and the budgets are enforced when the
+// request releases it.
 func (s *Service) materialize(name string) *svcApp {
 	start := time.Now()
-	t := s.tier.stripe(name)
+	t := &s.tier
 	model, version := s.modelAt()
-	a := &svcApp{name: name, stripe: t, gen: memoGen(version)}
+	a := &svcApp{name: name, gen: memoGen(version)}
 	var from string
 	win, memo, paged, ok := s.st.RestoreWindowMemo(name)
 	if paged {
@@ -565,7 +555,7 @@ func (s *Service) materialize(name string) *svcApp {
 	t.mu.Unlock()
 	if m2, v2 := s.modelAt(); v2 != version {
 		// A model swap raced this install: its refresh sweep may have
-		// walked the stripe before a appeared, which would leave a on the
+		// walked the map before a appeared, which would leave a on the
 		// old model forever. Re-derive from the current model — the same
 		// policy the sweep would have installed.
 		a.mu.Lock()
@@ -660,6 +650,12 @@ func (s *Service) replicaGated(w http.ResponseWriter) bool {
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		// A failed WAL takes no more writes: report unhealthy, so a
+		// router's health loop fails over to a replica.
+		if err := s.st.Err(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -60,6 +61,35 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 	return b.String()
+}
+
+// TestHealthzReportsFailedWAL: once the store's WAL fails — here a
+// segment rotation into a data directory deleted underneath it — the
+// observe that hit the failure answers 500, so does every later one, and
+// /healthz answers 503 with the error, so a router's health loop fails
+// the instance over.
+func TestHealthzReportsFailedWAL(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNever, SegmentBytes: 1, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := httptest.NewServer(NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st}).Handler())
+	defer srv.Close()
+	mustObserve(t, srv.URL, "app", 1)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if code := postObserve(t, srv.URL, "app", 2); code != http.StatusInternalServerError {
+			t.Fatalf("observe %d over a failed WAL = %d, want 500", i, code)
+		}
+	}
+	if resp, body := doReq(t, "GET", srv.URL+"/healthz", ""); resp.StatusCode != http.StatusServiceUnavailable ||
+		!strings.Contains(body, "opening segment") {
+		t.Fatalf("healthz over a failed WAL = %d %q, want 503 with the error", resp.StatusCode, body)
+	}
 }
 
 func TestE2EHappyPaths(t *testing.T) {

@@ -37,41 +37,30 @@ import (
 // it is in hot state, so hot state is a pure cache of the store and a
 // demotion writes nothing but the memo below.
 //
-// The layer is split into shared-nothing stripes (-tier-shards, default
-// one per logical CPU): each stripe owns its slice of the app map, its
-// own hot and workspace LRUs, and its own eviction counters, keyed by
-// FNV-1a of the app name. Touches, evicts, and restores on different
-// stripes never contend; one stripe (-tier-shards=1) serializes every
-// restore behind a single mutex, which costs 6-12x throughput under
-// full-speed sparse-churn replay once the working set exceeds the hot
-// budget. The global budgets are split across stripes (maxHot/N,
-// remainder to the first stripes) so the fleet-wide bound holds exactly.
-//
 // Demotion is invisible to callers: a restored app derives its forecaster
 // from the same history an uninterrupted process would hold, so
 // forecasts are Float64bits-identical across any evict/page/restore
-// cycle at every stripe count (asserted by tierequiv_test.go). Demotion
+// cycle at every budget (asserted by tierequiv_test.go). Demotion
 // keeps the window and, beside it, a memo of the cluster group its last
 // completed block fell into (store.Memo), so a restore decodes a window
 // and extracts no features; the memo only caches extract-and-classify
 // (policyFor says when it hits). The one caveat matches restarts: a
 // WindowCap drops history beyond the cap on demotion, as a restart would.
-type tierStripe struct {
-	maxHot int // hot apps this stripe may hold; -1 = unlimited
-	maxWS  int // apps holding workspaces; -1 = unlimited
+//
+// One mutex guards the app map, both LRUs and the eviction count, so once
+// a request has enforced the budgets the hot set is exactly the fleet's
+// MaxHotApps most recently touched apps. It is held only for map and list
+// updates, never across a restore or an app lock wait.
+type tiers struct {
+	maxHot int // hot apps; <= 0 = unlimited
+	maxWS  int // apps holding workspaces; <= 0 = unlimited
 
 	mu   sync.Mutex
-	apps map[string]*svcApp // this stripe's slice of the app map
+	apps map[string]*svcApp // the hot tier by name
 	hot  *lruList           // most recently touched first
 	ws   *lruList           // apps holding a workspace, most recent first
 
 	evictions int64 // hot -> warm demotions
-}
-
-// tiers is the striped tier layer plus the cross-stripe counters that
-// are sampled without locks.
-type tiers struct {
-	stripes []*tierStripe
 
 	// countAnomalies counts TierCounts samples where the warm count came
 	// out negative — a hot app with no durable state yet, or a racy
@@ -81,89 +70,11 @@ type tiers struct {
 	anomalyLog     sync.Once
 }
 
-// stripeCount resolves the TierShards knob: 0 means one stripe per
-// logical CPU (the shared-nothing default).
-func stripeCount(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// splitBudget distributes a global budget over n stripes: floor(total/n)
-// each, remainder to the first stripes, so the per-stripe budgets sum to
-// exactly the global one. total <= 0 (unlimited) maps to -1 everywhere;
-// note a bounded global budget smaller than n legitimately gives some
-// stripes budget 0 — apps on those stripes are served and then demoted
-// at release, which keeps the fleet-wide bound exact.
-func splitBudget(total, n int) []int {
-	out := make([]int, n)
-	if total <= 0 {
-		for i := range out {
-			out[i] = -1
-		}
-		return out
-	}
-	base, rem := total/n, total%n
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
-}
-
-func newStripes(maxHot, maxWS, shards int) []*tierStripe {
-	n := stripeCount(shards)
-	hotB, wsB := splitBudget(maxHot, n), splitBudget(maxWS, n)
-	stripes := make([]*tierStripe, n)
-	for i := range stripes {
-		stripes[i] = &tierStripe{
-			maxHot: hotB[i], maxWS: wsB[i],
-			apps: map[string]*svcApp{},
-			hot:  newLRUList(), ws: newLRUList(),
-		}
-	}
-	return stripes
-}
-
-// stripe maps an app name onto its owning stripe with the same FNV-1a
-// hash the shard partition uses (mixed differently, so stripe and shard
-// assignment stay independent).
-func (t *tiers) stripe(name string) *tierStripe {
-	if len(t.stripes) == 1 {
-		return t.stripes[0]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return t.stripes[h%uint64(len(t.stripes))]
-}
-
-// Stripes reports the stripe count (the -tier-shards gauge).
-func (s *Service) Stripes() int { return len(s.tier.stripes) }
-
-// resetLocked drops one stripe's tier tracking (promotion installs a
-// fresh app map). Caller holds t.mu or has exclusive access.
-func (t *tierStripe) resetLocked() {
-	t.apps = map[string]*svcApp{}
-	t.hot.Init()
-	t.ws.Init()
-}
-
-// touch bumps a to the front of its stripe's hot and workspace LRUs,
-// acquiring a pooled workspace if the ws LRU stripped it. Called with
-// a.mu held; on the steady-state hot path both bumps are MoveToFront —
-// no allocation, and no contention with touches on other stripes.
+// touch bumps a to the front of the hot and workspace LRUs, acquiring a
+// pooled workspace if the ws LRU stripped it. Called with a.mu held; on
+// the steady-state hot path both bumps are MoveToFront — no allocation.
 func (s *Service) touch(a *svcApp) {
-	t := a.stripe
+	t := &s.tier
 	t.mu.Lock()
 	if a.hotEl == nil {
 		a.hotEl = t.hot.PushFront(a)
@@ -184,11 +95,11 @@ func (s *Service) touch(a *svcApp) {
 // lostRaceBackoff paces the acquire retry loop after losing a race with
 // eviction. The first few retries just yield — the common case is the
 // evictor finishing its map removal within a scheduler quantum — but
-// under sustained acquire-vs-evict churn (a stripe whose budget is 0, a
-// stress test hammering one app) a pure runtime.Gosched spin can burn a
-// core for milliseconds without the fresh map entry becoming observable.
-// Beyond the yield phase the loop sleeps with capped exponential
-// backoff: 1µs doubling to 1ms.
+// under sustained acquire-vs-evict churn (a hot budget of 1 shared by
+// many goroutines, a stress test hammering one app) a pure
+// runtime.Gosched spin can burn a core for milliseconds without the
+// fresh map entry becoming observable. Beyond the yield phase the loop
+// sleeps with capped exponential backoff: 1µs doubling to 1ms.
 func lostRaceBackoff(attempt int) {
 	const yields = 4
 	if attempt < yields {
@@ -200,7 +111,7 @@ func lostRaceBackoff(attempt int) {
 
 // acquire returns the named app with its lock held, lazily restoring
 // warm/cold state and bumping the tier LRUs. Callers must a.mu.Unlock()
-// and then enforce the stripe's budgets (releaseApp does both).
+// and then enforce the budgets (releaseApp does both).
 func (s *Service) acquire(name string) *svcApp {
 	for attempt := 0; ; attempt++ {
 		a := s.app(name)
@@ -216,26 +127,26 @@ func (s *Service) acquire(name string) *svcApp {
 	}
 }
 
-// releaseApp unlocks a serving request's app and then enforces its
-// stripe's budgets — eviction happens after the response work is done,
-// never while a request holds the app, and never touches other stripes.
+// releaseApp unlocks a serving request's app and then enforces the
+// budgets — eviction happens after the response work is done, never
+// while a request holds the app.
 func (s *Service) releaseApp(a *svcApp) {
-	t := a.stripe
 	a.mu.Unlock()
-	s.enforceStripe(t)
+	s.enforceBudgets()
 }
 
-// enforceStripe demotes one stripe's LRU victims until its share of the
-// hot-app and workspace budgets holds. The caller holds no app lock: the
-// victim may be any app on the stripe, and evict waits for its lock.
-func (s *Service) enforceStripe(t *tierStripe) {
+// enforceBudgets demotes LRU victims until the hot-app and workspace
+// budgets hold. The caller holds no app lock: the victim may be any app,
+// and evict waits for its lock.
+func (s *Service) enforceBudgets() {
+	t := &s.tier
 	for {
 		t.mu.Lock()
 		var victim *svcApp
 		wsOnly := false
-		if t.maxHot >= 0 && t.hot.Len() > t.maxHot {
+		if t.overHot() {
 			victim = t.hot.Back().Value
-		} else if t.maxWS >= 0 && t.ws.Len() > t.maxWS {
+		} else if t.overWS() {
 			victim = t.ws.Back().Value
 			wsOnly = true
 		}
@@ -251,13 +162,17 @@ func (s *Service) enforceStripe(t *tierStripe) {
 	}
 }
 
+// overHot and overWS report whether a budget is exceeded. Caller holds
+// t.mu.
+func (t *tiers) overHot() bool { return t.maxHot > 0 && t.hot.Len() > t.maxHot }
+func (t *tiers) overWS() bool  { return t.maxWS > 0 && t.ws.Len() > t.maxWS }
+
 // evict demotes one app (or just releases its workspace), reporting
 // whether it made progress. The victim was chosen without its lock;
-// everything is re-checked under victim.mu -> stripe.mu (the same order
+// everything is re-checked under victim.mu -> tier.mu (the same order
 // touch uses), so a concurrent touch simply wins and the eviction pass
-// stops. Because the stripe owns both the LRUs and its
-// slice of the app map, the map removal is atomic with the LRU removal:
-// no window exists where a gone app is still reachable through the map.
+// stops. The map removal is atomic with the LRU removal: no window
+// exists where a gone app is still reachable through the map.
 func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 	v.mu.Lock()
 	if !wsOnly && !v.gone {
@@ -270,10 +185,10 @@ func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 		}
 		s.st.SetMemo(v.name, memo)
 	}
-	t := v.stripe
+	t := &s.tier
 	t.mu.Lock()
 	if wsOnly {
-		if v.wsEl == nil || t.maxWS < 0 || t.ws.Len() <= t.maxWS || t.ws.Back() != v.wsEl {
+		if v.wsEl == nil || !t.overWS() || t.ws.Back() != v.wsEl {
 			t.mu.Unlock()
 			v.mu.Unlock()
 			return false
@@ -287,7 +202,7 @@ func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 		forecast.PutWorkspace(ws)
 		return true
 	}
-	if v.hotEl == nil || t.maxHot < 0 || t.hot.Len() <= t.maxHot || t.hot.Back() != v.hotEl {
+	if v.hotEl == nil || !t.overHot() || t.hot.Back() != v.hotEl {
 		t.mu.Unlock()
 		v.mu.Unlock()
 		return false
@@ -334,7 +249,7 @@ func (s *Service) noteRestore(from string, elapsed time.Duration) {
 // once no eviction of the dropped state can still write one.
 func (s *Service) dropCached(name string) {
 	defer s.st.SetMemo(name, store.Memo{})
-	t := s.tier.stripe(name)
+	t := &s.tier
 	t.mu.Lock()
 	a := t.apps[name]
 	delete(t.apps, name)
@@ -361,37 +276,27 @@ func (s *Service) dropCached(name string) {
 	forecast.PutWorkspace(ws)
 }
 
-// HotApps reports how many apps are materialized (hot tier), aggregated
-// across stripes.
+// HotApps reports how many apps are materialized (hot tier).
 func (s *Service) HotApps() int {
-	n := 0
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		n += t.hot.Len()
-		t.mu.Unlock()
-	}
-	return n
+	s.tier.mu.Lock()
+	defer s.tier.mu.Unlock()
+	return s.tier.hot.Len()
 }
 
-// Evictions reports lifetime hot->warm demotions across stripes.
+// Evictions reports lifetime hot->warm demotions.
 func (s *Service) Evictions() int64 {
-	var n int64
-	for _, t := range s.tier.stripes {
-		t.mu.Lock()
-		n += t.evictions
-		t.mu.Unlock()
-	}
-	return n
+	s.tier.mu.Lock()
+	defer s.tier.mu.Unlock()
+	return s.tier.evictions
 }
 
-// TierCounts reports (hot, warm, cold) app counts for the gauges,
-// aggregated across stripes. Warm is everything tracked but not
-// materialized and not paged. The counts are sampled without a
-// cross-structure lock, so a sample can transiently undershoot — a hot
-// app that has no durable state yet (its first observation is in
-// flight), or stripes scraped while an app moves.
-// Such samples are counted in femux_tier_count_anomalies_total (and
-// logged once) instead of being silently clamped away.
+// TierCounts reports (hot, warm, cold) app counts for the gauges. Warm
+// is everything tracked but not materialized and not paged. The counts
+// are sampled without a cross-structure lock, so a sample can
+// transiently undershoot — a hot app that has no durable state yet (its
+// first observation is in flight), or a store sampled while an app
+// moves. Such samples are counted in femux_tier_count_anomalies_total
+// (and logged once) instead of being silently clamped away.
 func (s *Service) TierCounts() (hot, warm, cold int) {
 	hot = s.HotApps()
 	cold = s.st.PagedApps()

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -27,21 +26,19 @@ import (
 // serve the same forecaster and
 // Float64bits-identical targets, forecasts and quantile bands as an
 // untiered, never-evicting control that saw the same stream. Random
-// interleavings are compared mid-stream and at the end, at every tier
-// stripe count, over a directory store and a memory store. With a WindowCap the
-// untiered control no longer applies (demotion drops history); there the
+// interleavings are compared mid-stream and at the end, over a
+// directory store and a memory store. With a WindowCap the untiered
+// control no longer applies (demotion drops history); there the
 // reference is a twin that never memoizes, i.e. the uncached path.
 func TestTieredForecastsBitIdentical(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		for _, v := range []struct {
-			name      string
-			memory    bool
-			windowCap int
-		}{{"store", false, 0}, {"memory", true, 0}, {"store-windowcap", false, 45}} {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, v.name), func(t *testing.T) {
-				testTieredForecastsBitIdentical(t, shards, v.memory, v.windowCap)
-			})
-		}
+	for _, v := range []struct {
+		name      string
+		memory    bool
+		windowCap int
+	}{{"store", false, 0}, {"memory", true, 0}, {"store-windowcap", false, 45}} {
+		t.Run(v.name, func(t *testing.T) {
+			testTieredForecastsBitIdentical(t, v.memory, v.windowCap)
+		})
 	}
 }
 
@@ -115,7 +112,7 @@ func (n *tierNode) forget(noMemo bool) {
 	}
 }
 
-func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, windowCap int) {
+func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 	models := []*femux.Model{muxModelA(t), muxModelB(t)}
 	cur := 0 // index of the model every node serves
 	apps := make([]string, 8)
@@ -124,7 +121,7 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, 
 	}
 	minute := make([]int, len(apps)) // next minute of each app's shaped series
 
-	so := ServiceOptions{MaxHotApps: 2, MaxWorkspaces: 1, TierShards: tierShards}
+	so := ServiceOptions{MaxHotApps: 2, MaxWorkspaces: 1}
 	var storeOpt *store.Options
 	if !memory {
 		storeOpt = &store.Options{
@@ -329,22 +326,22 @@ func testTieredForecastsBitIdentical(t *testing.T, tierShards int, memory bool, 
 	}
 }
 
-// TestTierShardCountEquivalence pins the shard split itself: one
+// TestTierBudgetEquivalence pins the budgets' invisibility on one
 // deterministic replay — observes, batches, page-outs, dropped apps,
-// model swaps, Promote, imported windows and store reopens —
-// served at -tier-shards 1, 2, and 8, over a directory store and a memory store, must
-// end with the same forecasters, Float64bits-identical forecasts, drift
-// state, and conserved durable totals — striping changes contention,
-// never results.
-func TestTierShardCountEquivalence(t *testing.T) {
+// model swaps, Promote, imported windows and store reopens — served at
+// hot/workspace budgets (1,1), (3,2) and unlimited (0,0), over a
+// directory store and a memory store: every run must end with the same
+// forecasters, Float64bits-identical forecasts and quantile bands, and
+// equal durable totals. Budgets change what is resident, never results.
+func TestTierBudgetEquivalence(t *testing.T) {
 	for _, memory := range []bool{false, true} {
 		t.Run(fmt.Sprintf("memory=%v", memory), func(t *testing.T) {
-			testTierShardCountEquivalence(t, memory)
+			testTierBudgetEquivalence(t, memory)
 		})
 	}
 }
 
-func testTierShardCountEquivalence(t *testing.T, memory bool) {
+func testTierBudgetEquivalence(t *testing.T, memory bool) {
 	models := []*femux.Model{muxModelA(t), muxModelB(t)}
 	cur := 0
 	apps := make([]string, 12)
@@ -352,21 +349,19 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 		apps[i] = fmt.Sprintf("sc-%d", i)
 	}
 	minute := make([]int, len(apps))
-	shardCounts := []int{1, 2, 8}
-	runs := make([]*tierNode, len(shardCounts))
-	for k, n := range shardCounts {
+	// The unlimited run is the base the bounded ones are compared with.
+	budgets := []struct{ hot, ws int }{{0, 0}, {1, 1}, {3, 2}}
+	runs := make([]*tierNode, len(budgets))
+	for k, b := range budgets {
 		var storeOpt *store.Options
 		if !memory {
 			storeOpt = &store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 4}
 		}
-		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: 3, MaxWorkspaces: 2, TierShards: n}, storeOpt, false)
+		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: b.hot, MaxWorkspaces: b.ws}, storeOpt, false)
 		runs[k].restart(models[cur])
-		if got := runs[k].svc.Stripes(); got != n {
-			t.Fatalf("Stripes = %d, want %d", got, n)
-		}
 	}
 
-	// One op stream, replayed identically against every shard count.
+	// One op stream, replayed identically against every budget.
 	rng := rand.New(rand.NewSource(99))
 	next := func(i int) float64 {
 		minute[i]++
@@ -381,7 +376,7 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 			total++
 			for k, ru := range runs {
 				if code := postObserve(t, ru.srv.URL, apps[i], v); code != 200 {
-					t.Fatalf("op %d shards=%d: observe: %d", op, shardCounts[k], code)
+					t.Fatalf("op %d budgets=%v: observe: %d", op, budgets[k], code)
 				}
 			}
 		case r < 78:
@@ -394,14 +389,14 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 			body := marshalBatch(t, obs...)
 			for k, ru := range runs {
 				if resp, out := postBatchJSON(t, ru.srv.URL, body); resp.StatusCode != 200 || out.Rejected != 0 {
-					t.Fatalf("op %d shards=%d: batch: %d/%d", op, shardCounts[k], resp.StatusCode, out.Rejected)
+					t.Fatalf("op %d budgets=%v: batch: %d/%d", op, budgets[k], resp.StatusCode, out.Rejected)
 				}
 			}
 		case r < 84:
 			app := apps[rng.Intn(len(apps))]
 			for k, ru := range runs {
 				if err := ru.st.PageOut(app); err != nil {
-					t.Fatalf("op %d shards=%d: page out: %v", op, shardCounts[k], err)
+					t.Fatalf("op %d budgets=%v: page out: %v", op, budgets[k], err)
 				}
 			}
 		case r < 90: // drop one app's hot state; the next touch restores it
@@ -427,7 +422,7 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 			win := shapedWindow(i+1, minute[i], n)
 			for k, ru := range runs {
 				if err := ru.svc.AdoptApp(apps[i], win, int64(n)); err != nil {
-					t.Fatalf("op %d shards=%d: adopt: %v", op, shardCounts[k], err)
+					t.Fatalf("op %d budgets=%v: adopt: %v", op, budgets[k], err)
 				}
 			}
 		default:
@@ -445,31 +440,31 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 	base := runs[0]
 	for k, ru := range runs[1:] {
 		if a, b := base.st.TotalObservations(), ru.st.TotalObservations(); a != b {
-			t.Errorf("shards=%d: durable total %d, want %d", shardCounts[k+1], b, a)
+			t.Errorf("budgets=%v: durable total %d, want %d", budgets[k+1], b, a)
 		}
 		if a, b := base.svc.Apps(), ru.svc.Apps(); a != b {
-			t.Errorf("shards=%d: Apps %d, want %d", shardCounts[k+1], b, a)
+			t.Errorf("budgets=%v: Apps %d, want %d", budgets[k+1], b, a)
 		}
 	}
 	if got := base.st.TotalObservations(); got != int64(total) {
 		t.Errorf("durable total = %d, want %d (replayed)", got, total)
 	}
-	// Bit-identical serving state across shard counts.
+	// Bit-identical serving state across budgets.
 	for _, app := range apps {
 		want := fetchDecision(t, base.srv.URL, app)
 		wantQ := fetchQuantileBands(t, base.srv.URL, app)
 		for k, ru := range runs[1:] {
-			shards := shardCounts[k+1]
+			b := budgets[k+1]
 			got := fetchDecision(t, ru.srv.URL, app)
 			if got.target != want.target {
-				t.Fatalf("%s: shards=%d target %+v != shards=1 %+v", app, shards, got.target, want.target)
+				t.Fatalf("%s: budgets=%v target %+v != unlimited %+v", app, b, got.target, want.target)
 			}
 			if got.forecast.Forecaster != want.forecast.Forecaster {
-				t.Fatalf("%s: shards=%d forecaster %q != shards=1 %q", app, shards, got.forecast.Forecaster, want.forecast.Forecaster)
+				t.Fatalf("%s: budgets=%v forecaster %q != unlimited %q", app, b, got.forecast.Forecaster, want.forecast.Forecaster)
 			}
 			for i := range want.forecast.Values {
 				if math.Float64bits(want.forecast.Values[i]) != math.Float64bits(got.forecast.Values[i]) {
-					t.Fatalf("%s: shards=%d forecast[%d] %v != %v", app, shards, i,
+					t.Fatalf("%s: budgets=%v forecast[%d] %v != %v", app, b, i,
 						got.forecast.Values[i], want.forecast.Values[i])
 				}
 			}
@@ -477,18 +472,21 @@ func testTierShardCountEquivalence(t *testing.T, memory bool) {
 			for q := range wantQ {
 				for i := range wantQ[q].Values {
 					if math.Float64bits(wantQ[q].Values[i]) != math.Float64bits(gotQ[q].Values[i]) {
-						t.Fatalf("%s: shards=%d p%g[%d] %v != %v", app, shards,
+						t.Fatalf("%s: budgets=%v p%g[%d] %v != %v", app, b,
 							wantQ[q].Level*100, i, gotQ[q].Values[i], wantQ[q].Values[i])
 					}
 				}
 			}
 		}
 	}
-	// The 3-hot budget held globally on every split, including the
-	// 8-stripe case where five stripes run at budget 0.
-	for k, ru := range runs {
-		if hot := ru.svc.HotApps(); hot > 3 {
-			t.Errorf("shards=%d: hot apps = %d, want <= 3", shardCounts[k], hot)
+	// The bounded budgets held, and demoted apps along the way.
+	for k, ru := range runs[1:] {
+		b := budgets[k+1]
+		if hot := ru.svc.HotApps(); hot > b.hot {
+			t.Errorf("budgets=%v: hot apps = %d, want <= %d", b, hot, b.hot)
+		}
+		if ru.svc.Evictions() == 0 {
+			t.Errorf("budgets=%v: no evictions", b)
 		}
 	}
 }
@@ -584,8 +582,8 @@ func TestTierBudgetsMemory(t *testing.T) {
 // benchTieredService builds the tier benchmarks' service — 64 hot slots,
 // 1,024 apps seeded with five observations each — over a directory store
 // (backend "dir") or a memory store ("memory").
-func benchTieredService(b *testing.B, backend string, tierShards int) (*Service, []string) {
-	so := ServiceOptions{MaxHotApps: 64, MaxWorkspaces: 64, TierShards: tierShards}
+func benchTieredService(b *testing.B, backend string) (*Service, []string) {
+	so := ServiceOptions{MaxHotApps: 64, MaxWorkspaces: 64}
 	if backend == "dir" {
 		st, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
 		if err != nil {
@@ -609,14 +607,14 @@ func benchTieredService(b *testing.B, backend string, tierShards int) (*Service,
 	return svc, apps
 }
 
-// benchObserve is the observe handler's critical section: the commit
-// path a single observe takes, from ownership check to the enforcement
-// of the stripe's budgets.
-func benchObserve(b *testing.B, svc *Service, app string, v float64) {
+// observeOne is the observe handler's critical section: the commit path
+// a single observe takes, from ownership check to the enforcement of the
+// budgets.
+func observeOne(tb testing.TB, svc *Service, app string, v float64) {
 	item := [1]BatchObservation{{App: app, Concurrency: v}}
 	var res [1]BatchItemResult
-	if _, err := svc.observe(item[:], res[:]); err != nil {
-		b.Error(err)
+	if _, err := svc.observe(item[:], res[:]); err != nil || res[0].Error != "" {
+		tb.Errorf("observe %s: %v %s", app, err, res[0].Error)
 	}
 }
 
@@ -627,56 +625,37 @@ func benchObserve(b *testing.B, svc *Service, app string, v float64) {
 func BenchmarkTieredObserve(b *testing.B) {
 	for _, backend := range []string{"dir", "memory"} {
 		b.Run(backend, func(b *testing.B) {
-			svc, apps := benchTieredService(b, backend, 0)
+			svc, apps := benchTieredService(b, backend)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchObserve(b, svc, apps[i%len(apps)], float64(i%5))
+				observeOne(b, svc, apps[i%len(apps)], float64(i%5))
 			}
 		})
 	}
 }
 
-// benchShardCounts picks the stripe counts the contended benchmark
-// compares: the single-stripe baseline, intermediate splits, and the
-// per-core default. On a 1-core box this collapses to {1}; the >=3x
-// acceptance number comes from the multi-core CI runner.
-func benchShardCounts() []int {
-	counts := []int{1}
-	for _, n := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if n > counts[len(counts)-1] {
-			counts = append(counts, n)
-		}
-	}
-	return counts
-}
-
-// BenchmarkTieredObserveContended is the churn benchmark behind the
-// shard split: parallel observes across a working set 16x over the hot
-// budget, so nearly every request evicts on one app and restores
-// another. Single-striped, every goroutine serializes on one tier
-// mutex; striped, only same-stripe touches contend. Reported per store
-// backend and stripe count — compare ns/op at shards=1 vs
-// shards=GOMAXPROCS.
+// BenchmarkTieredObserveContended is the churn benchmark for the tier
+// lock: parallel observes across a working set 16x over the hot budget,
+// so nearly every request evicts one app and restores another, every
+// goroutine touching the one tier mutex. Reported per store backend.
 func BenchmarkTieredObserveContended(b *testing.B) {
 	for _, backend := range []string{"dir", "memory"} {
-		for _, shards := range benchShardCounts() {
-			b.Run(fmt.Sprintf("%s/shards=%d", backend, shards), func(b *testing.B) {
-				svc, apps := benchTieredService(b, backend, shards)
-				var next atomic.Int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					// Distinct stride per goroutine: different goroutines hammer
-					// different apps, the contention the stripe split removes.
-					i := int(next.Add(1)) * 131
-					for pb.Next() {
-						benchObserve(b, svc, apps[i%len(apps)], float64(i%5))
-						i++
-					}
-				})
+		b.Run(backend, func(b *testing.B) {
+			svc, apps := benchTieredService(b, backend)
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				// Distinct stride per goroutine: different goroutines hammer
+				// different apps.
+				i := int(next.Add(1)) * 131
+				for pb.Next() {
+					observeOne(b, svc, apps[i%len(apps)], float64(i%5))
+					i++
+				}
 			})
-		}
+		})
 	}
 }
 

@@ -440,8 +440,8 @@ func (s *Store) AppendReplicated(frames []byte, next ReplPos) (int, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return 0, fmt.Errorf("store: closed")
+	if err := s.writable(); err != nil {
+		return 0, err
 	}
 	if s.hasCursor && !s.replCursor.Less(next) {
 		if next == s.replCursor && len(frames) == 0 {
@@ -543,8 +543,8 @@ func (s *Store) ImportState(data []byte, pos ReplPos) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return fmt.Errorf("store: closed")
+	if err := s.writable(); err != nil {
+		return err
 	}
 	// The imported fleet replaces everything, including any cold apps'
 	// stubs; their page bytes become garbage for the next compaction.
@@ -596,8 +596,8 @@ func (s *Store) ImportApp(app string, window []float64, total int64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return fmt.Errorf("store: closed")
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if err := s.w.appendBatch([][]byte{payload}, s.opt.Sync == SyncAlways); err != nil {
 		return err
@@ -610,8 +610,8 @@ func (s *Store) ImportApp(app string, window []float64, total int64) error {
 func (s *Store) DropApp(app string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return fmt.Errorf("store: closed")
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if s.apps[app] == nil {
 		return nil

@@ -258,6 +258,7 @@ func (s *Store) syncLoop() {
 	for {
 		select {
 		case <-t.C:
+			// A failed fsync is kept by the WAL and fails the store (Err).
 			s.mu.Lock()
 			s.w.sync()
 			s.mu.Unlock()
@@ -432,8 +433,8 @@ func (s *Store) AppendBatch(obs []Observation) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return fmt.Errorf("store: closed")
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if err := s.w.appendObservations(obs, s.opt.Sync == SyncAlways); err != nil {
 		return err
@@ -624,6 +625,28 @@ func (s *Store) compactLocked() error {
 	}
 	fsyncDir(s.dir)
 	return nil
+}
+
+// writable reports why the store takes no writes — it is closed, or its
+// WAL has failed (see Err) — or nil. Caller holds s.mu.
+func (s *Store) writable() error {
+	if s.w == nil {
+		return fmt.Errorf("store: closed")
+	}
+	return s.w.err
+}
+
+// Err reports the WAL failure that stopped the store, or nil. After the
+// first failed write, fsync or segment rotation the store fails stop:
+// every later append, Sync, ImportApp, DropApp, AppendReplicated and
+// ImportState returns this error without writing anything.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.w == nil {
+		return nil
+	}
+	return s.w.err
 }
 
 // Sync forces an fsync of the current segment (used by tests and the

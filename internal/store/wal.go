@@ -211,15 +211,39 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 // wal is the open write head of the log: the current segment file plus
 // rotation and fsync bookkeeping. All methods are called with the owning
 // Store's mutex held.
+//
+// The WAL fails stop: the first write, fsync or rotate error is kept in
+// err and returned, without writing anything, by every later commit and
+// sync. A short write leaves a torn frame that replay truncates, so one
+// more append after it would be lost on reopen even though it was acked;
+// and after a failed fsync the kernel may have dropped the dirty pages,
+// so a later fsync that succeeds proves nothing.
 type wal struct {
 	dir      string
 	seq      uint64 // sequence of the open segment
-	f        *os.File
+	f        segmentFile
 	size     int64
 	segBytes int64
 	fsyncs   atomic.Int64
 	dirty    bool // bytes written since the last fsync
 	buf      []byte
+	err      error
+}
+
+// segmentFile is what the WAL needs of its open segment (an *os.File).
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// fail records err as the WAL's fail-stop error, unless one is already
+// kept, and returns it.
+func (w *wal) fail(err error) error {
+	if w.err == nil {
+		w.err = err
+	}
+	return err
 }
 
 // openWAL starts a fresh segment with the given sequence number. A new
@@ -236,7 +260,7 @@ func openWAL(dir string, seq uint64, segBytes int64) (*wal, error) {
 func (w *wal) openSegment(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: opening segment: %w", err)
+		return w.fail(fmt.Errorf("store: opening segment: %w", err))
 	}
 	w.f, w.seq, w.size = f, seq, 0
 	return nil
@@ -272,8 +296,11 @@ func (w *wal) appendObservations(obs []Observation, syncNow bool) error {
 
 // commit writes the framed records in w.buf to the segment.
 func (w *wal) commit(syncNow bool) error {
+	if w.err != nil {
+		return w.err
+	}
 	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("store: WAL append: %w", err)
+		return w.fail(fmt.Errorf("store: WAL append: %w", err))
 	}
 	w.size += int64(len(w.buf))
 	w.dirty = true
@@ -290,11 +317,11 @@ func (w *wal) commit(syncNow bool) error {
 
 // sync flushes the current segment to stable storage.
 func (w *wal) sync() error {
-	if !w.dirty {
-		return nil
+	if w.err != nil || !w.dirty {
+		return w.err
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: WAL fsync: %w", err)
+		return w.fail(fmt.Errorf("store: WAL fsync: %w", err))
 	}
 	w.fsyncs.Add(1)
 	w.dirty = false
@@ -307,7 +334,7 @@ func (w *wal) rotate() error {
 		return err
 	}
 	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("store: closing segment: %w", err)
+		return w.fail(fmt.Errorf("store: closing segment: %w", err))
 	}
 	return w.openSegment(w.seq + 1)
 }

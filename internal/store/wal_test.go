@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -237,5 +238,110 @@ func TestWALSegmentRotation(t *testing.T) {
 		if w[i] != float64(i) {
 			t.Fatalf("value %d = %g", i, w[i])
 		}
+	}
+}
+
+// faultyFile wraps a WAL segment: armed, its next Write lands only the
+// first half of the buffer, or its next Sync fails. It counts the bytes
+// written after the fault.
+type faultyFile struct {
+	segmentFile
+	halfWrite, failSync bool
+	faulted             bool
+	bytesAfter          int
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.faulted {
+		f.bytesAfter += len(p)
+	}
+	if f.halfWrite {
+		f.halfWrite, f.faulted = false, true
+		n, _ := f.segmentFile.Write(p[:len(p)/2])
+		return n, errors.New("injected short write")
+	}
+	return f.segmentFile.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync, f.faulted = false, true
+		return errors.New("injected fsync failure")
+	}
+	return f.segmentFile.Sync()
+}
+
+// TestWALFailStop pins the WAL's fail-stop contract. A write cut short,
+// or a failed fsync, fails its own call and every later write path with
+// the same error, without writing another byte: appending after a torn
+// frame would put acked records where replay never reaches, and after a
+// failed fsync a later one may succeed without the lost pages. Reopening
+// the directory then replays exactly the acknowledged observations.
+func TestWALFailStop(t *testing.T) {
+	for _, mode := range []string{"half-write", "fsync"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := Options{Sync: SyncNever, CompactEvery: -1}
+			st := mustOpen(t, dir, opt)
+			var acked []Observation
+			for i := 0; i < 6; i++ {
+				o := Observation{App: fmt.Sprintf("fs-%d", i%2), Concurrency: float64(i) + 0.5}
+				if err := st.Append(o.App, o.Concurrency); err != nil {
+					t.Fatal(err)
+				}
+				acked = append(acked, o)
+			}
+			f := &faultyFile{segmentFile: st.w.f}
+			st.w.f = f
+			var first error
+			if mode == "half-write" {
+				f.halfWrite = true
+				first = st.Append("fs-0", 99)
+			} else {
+				f.failSync = true
+				first = st.Sync()
+			}
+			if first == nil {
+				t.Fatalf("%s: the failing call succeeded", mode)
+			}
+			if err := st.Err(); err != first {
+				t.Fatalf("Err() = %v, want the first failure %v", err, first)
+			}
+
+			data, pos, err := st.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []struct {
+				name  string
+				write func() error
+			}{
+				{"Append", func() error { return st.Append("fs-1", 7) }},
+				{"AppendBatch", func() error { return st.AppendBatch([]Observation{{App: "fs-2", Concurrency: 1}}) }},
+				{"Sync", st.Sync},
+				{"ImportApp", func() error { return st.ImportApp("fs-3", []float64{1, 2}, 2) }},
+				{"DropApp", func() error { return st.DropApp("fs-0") }},
+				{"AppendReplicated", func() error {
+					_, err := st.AppendReplicated(nil, ReplPos{Seq: 1})
+					return err
+				}},
+				{"ImportState", func() error { return st.ImportState(data, pos) }},
+			} {
+				if err := w.write(); !errors.Is(err, first) {
+					t.Errorf("%s after the failure = %v, want %v", w.name, err, first)
+				}
+			}
+			if f.bytesAfter != 0 {
+				t.Errorf("%d bytes written after the failure, want 0", f.bytesAfter)
+			}
+			if got := st.TotalObservations(); got != int64(len(acked)) {
+				t.Errorf("in-memory total = %d, want the %d acked", got, len(acked))
+			}
+			st.Close()
+
+			re := mustOpen(t, dir, opt)
+			defer re.Close()
+			assertExactPrefix(t, re, acked)
+		})
 	}
 }
