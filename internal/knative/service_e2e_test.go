@@ -64,10 +64,10 @@ func readAll(t *testing.T, resp *http.Response) string {
 }
 
 // TestHealthzReportsFailedWAL: once the store's WAL fails — here a
-// segment rotation into a data directory deleted underneath it — the
-// observe that hit the failure answers 500, so does every later one, and
-// /healthz answers 503 with the error, so a router's health loop fails
-// the instance over.
+// segment rotation into a data directory deleted underneath it — every
+// observe after the failure answers 500, and /healthz answers 503 with
+// the error, so a router's health loop fails the instance over. The
+// observe whose own write landed before the rotation failed is acked.
 func TestHealthzReportsFailedWAL(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{Sync: store.SyncNever, SegmentBytes: 1, CompactEvery: -1})
@@ -80,6 +80,9 @@ func TestHealthzReportsFailedWAL(t *testing.T) {
 	mustObserve(t, srv.URL, "app", 1)
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
+	}
+	if code := postObserve(t, srv.URL, "app", 2); code != http.StatusOK {
+		t.Fatalf("observe written before the failed rotation = %d, want 200", code)
 	}
 	for i := 0; i < 2; i++ {
 		if code := postObserve(t, srv.URL, "app", 2); code != http.StatusInternalServerError {

@@ -25,7 +25,7 @@ import (
 //	      and entered only by a request's first touch. Workspaces are
 //	      additionally bounded by MaxWorkspaces and returned to the shared
 //	      forecast pool.
-//	warm  the delta/varint-compressed window only, in the store: every
+//	warm  the compact window only (store.CompactWindow), in the store: every
 //	      store app is warm at rest and the boot path never materializes
 //	      one. Bounded by the store's InlineBudget (-max-warm-apps),
 //	      beyond which apps go cold.

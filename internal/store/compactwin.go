@@ -7,27 +7,36 @@ import (
 	"math/bits"
 )
 
-// CompactWindow is a lossless, append-only delta encoding of a sliding
-// float64 window. It is the store's in-memory representation for every
-// app — "warm" in the tiering vocabulary — and the unit that pages to
-// disk for cold apps.
+// CompactWindow is a lossless, append-only encoding of a sliding float64
+// window. It is the store's in-memory representation for every app —
+// "warm" in the tiering vocabulary — and the unit that pages to disk for
+// cold apps.
 //
 // Values are stored in chunks of cwChunkLen samples. The first value of
-// a chunk is its raw 8 little-endian bytes; every following value is
-// the uvarint of bits.ReverseBytes64(prevBits XOR curBits). XOR of
-// consecutive IEEE-754 bit patterns concentrates entropy in the high
-// (sign/exponent) bytes, so byte-reversing before the uvarint makes the
-// cheap cases tiny: a repeated value (the zero-concurrency runs that
-// dominate sparse fleets) costs 1 byte, and values with few mantissa
-// bits that share sign and exponent cost 2-4 bytes instead of 8 (the
+// a chunk, its head, is its raw 8 little-endian bytes. What follows
+// depends on whether the chunk compresses:
+//
+//	delta chunk   head | uvarint(bits.ReverseBytes64(prevBits XOR curBits)) ...
+//	raw chunk     head | 0x80 0x00 | 8 little-endian bytes per value ...
+//
+// XOR of consecutive IEEE-754 bit patterns concentrates entropy in the
+// high (sign/exponent) bytes, so byte-reversing before the uvarint makes
+// the cheap cases tiny: a repeated value (the zero-concurrency runs that
+// dominate sparse fleets) costs 1 byte, and values with few mantissa bits
+// that share sign and exponent cost 2-4 bytes instead of 8 (the
 // quarter-quantised hot bench fleets: 2.7 B/obs on disk). A value that
 // fills its mantissa does not compress: a per-minute average such as
 // 0.137 XORs to a delta with low-order bits set, which costs a 9-10-byte
-// uvarint — more than the raw 8 (50 B/obs on sparse_churn). ROADMAP
-// item 4 holds the fix, a raw fallback for chunks that do not compress;
-// it is a format bump and is not taken here. The transform is a
-// bijection on uint64, so the codec is bit-exact for every pattern
-// including -0, NaN payloads, and infinities.
+// uvarint. So Append converts the open chunk to raw, in place, the first
+// time its k values' deltas cost more than the marker and k-1 raw values
+// (2 + 8·(k-1) bytes), and appends raw after that; a raw chunk decodes
+// with one 8-byte load per value. No chunk is larger than 10 + 8·(k-1)
+// bytes. The marker is a two-byte uvarint of 0, which
+// binary.AppendUvarint never writes (it writes 0x00), so a stream with no
+// raw chunk — every stream written before raw chunks existed — decodes
+// unchanged. The transform is a bijection on uint64, so the codec is
+// bit-exact for every pattern including -0, NaN payloads, and
+// infinities.
 //
 // Chunking bounds two costs: front-trimming drops whole chunks in O(1)
 // (exact caps are applied when the window is materialized), and the
@@ -35,12 +44,16 @@ import (
 // cannot silently propagate past a chunk boundary on decode.
 const cwChunkLen = 64
 
+// cwRawMarker follows the head of a raw chunk.
+const cwRawMarker = "\x80\x00"
+
 // CompactWindow's zero value is an empty window ready for use.
 type CompactWindow struct {
 	buf    []byte
 	starts []uint32 // byte offset in buf of each live chunk's first value
 	n      int      // live values across all chunks
-	tail   int      // values in the last chunk (0 iff n == 0)
+	tail   int32    // values in the last chunk (0 iff n == 0)
+	raw    bool     // the last chunk is raw
 	prev   uint64   // bit pattern of the most recently appended value
 }
 
@@ -53,16 +66,47 @@ func (cw *CompactWindow) MemBytes() int { return cap(cw.buf) + 4*cap(cw.starts) 
 // Append adds one value to the window.
 func (cw *CompactWindow) Append(v float64) {
 	b := math.Float64bits(v)
-	if cw.tail == cwChunkLen || cw.n == 0 {
+	d := bits.ReverseBytes64(b ^ cw.prev)
+	switch {
+	case uint32(cw.tail-1) >= cwChunkLen-1: // no chunk yet (tail 0), or the last one is full
 		cw.starts = append(cw.starts, uint32(len(cw.buf)))
 		cw.buf = binary.LittleEndian.AppendUint64(cw.buf, b)
-		cw.tail = 1
-	} else {
-		cw.buf = binary.AppendUvarint(cw.buf, bits.ReverseBytes64(b^cw.prev))
-		cw.tail++
+		cw.tail, cw.raw = 0, false // the head is counted below
+	case d < 1<<56 && !cw.raw:
+		// A delta of at most 8 bytes keeps a chunk within its raw cost.
+		cw.buf = binary.AppendUvarint(cw.buf, d)
+	default:
+		cw.appendWide(b, d)
 	}
+	cw.tail++
 	cw.prev = b
 	cw.n++
+}
+
+// appendWide adds value bits b, whose delta d is 9-10 bytes long or whose
+// chunk is raw, to the last chunk. The first time a delta chunk's deltas
+// cost more than the raw form would, its values are re-encoded raw in
+// place: at most cwChunkLen-1 of them, once per chunk.
+func (cw *CompactWindow) appendWide(b, d uint64) {
+	if cw.raw {
+		cw.buf = binary.LittleEndian.AppendUint64(cw.buf, b)
+		return
+	}
+	start := int(cw.starts[len(cw.starts)-1])
+	cw.buf = binary.AppendUvarint(cw.buf, d)
+	k := int(cw.tail) + 1
+	if len(cw.buf)-start-8 <= len(cwRawMarker)+8*(k-1) {
+		return
+	}
+	var vals [cwChunkLen]float64
+	if _, _, _, err := walkChunks(cw.buf[start:], k, nil, vals[:k]); err != nil {
+		panic(err) // the chunk is Append's output or passed a decode
+	}
+	cw.buf = append(cw.buf[:start+8], cwRawMarker...)
+	for _, v := range vals[1:k] {
+		cw.buf = binary.LittleEndian.AppendUint64(cw.buf, math.Float64bits(v))
+	}
+	cw.raw = true
 }
 
 // TrimFront drops whole chunks from the front while the window would
@@ -99,7 +143,7 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 	if cw.n == 0 {
 		return dst
 	}
-	if _, _, err := walkChunks(cw.buf[cw.starts[0]:], cw.n, nil, dst); err != nil {
+	if _, _, _, err := walkChunks(cw.buf[cw.starts[0]:], cw.n, nil, dst); err != nil {
 		panic(err) // the stream is Append's own output
 	}
 	return dst
@@ -180,26 +224,27 @@ func decodeCompactWindow(p []byte, mode cwMode) (cw CompactWindow, vals []float6
 	if mode&cwValues != 0 {
 		vals = make([]float64, count, count+restoreHeadroom)
 	}
-	starts, prev, err := walkChunks(stream, int(count), starts, vals)
+	starts, prev, raw, err := walkChunks(stream, int(count), starts, vals)
 	if err != nil {
 		return cw, nil, err
 	}
 	if starts != nil {
-		cw = CompactWindow{buf: stream, starts: starts, n: int(count), tail: int(count-1)%cwChunkLen + 1, prev: prev}
+		cw = CompactWindow{buf: stream, starts: starts, n: int(count), tail: int32(count-1)%cwChunkLen + 1, raw: raw, prev: prev}
 	}
 	return cw, vals, nil
 }
 
 // walkChunks is the one decoder of a chunk stream: count values, each
-// chunk a raw 8-byte head and up to cwChunkLen-1 delta uvarints, ending
-// exactly where stream does. Each value is stored in vals (len count)
-// and each chunk's offset appended to starts, where those are non-nil.
-// prev is the bit pattern of the last value.
-func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (_ []uint32, prev uint64, err error) {
+// chunk a raw 8-byte head and then up to cwChunkLen-1 delta uvarints, or
+// the raw marker and that many 8-byte values, ending exactly where stream
+// does. Each value is stored in vals (len count) and each chunk's offset
+// appended to starts, where those are non-nil. prev is the bit pattern of
+// the last value and raw whether the last chunk is raw.
+func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (_ []uint32, prev uint64, raw bool, err error) {
 	i := 0
 	for decoded := 0; decoded < count; {
 		if len(stream)-i < 8 {
-			return nil, 0, fmt.Errorf("store: compact window: truncated chunk head")
+			return nil, 0, false, fmt.Errorf("store: compact window: truncated chunk head")
 		}
 		if starts != nil {
 			starts = append(starts, uint32(i))
@@ -210,10 +255,30 @@ func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (_ []
 			vals[decoded] = math.Float64frombits(prev)
 		}
 		decoded++
-		for end := min(decoded+cwChunkLen-1, count); decoded < end; decoded++ {
+		end := min(decoded+cwChunkLen-1, count)
+		raw = end > decoded && len(stream)-i >= 2 && string(stream[i:i+2]) == cwRawMarker
+		if raw {
+			i += 2
+			words := 8 * (end - decoded)
+			if len(stream)-i < words {
+				return nil, 0, false, fmt.Errorf("store: compact window: truncated raw chunk")
+			}
+			w := stream[i : i+words]
+			if vals != nil {
+				dst := vals[decoded:end]
+				for j := range dst {
+					dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(w[8*j:]))
+				}
+			}
+			prev = binary.LittleEndian.Uint64(w[words-8:])
+			i += words
+			decoded = end
+			continue
+		}
+		for ; decoded < end; decoded++ {
 			d, m := uvarint(stream[i:])
 			if m <= 0 {
-				return nil, 0, fmt.Errorf("store: compact window: bad delta")
+				return nil, 0, false, fmt.Errorf("store: compact window: bad delta")
 			}
 			i += m
 			prev ^= bits.ReverseBytes64(d)
@@ -223,9 +288,9 @@ func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (_ []
 		}
 	}
 	if i != len(stream) {
-		return nil, 0, fmt.Errorf("store: compact window: %d trailing bytes", len(stream)-i)
+		return nil, 0, false, fmt.Errorf("store: compact window: %d trailing bytes", len(stream)-i)
 	}
-	return starts, prev, nil
+	return starts, prev, raw, nil
 }
 
 // uvarint is binary.Uvarint — the same (value, n) for every input — with

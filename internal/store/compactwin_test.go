@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,4 +138,132 @@ func TestCompactWindowDecodeRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncation to %d bytes decoded %d values", n, dec.Len())
 		}
 	}
+}
+
+// assertChunksBounded: no chunk of k values is larger than its raw form,
+// 10 + 8·(k-1) bytes.
+func assertChunksBounded(t *testing.T, cw *CompactWindow, what string) {
+	t.Helper()
+	for c, start := range cw.starts {
+		end, k := len(cw.buf), int(cw.tail)
+		if c+1 < len(cw.starts) {
+			end, k = int(cw.starts[c+1]), cwChunkLen
+		}
+		if size := end - int(start); size > 10+8*(k-1) {
+			t.Fatalf("%s: chunk %d holds %d values in %d bytes", what, c, k, size)
+		}
+	}
+}
+
+// TestRawChunksWhereDeltasDoNotPay: a thousandth-valued window is stored
+// raw, 8 bytes a value plus a 2-byte marker per chunk, while a
+// quarter-valued one never converts and keeps the bytes the delta-only
+// encoder wrote.
+func TestRawChunksWhereDeltasDoNotPay(t *testing.T) {
+	for _, n := range []int{5, cwChunkLen - 1, cwChunkLen, cwChunkLen + 5, 300} {
+		dyadic := benchWindow(n, true)
+		if got, head := compactWindowOf(dyadic), headCompactWindowOf(dyadic); !bytes.Equal(got.buf, head.buf) || got.raw {
+			t.Fatalf("dyadic/%d: %d bytes (raw=%v), the delta-only encoder wrote %d", n, len(got.buf), got.raw, len(head.buf))
+		}
+		cw := compactWindowOf(benchWindow(n, false))
+		if want := 8*n + 2*len(cw.starts); len(cw.buf) != want || !cw.raw {
+			t.Fatalf("nondyadic/%d: %d bytes (raw=%v), want %d", n, len(cw.buf), cw.raw, want)
+		}
+		assertChunksBounded(t, &cw, fmt.Sprintf("nondyadic/%d", n))
+		assertBitIdentical(t, cw.Values(nil), benchWindow(n, false), fmt.Sprintf("nondyadic/%d", n))
+	}
+	// The bound holds after every Append, before a chunk converts too.
+	rng := rand.New(rand.NewSource(4))
+	for _, seq := range append(cwTestSequences(rng), benchWindow(300, false)) {
+		var cw CompactWindow
+		for i, v := range seq {
+			cw.Append(v)
+			assertChunksBounded(t, &cw, fmt.Sprintf("after %d appends", i+1))
+		}
+	}
+}
+
+// FuzzCompactWindowRoundTrip runs a program of Append, TrimFront,
+// appendEncoded and decode steps, one per input byte, over the values the
+// codec must keep bit-exact: dyadic values, thousandths, -0, NaN payloads
+// and ±Inf. After every decode and at the end the window holds exactly
+// the values appended since the last trim point, and no chunk is larger
+// than its raw form.
+func FuzzCompactWindowRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4 | 31<<3, 4 | 31<<3, 6 | 2<<3, 1 | 5<<3, 6}) // thousandths across chunks, then decode
+	f.Add([]byte{3 | 16<<3, 4 | 16<<3, 2, 2 | 1<<3, 2 | 2<<3, 6 | 1<<3, 5 | 9<<3, 4 | 20<<3, 6 | 2<<3})
+	zeros := []byte{}
+	for i := 0; i < 70; i++ {
+		zeros = append(zeros, 0, 7|2<<3, 1|byte(i%32)<<3) // idle minutes around a thousandth
+	}
+	f.Add(append(zeros, 6|2<<3, 5|3<<3, 6))
+	specials := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
+		math.Float64frombits(0xfff0000000000123), math.Inf(1), math.Inf(-1),
+	}
+	modes := []cwMode{cwWindow, cwValues, cwWindow | cwValues}
+
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		prog = prog[:min(len(prog), 256)] // each decode step checks every value: keep a run quadratic in little
+		var cw CompactWindow
+		var ref []float64
+		check := func(what string) {
+			t.Helper()
+			assertBitIdentical(t, cw.Values(nil), ref, what)
+			assertChunksBounded(t, &cw, what)
+		}
+		for pc, op := range prog {
+			arg := int(op >> 3)
+			var vals []float64
+			switch op & 7 {
+			case 0:
+				vals = []float64{float64(arg) / 4}
+			case 1:
+				vals = []float64{float64(arg*613+pc) / 1000}
+			case 2:
+				vals = []float64{specials[arg%len(specials)]}
+			case 3: // a run of dyadic values
+				for i := 0; i < 4*arg; i++ {
+					vals = append(vals, float64((i*arg+pc)%80)/4)
+				}
+			case 4: // a run of thousandths
+				for i := 0; i < 4*arg; i++ {
+					vals = append(vals, float64((i*7919+pc*31)%20000)/1000)
+				}
+			case 5:
+				cw.TrimFront(arg + 1)
+				if cw.Len() > len(ref) || cw.Len() < min(arg+1, len(ref)) {
+					t.Fatalf("step %d: TrimFront(%d) left %d of %d values", pc, arg+1, cw.Len(), len(ref))
+				}
+				ref = ref[len(ref)-cw.Len():]
+			case 6:
+				mode := modes[arg%len(modes)]
+				dec, got, err := decodeCompactWindow(cw.appendEncoded(nil), mode)
+				if err != nil {
+					t.Fatalf("step %d: decoding the window's own image in mode %d: %v", pc, mode, err)
+				}
+				if mode&cwValues != 0 {
+					assertBitIdentical(t, got, ref, fmt.Sprintf("step %d: values decoded in mode %d", pc, mode))
+				}
+				if mode&cwWindow != 0 {
+					cw = dec
+				}
+				check(fmt.Sprintf("step %d: after a decode in mode %d", pc, mode))
+			case 7: // the last value again: zero deltas
+				last := 0.0
+				if len(ref) > 0 {
+					last = ref[len(ref)-1]
+				}
+				for i := 0; i <= arg; i++ {
+					vals = append(vals, last)
+				}
+			}
+			for _, v := range vals {
+				cw.Append(v)
+			}
+			ref = append(ref, vals...)
+		}
+		check("at the end")
+	})
 }

@@ -138,8 +138,8 @@ func (p *pager) reader(seq uint64) (*os.File, error) {
 
 // pageReadSpare is the capacity a page read leaves behind the record: the
 // window decoded with cwWindow owns that buffer, and the observation that
-// paged it in appends there (a chunk head is 8 bytes, a delta up to 10)
-// instead of copying the stream to grow it.
+// paged it in appends there (a chunk head or a raw value is 8 bytes, a
+// delta up to 10) instead of copying the stream to grow it.
 const pageReadSpare = 32
 
 // load reads the record a stub points to, verifies it and decodes it in

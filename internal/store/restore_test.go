@@ -11,12 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // The three functions below are the framing and window decode as they
 // were before restore became one pass, kept verbatim: the oracles the new
-// code is compared against, byte for byte and bit for bit.
+// code is compared against, byte for byte and bit for bit. The fourth,
+// headCompactWindowOf, is the encoder as it was before raw chunks.
 
 func headAppendRecord(buf, payload []byte) []byte {
 	var hdr [recordHeaderLen]byte
@@ -97,6 +99,27 @@ func headValues(cw *CompactWindow, dst []float64) []float64 {
 	return dst[:idx]
 }
 
+// headCompactWindowOf encodes values as every data directory written
+// before raw chunks holds them: each value after a chunk's head is a
+// delta uvarint, however long.
+func headCompactWindowOf(values []float64) CompactWindow {
+	var cw CompactWindow
+	for _, v := range values {
+		b := math.Float64bits(v)
+		if cw.tail == cwChunkLen || cw.n == 0 {
+			cw.starts = append(cw.starts, uint32(len(cw.buf)))
+			cw.buf = binary.LittleEndian.AppendUint64(cw.buf, b)
+			cw.tail = 1
+		} else {
+			cw.buf = binary.AppendUvarint(cw.buf, bits.ReverseBytes64(b^cw.prev))
+			cw.tail++
+		}
+		cw.prev = b
+		cw.n++
+	}
+	return cw
+}
+
 // restoreShapes are windows of the two costs the codec has: dyadic values
 // (few mantissa bits, 1-4-byte deltas) and non-dyadic ones (thousandths,
 // 9-10-byte deltas), at lengths on and around the chunk boundaries, plus
@@ -131,41 +154,47 @@ func benchWindow(n int, dyadic bool) []float64 {
 	return win
 }
 
-func encodedWindow(vals []float64) []byte {
-	cw := compactWindowOf(vals)
-	return cw.appendEncoded(nil)
-}
+func encodedWindow(cw CompactWindow) []byte { return cw.appendEncoded(nil) }
 
 // FuzzCompactWindowDecode: on arbitrary bytes the one-pass decoder never
 // panics, never allocates more than a constant factor of its input, and
-// agrees with the two-pass decode it replaced — on whether the bytes are a
-// window at all, on every field of the window, and on the bits of every
-// value — in each of its three modes.
+// its three modes agree on whether the bytes are a window, on its values,
+// and on the window they continue with an Append. Only a 0x80 0x00 pair
+// can mark a raw chunk, so on every input without one it also agrees with
+// the two-pass decode it replaced: on whether the bytes are a window at
+// all, on every field of the window, and on the bits of every value.
 func FuzzCompactWindowDecode(f *testing.F) {
 	for _, vals := range restoreShapes() {
-		enc := encodedWindow(vals)
-		f.Add(enc)
-		f.Add(enc[:len(enc)-1])
-		f.Add(append(enc[:len(enc):len(enc)], 0))
-		flipped := append([]byte(nil), enc...)
-		flipped[len(flipped)/2] ^= 0x80
-		f.Add(flipped)
+		for _, enc := range [][]byte{encodedWindow(headCompactWindowOf(vals)), encodedWindow(compactWindowOf(vals))} {
+			f.Add(enc)
+			f.Add(enc[:len(enc)-1])
+			f.Add(append(enc[:len(enc):len(enc)], 0))
+			flipped := append([]byte(nil), enc...)
+			flipped[len(flipped)/2] ^= 0x80
+			f.Add(flipped)
+		}
 	}
 	f.Add([]byte{})
-	f.Add(encodedWindow(nil))
+	f.Add(encodedWindow(CompactWindow{}))
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxInt32), 0)) // 2^31 values in no bytes
 	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(nil, 40), 40), make([]byte, 40)...))
 	// A delta of ten continuation bytes, then an eleventh: overflow.
 	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(nil, 2), 19), bytes.Repeat([]byte{0xff}, 19)...))
+	// Raw chunks cut short: the marker alone, and one word of two.
+	f.Add(append(append(binary.AppendUvarint(binary.AppendUvarint(nil, 2), 10), make([]byte, 8)...), 0x80, 0))
+	f.Add(append(append(binary.AppendUvarint(binary.AppendUvarint(nil, 3), 18), make([]byte, 8)...), 0x80, 0, 1, 2, 3, 4, 5, 6, 7, 8))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		oracle := !bytes.Contains(data, []byte(cwRawMarker))
 		want, rest, err := headDecodeCompactWindow(data)
 		wantOK := err == nil && len(rest) == 0
 		var wantVals []float64
 		if wantOK {
 			wantVals = headValues(&want, nil)
 		}
-		for _, mode := range []cwMode{cwWindow, cwValues, cwWindow | cwValues} {
+		var refOK bool
+		var refVals []float64
+		for _, mode := range []cwMode{cwWindow | cwValues, cwWindow, cwValues} {
 			in := append([]byte(nil), data...) // a cwWindow decode owns its input
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -174,7 +203,13 @@ func FuzzCompactWindowDecode(f *testing.F) {
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(1<<16)); got > limit {
 				t.Fatalf("mode %d: decoding %d bytes allocated %d", mode, len(data), got)
 			}
-			if (err == nil) != wantOK {
+			if mode == cwWindow|cwValues {
+				refOK, refVals = err == nil, vals
+			}
+			if (err == nil) != refOK {
+				t.Fatalf("mode %d: err = %v, mode %d said ok=%v", mode, err, cwWindow|cwValues, refOK)
+			}
+			if oracle && (err == nil) != wantOK {
 				t.Fatalf("mode %d: err = %v, the two-pass decode says ok=%v", mode, err, wantOK)
 			}
 			if err != nil {
@@ -183,26 +218,38 @@ func FuzzCompactWindowDecode(f *testing.F) {
 				}
 				continue
 			}
-			want := want
-			if mode&cwWindow == 0 {
-				want = CompactWindow{}
+			if mode&cwValues == 0 && vals != nil || mode&cwWindow == 0 && (cw.buf != nil || cw.starts != nil || cw.n != 0) {
+				t.Fatalf("mode %d returned %d values and window %+v", mode, len(vals), cw)
 			}
-			if !bytes.Equal(cw.buf, want.buf) || len(cw.starts) != len(want.starts) ||
-				cw.n != want.n || cw.tail != want.tail || cw.prev != want.prev {
-				t.Fatalf("mode %d: window %+v, want %+v", mode, cw, want)
-			}
-			for i, s := range want.starts {
-				if cw.starts[i] != s {
-					t.Fatalf("mode %d: chunk %d starts at %d, want %d", mode, i, cw.starts[i], s)
+			if oracle {
+				want := want
+				if mode&cwWindow == 0 {
+					want = CompactWindow{}
+				}
+				if !bytes.Equal(cw.buf, want.buf) || len(cw.starts) != len(want.starts) ||
+					cw.n != want.n || cw.tail != want.tail || cw.raw || cw.prev != want.prev {
+					t.Fatalf("mode %d: window %+v, want %+v", mode, cw, want)
+				}
+				for i, s := range want.starts {
+					if cw.starts[i] != s {
+						t.Fatalf("mode %d: chunk %d starts at %d, want %d", mode, i, cw.starts[i], s)
+					}
+				}
+				if mode&cwValues != 0 {
+					assertBitIdentical(t, vals, wantVals, fmt.Sprintf("mode %d", mode))
 				}
 			}
-			if mode&cwValues == 0 {
-				if vals != nil {
-					t.Fatalf("mode %d returned %d values", mode, len(vals))
-				}
-				continue
+			if mode&cwValues != 0 {
+				assertBitIdentical(t, vals, refVals, fmt.Sprintf("mode %d against mode %d", mode, cwWindow|cwValues))
 			}
-			assertBitIdentical(t, vals, wantVals, fmt.Sprintf("mode %d", mode))
+			if mode&cwWindow != 0 {
+				assertBitIdentical(t, cw.Values(nil), refVals, fmt.Sprintf("mode %d: the window", mode))
+				next := append(append([]float64(nil), refVals...), 1.234, 1.234, 0.5)
+				for _, v := range next[len(refVals):] {
+					cw.Append(v)
+				}
+				assertBitIdentical(t, cw.Values(nil), next, fmt.Sprintf("mode %d: the window, appended to", mode))
+			}
 		}
 	})
 }
@@ -253,13 +300,19 @@ func TestUvarintMatchesBinary(t *testing.T) {
 
 // TestRecordsAreByteIdenticalToHead: framing a payload where it is encoded
 // writes the bytes that framing a separately built payload did, for the
-// three records that moved — page, snapshot and WAL observation.
+// three records that moved — page, snapshot and WAL observation. A dyadic
+// window never goes raw, so its page and snapshot records are the bytes
+// the delta-only encoder wrote, apart from the snapshot's magic.
 func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 	for name, vals := range restoreShapes() {
 		st := &appState{cw: compactWindowOf(vals), total: int64(len(vals)) + 7}
 		app := "golden/" + name
+		head := st
+		if strings.HasPrefix(name, "dyadic/") {
+			head = &appState{cw: headCompactWindowOf(vals), total: st.total}
+		}
 
-		want := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
+		want := headAppendRecord(nil, encodeWireAppCompact(nil, app, head))
 		if got := appendPageRecord(nil, app, st); !bytes.Equal(got, want) {
 			t.Fatalf("%s: page record\n got %x\nwant %x", name, got, want)
 		}
@@ -276,7 +329,7 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV2)), encodeSnapshotApp(nil, app, st))
+		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV3)), encodeSnapshotApp(nil, app, head))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: snapshot\n got %x\nwant %x", name, got, want)
 		}
@@ -309,9 +362,10 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 }
 
 // TestHeadDirectoryReopens: a data directory laid out by the encoders as
-// they were — a v2 snapshot with inline and paged apps, the page file its
-// stubs name, and a WAL segment on top — opens, and every window comes
-// back bit for bit through the peek, the promoting restore and a rewrite.
+// they were before raw chunks — a v2 snapshot with inline and paged apps,
+// the page file its stubs name, and a WAL segment on top — opens, and
+// every window comes back bit for bit through the peek, the promoting
+// restore and a rewrite in the current format.
 func TestHeadDirectoryReopens(t *testing.T) {
 	dir := t.TempDir()
 	want := map[string][]float64{}
@@ -321,7 +375,7 @@ func TestHeadDirectoryReopens(t *testing.T) {
 	i := 0
 	for name, vals := range restoreShapes() {
 		app := "head/" + name
-		st := &appState{cw: compactWindowOf(vals), total: int64(len(vals))}
+		st := &appState{cw: headCompactWindowOf(vals), total: int64(len(vals))}
 		if i++; i%2 == 0 {
 			rec := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
 			st = &appState{total: st.total, page: &pageRef{seq: 1, off: int64(len(page)), recLen: int64(len(rec)), count: len(vals)}}

@@ -2,44 +2,58 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Snapshots compact the WAL: snap-<seq>.snap holds every app's state
 // (and lifetime observation count) as of the moment segments <= seq
 // were sealed. The file reuses the WAL's CRC-framed record format.
 //
-// v2 (written since tiering) keeps apps in their in-memory shape:
+// v3 (written now) keeps apps in their in-memory shape:
 //
-//	record 0   magic "femux-snap-v2"
+//	record 0   magic "femux-snap-v3"
 //	record i   tag 0x00 | uvarint len(app) | app | uvarint total | compact window
 //	           tag 0x01 | uvarint len(app) | app | uvarint total |
 //	                      uvarint pageSeq | uvarint off | uvarint recLen | uvarint count
 //
-// Tag 0x00 is an inline (warm) app with its delta/varint-encoded
-// window; tag 0x01 is a cold app's stub pointing into a page file. v1
-// snapshots (raw float64 windows) are still loadable, so a pre-tiering
+// Tag 0x00 is an inline (warm) app with its compact window; tag 0x01 is
+// a cold app's stub pointing into a page file. v2 has the same records,
+// but its windows never hold a raw chunk (see CompactWindow), so v2 and
+// v3 share one decoder; the magic changed so that a build which cannot
+// read raw chunks does not take them for deltas. v1 snapshots (raw
+// float64 windows, from before tiering) are still loadable, so any older
 // data directory opens cleanly; the v1 record format also remains the
 // replication wire format (ExportState/ImportState, ctrlAppImport), so
 // paging never leaks into what peers see.
 //
 // A snapshot is written to a temp file, fsynced, and renamed into
 // place, so a crash mid-compaction leaves either the old or the new
-// snapshot — never a half-written one (a snapshot that fails its CRC or
-// magic check is skipped and the previous one is used instead).
+// snapshot — never a half-written one. A snapshot that is torn, fails its
+// CRC or carries a foreign magic is skipped and the previous one is used
+// instead; one whose intact magic names a femux-snap format this build
+// does not know fails Open, because falling back would start the store
+// without that snapshot's data.
 const (
-	snapMagic   = "femux-snap-v1"
-	snapMagicV2 = "femux-snap-v2"
+	snapMagic       = "femux-snap-v1"
+	snapMagicV2     = "femux-snap-v2"
+	snapMagicV3     = "femux-snap-v3"
+	snapMagicPrefix = "femux-snap-"
 
 	snapTagInline = 0x00
 	snapTagPaged  = 0x01
 )
 
+// errSnapshotFormat marks a snapshot written in a format this build
+// cannot read: Open fails on it instead of falling back.
+var errSnapshotFormat = errors.New("store: snapshot format unknown to this build")
+
 // appState is one application's durable state: the sliding observation
-// window — delta-compressed always ("warm"), or paged to disk behind a
+// window — a compact window always ("warm"), or paged to disk behind a
 // stub ("cold") — plus the lifetime count (windows may be capped; total
 // is not).
 type appState struct {
@@ -151,7 +165,7 @@ func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	return app, &appState{cw: cw, total: int64(total)}, nil
 }
 
-// encodeSnapshotApp frames one app for a v2 snapshot: inline apps carry
+// encodeSnapshotApp frames one app for a v3 snapshot: inline apps carry
 // their compact window, cold apps just their page stub.
 func encodeSnapshotApp(buf []byte, app string, st *appState) []byte {
 	if st.page == nil {
@@ -168,7 +182,7 @@ func encodeSnapshotApp(buf []byte, app string, st *appState) []byte {
 	return binary.AppendUvarint(buf, uint64(st.page.count))
 }
 
-// decodeSnapshotApp parses a v2 snapshot record.
+// decodeSnapshotApp parses a v2 or v3 snapshot record.
 func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
 	if len(p) == 0 {
 		return "", nil, fmt.Errorf("store: snapshot record: empty")
@@ -203,7 +217,7 @@ func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
 	}
 }
 
-// writeSnapshot persists apps atomically as snap-<seq>.snap (v2).
+// writeSnapshot persists apps atomically as snap-<seq>.snap (v3).
 func writeSnapshot(dir string, seq uint64, apps map[string]*appState) error {
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
@@ -212,7 +226,7 @@ func writeSnapshot(dir string, seq uint64, apps map[string]*appState) error {
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 
 	var buf []byte
-	buf = appendRecord(buf, []byte(snapMagicV2))
+	buf = appendRecord(buf, []byte(snapMagicV3))
 	for app, st := range apps {
 		start := len(buf)
 		buf = sealRecord(encodeSnapshotApp(reserveHeader(buf), app, st), start)
@@ -235,9 +249,9 @@ func writeSnapshot(dir string, seq uint64, apps map[string]*appState) error {
 	return nil
 }
 
-// loadSnapshot reads snap-<seq>.snap in either format. Any framing,
-// CRC, magic, or decode failure returns an error; callers fall back to
-// an older snapshot.
+// loadSnapshot reads snap-<seq>.snap in any format. Any framing, CRC,
+// magic, or decode failure returns an error; callers fall back to an
+// older snapshot, except on errSnapshotFormat.
 func loadSnapshot(dir string, seq uint64) (map[string]*appState, error) {
 	f, err := os.Open(filepath.Join(dir, snapName(seq)))
 	if err != nil {
@@ -245,20 +259,22 @@ func loadSnapshot(dir string, seq uint64) (map[string]*appState, error) {
 	}
 	defer f.Close()
 	apps := map[string]*appState{}
-	first, v2 := true, false
+	first, compact := true, false
 	n, err := readRecords(f, func(payload []byte) error {
 		if first {
 			first = false
-			switch string(payload) {
-			case snapMagicV2:
-				v2 = true
-			case snapMagic:
+			switch magic := string(payload); {
+			case magic == snapMagicV3 || magic == snapMagicV2:
+				compact = true
+			case magic == snapMagic:
+			case strings.HasPrefix(magic, snapMagicPrefix):
+				return fmt.Errorf("%w: snapshot %d has magic %q", errSnapshotFormat, seq, magic)
 			default:
 				return fmt.Errorf("store: snapshot %d: bad magic", seq)
 			}
 			return nil
 		}
-		if v2 {
+		if compact {
 			app, st, err := decodeSnapshotApp(payload)
 			if err != nil {
 				return err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -151,6 +152,7 @@ type Store struct {
 // loadable snapshot is applied, younger WAL segments are replayed on top,
 // and a torn tail — the signature of a crash mid-write — is truncated to
 // the longest valid record prefix. Appends then go to a fresh segment.
+// A snapshot in a format newer than this build fails Open.
 func Open(dir string, opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -172,6 +174,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	haveSnap := false
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
 		apps, err := loadSnapshot(dir, snapSeqs[i])
+		if errors.Is(err, errSnapshotFormat) {
+			return nil, err
+		}
 		if err != nil {
 			continue // half-written or corrupt snapshot: fall back
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -206,6 +207,55 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	defer re.Close()
 	if re.Apps() != 0 {
 		t.Fatalf("corrupt snapshot yielded %d apps", re.Apps())
+	}
+}
+
+// TestSnapshotOfANewerFormatFailsOpen: a snapshot whose intact magic names
+// a femux-snap format this build does not know fails Open with an error
+// naming that magic, instead of falling back to an older snapshot (or to
+// an empty store) without its data. A torn or CRC-bad one still falls
+// back.
+func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
+	const magic = "femux-snap-v9"
+	newer := appendRecord(appendRecord(nil, []byte(magic)), []byte("a record this build cannot read"))
+	for _, tc := range []struct {
+		name    string
+		snap    []byte
+		wantErr bool
+	}{
+		{"intact", newer, true},
+		{"CRC-bad magic", func() []byte {
+			b := append([]byte(nil), newer...)
+			b[recordHeaderLen+len(magic)-1] ^= 0x01
+			return b
+		}(), false},
+		{"torn magic", newer[:recordHeaderLen+4], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			old := map[string]*appState{"a": {cw: compactWindowOf([]float64{1, 2.5, 3}), total: 3}}
+			if err := writeSnapshot(dir, 1, old); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapName(2)), tc.snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, Options{Sync: SyncNever, CompactEvery: -1})
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), magic) {
+					t.Fatalf("Open = %v, want an error naming %q", err, magic)
+				}
+				if s != nil {
+					t.Fatal("a failed Open returned a store")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open: %v, want the fallback to snapshot 1", err)
+			}
+			defer s.Close()
+			assertBitIdentical(t, s.Window("a"), []float64{1, 2.5, 3}, "fallback window")
+		})
 	}
 }
 

@@ -217,7 +217,9 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 // sync. A short write leaves a torn frame that replay truncates, so one
 // more append after it would be lost on reopen even though it was acked;
 // and after a failed fsync the kernel may have dropped the dirty pages,
-// so a later fsync that succeeds proves nothing.
+// so a later fsync that succeeds proves nothing. A rotate that fails
+// after a commit's own write (and fsync, if asked) does not fail that
+// commit, whose records replay on reopen; it fails the next call.
 type wal struct {
 	dir      string
 	seq      uint64 // sequence of the open segment
@@ -310,7 +312,7 @@ func (w *wal) commit(syncNow bool) error {
 		}
 	}
 	if w.size >= w.segBytes {
-		return w.rotate()
+		w.rotate() // an error is kept in w.err for the next call
 	}
 	return nil
 }

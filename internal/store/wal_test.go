@@ -242,13 +242,13 @@ func TestWALSegmentRotation(t *testing.T) {
 }
 
 // faultyFile wraps a WAL segment: armed, its next Write lands only the
-// first half of the buffer, or its next Sync fails. It counts the bytes
-// written after the fault.
+// first half of the buffer, its next Sync fails, or its next Close fails
+// and leaves the file open. It counts the bytes written after the fault.
 type faultyFile struct {
 	segmentFile
-	halfWrite, failSync bool
-	faulted             bool
-	bytesAfter          int
+	halfWrite, failSync, failClose bool
+	faulted                        bool
+	bytesAfter                     int
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
@@ -271,17 +271,31 @@ func (f *faultyFile) Sync() error {
 	return f.segmentFile.Sync()
 }
 
+func (f *faultyFile) Close() error {
+	if f.failClose {
+		f.failClose, f.faulted = false, true
+		return errors.New("injected close failure")
+	}
+	return f.segmentFile.Close()
+}
+
 // TestWALFailStop pins the WAL's fail-stop contract. A write cut short,
 // or a failed fsync, fails its own call and every later write path with
 // the same error, without writing another byte: appending after a torn
 // frame would put acked records where replay never reaches, and after a
-// failed fsync a later one may succeed without the lost pages. Reopening
-// the directory then replays exactly the acknowledged observations.
+// failed fsync a later one may succeed without the lost pages. A segment
+// that fails to rotate after a batch's own write landed fails the calls
+// after that batch, not the batch: its records replay on reopen, so it is
+// acked and applied. Reopening the directory then replays exactly the
+// acknowledged observations.
 func TestWALFailStop(t *testing.T) {
-	for _, mode := range []string{"half-write", "fsync"} {
+	for _, mode := range []string{"half-write", "fsync", "rotate"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			opt := Options{Sync: SyncNever, CompactEvery: -1}
+			if mode == "rotate" {
+				opt.SegmentBytes = 64
+			}
 			st := mustOpen(t, dir, opt)
 			var acked []Observation
 			for i := 0; i < 6; i++ {
@@ -294,12 +308,24 @@ func TestWALFailStop(t *testing.T) {
 			f := &faultyFile{segmentFile: st.w.f}
 			st.w.f = f
 			var first error
-			if mode == "half-write" {
+			switch mode {
+			case "half-write":
 				f.halfWrite = true
 				first = st.Append("fs-0", 99)
-			} else {
+			case "fsync":
 				f.failSync = true
 				first = st.Sync()
+			case "rotate":
+				f.failClose = true
+				batch := make([]Observation, 8)
+				for i := range batch {
+					batch[i] = Observation{App: fmt.Sprintf("fs-%d", i%3), Concurrency: float64(i) + 0.25}
+				}
+				if err := st.AppendBatch(batch); err != nil {
+					t.Fatalf("a batch written before its segment failed to rotate: %v", err)
+				}
+				acked = append(acked, batch...)
+				first = st.Err()
 			}
 			if first == nil {
 				t.Fatalf("%s: the failing call succeeded", mode)
