@@ -92,39 +92,58 @@ func (p *AppPolicy) TargetWS(history []float64, unitConcurrency int, ws *forecas
 // <= 0 reproduces TargetWS exactly, so a zero ServiceOptions/flag value
 // is always safe.
 func (p *AppPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) int {
-	target, _, _ := p.Decide(history, unitConcurrency, level, ws)
+	target, _, _ := p.Decide(history, len(history), unitConcurrency, level, ws)
 	return target
 }
+
+// Keep is how many of the latest values of an n-observation history a
+// policy of m can still read: the forecast window, and everything from
+// the start of the last completed block, which a policy that has not
+// classified it (fresh after a model swap, or on a memo miss) extracts
+// on its next call. The serving calls that take (tail, n) need only
+// tail = history[n-Keep(n):].
+func (m *Model) Keep(n int) int {
+	bs := m.cfg.BlockSize
+	return min(n, max(m.cfg.Window, bs+n%bs))
+}
+
+// MaxKeep is the largest Keep(n) over every n.
+func (m *Model) MaxKeep() int { return max(m.cfg.Window, 2*m.cfg.BlockSize-1) }
+
+// Model returns the model p serves.
+func (p *AppPolicy) Model() *Model { return p.model }
 
 // Decide is one observation's whole policy step, the call the serving
 // paths make: it re-classifies when a new block has completed, then
 // returns TargetQuantilesWS's target, the name of the forecaster that
 // produced it, and whether this call extracted features — all from one
-// hold of the policy lock.
-func (p *AppPolicy) Decide(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) (target int, forecaster string, extracted bool) {
-	cur, extracted := p.currentFor(history)
+// hold of the policy lock. tail holds at least the last Keep(n) values of
+// the app's n-observation history.
+func (p *AppPolicy) Decide(tail []float64, n, unitConcurrency int, level float64, ws *forecast.Workspace) (target int, forecaster string, extracted bool) {
+	cur, extracted := p.currentFor(tail, n)
 	target = windowedPolicy{fc: p.model.cfg.Forecasters[cur], window: p.model.cfg.Window, horizon: p.model.cfg.Horizon}.
-		TargetQuantilesWS(history, unitConcurrency, level, ws)
+		TargetQuantilesWS(tail, unitConcurrency, level, ws)
 	return target, p.model.fcNames[cur], extracted
 }
 
 // currentFor re-classifies when a new block has completed and returns
 // the forecaster assigned to this app right now, as an index into
 // cfg.Forecasters, and whether it extracted features to get there — the
-// shared front half of every Target and Forecast variant. A nil history
-// completes no block, so it only reads.
-func (p *AppPolicy) currentFor(history []float64) (cur int, extracted bool) {
+// shared front half of every Target and Forecast variant. tail ends an
+// n-observation history (see Decide); n = 0 completes no block, so it
+// only reads.
+func (p *AppPolicy) currentFor(tail []float64, n int) (cur int, extracted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	bs := p.model.cfg.BlockSize
-	completed := len(history) / bs
+	completed := n / bs
 	if extracted = completed > p.blocksSeen; extracted {
 		execFeat := 0.0
 		if hasExecFeature(p.model.cfg.Features) {
 			execFeat = p.execSec
 		}
-		block := history[(completed-1)*bs : completed*bs]
-		vec := p.model.extractor.Extract(block, execFeat)
+		start := (completed-1)*bs - (n - len(tail))
+		vec := p.model.extractor.Extract(tail[start:start+bs], execFeat)
 		p.assign(p.model.Classify(vec), completed)
 	}
 	return p.cur, extracted
@@ -139,8 +158,14 @@ func (p *AppPolicy) Forecast(history []float64, horizon int) []float64 {
 // ForecastWS is Forecast with caller-owned destination and workspace, the
 // allocation-free form used by the serving path. dst and ws may be nil.
 func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws *forecast.Workspace) []float64 {
-	cur, _ := p.currentFor(history)
-	return forecast.Into(p.model.cfg.Forecasters[cur], history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, dst, ws)
+	return p.ForecastTail(history, len(history), horizon, dst, ws)
+}
+
+// ForecastTail is ForecastWS over the tail of an n-observation history
+// (see Decide).
+func (p *AppPolicy) ForecastTail(tail []float64, n, horizon int, dst []float64, ws *forecast.Workspace) []float64 {
+	cur, _ := p.currentFor(tail, n)
+	return forecast.Into(p.model.cfg.Forecasters[cur], tail[len(tail)-min(p.model.cfg.Window, len(tail)):], horizon, dst, ws)
 }
 
 // ForecastQuantilesWS emits level-major quantile curves
@@ -148,13 +173,19 @@ func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws
 // assigned forecaster over the windowed history — the serving path
 // behind /v1/forecast?quantiles=. dst and ws may be nil.
 func (p *AppPolicy) ForecastQuantilesWS(history []float64, horizon int, levels, dst []float64, ws *forecast.Workspace) []float64 {
-	cur, _ := p.currentFor(history)
-	return forecast.QuantilesInto(p.model.cfg.Forecasters[cur], history[len(history)-min(p.model.cfg.Window, len(history)):], horizon, levels, dst, ws)
+	return p.ForecastQuantilesTail(history, len(history), horizon, levels, dst, ws)
+}
+
+// ForecastQuantilesTail is ForecastQuantilesWS over the tail of an
+// n-observation history (see Decide).
+func (p *AppPolicy) ForecastQuantilesTail(tail []float64, n, horizon int, levels, dst []float64, ws *forecast.Workspace) []float64 {
+	cur, _ := p.currentFor(tail, n)
+	return forecast.QuantilesInto(p.model.cfg.Forecasters[cur], tail[len(tail)-min(p.model.cfg.Window, len(tail)):], horizon, levels, dst, ws)
 }
 
 // CurrentForecaster returns the name of the forecaster in use.
 func (p *AppPolicy) CurrentForecaster() string {
-	cur, _ := p.currentFor(nil)
+	cur, _ := p.currentFor(nil, 0)
 	return p.model.fcNames[cur]
 }
 

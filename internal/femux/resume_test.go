@@ -10,7 +10,7 @@ import (
 // reassigned returns a trained model whose group table is rewritten so
 // that no group uses the default forecaster: an unclassified policy then
 // answers differently from a classified one, whatever the block.
-func reassigned(t *testing.T) *Model {
+func reassigned(t testing.TB) *Model {
 	t.Helper()
 	m, err := Train(mixedFleet(7, 12, 288), testConfig())
 	if err != nil {

@@ -113,8 +113,8 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 //
 // Each valid item's app stays locked from before its restore (a window
 // restored after the commit would count the item twice) until after its
-// apply, so no other observation of the app lands in between: hot
-// history grows in WAL order, and eviction, which locks the app first,
+// apply, so no other observation of the app lands in between: the hot
+// tail grows in WAL order, and eviction, which locks the app first,
 // cannot demote it mid-commit. Budgets are enforced once per request,
 // after every app is unlocked; with one still held, eviction could pick
 // it and wait on its own lock.
@@ -179,7 +179,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			if a != nil {
 				res := &results[i]
 				res.Target, res.Forecaster = s.apply(a, items[i].Concurrency, max(items[i].UnitConcurrency, 1), sm)
-				res.History = len(a.history)
+				res.History = a.n
 			}
 		}
 		accepted = len(durable)

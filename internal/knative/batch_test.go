@@ -341,8 +341,8 @@ func fetchDecision(t testing.TB, srvURL, app string) decision {
 // invariants: the server never panics, answers only 200/400/413, the
 // observation counter moves in lockstep with the Accepted counts it
 // acknowledged — a malformed body changes nothing — and every app an
-// accepted body touched holds its store window as its hot history, in
-// order, however often the body named it.
+// accepted body touched counts its store window's length and holds its
+// end as the hot tail, in order, however often the body named it.
 func FuzzBatchObserve(f *testing.F) {
 	f.Add([]byte(`{"observations":[{"app":"a","concurrency":1.5}]}`))
 	f.Add([]byte(`{"observations":[]}`))

@@ -59,8 +59,8 @@ func (s *Service) MaxDriftScore() float64 {
 // first maxApps names) for retraining and shadow evaluation.
 //
 // Windows are read straight from the store: observe holds each app's
-// lock from before the WAL commit until after the apply, so a hot history
-// is its store window, and reading the store promotes no cold app.
+// lock from before the WAL commit until after the apply, so a hot tail
+// ends its store window, and reading the store promotes no cold app.
 func (s *Service) LifecycleSnapshot(maxApps int, driftThreshold float64) lifecycle.Snapshot {
 	snap := lifecycle.Snapshot{Model: s.Model(), Gated: s.IsReplica()}
 	snap.MaxDrift, snap.Drifted, snap.Tracked = s.DriftSummary(driftThreshold)

@@ -23,26 +23,41 @@ import (
 // wrong cluster.
 func muxModel(t testing.TB, rotate int, def string, perGroup ...string) *femux.Model {
 	t.Helper()
+	return editModel(t, trainTinyModel(t), func(mj map[string]any) {
+		mj["defaultForecaster"], mj["perGroup"] = def, perGroup
+		c := mj["centroids"].([]any)
+		mj["centroids"] = append(c[rotate:len(c):len(c)], c[:rotate]...)
+	})
+}
+
+// reshaped is m over another tail geometry: the same classifier and
+// group table with its block size and forecast window replaced.
+func reshaped(t testing.TB, m *femux.Model, blockSize, window int) *femux.Model {
+	t.Helper()
+	return editModel(t, m, func(mj map[string]any) { mj["blockSize"], mj["window"] = blockSize, window })
+}
+
+// editModel round-trips m through its saved JSON with edit applied.
+func editModel(t testing.TB, m *femux.Model, edit func(map[string]any)) *femux.Model {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := trainTinyModel(t).Save(&buf); err != nil {
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var mj map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &mj); err != nil {
 		t.Fatal(err)
 	}
-	mj["defaultForecaster"], mj["perGroup"] = def, perGroup
-	c := mj["centroids"].([]any)
-	mj["centroids"] = append(c[rotate:len(c):len(c)], c[:rotate]...)
+	edit(mj)
 	b, err := json.Marshal(mj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := femux.Load(bytes.NewReader(b), forecast.NewMovingAverage(1))
+	out, err := femux.Load(bytes.NewReader(b), forecast.NewMovingAverage(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return out
 }
 
 // muxModelA and muxModelB disagree on the default, on every group's

@@ -21,18 +21,22 @@ func serveInProcess(h http.Handler, method, target, body string) *httptest.Respo
 	return rec
 }
 
-// walOrderSlips counts the positions where app's hot history differs, in
-// Float64bits, from its store window: the history a restart, an eviction
-// or a failover would rebuild the app from.
+// walOrderSlips counts the positions where app's hot tail differs, in
+// Float64bits, from the end of its store window: the history a restart,
+// an eviction or a failover would rebuild the app from. The app's count
+// must be the window's length, and its tail must hold what its policy
+// can read.
 func walOrderSlips(t testing.TB, svc *Service, app string) int {
 	t.Helper()
 	a := svc.acquire(app)
-	hot := append([]float64(nil), a.history...)
+	hot, n, keep := append([]float64(nil), a.history...), a.n, a.policy.Model().Keep(a.n)
 	svc.releaseApp(a)
 	win := svc.st.Window(app)
-	if len(hot) != len(win) {
-		t.Fatalf("%s: hot history holds %d observations, the store window %d", app, len(hot), len(win))
+	if n != len(win) || len(hot) < keep || len(hot) > n {
+		t.Fatalf("%s: hot tail of %d values for %d observations (Keep %d), the store window %d",
+			app, len(hot), n, keep, len(win))
 	}
+	win = win[n-len(hot):]
 	slips := 0
 	for i := range hot {
 		if math.Float64bits(hot[i]) != math.Float64bits(win[i]) {
@@ -69,6 +73,8 @@ func decideInProcess(t testing.TB, h http.Handler, app string) decision {
 // they finish, the app's hot history must equal its store window bit for
 // bit, because the store's order is the one every restore rebuilds; and
 // dropping the hot state must not change the next target or forecast.
+// The model's blocks are longer than the whole stream, so the hot tail is
+// the whole history (Keep(n) = n) and every position is compared.
 // Run under -race -count=20 in CI: an ordering bug shows only in some
 // interleavings.
 func TestConcurrentObservesKeepWALOrder(t *testing.T) {
@@ -98,13 +104,14 @@ func testConcurrentObservesKeepWALOrder(t *testing.T, backend string, batch [4]b
 		defer st.Close()
 		so.Store = st
 	}
-	svc := NewServiceWith(trainTinyModel(t), so)
-	h := svc.Handler()
 	const app = "ordered"
 	perWriter := 400
 	if testing.Short() {
 		perWriter = 200
 	}
+	// One block longer than the longest (4 x 400-value) stream.
+	svc := NewServiceWith(reshaped(t, trainTinyModel(t), 1601, 30), so)
+	h := svc.Handler()
 	var wg sync.WaitGroup
 	for g, isBatch := range batch {
 		wg.Add(1)

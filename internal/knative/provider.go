@@ -31,10 +31,10 @@ type DirectProvider struct {
 }
 
 type directApp struct {
-	mu      sync.Mutex
-	policy  *femux.AppPolicy
-	history []float64
-	ws      *forecast.Workspace
+	mu     sync.Mutex
+	policy *femux.AppPolicy
+	hotTail
+	ws *forecast.Workspace
 }
 
 // NewDirectProvider returns a provider backed by a trained model.
@@ -42,9 +42,10 @@ func NewDirectProvider(model *femux.Model) *DirectProvider {
 	return &DirectProvider{model: model, apps: map[string]*directApp{}}
 }
 
-// Target implements ScaleProvider. Per-app state (history append and the
-// workspace-backed forecast) is guarded by the app's own lock, so apps
-// proceed concurrently while each app's decisions stay serialized.
+// Target implements ScaleProvider. Per-app state (the bounded history
+// tail and the workspace-backed forecast) is guarded by the app's own
+// lock, so apps proceed concurrently while each app's decisions stay
+// serialized.
 func (p *DirectProvider) Target(app string, minuteAvg float64, unitConcurrency int) (int, bool) {
 	p.mu.Lock()
 	st, ok := p.apps[app]
@@ -55,8 +56,8 @@ func (p *DirectProvider) Target(app string, minuteAvg float64, unitConcurrency i
 	p.mu.Unlock()
 
 	st.mu.Lock()
-	st.history = append(st.history, minuteAvg)
-	target, _, _ := st.policy.Decide(st.history, unitConcurrency, p.QuantileLevel, st.ws)
+	st.push(p.model, minuteAvg)
+	target, _, _ := st.policy.Decide(st.history, st.n, unitConcurrency, p.QuantileLevel, st.ws)
 	st.mu.Unlock()
 	return target, true
 }

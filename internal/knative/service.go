@@ -144,12 +144,43 @@ type ServiceOptions struct {
 	QuantileLevel float64
 }
 
-type svcApp struct {
-	mu      sync.Mutex
-	name    string
-	policy  *femux.AppPolicy
-	gen     uint16 // memoGen of the model policy was built from
+// hotTail is an app's hot history: history holds the latest values its
+// policy can still read (femux.Model.Keep), and n counts every value the
+// app has observed — the length replies, memos and block boundaries use.
+type hotTail struct {
 	history []float64
+	n       int
+}
+
+// tailSlack is the headroom a restored tail gets, and how far the bound,
+// MaxKeep+tailSlack, stays above the most values a policy can read.
+const tailSlack = 32
+
+// push appends v for a policy of model m. A full slice first drops, in
+// place, the values Keep(n+1) no longer needs; it grows only when there
+// are none, and then to the bound, which always leaves tailSlack to drop.
+func (h *hotTail) push(m *femux.Model, v float64) {
+	if len(h.history) == cap(h.history) {
+		if drop := len(h.history) + 1 - m.Keep(h.n+1); drop > 0 {
+			h.history = h.history[:copy(h.history, h.history[drop:])]
+		} else {
+			h.history = append(make([]float64, 0, m.MaxKeep()+tailSlack), h.history...)
+		}
+	}
+	h.history = append(h.history, v)
+	h.n++
+}
+
+type svcApp struct {
+	mu     sync.Mutex
+	name   string
+	policy *femux.AppPolicy
+	gen    uint16 // memoGen of the model policy was built from
+	// gone, guarded by mu, marks an evicted entry that acquire must not
+	// use (see tier.go). Beside gen, it shares gen's word: 256 bytes keep
+	// svcApp in the 256-byte size class.
+	gone bool
+	hotTail
 	// ws holds the app's forecast scratch state; targets and forecasts are
 	// computed under mu so the workspace is never used concurrently. After
 	// the first request warms it, the observe->target computation performs
@@ -170,12 +201,10 @@ type svcApp struct {
 	observes, targets, forecasts serving.CounterChild
 
 	// Tier state (see tier.go). hotEl/wsEl are this app's positions in
-	// the tier's LRU lists (nil when not listed), guarded by tier.mu;
-	// gone, guarded by mu, marks an evicted entry that acquire must not
-	// use. Eviction takes mu before anything else, so an app that a
-	// request holds from acquire to release is never demoted under it.
+	// the tier's LRU lists (nil when not listed), guarded by tier.mu.
+	// Eviction takes mu before anything else, so an app that a request
+	// holds from acquire to release is never demoted under it.
 	hotEl, wsEl *lruElem
-	gone        bool
 }
 
 // maxObserveBody bounds the observe POST body; real observations are a
@@ -289,7 +318,7 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 // observation of the app can commit or apply in between: in-memory
 // order is WAL order per app, and the workspace stays single-threaded.
 func (s *Service) apply(a *svcApp, c float64, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
-	a.history = append(a.history, c)
+	a.push(a.policy.Model(), c)
 	a.drift.Observe(c)
 	target, forecaster = s.decide(a, unitC, sm)
 	if sm != nil {
@@ -303,7 +332,7 @@ func (s *Service) apply(a *svcApp, c float64, unitC int, sm *ServiceMetrics) (ta
 // names the forecaster — with a feature extraction counted if that call
 // performed one. Callers hold a.mu.
 func (s *Service) decide(a *svcApp, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
-	target, forecaster, extracted := a.policy.Decide(a.history, unitC, s.qlevel, a.ws)
+	target, forecaster, extracted := a.policy.Decide(a.history, a.n, unitC, s.qlevel, a.ws)
 	if extracted && sm != nil {
 		sm.Classifications.Inc("extract")
 	}
@@ -312,17 +341,21 @@ func (s *Service) decide(a *svcApp, unitC int, sm *ServiceMetrics) (target int, 
 
 // SwapModel atomically replaces the serving model (the paper retrains
 // monthly offline and ships the classifier into the forecasting pods).
-// Each tracked application gets a fresh policy from the new model while
+// Each hot application gets a fresh policy from the new model while
 // keeping its observation history, so forecasting continuity survives the
-// swap. Requests already holding the old policy finish against the old
-// model — nothing in flight is dropped or torn. An app materializing
-// concurrently with the refresh sweep either is seen by it or detects
-// the version bump itself and re-derives (materialize), so no app can
-// keep the old model.
+// swap. A tail holds only what its model's geometry needs (femux.Model.Keep),
+// so a model with another BlockSize or Window instead demotes every hot
+// app, which then restores from its full store window. Requests already
+// holding the old policy finish against the old model — nothing in
+// flight is dropped or torn. An app materializing concurrently with the
+// refresh sweep either is seen by it or detects the version bump itself
+// and restores again (materialize), so no app can keep the old model.
 func (s *Service) SwapModel(m *femux.Model) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	s.mu.Lock()
+	oc, nc := s.model.Config(), m.Config()
+	reshape := oc.BlockSize != nc.BlockSize || oc.Window != nc.Window
 	s.model = m
 	s.reloads++
 	s.version = modelVersions.Add(1)
@@ -340,6 +373,10 @@ func (s *Service) SwapModel(m *femux.Model) {
 	// lock — eviction locks app.mu before tier.mu, so the reverse order
 	// here would deadlock.
 	for _, a := range apps {
+		if reshape {
+			s.dropCached(a.name)
+			continue
+		}
 		a.mu.Lock()
 		if !a.gone {
 			a.policy, a.gen = m.NewAppPolicy(0), gen
@@ -541,10 +578,14 @@ func (s *Service) materialize(name string) *svcApp {
 	} else if ok {
 		from = "warm"
 	}
-	a.history = win
+	// The drift detector reads the whole window; the tail keeps only what
+	// the policy can.
+	a.n = len(win)
+	keep := model.Keep(a.n)
+	a.history = append(make([]float64, 0, keep+tailSlack), win[a.n-keep:]...)
 	var resumed bool
-	a.policy, resumed = policyFor(model, a.gen, memo, len(a.history))
-	a.drift = lifecycle.DetectorOf(a.history, s.driftBlock)
+	a.policy, resumed = policyFor(model, a.gen, memo, a.n)
+	a.drift = lifecycle.DetectorOf(win, s.driftBlock)
 	t.mu.Lock()
 	if cur := t.apps[name]; cur != nil {
 		t.mu.Unlock()
@@ -553,15 +594,13 @@ func (s *Service) materialize(name string) *svcApp {
 	a.ws = forecast.GetWorkspace()
 	t.apps[name] = a
 	t.mu.Unlock()
-	if m2, v2 := s.modelAt(); v2 != version {
+	if _, v2 := s.modelAt(); v2 != version {
 		// A model swap raced this install: its refresh sweep may have
 		// walked the map before a appeared, which would leave a on the
-		// old model forever. Re-derive from the current model — the same
-		// policy the sweep would have installed.
-		a.mu.Lock()
-		a.policy, a.gen = m2.NewAppPolicy(0), memoGen(v2)
-		a.mu.Unlock()
-		resumed = false
+		// old model, and its tail cut to that model's Keep, forever. Drop
+		// it: the caller's acquire finds it gone and restores again.
+		s.dropCached(name)
+		return a
 	}
 	s.noteRestore(from, time.Since(start))
 	if sm := s.svcMetrics(); resumed && sm != nil {
@@ -737,7 +776,7 @@ func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name str
 	a := s.acquire(name)
 	sm := s.svcMetrics()
 	target, fcName := s.decide(a, unitC, sm)
-	histLen := len(a.history)
+	histLen := a.n
 	if sm != nil {
 		a.count(&a.targets, sm.Targets)
 	}
@@ -772,11 +811,11 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 	// dst is nil: the response slices escape into the JSON encoder
 	// after the lock is released, so they must not alias the
 	// workspace.
-	s.countExtract(a.policy, len(a.history))
-	values := a.policy.ForecastWS(a.history, horizon, nil, a.ws)
+	s.countExtract(a.policy, a.n)
+	values := a.policy.ForecastTail(a.history, a.n, horizon, nil, a.ws)
 	var bands []QuantileBand
 	if len(levels) > 0 {
-		flat := a.policy.ForecastQuantilesWS(a.history, horizon, levels, nil, a.ws)
+		flat := a.policy.ForecastQuantilesTail(a.history, a.n, horizon, levels, nil, a.ws)
 		bands = make([]QuantileBand, len(levels))
 		for q, lv := range levels {
 			bands[q] = QuantileBand{

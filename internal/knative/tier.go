@@ -20,7 +20,8 @@ import (
 // apps-ever-seen instead of apps-currently-hot. The service therefore
 // keeps three tiers:
 //
-//	hot   materialized history + policy + (usually) a workspace: the
+//	hot   the tail of the history its policy can read (femux.Model.Keep,
+//	      at most MaxKeep+32 values) + policy + (usually) a workspace: the
 //	      zero-allocation observe path. Bounded by MaxHotApps, LRU-evicted,
 //	      and entered only by a request's first touch. Workspaces are
 //	      additionally bounded by MaxWorkspaces and returned to the shared
@@ -180,8 +181,8 @@ func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 		// demoted record while v is still published: dropCached clears it
 		// after unpublishing, so none lands on state an import replaced.
 		var memo store.Memo
-		if group, ok := v.policy.Classified(len(v.history)); ok && group <= math.MaxUint8 {
-			memo = store.Memo{Len: uint32(len(v.history)), Gen: v.gen, Group: uint8(group)}
+		if group, ok := v.policy.Classified(v.n); ok && group <= math.MaxUint8 {
+			memo = store.Memo{Len: uint32(v.n), Gen: v.gen, Group: uint8(group)}
 		}
 		s.st.SetMemo(v.name, memo)
 	}

@@ -150,8 +150,8 @@ func TestBatchOverHotBudget(t *testing.T) {
 // held until every one is applied: an observe that enforced a budget
 // with any app still locked would pick it as the victim and wait on its
 // own lock forever. Run under -race in CI. Conservation proves no round
-// trip lost state or order: every history holds every commit, in the
-// store's order.
+// trip lost state or order: every app counts every commit, and its hot
+// tail is the end of the store's order.
 func TestAcquireEvictHammer(t *testing.T) {
 	for _, v := range []struct {
 		name  string
@@ -223,10 +223,10 @@ func testAcquireEvictHammer(t *testing.T, napps int, batch bool) {
 
 	for _, app := range apps {
 		a := svc.acquire(app)
-		got := len(a.history)
+		got := a.n
 		svc.releaseApp(a)
 		if want := goroutines * iters; got != want {
-			t.Fatalf("%s: history length = %d, want %d (acquire/evict race lost observations)", app, got, want)
+			t.Fatalf("%s: observation count = %d, want %d (acquire/evict race lost observations)", app, got, want)
 		}
 		if slips := walOrderSlips(t, svc, app); slips != 0 {
 			t.Errorf("%s: %d history positions out of WAL order", app, slips)
@@ -321,7 +321,7 @@ func TestDropCachedPurgesWarm(t *testing.T) {
 		t.Fatal("handed-off app still has a window in the store")
 	}
 	c := svc.acquire("mover")
-	got := len(c.history)
+	got := c.n
 	svc.releaseApp(c)
 	if got != 0 {
 		t.Fatalf("handed-off app rematerialized %d observations, want 0", got)

@@ -120,6 +120,11 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 		apps[i] = fmt.Sprintf("eq-%d", i)
 	}
 	minute := make([]int, len(apps)) // next minute of each app's shaped series
+	// stream mirrors, per app, every value it was sent since its last
+	// import: the history an unbounded service would hold. A hot app's
+	// detector saw its last n values (a WindowCap restore starts from the
+	// capped window), and its tail is their end.
+	stream := make([][]float64, len(apps))
 
 	so := ServiceOptions{MaxHotApps: 2, MaxWorkspaces: 1}
 	var storeOpt *store.Options
@@ -146,28 +151,38 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 		n.restart(models[cur])
 	}
 
-	// driftState reads an app's drift detector and history through the
-	// same acquire path serving uses (restoring it if demoted).
-	driftState := func(s *Service, app string) (d lifecycle.Detector, history []float64) {
+	// driftState reads an app's drift detector, tail and observation
+	// count through the same acquire path serving uses (restoring it if
+	// demoted).
+	driftState := func(s *Service, app string) (d lifecycle.Detector, tail []float64, n int) {
 		a := s.acquire(app)
-		d = a.drift
-		history = append(history, a.history...)
+		d, n = a.drift, a.n
+		tail = append(tail, a.history...)
 		s.releaseApp(a)
-		return d, history
+		return d, tail, n
 	}
 	compares := 0
 	compare := func(when string) {
 		t.Helper()
 		compares++
-		for _, app := range apps {
+		for i, app := range apps {
 			// Drift satellite: the reference's moments, the tiered
 			// service's (rebuilt across every evict/page/compact/restore),
 			// and a from-scratch batch recomputation of the same window
 			// must all be Float64bits-identical.
-			dc, hist := driftState(ref.svc, app)
-			dt, _ := driftState(tiered.svc, app)
+			dc, tail, n := driftState(ref.svc, app)
+			dt, _, _ := driftState(tiered.svc, app)
 			if !dc.BitEqual(dt) {
 				t.Fatalf("%s: %s: tiered drift state diverged from reference", when, app)
+			}
+			if n > len(stream[i]) || windowCap == 0 && n != len(stream[i]) {
+				t.Fatalf("%s: %s: counts %d observations of a %d-value stream", when, app, n, len(stream[i]))
+			}
+			hist := stream[i][len(stream[i])-n:]
+			for k, v := range tail {
+				if math.Float64bits(v) != math.Float64bits(hist[n-len(tail)+k]) {
+					t.Fatalf("%s: %s: tail[%d] = %v, the stream holds %v", when, app, k, v, hist[n-len(tail)+k])
+				}
 			}
 			if batch := lifecycle.DetectorOf(hist, models[0].Config().BlockSize); !dc.BitEqual(batch) {
 				t.Fatalf("%s: %s: incremental drift state diverged from batch recomputation", when, app)
@@ -226,7 +241,9 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 	rng := rand.New(rand.NewSource(42))
 	next := func(i int) float64 { // app i's next observation
 		minute[i]++
-		return shapedValue(i, minute[i]-1)
+		v := shapedValue(i, minute[i]-1)
+		stream[i] = append(stream[i], v)
+		return v
 	}
 	ops := 700
 	if testing.Short() {
@@ -289,9 +306,10 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 			}
 		case r < 92: // dropCached + ImportApp: another window, same length
 			i := rng.Intn(len(apps))
-			_, hist := driftState(ref.svc, apps[i])
-			minute[i] += 1000                              // a different stretch of the app's series...
-			win := shapedWindow(i+1, minute[i], len(hist)) // ...and another app's regime
+			_, _, count := driftState(ref.svc, apps[i])
+			minute[i] += 1000                          // a different stretch of the app's series...
+			win := shapedWindow(i+1, minute[i], count) // ...and another app's regime
+			stream[i] = append([]float64(nil), win...)
 			for _, n := range nodes {
 				if err := n.svc.AdoptApp(apps[i], win, int64(len(win))); err != nil {
 					t.Fatalf("op %d: adopt: %v", op, err)
@@ -416,7 +434,7 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 		case r < 97: // dropCached + ImportApp: another window, same length
 			i := rng.Intn(len(apps))
 			a := runs[0].svc.acquire(apps[i])
-			n := len(a.history)
+			n := a.n
 			runs[0].svc.releaseApp(a)
 			minute[i] += 1000
 			win := shapedWindow(i+1, minute[i], n)

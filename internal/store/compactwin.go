@@ -181,15 +181,10 @@ const (
 	// (no copy) with its chunk offsets re-derived: one that can be
 	// appended to, trimmed and re-encoded.
 	cwWindow cwMode = 1 << iota
-	// cwValues yields the decoded values, with restoreHeadroom spare
-	// capacity. Alone, it touches no byte of the input after returning.
+	// cwValues yields the decoded values. Alone, it touches no byte of the
+	// input after returning.
 	cwValues
 )
-
-// restoreHeadroom is the spare capacity of a decoded value slice, so the
-// observations that follow a restore append in place instead of copying
-// the history the restore just built.
-const restoreHeadroom = 32
 
 // decodeCompactWindow parses an appendEncoded image spanning exactly p,
 // untrusted bytes, in one walk: every varint is validated as it is
@@ -222,7 +217,7 @@ func decodeCompactWindow(p []byte, mode cwMode) (cw CompactWindow, vals []float6
 		starts = make([]uint32, 0, (count+cwChunkLen-1)/cwChunkLen+1)
 	}
 	if mode&cwValues != 0 {
-		vals = make([]float64, count, count+restoreHeadroom)
+		vals = make([]float64, count)
 	}
 	starts, prev, raw, err := walkChunks(stream, int(count), starts, vals)
 	if err != nil {

@@ -57,6 +57,7 @@ type pager struct {
 	liveBytes int64 // bytes referenced by live stubs
 	deadBytes int64 // bytes in page files no stub references
 	fsyncs    int64
+	gcFails   int64 // page-file rewrites abandoned (see maybeGC)
 
 	// rd holds a read handle per page file a page-in has touched, open
 	// until the file is deleted or the pager closes.
@@ -216,8 +217,10 @@ const pageGCMinDead = 1 << 20
 // maybeGC rewrites every live stub's record into a fresh page file and
 // rebinds the stubs, so compaction can delete the old files after the
 // next snapshot commits the new refs. On any error the old refs are
-// still intact and the rewrite is abandoned (retried next compaction).
-func (p *pager) maybeGC(apps map[string]*appState) error {
+// still intact and the rewrite is abandoned (counted in gcFails, and
+// retried next compaction): the copies it already wrote are freed, so
+// liveRefs still counts exactly the cold apps.
+func (p *pager) maybeGC(apps map[string]*appState) (err error) {
 	if p.deadBytes < pageGCMinDead || p.deadBytes <= p.liveBytes {
 		return nil
 	}
@@ -231,6 +234,14 @@ func (p *pager) maybeGC(apps map[string]*appState) error {
 		ref *pageRef
 	}
 	var rebinds []rebind
+	defer func() {
+		if err != nil {
+			p.gcFails++
+			for _, r := range rebinds {
+				p.free(r.ref)
+			}
+		}
+	}()
 	for app, st := range apps {
 		if st.page == nil {
 			continue

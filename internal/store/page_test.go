@@ -226,34 +226,7 @@ func TestPageGCRewritesAndDeletes(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
 	defer s.Close()
-	// Windows big enough that page records are substantial.
-	var obs []Observation
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 40000; i++ {
-		obs = append(obs, Observation{App: appName(i % 8), Concurrency: rng.NormFloat64() * 1e6})
-	}
-	if err := s.AppendBatch(obs); err != nil {
-		t.Fatal(err)
-	}
-	// Churn: repeated page-out/restore leaves every generation's records
-	// dead in the page files.
-	for round := 0; round < 24; round++ {
-		for i := 0; i < 8; i++ {
-			if err := s.PageOut(appName(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 8; i++ {
-			if _, _, ok := s.RestoreWindow(appName(i)); !ok {
-				t.Fatalf("round %d: app %d missing", round, i)
-			}
-		}
-	}
-	for i := 0; i < 8; i += 2 {
-		if err := s.PageOut(appName(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	obs := pageChurn(t, s, 2)
 	st := s.Stats()
 	if st.PageBytes == 0 {
 		t.Fatal("churn produced no page bytes")
@@ -269,6 +242,86 @@ func TestPageGCRewritesAndDeletes(t *testing.T) {
 		t.Fatalf("PagedApps after GC = %d, want 4", after.PagedApps)
 	}
 	assertExactPrefix(t, s, obs)
+}
+
+// pageChurn fills 8 apps with windows big enough that page records are
+// substantial, then pages them out and restores them until the page
+// files are mostly garbage, and leaves every stride-th app cold. It
+// returns the observations appended.
+func pageChurn(t *testing.T, s *Store, stride int) []Observation {
+	t.Helper()
+	var obs []Observation
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 40000; i++ {
+		obs = append(obs, Observation{App: appName(i % 8), Concurrency: rng.NormFloat64() * 1e6})
+	}
+	if err := s.AppendBatch(obs); err != nil {
+		t.Fatal(err)
+	}
+	// Repeated page-out/restore leaves every generation's records dead in
+	// the page files.
+	for round := 0; round < 24; round++ {
+		for i := 0; i < 8; i++ {
+			if err := s.PageOut(appName(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if _, _, ok := s.RestoreWindow(appName(i)); !ok {
+				t.Fatalf("round %d: app %d missing", round, i)
+			}
+		}
+	}
+	for i := 0; i < 8; i += stride {
+		if err := s.PageOut(appName(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return obs
+}
+
+// TestPageGCFailureKeepsColdCount rots one live page record, so every
+// compaction's page-file rewrite fails part way. The copies a failed
+// rewrite already wrote must be freed: after each compaction PagedApps
+// still counts exactly the cold apps, which the inline budget and the
+// tier gauges are derived from, and the failures show in Stats.
+func TestPageGCFailureKeepsColdCount(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
+	defer s.Close()
+	pageChurn(t, s, 1)
+	ref := s.apps[appName(3)].page
+	f, err := os.OpenFile(filepath.Join(dir, pageName(ref.seq)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	at := ref.off + ref.recLen/2
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for i := 0; i < 6; i++ {
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		cold := 0
+		for _, st := range s.apps {
+			if st.page != nil {
+				cold++
+			}
+		}
+		if got := s.PagedApps(); got != cold {
+			t.Fatalf("compaction %d: PagedApps = %d, want the %d cold apps", i, got, cold)
+		}
+	}
+	if got := s.Stats().PageGCFails; got != 6 {
+		t.Fatalf("PageGCFails = %d, want 6 (one per compaction)", got)
+	}
 }
 
 // TestSnapshotV1Compat opens a data directory whose snapshot was

@@ -111,6 +111,7 @@ type Stats struct {
 	WindowBytes int64 // heap bytes retained by in-memory compact windows
 	PageErrors  int64 // page-in failures (window lost, total kept)
 	PageOuts    int64 // lifetime warm->cold demotions
+	PageGCFails int64 // page-file rewrites abandoned on a read or write error
 }
 
 // Store is a durable per-app observation store: an in-memory map of
@@ -512,7 +513,7 @@ func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok 
 	// window; only a warm app is walked here.
 	win = s.ensureInlineLocked(app, st, cwValues)
 	if win == nil {
-		win = st.cw.Values(make([]float64, 0, st.cw.Len()+restoreHeadroom))
+		win = st.cw.Values(make([]float64, 0, st.cw.Len()))
 	}
 	win = s.capWindow(win)
 	st.touched = true
@@ -599,9 +600,10 @@ func (s *Store) compactLocked() error {
 		return err
 	}
 	// Page files: rewrite live records if garbage dominates (a failed
-	// rewrite keeps the old refs and is retried next compaction), then
-	// fsync — the snapshot below is the first durable state to *depend*
-	// on page records, so they must be on disk before it exists.
+	// rewrite keeps the old refs, is counted in Stats.PageGCFails and is
+	// retried next compaction), then fsync — the snapshot below is the
+	// first durable state to *depend* on page records, so they must be on
+	// disk before it exists.
 	s.pg.maybeGC(s.apps)
 	if err := s.pg.sync(); err != nil {
 		return err
@@ -678,6 +680,7 @@ func (s *Store) Stats() Stats {
 		PagedApps:    s.pg.liveRefs,
 		PageErrors:   s.pageErrs,
 		PageOuts:     s.pageOuts,
+		PageGCFails:  s.pg.gcFails,
 	}
 	if s.w != nil {
 		st.Fsyncs = s.w.fsyncs.Load()
