@@ -31,11 +31,11 @@
 // independent of -minutes).
 //
 // With -retry N each transiently-failed request or batch item — a
-// transport error, a 502/503/504 (dead or unpromoted backend mid
-// failover), or a 421 shard redirect (app mid-migration) — is retried up
-// to N times after -retry-wait, so a replay rides across a shard
-// failover or a live reshard without losing observations. Permanent
-// rejections (validation errors) are never retried.
+// transport error, or a 502/503/504 (dead or unpromoted backend mid
+// failover) — is retried up to N times after -retry-wait, so a replay
+// rides across a shard failover without losing observations. Permanent
+// rejections (validation errors, and a 421 from a shard that does not own
+// the app) are never retried.
 //
 // With -speedup 0 the replay runs as fast as the server allows.
 // -check-metrics scrapes /metrics afterwards and verifies the server-side
@@ -91,7 +91,7 @@ func main() {
 		concurrency    = flag.Int("concurrency", 8, "in-flight request limit")
 		batch          = flag.Int("batch", 0, "observations per POST /v1/observe/batch request (0 = per-app observes)")
 		timeout        = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		retries        = flag.Int("retry", 0, "retries per transiently-failed request or batch item (503/502/504/421/transport)")
+		retries        = flag.Int("retry", 0, "retries per transiently-failed request or batch item (503/502/504/transport)")
 		retryWait      = flag.Duration("retry-wait", 200*time.Millisecond, "pause before each retry")
 		checkMetric    = flag.Bool("check-metrics", false, "scrape /metrics after the replay and verify observe counters match")
 		storeURLs      = flag.String("store-urls", "", "comma-separated instance URLs for -expect-store")
@@ -361,12 +361,12 @@ type replayConfig struct {
 
 // retryableStatus reports whether an HTTP status is worth retrying:
 // gateway failures and 503 (backend dead or replica awaiting promotion)
-// clear when the router promotes a replica; 421 (app owned elsewhere —
-// mid-migration) clears when the retry is re-routed to the new owner.
+// clear when the router promotes a replica. A 421 does not clear: shard
+// ownership is fixed while the fleet runs.
 func retryableStatus(code int) bool {
 	switch code {
 	case http.StatusServiceUnavailable, http.StatusBadGateway,
-		http.StatusGatewayTimeout, http.StatusMisdirectedRequest:
+		http.StatusGatewayTimeout:
 		return true
 	}
 	return false
@@ -553,9 +553,9 @@ func postSingle(client *http.Client, cfg replayConfig, ev obsEvent, st *workerSt
 // answers 200 even when individual items were rejected, so partial
 // failures only surface here — exactly the case the exit code must not
 // swallow. Transient failures — a failed request, or items answered 503
-// (shard dead / replica unpromoted) or 421 (app mid-migration) — are
-// retried up to cfg.Retries times with only the still-failing items
-// re-sent; permanent validation errors fail immediately.
+// (shard dead / replica unpromoted) — are retried up to cfg.Retries times
+// with only the still-failing items re-sent; permanent rejections fail
+// immediately.
 func postBatch(client *http.Client, cfg replayConfig, chunk []obsEvent, st *workerStats) {
 	st.items += len(chunk)
 	pending := chunk

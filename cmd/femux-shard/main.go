@@ -11,11 +11,10 @@
 // femuxd -replica-of. The router health-checks every shard's active
 // backend and, after -health-fails consecutive failures, promotes the
 // next backend in the group (POST /v1/admin/promote) and fails traffic
-// over — no client ever needs to know which backend is serving. It is
-// also the resharding coordinator: POST /v1/admin/reshard
-// {"add": "url[|url...]"} migrates each moving app's history to the
-// joining shard and bumps the fleet-wide ownership epoch, growing the
-// fleet N -> N+1 under live traffic.
+// over — no client ever needs to know which backend is serving. The
+// shard count is fixed while the router runs: to resize a fleet, stop
+// it, split the shards' data directories with femux-split, and restart
+// the instances and the router with the new count.
 //
 // Usage:
 //
@@ -25,7 +24,7 @@
 // The backend-group order defines the shard numbering and must match
 // each instance's -shard-id; /healthz reports healthy only when every
 // shard's active backend is. /metrics exposes the router's per-shard
-// routing, promotion, and reshard counters.
+// routing, error, and promotion counters.
 package main
 
 import (

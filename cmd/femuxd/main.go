@@ -112,7 +112,6 @@ func main() {
 
 		replicaOf    = flag.String("replica-of", "", "primary femuxd base URL: start as a gated replica tailing its WAL (requires -data-dir)")
 		replInterval = flag.Duration("repl-interval", 100*time.Millisecond, "replication poll period when caught up")
-		joining      = flag.Bool("joining", false, "start as a reshard-joining shard: serve only migrated-in apps until the reshard's epoch bump")
 
 		retrainEvery = flag.Duration("retrain-every", 0,
 			"run a drift-aware retrain cycle this often: retrain on recent windows, shadow-evaluate, auto-promote winners (0 = disabled)")
@@ -187,8 +186,7 @@ func main() {
 		log.Fatalf("-quantile-level must be in [0, 1), got %g", *quantileLevel)
 	}
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
-		Store: st, ShardID: *shardID, Shards: *shards,
-		Replica: *replicaOf != "", Joining: *joining,
+		Store: st, ShardID: *shardID, Shards: *shards, Replica: *replicaOf != "",
 		MaxHotApps: *maxHotApps, MaxWorkspaces: *maxWorkspaces,
 		QuantileLevel: *quantileLevel,
 	})

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -261,15 +262,56 @@ func TestRandomForestBeatsNoise(t *testing.T) {
 	}
 }
 
+// TestRandomForestDeterministic fits a tree and a forest 24 times on
+// labels that tie everywhere — every point carries each of four classes
+// once — and requires the same prediction at every point from each fit:
+// a tie goes to the lowest class, never to whichever a map yields first.
 func TestRandomForestDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rows, labels := twoBlobs(rng, 20)
-	f1, _ := FitForest(rows, labels, 5, 3)
-	f2, _ := FitForest(rows, labels, 5, 3)
-	for i := 0; i < 20; i++ {
-		p := []float64{rng.Float64() * 6, rng.Float64() * 6}
-		if f1.Predict(p) != f2.Predict(p) {
-			t.Fatal("forest non-deterministic")
+	var rows [][]float64
+	var labels []int
+	for x := 0; x < 6; x++ {
+		for y := 0; y < 6; y++ {
+			for c := 0; c < 4; c++ {
+				rows = append(rows, []float64{float64(x), float64(y)})
+				labels = append(labels, c)
+			}
+		}
+	}
+	predictAll := func(predict func([]float64) int) []int {
+		var out []int
+		for x := -0.5; x < 6; x += 0.5 {
+			for y := -0.5; y < 6; y += 0.5 {
+				out = append(out, predict([]float64{x, y}))
+			}
+		}
+		return out
+	}
+	var wantTree, wantForest []int
+	for fit := 0; fit < 24; fit++ {
+		tree, err := FitTree(rows, labels, DefaultTreeConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		forest, err := FitForest(rows, labels, 7, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTree, gotForest := predictAll(tree.Predict), predictAll(forest.Predict)
+		if fit == 0 {
+			wantTree, wantForest = gotTree, gotForest
+			continue
+		}
+		if !reflect.DeepEqual(gotTree, wantTree) {
+			t.Fatalf("fit %d: the tree predicts differently from fit 0", fit)
+		}
+		if !reflect.DeepEqual(gotForest, wantForest) {
+			t.Fatalf("fit %d: the forest predicts differently from fit 0", fit)
+		}
+	}
+	// Every leaf of the tree is a four-way tie.
+	for i, c := range wantTree {
+		if c != 0 {
+			t.Fatalf("point %d: the tree predicts class %d at a four-way tie, want 0", i, c)
 		}
 	}
 }

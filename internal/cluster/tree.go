@@ -30,6 +30,7 @@ type TreeConfig struct {
 	// per split (used by the random forest). Zero means all features.
 	FeatureSubset int
 	rng           *rand.Rand
+	classes       int // labels are in [0, classes); set by FitTree
 }
 
 // DefaultTreeConfig returns conventional CART settings.
@@ -42,6 +43,11 @@ func FitTree(rows [][]float64, labels []int, cfg TreeConfig) (*DecisionTree, err
 	if len(rows) == 0 || len(rows) != len(labels) {
 		return nil, errors.New("cluster: bad training data")
 	}
+	classes, err := classCount(labels)
+	if err != nil {
+		return nil, err
+	}
+	cfg.classes = classes
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 8
 	}
@@ -56,7 +62,7 @@ func FitTree(rows [][]float64, labels []int, cfg TreeConfig) (*DecisionTree, err
 }
 
 func growTree(rows [][]float64, labels, idx []int, cfg TreeConfig, depth int) *treeNode {
-	maj, pure := majority(labels, idx)
+	maj, pure := majority(labels, idx, cfg.classes)
 	if pure || depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSize {
 		return &treeNode{leaf: true, class: maj}
 	}
@@ -83,18 +89,40 @@ func growTree(rows [][]float64, labels, idx []int, cfg TreeConfig, depth int) *t
 	}
 }
 
-func majority(labels, idx []int) (int, bool) {
-	counts := map[int]int{}
+// classCount returns how many classes labels index: one more than the
+// largest label. Labels must be non-negative.
+func classCount(labels []int) (int, error) {
+	n := 0
+	for _, l := range labels {
+		if l < 0 {
+			return 0, errors.New("cluster: negative class label")
+		}
+		n = max(n, l+1)
+	}
+	return n, nil
+}
+
+// plurality returns the class counted most often, a tie going to the
+// lowest class, so the winner never depends on an iteration order.
+func plurality(counts []int) int {
+	best := 0
+	for c, n := range counts {
+		if n > counts[best] {
+			best = c
+		}
+	}
+	return best
+}
+
+// majority returns the plurality class of labels over idx, and whether
+// every label there is that class.
+func majority(labels, idx []int, classes int) (int, bool) {
+	counts := make([]int, classes)
 	for _, i := range idx {
 		counts[labels[i]]++
 	}
-	best, bestN := 0, -1
-	for c, n := range counts {
-		if n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best, len(counts) <= 1
+	best := plurality(counts)
+	return best, counts[best] == len(idx)
 }
 
 // bestSplit scans candidate (feature, threshold) pairs for the lowest
@@ -120,7 +148,7 @@ func bestSplit(rows [][]float64, labels, idx []int, cfg TreeConfig) (int, float6
 		}
 		candidates := splitCandidates(vals)
 		for _, t := range candidates {
-			g := splitGini(rows, labels, idx, f, t)
+			g := splitGini(rows, labels, idx, f, t, cfg.classes)
 			if g < bestGini {
 				bestGini, bestFeat, bestThresh = g, f, t
 			}
@@ -169,9 +197,9 @@ func insertionSort(xs []float64) {
 	}
 }
 
-func splitGini(rows [][]float64, labels, idx []int, feat int, thresh float64) float64 {
-	loCounts := map[int]int{}
-	hiCounts := map[int]int{}
+func splitGini(rows [][]float64, labels, idx []int, feat int, thresh float64, classes int) float64 {
+	counts := make([]int, 2*classes)
+	loCounts, hiCounts := counts[:classes], counts[classes:]
 	var nLo, nHi int
 	for _, i := range idx {
 		if rows[i][feat] <= thresh {
@@ -188,7 +216,9 @@ func splitGini(rows [][]float64, labels, idx []int, feat int, thresh float64) fl
 	return (float64(nLo)*gini(loCounts, nLo) + float64(nHi)*gini(hiCounts, nHi)) / float64(nLo+nHi)
 }
 
-func gini(counts map[int]int, n int) float64 {
+// gini sums over classes in order: a fixed order of float additions makes
+// equal splits compare equal on every run.
+func gini(counts []int, n int) float64 {
 	g := 1.0
 	for _, c := range counts {
 		p := float64(c) / float64(n)
@@ -213,7 +243,8 @@ func (t *DecisionTree) Predict(row []float64) int {
 // RandomForest is a bagged ensemble of CART trees with per-split feature
 // subsampling — the second supervised baseline from §4.3.4.
 type RandomForest struct {
-	trees []*DecisionTree
+	trees   []*DecisionTree
+	classes int
 }
 
 // FitForest trains nTrees trees on bootstrap samples of the data.
@@ -224,10 +255,14 @@ func FitForest(rows [][]float64, labels []int, nTrees int, seed int64) (*RandomF
 	if nTrees <= 0 {
 		nTrees = 10
 	}
+	classes, err := classCount(labels)
+	if err != nil {
+		return nil, err
+	}
 	dims := len(rows[0])
 	subset := int(math.Ceil(math.Sqrt(float64(dims))))
 	rng := rand.New(rand.NewSource(seed))
-	f := &RandomForest{}
+	f := &RandomForest{classes: classes}
 	for t := 0; t < nTrees; t++ {
 		bootRows := make([][]float64, len(rows))
 		bootLabels := make([]int, len(rows))
@@ -251,17 +286,12 @@ func FitForest(rows [][]float64, labels []int, nTrees int, seed int64) (*RandomF
 	return f, nil
 }
 
-// Predict returns the majority vote across trees.
+// Predict returns the plurality vote across trees, a tie going to the
+// lowest class.
 func (f *RandomForest) Predict(row []float64) int {
-	votes := map[int]int{}
+	votes := make([]int, f.classes)
 	for _, t := range f.trees {
 		votes[t.Predict(row)]++
 	}
-	best, bestN := 0, -1
-	for c, n := range votes {
-		if n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best
+	return plurality(votes)
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/features"
@@ -59,7 +61,8 @@ func (r Fig17Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  femux: cold-start sec %.1f, wasted %.0f GB-s, RUM %.1f (switched %.0f%%, 4+ used %.0f%%)\n",
 		r.FeMux.ColdStartSec, r.FeMux.WastedGBs, r.FeMux.RUM, r.SwitchedFrac*100, r.ManyUsedFrac*100)
-	for name, o := range r.Individual {
+	for _, name := range sortedKeys(r.Individual) {
+		o := r.Individual[name]
 		fmt.Fprintf(&b, "  %-12s cold-start sec %.1f, wasted %.0f GB-s, RUM %.1f\n",
 			name, o.ColdStartSec, o.WastedGBs, o.RUM)
 	}
@@ -107,8 +110,8 @@ func Fig18(train, test []femux.TrainApp) (Fig18Result, error) {
 // String renders the ablation.
 func (r Fig18Result) String() string {
 	var b strings.Builder
-	for combo, v := range r.RUM {
-		fmt.Fprintf(&b, "  %-50s RUM %.1f\n", combo, v)
+	for _, combo := range sortedKeys(r.RUM) {
+		fmt.Fprintf(&b, "  %-50s RUM %.1f\n", combo, r.RUM[combo])
 	}
 	return b.String()
 }
@@ -143,8 +146,8 @@ func BlockSize(train, test []femux.TrainApp, sizes []int) (BlockSizeResult, erro
 // String renders the sweep.
 func (r BlockSizeResult) String() string {
 	var b strings.Builder
-	for bs, v := range r.RUM {
-		fmt.Fprintf(&b, "  block %4d min: RUM %.1f\n", bs, v)
+	for _, bs := range sortedKeys(r.RUM) {
+		fmt.Fprintf(&b, "  block %4d min: RUM %.1f\n", bs, r.RUM[bs])
 	}
 	return b.String()
 }
@@ -180,4 +183,15 @@ func Classifiers(train, test []femux.TrainApp) (ClassifierComparison, error) {
 // String renders the comparison.
 func (r ClassifierComparison) String() string {
 	return fmt.Sprintf("kmeans RUM %.1f | tree %.1f | forest %.1f", r.KMeansRUM, r.TreeRUM, r.ForestRUM)
+}
+
+// sortedKeys returns m's keys in order, so a rendered table never follows
+// map iteration order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -15,8 +15,8 @@ import (
 // own replies. A batch group-commits its items under one fsync, where a
 // POST per app would pay a round trip and an fsync each.
 //
-// Lock order, outermost first: drainMu (read, held by the handler across
-// the commit), s.mu (read, released after validation), each item's
+// No lock spans the fleet: ownership is fixed for the process's lifetime,
+// so it is checked without one. Lock order, outermost first: each item's
 // app.mu in app-name order, then the tier or store mutex, never held
 // while waiting on an app. Everything else that locks app state holds
 // one app lock at a time.
@@ -91,9 +91,6 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if !batchSizeOK(w, len(req.Observations)) {
 		return
 	}
-	// The drain fence, as in appsHandler.
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
 	resp := BatchObserveResponse{Results: make([]BatchItemResult, len(req.Observations))}
 	accepted, err := s.observe(req.Observations, resp.Results)
 	if err != nil {
@@ -109,7 +106,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 
 // observe is the one commit path. Every valid item is durable before any
 // is applied or answered in results (same index); it reports how many it
-// applied, none on a store error. Callers hold drainMu for reading.
+// applied, none on a store error.
 //
 // Each valid item's app stays locked from before its restore (a window
 // restored after the commit would count the item twice) until after its
@@ -130,10 +127,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 	held := append(heldBuf[:0], make([]*svcApp, len(items))...)
 	byName, durable := byNameBuf[:0], durBuf[:0]
 
-	// One read lock spans every ownership check (pure CPU, at most
-	// maxBatchItems of them) and the metrics read.
-	s.mu.RLock()
-	sm := s.metrics
+	sm := s.svcMetrics()
 	for i, obs := range items {
 		res := &results[i]
 		res.App = obs.App
@@ -143,20 +137,19 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		case obs.Concurrency < 0:
 			res.Error = "concurrency must be non-negative"
 		default:
-			msg, status, owner := s.rejectAppLocked(obs.App)
+			msg, owner := s.foreign(obs.App)
 			if msg == "" {
 				byName = append(byName, i)
 				durable = append(durable, store.Observation{App: obs.App, Concurrency: obs.Concurrency})
 				continue
 			}
-			o := owner
-			res.Error, res.Status, res.Owner = msg, status, &o
+			o := owner // escapes: declared only on this path
+			res.Error, res.Status, res.Owner = msg, http.StatusMisdirectedRequest, &o
 			if sm != nil {
 				sm.Misrouted.Inc()
 			}
 		}
 	}
-	s.mu.RUnlock()
 
 	// Name order keeps two requests that share apps from deadlocking.
 	if len(byName) > 1 {

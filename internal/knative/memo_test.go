@@ -97,6 +97,19 @@ func shapedValue(i, minute int) float64 {
 	}
 }
 
+// seedWindow stores win as app's whole history, as observations the
+// serving path never saw.
+func seedWindow(t testing.TB, st *store.Store, app string, win []float64) {
+	t.Helper()
+	obs := make([]store.Observation, len(win))
+	for i, v := range win {
+		obs[i] = store.Observation{App: app, Concurrency: v}
+	}
+	if err := st.AppendBatch(obs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func shapedWindow(i, from, n int) []float64 {
 	w := make([]float64, n)
 	for m := range w {
@@ -304,9 +317,7 @@ func TestMemoInvalidation(t *testing.T) {
 		ref := NewService(modelA)
 		refSrv := httptest.NewServer(ref.Handler())
 		defer refSrv.Close()
-		if err := ref.AdoptApp(app, win, int64(len(win))); err != nil {
-			t.Fatal(err)
-		}
+		seedWindow(t, ref.st, app, win)
 		return fetchDecision(t, refSrv.URL, app).target.Forecaster
 	}
 	// modelA assigns expsmooth to group 0 and ma1 to group 1: plant
@@ -328,24 +339,6 @@ func TestMemoInvalidation(t *testing.T) {
 			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.SwapModel(modelA); return svc }, right},
 		{"dropCached", store.Options{},
 			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.dropCached(app); return svc }, right},
-		{"ImportApp of a same-length window", store.Options{},
-			func(t *testing.T, svc *Service, st *store.Store) *Service {
-				if err := svc.AdoptApp(app, window, n); err != nil {
-					t.Fatal(err)
-				}
-				return svc
-			}, right},
-		{"DropApp and re-create", store.Options{},
-			func(t *testing.T, svc *Service, st *store.Store) *Service {
-				svc.DrainApp(app, 1)
-				if err := svc.HandoffApp(app); err != nil {
-					t.Fatal(err)
-				}
-				if err := svc.AdoptApp(app, window, n); err != nil {
-					t.Fatal(err)
-				}
-				return svc
-			}, right},
 		{"an append changes the window length", store.Options{},
 			func(t *testing.T, svc *Service, st *store.Store) *Service {
 				if err := st.Append(app, 0); err != nil {
@@ -381,9 +374,7 @@ func TestMemoInvalidation(t *testing.T) {
 					dir = t.TempDir()
 				}
 				svc, _, st := tieredFleet(t, modelA, dir, tc.opt)
-				if err := st.ImportApp(app, window, n); err != nil {
-					t.Fatal(err)
-				}
+				seedWindow(t, st, app, window)
 				st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
 				svc = tc.event(t, svc, st)
 				srv := httptest.NewServer(svc.Handler())
@@ -408,9 +399,7 @@ func TestMemoInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		if err := st.ImportApp(app, window, n); err != nil {
-			t.Fatal(err)
-		}
+		seedWindow(t, st, app, window)
 		svc := NewServiceWith(modelA, ServiceOptions{Store: st, Replica: true})
 		st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
 		svc.Promote()

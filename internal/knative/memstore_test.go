@@ -7,7 +7,7 @@ import (
 )
 
 // TestNeedStoreOnMemoryService pins the one durability check the service
-// makes: the five endpoints that read or write replicable state answer a
+// makes: the two endpoints that stream replicable state answer a
 // memory-store instance with the 503 a femuxd started without -data-dir
 // has always given, byte for byte, and a directory-backed instance with
 // anything else.
@@ -25,9 +25,6 @@ func TestNeedStoreOnMemoryService(t *testing.T) {
 	for _, ep := range []struct{ method, path, body string }{
 		{"GET", "/v1/replication/wal?seq=1&off=0", ""},
 		{"GET", "/v1/replication/state", ""},
-		{"GET", "/v1/replication/apps", ""},
-		{"GET", "/v1/replication/app?name=known", ""},
-		{"POST", "/v1/replication/import", `{"app":"adopted","window":[1,2],"total":2}`},
 	} {
 		resp, body := doReq(t, ep.method, mem.URL+ep.path, ep.body)
 		if resp.StatusCode != 503 || body != want {
@@ -44,10 +41,10 @@ func TestNeedStoreOnMemoryService(t *testing.T) {
 }
 
 // TestMemoryServiceIsTieredLikeAnyOther pins what became uniform when the
-// store-less warm map went: on a service without -data-dir an adopted app
-// is restored through the hot LRU and counts against MaxHotApps, Apps
-// means "apps with at least one observation", and Status reports the
-// observation total.
+// store-less warm map went: on a service without -data-dir an app the
+// store holds is restored through the hot LRU and counts against
+// MaxHotApps, Apps means "apps with at least one observation", and Status
+// reports the observation total.
 func TestMemoryServiceIsTieredLikeAnyOther(t *testing.T) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 2})
 	srv := httptest.NewServer(svc.Handler())
@@ -55,12 +52,10 @@ func TestMemoryServiceIsTieredLikeAnyOther(t *testing.T) {
 
 	names := make([]string, 5)
 	for i := range names {
-		names[i] = fmt.Sprintf("adopted-%d", i)
-		if err := svc.AdoptApp(names[i], []float64{1, 2, 3}, 3); err != nil {
-			t.Fatal(err)
-		}
+		names[i] = fmt.Sprintf("stored-%d", i)
+		seedWindow(t, svc.st, names[i], []float64{1, 2, 3})
 	}
-	// Adoption is an import into the warm tier, not an install beside the LRU.
+	// The store is the warm tier: nothing is installed beside the LRU.
 	for _, name := range names {
 		if materialized(svc, name) {
 			t.Errorf("%s holds hot state the hot LRU does not track", name)
@@ -68,11 +63,11 @@ func TestMemoryServiceIsTieredLikeAnyOther(t *testing.T) {
 	}
 	for _, name := range names {
 		if d := fetchDecision(t, srv.URL, name); d.target.History != 3 {
-			t.Fatalf("%s: history %d, want the 3 adopted observations", name, d.target.History)
+			t.Fatalf("%s: history %d, want the 3 stored observations", name, d.target.History)
 		}
 	}
 	if hot := svc.HotApps(); hot != 2 {
-		t.Errorf("hot apps = %d after serving 5 adopted apps, want MaxHotApps = 2", hot)
+		t.Errorf("hot apps = %d after serving 5 stored apps, want MaxHotApps = 2", hot)
 	}
 	if hot, warm, cold := svc.TierCounts(); hot != 2 || warm != 3 || cold != 0 {
 		t.Errorf("TierCounts = (%d, %d, %d), want (2, 3, 0)", hot, warm, cold)

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
@@ -164,91 +163,6 @@ func testConcurrentObservesKeepWALOrder(t *testing.T, backend string, batch [4]b
 		if math.Float64bits(before.forecast.Values[i]) != math.Float64bits(after.forecast.Values[i]) {
 			t.Errorf("forecast[%d] = %v before the drop, %v after", i,
 				before.forecast.Values[i], after.forecast.Values[i])
-		}
-	}
-}
-
-// TestBatchDrainFence hammers an app with batches while DrainApp runs.
-// Once DrainApp returns the app's history is final: every item a batch
-// acknowledged is in the window exported then, and its durable total
-// never grows again.
-func TestBatchDrainFence(t *testing.T) {
-	svc := NewService(trainTinyModel(t))
-	h := svc.Handler()
-	const (
-		app     = "leaving"
-		writers = 4
-		// Acknowledged items before the drain, and refusals each writer
-		// must see after it.
-		warmup, refusals = 40, 25
-	)
-	var (
-		wg     sync.WaitGroup
-		landed atomic.Int64
-		ready  = make(chan struct{})
-		acked  [writers][]float64
-	)
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Other apps ride along so the batch spends time acquiring
-			// between its ownership check and its commit.
-			var body strings.Builder
-			for k, refused := 0, 0; refused < refusals; k++ {
-				v := float64(g*1_000_000+k) + 0.5
-				body.Reset()
-				fmt.Fprintf(&body, `{"observations":[{"app":%q,"concurrency":%g}`, app, v)
-				for j := 0; j < 8; j++ {
-					fmt.Fprintf(&body, `,{"app":"rider-%d-%d","concurrency":1}`, g, j)
-				}
-				body.WriteString(`]}`)
-				rec := serveInProcess(h, http.MethodPost, "/v1/observe/batch", body.String())
-				var out BatchObserveResponse
-				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
-					t.Errorf("writer %d: batch %d: %d %s", g, k, rec.Code, rec.Body)
-					return
-				}
-				switch res := out.Results[0]; {
-				case res.Error == "":
-					acked[g] = append(acked[g], v)
-					if landed.Add(1) == warmup {
-						close(ready)
-					}
-				case res.Status == http.StatusMisdirectedRequest && res.Owner != nil && *res.Owner == 1:
-					refused++
-				default:
-					t.Errorf("writer %d: batch %d: unexpected result %+v", g, k, res)
-					return
-				}
-			}
-		}(g)
-	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-ready:
-	case <-finished:
-		t.Fatal("every writer stopped before the drain")
-	}
-	svc.DrainApp(app, 1)
-	win, total, ok := svc.st.ExportApp(app)
-	wg.Wait()
-	if !ok {
-		t.Fatal("drained app has no durable state")
-	}
-	if _, final, _ := svc.st.ExportApp(app); final != total {
-		t.Errorf("durable total grew from %d to %d after DrainApp returned", total, final)
-	}
-	exported := make(map[uint64]bool, len(win))
-	for _, v := range win {
-		exported[math.Float64bits(v)] = true
-	}
-	for g := range acked {
-		for _, v := range acked[g] {
-			if !exported[math.Float64bits(v)] {
-				t.Errorf("writer %d: acknowledged %v is missing from the window exported at the drain", g, v)
-			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package knative
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,26 +14,20 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
-// Replication and resharding over HTTP. Every femuxd instance exposes
-// the same endpoints; roles are a matter of who calls whom:
+// Replication over HTTP. Every femuxd instance exposes the same
+// endpoints; roles are a matter of who calls whom:
 //
 //	GET  /v1/replication/wal?seq=&off=&max=   stream framed WAL records
 //	GET  /v1/replication/state                full-state snapshot (bootstrap)
-//	GET  /v1/replication/status               position/cursor/epoch JSON
-//	GET  /v1/replication/apps                 durable app list
-//	GET  /v1/replication/app?name=            one app's history (migration read)
-//	POST /v1/replication/import               adopt one app's history
-//	POST /v1/admin/drain                      stop writes to an app (421 + owner)
-//	POST /v1/admin/handoff                    drop a drained app's state
+//	GET  /v1/replication/status               position/cursor/shard JSON
 //	POST /v1/admin/promote                    replica -> serving primary
-//	POST /v1/admin/epoch                      install a new shard count/epoch
 //
 // A follower (femuxd -replica-of) runs a Replicator that polls
 // /v1/replication/wal and applies chunks through the store's
 // exactly-once AppendReplicated; the femux-shard router health-checks
-// primaries and POSTs /v1/admin/promote on failure. Resharding drains
-// each moving app on its old owner, copies its history to the new
-// owner, drops it, and finally bumps the fleet-wide epoch.
+// primaries and POSTs /v1/admin/promote on failure. Shard ownership never
+// changes while a process runs: a fleet is resized offline, by
+// store.Split over the stopped shards' data directories.
 
 // Header names carrying WAL positions on the replication endpoints.
 const (
@@ -50,26 +43,9 @@ type ReplStatus struct {
 	Cursor   *store.ReplPos `json:"cursor,omitempty"` // last applied primary position (followers)
 	Total    int64          `json:"total"`
 	Apps     int            `json:"apps"`
-	Epoch    int            `json:"epoch"`
 	Shards   int            `json:"shards"`
 	ShardID  int            `json:"shardID"`
 	Replica  bool           `json:"replica"`
-	Joining  bool           `json:"joining"`
-}
-
-// AppTransfer is one app's full durable history — the migration payload
-// and the /v1/replication/app reply.
-type AppTransfer struct {
-	App    string    `json:"app"`
-	Window []float64 `json:"window"`
-	Total  int64     `json:"total"`
-}
-
-// Epoch reports the service's current ownership epoch.
-func (s *Service) Epoch() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
 }
 
 // IsReplica reports whether the serving path is still gated.
@@ -112,94 +88,9 @@ func (s *Service) Promote() int {
 	return s.restored
 }
 
-// SetShards installs a new fleet size under a strictly newer ownership
-// epoch, clearing the per-epoch moved/adopted sets (the new shard map
-// subsumes them). Stale epochs are rejected so a lagging resharding
-// coordinator cannot roll ownership backwards.
-func (s *Service) SetShards(shards, epoch int) error {
-	if shards < 1 {
-		return fmt.Errorf("knative: shards must be >= 1, got %d", shards)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch <= s.epoch {
-		return fmt.Errorf("knative: stale epoch %d (current %d)", epoch, s.epoch)
-	}
-	if s.shardID >= shards {
-		return fmt.Errorf("knative: shard %d does not exist in a fleet of %d", s.shardID, shards)
-	}
-	s.shards, s.epoch = shards, epoch
-	s.moved = map[string]int{}
-	s.adopted = map[string]bool{}
-	s.joining = false
-	return nil
-}
-
-// DrainApp freezes one app for migration: subsequent requests answer 421
-// with owner in X-Femux-Owner. The write fence guarantees that once this
-// returns, the app's durable history is final — no in-flight write can
-// land after it.
-func (s *Service) DrainApp(app string, owner int) {
-	s.drainMu.Lock()
-	s.mu.Lock()
-	s.moved[app] = owner
-	s.mu.Unlock()
-	s.drainMu.Unlock()
-}
-
-// HandoffApp completes a migration away: the drained app's durable and
-// in-memory state is dropped (the 421 marker stays until the epoch
-// bump). Refuses apps that were not drained first — dropping live state
-// would lose observations.
-func (s *Service) HandoffApp(app string) error {
-	s.mu.RLock()
-	_, drained := s.moved[app]
-	s.mu.RUnlock()
-	if !drained {
-		return fmt.Errorf("knative: handoff of %q without drain", app)
-	}
-	if err := s.st.DropApp(app); err != nil {
-		return err
-	}
-	s.dropCached(app)
-	if sm := s.svcMetrics(); sm != nil {
-		sm.Handoffs.Inc()
-	}
-	return nil
-}
-
-// AdoptApp installs one app's migrated history on its new owner,
-// durably, and whitelists it against the (still old-epoch) shard map so
-// per-app cutover happens before the fleet-wide epoch bump. Replace
-// semantics make re-running an interrupted migration idempotent.
-func (s *Service) AdoptApp(app string, window []float64, total int64) error {
-	if app == "" {
-		return fmt.Errorf("knative: adopt: empty app name")
-	}
-	if err := s.st.ImportApp(app, window, total); err != nil {
-		return err
-	}
-	// Any cached serving state predates the import (including a stale copy
-	// from a misroute bounce during resharding); drop it so the next touch
-	// rematerializes from the imported history.
-	s.dropCached(app)
-	s.mu.Lock()
-	s.adopted[app] = true
-	delete(s.moved, app)
-	s.mu.Unlock()
-	if sm := s.svcMetrics(); sm != nil {
-		sm.Adoptions.Inc()
-	}
-	return nil
-}
-
 // Status returns the replication status snapshot.
 func (s *Service) Status() ReplStatus {
-	st := ReplStatus{}
-	s.mu.RLock()
-	st.Epoch, st.Shards, st.ShardID, st.Replica = s.epoch, s.shards, s.shardID, s.replica
-	st.Joining = s.joining
-	s.mu.RUnlock()
+	st := ReplStatus{Shards: s.shards, ShardID: s.shardID, Replica: s.IsReplica()}
 	st.Apps = s.Apps()
 	st.Total = s.st.TotalObservations()
 	if pos, err := s.st.Position(); err == nil {
@@ -211,26 +102,20 @@ func (s *Service) Status() ReplStatus {
 	return st
 }
 
-// mountReplication registers the replication and migration endpoints on
-// the service mux.
+// mountReplication registers the replication endpoints on the service
+// mux.
 func (s *Service) mountReplication(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/replication/wal", s.walHandler)
 	mux.HandleFunc("/v1/replication/state", s.stateHandler)
 	mux.HandleFunc("/v1/replication/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Status())
 	})
-	mux.HandleFunc("/v1/replication/apps", s.appListHandler)
-	mux.HandleFunc("/v1/replication/app", s.appExportHandler)
-	mux.HandleFunc("/v1/replication/import", s.appImportHandler)
-	mux.HandleFunc("/v1/admin/drain", s.drainHandler)
-	mux.HandleFunc("/v1/admin/handoff", s.handoffHandler)
 	mux.HandleFunc("/v1/admin/promote", s.promoteHandler)
-	mux.HandleFunc("/v1/admin/epoch", s.epochHandler)
 }
 
 // needStore reports whether the instance's store is durable, having
-// answered 503 when it is memory-only: its state cannot be replicated or
-// migrated. This is the one place the service asks which store it has.
+// answered 503 when it is memory-only: its state cannot be replicated.
+// This is the one place the service asks which store it has.
 func (s *Service) needStore(w http.ResponseWriter) bool {
 	durable := s.st.Durable()
 	if !durable {
@@ -292,105 +177,6 @@ func (s *Service) stateHandler(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-func (s *Service) appListHandler(w http.ResponseWriter, r *http.Request) {
-	if !s.needStore(w) {
-		return
-	}
-	writeJSON(w, struct {
-		Apps []string `json:"apps"`
-	}{Apps: s.st.AppNames()})
-}
-
-func (s *Service) appExportHandler(w http.ResponseWriter, r *http.Request) {
-	if !s.needStore(w) {
-		return
-	}
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		http.Error(w, "need name=", http.StatusBadRequest)
-		return
-	}
-	win, total, ok := s.st.ExportApp(name)
-	if !ok {
-		http.Error(w, fmt.Sprintf("app %q has no durable state here", name), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, AppTransfer{App: name, Window: win, Total: total})
-}
-
-func (s *Service) appImportHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "import requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.replicaGated(w) {
-		return
-	}
-	if !s.needStore(w) {
-		return
-	}
-	var req AppTransfer
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBatchBody)).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.AdoptApp(req.App, req.Window, req.Total); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, struct {
-		App     string `json:"app"`
-		History int    `json:"historyLen"`
-	}{App: req.App, History: len(req.Window)})
-}
-
-func (s *Service) drainHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "drain requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.replicaGated(w) {
-		return
-	}
-	var req struct {
-		App   string `json:"app"`
-		Owner int    `json:"owner"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxObserveBody)).Decode(&req); err != nil || req.App == "" {
-		http.Error(w, "need {app, owner}", http.StatusBadRequest)
-		return
-	}
-	s.DrainApp(req.App, req.Owner)
-	writeJSON(w, struct {
-		App   string `json:"app"`
-		Owner int    `json:"owner"`
-	}{req.App, req.Owner})
-}
-
-func (s *Service) handoffHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "handoff requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.replicaGated(w) {
-		return
-	}
-	var req struct {
-		App string `json:"app"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxObserveBody)).Decode(&req); err != nil || req.App == "" {
-		http.Error(w, "need {app}", http.StatusBadRequest)
-		return
-	}
-	if err := s.HandoffApp(req.App); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	writeJSON(w, struct {
-		App string `json:"app"`
-	}{req.App})
-}
-
 func (s *Service) promoteHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "promote requires POST", http.StatusMethodNotAllowed)
@@ -401,29 +187,6 @@ func (s *Service) promoteHandler(w http.ResponseWriter, r *http.Request) {
 		Apps       int `json:"apps"`
 		Promotions int `json:"promotions"`
 	}{apps, s.Promotions()})
-}
-
-func (s *Service) epochHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "epoch requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Shards int `json:"shards"`
-		Epoch  int `json:"epoch"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxObserveBody)).Decode(&req); err != nil {
-		http.Error(w, "need {shards, epoch}", http.StatusBadRequest)
-		return
-	}
-	if err := s.SetShards(req.Shards, req.Epoch); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	writeJSON(w, struct {
-		Shards int `json:"shards"`
-		Epoch  int `json:"epoch"`
-	}{req.Shards, req.Epoch})
 }
 
 // Replicator tails a primary femuxd's WAL into a local store: the

@@ -299,219 +299,6 @@ func TestRouterFailoverPromotesReplica(t *testing.T) {
 	assertDecisionsIdentical(t, apps, ctl.URL, front.URL)
 }
 
-// reshardFleet stands up a 2-shard fleet with durable stores plus a
-// joining shard configured as shard 2 of 3, and a router in front.
-func reshardFleet(t *testing.T) (svcs []*Service, stores []*store.Store, rt *ShardRouter, front *httptest.Server, joinURL string) {
-	t.Helper()
-	model := trainTinyModel(t)
-	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		st := openTestStore(t, t.TempDir())
-		svc := NewServiceWith(model, ServiceOptions{Store: st, ShardID: i, Shards: 2})
-		srv := httptest.NewServer(svc.Handler())
-		t.Cleanup(srv.Close)
-		svcs, stores, urls[i] = append(svcs, svc), append(stores, st), srv.URL
-	}
-	jst := openTestStore(t, t.TempDir())
-	jsvc := NewServiceWith(model, ServiceOptions{Store: jst, ShardID: 2, Shards: 3, Joining: true})
-	jsrv := httptest.NewServer(jsvc.Handler())
-	t.Cleanup(jsrv.Close)
-	svcs, stores = append(svcs, jsvc), append(stores, jst)
-
-	var err error
-	rt, err = NewShardRouter(urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	front = httptest.NewServer(rt.Handler())
-	t.Cleanup(front.Close)
-	return svcs, stores, rt, front, jsrv.URL
-}
-
-func reshardApps(t *testing.T, n int) (apps []string, movers map[string]bool) {
-	t.Helper()
-	movers = map[string]bool{}
-	for i := 0; i < n; i++ {
-		app := fmt.Sprintf("rs-app-%d", i)
-		apps = append(apps, app)
-		if store.ShardOf(app, 3) == 2 {
-			movers[app] = true
-		}
-	}
-	if len(movers) == 0 || len(movers) == len(apps) {
-		t.Fatalf("degenerate reshard fixture: %d/%d apps move — pick different names", len(movers), len(apps))
-	}
-	return apps, movers
-}
-
-// TestReshardGrowsFleetUnderLoad grows a 2-shard fleet to 3 while a
-// client keeps writing through the router: the reshard migrates exactly
-// the rendezvous movers to the joining shard, bumps the epoch
-// fleet-wide, and not one acknowledged observation is lost — the durable
-// fleet total matches the acked count and forecasts stay bit-identical
-// to an unresharded control.
-func TestReshardGrowsFleetUnderLoad(t *testing.T) {
-	svcs, stores, rt, front, joinURL := reshardFleet(t)
-	model := trainTinyModel(t)
-	ctl := httptest.NewServer(NewService(model).Handler())
-	defer ctl.Close()
-	apps, movers := reshardApps(t, 16)
-
-	acked := 0
-	feedRound := func(r int, retry bool) {
-		for i, app := range apps {
-			v := float64(r*len(apps)+i)*0.25 + 0.5
-			if retry {
-				observeWithRetry(t, front.URL, app, v, 10*time.Second)
-			} else {
-				mustObserve(t, front.URL, app, v)
-			}
-			mustObserve(t, ctl.URL, app, v)
-			acked++
-		}
-	}
-	for r := 0; r < 8; r++ {
-		feedRound(r, false)
-	}
-
-	// Reshard concurrently with live writes.
-	done := make(chan struct{})
-	var report *ReshardReport
-	var reshardErr error
-	go func() {
-		defer close(done)
-		report, reshardErr = rt.Reshard(joinURL)
-	}()
-	for r := 8; r < 16; r++ {
-		feedRound(r, true)
-	}
-	<-done
-	if reshardErr != nil {
-		t.Fatalf("reshard: %v", reshardErr)
-	}
-	for r := 16; r < 20; r++ {
-		feedRound(r, true)
-	}
-
-	if report.Shards != 3 || rt.Shards() != 3 {
-		t.Fatalf("fleet size after reshard: report=%d router=%d, want 3", report.Shards, rt.Shards())
-	}
-	if report.Moved != len(movers) {
-		t.Errorf("reshard moved %d apps, want exactly the %d rendezvous movers", report.Moved, len(movers))
-	}
-	for i, svc := range svcs {
-		if got := svc.Epoch(); got != report.Epoch {
-			t.Errorf("shard %d epoch = %d, want %d", i, got, report.Epoch)
-		}
-	}
-
-	// Zero lost observations: the durable fleet total equals the acked
-	// count, with every mover exactly once on the joining shard.
-	var fleetTotal int64
-	for _, st := range stores {
-		fleetTotal += st.TotalObservations()
-	}
-	if fleetTotal != int64(acked) {
-		t.Fatalf("durable fleet total %d != acked %d", fleetTotal, acked)
-	}
-	for _, app := range apps {
-		onJoin := stores[2].Window(app) != nil
-		onOld := stores[0].Window(app) != nil || stores[1].Window(app) != nil
-		if movers[app] && (!onJoin || onOld) {
-			t.Errorf("mover %q: on joining shard=%v, still on old shard=%v", app, onJoin, onOld)
-		}
-		if !movers[app] && onJoin {
-			t.Errorf("non-mover %q has state on the joining shard", app)
-		}
-	}
-	assertDecisionsIdentical(t, apps, ctl.URL, front.URL)
-}
-
-// TestReshardInterruptedResumes crashes the coordinator mid-migration —
-// one mover imported but not handed off, another drained but never
-// exported — and proves a re-run completes the reshard exactly-once:
-// totals conserved, each mover on precisely its new owner, forecasts
-// bit-identical to a control that never resharded.
-func TestReshardInterruptedResumes(t *testing.T) {
-	svcs, stores, rt, front, joinURL := reshardFleet(t)
-	model := trainTinyModel(t)
-	ctl := httptest.NewServer(NewService(model).Handler())
-	defer ctl.Close()
-	apps, movers := reshardApps(t, 16)
-
-	acked := 0
-	for r := 0; r < 8; r++ {
-		for i, app := range apps {
-			v := float64(r*len(apps)+i)*0.25 + 0.5
-			mustObserve(t, front.URL, app, v)
-			mustObserve(t, ctl.URL, app, v)
-			acked++
-		}
-	}
-
-	// Simulate a coordinator crash: manually run the migration protocol
-	// partway on two movers, then abandon.
-	var moverList []string
-	for _, app := range apps {
-		if movers[app] {
-			moverList = append(moverList, app)
-		}
-	}
-	if len(moverList) < 2 {
-		t.Fatalf("fixture needs >= 2 movers, got %d", len(moverList))
-	}
-	halfMoved, drainedOnly := moverList[0], moverList[1]
-	for _, app := range []string{halfMoved, drainedOnly} {
-		oldOwner := store.ShardOf(app, 2)
-		svcs[oldOwner].DrainApp(app, 2)
-	}
-	oldOwner := store.ShardOf(halfMoved, 2)
-	win, total, ok := stores[oldOwner].ExportApp(halfMoved)
-	if !ok {
-		t.Fatalf("mover %q has no state on its old owner", halfMoved)
-	}
-	if err := svcs[2].AdoptApp(halfMoved, win, total); err != nil {
-		t.Fatal(err)
-	}
-	// Crash here: halfMoved exists on BOTH shards, drainedOnly is fenced
-	// on its old owner. Writes to both now bounce with 421 until the
-	// re-run finishes — observeWithRetry rides across it.
-
-	report, err := rt.Reshard(joinURL)
-	if err != nil {
-		t.Fatalf("reshard re-run after interruption: %v", err)
-	}
-	if report.Moved != len(movers) {
-		t.Errorf("re-run migrated %d apps, want all %d movers (idempotent replace)", report.Moved, len(movers))
-	}
-
-	for r := 8; r < 12; r++ {
-		for i, app := range apps {
-			v := float64(r*len(apps)+i)*0.25 + 0.5
-			observeWithRetry(t, front.URL, app, v, 10*time.Second)
-			mustObserve(t, ctl.URL, app, v)
-			acked++
-		}
-	}
-
-	var fleetTotal int64
-	for _, st := range stores {
-		fleetTotal += st.TotalObservations()
-	}
-	if fleetTotal != int64(acked) {
-		t.Fatalf("durable fleet total %d != acked %d (interruption lost or duplicated history)", fleetTotal, acked)
-	}
-	for _, app := range moverList {
-		if stores[2].Window(app) == nil {
-			t.Errorf("mover %q missing from joining shard after re-run", app)
-		}
-		if stores[0].Window(app) != nil || stores[1].Window(app) != nil {
-			t.Errorf("mover %q still has state on an old shard after re-run", app)
-		}
-	}
-	assertDecisionsIdentical(t, apps, ctl.URL, front.URL)
-}
-
 // TestBatchItemDegradation pins satellite behavior: a dead shard
 // degrades that slice of a routed batch to per-item 503s (retryable,
 // the healthy shard still commits), while a misrouted app posted

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,25 +28,16 @@ import (
 // the router is the failover controller: a health loop watches every
 // shard's active backend and, after enough consecutive failures,
 // promotes the next backend in the group (POST /v1/admin/promote) and
-// fails traffic over to it. The router is also the resharding
-// coordinator: POST /v1/admin/reshard drains, transfers, and hands off
-// every moving app, then bumps the fleet-wide ownership epoch, growing
-// the fleet N -> N+1 under live traffic.
+// fails traffic over to it. The shard list is fixed for the router's
+// lifetime: a fleet changes size offline (store.Split), never under it.
 type ShardRouter struct {
-	mu      sync.RWMutex
-	shards  []*shardBackend
-	pending *shardBackend // joining shard during a reshard; owner-retries may target it
-	client  *http.Client
-
-	reshardMu sync.Mutex // serializes reshard runs
+	shards []*shardBackend
+	client *http.Client
 
 	reg        *serving.Registry
 	routed     *serving.Counter // femux_route_requests_total{shard}
 	errs       *serving.Counter // femux_route_errors_total{shard}
-	retries    *serving.Counter // femux_route_owner_retries_total
 	promotions *serving.Counter // femux_route_promotions_total{shard}
-	moved      *serving.Counter // femux_reshard_moved_apps_total
-	resharding *serving.Gauge   // femux_resharding (1 while a reshard runs)
 }
 
 // shardBackend is one shard's ordered backend group. urls[active] serves
@@ -106,14 +96,8 @@ func NewShardRouter(backends []string, client *http.Client) (*ShardRouter, error
 		"Requests routed, per owning shard.", "shard")
 	rt.errs = rt.reg.NewCounter("femux_route_errors_total",
 		"Requests that failed at the backend, per shard.", "shard")
-	rt.retries = rt.reg.NewCounter("femux_route_owner_retries_total",
-		"Requests re-sent to the owner named by a 421 redirect.")
 	rt.promotions = rt.reg.NewCounter("femux_route_promotions_total",
 		"Replica promotions triggered by the health loop, per shard.", "shard")
-	rt.moved = rt.reg.NewCounter("femux_reshard_moved_apps_total",
-		"Apps migrated between shards by reshard runs.")
-	rt.resharding = rt.reg.NewGauge("femux_resharding",
-		"1 while a reshard run is in progress.")
 	rt.reg.NewGaugeFunc("femux_route_shards",
 		"Number of backend shards behind this router.",
 		func() float64 { return float64(rt.Shards()) })
@@ -121,35 +105,7 @@ func NewShardRouter(backends []string, client *http.Client) (*ShardRouter, error
 }
 
 // Shards reports the fleet size.
-func (rt *ShardRouter) Shards() int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return len(rt.shards)
-}
-
-// snapshot returns the current shard list; the slice is never mutated in
-// place (reshard appends to a copy), so it is safe to iterate unlocked.
-func (rt *ShardRouter) snapshot() []*shardBackend {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.shards
-}
-
-// backendForOwner resolves a 421 redirect's owner to a backend group.
-// During a reshard the joining shard is addressable as owner == N even
-// though routing still uses the old N-shard map — that is exactly how
-// per-app cutover stays hitless before the epoch bump.
-func (rt *ShardRouter) backendForOwner(owner int) *shardBackend {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if owner >= 0 && owner < len(rt.shards) {
-		return rt.shards[owner]
-	}
-	if rt.pending != nil && owner == len(rt.shards) {
-		return rt.pending
-	}
-	return nil
-}
+func (rt *ShardRouter) Shards() int { return len(rt.shards) }
 
 // Handler returns the router's HTTP handler.
 func (rt *ShardRouter) Handler() http.Handler {
@@ -158,7 +114,6 @@ func (rt *ShardRouter) Handler() http.Handler {
 	mux.HandleFunc("/v1/apps/", rt.proxyApp)
 	mux.HandleFunc("/v1/observe/batch", rt.splitBatch)
 	mux.HandleFunc("/v1/admin/reload", rt.fanoutReload)
-	mux.HandleFunc("/v1/admin/reshard", rt.reshardHandler)
 	mux.HandleFunc("/v1/admin/failover", rt.failoverHandler)
 	mux.Handle("/metrics", rt.reg.Handler())
 	return mux
@@ -167,7 +122,7 @@ func (rt *ShardRouter) Handler() http.Handler {
 // healthz reports healthy only when every shard's active backend is.
 func (rt *ShardRouter) healthz(w http.ResponseWriter, _ *http.Request) {
 	var bad []string
-	for i, b := range rt.snapshot() {
+	for i, b := range rt.shards {
 		resp, err := rt.client.Get(b.url() + "/healthz")
 		if err != nil {
 			bad = append(bad, fmt.Sprintf("shard %d: %v", i, err))
@@ -204,7 +159,7 @@ func (rt *ShardRouter) StartHealthLoop(interval time.Duration, threshold int) (s
 				return
 			case <-time.After(interval):
 			}
-			for i, b := range rt.snapshot() {
+			for i, b := range rt.shards {
 				rt.checkShard(i, b, threshold)
 			}
 		}
@@ -284,13 +239,12 @@ func (rt *ShardRouter) failoverHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "need {shard}", http.StatusBadRequest)
 		return
 	}
-	shards := rt.snapshot()
-	if req.Shard < 0 || req.Shard >= len(shards) {
-		http.Error(w, fmt.Sprintf("no shard %d in a fleet of %d", req.Shard, len(shards)),
+	if req.Shard < 0 || req.Shard >= len(rt.shards) {
+		http.Error(w, fmt.Sprintf("no shard %d in a fleet of %d", req.Shard, len(rt.shards)),
 			http.StatusBadRequest)
 		return
 	}
-	b := shards[req.Shard]
+	b := rt.shards[req.Shard]
 	b.mu.Lock()
 	nURLs := len(b.urls)
 	b.mu.Unlock()
@@ -309,9 +263,8 @@ func (rt *ShardRouter) failoverHandler(w http.ResponseWriter, r *http.Request) {
 	}{req.Shard, b.url()})
 }
 
-// proxyApp forwards a per-app request to the shard owning the app. A 421
-// naming a different owner (an app mid-migration) is retried once at the
-// owner, so per-app cutover is invisible to clients.
+// proxyApp forwards a per-app request to the shard owning the app and
+// relays its reply, a 421 from a misconfigured shard included.
 func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/apps/")
 	app, _, _ := strings.Cut(rest, "/")
@@ -319,14 +272,12 @@ func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "expected /v1/apps/{app}/...", http.StatusNotFound)
 		return
 	}
-	shards := rt.snapshot()
-	shard := store.ShardOf(app, len(shards))
+	shard := store.ShardOf(app, len(rt.shards))
 	label := strconv.Itoa(shard)
 	rt.routed.Inc(label)
 
-	// Per-app request bodies are tiny (maxObserveBody); buffer so the
-	// request can be replayed against the owner on a 421 redirect. A body
-	// over the cap is refused as a shard refuses it, not cut to fit.
+	// Per-app request bodies are tiny (maxObserveBody). A body over the cap
+	// is refused as a shard refuses it, not cut to fit.
 	var body []byte
 	if r.Body != nil {
 		var err error
@@ -344,28 +295,11 @@ func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		uri += "?" + r.URL.RawQuery
 	}
-	resp, err := rt.forward(r, shards[shard].url()+uri, body)
+	resp, err := rt.forward(r, rt.shards[shard].url()+uri, body)
 	if err != nil {
 		rt.errs.Inc(label)
 		http.Error(w, fmt.Sprintf("shard %d unavailable: %v", shard, err), http.StatusBadGateway)
 		return
-	}
-	if resp.StatusCode == http.StatusMisdirectedRequest {
-		if owner, err := strconv.Atoi(resp.Header.Get("X-Femux-Owner")); err == nil && owner != shard {
-			if b := rt.backendForOwner(owner); b != nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				rt.retries.Inc()
-				resp2, err := rt.forward(r, b.url()+uri, body)
-				if err != nil {
-					rt.errs.Inc(strconv.Itoa(owner))
-					http.Error(w, fmt.Sprintf("owner shard %d unavailable: %v", owner, err),
-						http.StatusBadGateway)
-					return
-				}
-				resp = resp2
-			}
-		}
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -394,19 +328,16 @@ func (rt *ShardRouter) forward(r *http.Request, target string, body []byte) (*ht
 // the caller's input order. A whole-shard failure surfaces as per-item
 // 503s for that shard's slice of the batch (the rest of the fleet still
 // commits), so partial outages degrade instead of failing the
-// collector's entire interval. Items answered 421 with an owner are
-// re-sent to the owner in a second round, so apps mid-migration commit
-// on their new shard within the same client request. It moves bytes, not
-// observations: sub-batches hold the caller's item objects as sent, and
-// the reply the shards' result objects as sent, which is what decoding
-// and encoding them again would write.
+// collector's entire interval. It moves bytes, not observations:
+// sub-batches hold the caller's item objects as sent, and the reply the
+// shards' result objects as sent, which is what decoding and encoding
+// them again would write.
 func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "batch observe requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	shards := rt.snapshot()
-	n := len(shards)
+	n := len(rt.shards)
 	doc := getWireBuf()
 	defer putWireBuf(doc)
 	err := doc.readFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
@@ -441,7 +372,7 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 			rt.routed.Inc(strconv.Itoa(s))
 		}
 		at[s+1] += at[s]
-		subs[s] = subBatch{url: shards[s].url(), idx: idx[at[s]:at[s]:at[s+1]], results: res[at[s]:at[s]:at[s+1]]}
+		subs[s] = subBatch{url: rt.shards[s].url(), idx: idx[at[s]:at[s]:at[s+1]], results: res[at[s]:at[s]:at[s+1]]}
 	}
 	for i, it := range items {
 		subs[it.shard].idx = append(subs[it.shard].idx, i)
@@ -457,7 +388,6 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 
 	out := make([][]byte, len(items))
 	accepted, rejected := 0, 0
-	byOwner := map[int][]int{} // owner shard -> input indices redirected to it
 	for s, sub := range subs {
 		if sub.err != nil {
 			rt.errs.Inc(strconv.Itoa(s))
@@ -476,24 +406,6 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 			out[i] = sub.results[j]
 		}
 		accepted, rejected = accepted+sub.accepted, rejected+sub.rejected
-		for _, m := range sub.moved {
-			byOwner[m.owner] = append(byOwner[m.owner], sub.idx[m.pos])
-		}
-	}
-	for owner, idx := range byOwner {
-		if b := rt.backendForOwner(owner); b != nil {
-			rt.retries.Inc()
-			subs = append(subs, subBatch{url: b.url(), idx: idx})
-		}
-	}
-	rt.postAll(subs[n:], doc.b, items)
-	for _, sub := range subs[n:] {
-		if sub.err == nil { // on error the first-round 421s stand
-			for j, i := range sub.idx {
-				out[i] = sub.results[j]
-			}
-			accepted, rejected = accepted+sub.accepted, rejected+sub.rejected-len(sub.idx)
-		}
 	}
 
 	// The reply goes behind everything in doc, which router-made results
@@ -514,19 +426,15 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // subBatch is one backend's share of a routed batch and, once posted, its
-// reply: each result's span in doc, the results that redirect (421 with
-// an owner, by position), and the counts.
+// reply: each result's span in doc, and the counts.
 type subBatch struct {
 	url                string
 	idx                []int // input index of each item, in sub-batch order
 	err                error
 	doc                *wireBuf
 	results            [][]byte
-	moved              []redirect
 	accepted, rejected int
 }
-
-type redirect struct{ pos, owner int }
 
 // postAll posts every non-empty sub-batch at once: on goroutines, but the
 // last on the caller's, whose stack has already grown.
@@ -595,17 +503,16 @@ func (rt *ShardRouter) fanoutReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reload requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	shards := rt.snapshot()
 	type shardReload struct {
 		Shard  int    `json:"shard"`
 		Status int    `json:"status"`
 		Error  string `json:"error,omitempty"`
 	}
-	results := make([]shardReload, len(shards))
+	results := make([]shardReload, len(rt.shards))
 	var wg sync.WaitGroup
 	failed := false
 	var mu sync.Mutex
-	for i, b := range shards {
+	for i, b := range rt.shards {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
@@ -637,209 +544,4 @@ func (rt *ShardRouter) fanoutReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, results)
-}
-
-// ReshardReport summarizes one completed reshard run.
-type ReshardReport struct {
-	Shards int `json:"shards"` // fleet size after the run
-	Epoch  int `json:"epoch"`  // ownership epoch installed fleet-wide
-	Moved  int `json:"moved"`  // apps migrated to the joining shard
-}
-
-// Reshard grows the fleet by one shard under live traffic. addSpec is
-// the joining shard's backend group ("primary[|replica...]"); the
-// instance must already be running with -shards N+1 -shard-id N. The
-// protocol, per moving app: drain on the old owner (writes fence, 421
-// redirect on), export its history, import on the new owner (replace
-// semantics — idempotent), hand off (old owner drops state). Rendezvous
-// hashing guarantees the only apps that move are those the joining shard
-// now owns (~1/(N+1) of the fleet); everything else never migrates.
-// After every mover lands, one epoch bump installs the N+1-shard map
-// fleet-wide and the router starts routing to the new shard directly.
-// Interrupted runs are safe to re-POST: completed movers are gone from
-// the old owner's app list, half-moved ones re-drain and re-import.
-func (rt *ShardRouter) Reshard(addSpec string) (*ReshardReport, error) {
-	if !rt.reshardMu.TryLock() {
-		return nil, errors.New("knative: a reshard is already in progress")
-	}
-	defer rt.reshardMu.Unlock()
-	rt.resharding.Set(1)
-	defer rt.resharding.Set(0)
-
-	joining, err := parseBackendGroup(addSpec)
-	if err != nil {
-		return nil, err
-	}
-	old := rt.snapshot()
-	newN := len(old) + 1
-
-	// The joining shard must already believe in the N+1-shard world and
-	// identify as the new shard — otherwise it would reject its movers.
-	var jst ReplStatus
-	if err := rt.getJSON(joining.url()+"/v1/replication/status", &jst); err != nil {
-		return nil, fmt.Errorf("joining shard unreachable: %w", err)
-	}
-	if jst.Shards != newN || jst.ShardID != newN-1 {
-		return nil, fmt.Errorf("joining shard is configured shard %d of %d, want %d of %d",
-			jst.ShardID, jst.Shards, newN-1, newN)
-	}
-	if jst.Replica {
-		return nil, errors.New("joining shard is an unpromoted replica")
-	}
-	if !jst.Joining {
-		return nil, errors.New("joining shard is not in -joining mode " +
-			"(already cut over, or started without the flag — a joining shard must " +
-			"reject un-migrated apps or their first writes would be lost to the import)")
-	}
-
-	// The new epoch must beat every instance's current epoch.
-	maxEpoch := jst.Epoch
-	for i, b := range old {
-		var st ReplStatus
-		if err := rt.getJSON(b.url()+"/v1/replication/status", &st); err != nil {
-			return nil, fmt.Errorf("shard %d status: %w", i, err)
-		}
-		if st.Epoch > maxEpoch {
-			maxEpoch = st.Epoch
-		}
-	}
-	newEpoch := maxEpoch + 1
-
-	// Expose the joining shard to 421-owner retries before any app is
-	// drained: from the first cutover, redirected traffic must reach it.
-	rt.mu.Lock()
-	rt.pending = joining
-	rt.mu.Unlock()
-	defer func() {
-		rt.mu.Lock()
-		rt.pending = nil
-		rt.mu.Unlock()
-	}()
-
-	report := &ReshardReport{Shards: newN, Epoch: newEpoch}
-	for i, b := range old {
-		var apps struct {
-			Apps []string `json:"apps"`
-		}
-		if err := rt.getJSON(b.url()+"/v1/replication/apps", &apps); err != nil {
-			return report, fmt.Errorf("shard %d app list: %w", i, err)
-		}
-		for _, app := range apps.Apps {
-			target := store.ShardOf(app, newN)
-			if target == i {
-				continue
-			}
-			dst := joining
-			if target < len(old) {
-				dst = old[target] // general case; never hit with rendezvous growth
-			}
-			if err := rt.migrateApp(b, dst, app, target); err != nil {
-				return report, fmt.Errorf("migrate %q from shard %d to %d: %w", app, i, target, err)
-			}
-			rt.moved.Inc()
-			report.Moved++
-		}
-	}
-
-	// Cutover complete: install the new shard map everywhere, then route
-	// to the joining shard directly.
-	epochBody := struct {
-		Shards int `json:"shards"`
-		Epoch  int `json:"epoch"`
-	}{newN, newEpoch}
-	for i, b := range append(append([]*shardBackend{}, old...), joining) {
-		if err := rt.postJSON(b.url()+"/v1/admin/epoch", epochBody, nil); err != nil {
-			return report, fmt.Errorf("epoch bump on shard %d: %w", i, err)
-		}
-	}
-	rt.mu.Lock()
-	rt.shards = append(append([]*shardBackend{}, rt.shards...), joining)
-	rt.pending = nil
-	rt.mu.Unlock()
-	return report, nil
-}
-
-// migrateApp runs the drain -> export -> import -> handoff protocol for
-// one app.
-func (rt *ShardRouter) migrateApp(src, dst *shardBackend, app string, owner int) error {
-	drain := struct {
-		App   string `json:"app"`
-		Owner int    `json:"owner"`
-	}{app, owner}
-	if err := rt.postJSON(src.url()+"/v1/admin/drain", drain, nil); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	var transfer AppTransfer
-	if err := rt.getJSON(src.url()+"/v1/replication/app?name="+url.QueryEscape(app), &transfer); err != nil {
-		return fmt.Errorf("export: %w", err)
-	}
-	if err := rt.postJSON(dst.url()+"/v1/replication/import", transfer, nil); err != nil {
-		return fmt.Errorf("import: %w", err)
-	}
-	handoff := struct {
-		App string `json:"app"`
-	}{app}
-	if err := rt.postJSON(src.url()+"/v1/admin/handoff", handoff, nil); err != nil {
-		return fmt.Errorf("handoff: %w", err)
-	}
-	return nil
-}
-
-// reshardHandler is POST /v1/admin/reshard {"add": "url[|url...]"}.
-func (rt *ShardRouter) reshardHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "reshard requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Add string `json:"add"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxObserveBody)).Decode(&req); err != nil || req.Add == "" {
-		http.Error(w, `need {"add": "backend[|backend...]"}`, http.StatusBadRequest)
-		return
-	}
-	report, err := rt.Reshard(req.Add)
-	if err != nil {
-		status := http.StatusBadGateway
-		if strings.Contains(err.Error(), "already in progress") {
-			status = http.StatusConflict
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	writeJSON(w, report)
-}
-
-func (rt *ShardRouter) getJSON(url string, v interface{}) error {
-	resp, err := rt.client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(b)))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-func (rt *ShardRouter) postJSON(url string, body, v interface{}) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		eb, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("POST %s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(eb)))
-	}
-	if v == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -59,9 +59,9 @@ type Service struct {
 	// and never reassigned.
 	st *store.Store
 	// shardID/shards make this instance own only its hash partition of
-	// apps; requests for foreign apps are rejected with 421 so a
-	// misconfigured client cannot split one app's history across
-	// instances.
+	// apps, fixed for the process's lifetime; requests for foreign apps
+	// are rejected with 421 so a misconfigured client cannot split one
+	// app's history across instances.
 	shardID, shards int
 	restored        int
 
@@ -69,32 +69,8 @@ type Service struct {
 	// WAL answers 503 (retryable) until it is promoted, so clients can
 	// never split writes between a live primary and its standby.
 	replica bool
-	// epoch versions the fleet's ownership configuration; SetShards
-	// rejects stale epochs so a lagging resharding coordinator cannot
-	// roll ownership backwards.
-	epoch int
-	// moved marks apps handed off to another shard this epoch: requests
-	// are answered 421 with an X-Femux-Owner redirect. adopted marks apps
-	// imported from another shard this epoch, accepted even though the
-	// old shard map says they are foreign. Both reset on an epoch bump.
-	moved   map[string]int
-	adopted map[string]bool
-	// joining marks a shard added by an in-progress reshard: it owns its
-	// hash partition under the NEW map but must not accept an app until
-	// that app's history has been imported (adopted) — a write landing
-	// before the import would be silently replaced by it. Un-adopted own
-	// apps are redirected to their old-map owner; cleared by the epoch
-	// bump that completes the reshard.
-	joining bool
 	// promotions counts replica->primary transitions (metrics).
 	promotions int
-
-	// drainMu fences migration against in-flight writes: every observe
-	// path holds the read lock across its ownership check and store
-	// append, and DrainApp takes the write lock to flip the moved marker
-	// — after DrainApp returns, no further write can land on the app, so
-	// the export that follows sees its final history.
-	drainMu sync.RWMutex
 
 	// tier bounds how much of the fleet is materialized and owns the app
 	// map (see tier.go): a cache of the hot tier, not the fleet roster.
@@ -122,13 +98,6 @@ type ServiceOptions struct {
 	// Promote. Used with -replica-of, where a Replicator tails the
 	// primary's WAL into Store.
 	Replica bool
-	// Epoch is the initial ownership epoch (normally 0).
-	Epoch int
-	// Joining starts the instance as a reshard-joining shard: it serves
-	// only adopted (migrated-in) apps and redirects the rest of its
-	// partition to the old Shards-1-sized map's owner until the reshard's
-	// epoch bump completes the cutover.
-	Joining bool
 	// MaxHotApps bounds how many apps keep materialized serving state
 	// (history + policy); the LRU excess is demoted to the warm tier.
 	// 0 means unlimited (every touched app stays hot).
@@ -235,9 +204,7 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 	s := &Service{
 		model: model,
 		st:    opts.Store, shardID: opts.ShardID, shards: opts.Shards,
-		replica: opts.Replica, epoch: opts.Epoch, joining: opts.Joining,
-		qlevel: opts.QuantileLevel,
-		moved:  map[string]int{}, adopted: map[string]bool{},
+		replica: opts.Replica, qlevel: opts.QuantileLevel,
 		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
 		tier: tiers{
 			maxHot: opts.MaxHotApps, maxWS: opts.MaxWorkspaces,
@@ -401,8 +368,6 @@ type ServiceMetrics struct {
 	BatchReqs   *serving.Counter // femux_batch_requests_total
 	Misrouted   *serving.Counter // femux_shard_misrouted_total
 	StoreErrors *serving.Counter // femux_store_errors_total
-	Adoptions   *serving.Counter // femux_shard_adoptions_total
-	Handoffs    *serving.Counter // femux_shard_handoffs_total
 
 	Classifications *serving.Counter   // femux_classifications_total{source}
 	Evictions       *serving.Counter   // femux_tier_evictions_total
@@ -445,10 +410,6 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 			"Requests rejected because the app belongs to another shard."),
 		StoreErrors: reg.NewCounter("femux_store_errors_total",
 			"Observations rejected because the durable store failed to append."),
-		Adoptions: reg.NewCounter("femux_shard_adoptions_total",
-			"Apps imported from another shard during resharding."),
-		Handoffs: reg.NewCounter("femux_shard_handoffs_total",
-			"Apps dropped after migrating to another shard."),
 		Classifications: reg.NewCounter("femux_classifications_total",
 			"Block classifications, by source: a feature extraction, or a demoted app's memo resumed on restore.", "source"),
 		Evictions: reg.NewCounter("femux_tier_evictions_total",
@@ -467,9 +428,6 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 			}
 			return 0
 		})
-	reg.NewGaugeFunc("femux_shard_epoch",
-		"Current ownership epoch of this instance.",
-		func() float64 { return float64(s.Epoch()) })
 	reg.NewGaugeFunc("femux_promotions",
 		"Replica-to-primary promotions since process start.",
 		func() float64 { return float64(s.Promotions()) })
@@ -609,65 +567,36 @@ func (s *Service) materialize(name string) *svcApp {
 	return a
 }
 
-// rejectAppLocked decides whether a request for name may be served
-// here; the caller holds s.mu. A non-empty msg means reject with the
-// given status; owner is the shard the client should retry against
-// (meaningful for 421).
-func (s *Service) rejectAppLocked(name string) (msg string, status, owner int) {
-	if movedTo, isMoved := s.moved[name]; isMoved {
-		return fmt.Sprintf("app %q migrated to shard %d (epoch %d)", name, movedTo, s.epoch),
-			http.StatusMisdirectedRequest, movedTo
+// foreign reports, for an app another shard owns, why this instance
+// refuses it and which shard owns it; msg is empty for an app of its own.
+// shardID and shards never change, so no lock is needed.
+func (s *Service) foreign(name string) (msg string, owner int) {
+	if s.shards <= 1 {
+		return "", 0
 	}
-	shards := s.shards
-	if shards <= 1 || s.adopted[name] {
-		return "", 0, 0
+	if owner = store.ShardOf(name, s.shards); owner == s.shardID {
+		return "", 0
 	}
-	own := store.ShardOf(name, shards)
-	if own != s.shardID {
-		return fmt.Sprintf("app %q belongs to shard %d, this instance is shard %d of %d",
-			name, own, s.shardID, shards), http.StatusMisdirectedRequest, own
-	}
-	if s.joining {
-		// Ours under the new map, but its history has not been migrated
-		// here yet: accepting the write now would be overwritten by the
-		// import. Send the client back to the old-map owner.
-		oldOwner := 0
-		if shards-1 > 1 {
-			oldOwner = store.ShardOf(name, shards-1)
-		}
-		return fmt.Sprintf("app %q awaits migration to this joining shard (old owner %d)", name, oldOwner),
-			http.StatusMisdirectedRequest, oldOwner
-	}
-	return "", 0, 0
+	return fmt.Sprintf("app %q belongs to shard %d, this instance is shard %d of %d",
+		name, owner, s.shardID, s.shards), owner
 }
 
 // misrouted enforces shard ownership: when sharding is on and the app
-// hashes to a different instance — or the app was migrated away this
-// epoch — the request is answered with 421 (Misdirected Request) and an
-// X-Femux-Owner header naming the owning shard, so clients and routers
-// learn the correct owner instead of silently splitting one app's
-// history across the fleet.
+// hashes to a different instance, the request is answered with 421
+// (Misdirected Request) and an X-Femux-Owner header naming the owning
+// shard, so clients and routers learn the correct owner instead of
+// silently splitting one app's history across the fleet.
 func (s *Service) misrouted(w http.ResponseWriter, name string) bool {
-	s.mu.RLock()
-	msg, status, owner := s.rejectAppLocked(name)
-	sm := s.metrics
-	s.mu.RUnlock()
+	msg, owner := s.foreign(name)
 	if msg == "" {
 		return false
 	}
-	if sm != nil {
+	if sm := s.svcMetrics(); sm != nil {
 		sm.Misrouted.Inc()
 	}
-	s.redirect(w, msg, status, owner)
-	return true
-}
-
-// redirect answers a request for an app this instance does not serve,
-// naming the owning shard and the ownership epoch.
-func (s *Service) redirect(w http.ResponseWriter, msg string, status, owner int) {
 	w.Header().Set("X-Femux-Owner", strconv.Itoa(owner))
-	w.Header().Set("X-Femux-Epoch", strconv.Itoa(s.Epoch()))
-	http.Error(w, msg, status)
+	http.Error(w, msg, http.StatusMisdirectedRequest)
+	return true
 }
 
 // replicaGated answers 503 (retryable, unlike a 421 misroute) while the
@@ -710,16 +639,7 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "expected /v1/apps/{app}/{observe|target|forecast}", http.StatusNotFound)
 		return
 	}
-	if s.replicaGated(w) {
-		return
-	}
-	// The drain fence: ownership is checked and the observation made
-	// durable under the same read lock, so a concurrent DrainApp either
-	// happens before the check (this request 421s) or after the append
-	// (the export sees the observation).
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.misrouted(w, name) {
+	if s.replicaGated(w) || s.misrouted(w, name) {
 		return
 	}
 	switch action {
@@ -737,8 +657,6 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		switch _, err := s.observe(item[:], res[:]); {
 		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-		case res[0].Owner != nil: // ownership changed since misrouted
-			s.redirect(w, res[0].Error, res[0].Status, *res[0].Owner)
 		case res[0].Error != "":
 			http.Error(w, res[0].Error, http.StatusBadRequest)
 		default:

@@ -191,8 +191,8 @@ func TestE2EErrorPaths(t *testing.T) {
 // every later rule too, so a reordered check changes its reply.
 func TestE2EObserveReplies(t *testing.T) {
 	model := trainTinyModel(t)
-	var own, moved, foreign string // shards 0, 0 and 1 of 2
-	for i := 0; own == "" || moved == "" || foreign == ""; i++ {
+	var own, foreign string // shards 0 and 1 of 2
+	for i := 0; own == "" || foreign == ""; i++ {
 		name := fmt.Sprintf("app-%d", i)
 		switch {
 		case store.ShardOf(name, 2) == 1:
@@ -201,13 +201,10 @@ func TestE2EObserveReplies(t *testing.T) {
 			}
 		case own == "":
 			own = name
-		case moved == "":
-			moved = name
 		}
 	}
 	replica := NewServiceWith(model, ServiceOptions{Replica: true, Shards: 2})
-	sharded := NewServiceWith(model, ServiceOptions{Shards: 2, Epoch: 3})
-	sharded.DrainApp(moved, 1)
+	sharded := NewServiceWith(model, ServiceOptions{Shards: 2})
 	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -230,9 +227,7 @@ func TestE2EObserveReplies(t *testing.T) {
 		{"503 replica", replica, "GET", "/v1/apps/" + foreign + "/observe", "{bad",
 			"503\nContent-Type: text/plain; charset=utf-8\nRetry-After: 1\nX-Content-Type-Options: nosniff\nreplica: awaiting promotion\n"},
 		{"421 foreign", sharded, "GET", "/v1/apps/" + foreign + "/observe", "{bad",
-			"421\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nX-Femux-Epoch: 3\nX-Femux-Owner: 1\napp \"app-3\" belongs to shard 1, this instance is shard 0 of 2\n"},
-		{"421 moved", sharded, "GET", "/v1/apps/" + moved + "/observe", "{bad",
-			"421\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nX-Femux-Epoch: 3\nX-Femux-Owner: 1\napp \"app-1\" migrated to shard 1 (epoch 3)\n"},
+			"421\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nX-Femux-Owner: 1\napp \"app-3\" belongs to shard 1, this instance is shard 0 of 2\n"},
 		{"405 method", sharded, "GET", "/v1/apps/" + own + "/observe", oversized,
 			"405\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nobserve requires POST\n"},
 		{"413 size", sharded, "POST", "/v1/apps/" + own + "/observe", oversized,

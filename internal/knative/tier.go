@@ -244,8 +244,8 @@ func (s *Service) noteRestore(from string, elapsed time.Duration) {
 }
 
 // dropCached removes an app's materialized serving state and tier
-// tracking (migration handoff/adopt replaced or dropped it); the next
-// touch lazily restores from the store. The store's memo of the old
+// tracking (a model swap reshaped it, or a racing swap made it stale);
+// the next touch lazily restores from the store. The store's memo of the old
 // window is purged whether or not the app was materialized, and last,
 // once no eviction of the dropped state can still write one.
 func (s *Service) dropCached(name string) {

@@ -2,8 +2,6 @@ package knative
 
 import (
 	"fmt"
-	"math"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -273,58 +271,6 @@ func TestTierCountsAnomaly(t *testing.T) {
 	}
 	if n := svc.TierCountAnomalies(); n != 1 {
 		t.Fatalf("TierCountAnomalies after consistent sample = %d, want 1", n)
-	}
-}
-
-// TestDropCachedPurgesWarm pins what a migration leaves behind on a
-// memory-store service: after an adopt, nothing of the app's
-// pre-migration state — neither its window nor the memo its eviction
-// wrote — survives in the warm tier (the store) to resurrect on the next
-// touch, and after a handoff the app is gone from it.
-func TestDropCachedPurgesWarm(t *testing.T) {
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 1})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	// 30 observations complete a block, so evicting mover (by touching
-	// another app) writes a memo beside its window.
-	for i := 0; i < 30; i++ {
-		postObserve(t, srv.URL, "mover", float64(i%3))
-	}
-	postObserve(t, srv.URL, "other", 1)
-	if _, memo, _, ok := svc.st.RestoreWindowMemo("mover"); !ok || memo == (store.Memo{}) {
-		t.Fatalf("setup: evicted mover should hold a memo in the store (ok=%v, memo=%+v)", ok, memo)
-	}
-
-	imported := shapedWindow(1, 0, 30) // same length: only the purge invalidates the memo
-	if err := svc.AdoptApp("mover", imported, 30); err != nil {
-		t.Fatal(err)
-	}
-	win, memo, _, ok := svc.st.RestoreWindowMemo("mover")
-	if !ok || memo != (store.Memo{}) {
-		t.Fatalf("after adopt: ok=%v memo=%+v, want the app with a zero memo", ok, memo)
-	}
-	if len(win) != len(imported) {
-		t.Fatalf("after adopt: window of %d, want the imported %d", len(win), len(imported))
-	}
-	for i := range win {
-		if math.Float64bits(win[i]) != math.Float64bits(imported[i]) {
-			t.Fatalf("after adopt: window[%d] = %v, want imported %v", i, win[i], imported[i])
-		}
-	}
-
-	svc.DrainApp("mover", 1)
-	if err := svc.HandoffApp("mover"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok := svc.st.RestoreWindowMemo("mover"); ok {
-		t.Fatal("handed-off app still has a window in the store")
-	}
-	c := svc.acquire("mover")
-	got := c.n
-	svc.releaseApp(c)
-	if got != 0 {
-		t.Fatalf("handed-off app rematerialized %d observations, want 0", got)
 	}
 }
 

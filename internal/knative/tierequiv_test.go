@@ -120,8 +120,8 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 		apps[i] = fmt.Sprintf("eq-%d", i)
 	}
 	minute := make([]int, len(apps)) // next minute of each app's shaped series
-	// stream mirrors, per app, every value it was sent since its last
-	// import: the history an unbounded service would hold. A hot app's
+	// stream mirrors, per app, every value it was sent: the history an
+	// unbounded service would hold. A hot app's
 	// detector saw its last n values (a WindowCap restore starts from the
 	// capped window), and its tail is their end.
 	stream := make([][]float64, len(apps))
@@ -304,18 +304,7 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 			for _, n := range nodes {
 				n.svc.Promote()
 			}
-		case r < 92: // dropCached + ImportApp: another window, same length
-			i := rng.Intn(len(apps))
-			_, _, count := driftState(ref.svc, apps[i])
-			minute[i] += 1000                          // a different stretch of the app's series...
-			win := shapedWindow(i+1, minute[i], count) // ...and another app's regime
-			stream[i] = append([]float64(nil), win...)
-			for _, n := range nodes {
-				if err := n.svc.AdoptApp(apps[i], win, int64(len(win))); err != nil {
-					t.Fatalf("op %d: adopt: %v", op, err)
-				}
-			}
-		case r < 94: // restart: reopen the store, rebuild the service
+		case r < 90: // restart: reopen the store, rebuild the service
 			for _, n := range nodes {
 				if n.dir != "" {
 					n.restart(models[cur])
@@ -431,18 +420,6 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 			for _, ru := range runs {
 				ru.svc.Promote() // a primary: no-op
 			}
-		case r < 97: // dropCached + ImportApp: another window, same length
-			i := rng.Intn(len(apps))
-			a := runs[0].svc.acquire(apps[i])
-			n := a.n
-			runs[0].svc.releaseApp(a)
-			minute[i] += 1000
-			win := shapedWindow(i+1, minute[i], n)
-			for k, ru := range runs {
-				if err := ru.svc.AdoptApp(apps[i], win, int64(n)); err != nil {
-					t.Fatalf("op %d budgets=%v: adopt: %v", op, budgets[k], err)
-				}
-			}
 		default:
 			for _, ru := range runs {
 				if ru.dir != "" {
@@ -452,9 +429,7 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 		}
 	}
 
-	// Conservation: every run holds the identical durable fleet. (An
-	// import sets the app's durable total to its window length, which is
-	// what the app had observed: the replayed count is conserved.)
+	// Conservation: every run holds the identical durable fleet.
 	base := runs[0]
 	for k, ru := range runs[1:] {
 		if a, b := base.st.TotalObservations(), ru.st.TotalObservations(); a != b {

@@ -596,8 +596,8 @@ func (it *BatchItemResult) appendWire(e *wireBuf) {
 }
 
 // scanReply is the router's pass over a shard's BatchObserveResponse: the
-// span of each result object, the positions of those that redirect (421
-// with an owner), and the counts. It skips strings instead of decoding them.
+// span of each result object, and the counts. It skips strings instead of
+// decoding them.
 func (s *wireBuf) scanReply(r *subBatch) bool {
 	o := wireObject{names: batchResponseKeys}
 	for s.member(&o) {
@@ -605,22 +605,15 @@ func (s *wireBuf) scanReply(r *subBatch) bool {
 		case 0:
 			for started := false; s.next('[', ']', &started); {
 				s.peek()
-				start, status, owner := s.i, 0, 0
+				start := s.i
 				item := wireObject{names: batchResultKeys}
 				for s.member(&item) {
 					switch item.k {
 					case 0, 2, 4:
 						s.skipStr()
-					case 5:
-						status = s.int()
-					case 6:
-						owner = s.int()
-					default: // target and historyLen pass through unread
+					default: // target, historyLen, status and owner pass through unread
 						s.num()
 					}
-				}
-				if status == http.StatusMisdirectedRequest && item.seen&(1<<6) != 0 {
-					r.moved = append(r.moved, redirect{len(r.results), owner})
 				}
 				r.results = append(r.results, s.b[start:s.i])
 			}

@@ -209,10 +209,10 @@ func TestWireBufPoolBound(t *testing.T) {
 }
 
 // TestRouterBatchMatchesUnsharded drives one mixed batch — valid items,
-// an empty app, a negative value, an app mid-migration (421 with owner,
-// re-sent by the router), and names only encoding/json can carry —
-// through ShardRouter -> two shards and straight into one unsharded
-// service. The fast codec on four hops must not change a byte.
+// an empty app, a negative value, an item with unitConcurrency, and names
+// only encoding/json can carry — through ShardRouter -> two shards and
+// straight into one unsharded service. The fast codec on four hops must
+// not change a byte.
 func TestRouterBatchMatchesUnsharded(t *testing.T) {
 	single := httptest.NewServer(NewService(trainTinyModel(t)).Handler())
 	defer single.Close()
@@ -223,10 +223,6 @@ func TestRouterBatchMatchesUnsharded(t *testing.T) {
 		if name := fmt.Sprintf("mover-%d", i); store.ShardOf(name, 2) == 0 {
 			moving = name
 		}
-	}
-	svcs[0].DrainApp(moving, 1)
-	if err := svcs[1].AdoptApp(moving, nil, 0); err != nil {
-		t.Fatal(err)
 	}
 
 	body := []byte(`{"observations":[` +

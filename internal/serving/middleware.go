@@ -56,7 +56,7 @@ func EndpointLabel(path string) string {
 		// Only the actions femuxd and femux-shard register: any other
 		// suffix is a client's invention and must not mint a series.
 		switch action := strings.TrimPrefix(path, "/v1/admin/"); action {
-		case "drain", "handoff", "promote", "epoch", "reload", "reshard", "failover", "lifecycle":
+		case "promote", "reload", "failover", "lifecycle":
 			return "admin_" + action
 		}
 		return "admin_other"

@@ -17,11 +17,9 @@ func TestEndpointLabel(t *testing.T) {
 		"/metrics":                 "metrics",
 		"/debug/pprof/profile":     "pprof",
 		"/v1/admin/reload":         "admin_reload",
-		"/v1/admin/drain":          "admin_drain",
-		"/v1/admin/handoff":        "admin_handoff",
+		"/v1/admin/drain":          "admin_other",
 		"/v1/admin/promote":        "admin_promote",
-		"/v1/admin/epoch":          "admin_epoch",
-		"/v1/admin/reshard":        "admin_reshard",
+		"/v1/admin/reshard":        "admin_other",
 		"/v1/admin/failover":       "admin_failover",
 		"/v1/admin/lifecycle":      "admin_lifecycle",
 		"/v1/admin/":               "admin_other",

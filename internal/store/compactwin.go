@@ -150,7 +150,7 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 }
 
 // compactWindowOf encodes a value slice (e.g. a v1 snapshot window or a
-// migrated app's history) into a CompactWindow.
+// replicated app's history) into a CompactWindow.
 func compactWindowOf(values []float64) CompactWindow {
 	var cw CompactWindow
 	for _, v := range values {

@@ -8,12 +8,11 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 )
 
-// This file is the crash/failover fault-injection suite: the
-// replication and resharding protocols are driven through a fixed,
-// deterministic schedule, and the primary is killed at EVERY protocol
-// step (and the migration crashed at EVERY app-transfer boundary). At
-// each kill point the suite asserts the guarantees the single-shard
-// kill-at-every-byte-offset suite already pins, extended to the fleet:
+// This file is the crash/failover fault-injection suite: the replication
+// protocol is driven through a fixed, deterministic schedule, and the
+// primary is killed at EVERY protocol step. At each kill point the suite
+// asserts the guarantees the single-shard kill-at-every-byte-offset suite
+// already pins, extended to a primary and its follower:
 //
 //   - the follower always holds an exact prefix of the acknowledged
 //     observation sequence — never a gap, never a reorder, never a
@@ -22,10 +21,7 @@ import (
 //     Float64bits-identical to an unkilled control store fed the same
 //     observations;
 //   - restarting the killed primary and resuming replication converges
-//     the pair back to bit-identical state;
-//   - a migration crash leaves every app's full history on at least one
-//     store, and an idempotent re-run of the migration plan converges to
-//     exactly-once placement with the fleet-wide total conserved.
+//     the pair back to bit-identical state.
 //
 // "Kill" means abandoning the *Store object without Close and reopening
 // its directory — the in-process equivalent of SIGKILL: no flush hook
@@ -262,209 +258,6 @@ func TestFailoverResumeAtEveryReplicationStep(t *testing.T) {
 			catchUp(t, primary, follower)
 			assertStoresEqual(t, primary, follower)
 			assertForecastsIdentical(t, primary, follower, 4)
-		})
-	}
-}
-
-// migAction is one durable step of a history migration: importing an app
-// on the target, then dropping it on the source. Export is read-only and
-// therefore not a crash boundary.
-type migAction struct {
-	app  string
-	kind string // "import", "drop"
-}
-
-// seedReshardFleet populates a source store with a deterministic fleet
-// and returns the apps in creation order.
-func seedReshardFleet(t *testing.T, src *Store) []string {
-	t.Helper()
-	var apps []string
-	for i := 0; i < 12; i++ {
-		apps = append(apps, fmt.Sprintf("fn-%d", i))
-	}
-	var batch []Observation
-	for i := 0; i < 150; i++ {
-		batch = append(batch, Observation{
-			App:         apps[i%len(apps)],
-			Concurrency: float64(i)*0.5 + 0.125,
-		})
-	}
-	if err := src.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	return apps
-}
-
-// TestReshardCrashAtEveryAppBoundary crashes BOTH stores at every
-// app-transfer boundary of a 2->3 resize migration (with live traffic to
-// non-moving apps interleaved between transfers), then recovers and
-// re-runs the migration plan idempotently. At every crash point no
-// observation may be lost; after recovery placement is exactly-once,
-// histories are bit-identical, and forecasts from migrated histories
-// match an unmigrated control.
-func TestReshardCrashAtEveryAppBoundary(t *testing.T) {
-	// The migration plan is exactly the rendezvous delta: apps the new
-	// shard (index 2 of 3) now owns. Movers can only land there.
-	var planApps []string
-	probe := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
-	fleet := seedReshardFleet(t, probe)
-	probe.Close()
-	for _, app := range fleet {
-		if ShardOf(app, 3) == 2 {
-			if ShardOf(app, 2) == ShardOf(app, 3) {
-				t.Fatalf("app %q owned by shard 2 before the resize?", app)
-			}
-			planApps = append(planApps, app)
-		}
-	}
-	if len(planApps) == 0 {
-		t.Fatal("resize 2->3 moves no apps from this fleet; pick a bigger fleet")
-	}
-	var actions []migAction
-	for _, app := range planApps {
-		actions = append(actions, migAction{app, "import"}, migAction{app, "drop"})
-	}
-
-	// runMigration executes the first `cut` actions, interleaving one
-	// non-mover append per action (migration happens under live traffic;
-	// moving apps are drained — not written — during their transfer).
-	opt := Options{Sync: SyncNever, SegmentBytes: 512, CompactEvery: -1}
-	runMigration := func(t *testing.T, adir, bdir string, cut int) (extra []Observation) {
-		a := mustOpen(t, adir, opt)
-		fleet := seedReshardFleet(t, a)
-		b := mustOpen(t, bdir, opt)
-		nonMover := ""
-		for _, app := range fleet {
-			if ShardOf(app, 3) != 2 {
-				nonMover = app
-				break
-			}
-		}
-		for i := 0; i < cut; i++ {
-			act := actions[i]
-			switch act.kind {
-			case "import":
-				w, total, ok := a.ExportApp(act.app)
-				if !ok {
-					t.Fatalf("action %d: %q missing from source", i, act.app)
-				}
-				if err := b.ImportApp(act.app, w, total); err != nil {
-					t.Fatal(err)
-				}
-			case "drop":
-				if err := a.DropApp(act.app); err != nil {
-					t.Fatal(err)
-				}
-			}
-			o := Observation{App: nonMover, Concurrency: float64(100+i) * 0.25}
-			if err := a.Append(o.App, o.Concurrency); err != nil {
-				t.Fatal(err)
-			}
-			extra = append(extra, o)
-		}
-		// Crash both stores here: abandon without Close.
-		return extra
-	}
-
-	// Reference state: the full acknowledged sequence with no failure.
-	refDir := t.TempDir()
-	ref := mustOpen(t, refDir, opt)
-	seedReshardFleet(t, ref)
-	refTotalSeed := ref.TotalObservations()
-	refWins := ref.Windows()
-	ref.Close()
-
-	for cut := 0; cut <= len(actions); cut++ {
-		cut := cut
-		t.Run(fmt.Sprintf("crash=%d", cut), func(t *testing.T) {
-			adir, bdir := t.TempDir(), t.TempDir()
-			extra := runMigration(t, adir, bdir, cut)
-			extraWins := buildWindows(extra)
-
-			// Recover both stores from disk.
-			a := mustOpen(t, adir, opt)
-			defer a.Close()
-			b := mustOpen(t, bdir, opt)
-			defer b.Close()
-
-			// Invariant at EVERY crash point: each app's complete history
-			// exists on at least one store, bit-identical to the reference
-			// (movers mid-transfer may transiently exist on both).
-			for app, want := range refWins {
-				want := append(append([]float64(nil), want...), extraWins[app]...)
-				onA, onB := a.Window(app), b.Window(app)
-				for _, got := range [][]float64{onA, onB} {
-					if got == nil {
-						continue
-					}
-					if len(got) != len(want) {
-						t.Fatalf("crash=%d app %q: window %d, want %d", cut, app, len(got), len(want))
-					}
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("crash=%d app %q value %d not bit-identical", cut, app, i)
-						}
-					}
-				}
-				if onA == nil && onB == nil {
-					t.Fatalf("crash=%d: app %q lost entirely", cut, app)
-				}
-			}
-
-			// Recovery: re-run the FULL migration plan. ImportApp's replace
-			// semantics and DropApp's no-op-on-missing make this idempotent
-			// regardless of where the crash landed.
-			for _, app := range planApps {
-				if w, total, ok := a.ExportApp(app); ok {
-					if err := b.ImportApp(app, w, total); err != nil {
-						t.Fatal(err)
-					}
-					if err := a.DropApp(app); err != nil {
-						t.Fatal(err)
-					}
-				} else if b.Window(app) == nil {
-					t.Fatalf("crash=%d: mover %q on neither store at recovery", cut, app)
-				}
-			}
-
-			// Exactly-once placement, conserved totals, bit-identical
-			// histories, identical forecasts.
-			wantTotal := refTotalSeed + int64(len(extra))
-			if got := a.TotalObservations() + b.TotalObservations(); got != wantTotal {
-				t.Fatalf("crash=%d: fleet total %d after recovery, want %d", cut, got, wantTotal)
-			}
-			fcs := failoverForecasters()
-			for app, want := range refWins {
-				want := append(append([]float64(nil), want...), extraWins[app]...)
-				var got []float64
-				if ShardOf(app, 3) == 2 {
-					if a.Window(app) != nil {
-						t.Fatalf("crash=%d: mover %q still on source after recovery", cut, app)
-					}
-					got = b.Window(app)
-				} else {
-					if b.Window(app) != nil {
-						t.Fatalf("crash=%d: non-mover %q leaked to target", cut, app)
-					}
-					got = a.Window(app)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("crash=%d app %q: recovered window %d, want %d", cut, app, len(got), len(want))
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("crash=%d app %q value %d not bit-identical after recovery", cut, app, i)
-					}
-				}
-				for _, fc := range fcs {
-					w, g := fc.Forecast(want, 3), fc.Forecast(got, 3)
-					for i := range w {
-						if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
-							t.Fatalf("crash=%d app %q %s forecast diverges after migration", cut, app, fc.Name())
-						}
-					}
-				}
-			}
 		})
 	}
 }

@@ -64,17 +64,17 @@ func TestMemoLifecycle(t *testing.T) {
 	expect("after page-out, compaction and page-in", a, memo)
 
 	win, _, _ := s.RestoreWindow(b)
-	if err := s.ImportApp(b, win, int64(len(win))); err != nil {
+	if err := s.importApp(b, win, int64(len(win))); err != nil {
 		t.Fatal(err)
 	}
-	expect("after ImportApp of the very same window", b, Memo{})
-	if err := s.DropApp(c); err != nil {
+	expect("after an old import record of the very same window", b, Memo{})
+	if err := s.dropApp(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(c, 1); err != nil {
 		t.Fatal(err)
 	}
-	expect("after DropApp and re-creation", c, Memo{})
+	expect("after an old tombstone and re-creation", c, Memo{})
 	s.SetMemo(a, Memo{})
 	expect("cleared", a, Memo{})
 

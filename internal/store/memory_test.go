@@ -106,12 +106,12 @@ func testBackendConformance(t *testing.T, opt Options) {
 				win[i] = value()
 			}
 			total := int64(len(win) + rng.Intn(5))
-			each("ImportApp", func(s *Store) error { return s.ImportApp(app, win, total) })
+			each("importApp", func(s *Store) error { return s.importApp(app, win, total) })
 		case r < 85:
-			each("DropApp", func(s *Store) error { return s.DropApp(app) })
+			each("dropApp", func(s *Store) error { return s.dropApp(app) })
 		case r < 90:
-			same(when+": ExportApp", func(s *Store) any {
-				win, total, ok := s.ExportApp(app)
+			same(when+": exportApp", func(s *Store) any {
+				win, total, ok := s.exportApp(app)
 				return []any{float64Bits(win), total, ok}
 			})
 		case r < 92: // each store boots from the other's exported state
@@ -142,7 +142,7 @@ func testBackendConformance(t *testing.T, opt Options) {
 	for _, app := range apps {
 		same(app+": Window", func(s *Store) any { return float64Bits(s.Window(app)) })
 		same(app+": final state", func(s *Store) any {
-			win, total, ok := s.ExportApp(app)
+			win, total, ok := s.exportApp(app)
 			_, memo, _, _ := s.RestoreWindowMemo(app)
 			return []any{float64Bits(win), total, ok, memo}
 		})

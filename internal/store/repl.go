@@ -28,11 +28,11 @@ import (
 // (compaction deleted its position) re-bootstraps from ExportState /
 // ImportState.
 //
-// The same control-record envelope carries the resharding primitives:
-// an app-import record (replace one app's full state — the receiving
-// half of a history migration) and an app tombstone (drop one app — the
-// sending half). Replay understands all three, so every mutation is as
-// durable and crash-recoverable as a plain observation.
+// The same control-record envelope once carried the live-resharding
+// primitives: an app-import record (replace one app's full state) and an
+// app tombstone (drop one app). Nothing writes them any more — a fleet
+// is resized offline, by Split — but data directories and follower
+// streams from before still hold them, so replay still applies both.
 
 // ReplPos addresses a byte offset in a store's WAL: segment sequence
 // number plus offset within that segment. Positions returned by the
@@ -74,17 +74,17 @@ var ErrStaleChunk = errors.New("store: stale or reordered replication chunk")
 // fetch was skipped. The chunk is rejected without touching state.
 var ErrMisalignedChunk = errors.New("store: replication chunk does not abut cursor")
 
-// Control records share the observation WAL but carry replication and
-// migration state. The envelope prefix {0xFF, 0x00, ...} can never
-// collide with an observation payload: an observation starts with the
-// minimal uvarint of its app-name length, and minimal uvarints never
-// encode as 0xFF 0x00 (that is a non-minimal encoding of 127).
+// Control records share the observation WAL but carry replication state.
+// The envelope prefix {0xFF, 0x00, ...} can never collide with an
+// observation payload: an observation starts with the minimal uvarint of
+// its app-name length, and minimal uvarints never encode as 0xFF 0x00
+// (that is a non-minimal encoding of 127).
 var ctrlPrefix = []byte{0xFF, 0x00, 'f', 'x'}
 
 const (
 	ctrlReplBatch = 0x01 // uvarint seq | uvarint off | framed records
-	ctrlAppImport = 0x02 // snapshot app record (replace app state)
-	ctrlTombstone = 0x03 // uvarint len(app) | app (drop app state)
+	ctrlAppImport = 0x02 // v1 snapshot app record (replace app state); replay only
+	ctrlTombstone = 0x03 // uvarint len(app) | app (drop app state); replay only
 
 	// maxCtrlDepth bounds nesting of replication-batch records (a
 	// follower replicating a follower wraps batches inside batches).
@@ -119,19 +119,6 @@ func decodeReplBatch(body []byte) (next ReplPos, frames []byte, err error) {
 		return next, nil, fmt.Errorf("store: repl batch: bad offset")
 	}
 	return ReplPos{Seq: seq, Off: int64(off)}, body[n:], nil
-}
-
-func encodeAppImport(app string, window []float64, total int64) []byte {
-	buf := append([]byte(nil), ctrlPrefix...)
-	buf = append(buf, ctrlAppImport)
-	return encodeWireApp(buf, app, window, total)
-}
-
-func encodeTombstone(app string) []byte {
-	buf := append([]byte(nil), ctrlPrefix...)
-	buf = append(buf, ctrlTombstone)
-	buf = binary.AppendUvarint(buf, uint64(len(app)))
-	return append(buf, app...)
 }
 
 func decodeTombstone(body []byte) (string, error) {
@@ -569,56 +556,4 @@ func (s *Store) ImportState(data []byte, pos ReplPos) error {
 	}
 	s.replCursor, s.hasCursor = pos, true
 	return nil
-}
-
-// ExportApp returns one app's durable state (the sending half of a
-// history migration).
-func (s *Store) ExportApp(app string) (window []float64, total int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.apps[app]
-	if st == nil {
-		return nil, 0, false
-	}
-	return s.windowLocked(app, st), st.total, true
-}
-
-// ImportApp durably replaces one app's state — the receiving half of a
-// history migration. Replace (not append) semantics make re-running an
-// interrupted migration idempotent.
-func (s *Store) ImportApp(app string, window []float64, total int64) error {
-	if app == "" {
-		return fmt.Errorf("store: import app: empty name")
-	}
-	payload := encodeAppImport(app, window, total)
-	if len(payload)+recordHeaderLen > maxRecordLen {
-		return fmt.Errorf("store: import app %q: state of %d bytes exceeds max record size", app, len(payload))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if err := s.w.appendBatch([][]byte{payload}, s.opt.Sync == SyncAlways); err != nil {
-		return err
-	}
-	return s.applyPayloadLocked(payload, 0)
-}
-
-// DropApp durably removes one app's state (the final step of migrating
-// it away). Dropping an unknown app is a no-op.
-func (s *Store) DropApp(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if s.apps[app] == nil {
-		return nil
-	}
-	payload := encodeTombstone(app)
-	if err := s.w.appendBatch([][]byte{payload}, s.opt.Sync == SyncAlways); err != nil {
-		return err
-	}
-	return s.applyPayloadLocked(payload, 0)
 }

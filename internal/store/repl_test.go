@@ -512,79 +512,3 @@ func TestAppendReplicatedSplitsOversizedChunks(t *testing.T) {
 	}
 	assertStoresEqual(t, primary, follower)
 }
-
-// TestAppMigrationPrimitives: ExportApp/ImportApp/DropApp move one app's
-// history between stores with replace semantics, durably, conserving the
-// fleet-wide observation total.
-func TestAppMigrationPrimitives(t *testing.T) {
-	opt := Options{Sync: SyncNever, CompactEvery: -1}
-	adir, bdir := t.TempDir(), t.TempDir()
-	a := mustOpen(t, adir, opt)
-	b := mustOpen(t, bdir, opt)
-
-	apps := []string{"keep-0", "move-0", "keep-1", "move-1"}
-	for i := 0; i < 40; i++ {
-		if err := a.Append(apps[i%len(apps)], float64(i)+0.25); err != nil {
-			t.Fatal(err)
-		}
-	}
-	origWins := a.Windows()
-	origTotal := a.TotalObservations()
-
-	for _, app := range []string{"move-0", "move-1"} {
-		w, total, ok := a.ExportApp(app)
-		if !ok {
-			t.Fatalf("ExportApp(%q): missing", app)
-		}
-		if err := b.ImportApp(app, w, total); err != nil {
-			t.Fatal(err)
-		}
-		// Idempotency: importing again (an interrupted migration re-run)
-		// must replace, not append.
-		if err := b.ImportApp(app, w, total); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.DropApp(app); err != nil {
-			t.Fatal(err)
-		}
-		// Dropping twice is a no-op.
-		if err := a.DropApp(app); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.TotalObservations() + b.TotalObservations(); got != origTotal {
-		t.Fatalf("fleet total %d after migration, want %d", got, origTotal)
-	}
-	if _, _, ok := a.ExportApp("move-0"); ok {
-		t.Fatal("move-0 still on source after migration")
-	}
-
-	// Crash both stores; the migration must replay.
-	a = mustOpen(t, adir, opt)
-	defer a.Close()
-	b = mustOpen(t, bdir, opt)
-	defer b.Close()
-	for _, app := range []string{"move-0", "move-1"} {
-		if w := a.Window(app); w != nil {
-			t.Fatalf("%q resurrected on source after crash", app)
-		}
-		got := b.Window(app)
-		want := origWins[app]
-		if len(got) != len(want) {
-			t.Fatalf("%q on target: window %d, want %d", app, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%q migrated window not bit-identical at %d", app, i)
-			}
-		}
-	}
-	for _, app := range []string{"keep-0", "keep-1"} {
-		if len(a.Window(app)) != len(origWins[app]) {
-			t.Fatalf("%q damaged by migration", app)
-		}
-	}
-	if got := a.TotalObservations() + b.TotalObservations(); got != origTotal {
-		t.Fatalf("fleet total %d after crash, want %d", got, origTotal)
-	}
-}

@@ -11,9 +11,9 @@ package store
 // its resize behaviour: growing the fleet from N to N+1 shards changes
 // the owner of only ~1/(N+1) of the apps, and every app that moves
 // lands on the new shard (existing shards' weights are unchanged, so
-// only the newcomer can win an app). That is what makes a live
-// `-shards N -> N+1` resize a bounded per-app migration instead of a
-// fleet-wide reshuffle of histories.
+// only the newcomer can win an app). A resize is done offline: Split
+// rewrites the stopped shards' data directories by this function, and
+// the fleet restarts with the new -shards.
 func ShardOf(app string, shards int) int {
 	if shards <= 1 {
 		return 0

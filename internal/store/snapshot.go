@@ -28,8 +28,9 @@ import (
 // read raw chunks does not take them for deltas. v1 snapshots (raw
 // float64 windows, from before tiering) are still loadable, so any older
 // data directory opens cleanly; the v1 record format also remains the
-// replication wire format (ExportState/ImportState, ctrlAppImport), so
-// paging never leaks into what peers see.
+// replication wire format (ExportState/ImportState, and the
+// ctrlAppImport records old WALs hold), so paging never leaks into what
+// peers see.
 //
 // A snapshot is written to a temp file, fsynced, and renamed into
 // place, so a crash mid-compaction leaves either the old or the new
@@ -75,8 +76,9 @@ type appState struct {
 // restore need not reclassify it: the cluster Group of the window's last
 // completed block, at window length Len, under the caller's generation
 // Gen (0 = none). The store only carries it, in memory and in no file or
-// wire record: replacing an app's state (ImportApp, ImportState, DropApp)
-// or restarting drops it; appends keep it, and the caller tells by Len.
+// wire record: replacing an app's state (ImportState, or replaying an old
+// import or tombstone record) or restarting drops it; appends keep it,
+// and the caller tells by Len.
 type Memo struct {
 	Len   uint32
 	Gen   uint16

@@ -566,7 +566,6 @@ func (s *Store) Apps() int {
 }
 
 // AppNames returns the name of every app with durable state, sorted.
-// Resharding coordinators use it to enumerate migration candidates.
 func (s *Store) AppNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -645,8 +644,8 @@ func (s *Store) writable() error {
 
 // Err reports the WAL failure that stopped the store, or nil. After the
 // first failed write, fsync or segment rotation the store fails stop:
-// every later append, Sync, ImportApp, DropApp, AppendReplicated and
-// ImportState returns this error without writing anything.
+// every later append, Sync, AppendReplicated and ImportState returns this
+// error without writing anything.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -345,8 +345,6 @@ func TestWALFailStop(t *testing.T) {
 				{"Append", func() error { return st.Append("fs-1", 7) }},
 				{"AppendBatch", func() error { return st.AppendBatch([]Observation{{App: "fs-2", Concurrency: 1}}) }},
 				{"Sync", st.Sync},
-				{"ImportApp", func() error { return st.ImportApp("fs-3", []float64{1, 2}, 2) }},
-				{"DropApp", func() error { return st.DropApp("fs-0") }},
 				{"AppendReplicated", func() error {
 					_, err := st.AppendReplicated(nil, ReplPos{Seq: 1})
 					return err
