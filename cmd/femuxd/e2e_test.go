@@ -122,7 +122,7 @@ func TestFemuxdBoundedInMemoryChurn(t *testing.T) {
 	}
 	addr := freeAddr(t)
 	proc := startFemuxd(t, buildFemuxd(t), addr, modelPath,
-		"-max-hot-apps", "4", "-max-workspaces", "2")
+		"-max-hot-apps", "4")
 	defer func() {
 		proc.Process.Signal(syscall.SIGTERM)
 		proc.Wait()

@@ -21,12 +21,13 @@
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
 // loses no state. Without it the same store is held in memory: same
-// tiering, no files, nothing survives the process. -max-hot-apps /
-// -max-workspaces / -max-warm-apps bound the hot, workspace, and
-// in-memory-window tiers so a million-app fleet serves in bounded RSS:
-// the LRU excess is demoted to compact windows and, past the warm
-// budget, paged to disk, then restored transparently (and
-// bit-identically) on first touch. With -shards/-shard-id the instance
+// tiering, no files, nothing survives the process. -max-hot-apps and
+// -max-warm-apps bound the hot and in-memory-window tiers so a
+// million-app fleet serves in bounded RSS: the LRU excess is demoted to
+// compact windows and, past the warm budget, paged to disk, then
+// restored transparently (and bit-identically) on first touch. Forecast
+// workspaces are per-request scratch, not per-app state, so no flag
+// bounds them. With -shards/-shard-id the instance
 // owns only its FNV-1a hash partition of the apps (see cmd/femux-shard
 // for the router), and -watch-model hot-reloads the -model file whenever
 // it changes, so one retrain in a shared model directory propagates
@@ -98,8 +99,6 @@ func main() {
 
 		maxHotApps = flag.Int("max-hot-apps", 0,
 			"apps with materialized serving state; LRU excess is demoted to compact windows (0 = unlimited)")
-		maxWorkspaces = flag.Int("max-workspaces", 0,
-			"apps holding forecast workspaces; LRU excess returns them to the shared pool (0 = unlimited)")
 		maxWarmApps = flag.Int("max-warm-apps", 0,
 			"apps with in-memory compact windows in the store; excess is paged to disk (0 = unlimited, requires -data-dir)")
 		quantileLevel = flag.Float64("quantile-level", 0,
@@ -187,8 +186,7 @@ func main() {
 	}
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
 		Store: st, ShardID: *shardID, Shards: *shards, Replica: *replicaOf != "",
-		MaxHotApps: *maxHotApps, MaxWorkspaces: *maxWorkspaces,
-		QuantileLevel: *quantileLevel,
+		MaxHotApps: *maxHotApps, QuantileLevel: *quantileLevel,
 	})
 	if *quantileLevel > 0 {
 		log.Printf("SLO-aware provisioning: pod targets use the p%g demand quantile", *quantileLevel*100)

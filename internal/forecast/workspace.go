@@ -15,8 +15,8 @@ import (
 //
 // A Workspace is NOT safe for concurrent use. Callers that forecast from
 // multiple goroutines must use one workspace per goroutine — the
-// simulators create one per simulation, and femuxd keeps one per served
-// app under the app lock. The zero value is ready to use.
+// simulators take one per simulation, and femuxd takes one per request
+// for as long as it computes. The zero value is ready to use.
 type Workspace struct {
 	fft mathx.FFTScratch
 
@@ -62,14 +62,12 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers are grown on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// wsPool recycles workspaces process-wide, so the derived state that
-// depends only on geometry — FFT twiddle tables and Bluestein
-// chirp/filter spectra per window length — amortizes across users: sim
-// sweeps, and femuxd's hot-app tier, where an evicted app returns its
-// workspace here and a newly-hot app picks a warmed one up instead of
-// re-planning. Results are unaffected: workspaces carry no cross-call
-// state, only scratch capacity and per-length plans (reuse equivalence
-// is pinned by the workspace-reuse tests).
+// wsPool recycles workspaces process-wide, so grown scratch amortizes
+// across users: the simulators' sweeps, and femuxd's requests, each of
+// which takes one for as long as it computes. Results are unaffected:
+// workspaces carry no cross-call state, only scratch capacity and the
+// last FFT plan used (reuse equivalence is pinned by the workspace-reuse
+// tests).
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // GetWorkspace takes a (possibly warmed) workspace from the shared pool.

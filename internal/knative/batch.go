@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -112,7 +113,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 // restored after the commit would count the item twice) until after its
 // apply, so no other observation of the app lands in between: the hot
 // tail grows in WAL order, and eviction, which locks the app first,
-// cannot demote it mid-commit. Budgets are enforced once per request,
+// cannot demote it mid-commit. The budget is enforced once per request,
 // after every app is unlocked; with one still held, eviction could pick
 // it and wait on its own lock.
 func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (accepted int, err error) {
@@ -168,13 +169,16 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		}
 		err = fmt.Errorf("durable store append failed: %w", err)
 	} else {
+		// One borrowed workspace serves every item: they apply in turn.
+		ws := forecast.GetWorkspace()
 		for i, a := range held {
 			if a != nil {
 				res := &results[i]
-				res.Target, res.Forecaster = s.apply(a, items[i].Concurrency, max(items[i].UnitConcurrency, 1), sm)
+				res.Target, res.Forecaster = s.apply(a, ws, items[i].Concurrency, max(items[i].UnitConcurrency, 1), sm)
 				res.History = a.n
 			}
 		}
+		forecast.PutWorkspace(ws)
 		accepted = len(durable)
 	}
 	for j, i := range byName {
@@ -182,7 +186,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			held[i].mu.Unlock()
 		}
 	}
-	s.enforceBudgets()
+	s.enforceBudget()
 	return accepted, err
 }
 

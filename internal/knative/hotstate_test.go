@@ -31,7 +31,7 @@ func TestHotStateIsBounded(t *testing.T) {
 	}
 	const maxBlock = 45
 	cur := 0
-	svc := NewServiceWith(models[cur], ServiceOptions{MaxHotApps: 3, MaxWorkspaces: 2})
+	svc := NewServiceWith(models[cur], ServiceOptions{MaxHotApps: 3})
 	h := svc.Handler()
 	apps := make([]string, 5)
 	for i := range apps {
@@ -183,10 +183,10 @@ func TestHotStateIsBounded(t *testing.T) {
 	}
 }
 
-// TestSvcAppSize pins a hot app's fixed state in the 256-byte size class:
-// one more word moves every hot app to the 288-byte class.
+// TestSvcAppSize pins a hot app's fixed state in the 240-byte size class:
+// one more word moves every hot app to the 256-byte class.
 func TestSvcAppSize(t *testing.T) {
-	if got := unsafe.Sizeof(svcApp{}); got > 256 {
-		t.Fatalf("unsafe.Sizeof(svcApp{}) = %d B, want at most 256", got)
+	if got := unsafe.Sizeof(svcApp{}); got > 240 {
+		t.Fatalf("unsafe.Sizeof(svcApp{}) = %d B, want at most 240", got)
 	}
 }

@@ -168,7 +168,7 @@ func TestLifecycleSnapshotLeavesTiersAlone(t *testing.T) {
 	}
 	defer st.Close()
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{
-		Store: st, MaxHotApps: 2, MaxWorkspaces: 1,
+		Store: st, MaxHotApps: 2,
 	})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()

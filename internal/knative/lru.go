@@ -1,8 +1,8 @@
 package knative
 
 // lruList is a doubly-linked list of *svcApp, the container/list ring
-// idiom with a concrete element type: the tier hot/workspace LRUs sit on
-// the serving hot path, where the interface{} boxing and type assertions
+// idiom with a concrete element type: the tier's hot LRU sits on the
+// serving hot path, where the interface{} boxing and type assertions
 // of container/list are pure overhead (and the per-push allocation is
 // avoidable noise against the zero-alloc observe contract).
 type lruList struct {

@@ -34,7 +34,6 @@ type directApp struct {
 	mu     sync.Mutex
 	policy *femux.AppPolicy
 	hotTail
-	ws *forecast.Workspace
 }
 
 // NewDirectProvider returns a provider backed by a trained model.
@@ -42,22 +41,24 @@ func NewDirectProvider(model *femux.Model) *DirectProvider {
 	return &DirectProvider{model: model, apps: map[string]*directApp{}}
 }
 
-// Target implements ScaleProvider. Per-app state (the bounded history
-// tail and the workspace-backed forecast) is guarded by the app's own
-// lock, so apps proceed concurrently while each app's decisions stay
-// serialized.
+// Target implements ScaleProvider. Per-app state (the policy and the
+// bounded history tail) is guarded by the app's own lock, so apps proceed
+// concurrently while each app's decisions stay serialized; the forecast
+// runs in a borrowed workspace.
 func (p *DirectProvider) Target(app string, minuteAvg float64, unitConcurrency int) (int, bool) {
 	p.mu.Lock()
 	st, ok := p.apps[app]
 	if !ok {
-		st = &directApp{policy: p.model.NewAppPolicy(0), ws: forecast.NewWorkspace()}
+		st = &directApp{policy: p.model.NewAppPolicy(0)}
 		p.apps[app] = st
 	}
 	p.mu.Unlock()
 
 	st.mu.Lock()
 	st.push(p.model, minuteAvg)
-	target, _, _ := st.policy.Decide(st.history, st.n, unitConcurrency, p.QuantileLevel, st.ws)
+	ws := forecast.GetWorkspace()
+	target, _, _ := st.policy.Decide(st.history, st.n, unitConcurrency, p.QuantileLevel, ws)
+	forecast.PutWorkspace(ws)
 	st.mu.Unlock()
 	return target, true
 }

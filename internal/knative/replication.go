@@ -82,7 +82,6 @@ func (s *Service) Promote() int {
 	t.mu.Lock()
 	t.apps = map[string]*svcApp{}
 	t.hot.Init()
-	t.ws.Init()
 	t.mu.Unlock()
 	s.restored = s.st.Apps()
 	return s.restored

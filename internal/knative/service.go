@@ -102,10 +102,10 @@ type ServiceOptions struct {
 	// (history + policy); the LRU excess is demoted to the warm tier.
 	// 0 means unlimited (every touched app stays hot).
 	MaxHotApps int
-	// MaxWorkspaces bounds how many hot apps hold a forecast workspace
-	// (FFT plans and solver scratch — the largest per-app allocation);
-	// the LRU excess returns workspaces to the shared pool. 0 means
-	// unlimited.
+	// MaxWorkspaces is ignored: no app holds a forecast workspace, each
+	// request takes one from forecast.GetWorkspace (see tiers).
+	//
+	// Deprecated: kept so that existing callers still compile.
 	MaxWorkspaces int
 	// QuantileLevel, when positive (e.g. 0.95), converts forecasts to
 	// pod targets at that demand quantile instead of the point forecast
@@ -146,16 +146,10 @@ type svcApp struct {
 	policy *femux.AppPolicy
 	gen    uint16 // memoGen of the model policy was built from
 	// gone, guarded by mu, marks an evicted entry that acquire must not
-	// use (see tier.go). Beside gen, it shares gen's word: 256 bytes keep
-	// svcApp in the 256-byte size class.
+	// use (see tier.go). Beside gen, it shares gen's word: 240 bytes keep
+	// svcApp in the 240-byte size class.
 	gone bool
 	hotTail
-	// ws holds the app's forecast scratch state; targets and forecasts are
-	// computed under mu so the workspace is never used concurrently. After
-	// the first request warms it, the observe->target computation performs
-	// zero heap allocations (see zeroalloc_test.go). May be nil when the
-	// workspace LRU reclaimed it; touch re-acquires from the pool.
-	ws *forecast.Workspace
 
 	// drift tracks the app's feature drift, fed under mu on every observe
 	// (allocation-free) and rebuilt from the restored window after a tier
@@ -169,11 +163,11 @@ type svcApp struct {
 	// materialization (see count), and guarded by mu.
 	observes, targets, forecasts serving.CounterChild
 
-	// Tier state (see tier.go). hotEl/wsEl are this app's positions in
-	// the tier's LRU lists (nil when not listed), guarded by tier.mu.
-	// Eviction takes mu before anything else, so an app that a request
-	// holds from acquire to release is never demoted under it.
-	hotEl, wsEl *lruElem
+	// Tier state (see tier.go). hotEl is this app's position in the
+	// tier's LRU (nil when not listed), guarded by tier.mu. Eviction takes
+	// mu before anything else, so an app that a request holds from
+	// acquire to release is never demoted under it.
+	hotEl *lruElem
 }
 
 // maxObserveBody bounds the observe POST body; real observations are a
@@ -194,7 +188,7 @@ func NewService(model *femux.Model) *Service {
 // in. When opts.Store holds restored state, apps stay in the warm tier
 // (compact windows inside the store) until first touched — boot cost and
 // RSS scale with the store's compacted state, not with a materialized
-// window+policy+workspace per app — and the first request for an app
+// tail+policy per app — and the first request for an app
 // restores it lazily, forecasting from the same history an uninterrupted
 // process would hold.
 func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
@@ -207,8 +201,8 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 		replica: opts.Replica, qlevel: opts.QuantileLevel,
 		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
 		tier: tiers{
-			maxHot: opts.MaxHotApps, maxWS: opts.MaxWorkspaces,
-			apps: map[string]*svcApp{}, hot: newLRUList(), ws: newLRUList(),
+			maxHot: opts.MaxHotApps,
+			apps:   map[string]*svcApp{}, hot: newLRUList(),
 		},
 	}
 	s.restored = s.st.Apps()
@@ -283,11 +277,11 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 // its step on the grown history (see decide). Its one caller, observe,
 // holds a.mu from before c's commit until after this call, so no other
 // observation of the app can commit or apply in between: in-memory
-// order is WAL order per app, and the workspace stays single-threaded.
-func (s *Service) apply(a *svcApp, c float64, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
+// order is WAL order per app. ws is the request's borrowed workspace.
+func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
 	a.push(a.policy.Model(), c)
 	a.drift.Observe(c)
-	target, forecaster = s.decide(a, unitC, sm)
+	target, forecaster = s.decide(a, ws, unitC, sm)
 	if sm != nil {
 		a.count(&a.observes, sm.Observes)
 	}
@@ -297,9 +291,9 @@ func (s *Service) apply(a *svcApp, c float64, unitC int, sm *ServiceMetrics) (ta
 // decide is the app's scale decision on its history as it stands — one
 // policy call that re-classifies on a completed block, forecasts and
 // names the forecaster — with a feature extraction counted if that call
-// performed one. Callers hold a.mu.
-func (s *Service) decide(a *svcApp, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
-	target, forecaster, extracted := a.policy.Decide(a.history, a.n, unitC, s.qlevel, a.ws)
+// performed one, computed in ws. Callers hold a.mu.
+func (s *Service) decide(a *svcApp, ws *forecast.Workspace, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
+	target, forecaster, extracted := a.policy.Decide(a.history, a.n, unitC, s.qlevel, ws)
 	if extracted && sm != nil {
 		sm.Classifications.Inc("extract")
 	}
@@ -522,7 +516,7 @@ func (s *Service) app(name string) *svcApp {
 // tier lock (it may page in from disk); if another goroutine installs
 // the app first, its copy wins and ours — identical, since store
 // restores promote — is discarded. The install never evicts: the caller
-// touches the app into the LRUs, and the budgets are enforced when the
+// touches the app into the LRU, and the budget is enforced when the
 // request releases it.
 func (s *Service) materialize(name string) *svcApp {
 	start := time.Now()
@@ -549,7 +543,6 @@ func (s *Service) materialize(name string) *svcApp {
 		t.mu.Unlock()
 		return cur
 	}
-	a.ws = forecast.GetWorkspace()
 	t.apps[name] = a
 	t.mu.Unlock()
 	if _, v2 := s.modelAt(); v2 != version {
@@ -693,7 +686,9 @@ func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name str
 	}
 	a := s.acquire(name)
 	sm := s.svcMetrics()
-	target, fcName := s.decide(a, unitC, sm)
+	ws := forecast.GetWorkspace()
+	target, fcName := s.decide(a, ws, unitC, sm)
+	forecast.PutWorkspace(ws)
 	histLen := a.n
 	if sm != nil {
 		a.count(&a.targets, sm.Targets)
@@ -727,13 +722,13 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 	}
 	a := s.acquire(name)
 	// dst is nil: the response slices escape into the JSON encoder
-	// after the lock is released, so they must not alias the
-	// workspace.
+	// after the workspace is given back, so they must not alias it.
 	s.countExtract(a.policy, a.n)
-	values := a.policy.ForecastTail(a.history, a.n, horizon, nil, a.ws)
+	ws := forecast.GetWorkspace()
+	values := a.policy.ForecastTail(a.history, a.n, horizon, nil, ws)
 	var bands []QuantileBand
 	if len(levels) > 0 {
-		flat := a.policy.ForecastQuantilesTail(a.history, a.n, horizon, levels, nil, a.ws)
+		flat := a.policy.ForecastQuantilesTail(a.history, a.n, horizon, levels, nil, ws)
 		bands = make([]QuantileBand, len(levels))
 		for q, lv := range levels {
 			bands[q] = QuantileBand{
@@ -742,6 +737,7 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 			}
 		}
 	}
+	forecast.PutWorkspace(ws)
 	fcName := a.policy.CurrentForecaster()
 	if sm := s.svcMetrics(); sm != nil {
 		a.count(&a.forecasts, sm.Forecasts)

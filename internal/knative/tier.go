@@ -8,24 +8,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
 // Tiered per-app serving state. Real fleets ("Serverless in the Wild",
 // and the paper's own production traces) are dominated by enormous
-// numbers of mostly-idle apps; keeping a materialized float64 window, an
-// AppPolicy, and a forecast workspace (FFT plans, normal-equation
-// buffers) resident for every app ever seen makes RSS scale with
+// numbers of mostly-idle apps; keeping a materialized float64 window and
+// an AppPolicy resident for every app ever seen makes RSS scale with
 // apps-ever-seen instead of apps-currently-hot. The service therefore
 // keeps three tiers:
 //
 //	hot   the tail of the history its policy can read (femux.Model.Keep,
-//	      at most MaxKeep+32 values) + policy + (usually) a workspace: the
+//	      at most MaxKeep+32 values) + policy + drift detector: the
 //	      zero-allocation observe path. Bounded by MaxHotApps, LRU-evicted,
-//	      and entered only by a request's first touch. Workspaces are
-//	      additionally bounded by MaxWorkspaces and returned to the shared
-//	      forecast pool.
+//	      and entered only by a request's first touch.
 //	warm  the compact window only (store.CompactWindow), in the store: every
 //	      store app is warm at rest and the boot path never materializes
 //	      one. Bounded by the store's InlineBudget (-max-warm-apps),
@@ -48,18 +44,23 @@ import (
 // (policyFor says when it hits). The one caveat matches restarts: a
 // WindowCap drops history beyond the cap on demotion, as a restart would.
 //
-// One mutex guards the app map, both LRUs and the eviction count, so once
-// a request has enforced the budgets the hot set is exactly the fleet's
+// One mutex guards the app map, the LRU and the eviction count, so once
+// a request has enforced the budget the hot set is exactly the fleet's
 // MaxHotApps most recently touched apps. It is held only for map and list
 // updates, never across a restore or an app lock wait.
+//
+// No tier holds a forecast workspace. A workspace is scratch, not app
+// state: it holds buffers and plan pointers and no result, so any request
+// may use any workspace. A request takes one from forecast.GetWorkspace
+// after its apps are locked, uses it for every decision it makes, and
+// puts it back before it answers, so the workspaces in use are bounded by
+// the requests computing at once, not by the hot fleet.
 type tiers struct {
 	maxHot int // hot apps; <= 0 = unlimited
-	maxWS  int // apps holding workspaces; <= 0 = unlimited
 
 	mu   sync.Mutex
 	apps map[string]*svcApp // the hot tier by name
 	hot  *lruList           // most recently touched first
-	ws   *lruList           // apps holding a workspace, most recent first
 
 	evictions int64 // hot -> warm demotions
 
@@ -71,9 +72,8 @@ type tiers struct {
 	anomalyLog     sync.Once
 }
 
-// touch bumps a to the front of the hot and workspace LRUs, acquiring a
-// pooled workspace if the ws LRU stripped it. Called with a.mu held; on
-// the steady-state hot path both bumps are MoveToFront — no allocation.
+// touch bumps a to the front of the hot LRU. Called with a.mu held; on
+// the steady-state hot path it is a MoveToFront — no allocation.
 func (s *Service) touch(a *svcApp) {
 	t := &s.tier
 	t.mu.Lock()
@@ -81,14 +81,6 @@ func (s *Service) touch(a *svcApp) {
 		a.hotEl = t.hot.PushFront(a)
 	} else {
 		t.hot.MoveToFront(a.hotEl)
-	}
-	if a.ws == nil {
-		a.ws = forecast.GetWorkspace()
-	}
-	if a.wsEl == nil {
-		a.wsEl = t.ws.PushFront(a)
-	} else {
-		t.ws.MoveToFront(a.wsEl)
 	}
 	t.mu.Unlock()
 }
@@ -111,8 +103,8 @@ func lostRaceBackoff(attempt int) {
 }
 
 // acquire returns the named app with its lock held, lazily restoring
-// warm/cold state and bumping the tier LRUs. Callers must a.mu.Unlock()
-// and then enforce the budgets (releaseApp does both).
+// warm/cold state and bumping the tier LRU. Callers must a.mu.Unlock()
+// and then enforce the budget (releaseApp does both).
 func (s *Service) acquire(name string) *svcApp {
 	for attempt := 0; ; attempt++ {
 		a := s.app(name)
@@ -129,54 +121,48 @@ func (s *Service) acquire(name string) *svcApp {
 }
 
 // releaseApp unlocks a serving request's app and then enforces the
-// budgets — eviction happens after the response work is done, never
+// budget — eviction happens after the response work is done, never
 // while a request holds the app.
 func (s *Service) releaseApp(a *svcApp) {
 	a.mu.Unlock()
-	s.enforceBudgets()
+	s.enforceBudget()
 }
 
-// enforceBudgets demotes LRU victims until the hot-app and workspace
-// budgets hold. The caller holds no app lock: the victim may be any app,
-// and evict waits for its lock.
-func (s *Service) enforceBudgets() {
+// enforceBudget demotes LRU victims until the hot-app budget holds.
+// The caller holds no app lock: the victim may be any app, and evict
+// waits for its lock.
+func (s *Service) enforceBudget() {
 	t := &s.tier
 	for {
 		t.mu.Lock()
 		var victim *svcApp
-		wsOnly := false
 		if t.overHot() {
 			victim = t.hot.Back().Value
-		} else if t.overWS() {
-			victim = t.ws.Back().Value
-			wsOnly = true
 		}
 		t.mu.Unlock()
 		if victim == nil {
 			return
 		}
-		if !s.evict(victim, wsOnly) {
-			// The victim was re-touched; budgets are best-effort within a
+		if !s.evict(victim) {
+			// The victim was re-touched; the budget is best-effort within a
 			// pass and the next release re-enforces.
 			return
 		}
 	}
 }
 
-// overHot and overWS report whether a budget is exceeded. Caller holds
-// t.mu.
+// overHot reports whether the hot budget is exceeded. Caller holds t.mu.
 func (t *tiers) overHot() bool { return t.maxHot > 0 && t.hot.Len() > t.maxHot }
-func (t *tiers) overWS() bool  { return t.maxWS > 0 && t.ws.Len() > t.maxWS }
 
-// evict demotes one app (or just releases its workspace), reporting
-// whether it made progress. The victim was chosen without its lock;
-// everything is re-checked under victim.mu -> tier.mu (the same order
-// touch uses), so a concurrent touch simply wins and the eviction pass
-// stops. The map removal is atomic with the LRU removal: no window
-// exists where a gone app is still reachable through the map.
-func (s *Service) evict(v *svcApp, wsOnly bool) bool {
+// evict demotes one app, reporting whether it made progress. The victim
+// was chosen without its lock; everything is re-checked under victim.mu
+// -> tier.mu (the same order touch uses), so a concurrent touch simply
+// wins and the eviction pass stops. The map removal is atomic with the
+// LRU removal: no window exists where a gone app is still reachable
+// through the map.
+func (s *Service) evict(v *svcApp) bool {
 	v.mu.Lock()
-	if !wsOnly && !v.gone {
+	if !v.gone {
 		// The classification, if current for this history, goes to the
 		// demoted record while v is still published: dropCached clears it
 		// after unpublishing, so none lands on state an import replaced.
@@ -188,21 +174,6 @@ func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 	}
 	t := &s.tier
 	t.mu.Lock()
-	if wsOnly {
-		if v.wsEl == nil || !t.overWS() || t.ws.Back() != v.wsEl {
-			t.mu.Unlock()
-			v.mu.Unlock()
-			return false
-		}
-		t.ws.Remove(v.wsEl)
-		v.wsEl = nil
-		ws := v.ws
-		v.ws = nil
-		t.mu.Unlock()
-		v.mu.Unlock()
-		forecast.PutWorkspace(ws)
-		return true
-	}
 	if v.hotEl == nil || !t.overHot() || t.hot.Back() != v.hotEl {
 		t.mu.Unlock()
 		v.mu.Unlock()
@@ -210,22 +181,15 @@ func (s *Service) evict(v *svcApp, wsOnly bool) bool {
 	}
 	t.hot.Remove(v.hotEl)
 	v.hotEl = nil
-	if v.wsEl != nil {
-		t.ws.Remove(v.wsEl)
-		v.wsEl = nil
-	}
 	t.evictions++
 	if t.apps[v.name] == v {
 		delete(t.apps, v.name)
 	}
-	ws := v.ws
-	v.ws = nil
 	v.history = nil
 	v.policy = nil
 	v.gone = true
 	t.mu.Unlock()
 	v.mu.Unlock()
-	forecast.PutWorkspace(ws)
 	if sm := s.svcMetrics(); sm != nil {
 		sm.Evictions.Inc()
 	}
@@ -264,17 +228,10 @@ func (s *Service) dropCached(name string) {
 		t.hot.Remove(a.hotEl)
 		a.hotEl = nil
 	}
-	if a.wsEl != nil {
-		t.ws.Remove(a.wsEl)
-		a.wsEl = nil
-	}
 	t.mu.Unlock()
-	ws := a.ws
-	a.ws = nil
 	a.history = nil
 	a.gone = true
 	a.mu.Unlock()
-	forecast.PutWorkspace(ws)
 }
 
 // HotApps reports how many apps are materialized (hot tier).

@@ -73,39 +73,18 @@ func TestHotSetIsFleetMRU(t *testing.T) {
 	}
 }
 
-// TestWorkspaceBudgetIsFleetMRU: under MaxWorkspaces N with no hot
-// budget, every app stays hot but only the fleet's N most recently
-// touched hold a workspace; touching another takes one back from the
-// least recent.
-func TestWorkspaceBudgetIsFleetMRU(t *testing.T) {
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxWorkspaces: 2})
-	for _, app := range []string{"ws-a", "ws-b", "ws-c", "ws-d"} {
-		observeOne(t, svc, app, 1)
-	}
-	if got := fmt.Sprint(lruNames(svc, svc.tier.ws)); got != "[ws-d ws-c]" {
-		t.Fatalf("workspace holders = %s, want [ws-d ws-c]", got)
-	}
-	observeOne(t, svc, "ws-a", 2)
-	if got := fmt.Sprint(lruNames(svc, svc.tier.ws)); got != "[ws-a ws-d]" {
-		t.Fatalf("workspace holders = %s, want [ws-a ws-d]", got)
-	}
-	if hot, ev := svc.HotApps(), svc.Evictions(); hot != 4 || ev != 0 {
-		t.Fatalf("hot apps = %d, evictions = %d; want 4 and 0 (no hot budget)", hot, ev)
-	}
-}
-
 // TestZeroBudgetsAreUnlimited: a budget of 0 — or a negative one — bounds
-// nothing: every touched app stays hot with a workspace.
+// nothing: every touched app stays hot.
 func TestZeroBudgetsAreUnlimited(t *testing.T) {
 	for _, budget := range []int{0, -1} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: budget, MaxWorkspaces: budget})
+			svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: budget})
 			const apps = 40
 			for i := 0; i < apps; i++ {
 				observeOne(t, svc, fmt.Sprintf("free-%d", i), 1)
 			}
-			if hot, ws := svc.HotApps(), len(lruNames(svc, svc.tier.ws)); hot != apps || ws != apps {
-				t.Fatalf("hot apps = %d, workspace holders = %d; want %d of each", hot, ws, apps)
+			if hot := svc.HotApps(); hot != apps {
+				t.Fatalf("hot apps = %d, want %d", hot, apps)
 			}
 			if ev := svc.Evictions(); ev != 0 {
 				t.Fatalf("evictions = %d, want 0", ev)

@@ -18,8 +18,8 @@ import (
 
 // TestTieredForecastsBitIdentical is the tentpole's invisibility
 // property: a service squeezed through every demotion path — hot LRU
-// eviction under a tiny -max-hot-apps, workspace reclamation, store
-// warm->cold paging, compaction embedding page stubs in snapshots,
+// eviction under a tiny -max-hot-apps, workspaces shared across apps,
+// store warm->cold paging, compaction embedding page stubs in snapshots,
 // mid-replay drops, restores resumed from a classification memo — and
 // through everything that must invalidate such a memo — model swaps,
 // Promote, an imported window of the same length, a store reopen — must
@@ -126,7 +126,7 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 	// capped window), and its tail is their end.
 	stream := make([][]float64, len(apps))
 
-	so := ServiceOptions{MaxHotApps: 2, MaxWorkspaces: 1}
+	so := ServiceOptions{MaxHotApps: 2}
 	var storeOpt *store.Options
 	if !memory {
 		storeOpt = &store.Options{
@@ -336,8 +336,8 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 // TestTierBudgetEquivalence pins the budgets' invisibility on one
 // deterministic replay — observes, batches, page-outs, dropped apps,
 // model swaps, Promote, imported windows and store reopens — served at
-// hot/workspace budgets (1,1), (3,2) and unlimited (0,0), over a
-// directory store and a memory store: every run must end with the same
+// hot budgets 1, 3 and unlimited (0), over a directory store and a
+// memory store: every run must end with the same
 // forecasters, Float64bits-identical forecasts and quantile bands, and
 // equal durable totals. Budgets change what is resident, never results.
 func TestTierBudgetEquivalence(t *testing.T) {
@@ -357,14 +357,14 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 	}
 	minute := make([]int, len(apps))
 	// The unlimited run is the base the bounded ones are compared with.
-	budgets := []struct{ hot, ws int }{{0, 0}, {1, 1}, {3, 2}}
+	budgets := []int{0, 1, 3}
 	runs := make([]*tierNode, len(budgets))
 	for k, b := range budgets {
 		var storeOpt *store.Options
 		if !memory {
 			storeOpt = &store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 4}
 		}
-		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: b.hot, MaxWorkspaces: b.ws}, storeOpt, false)
+		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: b}, storeOpt, false)
 		runs[k].restart(models[cur])
 	}
 
@@ -475,8 +475,8 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 	// The bounded budgets held, and demoted apps along the way.
 	for k, ru := range runs[1:] {
 		b := budgets[k+1]
-		if hot := ru.svc.HotApps(); hot > b.hot {
-			t.Errorf("budgets=%v: hot apps = %d, want <= %d", b, hot, b.hot)
+		if hot := ru.svc.HotApps(); hot > b {
+			t.Errorf("budgets=%v: hot apps = %d, want <= %d", b, hot, b)
 		}
 		if ru.svc.Evictions() == 0 {
 			t.Errorf("budgets=%v: no evictions", b)
@@ -537,7 +537,7 @@ func TestLazyBootKeepsAppsWarm(t *testing.T) {
 // TestTierBudgetsMemory exercises eviction over a memory store: demoted
 // apps live as its compact windows and restore losslessly.
 func TestTierBudgetsMemory(t *testing.T) {
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 4, MaxWorkspaces: 2})
+	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 4})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -576,7 +576,7 @@ func TestTierBudgetsMemory(t *testing.T) {
 // 1,024 apps seeded with five observations each — over a directory store
 // (backend "dir") or a memory store ("memory").
 func benchTieredService(b *testing.B, backend string) (*Service, []string) {
-	so := ServiceOptions{MaxHotApps: 64, MaxWorkspaces: 64}
+	so := ServiceOptions{MaxHotApps: 64}
 	if backend == "dir" {
 		st, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
 		if err != nil {

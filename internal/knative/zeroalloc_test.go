@@ -2,16 +2,20 @@ package knative
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 )
 
 // TestServiceTargetZeroAlloc asserts the serving-path satellite guarantee:
-// once an app's workspace is warm and its block classification has
-// happened, the observe->target computation — the work femuxd does once
+// once the borrowed workspace is warm and the app's block classification
+// has happened, the observe->target computation — the work femuxd does once
 // per app-minute — performs zero heap allocations. Only the computation is
 // measured; HTTP decode/encode and the history append are outside the
 // kernel contract.
@@ -27,10 +31,11 @@ func TestServiceTargetZeroAlloc(t *testing.T) {
 	for i := 0; i < 45; i++ {
 		a.history = append(a.history, 2+rng.Float64())
 	}
-	a.policy.TargetWS(a.history, 1, a.ws)
-	a.policy.TargetWS(a.history, 1, a.ws)
+	ws := forecast.NewWorkspace()
+	a.policy.TargetWS(a.history, 1, ws)
+	a.policy.TargetWS(a.history, 1, ws)
 	allocs := testing.AllocsPerRun(50, func() {
-		a.policy.TargetWS(a.history, 1, a.ws)
+		a.policy.TargetWS(a.history, 1, ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state target computation: %v allocs/op, want 0", allocs)
@@ -73,27 +78,36 @@ func TestObserveHandlerAllocs(t *testing.T) {
 
 // TestDirectProviderMatchesPlainTarget pins the refactor's invariant: the
 // workspace-backed serving path returns exactly the targets the allocating
-// Target path returns, observation for observation.
+// Target path returns, observation for observation. Four apps of
+// different shapes are driven at once, so the provider's borrowed
+// workspaces pass between apps and forecasters (and, under -race, a
+// workspace lent twice at once is a data race).
 func TestDirectProviderMatchesPlainTarget(t *testing.T) {
 	m := trainTinyModel(t)
 	p := NewDirectProvider(m)
-	ref := m.NewAppPolicy(0)
-	var hist []float64
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 70; i++ {
-		v := 0.0
-		if i%10 < 2 {
-			v = 2 + rng.Float64()
-		}
-		hist = append(hist, v)
-		got, ok := p.Target("equiv-app", v, 1)
-		if !ok {
-			t.Fatal("provider refused target")
-		}
-		if want := ref.Target(hist, 1); got != want {
-			t.Fatalf("obs %d: provider target %d, plain Target %d", i, got, want)
-		}
+	var wg sync.WaitGroup
+	for app := 0; app < 4; app++ {
+		wg.Add(1)
+		go func(app int) {
+			defer wg.Done()
+			ref := m.NewAppPolicy(0)
+			var hist []float64
+			for i := 0; i < 70; i++ {
+				v := shapedValue(app, i)
+				hist = append(hist, v)
+				got, ok := p.Target(fmt.Sprintf("equiv-app-%d", app), v, 1)
+				if !ok {
+					t.Error("provider refused target")
+					return
+				}
+				if want := ref.Target(hist, 1); got != want {
+					t.Errorf("app %d obs %d: provider target %d, plain Target %d", app, i, got, want)
+					return
+				}
+			}
+		}(app)
 	}
+	wg.Wait()
 }
 
 // TestServiceQuantileTargetZeroAlloc extends the serving-path pin to the
@@ -111,10 +125,11 @@ func TestServiceQuantileTargetZeroAlloc(t *testing.T) {
 	for i := 0; i < 45; i++ {
 		a.history = append(a.history, 2+rng.Float64())
 	}
-	a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, a.ws)
-	a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, a.ws)
+	ws := forecast.NewWorkspace()
+	a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, ws)
+	a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, ws)
 	allocs := testing.AllocsPerRun(50, func() {
-		a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, a.ws)
+		a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state quantile target computation: %v allocs/op, want 0", allocs)
