@@ -171,6 +171,7 @@ func (s *Service) stateHandler(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Header().Set(hdrNextSeq, strconv.FormatUint(pos.Seq, 10))
 	w.Header().Set(hdrNextOff, strconv.FormatInt(pos.Off, 10))
 	w.Write(data)
@@ -187,6 +188,9 @@ func (s *Service) promoteHandler(w http.ResponseWriter, r *http.Request) {
 		Promotions int `json:"promotions"`
 	}{apps, s.Promotions()})
 }
+
+// maxStateBytes caps the /v1/replication/state body a follower reads.
+var maxStateBytes int64 = 1 << 30
 
 // Replicator tails a primary femuxd's WAL into a local store: the
 // follower half of -replica-of. Chunks are applied through the store's
@@ -376,9 +380,15 @@ func (r *Replicator) step() (progress bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		data, err := io.ReadAll(io.LimitReader(sresp.Body, 1<<30))
+		data, err := io.ReadAll(io.LimitReader(sresp.Body, maxStateBytes+1))
 		if err != nil {
 			return false, err
+		}
+		if int64(len(data)) > maxStateBytes {
+			// A cut body can end on a record boundary and import as a
+			// smaller fleet: refuse it whole.
+			return false, fmt.Errorf("knative: state body of %d bytes is over the %d-byte read cap",
+				sresp.ContentLength, maxStateBytes)
 		}
 		if err := r.st.ImportState(data, spos); err != nil {
 			return false, err

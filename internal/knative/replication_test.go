@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -230,6 +231,63 @@ func TestReplicaFailoverE2E(t *testing.T) {
 	mustObserve(t, fsrv.URL, "epsilon", 2.5)
 	mustObserve(t, ctl.URL, "epsilon", 2.5)
 	assertDecisionsIdentical(t, append(apps, "epsilon"), ctl.URL, fsrv.URL)
+}
+
+// TestBootstrapRefusesOverCapBody: a /v1/replication/state body longer
+// than the follower's read cap is refused whole. The cap here ends exactly
+// after the first of two app records, where a follower that imported what
+// it read would install one app and a cursor, and lose the other app at
+// failover. The step must fail and leave the follower with no app and no
+// cursor; under the real cap the same step imports both.
+func TestBootstrapRefusesOverCapBody(t *testing.T) {
+	pst := openTestStore(t, t.TempDir())
+	// Equal-length records, so the cut is on a record boundary whichever
+	// app the primary writes first.
+	for i := 0; i < 8; i++ {
+		for _, app := range []string{"app-a", "app-b"} {
+			if err := pst.Append(app, float64(i)*0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := pst.Compact(); err != nil { // the follower's 1:0 is gone: 410, then /state
+		t.Fatal(err)
+	}
+	psrv := httptest.NewServer(NewServiceWith(trainTinyModel(t), ServiceOptions{Store: pst}).Handler())
+	defer psrv.Close()
+
+	body, _, err := pst.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(off int) int { return 8 + int(binary.LittleEndian.Uint32(body[off:])) }
+	magic := frame(0)
+	record := frame(magic)
+	if len(body) != magic+2*record {
+		t.Fatalf("state body of %d bytes is not a magic of %d and two %d-byte records", len(body), magic, record)
+	}
+	realCap := maxStateBytes
+	defer func() { maxStateBytes = realCap }()
+	maxStateBytes = int64(magic + record)
+
+	fst := openTestStore(t, t.TempDir())
+	r := NewReplicator(fst, psrv.URL, nil)
+	_, err = r.step()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(len(body))) || !strings.Contains(err.Error(), fmt.Sprint(maxStateBytes)) {
+		t.Fatalf("step over the cap = %v, want an error naming %d and %d bytes", err, len(body), maxStateBytes)
+	}
+	if _, ok := fst.ReplCursor(); ok || fst.Apps() != 0 {
+		t.Fatalf("follower holds %d apps (cursor set: %v) after a refused body", fst.Apps(), ok)
+	}
+
+	maxStateBytes = realCap
+	if _, err := r.step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fst.ReplCursor(); !ok || fst.Apps() != 2 || fst.TotalObservations() != 16 {
+		t.Fatalf("bootstrap under the real cap: %d apps, %d observations, cursor set %v",
+			fst.Apps(), fst.TotalObservations(), ok)
+	}
 }
 
 // TestRouterFailoverPromotesReplica drives the full HA loop: traffic

@@ -149,16 +149,6 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 	return dst
 }
 
-// compactWindowOf encodes a value slice (e.g. a v1 snapshot window or a
-// replicated app's history) into a CompactWindow.
-func compactWindowOf(values []float64) CompactWindow {
-	var cw CompactWindow
-	for _, v := range values {
-		cw.Append(v)
-	}
-	return cw
-}
-
 // appendEncoded serializes the window: uvarint n | uvarint nb | the nb
 // bytes of the live chunk stream. The chunk layout is implied by n —
 // every chunk holds cwChunkLen values except the last — so offsets need

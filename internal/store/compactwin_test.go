@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// compactWindowOf encodes a value slice into a CompactWindow.
+func compactWindowOf(values []float64) CompactWindow {
+	var cw CompactWindow
+	for _, v := range values {
+		cw.Append(v)
+	}
+	return cw
+}
+
 // cwTestSequences returns value streams that stress every encoder path:
 // zero runs (the sparse-fleet common case), slowly-varying positives,
 // sign flips, denormals, and non-finite bit patterns.

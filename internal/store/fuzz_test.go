@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -175,5 +176,100 @@ func FuzzReplicationStream(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzImportState throws arbitrary bodies at a follower's ImportState. No
+// input may panic; a refused body leaves the follower's total, cursor and
+// windows as they were, and an accepted one survives a crash-reopen bit
+// for bit, cursor included.
+func FuzzImportState(f *testing.F) {
+	// Seed corpus: a v3 export with a cold app, a v1 body from the frozen
+	// writer, a page stub, a newer magic, and truncations of each.
+	primary, err := Open(f.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := primary.AppendBatch(pageFleet(3, 70, 5)); err != nil {
+		f.Fatal(err)
+	}
+	if err := primary.PageOut(appName(1)); err != nil {
+		f.Fatal(err)
+	}
+	v3, _, err := primary.ExportState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	primary.Close()
+	v1 := appendRecord(appendRecord(nil, []byte(snapMagic)), encodeWireApp(nil, "seed", []float64{1, 0, 2.5}, 4))
+	stub := appendRecord(appendRecord(nil, []byte(snapMagicV3)), encodeSnapshotApp(nil, "seed",
+		&appState{total: 3, page: &pageRef{seq: 1, recLen: 40, count: 3}}))
+	v9 := appendRecord(appendRecord(nil, []byte("femux-snap-v9")), []byte("a record this build cannot read"))
+	for _, body := range [][]byte{v3, v1, stub, v9} {
+		f.Add(body)
+		f.Add(body[:len(body)-1])
+		f.Add(body[:len(body)/2])
+	}
+	// A v1 window of 2^61+1 values in 8 bytes: the count wraps to 1 if
+	// multiplied by 8, and sizing a window from it panics.
+	wrap := binary.AppendUvarint(binary.AppendUvarint(append([]byte{4}, "seed"...), 1), 1<<61+1)
+	f.Add(appendRecord(appendRecord(nil, []byte(snapMagic)), append(wrap, make([]byte, 8)...)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		opt := Options{Sync: SyncNever, CompactEvery: -1}
+		st, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Baseline: state and a cursor the input could corrupt.
+		var base []byte
+		for i := 0; i < 3; i++ {
+			base = appendRecord(base, encodeObservation(nil, Observation{App: "seed", Concurrency: float64(i) * 2}))
+		}
+		if _, err := st.AppendReplicated(base, ReplPos{Seq: 1, Off: int64(len(base))}); err != nil {
+			t.Fatalf("baseline chunk rejected: %v", err)
+		}
+		same := func(what string, s *Store, wins map[string][]float64, total int64, cursor ReplPos) {
+			t.Helper()
+			if cur, _ := s.ReplCursor(); cur != cursor || s.TotalObservations() != total {
+				t.Fatalf("%s: cursor %s and total %d, want %s and %d", what, cur, s.TotalObservations(), cursor, total)
+			}
+			got := s.Windows()
+			if len(got) != len(wins) {
+				t.Fatalf("%s: %d apps, want %d", what, len(got), len(wins))
+			}
+			for app, w := range wins {
+				g, ok := got[app]
+				if !ok || len(g) != len(w) {
+					t.Fatalf("%s: window of %q has %d values, want %d", what, app, len(g), len(w))
+				}
+				for i := range w {
+					if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+						t.Fatalf("%s: window of %q differs at %d", what, app, i)
+					}
+				}
+			}
+		}
+		wins, total := st.Windows(), st.TotalObservations()
+		cursor, _ := st.ReplCursor()
+
+		pos := ReplPos{Seq: 5, Off: 11}
+		if err := st.ImportState(data, pos); err != nil {
+			same("refused body", st, wins, total, cursor)
+			st.Close()
+			return
+		}
+		if cur, ok := st.ReplCursor(); !ok || cur != pos {
+			t.Fatalf("accepted body: cursor %s (ok %v), want %s", cur, ok, pos)
+		}
+		wins, total = st.Windows(), st.TotalObservations()
+		// Crash: abandon without Close, reopen from disk.
+		re, err := Open(dir, opt)
+		if err != nil {
+			t.Fatalf("reopen after an accepted import: %v", err)
+		}
+		defer re.Close()
+		same("reopened", re, wins, total, pos)
 	})
 }

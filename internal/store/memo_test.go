@@ -182,8 +182,8 @@ func TestPageReadHandlesAreReleased(t *testing.T) {
 	}
 }
 
-// TestPageReadBackRejectsBadRecords drives readBack's checks one at a
-// time: each damaged record or stub is an error, counted in PageErrors
+// TestPageReadBackRejectsBadRecords drives the page read's checks one at
+// a time: each damaged record or stub is an error, counted in PageErrors
 // when it is hit on the restore path, never a panic, and the store keeps
 // serving with the durable total intact.
 func TestPageReadBackRejectsBadRecords(t *testing.T) {
@@ -195,7 +195,7 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 	cases := []struct {
 		name   string
 		damage func(t *testing.T, f fixture)
-		want   string // substring of the readBack error
+		want   string // substring of the page read error
 	}{
 		{"flipped payload bit", func(t *testing.T, f fixture) {
 			flipByte(t, f.path, f.ref.off+recordHeaderLen+3)
@@ -246,10 +246,10 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 			tc.damage(t, f)
 
 			s.mu.Lock()
-			_, err := s.pg.readBack(appName(0), f.ref)
+			_, err := s.warmState(appName(0), s.apps[appName(0)])
 			s.mu.Unlock()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("readBack error %v, want one mentioning %q", err, tc.want)
+				t.Fatalf("page read error %v, want one mentioning %q", err, tc.want)
 			}
 			// The restore path: the window is lost, the failure counted,
 			// the total kept, and the app keeps accepting observations.

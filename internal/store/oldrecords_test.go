@@ -13,6 +13,22 @@ import (
 // hold them, and replay (applyPayloadLocked, AppendReplicated) must keep
 // reading them.
 
+// encodeWireApp frames one app's state in the v1 record format — raw
+// float64 window — frozen as it was when the follower bootstrap moved to
+// v3 records. It wrote v1 snapshots, v1 bootstrap bodies and the body of
+// an app-import record; Open, ImportState and replay still read all
+// three.
+func encodeWireApp(buf []byte, app string, window []float64, total int64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(app)))
+	buf = append(buf, app...)
+	buf = binary.AppendUvarint(buf, uint64(total))
+	buf = binary.AppendUvarint(buf, uint64(len(window)))
+	for _, v := range window {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
 func encodeAppImport(app string, window []float64, total int64) []byte {
 	buf := append([]byte(nil), ctrlPrefix...)
 	buf = append(buf, ctrlAppImport)

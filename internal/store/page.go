@@ -179,16 +179,6 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode) (st appState, vals [
 	return appState{cw: cw, total: int64(total)}, vals, nil
 }
 
-// readBack loads a stub's record as a window that can be written out
-// again.
-func (p *pager) readBack(app string, ref *pageRef) (*appState, error) {
-	st, _, err := p.load(app, ref, cwWindow)
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // free retires a stub's bytes (app restored, replaced, or dropped).
 func (p *pager) free(ref *pageRef) {
 	p.liveRefs--
@@ -246,11 +236,11 @@ func (p *pager) maybeGC(apps map[string]*appState) (err error) {
 		if st.page == nil {
 			continue
 		}
-		full, err := p.readBack(app, st.page)
+		full, _, err := p.load(app, st.page, cwWindow)
 		if err != nil {
 			return err
 		}
-		ref, err := p.writeOut(app, full)
+		ref, err := p.writeOut(app, &full)
 		if err != nil {
 			return err
 		}

@@ -160,7 +160,7 @@ func (s *Store) applyPayloadLocked(p []byte, depth int) error {
 		s.replCursor, s.hasCursor = next, true
 		return nil
 	case ctrlAppImport:
-		app, window, total, err := decodeWireApp(body)
+		app, st, err := decodeWireApp(body)
 		if err != nil {
 			return err
 		}
@@ -170,11 +170,8 @@ func (s *Store) applyPayloadLocked(p []byte, depth int) error {
 				s.pg.free(old.page)
 			}
 		}
-		if cap := s.opt.WindowCap; cap > 0 && len(window) > cap {
-			window = window[len(window)-cap:]
-		}
-		s.apps[app] = &appState{cw: compactWindowOf(window), total: total}
-		s.total += total
+		s.apps[app] = st
+		s.total += st.total
 		return nil
 	case ctrlTombstone:
 		app, err := decodeTombstone(body)
@@ -217,7 +214,7 @@ func validatePayload(p []byte, depth int) error {
 		})
 		return err
 	case ctrlAppImport:
-		_, _, _, err := decodeWireApp(body)
+		_, _, err := decodeWireApp(body)
 		return err
 	case ctrlTombstone:
 		_, err := decodeTombstone(body)
@@ -479,53 +476,43 @@ func (s *Store) AppendReplicated(frames []byte, next ReplPos) (int, error) {
 	return applied, nil
 }
 
-// ExportState serializes the store's full in-memory state (snapshot
-// format) together with the WAL position it reflects — the bootstrap a
-// follower needs before it can tail the WAL.
+// ExportState serializes the store's full state together with the WAL
+// position it reflects — the bootstrap a follower needs before it can tail
+// the WAL. The body is a v3 snapshot stream with every app inline (see
+// snapshot.go); a page that cannot be read fails it, as it fails Split.
 func (s *Store) ExportState() (data []byte, pos ReplPos, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.w == nil {
 		return nil, pos, fmt.Errorf("store: closed")
 	}
-	buf := appendRecord(nil, []byte(snapMagic))
+	data = appendRecord(nil, []byte(snapMagicV3))
 	for app, st := range s.apps {
-		buf = appendRecord(buf, encodeWireApp(nil, app, s.windowLocked(app, st), st.total))
+		if st, err = s.warmState(app, st); err != nil {
+			return nil, pos, err
+		}
+		data = appendSnapshotRecord(data, app, st)
 	}
-	return buf, ReplPos{Seq: s.w.seq, Off: s.w.size}, nil
+	return data, ReplPos{Seq: s.w.seq, Off: s.w.size}, nil
 }
 
 // ImportState replaces this store's entire state with an ExportState
-// payload and records pos as the replication cursor, durably: the state
-// is written as a snapshot, the cursor as a WAL record on top. A crash
+// body and records pos as the replication cursor, durably: the state is
+// written as a snapshot, the cursor as a WAL record on top. A crash
 // between the two leaves the cursor unset, which a follower resolves by
-// re-bootstrapping — never by double-applying.
+// re-bootstrapping — never by double-applying. The body is read as Open
+// reads a snapshot, so an older primary's v1 body imports too; one that
+// does not decode, names a newer format or holds a page stub is refused
+// and the store is left as it was.
 func (s *Store) ImportState(data []byte, pos ReplPos) error {
-	apps := map[string]*appState{}
-	first := true
-	n, err := readRecords(bytes.NewReader(data), func(payload []byte) error {
-		if first {
-			first = false
-			if string(payload) != snapMagic {
-				return fmt.Errorf("store: import: bad magic")
-			}
-			return nil
-		}
-		app, window, total, err := decodeWireApp(payload)
-		if err != nil {
-			return err
-		}
-		if cap := s.opt.WindowCap; cap > 0 && len(window) > cap {
-			window = window[len(window)-cap:]
-		}
-		apps[app] = &appState{cw: compactWindowOf(window), total: total}
-		return nil
-	})
+	apps, err := readSnapshot(bytes.NewReader(data))
 	if err != nil {
-		return err
+		return fmt.Errorf("store: import: %w", err)
 	}
-	if n == 0 {
-		return fmt.Errorf("store: import: empty state")
+	for app, st := range apps {
+		if st.page != nil {
+			return fmt.Errorf("store: import: %q is a page stub", app)
+		}
 	}
 
 	s.mu.Lock()

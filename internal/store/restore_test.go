@@ -322,7 +322,7 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		if err := writeSnapshot(dir, 4, map[string]*appState{app: st}); err != nil {
+		if err := writeSnapshot(dir, 4, map[string]*appState{app: st}, createSnapshotTemp); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, snapName(4)))
@@ -490,12 +490,12 @@ func TestPagedInWindowOwnsItsBuffer(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	ref := s.apps[appName(1)].page
-	first, err := s.pg.readBack(appName(1), ref)
+	cold := s.apps[appName(1)]
+	first, err := s.warmState(appName(1), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.pg.readBack(appName(1), ref)
+	second, err := s.warmState(appName(1), cold)
 	if err != nil {
 		t.Fatal(err)
 	}

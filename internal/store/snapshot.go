@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -25,12 +27,16 @@ import (
 // a cold app's stub pointing into a page file. v2 has the same records,
 // but its windows never hold a raw chunk (see CompactWindow), so v2 and
 // v3 share one decoder; the magic changed so that a build which cannot
-// read raw chunks does not take them for deltas. v1 snapshots (raw
-// float64 windows, from before tiering) are still loadable, so any older
-// data directory opens cleanly; the v1 record format also remains the
-// replication wire format (ExportState/ImportState, and the
-// ctrlAppImport records old WALs hold), so paging never leaks into what
-// peers see.
+// read raw chunks does not take them for deltas. v1 (raw float64
+// windows, from before tiering) is still read, so any older data
+// directory opens cleanly, and so do the ctrlAppImport records old WALs
+// hold.
+//
+// A follower's bootstrap is the same stream: ExportState writes the v3
+// magic and one record per app, every one inline (a cold app's window is
+// read from its page, since a stub names a file only its primary has),
+// and ImportState reads it with readSnapshot, as Open reads a file. An
+// older primary's v1 body still imports.
 //
 // A snapshot is written to a temp file, fsynced, and renamed into
 // place, so a crash mid-compaction leaves either the old or the new
@@ -50,7 +56,8 @@ const (
 )
 
 // errSnapshotFormat marks a snapshot written in a format this build
-// cannot read: Open fails on it instead of falling back.
+// cannot read: Open fails on it instead of falling back, and ImportState
+// refuses it.
 var errSnapshotFormat = errors.New("store: snapshot format unknown to this build")
 
 // appState is one application's durable state: the sliding observation
@@ -93,39 +100,27 @@ func (st *appState) windowLen() int {
 	return st.cw.Len()
 }
 
-// encodeWireApp frames one app's state in the v1 record format — raw
-// float64 window — still used on the replication wire.
-func encodeWireApp(buf []byte, app string, window []float64, total int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(app)))
-	buf = append(buf, app...)
-	buf = binary.AppendUvarint(buf, uint64(total))
-	buf = binary.AppendUvarint(buf, uint64(len(window)))
-	for _, v := range window {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-// decodeWireApp parses a v1 record payload. Every read is
-// bounds-checked: a corrupt record errors out instead of over-reading.
-func decodeWireApp(p []byte) (app string, window []float64, total int64, err error) {
-	app, p, utotal, err := decodeAppHeader(p, "snapshot")
+// decodeWireApp parses a v1 record payload — a raw float64 window — into
+// a compact window. Every read is bounds-checked: a corrupt record errors
+// out instead of over-reading.
+func decodeWireApp(p []byte) (app string, st *appState, err error) {
+	app, p, total, err := decodeAppHeader(p, "snapshot")
 	if err != nil {
-		return "", nil, 0, err
+		return "", nil, err
 	}
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
-		return "", nil, 0, fmt.Errorf("store: snapshot record: bad window length")
+		return "", nil, fmt.Errorf("store: snapshot record: bad window length")
 	}
 	p = p[n:]
-	if count*8 != uint64(len(p)) {
-		return "", nil, 0, fmt.Errorf("store: snapshot record: window %d values, %d bytes", count, len(p))
+	if len(p)%8 != 0 || count != uint64(len(p)/8) {
+		return "", nil, fmt.Errorf("store: snapshot record: window %d values, %d bytes", count, len(p))
 	}
-	window = make([]float64, count)
-	for i := range window {
-		window[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+	st = &appState{total: int64(total)}
+	for i := 0; i < len(p); i += 8 {
+		st.cw.Append(math.Float64frombits(binary.LittleEndian.Uint64(p[i:])))
 	}
-	return app, window, int64(utotal), nil
+	return app, st, nil
 }
 
 // decodeAppHeader parses the shared "len(app) | app | total" prefix.
@@ -219,83 +214,143 @@ func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
 	}
 }
 
-// writeSnapshot persists apps atomically as snap-<seq>.snap (v3).
-func writeSnapshot(dir string, seq uint64, apps map[string]*appState) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+// appendSnapshotRecord frames one app's snapshot record onto buf.
+func appendSnapshotRecord(buf []byte, app string, st *appState) []byte {
+	start := len(buf)
+	return sealRecord(encodeSnapshotApp(reserveHeader(buf), app, st), start)
+}
 
-	var buf []byte
-	buf = appendRecord(buf, []byte(snapMagicV3))
-	for app, st := range apps {
-		start := len(buf)
-		buf = sealRecord(encodeSnapshotApp(reserveHeader(buf), app, st), start)
+// splitFile is what a snapshot is written through (an *os.File): tests
+// fail a compaction's or a Split's write, fsync or close behind it.
+type splitFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+	Name() string
+}
+
+func createSnapshotTemp(dir string) (splitFile, error) {
+	return os.CreateTemp(dir, "snap-*.tmp")
+}
+
+// writeSnapshots writes one v3 snapshot, snap-<seq>.snap, into each of
+// dirs: fill hands every record to add with the index of its dir.
+// Compaction writes one snapshot through it, Split one per destination.
+// Each goes to a temp file made by create and is fsynced, closed and
+// renamed into place, then its dir is fsynced, so a crash leaves the old
+// snapshot or the new one, never half of one. On any error nothing is
+// left behind: every temp file, and every snapshot already renamed, is
+// removed.
+func writeSnapshots(dirs []string, seq uint64, create func(dir string) (splitFile, error),
+	fill func(add func(i int, app string, st *appState) error) error) (err error) {
+	files := make([]splitFile, len(dirs))
+	bufs := make([]*bufio.Writer, len(dirs))
+	defer func() {
+		for i, f := range files {
+			if f != nil { // not renamed into place
+				f.Close()
+				os.Remove(f.Name())
+			}
+			if err != nil {
+				os.Remove(filepath.Join(dirs[i], snapName(seq)))
+			}
+		}
+	}()
+	for i, dir := range dirs {
+		if files[i], err = create(dir); err != nil {
+			return err
+		}
+		bufs[i] = bufio.NewWriterSize(files[i], 1<<20)
+		bufs[i].Write(appendRecord(nil, []byte(snapMagicV3))) // into an empty buffer: cannot fail
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
+	if err := fill(func(i int, app string, st *appState) error {
+		_, err := bufs[i].Write(appendSnapshotRecord(bufs[i].AvailableBuffer(), app, st))
+		return err
+	}); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	for i, f := range files {
+		err := bufs[i].Flush()
+		if err == nil {
+			err = f.Sync()
+		}
+		if err == nil {
+			err = f.Close()
+		}
+		if err == nil {
+			err = os.Rename(f.Name(), filepath.Join(dirs[i], snapName(seq)))
+		}
+		if err != nil {
+			return err
+		}
+		files[i] = nil
+		fsyncDir(dirs[i])
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapName(seq))); err != nil {
-		return err
-	}
-	fsyncDir(dir)
 	return nil
 }
 
-// loadSnapshot reads snap-<seq>.snap in any format. Any framing, CRC,
-// magic, or decode failure returns an error; callers fall back to an
-// older snapshot, except on errSnapshotFormat.
+// writeSnapshot persists apps as snap-<seq>.snap in dir.
+func writeSnapshot(dir string, seq uint64, apps map[string]*appState, create func(dir string) (splitFile, error)) error {
+	return writeSnapshots([]string{dir}, seq, create, func(add func(int, string, *appState) error) error {
+		for app, st := range apps {
+			if err := add(0, app, st); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// readSnapshot decodes a snapshot stream: a snapshot file, or the body
+// ExportState writes. Its first record's magic is the one version gate:
+// v3 and v2 records decode as they are, v1 raw windows are compressed on
+// the way in, and an intact femux-snap- magic this build does not know is
+// errSnapshotFormat. Any framing, CRC, magic or decode failure is an
+// error.
+func readSnapshot(r io.Reader) (map[string]*appState, error) {
+	apps := map[string]*appState{}
+	var decode func(p []byte) (string, *appState, error)
+	n, err := readRecords(r, func(payload []byte) error {
+		if decode == nil {
+			switch magic := string(payload); {
+			case magic == snapMagicV3 || magic == snapMagicV2:
+				decode = decodeSnapshotApp
+			case magic == snapMagic:
+				decode = decodeWireApp
+			case strings.HasPrefix(magic, snapMagicPrefix):
+				return fmt.Errorf("%w: magic %q", errSnapshotFormat, magic)
+			default:
+				return errors.New("bad magic")
+			}
+			return nil
+		}
+		app, st, err := decode(payload)
+		if err != nil {
+			return err
+		}
+		apps[app] = st
+		return nil
+	})
+	if err == nil && n == 0 {
+		err = errors.New("empty stream")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return apps, nil
+}
+
+// loadSnapshot reads snap-<seq>.snap in any format. On an error callers
+// fall back to an older snapshot, except on errSnapshotFormat.
 func loadSnapshot(dir string, seq uint64) (map[string]*appState, error) {
 	f, err := os.Open(filepath.Join(dir, snapName(seq)))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	apps := map[string]*appState{}
-	first, compact := true, false
-	n, err := readRecords(f, func(payload []byte) error {
-		if first {
-			first = false
-			switch magic := string(payload); {
-			case magic == snapMagicV3 || magic == snapMagicV2:
-				compact = true
-			case magic == snapMagic:
-			case strings.HasPrefix(magic, snapMagicPrefix):
-				return fmt.Errorf("%w: snapshot %d has magic %q", errSnapshotFormat, seq, magic)
-			default:
-				return fmt.Errorf("store: snapshot %d: bad magic", seq)
-			}
-			return nil
-		}
-		if compact {
-			app, st, err := decodeSnapshotApp(payload)
-			if err != nil {
-				return err
-			}
-			apps[app] = st
-			return nil
-		}
-		app, window, total, err := decodeWireApp(payload)
-		if err != nil {
-			return err
-		}
-		apps[app] = &appState{cw: compactWindowOf(window), total: total}
-		return nil
-	})
+	apps, err := readSnapshot(f)
 	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("store: snapshot %d: empty file", seq)
+		return nil, fmt.Errorf("store: snapshot %d: %w", seq, err)
 	}
 	return apps, nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -25,123 +24,53 @@ func Split(srcs, dsts []string) error {
 	return split(srcs, dsts, createSnapshotTemp)
 }
 
-// splitFile is what Split writes a destination snapshot through (an
-// *os.File).
-type splitFile interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Close() error
-	Name() string
-}
-
-func createSnapshotTemp(dir string) (splitFile, error) {
-	return os.CreateTemp(dir, "snap-*.tmp")
-}
-
 // splitSnapSeq numbers the snapshot a destination starts from. A snapshot
 // at 1 covers WAL segment 1, so the first segment the new shard writes is
 // 2, and a follower that asks for segment 1 is sent to bootstrap.
 const splitSnapSeq = 1
 
-// splitDst is one destination's snapshot while it is being written.
-type splitDst struct {
-	dir string
-	f   splitFile
-	w   *bufio.Writer
-}
-
-func split(srcs, dsts []string, create func(dir string) (splitFile, error)) (err error) {
+func split(srcs, dsts []string, create func(dir string) (splitFile, error)) error {
 	if len(srcs) == 0 || len(dsts) == 0 {
 		return errors.New("store: split needs at least one source and one destination")
 	}
 	if err := checkSplitDirs(srcs, dsts); err != nil {
 		return err
 	}
-	out := make([]*splitDst, len(dsts))
-	defer func() {
-		// On failure nothing may be left behind: a destination that kept a
-		// snapshot would refuse the retry.
-		for _, d := range out {
-			if d == nil {
-				continue
-			}
-			if d.f != nil {
-				d.f.Close()
-				os.Remove(d.f.Name())
-			}
-			if err != nil {
-				os.Remove(filepath.Join(d.dir, snapName(splitSnapSeq)))
-			}
-		}
-	}()
-	for i, dir := range dsts {
+	for _, dir := range dsts {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		f, err := create(dir)
-		if err != nil {
-			return err
-		}
-		out[i] = &splitDst{dir: dir, f: f, w: bufio.NewWriterSize(f, 1<<20)}
-		if _, err := out[i].w.Write(appendRecord(nil, []byte(snapMagicV3))); err != nil {
-			return err
-		}
 	}
-
 	owner := map[string]int{} // app -> the source it came from
-	var buf []byte
-	for si, src := range srcs {
-		s, err := Open(src, Options{Sync: SyncNever, CompactEvery: -1})
-		if err != nil {
-			return fmt.Errorf("store: split: open %s: %w", src, err)
-		}
-		for app, st := range s.apps {
-			if prev, dup := owner[app]; dup {
-				s.Close()
-				return fmt.Errorf("store: split: app %q is in both %s and %s", app, srcs[prev], src)
+	return writeSnapshots(dsts, splitSnapSeq, create, func(add func(int, string, *appState) error) error {
+		for si, src := range srcs {
+			s, err := Open(src, Options{Sync: SyncNever, CompactEvery: -1})
+			if err != nil {
+				return fmt.Errorf("store: split: open %s: %w", src, err)
 			}
-			owner[app] = si
-			if st.page != nil {
-				full, _, err := s.pg.load(app, st.page, cwWindow)
-				if err != nil {
-					s.Close()
-					return fmt.Errorf("store: split: page in %q from %s: %w", app, src, err)
+			for app, st := range s.apps {
+				if prev, dup := owner[app]; dup {
+					err = fmt.Errorf("store: split: app %q is in both %s and %s", app, srcs[prev], src)
+					break
 				}
-				st = &full
+				owner[app] = si
+				if st, err = s.warmState(app, st); err != nil {
+					err = fmt.Errorf("store: split: page in %q from %s: %w", app, src, err)
+					break
+				}
+				if err = add(ShardOf(app, len(dsts)), app, st); err != nil {
+					break
+				}
 			}
-			buf = sealRecord(encodeSnapshotApp(reserveHeader(buf[:0]), app, st), 0)
-			if _, err := out[ShardOf(app, len(dsts))].w.Write(buf); err != nil {
-				s.Close()
+			if cerr := s.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				return err
 			}
 		}
-		if err := s.Close(); err != nil {
-			return err
-		}
-	}
-
-	for _, d := range out {
-		if err := d.w.Flush(); err != nil {
-			return err
-		}
-		if err := d.f.Sync(); err != nil {
-			return err
-		}
-	}
-	for _, d := range out {
-		f := d.f
-		d.f = nil
-		if err := f.Close(); err != nil {
-			os.Remove(f.Name())
-			return err
-		}
-		if err := os.Rename(f.Name(), filepath.Join(d.dir, snapName(splitSnapSeq))); err != nil {
-			os.Remove(f.Name())
-			return err
-		}
-		fsyncDir(d.dir)
-	}
-	return nil
+		return nil
+	})
 }
 
 // checkSplitDirs refuses a source that is not a directory (Open would

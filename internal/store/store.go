@@ -143,6 +143,8 @@ type Store struct {
 	replCursor ReplPos
 	hasCursor  bool
 
+	createSnap func(dir string) (splitFile, error) // makes compaction's snapshot file
+
 	closeOnce sync.Once
 	stopSync  chan struct{}
 	syncDone  chan struct{}
@@ -159,7 +161,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opt: opt, apps: map[string]*appState{}}
+	s := &Store{dir: dir, opt: opt, apps: map[string]*appState{}, createSnap: createSnapshotTemp}
 	pg, err := openPager(dir)
 	if err != nil {
 		return nil, err
@@ -414,6 +416,17 @@ func (s *Store) windowLocked(app string, st *appState) []float64 {
 	return s.capWindow(win)
 }
 
+// warmState returns st if it is warm, else a warm copy read from its
+// page; the app itself stays cold. It is what ExportState and Split
+// write.
+func (s *Store) warmState(app string, st *appState) (*appState, error) {
+	if st.page == nil {
+		return st, nil
+	}
+	full, _, err := s.pg.load(app, st.page, cwWindow)
+	return &full, err
+}
+
 // capWindow applies the exact WindowCap to a materialized window.
 func (s *Store) capWindow(win []float64) []float64 {
 	if cap := s.opt.WindowCap; cap > 0 && len(win) > cap {
@@ -450,11 +463,9 @@ func (s *Store) AppendBatch(obs []Observation) error {
 	}
 	s.appended += len(obs)
 	if s.opt.CompactEvery > 0 && s.appended >= s.opt.CompactEvery {
-		if err := s.compactLocked(); err != nil {
-			// Compaction failure must not fail the (already durable)
-			// append; the next append retries it.
-			return nil
-		}
+		// A compaction failure must not fail the (already durable)
+		// append; it is retried after another CompactEvery records.
+		s.compactLocked()
 	}
 	return nil
 }
@@ -592,6 +603,9 @@ func (s *Store) compactLocked() error {
 	if s.dir == "" {
 		return nil
 	}
+	// Counted from the attempt, not from a success: each attempt seals a
+	// segment, so a failing snapshot write must not be retried per append.
+	s.appended = 0
 	// Seal the current segment first: the snapshot then covers every
 	// segment below the new head, and post-snapshot appends land in a
 	// segment the snapshot does not claim.
@@ -608,10 +622,9 @@ func (s *Store) compactLocked() error {
 		return err
 	}
 	snapSeq := s.w.seq - 1
-	if err := writeSnapshot(s.dir, snapSeq, s.apps); err != nil {
+	if err := writeSnapshot(s.dir, snapSeq, s.apps, s.createSnap); err != nil {
 		return err
 	}
-	s.appended = 0
 	s.pg.deleteBelow(s.apps)
 	// Deletion is cleanup, not correctness: leftovers are re-deleted on
 	// the next compaction, and restore ignores segments <= snapshot seq.

@@ -234,7 +234,7 @@ func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			old := map[string]*appState{"a": {cw: compactWindowOf([]float64{1, 2.5, 3}), total: 3}}
-			if err := writeSnapshot(dir, 1, old); err != nil {
+			if err := writeSnapshot(dir, 1, old, createSnapshotTemp); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, snapName(2)), tc.snap, 0o644); err != nil {
@@ -257,6 +257,48 @@ func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
 			assertBitIdentical(t, s.Window("a"), []float64{1, 2.5, 3}, "fallback window")
 		})
 	}
+}
+
+// TestFailedCompactionWaitsForMoreRecords: a compaction whose snapshot
+// write fails is retried after another CompactEvery records, not on the
+// next append, because every attempt seals a WAL segment. With every
+// snapshot fsync failing, 50 appends at CompactEvery 8 leave at most one
+// new segment per 8 records and no temp file, and a reopen restores all
+// 50.
+func TestFailedCompactionWaitsForMoreRecords(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Sync: SyncNever, CompactEvery: 8}
+	s := mustOpen(t, dir, opt)
+	s.createSnap = func(dir string) (splitFile, error) {
+		f, err := createSnapshotTemp(dir)
+		if err != nil {
+			return nil, err
+		}
+		return &faultyDst{f, "sync"}, nil
+	}
+	var obs []Observation
+	for i := 0; i < 50; i++ {
+		o := Observation{App: appName(i % 3), Concurrency: float64(i) + 0.25}
+		if err := s.Append(o.App, o.Concurrency); err != nil {
+			t.Fatal(err)
+		}
+		obs = append(obs, o)
+	}
+	if st := s.Stats(); st.Snapshots != 0 || st.Segments > 1+50/8 {
+		t.Fatalf("%d snapshots and %d segments after 50 appends, want none and at most %d",
+			st.Snapshots, st.Segments, 1+50/8)
+	}
+	for _, name := range listDir(t, dir) {
+		if strings.HasSuffix(name, ".tmp") {
+			t.Fatalf("a failed snapshot left %s behind", name)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := mustOpen(t, dir, opt)
+	defer re.Close()
+	assertExactPrefix(t, re, obs)
 }
 
 // corruptSnapshot flips a byte in the middle of snap-<seq>.snap.
