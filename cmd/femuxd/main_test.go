@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"math/rand"
@@ -78,6 +79,52 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		if a, b := p1.Target(hist[:i], 1), p2.Target(hist[:i], 1); a != b {
 			t.Fatalf("target diverged at step %d: %d != %d", i, a, b)
 		}
+	}
+}
+
+// TestWindowCapValidated pins -window-cap validation: a negative cap, or
+// a positive one shorter than the model's block or window, cannot serve
+// the due blocks and tail refills a hot app reads from the store, so
+// femuxd refuses it — at startup, and on a reload, which then keeps the
+// serving model — with an error naming the cap and the geometry. 0
+// (unlimited) and any cap of at least max(block, window) are served.
+func TestWindowCapValidated(t *testing.T) {
+	model := tinyModel(t) // block 30, window 30
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := writeModel(path, model); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cap int
+		ok  bool
+	}{{-1, false}, {-45, false}, {1, false}, {29, false}, {0, true}, {30, true}, {45, true}} {
+		_, err := buildModel(buildOpts{modelPath: path, windowCap: c.cap})
+		if c.ok != (err == nil) {
+			t.Fatalf("-window-cap %d: err = %v, want ok=%v", c.cap, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("-window-cap %d ", c.cap)) ||
+			err != nil && !strings.Contains(err.Error(), "block 30 and window 30") {
+			t.Fatalf("-window-cap %d: the error %q names neither the cap nor the geometry", c.cap, err)
+		}
+	}
+
+	svc := knative.NewService(model)
+	reg := serving.NewRegistry()
+	svc.InstrumentWith(reg)
+	rebuild := func() (*femux.Model, error) { return buildModel(buildOpts{modelPath: path, windowCap: 29}) }
+	srv := httptest.NewServer(newHandler(svc, reg, rebuild, log.New(io.Discard, "", 0), 5*time.Second, nil, nil))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/admin/reload", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "-window-cap 29 ") {
+		t.Fatalf("reload under a short cap: %d %s", resp.StatusCode, body)
+	}
+	if svc.Reloads() != 0 || svc.Model() != model {
+		t.Fatal("a refused reload swapped the model")
 	}
 }
 

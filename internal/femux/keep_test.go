@@ -26,55 +26,71 @@ func regimeSeries(seed int64, n int) []float64 {
 	return out
 }
 
-// checkKeptTail walks series through pairs of policies of m, one handed
-// the whole history and one only its last Keep(n) values with the count
-// n, and fails at the first answer that differs in a bit: target,
-// forecaster name, whether the call extracted, the point forecast and
-// the quantile bands. One pair is kept up to date from the first value.
-// At every length two fresh pairs start over, one asked for its decision
-// first and one for its forecast, as a policy is after a model swap or a
-// memo miss.
+// checkKeptTail walks series through triples of policies of m: one
+// handed the whole history, one only its last Keep(n) values, and one,
+// before each call, exactly the last Reads(n) values it asks for, all
+// with the count n. It fails at the first answer that differs in a bit:
+// target, forecaster name, whether the call extracted, the point
+// forecast and the quantile bands. One triple is kept up to date from
+// the first value. At every length two fresh triples start over, one
+// asked for its decision first and one for its forecast, as a policy is
+// after a model swap or a memo miss.
 func checkKeptTail(t testing.TB, m *Model, series []float64) {
 	t.Helper()
 	levels := []float64{0.5, 0.9}
 	ws := forecast.NewWorkspace()
-	live := [2]*AppPolicy{m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)}
+	fresh := func() [3]*AppPolicy {
+		return [3]*AppPolicy{m.NewAppPolicy(0.2), m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)}
+	}
+	live := fresh()
 	for n := 1; n <= len(series); n++ {
 		hist := series[:n]
-		tails := [2][]float64{hist, hist[n-m.Keep(n):]}
-		fresh := func() [2]*AppPolicy { return [2]*AppPolicy{m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)} }
-		for k, pair := range [][2]*AppPolicy{live, fresh(), fresh()} {
+		for k, trio := range [][3]*AppPolicy{live, fresh(), fresh()} {
 			forecastFirst := k == 2
 			var (
-				target    [2]int
-				name      [2]string
-				extracted [2]bool
-				point, qs [2][]float64
+				target    [3]int
+				name      [3]string
+				extracted [3]bool
+				point, qs [3][]float64
 			)
-			for j, p := range pair {
+			for j, p := range trio {
+				view := func() []float64 {
+					switch j {
+					case 0:
+						return hist
+					case 1:
+						return hist[n-m.Keep(n):]
+					}
+					k, _, _ := p.Reads(n)
+					return hist[n-k:]
+				}
 				if forecastFirst {
-					point[j] = p.ForecastTail(tails[j], n, 3, nil, ws)
+					point[j] = p.ForecastTail(view(), n, 3, nil, ws)
 				}
-				target[j], name[j], extracted[j] = p.Decide(tails[j], n, 2, 0.8, ws)
+				target[j], name[j], extracted[j] = p.Decide(view(), n, 2, 0.8, ws)
 				if !forecastFirst {
-					point[j] = p.ForecastTail(tails[j], n, 3, nil, ws)
+					point[j] = p.ForecastTail(view(), n, 3, nil, ws)
 				}
-				qs[j] = p.ForecastQuantilesTail(tails[j], n, 3, levels, nil, ws)
+				qs[j] = p.ForecastQuantilesTail(view(), n, 3, levels, nil, ws)
 			}
-			if target[0] != target[1] || name[0] != name[1] || extracted[0] != extracted[1] ||
-				!sameBits(point[0], point[1]) || !sameBits(qs[0], qs[1]) {
-				t.Fatalf("block %d window %d, n=%d (Keep %d), pair %d: whole history answers %d %s extracted=%v %v %v; kept tail %d %s extracted=%v %v %v",
-					m.cfg.BlockSize, m.cfg.Window, n, m.Keep(n), k,
-					target[0], name[0], extracted[0], point[0], qs[0],
-					target[1], name[1], extracted[1], point[1], qs[1])
+			for j := 1; j < 3; j++ {
+				if target[0] != target[j] || name[0] != name[j] || extracted[0] != extracted[j] ||
+					!sameBits(point[0], point[j]) || !sameBits(qs[0], qs[j]) {
+					t.Fatalf("block %d window %d, n=%d (Keep %d), policies %d/%d: whole history answers %d %s extracted=%v %v %v; %s %d %s extracted=%v %v %v",
+						m.cfg.BlockSize, m.cfg.Window, n, m.Keep(n), k, j,
+						target[0], name[0], extracted[0], point[0], qs[0],
+						[]string{"", "kept tail", "read view"}[j],
+						target[j], name[j], extracted[j], point[j], qs[j])
+				}
 			}
 		}
 	}
 }
 
-// TestDecideOnKeptTail is the oracle for Keep: over several block
-// size/window pairs, including windows longer than a block, every serving
-// call on the last Keep(n) values answers exactly what it answers on the
+// TestDecideOnKeptTail is the oracle for Keep and Reads: over several
+// block size/window pairs, including windows longer than a block, every
+// serving call on the last Keep(n) values, or on exactly the Reads(n)
+// values the policy asks for, answers exactly what it answers on the
 // whole n-observation history.
 func TestDecideOnKeptTail(t *testing.T) {
 	base := reassigned(t)
@@ -85,7 +101,8 @@ func TestDecideOnKeptTail(t *testing.T) {
 }
 
 // FuzzDecideOnKeptTail is TestDecideOnKeptTail over random series and
-// geometries: block sizes 8..80, windows 1..160.
+// geometries: block sizes 8..80, windows 1..160, so every view a policy
+// asks for is fuzzed at exactly the length it asks for.
 func FuzzDecideOnKeptTail(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(59), uint16(300))
 	f.Add(int64(2), uint8(0), uint8(90), uint16(120))
@@ -95,4 +112,31 @@ func FuzzDecideOnKeptTail(f *testing.F) {
 		m := withGeometry(base, 8+int(bs)%73, 1+int(window)%160)
 		checkKeptTail(t, m, regimeSeries(seed, 3+int(n)%400))
 	})
+}
+
+// TestShortViewLeavesBlockDue pins what a view shorter than Reads(n)
+// does — a capped store that no longer holds a due block serves one: the
+// call classifies nothing and keeps the forecaster, the block stays due,
+// and the next call with the whole view classifies it as a policy that
+// never saw the short one does.
+func TestShortViewLeavesBlockDue(t *testing.T) {
+	m := reassigned(t)
+	bs := m.cfg.BlockSize
+	hist := regimeSeries(5, 3*bs+bs/2)
+	n := len(hist)
+	ws := forecast.NewWorkspace()
+	p, ref := m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)
+	k, _, _ := p.Reads(n)
+	_, name, extracted := p.Decide(hist[n-k+1:], n, 1, 0, ws)
+	if extracted || name != m.DefaultForecaster().Name() {
+		t.Fatalf("a short view extracted=%v and served %s, want no extraction and %s", extracted, name, m.DefaultForecaster().Name())
+	}
+	if again, _, _ := p.Reads(n); again != k {
+		t.Fatalf("after a short view Reads(%d) = %d, want the due block's %d", n, again, k)
+	}
+	target, name, extracted := p.Decide(hist[n-k:], n, 1, 0, ws)
+	wantTarget, wantName, _ := ref.Decide(hist, n, 1, 0, ws)
+	if !extracted || target != wantTarget || name != wantName {
+		t.Fatalf("the whole view answered %d %s extracted=%v, a fresh policy %d %s", target, name, extracted, wantTarget, wantName)
+	}
 }

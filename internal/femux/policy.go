@@ -100,15 +100,29 @@ func (p *AppPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, le
 // policy of m can still read: the forecast window, and everything from
 // the start of the last completed block, which a policy that has not
 // classified it (fresh after a model swap, or on a memo miss) extracts
-// on its next call. The serving calls that take (tail, n) need only
-// tail = history[n-Keep(n):].
+// on its next call. It bounds Reads, so a caller with no store of the
+// history keeps its last Keep(n) values.
 func (m *Model) Keep(n int) int {
 	bs := m.cfg.BlockSize
 	return min(n, max(m.cfg.Window, bs+n%bs))
 }
 
-// MaxKeep is the largest Keep(n) over every n.
-func (m *Model) MaxKeep() int { return max(m.cfg.Window, 2*m.cfg.BlockSize-1) }
+// Reads reports how many of the latest values of an n-observation
+// history p's next call reads, k: everything from the start of a due
+// block and the window, or else the lookback of the current forecaster
+// (forecast.Lookback). The serving calls that take (view, n) need only
+// view = history[n-k:]. No block is due before the history holds due
+// values.
+func (p *AppPolicy) Reads(n int) (k, lookback, due int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	bs, w := p.model.cfg.BlockSize, p.model.cfg.Window
+	lookback = forecast.Lookback(p.model.cfg.Forecasters[p.cur], w)
+	if k = min(n, lookback); n/bs > p.blocksSeen {
+		k = min(n, max(w, bs+n%bs))
+	}
+	return k, lookback, (p.blocksSeen + 1) * bs
+}
 
 // Model returns the model p serves.
 func (p *AppPolicy) Model() *Model { return p.model }
@@ -117,8 +131,10 @@ func (p *AppPolicy) Model() *Model { return p.model }
 // paths make: it re-classifies when a new block has completed, then
 // returns TargetQuantilesWS's target, the name of the forecaster that
 // produced it, and whether this call extracted features — all from one
-// hold of the policy lock. tail holds at least the last Keep(n) values of
-// the app's n-observation history.
+// hold of the policy lock. tail holds at least the last Reads(n) values of
+// the app's n-observation history; a shorter one (a capped store that
+// no longer holds a due block) leaves the block unclassified, to be
+// tried again on the next call.
 func (p *AppPolicy) Decide(tail []float64, n, unitConcurrency int, level float64, ws *forecast.Workspace) (target int, forecaster string, extracted bool) {
 	cur, extracted := p.currentFor(tail, n)
 	target = windowedPolicy{fc: p.model.cfg.Forecasters[cur], window: p.model.cfg.Window, horizon: p.model.cfg.Horizon}.
@@ -137,12 +153,12 @@ func (p *AppPolicy) currentFor(tail []float64, n int) (cur int, extracted bool) 
 	defer p.mu.Unlock()
 	bs := p.model.cfg.BlockSize
 	completed := n / bs
-	if extracted = completed > p.blocksSeen; extracted {
+	start := (completed-1)*bs - (n - len(tail)) // the block's offset in tail
+	if extracted = completed > p.blocksSeen && start >= 0; extracted {
 		execFeat := 0.0
 		if hasExecFeature(p.model.cfg.Features) {
 			execFeat = p.execSec
 		}
-		start := (completed-1)*bs - (n - len(tail))
 		vec := p.model.extractor.Extract(tail[start:start+bs], execFeat)
 		p.assign(p.model.Classify(vec), completed)
 	}

@@ -189,11 +189,12 @@ func FuzzFitsMatchHead(f *testing.F) {
 	})
 }
 
-// TestWorkspaceSize pins the per-app cost of a Workspace: every hot app
-// holds one, so a new retained buffer shows up in the fleet's live heap.
-// It is 752 B on 64-bit platforms.
+// TestWorkspaceSize pins the fixed cost of a Workspace: the pool holds
+// one per request computing at once, so a new retained buffer shows up
+// in the serving heap. It is 776 B on 64-bit platforms (752 B before the
+// History buffer a request decodes an app's due block into).
 func TestWorkspaceSize(t *testing.T) {
-	if got := unsafe.Sizeof(Workspace{}); got > 752 {
-		t.Fatalf("unsafe.Sizeof(Workspace{}) = %d B, want at most 752", got)
+	if got := unsafe.Sizeof(Workspace{}); got > 776 {
+		t.Fatalf("unsafe.Sizeof(Workspace{}) = %d B, want at most 776", got)
 	}
 }

@@ -26,6 +26,17 @@ type Forecaster interface {
 	Forecast(history []float64, horizon int) []float64
 }
 
+// Lookback is how many trailing values of a window-long history fc reads:
+// the whole window, or fewer where fc declares them with a Lookback
+// method, on whose last Lookback() values each of its point and quantile
+// forecasts is bit-identical to the one on the whole history.
+func Lookback(fc Forecaster, window int) int {
+	if l, ok := fc.(interface{ Lookback() int }); ok {
+		return min(l.Lookback(), window)
+	}
+	return window
+}
+
 // mean returns the arithmetic mean of xs, or 0 for empty input.
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -25,6 +25,9 @@ func NewMovingAverage(window int) *MovingAverage {
 // Name implements Forecaster.
 func (m *MovingAverage) Name() string { return fmt.Sprintf("ma%d", m.window) }
 
+// Lookback is the trailing values it reads (see forecast.Lookback).
+func (m *MovingAverage) Lookback() int { return m.window }
+
 // Forecast implements Forecaster.
 func (m *MovingAverage) Forecast(history []float64, horizon int) []float64 {
 	return m.ForecastInto(history, horizon, nil, nil)
@@ -67,6 +70,9 @@ func NewRecentPeak(window int) *RecentPeak {
 
 // Name implements Forecaster.
 func (r *RecentPeak) Name() string { return fmt.Sprintf("peak%d", r.window) }
+
+// Lookback is the trailing values it reads (see forecast.Lookback).
+func (r *RecentPeak) Lookback() int { return r.window }
 
 // Forecast implements Forecaster.
 func (r *RecentPeak) Forecast(history []float64, horizon int) []float64 {
@@ -119,6 +125,9 @@ func NewCeilPeak(window int) *CeilPeak {
 // Name implements Forecaster.
 func (c *CeilPeak) Name() string { return fmt.Sprintf("warm%d", c.window) }
 
+// Lookback is the trailing values it reads (see forecast.Lookback).
+func (c *CeilPeak) Lookback() int { return c.window }
+
 // Forecast implements Forecaster.
 func (c *CeilPeak) Forecast(history []float64, horizon int) []float64 {
 	return c.ForecastInto(history, horizon, nil, nil)
@@ -152,6 +161,9 @@ type Naive struct{}
 
 // Name implements Forecaster.
 func (Naive) Name() string { return "naive" }
+
+// Lookback is the trailing values it reads (see forecast.Lookback).
+func (Naive) Lookback() int { return 1 }
 
 // Forecast implements Forecaster.
 func (Naive) Forecast(history []float64, horizon int) []float64 {

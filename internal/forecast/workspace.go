@@ -53,10 +53,10 @@ type Workspace struct {
 	qpt, qsig, qz, qres []float64
 	qord                []int
 
-	// Caller-facing destination buffer, handed out by Out, and the
-	// reusable levels list handed out by Levels.
+	// Caller-facing buffers, handed out by Out, Levels and History.
 	out     []float64
 	qlevels []float64
+	hist    []float64
 }
 
 // NewWorkspace returns an empty workspace; buffers are grown on first use.
@@ -109,6 +109,17 @@ func (ws *Workspace) Levels(n int) []float64 {
 	}
 	ws.qlevels = ws.qlevels[:n]
 	return ws.qlevels
+}
+
+// History returns a length-n slice backed by the workspace for a
+// caller's history view, which no forecaster writes: it is overwritten
+// by the next History call only.
+func (ws *Workspace) History(n int) []float64 {
+	if cap(ws.hist) < n {
+		ws.hist = make([]float64, n)
+	}
+	ws.hist = ws.hist[:n]
+	return ws.hist
 }
 
 // IntoForecaster is the zero-allocation fast path implemented by every

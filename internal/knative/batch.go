@@ -117,15 +117,18 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 // after every app is unlocked; with one still held, eviction could pick
 // it and wait on its own lock.
 func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (accepted int, err error) {
-	// held[i] is item i's app (nil if invalid), byName the valid items'
-	// indices in app-name order, durable their records in input order. A
-	// single observe keeps all three on the stack.
+	// held[i] is item i's app (nil if invalid), later[i] how many items
+	// after it name the same app, byName the valid items' indices in
+	// app-name order, durable their records in input order. A single
+	// observe keeps all four on the stack.
 	var (
 		heldBuf   [1]*svcApp
+		laterBuf  [1]int
 		byNameBuf [1]int
 		durBuf    [1]store.Observation
 	)
 	held := append(heldBuf[:0], make([]*svcApp, len(items))...)
+	later := append(laterBuf[:0], make([]int, len(items))...)
 	byName, durable := byNameBuf[:0], durBuf[:0]
 
 	sm := s.svcMetrics()
@@ -163,6 +166,12 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			held[i] = s.acquire(items[i].App)
 		}
 	}
+	// The sort is stable, so an app's items keep input order.
+	for j := len(byName) - 2; j >= 0; j-- {
+		if i, next := byName[j], byName[j+1]; held[i] == held[next] {
+			later[i] = later[next] + 1
+		}
+	}
 	if err = s.st.AppendBatch(durable); err != nil {
 		if sm != nil {
 			sm.StoreErrors.Add(float64(len(durable)))
@@ -174,7 +183,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		for i, a := range held {
 			if a != nil {
 				res := &results[i]
-				res.Target, res.Forecaster = s.apply(a, ws, items[i].Concurrency, max(items[i].UnitConcurrency, 1), sm)
+				res.Target, res.Forecaster = s.apply(a, ws, items[i].Concurrency, max(items[i].UnitConcurrency, 1), later[i], sm)
 				res.History = a.n
 			}
 		}

@@ -436,3 +436,152 @@ func TestBatchObserveStoreFailure(t *testing.T) {
 		t.Errorf("app state created despite failed commit: %d apps", svc.Apps())
 	}
 }
+
+// TestBatchReadsDueBlockBehindLaterItems pins the batch trap. A batch
+// commits every item before it applies any, so when an item completes
+// an app's block the store already holds the batch's later items for
+// that app, and the block must be read that many values before the
+// window's end. One batch names an app at n = BlockSize-1, BlockSize and
+// BlockSize+1, beside another app; every target, forecaster and history
+// length it answers, and the app's forecast with quantile bands after
+// it, must be Float64bits-equal to an untiered control fed the same
+// values one observe at a time — over a directory and a memory store, at
+// hot budgets 0 and 1. Run under -race -count=20 in CI.
+func TestBatchReadsDueBlockBehindLaterItems(t *testing.T) {
+	// A block longer than the window plus tailSlack: the tail cannot hold
+	// it, so the block comes from the store.
+	model := reshaped(t, muxModelA(t), 64, 16)
+	bs := model.Config().BlockSize
+	// Consecutive values always differ, so a view off by one shows.
+	value := func(app, m int) float64 { return float64((m*7+app*3)%11) + 0.5 }
+	for _, backend := range []string{"dir", "memory"} {
+		for _, hot := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/hot=%d", backend, hot), func(t *testing.T) {
+				so := ServiceOptions{MaxHotApps: hot}
+				if backend == "dir" {
+					st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					so.Store = st
+				}
+				srv := httptest.NewServer(NewServiceWith(model, so).Handler())
+				defer srv.Close()
+				ctl := httptest.NewServer(NewService(model).Handler())
+				defer ctl.Close()
+				apps := []string{"trap", "beside"}
+				for m := 0; m < bs-2; m++ {
+					for i, app := range apps {
+						for _, url := range []string{srv.URL, ctl.URL} {
+							if code := postObserve(t, url, app, value(i, m)); code != http.StatusOK {
+								t.Fatalf("observe: %d", code)
+							}
+						}
+					}
+				}
+				batch := []BatchObservation{
+					{App: apps[0], Concurrency: value(0, bs-2)},
+					{App: apps[1], Concurrency: value(1, bs-2)},
+					{App: apps[0], Concurrency: value(0, bs-1)},
+					{App: apps[0], Concurrency: value(0, bs)},
+				}
+				resp, out := postBatchJSON(t, srv.URL, marshalBatch(t, batch...))
+				if resp.StatusCode != http.StatusOK || out.Rejected != 0 {
+					t.Fatalf("batch: %d, %d rejected", resp.StatusCode, out.Rejected)
+				}
+				for k, item := range batch {
+					want := observeReply(t, ctl.URL, item)
+					got := out.Results[k]
+					if got.Target != want.Target || got.Forecaster != want.Forecaster || got.History != want.History {
+						t.Fatalf("item %d (%s): batch answers %+v, the control %+v", k, item.App, got, want)
+					}
+				}
+				for _, app := range apps {
+					a, b := fetchDecision(t, ctl.URL, app), fetchDecision(t, srv.URL, app)
+					if a.target != b.target || a.forecast.Forecaster != b.forecast.Forecaster || !sameFloats(a.forecast.Values, b.forecast.Values) {
+						t.Fatalf("%s: served %+v %+v, the control %+v %+v", app, b.target, b.forecast, a.target, a.forecast)
+					}
+					qa, qb := fetchQuantileBands(t, ctl.URL, app), fetchQuantileBands(t, srv.URL, app)
+					if len(qa) != len(qb) {
+						t.Fatalf("%s: %d quantile bands, the control %d", app, len(qb), len(qa))
+					}
+					for q := range qa {
+						if qa[q].Level != qb[q].Level || !sameFloats(qa[q].Values, qb[q].Values) {
+							t.Fatalf("%s: band %v, the control %v", app, qb[q], qa[q])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// observeReply posts one observe and decodes its reply.
+func observeReply(t testing.TB, url string, obs BatchObservation) TargetResponse {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/apps/"+obs.App+"/observe", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"concurrency": %v}`, obs.Concurrency)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out TargetResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("observe %s: %d %v", obs.App, resp.StatusCode, err)
+	}
+	return out
+}
+
+// sameFloats reports whether a and b hold the same values, bit for bit.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCappedStoreBatchPastTheCap drives a hot app over a WindowCap'd
+// store with one batch naming it more often than the cap leaves room
+// for, so its due blocks are trimmed by the time it applies them: every
+// item is still answered, with the app's count, and the app classifies
+// again at the next block the store holds.
+func TestCappedStoreBatchPastTheCap(t *testing.T) {
+	model := reshaped(t, muxModelA(t), 64, 16)
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, WindowCap: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := NewServiceWith(model, ServiceOptions{Store: st})
+	sm := svc.InstrumentWith(serving.NewRegistry())
+	const app = "capped"
+	value := func(m int) float64 { return float64((m*7)%11) + 0.5 }
+	items := make([]BatchObservation, 300)
+	for m := range items {
+		items[m] = BatchObservation{App: app, Concurrency: value(m)}
+	}
+	results := make([]BatchItemResult, len(items))
+	if n, err := svc.observe(items, results); err != nil || n != len(items) {
+		t.Fatalf("observe applied %d of %d: %v", n, len(items), err)
+	}
+	for m, res := range results {
+		if res.Error != "" || res.History != m+1 || res.Forecaster == "" {
+			t.Fatalf("item %d answered %+v", m, res)
+		}
+	}
+	before, _ := classifications(sm)
+	for m := len(items); m < len(items)+64; m++ {
+		if n, err := svc.observe([]BatchObservation{{App: app, Concurrency: value(m)}}, results[:1]); err != nil || n != 1 {
+			t.Fatalf("observe %d: %v", m, err)
+		}
+	}
+	if after, _ := classifications(sm); after <= before {
+		t.Fatalf("no block classified after the batch: %d extractions before, %d after", before, after)
+	}
+}

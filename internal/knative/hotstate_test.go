@@ -16,12 +16,14 @@ import (
 // TestHotStateIsBounded drives more than ten blocks per app of observe,
 // batch, target and forecast traffic through a service whose hot budget
 // keeps evicting and restoring, with dropped apps and model swaps — some
-// to a model of another block size or window, which demotes every hot
-// app. After every step each hot app's tail must fit its model's bound,
-// MaxKeep+tailSlack, hold what its policy can read, end the app's stream
-// and be served by the current model; and every answer must equal an
-// unbounded control's: a fresh policy of the serving model over the
-// app's whole stream.
+// to a model of another block size or window, whose policies read their
+// due blocks from the store. After every step each hot app's tail must
+// have a capacity of at most its model's Window+tailSlack, and of at most
+// its forecaster's lookback+tailSlack once its policy has classified;
+// it must hold what that forecaster reads, end the app's stream and be
+// served by the current model; and every answer must equal an unbounded
+// control's: a fresh policy of the serving model over the app's whole
+// stream.
 func TestHotStateIsBounded(t *testing.T) {
 	models := []*femux.Model{
 		muxModelA(t),                      // block 30, window 30
@@ -99,17 +101,24 @@ func TestHotStateIsBounded(t *testing.T) {
 				continue
 			}
 			m, tail, n, size := a.policy.Model(), append([]float64(nil), a.history...), a.n, cap(a.history)
+			_, look, _ := a.policy.Reads(n)
+			_, classified := a.policy.Classified(n)
+			refill := a.due == 0 // the next call reads the store
 			a.mu.Unlock()
-			if bound := m.MaxKeep() + tailSlack; size > bound {
+			if bound := m.Config().Window + tailSlack; size > bound {
 				t.Fatalf("step %d: %s holds a tail of capacity %d after %d observations, over the bound %d",
 					step, name, size, n, bound)
+			}
+			if bound := look + tailSlack; classified && size > bound {
+				t.Fatalf("step %d: %s holds a tail of capacity %d with a lookback of %d, over the bound %d",
+					step, name, size, look, bound)
 			}
 			if m != models[cur] {
 				t.Fatalf("step %d: %s is served by a model swapped out", step, name)
 			}
-			if n != len(stream[i]) || len(tail) < m.Keep(n) || len(tail) > n {
-				t.Fatalf("step %d: %s: tail of %d values for %d observations (Keep %d), stream of %d",
-					step, name, len(tail), n, m.Keep(n), len(stream[i]))
+			if n != len(stream[i]) || len(tail) < min(n, look) && !refill || len(tail) > n {
+				t.Fatalf("step %d: %s: tail of %d values for %d observations (lookback %d), stream of %d",
+					step, name, len(tail), n, look, len(stream[i]))
 			}
 			for k, v := range tail {
 				if math.Float64bits(v) != math.Float64bits(stream[i][n-len(tail)+k]) {

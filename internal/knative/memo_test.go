@@ -37,8 +37,9 @@ func reshaped(t testing.TB, m *femux.Model, blockSize, window int) *femux.Model 
 	return editModel(t, m, func(mj map[string]any) { mj["blockSize"], mj["window"] = blockSize, window })
 }
 
-// editModel round-trips m through its saved JSON with edit applied.
-func editModel(t testing.TB, m *femux.Model, edit func(map[string]any)) *femux.Model {
+// editModel round-trips m through its saved JSON with edit applied; the
+// edited model may name ma1 and the extra forecasters.
+func editModel(t testing.TB, m *femux.Model, edit func(map[string]any), extra ...forecast.Forecaster) *femux.Model {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -53,7 +54,7 @@ func editModel(t testing.TB, m *femux.Model, edit func(map[string]any)) *femux.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := femux.Load(bytes.NewReader(b), forecast.NewMovingAverage(1))
+	out, err := femux.Load(bytes.NewReader(b), append([]forecast.Forecaster{forecast.NewMovingAverage(1)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -22,18 +23,24 @@ func serveInProcess(h http.Handler, method, target, body string) *httptest.Respo
 
 // walOrderSlips counts the positions where app's hot tail differs, in
 // Float64bits, from the end of its store window: the history a restart,
-// an eviction or a failover would rebuild the app from. The app's count
-// must be the window's length, and its tail must hold what its policy
-// can read.
+// an eviction or a failover would rebuild the app from, and the one its
+// due blocks are read from. After one target decision, the app's count
+// must be the window's length, and its tail must hold the last
+// min(n, lookback) values its policy's forecaster reads, at a capacity
+// of lookback+tailSlack.
 func walOrderSlips(t testing.TB, svc *Service, app string) int {
 	t.Helper()
 	a := svc.acquire(app)
-	hot, n, keep := append([]float64(nil), a.history...), a.n, a.policy.Model().Keep(a.n)
+	ws := forecast.GetWorkspace()
+	svc.decide(a, ws, 1, 0, nil)
+	forecast.PutWorkspace(ws)
+	hot, n, size := append([]float64(nil), a.history...), a.n, cap(a.history)
+	_, look, _ := a.policy.Reads(n)
 	svc.releaseApp(a)
 	win := svc.st.Window(app)
-	if n != len(win) || len(hot) < keep || len(hot) > n {
-		t.Fatalf("%s: hot tail of %d values for %d observations (Keep %d), the store window %d",
-			app, len(hot), n, keep, len(win))
+	if n != len(win) || len(hot) < min(n, look) || len(hot) > n || size != look+tailSlack {
+		t.Fatalf("%s: hot tail of %d values (capacity %d) for %d observations (lookback %d), the store window %d",
+			app, len(hot), size, n, look, len(win))
 	}
 	win = win[n-len(hot):]
 	slips := 0
@@ -72,8 +79,9 @@ func decideInProcess(t testing.TB, h http.Handler, app string) decision {
 // they finish, the app's hot history must equal its store window bit for
 // bit, because the store's order is the one every restore rebuilds; and
 // dropping the hot state must not change the next target or forecast.
-// The model's blocks are longer than the whole stream, so the hot tail is
-// the whole history (Keep(n) = n) and every position is compared.
+// The model's block and window are longer than the whole stream, and its
+// forecaster, a moving average over the window, reads all of it, so the
+// hot tail is the whole history and every position is compared.
 // Run under -race -count=20 in CI: an ordering bug shows only in some
 // interleavings.
 func TestConcurrentObservesKeepWALOrder(t *testing.T) {
@@ -108,8 +116,12 @@ func testConcurrentObservesKeepWALOrder(t *testing.T, backend string, batch [4]b
 	if testing.Short() {
 		perWriter = 200
 	}
-	// One block longer than the longest (4 x 400-value) stream.
-	svc := NewServiceWith(reshaped(t, trainTinyModel(t), 1601, 30), so)
+	// One block and window longer than the longest (4 x 400-value) stream.
+	model := editModel(t, trainTinyModel(t), func(mj map[string]any) {
+		mj["blockSize"], mj["window"], mj["defaultForecaster"] = 1601, 1601, "ma1601"
+		mj["forecasters"] = append(mj["forecasters"].([]any), "ma1601")
+	}, forecast.NewMovingAverage(1601))
+	svc := NewServiceWith(model, so)
 	h := svc.Handler()
 	var wg sync.WaitGroup
 	for g, isBatch := range batch {

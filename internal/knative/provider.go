@@ -55,7 +55,8 @@ func (p *DirectProvider) Target(app string, minuteAvg float64, unitConcurrency i
 	p.mu.Unlock()
 
 	st.mu.Lock()
-	st.push(p.model, minuteAvg)
+	// No store holds this history: the tail is the block source too.
+	st.push(minuteAvg, p.model.Keep(st.n+1))
 	ws := forecast.GetWorkspace()
 	target, _, _ := st.policy.Decide(st.history, st.n, unitConcurrency, p.QuantileLevel, ws)
 	forecast.PutWorkspace(ws)

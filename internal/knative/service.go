@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -114,26 +115,26 @@ type ServiceOptions struct {
 }
 
 // hotTail is an app's hot history: history holds the latest values its
-// policy can still read (femux.Model.Keep), and n counts every value the
-// app has observed — the length replies, memos and block boundaries use.
+// policy reads, and n counts every value the app has observed — the
+// length replies, memos and block boundaries use.
 type hotTail struct {
 	history []float64
 	n       int
 }
 
-// tailSlack is the headroom a restored tail gets, and how far the bound,
-// MaxKeep+tailSlack, stays above the most values a policy can read.
+// tailSlack is the headroom a tail gets above the most values its
+// policy reads, so that push drops in place once per tailSlack values.
 const tailSlack = 32
 
-// push appends v for a policy of model m. A full slice first drops, in
-// place, the values Keep(n+1) no longer needs; it grows only when there
-// are none, and then to the bound, which always leaves tailSlack to drop.
-func (h *hotTail) push(m *femux.Model, v float64) {
+// push appends v to a tail that must then hold its last keep values. A
+// full slice first drops, in place, the values before those; it grows
+// only when there are none, and then to keep+tailSlack.
+func (h *hotTail) push(v float64, keep int) {
 	if len(h.history) == cap(h.history) {
-		if drop := len(h.history) + 1 - m.Keep(h.n+1); drop > 0 {
+		if drop := len(h.history) + 1 - keep; drop > 0 {
 			h.history = h.history[:copy(h.history, h.history[drop:])]
 		} else {
-			h.history = append(make([]float64, 0, m.MaxKeep()+tailSlack), h.history...)
+			h.history = append(make([]float64, 0, keep+tailSlack), h.history...)
 		}
 	}
 	h.history = append(h.history, v)
@@ -146,9 +147,12 @@ type svcApp struct {
 	policy *femux.AppPolicy
 	gen    uint16 // memoGen of the model policy was built from
 	// gone, guarded by mu, marks an evicted entry that acquire must not
-	// use (see tier.go). Beside gen, it shares gen's word: 240 bytes keep
+	// use (see tier.go). It and due share gen's word: 240 bytes keep
 	// svcApp in the 240-byte size class.
 	gone bool
+	due  int32 // the count at which policy's next block is due; see view
+	// hotTail holds the last min(n, lookback) values or more, at capacity
+	// lookback+tailSlack for policy's forecaster (see refill).
 	hotTail
 
 	// drift tracks the app's feature drift, fed under mu on every observe
@@ -277,11 +281,13 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 // its step on the grown history (see decide). Its one caller, observe,
 // holds a.mu from before c's commit until after this call, so no other
 // observation of the app can commit or apply in between: in-memory
-// order is WAL order per app. ws is the request's borrowed workspace.
-func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
-	a.push(a.policy.Model(), c)
+// order is WAL order per app. skip counts the app's later items in the
+// same commit, which the store holds ahead of a. ws is the request's
+// borrowed workspace.
+func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC, skip int, sm *ServiceMetrics) (target int, forecaster string) {
+	a.push(c, min(a.n+1, cap(a.history)-tailSlack))
 	a.drift.Observe(c)
-	target, forecaster = s.decide(a, ws, unitC, sm)
+	target, forecaster = s.decide(a, ws, unitC, skip, sm)
 	if sm != nil {
 		a.count(&a.observes, sm.Observes)
 	}
@@ -291,22 +297,56 @@ func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC int,
 // decide is the app's scale decision on its history as it stands — one
 // policy call that re-classifies on a completed block, forecasts and
 // names the forecaster — with a feature extraction counted if that call
-// performed one, computed in ws. Callers hold a.mu.
-func (s *Service) decide(a *svcApp, ws *forecast.Workspace, unitC int, sm *ServiceMetrics) (target int, forecaster string) {
-	target, forecaster, extracted := a.policy.Decide(a.history, a.n, unitC, s.qlevel, ws)
+// performed one, computed in ws. skip is as for apply. Callers hold a.mu.
+func (s *Service) decide(a *svcApp, ws *forecast.Workspace, unitC, skip int, sm *ServiceMetrics) (target int, forecaster string) {
+	view, slow := s.view(a, skip, ws)
+	target, forecaster, extracted := a.policy.Decide(view, a.n, unitC, s.qlevel, ws)
+	if slow {
+		a.refill(view)
+	}
 	if extracted && sm != nil {
 		sm.Classifications.Inc("extract")
 	}
 	return target, forecaster
 }
 
+// view returns the end of a's history its policy's next call reads
+// (femux.AppPolicy.Reads): the tail until the count reaches due; past
+// it, the caller refills the tail from the view after its policy calls,
+// and a view longer than the tail is decoded from the store into ws,
+// skip values before its end (see apply). Callers hold a.mu.
+func (s *Service) view(a *svcApp, skip int, ws *forecast.Workspace) (view []float64, slow bool) {
+	if a.n < int(a.due) {
+		return a.history, false
+	}
+	if k, _, _ := a.policy.Reads(a.n); k > len(a.history) {
+		return s.st.Recent(a.name, k, skip, ws.History(k)), true
+	}
+	return a.history, true
+}
+
+// refill resets the tail to the last min(n, lookback) values of view, an
+// end of a's history, and due to where the policy's next block completes
+// — or to 0 if view falls short (a capped store). Callers hold a.mu.
+func (a *svcApp) refill(view []float64) {
+	_, look, due := a.policy.Reads(a.n)
+	keep := min(a.n, look)
+	if len(view) < keep {
+		keep, due = len(view), 0
+	}
+	if cap(a.history) != look+tailSlack {
+		a.history = make([]float64, 0, look+tailSlack)
+	}
+	a.history = append(a.history[:0], view[len(view)-keep:]...)
+	a.due = int32(min(due, math.MaxInt32))
+}
+
 // SwapModel atomically replaces the serving model (the paper retrains
 // monthly offline and ships the classifier into the forecasting pods).
 // Each hot application gets a fresh policy from the new model while
 // keeping its observation history, so forecasting continuity survives the
-// swap. A tail holds only what its model's geometry needs (femux.Model.Keep),
-// so a model with another BlockSize or Window instead demotes every hot
-// app, which then restores from its full store window. Requests already
+// swap: the policy's first call reads the app's last completed block from
+// the store, whatever the new block size and window. Requests already
 // holding the old policy finish against the old model — nothing in
 // flight is dropped or torn. An app materializing concurrently with the
 // refresh sweep either is seen by it or detects the version bump itself
@@ -315,8 +355,6 @@ func (s *Service) SwapModel(m *femux.Model) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	s.mu.Lock()
-	oc, nc := s.model.Config(), m.Config()
-	reshape := oc.BlockSize != nc.BlockSize || oc.Window != nc.Window
 	s.model = m
 	s.reloads++
 	s.version = modelVersions.Add(1)
@@ -334,13 +372,10 @@ func (s *Service) SwapModel(m *femux.Model) {
 	// lock — eviction locks app.mu before tier.mu, so the reverse order
 	// here would deadlock.
 	for _, a := range apps {
-		if reshape {
-			s.dropCached(a.name)
-			continue
-		}
 		a.mu.Lock()
 		if !a.gone {
 			a.policy, a.gen = m.NewAppPolicy(0), gen
+			a.refill(a.history)
 		}
 		a.mu.Unlock()
 	}
@@ -531,13 +566,11 @@ func (s *Service) materialize(name string) *svcApp {
 		from = "warm"
 	}
 	// The drift detector reads the whole window; the tail keeps only what
-	// the policy can.
-	a.n = len(win)
-	keep := model.Keep(a.n)
-	a.history = append(make([]float64, 0, keep+tailSlack), win[a.n-keep:]...)
+	// the policy's forecaster reads.
+	a.n, a.drift = len(win), lifecycle.DetectorOf(win, s.driftBlock)
 	var resumed bool
 	a.policy, resumed = policyFor(model, a.gen, memo, a.n)
-	a.drift = lifecycle.DetectorOf(win, s.driftBlock)
+	a.refill(win)
 	t.mu.Lock()
 	if cur := t.apps[name]; cur != nil {
 		t.mu.Unlock()
@@ -548,8 +581,8 @@ func (s *Service) materialize(name string) *svcApp {
 	if _, v2 := s.modelAt(); v2 != version {
 		// A model swap raced this install: its refresh sweep may have
 		// walked the map before a appeared, which would leave a on the
-		// old model, and its tail cut to that model's Keep, forever. Drop
-		// it: the caller's acquire finds it gone and restores again.
+		// old model forever. Drop it: the caller's acquire finds it gone
+		// and restores again.
 		s.dropCached(name)
 		return a
 	}
@@ -687,7 +720,7 @@ func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name str
 	a := s.acquire(name)
 	sm := s.svcMetrics()
 	ws := forecast.GetWorkspace()
-	target, fcName := s.decide(a, ws, unitC, sm)
+	target, fcName := s.decide(a, ws, unitC, 0, sm)
 	forecast.PutWorkspace(ws)
 	histLen := a.n
 	if sm != nil {
@@ -725,10 +758,11 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 	// after the workspace is given back, so they must not alias it.
 	s.countExtract(a.policy, a.n)
 	ws := forecast.GetWorkspace()
-	values := a.policy.ForecastTail(a.history, a.n, horizon, nil, ws)
+	view, slow := s.view(a, 0, ws)
+	values := a.policy.ForecastTail(view, a.n, horizon, nil, ws)
 	var bands []QuantileBand
 	if len(levels) > 0 {
-		flat := a.policy.ForecastQuantilesTail(a.history, a.n, horizon, levels, nil, ws)
+		flat := a.policy.ForecastQuantilesTail(view, a.n, horizon, levels, nil, ws)
 		bands = make([]QuantileBand, len(levels))
 		for q, lv := range levels {
 			bands[q] = QuantileBand{
@@ -736,6 +770,9 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 				Values: flat[q*horizon : (q+1)*horizon : (q+1)*horizon],
 			}
 		}
+	}
+	if slow {
+		a.refill(view)
 	}
 	forecast.PutWorkspace(ws)
 	fcName := a.policy.CurrentForecaster()

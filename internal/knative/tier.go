@@ -18,10 +18,11 @@ import (
 // apps-ever-seen instead of apps-currently-hot. The service therefore
 // keeps three tiers:
 //
-//	hot   the tail of the history its policy can read (femux.Model.Keep,
-//	      at most MaxKeep+32 values) + policy + drift detector: the
-//	      zero-allocation observe path. Bounded by MaxHotApps, LRU-evicted,
-//	      and entered only by a request's first touch.
+//	hot   the end of the history its forecaster reads (forecast.Lookback,
+//	      at most Window+32 values) + policy + drift detector: the
+//	      zero-allocation observe path. A due block is read from the
+//	      store, its one holder. Bounded by MaxHotApps, LRU-evicted, and
+//	      entered only by a request's first touch.
 //	warm  the compact window only (store.CompactWindow), in the store: every
 //	      store app is warm at rest and the boot path never materializes
 //	      one. Bounded by the store's InlineBudget (-max-warm-apps),
@@ -42,7 +43,9 @@ import (
 // completed block fell into (store.Memo), so a restore decodes a window
 // and extracts no features; the memo only caches extract-and-classify
 // (policyFor says when it hits). The one caveat matches restarts: a
-// WindowCap drops history beyond the cap on demotion, as a restart would.
+// WindowCap drops history beyond the cap on demotion, as a restart would,
+// and a hot app whose due block it trimmed keeps its forecaster until the
+// next one.
 //
 // One mutex guards the app map, the LRU and the eviction count, so once
 // a request has enforced the budget the hot set is exactly the fleet's

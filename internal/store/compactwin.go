@@ -149,6 +149,28 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 	return dst
 }
 
+// Recent decodes into dst (grown as needed) the k values that end skip
+// values before the window's end, Values()[Len()-skip-k : Len()-skip],
+// and returns them; when the window holds fewer than k+skip values, it
+// returns those from its start. Only the chunks holding them are walked.
+func (cw *CompactWindow) Recent(k, skip int, dst []float64) []float64 {
+	hi := max(cw.n-skip, 0)
+	lo, dst := max(hi-k, 0), dst[:0]
+	// Chunk c starts at value c*cwChunkLen: only the last is short.
+	for c := lo / cwChunkLen; c*cwChunkLen < hi; c++ {
+		from, to, end := c*cwChunkLen, min(cw.n, (c+1)*cwChunkLen), len(cw.buf)
+		if c+1 < len(cw.starts) {
+			end = int(cw.starts[c+1])
+		}
+		var vals [cwChunkLen]float64
+		if _, _, _, err := walkChunks(cw.buf[cw.starts[c]:end], to-from, nil, vals[:to-from]); err != nil {
+			panic(err) // the stream is Append's own output
+		}
+		dst = append(dst, vals[max(lo, from)-from:min(hi, to)-from]...)
+	}
+	return dst
+}
+
 // appendEncoded serializes the window: uvarint n | uvarint nb | the nb
 // bytes of the live chunk stream. The chunk layout is implied by n —
 // every chunk holds cwChunkLen values except the last — so offsets need

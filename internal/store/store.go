@@ -535,6 +535,23 @@ func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok 
 	return win, Memo{st.memoLen, st.memoGen, st.memoGroup}, paged, true
 }
 
+// Recent is CompactWindow.Recent over app's window, read from its page
+// if the app is cold (it stays cold): a hot app's due block. It may
+// reach up to a chunk past an exact WindowCap, and returns nothing for
+// an unknown app or an unreadable page.
+func (s *Store) Recent(app string, k, skip int, dst []float64) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var cw CompactWindow
+	if st := s.apps[app]; st != nil && st.page != nil {
+		cold, _, _ := s.pg.load(app, st.page, cwWindow) // empty on an error
+		cw = cold.cw
+	} else if st != nil {
+		cw = st.cw
+	}
+	return cw.Recent(k, skip, dst)
+}
+
 // PageOut moves one app's compact window to disk, leaving a stub — the
 // warm→cold demotion. Unknown or already-cold apps are a no-op. The
 // page write is buffered; it is fsynced before any snapshot that
