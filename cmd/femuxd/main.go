@@ -71,7 +71,6 @@ type buildOpts struct {
 	blockMin  int
 	window    int
 	workers   int
-	windowCap int // the store's -window-cap, which the model must fit
 }
 
 func main() {
@@ -96,7 +95,6 @@ func main() {
 		fsyncPolicy   = flag.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period for -fsync interval")
 		compactEvery  = flag.Int("compact-every", 1<<16, "snapshot-compact the WAL after this many observations (-1 = never)")
-		windowCap     = flag.Int("window-cap", 0, "per-app durable window cap in observations (0 = unlimited; else at least the model's block and window)")
 
 		maxHotApps = flag.Int("max-hot-apps", 0,
 			"apps with materialized serving state; LRU excess is demoted to compact windows (0 = unlimited)")
@@ -134,11 +132,19 @@ func main() {
 	if *replicaOf != "" && *dataDir == "" {
 		log.Fatal("-replica-of requires -data-dir (the replicated WAL needs somewhere to live)")
 	}
+	// A ticker panics on a period of 0, and a caught-up follower would
+	// poll its primary in a tight loop.
+	if *watchEvery <= 0 {
+		log.Fatalf("-watch-interval must be positive, got %s", *watchEvery)
+	}
+	if *replInterval <= 0 {
+		log.Fatalf("-repl-interval must be positive, got %s", *replInterval)
+	}
 
 	opts := buildOpts{
 		modelPath: *modelPath, appsCSV: *appsCSV, invCSV: *invCSV,
 		fleet: *fleet, days: *days, seed: *seed, blockMin: *blockMin,
-		window: 120, workers: *workers, windowCap: *windowCap,
+		window: 120, workers: *workers,
 	}
 	model, err := buildModel(opts)
 	if err != nil {
@@ -163,13 +169,12 @@ func main() {
 	storeOpt := store.Options{
 		Sync:         pol,
 		SyncInterval: *fsyncInterval,
-		WindowCap:    *windowCap,
 		CompactEvery: *compactEvery,
 		InlineBudget: *maxWarmApps,
 	}
 	var st *store.Store
 	if *dataDir == "" {
-		st = store.OpenMemory(storeOpt)
+		st = store.OpenMemory()
 	} else {
 		if st, err = store.Open(*dataDir, storeOpt); err != nil {
 			log.Fatal(err)
@@ -361,24 +366,8 @@ func watchModelFile(path string, every time.Duration, stop <-chan struct{}, onCh
 	}
 }
 
-// buildModel loads or trains the serving model according to opts and,
-// at startup and on every reload, refuses one the -window-cap cannot
-// serve: a hot app reads its due block and refills its tail from the
-// store, so a cap must be 0 or span the model's block and window.
+// buildModel loads or trains the serving model according to opts.
 func buildModel(opts buildOpts) (*femux.Model, error) {
-	m, err := loadOrTrain(opts)
-	if err != nil {
-		return nil, err
-	}
-	if c, wc := m.Config(), opts.windowCap; wc < 0 || wc > 0 && wc < max(c.BlockSize, c.Window) {
-		return nil, fmt.Errorf("-window-cap %d cannot serve a model of block %d and window %d: use 0 (unlimited) or at least %d",
-			opts.windowCap, c.BlockSize, c.Window, max(c.BlockSize, c.Window))
-	}
-	return m, nil
-}
-
-// loadOrTrain loads or trains the serving model according to opts.
-func loadOrTrain(opts buildOpts) (*femux.Model, error) {
 	if opts.modelPath != "" {
 		m, err := loadModelFile(opts.modelPath)
 		if err != nil {

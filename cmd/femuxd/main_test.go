@@ -1,13 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,49 +84,47 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWindowCapValidated pins -window-cap validation: a negative cap, or
-// a positive one shorter than the model's block or window, cannot serve
-// the due blocks and tail refills a hot app reads from the store, so
-// femuxd refuses it — at startup, and on a reload, which then keeps the
-// serving model — with an error naming the cap and the geometry. 0
-// (unlimited) and any cap of at least max(block, window) are served.
-func TestWindowCapValidated(t *testing.T) {
-	model := tinyModel(t) // block 30, window 30
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := writeModel(path, model); err != nil {
-		t.Fatal(err)
+// TestNonPositiveIntervalsRefused pins the checks femuxd makes right
+// after parsing its flags: a poll period that is not positive (a zero
+// ticker period panics; a caught-up follower polling every 0s spins)
+// ends the process before it trains or serves, with a non-zero exit and
+// an error that names the flag.
+func TestNonPositiveIntervalsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
 	}
-	for _, c := range []struct {
-		cap int
-		ok  bool
-	}{{-1, false}, {-45, false}, {1, false}, {29, false}, {0, true}, {30, true}, {45, true}} {
-		_, err := buildModel(buildOpts{modelPath: path, windowCap: c.cap})
-		if c.ok != (err == nil) {
-			t.Fatalf("-window-cap %d: err = %v, want ok=%v", c.cap, err, c.ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("-window-cap %d ", c.cap)) ||
-			err != nil && !strings.Contains(err.Error(), "block 30 and window 30") {
-			t.Fatalf("-window-cap %d: the error %q names neither the cap nor the geometry", c.cap, err)
+	bin := buildFemuxd(t)
+	for _, args := range [][]string{
+		{"-watch-interval", "0"},
+		{"-watch-model", "-model", "model.json", "-watch-interval", "-1s"},
+		{"-repl-interval", "0"},
+		{"-replica-of", "http://127.0.0.1:1", "-data-dir", t.TempDir(), "-repl-interval", "-5ms"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
+			!strings.Contains(string(out), args[len(args)-2]) || strings.Contains(string(out), "serving FeMux API") {
+			t.Fatalf("femuxd %s: %v\n%s", strings.Join(args, " "), err, out)
 		}
 	}
+}
 
-	svc := knative.NewService(model)
-	reg := serving.NewRegistry()
-	svc.InstrumentWith(reg)
-	rebuild := func() (*femux.Model, error) { return buildModel(buildOpts{modelPath: path, windowCap: 29}) }
-	srv := httptest.NewServer(newHandler(svc, reg, rebuild, log.New(io.Discard, "", 0), 5*time.Second, nil, nil))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/admin/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
+// TestRemovedWindowCapFlagRefused pins the deletion of -window-cap: the
+// store holds every app's whole history, and a command line that still
+// asks for a cap is a flag error, not a cap silently ignored.
+func TestRemovedWindowCapFlagRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "-window-cap 29 ") {
-		t.Fatalf("reload under a short cap: %d %s", resp.StatusCode, body)
-	}
-	if svc.Reloads() != 0 || svc.Model() != model {
-		t.Fatal("a refused reload swapped the model")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, buildFemuxd(t), "-addr", "127.0.0.1:0", "-window-cap", "100").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
+		!strings.Contains(string(out), "flag provided but not defined: -window-cap") {
+		t.Fatalf("femuxd -window-cap 100: %v\n%s", err, out)
 	}
 }
 

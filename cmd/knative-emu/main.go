@@ -23,6 +23,16 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 )
 
+// checkQuantileLevel refuses a -quantile-level outside [0, 1): 0 is the
+// point forecast, and any other level must be a probability the normal
+// quantile is defined at. NaN is refused too.
+func checkQuantileLevel(level float64) error {
+	if !(level >= 0 && level < 1) {
+		return fmt.Errorf("-quantile-level must be in [0, 1), got %g", level)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("knative-emu: ")
@@ -38,6 +48,9 @@ func main() {
 		qlevel    = flag.Float64("quantile-level", 0, "provision for this forecast quantile of demand (e.g. 0.95) instead of the point forecast; 0 = off")
 	)
 	flag.Parse()
+	if err := checkQuantileLevel(*qlevel); err != nil {
+		log.Fatal(err)
+	}
 
 	experiments.SetWorkers(*workers)
 	scale := experiments.Scale{Seed: *seed, Apps: *apps, Days: 2}
@@ -81,6 +94,9 @@ func main() {
 		res := experiments.Fig14PrototypeQuantile(model, specs, time.Duration(*hours*float64(time.Hour)), *qlevel)
 		fmt.Println(res)
 		fmt.Println()
+		if res.ProviderFailures > 0 {
+			log.Fatalf("the FeMux service gave no target at %d app-minutes, which scaled reactively", res.ProviderFailures)
+		}
 	}
 
 	fmt.Println("== Fig 14-Right: forecasting-service scalability (real HTTP) ==")

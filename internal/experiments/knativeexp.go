@@ -104,10 +104,16 @@ type Fig14Result struct {
 	// >25% of apps) and share maintained-or-improved within 2%.
 	AppsHalved     float64
 	AppsMaintained float64
+	// ProviderFailures counts the minutes at which the FeMux service gave
+	// no target, so the emulation fell back to reactive scaling.
+	ProviderFailures int
+
+	knativeSamples, femuxSamples []rum.Sample // per app, in spec order
 }
 
 // Fig14Prototype runs the emulated cluster twice — default Knative
-// autoscaling versus FeMux-overridden scaling — over the same replay.
+// autoscaling versus FeMux-overridden scaling — over the same replay. The
+// FeMux run asks the real REST service (Fig 13) over loopback HTTP.
 func Fig14Prototype(model *femux.Model, specs []knative.AppSpec, horizon time.Duration) Fig14Result {
 	return Fig14PrototypeQuantile(model, specs, horizon, 0)
 }
@@ -122,12 +128,14 @@ func Fig14PrototypeQuantile(model *femux.Model, specs []knative.AppSpec, horizon
 	base := knative.Run(specs, knative.EmulatorConfig{
 		Autoscaler: knative.DefaultAutoscalerConfig(),
 	}, horizon)
-	provider := knative.NewDirectProvider(model)
-	provider.QuantileLevel = level
+	srv := httptest.NewServer(knative.NewServiceWith(model, knative.ServiceOptions{QuantileLevel: level}).Handler())
+	defer srv.Close()
+	provider := &countingProvider{ScaleProvider: &knative.HTTPProvider{BaseURL: srv.URL}}
 	fm := knative.Run(specs, knative.EmulatorConfig{
 		Autoscaler: knative.DefaultAutoscalerConfig(),
 		Provider:   provider,
 	}, horizon)
+	res.ProviderFailures = provider.failures
 
 	metric := rum.Default()
 	baseSamples := make([]rum.Sample, len(base))
@@ -146,6 +154,7 @@ func Fig14PrototypeQuantile(model *femux.Model, specs []knative.AppSpec, horizon
 			maintained++
 		}
 	}
+	res.knativeSamples, res.femuxSamples = baseSamples, fmSamples
 	res.KnativeRUM = rum.EvalPerApp(metric, baseSamples)
 	res.FeMuxRUM = rum.EvalPerApp(metric, fmSamples)
 	if res.KnativeRUM > 0 {
@@ -156,6 +165,21 @@ func Fig14PrototypeQuantile(model *femux.Model, specs []knative.AppSpec, horizon
 		res.AppsMaintained = float64(maintained) / float64(len(base))
 	}
 	return res
+}
+
+// countingProvider counts the calls its ScaleProvider answers with no
+// target. The emulator calls it from one goroutine.
+type countingProvider struct {
+	knative.ScaleProvider
+	failures int
+}
+
+func (p *countingProvider) Target(app string, minuteAvg float64, unitConcurrency int) (int, bool) {
+	target, ok := p.ScaleProvider.Target(app, minuteAvg, unitConcurrency)
+	if !ok {
+		p.failures++
+	}
+	return target, ok
 }
 
 // String renders the prototype results.

@@ -7,7 +7,7 @@ import (
 )
 
 // withGeometry is m over another block size and forecast window: the
-// same classifier and group table, so only what Keep depends on changes.
+// same classifier and group table, so only what Reads depends on changes.
 func withGeometry(m *Model, blockSize, window int) *Model {
 	v := *m
 	v.cfg.BlockSize, v.cfg.Window = blockSize, window
@@ -26,40 +26,36 @@ func regimeSeries(seed int64, n int) []float64 {
 	return out
 }
 
-// checkKeptTail walks series through triples of policies of m: one
-// handed the whole history, one only its last Keep(n) values, and one,
-// before each call, exactly the last Reads(n) values it asks for, all
-// with the count n. It fails at the first answer that differs in a bit:
-// target, forecaster name, whether the call extracted, the point
-// forecast and the quantile bands. One triple is kept up to date from
-// the first value. At every length two fresh triples start over, one
-// asked for its decision first and one for its forecast, as a policy is
-// after a model swap or a memo miss.
+// checkKeptTail walks series through pairs of policies of m: one handed
+// the whole history and one, before each call, exactly the last Reads(n)
+// values it asks for, both with the count n. It fails at the first
+// answer that differs in a bit: target, forecaster name, whether the
+// call extracted, the point forecast and the quantile bands. One pair is
+// kept up to date from the first value. At every length two fresh pairs
+// start over, one asked for its decision first and one for its forecast,
+// as a policy is after a model swap or a memo miss.
 func checkKeptTail(t testing.TB, m *Model, series []float64) {
 	t.Helper()
 	levels := []float64{0.5, 0.9}
 	ws := forecast.NewWorkspace()
-	fresh := func() [3]*AppPolicy {
-		return [3]*AppPolicy{m.NewAppPolicy(0.2), m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)}
+	fresh := func() [2]*AppPolicy {
+		return [2]*AppPolicy{m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)}
 	}
 	live := fresh()
 	for n := 1; n <= len(series); n++ {
 		hist := series[:n]
-		for k, trio := range [][3]*AppPolicy{live, fresh(), fresh()} {
+		for k, pair := range [][2]*AppPolicy{live, fresh(), fresh()} {
 			forecastFirst := k == 2
 			var (
-				target    [3]int
-				name      [3]string
-				extracted [3]bool
-				point, qs [3][]float64
+				target    [2]int
+				name      [2]string
+				extracted [2]bool
+				point, qs [2][]float64
 			)
-			for j, p := range trio {
+			for j, p := range pair {
 				view := func() []float64 {
-					switch j {
-					case 0:
+					if j == 0 {
 						return hist
-					case 1:
-						return hist[n-m.Keep(n):]
 					}
 					k, _, _ := p.Reads(n)
 					return hist[n-k:]
@@ -73,25 +69,21 @@ func checkKeptTail(t testing.TB, m *Model, series []float64) {
 				}
 				qs[j] = p.ForecastQuantilesTail(view(), n, 3, levels, nil, ws)
 			}
-			for j := 1; j < 3; j++ {
-				if target[0] != target[j] || name[0] != name[j] || extracted[0] != extracted[j] ||
-					!sameBits(point[0], point[j]) || !sameBits(qs[0], qs[j]) {
-					t.Fatalf("block %d window %d, n=%d (Keep %d), policies %d/%d: whole history answers %d %s extracted=%v %v %v; %s %d %s extracted=%v %v %v",
-						m.cfg.BlockSize, m.cfg.Window, n, m.Keep(n), k, j,
-						target[0], name[0], extracted[0], point[0], qs[0],
-						[]string{"", "kept tail", "read view"}[j],
-						target[j], name[j], extracted[j], point[j], qs[j])
-				}
+			if target[0] != target[1] || name[0] != name[1] || extracted[0] != extracted[1] ||
+				!sameBits(point[0], point[1]) || !sameBits(qs[0], qs[1]) {
+				t.Fatalf("block %d window %d, n=%d, pair %d: whole history answers %d %s extracted=%v %v %v; read view %d %s extracted=%v %v %v",
+					m.cfg.BlockSize, m.cfg.Window, n, k,
+					target[0], name[0], extracted[0], point[0], qs[0],
+					target[1], name[1], extracted[1], point[1], qs[1])
 			}
 		}
 	}
 }
 
-// TestDecideOnKeptTail is the oracle for Keep and Reads: over several
-// block size/window pairs, including windows longer than a block, every
-// serving call on the last Keep(n) values, or on exactly the Reads(n)
-// values the policy asks for, answers exactly what it answers on the
-// whole n-observation history.
+// TestDecideOnKeptTail is the oracle for Reads: over several block
+// size/window pairs, including windows longer than a block, every
+// serving call on exactly the Reads(n) values the policy asks for
+// answers exactly what it answers on the whole n-observation history.
 func TestDecideOnKeptTail(t *testing.T) {
 	base := reassigned(t)
 	for i, g := range []struct{ bs, window int }{{72, 60}, {30, 30}, {16, 50}, {12, 120}, {40, 1}} {
@@ -115,7 +107,7 @@ func FuzzDecideOnKeptTail(f *testing.F) {
 }
 
 // TestShortViewLeavesBlockDue pins what a view shorter than Reads(n)
-// does — a capped store that no longer holds a due block serves one: the
+// does — a store that lost a due block with its page serves one: the
 // call classifies nothing and keeps the forecaster, the block stays due,
 // and the next call with the whole view classifies it as a policy that
 // never saw the short one does.

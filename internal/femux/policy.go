@@ -96,17 +96,6 @@ func (p *AppPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, le
 	return target
 }
 
-// Keep is how many of the latest values of an n-observation history a
-// policy of m can still read: the forecast window, and everything from
-// the start of the last completed block, which a policy that has not
-// classified it (fresh after a model swap, or on a memo miss) extracts
-// on its next call. It bounds Reads, so a caller with no store of the
-// history keeps its last Keep(n) values.
-func (m *Model) Keep(n int) int {
-	bs := m.cfg.BlockSize
-	return min(n, max(m.cfg.Window, bs+n%bs))
-}
-
 // Reads reports how many of the latest values of an n-observation
 // history p's next call reads, k: everything from the start of a due
 // block and the window, or else the lookback of the current forecaster

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -546,42 +548,84 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// TestCappedStoreBatchPastTheCap drives a hot app over a WindowCap'd
-// store with one batch naming it more often than the cap leaves room
-// for, so its due blocks are trimmed by the time it applies them: every
-// item is still answered, with the app's count, and the app classifies
-// again at the next block the store holds.
-func TestCappedStoreBatchPastTheCap(t *testing.T) {
+// TestLostPageBatchKeepsBlockDue drives a hot app whose store copy is
+// paged out and then lost — its page file corrupted — before its first
+// block is due, so the views its due block is read from fall short of
+// the block and of the forecaster's lookback: one batch still answers
+// every item, with the app's count; the block stays due and unclassified;
+// and the app classifies it once the store again holds a whole block.
+func TestLostPageBatchKeepsBlockDue(t *testing.T) {
 	model := reshaped(t, muxModelA(t), 64, 16)
-	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, WindowCap: 64})
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNever, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	svc := NewServiceWith(model, ServiceOptions{Store: st})
 	sm := svc.InstrumentWith(serving.NewRegistry())
-	const app = "capped"
+	const app, before = "lost", 56
 	value := func(m int) float64 { return float64((m*7)%11) + 0.5 }
-	items := make([]BatchObservation, 300)
-	for m := range items {
-		items[m] = BatchObservation{App: app, Concurrency: value(m)}
-	}
-	results := make([]BatchItemResult, len(items))
-	if n, err := svc.observe(items, results); err != nil || n != len(items) {
-		t.Fatalf("observe applied %d of %d: %v", n, len(items), err)
-	}
-	for m, res := range results {
-		if res.Error != "" || res.History != m+1 || res.Forecaster == "" {
-			t.Fatalf("item %d answered %+v", m, res)
+	results := make([]BatchItemResult, 16)
+	observe := func(from, to int) {
+		t.Helper()
+		items := make([]BatchObservation, 0, to-from)
+		for m := from; m < to; m++ {
+			items = append(items, BatchObservation{App: app, Concurrency: value(m)})
+		}
+		if n, err := svc.observe(items, results[:len(items)]); err != nil || n != len(items) {
+			t.Fatalf("observe %d..%d applied %d: %v", from, to, n, err)
+		}
+		for k, res := range results[:len(items)] {
+			if res.Error != "" || res.History != from+k+1 || res.Forecaster == "" {
+				t.Fatalf("item %d answered %+v", from+k, res)
+			}
 		}
 	}
-	before, _ := classifications(sm)
-	for m := len(items); m < len(items)+64; m++ {
-		if n, err := svc.observe([]BatchObservation{{App: app, Concurrency: value(m)}}, results[:1]); err != nil || n != 1 {
-			t.Fatalf("observe %d: %v", m, err)
-		}
+	for m := 0; m < before; m++ {
+		observe(m, m+1)
 	}
-	if after, _ := classifications(sm); after <= before {
-		t.Fatalf("no block classified after the batch: %d extractions before, %d after", before, after)
+	if err := st.PageOut(app); err != nil {
+		t.Fatal(err)
+	}
+	pages, err := filepath.Glob(filepath.Join(dir, "page-*.page"))
+	if err != nil || len(pages) != 1 {
+		t.Fatalf("page files %v: %v", pages, err)
+	}
+	data, err := os.ReadFile(pages[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0xff
+	}
+	if err := os.WriteFile(pages[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The store now holds only the batch: the item that completes the
+	// block reads 8 of the 64 values it asks for, fewer than the 16 its
+	// forecaster reads.
+	observe(before, before+16)
+	a := svc.tier.apps[app]
+	if _, _, due := a.policy.Reads(a.n); due != 64 {
+		t.Fatalf("after the batch the next block is due at %d, want 64", due)
+	}
+	if extract, _ := classifications(sm); extract != 0 {
+		t.Fatalf("%d blocks classified from short views", extract)
+	}
+	if st.Stats().PageErrors != 1 {
+		t.Fatalf("page errors %d, want 1", st.Stats().PageErrors)
+	}
+	// At 128 the store holds 72 values, the whole block [64, 128).
+	for m := before + 16; m < 127; m++ {
+		observe(m, m+1)
+	}
+	if extract, _ := classifications(sm); extract != 0 {
+		t.Fatalf("%d blocks classified before the store held one", extract)
+	}
+	observe(127, 128)
+	if extract, _ := classifications(sm); extract != 1 {
+		t.Fatalf("%d blocks classified once the store held one, want 1", extract)
 	}
 }

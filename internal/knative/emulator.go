@@ -9,6 +9,14 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
 
+// ScaleProvider is the hook through which FeMux overrides the default
+// reactive autoscaler (Fig 13): once per minute the emulation reports the
+// completed minute's average concurrency and receives the pod target to
+// hold until the next report. ok=false falls back to the reactive logic.
+type ScaleProvider interface {
+	Target(app string, minuteAvg float64, unitConcurrency int) (target int, ok bool)
+}
+
 // EmulatorConfig parameterizes a cluster emulation run.
 type EmulatorConfig struct {
 	Autoscaler         AutoscalerConfig

@@ -2,11 +2,13 @@ package knative
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,31 +243,16 @@ func trainTinyModel(t testing.TB) *femux.Model {
 	return m
 }
 
-func TestDirectProviderTargets(t *testing.T) {
-	p := NewDirectProvider(trainTinyModel(t))
-	var target int
-	var ok bool
-	for i := 0; i < 10; i++ {
-		target, ok = p.Target("app-x", 3, 1)
-	}
-	if !ok {
-		t.Fatal("provider declined")
-	}
-	if target < 0 {
-		t.Errorf("target = %d", target)
-	}
-	if used := p.ForecastersUsed()["app-x"]; used < 1 {
-		t.Errorf("forecasters used = %d", used)
-	}
-}
-
+// TestEmulatorWithFeMuxProvider runs the emulator with the FeMux REST
+// service as its scale provider.
 func TestEmulatorWithFeMuxProvider(t *testing.T) {
 	horizon := 12 * time.Minute
 	app := steadyApp("a", 1, 200, horizon, 100, 0)
-	model := trainTinyModel(t)
+	srv := httptest.NewServer(NewService(trainTinyModel(t)).Handler())
+	defer srv.Close()
 	out := Run([]AppSpec{app}, EmulatorConfig{
 		Autoscaler: DefaultAutoscalerConfig(),
-		Provider:   NewDirectProvider(model),
+		Provider:   &HTTPProvider{BaseURL: srv.URL},
 	}, horizon)
 	if out[0].Sample.Invocations != len(app.Invocations) {
 		t.Errorf("served %d of %d", out[0].Sample.Invocations, len(app.Invocations))
@@ -395,6 +382,74 @@ func TestHTTPProviderEndToEnd(t *testing.T) {
 	bad := &HTTPProvider{BaseURL: "http://127.0.0.1:1"}
 	if _, ok := bad.Target("web", 1, 1); ok {
 		t.Error("unreachable provider should decline")
+	}
+}
+
+// TestHTTPProviderMatchesPlainTarget pins the REST path to the policy:
+// the targets an HTTPProvider gets from the service are exactly the
+// targets the allocating Target path returns, observation for
+// observation. Four apps of different shapes are driven at once, so the
+// service's borrowed workspaces pass between apps and forecasters (and,
+// under -race, a workspace lent twice at once is a data race).
+func TestHTTPProviderMatchesPlainTarget(t *testing.T) {
+	m := trainTinyModel(t)
+	srv := httptest.NewServer(NewService(m).Handler())
+	defer srv.Close()
+	p := &HTTPProvider{BaseURL: srv.URL}
+	var wg sync.WaitGroup
+	for app := 0; app < 4; app++ {
+		wg.Add(1)
+		go func(app int) {
+			defer wg.Done()
+			ref := m.NewAppPolicy(0)
+			var hist []float64
+			for i := 0; i < 70; i++ {
+				v := shapedValue(app, i)
+				hist = append(hist, v)
+				got, ok := p.Target(fmt.Sprintf("equiv-app-%d", app), v, 1)
+				if !ok {
+					t.Error("provider declined")
+					return
+				}
+				if want := ref.Target(hist, 1); got != want {
+					t.Errorf("app %d obs %d: provider target %d, plain Target %d", app, i, got, want)
+					return
+				}
+			}
+		}(app)
+	}
+	wg.Wait()
+}
+
+// TestHTTPProviderDeclinesFailedReplies pins the fallback the emulator
+// relies on: a reply that is not a 200 with a target, or no reply at
+// all, is declined, so the autoscaler scales reactively that minute.
+func TestHTTPProviderDeclinesFailedReplies(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		handler http.HandlerFunc
+	}{
+		{"error status", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+		}},
+		{"malformed reply", func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, `{"target":`)
+		}},
+		{"connection closed", func(w http.ResponseWriter, r *http.Request) {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(c.handler)
+			defer srv.Close()
+			p := &HTTPProvider{BaseURL: srv.URL}
+			if target, ok := p.Target("web", 2.5, 1); ok {
+				t.Fatalf("provider accepted the reply: target %d", target)
+			}
+		})
 	}
 }
 

@@ -126,13 +126,12 @@ func classifications(sm *ServiceMetrics) (extract, resumed int) {
 // tieredFleet opens a service over a directory store (dir != "") or a
 // memory store with a one-app hot budget, so touching one app evicts the
 // other.
-func tieredFleet(t *testing.T, model *femux.Model, dir string, opt store.Options) (*Service, *ServiceMetrics, *store.Store) {
+func tieredFleet(t *testing.T, model *femux.Model, dir string) (*Service, *ServiceMetrics, *store.Store) {
 	t.Helper()
-	st := store.OpenMemory(opt)
+	st := store.OpenMemory()
 	if dir != "" {
-		opt.Sync, opt.CompactEvery = store.SyncNever, -1
 		var err error
-		if st, err = store.Open(dir, opt); err != nil {
+		if st, err = store.Open(dir, store.Options{Sync: store.SyncNever, CompactEvery: -1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +152,7 @@ func TestForecastFirstAfterRestore(t *testing.T) {
 	ctlSrv := httptest.NewServer(ctl.Handler())
 	defer ctlSrv.Close()
 	dir := t.TempDir()
-	svc, _, st := tieredFleet(t, modelA, dir, store.Options{})
+	svc, _, st := tieredFleet(t, modelA, dir)
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -206,7 +205,7 @@ func TestForecastFirstAfterRestore(t *testing.T) {
 	same("after swap", srv.URL)
 	// Restarted: a new process over the same directory has no memo.
 	st.Close()
-	svc2, _, _ := tieredFleet(t, modelB, dir, store.Options{})
+	svc2, _, _ := tieredFleet(t, modelB, dir)
 	srv2 := httptest.NewServer(svc2.Handler())
 	defer srv2.Close()
 	same("after restart", srv2.URL)
@@ -228,7 +227,7 @@ func TestClassificationsCounted(t *testing.T) {
 			if tc.store {
 				dir = t.TempDir()
 			}
-			svc, sm, st := tieredFleet(t, muxModelA(t), dir, store.Options{})
+			svc, sm, st := tieredFleet(t, muxModelA(t), dir)
 			srv := httptest.NewServer(svc.Handler())
 			defer srv.Close()
 			// cycle evicts app (other takes the hot slot) and restores it
@@ -330,42 +329,33 @@ func TestMemoInvalidation(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		opt   store.Options
 		event func(t *testing.T, svc *Service, st *store.Store) *Service
 		want  string
 	}{
-		{"control: nothing happens, the planted memo hits", store.Options{},
+		{"control: nothing happens, the planted memo hits",
 			func(t *testing.T, svc *Service, st *store.Store) *Service { return svc }, wrong},
-		{"model swap", store.Options{},
+		{"model swap",
 			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.SwapModel(modelA); return svc }, right},
-		{"dropCached", store.Options{},
+		{"dropCached",
 			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.dropCached(app); return svc }, right},
-		{"an append changes the window length", store.Options{},
+		{"an append changes the window length",
 			func(t *testing.T, svc *Service, st *store.Store) *Service {
 				if err := st.Append(app, 0); err != nil {
 					t.Fatal(err)
 				}
 				return svc
 			}, right},
-		{"a second Service over the same open Store", store.Options{},
+		{"a batch append changes the window length",
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				if err := st.AppendBatch([]store.Observation{{App: app}, {App: "other"}, {App: app}}); err != nil {
+					t.Fatal(err)
+				}
+				return svc
+			}, right},
+		{"a second Service over the same open Store",
 			func(t *testing.T, svc *Service, st *store.Store) *Service {
 				return NewServiceWith(modelA, ServiceOptions{Store: st, MaxHotApps: 1})
 			}, right},
-		{"WindowCap trims the demoted window", store.Options{WindowCap: n},
-			func(t *testing.T, svc *Service, st *store.Store) *Service {
-				// Served hot past the cap, then evicted: the memo describes
-				// 45 observations, the restore hands back the last 40.
-				srv := httptest.NewServer(svc.Handler())
-				defer srv.Close()
-				for m := 0; m < 5; m++ {
-					postObserve(t, srv.URL, app, shapedValue(0, m))
-				}
-				postObserve(t, srv.URL, "other", 0)
-				if materialized(svc, app) {
-					t.Fatal("app was not evicted")
-				}
-				return svc
-			}, ""},
 	}
 	for _, tc := range cases {
 		for _, backend := range []string{"dir", "memory"} {
@@ -374,20 +364,14 @@ func TestMemoInvalidation(t *testing.T) {
 				if backend == "dir" {
 					dir = t.TempDir()
 				}
-				svc, _, st := tieredFleet(t, modelA, dir, tc.opt)
+				svc, _, st := tieredFleet(t, modelA, dir)
 				seedWindow(t, st, app, window)
 				st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
 				svc = tc.event(t, svc, st)
 				srv := httptest.NewServer(svc.Handler())
 				defer srv.Close()
-				got := fetchDecision(t, srv.URL, app)
-				want := tc.want
-				if want == "" { // whatever the trimmed window classifies as
-					win, _, _ := st.RestoreWindow(app)
-					want = unmemoized(t, win)
-				}
-				if got.target.Forecaster != want {
-					t.Fatalf("forecaster %q, want %q", got.target.Forecaster, want)
+				if got := fetchDecision(t, srv.URL, app).target.Forecaster; got != tc.want {
+					t.Fatalf("forecaster %q, want %q", got, tc.want)
 				}
 			})
 		}

@@ -36,7 +36,7 @@ func seedStoreFleet(t *testing.T, st *store.Store, busy, idle int) {
 // ("memory"), closed when the test ends.
 func backendStore(t *testing.T, backend string, opt store.Options) *store.Store {
 	t.Helper()
-	st := store.OpenMemory(opt)
+	st := store.OpenMemory()
 	if backend == "dir" {
 		opt.Sync, opt.CompactEvery = store.SyncNever, -1
 		var err error
@@ -187,7 +187,7 @@ func TestDemotedFleetRestoresOnDemand(t *testing.T) {
 // touched — the hot tier stays at its budget, and the displaced app comes
 // back whole on its next request.
 func TestEvictionDisplacesLRUTail(t *testing.T) {
-	st := store.OpenMemory(store.Options{})
+	st := store.OpenMemory()
 	defer st.Close()
 	seedStoreFleet(t, st, 4, 0)
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 2})

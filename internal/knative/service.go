@@ -114,32 +114,9 @@ type ServiceOptions struct {
 	QuantileLevel float64
 }
 
-// hotTail is an app's hot history: history holds the latest values its
-// policy reads, and n counts every value the app has observed — the
-// length replies, memos and block boundaries use.
-type hotTail struct {
-	history []float64
-	n       int
-}
-
 // tailSlack is the headroom a tail gets above the most values its
 // policy reads, so that push drops in place once per tailSlack values.
 const tailSlack = 32
-
-// push appends v to a tail that must then hold its last keep values. A
-// full slice first drops, in place, the values before those; it grows
-// only when there are none, and then to keep+tailSlack.
-func (h *hotTail) push(v float64, keep int) {
-	if len(h.history) == cap(h.history) {
-		if drop := len(h.history) + 1 - keep; drop > 0 {
-			h.history = h.history[:copy(h.history, h.history[drop:])]
-		} else {
-			h.history = append(make([]float64, 0, keep+tailSlack), h.history...)
-		}
-	}
-	h.history = append(h.history, v)
-	h.n++
-}
 
 type svcApp struct {
 	mu     sync.Mutex
@@ -151,9 +128,12 @@ type svcApp struct {
 	// svcApp in the 240-byte size class.
 	gone bool
 	due  int32 // the count at which policy's next block is due; see view
-	// hotTail holds the last min(n, lookback) values or more, at capacity
-	// lookback+tailSlack for policy's forecaster (see refill).
-	hotTail
+	// history holds the last min(n, lookback) values or more, at capacity
+	// lookback+tailSlack for policy's forecaster (see refill), and n
+	// counts every value the app has observed — the length replies, memos
+	// and block boundaries use.
+	history []float64
+	n       int
 
 	// drift tracks the app's feature drift, fed under mu on every observe
 	// (allocation-free) and rebuilt from the restored window after a tier
@@ -188,6 +168,17 @@ func NewService(model *femux.Model) *Service {
 	return NewServiceWith(model, ServiceOptions{})
 }
 
+// push appends v to the tail. A full tail first keeps, in place, only its
+// last lookback-1 values.
+func (a *svcApp) push(v float64) {
+	if len(a.history) == cap(a.history) {
+		keep := cap(a.history) - tailSlack - 1
+		a.history = a.history[:copy(a.history, a.history[len(a.history)-keep:])]
+	}
+	a.history = append(a.history, v)
+	a.n++
+}
+
 // NewServiceWith returns a Service with durability and sharding wired
 // in. When opts.Store holds restored state, apps stay in the warm tier
 // (compact windows inside the store) until first touched — boot cost and
@@ -197,7 +188,7 @@ func NewService(model *femux.Model) *Service {
 // process would hold.
 func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 	if opts.Store == nil {
-		opts.Store = store.OpenMemory(store.Options{})
+		opts.Store = store.OpenMemory()
 	}
 	s := &Service{
 		model: model,
@@ -256,9 +247,9 @@ func memoGen(version int64) uint16 { return uint16(min(version, 1<<16)) }
 // policyFor builds the policy a restored app serves with, from its window
 // of n observations and memo m. A memo of this generation and this window
 // length names the group of the window's last completed block — a record
-// keeps its memo only across appends and WindowCap trims, which change n
-// — so the policy resumes instead of extracting; otherwise it starts
-// fresh. Callers count resumed once no tier lock is held.
+// keeps its memo only across appends, which change n — so the policy
+// resumes instead of extracting; otherwise it starts fresh. Callers
+// count resumed once no tier lock is held.
 func policyFor(model *femux.Model, gen uint16, m store.Memo, n int) (p *femux.AppPolicy, resumed bool) {
 	if gen == 0 || m.Gen != gen || int(m.Len) != n {
 		return model.NewAppPolicy(0), false
@@ -285,7 +276,7 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 // same commit, which the store holds ahead of a. ws is the request's
 // borrowed workspace.
 func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC, skip int, sm *ServiceMetrics) (target int, forecaster string) {
-	a.push(c, min(a.n+1, cap(a.history)-tailSlack))
+	a.push(c)
 	a.drift.Observe(c)
 	target, forecaster = s.decide(a, ws, unitC, skip, sm)
 	if sm != nil {
@@ -327,7 +318,7 @@ func (s *Service) view(a *svcApp, skip int, ws *forecast.Workspace) (view []floa
 
 // refill resets the tail to the last min(n, lookback) values of view, an
 // end of a's history, and due to where the policy's next block completes
-// — or to 0 if view falls short (a capped store). Callers hold a.mu.
+// — or to 0 if view falls short (a lost page). Callers hold a.mu.
 func (a *svcApp) refill(view []float64) {
 	_, look, due := a.policy.Reads(a.n)
 	keep := min(a.n, look)

@@ -42,10 +42,7 @@ import (
 // keeps the window and, beside it, a memo of the cluster group its last
 // completed block fell into (store.Memo), so a restore decodes a window
 // and extracts no features; the memo only caches extract-and-classify
-// (policyFor says when it hits). The one caveat matches restarts: a
-// WindowCap drops history beyond the cap on demotion, as a restart would,
-// and a hot app whose due block it trimmed keeps its forecaster until the
-// next one.
+// (policyFor says when it hits).
 //
 // One mutex guards the app map, the LRU and the eviction count, so once
 // a request has enforced the budget the hot set is exactly the fleet's

@@ -27,17 +27,14 @@ import (
 // Float64bits-identical targets, forecasts and quantile bands as an
 // untiered, never-evicting control that saw the same stream. Random
 // interleavings are compared mid-stream and at the end, over a
-// directory store and a memory store. With a WindowCap the untiered
-// control no longer applies (demotion drops history); there the
-// reference is a twin that never memoizes, i.e. the uncached path.
+// directory store and a memory store.
 func TestTieredForecastsBitIdentical(t *testing.T) {
 	for _, v := range []struct {
-		name      string
-		memory    bool
-		windowCap int
-	}{{"store", false, 0}, {"memory", true, 0}, {"store-windowcap", false, 45}} {
+		name   string
+		memory bool
+	}{{"store", false}, {"memory", true}} {
 		t.Run(v.name, func(t *testing.T) {
-			testTieredForecastsBitIdentical(t, v.memory, v.windowCap)
+			testTieredForecastsBitIdentical(t, v.memory)
 		})
 	}
 }
@@ -63,7 +60,7 @@ func (n *tierNode) classifications() (extract, resumed int) {
 	return n.extracts + e, n.resumes + r
 }
 
-func newTierNode(t *testing.T, so ServiceOptions, storeOpt *store.Options, noMemo bool) *tierNode {
+func newTierNode(t *testing.T, so ServiceOptions, storeOpt *store.Options) *tierNode {
 	t.Helper()
 	n := &tierNode{}
 	if storeOpt != nil {
@@ -88,7 +85,6 @@ func newTierNode(t *testing.T, so ServiceOptions, storeOpt *store.Options, noMem
 		n.svc = NewServiceWith(model, so)
 		n.st = n.svc.st
 		n.sm = n.svc.InstrumentWith(serving.NewRegistry())
-		n.forget(noMemo)
 	}
 	n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.svc.Handler().ServeHTTP(w, r)
@@ -102,17 +98,7 @@ func newTierNode(t *testing.T, so ServiceOptions, storeOpt *store.Options, noMem
 	return n
 }
 
-// forget puts the node's service on a model version past the memo
-// stamp's width, where nothing is memoized: the uncached path.
-func (n *tierNode) forget(noMemo bool) {
-	if noMemo {
-		n.svc.mu.Lock()
-		n.svc.version = 1 << 16
-		n.svc.mu.Unlock()
-	}
-}
-
-func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
+func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 	models := []*femux.Model{muxModelA(t), muxModelB(t)}
 	cur := 0 // index of the model every node serves
 	apps := make([]string, 8)
@@ -120,33 +106,22 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 		apps[i] = fmt.Sprintf("eq-%d", i)
 	}
 	minute := make([]int, len(apps)) // next minute of each app's shaped series
-	// stream mirrors, per app, every value it was sent: the history an
-	// unbounded service would hold. A hot app's
-	// detector saw its last n values (a WindowCap restore starts from the
-	// capped window), and its tail is their end.
+	// stream mirrors, per app, every value it was sent: the history every
+	// service holds, whose end a hot app's tail is.
 	stream := make([][]float64, len(apps))
 
 	so := ServiceOptions{MaxHotApps: 2}
 	var storeOpt *store.Options
 	if !memory {
 		storeOpt = &store.Options{
-			Sync: store.SyncNever, CompactEvery: -1, WindowCap: windowCap,
+			Sync: store.SyncNever, CompactEvery: -1,
 			InlineBudget: 3, // most of the fleet is forced cold
 		}
 	}
-	tiered := newTierNode(t, so, storeOpt, false)
-	// The reference: the untiered control on a memory store, or under a
-	// WindowCap the never-memoizing twin.
-	var ref *tierNode
-	if windowCap == 0 {
-		ref = newTierNode(t, ServiceOptions{}, nil, false)
-	} else {
-		ref = newTierNode(t, so, storeOpt, true)
-	}
-	nodes, tieredNodes := []*tierNode{ref, tiered}, []*tierNode{tiered}
-	if windowCap > 0 {
-		tieredNodes = nodes
-	}
+	tiered := newTierNode(t, so, storeOpt)
+	// The reference: the untiered control on a memory store.
+	ref := newTierNode(t, ServiceOptions{}, nil)
+	nodes := []*tierNode{ref, tiered}
 	for _, n := range nodes {
 		n.restart(models[cur])
 	}
@@ -175,10 +150,10 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 			if !dc.BitEqual(dt) {
 				t.Fatalf("%s: %s: tiered drift state diverged from reference", when, app)
 			}
-			if n > len(stream[i]) || windowCap == 0 && n != len(stream[i]) {
-				t.Fatalf("%s: %s: counts %d observations of a %d-value stream", when, app, n, len(stream[i]))
+			hist := stream[i]
+			if n != len(hist) {
+				t.Fatalf("%s: %s: counts %d observations of a %d-value stream", when, app, n, len(hist))
 			}
-			hist := stream[i][len(stream[i])-n:]
 			for k, v := range tail {
 				if math.Float64bits(v) != math.Float64bits(hist[n-len(tail)+k]) {
 					t.Fatalf("%s: %s: tail[%d] = %v, the stream holds %v", when, app, k, v, hist[n-len(tail)+k])
@@ -288,18 +263,14 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool, windowCap int) {
 			// The dropped app's state survives demoted (minus its memo), so
 			// the next compare proves the drop-and-restore round trip
 			// changed nothing.
-			app := apps[rng.Intn(len(apps))]
-			for _, n := range tieredNodes {
-				if n.svc.HotApps() > 0 {
-					n.svc.dropCached(app)
-				}
+			if app := apps[rng.Intn(len(apps))]; tiered.svc.HotApps() > 0 {
+				tiered.svc.dropCached(app)
 			}
 		case r < 86: // hot-swap the model: every memo goes stale
 			cur = 1 - cur
 			for _, n := range nodes {
 				n.svc.SwapModel(models[cur])
 			}
-			ref.forget(windowCap > 0)
 		case r < 88: // promoting a primary is a no-op, memos included
 			for _, n := range nodes {
 				n.svc.Promote()
@@ -364,7 +335,7 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 		if !memory {
 			storeOpt = &store.Options{Sync: store.SyncNever, CompactEvery: -1, InlineBudget: 4}
 		}
-		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: b}, storeOpt, false)
+		runs[k] = newTierNode(t, ServiceOptions{MaxHotApps: b}, storeOpt)
 		runs[k].restart(models[cur])
 	}
 

@@ -2,12 +2,10 @@ package knative
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
@@ -76,40 +74,6 @@ func TestObserveHandlerAllocs(t *testing.T) {
 	}
 }
 
-// TestDirectProviderMatchesPlainTarget pins the refactor's invariant: the
-// workspace-backed serving path returns exactly the targets the allocating
-// Target path returns, observation for observation. Four apps of
-// different shapes are driven at once, so the provider's borrowed
-// workspaces pass between apps and forecasters (and, under -race, a
-// workspace lent twice at once is a data race).
-func TestDirectProviderMatchesPlainTarget(t *testing.T) {
-	m := trainTinyModel(t)
-	p := NewDirectProvider(m)
-	var wg sync.WaitGroup
-	for app := 0; app < 4; app++ {
-		wg.Add(1)
-		go func(app int) {
-			defer wg.Done()
-			ref := m.NewAppPolicy(0)
-			var hist []float64
-			for i := 0; i < 70; i++ {
-				v := shapedValue(app, i)
-				hist = append(hist, v)
-				got, ok := p.Target(fmt.Sprintf("equiv-app-%d", app), v, 1)
-				if !ok {
-					t.Error("provider refused target")
-					return
-				}
-				if want := ref.Target(hist, 1); got != want {
-					t.Errorf("app %d obs %d: provider target %d, plain Target %d", app, i, got, want)
-					return
-				}
-			}
-		}(app)
-	}
-	wg.Wait()
-}
-
 // TestServiceQuantileTargetZeroAlloc extends the serving-path pin to the
 // quantile decision: with -quantile-level set, the per-app-minute
 // observe->target computation must stay allocation-free too (the level
@@ -137,12 +101,13 @@ func TestServiceQuantileTargetZeroAlloc(t *testing.T) {
 }
 
 // TestQuantileLevelZeroMatchesPointPath pins the knob's default: a
-// provider with QuantileLevel 0 must return exactly the targets the
+// service with QuantileLevel 0 must return exactly the targets the
 // point path returns — flag-off is bit-for-bit the old behaviour.
 func TestQuantileLevelZeroMatchesPointPath(t *testing.T) {
 	m := trainTinyModel(t)
-	p := NewDirectProvider(m)
+	svc := NewServiceWith(m, ServiceOptions{QuantileLevel: 0})
 	ref := m.NewAppPolicy(0)
+	var res [1]BatchItemResult
 	var hist []float64
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 70; i++ {
@@ -151,12 +116,11 @@ func TestQuantileLevelZeroMatchesPointPath(t *testing.T) {
 			v = 2 + rng.Float64()
 		}
 		hist = append(hist, v)
-		got, ok := p.Target("equiv-app-q", v, 1)
-		if !ok {
-			t.Fatal("provider refused target")
+		if _, err := svc.observe([]BatchObservation{{App: "equiv-app-q", Concurrency: v}}, res[:]); err != nil || res[0].Error != "" {
+			t.Fatalf("obs %d: %v %s", i, err, res[0].Error)
 		}
-		if want := ref.Target(hist, 1); got != want {
-			t.Fatalf("obs %d: zero-level target %d, plain Target %d", i, got, want)
+		if want := ref.Target(hist, 1); res[0].Target != want {
+			t.Fatalf("obs %d: zero-level target %d, plain Target %d", i, res[0].Target, want)
 		}
 	}
 }

@@ -124,8 +124,8 @@ func (d *Detector) Observe(v float64) {
 }
 
 // Rebuild resets the detector and replays window through Observe — the
-// restore path for apps whose in-memory state was tier-evicted. With the
-// full stream retained (no WindowCap truncation) the rebuilt state is
+// restore path for apps whose in-memory state was tier-evicted. The
+// store retains the full stream, so the rebuilt state is
 // Float64bits-identical to the incrementally maintained one.
 func (d *Detector) Rebuild(window []float64) {
 	*d = Detector{blockSize: d.blockSize}

@@ -38,10 +38,10 @@ import (
 // bit-exact for every pattern including -0, NaN payloads, and
 // infinities.
 //
-// Chunking bounds two costs: front-trimming drops whole chunks in O(1)
-// (exact caps are applied when the window is materialized), and the
-// per-chunk raw head re-anchors the delta stream so a corrupt byte
-// cannot silently propagate past a chunk boundary on decode.
+// Chunking bounds two costs: Recent walks only the chunks that hold the
+// values it returns, and the per-chunk raw head re-anchors the delta
+// stream so a corrupt byte cannot silently propagate past a chunk
+// boundary on decode.
 const cwChunkLen = 64
 
 // cwRawMarker follows the head of a raw chunk.
@@ -50,7 +50,7 @@ const cwRawMarker = "\x80\x00"
 // CompactWindow's zero value is an empty window ready for use.
 type CompactWindow struct {
 	buf    []byte
-	starts []uint32 // byte offset in buf of each live chunk's first value
+	starts []uint32 // byte offset in buf of each chunk's first value
 	n      int      // live values across all chunks
 	tail   int32    // values in the last chunk (0 iff n == 0)
 	raw    bool     // the last chunk is raw
@@ -109,31 +109,6 @@ func (cw *CompactWindow) appendWide(b, d uint64) {
 	cw.raw = true
 }
 
-// TrimFront drops whole chunks from the front while the window would
-// still hold at least max values, keeping Len in [max, max+cwChunkLen).
-// Callers that need an exact cap slice the tail of Values; keeping the
-// trim chunk-granular keeps it O(1) per call with no re-encoding.
-func (cw *CompactWindow) TrimFront(max int) {
-	if max <= 0 || len(cw.starts) == 0 {
-		return
-	}
-	for len(cw.starts) > 1 && cw.n-cwChunkLen >= max {
-		cw.n -= cwChunkLen
-		cw.starts = cw.starts[1:]
-	}
-	// Release the dead prefix once it outgrows the live encoding, so the
-	// backing array does not pin evicted history forever.
-	if dead := int(cw.starts[0]); dead > 0 && dead >= len(cw.buf)-dead {
-		live := copy(cw.buf, cw.buf[dead:])
-		cw.buf = cw.buf[:live]
-		rebased := cw.starts[:0]
-		for _, s := range cw.starts {
-			rebased = append(rebased, s-uint32(dead))
-		}
-		cw.starts = rebased
-	}
-}
-
 // Values decodes the window into dst (grown as needed) and returns it.
 func (cw *CompactWindow) Values(dst []float64) []float64 {
 	if cap(dst) < cw.n {
@@ -143,7 +118,7 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 	if cw.n == 0 {
 		return dst
 	}
-	if _, _, _, err := walkChunks(cw.buf[cw.starts[0]:], cw.n, nil, dst); err != nil {
+	if _, _, _, err := walkChunks(cw.buf, cw.n, nil, dst); err != nil {
 		panic(err) // the stream is Append's own output
 	}
 	return dst
@@ -172,17 +147,13 @@ func (cw *CompactWindow) Recent(k, skip int, dst []float64) []float64 {
 }
 
 // appendEncoded serializes the window: uvarint n | uvarint nb | the nb
-// bytes of the live chunk stream. The chunk layout is implied by n —
-// every chunk holds cwChunkLen values except the last — so offsets need
-// no separate framing.
+// bytes of the chunk stream. The chunk layout is implied by n — every
+// chunk holds cwChunkLen values except the last — so offsets need no
+// separate framing.
 func (cw *CompactWindow) appendEncoded(buf []byte) []byte {
-	start := 0
-	if len(cw.starts) > 0 {
-		start = int(cw.starts[0])
-	}
 	buf = binary.AppendUvarint(buf, uint64(cw.n))
-	buf = binary.AppendUvarint(buf, uint64(len(cw.buf)-start))
-	return append(buf, cw.buf[start:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(cw.buf)))
+	return append(buf, cw.buf...)
 }
 
 // cwMode selects what a decode of untrusted bytes produces.
@@ -191,7 +162,7 @@ type cwMode uint8
 const (
 	// cwWindow yields a CompactWindow that owns the input's stream bytes
 	// (no copy) with its chunk offsets re-derived: one that can be
-	// appended to, trimmed and re-encoded.
+	// appended to and re-encoded.
 	cwWindow cwMode = 1 << iota
 	// cwValues yields the decoded values. Alone, it touches no byte of the
 	// input after returning.

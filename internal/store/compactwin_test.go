@@ -102,37 +102,6 @@ func TestCompactWindowRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCompactWindowTrimFront(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, max := range []int{1, 10, cwChunkLen, cwChunkLen + 5, 200} {
-		ref := make([]float64, 0, 1000)
-		var cw CompactWindow
-		for i := 0; i < 1000; i++ {
-			v := rng.NormFloat64()
-			if rng.Intn(3) == 0 {
-				v = 0
-			}
-			ref = append(ref, v)
-			cw.Append(v)
-			cw.TrimFront(max)
-			if cw.Len() < min(max, len(ref)) || cw.Len() >= max+cwChunkLen {
-				t.Fatalf("max %d after %d appends: Len %d out of [%d, %d)",
-					max, i+1, cw.Len(), min(max, len(ref)), max+cwChunkLen)
-			}
-			// The trimmed window must be an exact suffix of the reference.
-			got := cw.Values(nil)
-			assertBitIdentical(t, got, ref[len(ref)-len(got):], "trimmed suffix")
-		}
-		// Serialization after trimming drops the dead prefix.
-		enc := cw.appendEncoded(nil)
-		dec, _, err := decodeCompactWindow(enc, cwWindow)
-		if err != nil {
-			t.Fatalf("max %d: decode after trim: %v", max, err)
-		}
-		assertBitIdentical(t, dec.Values(nil), cw.Values(nil), "decode after trim")
-	}
-}
-
 func TestCompactWindowDecodeRejectsTruncation(t *testing.T) {
 	var cw CompactWindow
 	rng := rand.New(rand.NewSource(3))
@@ -192,12 +161,11 @@ func TestRawChunksWhereDeltasDoNotPay(t *testing.T) {
 	}
 }
 
-// FuzzCompactWindowRoundTrip runs a program of Append, TrimFront,
-// appendEncoded and decode steps, one per input byte, over the values the
-// codec must keep bit-exact: dyadic values, thousandths, -0, NaN payloads
-// and ±Inf. After every decode and at the end the window holds exactly
-// the values appended since the last trim point, and no chunk is larger
-// than its raw form.
+// FuzzCompactWindowRoundTrip runs a program of Append, appendEncoded and
+// decode steps, one per input byte, over the values the codec must keep
+// bit-exact: dyadic values, thousandths, -0, NaN payloads and ±Inf.
+// After every decode and at the end the window holds exactly the values
+// appended, and no chunk is larger than its raw form.
 func FuzzCompactWindowRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4 | 31<<3, 4 | 31<<3, 6 | 2<<3, 1 | 5<<3, 6}) // thousandths across chunks, then decode
@@ -241,11 +209,7 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 					vals = append(vals, float64((i*7919+pc*31)%20000)/1000)
 				}
 			case 5:
-				cw.TrimFront(arg + 1)
-				if cw.Len() > len(ref) || cw.Len() < min(arg+1, len(ref)) {
-					t.Fatalf("step %d: TrimFront(%d) left %d of %d values", pc, arg+1, cw.Len(), len(ref))
-				}
-				ref = ref[len(ref)-cw.Len():]
+				vals = []float64{-float64(arg+1) / 8}
 			case 6:
 				mode := modes[arg%len(modes)]
 				dec, got, err := decodeCompactWindow(cw.appendEncoded(nil), mode)

@@ -22,11 +22,7 @@ import (
 // ErrNotDurable, and it never creates a file.
 func TestBackendConformance(t *testing.T) {
 	before := listDir(t, ".")
-	for _, opt := range []Options{{}, {WindowCap: 12}} {
-		t.Run(fmt.Sprintf("WindowCap=%d", opt.WindowCap), func(t *testing.T) {
-			testBackendConformance(t, opt)
-		})
-	}
+	testBackendConformance(t)
 	if after := listDir(t, "."); !reflect.DeepEqual(before, after) {
 		t.Errorf("working directory changed: %v -> %v", before, after)
 	}
@@ -45,10 +41,9 @@ func listDir(t *testing.T, dir string) []string {
 	return names
 }
 
-func testBackendConformance(t *testing.T, opt Options) {
-	memory := OpenMemory(opt)
-	opt.Sync, opt.CompactEvery = SyncNever, -1
-	stores := []*Store{mustOpen(t, t.TempDir(), opt), memory}
+func testBackendConformance(t *testing.T) {
+	memory := OpenMemory()
+	stores := []*Store{mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1}), memory}
 	if stores[0].Durable() != true || memory.Durable() != false {
 		t.Fatalf("Durable: directory %v, memory %v", stores[0].Durable(), memory.Durable())
 	}

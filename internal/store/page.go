@@ -37,7 +37,7 @@ func pageName(seq uint64) string {
 
 // pageRef locates one app's paged state: record framing starts at off
 // in page file seq and spans recLen bytes. count caches the window
-// length so stats and cap decisions need no disk read.
+// length so stats need no disk read.
 type pageRef struct {
 	seq    uint64
 	off    int64

@@ -9,16 +9,16 @@ import (
 // FuzzCompactWindowRecent checks the suffix read a hot app's due block
 // comes from: Recent(k, skip) must equal Values()[n-skip-k : n-skip]
 // (clamped to the window's start) for a window of delta and raw chunks,
-// trimmed from the front, with k and skip anywhere across chunk
+// with k and skip anywhere across chunk
 // boundaries, including k = 0 and k = n — and the store must answer the
 // same for the app while it is warm and after it is paged out.
 func FuzzCompactWindowRecent(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint16(130), uint16(7), uint8(0), uint16(3))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(64), uint16(64), uint8(3), uint16(1))
-	f.Add([]byte{2, 0, 1}, uint16(300), uint16(0), uint8(1), uint16(0))
-	f.Add([]byte{3}, uint16(0), uint16(200), uint8(2), uint16(64))
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint16(130), uint16(7), uint16(3))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(64), uint16(64), uint16(1))
+	f.Add([]byte{2, 0, 1}, uint16(300), uint16(0), uint16(0))
+	f.Add([]byte{3}, uint16(0), uint16(200), uint16(64))
 	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 1e-310}
-	f.Fuzz(func(t *testing.T, prog []byte, k, skip uint16, trim uint8, dstCap uint16) {
+	f.Fuzz(func(t *testing.T, prog []byte, k, skip, dstCap uint16) {
 		// Each program byte appends a run of up to 64 values of one kind:
 		// dyadic values (delta chunks), thousandths (raw chunks), or
 		// specials.
@@ -40,9 +40,6 @@ func FuzzCompactWindowRecent(f *testing.F) {
 		var cw CompactWindow
 		for _, v := range vals {
 			cw.Append(v)
-		}
-		if trim > 0 {
-			cw.TrimFront(int(trim))
 		}
 		all := cw.Values(nil)
 		n := len(all)

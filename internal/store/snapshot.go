@@ -62,8 +62,8 @@ var errSnapshotFormat = errors.New("store: snapshot format unknown to this build
 
 // appState is one application's durable state: the sliding observation
 // window — a compact window always ("warm"), or paged to disk behind a
-// stub ("cold") — plus the lifetime count (windows may be capped; total
-// is not).
+// stub ("cold") — plus the lifetime count, which a lost page or a window
+// written under an older per-app cap does not shorten.
 type appState struct {
 	cw    CompactWindow
 	page  *pageRef // non-nil => cw is empty and the window lives on disk

@@ -53,17 +53,12 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // Options tune durability and compaction. The zero value is the safest
-// configuration: fsync on every append, 4 MiB segments, unlimited
-// windows, compaction every 64k records.
+// configuration: fsync on every append, 4 MiB segments, compaction every
+// 64k records.
 type Options struct {
 	Sync         SyncPolicy
 	SyncInterval time.Duration // SyncInterval policy only; default 100ms
 	SegmentBytes int64         // WAL segment rotation threshold; default 4 MiB
-	// WindowCap bounds each app's restored window (0 = unlimited). A cap
-	// trades disk and replay time for history depth; forecasts after a
-	// restart are bit-identical to an uninterrupted process only while
-	// per-app history fits the cap.
-	WindowCap int
 	// CompactEvery compacts the WAL into a snapshot after this many
 	// appended records (0 = default 65536, negative = never).
 	CompactEvery int
@@ -245,11 +240,10 @@ func Open(dir string, opt Options) (*Store, error) {
 
 // OpenMemory returns a Store with no directory: the same app map, compact
 // windows, memos and methods as Open's, and no WAL file, pager or
-// snapshot, so nothing outlives the process (Durable reports false). Of
-// opt only WindowCap applies; the other fields describe files.
-func OpenMemory(opt Options) *Store {
+// snapshot, so nothing outlives the process (Durable reports false).
+func OpenMemory() *Store {
 	return &Store{
-		opt: Options{WindowCap: opt.WindowCap, CompactEvery: -1},
+		opt: Options{CompactEvery: -1},
 		w:   &wal{}, pg: &pager{},
 		apps: map[string]*appState{},
 	}
@@ -310,11 +304,6 @@ func (s *Store) apply(obs Observation) {
 	}
 	s.ensureInlineLocked(obs.App, st, 0)
 	st.cw.Append(obs.Concurrency)
-	if cap := s.opt.WindowCap; cap > 0 {
-		// Chunk-granular in memory; the exact cap is applied when the
-		// window is materialized.
-		st.cw.TrimFront(cap)
-	}
 	st.touched = true
 	st.total++
 	s.total++
@@ -403,17 +392,16 @@ func (s *Store) ensureInlineLocked(app string, st *appState, mode cwMode) []floa
 }
 
 // windowLocked materializes an app's window without changing its tier
-// (cold apps are read from disk but stay cold), applying the exact
-// WindowCap.
+// (cold apps are read from disk but stay cold).
 func (s *Store) windowLocked(app string, st *appState) []float64 {
 	if st.page == nil {
-		return s.capWindow(st.cw.Values(nil))
+		return st.cw.Values(nil)
 	}
 	_, win, err := s.pg.load(app, st.page, cwValues)
 	if err != nil {
 		return nil
 	}
-	return s.capWindow(win)
+	return win
 }
 
 // warmState returns st if it is warm, else a warm copy read from its
@@ -425,14 +413,6 @@ func (s *Store) warmState(app string, st *appState) (*appState, error) {
 	}
 	full, _, err := s.pg.load(app, st.page, cwWindow)
 	return &full, err
-}
-
-// capWindow applies the exact WindowCap to a materialized window.
-func (s *Store) capWindow(win []float64) []float64 {
-	if cap := s.opt.WindowCap; cap > 0 && len(win) > cap {
-		win = win[len(win)-cap:]
-	}
-	return win
 }
 
 // Append durably records one observation, then applies it in memory.
@@ -526,7 +506,6 @@ func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok 
 	if win == nil {
 		win = st.cw.Values(make([]float64, 0, st.cw.Len()))
 	}
-	win = s.capWindow(win)
 	st.touched = true
 	// Enforce after materializing: the sweep's second-chance pass may
 	// legitimately re-demote this very app (tiny budgets), which must not
@@ -536,9 +515,8 @@ func (s *Store) RestoreWindowMemo(app string) (win []float64, m Memo, paged, ok 
 }
 
 // Recent is CompactWindow.Recent over app's window, read from its page
-// if the app is cold (it stays cold): a hot app's due block. It may
-// reach up to a chunk past an exact WindowCap, and returns nothing for
-// an unknown app or an unreadable page.
+// if the app is cold (it stays cold): a hot app's due block. It returns
+// nothing for an unknown app or an unreadable page.
 func (s *Store) Recent(app string, k, skip int, dst []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

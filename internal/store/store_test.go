@@ -10,27 +10,14 @@ import (
 	"testing"
 )
 
-// mirror tracks the expected in-memory history alongside the store.
-type mirror struct {
-	cap  int
-	wins map[string][]float64
-}
-
-func (m *mirror) add(app string, v float64) {
-	w := append(m.wins[app], v)
-	if m.cap > 0 && len(w) > m.cap {
-		w = append([]float64(nil), w[len(w)-m.cap:]...)
-	}
-	m.wins[app] = w
-}
-
-func assertWindowsEqual(t *testing.T, st *Store, m *mirror) {
+// assertWindowsEqual requires st to hold exactly the windows wins.
+func assertWindowsEqual(t *testing.T, st *Store, wins map[string][]float64) {
 	t.Helper()
 	got := st.Windows()
-	if len(got) != len(m.wins) {
-		t.Fatalf("store tracks %d apps, want %d", len(got), len(m.wins))
+	if len(got) != len(wins) {
+		t.Fatalf("store tracks %d apps, want %d", len(got), len(wins))
 	}
-	for app, want := range m.wins {
+	for app, want := range wins {
 		g := got[app]
 		if len(g) != len(want) {
 			t.Fatalf("app %s: window %d, want %d", app, len(g), len(want))
@@ -47,101 +34,86 @@ func assertWindowsEqual(t *testing.T, st *Store, m *mirror) {
 // TestSnapshotReplayEquivalence is the snapshot+WAL-replay equivalence
 // oracle: a store that lived through random appends, batches, and
 // compactions must restore windows bit-identical to the in-memory
-// history, for unlimited and capped windows alike.
+// history, with every window inline and with most of the fleet paged
+// out between steps.
 func TestSnapshotReplayEquivalence(t *testing.T) {
-	for _, cap := range []int{0, 37} {
-		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
-			dir := t.TempDir()
-			st, err := Open(dir, Options{WindowCap: cap, CompactEvery: -1, SegmentBytes: 1 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := &mirror{cap: cap, wins: map[string][]float64{}}
-			rng := rand.New(rand.NewSource(42))
-			for step := 0; step < 400; step++ {
-				switch rng.Intn(10) {
-				case 0: // compact mid-stream
-					if err := st.Compact(); err != nil {
-						t.Fatal(err)
-					}
-				case 1, 2: // batch append
-					n := 1 + rng.Intn(8)
-					batch := make([]Observation, n)
-					for i := range batch {
-						app := fmt.Sprintf("app-%d", rng.Intn(6))
-						v := rng.NormFloat64() * 10
-						batch[i] = Observation{App: app, Concurrency: v}
-					}
-					if err := st.AppendBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					for _, o := range batch {
-						m.add(o.App, o.Concurrency)
-					}
-				default: // single append
-					app := fmt.Sprintf("app-%d", rng.Intn(6))
-					v := rng.NormFloat64() * 10
-					if err := st.Append(app, v); err != nil {
-						t.Fatal(err)
-					}
-					m.add(app, v)
-				}
-			}
-			assertWindowsEqual(t, st, m)
-			total := st.TotalObservations()
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			re, err := Open(dir, Options{WindowCap: cap, CompactEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertWindowsEqual(t, re, m)
-			if re.TotalObservations() != total {
-				t.Fatalf("restored total %d, want %d", re.TotalObservations(), total)
-			}
-
-			// Reopen once more *without* Close (SIGKILL shape): under
-			// SyncAlways everything acknowledged is already on disk.
-			if err := re.Append("late", 1.25); err != nil {
-				t.Fatal(err)
-			}
-			m.add("late", 1.25)
-			re2, err := Open(dir, Options{WindowCap: cap, CompactEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertWindowsEqual(t, re2, m)
-			re2.Close()
+	for _, v := range []struct {
+		name   string
+		inline int
+	}{{"inline", 0}, {"paged", 2}} {
+		t.Run(v.name, func(t *testing.T) {
+			testSnapshotReplayEquivalence(t, v.inline)
 		})
 	}
 }
 
-func TestWindowCapEviction(t *testing.T) {
+func testSnapshotReplayEquivalence(t *testing.T, inline int) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{WindowCap: 5, CompactEvery: -1})
+	st, err := Open(dir, Options{CompactEvery: -1, SegmentBytes: 1 << 10, InlineBudget: inline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	for i := 0; i < 12; i++ {
-		if err := st.Append("w", float64(i)); err != nil {
-			t.Fatal(err)
+	wins := map[string][]float64{}
+	rng := rand.New(rand.NewSource(42))
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(10) {
+		case 0: // compact mid-stream
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		case 1, 2: // batch append
+			n := 1 + rng.Intn(8)
+			batch := make([]Observation, n)
+			for i := range batch {
+				app := fmt.Sprintf("app-%d", rng.Intn(6))
+				v := rng.NormFloat64() * 10
+				batch[i] = Observation{App: app, Concurrency: v}
+			}
+			if err := st.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range batch {
+				wins[o.App] = append(wins[o.App], o.Concurrency)
+			}
+		default: // single append
+			app := fmt.Sprintf("app-%d", rng.Intn(6))
+			v := rng.NormFloat64() * 10
+			if err := st.Append(app, v); err != nil {
+				t.Fatal(err)
+			}
+			wins[app] = append(wins[app], v)
 		}
 	}
-	w := st.Window("w")
-	if len(w) != 5 {
-		t.Fatalf("window %d, want 5", len(w))
+	if paged := st.Stats().PagedApps; inline > 0 && paged < len(wins)-inline {
+		t.Fatalf("%d of %d apps paged out under an inline budget of %d", paged, len(wins), inline)
 	}
-	for i, v := range w {
-		if v != float64(7+i) {
-			t.Fatalf("window[%d] = %g, want %g", i, v, float64(7+i))
-		}
+	assertWindowsEqual(t, st, wins)
+	total := st.TotalObservations()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if st.TotalObservations() != 12 {
-		t.Fatalf("total = %d, want 12 (cap must not shrink lifetime count)", st.TotalObservations())
+
+	re, err := Open(dir, Options{CompactEvery: -1, InlineBudget: inline})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertWindowsEqual(t, re, wins)
+	if re.TotalObservations() != total {
+		t.Fatalf("restored total %d, want %d", re.TotalObservations(), total)
+	}
+
+	// Reopen once more *without* Close (SIGKILL shape): under
+	// SyncAlways everything acknowledged is already on disk.
+	if err := re.Append("late", 1.25); err != nil {
+		t.Fatal(err)
+	}
+	wins["late"] = append(wins["late"], 1.25)
+	re2, err := Open(dir, Options{CompactEvery: -1, InlineBudget: inline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertWindowsEqual(t, re2, wins)
+	re2.Close()
 }
 
 func TestAutoCompaction(t *testing.T) {
