@@ -117,26 +117,33 @@ func buildWindows(obs []Observation) map[string][]float64 {
 // windows.
 func assertExactPrefix(t *testing.T, st *Store, prefix []Observation) {
 	t.Helper()
+	if err := exactPrefix(st, prefix); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exactPrefix(st *Store, prefix []Observation) error {
 	want := buildWindows(prefix)
 	got := st.Windows()
 	if int64(len(prefix)) != st.TotalObservations() {
-		t.Fatalf("store total %d, want exact prefix of %d", st.TotalObservations(), len(prefix))
+		return fmt.Errorf("store total %d, want exact prefix of %d", st.TotalObservations(), len(prefix))
 	}
 	if len(got) != len(want) {
-		t.Fatalf("store tracks %d apps, prefix has %d", len(got), len(want))
+		return fmt.Errorf("store tracks %d apps, prefix has %d", len(got), len(want))
 	}
 	for app, w := range want {
 		g := got[app]
 		if len(g) != len(w) {
-			t.Fatalf("app %q: window %d, want %d", app, len(g), len(w))
+			return fmt.Errorf("app %q: window %d, want %d", app, len(g), len(w))
 		}
 		for i := range w {
 			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-				t.Fatalf("app %q value %d not bit-identical: %x vs %x",
+				return fmt.Errorf("app %q value %d not bit-identical: %x vs %x",
 					app, i, math.Float64bits(g[i]), math.Float64bits(w[i]))
 			}
 		}
 	}
+	return nil
 }
 
 // failoverForecasters is the fixed panel used for the Float64bits

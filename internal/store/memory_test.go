@@ -165,6 +165,48 @@ func testBackendConformance(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreSyncsNothing: what a memory-store femuxd does —
+// appends, a batch larger than a default WAL segment, page-outs,
+// restores — makes no fsync and no file, as before the store ran on a
+// device: the store is SyncNever, never rotates its segment and never
+// compacts on its own, and a page-out is a no-op.
+func TestMemoryStoreSyncsNothing(t *testing.T) {
+	before := listDir(t, ".")
+	s := OpenMemory()
+	defer s.Close()
+	for i := 0; i < 100; i++ {
+		if err := s.Append(appName(i%5), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := make([]Observation, 1<<18) // > 4 MiB of framed records
+	for i := range batch {
+		batch[i] = Observation{App: appName(i % 5), Concurrency: float64(i) / 4}
+	}
+	if err := s.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.PageOut(appName(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, paged, ok := s.RestoreWindow(appName(i)); paged || !ok {
+			t.Fatalf("RestoreWindow(%s): paged %v, ok %v", appName(i), paged, ok)
+		}
+	}
+	st := s.Stats()
+	if st.Fsyncs != 0 || st.PageOuts != 0 || st.PagedApps != 0 || st.Observations != 100+1<<18 ||
+		st.Segments+st.PageFiles+st.Snapshots != 0 || st.WALBytes+st.PageBytes != 0 {
+		t.Fatalf("memory Stats = %+v", st)
+	}
+	if s.Durable() {
+		t.Fatal("a memory store reports Durable")
+	}
+	if after := listDir(t, "."); !reflect.DeepEqual(before, after) {
+		t.Errorf("working directory changed: %v -> %v", before, after)
+	}
+}
+
 func float64Bits(win []float64) []uint64 {
 	bits := make([]uint64, len(win))
 	for i, v := range win {

@@ -3,8 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 // Cold apps page their compacted window out of memory into
@@ -18,7 +16,8 @@ import (
 // data a page record holds is always also recoverable from the current
 // snapshot + WAL chain until a *newer* snapshot embeds the stub. The
 // pager therefore fsyncs lazily — compaction syncs any dirty page file
-// before writing a snapshot that references its records — and a crash
+// before writing a snapshot that references its records, and a file is
+// synced when it is sealed, since no later sync reaches it — and a crash
 // before that snapshot simply restores the app warm from the old chain.
 //
 // Like WAL segments, a recovered process never appends to an existing
@@ -48,42 +47,36 @@ type pageRef struct {
 // pager owns the page files of one store directory. All methods are
 // called with the store mutex held.
 type pager struct {
-	dir       string
-	seq       uint64   // current write file (opened lazily)
-	f         *os.File // nil until the first pageOut after open/GC
+	dev       device
+	seq       uint64 // current write file (opened lazily)
+	f         file   // nil until the first pageOut after open/seal
 	size      int64
 	dirty     bool  // written since last fsync
+	err       error // a failed fsync, kept (see sync)
 	liveRefs  int   // live stubs (cold apps)
 	liveBytes int64 // bytes referenced by live stubs
 	deadBytes int64 // bytes in page files no stub references
-	fsyncs    int64
 	gcFails   int64 // page-file rewrites abandoned (see maybeGC)
 
 	// rd holds a read handle per page file a page-in has touched, open
 	// until the file is deleted or the pager closes.
-	rd map[uint64]*os.File
+	rd map[uint64]file
 
 	buf []byte // the record being written out, reused
 }
 
-// openPager scans dir for existing page files and positions the writer
-// on a fresh sequence number. Live/dead accounting is rebuilt by the
-// caller once stubs are known (see recountLocked).
-func openPager(dir string) (*pager, error) {
-	seqs, err := listSeqs(dir, pagePrefix, pageSuffix)
-	if err != nil {
-		return nil, err
-	}
-	p := &pager{dir: dir, seq: 1, rd: map[uint64]*os.File{}}
-	for _, seq := range seqs {
-		if seq >= p.seq {
-			p.seq = seq + 1
-		}
-		if fi, err := os.Stat(filepath.Join(dir, pageName(seq))); err == nil {
-			p.deadBytes += fi.Size() // reclassified as live per stub below
+// openPager positions the writer after the device's page files on a
+// fresh sequence number. Their bytes count as dead until the caller notes
+// each live stub (see noteLive).
+func openPager(dev device, files map[string]int64) *pager {
+	p := &pager{dev: dev, seq: 1, rd: map[uint64]file{}}
+	for name, size := range files {
+		if seq, ok := parseSeq(name, pagePrefix, pageSuffix); ok {
+			p.seq = max(p.seq, seq+1)
+			p.deadBytes += size
 		}
 	}
-	return p, nil
+	return p
 }
 
 // noteLive moves one stub's bytes from the dead to the live column
@@ -105,14 +98,19 @@ func appendPageRecord(buf []byte, app string, st *appState) []byte {
 // returns its stub.
 func (p *pager) writeOut(app string, st *appState) (*pageRef, error) {
 	if p.f == nil {
-		f, err := os.OpenFile(filepath.Join(p.dir, pageName(p.seq)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+		f, err := p.dev.create(pageName(p.seq))
 		if err != nil {
 			return nil, err
 		}
 		p.f, p.size = f, 0
 	}
 	p.buf = appendPageRecord(p.buf[:0], app, st)
-	if _, err := p.f.Write(p.buf); err != nil {
+	if n, err := p.f.Write(p.buf); err != nil {
+		// The next record would land behind the torn one, at an offset
+		// its stub does not name: the torn bytes are dead, and the next
+		// page-out opens a fresh file. A failed sync is kept in p.err.
+		p.deadBytes += int64(n)
+		p.seal()
 		return nil, err
 	}
 	recLen := int64(len(p.buf))
@@ -125,11 +123,11 @@ func (p *pager) writeOut(app string, st *appState) (*pageRef, error) {
 }
 
 // reader returns the read handle of page file seq, opening it on first use.
-func (p *pager) reader(seq uint64) (*os.File, error) {
+func (p *pager) reader(seq uint64) (file, error) {
 	if f := p.rd[seq]; f != nil {
 		return f, nil
 	}
-	f, err := os.Open(filepath.Join(p.dir, pageName(seq)))
+	f, err := p.dev.open(pageName(seq))
 	if err != nil {
 		return nil, err
 	}
@@ -187,17 +185,30 @@ func (p *pager) free(ref *pageRef) {
 }
 
 // sync fsyncs the current page file if it has unflushed writes. Called
-// before any snapshot that may reference its records.
+// before any snapshot that may reference its records. A failed fsync is
+// kept and returned by every later call, as the WAL keeps its own: the
+// kernel may have dropped the pages, so no snapshot may name a record
+// written before it.
 func (p *pager) sync() error {
-	if !p.dirty || p.f == nil {
-		return nil
+	if p.err != nil || !p.dirty || p.f == nil {
+		return p.err
 	}
-	if err := p.f.Sync(); err != nil {
-		return err
+	if p.err = p.f.Sync(); p.err == nil {
+		p.dirty = false
 	}
-	p.fsyncs++
-	p.dirty = false
-	return nil
+	return p.err
+}
+
+// seal ends the current page file, fsynced first since live stubs may
+// name its records; the next page-out opens a fresh one.
+func (p *pager) seal() error {
+	err := p.sync()
+	if p.f != nil {
+		p.f.Close()
+		p.f = nil
+	}
+	p.seq++
+	return err
 }
 
 // gcThreshold: rewrite live records once dead bytes exceed 1 MiB and
@@ -214,11 +225,9 @@ func (p *pager) maybeGC(apps map[string]*appState) (err error) {
 	if p.deadBytes < pageGCMinDead || p.deadBytes <= p.liveBytes {
 		return nil
 	}
-	if p.f != nil {
-		p.f.Close()
-		p.f = nil
+	if err := p.seal(); err != nil {
+		return err
 	}
-	p.seq++
 	type rebind struct {
 		st  *appState
 		ref *pageRef
@@ -254,33 +263,27 @@ func (p *pager) maybeGC(apps map[string]*appState) (err error) {
 	return nil
 }
 
-// deleteBelow removes page files whose sequence number is below the
-// lowest live reference (cleanup, not correctness — leftovers are
-// re-deleted on the next compaction). Returns bytes reclaimed.
-func (p *pager) deleteBelow(apps map[string]*appState) {
+// deleteBelow removes the page files among files whose sequence number
+// is below the lowest live reference (cleanup, not correctness —
+// leftovers are re-deleted on the next compaction).
+func (p *pager) deleteBelow(apps map[string]*appState, files map[string]int64) {
 	minLive := p.seq
 	for _, st := range apps {
 		if st.page != nil && st.page.seq < minLive {
 			minLive = st.page.seq
 		}
 	}
-	seqs, err := listSeqs(p.dir, pagePrefix, pageSuffix)
-	if err != nil {
-		return
-	}
-	for _, seq := range seqs {
-		if seq >= minLive {
+	for name, size := range files {
+		seq, ok := parseSeq(name, pagePrefix, pageSuffix)
+		if !ok || seq >= minLive {
 			continue
 		}
-		if f := p.rd[seq]; f != nil {
-			f.Close()
+		if r := p.rd[seq]; r != nil {
+			r.Close()
 			delete(p.rd, seq)
 		}
-		path := filepath.Join(p.dir, pageName(seq))
-		if fi, err := os.Stat(path); err == nil {
-			if os.Remove(path) == nil {
-				p.deadBytes -= fi.Size()
-			}
+		if p.dev.remove(name) == nil {
+			p.deadBytes -= size
 		}
 	}
 	if p.deadBytes < 0 {
@@ -293,13 +296,5 @@ func (p *pager) close() error {
 		f.Close()
 		delete(p.rd, seq)
 	}
-	if p.f == nil {
-		return nil
-	}
-	err := p.f.Sync()
-	if cerr := p.f.Close(); err == nil {
-		err = cerr
-	}
-	p.f = nil
-	return err
+	return p.seal()
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 )
 
 // Replication: the segmented CRC32C WAL is already a replication log, so
@@ -59,8 +57,8 @@ var ErrCompacted = errors.New("store: position compacted away; snapshot bootstra
 // was wiped). Replication must stop rather than regress the follower.
 var ErrOutOfRange = errors.New("store: position beyond end of WAL")
 
-// ErrNotDurable reports that the store was opened with OpenMemory: it has
-// no WAL to stream.
+// ErrNotDurable reports that the store was opened with OpenMemory: its
+// WAL keeps no bytes to stream.
 var ErrNotDurable = errors.New("store: memory store has no WAL")
 
 // ErrStaleChunk reports a replication chunk whose cursor does not
@@ -303,7 +301,7 @@ func (s *Store) ReadWALFrom(pos ReplPos, maxBytes int) (data []byte, next ReplPo
 	if maxBytes < maxRecordLen+recordHeaderLen {
 		maxBytes = maxRecordLen + recordHeaderLen
 	}
-	if s.dir == "" {
+	if !s.Durable() {
 		return nil, pos, ErrNotDurable
 	}
 	for {
@@ -318,15 +316,15 @@ func (s *Store) ReadWALFrom(pos ReplPos, maxBytes int) (data []byte, next ReplPo
 		if pos.Seq > curSeq || (pos.Seq == curSeq && pos.Off > curSize) {
 			return nil, pos, ErrOutOfRange
 		}
-		path := filepath.Join(s.dir, segName(pos.Seq))
-		fi, err := os.Stat(path)
+		name := segName(pos.Seq)
+		files, err := s.dev.list()
 		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, pos, ErrCompacted
-			}
 			return nil, pos, err
 		}
-		end := fi.Size()
+		end, ok := files[name]
+		if !ok {
+			return nil, pos, ErrCompacted
+		}
 		if pos.Seq == curSeq {
 			end = curSize
 		}
@@ -345,7 +343,7 @@ func (s *Store) ReadWALFrom(pos ReplPos, maxBytes int) (data []byte, next ReplPo
 		if int64(maxBytes) < readLen {
 			readLen = int64(maxBytes)
 		}
-		f, err := os.Open(path)
+		f, err := s.dev.open(name)
 		if err != nil {
 			return nil, pos, err
 		}

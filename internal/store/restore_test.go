@@ -322,7 +322,7 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		if err := writeSnapshot(dir, 4, map[string]*appState{app: st}, createSnapshotTemp); err != nil {
+		if err := writeSnapshot(dirDevice(dir), 4, map[string]*appState{app: st}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, snapName(4)))

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -38,9 +36,10 @@ import (
 // and ImportState reads it with readSnapshot, as Open reads a file. An
 // older primary's v1 body still imports.
 //
-// A snapshot is written to a temp file, fsynced, and renamed into
-// place, so a crash mid-compaction leaves either the old or the new
-// snapshot — never a half-written one. A snapshot that is torn, fails its
+// A snapshot is written to snap-<seq>.snap.tmp, fsynced, and renamed
+// into place, so a crash mid-compaction leaves either the old or the new
+// snapshot — never a half-written one — and perhaps a temp file, which
+// the next Open removes. A snapshot that is torn, fails its
 // CRC or carries a foreign magic is skipped and the previous one is used
 // instead; one whose intact magic names a femux-snap format this build
 // does not know fails Open, because falling back would start the store
@@ -53,6 +52,8 @@ const (
 
 	snapTagInline = 0x00
 	snapTagPaged  = 0x01
+
+	snapTempSuffix = ".tmp"
 )
 
 // errSnapshotFormat marks a snapshot written in a format this build
@@ -220,44 +221,31 @@ func appendSnapshotRecord(buf []byte, app string, st *appState) []byte {
 	return sealRecord(encodeSnapshotApp(reserveHeader(buf), app, st), start)
 }
 
-// splitFile is what a snapshot is written through (an *os.File): tests
-// fail a compaction's or a Split's write, fsync or close behind it.
-type splitFile interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Close() error
-	Name() string
-}
-
-func createSnapshotTemp(dir string) (splitFile, error) {
-	return os.CreateTemp(dir, "snap-*.tmp")
-}
-
-// writeSnapshots writes one v3 snapshot, snap-<seq>.snap, into each of
-// dirs: fill hands every record to add with the index of its dir.
+// writeSnapshots writes one v3 snapshot, snap-<seq>.snap, onto each of
+// devs: fill hands every record to add with the index of its device.
 // Compaction writes one snapshot through it, Split one per destination.
-// Each goes to a temp file made by create and is fsynced, closed and
-// renamed into place, then its dir is fsynced, so a crash leaves the old
-// snapshot or the new one, never half of one. On any error nothing is
-// left behind: every temp file, and every snapshot already renamed, is
-// removed.
-func writeSnapshots(dirs []string, seq uint64, create func(dir string) (splitFile, error),
-	fill func(add func(i int, app string, st *appState) error) error) (err error) {
-	files := make([]splitFile, len(dirs))
-	bufs := make([]*bufio.Writer, len(dirs))
+// Each goes to a temp file and is fsynced, closed and renamed into place,
+// then its directory is fsynced, so a crash leaves the old snapshot or the
+// new one, never half of one. On any error nothing is left behind: every
+// temp file, and every snapshot already renamed, is removed.
+func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app string, st *appState) error) error) (err error) {
+	name := snapName(seq)
+	tmp := name + snapTempSuffix
+	files := make([]file, len(devs))
+	bufs := make([]*bufio.Writer, len(devs))
 	defer func() {
 		for i, f := range files {
 			if f != nil { // not renamed into place
 				f.Close()
-				os.Remove(f.Name())
+				devs[i].remove(tmp)
 			}
 			if err != nil {
-				os.Remove(filepath.Join(dirs[i], snapName(seq)))
+				devs[i].remove(name)
 			}
 		}
 	}()
-	for i, dir := range dirs {
-		if files[i], err = create(dir); err != nil {
+	for i, dev := range devs {
+		if files[i], err = dev.create(tmp); err != nil {
 			return err
 		}
 		bufs[i] = bufio.NewWriterSize(files[i], 1<<20)
@@ -278,20 +266,22 @@ func writeSnapshots(dirs []string, seq uint64, create func(dir string) (splitFil
 			err = f.Close()
 		}
 		if err == nil {
-			err = os.Rename(f.Name(), filepath.Join(dirs[i], snapName(seq)))
+			err = devs[i].rename(tmp, name)
+		}
+		if err == nil {
+			files[i] = nil
+			err = devs[i].syncDir()
 		}
 		if err != nil {
 			return err
 		}
-		files[i] = nil
-		fsyncDir(dirs[i])
 	}
 	return nil
 }
 
-// writeSnapshot persists apps as snap-<seq>.snap in dir.
-func writeSnapshot(dir string, seq uint64, apps map[string]*appState, create func(dir string) (splitFile, error)) error {
-	return writeSnapshots([]string{dir}, seq, create, func(add func(int, string, *appState) error) error {
+// writeSnapshot persists apps as snap-<seq>.snap on dev.
+func writeSnapshot(dev device, seq uint64, apps map[string]*appState) error {
+	return writeSnapshots([]device{dev}, seq, func(add func(int, string, *appState) error) error {
 		for app, st := range apps {
 			if err := add(0, app, st); err != nil {
 				return err
@@ -342,13 +332,13 @@ func readSnapshot(r io.Reader) (map[string]*appState, error) {
 
 // loadSnapshot reads snap-<seq>.snap in any format. On an error callers
 // fall back to an older snapshot, except on errSnapshotFormat.
-func loadSnapshot(dir string, seq uint64) (map[string]*appState, error) {
-	f, err := os.Open(filepath.Join(dir, snapName(seq)))
+func loadSnapshot(dev device, seq uint64) (map[string]*appState, error) {
+	f, err := dev.open(snapName(seq))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	apps, err := readSnapshot(f)
+	apps, err := readSnapshot(io.NewSectionReader(f, 0, math.MaxInt64))
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot %d: %w", seq, err)
 	}

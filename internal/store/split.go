@@ -3,7 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 )
 
@@ -21,7 +21,21 @@ import (
 // Every source is opened in turn, as Open would at boot, so a split costs
 // about one boot replay of the fleet.
 func Split(srcs, dsts []string) error {
-	return split(srcs, dsts, createSnapshotTemp)
+	if len(srcs) == 0 || len(dsts) == 0 {
+		return errors.New("store: split needs at least one source and one destination")
+	}
+	if err := checkSplitDirs(srcs, dsts); err != nil {
+		return err
+	}
+	devs := make([]device, len(dsts))
+	for i, dir := range dsts {
+		dev, err := openDir(dir)
+		if err != nil {
+			return err
+		}
+		devs[i] = dev
+	}
+	return split(srcs, devs)
 }
 
 // splitSnapSeq numbers the snapshot a destination starts from. A snapshot
@@ -29,20 +43,9 @@ func Split(srcs, dsts []string) error {
 // 2, and a follower that asks for segment 1 is sent to bootstrap.
 const splitSnapSeq = 1
 
-func split(srcs, dsts []string, create func(dir string) (splitFile, error)) error {
-	if len(srcs) == 0 || len(dsts) == 0 {
-		return errors.New("store: split needs at least one source and one destination")
-	}
-	if err := checkSplitDirs(srcs, dsts); err != nil {
-		return err
-	}
-	for _, dir := range dsts {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
+func split(srcs []string, dsts []device) error {
 	owner := map[string]int{} // app -> the source it came from
-	return writeSnapshots(dsts, splitSnapSeq, create, func(add func(int, string, *appState) error) error {
+	return writeSnapshots(dsts, splitSnapSeq, func(add func(int, string, *appState) error) error {
 		for si, src := range srcs {
 			s, err := Open(src, Options{Sync: SyncNever, CompactEvery: -1})
 			if err != nil {
@@ -79,7 +82,7 @@ func split(srcs, dsts []string, create func(dir string) (splitFile, error)) erro
 func checkSplitDirs(srcs, dsts []string) error {
 	seen := map[string]string{}
 	for _, src := range srcs {
-		if fi, err := os.Stat(src); err != nil || !fi.IsDir() {
+		if _, err := dirDevice(src).list(); err != nil {
 			return fmt.Errorf("store: split: source %s is not a data directory", src)
 		}
 		abs, err := filepath.Abs(src)
@@ -97,11 +100,11 @@ func checkSplitDirs(srcs, dsts []string) error {
 			return fmt.Errorf("store: split: %s is already a %s", dst, role)
 		}
 		seen[abs] = "destination"
-		entries, err := os.ReadDir(dst)
-		if err != nil && !os.IsNotExist(err) {
+		files, err := dirDevice(dst).list()
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
-		if len(entries) > 0 {
+		if len(files) > 0 {
 			return fmt.Errorf("store: split: destination %s is not empty", dst)
 		}
 	}

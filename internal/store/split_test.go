@@ -1,11 +1,11 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -156,7 +156,8 @@ func TestSplitRefusesNonEmptyDestination(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(busy, "keep"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dup := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
+	dupDir := t.TempDir()
+	dup := mustOpen(t, dupDir, Options{Sync: SyncNever, CompactEvery: -1})
 	if err := dup.Append(appName(0), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSplitRefusesNonEmptyDestination(t *testing.T) {
 		{"source as destination", srcs, []string{fresh(), srcs[1]}},
 		{"destination named twice", srcs, []string{busy + "/../" + filepath.Base(busy) + "-x", busy + "-x"}},
 		{"missing source", []string{srcs[0], fresh()}, []string{fresh()}},
-		{"app in two sources", []string{srcs[0], srcs[1], dup.dir}, []string{fresh(), fresh()}},
+		{"app in two sources", []string{srcs[0], srcs[1], dupDir}, []string{fresh(), fresh()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if err := Split(c.srcs, c.dsts); err == nil {
@@ -191,36 +192,6 @@ func TestSplitRefusesNonEmptyDestination(t *testing.T) {
 	}
 }
 
-// faultyDst wraps one destination's snapshot file: its first Write, its
-// Sync or its Close fails.
-type faultyDst struct {
-	splitFile
-	mode string
-}
-
-func (f *faultyDst) Write(p []byte) (int, error) {
-	if f.mode == "write" {
-		n, _ := f.splitFile.Write(p[:len(p)/2])
-		return n, errors.New("injected short write")
-	}
-	return f.splitFile.Write(p)
-}
-
-func (f *faultyDst) Sync() error {
-	if f.mode == "sync" {
-		return errors.New("injected fsync failure")
-	}
-	return f.splitFile.Sync()
-}
-
-func (f *faultyDst) Close() error {
-	err := f.splitFile.Close()
-	if f.mode == "close" {
-		return errors.New("injected close failure")
-	}
-	return err
-}
-
 // TestSplitFaultAtEveryDestination fails the write, fsync or close of the
 // k-th destination's snapshot, for every k of a 2->3 split. Each time the
 // split reports the error, every source reopens to its pre-split state,
@@ -232,17 +203,18 @@ func TestSplitFaultAtEveryDestination(t *testing.T) {
 		for _, mode := range []string{"write", "sync", "close"} {
 			t.Run(fmt.Sprintf("dst=%d/%s", k, mode), func(t *testing.T) {
 				var dsts []string
-				for i := 0; i < 3; i++ {
+				devs := make([]device, 3)
+				for i := range devs {
 					dsts = append(dsts, filepath.Join(t.TempDir(), "new"))
-				}
-				create := func(dir string) (splitFile, error) {
-					f, err := createSnapshotTemp(dir)
-					if err != nil || dir != dsts[k] {
-						return f, err
+					dev, err := openDir(dsts[i])
+					if err != nil {
+						t.Fatal(err)
 					}
-					return &faultyDst{f, mode}, nil
+					devs[i] = dev
 				}
-				if err := split(srcs, dsts, create); err == nil {
+				armed, err := true, map[string]error{"write": errShortWrite, "sync": syscall.EIO, "close": syscall.EIO}[mode]
+				devs[k] = &faultDevice{devs[k], faultOnce(&armed, mode, snapPrefix, err)}
+				if err := split(srcs, devs); err == nil {
 					t.Fatal("split succeeded through the fault")
 				}
 				assertSourcesUnchanged(t, srcs, before)

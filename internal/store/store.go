@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -114,7 +113,7 @@ type Stats struct {
 // All methods are safe for concurrent use.
 type Store struct {
 	mu       sync.Mutex
-	dir      string
+	dev      device
 	opt      Options
 	w        *wal
 	pg       *pager
@@ -138,8 +137,6 @@ type Store struct {
 	replCursor ReplPos
 	hasCursor  bool
 
-	createSnap func(dir string) (splitFile, error) // makes compaction's snapshot file
-
 	closeOnce sync.Once
 	stopSync  chan struct{}
 	syncDone  chan struct{}
@@ -152,26 +149,40 @@ type Store struct {
 // the longest valid record prefix. Appends then go to a fresh segment.
 // A snapshot in a format newer than this build fails Open.
 func Open(dir string, opt Options) (*Store, error) {
-	opt = opt.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, opt: opt, apps: map[string]*appState{}, createSnap: createSnapshotTemp}
-	pg, err := openPager(dir)
+	dev, err := openDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	s.pg = pg
+	return open(dev, opt)
+}
 
-	snapSeqs, err := listSeqs(dir, snapPrefix, snapSuffix)
+// OpenMemory returns a Store on a device that keeps no files: the same
+// code as Open's, but nothing outlives the process (Durable reports
+// false). It never syncs, rotates a segment or compacts on its own.
+func OpenMemory() *Store {
+	s, _ := open(nullDevice{}, Options{Sync: SyncNever, CompactEvery: -1, SegmentBytes: math.MaxInt64}) // reads nothing: cannot fail
+	return s
+}
+
+func open(dev device, opt Options) (*Store, error) {
+	opt = opt.withDefaults()
+	files, err := dev.list()
 	if err != nil {
 		return nil, err
 	}
+	for name := range files {
+		if strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapTempSuffix) {
+			dev.remove(name) // left by a crash mid-snapshot
+		}
+	}
+	s := &Store{dev: dev, opt: opt, apps: map[string]*appState{}, pg: openPager(dev, files)}
+
 	// Load the newest snapshot that passes its CRC and magic checks.
+	snapSeqs := seqsOf(files, snapPrefix, snapSuffix)
 	var snapSeq uint64
 	haveSnap := false
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
-		apps, err := loadSnapshot(dir, snapSeqs[i])
+		apps, err := loadSnapshot(dev, snapSeqs[i])
 		if errors.Is(err, errSnapshotFormat) {
 			return nil, err
 		}
@@ -190,13 +201,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	s.restored = s.total
 
-	segSeqs, err := listSeqs(dir, segPrefix, segSuffix)
-	if err != nil {
-		return nil, err
-	}
 	var replay []uint64
 	maxSeq := snapSeq
-	for _, seq := range segSeqs {
+	for _, seq := range seqsOf(files, segPrefix, segSuffix) {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
@@ -204,7 +211,7 @@ func Open(dir string, opt Options) (*Store, error) {
 			replay = append(replay, seq)
 		}
 	}
-	n, torn, err := replaySegments(dir, replay, func(payload []byte) error {
+	n, torn, err := replaySegments(dev, replay, func(payload []byte) error {
 		if err := s.applyPayloadLocked(payload, 0); err != nil {
 			// A frame whose checksum holds but whose payload is neither an
 			// observation nor a valid control record is corruption all the
@@ -223,12 +230,11 @@ func Open(dir string, opt Options) (*Store, error) {
 		s.total += st.total
 	}
 
-	w, err := openWAL(dir, maxSeq+1, opt.SegmentBytes)
+	w, err := openWAL(dev, maxSeq+1, opt.SegmentBytes)
 	if err != nil {
 		return nil, err
 	}
 	s.w = w
-	fsyncDir(dir)
 
 	if opt.Sync == SyncInterval {
 		s.stopSync = make(chan struct{})
@@ -238,20 +244,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// OpenMemory returns a Store with no directory: the same app map, compact
-// windows, memos and methods as Open's, and no WAL file, pager or
-// snapshot, so nothing outlives the process (Durable reports false).
-func OpenMemory() *Store {
-	return &Store{
-		opt: Options{CompactEvery: -1},
-		w:   &wal{}, pg: &pager{},
-		apps: map[string]*appState{},
-	}
-}
-
 // Durable reports whether the store persists to a directory (Open) or
 // holds its state in memory only (OpenMemory).
-func (s *Store) Durable() bool { return s.dir != "" }
+func (s *Store) Durable() bool { return s.dev.durable() }
 
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
@@ -531,7 +526,8 @@ func (s *Store) Recent(app string, k, skip int, dst []float64) []float64 {
 }
 
 // PageOut moves one app's compact window to disk, leaving a stub — the
-// warm→cold demotion. Unknown or already-cold apps are a no-op. The
+// warm→cold demotion. Unknown or already-cold apps are a no-op, and so
+// is every app of a memory store, which could not read a page back. The
 // page write is buffered; it is fsynced before any snapshot that
 // references the stub (see compactLocked), which is the only point the
 // page copy becomes load-bearing for recovery.
@@ -542,7 +538,7 @@ func (s *Store) PageOut(app string) error {
 		return fmt.Errorf("store: closed")
 	}
 	st := s.apps[app]
-	if st == nil || st.page != nil || s.dir == "" {
+	if st == nil || st.page != nil || !s.Durable() {
 		return nil
 	}
 	return s.pageOutLocked(app, st)
@@ -595,9 +591,6 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
-	if s.dir == "" {
-		return nil
-	}
 	// Counted from the attempt, not from a success: each attempt seals a
 	// segment, so a failing snapshot write must not be retried per append.
 	s.appended = 0
@@ -617,27 +610,21 @@ func (s *Store) compactLocked() error {
 		return err
 	}
 	snapSeq := s.w.seq - 1
-	if err := writeSnapshot(s.dir, snapSeq, s.apps, s.createSnap); err != nil {
+	if err := writeSnapshot(s.dev, snapSeq, s.apps); err != nil {
 		return err
 	}
-	s.pg.deleteBelow(s.apps)
 	// Deletion is cleanup, not correctness: leftovers are re-deleted on
 	// the next compaction, and restore ignores segments <= snapshot seq.
-	if segs, err := listSeqs(s.dir, segPrefix, segSuffix); err == nil {
-		for _, seq := range segs {
-			if seq <= snapSeq {
-				os.Remove(filepath.Join(s.dir, segName(seq)))
-			}
+	files, _ := s.dev.list()
+	s.pg.deleteBelow(s.apps, files)
+	for name := range files {
+		seg, isSeg := parseSeq(name, segPrefix, segSuffix)
+		snap, isSnap := parseSeq(name, snapPrefix, snapSuffix)
+		if isSeg && seg <= snapSeq || isSnap && snap < snapSeq {
+			s.dev.remove(name)
 		}
 	}
-	if snaps, err := listSeqs(s.dir, snapPrefix, snapSuffix); err == nil {
-		for _, seq := range snaps {
-			if seq < snapSeq {
-				os.Remove(filepath.Join(s.dir, snapName(seq)))
-			}
-		}
-	}
-	fsyncDir(s.dir)
+	s.dev.syncDir()
 	return nil
 }
 
@@ -696,23 +683,16 @@ func (s *Store) Stats() Stats {
 		st.WindowBytes += int64(a.cw.MemBytes())
 	}
 	s.mu.Unlock()
-	if s.dir == "" {
-		return st
-	}
-	entries, _ := os.ReadDir(s.dir)
-	for _, e := range entries {
-		fi, err := e.Info()
-		if e.IsDir() || err != nil {
-			continue // err: deleted by a compaction since the listing
-		}
-		if _, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
+	files, _ := s.dev.list()
+	for name, size := range files {
+		if _, ok := parseSeq(name, segPrefix, segSuffix); ok {
 			st.Segments++
-			st.WALBytes += fi.Size()
-		} else if _, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
+			st.WALBytes += size
+		} else if _, ok := parseSeq(name, snapPrefix, snapSuffix); ok {
 			st.Snapshots++
-		} else if _, ok := parseSeq(e.Name(), pagePrefix, pageSuffix); ok {
+		} else if _, ok := parseSeq(name, pagePrefix, pageSuffix); ok {
 			st.PageFiles++
-			st.PageBytes += fi.Size()
+			st.PageBytes += size
 		}
 	}
 	return st

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -206,7 +207,7 @@ func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			old := map[string]*appState{"a": {cw: compactWindowOf([]float64{1, 2.5, 3}), total: 3}}
-			if err := writeSnapshot(dir, 1, old, createSnapshotTemp); err != nil {
+			if err := writeSnapshot(dirDevice(dir), 1, old); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, snapName(2)), tc.snap, 0o644); err != nil {
@@ -240,14 +241,13 @@ func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
 func TestFailedCompactionWaitsForMoreRecords(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Sync: SyncNever, CompactEvery: 8}
-	s := mustOpen(t, dir, opt)
-	s.createSnap = func(dir string) (splitFile, error) {
-		f, err := createSnapshotTemp(dir)
-		if err != nil {
-			return nil, err
+	failSync := func(op, name string) error {
+		if op == "sync" && strings.HasPrefix(name, snapPrefix) {
+			return syscall.EIO
 		}
-		return &faultyDst{f, "sync"}, nil
+		return nil
 	}
+	s := mustOpenOn(t, &faultDevice{dirDevice(dir), failSync}, opt)
 	var obs []Observation
 	for i := 0; i < 50; i++ {
 		o := Observation{App: appName(i % 3), Concurrency: float64(i) + 0.25}

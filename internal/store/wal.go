@@ -16,13 +16,13 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -83,11 +83,11 @@ func sealRecord(buf []byte, start int) []byte {
 // a clean EOF, or an error wrapping errTorn when the segment ends in a
 // truncated or corrupt frame. fn errors abort the scan unchanged.
 func readRecords(r io.Reader, fn func(payload []byte) error) (int, error) {
-	br := newByteReader(r)
+	br := bufio.NewReaderSize(r, 64<<10)
 	n := 0
 	for {
 		var hdr [recordHeaderLen]byte
-		if err := br.readFull(hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
 				return n, nil // clean end of segment
 			}
@@ -102,7 +102,7 @@ func readRecords(r io.Reader, fn func(payload []byte) error) (int, error) {
 			return n, fmt.Errorf("record length %d out of range: %w", length, errTorn)
 		}
 		payload := make([]byte, length)
-		if err := br.readFull(payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return n, fmt.Errorf("truncated record payload: %w", errTorn)
 			}
@@ -116,49 +116,6 @@ func readRecords(r io.Reader, fn func(payload []byte) error) (int, error) {
 		}
 		n++
 	}
-}
-
-// byteReader is a minimal buffered reader: bufio would be fine, but this
-// keeps readFull's EOF/ErrUnexpectedEOF distinction explicit.
-type byteReader struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	end int
-	err error
-}
-
-func newByteReader(r io.Reader) *byteReader {
-	return &byteReader{r: r, buf: make([]byte, 64<<10)}
-}
-
-// readFull fills p entirely. io.EOF means not a single byte was read;
-// io.ErrUnexpectedEOF means a partial frame.
-func (b *byteReader) readFull(p []byte) error {
-	copied := 0
-	for copied < len(p) {
-		if b.pos == b.end {
-			if b.err != nil {
-				if copied == 0 && b.err == io.EOF {
-					return io.EOF
-				}
-				if b.err == io.EOF {
-					return io.ErrUnexpectedEOF
-				}
-				return b.err
-			}
-			n, err := b.r.Read(b.buf)
-			b.pos, b.end = 0, n
-			if err != nil {
-				b.err = err
-			}
-			continue
-		}
-		n := copy(p[copied:], b.buf[b.pos:b.end])
-		copied += n
-		b.pos += n
-	}
-	return nil
 }
 
 // Segment and snapshot file naming: wal-<seq>.log holds records appended
@@ -188,24 +145,17 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// listSeqs returns the sorted sequence numbers of all files in dir with
-// the given prefix/suffix.
-func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+// seqsOf returns the sorted sequence numbers of the files with the given
+// prefix/suffix.
+func seqsOf(files map[string]int64, prefix, suffix string) []uint64 {
 	var seqs []uint64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSeq(e.Name(), prefix, suffix); ok {
+	for name := range files {
+		if seq, ok := parseSeq(name, prefix, suffix); ok {
 			seqs = append(seqs, seq)
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	return seqs
 }
 
 // wal is the open write head of the log: the current segment file plus
@@ -221,22 +171,15 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 // after a commit's own write (and fsync, if asked) does not fail that
 // commit, whose records replay on reopen; it fails the next call.
 type wal struct {
-	dir      string
+	dev      device
 	seq      uint64 // sequence of the open segment
-	f        segmentFile
+	f        file
 	size     int64
 	segBytes int64
 	fsyncs   atomic.Int64
 	dirty    bool // bytes written since the last fsync
 	buf      []byte
 	err      error
-}
-
-// segmentFile is what the WAL needs of its open segment (an *os.File).
-type segmentFile interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Close() error
 }
 
 // fail records err as the WAL's fail-stop error, unless one is already
@@ -251,16 +194,23 @@ func (w *wal) fail(err error) error {
 // openWAL starts a fresh segment with the given sequence number. A new
 // segment per process lifetime means appends never touch a file that may
 // end in a torn tail from a previous crash.
-func openWAL(dir string, seq uint64, segBytes int64) (*wal, error) {
-	w := &wal{dir: dir, seq: seq, segBytes: segBytes}
+func openWAL(dev device, seq uint64, segBytes int64) (*wal, error) {
+	w := &wal{dev: dev, seq: seq, segBytes: segBytes}
 	if err := w.openSegment(seq); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
+// openSegment creates segment seq and syncs the directory, so that a
+// crash cannot take the segment, and the records it acks, away.
 func (w *wal) openSegment(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := w.dev.create(segName(seq))
+	if err == nil {
+		if err = w.dev.syncDir(); err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return w.fail(fmt.Errorf("store: opening segment: %w", err))
 	}
@@ -272,9 +222,6 @@ func (w *wal) openSegment(seq uint64) error {
 // single write syscall — the group-commit that makes a batched observe
 // POST cost one fsync regardless of batch size.
 func (w *wal) appendBatch(payloads [][]byte, syncNow bool) error {
-	if w.dir == "" {
-		return nil // memory store: nothing to write
-	}
 	w.buf = w.buf[:0]
 	for _, p := range payloads {
 		w.buf = appendRecord(w.buf, p)
@@ -285,9 +232,6 @@ func (w *wal) appendBatch(payloads [][]byte, syncNow bool) error {
 // appendObservations is appendBatch for the observe path: each record is
 // encoded where it is framed, so an observation costs no allocation.
 func (w *wal) appendObservations(obs []Observation, syncNow bool) error {
-	if w.dir == "" {
-		return nil
-	}
 	w.buf = w.buf[:0]
 	for _, o := range obs {
 		start := len(w.buf)
@@ -342,9 +286,6 @@ func (w *wal) rotate() error {
 }
 
 func (w *wal) close() error {
-	if w.dir == "" {
-		return nil
-	}
 	if err := w.sync(); err != nil {
 		w.f.Close()
 		return err
@@ -360,15 +301,14 @@ func (w *wal) close() error {
 // than a torn point in an earlier one, so replay repairs the damaged
 // segment (truncating it to its valid prefix) and continues. fn errors
 // other than errTorn abort the scan.
-func replaySegments(dir string, seqs []uint64, fn func(payload []byte) error) (records int, torn bool, err error) {
+func replaySegments(dev device, seqs []uint64, fn func(payload []byte) error) (records int, torn bool, err error) {
 	for _, seq := range seqs {
-		path := filepath.Join(dir, segName(seq))
-		f, err := os.Open(path)
+		f, err := dev.open(segName(seq))
 		if err != nil {
 			return records, torn, err
 		}
 		validBytes := int64(0)
-		n, rerr := readRecords(f, func(payload []byte) error {
+		n, rerr := readRecords(io.NewSectionReader(f, 0, math.MaxInt64), func(payload []byte) error {
 			if err := fn(payload); err != nil {
 				return err
 			}
@@ -385,17 +325,8 @@ func replaySegments(dir string, seqs []uint64, fn func(payload []byte) error) (r
 			// Repair: drop the torn tail so future opens see a clean
 			// segment. Failure is tolerable — the same truncation will
 			// simply be re-derived on the next open.
-			os.Truncate(path, validBytes)
+			dev.truncate(segName(seq), validBytes)
 		}
 	}
 	return records, torn, nil
-}
-
-// fsyncDir flushes directory metadata so renames and segment creation
-// survive power loss. Best-effort: some filesystems reject dir fsync.
-func fsyncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -241,44 +243,6 @@ func TestWALSegmentRotation(t *testing.T) {
 	}
 }
 
-// faultyFile wraps a WAL segment: armed, its next Write lands only the
-// first half of the buffer, its next Sync fails, or its next Close fails
-// and leaves the file open. It counts the bytes written after the fault.
-type faultyFile struct {
-	segmentFile
-	halfWrite, failSync, failClose bool
-	faulted                        bool
-	bytesAfter                     int
-}
-
-func (f *faultyFile) Write(p []byte) (int, error) {
-	if f.faulted {
-		f.bytesAfter += len(p)
-	}
-	if f.halfWrite {
-		f.halfWrite, f.faulted = false, true
-		n, _ := f.segmentFile.Write(p[:len(p)/2])
-		return n, errors.New("injected short write")
-	}
-	return f.segmentFile.Write(p)
-}
-
-func (f *faultyFile) Sync() error {
-	if f.failSync {
-		f.failSync, f.faulted = false, true
-		return errors.New("injected fsync failure")
-	}
-	return f.segmentFile.Sync()
-}
-
-func (f *faultyFile) Close() error {
-	if f.failClose {
-		f.failClose, f.faulted = false, true
-		return errors.New("injected close failure")
-	}
-	return f.segmentFile.Close()
-}
-
 // TestWALFailStop pins the WAL's fail-stop contract. A write cut short,
 // or a failed fsync, fails its own call and every later write path with
 // the same error, without writing another byte: appending after a torn
@@ -286,17 +250,31 @@ func (f *faultyFile) Close() error {
 // failed fsync a later one may succeed without the lost pages. A segment
 // that fails to rotate after a batch's own write landed fails the calls
 // after that batch, not the batch: its records replay on reopen, so it is
-// acked and applied. Reopening the directory then replays exactly the
+// acked and applied. Reopening the device then replays exactly the
 // acknowledged observations.
 func TestWALFailStop(t *testing.T) {
 	for _, mode := range []string{"half-write", "fsync", "rotate"} {
 		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
+			cd := newCrashDevice()
+			armed, faulted, writesAfter := false, false, 0
+			fault := map[string]func(string, string) error{
+				"half-write": faultOnce(&armed, "write", segPrefix, errShortWrite),
+				"fsync":      faultOnce(&armed, "sync", segPrefix, syscall.EIO),
+				"rotate":     faultOnce(&armed, "close", segPrefix, syscall.EIO),
+			}[mode]
+			dev := &faultDevice{cd, func(op, name string) error {
+				if faulted && op == "write" && strings.HasPrefix(name, segPrefix) {
+					writesAfter++
+				}
+				err := fault(op, name)
+				faulted = faulted || err != nil
+				return err
+			}}
 			opt := Options{Sync: SyncNever, CompactEvery: -1}
 			if mode == "rotate" {
 				opt.SegmentBytes = 64
 			}
-			st := mustOpen(t, dir, opt)
+			st := mustOpenOn(t, dev, opt)
 			var acked []Observation
 			for i := 0; i < 6; i++ {
 				o := Observation{App: fmt.Sprintf("fs-%d", i%2), Concurrency: float64(i) + 0.5}
@@ -305,18 +283,14 @@ func TestWALFailStop(t *testing.T) {
 				}
 				acked = append(acked, o)
 			}
-			f := &faultyFile{segmentFile: st.w.f}
-			st.w.f = f
+			armed = true
 			var first error
 			switch mode {
 			case "half-write":
-				f.halfWrite = true
 				first = st.Append("fs-0", 99)
 			case "fsync":
-				f.failSync = true
 				first = st.Sync()
 			case "rotate":
-				f.failClose = true
 				batch := make([]Observation, 8)
 				for i := range batch {
 					batch[i] = Observation{App: fmt.Sprintf("fs-%d", i%3), Concurrency: float64(i) + 0.25}
@@ -355,15 +329,15 @@ func TestWALFailStop(t *testing.T) {
 					t.Errorf("%s after the failure = %v, want %v", w.name, err, first)
 				}
 			}
-			if f.bytesAfter != 0 {
-				t.Errorf("%d bytes written after the failure, want 0", f.bytesAfter)
+			if writesAfter != 0 {
+				t.Errorf("%d WAL writes after the failure, want 0", writesAfter)
 			}
 			if got := st.TotalObservations(); got != int64(len(acked)) {
 				t.Errorf("in-memory total = %d, want the %d acked", got, len(acked))
 			}
 			st.Close()
 
-			re := mustOpen(t, dir, opt)
+			re := mustOpenOn(t, cd, opt)
 			defer re.Close()
 			assertExactPrefix(t, re, acked)
 		})
