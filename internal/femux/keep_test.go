@@ -31,9 +31,12 @@ func regimeSeries(seed int64, n int) []float64 {
 // values it asks for, both with the count n. It fails at the first
 // answer that differs in a bit: target, forecaster name, whether the
 // call extracted, the point forecast and the quantile bands. One pair is
-// kept up to date from the first value. At every length two fresh pairs
-// start over, one asked for its decision first and one for its forecast,
-// as a policy is after a model swap or a memo miss.
+// kept up to date from the first value, its second policy reading as a
+// serving hot tail does: from a ring of its forecaster's lookback
+// (RingTail) until a block is due, refilled (RingFill) from the view of
+// each call on a due block. At every length two fresh pairs start over,
+// one asked for its decision first and one for its forecast, as a policy
+// is after a model swap or a memo miss.
 func checkKeptTail(t testing.TB, m *Model, series []float64) {
 	t.Helper()
 	levels := []float64{0.5, 0.9}
@@ -42,8 +45,13 @@ func checkKeptTail(t testing.TB, m *Model, series []float64) {
 		return [2]*AppPolicy{m.NewAppPolicy(0.2), m.NewAppPolicy(0.2)}
 	}
 	live := fresh()
+	var ring []float64
+	ringDue := 0 // the count at which the live kept policy's next block is due
 	for n := 1; n <= len(series); n++ {
 		hist := series[:n]
+		if len(ring) > 0 {
+			ring[(n-1)%len(ring)] = hist[n-1]
+		}
 		for k, pair := range [][2]*AppPolicy{live, fresh(), fresh()} {
 			forecastFirst := k == 2
 			var (
@@ -53,17 +61,35 @@ func checkKeptTail(t testing.TB, m *Model, series []float64) {
 				point, qs [2][]float64
 			)
 			for j, p := range pair {
+				ringed := k == 0 && j == 1
 				view := func() []float64 {
-					if j == 0 {
+					switch {
+					case j == 0:
 						return hist
+					case ringed && n < ringDue:
+						return RingTail(ring, n, make([]float64, min(n, len(ring))))
 					}
-					k, _, _ := p.Reads(n)
-					return hist[n-k:]
+					r, _, _ := p.Reads(n)
+					return hist[n-r:]
+				}
+				// refill keeps the ring at the lookback a call on a due
+				// view left, from that view.
+				refill := func(v []float64) {
+					if ringed && n >= ringDue {
+						_, look, due := p.Reads(n)
+						if len(ring) != look {
+							ring = make([]float64, look)
+						}
+						RingFill(ring, n, v)
+						ringDue = due
+					}
 				}
 				if forecastFirst {
 					point[j] = p.ForecastTail(view(), n, 3, nil, ws)
 				}
-				target[j], name[j], extracted[j] = p.Decide(view(), n, 2, 0.8, ws)
+				v := view()
+				target[j], name[j], extracted[j] = p.Decide(v, n, 2, 0.8, ws)
+				refill(v)
 				if !forecastFirst {
 					point[j] = p.ForecastTail(view(), n, 3, nil, ws)
 				}

@@ -159,11 +159,14 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 	if len(byName) > 1 {
 		slices.SortStableFunc(byName, func(x, y int) int { return strings.Compare(items[x].App, items[y].App) })
 	}
+	// One borrowed workspace serves every item: they restore and apply
+	// in turn.
+	ws := forecast.GetWorkspace()
 	for j, i := range byName {
 		if j > 0 && items[i].App == items[byName[j-1]].App {
 			held[i] = held[byName[j-1]]
 		} else {
-			held[i] = s.acquire(items[i].App)
+			held[i] = s.acquire(items[i].App, ws)
 		}
 	}
 	// The sort is stable, so an app's items keep input order.
@@ -178,8 +181,6 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		}
 		err = fmt.Errorf("durable store append failed: %w", err)
 	} else {
-		// One borrowed workspace serves every item: they apply in turn.
-		ws := forecast.GetWorkspace()
 		for i, a := range held {
 			if a != nil {
 				res := &results[i]
@@ -187,7 +188,6 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 				res.History = a.n
 			}
 		}
-		forecast.PutWorkspace(ws)
 		accepted = len(durable)
 	}
 	for j, i := range byName {
@@ -195,6 +195,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			held[i].mu.Unlock()
 		}
 	}
+	forecast.PutWorkspace(ws)
 	s.enforceBudget()
 	return accepted, err
 }

@@ -450,8 +450,8 @@ func TestBatchObserveStoreFailure(t *testing.T) {
 // values one observe at a time — over a directory and a memory store, at
 // hot budgets 0 and 1. Run under -race -count=20 in CI.
 func TestBatchReadsDueBlockBehindLaterItems(t *testing.T) {
-	// A block longer than the window plus tailSlack: the tail cannot hold
-	// it, so the block comes from the store.
+	// A block longer than the window: the ring cannot hold it, so the
+	// block comes from the store.
 	model := reshaped(t, muxModelA(t), 64, 16)
 	bs := model.Config().BlockSize
 	// Consecutive values always differ, so a view off by one shows.

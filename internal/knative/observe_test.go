@@ -25,21 +25,20 @@ func serveInProcess(h http.Handler, method, target, body string) *httptest.Respo
 // Float64bits, from the end of its store window: the history a restart,
 // an eviction or a failover would rebuild the app from, and the one its
 // due blocks are read from. After one target decision, the app's count
-// must be the window's length, and its tail must hold the last
-// min(n, lookback) values its policy's forecaster reads, at a capacity
-// of lookback+tailSlack.
+// must be the window's length, and its ring must hold exactly the last
+// min(n, lookback) values its policy's forecaster reads.
 func walOrderSlips(t testing.TB, svc *Service, app string) int {
 	t.Helper()
-	a := svc.acquire(app)
 	ws := forecast.GetWorkspace()
+	a := svc.acquire(app, ws)
 	svc.decide(a, ws, 1, 0, nil)
 	forecast.PutWorkspace(ws)
-	hot, n, size := append([]float64(nil), a.history...), a.n, cap(a.history)
+	hot, n, size := ringTail(a), a.n, len(a.history)
 	_, look, _ := a.policy.Reads(n)
 	svc.releaseApp(a)
 	win := svc.st.Window(app)
-	if n != len(win) || len(hot) < min(n, look) || len(hot) > n || size != look+tailSlack {
-		t.Fatalf("%s: hot tail of %d values (capacity %d) for %d observations (lookback %d), the store window %d",
+	if n != len(win) || len(hot) != min(n, look) || size != look {
+		t.Fatalf("%s: hot tail of %d values (ring of %d) for %d observations (lookback %d), the store window %d",
 			app, len(hot), size, n, look, len(win))
 	}
 	win = win[n-len(hot):]

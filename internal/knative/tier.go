@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -18,9 +19,9 @@ import (
 // apps-ever-seen instead of apps-currently-hot. The service therefore
 // keeps three tiers:
 //
-//	hot   the end of the history its forecaster reads (forecast.Lookback,
-//	      at most Window+32 values) + policy + drift detector: the
-//	      zero-allocation observe path. A due block is read from the
+//	hot   a ring of exactly the values its forecaster reads
+//	      (forecast.Lookback, at most Window) + policy + drift detector:
+//	      the zero-allocation observe path. A due block is read from the
 //	      store, its one holder. Bounded by MaxHotApps, LRU-evicted, and
 //	      entered only by a request's first touch.
 //	warm  the compact window only (store.CompactWindow), in the store: every
@@ -52,9 +53,9 @@ import (
 // No tier holds a forecast workspace. A workspace is scratch, not app
 // state: it holds buffers and plan pointers and no result, so any request
 // may use any workspace. A request takes one from forecast.GetWorkspace
-// after its apps are locked, uses it for every decision it makes, and
-// puts it back before it answers, so the workspaces in use are bounded by
-// the requests computing at once, not by the hot fleet.
+// before it acquires its apps, restores them and makes every decision in
+// it, and puts it back before it answers, so the workspaces in use are
+// bounded by the requests computing at once, not by the hot fleet.
 type tiers struct {
 	maxHot int // hot apps; <= 0 = unlimited
 
@@ -103,11 +104,11 @@ func lostRaceBackoff(attempt int) {
 }
 
 // acquire returns the named app with its lock held, lazily restoring
-// warm/cold state and bumping the tier LRU. Callers must a.mu.Unlock()
-// and then enforce the budget (releaseApp does both).
-func (s *Service) acquire(name string) *svcApp {
+// warm/cold state in ws and bumping the tier LRU. Callers must
+// a.mu.Unlock() and then enforce the budget (releaseApp does both).
+func (s *Service) acquire(name string, ws *forecast.Workspace) *svcApp {
 	for attempt := 0; ; attempt++ {
-		a := s.app(name)
+		a := s.app(name, ws)
 		a.mu.Lock()
 		if !a.gone {
 			s.touch(a)

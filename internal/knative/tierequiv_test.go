@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
@@ -130,9 +131,11 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 	// count through the same acquire path serving uses (restoring it if
 	// demoted).
 	driftState := func(s *Service, app string) (d lifecycle.Detector, tail []float64, n int) {
-		a := s.acquire(app)
+		a := s.acquire(app, forecast.NewWorkspace())
 		d, n = a.drift, a.n
-		tail = append(tail, a.history...)
+		if a.due != 0 { // else the ring awaits its refill from the store
+			tail = ringTail(a)
+		}
 		s.releaseApp(a)
 		return d, tail, n
 	}

@@ -21,19 +21,20 @@ func TestServiceTargetZeroAlloc(t *testing.T) {
 	s := NewService(trainTinyModel(t))
 	rng := rand.New(rand.NewSource(4))
 
-	a := s.app("alloc-probe")
+	ws := forecast.NewWorkspace()
+	a := s.app("alloc-probe", ws)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// 45 observations: one completed block (size 30), mid-block afterwards,
 	// so the measured calls never cross a block boundary and re-classify.
+	var hist []float64
 	for i := 0; i < 45; i++ {
-		a.history = append(a.history, 2+rng.Float64())
+		hist = append(hist, 2+rng.Float64())
 	}
-	ws := forecast.NewWorkspace()
-	a.policy.TargetWS(a.history, 1, ws)
-	a.policy.TargetWS(a.history, 1, ws)
+	a.policy.TargetWS(hist, 1, ws)
+	a.policy.TargetWS(hist, 1, ws)
 	allocs := testing.AllocsPerRun(50, func() {
-		a.policy.TargetWS(a.history, 1, ws)
+		a.policy.TargetWS(hist, 1, ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state target computation: %v allocs/op, want 0", allocs)
@@ -83,17 +84,18 @@ func TestServiceQuantileTargetZeroAlloc(t *testing.T) {
 	s := NewServiceWith(trainTinyModel(t), ServiceOptions{QuantileLevel: 0.95})
 	rng := rand.New(rand.NewSource(4))
 
-	a := s.app("alloc-probe-q")
+	ws := forecast.NewWorkspace()
+	a := s.app("alloc-probe-q", ws)
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	var hist []float64
 	for i := 0; i < 45; i++ {
-		a.history = append(a.history, 2+rng.Float64())
+		hist = append(hist, 2+rng.Float64())
 	}
-	ws := forecast.NewWorkspace()
-	a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, ws)
-	a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, ws)
+	a.policy.TargetQuantilesWS(hist, 1, s.qlevel, ws)
+	a.policy.TargetQuantilesWS(hist, 1, s.qlevel, ws)
 	allocs := testing.AllocsPerRun(50, func() {
-		a.policy.TargetQuantilesWS(a.history, 1, s.qlevel, ws)
+		a.policy.TargetQuantilesWS(hist, 1, s.qlevel, ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state quantile target computation: %v allocs/op, want 0", allocs)

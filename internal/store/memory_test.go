@@ -92,7 +92,7 @@ func testBackendConformance(t *testing.T) {
 			each("SetMemo", func(s *Store) error { s.SetMemo(app, m); return nil })
 		case r < 76:
 			same(when+": RestoreWindowMemo", func(s *Store) any {
-				win, memo, _, ok := s.RestoreWindowMemo(app) // paged is the one answer that may differ
+				win, memo, _, ok := s.RestoreWindowMemo(app, nil) // paged is the one answer that may differ
 				return restored{float64Bits(win), memo, ok}
 			})
 		case r < 82:
@@ -138,7 +138,7 @@ func testBackendConformance(t *testing.T) {
 		same(app+": Window", func(s *Store) any { return float64Bits(s.Window(app)) })
 		same(app+": final state", func(s *Store) any {
 			win, total, ok := s.exportApp(app)
-			_, memo, _, _ := s.RestoreWindowMemo(app)
+			_, memo, _, _ := s.RestoreWindowMemo(app, nil)
 			return []any{float64Bits(win), total, ok, memo}
 		})
 	}

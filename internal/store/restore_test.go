@@ -198,7 +198,7 @@ func FuzzCompactWindowDecode(f *testing.F) {
 			in := append([]byte(nil), data...) // a cwWindow decode owns its input
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			cw, vals, err := decodeCompactWindow(in, mode)
+			cw, vals, err := decodeCompactWindow(in, mode, nil)
 			runtime.ReadMemStats(&after)
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(1<<16)); got > limit {
 				t.Fatalf("mode %d: decoding %d bytes allocated %d", mode, len(data), got)
@@ -450,7 +450,7 @@ func TestRestoredWindowIsTheCallers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		win, _, paged, ok := s.RestoreWindowMemo("a")
+		win, _, paged, ok := s.RestoreWindowMemo("a", nil)
 		if !ok || paged != cold {
 			t.Fatalf("cold=%v: restore ok=%v paged=%v", cold, ok, paged)
 		}
@@ -466,7 +466,7 @@ func TestRestoredWindowIsTheCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, s.Window("a"), want, "paged out after the caller scribbled")
-		again, _, _, _ := s.RestoreWindowMemo("a")
+		again, _, _, _ := s.RestoreWindowMemo("a", nil)
 		assertBitIdentical(t, again, want, "restored again")
 		s.Close()
 	}
@@ -564,14 +564,23 @@ func TestColdRestoreAllocations(t *testing.T) {
 		}
 	}
 	pageOut()
-	s.RestoreWindowMemo("a") // opens the read handle
+	s.RestoreWindowMemo("a", nil) // opens the read handle
 	got := mallocsOf(pageOut, func() {
-		if win, _, paged, _ := s.RestoreWindowMemo("a"); !paged || len(win) != 300 {
+		if win, _, paged, _ := s.RestoreWindowMemo("a", nil); !paged || len(win) != 300 {
 			t.Fatalf("restore: paged=%v len=%d", paged, len(win))
 		}
 	})
 	if got > 6 {
 		t.Fatalf("a cold restore of 300 values made %d allocations, want at most 6", got)
+	}
+	// Into a buffer the caller lends, the values cost nothing.
+	buf := make([]float64, 300)
+	lend := func(n int) []float64 { return buf[:n] }
+	if lent := mallocsOf(pageOut, func() { s.RestoreWindowMemo("a", lend) }); lent >= got {
+		t.Fatalf("a cold restore into a lent buffer made %d allocations, one into its own %d", lent, got)
+	}
+	if lent := mallocsOf(func() {}, func() { s.RestoreWindowMemo("a", lend) }); lent != 0 {
+		t.Fatalf("a warm restore into a lent buffer made %d allocations, want 0", lent)
 	}
 	// And the observe path frames into the WAL's buffer: the per-app state
 	// exists, the window has room, nothing is left to allocate.

@@ -69,12 +69,9 @@ type appState struct {
 	cw    CompactWindow
 	page  *pageRef // non-nil => cw is empty and the window lives on disk
 	total int64
-	// touched is the CLOCK reference bit for the inline-budget sweep
-	// (in-memory only, never serialized): set on every apply/restore,
-	// cleared by a sweep pass before the app becomes a page-out victim.
-	touched bool
-	// The caller's Memo, in memory only like touched, flattened into the
-	// padding after it so the record stays in its 96-byte size class.
+	flags uint8 // the inline budget's CLOCK bits, in memory only
+	// The caller's Memo, in memory only like flags, flattened into the
+	// padding after them so the record stays in its 96-byte size class.
 	memoGroup uint8
 	memoGen   uint16
 	memoLen   uint32
@@ -156,7 +153,7 @@ func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	cw, _, err := decodeCompactWindow(p, cwWindow)
+	cw, _, err := decodeCompactWindow(p, cwWindow, nil)
 	if err != nil {
 		return "", nil, err
 	}
