@@ -31,9 +31,9 @@
 // independent of -minutes).
 //
 // With -retry N each transiently-failed request or batch item — a
-// transport error, or a 502/503/504 (dead or unpromoted backend mid
-// failover) — is retried up to N times after -retry-wait, so a replay
-// rides across a shard failover without losing observations. Permanent
+// transport error, or a 502/503/504 (a backend down while it restarts)
+// — is retried up to N times after -retry-wait, so a replay rides across
+// a shard restart without losing observations. Permanent
 // rejections (validation errors, and a 421 from a shard that does not own
 // the app) are never retried.
 //
@@ -360,9 +360,9 @@ type replayConfig struct {
 }
 
 // retryableStatus reports whether an HTTP status is worth retrying:
-// gateway failures and 503 (backend dead or replica awaiting promotion)
-// clear when the router promotes a replica. A 421 does not clear: shard
-// ownership is fixed while the fleet runs.
+// gateway failures and 503 (backend dead) clear when the backend is
+// restarted. A 421 does not clear: shard ownership is fixed while the
+// fleet runs.
 func retryableStatus(code int) bool {
 	switch code {
 	case http.StatusServiceUnavailable, http.StatusBadGateway,
@@ -553,7 +553,7 @@ func postSingle(client *http.Client, cfg replayConfig, ev obsEvent, st *workerSt
 // answers 200 even when individual items were rejected, so partial
 // failures only surface here — exactly the case the exit code must not
 // swallow. Transient failures — a failed request, or items answered 503
-// (shard dead / replica unpromoted) — are retried up to cfg.Retries times
+// (shard dead) — are retried up to cfg.Retries times
 // with only the still-failing items re-sent; permanent rejections fail
 // immediately.
 func postBatch(client *http.Client, cfg replayConfig, chunk []obsEvent, st *workerStats) {

@@ -6,25 +6,20 @@
 // instance so a retrained model in a shared directory goes live
 // fleet-wide.
 //
-// Each -backends entry is one shard's backend GROUP: a primary
-// optionally followed by '|'-separated replicas started with
-// femuxd -replica-of. The router health-checks every shard's active
-// backend and, after -health-fails consecutive failures, promotes the
-// next backend in the group (POST /v1/admin/promote) and fails traffic
-// over — no client ever needs to know which backend is serving. The
-// shard count is fixed while the router runs: to resize a fleet, stop
-// it, split the shards' data directories with femux-split, and restart
-// the instances and the router with the new count.
+// Each -backends entry is one shard's femuxd. The shard count is fixed
+// while the router runs: a crashed instance is restarted on its data
+// directory, and to resize a fleet, stop it, split the shards' data
+// directories with femux-split, and restart the instances and the router
+// with the new count.
 //
 // Usage:
 //
-//	femux-shard -addr :8080 \
-//	    -backends 'http://127.0.0.1:9090|http://127.0.0.1:9190,http://127.0.0.1:9091'
+//	femux-shard -addr :8080 -backends http://127.0.0.1:9090,http://127.0.0.1:9091
 //
-// The backend-group order defines the shard numbering and must match
-// each instance's -shard-id; /healthz reports healthy only when every
-// shard's active backend is. /metrics exposes the router's per-shard
-// routing, error, and promotion counters.
+// The backend order defines the shard numbering and must match each
+// instance's -shard-id; /healthz reports healthy only when every shard
+// is. /metrics exposes the router's per-shard routing and error
+// counters.
 package main
 
 import (
@@ -46,32 +41,23 @@ func main() {
 	log.SetPrefix("femux-shard: ")
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
-		backends        = flag.String("backends", "", "comma-separated backend groups in shard order; each group is 'primary[|replica...]'")
+		backends        = flag.String("backends", "", "comma-separated femuxd base URLs in shard order")
 		timeout         = flag.Duration("timeout", 10*time.Second, "per-backend request timeout")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "drain deadline on SIGINT/SIGTERM")
-		healthEvery     = flag.Duration("health-interval", 500*time.Millisecond, "active-backend health-check period (0 disables the failover loop)")
-		healthFails     = flag.Int("health-fails", 3, "consecutive health-check failures before promoting the next backend")
 	)
 	flag.Parse()
 
-	var groups []string
+	var urls []string
 	for _, b := range strings.Split(*backends, ",") {
 		if b = strings.TrimSpace(b); b != "" {
-			groups = append(groups, b)
+			urls = append(urls, b)
 		}
 	}
-	rt, err := knative.NewShardRouter(groups, &http.Client{Timeout: *timeout})
+	rt, err := knative.NewShardRouter(urls, newClient(*timeout))
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("routing %d shards: %s", rt.Shards(), strings.Join(groups, ", "))
-
-	var stopHealth func()
-	if *healthEvery > 0 {
-		stopHealth = rt.StartHealthLoop(*healthEvery, *healthFails)
-		log.Printf("failover loop: checking active backends every %s, promoting after %d failures",
-			*healthEvery, *healthFails)
-	}
+	log.Printf("routing %d shards: %s", rt.Shards(), strings.Join(urls, ", "))
 
 	server := &http.Server{
 		Addr:        *addr,
@@ -88,11 +74,22 @@ func main() {
 	}()
 
 	log.Printf("serving shard router on %s", *addr)
-	err = serving.Run(server, stop, *shutdownTimeout, log.Printf)
-	if stopHealth != nil {
-		stopHealth()
-	}
-	if err != nil {
+	if err := serving.Run(server, stop, *shutdownTimeout, log.Printf); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// maxIdlePerShard is how many idle connections the router keeps to each
+// shard. http.DefaultTransport keeps 2, so past two concurrent requests
+// to a shard the router would dial a new connection for most requests.
+const maxIdlePerShard = 256
+
+// newClient returns the router's client: timeout per request, on a
+// transport that keeps up to maxIdlePerShard idle connections to each
+// shard.
+func newClient(timeout time.Duration) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no cap across shards
+	tr.MaxIdleConnsPerHost = maxIdlePerShard
+	return &http.Client{Timeout: timeout, Transport: tr}
 }

@@ -9,8 +9,7 @@
 //
 // Stop every instance of the old fleet first, then start instance i of
 // the new one with -data-dir new-i -shards 3 -shard-id i, and the router
-// with the new backend list. Followers start over with empty data
-// directories and bootstrap from their primary.
+// with the new backend list.
 package main
 
 import (

@@ -25,6 +25,18 @@ import (
 // in-process service computes over the same stream. Skipped with -short
 // (it compiles the binary); the nightly full tier runs it.
 func TestFemuxdSigtermRestartBitIdentical(t *testing.T) {
+	testRestartBitIdentical(t, syscall.SIGTERM)
+}
+
+// TestFemuxdKill9RestartBitIdentical is the same with kill -9, the
+// recovery path: no shutdown hook runs, and the restarted binary must
+// still hold every acked observation and serve what an uninterrupted
+// service would.
+func TestFemuxdKill9RestartBitIdentical(t *testing.T) {
+	testRestartBitIdentical(t, syscall.SIGKILL)
+}
+
+func testRestartBitIdentical(t *testing.T, sig syscall.Signal) {
 	if testing.Short() {
 		t.Skip("builds and runs the femuxd binary; skipped in -short")
 	}
@@ -57,14 +69,14 @@ func TestFemuxdSigtermRestartBitIdentical(t *testing.T) {
 	defer ctl.Close()
 	feed(ctl.URL, 0, total)
 
-	// First femuxd process: half the replay, then SIGTERM.
+	// First femuxd process: half the replay, then the signal.
 	addr := freeAddr(t)
 	proc1 := startFemuxd(t, bin, addr, modelPath, "-data-dir", dataDir, "-fsync", "always")
 	feed("http://"+addr, 0, half)
-	if err := proc1.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := proc1.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
-	if err := proc1.Wait(); err != nil {
+	if err := proc1.Wait(); sig == syscall.SIGTERM && err != nil {
 		t.Fatalf("femuxd did not exit cleanly on SIGTERM: %v", err)
 	}
 

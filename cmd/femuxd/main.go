@@ -20,7 +20,9 @@
 // With -data-dir, every acknowledged observation is persisted through a
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
-// loses no state. Without it the same store is held in memory: same
+// loses no state. Restart is the recovery path: /healthz answers 503
+// once the WAL has failed, and a supervisor that kills and restarts
+// femuxd on the same -data-dir gets back every acknowledged observation. Without it the same store is held in memory: same
 // tiering, no files, nothing survives the process. -max-hot-apps and
 // -max-warm-apps bound the hot and in-memory-window tiers so a
 // million-app fleet serves in bounded RSS: the LRU excess is demoted to
@@ -43,7 +45,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -108,9 +109,6 @@ func main() {
 		watchModel = flag.Bool("watch-model", false, "poll the -model file and hot-reload when it changes")
 		watchEvery = flag.Duration("watch-interval", 2*time.Second, "poll period for -watch-model")
 
-		replicaOf    = flag.String("replica-of", "", "primary femuxd base URL: start as a gated replica tailing its WAL (requires -data-dir)")
-		replInterval = flag.Duration("repl-interval", 100*time.Millisecond, "replication poll period when caught up")
-
 		retrainEvery = flag.Duration("retrain-every", 0,
 			"run a drift-aware retrain cycle this often: retrain on recent windows, shadow-evaluate, auto-promote winners (0 = disabled)")
 		driftThreshold = flag.Float64("drift-threshold", 0.5,
@@ -129,16 +127,9 @@ func main() {
 	if *watchModel && *modelPath == "" {
 		log.Fatal("-watch-model requires -model")
 	}
-	if *replicaOf != "" && *dataDir == "" {
-		log.Fatal("-replica-of requires -data-dir (the replicated WAL needs somewhere to live)")
-	}
-	// A ticker panics on a period of 0, and a caught-up follower would
-	// poll its primary in a tight loop.
+	// A ticker panics on a period of 0.
 	if *watchEvery <= 0 {
 		log.Fatalf("-watch-interval must be positive, got %s", *watchEvery)
-	}
-	if *replInterval <= 0 {
-		log.Fatalf("-repl-interval must be positive, got %s", *replInterval)
 	}
 
 	opts := buildOpts{
@@ -191,7 +182,7 @@ func main() {
 		log.Fatalf("-quantile-level must be in [0, 1), got %g", *quantileLevel)
 	}
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
-		Store: st, ShardID: *shardID, Shards: *shards, Replica: *replicaOf != "",
+		Store: st, ShardID: *shardID, Shards: *shards,
 		MaxHotApps: *maxHotApps, QuantileLevel: *quantileLevel,
 	})
 	if *quantileLevel > 0 {
@@ -202,15 +193,6 @@ func main() {
 	svc.InstrumentWith(reg)
 	registerStoreMetrics(reg, st)
 
-	var repl *knative.Replicator
-	if *replicaOf != "" {
-		repl = knative.NewReplicator(st, strings.TrimRight(*replicaOf, "/"),
-			&http.Client{Timeout: 5 * time.Second})
-		repl.Interval = *replInterval
-		repl.InstrumentWith(reg)
-		repl.Start()
-		log.Printf("replica: tailing %s every %s (serving gated until promotion)", *replicaOf, *replInterval)
-	}
 	if *shards > 1 {
 		shardInfo := reg.NewGauge("femux_shard_info",
 			"Constant 1, labeled with this instance's shard assignment.",
@@ -238,7 +220,7 @@ func main() {
 	}
 
 	reload := func() (*femux.Model, error) { return buildModel(opts) }
-	handler := newHandler(svc, reg, reload, log.Default(), *reqTimeout, repl, lcm)
+	handler := newHandler(svc, reg, reload, log.Default(), *reqTimeout, lcm)
 
 	server := &http.Server{
 		Addr:         *addr,
@@ -283,9 +265,6 @@ func main() {
 	err = serving.Run(server, stop, *shutdownTimeout, log.Printf)
 	if lcm != nil {
 		lcm.Stop()
-	}
-	if repl != nil {
-		repl.Stop()
 	}
 	if cerr := st.Close(); cerr != nil {
 		log.Printf("closing durable store: %v", cerr)
@@ -457,7 +436,7 @@ type reloadResponse struct {
 // The admin reload and pprof routes sit outside the request timeout:
 // retraining and CPU profiles legitimately run for longer than an API
 // request is allowed to.
-func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*femux.Model, error), logger *log.Logger, timeout time.Duration, repl *knative.Replicator, lcm *lifecycle.Manager) http.Handler {
+func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*femux.Model, error), logger *log.Logger, timeout time.Duration, lcm *lifecycle.Manager) http.Handler {
 	var api http.Handler = svc.Handler()
 	if timeout > 0 {
 		api = http.TimeoutHandler(api, timeout, "request timed out\n")
@@ -466,26 +445,6 @@ func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*fe
 	root := http.NewServeMux()
 	root.Handle("/", api)
 	root.Handle("/metrics", reg.Handler())
-	if repl != nil {
-		// Shadow the service's promote route so the replication pull loop
-		// is fully stopped BEFORE the serving gate drops — a promoted
-		// instance must never interleave replicated chunks with the direct
-		// writes it now accepts.
-		root.HandleFunc("/v1/admin/promote", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "promote requires POST", http.StatusMethodNotAllowed)
-				return
-			}
-			repl.Stop()
-			apps := svc.Promote()
-			logger.Printf("promoted to primary: serving %d apps", apps)
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(struct {
-				Apps       int `json:"apps"`
-				Promotions int `json:"promotions"`
-			}{apps, svc.Promotions()})
-		})
-	}
 	root.HandleFunc("/v1/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "reload requires POST", http.StatusMethodNotAllowed)

@@ -21,6 +21,7 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
 )
 
@@ -86,8 +87,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 
 // TestNonPositiveIntervalsRefused pins the checks femuxd makes right
 // after parsing its flags: a poll period that is not positive (a zero
-// ticker period panics; a caught-up follower polling every 0s spins)
-// ends the process before it trains or serves, with a non-zero exit and
+// ticker period panics) ends the process before it trains or serves, with a non-zero exit and
 // an error that names the flag.
 func TestNonPositiveIntervalsRefused(t *testing.T) {
 	if testing.Short() {
@@ -97,8 +97,6 @@ func TestNonPositiveIntervalsRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-watch-interval", "0"},
 		{"-watch-model", "-model", "model.json", "-watch-interval", "-1s"},
-		{"-repl-interval", "0"},
-		{"-replica-of", "http://127.0.0.1:1", "-data-dir", t.TempDir(), "-repl-interval", "-5ms"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
@@ -125,6 +123,29 @@ func TestRemovedWindowCapFlagRefused(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
 		!strings.Contains(string(out), "flag provided but not defined: -window-cap") {
 		t.Fatalf("femuxd -window-cap 100: %v\n%s", err, out)
+	}
+}
+
+// TestRemovedReplicationFlagsRefused pins the deletion of WAL
+// replication: a crashed femuxd is restarted on its data directory, and a
+// command line that still asks for a follower is a flag error.
+func TestRemovedReplicationFlagsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
+	}
+	bin := buildFemuxd(t)
+	for _, args := range [][]string{
+		{"-replica-of", "http://127.0.0.1:1"},
+		{"-repl-interval", "100ms"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", args[0], args[1]).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
+			!strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("femuxd %s %s: %v\n%s", args[0], args[1], err, out)
+		}
 	}
 }
 
@@ -164,7 +185,7 @@ func TestHandlerAdminReload(t *testing.T) {
 		return next, nil
 	}
 	logger := log.New(io.Discard, "", 0)
-	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil, nil))
+	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil))
 	defer srv.Close()
 
 	// Wrong method.
@@ -278,7 +299,7 @@ func TestHandlerAdminLifecycle(t *testing.T) {
 	rebuild := func() (*femux.Model, error) { return model, nil }
 
 	// Disabled (-retrain-every 0): the endpoint 404s.
-	off := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil, nil))
+	off := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil))
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/v1/admin/lifecycle")
 	if err != nil {
@@ -291,7 +312,7 @@ func TestHandlerAdminLifecycle(t *testing.T) {
 
 	lcm := lifecycle.New(svc, lifecycle.Config{DriftThreshold: 0, MinImprove: -100, Seed: 3})
 	lcm.InstrumentWith(reg)
-	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil, lcm))
+	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, lcm))
 	defer srv.Close()
 
 	// GET: status JSON, zero cycles so far.
@@ -372,5 +393,44 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStoreFsyncsMetric pins femux_store_fsyncs_total on the store
+// femuxd opens: without -data-dir it reads 0 after a Sync and a
+// compaction, which reach no disk; with -data-dir it counts each.
+func TestStoreFsyncsMetric(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		open func() (*store.Store, error)
+		want string
+	}{
+		{"memory", func() (*store.Store, error) { return store.OpenMemory(), nil }, "femux_store_fsyncs_total 0\n"},
+		{"data_dir", func() (*store.Store, error) {
+			return store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
+		}, "femux_store_fsyncs_total 2\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := c.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			reg := serving.NewRegistry()
+			registerStoreMetrics(reg, st)
+			for _, step := range []func() error{
+				func() error { return st.Append("a", 1) }, st.Sync,
+				func() error { return st.Append("a", 2) }, st.Compact,
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := httptest.NewRecorder()
+			reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if !strings.Contains(rec.Body.String(), c.want) {
+				t.Errorf("scrape lacks %q:\n%s", c.want, rec.Body.String())
+			}
+		})
 	}
 }

@@ -47,10 +47,10 @@ type BatchObserveRequest struct {
 // Error is set (and the decision fields zero) for items that were
 // rejected — invalid values or apps owned by another shard; the rest of
 // the batch still lands. Status distinguishes why: 503 means the shard
-// is temporarily unavailable (replica awaiting promotion, dead backend —
-// retry the same item), 421 means the app lives on another shard
-// (Owner, when set, names it — resend there). Zero Status with a
-// non-empty Error is a permanent validation failure.
+// is temporarily unavailable (a dead backend — retry the same item), 421
+// means the app lives on another shard (Owner, when set, names it —
+// resend there). Zero Status with a non-empty Error is a permanent
+// validation failure.
 type BatchItemResult struct {
 	App        string `json:"app"`
 	Target     int    `json:"target"`
@@ -80,9 +80,6 @@ type BatchObserveResponse struct {
 func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "batch observe requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.replicaGated(w) {
 		return
 	}
 	var req BatchObserveRequest

@@ -54,7 +54,7 @@ func (s *Service) MaxDriftScore() float64 {
 }
 
 // LifecycleSnapshot implements lifecycle.Serving: it captures the
-// serving model, the per-app drift summary, the replica gate, and the
+// serving model, the per-app drift summary, and the
 // fleet's observation windows (sorted by app name; maxApps > 0 keeps the
 // first maxApps names) for retraining and shadow evaluation.
 //
@@ -62,12 +62,8 @@ func (s *Service) MaxDriftScore() float64 {
 // lock from before the WAL commit until after the apply, so a hot tail
 // ends its store window, and reading the store promotes no cold app.
 func (s *Service) LifecycleSnapshot(maxApps int, driftThreshold float64) lifecycle.Snapshot {
-	snap := lifecycle.Snapshot{Model: s.Model(), Gated: s.IsReplica()}
+	snap := lifecycle.Snapshot{Model: s.Model()}
 	snap.MaxDrift, snap.Drifted, snap.Tracked = s.DriftSummary(driftThreshold)
-	if snap.Gated {
-		// A catching-up replica never retrains; skip the window copies.
-		return snap
-	}
 	names := s.st.AppNames() // sorted
 	if maxApps > 0 && len(names) > maxApps {
 		names = names[:maxApps]

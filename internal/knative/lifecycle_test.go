@@ -6,88 +6,12 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
-	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
 // hotApps counts apps resident in the hot tier right now.
 func hotApps(s *Service) int {
 	return s.HotApps()
-}
-
-// TestLifecycleReplicaGateOnService is the regression test for the
-// promote-during-catchup hazard on a real Service: while the instance is
-// an unpromoted replica, a lifecycle cycle must skip without retraining
-// or touching the model — surfaced as a skip metric, not an error — and
-// after Promote the very next cycle proceeds normally.
-func TestLifecycleReplicaGateOnService(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, Replica: true})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	mgr := lifecycle.New(svc, lifecycle.Config{
-		DriftThreshold: 0, // retrain every cycle
-		MinImprove:     -100,
-		Seed:           7,
-	})
-	lm := mgr.InstrumentWith(serving.NewRegistry())
-
-	// Replica: serving is 503-gated, and the cycle must skip before any
-	// retrain work happens.
-	if code := postObserve(t, srv.URL, "gated", 3); code != 503 {
-		t.Fatalf("replica observe code = %d, want 503", code)
-	}
-	res := mgr.RunCycle()
-	if res.Outcome != lifecycle.OutcomeSkippedReplica {
-		t.Fatalf("replica cycle outcome = %q, want %q", res.Outcome, lifecycle.OutcomeSkippedReplica)
-	}
-	if res.Error != "" {
-		t.Fatalf("replica skip must not error, got %q", res.Error)
-	}
-	if svc.Reloads() != 0 {
-		t.Fatal("replica cycle swapped the model")
-	}
-	if got := lm.Skips.Value("replica"); got != 1 {
-		t.Fatalf("femux_lifecycle_skips_total{reason=replica} = %v, want 1", got)
-	}
-	if got := lm.Cycles.Value(string(lifecycle.OutcomeSkippedReplica)); got != 1 {
-		t.Fatalf("cycles{skipped-replica} = %v, want 1", got)
-	}
-	if got := lm.Retrains.Sum(); got != 0 {
-		t.Fatalf("retrains after skipped cycle = %v, want 0", got)
-	}
-
-	// Promote, feed real windows, and the gate lifts: the same manager's
-	// next cycle retrains and (with the permissive margin) promotes.
-	svc.Promote()
-	for _, app := range []string{"a", "b", "c"} {
-		for i := 0; i < 120; i++ {
-			v := 0.0
-			if i%6 < 2 {
-				v = 4.0
-			}
-			if code := postObserve(t, srv.URL, app, v); code != 200 {
-				t.Fatalf("post-promote observe code = %d", code)
-			}
-		}
-	}
-	res = mgr.RunCycle()
-	if res.Outcome != lifecycle.OutcomePromoted {
-		t.Fatalf("post-promote cycle outcome = %q (err %q), want %q",
-			res.Outcome, res.Error, lifecycle.OutcomePromoted)
-	}
-	if svc.Reloads() != 1 {
-		t.Fatalf("reloads = %d, want 1", svc.Reloads())
-	}
-	if got := lm.Skips.Sum(); got != 1 {
-		t.Fatalf("skips after ungated cycle = %v, want still 1", got)
-	}
 }
 
 // TestLifecycleSnapshotParity feeds the same observation streams to a
@@ -120,9 +44,6 @@ func TestLifecycleSnapshotParity(t *testing.T) {
 
 	a := backed.LifecycleSnapshot(0, 0.5)
 	b := plain.LifecycleSnapshot(0, 0.5)
-	if a.Gated || b.Gated {
-		t.Fatal("non-replica snapshots must not be gated")
-	}
 	if len(a.Apps) != len(streams) || len(b.Apps) != len(streams) {
 		t.Fatalf("app counts %d/%d, want %d", len(a.Apps), len(b.Apps), len(streams))
 	}

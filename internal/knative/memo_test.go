@@ -377,24 +377,6 @@ func TestMemoInvalidation(t *testing.T) {
 		}
 	}
 
-	t.Run("promotion", func(t *testing.T) {
-		dir := t.TempDir()
-		st, err := store.Open(dir, store.Options{Sync: store.SyncNever, CompactEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		seedWindow(t, st, app, window)
-		svc := NewServiceWith(modelA, ServiceOptions{Store: st, Replica: true})
-		st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
-		svc.Promote()
-		srv := httptest.NewServer(svc.Handler())
-		defer srv.Close()
-		if got := fetchDecision(t, srv.URL, app).target.Forecaster; got != right {
-			t.Fatalf("forecaster after promotion %q, want %q", got, right)
-		}
-	})
-
 	// The stamp is 16 bits wide: versions beyond it must stop memoizing
 	// rather than wrap onto a live stamp.
 	if memoGen(1) != 1 || memoGen(1<<16-1) != 1<<16-1 || memoGen(1<<16) != 0 || memoGen(1<<16+1) != 0 || memoGen(1<<40) != 0 {

@@ -6,45 +6,11 @@ import (
 	"testing"
 )
 
-// TestNeedStoreOnMemoryService pins the one durability check the service
-// makes: the two endpoints that stream replicable state answer a
-// memory-store instance with the 503 a femuxd started without -data-dir
-// has always given, byte for byte, and a directory-backed instance with
-// anything else.
-func TestNeedStoreOnMemoryService(t *testing.T) {
-	model := trainTinyModel(t)
-	mem := httptest.NewServer(NewService(model).Handler())
-	defer mem.Close()
-	dir := httptest.NewServer(NewServiceWith(model, ServiceOptions{Store: openTestStore(t, t.TempDir())}).Handler())
-	defer dir.Close()
-	for _, srv := range []string{mem.URL, dir.URL} {
-		mustObserve(t, srv, "known", 1)
-	}
-
-	const want = "no durable store (-data-dir) on this instance\n"
-	for _, ep := range []struct{ method, path, body string }{
-		{"GET", "/v1/replication/wal?seq=1&off=0", ""},
-		{"GET", "/v1/replication/state", ""},
-	} {
-		resp, body := doReq(t, ep.method, mem.URL+ep.path, ep.body)
-		if resp.StatusCode != 503 || body != want {
-			t.Errorf("memory %s %s: %d %q, want 503 %q", ep.method, ep.path, resp.StatusCode, body, want)
-		}
-		if resp, body := doReq(t, ep.method, dir.URL+ep.path, ep.body); resp.StatusCode != 200 {
-			t.Errorf("directory %s %s: %d %q, want 200", ep.method, ep.path, resp.StatusCode, body)
-		}
-	}
-	// Status is not gated, and a memory instance now reports its total.
-	if st := getStatus(t, mem.URL); st.Total != 1 || st.Apps != 1 {
-		t.Errorf("memory status: total %d apps %d, want 1 and 1", st.Total, st.Apps)
-	}
-}
-
 // TestMemoryServiceIsTieredLikeAnyOther pins what became uniform when the
 // store-less warm map went: on a service without -data-dir an app the
 // store holds is restored through the hot LRU and counts against
-// MaxHotApps, Apps means "apps with at least one observation", and Status
-// reports the observation total.
+// MaxHotApps, Apps means "apps with at least one observation", and the
+// store holds the observation total.
 func TestMemoryServiceIsTieredLikeAnyOther(t *testing.T) {
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 2})
 	srv := httptest.NewServer(svc.Handler())
@@ -83,7 +49,7 @@ func TestMemoryServiceIsTieredLikeAnyOther(t *testing.T) {
 	if got := svc.Apps(); got != 6 {
 		t.Errorf("Apps = %d after its first observation, want 6", got)
 	}
-	if st := svc.Status(); st.Total != 5*3+1 || st.Apps != 6 {
-		t.Errorf("Status total %d apps %d, want 16 and 6", st.Total, st.Apps)
+	if total := svc.st.TotalObservations(); total != 5*3+1 {
+		t.Errorf("store total %d, want 16", total)
 	}
 }

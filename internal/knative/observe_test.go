@@ -22,9 +22,9 @@ func serveInProcess(h http.Handler, method, target, body string) *httptest.Respo
 }
 
 // walOrderSlips counts the positions where app's hot tail differs, in
-// Float64bits, from the end of its store window: the history a restart,
-// an eviction or a failover would rebuild the app from, and the one its
-// due blocks are read from. After one target decision, the app's count
+// Float64bits, from the end of its store window: the history a restart
+// or an eviction would rebuild the app from, and the one its due blocks
+// are read from. After one target decision, the app's count
 // must be the window's length, and its ring must hold exactly the last
 // min(n, lookback) values its policy's forecaster reads.
 func walOrderSlips(t testing.TB, svc *Service, app string) int {

@@ -3,7 +3,6 @@ package knative
 import (
 	"fmt"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -237,49 +236,6 @@ func TestEvictionDisplacesLRUTail(t *testing.T) {
 		}
 	}
 	hotSet("busy-0", "busy-2")
-}
-
-// TestReplicaMaterializesNothingUntilPromoted: a gated replica answers
-// every app request with 503 and builds no serving state for it; after
-// Promote the same requests restore the replicated windows whole.
-func TestReplicaMaterializesNothingUntilPromoted(t *testing.T) {
-	st := backendStore(t, "dir", store.Options{})
-	seedStoreFleet(t, st, 4, 0)
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st, MaxHotApps: 8, Replica: true})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("busy-%d", i)
-		for _, path := range []string{"/target?concurrency=1", "/forecast?horizon=6"} {
-			if resp, _ := doReq(t, http.MethodGet, srv.URL+"/v1/apps/"+name+path, ""); resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("replica GET %s%s = %d, want 503", name, path, resp.StatusCode)
-			}
-		}
-		if code := postObserve(t, srv.URL, name, 1); code != http.StatusServiceUnavailable {
-			t.Fatalf("replica observe %s = %d, want 503", name, code)
-		}
-		if materialized(svc, name) {
-			t.Fatalf("replica materialized %s", name)
-		}
-	}
-	if hot := svc.HotApps(); hot != 0 {
-		t.Fatalf("replica hot apps = %d, want 0", hot)
-	}
-	if total := st.TotalObservations(); total != 80 {
-		t.Fatalf("store total = %d after gated requests, want the 80 seeded", total)
-	}
-
-	svc.Promote()
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("busy-%d", i)
-		if d := fetchDecision(t, srv.URL, name); d.target.History != 20 {
-			t.Fatalf("promoted %s: history = %d, want 20", name, d.target.History)
-		}
-	}
-	if hot := svc.HotApps(); hot != 4 {
-		t.Fatalf("promoted hot apps = %d, want 4", hot)
-	}
 }
 
 // TestDropCachedKeepsHistory: on a memory store, dropping hot apps'

@@ -24,68 +24,33 @@ import (
 // concurrently, and merged back into input order; admin reloads fan out
 // to every instance so one retrain propagates fleet-wide.
 //
-// Each shard is a backend GROUP — "primary|replica[|replica...]" — and
-// the router is the failover controller: a health loop watches every
-// shard's active backend and, after enough consecutive failures,
-// promotes the next backend in the group (POST /v1/admin/promote) and
-// fails traffic over to it. The shard list is fixed for the router's
-// lifetime: a fleet changes size offline (store.Split), never under it.
+// Each shard is one backend, fixed for the router's lifetime: a crashed
+// instance is restarted on its data directory, and a fleet changes size
+// offline (store.Split), never under the router.
 type ShardRouter struct {
-	shards []*shardBackend
+	shards []string // shard i's base URL
 	client *http.Client
 
-	reg        *serving.Registry
-	routed     *serving.Counter // femux_route_requests_total{shard}
-	errs       *serving.Counter // femux_route_errors_total{shard}
-	promotions *serving.Counter // femux_route_promotions_total{shard}
+	reg    *serving.Registry
+	routed *serving.Counter // femux_route_requests_total{shard}
+	errs   *serving.Counter // femux_route_errors_total{shard}
 }
 
-// shardBackend is one shard's ordered backend group. urls[active] serves
-// traffic; the rest are replicas tailing it with -replica-of.
-type shardBackend struct {
-	urls []string
-
-	mu     sync.Mutex
-	active int
-	fails  int // consecutive health-check failures of urls[active]
-}
-
-func (b *shardBackend) url() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.urls[b.active]
-}
-
-// parseBackendGroup splits a "primary|replica|..." spec.
-func parseBackendGroup(spec string) (*shardBackend, error) {
-	var urls []string
-	for _, u := range strings.Split(spec, "|") {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u == "" {
-			continue
-		}
-		urls = append(urls, u)
-	}
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("knative: empty backend group %q", spec)
-	}
-	return &shardBackend{urls: urls}, nil
-}
-
-// NewShardRouter returns a router over the given backend specs, one per
-// shard in shard order; each spec is "primary[|replica...]". client may
-// be nil for a default with a 10 s timeout.
+// NewShardRouter returns a router over the given backend base URLs, one
+// per shard in shard order. client may be nil for a default with a 10 s
+// timeout.
 func NewShardRouter(backends []string, client *http.Client) (*ShardRouter, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("knative: router needs at least one backend")
 	}
-	shards := make([]*shardBackend, len(backends))
+	shards := make([]string, len(backends))
 	for i, spec := range backends {
-		b, err := parseBackendGroup(spec)
-		if err != nil {
-			return nil, err
+		if strings.Contains(spec, "|") {
+			return nil, fmt.Errorf("knative: backend %q names replicas; a shard is one backend, and its recovery is a restart on the same data directory", spec)
 		}
-		shards[i] = b
+		if shards[i] = strings.TrimRight(strings.TrimSpace(spec), "/"); shards[i] == "" {
+			return nil, fmt.Errorf("knative: empty backend for shard %d", i)
+		}
 	}
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -96,8 +61,6 @@ func NewShardRouter(backends []string, client *http.Client) (*ShardRouter, error
 		"Requests routed, per owning shard.", "shard")
 	rt.errs = rt.reg.NewCounter("femux_route_errors_total",
 		"Requests that failed at the backend, per shard.", "shard")
-	rt.promotions = rt.reg.NewCounter("femux_route_promotions_total",
-		"Replica promotions triggered by the health loop, per shard.", "shard")
 	rt.reg.NewGaugeFunc("femux_route_shards",
 		"Number of backend shards behind this router.",
 		func() float64 { return float64(rt.Shards()) })
@@ -114,16 +77,15 @@ func (rt *ShardRouter) Handler() http.Handler {
 	mux.HandleFunc("/v1/apps/", rt.proxyApp)
 	mux.HandleFunc("/v1/observe/batch", rt.splitBatch)
 	mux.HandleFunc("/v1/admin/reload", rt.fanoutReload)
-	mux.HandleFunc("/v1/admin/failover", rt.failoverHandler)
 	mux.Handle("/metrics", rt.reg.Handler())
 	return mux
 }
 
-// healthz reports healthy only when every shard's active backend is.
+// healthz reports healthy only when every shard is.
 func (rt *ShardRouter) healthz(w http.ResponseWriter, _ *http.Request) {
 	var bad []string
-	for i, b := range rt.shards {
-		resp, err := rt.client.Get(b.url() + "/healthz")
+	for i, url := range rt.shards {
+		resp, err := rt.client.Get(url + "/healthz")
 		if err != nil {
 			bad = append(bad, fmt.Sprintf("shard %d: %v", i, err))
 			continue
@@ -139,128 +101,6 @@ func (rt *ShardRouter) healthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// StartHealthLoop launches the failover controller: every interval it
-// health-checks each shard's active backend; after threshold consecutive
-// failures it promotes the next backend in the group and fails traffic
-// over. Returns a stop function.
-func (rt *ShardRouter) StartHealthLoop(interval time.Duration, threshold int) (stop func()) {
-	if threshold < 1 {
-		threshold = 1
-	}
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-time.After(interval):
-			}
-			for i, b := range rt.shards {
-				rt.checkShard(i, b, threshold)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stopCh) })
-		<-done
-	}
-}
-
-func (rt *ShardRouter) checkShard(i int, b *shardBackend, threshold int) {
-	healthy := false
-	resp, err := rt.client.Get(b.url() + "/healthz")
-	if err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		healthy = resp.StatusCode == http.StatusOK
-	}
-	b.mu.Lock()
-	if healthy {
-		b.fails = 0
-		b.mu.Unlock()
-		return
-	}
-	b.fails++
-	fails, nURLs := b.fails, len(b.urls)
-	b.mu.Unlock()
-	if fails < threshold || nURLs < 2 {
-		return
-	}
-	if err := rt.failover(i, b); err == nil {
-		b.mu.Lock()
-		b.fails = 0
-		b.mu.Unlock()
-	}
-	// On error: fails stays >= threshold, so the next tick retries the
-	// promotion (Promote is idempotent on the target).
-}
-
-// failover promotes the next backend in shard i's group and moves
-// traffic to it.
-func (rt *ShardRouter) failover(i int, b *shardBackend) error {
-	b.mu.Lock()
-	candidate := (b.active + 1) % len(b.urls)
-	url := b.urls[candidate]
-	b.mu.Unlock()
-	resp, err := rt.client.Post(url+"/v1/admin/promote", "application/json", nil)
-	if err != nil {
-		rt.errs.Inc(strconv.Itoa(i))
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.errs.Inc(strconv.Itoa(i))
-		return fmt.Errorf("promote %s: HTTP %d", url, resp.StatusCode)
-	}
-	b.mu.Lock()
-	b.active = candidate
-	b.mu.Unlock()
-	rt.promotions.Inc(strconv.Itoa(i))
-	return nil
-}
-
-// failoverHandler manually promotes shard {shard}'s next backend —
-// POST /v1/admin/failover {"shard": 1} — for operators and tests.
-func (rt *ShardRouter) failoverHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "failover requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Shard int `json:"shard"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxObserveBody)).Decode(&req); err != nil {
-		http.Error(w, "need {shard}", http.StatusBadRequest)
-		return
-	}
-	if req.Shard < 0 || req.Shard >= len(rt.shards) {
-		http.Error(w, fmt.Sprintf("no shard %d in a fleet of %d", req.Shard, len(rt.shards)),
-			http.StatusBadRequest)
-		return
-	}
-	b := rt.shards[req.Shard]
-	b.mu.Lock()
-	nURLs := len(b.urls)
-	b.mu.Unlock()
-	if nURLs < 2 {
-		http.Error(w, fmt.Sprintf("shard %d has no replica to fail over to", req.Shard),
-			http.StatusConflict)
-		return
-	}
-	if err := rt.failover(req.Shard, b); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	writeJSON(w, struct {
-		Shard  int    `json:"shard"`
-		Active string `json:"active"`
-	}{req.Shard, b.url()})
 }
 
 // proxyApp forwards a per-app request to the shard owning the app and
@@ -295,7 +135,7 @@ func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		uri += "?" + r.URL.RawQuery
 	}
-	resp, err := rt.forward(r, rt.shards[shard].url()+uri, body)
+	resp, err := rt.forward(r, rt.shards[shard]+uri, body)
 	if err != nil {
 		rt.errs.Inc(label)
 		http.Error(w, fmt.Sprintf("shard %d unavailable: %v", shard, err), http.StatusBadGateway)
@@ -304,9 +144,6 @@ func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
@@ -372,7 +209,7 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 			rt.routed.Inc(strconv.Itoa(s))
 		}
 		at[s+1] += at[s]
-		subs[s] = subBatch{url: rt.shards[s].url(), idx: idx[at[s]:at[s]:at[s+1]], results: res[at[s]:at[s]:at[s+1]]}
+		subs[s] = subBatch{url: rt.shards[s], idx: idx[at[s]:at[s]:at[s+1]], results: res[at[s]:at[s]:at[s+1]]}
 	}
 	for i, it := range items {
 		subs[it.shard].idx = append(subs[it.shard].idx, i)
@@ -512,7 +349,7 @@ func (rt *ShardRouter) fanoutReload(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	failed := false
 	var mu sync.Mutex
-	for i, b := range rt.shards {
+	for i, url := range rt.shards {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
@@ -534,7 +371,7 @@ func (rt *ShardRouter) fanoutReload(w http.ResponseWriter, r *http.Request) {
 				failed = true
 			}
 			mu.Unlock()
-		}(i, b.url())
+		}(i, url)
 	}
 	wg.Wait()
 	if failed {

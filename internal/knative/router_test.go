@@ -334,3 +334,87 @@ func TestShardRouterReloadFanout(t *testing.T) {
 		t.Errorf("GET reload = %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestBatchItemDegradation pins satellite behavior: a dead shard
+// degrades that slice of a routed batch to per-item 503s (retryable,
+// the healthy shard still commits), while a misrouted app posted
+// directly to the wrong instance gets a per-item 421 naming its owner.
+func TestBatchItemDegradation(t *testing.T) {
+	model := trainTinyModel(t)
+	svcs := make([]*Service, 2)
+	urls := make([]string, 2)
+	srvs := make([]*httptest.Server, 2)
+	for i := range svcs {
+		svcs[i] = NewServiceWith(model, ServiceOptions{ShardID: i, Shards: 2})
+		srvs[i] = httptest.NewServer(svcs[i].Handler())
+		defer srvs[i].Close()
+		urls[i] = srvs[i].URL
+	}
+	rt, err := NewShardRouter(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	// One app per shard.
+	var app0, app1 string
+	for i := 0; app0 == "" || app1 == ""; i++ {
+		name := fmt.Sprintf("deg-%d", i)
+		if store.ShardOf(name, 2) == 0 && app0 == "" {
+			app0 = name
+		} else if store.ShardOf(name, 2) == 1 && app1 == "" {
+			app1 = name
+		}
+	}
+
+	// Direct misroute: per-item 421 with the owner identified.
+	resp, out := postBatchJSON(t, urls[0], marshalBatch(t,
+		BatchObservation{App: app0, Concurrency: 1},
+		BatchObservation{App: app1, Concurrency: 1}))
+	if resp.StatusCode != http.StatusOK || out.Accepted != 1 || out.Rejected != 1 {
+		t.Fatalf("direct misroute: status=%d accepted=%d rejected=%d", resp.StatusCode, out.Accepted, out.Rejected)
+	}
+	mis := out.Results[1]
+	if mis.Status != http.StatusMisdirectedRequest || mis.Owner == nil || *mis.Owner != 1 {
+		t.Fatalf("misrouted item = %+v, want Status 421 Owner 1", mis)
+	}
+
+	// Dead shard behind the router: that slice degrades to per-item 503,
+	// the live shard's slice still commits.
+	srvs[1].Close()
+	resp, out = postBatchJSON(t, front.URL, marshalBatch(t,
+		BatchObservation{App: app0, Concurrency: 2},
+		BatchObservation{App: app1, Concurrency: 2}))
+	if resp.StatusCode != http.StatusOK || out.Accepted != 1 || out.Rejected != 1 {
+		t.Fatalf("dead shard: status=%d accepted=%d rejected=%d", resp.StatusCode, out.Accepted, out.Rejected)
+	}
+	dead := out.Results[1]
+	if dead.Status != http.StatusServiceUnavailable || dead.Error == "" {
+		t.Fatalf("dead-shard item = %+v, want Status 503 with error", dead)
+	}
+	if live := out.Results[0]; live.Error != "" {
+		t.Fatalf("live-shard item rejected alongside the dead shard: %+v", live)
+	}
+}
+
+// TestShardRouterRefusesReplicaGroups pins the deletion of router
+// failover: a backend spec that still names a primary|replica group is
+// refused with an error saying what recovery is now, not routed to its
+// first URL.
+func TestShardRouterRefusesReplicaGroups(t *testing.T) {
+	for _, backends := range [][]string{
+		{"http://127.0.0.1:9090|http://127.0.0.1:9190"},
+		{"http://127.0.0.1:9090", "http://127.0.0.1:9091|"},
+	} {
+		_, err := NewShardRouter(backends, nil)
+		if err == nil || !strings.Contains(err.Error(), "recovery is a restart") {
+			t.Errorf("NewShardRouter(%q) = %v, want an error saying recovery is a restart", backends, err)
+		}
+	}
+	for _, backends := range [][]string{{""}, {"http://127.0.0.1:9090", " "}} {
+		if _, err := NewShardRouter(backends, nil); err == nil {
+			t.Errorf("NewShardRouter(%q) accepted an empty backend", backends)
+		}
+	}
+}

@@ -66,13 +66,6 @@ type Service struct {
 	shardID, shards int
 	restored        int
 
-	// replica gates the serving path: a follower replicating a primary's
-	// WAL answers 503 (retryable) until it is promoted, so clients can
-	// never split writes between a live primary and its standby.
-	replica bool
-	// promotions counts replica->primary transitions (metrics).
-	promotions int
-
 	// tier bounds how much of the fleet is materialized and owns the app
 	// map (see tier.go): a cache of the hot tier, not the fleet roster.
 	tier tiers
@@ -80,7 +73,7 @@ type Service struct {
 	// driftBlock is the drift detector's block geometry, fixed at boot
 	// from the initial model's BlockSize so detector state stays
 	// comparable across model hot-swaps (the lifecycle retrains with the
-	// live geometry, so promotions never change it).
+	// live geometry, so a promoted model never changes it).
 	driftBlock int
 
 	metrics *ServiceMetrics // nil when metrics are not wired
@@ -95,10 +88,6 @@ type ServiceOptions struct {
 	// ShardID/Shards enable hash-partition ownership (Shards <= 1 means
 	// unsharded). The partition function is store.ShardOf.
 	ShardID, Shards int
-	// Replica starts the service gated: the API answers 503 until
-	// Promote. Used with -replica-of, where a Replicator tails the
-	// primary's WAL into Store.
-	Replica bool
 	// MaxHotApps bounds how many apps keep materialized serving state
 	// (history + policy); the LRU excess is demoted to the warm tier.
 	// 0 means unlimited (every touched app stays hot).
@@ -188,7 +177,7 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 	s := &Service{
 		model: model,
 		st:    opts.Store, shardID: opts.ShardID, shards: opts.Shards,
-		replica: opts.Replica, qlevel: opts.QuantileLevel,
+		qlevel:     opts.QuantileLevel,
 		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
 		tier: tiers{
 			maxHot: opts.MaxHotApps,
@@ -229,8 +218,8 @@ func (s *Service) modelAt() (*femux.Model, int64) {
 	return s.model, s.version
 }
 
-// modelVersions numbers model installations (service start, swap,
-// promotion) across the process, so a memo one Service left in a Store
+// modelVersions numbers model installations (service start, swap)
+// across the process, so a memo one Service left in a Store
 // never matches the model another serves it with.
 var modelVersions atomic.Int64
 
@@ -438,17 +427,6 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 			"Latency of rematerializing a warm or cold app.",
 			serving.DefaultLatencyBuckets, "from"),
 	}
-	reg.NewGaugeFunc("femux_replica",
-		"1 while this instance is an unpromoted replica, else 0.",
-		func() float64 {
-			if s.IsReplica() {
-				return 1
-			}
-			return 0
-		})
-	reg.NewGaugeFunc("femux_promotions",
-		"Replica-to-primary promotions since process start.",
-		func() float64 { return float64(s.Promotions()) })
 	reg.NewGaugeFunc("femux_apps",
 		"Applications currently tracked by the service.",
 		func() float64 { return float64(s.Apps()) })
@@ -628,27 +606,12 @@ func (s *Service) misrouted(w http.ResponseWriter, name string) bool {
 	return true
 }
 
-// replicaGated answers 503 (retryable, unlike a 421 misroute) while the
-// service is an unpromoted replica: a standby must never serve or accept
-// state the primary does not have.
-func (s *Service) replicaGated(w http.ResponseWriter) bool {
-	s.mu.RLock()
-	replica := s.replica
-	s.mu.RUnlock()
-	if !replica {
-		return false
-	}
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "replica: awaiting promotion", http.StatusServiceUnavailable)
-	return true
-}
-
 // Handler returns the service's HTTP handler.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// A failed WAL takes no more writes: report unhealthy, so a
-		// router's health loop fails over to a replica.
+		// supervisor restarts the process on its data directory.
 		if err := s.st.Err(); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
@@ -658,7 +621,6 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/apps/", s.appsHandler)
 	mux.HandleFunc("/v1/observe/batch", s.batchHandler)
-	s.mountReplication(mux)
 	return mux
 }
 
@@ -668,7 +630,7 @@ func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "expected /v1/apps/{app}/{observe|target|forecast}", http.StatusNotFound)
 		return
 	}
-	if s.replicaGated(w) || s.misrouted(w, name) {
+	if s.misrouted(w, name) {
 		return
 	}
 	switch action {

@@ -14,6 +14,34 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
+func openTestStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNever, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func postObserve(t *testing.T, baseURL, app string, conc float64) int {
+	t.Helper()
+	resp, err := http.Post(baseURL+"/v1/apps/"+app+"/observe", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"concurrency": %g}`, conc)))
+	if err != nil {
+		t.Fatalf("observe %s: %v", app, err)
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode
+}
+
+func mustObserve(t *testing.T, baseURL, app string, conc float64) {
+	t.Helper()
+	if code := postObserve(t, baseURL, app, conc); code != http.StatusOK {
+		t.Fatalf("observe %s via %s: HTTP %d", app, baseURL, code)
+	}
+}
+
 // newInstrumentedServer stands up the same stack femuxd serves in
 // production: service handler behind instrument + body-limit middleware,
 // with /metrics mounted on the same mux.
@@ -186,7 +214,7 @@ func TestE2EErrorPaths(t *testing.T) {
 
 // TestE2EObserveReplies pins a single observe's whole reply — status,
 // headers and body, byte for byte — down its precedence chain: a bad path
-// beats the replica gate, which beats a misroute, which beats the method,
+// beats a misroute, which beats the method,
 // the body size, the body, the value, and the store. Each case breaks
 // every later rule too, so a reordered check changes its reply.
 func TestE2EObserveReplies(t *testing.T) {
@@ -203,7 +231,6 @@ func TestE2EObserveReplies(t *testing.T) {
 			own = name
 		}
 	}
-	replica := NewServiceWith(model, ServiceOptions{Replica: true, Shards: 2})
 	sharded := NewServiceWith(model, ServiceOptions{Shards: 2})
 	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncAlways})
 	if err != nil {
@@ -222,10 +249,8 @@ func TestE2EObserveReplies(t *testing.T) {
 		body         string
 		want         string
 	}{
-		{"404 path", replica, "GET", "/v1/apps/" + foreign + "/observe/more", "{bad",
+		{"404 path", sharded, "GET", "/v1/apps/" + foreign + "/observe/more", "{bad",
 			"404\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nexpected /v1/apps/{app}/{observe|target|forecast}\n"},
-		{"503 replica", replica, "GET", "/v1/apps/" + foreign + "/observe", "{bad",
-			"503\nContent-Type: text/plain; charset=utf-8\nRetry-After: 1\nX-Content-Type-Options: nosniff\nreplica: awaiting promotion\n"},
 		{"421 foreign", sharded, "GET", "/v1/apps/" + foreign + "/observe", "{bad",
 			"421\nContent-Type: text/plain; charset=utf-8\nX-Content-Type-Options: nosniff\nX-Femux-Owner: 1\napp \"app-3\" belongs to shard 1, this instance is shard 0 of 2\n"},
 		{"405 method", sharded, "GET", "/v1/apps/" + own + "/observe", oversized,

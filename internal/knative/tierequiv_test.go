@@ -23,7 +23,7 @@ import (
 // store warm->cold paging, compaction embedding page stubs in snapshots,
 // mid-replay drops, restores resumed from a classification memo — and
 // through everything that must invalidate such a memo — model swaps,
-// Promote, an imported window of the same length, a store reopen — must
+// an imported window of the same length, a store reopen — must
 // serve the same forecaster and
 // Float64bits-identical targets, forecasts and quantile bands as an
 // untiered, never-evicting control that saw the same stream. Random
@@ -274,10 +274,6 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 			for _, n := range nodes {
 				n.svc.SwapModel(models[cur])
 			}
-		case r < 88: // promoting a primary is a no-op, memos included
-			for _, n := range nodes {
-				n.svc.Promote()
-			}
 		case r < 90: // restart: reopen the store, rebuild the service
 			for _, n := range nodes {
 				if n.dir != "" {
@@ -309,7 +305,7 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 
 // TestTierBudgetEquivalence pins the budgets' invisibility on one
 // deterministic replay — observes, batches, page-outs, dropped apps,
-// model swaps, Promote, imported windows and store reopens — served at
+// model swaps, imported windows and store reopens — served at
 // hot budgets 1, 3 and unlimited (0), over a directory store and a
 // memory store: every run must end with the same
 // forecasters, Float64bits-identical forecasts and quantile bands, and
@@ -389,10 +385,6 @@ func testTierBudgetEquivalence(t *testing.T, memory bool) {
 			cur = 1 - cur
 			for _, ru := range runs {
 				ru.svc.SwapModel(models[cur])
-			}
-		case r < 94:
-			for _, ru := range runs {
-				ru.svc.Promote() // a primary: no-op
 			}
 		default:
 			for _, ru := range runs {

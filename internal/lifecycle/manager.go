@@ -30,11 +30,6 @@ type Snapshot struct {
 	// training input order — and with it the candidate model — is
 	// deterministic.
 	Apps []AppWindow
-	// Gated is true while promotion must not fire: an unpromoted replica
-	// is still catching up on its primary's WAL, and swapping its model
-	// would act on half-replicated state (and 503-gated serving means
-	// nothing is observing drift anyway).
-	Gated bool
 	// MaxDrift/Drifted/Tracked summarize per-app drift across the hot
 	// tier: the largest score, how many apps sit at or above the caller's
 	// threshold, and how many were examined.
@@ -98,9 +93,6 @@ const (
 	OutcomeNoData Outcome = "no-data"
 	// OutcomeIdle: max drift below the threshold; nothing retrained.
 	OutcomeIdle Outcome = "idle"
-	// OutcomeSkippedReplica: the instance is an unpromoted replica;
-	// the cycle was skipped (surfaced by femux_lifecycle_skips_total).
-	OutcomeSkippedReplica Outcome = "skipped-replica"
 	// OutcomeFailed: retraining or evaluation errored; the live model
 	// is untouched.
 	OutcomeFailed Outcome = "failed"
@@ -132,7 +124,6 @@ type Status struct {
 	Cycles     int         `json:"cycles"`
 	Retrains   int         `json:"retrains"`
 	Promotions int         `json:"promotions"`
-	Skips      int         `json:"skips"`
 	Last       CycleResult `json:"last"`
 }
 
@@ -161,7 +152,6 @@ type Metrics struct {
 	Cycles     *serving.Counter // femux_lifecycle_cycles_total{outcome}
 	Retrains   *serving.Counter // femux_lifecycle_retrains_total
 	Promotions *serving.Counter // femux_lifecycle_promotions_total
-	Skips      *serving.Counter // femux_lifecycle_skips_total{reason}
 }
 
 // New returns a Manager driving sv under cfg.
@@ -185,8 +175,6 @@ func (m *Manager) InstrumentWith(reg *serving.Registry) *Metrics {
 			"Candidate models trained by the lifecycle."),
 		Promotions: reg.NewCounter("femux_lifecycle_promotions_total",
 			"Candidate models auto-promoted after winning shadow evaluation."),
-		Skips: reg.NewCounter("femux_lifecycle_skips_total",
-			"Cycles skipped without retraining, by reason.", "reason"),
 	}
 	m.mu.Lock()
 	m.metrics = lm
@@ -263,12 +251,6 @@ func (m *Manager) RunCycle() CycleResult {
 		MaxDrift: snap.MaxDrift, Drifted: snap.Drifted, Tracked: snap.Tracked,
 	}
 	switch {
-	case snap.Gated:
-		// Satellite invariant: promotion (and the retrain feeding it)
-		// must not fire while a replica is catching up — its windows are
-		// mid-replication and its serving path is 503-gated. Skip and
-		// surface the skip as a metric instead of erroring.
-		res.Outcome = OutcomeSkippedReplica
 	case len(snap.Apps) == 0:
 		res.Outcome = OutcomeNoData
 	case snap.MaxDrift < m.cfg.DriftThreshold:
@@ -330,8 +312,6 @@ func (m *Manager) record(res CycleResult) {
 	m.status.Cycles++
 	m.status.Last = res
 	switch res.Outcome {
-	case OutcomeSkippedReplica:
-		m.status.Skips++
 	case OutcomePromoted:
 		m.status.Retrains++
 		m.status.Promotions++
@@ -344,8 +324,6 @@ func (m *Manager) record(res CycleResult) {
 	if lm != nil {
 		lm.Cycles.Inc(string(res.Outcome))
 		switch res.Outcome {
-		case OutcomeSkippedReplica:
-			lm.Skips.Inc("replica")
 		case OutcomePromoted:
 			lm.Retrains.Inc()
 			lm.Promotions.Inc()

@@ -12,7 +12,6 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
-	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
 )
 
@@ -25,7 +24,6 @@ type fakeServing struct {
 	mu      sync.Mutex
 	model   *femux.Model
 	windows []AppWindow
-	gated   bool
 	swaps   int
 }
 
@@ -37,7 +35,6 @@ func (f *fakeServing) LifecycleSnapshot(maxApps int, driftThreshold float64) Sna
 		ws = ws[:maxApps]
 	}
 	snap := SnapshotFromWindows(f.model, ws, testBlock, driftThreshold)
-	snap.Gated = f.gated
 	return snap
 }
 
@@ -198,43 +195,6 @@ func TestPromotionBitRepeatable(t *testing.T) {
 		math.Float64bits(a.CandRUM) != math.Float64bits(b.CandRUM) {
 		t.Fatalf("shadow RUMs not bit-identical: % x/% x vs % x/% x",
 			a.LiveRUM, a.CandRUM, b.LiveRUM, b.CandRUM)
-	}
-}
-
-// TestReplicaGateSkips is the promotion-safety regression: while the
-// snapshot is gated (a replica catching up on its primary's WAL), the
-// cycle must skip — no retrain, no swap — and surface the skip in both
-// the status and the femux_lifecycle_skips_total metric.
-func TestReplicaGateSkips(t *testing.T) {
-	live := trainModel(t, appsFrom(steadyFleet(4)))
-	sv := &fakeServing{model: live, windows: driftedFleet(4), gated: true}
-	m := New(sv, Config{DriftThreshold: 0, MinImprove: -100, Seed: 42})
-	reg := serving.NewRegistry()
-	lm := m.InstrumentWith(reg)
-
-	res := m.RunCycle()
-	if res.Outcome != OutcomeSkippedReplica {
-		t.Fatalf("gated cycle: outcome %q, want %q", res.Outcome, OutcomeSkippedReplica)
-	}
-	if _, swaps := sv.state(); swaps != 0 {
-		t.Fatal("gated cycle must not swap the model")
-	}
-	if got := lm.Skips.Value("replica"); got != 1 {
-		t.Errorf("femux_lifecycle_skips_total{reason=replica} = %v, want 1", got)
-	}
-	if got := lm.Cycles.Value(string(OutcomeSkippedReplica)); got != 1 {
-		t.Errorf("femux_lifecycle_cycles_total{outcome=skipped-replica} = %v, want 1", got)
-	}
-	if st := m.Status(); st.Skips != 1 || st.Retrains != 0 || st.Promotions != 0 {
-		t.Errorf("status after gated cycle: %+v", st)
-	}
-
-	// Ungate (the replica was promoted): the very next cycle proceeds.
-	sv.mu.Lock()
-	sv.gated = false
-	sv.mu.Unlock()
-	if res := m.RunCycle(); res.Outcome != OutcomePromoted {
-		t.Fatalf("post-promotion cycle: outcome %q, want %q", res.Outcome, OutcomePromoted)
 	}
 }
 

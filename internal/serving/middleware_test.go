@@ -18,9 +18,9 @@ func TestEndpointLabel(t *testing.T) {
 		"/debug/pprof/profile":     "pprof",
 		"/v1/admin/reload":         "admin_reload",
 		"/v1/admin/drain":          "admin_other",
-		"/v1/admin/promote":        "admin_promote",
+		"/v1/admin/promote":        "admin_other",
 		"/v1/admin/reshard":        "admin_other",
-		"/v1/admin/failover":       "admin_failover",
+		"/v1/admin/failover":       "admin_other",
 		"/v1/admin/lifecycle":      "admin_lifecycle",
 		"/v1/admin/":               "admin_other",
 		"/v1/admin/reload/":        "admin_other",

@@ -10,7 +10,7 @@ import (
 )
 
 // A device is the store's file layer: the WAL, replay, the pager, snapshot
-// write and load, Split, Stats and ReadWALFrom reach every file they touch
+// write and load, Split and Stats reach every file they touch
 // (all named in one flat directory) through it. Open runs on a data
 // directory, OpenMemory on a device that keeps no files, and tests wrap
 // either to fault any call.

@@ -78,16 +78,6 @@ func TestMemoLifecycle(t *testing.T) {
 	s.SetMemo(a, Memo{})
 	expect("cleared", a, Memo{})
 
-	s.SetMemo(a, memo)
-	state, pos, err := s.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ImportState(state, pos); err != nil {
-		t.Fatal(err)
-	}
-	expect("after ImportState", a, Memo{})
-
 	// In memory only: nothing of it reaches the directory.
 	s.SetMemo(a, memo)
 	if err := s.Compact(); err != nil {

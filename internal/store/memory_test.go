@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,9 +16,8 @@ import (
 // directory store and a memory store and requires the same state from
 // both at every read and at the end: Float64bits-equal windows, equal
 // memos, totals and rosters. The directory side is also paged out and
-// compacted along the way, which the memory side accepts as no-ops; what
-// only a directory can do (stream its WAL) the memory store refuses with
-// ErrNotDurable, and it never creates a file.
+// compacted along the way, which the memory side accepts as no-ops, and
+// the memory store never creates a file.
 func TestBackendConformance(t *testing.T) {
 	before := listDir(t, ".")
 	testBackendConformance(t)
@@ -109,21 +107,6 @@ func testBackendConformance(t *testing.T) {
 				win, total, ok := s.exportApp(app)
 				return []any{float64Bits(win), total, ok}
 			})
-		case r < 92: // each store boots from the other's exported state
-			var states [2][]byte
-			for i, s := range stores {
-				data, _, err := s.ExportState()
-				if err != nil {
-					t.Fatalf("%s: ExportState on store %d: %v", when, i, err)
-				}
-				states[i] = data
-			}
-			for i, s := range stores {
-				if err := s.ImportState(states[1-i], ReplPos{Seq: uint64(op), Off: 7}); err != nil {
-					t.Fatalf("%s: ImportState on store %d: %v", when, i, err)
-				}
-			}
-			same(when+": ReplCursor", func(s *Store) any { pos, ok := s.ReplCursor(); return []any{pos, ok} })
 		case r < 97:
 			each("PageOut", func(s *Store) error { return s.PageOut(app) })
 		default:
@@ -150,12 +133,6 @@ func testBackendConformance(t *testing.T) {
 		t.Errorf("memory Stats = %+v", st)
 	}
 
-	if _, _, err := memory.ReadWALFrom(ReplPos{Seq: 1}, 1<<20); !errors.Is(err, ErrNotDurable) {
-		t.Errorf("memory ReadWALFrom: %v, want ErrNotDurable", err)
-	}
-	if _, _, err := stores[0].ReadWALFrom(ReplPos{Seq: 1}, 1<<20); errors.Is(err, ErrNotDurable) {
-		t.Errorf("directory ReadWALFrom: %v", err)
-	}
 	each("Sync", (*Store).Sync)
 	each("Close", (*Store).Close)
 	for i, s := range stores {
@@ -204,6 +181,40 @@ func TestMemoryStoreSyncsNothing(t *testing.T) {
 	}
 	if after := listDir(t, "."); !reflect.DeepEqual(before, after) {
 		t.Errorf("working directory changed: %v -> %v", before, after)
+	}
+}
+
+// TestFsyncsCountDiskSyncsOnly pins what Stats().Fsyncs (and so
+// femux_store_fsyncs_total) counts: an fsync that reached a disk. A
+// memory store's Sync and Compact reach none and read 0; a directory
+// store counts each segment fsync.
+func TestFsyncsCountDiskSyncsOnly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		open func() *Store
+		want int64
+	}{
+		{"memory", OpenMemory, 0},
+		{"dir", func() *Store { return mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1}) }, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.open()
+			defer s.Close()
+			for _, step := range []func() error{
+				func() error { return s.Append("a", 1) },
+				s.Sync,
+				func() error { return s.Append("a", 2) },
+				s.Compact,
+				s.Sync, // nothing written since: no fsync
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.Stats().Fsyncs; got != c.want {
+				t.Errorf("Fsyncs = %d, want %d", got, c.want)
+			}
+		})
 	}
 }
 

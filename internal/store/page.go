@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // Cold apps page their compacted window out of memory into
@@ -162,7 +163,8 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode, vals []float64) (app
 	}
 	// One intact frame, and nothing else, in the span the stub names.
 	payload := buf[recordHeaderLen:]
-	if int(binary.LittleEndian.Uint32(buf)) != len(payload) || validRecordPrefix(buf) != len(buf) {
+	if int(binary.LittleEndian.Uint32(buf)) != len(payload) ||
+		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
 		return appState{}, nil, fmt.Errorf("store: page %d@%d: stub does not span one valid record: %w", ref.seq, ref.off, errTorn)
 	}
 	name, body, total, err := decodeAppHeader(payload, "page")

@@ -515,24 +515,4 @@ func TestInlineClockListsWarmApps(t *testing.T) {
 		t.Fatal(err)
 	}
 	within("after a reopen and an append")
-
-	// A follower's bootstrap replaces its fleet whole: the clock lists
-	// the imported fleet, and none of the old one.
-	body, pos, err := s.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = mustOpen(t, t.TempDir(), opt)
-	defer s.Close()
-	if err := s.AppendBatch(pageFleet(8, 3, 32)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ImportState(body, pos); err != nil {
-		t.Fatal(err)
-	}
-	checkClock(t, s, "after a bootstrap")
-	if err := s.Append(appName(15), 4); err != nil {
-		t.Fatal(err)
-	}
-	within("after a bootstrap and an append")
 }

@@ -30,12 +30,6 @@ import (
 // directory opens cleanly, and so do the ctrlAppImport records old WALs
 // hold.
 //
-// A follower's bootstrap is the same stream: ExportState writes the v3
-// magic and one record per app, every one inline (a cold app's window is
-// read from its page, since a stub names a file only its primary has),
-// and ImportState reads it with readSnapshot, as Open reads a file. An
-// older primary's v1 body still imports.
-//
 // A snapshot is written to snap-<seq>.snap.tmp, fsynced, and renamed
 // into place, so a crash mid-compaction leaves either the old or the new
 // snapshot — never a half-written one — and perhaps a temp file, which
@@ -57,8 +51,7 @@ const (
 )
 
 // errSnapshotFormat marks a snapshot written in a format this build
-// cannot read: Open fails on it instead of falling back, and ImportState
-// refuses it.
+// cannot read: Open fails on it instead of falling back.
 var errSnapshotFormat = errors.New("store: snapshot format unknown to this build")
 
 // appState is one application's durable state: the sliding observation
@@ -81,8 +74,8 @@ type appState struct {
 // restore need not reclassify it: the cluster Group of the window's last
 // completed block, at window length Len, under the caller's generation
 // Gen (0 = none). The store only carries it, in memory and in no file or
-// wire record: replacing an app's state (ImportState, or replaying an old
-// import or tombstone record) or restarting drops it; appends keep it,
+// wire record: replacing an app's state (replaying an old import or
+// tombstone record) or restarting drops it; appends keep it,
 // and the caller tells by Len.
 type Memo struct {
 	Len   uint32
@@ -288,8 +281,7 @@ func writeSnapshot(dev device, seq uint64, apps map[string]*appState) error {
 	})
 }
 
-// readSnapshot decodes a snapshot stream: a snapshot file, or the body
-// ExportState writes. Its first record's magic is the one version gate:
+// readSnapshot decodes a snapshot file. Its first record's magic is the one version gate:
 // v3 and v2 records decode as they are, v1 raw windows are compressed on
 // the way in, and an intact femux-snap- magic this build does not know is
 // errSnapshotFormat. Any framing, CRC, magic or decode failure is an

@@ -11,9 +11,8 @@ import (
 // stores in srcs over len(dsts) shards, giving every app, warm or cold, to
 // dsts[ShardOf(app, len(dsts))]. Each destination receives one v3
 // snapshot of its apps' compact windows and totals, written temp ->
-// fsync -> rename, and its directory is fsynced; it gets no WAL records,
-// no memo and no replication cursor, so a follower of a new shard
-// bootstraps through ExportState. Destinations must be empty or missing,
+// fsync -> rename, and its directory is fsynced; it gets no WAL records
+// and no memo. Destinations must be empty or missing,
 // none may be a source, and an app held by two sources is refused. The
 // sources are only read (and reopen to the same state), so a failed
 // split leaves every destination empty and can be run again.
@@ -40,7 +39,7 @@ func Split(srcs, dsts []string) error {
 
 // splitSnapSeq numbers the snapshot a destination starts from. A snapshot
 // at 1 covers WAL segment 1, so the first segment the new shard writes is
-// 2, and a follower that asks for segment 1 is sent to bootstrap.
+// 2.
 const splitSnapSeq = 1
 
 func split(srcs []string, dsts []device) error {

@@ -131,11 +131,6 @@ type Store struct {
 	clock []clockEntry
 	hand  int
 
-	// replCursor is the last primary WAL position durably applied by
-	// AppendReplicated/ImportState (follower role); restored by replay.
-	replCursor ReplPos
-	hasCursor  bool
-
 	closeOnce sync.Once
 	stopSync  chan struct{}
 	syncDone  chan struct{}
@@ -422,8 +417,7 @@ func (s *Store) windowLocked(app string, st *appState) []float64 {
 }
 
 // warmState returns st if it is warm, else a warm copy read from its
-// page; the app itself stays cold. It is what ExportState and Split
-// write.
+// page; the app itself stays cold. It is what Split writes.
 func (s *Store) warmState(app string, st *appState) (*appState, error) {
 	if st.page == nil {
 		return st, nil
@@ -670,8 +664,7 @@ func (s *Store) writable() error {
 
 // Err reports the WAL failure that stopped the store, or nil. After the
 // first failed write, fsync or segment rotation the store fails stop:
-// every later append, Sync, AppendReplicated and ImportState returns this
-// error without writing anything.
+// every later append and Sync returns this error without writing anything.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

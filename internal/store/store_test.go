@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +12,59 @@ import (
 	"syscall"
 	"testing"
 )
+
+func mustOpen(t *testing.T, dir string, opt Options) *Store {
+	t.Helper()
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatalf("Open(%s): %v", dir, err)
+	}
+	return st
+}
+
+// buildWindows folds an observation sequence into expected per-app
+// windows (unlimited cap).
+func buildWindows(obs []Observation) map[string][]float64 {
+	wins := map[string][]float64{}
+	for _, o := range obs {
+		wins[o.App] = append(wins[o.App], o.Concurrency)
+	}
+	return wins
+}
+
+// assertExactPrefix requires the store to hold exactly the given
+// observation prefix: identical totals, app sets, and bit-identical
+// windows.
+func assertExactPrefix(t *testing.T, st *Store, prefix []Observation) {
+	t.Helper()
+	if err := exactPrefix(st, prefix); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exactPrefix(st *Store, prefix []Observation) error {
+	want := buildWindows(prefix)
+	got := st.Windows()
+	if int64(len(prefix)) != st.TotalObservations() {
+		return fmt.Errorf("store total %d, want exact prefix of %d", st.TotalObservations(), len(prefix))
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("store tracks %d apps, prefix has %d", len(got), len(want))
+	}
+	for app, w := range want {
+		g := got[app]
+		if len(g) != len(w) {
+			return fmt.Errorf("app %q: window %d, want %d", app, len(g), len(w))
+		}
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				return fmt.Errorf("app %q value %d not bit-identical: %x vs %x",
+					app, i, math.Float64bits(g[i]), math.Float64bits(w[i]))
+			}
+		}
+	}
+	return nil
+}
 
 // assertWindowsEqual requires st to hold exactly the windows wins.
 func assertWindowsEqual(t *testing.T, st *Store, wins map[string][]float64) {
@@ -180,6 +235,72 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	defer re.Close()
 	if re.Apps() != 0 {
 		t.Fatalf("corrupt snapshot yielded %d apps", re.Apps())
+	}
+}
+
+// TestSnapshotRecordsGolden pins the bytes compaction writes: the v3
+// magic, then one record per app — a window of deltas and a window whose
+// chunk went raw inline, and a cold app as a page stub.
+func TestSnapshotRecordsGolden(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
+	defer s.Close()
+	for app, w := range map[string][]float64{
+		"delta": {0, 0, 1.5, 1.5, 2},
+		"raw":   {0.137, 0.291, 0.513},
+		"cold":  {4, 0, 0, 4.25},
+	} {
+		for _, v := range w {
+			if err := s.Append(app, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.PageOut("cold"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix))
+	if len(snaps) != 1 {
+		t.Fatalf("%d snapshots, want 1", len(snaps))
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var magic string
+	recs := map[string]string{}
+	if _, err := readRecords(bytes.NewReader(data), func(p []byte) error {
+		if magic == "" {
+			magic = string(p)
+			return nil
+		}
+		app, _, err := decodeSnapshotApp(p)
+		recs[app] = hex.EncodeToString(appendRecord(nil, p))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if magic != snapMagicV3 || len(recs) != 3 {
+		t.Fatalf("magic %q and %d records, want %q and 3", magic, len(recs), snapMagicV3)
+	}
+	for app, want := range map[string]string{
+		// frame (length 26, CRC) | tag 00 | name | total 5 | 5 values in 16
+		// stream bytes: head 0, then deltas 0, 1.5 (bf f0 03), 0, 2 (ff f0 03)
+		"delta": "1a000000" + "2f492a85" + "00" + "0564656c7461" + "05" + "05" + "10" +
+			"0000000000000000" + "00" + "bff003" + "00" + "fff003",
+		// head 0.137, the raw marker 80 00, then 0.291 and 0.513 as raw words
+		"raw": "22000000" + "42f4f57f" + "00" + "03726177" + "03" + "03" + "1a" +
+			"f0a7c64b3789c13f" + "8000" + "39b4c876be9fd23f" + "d122dbf97e6ae03f",
+	} {
+		if recs[app] != want {
+			t.Errorf("%s record\n got %s\nwant %s", app, recs[app], want)
+		}
+	}
+	if tag := recs["cold"][16:18]; tag != "01" {
+		t.Errorf("cold record has tag %s, want the page stub's 01", tag)
 	}
 }
 

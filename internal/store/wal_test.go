@@ -308,10 +308,6 @@ func TestWALFailStop(t *testing.T) {
 				t.Fatalf("Err() = %v, want the first failure %v", err, first)
 			}
 
-			data, pos, err := st.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, w := range []struct {
 				name  string
 				write func() error
@@ -319,11 +315,6 @@ func TestWALFailStop(t *testing.T) {
 				{"Append", func() error { return st.Append("fs-1", 7) }},
 				{"AppendBatch", func() error { return st.AppendBatch([]Observation{{App: "fs-2", Concurrency: 1}}) }},
 				{"Sync", st.Sync},
-				{"AppendReplicated", func() error {
-					_, err := st.AppendReplicated(nil, ReplPos{Seq: 1})
-					return err
-				}},
-				{"ImportState", func() error { return st.ImportState(data, pos) }},
 			} {
 				if err := w.write(); !errors.Is(err, first) {
 					t.Errorf("%s after the failure = %v, want %v", w.name, err, first)
