@@ -106,7 +106,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 // is applied or answered in results (same index); it reports how many it
 // applied, none on a store error.
 //
-// Each valid item's app stays locked from before its restore (a window
+// Each valid item's app stays locked from before its restore (a count
 // restored after the commit would count the item twice) until after its
 // apply, so no other observation of the app lands in between: the hot
 // tail grows in WAL order, and eviction, which locks the app first,
@@ -156,14 +156,11 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 	if len(byName) > 1 {
 		slices.SortStableFunc(byName, func(x, y int) int { return strings.Compare(items[x].App, items[y].App) })
 	}
-	// One borrowed workspace serves every item: they restore and apply
-	// in turn.
-	ws := forecast.GetWorkspace()
 	for j, i := range byName {
 		if j > 0 && items[i].App == items[byName[j-1]].App {
 			held[i] = held[byName[j-1]]
 		} else {
-			held[i] = s.acquire(items[i].App, ws)
+			held[i] = s.acquire(items[i].App)
 		}
 	}
 	// The sort is stable, so an app's items keep input order.
@@ -178,6 +175,8 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		}
 		err = fmt.Errorf("durable store append failed: %w", err)
 	} else {
+		// One borrowed workspace serves every item: they apply in turn.
+		ws := forecast.GetWorkspace()
 		for i, a := range held {
 			if a != nil {
 				res := &results[i]
@@ -185,6 +184,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 				res.History = a.n
 			}
 		}
+		forecast.PutWorkspace(ws)
 		accepted = len(durable)
 	}
 	for j, i := range byName {
@@ -192,7 +192,6 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			held[i].mu.Unlock()
 		}
 	}
-	forecast.PutWorkspace(ws)
 	s.enforceBudget()
 	return accepted, err
 }

@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
+	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -196,44 +198,121 @@ func ringTail(a *svcApp) []float64 {
 	return femux.RingTail(a.history, a.n, make([]float64, min(a.n, len(a.history))))
 }
 
-// TestLongRestoreLendsNoWorkspace restores an app of 300 values and one
-// of maxLentWindow+1. The first is decoded into the request's workspace,
-// the second into a buffer of its own, so a pooled workspace keeps no
-// buffer sized by the longest-lived app. Both come back whole: the count
-// and the ring's values match what was observed.
-func TestLongRestoreLendsNoWorkspace(t *testing.T) {
-	st := store.OpenMemory()
-	defer st.Close()
-	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st})
-	for _, n := range []int{300, maxLentWindow + 1} {
-		name := fmt.Sprintf("lived-%d", n)
-		series := make([]float64, n)
-		obs := make([]store.Observation, n)
-		for i := range obs {
-			series[i] = float64(i%13) + 0.25
-			obs[i] = store.Observation{App: name, Concurrency: series[i]}
-		}
-		if err := st.AppendBatch(obs); err != nil {
-			t.Fatal(err)
-		}
-		ws := forecast.NewWorkspace()
-		a := svc.materialize(name, ws)
-		tail := ringTail(a)
-		if a.n != n || !sameFloats(tail, series[n-len(tail):]) {
-			t.Fatalf("%s: restored %d values, ring %v; want %d ending %v", name, a.n, tail, n, series[n-len(tail):])
-		}
-		lent := cap(ws.History(0))
-		if n <= maxLentWindow && lent < n || n > maxLentWindow && lent > maxLentWindow {
-			t.Fatalf("%s: the workspace's history buffer holds %d values after the restore", name, lent)
+// TestRestoreReadsOnlyThePolicysView restores an app of 300 values and
+// one of 5,000, warm and cold, on a directory store: first with no memo,
+// then, after each of a few rounds of observes, evicted with one. A
+// restore reads the app's count and memo and decodes no value; the first
+// call reads from the store only what its policy reads. The count, and
+// every target and quantile forecast, must equal a never-evicted
+// control's, Float64bits-equal, and after each request the workspace's
+// history buffer must hold at most BlockSize+Window values (a view is at
+// most max(Window, BlockSize + n%BlockSize)): no request decodes an
+// app's lifetime.
+func TestRestoreReadsOnlyThePolicysView(t *testing.T) {
+	model := trainTinyModel(t)
+	bound := model.Config().BlockSize + model.Config().Window
+	levels := []float64{0.5, 0.9}
+	for _, n := range []int{300, 5000} {
+		for _, cold := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n=%d/cold=%v", n, cold), func(t *testing.T) {
+				st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				svc, ctl := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 1}), NewService(model)
+				sm := svc.InstrumentWith(serving.NewRegistry())
+				const name = "lived"
+				seen := 0 // values of the stream handed out so far
+				next := func(k int) []BatchObservation {
+					obs := make([]BatchObservation, k)
+					for i := range obs {
+						obs[i] = BatchObservation{App: name, Concurrency: shapedValue(0, seen+i)}
+					}
+					seen += k
+					return obs
+				}
+				observe := func(s *Service, obs []BatchObservation) []BatchItemResult {
+					res := make([]BatchItemResult, len(obs))
+					if _, err := s.observe(obs, res); err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				// The control observes every value and is never evicted. The
+				// served app's history is written to the store behind the
+				// service's back, so its first touch is a restore.
+				var durable []store.Observation
+				for seen < n {
+					obs := next(min(100, n-seen))
+					observe(ctl, obs)
+					for _, o := range obs {
+						durable = append(durable, store.Observation{App: o.App, Concurrency: o.Concurrency})
+					}
+				}
+				if err := st.AppendBatch(durable); err != nil {
+					t.Fatal(err)
+				}
+				ws, wsCtl := forecast.NewWorkspace(), forecast.NewWorkspace()
+				type answer struct {
+					n, target  int
+					forecaster string
+					bands      []uint64
+				}
+				request := func(s *Service, ws *forecast.Workspace) answer {
+					a := s.acquire(name)
+					got := answer{n: a.n}
+					got.target, got.forecaster = s.decide(a, ws, 1, 0, nil)
+					view, due := s.view(a, 0, ws)
+					for _, v := range a.policy.ForecastQuantilesTail(view, a.n, 4, levels, nil, ws) {
+						got.bands = append(got.bands, math.Float64bits(v))
+					}
+					if due {
+						a.refill(view)
+					}
+					s.releaseApp(a)
+					return got
+				}
+				for round := 0; round < 4; round++ {
+					if cold {
+						if err := st.PageOut(name); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if svc.tier.apps[name] != nil || cold && st.PagedApps() != 1 {
+						t.Fatalf("round %d: the app is not demoted before its restore", round)
+					}
+					got, want := request(svc, ws), request(ctl, wsCtl)
+					if got.n != seen || got.target != want.target || got.forecaster != want.forecaster || !slices.Equal(got.bands, want.bands) {
+						t.Fatalf("round %d: restored %+v, never-evicted control %+v (%d values observed)", round, got, want, seen)
+					}
+					if cold && st.PagedApps() != 0 {
+						t.Fatalf("round %d: the restore did not page the app in", round)
+					}
+					if held := cap(ws.History(0)); held > bound {
+						t.Fatalf("round %d: the workspace's history buffer holds %d values after the restore, want at most %d", round, held, bound)
+					}
+					// A round of observes crosses a block boundary every other
+					// round; touching another app evicts this one, memo and all.
+					obs := next(model.Config().BlockSize/2 + 1)
+					if got, want := observe(svc, obs), observe(ctl, obs); !slices.Equal(got, want) {
+						t.Fatalf("round %d: observed %+v, the control %+v", round, got, want)
+					}
+					svc.releaseApp(svc.acquire("other"))
+				}
+				if _, resumed := classifications(sm); resumed == 0 {
+					t.Error("no restore resumed its policy from a memo")
+				}
+			})
 		}
 	}
 }
 
-// TestSvcAppSize pins a hot app's fixed state in the 240-byte size class:
-// one more word moves every hot app to the 256-byte class.
+// TestSvcAppSize pins a hot app's fixed state in the 112-byte size class:
+// one more word moves every hot app to the 128-byte class.
 func TestSvcAppSize(t *testing.T) {
-	if got := unsafe.Sizeof(svcApp{}); got > 240 {
-		t.Fatalf("unsafe.Sizeof(svcApp{}) = %d B, want at most 240", got)
+	if got := unsafe.Sizeof(svcApp{}); got > 112 {
+		t.Fatalf("unsafe.Sizeof(svcApp{}) = %d B, want at most 112", got)
 	}
 }
 

@@ -29,8 +29,8 @@ func serveInProcess(h http.Handler, method, target, body string) *httptest.Respo
 // min(n, lookback) values its policy's forecaster reads.
 func walOrderSlips(t testing.TB, svc *Service, app string) int {
 	t.Helper()
+	a := svc.acquire(app)
 	ws := forecast.GetWorkspace()
-	a := svc.acquire(app, ws)
 	svc.decide(a, ws, 1, 0, nil)
 	forecast.PutWorkspace(ws)
 	hot, n, size := ringTail(a), a.n, len(a.history)

@@ -15,7 +15,6 @@ import (
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
-	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -70,10 +69,10 @@ type Service struct {
 	// map (see tier.go): a cache of the hot tier, not the fleet roster.
 	tier tiers
 
-	// driftBlock is the drift detector's block geometry, fixed at boot
-	// from the initial model's BlockSize so detector state stays
-	// comparable across model hot-swaps (the lifecycle retrains with the
-	// live geometry, so a promoted model never changes it).
+	// driftBlock is the block geometry drift is scored in, fixed at boot
+	// from the initial model's BlockSize so scores stay comparable across
+	// model hot-swaps (the lifecycle retrains with the live geometry, so a
+	// promoted model never changes it).
 	driftBlock int
 
 	metrics *ServiceMetrics // nil when metrics are not wired
@@ -109,8 +108,8 @@ type svcApp struct {
 	policy *femux.AppPolicy
 	gen    uint16 // memoGen of the model policy was built from
 	// gone, guarded by mu, marks an evicted entry that acquire must not
-	// use (see tier.go). It and due share gen's word: 240 bytes keep
-	// svcApp in the 240-byte size class.
+	// use (see tier.go). It and due share gen's word: 104 bytes keep
+	// svcApp in the 112-byte size class.
 	gone bool
 	// due is the count at which policy's next block is due (see view), or
 	// 0 while history does not hold min(n, lookback) values: after a
@@ -123,12 +122,6 @@ type svcApp struct {
 	// and block boundaries use, and where the ring starts.
 	history []float64
 	n       int
-
-	// drift tracks the app's feature drift, fed under mu on every observe
-	// (allocation-free) and rebuilt from the restored window after a tier
-	// round trip — bit-identical to the incrementally maintained state
-	// (see tierequiv_test.go).
-	drift lifecycle.Detector
 
 	// observes/targets/forecasts are this app's children of the per-app
 	// counter families, so a batch item costs an atomic add instead of a
@@ -252,8 +245,8 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 }
 
 // apply is the in-memory half of one observation: once c is durable it
-// joins the history and the drift detector, and the app's policy takes
-// its step on the grown history (see decide). Its one caller, observe,
+// joins the history, and the app's policy takes its step on the grown
+// history (see decide). Its one caller, observe,
 // holds a.mu from before c's commit until after this call, so no other
 // observation of the app can commit or apply in between: in-memory
 // order is WAL order per app. skip counts the app's later items in the
@@ -261,7 +254,6 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 // borrowed workspace.
 func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC, skip int, sm *ServiceMetrics) (target int, forecaster string) {
 	a.push(c)
-	a.drift.Observe(c)
 	target, forecaster = s.decide(a, ws, unitC, skip, sm)
 	if sm != nil {
 		a.count(&a.observes, sm.Observes)
@@ -442,9 +434,6 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 	reg.NewCounterFunc("femux_tier_count_anomalies_total",
 		"Tier gauge samples whose store-backed warm count was internally inconsistent.",
 		func() float64 { return float64(s.TierCountAnomalies()) })
-	reg.NewGaugeFunc("femux_drift_score",
-		"Largest per-app feature-drift score across hot apps.",
-		s.MaxDriftScore)
 	sm.setModelInfo(s.Model())
 	s.mu.Lock()
 	s.metrics = sm
@@ -501,9 +490,9 @@ func (a *svcApp) count(h *serving.CounterChild, fam *serving.Counter) {
 	h.Inc()
 }
 
-// app returns the named app's hot state, materializing it in ws if it is
-// not hot.
-func (s *Service) app(name string, ws *forecast.Workspace) *svcApp {
+// app returns the named app's hot state, materializing it if it is not
+// hot.
+func (s *Service) app(name string) *svcApp {
 	t := &s.tier
 	t.mu.Lock()
 	a := t.apps[name]
@@ -511,47 +500,35 @@ func (s *Service) app(name string, ws *forecast.Workspace) *svcApp {
 	if a != nil {
 		return a
 	}
-	return s.materialize(name, ws)
+	return s.materialize(name)
 }
-
-// maxLentWindow is the longest window a restore decodes into the
-// request's workspace. A longer one gets a buffer of its own, so that a
-// pooled workspace keeps no buffer sized by the longest-lived app.
-const maxLentWindow = 4096
 
 // materialize builds and installs hot serving state for an app missing
 // from the tier's map: a genuinely new app starts empty, a demoted one
-// is restored from the warm/cold tier. The restore runs before taking the
-// tier lock (it may page in from disk); if another goroutine installs
-// the app first, its copy wins and ours — identical, since store
-// restores promote — is discarded. The install never evicts: the caller
-// touches the app into the LRU, and the budget is enforced when the
-// request releases it. A window of at most maxLentWindow values is
-// decoded into ws, the request's borrowed workspace, and read only until
-// materialize returns.
-func (s *Service) materialize(name string, ws *forecast.Workspace) *svcApp {
+// is restored from the warm/cold tier. A restore reads only the app's
+// count and memo (it may page the app in from disk); its ring starts
+// empty and awaiting a refill, so the first call reads from the store
+// exactly the values its policy needs. The restore runs before taking the
+// tier lock; if another goroutine installs the app first, its copy wins
+// and ours — identical, since store restores promote — is discarded. The
+// install never evicts: the caller touches the app into the LRU, and the
+// budget is enforced when the request releases it.
+func (s *Service) materialize(name string) *svcApp {
 	start := time.Now()
 	t := &s.tier
 	model, version := s.modelAt()
 	a := &svcApp{name: name, gen: memoGen(version)}
 	var from string
-	win, memo, paged, ok := s.st.RestoreWindowMemo(name, func(n int) []float64 {
-		if n > maxLentWindow {
-			return nil
-		}
-		return ws.History(n)
-	})
+	n, memo, paged, ok := s.st.RestoreMemo(name)
 	if paged {
 		from = "cold"
 	} else if ok {
 		from = "warm"
 	}
-	// The drift detector reads the whole window; the ring keeps only what
-	// the policy's forecaster reads.
-	a.n, a.drift = len(win), lifecycle.DetectorOf(win, s.driftBlock)
+	a.n = n
 	var resumed bool
 	a.policy, resumed = policyFor(model, a.gen, memo, a.n)
-	a.refill(win)
+	a.refill(nil)
 	t.mu.Lock()
 	if cur := t.apps[name]; cur != nil {
 		t.mu.Unlock()
@@ -682,8 +659,8 @@ func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name str
 			return
 		}
 	}
+	a := s.acquire(name)
 	ws := forecast.GetWorkspace()
-	a := s.acquire(name, ws)
 	sm := s.svcMetrics()
 	target, fcName := s.decide(a, ws, unitC, 0, sm)
 	forecast.PutWorkspace(ws)
@@ -718,8 +695,8 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 		http.Error(w, "bad quantiles", http.StatusBadRequest)
 		return
 	}
+	a := s.acquire(name)
 	ws := forecast.GetWorkspace()
-	a := s.acquire(name, ws)
 	// dst is nil: the response slices escape into the JSON encoder
 	// after the workspace is given back, so they must not alias it.
 	s.countExtract(a.policy, a.n)

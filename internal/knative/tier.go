@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -20,8 +19,8 @@ import (
 // keeps three tiers:
 //
 //	hot   a ring of exactly the values its forecaster reads
-//	      (forecast.Lookback, at most Window) + policy + drift detector:
-//	      the zero-allocation observe path. A due block is read from the
+//	      (forecast.Lookback, at most Window) + policy: the
+//	      zero-allocation observe path. A due block is read from the
 //	      store, its one holder. Bounded by MaxHotApps, LRU-evicted, and
 //	      entered only by a request's first touch.
 //	warm  the compact window only (store.CompactWindow), in the store: every
@@ -41,9 +40,11 @@ import (
 // forecasts are Float64bits-identical across any evict/page/restore
 // cycle at every budget (asserted by tierequiv_test.go). Demotion
 // keeps the window and, beside it, a memo of the cluster group its last
-// completed block fell into (store.Memo), so a restore decodes a window
-// and extracts no features; the memo only caches extract-and-classify
-// (policyFor says when it hits).
+// completed block fell into (store.Memo). A restore reads only the app's
+// count and memo and decodes no value: the ring starts empty, and the
+// first call fills it from the store with what the policy reads
+// (Store.Recent). The memo only caches extract-and-classify (policyFor
+// says when it hits).
 //
 // One mutex guards the app map, the LRU and the eviction count, so once
 // a request has enforced the budget the hot set is exactly the fleet's
@@ -53,9 +54,9 @@ import (
 // No tier holds a forecast workspace. A workspace is scratch, not app
 // state: it holds buffers and plan pointers and no result, so any request
 // may use any workspace. A request takes one from forecast.GetWorkspace
-// before it acquires its apps, restores them and makes every decision in
-// it, and puts it back before it answers, so the workspaces in use are
-// bounded by the requests computing at once, not by the hot fleet.
+// once it holds its apps, makes every decision in it, and puts it back
+// before it answers, so the workspaces in use are bounded by the requests
+// computing at once, not by the hot fleet.
 type tiers struct {
 	maxHot int // hot apps; <= 0 = unlimited
 
@@ -104,11 +105,11 @@ func lostRaceBackoff(attempt int) {
 }
 
 // acquire returns the named app with its lock held, lazily restoring
-// warm/cold state in ws and bumping the tier LRU. Callers must
-// a.mu.Unlock() and then enforce the budget (releaseApp does both).
-func (s *Service) acquire(name string, ws *forecast.Workspace) *svcApp {
+// warm/cold state and bumping the tier LRU. Callers must a.mu.Unlock()
+// and then enforce the budget (releaseApp does both).
+func (s *Service) acquire(name string) *svcApp {
 	for attempt := 0; ; attempt++ {
-		a := s.app(name, ws)
+		a := s.app(name)
 		a.mu.Lock()
 		if !a.gone {
 			s.touch(a)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -200,7 +199,7 @@ func testAcquireEvictHammer(t *testing.T, napps int, batch bool) {
 	}
 
 	for _, app := range apps {
-		a := svc.acquire(app, forecast.NewWorkspace())
+		a := svc.acquire(app)
 		got := a.n
 		svc.releaseApp(a)
 		if want := goroutines * iters; got != want {
@@ -230,7 +229,7 @@ func TestTierCountsAnomaly(t *testing.T) {
 
 	// Materialize an app without appending to the store: hot = 1 while
 	// the store knows 0 apps.
-	a := svc.acquire("phantom", forecast.NewWorkspace())
+	a := svc.acquire("phantom")
 	svc.releaseApp(a)
 
 	hot, warm, cold := svc.TierCounts()

@@ -11,8 +11,6 @@ import (
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
-	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
-	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -127,46 +125,40 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 		n.restart(models[cur])
 	}
 
-	// driftState reads an app's drift detector, tail and observation
-	// count through the same acquire path serving uses (restoring it if
-	// demoted).
-	driftState := func(s *Service, app string) (d lifecycle.Detector, tail []float64, n int) {
-		a := s.acquire(app, forecast.NewWorkspace())
-		d, n = a.drift, a.n
-		if a.due != 0 { // else the ring awaits its refill from the store
+	// state reads an app's tail and observation count through the same
+	// acquire path serving uses (restoring it if demoted).
+	state := func(s *Service, app string) (tail []float64, n int) {
+		a := s.acquire(app)
+		if n = a.n; a.due != 0 { // else the ring awaits its refill from the store
 			tail = ringTail(a)
 		}
 		s.releaseApp(a)
-		return d, tail, n
+		return tail, n
 	}
 	compares := 0
 	compare := func(when string) {
 		t.Helper()
 		compares++
+		// Drift is scored from the store's windows, so the tiered
+		// service's summary, across every evict/page/compact/restore/
+		// restart, must be Float64bits-identical to the reference's.
+		dr, dt := ref.svc.LifecycleSnapshot(0, 0.5), tiered.svc.LifecycleSnapshot(0, 0.5)
+		if math.Float64bits(dr.MaxDrift) != math.Float64bits(dt.MaxDrift) || dr.Drifted != dt.Drifted || dr.Tracked != dt.Tracked {
+			t.Fatalf("%s: tiered drift %v/%d/%d, reference %v/%d/%d", when,
+				dt.MaxDrift, dt.Drifted, dt.Tracked, dr.MaxDrift, dr.Drifted, dr.Tracked)
+		}
 		for i, app := range apps {
-			// Drift satellite: the reference's moments, the tiered
-			// service's (rebuilt across every evict/page/compact/restore),
-			// and a from-scratch batch recomputation of the same window
-			// must all be Float64bits-identical.
-			dc, tail, n := driftState(ref.svc, app)
-			dt, _, _ := driftState(tiered.svc, app)
-			if !dc.BitEqual(dt) {
-				t.Fatalf("%s: %s: tiered drift state diverged from reference", when, app)
-			}
 			hist := stream[i]
-			if n != len(hist) {
-				t.Fatalf("%s: %s: counts %d observations of a %d-value stream", when, app, n, len(hist))
-			}
-			for k, v := range tail {
-				if math.Float64bits(v) != math.Float64bits(hist[n-len(tail)+k]) {
-					t.Fatalf("%s: %s: tail[%d] = %v, the stream holds %v", when, app, k, v, hist[n-len(tail)+k])
+			for _, node := range nodes {
+				tail, n := state(node.svc, app)
+				if n != len(hist) {
+					t.Fatalf("%s: %s: counts %d observations of a %d-value stream", when, app, n, len(hist))
 				}
-			}
-			if batch := lifecycle.DetectorOf(hist, models[0].Config().BlockSize); !dc.BitEqual(batch) {
-				t.Fatalf("%s: %s: incremental drift state diverged from batch recomputation", when, app)
-			}
-			if a, b := dc.Score(), dt.Score(); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%s: %s: drift score %v != %v (not bit-identical)", when, app, a, b)
+				for k, v := range tail {
+					if math.Float64bits(v) != math.Float64bits(hist[n-len(tail)+k]) {
+						t.Fatalf("%s: %s: tail[%d] = %v, the stream holds %v", when, app, k, v, hist[n-len(tail)+k])
+					}
+				}
 			}
 		}
 		for i, app := range apps {

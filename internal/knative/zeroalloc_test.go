@@ -22,7 +22,7 @@ func TestServiceTargetZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 
 	ws := forecast.NewWorkspace()
-	a := s.app("alloc-probe", ws)
+	a := s.app("alloc-probe")
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// 45 observations: one completed block (size 30), mid-block afterwards,
@@ -85,7 +85,7 @@ func TestServiceQuantileTargetZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 
 	ws := forecast.NewWorkspace()
-	a := s.app("alloc-probe-q", ws)
+	a := s.app("alloc-probe-q")
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var hist []float64

@@ -1,16 +1,16 @@
-// Package lifecycle closes the loop from serving-path drift signals to
-// automatic, safely-evaluated model promotion: per-app feature drift is
-// detected incrementally on the observe path, a background retrainer
-// re-clusters on recent windows (memoized through internal/memo so
-// unchanged apps are cache hits), candidates are shadow-evaluated
-// against the live model on the same windows, and winners are promoted
-// through the service's atomic model swap.
+// Package lifecycle closes the loop from drift signals to automatic,
+// safely-evaluated model promotion: once per cycle, per-app feature drift
+// is scored from the fleet's stored windows, a retrainer re-clusters on
+// recent windows (memoized through internal/memo so unchanged apps are
+// cache hits), candidates are shadow-evaluated against the live model on
+// the same windows, and winners are promoted through the service's
+// atomic model swap.
 //
 // Everything is deterministic by construction: the retrainer exposes a
 // synchronous RunCycle (tests drive retrain -> shadow -> promote with no
-// sleeps or clocks), training is seeded, and the drift detector is a
-// pure function of the observation stream, so promotion decisions are
-// bit-repeatable for a fixed seed.
+// sleeps or clocks), training is seeded, and a drift score is a pure
+// function of an app's window, so promotion decisions are bit-repeatable
+// for a fixed seed.
 package lifecycle
 
 import "math"
@@ -27,10 +27,10 @@ const MaxDriftScore = 1e6
 // Sum/SumSq form rather than the two-pass stddev in internal/features:
 // single-pass accumulators can be maintained per observe AND recomputed
 // from a stored window by replaying the same additions, which is what
-// makes the incremental and batch paths Float64bits-identical (the tier
-// property test's invariant). They summarize the same axes the offline
-// feature extractor clusters on — level, dispersion, burst peak, and
-// activity density — cheaply enough for the zero-allocation observe path.
+// makes the incremental and batch paths Float64bits-identical
+// (FuzzDriftDetector's invariant). They summarize the same axes the
+// offline feature extractor clusters on — level, dispersion, burst peak,
+// and activity density.
 type BlockStats struct {
 	Count   int     // observations in the block
 	NonZero int     // observations with traffic (density)
@@ -87,13 +87,9 @@ func (b BlockStats) Activity() float64 {
 // Detector tracks one app's feature drift as a pure function of its
 // observation stream: the reference block is the first completed block
 // the stream produced, the comparison block is the latest completed one,
-// and cur accumulates the partial block in between. Because the state is
-// derived from nothing but (window, blockSize), an evicted app's
-// detector can be rebuilt from its restored window bit-identically —
-// tier demotion is invisible to drift scores exactly as it is to
-// forecasts. Zero value is unusable; build with NewDetector or
-// DetectorOf. Methods are not goroutine-safe: the service drives the
-// detector under the per-app lock, like the forecast workspace.
+// and cur accumulates the partial block in between. Build one from a
+// window with DetectorOf (DetectorOf(nil, blockSize) is empty). Methods
+// are not goroutine-safe.
 type Detector struct {
 	blockSize int
 	blocks    int // completed blocks seen
@@ -102,15 +98,10 @@ type Detector struct {
 	cur       BlockStats
 }
 
-// NewDetector returns an empty detector over blocks of blockSize
-// observations. blockSize <= 0 disables block completion (Score stays 0).
-func NewDetector(blockSize int) Detector {
-	return Detector{blockSize: blockSize}
-}
-
-// Observe folds one observation into the detector. Steady state performs
-// zero heap allocations (pinned by TestDetectorZeroAlloc) and never
-// panics, whatever bit pattern v holds.
+// Observe folds one observation into the detector: the incremental
+// reference DetectorOf is checked against. It performs zero heap
+// allocations (pinned by TestDetectorZeroAlloc) and never panics,
+// whatever bit pattern v holds.
 func (d *Detector) Observe(v float64) {
 	d.cur.Add(v)
 	if d.blockSize > 0 && d.cur.Count >= d.blockSize {
@@ -123,21 +114,11 @@ func (d *Detector) Observe(v float64) {
 	}
 }
 
-// Rebuild resets the detector and replays window through Observe — the
-// restore path for apps whose in-memory state was tier-evicted. The
-// store retains the full stream, so the rebuilt state is
-// Float64bits-identical to the incrementally maintained one.
-func (d *Detector) Rebuild(window []float64) {
-	*d = Detector{blockSize: d.blockSize}
-	for _, v := range window {
-		d.Observe(v)
-	}
-}
-
-// DetectorOf is the batch recomputation: it derives the same state as
+// DetectorOf is the batch computation: it derives the same state as
 // incremental Observe calls, but by slicing the window into blocks and
-// summing each directly. The tier property tests assert this independent
-// path is Float64bits-identical to the incremental one.
+// summing each directly. blockSize <= 0 disables block completion (Score
+// stays 0). FuzzDriftDetector asserts this path is Float64bits-identical
+// to the incremental one.
 func DetectorOf(window []float64, blockSize int) Detector {
 	d := Detector{blockSize: blockSize}
 	if blockSize <= 0 {
@@ -162,27 +143,6 @@ func DetectorOf(window []float64, blockSize int) Detector {
 	d.cur = sum(window[n*blockSize:])
 	return d
 }
-
-// BitEqual reports whether two detectors hold Float64bits-identical
-// state — the equivalence the tier property and fuzz tests assert
-// between the incremental and batch paths.
-func (d Detector) BitEqual(o Detector) bool {
-	return d.blockSize == o.blockSize && d.blocks == o.blocks &&
-		d.ref.bitEqual(o.ref) && d.last.bitEqual(o.last) && d.cur.bitEqual(o.cur)
-}
-
-func (b BlockStats) bitEqual(o BlockStats) bool {
-	return b.Count == o.Count && b.NonZero == o.NonZero &&
-		math.Float64bits(b.Sum) == math.Float64bits(o.Sum) &&
-		math.Float64bits(b.SumSq) == math.Float64bits(o.SumSq) &&
-		math.Float64bits(b.Max) == math.Float64bits(o.Max)
-}
-
-// Blocks reports how many completed blocks the detector has seen.
-func (d *Detector) Blocks() int { return d.blocks }
-
-// BlockSize reports the detector's block geometry.
-func (d *Detector) BlockSize() int { return d.blockSize }
 
 // Score returns the app's drift score: 0 until two blocks have
 // completed, then the distance between the latest completed block's

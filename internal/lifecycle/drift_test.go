@@ -9,7 +9,17 @@ import (
 // detectorsEqual compares every accumulator field of two detectors at the
 // bit level; any divergence between the incremental and batch paths shows
 // up here, including ones invisible at comparison tolerances.
-func detectorsEqual(a, b Detector) bool { return a.BitEqual(b) }
+func detectorsEqual(a, b Detector) bool {
+	return a.blockSize == b.blockSize && a.blocks == b.blocks &&
+		statsEqual(a.ref, b.ref) && statsEqual(a.last, b.last) && statsEqual(a.cur, b.cur)
+}
+
+func statsEqual(a, b BlockStats) bool {
+	return a.Count == b.Count && a.NonZero == b.NonZero &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+		math.Float64bits(a.SumSq) == math.Float64bits(b.SumSq) &&
+		math.Float64bits(a.Max) == math.Float64bits(b.Max)
+}
 
 // TestDetectorIncrementalMatchesBatch is the core drift property: moments
 // maintained one Observe at a time are Float64bits-identical to the batch
@@ -19,7 +29,7 @@ func TestDetectorIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, blockSize := range []int{1, 2, 7, 30, 144} {
 		window := make([]float64, 0, 400)
-		d := NewDetector(blockSize)
+		d := DetectorOf(nil, blockSize)
 		for i := 0; i < 400; i++ {
 			v := 0.0
 			switch rng.Intn(4) {
@@ -46,27 +56,6 @@ func TestDetectorIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestDetectorRebuildMatchesIncremental pins the tier-restore path:
-// Rebuild from a retained window reproduces the incrementally maintained
-// state bit for bit.
-func TestDetectorRebuildMatchesIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	window := make([]float64, 333)
-	for i := range window {
-		window[i] = rng.Float64() * 10
-	}
-	inc := NewDetector(30)
-	for _, v := range window {
-		inc.Observe(v)
-	}
-	re := NewDetector(30)
-	re.Observe(999) // stale state Rebuild must erase
-	re.Rebuild(window)
-	if !detectorsEqual(inc, re) {
-		t.Fatalf("Rebuild state diverges from incremental:\nincremental: %+v\nrebuilt: %+v", inc, re)
-	}
-}
-
 // TestDetectorScoreSafety drives the detector with adversarial values;
 // the score must stay finite, non-negative, and bounded — never NaN.
 func TestDetectorScoreSafety(t *testing.T) {
@@ -75,7 +64,7 @@ func TestDetectorScoreSafety(t *testing.T) {
 		math.MaxFloat64, math.SmallestNonzeroFloat64, 0, 1e308, -1e308,
 	}
 	for _, blockSize := range []int{0, -1, 1, 3, 8} {
-		d := NewDetector(blockSize)
+		d := DetectorOf(nil, blockSize)
 		for i := 0; i < 64; i++ {
 			d.Observe(hostile[i%len(hostile)])
 			s := d.Score()
@@ -91,7 +80,7 @@ func TestDetectorScoreSafety(t *testing.T) {
 // two completed blocks score exactly zero.
 func TestDetectorScoreSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	steady := NewDetector(60)
+	steady := DetectorOf(nil, 60)
 	for i := 0; i < 600; i++ {
 		steady.Observe(5 + 0.1*rng.Float64())
 	}
@@ -99,7 +88,7 @@ func TestDetectorScoreSemantics(t *testing.T) {
 		t.Errorf("stationary stream scored %v, want near 0", s)
 	}
 
-	shifted := NewDetector(60)
+	shifted := DetectorOf(nil, 60)
 	for i := 0; i < 300; i++ {
 		shifted.Observe(5 + 0.1*rng.Float64())
 	}
@@ -114,7 +103,7 @@ func TestDetectorScoreSemantics(t *testing.T) {
 		t.Errorf("regime change scored %v, want >= 1", s)
 	}
 
-	fresh := NewDetector(60)
+	fresh := DetectorOf(nil, 60)
 	for i := 0; i < 119; i++ { // one completed block plus a partial
 		fresh.Observe(float64(i))
 		if s := fresh.Score(); s != 0 {
@@ -123,11 +112,10 @@ func TestDetectorScoreSemantics(t *testing.T) {
 	}
 }
 
-// TestDetectorZeroAlloc pins the observe-path contract: once embedded in
-// serving state, feeding the detector and reading its score allocate
-// nothing.
+// TestDetectorZeroAlloc pins the incremental reference's contract:
+// feeding the detector and reading its score allocate nothing.
 func TestDetectorZeroAlloc(t *testing.T) {
-	d := NewDetector(30)
+	d := DetectorOf(nil, 30)
 	for i := 0; i < 100; i++ {
 		d.Observe(float64(i % 7))
 	}

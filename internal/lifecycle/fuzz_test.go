@@ -10,8 +10,8 @@ import (
 // negatives, subnormals — straight into the detector, bypassing the HTTP
 // layer's validation. Whatever arrives, Observe must not panic, the
 // score must never be NaN or escape [0, MaxDriftScore], and the
-// incremental state must stay bit-identical to the batch recomputation
-// (the invariant tier restores rely on).
+// incremental state must stay bit-identical to the batch computation
+// (DetectorOf, which every retrain cycle's drift gate reads).
 func FuzzDriftDetector(f *testing.F) {
 	f.Add([]byte{1}, uint8(30))
 	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN())), uint8(1))
@@ -26,7 +26,7 @@ func FuzzDriftDetector(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte, blockByte uint8) {
 		blockSize := int(blockByte%64) - 1 // [-1, 62]: exercises the disabled geometries too
-		d := NewDetector(blockSize)
+		d := DetectorOf(nil, blockSize)
 		window := make([]float64, 0, len(raw)/8)
 		for len(raw) >= 8 {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))

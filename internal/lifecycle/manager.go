@@ -30,9 +30,9 @@ type Snapshot struct {
 	// training input order — and with it the candidate model — is
 	// deterministic.
 	Apps []AppWindow
-	// MaxDrift/Drifted/Tracked summarize per-app drift across the hot
-	// tier: the largest score, how many apps sit at or above the caller's
-	// threshold, and how many were examined.
+	// MaxDrift/Drifted/Tracked summarize per-app drift across Apps'
+	// windows: the largest score, how many apps sit at or above the
+	// caller's threshold, and how many were examined.
 	MaxDrift float64
 	Drifted  int
 	Tracked  int
@@ -152,6 +152,7 @@ type Metrics struct {
 	Cycles     *serving.Counter // femux_lifecycle_cycles_total{outcome}
 	Retrains   *serving.Counter // femux_lifecycle_retrains_total
 	Promotions *serving.Counter // femux_lifecycle_promotions_total
+	Drift      *serving.Gauge   // femux_drift_score
 }
 
 // New returns a Manager driving sv under cfg.
@@ -175,6 +176,8 @@ func (m *Manager) InstrumentWith(reg *serving.Registry) *Metrics {
 			"Candidate models trained by the lifecycle."),
 		Promotions: reg.NewCounter("femux_lifecycle_promotions_total",
 			"Candidate models auto-promoted after winning shadow evaluation."),
+		Drift: reg.NewGauge("femux_drift_score",
+			"Largest per-app drift score the last retrain cycle saw."),
 	}
 	m.mu.Lock()
 	m.metrics = lm
@@ -322,6 +325,7 @@ func (m *Manager) record(res CycleResult) {
 	logf := m.cfg.Logf
 	m.mu.Unlock()
 	if lm != nil {
+		lm.Drift.Set(res.MaxDrift)
 		lm.Cycles.Inc(string(res.Outcome))
 		switch res.Outcome {
 		case OutcomePromoted:
@@ -367,9 +371,9 @@ func shadowApps(windows []AppWindow, shadowWindow int) []femux.TrainApp {
 	return apps
 }
 
-// SnapshotFromWindows builds a Snapshot directly from windows: the drift
-// summary is batch-recomputed per window with DetectorOf. It backs the
-// offline regime-change study and tests, which have no serving instance.
+// SnapshotFromWindows builds a Snapshot from windows, scoring each one's
+// drift with DetectorOf. It is the one drift path: the serving instance's
+// LifecycleSnapshot and the offline regime-change study both call it.
 func SnapshotFromWindows(model *femux.Model, windows []AppWindow, blockSize int, driftThreshold float64) Snapshot {
 	snap := Snapshot{Model: model, Apps: windows}
 	for _, w := range windows {

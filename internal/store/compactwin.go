@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // CompactWindow is a lossless, append-only encoding of a sliding float64
@@ -176,8 +175,8 @@ const (
 // over-reading, and an error returns nothing decoded. With cwWindow the
 // result aliases p, which the caller must own and never reuse; spare
 // capacity behind p is where the window's next Append lands. With
-// cwValues the values are decoded into dst, grown as needed.
-func decodeCompactWindow(p []byte, mode cwMode, dst []float64) (cw CompactWindow, vals []float64, err error) {
+// cwValues the values are decoded into a slice of their own.
+func decodeCompactWindow(p []byte, mode cwMode) (cw CompactWindow, vals []float64, err error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count > math.MaxInt32 {
 		return cw, nil, fmt.Errorf("store: compact window: bad count")
@@ -202,7 +201,7 @@ func decodeCompactWindow(p []byte, mode cwMode, dst []float64) (cw CompactWindow
 		starts = make([]uint32, 0, (count+cwChunkLen-1)/cwChunkLen+1)
 	}
 	if mode&cwValues != 0 {
-		vals = slices.Grow(dst[:0], int(count))[:count]
+		vals = make([]float64, count)
 	}
 	starts, prev, raw, err := walkChunks(stream, int(count), starts, vals)
 	if err != nil {

@@ -86,7 +86,7 @@ func TestCompactWindowRoundtrip(t *testing.T) {
 		// Serialization round-trip, then keep appending to the decoded
 		// copy: the re-derived chunk state must continue identically.
 		enc := cw.appendEncoded(nil)
-		dec, vals, err := decodeCompactWindow(enc, cwWindow|cwValues, nil)
+		dec, vals, err := decodeCompactWindow(enc, cwWindow|cwValues)
 		if err != nil {
 			t.Fatalf("seq %d: decode: %v", si, err)
 		}
@@ -112,7 +112,7 @@ func TestCompactWindowDecodeRejectsTruncation(t *testing.T) {
 	for n := 0; n < len(enc); n++ {
 		// A truncation that still parses must decode fewer values
 		// (shorter uvarint count prefix), never silently corrupt.
-		if dec, _, err := decodeCompactWindow(enc[:n:n], cwWindow, nil); err == nil && dec.Len() >= cw.Len() {
+		if dec, _, err := decodeCompactWindow(enc[:n:n], cwWindow); err == nil && dec.Len() >= cw.Len() {
 			t.Fatalf("truncation to %d bytes decoded %d values", n, dec.Len())
 		}
 	}
@@ -212,7 +212,7 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 				vals = []float64{-float64(arg+1) / 8}
 			case 6:
 				mode := modes[arg%len(modes)]
-				dec, got, err := decodeCompactWindow(cw.appendEncoded(nil), mode, nil)
+				dec, got, err := decodeCompactWindow(cw.appendEncoded(nil), mode)
 				if err != nil {
 					t.Fatalf("step %d: decoding the window's own image in mode %d: %v", pc, mode, err)
 				}

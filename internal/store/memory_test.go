@@ -61,6 +61,7 @@ func testBackendConformance(t *testing.T) {
 		}
 	}
 	type restored struct {
+		n    int
 		bits []uint64
 		memo Memo
 		ok   bool
@@ -89,9 +90,9 @@ func testBackendConformance(t *testing.T) {
 			m := Memo{Len: uint32(rng.Intn(50)), Gen: uint16(1 + rng.Intn(3)), Group: uint8(rng.Intn(4))}
 			each("SetMemo", func(s *Store) error { s.SetMemo(app, m); return nil })
 		case r < 76:
-			same(when+": RestoreWindowMemo", func(s *Store) any {
-				win, memo, _, ok := s.RestoreWindowMemo(app, nil) // paged is the one answer that may differ
-				return restored{float64Bits(win), memo, ok}
+			same(when+": RestoreMemo", func(s *Store) any {
+				n, memo, _, ok := s.RestoreMemo(app) // paged is the one answer that may differ
+				return restored{n, float64Bits(s.Window(app)), memo, ok}
 			})
 		case r < 82:
 			win := make([]float64, rng.Intn(30))
@@ -121,7 +122,7 @@ func testBackendConformance(t *testing.T) {
 		same(app+": Window", func(s *Store) any { return float64Bits(s.Window(app)) })
 		same(app+": final state", func(s *Store) any {
 			win, total, ok := s.exportApp(app)
-			_, memo, _, _ := s.RestoreWindowMemo(app, nil)
+			_, memo, _, _ := s.RestoreMemo(app)
 			return []any{float64Bits(win), total, ok, memo}
 		})
 	}

@@ -145,11 +145,11 @@ func (p *pager) reader(seq uint64) (file, error) {
 const pageReadSpare = 32
 
 // load reads the record a stub points to, verifies it and decodes it in
-// the buffer it was read into, as mode says (see cwMode), its values
-// into vals; a window it returns owns that buffer. The stub must span
-// exactly one frame; the frame CRC plus the embedded app name guard
+// the buffer it was read into, as mode says (see cwMode); a window it
+// returns owns that buffer. The stub must span exactly one frame; the
+// frame CRC plus the embedded app name guard
 // against stale or misdirected refs. An error returns nothing decoded.
-func (p *pager) load(app string, ref *pageRef, mode cwMode, vals []float64) (appState, []float64, error) {
+func (p *pager) load(app string, ref *pageRef, mode cwMode) (appState, []float64, error) {
 	f, err := p.reader(ref.seq)
 	if err != nil {
 		return appState{}, nil, err
@@ -174,7 +174,7 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode, vals []float64) (app
 	if name != app {
 		return appState{}, nil, fmt.Errorf("store: page %d@%d: holds %q, want %q", ref.seq, ref.off, name, app)
 	}
-	cw, vals, err := decodeCompactWindow(body, mode, vals)
+	cw, vals, err := decodeCompactWindow(body, mode)
 	if err != nil {
 		return appState{}, nil, err
 	}
@@ -278,7 +278,7 @@ func (p *pager) rewrite(apps map[string]*appState, pick func(*pageRef) bool) (er
 		if st.page == nil || !pick(st.page) {
 			continue
 		}
-		full, _, err := p.load(app, st.page, cwWindow, nil)
+		full, _, err := p.load(app, st.page, cwWindow)
 		if err != nil {
 			return err
 		}

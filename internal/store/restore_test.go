@@ -198,7 +198,7 @@ func FuzzCompactWindowDecode(f *testing.F) {
 			in := append([]byte(nil), data...) // a cwWindow decode owns its input
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			cw, vals, err := decodeCompactWindow(in, mode, nil)
+			cw, vals, err := decodeCompactWindow(in, mode)
 			runtime.ReadMemStats(&after)
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(1<<16)); got > limit {
 				t.Fatalf("mode %d: decoding %d bytes allocated %d", mode, len(data), got)
@@ -431,7 +431,7 @@ func TestHeadDirectoryReopens(t *testing.T) {
 	check(s, "rewritten and reopened")
 }
 
-// TestRestoredWindowIsTheCallers: what RestoreWindowMemo returns belongs
+// TestRestoredWindowIsTheCallers: what RestoreWindow returns belongs
 // to the caller. Scribbling on it, or appending to it, changes nothing
 // the store later returns or pages out — for a warm restore and for a
 // cold one, whose values come out of the page-in's own decode.
@@ -450,7 +450,7 @@ func TestRestoredWindowIsTheCallers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		win, _, paged, ok := s.RestoreWindowMemo("a", nil)
+		win, paged, ok := s.RestoreWindow("a")
 		if !ok || paged != cold {
 			t.Fatalf("cold=%v: restore ok=%v paged=%v", cold, ok, paged)
 		}
@@ -466,7 +466,7 @@ func TestRestoredWindowIsTheCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, s.Window("a"), want, "paged out after the caller scribbled")
-		again, _, _, _ := s.RestoreWindowMemo("a", nil)
+		again, _, _ := s.RestoreWindow("a")
 		assertBitIdentical(t, again, want, "restored again")
 		s.Close()
 	}
@@ -549,7 +549,8 @@ func mallocsOf(before, fn func()) uint64 {
 // TestColdRestoreAllocations pins the one pass: a cold restore allocates
 // the read buffer, the record's app name, the chunk offsets and the
 // values — not a copy of the stream, an offsets slice grown by doubling, a
-// second appState and a second walk's slice on top.
+// second appState and a second walk's slice on top. The serving restore,
+// RestoreMemo, decodes no value: it allocates less cold, and nothing warm.
 func TestColdRestoreAllocations(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1})
 	defer s.Close()
@@ -564,23 +565,25 @@ func TestColdRestoreAllocations(t *testing.T) {
 		}
 	}
 	pageOut()
-	s.RestoreWindowMemo("a", nil) // opens the read handle
+	s.RestoreWindow("a") // opens the read handle
 	got := mallocsOf(pageOut, func() {
-		if win, _, paged, _ := s.RestoreWindowMemo("a", nil); !paged || len(win) != 300 {
+		if win, paged, _ := s.RestoreWindow("a"); !paged || len(win) != 300 {
 			t.Fatalf("restore: paged=%v len=%d", paged, len(win))
 		}
 	})
 	if got > 6 {
 		t.Fatalf("a cold restore of 300 values made %d allocations, want at most 6", got)
 	}
-	// Into a buffer the caller lends, the values cost nothing.
-	buf := make([]float64, 300)
-	lend := func(n int) []float64 { return buf[:n] }
-	if lent := mallocsOf(pageOut, func() { s.RestoreWindowMemo("a", lend) }); lent >= got {
-		t.Fatalf("a cold restore into a lent buffer made %d allocations, one into its own %d", lent, got)
+	countOnly := func() {
+		if n, _, paged, _ := s.RestoreMemo("a"); n != 300 {
+			t.Fatalf("RestoreMemo: paged=%v n=%d", paged, n)
+		}
 	}
-	if lent := mallocsOf(func() {}, func() { s.RestoreWindowMemo("a", lend) }); lent != 0 {
-		t.Fatalf("a warm restore into a lent buffer made %d allocations, want 0", lent)
+	if memo := mallocsOf(pageOut, countOnly); memo >= got {
+		t.Fatalf("a cold RestoreMemo made %d allocations, a cold RestoreWindow %d", memo, got)
+	}
+	if warm := mallocsOf(func() {}, countOnly); warm != 0 {
+		t.Fatalf("a warm RestoreMemo made %d allocations, want 0", warm)
 	}
 	// And the observe path frames into the WAL's buffer: the per-app state
 	// exists, the window has room, nothing is left to allocate.

@@ -146,7 +146,7 @@ func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	cw, _, err := decodeCompactWindow(p, cwWindow, nil)
+	cw, _, err := decodeCompactWindow(p, cwWindow)
 	if err != nil {
 		return "", nil, err
 	}

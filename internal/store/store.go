@@ -292,7 +292,7 @@ func (s *Store) apply(obs Observation) {
 		st = &appState{}
 		s.apps[obs.App] = st
 	}
-	s.ensureInlineLocked(obs.App, st, 0, nil)
+	s.ensureInlineLocked(obs.App, st, 0)
 	st.cw.Append(obs.Concurrency)
 	s.list(obs.App, st, true)
 	st.total++
@@ -381,18 +381,18 @@ func (s *Store) enforceInlineBudgetLocked() {
 }
 
 // ensureInlineLocked pages a cold app's window back into memory, and
-// returns its values, decoded into vals, when mode asks for them and a
-// page was read. The record the stub points to is also covered by the
+// returns its values when mode asks for them and a page was read. The
+// record the stub points to is also covered by the
 // snapshot+WAL chain until the next compaction, so a read failure here
 // — torn page file after a crash mid-page-out, bit rot — costs the
 // window only in the rare case that chain was already compacted past
 // it; the durable total is kept either way and the app restarts with an
 // empty window.
-func (s *Store) ensureInlineLocked(app string, st *appState, mode cwMode, vals []float64) []float64 {
+func (s *Store) ensureInlineLocked(app string, st *appState, mode cwMode) []float64 {
 	if st.page == nil {
 		return nil
 	}
-	full, vals, err := s.pg.load(app, st.page, mode|cwWindow, vals)
+	full, vals, err := s.pg.load(app, st.page, mode|cwWindow)
 	if err != nil {
 		s.pageErrs++ // full and vals are empty: the window is lost
 		s.pg.lostSeq = max(s.pg.lostSeq, st.page.seq)
@@ -409,7 +409,7 @@ func (s *Store) windowLocked(app string, st *appState) []float64 {
 	if st.page == nil {
 		return st.cw.Values(nil)
 	}
-	_, win, err := s.pg.load(app, st.page, cwValues, nil)
+	_, win, err := s.pg.load(app, st.page, cwValues)
 	if err != nil {
 		return nil
 	}
@@ -422,7 +422,7 @@ func (s *Store) warmState(app string, st *appState) (*appState, error) {
 	if st.page == nil {
 		return st, nil
 	}
-	full, _, err := s.pg.load(app, st.page, cwWindow, nil)
+	full, _, err := s.pg.load(app, st.page, cwWindow)
 	return &full, err
 }
 
@@ -485,11 +485,11 @@ func (s *Store) Windows() map[string][]float64 {
 	return out
 }
 
-// RestoreWindow returns one app's window for lazy serving-state
-// restore, paging a cold app back in (it becomes warm). paged reports
-// whether a disk read happened; ok is false for unknown apps.
+// RestoreWindow returns one app's window, paging a cold app back in (it
+// becomes warm). paged reports whether a disk read happened; ok is false
+// for unknown apps.
 func (s *Store) RestoreWindow(app string) (win []float64, paged bool, ok bool) {
-	win, _, paged, ok = s.RestoreWindowMemo(app, nil)
+	win, _, _, paged, ok = s.restore(app, cwValues)
 	return win, paged, ok
 }
 
@@ -502,33 +502,36 @@ func (s *Store) SetMemo(app string, m Memo) {
 	}
 }
 
-// RestoreWindowMemo is RestoreWindow plus the app's Memo, with the
-// window decoded into dst(n): a buffer the caller lends for its n values,
-// so a restore leaves no garbage. A nil dst allocates one.
-func (s *Store) RestoreWindowMemo(app string, dst func(n int) []float64) (win []float64, m Memo, paged, ok bool) {
+// RestoreMemo is the lazy serving-state restore: one app's count and
+// Memo, paging a cold app back in (it becomes warm) without decoding a
+// value. The values a restored app reads come from Recent.
+func (s *Store) RestoreMemo(app string) (n int, m Memo, paged, ok bool) {
+	_, n, m, paged, ok = s.restore(app, 0)
+	return n, m, paged, ok
+}
+
+// restore promotes app to the warm tier and reports its window length and
+// Memo, and its values if mode has cwValues.
+func (s *Store) restore(app string, mode cwMode) (win []float64, n int, m Memo, paged, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.apps[app]
 	if st == nil {
-		return nil, Memo{}, false, false
-	}
-	var buf []float64
-	if dst != nil {
-		buf = dst(st.windowLen())
+		return nil, 0, Memo{}, false, false
 	}
 	paged = st.page != nil
-	// A page-in decodes the values in the same walk that rebuilds the
-	// window; only a warm app is walked here.
-	win = s.ensureInlineLocked(app, st, cwValues, buf)
-	if win == nil {
-		win = st.cw.Values(buf)
+	// A page-in decodes any values asked for in the same walk that
+	// rebuilds the window; only a warm app is walked here.
+	win = s.ensureInlineLocked(app, st, mode)
+	if win == nil && mode&cwValues != 0 {
+		win = st.cw.Values(nil)
 	}
 	s.list(app, st, true)
 	// Enforce after materializing: the sweep's second-chance pass may
 	// legitimately re-demote this very app (tiny budgets), which must not
 	// truncate the window we are about to hand to the caller.
 	s.enforceInlineBudgetLocked()
-	return win, Memo{st.memoLen, st.memoGen, st.memoGroup}, paged, true
+	return win, st.windowLen(), Memo{st.memoLen, st.memoGen, st.memoGroup}, paged, true
 }
 
 // Recent is CompactWindow.Recent over app's window, read from its page
@@ -539,7 +542,7 @@ func (s *Store) Recent(app string, k, skip int, dst []float64) []float64 {
 	defer s.mu.Unlock()
 	var cw CompactWindow
 	if st := s.apps[app]; st != nil && st.page != nil {
-		cold, _, _ := s.pg.load(app, st.page, cwWindow, nil) // empty on an error
+		cold, _, _ := s.pg.load(app, st.page, cwWindow) // empty on an error
 		cw = cold.cw
 	} else if st != nil {
 		cw = st.cw
