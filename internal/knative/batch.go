@@ -18,9 +18,14 @@ import (
 //
 // No lock spans the fleet: ownership is fixed for the process's lifetime,
 // so it is checked without one. Lock order, outermost first: each item's
-// app.mu in app-name order, then the tier or store mutex, never held
-// while waiting on an app. Everything else that locks app state holds
-// one app lock at a time.
+// app.mu in app-name order, then the tier or store mutex, never both.
+// tier.mu is never held while waiting on an app: acquire pins an app
+// under it and waits for the app's lock after it (an installer locks its
+// new entry before publishing it, so that lock is free), and eviction
+// takes only unpinned apps, whose locks no request holds, and writes
+// their memos once tier.mu is released. A model swap takes no app lock
+// at all: a stale app is rebuilt by its next acquire (see tier.go).
+// Everything else that locks app state holds one app lock at a time.
 
 // maxBatchBody bounds the batch POST body; maxBatchItems bounds the
 // per-request observation count so a single request cannot monopolize
@@ -106,13 +111,12 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 // is applied or answered in results (same index); it reports how many it
 // applied, none on a store error.
 //
-// Each valid item's app stays locked from before its restore (a count
-// restored after the commit would count the item twice) until after its
-// apply, so no other observation of the app lands in between: the hot
-// tail grows in WAL order, and eviction, which locks the app first,
-// cannot demote it mid-commit. The budget is enforced once per request,
-// after every app is unlocked; with one still held, eviction could pick
-// it and wait on its own lock.
+// Each valid item's app stays pinned and locked from before its restore
+// (a count restored after the commit would count the item twice) until
+// after its apply, so no other observation of the app lands in between:
+// the hot tail grows in WAL order, and eviction, which takes only
+// unpinned apps, cannot demote it mid-commit. The request releases all
+// its apps at once, and the budget is enforced then.
 func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (accepted int, err error) {
 	// held[i] is item i's app (nil if invalid), later[i] how many items
 	// after it name the same app, byName the valid items' indices in
@@ -187,12 +191,14 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		forecast.PutWorkspace(ws)
 		accepted = len(durable)
 	}
-	for j, i := range byName {
-		if j == 0 || held[i] != held[byName[j-1]] {
-			held[i].mu.Unlock()
+	// Each app is released once, through its last item.
+	own := held[:0]
+	for i, a := range held {
+		if a != nil && later[i] == 0 {
+			own = append(own, a)
 		}
 	}
-	s.enforceBudget()
+	s.releaseApp(own...)
 	return accepted, err
 }
 

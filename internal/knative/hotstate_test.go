@@ -23,8 +23,9 @@ import (
 // due blocks from the store. After every step each hot app's ring must
 // hold exactly its forecaster's lookback, no slack, which is at most its
 // model's Window; unless a refill from the store is pending, it must
-// hold the last min(n, lookback) values of the app's stream; the app
-// must be served by the current model; and every answer must equal an
+// hold the last min(n, lookback) values of the app's stream; an app a
+// swap left stale must be rebuilt on the current model by its next
+// acquire; and every answer must equal an
 // unbounded control's: a fresh policy of the serving model over the
 // app's whole stream.
 func TestHotStateIsBounded(t *testing.T) {
@@ -85,36 +86,27 @@ func TestHotStateIsBounded(t *testing.T) {
 		}
 	}
 	// bounded checks every hot app's tail against its bound and stream.
+	// It acquires them from the least recently touched on, which keeps
+	// their LRU order.
 	bounded := func(step int) {
 		t.Helper()
-		svc.tier.mu.Lock()
-		hot := make(map[string]*svcApp, len(svc.tier.apps))
-		for name, a := range svc.tier.apps {
-			hot[name] = a
-		}
-		svc.tier.mu.Unlock()
-		for i, name := range apps {
-			a := hot[name]
-			if a == nil {
-				continue
-			}
-			a.mu.Lock()
-			if a.gone {
-				a.mu.Unlock()
-				continue
-			}
+		hot := lruNames(svc, svc.tier.hot)
+		slices.Reverse(hot)
+		for _, name := range hot {
+			i := slices.Index(apps, name)
+			a := svc.acquire(name)
 			m, tail, n, size := a.policy.Model(), ringTail(a), a.n, len(a.history)
 			_, look, _ := a.policy.Reads(n)
 			if a.due == 0 { // the next call reads the store and refills
 				tail = nil
 			}
-			a.mu.Unlock()
+			svc.releaseApp(a)
 			if size != look || size > m.Config().Window {
 				t.Fatalf("step %d: %s holds a ring of %d values with a lookback of %d and a window of %d",
 					step, name, size, look, m.Config().Window)
 			}
 			if m != models[cur] {
-				t.Fatalf("step %d: %s is served by a model swapped out", step, name)
+				t.Fatalf("step %d: %s was not rebuilt on the swapped-in model by its next acquire", step, name)
 			}
 			if n != len(stream[i]) || tail != nil && len(tail) != min(n, look) {
 				t.Fatalf("step %d: %s: tail of %d values for %d observations (lookback %d), stream of %d",
@@ -293,12 +285,13 @@ func TestRestoreReadsOnlyThePolicysView(t *testing.T) {
 						t.Fatalf("round %d: the workspace's history buffer holds %d values after the restore, want at most %d", round, held, bound)
 					}
 					// A round of observes crosses a block boundary every other
-					// round; touching another app evicts this one, memo and all.
+					// round; observing another app evicts this one, memo and
+					// all (a read of an app never observed leaves no entry).
 					obs := next(model.Config().BlockSize/2 + 1)
 					if got, want := observe(svc, obs), observe(ctl, obs); !slices.Equal(got, want) {
 						t.Fatalf("round %d: observed %+v, the control %+v", round, got, want)
 					}
-					svc.releaseApp(svc.acquire("other"))
+					observe(svc, []BatchObservation{{App: "other", Concurrency: 1}})
 				}
 				if _, resumed := classifications(sm); resumed == 0 {
 					t.Error("no restore resumed its policy from a memo")

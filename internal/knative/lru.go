@@ -56,6 +56,14 @@ func (e *lruElem) Next() *lruElem {
 	return nil
 }
 
+// Prev returns the next element toward the front, nil at the front.
+func (e *lruElem) Prev() *lruElem {
+	if p := e.prev; e.list != nil && p != &e.list.root {
+		return p
+	}
+	return nil
+}
+
 func (l *lruList) insertAfter(e, at *lruElem) {
 	e.prev, e.next = at, at.next
 	e.prev.next, e.next.prev = e, e

@@ -336,8 +336,12 @@ func TestMemoInvalidation(t *testing.T) {
 			func(t *testing.T, svc *Service, st *store.Store) *Service { return svc }, wrong},
 		{"model swap",
 			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.SwapModel(modelA); return svc }, right},
-		{"dropCached",
-			func(t *testing.T, svc *Service, st *store.Store) *Service { svc.dropCached(app); return svc }, right},
+		{"a model swap while the app is hot: its next touch rebuilds it",
+			func(t *testing.T, svc *Service, st *store.Store) *Service {
+				svc.releaseApp(svc.acquire(app)) // restored hot on the planted memo
+				svc.SwapModel(modelA)
+				return svc
+			}, right},
 		{"an append changes the window length",
 			func(t *testing.T, svc *Service, st *store.Store) *Service {
 				if err := st.Append(app, 0); err != nil {
@@ -366,7 +370,7 @@ func TestMemoInvalidation(t *testing.T) {
 				}
 				svc, _, st := tieredFleet(t, modelA, dir)
 				seedWindow(t, st, app, window)
-				st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.version), Group: planted})
+				st.SetMemo(app, store.Memo{Len: n, Gen: memoGen(svc.live.Load().version), Group: planted})
 				svc = tc.event(t, svc, st)
 				srv := httptest.NewServer(svc.Handler())
 				defer srv.Close()

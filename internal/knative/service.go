@@ -39,18 +39,14 @@ import (
 //	GET  /healthz
 //	    200, or 503 once the store's WAL has failed (store.Store.Err).
 type Service struct {
-	mu    sync.RWMutex
-	model *femux.Model
+	// live is the serving model; SwapModel replaces it, under mu.
+	live atomic.Pointer[liveModel]
+	mu   sync.RWMutex
 	// qlevel, when positive, makes every scale decision provision for
 	// that forecast quantile of demand instead of the point forecast
 	// (the -quantile-level knob; immutable after construction).
 	qlevel  float64
 	reloads int
-	version int64 // modelVersions stamp of the serving model's installation
-	// swapMu serializes whole model swaps (pointer flip + per-app policy
-	// refresh); without it two racing swaps could interleave their
-	// refresh sweeps and leave apps on the losing model.
-	swapMu sync.Mutex
 
 	// st holds every acknowledged observation before it is applied in
 	// memory, and is the warm tier hot state is restored from (tier.go). A
@@ -102,19 +98,26 @@ type ServiceOptions struct {
 	QuantileLevel float64
 }
 
+// liveModel is a serving model and the modelVersions stamp of its
+// installation.
+type liveModel struct {
+	model   *femux.Model
+	version int64
+}
+
 type svcApp struct {
-	mu     sync.Mutex
-	name   string
-	policy *femux.AppPolicy
-	gen    uint16 // memoGen of the model policy was built from
-	// gone, guarded by mu, marks an evicted entry that acquire must not
-	// use (see tier.go). It and due share gen's word: 104 bytes keep
-	// svcApp in the 112-byte size class.
-	gone bool
+	mu      sync.Mutex
+	name    string
+	policy  *femux.AppPolicy
+	version int64 // of the liveModel policy was built from
 	// due is the count at which policy's next block is due (see view), or
 	// 0 while history does not hold min(n, lookback) values: after a
-	// model swap or a lost page, the next call reads the store.
+	// restore, a model swap or a lost page, the next call reads the store.
 	due int32
+	// pins counts the requests that hold or wait for the app, guarded by
+	// tier.mu: eviction takes only entries at 0 (see tier.go). It shares
+	// due's word: 112 bytes keep svcApp in the 112-byte size class.
+	pins int32
 	// history is a ring of exactly lookback values for policy's
 	// forecaster (femux.RingTail): value i of the app's history lives at
 	// history[i % lookback], so it holds the last min(n, lookback). n
@@ -129,10 +132,7 @@ type svcApp struct {
 	// materialization (see count), and guarded by mu.
 	observes, targets, forecasts serving.CounterChild
 
-	// Tier state (see tier.go). hotEl is this app's position in the
-	// tier's LRU (nil when not listed), guarded by tier.mu. Eviction takes
-	// mu before anything else, so an app that a request holds from
-	// acquire to release is never demoted under it.
+	// hotEl is this app's position in the tier's LRU, guarded by tier.mu.
 	hotEl *lruElem
 }
 
@@ -168,15 +168,15 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 		opts.Store = store.OpenMemory()
 	}
 	s := &Service{
-		model: model,
-		st:    opts.Store, shardID: opts.ShardID, shards: opts.Shards,
+		st: opts.Store, shardID: opts.ShardID, shards: opts.Shards,
 		qlevel:     opts.QuantileLevel,
-		driftBlock: model.Config().BlockSize, version: modelVersions.Add(1),
+		driftBlock: model.Config().BlockSize,
 		tier: tiers{
 			maxHot: opts.MaxHotApps,
 			apps:   map[string]*svcApp{}, hot: newLRUList(),
 		},
 	}
+	s.live.Store(&liveModel{model, modelVersions.Add(1)})
 	s.restored = s.st.Apps()
 	return s
 }
@@ -189,26 +189,13 @@ func (s *Service) Restored() int {
 }
 
 // Model returns the model currently serving requests.
-func (s *Service) Model() *femux.Model {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.model
-}
+func (s *Service) Model() *femux.Model { return s.live.Load().model }
 
 // Reloads reports how many times the model has been hot-swapped.
 func (s *Service) Reloads() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.reloads
-}
-
-// modelAt returns the serving model together with its reload version,
-// so a caller that derived state from the model can detect a concurrent
-// swap afterwards (see materialize).
-func (s *Service) modelAt() (*femux.Model, int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.model, s.version
 }
 
 // modelVersions numbers model installations (service start, swap)
@@ -311,45 +298,19 @@ func (a *svcApp) refill(view []float64) {
 
 // SwapModel atomically replaces the serving model (the paper retrains
 // monthly offline and ships the classifier into the forecasting pods).
-// Each hot application gets a fresh policy from the new model while
-// keeping its observation history, so forecasting continuity survives the
-// swap: the policy's first call reads the app's last completed block from
-// the store, whatever the new block size and window. Requests already
-// holding the old policy finish against the old model — nothing in
-// flight is dropped or torn. An app materializing concurrently with the
-// refresh sweep either is seen by it or detects the version bump itself
-// and restores again (materialize), so no app can keep the old model.
+// It only publishes the model, under a new version, and takes no app
+// lock: each app's next acquire finds its policy stale and gives it a
+// fresh one from the new model, keeping its observation history, so
+// forecasting continuity survives the swap — the policy's first call
+// reads the app's last completed block from the store, whatever the new
+// block size and window. Requests already holding the old policy finish
+// against the old model; nothing in flight is dropped or torn.
 func (s *Service) SwapModel(m *femux.Model) {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
 	s.mu.Lock()
-	s.model = m
+	defer s.mu.Unlock()
+	s.live.Store(&liveModel{m, modelVersions.Add(1)})
 	s.reloads++
-	s.version = modelVersions.Add(1)
-	gen := memoGen(s.version)
-	sm := s.metrics
-	s.mu.Unlock()
-	t := &s.tier
-	t.mu.Lock()
-	apps := make([]*svcApp, 0, len(t.apps))
-	for _, a := range t.apps {
-		apps = append(apps, a)
-	}
-	t.mu.Unlock()
-	// Policies are refreshed under each app's lock, never under the tier
-	// lock — eviction locks app.mu before tier.mu, so the reverse order
-	// here would deadlock.
-	for _, a := range apps {
-		a.mu.Lock()
-		if !a.gone {
-			// Refilled from nothing, the ring takes the new policy's
-			// lookback, and its first call reads its view from the store.
-			a.policy, a.gen = m.NewAppPolicy(0), gen
-			a.refill(nil)
-		}
-		a.mu.Unlock()
-	}
-	if sm != nil {
+	if sm := s.metrics; sm != nil {
 		sm.Reloads.Inc()
 		sm.setModelInfo(m)
 	}
@@ -490,65 +451,35 @@ func (a *svcApp) count(h *serving.CounterChild, fam *serving.Counter) {
 	h.Inc()
 }
 
-// app returns the named app's hot state, materializing it if it is not
-// hot.
-func (s *Service) app(name string) *svcApp {
-	t := &s.tier
-	t.mu.Lock()
-	a := t.apps[name]
-	t.mu.Unlock()
-	if a != nil {
-		return a
-	}
-	return s.materialize(name)
-}
-
-// materialize builds and installs hot serving state for an app missing
-// from the tier's map: a genuinely new app starts empty, a demoted one
-// is restored from the warm/cold tier. A restore reads only the app's
-// count and memo (it may page the app in from disk); its ring starts
-// empty and awaiting a refill, so the first call reads from the store
-// exactly the values its policy needs. The restore runs before taking the
-// tier lock; if another goroutine installs the app first, its copy wins
-// and ours — identical, since store restores promote — is discarded. The
-// install never evicts: the caller touches the app into the LRU, and the
-// budget is enforced when the request releases it.
-func (s *Service) materialize(name string) *svcApp {
+// restore fills a, just installed by acquire and locked, from the store:
+// a genuinely new app starts empty, a demoted one takes its count and memo
+// (it may page the app in from disk). Its ring starts empty and awaiting a
+// refill, so the first call reads from the store exactly the values its
+// policy needs.
+func (s *Service) restore(a *svcApp) {
 	start := time.Now()
-	t := &s.tier
-	model, version := s.modelAt()
-	a := &svcApp{name: name, gen: memoGen(version)}
-	var from string
-	n, memo, paged, ok := s.st.RestoreMemo(name)
+	m := s.live.Load()
+	n, memo, paged, ok := s.st.RestoreMemo(a.name)
+	var resumed bool
+	a.policy, resumed = policyFor(m.model, memoGen(m.version), memo, n)
+	a.n, a.version = n, m.version
+	a.refill(nil)
+	if !ok {
+		return
+	}
+	sm := s.svcMetrics()
+	if sm == nil {
+		return
+	}
+	from := "warm"
 	if paged {
 		from = "cold"
-	} else if ok {
-		from = "warm"
 	}
-	a.n = n
-	var resumed bool
-	a.policy, resumed = policyFor(model, a.gen, memo, a.n)
-	a.refill(nil)
-	t.mu.Lock()
-	if cur := t.apps[name]; cur != nil {
-		t.mu.Unlock()
-		return cur
-	}
-	t.apps[name] = a
-	t.mu.Unlock()
-	if _, v2 := s.modelAt(); v2 != version {
-		// A model swap raced this install: its refresh sweep may have
-		// walked the map before a appeared, which would leave a on the
-		// old model forever. Drop it: the caller's acquire finds it gone
-		// and restores again.
-		s.dropCached(name)
-		return a
-	}
-	s.noteRestore(from, time.Since(start))
-	if sm := s.svcMetrics(); resumed && sm != nil {
+	sm.Restores.Inc(from)
+	sm.RestoreSeconds.Observe(time.Since(start).Seconds(), from)
+	if resumed {
 		sm.Classifications.Inc("resumed")
 	}
-	return a
 }
 
 // foreign reports, for an app another shard owns, why this instance

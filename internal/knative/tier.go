@@ -3,10 +3,8 @@ package knative
 import (
 	"log"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -46,10 +44,32 @@ import (
 // (Store.Recent). The memo only caches extract-and-classify (policyFor
 // says when it hits).
 //
-// One mutex guards the app map, the LRU and the eviction count, so once
-// a request has enforced the budget the hot set is exactly the fleet's
-// MaxHotApps most recently touched apps. It is held only for map and list
-// updates, never across a restore or an app lock wait.
+// One mutex, tier.mu, guards the app map, the LRU, every entry's pins and
+// the eviction count, and one protocol covers every request:
+//
+//   - acquire finds or installs the app's entry, pins it and touches the
+//     LRU in one tier.mu hold, then locks the app. A missing app is
+//     installed as a new entry whose lock the installer takes before
+//     publishing it; it then restores the entry from the store under that
+//     lock, so a concurrent request for the app waits for the restore, no
+//     app is restored twice, and no restore reads a count older than the
+//     entry it installs.
+//   - releaseApp unlocks the request's apps, then in one tier.mu hold
+//     unpins them and demotes the least recently touched unpinned entries
+//     until the budget holds. An unpinned entry is one no request holds or
+//     waits for, so eviction locks no app. An evicted entry's memo is
+//     written once tier.mu is released (demote). An entry still without
+//     an observation at its last unpin (a read of an unknown app) leaves
+//     the map at once.
+//
+// So the budget is exact once every request has released its apps
+// (pinned entries past it wait for their release), and with requests one
+// at a time the hot set is the fleet's MaxHotApps most recently touched
+// apps. tier.mu is never held across a restore or an app lock wait.
+//
+// A model swap only publishes the new model (SwapModel): each entry
+// records the model version it was built from, and acquire rebuilds a
+// stale entry's policy on the app's next touch.
 //
 // No tier holds a forecast workspace. A workspace is scratch, not app
 // state: it holds buffers and plan pointers and no result, so any request
@@ -74,166 +94,103 @@ type tiers struct {
 	anomalyLog     sync.Once
 }
 
-// touch bumps a to the front of the hot LRU. Called with a.mu held; on
-// the steady-state hot path it is a MoveToFront — no allocation.
-func (s *Service) touch(a *svcApp) {
+// acquire returns the named app pinned and with its lock held, restored
+// from the warm/cold tier if it was not hot and rebuilt on the serving
+// model if a swap made it stale. Callers give it back with releaseApp.
+func (s *Service) acquire(name string) *svcApp {
 	t := &s.tier
 	t.mu.Lock()
-	if a.hotEl == nil {
+	a := t.apps[name]
+	if a == nil {
+		a = &svcApp{name: name, pins: 1}
+		a.mu.Lock() // before a is published: requests for name wait on it
+		t.apps[name] = a
 		a.hotEl = t.hot.PushFront(a)
-	} else {
-		t.hot.MoveToFront(a.hotEl)
+		t.mu.Unlock()
+		s.restore(a)
+		return a
+	}
+	t.hot.MoveToFront(a.hotEl)
+	a.pins++
+	t.mu.Unlock()
+	a.mu.Lock()
+	if m := s.live.Load(); a.version != m.version {
+		// Refilled from nothing, the ring takes the new policy's lookback,
+		// and its first call reads its view from the store.
+		a.policy, a.version = m.model.NewAppPolicy(0), m.version
+		a.refill(nil)
+	}
+	return a
+}
+
+// releaseApp gives back what acquire took: it unlocks each of apps (each
+// acquired once), then unpins them and enforces the budget in one
+// tier.mu hold — eviction happens after the response work is done, never
+// to an app a request holds.
+func (s *Service) releaseApp(apps ...*svcApp) {
+	for _, a := range apps {
+		a.mu.Unlock()
+	}
+	t := &s.tier
+	t.mu.Lock()
+	for _, a := range apps {
+		if a.pins--; a.pins == 0 && a.n == 0 {
+			t.unlink(a)
+		}
+	}
+	var buf [1]*svcApp
+	evicted := buf[:0]
+	for el := t.hot.Back(); el != nil && t.overHot(); {
+		v := el.Value
+		el = el.Prev()
+		if v.pins == 0 {
+			t.evict(v)
+			evicted = append(evicted, v)
+		}
 	}
 	t.mu.Unlock()
-}
-
-// lostRaceBackoff paces the acquire retry loop after losing a race with
-// eviction. The first few retries just yield — the common case is the
-// evictor finishing its map removal within a scheduler quantum — but
-// under sustained acquire-vs-evict churn (a hot budget of 1 shared by
-// many goroutines, a stress test hammering one app) a pure
-// runtime.Gosched spin can burn a core for milliseconds without the
-// fresh map entry becoming observable. Beyond the yield phase the loop
-// sleeps with capped exponential backoff: 1µs doubling to 1ms.
-func lostRaceBackoff(attempt int) {
-	const yields = 4
-	if attempt < yields {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(time.Microsecond << min(attempt-yields, 10))
-}
-
-// acquire returns the named app with its lock held, lazily restoring
-// warm/cold state and bumping the tier LRU. Callers must a.mu.Unlock()
-// and then enforce the budget (releaseApp does both).
-func (s *Service) acquire(name string) *svcApp {
-	for attempt := 0; ; attempt++ {
-		a := s.app(name)
-		a.mu.Lock()
-		if !a.gone {
-			s.touch(a)
-			return a
-		}
-		// Lost a race with eviction: the map entry is about to be (or has
-		// been) removed; retry until the fresh entry is observable.
-		a.mu.Unlock()
-		lostRaceBackoff(attempt)
-	}
-}
-
-// releaseApp unlocks a serving request's app and then enforces the
-// budget — eviction happens after the response work is done, never
-// while a request holds the app.
-func (s *Service) releaseApp(a *svcApp) {
-	a.mu.Unlock()
-	s.enforceBudget()
-}
-
-// enforceBudget demotes LRU victims until the hot-app budget holds.
-// The caller holds no app lock: the victim may be any app, and evict
-// waits for its lock.
-func (s *Service) enforceBudget() {
-	t := &s.tier
-	for {
-		t.mu.Lock()
-		var victim *svcApp
-		if t.overHot() {
-			victim = t.hot.Back().Value
-		}
-		t.mu.Unlock()
-		if victim == nil {
-			return
-		}
-		if !s.evict(victim) {
-			// The victim was re-touched; the budget is best-effort within a
-			// pass and the next release re-enforces.
-			return
-		}
-	}
+	s.demote(evicted)
 }
 
 // overHot reports whether the hot budget is exceeded. Caller holds t.mu.
 func (t *tiers) overHot() bool { return t.maxHot > 0 && t.hot.Len() > t.maxHot }
 
-// evict demotes one app, reporting whether it made progress. The victim
-// was chosen without its lock; everything is re-checked under victim.mu
-// -> tier.mu (the same order touch uses), so a concurrent touch simply
-// wins and the eviction pass stops. The map removal is atomic with the
-// LRU removal: no window exists where a gone app is still reachable
-// through the map.
-func (s *Service) evict(v *svcApp) bool {
-	v.mu.Lock()
-	if !v.gone {
-		// The classification, if current for this history, goes to the
-		// demoted record while v is still published: dropCached clears it
-		// after unpublishing, so none lands on state an import replaced.
+// unlink removes a from the map and the LRU. Caller holds t.mu.
+func (t *tiers) unlink(a *svcApp) {
+	t.hot.Remove(a.hotEl)
+	delete(t.apps, a.name)
+}
+
+// evict takes v, an unpinned entry, out of the hot tier; the caller
+// demotes it once it has released t.mu. Caller holds t.mu.
+func (t *tiers) evict(v *svcApp) {
+	t.unlink(v)
+	t.evictions++
+}
+
+// demote finishes the eviction of apps, which no request can reach any
+// more, so their fields are read without their locks: each one's
+// classification, if current for its history, goes to the store as a
+// memo. The memo is written after the unlink, outside t.mu, which keeps
+// store.mu waits out of the tier lock. A request may restore the app in
+// between: it misses the memo and extracts the block itself, counted as
+// an extraction. A memo names its window length and model, and a window
+// only grows, so one that lands late is either still right or matches
+// no restore; the race costs an extraction, never a forecast.
+func (s *Service) demote(apps []*svcApp) {
+	if len(apps) == 0 {
+		return
+	}
+	for _, v := range apps {
 		var memo store.Memo
 		if group, ok := v.policy.Classified(v.n); ok && group <= math.MaxUint8 {
-			memo = store.Memo{Len: uint32(v.n), Gen: v.gen, Group: uint8(group)}
+			memo = store.Memo{Len: uint32(v.n), Gen: memoGen(v.version), Group: uint8(group)}
 		}
 		s.st.SetMemo(v.name, memo)
 	}
-	t := &s.tier
-	t.mu.Lock()
-	if v.hotEl == nil || !t.overHot() || t.hot.Back() != v.hotEl {
-		t.mu.Unlock()
-		v.mu.Unlock()
-		return false
-	}
-	t.hot.Remove(v.hotEl)
-	v.hotEl = nil
-	t.evictions++
-	if t.apps[v.name] == v {
-		delete(t.apps, v.name)
-	}
-	v.history = nil
-	v.policy = nil
-	v.gone = true
-	t.mu.Unlock()
-	v.mu.Unlock()
 	if sm := s.svcMetrics(); sm != nil {
-		sm.Evictions.Inc()
+		sm.Evictions.Add(float64(len(apps)))
 	}
-	return true
-}
-
-// noteRestore records restore metrics (counter + latency histogram).
-func (s *Service) noteRestore(from string, elapsed time.Duration) {
-	if from == "" {
-		return
-	}
-	if sm := s.svcMetrics(); sm != nil {
-		sm.Restores.Inc(from)
-		sm.RestoreSeconds.Observe(elapsed.Seconds(), from)
-	}
-}
-
-// dropCached removes an app's materialized serving state and tier
-// tracking (a model swap reshaped it, or a racing swap made it stale);
-// the next touch lazily restores from the store. The store's memo of the old
-// window is purged whether or not the app was materialized, and last,
-// once no eviction of the dropped state can still write one.
-func (s *Service) dropCached(name string) {
-	defer s.st.SetMemo(name, store.Memo{})
-	t := &s.tier
-	t.mu.Lock()
-	a := t.apps[name]
-	delete(t.apps, name)
-	t.mu.Unlock()
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	t.mu.Lock()
-	if a.hotEl != nil {
-		t.hot.Remove(a.hotEl)
-		a.hotEl = nil
-	}
-	t.mu.Unlock()
-	a.history = nil
-	a.gone = true
-	a.mu.Unlock()
 }
 
 // HotApps reports how many apps are materialized (hot tier).

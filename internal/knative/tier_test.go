@@ -1,11 +1,15 @@
 package knative
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
@@ -16,6 +20,20 @@ func materialized(s *Service, name string) bool {
 	s.tier.mu.Lock()
 	defer s.tier.mu.Unlock()
 	return s.tier.apps[name] != nil
+}
+
+// dropCached demotes name through the production eviction path, if it
+// is hot and no request holds it: its memo goes to the store, and its
+// next touch restores it.
+func (s *Service) dropCached(name string) {
+	s.tier.mu.Lock()
+	var evicted []*svcApp
+	if a := s.tier.apps[name]; a != nil && a.pins == 0 {
+		s.tier.evict(a)
+		evicted = append(evicted, a)
+	}
+	s.tier.mu.Unlock()
+	s.demote(evicted)
 }
 
 // lruNames lists one of the tier's LRUs, most recently touched first.
@@ -118,11 +136,10 @@ func TestBatchOverHotBudget(t *testing.T) {
 	}
 }
 
-// TestAcquireEvictHammer is the lost-race regression test for the
-// bounded-backoff acquire loop: under a one-app hot budget, concurrent
-// observes alternate between apps, so nearly every commit ends in an
-// eviction and the next acquire races one (the gone retry path) and
-// restores from the warm tier. The single variant sends each app its own
+// TestAcquireEvictHammer races acquires against evictions: under a
+// one-app hot budget, concurrent observes alternate between apps, so
+// nearly every commit ends in an eviction and the next acquire races one
+// and restores from the warm tier. The single variant sends each app its own
 // observe; in the batch variant each observe names all three apps, all
 // held until every one is applied: an observe that enforced a budget
 // with any app still locked would pick it as the victim and wait on its
@@ -215,10 +232,10 @@ func testAcquireEvictHammer(t *testing.T, napps int, batch bool) {
 }
 
 // TestTierCountsAnomaly pins the un-clamped warm count: a hot app with
-// no durable state (its first observation still in flight) makes the
-// store-backed warm derivation go negative; the sample must be counted
-// as an anomaly — not silently clamped — while the gauge still reports
-// a sane 0.
+// no durable state (its first observation still in flight, so the
+// request still holds it) makes the store-backed warm derivation go
+// negative; the sample must be counted as an anomaly — not silently
+// clamped — while the gauge still reports a sane 0.
 func TestTierCountsAnomaly(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
 	if err != nil {
@@ -227,10 +244,10 @@ func TestTierCountsAnomaly(t *testing.T) {
 	defer st.Close()
 	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{Store: st})
 
-	// Materialize an app without appending to the store: hot = 1 while
-	// the store knows 0 apps.
+	// Hold an app without appending to the store: hot = 1 while the
+	// store knows 0 apps.
 	a := svc.acquire("phantom")
-	svc.releaseApp(a)
+	defer svc.releaseApp(a)
 
 	hot, warm, cold := svc.TierCounts()
 	if hot != 1 || warm != 0 || cold != 0 {
@@ -283,5 +300,168 @@ func TestLRUList(t *testing.T) {
 	l.Init()
 	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
 		t.Fatal("Init did not empty the list")
+	}
+}
+
+// TestUnknownAppsLeaveNoHotState sends target and forecast reads for
+// 1,000 apps never observed, at the default unlimited hot budget. Each
+// reply is the model's default decision on an empty history, and no read
+// leaves an entry behind: the hot tier holds only the one observed app,
+// and the tier gauges sample no anomaly.
+func TestUnknownAppsLeaveNoHotState(t *testing.T) {
+	model := trainTinyModel(t)
+	svc := NewService(model)
+	h := svc.Handler()
+	observeOne(t, svc, "known", 1)
+	ws := forecast.NewWorkspace()
+	p := model.NewAppPolicy(0)
+	target, fcName, _ := p.Decide(nil, 0, 1, 0, ws)
+	values := p.ForecastWS(nil, 3, nil, ws)
+	for i := 0; i < 1000; i++ {
+		app := fmt.Sprintf("unknown-%d", i)
+		var tr TargetResponse
+		getInto(t, h, "/v1/apps/"+app+"/target?concurrency=1", &tr)
+		if want := (TargetResponse{App: app, Target: target, Forecaster: fcName}); tr != want || fcName != model.DefaultForecaster().Name() {
+			t.Fatalf("target for %s: %+v, want %+v on the default forecaster %s", app, tr, want, model.DefaultForecaster().Name())
+		}
+		var fr ForecastResponse
+		getInto(t, h, "/v1/apps/"+app+"/forecast?horizon=3", &fr)
+		if fr.App != app || fr.Forecaster != fcName || !slices.Equal(fr.Values, values) {
+			t.Fatalf("forecast for %s: %+v, want %s %v", app, fr, fcName, values)
+		}
+	}
+	if hot, warm, cold := svc.TierCounts(); hot != 1 || warm != 0 || cold != 0 || !materialized(svc, "known") {
+		t.Fatalf("TierCounts = (%d, %d, %d) after the reads, want only the observed app hot", hot, warm, cold)
+	}
+	if n := svc.TierCountAnomalies(); n != 0 || svc.Apps() != 1 || svc.Evictions() != 0 {
+		t.Fatalf("%d tier count anomalies, %d apps, %d evictions: want 0, 1, 0", n, svc.Apps(), svc.Evictions())
+	}
+}
+
+// getInto serves a GET of path through h and decodes its 200 reply.
+func getInto(t testing.TB, h http.Handler, path string, into any) {
+	t.Helper()
+	rec := serveInProcess(h, http.MethodGet, path, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreInstallsOnce hammers three shared apps from eight
+// goroutines at a hot budget of 1, while each goroutine also observes
+// apps of its own, so the shared apps are evicted and restored
+// constantly, often by two requests at once. An install that restored a
+// count older than the store's — a copy restored before another
+// request's observe and eviction of the same app, installed after them
+// — would reply an old count twice. Every reply's historyLen must be its
+// app's count of acknowledged observes at its commit: per app the
+// replies are exactly 1..N, no count repeated, and the store holds N.
+// Run under -race -count=20 in CI.
+func TestRestoreInstallsOnce(t *testing.T) {
+	svc := NewServiceWith(trainTinyModel(t), ServiceOptions{MaxHotApps: 1})
+	shared := []string{"shared-0", "shared-1", "shared-2"}
+	const goroutines = 8
+	iters := 200
+	if testing.Short() {
+		iters = 80
+	}
+	var (
+		mu      sync.Mutex
+		replies = map[string][]int{}
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := map[string][]int{}
+			for i := 0; i < iters; i++ {
+				items := []BatchObservation{{App: shared[(g+i)%len(shared)], Concurrency: float64(i)}}
+				switch i % 4 {
+				case 1:
+					items = append(items, BatchObservation{App: fmt.Sprintf("own-%d-%d", g, i%3), Concurrency: 1})
+				case 3: // a batch naming two shared apps and one of its own
+					items = append(items, BatchObservation{App: shared[(g+i+1)%len(shared)], Concurrency: 2},
+						BatchObservation{App: fmt.Sprintf("own-%d-%d", g, i%3), Concurrency: 3})
+				}
+				res := make([]BatchItemResult, len(items))
+				if n, err := svc.observe(items, res); err != nil || n != len(items) {
+					t.Errorf("observe applied %d of %d: %v", n, len(items), err)
+					return
+				}
+				for _, r := range res {
+					got[r.App] = append(got[r.App], r.History)
+				}
+			}
+			mu.Lock()
+			for app, h := range got {
+				replies[app] = append(replies[app], h...)
+			}
+			mu.Unlock()
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for app, h := range replies {
+		slices.Sort(h)
+		for k, n := range h {
+			if n != k+1 {
+				t.Fatalf("%s: sorted replies ...%v...: reply %d has historyLen %d, want %d (a count repeated or skipped)",
+					app, h[max(k-2, 0):min(len(h), k+3)], k, n, k+1)
+			}
+		}
+		if w := len(svc.st.Window(app)); w != len(h) {
+			t.Fatalf("%s: %d acknowledged observes, the store holds %d", app, len(h), w)
+		}
+	}
+	if svc.Evictions() == 0 {
+		t.Fatal("zero evictions: the hammer never restored an app")
+	}
+}
+
+// TestSwapModelTakesNoAppLock swaps the model, to one of another block
+// size and window, while a request holds an app: the swap must return at
+// once, since it only publishes the model. Once released, the app's next
+// replies — target, quantile forecast, observe — must equal a control
+// service's that was built on the new model and never swapped, byte for
+// byte (the wire codec writes each float's shortest round-trip form, so
+// the values are Float64bits-equal).
+func TestSwapModelTakesNoAppLock(t *testing.T) {
+	next := reshaped(t, muxModelB(t), 45, 40)
+	svc, ctl := NewService(muxModelA(t)), NewService(next)
+	const app = "held"
+	for m := 0; m < 100; m++ {
+		observeOne(t, svc, app, shapedValue(0, m))
+		observeOne(t, ctl, app, shapedValue(0, m))
+	}
+	a := svc.acquire(app)
+	swapped := make(chan struct{})
+	go func() { svc.SwapModel(next); close(swapped) }()
+	select {
+	case <-swapped:
+	case <-time.After(time.Second):
+		t.Error("SwapModel blocked for 1 s on an app a request holds")
+	}
+	svc.releaseApp(a)
+	<-swapped
+	h, hc := svc.Handler(), ctl.Handler()
+	for _, q := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/apps/" + app + "/target?concurrency=1", ""},
+		{http.MethodGet, "/v1/apps/" + app + "/forecast?horizon=4&quantiles=0.5,0.9", ""},
+		{http.MethodPost, "/v1/apps/" + app + "/observe", `{"concurrency": 3.5}`},
+	} {
+		got, want := serveInProcess(h, q.method, q.path, q.body), serveInProcess(hc, q.method, q.path, q.body)
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Fatalf("%s %s after the swap: served %d %s, the never-swapped control %d %s",
+				q.method, q.path, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+	if svc.Reloads() != 1 || svc.Model() != next {
+		t.Fatalf("reloads %d, serving the new model %v: want 1, true", svc.Reloads(), svc.Model() == next)
 	}
 }

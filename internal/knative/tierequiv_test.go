@@ -255,7 +255,7 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 				}
 			}
 		case r < 82: // mid-replay drop: the next touch restores from the store
-			// The dropped app's state survives demoted (minus its memo), so
+			// The dropped app's state survives demoted, memo and all, so
 			// the next compare proves the drop-and-restore round trip
 			// changed nothing.
 			if app := apps[rng.Intn(len(apps))]; tiered.svc.HotApps() > 0 {

@@ -22,9 +22,8 @@ func TestServiceTargetZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 
 	ws := forecast.NewWorkspace()
-	a := s.app("alloc-probe")
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a := s.acquire("alloc-probe")
+	defer s.releaseApp(a)
 	// 45 observations: one completed block (size 30), mid-block afterwards,
 	// so the measured calls never cross a block boundary and re-classify.
 	var hist []float64
@@ -85,9 +84,8 @@ func TestServiceQuantileTargetZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 
 	ws := forecast.NewWorkspace()
-	a := s.app("alloc-probe-q")
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a := s.acquire("alloc-probe-q")
+	defer s.releaseApp(a)
 	var hist []float64
 	for i := 0; i < 45; i++ {
 		hist = append(hist, 2+rng.Float64())
