@@ -15,31 +15,36 @@
 // GET /v1/apps/{app}/target, GET /v1/apps/{app}/forecast, GET /healthz,
 // GET /metrics (Prometheus text), POST /v1/admin/reload (hot-swap a
 // retrained model; SIGHUP does the same), and /debug/pprof.
-// SIGINT/SIGTERM drain in-flight requests before exiting.
+// SIGINT/SIGTERM drain in-flight requests before exiting. A bad flag is
+// refused before anything trains, opens or listens. No request has a
+// server-side deadline: the caller owns it (Knative's autoscaler falls
+// back to its reactive logic), so every reply reports what was done.
 //
 // With -data-dir, every acknowledged observation is persisted through a
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
 // loses no state. Restart is the recovery path: /healthz answers 503
 // once the WAL has failed, and a supervisor that kills and restarts
-// femuxd on the same -data-dir gets back every acknowledged observation. Without it the same store is held in memory: same
+// femuxd on the same -data-dir gets back every acknowledged
+// observation. Without it the same store is held in memory: same
 // tiering, no files, nothing survives the process. -max-hot-apps and
 // -max-warm-apps bound the hot and in-memory-window tiers so a
 // million-app fleet serves in bounded RSS: the LRU excess is demoted to
 // compact windows and, past the warm budget, paged to disk, then
 // restored transparently (and bit-identically) on first touch. Forecast
 // workspaces are per-request scratch, not per-app state, so no flag
-// bounds them. With -shards/-shard-id the instance
-// owns only its FNV-1a hash partition of the apps (see cmd/femux-shard
-// for the router), and -watch-model hot-reloads the -model file whenever
-// it changes, so one retrain in a shared model directory propagates
-// across the fleet.
+// bounds them. With -shards/-shard-id the instance owns only its FNV-1a
+// hash partition of the apps (see cmd/femux-shard for the router), and
+// -watch-model hot-reloads the -model file whenever it changes, so one
+// retrain in a shared model directory propagates across the fleet.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -60,173 +65,174 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
 
-// buildOpts captures everything needed to (re)build the serving model, so
-// startup, SIGHUP, and POST /v1/admin/reload share one code path.
-type buildOpts struct {
-	modelPath string // load a serialized model instead of training
-	appsCSV   string
-	invCSV    string
-	fleet     int
-	days      float64
-	seed      int64
-	blockMin  int
-	window    int
-	workers   int
+// config is femuxd's command line. parseConfig fills it and validate
+// refuses every bad value or combination, so a refusal comes before
+// any training, store open or listen. Startup, SIGHUP and POST
+// /v1/admin/reload all rebuild the model from the same config.
+type config struct {
+	addr, appsCSV, invCSV      string
+	modelPath, savePath        string // -model loads instead of training
+	fleet, blockMin, workers   int
+	days                       float64
+	seed                       int64
+	shutdownTimeout            time.Duration
+	dataDir, fsync             string
+	sync                       store.SyncPolicy // parsed from fsync by validate
+	maxHotApps, maxWarmApps    int
+	quantile                   float64
+	shards, shardID            int
+	watchModel                 bool
+	retrainEvery               time.Duration
+	driftThreshold, minImprove float64
+	promoteSave                string
+}
+
+// watchEvery is how often -watch-model polls the model file.
+const watchEvery = 2 * time.Second
+
+// parseConfig parses femuxd's flags from args and validates them. -h
+// prints the flag list and returns flag.ErrHelp.
+func parseConfig(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("femuxd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // the caller reports the error
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.appsCSV, "apps", "", "apps CSV from tracegen (optional)")
+	fs.StringVar(&c.invCSV, "invocations", "", "invocations CSV from tracegen (optional)")
+	fs.IntVar(&c.fleet, "fleet", 48, "synthetic training fleet size when no CSV is given")
+	fs.Float64Var(&c.days, "days", 2, "synthetic training trace length in days")
+	fs.Int64Var(&c.seed, "seed", 1, "seed for synthetic training")
+	fs.IntVar(&c.blockMin, "block", 144, "block size in minutes")
+	fs.IntVar(&c.workers, "workers", 0, "training worker goroutines (0 = one per CPU)")
+	fs.StringVar(&c.modelPath, "model", "", "load a trained model instead of training")
+	fs.StringVar(&c.savePath, "save", "", "save the trained model to this path")
+	fs.DurationVar(&c.shutdownTimeout, "shutdown-timeout", 15*time.Second, "drain deadline on SIGINT/SIGTERM")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable observation store directory (empty = the same store held in memory only: no WAL, no paging, nothing survives a restart)")
+	fs.StringVar(&c.fsync, "fsync", "always", "WAL fsync policy: always, interval (every 100ms), or never")
+	fs.IntVar(&c.maxHotApps, "max-hot-apps", 0, "apps with materialized serving state; LRU excess is demoted to compact windows (0 = unlimited)")
+	fs.IntVar(&c.maxWarmApps, "max-warm-apps", 0, "apps with in-memory compact windows in the store; excess is paged to disk (0 = unlimited, requires -data-dir)")
+	fs.Float64Var(&c.quantile, "quantile-level", 0, "provision pod targets for this forecast quantile of demand (e.g. 0.95) instead of the point forecast (0 = off)")
+	fs.IntVar(&c.shards, "shards", 1, "total femuxd instances in the fleet (hash-partitioned by app)")
+	fs.IntVar(&c.shardID, "shard-id", 0, "this instance's shard index in [0, shards)")
+	fs.BoolVar(&c.watchModel, "watch-model", false, "poll the -model file every 2s and hot-reload when it changes")
+	fs.DurationVar(&c.retrainEvery, "retrain-every", 0, "run a drift-aware retrain cycle this often: retrain on recent windows, shadow-evaluate, auto-promote winners (0 = disabled)")
+	fs.Float64Var(&c.driftThreshold, "drift-threshold", 0.5, "minimum per-app drift score before a retrain cycle trains a candidate (0 = retrain every cycle)")
+	fs.Float64Var(&c.minImprove, "min-improve", 0.01, "fractional shadow-RUM improvement a candidate needs to be auto-promoted")
+	fs.StringVar(&c.promoteSave, "promote-save", "", "write auto-promoted models to this path (atomic rename; feeds -watch-model fleets)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stderr)
+			fs.PrintDefaults()
+		}
+		return config{}, err
+	}
+	err := c.validate() // before reading c: it sets c.sync
+	return c, err
+}
+
+// validate refuses what would otherwise fail later: after a model was
+// trained, or while serving.
+func (c *config) validate() error {
+	if c.shards < 1 || c.shardID < 0 || c.shardID >= c.shards {
+		return fmt.Errorf("invalid shard config: -shard-id %d must be in [0, %d)", c.shardID, c.shards)
+	}
+	if c.watchModel && c.modelPath == "" {
+		return errors.New("-watch-model requires -model")
+	}
+	if c.maxWarmApps > 0 && c.dataDir == "" {
+		return errors.New("-max-warm-apps requires -data-dir (paging needs a store)")
+	}
+	var err error
+	if c.sync, err = store.ParseSyncPolicy(c.fsync); err != nil {
+		return fmt.Errorf("-fsync: %w", err)
+	}
+	if !(c.quantile >= 0 && c.quantile < 1) {
+		return fmt.Errorf("-quantile-level must be in [0, 1), got %g", c.quantile)
+	}
+	return nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("femuxd: ")
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		appsCSV   = flag.String("apps", "", "apps CSV from tracegen (optional)")
-		invCSV    = flag.String("invocations", "", "invocations CSV from tracegen (optional)")
-		fleet     = flag.Int("fleet", 48, "synthetic training fleet size when no CSV is given")
-		days      = flag.Float64("days", 2, "synthetic training trace length in days")
-		seed      = flag.Int64("seed", 1, "seed for synthetic training")
-		blockMin  = flag.Int("block", 144, "block size in minutes")
-		workers   = flag.Int("workers", 0, "training worker goroutines (0 = one per CPU)")
-		modelPath = flag.String("model", "", "load a trained model instead of training")
-		savePath  = flag.String("save", "", "save the trained model to this path")
-
-		reqTimeout      = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout on the API path")
-		shutdownTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "drain deadline on SIGINT/SIGTERM")
-
-		dataDir       = flag.String("data-dir", "", "durable observation store directory (empty = the same store held in memory only: no WAL, no paging, nothing survives a restart)")
-		fsyncPolicy   = flag.String("fsync", "always", "WAL fsync policy: always, interval, or never")
-		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period for -fsync interval")
-		compactEvery  = flag.Int("compact-every", 1<<16, "snapshot-compact the WAL after this many observations (-1 = never)")
-
-		maxHotApps = flag.Int("max-hot-apps", 0,
-			"apps with materialized serving state; LRU excess is demoted to compact windows (0 = unlimited)")
-		maxWarmApps = flag.Int("max-warm-apps", 0,
-			"apps with in-memory compact windows in the store; excess is paged to disk (0 = unlimited, requires -data-dir)")
-		quantileLevel = flag.Float64("quantile-level", 0,
-			"provision pod targets for this forecast quantile of demand (e.g. 0.95) instead of the point forecast (0 = off)")
-
-		shards     = flag.Int("shards", 1, "total femuxd instances in the fleet (hash-partitioned by app)")
-		shardID    = flag.Int("shard-id", 0, "this instance's shard index in [0, shards)")
-		watchModel = flag.Bool("watch-model", false, "poll the -model file and hot-reload when it changes")
-		watchEvery = flag.Duration("watch-interval", 2*time.Second, "poll period for -watch-model")
-
-		retrainEvery = flag.Duration("retrain-every", 0,
-			"run a drift-aware retrain cycle this often: retrain on recent windows, shadow-evaluate, auto-promote winners (0 = disabled)")
-		driftThreshold = flag.Float64("drift-threshold", 0.5,
-			"minimum per-app drift score before a retrain cycle trains a candidate (0 = retrain every cycle)")
-		shadowWindow = flag.Int("shadow-window", 0,
-			"trailing observations per app used for retraining and shadow evaluation (0 = full window)")
-		minImprove = flag.Float64("min-improve", 0.01,
-			"fractional shadow-RUM improvement a candidate needs to be auto-promoted")
-		promoteSave = flag.String("promote-save", "",
-			"write auto-promoted models to this path (atomic rename; feeds -watch-model fleets)")
-	)
-	flag.Parse()
-	if *shards < 1 || *shardID < 0 || *shardID >= *shards {
-		log.Fatalf("invalid shard config: -shard-id %d must be in [0, %d)", *shardID, *shards)
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *watchModel && *modelPath == "" {
-		log.Fatal("-watch-model requires -model")
-	}
-	// A ticker panics on a period of 0.
-	if *watchEvery <= 0 {
-		log.Fatalf("-watch-interval must be positive, got %s", *watchEvery)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	opts := buildOpts{
-		modelPath: *modelPath, appsCSV: *appsCSV, invCSV: *invCSV,
-		fleet: *fleet, days: *days, seed: *seed, blockMin: *blockMin,
-		window: 120, workers: *workers,
-	}
-	model, err := buildModel(opts)
+	model, err := buildModel(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("model ready: %d clusters, default forecaster %s",
 		model.Diag.Clusters, model.DefaultForecaster().Name())
-	if *savePath != "" {
-		if err := writeModel(*savePath, model); err != nil {
+	if cfg.savePath != "" {
+		if err := writeModel(cfg.savePath, model); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("saved model to %s", *savePath)
+		log.Printf("saved model to %s", cfg.savePath)
 	}
 
-	if *maxWarmApps > 0 && *dataDir == "" {
-		log.Fatal("-max-warm-apps requires -data-dir (paging needs a store)")
-	}
-	pol, err := store.ParseSyncPolicy(*fsyncPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	storeOpt := store.Options{
-		Sync:         pol,
-		SyncInterval: *fsyncInterval,
-		CompactEvery: *compactEvery,
-		InlineBudget: *maxWarmApps,
-	}
 	var st *store.Store
-	if *dataDir == "" {
+	if cfg.dataDir == "" {
 		st = store.OpenMemory()
 	} else {
-		if st, err = store.Open(*dataDir, storeOpt); err != nil {
+		if st, err = store.Open(cfg.dataDir, store.Options{Sync: cfg.sync, InlineBudget: cfg.maxWarmApps}); err != nil {
 			log.Fatal(err)
 		}
 		stats := st.Stats()
 		log.Printf("durable store %s: restored %d observations across %d apps (fsync=%s)",
-			*dataDir, stats.Restored, stats.Apps, pol)
+			cfg.dataDir, stats.Restored, stats.Apps, cfg.sync)
 		if stats.TornTail {
 			log.Printf("durable store: truncated a torn WAL tail (crash recovery)")
 		}
 	}
 
-	if *quantileLevel < 0 || *quantileLevel >= 1 {
-		log.Fatalf("-quantile-level must be in [0, 1), got %g", *quantileLevel)
-	}
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
-		Store: st, ShardID: *shardID, Shards: *shards,
-		MaxHotApps: *maxHotApps, QuantileLevel: *quantileLevel,
+		Store: st, ShardID: cfg.shardID, Shards: cfg.shards,
+		MaxHotApps: cfg.maxHotApps, QuantileLevel: cfg.quantile,
 	})
-	if *quantileLevel > 0 {
-		log.Printf("SLO-aware provisioning: pod targets use the p%g demand quantile", *quantileLevel*100)
+	if cfg.quantile > 0 {
+		log.Printf("SLO-aware provisioning: pod targets use the p%g demand quantile", cfg.quantile*100)
 	}
 	reg := serving.NewRegistry()
 	reg.RegisterGoMetrics()
 	svc.InstrumentWith(reg)
-	registerStoreMetrics(reg, st)
+	registerStoreMetrics(reg, st.Stats)
 
-	if *shards > 1 {
+	if cfg.shards > 1 {
 		shardInfo := reg.NewGauge("femux_shard_info",
 			"Constant 1, labeled with this instance's shard assignment.",
 			"shard", "shards")
-		shardInfo.Set(1, fmt.Sprint(*shardID), fmt.Sprint(*shards))
-		log.Printf("serving shard %d of %d (FNV-1a partition by app)", *shardID, *shards)
+		shardInfo.Set(1, fmt.Sprint(cfg.shardID), fmt.Sprint(cfg.shards))
+		log.Printf("serving shard %d of %d (FNV-1a partition by app)", cfg.shardID, cfg.shards)
 	}
 
 	var lcm *lifecycle.Manager
-	if *retrainEvery > 0 {
+	if cfg.retrainEvery > 0 {
 		lcm = lifecycle.New(svc, lifecycle.Config{
-			RetrainEvery:   *retrainEvery,
-			DriftThreshold: *driftThreshold,
-			ShadowWindow:   *shadowWindow,
-			MinImprove:     *minImprove,
-			Workers:        *workers,
-			Seed:           *seed,
-			SaveTo:         *promoteSave,
+			RetrainEvery:   cfg.retrainEvery,
+			DriftThreshold: cfg.driftThreshold,
+			MinImprove:     cfg.minImprove,
+			Workers:        cfg.workers,
+			Seed:           cfg.seed,
+			SaveTo:         cfg.promoteSave,
 			Logf:           log.Printf,
 		})
 		lcm.InstrumentWith(reg)
 		lcm.Start()
-		log.Printf("lifecycle: retraining every %s (drift threshold %g, shadow window %d, min improvement %g)",
-			*retrainEvery, *driftThreshold, *shadowWindow, *minImprove)
+		log.Printf("lifecycle: retraining every %s (drift threshold %g, min improvement %g)",
+			cfg.retrainEvery, cfg.driftThreshold, cfg.minImprove)
 	}
 
-	reload := func() (*femux.Model, error) { return buildModel(opts) }
-	handler := newHandler(svc, reg, reload, log.Default(), *reqTimeout, lcm)
-
+	reload := func() (*femux.Model, error) { return buildModel(cfg) }
 	server := &http.Server{
-		Addr:         *addr,
-		Handler:      handler,
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 0, // per-route deadlines come from http.TimeoutHandler
+		Addr:        cfg.addr,
+		Handler:     newHandler(svc, reg, reload, log.Default(), lcm),
+		ReadTimeout: 10 * time.Second, // no WriteTimeout: the caller owns the deadline
 	}
 
 	stop := make(chan struct{})
@@ -251,18 +257,18 @@ func main() {
 		}
 	}()
 
-	if *watchModel {
-		go watchModelFile(*modelPath, *watchEvery, stop, func() {
+	if cfg.watchModel {
+		go watchModelFile(cfg.modelPath, watchEvery, stop, func() {
 			if err := reloadAndSwap(svc, reload); err != nil {
 				log.Printf("model watch: reload failed: %v", err)
 			} else {
-				log.Printf("model watch: %s changed, reloaded (%d total)", *modelPath, svc.Reloads())
+				log.Printf("model watch: %s changed, reloaded (%d total)", cfg.modelPath, svc.Reloads())
 			}
 		})
 	}
 
-	log.Printf("serving FeMux API on %s", *addr)
-	err = serving.Run(server, stop, *shutdownTimeout, log.Printf)
+	log.Printf("serving FeMux API on %s", cfg.addr)
+	err = serving.Run(server, stop, cfg.shutdownTimeout, log.Printf)
 	if lcm != nil {
 		lcm.Stop()
 	}
@@ -274,42 +280,45 @@ func main() {
 	}
 }
 
-// registerStoreMetrics exposes the store's state. With -data-dir the
-// counters are derived from on-disk state, so femux_store_observations
-// survives SIGKILL and restart — the CI crash smoke test cross-checks it
-// against the number of replayed observations; the file gauges of a
-// memory store read 0.
-func registerStoreMetrics(reg *serving.Registry, st *store.Store) {
-	reg.NewGaugeFunc("femux_store_observations",
-		"Lifetime observations in the durable store (restored + appended).",
-		func() float64 { return float64(st.TotalObservations()) })
-	reg.NewGaugeFunc("femux_store_apps",
-		"Applications with durable observation history.",
-		func() float64 { return float64(st.Apps()) })
-	reg.NewGaugeFunc("femux_store_wal_bytes",
-		"Bytes across live WAL segments.",
-		func() float64 { return float64(st.Stats().WALBytes) })
-	reg.NewGaugeFunc("femux_store_wal_segments",
-		"Live WAL segment files.",
-		func() float64 { return float64(st.Stats().Segments) })
-	reg.NewCounterFunc("femux_store_fsyncs_total",
-		"WAL fsyncs since process start.",
-		func() float64 { return float64(st.Stats().Fsyncs) })
-	reg.NewGaugeFunc("femux_store_paged_apps",
-		"Cold apps whose window is paged to disk.",
-		func() float64 { return float64(st.PagedApps()) })
-	reg.NewGaugeFunc("femux_store_page_bytes",
-		"Bytes across live page files.",
-		func() float64 { return float64(st.Stats().PageBytes) })
-	reg.NewGaugeFunc("femux_store_window_bytes",
-		"Heap bytes retained by in-memory compact windows.",
-		func() float64 { return float64(st.Stats().WindowBytes) })
-	reg.NewCounterFunc("femux_store_page_outs_total",
-		"Lifetime warm-to-cold demotions (windows paged to disk).",
-		func() float64 { return float64(st.Stats().PageOuts) })
-	reg.NewCounterFunc("femux_store_page_errors_total",
-		"Page-in failures (window lost, durable total conserved).",
-		func() float64 { return float64(st.Stats().PageErrors) })
+// registerStoreMetrics exposes the store's state from one stats read
+// per scrape: each read walks every app under the store's lock and
+// lists its directory. With -data-dir the counters are derived from
+// on-disk state, so femux_store_observations survives SIGKILL and
+// restart — the CI crash smoke test cross-checks it against the number
+// of replayed observations; the file gauges of a memory store read 0.
+func registerStoreMetrics(reg *serving.Registry, stats func() store.Stats) {
+	var last atomic.Pointer[store.Stats]
+	last.Store(&store.Stats{})
+	reg.OnScrape(func() { s := stats(); last.Store(&s) })
+	gauge, counter := reg.NewGaugeFunc, reg.NewCounterFunc
+	for _, m := range []struct {
+		register   func(name, help string, fn func() float64)
+		name, help string
+		value      func(s *store.Stats) int64
+	}{
+		{gauge, "femux_store_observations", "Lifetime observations in the durable store (restored + appended).",
+			func(s *store.Stats) int64 { return s.Observations }},
+		{gauge, "femux_store_apps", "Applications with durable observation history.",
+			func(s *store.Stats) int64 { return int64(s.Apps) }},
+		{gauge, "femux_store_wal_bytes", "Bytes across live WAL segments.",
+			func(s *store.Stats) int64 { return s.WALBytes }},
+		{gauge, "femux_store_wal_segments", "Live WAL segment files.",
+			func(s *store.Stats) int64 { return int64(s.Segments) }},
+		{counter, "femux_store_fsyncs_total", "WAL fsyncs since process start.",
+			func(s *store.Stats) int64 { return s.Fsyncs }},
+		{gauge, "femux_store_paged_apps", "Cold apps whose window is paged to disk.",
+			func(s *store.Stats) int64 { return int64(s.PagedApps) }},
+		{gauge, "femux_store_page_bytes", "Bytes across live page files.",
+			func(s *store.Stats) int64 { return s.PageBytes }},
+		{gauge, "femux_store_window_bytes", "Heap bytes retained by in-memory compact windows.",
+			func(s *store.Stats) int64 { return s.WindowBytes }},
+		{counter, "femux_store_page_outs_total", "Lifetime warm-to-cold demotions (windows paged to disk).",
+			func(s *store.Stats) int64 { return s.PageOuts }},
+		{counter, "femux_store_page_errors_total", "Page-in failures (window lost, durable total conserved).",
+			func(s *store.Stats) int64 { return s.PageErrors }},
+	} {
+		m.register(m.name, m.help, func() float64 { return float64(m.value(last.Load())) })
+	}
 }
 
 // watchModelFile polls path and fires onChange whenever its (mtime, size)
@@ -345,32 +354,32 @@ func watchModelFile(path string, every time.Duration, stop <-chan struct{}, onCh
 	}
 }
 
-// buildModel loads or trains the serving model according to opts.
-func buildModel(opts buildOpts) (*femux.Model, error) {
-	if opts.modelPath != "" {
-		m, err := loadModelFile(opts.modelPath)
+// buildModel loads or trains the serving model the config names.
+func buildModel(c config) (*femux.Model, error) {
+	if c.modelPath != "" {
+		m, err := loadModelFile(c.modelPath)
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("loaded model from %s", opts.modelPath)
+		log.Printf("loaded model from %s", c.modelPath)
 		return m, nil
 	}
 	var train []femux.TrainApp
-	if opts.appsCSV != "" && opts.invCSV != "" {
-		ds, err := loadDataset(opts.appsCSV, opts.invCSV)
+	if c.appsCSV != "" && c.invCSV != "" {
+		ds, err := loadDataset(c.appsCSV, c.invCSV)
 		if err != nil {
 			return nil, err
 		}
 		train = trainAppsFromDataset(ds)
-		log.Printf("loaded %d apps from %s", len(train), opts.appsCSV)
+		log.Printf("loaded %d apps from %s", len(train), c.appsCSV)
 	} else {
-		train = experiments.AzureFleet(experiments.Scale{Seed: opts.seed, Apps: opts.fleet, Days: opts.days})
+		train = experiments.AzureFleet(experiments.Scale{Seed: c.seed, Apps: c.fleet, Days: c.days})
 		log.Printf("training on synthetic fleet of %d apps", len(train))
 	}
 	cfg := femux.DefaultConfig(rum.Default())
-	cfg.BlockSize = opts.blockMin
-	cfg.Window = opts.window
-	cfg.Workers = opts.workers
+	cfg.BlockSize = c.blockMin
+	cfg.Window = 120
+	cfg.Workers = c.workers
 	return femux.Train(train, cfg)
 }
 
@@ -401,15 +410,19 @@ func writeModel(path string, m *femux.Model) error {
 	return nil
 }
 
-// reloadState serializes hot reloads: a second reload while one is in
-// flight is rejected rather than queued (the newest model wins anyway).
-var reloadBusy atomic.Bool
+// reloadBusy serializes hot reloads: a second reload while one is in
+// flight is rejected with errReloadBusy rather than queued (the newest
+// model wins anyway).
+var (
+	reloadBusy    atomic.Bool
+	errReloadBusy = errors.New("reload already in progress")
+)
 
 // reloadAndSwap rebuilds the model and atomically swaps it into the
 // service. In-flight requests keep the old model until they finish.
 func reloadAndSwap(svc *knative.Service, rebuild func() (*femux.Model, error)) error {
 	if !reloadBusy.CompareAndSwap(false, true) {
-		return fmt.Errorf("reload already in progress")
+		return errReloadBusy
 	}
 	defer reloadBusy.Store(false)
 	m, err := rebuild()
@@ -430,20 +443,15 @@ type reloadResponse struct {
 
 // newHandler assembles the production middleware stack:
 //
-//	logging -> instrumentation -> { API (timeout-bounded), /metrics,
-//	                               /v1/admin/reload, /debug/pprof }
+//	logging -> instrumentation -> { API, /metrics, /v1/admin/reload,
+//	                               /v1/admin/lifecycle, /debug/pprof }
 //
-// The admin reload and pprof routes sit outside the request timeout:
-// retraining and CPU profiles legitimately run for longer than an API
-// request is allowed to.
-func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*femux.Model, error), logger *log.Logger, timeout time.Duration, lcm *lifecycle.Manager) http.Handler {
-	var api http.Handler = svc.Handler()
-	if timeout > 0 {
-		api = http.TimeoutHandler(api, timeout, "request timed out\n")
-	}
-
+// No route has a server-side deadline: the caller owns it (femux-shard
+// bounds each hop with its -timeout), so an observe answered 200 is
+// committed and one that is committed is answered 200.
+func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*femux.Model, error), logger *log.Logger, lcm *lifecycle.Manager) http.Handler {
 	root := http.NewServeMux()
-	root.Handle("/", api)
+	root.Handle("/", svc.Handler())
 	root.Handle("/metrics", reg.Handler())
 	root.HandleFunc("/v1/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -453,7 +461,7 @@ func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*fe
 		start := time.Now()
 		if err := reloadAndSwap(svc, rebuild); err != nil {
 			status := http.StatusInternalServerError
-			if err.Error() == "reload already in progress" {
+			if errors.Is(err, errReloadBusy) {
 				status = http.StatusConflict
 			}
 			http.Error(w, err.Error(), status)
@@ -470,7 +478,7 @@ func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*fe
 	})
 	// Lifecycle admin: GET reports status, POST triggers one synchronous
 	// retrain cycle (the same injectable trigger the ticker and the tests
-	// use). Outside the request timeout: a cycle legitimately retrains.
+	// use).
 	root.HandleFunc("/v1/admin/lifecycle", func(w http.ResponseWriter, r *http.Request) {
 		if lcm == nil {
 			http.Error(w, "lifecycle disabled (-retrain-every 0)", http.StatusNotFound)

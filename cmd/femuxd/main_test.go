@@ -1,17 +1,18 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,67 +86,64 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNonPositiveIntervalsRefused pins the checks femuxd makes right
-// after parsing its flags: a poll period that is not positive (a zero
-// ticker period panics) ends the process before it trains or serves, with a non-zero exit and
-// an error that names the flag.
-func TestNonPositiveIntervalsRefused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the femuxd binary; skipped in -short")
-	}
-	bin := buildFemuxd(t)
-	for _, args := range [][]string{
-		{"-watch-interval", "0"},
-		{"-watch-model", "-model", "model.json", "-watch-interval", "-1s"},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
-			!strings.Contains(string(out), args[len(args)-2]) || strings.Contains(string(out), "serving FeMux API") {
-			t.Fatalf("femuxd %s: %v\n%s", strings.Join(args, " "), err, out)
+// TestParseConfig pins femuxd's command line in process: the defaults
+// an empty command line parses to, each refused value or combination
+// (refused by parseConfig, so before any model is trained or store
+// opened) naming its flag, and each removed flag being a flag error
+// rather than a setting silently ignored.
+func TestParseConfig(t *testing.T) {
+	t.Run("defaults", func(t *testing.T) {
+		got, err := parseConfig(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestRemovedWindowCapFlagRefused pins the deletion of -window-cap: the
-// store holds every app's whole history, and a command line that still
-// asks for a cap is a flag error, not a cap silently ignored.
-func TestRemovedWindowCapFlagRefused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the femuxd binary; skipped in -short")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, buildFemuxd(t), "-addr", "127.0.0.1:0", "-window-cap", "100").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
-		!strings.Contains(string(out), "flag provided but not defined: -window-cap") {
-		t.Fatalf("femuxd -window-cap 100: %v\n%s", err, out)
-	}
-}
-
-// TestRemovedReplicationFlagsRefused pins the deletion of WAL
-// replication: a crashed femuxd is restarted on its data directory, and a
-// command line that still asks for a follower is a flag error.
-func TestRemovedReplicationFlagsRefused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the femuxd binary; skipped in -short")
-	}
-	bin := buildFemuxd(t)
-	for _, args := range [][]string{
-		{"-replica-of", "http://127.0.0.1:1"},
-		{"-repl-interval", "100ms"},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", args[0], args[1]).CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() <= 0 ||
-			!strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
-			t.Fatalf("femuxd %s %s: %v\n%s", args[0], args[1], err, out)
+		want := config{
+			addr: ":8080", fleet: 48, days: 2, seed: 1, blockMin: 144,
+			shutdownTimeout: 15 * time.Second,
+			fsync:           "always", sync: store.SyncAlways,
+			shards: 1, driftThreshold: 0.5, minImprove: 0.01,
 		}
+		if got != want {
+			t.Errorf("parseConfig(nil) = %+v\nwant %+v", got, want)
+		}
+	})
+	for _, c := range []struct {
+		args []string
+		want string // "" = accepted; else a substring of the error
+	}{
+		{[]string{"-shards", "2", "-shard-id", "1"}, ""},
+		{[]string{"-shards", "2", "-shard-id", "2"}, "-shard-id"},
+		{[]string{"-shard-id", "-1"}, "-shard-id"},
+		{[]string{"-shards", "0"}, "-shard-id"},
+		{[]string{"-watch-model", "-model", "m.json"}, ""},
+		{[]string{"-watch-model"}, "-watch-model requires -model"},
+		{[]string{"-max-warm-apps", "10", "-data-dir", "d"}, ""},
+		{[]string{"-max-warm-apps", "10"}, "-max-warm-apps requires -data-dir"},
+		{[]string{"-fsync", "interval"}, ""},
+		{[]string{"-fsync", "bogus"}, "-fsync"},
+		{[]string{"-quantile-level", "0.95"}, ""},
+		{[]string{"-quantile-level", "1"}, "-quantile-level"},
+		{[]string{"-quantile-level", "-0.1"}, "-quantile-level"},
+		{[]string{"-quantile-level", "NaN"}, "-quantile-level"},
+		{[]string{"-window-cap", "100"}, "flag provided but not defined: -window-cap"},
+		{[]string{"-replica-of", "http://127.0.0.1:1"}, "flag provided but not defined: -replica-of"},
+		{[]string{"-repl-interval", "100ms"}, "flag provided but not defined: -repl-interval"},
+		{[]string{"-request-timeout", "10s"}, "flag provided but not defined: -request-timeout"},
+		{[]string{"-fsync-interval", "100ms"}, "flag provided but not defined: -fsync-interval"},
+		{[]string{"-compact-every", "256"}, "flag provided but not defined: -compact-every"},
+		{[]string{"-watch-interval", "2s"}, "flag provided but not defined: -watch-interval"},
+		{[]string{"-shadow-window", "100"}, "flag provided but not defined: -shadow-window"},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			_, err := parseConfig(c.args)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -185,7 +183,7 @@ func TestHandlerAdminReload(t *testing.T) {
 		return next, nil
 	}
 	logger := log.New(io.Discard, "", 0)
-	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil))
+	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, nil))
 	defer srv.Close()
 
 	// Wrong method.
@@ -299,7 +297,7 @@ func TestHandlerAdminLifecycle(t *testing.T) {
 	rebuild := func() (*femux.Model, error) { return model, nil }
 
 	// Disabled (-retrain-every 0): the endpoint 404s.
-	off := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, nil))
+	off := httptest.NewServer(newHandler(svc, reg, rebuild, logger, nil))
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/v1/admin/lifecycle")
 	if err != nil {
@@ -312,7 +310,7 @@ func TestHandlerAdminLifecycle(t *testing.T) {
 
 	lcm := lifecycle.New(svc, lifecycle.Config{DriftThreshold: 0, MinImprove: -100, Seed: 3})
 	lcm.InstrumentWith(reg)
-	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, 5*time.Second, lcm))
+	srv := httptest.NewServer(newHandler(svc, reg, rebuild, logger, lcm))
 	defer srv.Close()
 
 	// GET: status JSON, zero cycles so far.
@@ -417,7 +415,7 @@ func TestStoreFsyncsMetric(t *testing.T) {
 			}
 			defer st.Close()
 			reg := serving.NewRegistry()
-			registerStoreMetrics(reg, st)
+			registerStoreMetrics(reg, st.Stats)
 			for _, step := range []func() error{
 				func() error { return st.Append("a", 1) }, st.Sync,
 				func() error { return st.Append("a", 2) }, st.Compact,
@@ -432,5 +430,132 @@ func TestStoreFsyncsMetric(t *testing.T) {
 				t.Errorf("scrape lacks %q:\n%s", c.want, rec.Body.String())
 			}
 		})
+	}
+}
+
+// TestStoreMetricsOneStatsReadPerScrape pins that a /metrics scrape
+// reads the store's stats once, however many store gauges it renders,
+// and that every gauge reports that read.
+func TestStoreMetricsOneStatsReadPerScrape(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, app := range []string{"a", "b", "c", "a"} {
+		if err := st.Append(app, float64(i)+0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.PageOut("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	reg := serving.NewRegistry()
+	registerStoreMetrics(reg, func() store.Stats { calls++; return st.Stats() })
+
+	for scrape := 1; scrape <= 2; scrape++ {
+		rec := httptest.NewRecorder()
+		reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if calls != scrape {
+			t.Fatalf("after %d scrapes, %d stats reads", scrape, calls)
+		}
+		got := map[string]string{}
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				got[name] = v
+			}
+		}
+		s := st.Stats()
+		for name, want := range map[string]int64{
+			"femux_store_observations":      s.Observations,
+			"femux_store_apps":              int64(s.Apps),
+			"femux_store_wal_bytes":         s.WALBytes,
+			"femux_store_wal_segments":      int64(s.Segments),
+			"femux_store_fsyncs_total":      s.Fsyncs,
+			"femux_store_paged_apps":        int64(s.PagedApps),
+			"femux_store_page_bytes":        s.PageBytes,
+			"femux_store_window_bytes":      s.WindowBytes,
+			"femux_store_page_outs_total":   s.PageOuts,
+			"femux_store_page_errors_total": s.PageErrors,
+		} {
+			if got[name] != strconv.FormatInt(want, 10) {
+				t.Errorf("%s = %q, want %d", name, got[name], want)
+			}
+		}
+		if len(got) != 10 {
+			t.Errorf("scrape has %d metrics, want the 10 store ones:\n%s", len(got), rec.Body.String())
+		}
+	}
+	if s := st.Stats(); s.PagedApps != 1 || s.Observations != 4 || s.WALBytes == 0 {
+		t.Errorf("store state too trivial to check the gauges: %+v", s)
+	}
+}
+
+// TestObserveReplyMatchesStore drives femuxd's handler chain with
+// concurrent observes over shared apps: every observe answered 200 is
+// in the store, and the store holds nothing else. A server-side
+// deadline that answers 503 while the abandoned handler still commits
+// breaks the second half, and a client that retries such an answer
+// counts one interval twice.
+func TestObserveReplyMatchesStore(t *testing.T) {
+	model := tinyModel(t)
+	st := store.OpenMemory()
+	svc := knative.NewServiceWith(model, knative.ServiceOptions{Store: st})
+	reg := serving.NewRegistry()
+	svc.InstrumentWith(reg)
+	srv := httptest.NewServer(newHandler(svc, reg,
+		func() (*femux.Model, error) { return model, nil }, log.New(io.Discard, "", 0), nil))
+	defer srv.Close()
+
+	const clients, perClient = 8, 50
+	apps := []string{"pay", "auth", "feed", "mail"}
+	var mu sync.Mutex
+	acked, refused := map[string][]float64{}, 0
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				app, v := apps[(c+i)%len(apps)], float64(c*perClient+i)+0.25
+				resp, err := http.Post(srv.URL+"/v1/apps/"+app+"/observe", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"concurrency": %g}`, v)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				mu.Lock()
+				if resp.StatusCode == http.StatusOK {
+					acked[app] = append(acked[app], v)
+				} else {
+					refused++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	if refused > 0 {
+		t.Errorf("%d of %d observes were not answered 200", refused, clients*perClient)
+	}
+	stored := st.Windows()
+	for _, app := range apps {
+		got, want := stored[app], acked[app]
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: store holds %d observations, %d were answered 200; they differ", app, len(got), len(want))
+		}
+		delete(stored, app)
+	}
+	for app := range stored {
+		t.Errorf("store holds app %q, which no observe named", app)
 	}
 }

@@ -177,15 +177,3 @@ func LogRequests(logger *log.Logger, next http.Handler) http.Handler {
 			float64(time.Since(start).Microseconds())/1000, r.RemoteAddr)
 	})
 }
-
-// LimitBody rejects request bodies larger than n bytes. Handlers see the
-// limit as a decode error; http.MaxBytesReader closes the connection and
-// stamps the 413 status.
-func LimitBody(n int64, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, n)
-		}
-		next.ServeHTTP(w, r)
-	})
-}

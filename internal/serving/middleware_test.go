@@ -117,34 +117,6 @@ func TestLogRequests(t *testing.T) {
 	}
 }
 
-func TestLimitBody(t *testing.T) {
-	h := LimitBody(16, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, err := io.ReadAll(r.Body); err != nil {
-			http.Error(w, "too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Post(srv.URL, "text/plain", strings.NewReader("small"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("small body status = %d", resp.StatusCode)
-	}
-	resp, err = http.Post(srv.URL, "text/plain", strings.NewReader(strings.Repeat("x", 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
-	}
-}
-
 func TestRunGracefulShutdown(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
