@@ -65,10 +65,17 @@ type child struct {
 	// counter/gauge value as float64 bits.
 	valBits atomic.Uint64
 
-	// histogram state: per-bucket counts (last slot is +Inf), sum, count.
-	bucketCounts []atomic.Uint64
-	sumBits      atomic.Uint64
-	count        atomic.Uint64
+	// hist is set in histogram children only: a per-app counter family
+	// holds one child per app, so its children carry no histogram state.
+	hist *histState
+}
+
+// histState is a histogram child's per-bucket counts (last slot is +Inf),
+// sum and count.
+type histState struct {
+	buckets []atomic.Uint64
+	sumBits atomic.Uint64
+	count   atomic.Uint64
 }
 
 func addFloatBits(bits *atomic.Uint64, delta float64) {
@@ -165,21 +172,23 @@ func (f *family) child(labelValues []string) *child {
 			for i := range other {
 				other[i] = "_other"
 			}
-			f.overflow = &child{labelPairs: renderLabelPairs(f.labelNames, other)}
-			if f.kind == "histogram" {
-				f.overflow.bucketCounts = make([]atomic.Uint64, len(f.buckets)+1)
-			}
+			f.overflow = f.newChild(other)
 			f.children[overflowKey] = f.overflow
 			f.order = append(f.order, overflowKey)
 		}
 		return f.overflow
 	}
-	c = &child{labelPairs: renderLabelPairs(f.labelNames, labelValues)}
-	if f.kind == "histogram" {
-		c.bucketCounts = make([]atomic.Uint64, len(f.buckets)+1)
-	}
+	c = f.newChild(labelValues)
 	f.children[key] = c
 	f.order = append(f.order, key)
+	return c
+}
+
+func (f *family) newChild(labelValues []string) *child {
+	c := &child{labelPairs: renderLabelPairs(f.labelNames, labelValues)}
+	if f.kind == "histogram" {
+		c.hist = &histState{buckets: make([]atomic.Uint64, len(f.buckets)+1)}
+	}
 	return c
 }
 
@@ -362,14 +371,15 @@ type HistogramChild struct {
 func (h HistogramChild) Observe(v float64) {
 	// Find the first bucket with upper bound >= v; +Inf is the last slot.
 	idx := sort.SearchFloat64s(h.buckets, v)
-	h.c.bucketCounts[idx].Add(1)
-	addFloatBits(&h.c.sumBits, v)
-	h.c.count.Add(1)
+	hs := h.c.hist
+	hs.buckets[idx].Add(1)
+	addFloatBits(&hs.sumBits, v)
+	hs.count.Add(1)
 }
 
 // Count returns the total number of observations for one child.
 func (h *Histogram) Count(labelValues ...string) uint64 {
-	return h.fam.child(labelValues).count.Load()
+	return h.fam.child(labelValues).hist.count.Load()
 }
 
 // Handler returns an http.Handler rendering the registry in Prometheus
@@ -405,15 +415,15 @@ func (f *family) render(b *strings.Builder) {
 		c := f.children[key]
 		switch f.kind {
 		case "histogram":
-			var cum uint64
+			hs, cum := c.hist, uint64(0)
 			for i, ub := range f.buckets {
-				cum += c.bucketCounts[i].Load()
+				cum += hs.buckets[i].Load()
 				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, leLabel(c.labelPairs, formatValue(ub)), cum)
 			}
-			cum += c.bucketCounts[len(f.buckets)].Load()
+			cum += hs.buckets[len(f.buckets)].Load()
 			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, leLabel(c.labelPairs, "+Inf"), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, c.labelPairs, formatValue(math.Float64frombits(c.sumBits.Load())))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, c.labelPairs, c.count.Load())
+			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, c.labelPairs, formatValue(math.Float64frombits(hs.sumBits.Load())))
+			fmt.Fprintf(b, "%s_count%s %d\n", f.name, c.labelPairs, hs.count.Load())
 		default:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, c.labelPairs, formatValue(math.Float64frombits(c.valBits.Load())))
 		}

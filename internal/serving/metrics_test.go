@@ -3,11 +3,15 @@ package serving
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func scrape(t *testing.T, reg *Registry) string {
@@ -260,5 +264,57 @@ func TestWithHandlesSameExposition(t *testing.T) {
 	}
 	if !strings.Contains(want, `femux_obs_total{app="_other"} `) {
 		t.Errorf("the cap was never reached, the overflow path went untested:\n%s", want)
+	}
+}
+
+// TestExpositionGolden pins the text a registry of every kind renders —
+// labelled and unlabelled counters and gauges, callback families,
+// histograms, and overflow children of a capped counter and a capped
+// histogram — to testdata/exposition.golden, byte for byte.
+func TestExpositionGolden(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.NewCounter("femux_golden_requests_total", "Requests by app.", "app", "code").LimitCardinality(2)
+	for i, app := range []string{"a", "b", "c", "d", "a"} {
+		c.Add(float64(i)+0.5, app, "200")
+	}
+	c.Inc("b", "500")
+	reg.NewCounter("femux_golden_plain_total", "An unlabelled counter.").Add(3)
+	g := reg.NewGauge("femux_golden_level", "Levels by tier.", "tier")
+	g.Set(1.25, "hot")
+	g.Add(-2, "cold")
+	g.Set(math.Inf(1), "warm")
+	reg.NewGauge("femux_golden_unset", "An unlabelled gauge never set.")
+	reg.NewGaugeFunc("femux_golden_fn", "A callback gauge.", func() float64 { return 42 })
+	reg.NewCounterFunc("femux_golden_fn_total", "A callback counter.", func() float64 { return 7 })
+	h := reg.NewHistogram("femux_golden_seconds", "Latency by endpoint.", []float64{0.01, 0.1, 1}, "endpoint")
+	h.fam.limitCardinality(2)
+	for i, v := range []float64{0.005, 0.05, 0.5, 5, 0.1, 1e-9, 2} {
+		h.Observe(v, []string{"observe", "target", "forecast", "admin"}[i%4])
+	}
+	reg.NewHistogram("femux_golden_default_seconds", "Default buckets, one child.", nil).Observe(0.003)
+
+	want, err := os.ReadFile(filepath.Join("testdata", "exposition.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scrape(t, reg); got != string(want) {
+		t.Errorf("exposition changed:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCounterChildCarriesNoHistogram: a per-app counter family holds a
+// child per app, so a counter or gauge child is its label pairs, its
+// value and one nil pointer — 32 bytes on a 64-bit target.
+func TestCounterChildCarriesNoHistogram(t *testing.T) {
+	if got := unsafe.Sizeof(child{}); got > 32 {
+		t.Errorf("a counter child takes %d bytes, want at most 32", got)
+	}
+	reg := NewRegistry()
+	c := reg.NewCounter("femux_slim_total", "Per-app counter.", "app")
+	g := reg.NewGauge("femux_slim_level", "Per-app gauge.", "app")
+	c.Inc("a")
+	g.Set(1, "a")
+	if c.fam.children["a"].hist != nil || g.fam.children["a"].hist != nil {
+		t.Error("a counter or gauge child holds histogram state")
 	}
 }

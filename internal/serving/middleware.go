@@ -74,6 +74,26 @@ func EndpointLabel(path string) string {
 	}
 }
 
+// standardMethods are the methods net/http names, the only ones that label a
+// series as themselves.
+var standardMethods = [...]string{
+	http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+	http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace,
+}
+
+// methodLabel bounds the method dimension as EndpointLabel bounds paths:
+// net/http accepts any token as a method, so each one a client invents
+// would otherwise mint a series, and a series-cache entry, for the life of
+// the process. Every other token is "other".
+func methodLabel(method string) string {
+	for _, m := range standardMethods {
+		if method == m {
+			return m
+		}
+	}
+	return "other"
+}
+
 // HTTPMetrics bundles the per-endpoint serving metrics.
 type HTTPMetrics struct {
 	Requests *Counter   // femux_http_requests_total{endpoint,method,code}
@@ -150,7 +170,7 @@ func (m *HTTPMetrics) Instrument(next http.Handler) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		hs := m.seriesFor(httpOutcome{endpoint, r.Method, status})
+		hs := m.seriesFor(httpOutcome{endpoint, methodLabel(r.Method), status})
 		hs.requests.Inc()
 		hs.latency.Observe(elapsed)
 	})

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -199,5 +200,47 @@ func TestInstrumentUnderLogRequests(t *testing.T) {
 	}
 	if n := strings.Count(logged.String(), "status=418"); n != 2 {
 		t.Errorf("logged %d status=418 lines, want 2:\n%s", n, logged.String())
+	}
+}
+
+// TestInstrumentBoundsMethodLabel: net/http serves any token as a method,
+// so a client inventing methods must not mint series. After 1,000
+// distinct tokens every (endpoint, code) has at most one series beyond
+// those of the standard methods, and the nine standard methods keep
+// their own label.
+func TestInstrumentBoundsMethodLabel(t *testing.T) {
+	m := NewHTTPMetrics(NewRegistry())
+	h := m.Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.WriteHeader(http.StatusTeapot)
+		}
+	}))
+	serve := func(method, path string) {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.Method = method
+		h.ServeHTTP(httptest.NewRecorder(), r)
+	}
+	for _, method := range standardMethods {
+		serve(method, "/v1/apps/x/observe")
+	}
+	before := len(m.Requests.fam.children)
+	for i := range 1000 {
+		serve(fmt.Sprintf("X-%04d", i), "/v1/apps/x/observe")
+		serve(fmt.Sprintf("PROPFIND%d", i), "/healthz")
+	}
+	// Two (endpoint, code) pairs: observe/200 and healthz/418.
+	if got := len(m.Requests.fam.children) - before; got > 2 {
+		t.Errorf("1,000 invented methods minted %d series, want at most 2", got)
+	}
+	if got := len(m.series); got > len(standardMethods)+2 {
+		t.Errorf("the series cache holds %d entries, want at most %d", got, len(standardMethods)+2)
+	}
+	if got := m.Requests.Value("observe", "other", "200"); got != 1000 {
+		t.Errorf(`observe "other" count = %v, want 1000`, got)
+	}
+	for _, method := range standardMethods {
+		if got := m.Requests.Value("observe", method, "200"); got != 1 {
+			t.Errorf("observe %s count = %v, want 1", method, got)
+		}
 	}
 }

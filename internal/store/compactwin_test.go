@@ -240,3 +240,149 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 		check("at the end")
 	})
 }
+
+// sparseBenchValues is n observations of one app of the sparse bench
+// fleet: a per-app level with a ±25% wobble, in thousandths, so nearly
+// every chunk goes raw.
+func sparseBenchValues(rng *rand.Rand, n int) []float64 {
+	level := 0.2 + 2*rng.Float64()
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = math.Round(level*(0.75+0.5*rng.Float64())*1000) / 1000
+	}
+	return vals
+}
+
+// BenchmarkCompactWindowAppend times bulk appends from empty windows: one
+// window filled to a day of minutes, and a 5,000-app fleet seeded
+// app-major with 298 values each, as the sparse bench workload seeds its
+// store. Both report ns per appended value.
+func BenchmarkCompactWindowAppend(b *testing.B) {
+	b.Run("fill1440", func(b *testing.B) {
+		vals := benchWindow(1440, true)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var cw CompactWindow
+			for _, v := range vals {
+				cw.Append(v)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+	})
+	b.Run("fleet5000x298", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		apps := make([][]float64, 5000)
+		for a := range apps {
+			apps[a] = sparseBenchValues(rng, 298)
+		}
+		fleet := make([]CompactWindow, len(apps))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(fleet)
+			for a, vals := range apps {
+				for _, v := range vals {
+					fleet[a].Append(v)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(apps)*298), "ns/value")
+	})
+}
+
+// sizeClass is the capacity the allocator gives a fresh n-byte slice.
+func sizeClass(n int) int { return cap(append([]byte(nil), make([]byte, n)...)) }
+
+// assertCapBounded checks that a window retains at most one quarter step
+// past its stream, rounded up to the allocator's size class — or, below
+// cwStepFrom, one doubling — plus its chunk offsets.
+func assertCapBounded(t *testing.T, cw *CompactWindow, what string) {
+	t.Helper()
+	n := len(cw.buf)
+	bound := max(sizeClass(n+n/4), 2*cwStepFrom)
+	if cap(cw.buf) > bound {
+		t.Errorf("%s: %d-byte stream in a %d-byte buffer, want at most %d", what, n, cap(cw.buf), bound)
+	}
+	if got, want := cw.MemBytes(), bound+4*(2*len(cw.starts)+1); got > want {
+		t.Errorf("%s: MemBytes %d for a %d-byte stream in %d chunks, want at most %d", what, got, n, len(cw.starts), want)
+	}
+}
+
+// TestCompactWindowCapacityBounded pins what a window retains: within one
+// quarter step of its stream, after appends from empty, after a snapshot
+// reload and one append, and after a page-in and one append — on values
+// that delta-encode (quarters) and values that go raw (thousandths).
+func TestCompactWindowCapacityBounded(t *testing.T) {
+	for _, shape := range []string{"quarters", "raw"} {
+		for _, n := range []int{1, 300, 1440, 10080} {
+			vals := benchWindow(n, shape == "quarters")
+			what := fmt.Sprintf("%s/%d", shape, n)
+			t.Run(what, func(t *testing.T) {
+				cw := compactWindowOf(vals)
+				assertCapBounded(t, &cw, what+" appended")
+
+				dir := t.TempDir()
+				s, err := Open(dir, Options{Sync: SyncNever, CompactEvery: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch := make([]Observation, n)
+				for i, v := range vals {
+					batch[i] = Observation{App: "a", Concurrency: v}
+				}
+				if err := s.AppendBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(dir, Options{Sync: SyncNever, CompactEvery: -1}); err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if err := s.Append("a", 1.5); err != nil {
+					t.Fatal(err)
+				}
+				assertCapBounded(t, &s.apps["a"].cw, what+" reloaded, one append")
+
+				if err := s.PageOut("a"); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Append("a", 2.5); err != nil {
+					t.Fatal(err)
+				}
+				st := s.apps["a"]
+				if st.page != nil || st.cw.Len() != n+2 {
+					t.Fatalf("after a page-in: paged %v, %d values, want inline and %d", st.page != nil, st.cw.Len(), n+2)
+				}
+				assertCapBounded(t, &st.cw, what+" paged in, one append")
+			})
+		}
+	}
+}
+
+// TestCompactWindowGrowsInOneAllocation: growing a full window's buffer
+// is one allocation (and one copy), not an append that allocates twice.
+func TestCompactWindowGrowsInOneAllocation(t *testing.T) {
+	cw := compactWindowOf(benchWindow(300, false)) // 44 values into the last chunk
+	full := cw.buf[:len(cw.buf):len(cw.buf)]
+	var sink []byte
+	if testing.AllocsPerRun(10, func() { sink = append([]byte(nil), make([]byte, len(full))...) }) > 1 {
+		t.Skipf("this build allocates the make in append(nil, make(...)...) apart, as the race detector's does (%d bytes)", cap(sink))
+	}
+	w := cw
+	got := testing.AllocsPerRun(100, func() {
+		w = cw
+		w.buf = full
+		w.Append(1.5)
+	})
+	if got != 1 {
+		t.Errorf("growing a full window made %v allocations, want 1", got)
+	}
+	if want := sizeClass(len(full) + len(full)/4); cap(w.buf) != want {
+		t.Errorf("grew a %d-byte stream to %d bytes, want %d", len(full), cap(w.buf), want)
+	}
+}
