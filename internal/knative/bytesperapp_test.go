@@ -45,8 +45,11 @@ func trainDefaultGeometryModel(tb testing.TB) *femux.Model {
 	return m
 }
 
-// liveHeap is HeapAlloc after a forced collection.
+// liveHeap is HeapAlloc after two forced collections: the second frees
+// what the first left in sync.Pool victim caches, which otherwise count
+// in one reading and not the next (±50 B/app over 1,000 apps).
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -211,6 +211,42 @@ func TestForecastFirstAfterRestore(t *testing.T) {
 	same("after restart", srv2.URL)
 }
 
+// TestMemoStampOutlivesSixteenBits: a process that has installed more
+// than 65,535 models still stamps memos, so a demoted app's restore
+// resumes its classification instead of extracting it again, from the
+// warm tier and from a cold page alike. With a 16-bit stamp every version
+// past 1<<16 read as "no memo".
+func TestMemoStampOutlivesSixteenBits(t *testing.T) {
+	modelVersions.Add(1 << 16) // as if 65,536 models had been installed before
+	const app, other = "counted-1", "other"
+	for _, paged := range []bool{false, true} {
+		t.Run(map[bool]string{false: "warm", true: "cold"}[paged], func(t *testing.T) {
+			svc, sm, st := tieredFleet(t, muxModelA(t), t.TempDir())
+			if v := svc.live.Load().version; v <= 1<<16 {
+				t.Fatalf("model version %d, want one past 1<<16", v)
+			}
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+			seedWindow(t, st, app, shapedWindow(1, 0, 40)) // one completed block
+			for k := 0; k < 3; k++ {
+				postObserve(t, srv.URL, other, 0) // evicts app, which leaves a memo
+				if paged {
+					if err := st.PageOut(app); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fetchDecision(t, srv.URL, app)
+			}
+			if e, r := classifications(sm); e != 1 || r != 2 {
+				t.Fatalf("three restores extracted %d times and resumed %d, want 1 and 2", e, r)
+			}
+			if paged && sm.Restores.Value("cold") != 3 {
+				t.Fatalf("cold restores = %v, want 3", sm.Restores.Value("cold"))
+			}
+		})
+	}
+}
+
 // TestClassificationsCounted pins what a restore costs: K evict->restore
 // cycles of one app inside one block perform exactly one feature
 // extraction between them — the rest resume the demoted record's memo —
@@ -381,9 +417,9 @@ func TestMemoInvalidation(t *testing.T) {
 		}
 	}
 
-	// The stamp is 16 bits wide: versions beyond it must stop memoizing
+	// The stamp is 32 bits wide: versions beyond it must stop memoizing
 	// rather than wrap onto a live stamp.
-	if memoGen(1) != 1 || memoGen(1<<16-1) != 1<<16-1 || memoGen(1<<16) != 0 || memoGen(1<<16+1) != 0 || memoGen(1<<40) != 0 {
+	if memoGen(1) != 1 || memoGen(1<<16) != 1<<16 || memoGen(1<<32-1) != 1<<32-1 || memoGen(1<<32) != 0 || memoGen(1<<32+1) != 0 || memoGen(1<<40) != 0 {
 		t.Fatal("memoGen does not saturate to 0")
 	}
 }

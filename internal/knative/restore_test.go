@@ -64,7 +64,7 @@ func TestRestoreSameWithAndWithoutMemos(t *testing.T) {
 				st := backendStore(t, backend, store.Options{InlineBudget: 6})
 				svc := NewServiceWith(model, ServiceOptions{Store: st, MaxHotApps: 4})
 				if k == 1 {
-					svc.live.Store(&liveModel{model, 1 << 16}) // memoGen 0: every restore classifies
+					svc.live.Store(&liveModel{model, 1 << 32}) // memoGen 0: every restore classifies
 				}
 				svcs[k], sms[k] = svc, svc.InstrumentWith(serving.NewRegistry())
 				srv := httptest.NewServer(svc.Handler())

@@ -205,8 +205,8 @@ var modelVersions atomic.Int64
 
 // memoGen maps a version onto a memo's generation stamp. 0 is "no memo",
 // also for every version past the stamp's width (the conversion wraps
-// 1<<16 to 0): a wrapped stamp could alias an old model's.
-func memoGen(version int64) uint16 { return uint16(min(version, 1<<16)) }
+// 1<<32 to 0): a wrapped stamp could alias an old model's.
+func memoGen(version int64) uint32 { return uint32(min(version, 1<<32)) }
 
 // policyFor builds the policy a restored app serves with, from its window
 // of n observations and memo m. A memo of this generation and this window
@@ -214,7 +214,7 @@ func memoGen(version int64) uint16 { return uint16(min(version, 1<<16)) }
 // keeps its memo only across appends, which change n — so the policy
 // resumes instead of extracting; otherwise it starts fresh. Callers
 // count resumed once no tier lock is held.
-func policyFor(model *femux.Model, gen uint16, m store.Memo, n int) (p *femux.AppPolicy, resumed bool) {
+func policyFor(model *femux.Model, gen uint32, m store.Memo, n int) (p *femux.AppPolicy, resumed bool) {
 	if gen == 0 || m.Gen != gen || int(m.Len) != n {
 		return model.NewAppPolicy(0), false
 	}

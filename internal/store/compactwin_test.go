@@ -346,7 +346,7 @@ func TestCompactWindowCapacityBounded(t *testing.T) {
 				if err := s.Append("a", 1.5); err != nil {
 					t.Fatal(err)
 				}
-				assertCapBounded(t, &s.apps["a"].cw, what+" reloaded, one append")
+				assertCapBounded(t, &s.warm["a"].cw, what+" reloaded, one append")
 
 				if err := s.PageOut("a"); err != nil {
 					t.Fatal(err)
@@ -354,9 +354,9 @@ func TestCompactWindowCapacityBounded(t *testing.T) {
 				if err := s.Append("a", 2.5); err != nil {
 					t.Fatal(err)
 				}
-				st := s.apps["a"]
-				if st.page != nil || st.cw.Len() != n+2 {
-					t.Fatalf("after a page-in: paged %v, %d values, want inline and %d", st.page != nil, st.cw.Len(), n+2)
+				st := s.warm["a"]
+				if st == nil || st.cw.Len() != n+2 {
+					t.Fatalf("after a page-in: warm record %v, want one of %d values", st, n+2)
 				}
 				assertCapBounded(t, &st.cw, what+" paged in, one append")
 			})

@@ -66,15 +66,14 @@ func decodeTombstone(body []byte) (string, error) {
 
 // drop removes an app's record, if any: its page bytes become garbage.
 func (s *Store) drop(app string) {
-	old := s.apps[app]
-	if old == nil {
-		return
+	if st := s.warm[app]; st != nil {
+		s.total -= st.total
+		s.removeWarm(app, st)
+	} else if c := s.cold[app]; c != nil {
+		s.total -= c.total
+		s.pg.free(&c.ref)
+		delete(s.cold, app)
 	}
-	s.total -= old.total
-	if old.page != nil {
-		s.pg.free(old.page)
-	}
-	delete(s.apps, app)
 }
 
 // applyPayloadLocked folds one replayed WAL payload — observation or
@@ -108,8 +107,7 @@ func (s *Store) applyPayloadLocked(p []byte, depth int) error {
 			return err
 		}
 		s.drop(app)
-		s.apps[app] = st
-		s.list(app, st, false)
+		s.addWarm(app, st)
 		s.total += st.total
 		return nil
 	case ctrlTombstone:

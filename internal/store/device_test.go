@@ -475,9 +475,12 @@ func TestPageSyncFailureRecovers(t *testing.T) {
 						t.Fatalf("WAL segment %s, which the snapshot supersedes, is left", name)
 					}
 				}
-				for app, st := range s.apps {
-					if st.page == nil || st.page.seq != s.pg.seq {
-						t.Fatalf("%s: stub %+v after the recovery, want one in the fresh page file %d", app, st.page, s.pg.seq)
+				if len(s.warm) != 0 {
+					t.Fatalf("%d warm apps after the recovery, want all cold", len(s.warm))
+				}
+				for app, c := range s.cold {
+					if c.ref.seq != s.pg.seq {
+						t.Fatalf("%s: stub %+v after the recovery, want one in the fresh page file %d", app, c.ref, s.pg.seq)
 					}
 				}
 			}

@@ -14,7 +14,10 @@ import (
 // record a byte.
 func TestMemoLifecycle(t *testing.T) {
 	if got := unsafe.Sizeof(appState{}); got != 96 {
-		t.Errorf("appState is %d bytes, want 96: the memo must fit the padding after touched", got)
+		t.Errorf("appState is %d bytes, want 96: the memo and the CLOCK fields must fit the 16 bytes after total", got)
+	}
+	if got := unsafe.Sizeof(coldApp{}); got != 48 {
+		t.Errorf("coldApp is %d bytes, want 48: the stub, total and memo in one size class", got)
 	}
 	dir := t.TempDir()
 	opt := Options{Sync: SyncNever, CompactEvery: -1}
@@ -179,8 +182,8 @@ func TestPageReadHandlesAreReleased(t *testing.T) {
 func TestPageReadBackRejectsBadRecords(t *testing.T) {
 	type fixture struct {
 		s    *Store
-		path string // the page file
-		ref  *pageRef
+		path string   // the page file
+		ref  *pageRef // the stub's own, in the store's cold map
 	}
 	cases := []struct {
 		name   string
@@ -194,7 +197,7 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 			flipByte(t, f.path, f.ref.off+5)
 		}, "one valid record"},
 		{"truncated record", func(t *testing.T, f fixture) {
-			if err := os.Truncate(f.path, f.ref.off+f.ref.recLen-1); err != nil {
+			if err := os.Truncate(f.path, f.ref.off+int64(f.ref.recLen)-1); err != nil {
 				t.Fatal(err)
 			}
 		}, "EOF"},
@@ -208,7 +211,7 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 		{"oversized stub", func(t *testing.T, f fixture) { f.ref.recLen = maxRecordLen + recordHeaderLen + 1 }, "out of range"},
 		{"another app's record", func(t *testing.T, f fixture) {
 			f.s.mu.Lock()
-			other := f.s.apps[appName(1)].page
+			other := f.s.cold[appName(1)].ref
 			f.s.mu.Unlock()
 			f.ref.off, f.ref.recLen = other.off, other.recLen
 		}, "holds"},
@@ -231,12 +234,12 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 				}
 			}
 			s.mu.Lock()
-			f := fixture{s, dir + "/" + pageName(1), s.apps[appName(0)].page}
+			f := fixture{s, dir + "/" + pageName(1), &s.cold[appName(0)].ref}
 			s.mu.Unlock()
 			tc.damage(t, f)
 
 			s.mu.Lock()
-			_, err := s.warmState(appName(0), s.apps[appName(0)])
+			_, err := s.warmState(appName(0))
 			s.mu.Unlock()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("page read error %v, want one mentioning %q", err, tc.want)

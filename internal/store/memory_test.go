@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func testBackendConformance(t *testing.T) {
 			}
 			each("AppendBatch", func(s *Store) error { return s.AppendBatch(batch) })
 		case r < 58:
-			m := Memo{Len: uint32(rng.Intn(50)), Gen: uint16(1 + rng.Intn(3)), Group: uint8(rng.Intn(4))}
+			m := Memo{Len: uint32(rng.Intn(50)), Gen: uint32(1 + rng.Intn(3)), Group: uint8(rng.Intn(4))}
 			each("SetMemo", func(s *Store) error { s.SetMemo(app, m); return nil })
 		case r < 76:
 			same(when+": RestoreMemo", func(s *Store) any {
@@ -296,4 +297,71 @@ func TestStatsListsOutsideTheLock(t *testing.T) {
 	if a, st := median(appends), median(scrapes); a > st/4 {
 		t.Errorf("median Append took %v beside Stats calls of %v: appends wait for the directory listing", a, st)
 	}
+}
+
+// TestColdAppBytes pins what an app costs the store's live heap, its
+// 8-byte name and map entry included: 5,000 apps of 300 quarter-quantised
+// values each on a directory store, measured after the store and one
+// first app are in place. With an inline budget of 1, all but one are
+// cold, and each holds a 48-byte stub in the cold map: ~99 B an app,
+// where a cold app that kept a whole warm record and a separate page ref
+// cost ~179 B. With no budget every app is warm, and its record and
+// window cost what they did before the cold map existed, ~1,091 B.
+func TestColdAppBytes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget int
+		max    float64 // B/app
+	}{{"cold", 1, 104}, {"warm", 0, 1100}} {
+		t.Run(c.name, func(t *testing.T) {
+			const apps, n = 5000, 300
+			rng := rand.New(rand.NewSource(47))
+			obs := make([]Observation, n)
+			s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, CompactEvery: -1, InlineBudget: c.budget})
+			defer s.Close()
+			seed := func(app string) {
+				scale := 1 + rng.Intn(16)
+				for i := range obs {
+					obs[i] = Observation{App: app, Concurrency: float64(rng.Intn(4*scale)) / 4}
+				}
+				if err := s.AppendBatch(obs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One app first, so the store's buffers and the process's
+			// lazily built tables are in place before the base is read.
+			seed("warm-up")
+			base := liveHeap()
+			// The names share one allocation, so each costs its 8 bytes
+			// and no neighbour in a tiny-allocator block.
+			var buf []byte
+			for a := 0; a < apps; a++ {
+				buf = fmt.Appendf(buf, "app-%04d", a)
+			}
+			names := string(buf)
+			for a := 0; a < apps; a++ {
+				seed(names[8*a : 8*a+8])
+			}
+			perApp := (float64(liveHeap()) - float64(base)) / apps
+			runtime.KeepAlive(s)
+			if want := apps + 1 - c.budget; c.budget > 0 && s.PagedApps() != want {
+				t.Fatalf("%d cold apps, want %d", s.PagedApps(), want)
+			}
+			t.Logf("%.1f B/app", perApp)
+			if perApp > c.max {
+				t.Errorf("%.1f B of live heap per %s app, want at most %.0f", perApp, c.name, c.max)
+			}
+		})
+	}
+}
+
+// liveHeap is HeapAlloc after two forced collections: the second frees
+// what the first left in sync.Pool victim caches, which otherwise count
+// in one reading and not the next.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

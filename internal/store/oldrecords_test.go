@@ -103,11 +103,13 @@ func (s *Store) dropApp(app string) error { return s.appendCtrl(encodeTombstone(
 func (s *Store) exportApp(app string) (window []float64, total int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.apps[app]
-	if st == nil {
-		return nil, 0, false
+	if st := s.warm[app]; st != nil {
+		return s.windowLocked(app), st.total, true
 	}
-	return s.windowLocked(app, st), st.total, true
+	if c := s.cold[app]; c != nil {
+		return s.windowLocked(app), c.total, true
+	}
+	return nil, 0, false
 }
 
 // recordModel is what a WAL of observations, imports and tombstones must

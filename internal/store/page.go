@@ -7,8 +7,8 @@ import (
 )
 
 // Cold apps page their compacted window out of memory into
-// page-<seq>.page files, leaving only a pageRef stub (a few dozen
-// bytes) in the app map. Page files reuse the WAL's CRC-framed record
+// page-<seq>.page files, leaving only a coldApp stub (48 bytes) in the
+// store's cold map. Page files reuse the WAL's CRC-framed record
 // format; each record is one app's self-contained state:
 //
 //	uvarint len(app) | app | uvarint total | compact window encoding
@@ -36,13 +36,13 @@ func pageName(seq uint64) string {
 }
 
 // pageRef locates one app's paged state: record framing starts at off
-// in page file seq and spans recLen bytes. count caches the window
-// length so stats need no disk read.
+// in page file seq and spans recLen bytes. count is the window length,
+// which a snapshot's stub record carries.
 type pageRef struct {
 	seq    uint64
 	off    int64
-	recLen int64
-	count  int
+	recLen int32 // at most maxRecordLen+recordHeaderLen when valid
+	count  uint32
 }
 
 // pager owns the page files of one store directory. All methods are
@@ -56,7 +56,6 @@ type pager struct {
 	err       error  // a failed fsync, kept (see sync)
 	errSeq    uint64 // the page file err failed
 	lostSeq   uint64 // the newest page file a page-in lost a record of
-	liveRefs  int    // live stubs (cold apps)
 	liveBytes int64  // bytes referenced by live stubs
 	deadBytes int64  // bytes in page files no stub references
 	gcFails   int64  // page-file rewrites abandoned (see maybeGC)
@@ -85,9 +84,8 @@ func openPager(dev device, files map[string]int64) *pager {
 // noteLive moves one stub's bytes from the dead to the live column
 // (boot-time accounting).
 func (p *pager) noteLive(ref *pageRef) {
-	p.liveRefs++
-	p.liveBytes += ref.recLen
-	p.deadBytes -= ref.recLen
+	p.liveBytes += int64(ref.recLen)
+	p.deadBytes -= int64(ref.recLen)
 }
 
 // appendPageRecord frames one app's state for paging onto buf, the
@@ -99,11 +97,11 @@ func appendPageRecord(buf []byte, app string, st *appState) []byte {
 
 // writeOut appends one framed record to the current page file and
 // returns its stub.
-func (p *pager) writeOut(app string, st *appState) (*pageRef, error) {
+func (p *pager) writeOut(app string, st *appState) (pageRef, error) {
 	if p.f == nil {
 		f, err := p.dev.create(pageName(p.seq))
 		if err != nil {
-			return nil, err
+			return pageRef{}, err
 		}
 		p.f, p.size = f, 0
 	}
@@ -114,12 +112,11 @@ func (p *pager) writeOut(app string, st *appState) (*pageRef, error) {
 		// page-out opens a fresh file. A failed sync is kept in p.err.
 		p.deadBytes += int64(n)
 		p.seal()
-		return nil, err
+		return pageRef{}, err
 	}
 	recLen := int64(len(p.buf))
-	ref := &pageRef{seq: p.seq, off: p.size, recLen: recLen, count: st.cw.Len()}
+	ref := pageRef{seq: p.seq, off: p.size, recLen: int32(recLen), count: uint32(st.cw.Len())}
 	p.size += recLen
-	p.liveRefs++
 	p.liveBytes += recLen
 	p.dirty = true
 	return ref, nil
@@ -157,7 +154,7 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode) (appState, []float64
 	if ref.recLen <= recordHeaderLen || ref.recLen > maxRecordLen+recordHeaderLen {
 		return appState{}, nil, fmt.Errorf("store: page %d@%d: record length %d out of range", ref.seq, ref.off, ref.recLen)
 	}
-	buf := make([]byte, ref.recLen, ref.recLen+pageReadSpare)
+	buf := make([]byte, ref.recLen, int(ref.recLen)+pageReadSpare)
 	if _, err := f.ReadAt(buf, ref.off); err != nil {
 		return appState{}, nil, fmt.Errorf("store: page %d@%d: %w", ref.seq, ref.off, err)
 	}
@@ -183,9 +180,8 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode) (appState, []float64
 
 // free retires a stub's bytes (app restored, replaced, or dropped).
 func (p *pager) free(ref *pageRef) {
-	p.liveRefs--
-	p.liveBytes -= ref.recLen
-	p.deadBytes += ref.recLen
+	p.liveBytes -= int64(ref.recLen)
+	p.deadBytes += int64(ref.recLen)
 }
 
 // sync fsyncs the current page file if it has unflushed writes. Called
@@ -212,10 +208,10 @@ func (p *pager) sync() error {
 // and that file is fsynced. If a page-in has lost a record of one of
 // them, or the rewrite fails, the error is kept: only the WAL chain
 // still holds that window, and no snapshot may supersede it.
-func (p *pager) recover(apps map[string]*appState) error {
+func (p *pager) recover(cold map[string]*coldApp) error {
 	failed := p.errSeq
 	p.seal()
-	if p.lostSeq >= failed || p.rewrite(apps, func(ref *pageRef) bool { return ref.seq >= failed }) != nil {
+	if p.lostSeq >= failed || p.rewrite(cold, func(ref *pageRef) bool { return ref.seq >= failed }) != nil {
 		return p.err
 	}
 	p.err = nil
@@ -242,14 +238,14 @@ const pageGCMinDead = 1 << 20
 // compaction can delete the old files after the next snapshot commits
 // the new refs. A failed rewrite is counted in gcFails and retried next
 // compaction.
-func (p *pager) maybeGC(apps map[string]*appState) error {
+func (p *pager) maybeGC(cold map[string]*coldApp) error {
 	if p.deadBytes < pageGCMinDead || p.deadBytes <= p.liveBytes {
 		return nil
 	}
 	if err := p.seal(); err != nil {
 		return err
 	}
-	err := p.rewrite(apps, func(*pageRef) bool { return true })
+	err := p.rewrite(cold, func(*pageRef) bool { return true })
 	if err != nil {
 		p.gcFails++
 	}
@@ -259,26 +255,26 @@ func (p *pager) maybeGC(apps map[string]*appState) error {
 // rewrite copies the live records whose stubs pick selects into the
 // current page file, each read back and verified by load, and rebinds
 // the stubs. On any error the old stubs are still intact and the copies
-// already written are freed, so liveRefs still counts exactly the cold
-// apps.
-func (p *pager) rewrite(apps map[string]*appState, pick func(*pageRef) bool) (err error) {
+// already written are freed, so liveBytes still counts exactly the cold
+// apps' records.
+func (p *pager) rewrite(cold map[string]*coldApp, pick func(*pageRef) bool) (err error) {
 	type rebind struct {
-		st  *appState
-		ref *pageRef
+		c   *coldApp
+		ref pageRef
 	}
 	var rebinds []rebind
 	defer func() {
 		if err != nil {
 			for _, r := range rebinds {
-				p.free(r.ref)
+				p.free(&r.ref)
 			}
 		}
 	}()
-	for app, st := range apps {
-		if st.page == nil || !pick(st.page) {
+	for app, c := range cold {
+		if !pick(&c.ref) {
 			continue
 		}
-		full, _, err := p.load(app, st.page, cwWindow)
+		full, _, err := p.load(app, &c.ref, cwWindow)
 		if err != nil {
 			return err
 		}
@@ -287,11 +283,11 @@ func (p *pager) rewrite(apps map[string]*appState, pick func(*pageRef) bool) (er
 			return err
 		}
 		// Double-count live bytes until the swap below settles them.
-		rebinds = append(rebinds, rebind{st, ref})
+		rebinds = append(rebinds, rebind{c, ref})
 	}
 	for _, r := range rebinds {
-		p.free(r.st.page)
-		r.st.page = r.ref
+		p.free(&r.c.ref)
+		r.c.ref = r.ref
 	}
 	return nil
 }
@@ -299,12 +295,10 @@ func (p *pager) rewrite(apps map[string]*appState, pick func(*pageRef) bool) (er
 // deleteBelow removes the page files among files whose sequence number
 // is below the lowest live reference (cleanup, not correctness —
 // leftovers are re-deleted on the next compaction).
-func (p *pager) deleteBelow(apps map[string]*appState, files map[string]int64) {
+func (p *pager) deleteBelow(cold map[string]*coldApp, files map[string]int64) {
 	minLive := p.seq
-	for _, st := range apps {
-		if st.page != nil && st.page.seq < minLive {
-			minLive = st.page.seq
-		}
+	for _, c := range cold {
+		minLive = min(minLive, c.ref.seq)
 	}
 	for name, size := range files {
 		seq, ok := parseSeq(name, pagePrefix, pageSuffix)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -291,13 +292,13 @@ func TestPageGCFailureKeepsColdCount(t *testing.T) {
 	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
 	defer s.Close()
 	pageChurn(t, s, 1)
-	ref := s.apps[appName(3)].page
+	ref := s.cold[appName(3)].ref
 	f, err := os.OpenFile(filepath.Join(dir, pageName(ref.seq)), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := make([]byte, 1)
-	at := ref.off + ref.recLen/2
+	at := ref.off + int64(ref.recLen)/2
 	if _, err := f.ReadAt(b, at); err != nil {
 		t.Fatal(err)
 	}
@@ -310,15 +311,7 @@ func TestPageGCFailureKeepsColdCount(t *testing.T) {
 		if err := s.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		cold := 0
-		for _, st := range s.apps {
-			if st.page != nil {
-				cold++
-			}
-		}
-		if got := s.PagedApps(); got != cold {
-			t.Fatalf("compaction %d: PagedApps = %d, want the %d cold apps", i, got, cold)
-		}
+		checkRoster(t, s, fmt.Sprintf("compaction %d", i))
 	}
 	if got := s.Stats().PageGCFails; got != 6 {
 		t.Fatalf("PageGCFails = %d, want 6 (one per compaction)", got)
@@ -415,23 +408,57 @@ func TestInlineBudgetSweep(t *testing.T) {
 	assertExactPrefix(t, s3, obs)
 }
 
-// checkClock requires the inline budget's CLOCK to list every warm app
-// exactly once and to hold nothing but those and stale entries: apps
-// gone cold, dropped or replaced since they were listed.
-func checkClock(t *testing.T, s *Store, when string) {
+// checkRoster requires the store's two maps to hold each app once, the
+// inline budget's CLOCK to list every warm record exactly once at its
+// index and nothing else, and every count derived from the maps — Apps,
+// PagedApps, the total, the pager's live bytes and Stats().WindowBytes —
+// to equal a recount.
+func checkRoster(t *testing.T, s *Store, when string) {
 	t.Helper()
-	listed := map[*appState]bool{}
-	for _, e := range s.clock {
-		if listed[e.st] || e.st.flags&clockListed == 0 {
-			t.Fatalf("%s: %s is in the clock twice, or unmarked", when, e.app)
-		}
-		listed[e.st] = true
+	warm, cold, windowBytes, problem := recountRoster(s)
+	if problem != "" {
+		t.Fatalf("%s: %s", when, problem)
 	}
-	for app, st := range s.apps {
-		if st.page == nil && !listed[st] {
-			t.Fatalf("%s: warm app %s is not in the clock", when, app)
+	if st := s.Stats(); s.Apps() != warm+cold || s.PagedApps() != cold || st.Apps != warm+cold ||
+		st.PagedApps != cold || st.WindowBytes != windowBytes {
+		t.Fatalf("%s: Apps %d, PagedApps %d, Stats %+v; want %d warm + %d cold apps and %d window bytes",
+			when, s.Apps(), s.PagedApps(), st, warm, cold, windowBytes)
+	}
+}
+
+// recountRoster counts s's warm and cold apps and window bytes under its
+// lock, and names the first invariant of checkRoster's that fails.
+func recountRoster(s *Store) (warm, cold int, windowBytes int64, problem string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var total, pageBytes int64
+	for app, st := range s.warm {
+		if s.cold[app] != nil {
+			return 0, 0, 0, app + " is both warm and cold"
+		}
+		total += st.total
+		windowBytes += int64(st.cw.MemBytes())
+	}
+	for _, c := range s.cold {
+		total += c.total
+		pageBytes += int64(c.ref.recLen)
+	}
+	if total != s.total || pageBytes != s.pg.liveBytes {
+		return 0, 0, 0, fmt.Sprintf("total %d and live page bytes %d, want the recounts %d and %d", s.total, s.pg.liveBytes, total, pageBytes)
+	}
+	listed := 0
+	if s.opt.InlineBudget > 0 {
+		listed = len(s.warm)
+	}
+	if len(s.clock) != listed {
+		return 0, 0, 0, fmt.Sprintf("%d clock entries, want %d", len(s.clock), listed)
+	}
+	for i, e := range s.clock {
+		if s.warm[e.app] != e.st || e.st.clock != uint32(i) {
+			return 0, 0, 0, fmt.Sprintf("clock entry %d (%s) is not its app's warm record at its index", i, e.app)
 		}
 	}
+	return len(s.warm), len(s.cold), windowBytes, ""
 }
 
 // TestInlineClockListsWarmApps drives a store over its inline budget
@@ -450,16 +477,7 @@ func TestInlineClockListsWarmApps(t *testing.T) {
 	}
 	within := func(when string) {
 		t.Helper()
-		checkClock(t, s, when)
-		cold := 0
-		for _, st := range s.apps {
-			if st.page != nil {
-				cold++
-			}
-		}
-		if cold != s.pg.liveRefs {
-			t.Fatalf("%s: %d cold apps, %d live page stubs: a dropped record was paged out", when, cold, s.pg.liveRefs)
-		}
+		checkRoster(t, s, when)
 		if inline := s.Apps() - s.PagedApps(); inline > 4 {
 			t.Fatalf("%s: %d apps inline, over the budget of 4", when, inline)
 		}
@@ -475,13 +493,13 @@ func TestInlineClockListsWarmApps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkClock(t, s, "after imports") // which enforce no budget: the next append does
+	checkRoster(t, s, "after imports") // which enforce no budget: the next append does
 	for i := 0; i < 6; i++ {
 		if err := s.dropApp(appName(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 8; i++ { // the hand sweeps past the dropped entries
+	for i := 0; i < 8; i++ {
 		if err := s.Append("fresh-"+strconv.Itoa(i), 2); err != nil {
 			t.Fatal(err)
 		}
@@ -490,21 +508,16 @@ func TestInlineClockListsWarmApps(t *testing.T) {
 
 	// Second chance: of the warm apps, the one just touched survives the
 	// page-out the next new app forces.
-	warm := ""
+	warm := s.clock[0].app
 	for _, e := range s.clock {
-		if e.st.page == nil && s.apps[e.app] == e.st {
-			warm = e.app
-		}
-	}
-	for _, e := range s.clock {
-		e.st.flags &^= clockTouched
+		e.st.touched = false
 	}
 	s.RestoreWindow(warm)
 	if err := s.Append("newcomer", 1); err != nil {
 		t.Fatal(err)
 	}
 	within("after a newcomer")
-	if st := s.apps[warm]; st.page != nil {
+	if s.warm[warm] == nil {
 		t.Fatalf("%s, touched since the hand passed, was paged out", warm)
 	}
 	s.Close()

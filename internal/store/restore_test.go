@@ -322,14 +322,14 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		if err := writeSnapshot(dirDevice(dir), 4, map[string]*appState{app: st}); err != nil {
+		if err := writeSnapshot(dirDevice(dir), 4, map[string]*appState{app: st}, nil); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, snapName(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV3)), encodeSnapshotApp(nil, app, head))
+		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV3)), head.appendSnapshot(nil, app))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: snapshot\n got %x\nwant %x", name, got, want)
 		}
@@ -376,12 +376,13 @@ func TestHeadDirectoryReopens(t *testing.T) {
 	for name, vals := range restoreShapes() {
 		app := "head/" + name
 		st := &appState{cw: headCompactWindowOf(vals), total: int64(len(vals))}
+		var rec snapRecord = st
 		if i++; i%2 == 0 {
-			rec := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
-			st = &appState{total: st.total, page: &pageRef{seq: 1, off: int64(len(page)), recLen: int64(len(rec)), count: len(vals)}}
-			page = append(page, rec...)
+			framed := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
+			rec = &coldApp{total: st.total, ref: pageRef{seq: 1, off: int64(len(page)), recLen: int32(len(framed)), count: uint32(len(vals))}}
+			page = append(page, framed...)
 		}
-		snap = headAppendRecord(snap, encodeSnapshotApp(nil, app, st))
+		snap = headAppendRecord(snap, rec.appendSnapshot(nil, app))
 		o := Observation{App: app, Concurrency: 0.137 * float64(i)}
 		seg = headAppendRecord(seg, encodeObservation(nil, o))
 		want[app] = append(append([]float64(nil), vals...), o.Concurrency)
@@ -490,12 +491,11 @@ func TestPagedInWindowOwnsItsBuffer(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	cold := s.apps[appName(1)]
-	first, err := s.warmState(appName(1), cold)
+	first, err := s.warmState(appName(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.warmState(appName(1), cold)
+	second, err := s.warmState(appName(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,20 +54,34 @@ const (
 // cannot read: Open fails on it instead of falling back.
 var errSnapshotFormat = errors.New("store: snapshot format unknown to this build")
 
-// appState is one application's durable state: the sliding observation
-// window — a compact window always ("warm"), or paged to disk behind a
-// stub ("cold") — plus the lifetime count, which a lost page or a window
-// written under an older per-app cap does not shorten.
+// appState is one warm application's durable state: its sliding
+// observation window as a compact window, plus the lifetime count, which
+// a lost page or a window written under an older per-app cap does not
+// shorten. A cold app has a coldApp instead (see Store).
 type appState struct {
 	cw    CompactWindow
-	page  *pageRef // non-nil => cw is empty and the window lives on disk
 	total int64
-	flags uint8 // the inline budget's CLOCK bits, in memory only
-	// The caller's Memo, in memory only like flags, flattened into the
-	// padding after them so the record stays in its 96-byte size class.
-	memoGroup uint8
-	memoGen   uint16
+	// The caller's Memo and the inline budget's CLOCK fields, in memory
+	// only, flattened into the 16 bytes after total so the record stays
+	// in its 96-byte size class.
 	memoLen   uint32
+	memoGen   uint32
+	clock     uint32 // index of the app's entry in Store.clock, while a budget is set
+	memoGroup uint8
+	touched   bool // used since the CLOCK's hand last passed: second chance
+}
+
+func (st *appState) memo() Memo { return Memo{st.memoLen, st.memoGen, st.memoGroup} }
+
+func (st *appState) setMemo(m Memo) { st.memoLen, st.memoGen, st.memoGroup = m.Len, m.Gen, m.Group }
+
+// coldApp is a cold application: the stub of its window, paged to disk,
+// with the durable total and the Memo kept beside it. One allocation of
+// 48 bytes.
+type coldApp struct {
+	ref   pageRef
+	total int64
+	memo  Memo
 }
 
 // Memo is what the serving layer keeps beside a demoted window so a
@@ -79,16 +93,8 @@ type appState struct {
 // and the caller tells by Len.
 type Memo struct {
 	Len   uint32
-	Gen   uint16
+	Gen   uint32
 	Group uint8
-}
-
-// windowLen reports the stored window length without materializing it.
-func (st *appState) windowLen() int {
-	if st.page != nil {
-		return st.page.count
-	}
-	return st.cw.Len()
 }
 
 // decodeWireApp parses a v1 record payload — a raw float64 window — into
@@ -153,25 +159,32 @@ func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	return app, &appState{cw: cw, total: int64(total)}, nil
 }
 
-// encodeSnapshotApp frames one app for a v3 snapshot: inline apps carry
-// their compact window, cold apps just their page stub.
-func encodeSnapshotApp(buf []byte, app string, st *appState) []byte {
-	if st.page == nil {
-		buf = append(buf, snapTagInline)
-		return encodeWireAppCompact(buf, app, st)
-	}
+// A snapRecord is a record a v3 snapshot holds: a warm app's compact
+// window or a cold app's stub.
+type snapRecord interface {
+	appendSnapshot(buf []byte, app string) []byte
+}
+
+// appendSnapshot frames a warm app for a v3 snapshot: its compact window.
+func (st *appState) appendSnapshot(buf []byte, app string) []byte {
+	return encodeWireAppCompact(append(buf, snapTagInline), app, st)
+}
+
+// appendSnapshot frames a cold app for a v3 snapshot: just its page stub.
+func (c *coldApp) appendSnapshot(buf []byte, app string) []byte {
 	buf = append(buf, snapTagPaged)
 	buf = binary.AppendUvarint(buf, uint64(len(app)))
 	buf = append(buf, app...)
-	buf = binary.AppendUvarint(buf, uint64(st.total))
-	buf = binary.AppendUvarint(buf, st.page.seq)
-	buf = binary.AppendUvarint(buf, uint64(st.page.off))
-	buf = binary.AppendUvarint(buf, uint64(st.page.recLen))
-	return binary.AppendUvarint(buf, uint64(st.page.count))
+	buf = binary.AppendUvarint(buf, uint64(c.total))
+	buf = binary.AppendUvarint(buf, c.ref.seq)
+	buf = binary.AppendUvarint(buf, uint64(c.ref.off))
+	buf = binary.AppendUvarint(buf, uint64(c.ref.recLen))
+	return binary.AppendUvarint(buf, uint64(c.ref.count))
 }
 
-// decodeSnapshotApp parses a v2 or v3 snapshot record.
-func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
+// decodeSnapshotApp parses a v2 or v3 snapshot record: a warm app's state
+// (*appState) or a cold app's stub (*coldApp), whichever the tag says.
+func decodeSnapshotApp(p []byte) (app string, rec snapRecord, err error) {
 	if len(p) == 0 {
 		return "", nil, fmt.Errorf("store: snapshot record: empty")
 	}
@@ -179,7 +192,8 @@ func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
 	p = p[1:]
 	switch tag {
 	case snapTagInline:
-		return decodeWireAppCompact(p)
+		app, st, err := decodeWireAppCompact(p)
+		return app, st, err
 	case snapTagPaged:
 		app, p, total, err := decodeAppHeader(p, "snapshot")
 		if err != nil {
@@ -196,9 +210,16 @@ func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
 		if len(p) != 0 {
 			return "", nil, fmt.Errorf("store: snapshot record: %d trailing bytes", len(p))
 		}
-		return app, &appState{
+		// A length past any record's reads as one, which the page read
+		// refuses; no window holds more values than a uint32 counts.
+		return app, &coldApp{
 			total: int64(total),
-			page:  &pageRef{seq: vals[0], off: int64(vals[1]), recLen: int64(vals[2]), count: int(vals[3])},
+			ref: pageRef{
+				seq:    vals[0],
+				off:    int64(vals[1]),
+				recLen: int32(min(vals[2], maxRecordLen+recordHeaderLen+1)),
+				count:  uint32(min(vals[3], math.MaxUint32)),
+			},
 		}, nil
 	default:
 		return "", nil, fmt.Errorf("store: snapshot record: unknown tag %#x", tag)
@@ -206,9 +227,9 @@ func decodeSnapshotApp(p []byte) (app string, st *appState, err error) {
 }
 
 // appendSnapshotRecord frames one app's snapshot record onto buf.
-func appendSnapshotRecord(buf []byte, app string, st *appState) []byte {
+func appendSnapshotRecord(buf []byte, app string, rec snapRecord) []byte {
 	start := len(buf)
-	return sealRecord(encodeSnapshotApp(reserveHeader(buf), app, st), start)
+	return sealRecord(rec.appendSnapshot(reserveHeader(buf), app), start)
 }
 
 // writeSnapshots writes one v3 snapshot, snap-<seq>.snap, onto each of
@@ -218,7 +239,7 @@ func appendSnapshotRecord(buf []byte, app string, st *appState) []byte {
 // then its directory is fsynced, so a crash leaves the old snapshot or the
 // new one, never half of one. On any error nothing is left behind: every
 // temp file, and every snapshot already renamed, is removed.
-func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app string, st *appState) error) error) (err error) {
+func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app string, rec snapRecord) error) error) (err error) {
 	name := snapName(seq)
 	tmp := name + snapTempSuffix
 	files := make([]file, len(devs))
@@ -241,8 +262,8 @@ func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app str
 		bufs[i] = bufio.NewWriterSize(files[i], 1<<20)
 		bufs[i].Write(appendRecord(nil, []byte(snapMagicV3))) // into an empty buffer: cannot fail
 	}
-	if err := fill(func(i int, app string, st *appState) error {
-		_, err := bufs[i].Write(appendSnapshotRecord(bufs[i].AvailableBuffer(), app, st))
+	if err := fill(func(i int, app string, rec snapRecord) error {
+		_, err := bufs[i].Write(appendSnapshotRecord(bufs[i].AvailableBuffer(), app, rec))
 		return err
 	}); err != nil {
 		return err
@@ -269,11 +290,17 @@ func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app str
 	return nil
 }
 
-// writeSnapshot persists apps as snap-<seq>.snap on dev.
-func writeSnapshot(dev device, seq uint64, apps map[string]*appState) error {
-	return writeSnapshots([]device{dev}, seq, func(add func(int, string, *appState) error) error {
-		for app, st := range apps {
+// writeSnapshot persists a store's warm and cold apps as snap-<seq>.snap
+// on dev.
+func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold map[string]*coldApp) error {
+	return writeSnapshots([]device{dev}, seq, func(add func(int, string, snapRecord) error) error {
+		for app, st := range warm {
 			if err := add(0, app, st); err != nil {
+				return err
+			}
+		}
+		for app, c := range cold {
+			if err := add(0, app, c); err != nil {
 				return err
 			}
 		}
@@ -281,21 +308,25 @@ func writeSnapshot(dev device, seq uint64, apps map[string]*appState) error {
 	})
 }
 
-// readSnapshot decodes a snapshot file. Its first record's magic is the one version gate:
-// v3 and v2 records decode as they are, v1 raw windows are compressed on
-// the way in, and an intact femux-snap- magic this build does not know is
-// errSnapshotFormat. Any framing, CRC, magic or decode failure is an
-// error.
-func readSnapshot(r io.Reader) (map[string]*appState, error) {
-	apps := map[string]*appState{}
-	var decode func(p []byte) (string, *appState, error)
+// readSnapshot decodes a snapshot file into its warm apps and its cold
+// apps' stubs, each app in one of the two. Its first record's magic is the
+// one version gate: v3 and v2 records decode as they are, v1 raw windows
+// are compressed on the way in, and an intact femux-snap- magic this build
+// does not know is errSnapshotFormat. Any framing, CRC, magic or decode
+// failure is an error.
+func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*coldApp, err error) {
+	warm, cold = map[string]*appState{}, map[string]*coldApp{}
+	var decode func(p []byte) (string, snapRecord, error)
 	n, err := readRecords(r, func(payload []byte) error {
 		if decode == nil {
 			switch magic := string(payload); {
 			case magic == snapMagicV3 || magic == snapMagicV2:
 				decode = decodeSnapshotApp
 			case magic == snapMagic:
-				decode = decodeWireApp
+				decode = func(p []byte) (string, snapRecord, error) {
+					app, st, err := decodeWireApp(p)
+					return app, st, err
+				}
 			case strings.HasPrefix(magic, snapMagicPrefix):
 				return fmt.Errorf("%w: magic %q", errSnapshotFormat, magic)
 			default:
@@ -303,33 +334,41 @@ func readSnapshot(r io.Reader) (map[string]*appState, error) {
 			}
 			return nil
 		}
-		app, st, err := decode(payload)
+		app, rec, err := decode(payload)
 		if err != nil {
 			return err
 		}
-		apps[app] = st
+		// A later record of an app replaces an earlier one, in either map.
+		switch r := rec.(type) {
+		case *appState:
+			delete(cold, app)
+			warm[app] = r
+		case *coldApp:
+			delete(warm, app)
+			cold[app] = r
+		}
 		return nil
 	})
 	if err == nil && n == 0 {
 		err = errors.New("empty stream")
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return apps, nil
+	return warm, cold, nil
 }
 
 // loadSnapshot reads snap-<seq>.snap in any format. On an error callers
 // fall back to an older snapshot, except on errSnapshotFormat.
-func loadSnapshot(dev device, seq uint64) (map[string]*appState, error) {
+func loadSnapshot(dev device, seq uint64) (map[string]*appState, map[string]*coldApp, error) {
 	f, err := dev.open(snapName(seq))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	apps, err := readSnapshot(io.NewSectionReader(f, 0, math.MaxInt64))
+	warm, cold, err := readSnapshot(io.NewSectionReader(f, 0, math.MaxInt64))
 	if err != nil {
-		return nil, fmt.Errorf("store: snapshot %d: %w", seq, err)
+		return nil, nil, fmt.Errorf("store: snapshot %d: %w", seq, err)
 	}
-	return apps, nil
+	return warm, cold, nil
 }

@@ -44,19 +44,20 @@ const splitSnapSeq = 1
 
 func split(srcs []string, dsts []device) error {
 	owner := map[string]int{} // app -> the source it came from
-	return writeSnapshots(dsts, splitSnapSeq, func(add func(int, string, *appState) error) error {
+	return writeSnapshots(dsts, splitSnapSeq, func(add func(int, string, snapRecord) error) error {
 		for si, src := range srcs {
 			s, err := Open(src, Options{Sync: SyncNever, CompactEvery: -1})
 			if err != nil {
 				return fmt.Errorf("store: split: open %s: %w", src, err)
 			}
-			for app, st := range s.apps {
+			for _, app := range s.AppNames() {
 				if prev, dup := owner[app]; dup {
 					err = fmt.Errorf("store: split: app %q is in both %s and %s", app, srcs[prev], src)
 					break
 				}
 				owner[app] = si
-				if st, err = s.warmState(app, st); err != nil {
+				var st *appState
+				if st, err = s.warmState(app); err != nil {
 					err = fmt.Errorf("store: split: page in %q from %s: %w", app, src, err)
 					break
 				}

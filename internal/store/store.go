@@ -63,7 +63,7 @@ type Options struct {
 	CompactEvery int
 	// InlineBudget bounds how many apps keep their compact window in
 	// memory (0 = unlimited): the excess is paged to disk by a CLOCK
-	// sweep, each leaving a ~few-dozen-byte stub. Enforced on the apply
+	// sweep, each leaving a 48-byte stub. Enforced on the apply
 	// path, so boot replay of a fleet larger than the budget also lands
 	// mostly cold instead of materializing every app.
 	InlineBudget int
@@ -108,16 +108,20 @@ type Stats struct {
 	PageGCFails int64 // page-file rewrites abandoned on a read or write error
 }
 
-// Store is a durable per-app observation store: an in-memory map of
-// sliding windows backed by the segmented WAL and periodic snapshots.
-// All methods are safe for concurrent use.
+// Store is a durable per-app observation store: in-memory sliding
+// windows backed by the segmented WAL and periodic snapshots. Every app
+// is in exactly one of two maps: warm holds the apps whose compact window
+// is in memory, cold the stubs of those paged to disk. A page-out moves
+// an app from warm to cold, a page-in back. All methods are safe for
+// concurrent use.
 type Store struct {
 	mu       sync.Mutex
 	dev      device
 	opt      Options
 	w        *wal
 	pg       *pager
-	apps     map[string]*appState
+	warm     map[string]*appState
+	cold     map[string]*coldApp
 	total    int64
 	restored int64
 	torn     bool
@@ -126,8 +130,8 @@ type Store struct {
 	pageOuts int64 // lifetime warm->cold demotions
 
 	// clock is the inline budget's CLOCK: while a budget is set, every
-	// warm app has one entry, which the hand sweeps; one gone cold or
-	// dropped keeps it until the hand gets there.
+	// warm app has exactly one entry (at its appState.clock), which the
+	// hand sweeps, and nothing else has one.
 	clock []clockEntry
 	hand  int
 
@@ -169,30 +173,31 @@ func open(dev device, opt Options) (*Store, error) {
 			dev.remove(name) // left by a crash mid-snapshot
 		}
 	}
-	s := &Store{dev: dev, opt: opt, apps: map[string]*appState{}, pg: openPager(dev, files)}
+	s := &Store{dev: dev, opt: opt, warm: map[string]*appState{}, cold: map[string]*coldApp{}, pg: openPager(dev, files)}
 
 	// Load the newest snapshot that passes its CRC and magic checks.
 	snapSeqs := seqsOf(files, snapPrefix, snapSuffix)
 	var snapSeq uint64
 	haveSnap := false
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
-		apps, err := loadSnapshot(dev, snapSeqs[i])
+		warm, cold, err := loadSnapshot(dev, snapSeqs[i])
 		if errors.Is(err, errSnapshotFormat) {
 			return nil, err
 		}
 		if err != nil {
 			continue // half-written or corrupt snapshot: fall back
 		}
-		s.apps = apps
+		s.warm, s.cold = warm, cold
 		snapSeq, haveSnap = snapSeqs[i], true
 		break
 	}
-	for app, st := range s.apps {
+	for app, st := range s.warm {
 		s.total += st.total
-		if st.page != nil {
-			s.pg.noteLive(st.page)
-		}
-		s.list(app, st, false)
+		s.list(app, st)
+	}
+	for _, c := range s.cold {
+		s.total += c.total
+		s.pg.noteLive(&c.ref)
 	}
 	s.restored = s.total
 
@@ -220,10 +225,6 @@ func open(dev device, opt Options) (*Store, error) {
 	}
 	s.torn = torn
 	s.restored += int64(n)
-	s.total = 0
-	for _, st := range s.apps {
-		s.total += st.total
-	}
 
 	w, err := openWAL(dev, maxSeq+1, opt.SegmentBytes)
 	if err != nil {
@@ -287,17 +288,33 @@ func decodeObservation(p []byte) (Observation, error) {
 // apply folds one observation into the in-memory state, transparently
 // paging a cold app back in first.
 func (s *Store) apply(obs Observation) {
-	st := s.apps[obs.App]
+	st := s.warm[obs.App]
 	if st == nil {
-		st = &appState{}
-		s.apps[obs.App] = st
+		if st, _ = s.pageInLocked(obs.App, 0); st == nil {
+			st = &appState{}
+			s.addWarm(obs.App, st)
+		}
 	}
-	s.ensureInlineLocked(obs.App, st, 0)
 	st.cw.Append(obs.Concurrency)
-	s.list(obs.App, st, true)
+	st.touched = true
 	st.total++
 	s.total++
 	s.enforceInlineBudgetLocked()
+}
+
+// addWarm puts st in the warm map and, if a budget is set, in the CLOCK.
+func (s *Store) addWarm(app string, st *appState) {
+	s.warm[app] = st
+	s.list(app, st)
+}
+
+// removeWarm takes st, app's warm record, out of the warm map and the
+// CLOCK: nothing of the store refers to it afterwards.
+func (s *Store) removeWarm(app string, st *appState) {
+	delete(s.warm, app)
+	if s.opt.InlineBudget > 0 {
+		s.unlist(int(st.clock))
+	}
 }
 
 // pageOutLocked demotes one warm app to cold.
@@ -306,31 +323,47 @@ func (s *Store) pageOutLocked(app string, st *appState) error {
 	if err != nil {
 		return err
 	}
-	st.cw = CompactWindow{}
-	st.page = ref
+	s.removeWarm(app, st)
+	s.cold[app] = &coldApp{ref: ref, total: st.total, memo: st.memo()}
 	s.pageOuts++
 	return nil
 }
 
-// An appState's bits in the inline budget's CLOCK (appState.flags).
-const (
-	clockTouched uint8 = 1 << iota // used since the hand last passed: second chance
-	clockListed                    // has an entry in Store.clock
-)
+// pageInLocked promotes a cold app to warm and returns its new record, and
+// its values when mode asks for them; it returns nil if app is not cold.
+// The record the stub points to is also covered by the snapshot+WAL chain
+// until the next compaction, so a read failure here — torn page file after
+// a crash mid-page-out, bit rot — costs the window only in the rare case
+// that chain was already compacted past it; the durable total is kept
+// either way and the app restarts with an empty window.
+func (s *Store) pageInLocked(app string, mode cwMode) (*appState, []float64) {
+	c := s.cold[app]
+	if c == nil {
+		return nil, nil
+	}
+	full, vals, err := s.pg.load(app, &c.ref, mode|cwWindow)
+	if err != nil {
+		s.pageErrs++ // full and vals are empty: the window is lost
+		s.pg.lostSeq = max(s.pg.lostSeq, c.ref.seq)
+	}
+	s.pg.free(&c.ref)
+	delete(s.cold, app)
+	st := &appState{cw: full.cw, total: c.total}
+	st.setMemo(c.memo)
+	s.addWarm(app, st)
+	return st, vals
+}
 
 type clockEntry struct {
 	app string
 	st  *appState
 }
 
-// list gives a warm app its CLOCK entry, if a budget is set and it has
-// none, and with touched, sets its reference bit. Caller holds s.mu.
-func (s *Store) list(app string, st *appState, touched bool) {
-	if touched {
-		st.flags |= clockTouched
-	}
-	if s.opt.InlineBudget > 0 && st.page == nil && st.flags&clockListed == 0 {
-		st.flags |= clockListed
+// list gives a new warm record its CLOCK entry, if a budget is set.
+// Caller holds s.mu.
+func (s *Store) list(app string, st *appState) {
+	if s.opt.InlineBudget > 0 {
+		st.clock = uint32(len(s.clock))
 		s.clock = append(s.clock, clockEntry{app, st})
 	}
 }
@@ -338,8 +371,8 @@ func (s *Store) list(app string, st *appState, touched bool) {
 // unlist removes the CLOCK's entry i, moving its last entry there.
 func (s *Store) unlist(i int) {
 	last := len(s.clock) - 1
-	s.clock[i].st.flags &^= clockListed
 	s.clock[i] = s.clock[last]
+	s.clock[i].st.clock = uint32(i)
 	s.clock[last] = clockEntry{}
 	s.clock = s.clock[:last]
 }
@@ -355,74 +388,48 @@ func (s *Store) enforceInlineBudgetLocked() {
 	if budget <= 0 {
 		return
 	}
-	inline := len(s.apps) - s.pg.liveRefs
 	// Two full passes suffice: the first clears reference bits, the
 	// second demotes. The hand persists across calls, so steady-state
 	// work is proportional to the overshoot, not the fleet.
-	for scanned, limit := 0, 2*len(s.clock)+2; inline > budget && scanned < limit && len(s.clock) > 0; scanned++ {
+	for scanned, limit := 0, 2*len(s.clock)+2; len(s.warm) > budget && scanned < limit; scanned++ {
 		if s.hand >= len(s.clock) {
 			s.hand = 0
 		}
 		e := s.clock[s.hand]
-		switch {
-		case e.st.page != nil || s.apps[e.app] != e.st:
-			s.unlist(s.hand) // cold, dropped or replaced since it was listed
-		case e.st.flags&clockTouched != 0:
-			e.st.flags &^= clockTouched
+		if e.st.touched {
+			e.st.touched = false
 			s.hand++
-		default:
-			if err := s.pageOutLocked(e.app, e.st); err != nil {
-				return
-			}
-			s.unlist(s.hand)
-			inline--
+		} else if s.pageOutLocked(e.app, e.st) != nil { // which unlists it
+			return
 		}
 	}
 }
 
-// ensureInlineLocked pages a cold app's window back into memory, and
-// returns its values when mode asks for them and a page was read. The
-// record the stub points to is also covered by the
-// snapshot+WAL chain until the next compaction, so a read failure here
-// — torn page file after a crash mid-page-out, bit rot — costs the
-// window only in the rare case that chain was already compacted past
-// it; the durable total is kept either way and the app restarts with an
-// empty window.
-func (s *Store) ensureInlineLocked(app string, st *appState, mode cwMode) []float64 {
-	if st.page == nil {
-		return nil
-	}
-	full, vals, err := s.pg.load(app, st.page, mode|cwWindow)
-	if err != nil {
-		s.pageErrs++ // full and vals are empty: the window is lost
-		s.pg.lostSeq = max(s.pg.lostSeq, st.page.seq)
-	}
-	s.pg.free(st.page)
-	st.page = nil
-	st.cw = full.cw
-	return vals
-}
-
 // windowLocked materializes an app's window without changing its tier
-// (cold apps are read from disk but stay cold).
-func (s *Store) windowLocked(app string, st *appState) []float64 {
-	if st.page == nil {
+// (cold apps are read from disk but stay cold); nil for an unknown app.
+func (s *Store) windowLocked(app string) []float64 {
+	if st := s.warm[app]; st != nil {
 		return st.cw.Values(nil)
 	}
-	_, win, err := s.pg.load(app, st.page, cwValues)
+	c := s.cold[app]
+	if c == nil {
+		return nil
+	}
+	_, win, err := s.pg.load(app, &c.ref, cwValues)
 	if err != nil {
 		return nil
 	}
 	return win
 }
 
-// warmState returns st if it is warm, else a warm copy read from its
-// page; the app itself stays cold. It is what Split writes.
-func (s *Store) warmState(app string, st *appState) (*appState, error) {
-	if st.page == nil {
+// warmState returns a known app's warm record or, for a cold app, a
+// record of its own read from its page; the app itself stays cold. It is
+// what Split writes.
+func (s *Store) warmState(app string) (*appState, error) {
+	if st := s.warm[app]; st != nil {
 		return st, nil
 	}
-	full, _, err := s.pg.load(app, st.page, cwWindow)
+	full, _, err := s.pg.load(app, &s.cold[app].ref, cwWindow)
 	return &full, err
 }
 
@@ -465,11 +472,7 @@ func (s *Store) AppendBatch(obs []Observation) error {
 func (s *Store) Window(app string) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.apps[app]
-	if st == nil {
-		return nil
-	}
-	return s.windowLocked(app, st)
+	return s.windowLocked(app)
 }
 
 // Windows returns a copy of every app's sliding window. Cold apps are
@@ -478,9 +481,12 @@ func (s *Store) Window(app string) []float64 {
 func (s *Store) Windows() map[string][]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string][]float64, len(s.apps))
-	for app, st := range s.apps {
-		out[app] = s.windowLocked(app, st)
+	out := make(map[string][]float64, len(s.warm)+len(s.cold))
+	for app, st := range s.warm {
+		out[app] = st.cw.Values(nil)
+	}
+	for app := range s.cold {
+		out[app] = s.windowLocked(app)
 	}
 	return out
 }
@@ -497,8 +503,10 @@ func (s *Store) RestoreWindow(app string) (win []float64, paged bool, ok bool) {
 func (s *Store) SetMemo(app string, m Memo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st := s.apps[app]; st != nil {
-		st.memoLen, st.memoGen, st.memoGroup = m.Len, m.Gen, m.Group
+	if st := s.warm[app]; st != nil {
+		st.setMemo(m)
+	} else if c := s.cold[app]; c != nil {
+		c.memo = m
 	}
 }
 
@@ -515,23 +523,23 @@ func (s *Store) RestoreMemo(app string) (n int, m Memo, paged, ok bool) {
 func (s *Store) restore(app string, mode cwMode) (win []float64, n int, m Memo, paged, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.apps[app]
-	if st == nil {
-		return nil, 0, Memo{}, false, false
+	st := s.warm[app]
+	if paged = st == nil; paged {
+		// A page-in decodes any values asked for in the same walk that
+		// rebuilds the window.
+		if st, win = s.pageInLocked(app, mode); st == nil {
+			return nil, 0, Memo{}, false, false
+		}
 	}
-	paged = st.page != nil
-	// A page-in decodes any values asked for in the same walk that
-	// rebuilds the window; only a warm app is walked here.
-	win = s.ensureInlineLocked(app, st, mode)
 	if win == nil && mode&cwValues != 0 {
 		win = st.cw.Values(nil)
 	}
-	s.list(app, st, true)
+	st.touched = true
 	// Enforce after materializing: the sweep's second-chance pass may
-	// legitimately re-demote this very app (tiny budgets), which must not
-	// truncate the window we are about to hand to the caller.
+	// legitimately re-demote this very app (tiny budgets), which leaves st
+	// and the window we are about to hand to the caller as they are.
 	s.enforceInlineBudgetLocked()
-	return win, st.windowLen(), Memo{st.memoLen, st.memoGen, st.memoGroup}, paged, true
+	return win, st.cw.Len(), st.memo(), paged, true
 }
 
 // Recent is CompactWindow.Recent over app's window, read from its page
@@ -541,11 +549,11 @@ func (s *Store) Recent(app string, k, skip int, dst []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var cw CompactWindow
-	if st := s.apps[app]; st != nil && st.page != nil {
-		cold, _, _ := s.pg.load(app, st.page, cwWindow) // empty on an error
-		cw = cold.cw
-	} else if st != nil {
+	if st := s.warm[app]; st != nil {
 		cw = st.cw
+	} else if c := s.cold[app]; c != nil {
+		cold, _, _ := s.pg.load(app, &c.ref, cwWindow) // empty on an error
+		cw = cold.cw
 	}
 	return cw.Recent(k, skip, dst)
 }
@@ -562,8 +570,8 @@ func (s *Store) PageOut(app string) error {
 	if s.w == nil {
 		return fmt.Errorf("store: closed")
 	}
-	st := s.apps[app]
-	if st == nil || st.page != nil || !s.Durable() {
+	st := s.warm[app]
+	if st == nil || !s.Durable() {
 		return nil
 	}
 	return s.pageOutLocked(app, st)
@@ -573,7 +581,7 @@ func (s *Store) PageOut(app string) error {
 func (s *Store) PagedApps() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pg.liveRefs
+	return len(s.cold)
 }
 
 // TotalObservations reports lifetime observations (restored + appended).
@@ -589,15 +597,18 @@ func (s *Store) TotalObservations() int64 {
 func (s *Store) Apps() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.apps)
+	return len(s.warm) + len(s.cold)
 }
 
 // AppNames returns the name of every app with durable state, sorted.
 func (s *Store) AppNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.apps))
-	for app := range s.apps {
+	names := make([]string, 0, len(s.warm)+len(s.cold))
+	for app := range s.warm {
+		names = append(names, app)
+	}
+	for app := range s.cold {
 		names = append(names, app)
 	}
 	sort.Strings(names)
@@ -631,20 +642,20 @@ func (s *Store) compactLocked() error {
 	// first durable state to *depend* on page records, so they must be on
 	// disk before it exists. A failed fsync, now or earlier, is recovered
 	// from by rewriting the records it left in doubt.
-	s.pg.maybeGC(s.apps)
+	s.pg.maybeGC(s.cold)
 	if s.pg.sync() != nil {
-		if err := s.pg.recover(s.apps); err != nil {
+		if err := s.pg.recover(s.cold); err != nil {
 			return err
 		}
 	}
 	snapSeq := s.w.seq - 1
-	if err := writeSnapshot(s.dev, snapSeq, s.apps); err != nil {
+	if err := writeSnapshot(s.dev, snapSeq, s.warm, s.cold); err != nil {
 		return err
 	}
 	// Deletion is cleanup, not correctness: leftovers are re-deleted on
 	// the next compaction, and restore ignores segments <= snapshot seq.
 	files, _ := s.dev.list()
-	s.pg.deleteBelow(s.apps, files)
+	s.pg.deleteBelow(s.cold, files)
 	for name := range files {
 		seg, isSeg := parseSeq(name, segPrefix, segSuffix)
 		snap, isSnap := parseSeq(name, snapPrefix, snapSuffix)
@@ -694,11 +705,11 @@ func (s *Store) Sync() error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Apps:         len(s.apps),
+		Apps:         len(s.warm) + len(s.cold),
 		Observations: s.total,
 		TornTail:     s.torn,
 		Restored:     s.restored,
-		PagedApps:    s.pg.liveRefs,
+		PagedApps:    len(s.cold),
 		PageErrors:   s.pageErrs,
 		PageOuts:     s.pageOuts,
 		PageGCFails:  s.pg.gcFails,
@@ -706,7 +717,7 @@ func (s *Store) Stats() Stats {
 	if s.w != nil {
 		st.Fsyncs = s.w.fsyncs.Load()
 	}
-	for _, a := range s.apps {
+	for _, a := range s.warm { // a cold app holds no window bytes
 		st.WindowBytes += int64(a.cw.MemBytes())
 	}
 	s.mu.Unlock()

@@ -328,7 +328,7 @@ func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			old := map[string]*appState{"a": {cw: compactWindowOf([]float64{1, 2.5, 3}), total: 3}}
-			if err := writeSnapshot(dirDevice(dir), 1, old); err != nil {
+			if err := writeSnapshot(dirDevice(dir), 1, old, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, snapName(2)), tc.snap, 0o644); err != nil {
