@@ -80,7 +80,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	hist := []float64{0, 1, 2, 3, 2, 1, 0, 1, 2, 3}
 	p1, p2 := m.NewAppPolicy(0), got.NewAppPolicy(0)
 	for i := 1; i <= len(hist); i++ {
-		if a, b := p1.Target(hist[:i], 1), p2.Target(hist[:i], 1); a != b {
+		if a, b := p1.Target(hist[:i], 1, nil), p2.Target(hist[:i], 1, nil); a != b {
 			t.Fatalf("target diverged at step %d: %d != %d", i, a, b)
 		}
 	}

@@ -63,6 +63,10 @@ func main() {
 	best := map[string]string{}
 	bestVal := map[string]float64{}
 	var rows []score
+	// Every forecaster is a forecast.Forecaster: ForecastInto predicts the
+	// point trajectory (ForecastQuantilesInto, its bands), writing into
+	// dst with all scratch state in one workspace shared by the whole set.
+	ws := forecast.NewWorkspace()
 	for _, fc := range set {
 		row := score{name: fc.Name(), mae: map[string]float64{}}
 		for _, p := range order {
@@ -70,7 +74,7 @@ func main() {
 			var sum float64
 			var cnt int
 			for t := 120; t < len(series); t++ {
-				pred := fc.Forecast(series[t-120:t], 1)[0]
+				pred := fc.ForecastInto(series[t-120:t], 1, ws.Out(1), ws)[0]
 				sum += math.Abs(pred - series[t])
 				cnt++
 			}

@@ -96,16 +96,20 @@ func TrainAquatope(history []float64, cfg AquatopeConfig) *AquatopeForecaster {
 // Name implements forecast.Forecaster.
 func (f *AquatopeForecaster) Name() string { return "aquatope-lstm" }
 
-// Forecast implements forecast.Forecaster: it feeds the last window of
-// history through the LSTM, iterating its own predictions for multi-step
-// horizons.
-func (f *AquatopeForecaster) Forecast(history []float64, horizon int) []float64 {
+// ForecastInto implements forecast.Forecaster: it feeds the last window
+// of history through the LSTM, iterating its own predictions for
+// multi-step horizons. The LSTM forward pass allocates internally, so
+// only dst is reused.
+func (f *AquatopeForecaster) ForecastInto(history []float64, horizon int, dst []float64, _ *forecast.Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
 	}
-	out := make([]float64, horizon)
+	if cap(dst) < horizon {
+		dst = make([]float64, horizon)
+	}
+	out := dst[:horizon]
 	buf := append([]float64(nil), history...)
-	for t := 0; t < horizon; t++ {
+	for t := range out {
 		w := f.window
 		if w > len(buf) {
 			w = len(buf)
@@ -128,24 +132,7 @@ func (f *AquatopeForecaster) Forecast(history []float64, horizon int) []float64 
 	return out
 }
 
-// ForecastInto implements forecast.IntoForecaster. The LSTM forward
-// pass allocates internally, so this only reuses the caller's dst; it
-// exists so the forecaster satisfies forecast.QuantileForecaster and
-// participates in forecast.QuantilesInto dispatch.
-func (f *AquatopeForecaster) ForecastInto(history []float64, horizon int, dst []float64, _ *forecast.Workspace) []float64 {
-	out := f.Forecast(history, horizon)
-	if out == nil {
-		return nil
-	}
-	if cap(dst) >= horizon {
-		dst = dst[:horizon]
-		copy(dst, out)
-		return dst
-	}
-	return out
-}
-
-// ForecastQuantilesInto implements forecast.QuantileForecaster: a
+// ForecastQuantilesInto implements forecast.Forecaster: a
 // Gaussian band around the iterated point forecast, scaled by the
 // training residual (final-epoch RMSE) and widened by sqrt(t+1) as the
 // model feeds its own predictions back in.
@@ -153,7 +140,7 @@ func (f *AquatopeForecaster) ForecastQuantilesInto(history []float64, horizon in
 	if horizon <= 0 || len(levels) == 0 {
 		return nil
 	}
-	pt := f.Forecast(history, horizon)
+	pt := f.ForecastInto(history, horizon, nil, ws)
 	sig := make([]float64, horizon)
 	for t := range sig {
 		sig[t] = f.residStd * math.Sqrt(float64(t+1))

@@ -138,12 +138,12 @@ func TestIceBreakerPolicyForecastsPeriodicTraffic(t *testing.T) {
 		}
 	}
 	p := IceBreakerPolicy()
-	if got := p.Target(hist, 1); got < 0 {
+	if got := p.Target(hist, 1, nil); got < 0 {
 		t.Errorf("negative target %d", got)
 	}
 	// Low-traffic weakness: near-zero history forecasts zero.
 	quiet := make([]float64, 120)
-	if got := p.Target(quiet, 1); got != 0 {
+	if got := p.Target(quiet, 1, nil); got != 0 {
 		t.Errorf("quiet target = %d, want 0", got)
 	}
 }
@@ -152,12 +152,12 @@ func TestKeepAlive10Min(t *testing.T) {
 	p := KeepAlive10Min(1)
 	hist := make([]float64, 20)
 	hist[12] = 3 // 8 intervals ago: inside the 10-interval window
-	if got := p.Target(hist, 1); got != 3 {
+	if got := p.Target(hist, 1, nil); got != 3 {
 		t.Errorf("target = %d, want 3", got)
 	}
 	hist2 := make([]float64, 20)
 	hist2[5] = 3 // 15 intervals ago: outside
-	if got := p.Target(hist2, 1); got != 0 {
+	if got := p.Target(hist2, 1, nil); got != 0 {
 		t.Errorf("target = %d, want 0", got)
 	}
 }
@@ -183,13 +183,13 @@ func TestAquatopeLearnsPeriodicPattern(t *testing.T) {
 	for len(preBurst)%8 != 0 {
 		preBurst = preBurst[:len(preBurst)-1]
 	}
-	burstPred := f.Forecast(preBurst, 1)[0]
+	burstPred := f.ForecastInto(preBurst, 1, nil, nil)[0]
 	// History ending mid-quiet (next also quiet).
 	midQuiet := series[:300]
 	for len(midQuiet)%8 != 4 {
 		midQuiet = midQuiet[:len(midQuiet)-1]
 	}
-	quietPred := f.Forecast(midQuiet, 1)[0]
+	quietPred := f.ForecastInto(midQuiet, 1, nil, nil)[0]
 	if burstPred <= quietPred {
 		t.Errorf("burst prediction %v should exceed quiet prediction %v", burstPred, quietPred)
 	}
@@ -197,15 +197,15 @@ func TestAquatopeLearnsPeriodicPattern(t *testing.T) {
 
 func TestAquatopeForecastContract(t *testing.T) {
 	f := TrainAquatope([]float64{1, 2, 3}, AquatopeConfig{Window: 4, Hidden: 4, Epochs: 2, Seed: 1})
-	if got := f.Forecast(nil, 3); len(got) != 3 {
+	if got := f.ForecastInto(nil, 3, nil, nil); len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
 	}
-	for _, v := range f.Forecast([]float64{1, 2}, 5) {
+	for _, v := range f.ForecastInto([]float64{1, 2}, 5, nil, nil) {
 		if v < 0 || math.IsNaN(v) {
 			t.Errorf("invalid forecast value %v", v)
 		}
 	}
-	if f.Forecast([]float64{1}, 0) != nil {
+	if f.ForecastInto([]float64{1}, 0, nil, nil) != nil {
 		t.Error("horizon 0 should be nil")
 	}
 	if f.Name() != "aquatope-lstm" {
@@ -225,7 +225,7 @@ func TestAquatopeInferenceSlowerThanLightweight(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 200; i++ {
-		f.Forecast(hist, 1)
+		f.ForecastInto(hist, 1, nil, nil)
 	}
 	lstmTime := time.Since(start)
 

@@ -3,6 +3,7 @@ package baselines
 import (
 	"sort"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func (HybridHistogramPolicy) Name() string { return "hybrid-histogram" }
 // Target implements sim.Policy. The history is per-interval average
 // concurrency; idle times are run lengths of zero-demand intervals between
 // active intervals.
-func (p HybridHistogramPolicy) Target(history []float64, unitConcurrency int) int {
+func (p HybridHistogramPolicy) Target(history []float64, unitConcurrency int, _ *forecast.Workspace) int {
 	n := len(history)
 	if n == 0 {
 		return 0

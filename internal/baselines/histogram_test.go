@@ -25,7 +25,7 @@ func periodicHistory(cycles, period int, conc float64) []float64 {
 func TestHistogramKeepsCapacityWhileActive(t *testing.T) {
 	p := DefaultHybridHistogram()
 	h := periodicHistory(6, 10, 2)
-	if got := p.Target(h, 1); got != 2 {
+	if got := p.Target(h, 1, nil); got != 2 {
 		t.Errorf("active target = %d, want 2", got)
 	}
 }
@@ -38,12 +38,12 @@ func TestHistogramReleasesAndPreWarms(t *testing.T) {
 	base := periodicHistory(8, 10, 1)
 	// elapsed 3: mid-gap, released.
 	h := append(append([]float64{}, base...), 0, 0, 0)
-	if got := p.Target(h, 1); got != 0 {
+	if got := p.Target(h, 1, nil); got != 0 {
 		t.Errorf("mid-gap target = %d, want 0 (released)", got)
 	}
 	// elapsed 8: within pre-warm window (pre-1 = 8), warm.
 	h = append(append([]float64{}, base...), 0, 0, 0, 0, 0, 0, 0, 0)
-	if got := p.Target(h, 1); got != 1 {
+	if got := p.Target(h, 1, nil); got != 1 {
 		t.Errorf("pre-warm target = %d, want 1", got)
 	}
 	// elapsed 15: past the keep-alive percentile, released again.
@@ -51,7 +51,7 @@ func TestHistogramReleasesAndPreWarms(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		h = append(h, 0)
 	}
-	if got := p.Target(h, 1); got != 0 {
+	if got := p.Target(h, 1, nil); got != 0 {
 		t.Errorf("overdue target = %d, want 0", got)
 	}
 }
@@ -60,14 +60,14 @@ func TestHistogramFallbackKeepAlive(t *testing.T) {
 	p := DefaultHybridHistogram()
 	// Only two gaps observed: below MinSamples, fallback applies.
 	h := []float64{1, 0, 0, 1, 0, 0, 1, 0, 0}
-	if got := p.Target(h, 1); got != 1 {
+	if got := p.Target(h, 1, nil); got != 1 {
 		t.Errorf("fallback target = %d, want 1 (within fallback KA)", got)
 	}
 	// Long idle beyond the fallback window: release.
 	for i := 0; i < 12; i++ {
 		h = append(h, 0)
 	}
-	if got := p.Target(h, 1); got != 0 {
+	if got := p.Target(h, 1, nil); got != 0 {
 		t.Errorf("fallback overdue target = %d, want 0", got)
 	}
 }
@@ -76,17 +76,17 @@ func TestHistogramShortGapsDegenerateToKeepAlive(t *testing.T) {
 	p := DefaultHybridHistogram()
 	// Gaps of 1: pre-warm bound < 2 -> continuous keep-alive up to p99.
 	h := []float64{1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}
-	if got := p.Target(h, 1); got != 1 {
+	if got := p.Target(h, 1, nil); got != 1 {
 		t.Errorf("short-gap target = %d, want 1", got)
 	}
 }
 
 func TestHistogramEmptyAndIdle(t *testing.T) {
 	p := DefaultHybridHistogram()
-	if got := p.Target(nil, 1); got != 0 {
+	if got := p.Target(nil, 1, nil); got != 0 {
 		t.Errorf("empty history target = %d", got)
 	}
-	if got := p.Target(make([]float64, 50), 1); got != 0 {
+	if got := p.Target(make([]float64, 50), 1, nil); got != 0 {
 		t.Errorf("never-active target = %d", got)
 	}
 }

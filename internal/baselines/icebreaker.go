@@ -28,11 +28,11 @@ type iceBreakerPolicy struct {
 func (iceBreakerPolicy) Name() string { return "icebreaker-fft" }
 
 // Target implements sim.Policy.
-func (p iceBreakerPolicy) Target(history []float64, unitConcurrency int) int {
+func (p iceBreakerPolicy) Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
 	if p.window > 0 && p.window < len(history) {
 		history = history[len(history)-p.window:]
 	}
-	pred := p.fft.Forecast(history, 1)
+	pred := p.fft.ForecastInto(history, 1, ws.Out(1), ws)
 	peak := 0.0
 	for _, v := range pred {
 		if v > peak {

@@ -199,12 +199,12 @@ type heldPolicy struct {
 func (h *heldPolicy) Name() string { return h.inner.Name() + "-held" }
 
 // Target implements sim.Policy.
-func (h *heldPolicy) Target(history []float64, unitConcurrency int) int {
+func (h *heldPolicy) Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
 	if h.every < 1 {
 		h.every = 1
 	}
 	if len(history) == 0 || len(history)%h.every == 0 || len(history) < h.last {
-		h.target = h.inner.Target(history, unitConcurrency)
+		h.target = h.inner.Target(history, unitConcurrency, ws)
 	}
 	h.last = len(history)
 	return h.target

@@ -331,7 +331,7 @@ func timeForecast(fc forecast.Forecaster, hist []float64) time.Duration {
 	const reps = 20
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		fc.Forecast(hist, 1)
+		fc.ForecastInto(hist, 1, nil, nil)
 	}
 	return time.Since(start) / reps
 }

@@ -174,15 +174,11 @@ type evalAppResult struct {
 func cachedEvalApp(c *memo.Cache, fp memo.Key, fpOK bool, m *Model, app TrainApp, level float64) evalAppResult {
 	run := func() evalAppResult {
 		p := m.NewAppPolicy(app.ExecSec)
-		var policy sim.Policy = p
-		if level > 0 {
-			policy = sim.QuantilePolicy{Base: p, Level: level}
-		}
 		out := sim.SimulateApp(sim.AppTrace{
 			Demand:      app.Demand,
 			Invocations: app.Invocations,
 			ExecSec:     app.ExecSec,
-		}, policy, appSimConfig(app, m.cfg.Sim), false)
+		}, atLevel{p, level}, appSimConfig(app, m.cfg.Sim), false)
 		return evalAppResult{Sample: out.Sample, Used: p.ForecastersUsed()}
 	}
 	if c == nil || !fpOK {
@@ -203,7 +199,7 @@ func cachedEvalApp(c *memo.Cache, fp memo.Key, fpOK bool, m *Model, app TrainApp
 // forecaster (the individual-forecaster baselines).
 func cachedEvalSingle(c *memo.Cache, fc forecast.Forecaster, app TrainApp, cfg Config) rum.Sample {
 	run := func() rum.Sample {
-		p := windowedPolicy{fc: fc, window: cfg.Window, horizon: cfg.Horizon}
+		p := sim.ForecastPolicy{Forecaster: fc, Window: cfg.Window, Horizon: cfg.Horizon}
 		out := sim.SimulateApp(sim.AppTrace{
 			Demand:      app.Demand,
 			Invocations: app.Invocations,

@@ -208,7 +208,7 @@ func TestFeMuxSwitchesForecasters(t *testing.T) {
 	}
 	p := m.NewAppPolicy(0.2)
 	for t := 1; t <= len(vals); t++ {
-		p.Target(vals[:t], 1)
+		p.Target(vals[:t], 1, nil)
 	}
 	if p.ForecastersUsed() < 1 {
 		t.Error("no forecaster recorded")
@@ -231,7 +231,7 @@ func TestAppPolicyForecastAndName(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.NewAppPolicy(0)
-	out := p.Forecast([]float64{1, 2, 3, 2, 1, 2, 3}, 3)
+	out := p.ForecastWS([]float64{1, 2, 3, 2, 1, 2, 3}, 3, nil, nil)
 	if len(out) != 3 {
 		t.Fatalf("forecast len = %d", len(out))
 	}
@@ -379,6 +379,6 @@ func BenchmarkAppPolicyTarget(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Target(hist, 1)
+		p.Target(hist, 1, nil)
 	}
 }

@@ -133,7 +133,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 		cfg.Horizon = 1
 	}
 	if cfg.Window < cfg.Horizon {
-		cfg.Window = 120
+		cfg.Window = max(120, cfg.Horizon)
 	}
 	if len(cfg.Features) == 0 {
 		cfg.Features = features.AllFeatureNames
@@ -346,7 +346,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 // returns per-block accounting samples.
 func blockSamples(app TrainApp, fc forecast.Forecaster, cfg Config) []rum.Sample {
 	simCfg := appSimConfig(app, cfg.Sim)
-	policy := windowedPolicy{fc: fc, window: cfg.Window, horizon: cfg.Horizon}
+	policy := sim.ForecastPolicy{Forecaster: fc, Window: cfg.Window, Horizon: cfg.Horizon}
 	res := sim.SimulateApp(sim.AppTrace{
 		Demand:      app.Demand,
 		Invocations: app.Invocations,
@@ -370,64 +370,6 @@ func blockSamples(app TrainApp, fc forecast.Forecaster, cfg Config) []rum.Sample
 		out[b] = s
 	}
 	return out
-}
-
-// windowedPolicy adapts a forecaster to sim.Policy with a bounded input
-// window (FeMux feeds two hours of history, §4.3.3).
-type windowedPolicy struct {
-	fc      forecast.Forecaster
-	window  int
-	horizon int
-}
-
-func (p windowedPolicy) Name() string { return p.fc.Name() }
-
-func (p windowedPolicy) Target(history []float64, unitC int) int {
-	return p.TargetWS(history, unitC, nil)
-}
-
-// TargetWS implements sim.WorkspaceTargeter: the training sweeps run one
-// full-series simulation per (app, forecaster) pair, so routing the
-// per-interval forecasts through the simulator's workspace removes the
-// dominant allocation source of Train.
-func (p windowedPolicy) TargetWS(history []float64, unitC int, ws *forecast.Workspace) int {
-	w := p.window
-	if w > len(history) {
-		w = len(history)
-	}
-	window := history[len(history)-w:]
-	pred := forecast.Into(p.fc, window, p.horizon, ws.Out(p.horizon), ws)
-	peak := 0.0
-	for _, v := range pred {
-		if v > peak {
-			peak = v
-		}
-	}
-	return sim.ForecastUnits(peak, window, unitC)
-}
-
-// TargetQuantilesWS implements sim.QuantileTargeter: provision for the
-// level-quantile of the windowed forecast instead of its point peak.
-// Level <= 0 reproduces TargetWS exactly.
-func (p windowedPolicy) TargetQuantilesWS(history []float64, unitC int, level float64, ws *forecast.Workspace) int {
-	if level <= 0 {
-		return p.TargetWS(history, unitC, ws)
-	}
-	w := p.window
-	if w > len(history) {
-		w = len(history)
-	}
-	window := history[len(history)-w:]
-	lv := ws.Levels(1)
-	lv[0] = level
-	pred := forecast.QuantilesInto(p.fc, window, p.horizon, lv, ws.Out(p.horizon), ws)
-	peak := 0.0
-	for _, v := range pred {
-		if v > peak {
-			peak = v
-		}
-	}
-	return sim.ForecastUnits(peak, window, unitC)
 }
 
 // Classify returns the group index for a feature vector.

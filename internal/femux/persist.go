@@ -86,6 +86,13 @@ func Load(r io.Reader, extra ...forecast.Forecaster) (*Model, error) {
 	if mj.Version != 1 {
 		return nil, fmt.Errorf("femux: unsupported model version %d", mj.Version)
 	}
+	// Train's own bounds: a block of at least 8 intervals and a window
+	// that holds the horizon. Outside them a policy divides by zero or
+	// targets nothing.
+	if mj.BlockSize < 8 || mj.Horizon < 1 || mj.Window < mj.Horizon {
+		return nil, fmt.Errorf("femux: model geometry blockSize %d, window %d, horizon %d; want blockSize >= 8 and 1 <= horizon <= window",
+			mj.BlockSize, mj.Window, mj.Horizon)
+	}
 	registry := append(forecast.DefaultSet(), extra...)
 	var set []forecast.Forecaster
 	for _, name := range mj.Forecasters {

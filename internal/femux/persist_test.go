@@ -2,6 +2,7 @@ package femux
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -100,7 +101,45 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatalf("valid model failed to load: %v", err)
 	}
 	p := m.NewAppPolicy(0)
-	if got := p.Target([]float64{1, 2, 3}, 1); got < 0 {
+	if got := p.Target([]float64{1, 2, 3}, 1, nil); got < 0 {
 		t.Errorf("loaded model target = %d", got)
+	}
+}
+
+// TestLoadRefusesGeometryTrainNeverProduces zeroes one geometry field of
+// a saved model at a time. Each would load into a model whose policy
+// panics (block size 0: an integer division by zero) or targets nothing
+// (window or horizon 0), so Load refuses it, as Train would. The model
+// itself loads: its horizon is past the default window, which Train
+// widens to hold it.
+func TestLoadRefusesGeometryTrainNeverProduces(t *testing.T) {
+	cfg := testConfig()
+	cfg.Window, cfg.Horizon = 0, 130
+	m, err := Train(mixedFleet(37, 6, 144), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"blockSize", "window", "horizon"} {
+		t.Run(field, func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc[field] = 0
+			body, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(bytes.NewReader(body)); err == nil {
+				t.Fatalf("Load accepted %s 0", field)
+			}
+		})
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("the saved model itself: %v", err)
 	}
 }

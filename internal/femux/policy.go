@@ -7,6 +7,7 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/parallel"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
+	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
 )
 
 // AppPolicy is the online, per-application FeMux instance: it tracks block
@@ -73,24 +74,16 @@ func (p *AppPolicy) assign(group, completed int) {
 func (p *AppPolicy) Name() string { return "femux-" + p.model.cfg.Metric.Name() }
 
 // Target implements sim.Policy: it re-classifies when a new block has
-// completed, then forecasts the next horizon with the assigned forecaster.
-func (p *AppPolicy) Target(history []float64, unitConcurrency int) int {
-	return p.TargetWS(history, unitConcurrency, nil)
-}
-
-// TargetWS implements sim.WorkspaceTargeter. The workspace (not the policy)
-// carries all forecast scratch state, so concurrent TargetWS calls remain
-// safe as long as each caller supplies its own workspace — femuxd keeps one
-// per served app under the app lock.
-func (p *AppPolicy) TargetWS(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
+// completed, then provisions for the peak of the assigned forecaster's
+// point forecast over the horizon. The workspace (not the policy) carries
+// all forecast scratch state, so concurrent calls remain safe as long as
+// each caller supplies its own workspace.
+func (p *AppPolicy) Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
 	return p.TargetQuantilesWS(history, unitConcurrency, 0, ws)
 }
 
-// TargetQuantilesWS implements sim.QuantileTargeter: the same block
-// bookkeeping and forecaster routing as TargetWS, but provisioning for
-// the level-quantile of the forecast instead of its point peak. Level
-// <= 0 reproduces TargetWS exactly, so a zero ServiceOptions/flag value
-// is always safe.
+// TargetQuantilesWS is Target provisioning for the level-quantile of the
+// forecast instead of its point peak (see Decide). Level <= 0 is Target.
 func (p *AppPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) int {
 	target, _, _ := p.Decide(history, len(history), unitConcurrency, level, ws)
 	return target
@@ -137,16 +130,19 @@ func (p *AppPolicy) Model() *Model { return p.model }
 
 // Decide is one observation's whole policy step, the call the serving
 // paths make: it re-classifies when a new block has completed, then
-// returns TargetQuantilesWS's target, the name of the forecaster that
-// produced it, and whether this call extracted features — all from one
-// hold of the policy lock. tail holds at least the last Reads(n) values of
-// the app's n-observation history; a shorter one (a capped store that
-// no longer holds a due block) leaves the block unclassified, to be
-// tried again on the next call.
+// returns the target of the assigned forecaster's sim.ForecastPolicy over
+// the model's window and horizon, with no headroom and at the given
+// quantile level (0: the point forecast), the name of that forecaster,
+// and whether this call extracted features — all from one hold of the
+// policy lock. tail holds at least the last Reads(n) values of the app's
+// n-observation history; a shorter one (a capped store that no longer
+// holds a due block) leaves the block unclassified, to be tried again on
+// the next call.
 func (p *AppPolicy) Decide(tail []float64, n, unitConcurrency int, level float64, ws *forecast.Workspace) (target int, forecaster string, extracted bool) {
 	cur, extracted := p.currentFor(tail, n)
-	target = windowedPolicy{fc: p.model.cfg.Forecasters[cur], window: p.model.cfg.Window, horizon: p.model.cfg.Horizon}.
-		TargetQuantilesWS(tail, unitConcurrency, level, ws)
+	cfg := &p.model.cfg
+	target = sim.ForecastPolicy{Forecaster: cfg.Forecasters[cur], Window: cfg.Window, Horizon: cfg.Horizon, Level: level}.
+		Target(tail, unitConcurrency, ws)
 	return target, p.model.fcNames[cur], extracted
 }
 
@@ -173,38 +169,28 @@ func (p *AppPolicy) currentFor(tail []float64, n int) (cur int, extracted bool) 
 	return p.cur, extracted
 }
 
-// Forecast predicts the next horizon intervals with the currently assigned
-// forecaster (used by the Knative integration's REST path).
-func (p *AppPolicy) Forecast(history []float64, horizon int) []float64 {
-	return p.ForecastWS(history, horizon, nil, nil)
-}
-
-// ForecastWS is Forecast with caller-owned destination and workspace, the
-// allocation-free form used by the serving path. dst and ws may be nil.
+// ForecastWS predicts the next horizon intervals with the currently
+// assigned forecaster over the windowed history, into dst with scratch
+// state in ws; both may be nil.
 func (p *AppPolicy) ForecastWS(history []float64, horizon int, dst []float64, ws *forecast.Workspace) []float64 {
 	return p.ForecastTail(history, len(history), horizon, dst, ws)
 }
 
 // ForecastTail is ForecastWS over the tail of an n-observation history
-// (see Decide).
+// (see Decide), the serving path behind /v1/forecast.
 func (p *AppPolicy) ForecastTail(tail []float64, n, horizon int, dst []float64, ws *forecast.Workspace) []float64 {
 	cur, _ := p.currentFor(tail, n)
-	return forecast.Into(p.model.cfg.Forecasters[cur], tail[len(tail)-min(p.model.cfg.Window, len(tail)):], horizon, dst, ws)
+	return p.model.cfg.Forecasters[cur].ForecastInto(tail[len(tail)-min(p.model.cfg.Window, len(tail)):], horizon, dst, ws)
 }
 
-// ForecastQuantilesWS emits level-major quantile curves
+// ForecastQuantilesTail emits level-major quantile curves
 // (len(levels)*horizon values, dst[q*horizon+t]) from the currently
-// assigned forecaster over the windowed history — the serving path
-// behind /v1/forecast?quantiles=. dst and ws may be nil.
-func (p *AppPolicy) ForecastQuantilesWS(history []float64, horizon int, levels, dst []float64, ws *forecast.Workspace) []float64 {
-	return p.ForecastQuantilesTail(history, len(history), horizon, levels, dst, ws)
-}
-
-// ForecastQuantilesTail is ForecastQuantilesWS over the tail of an
-// n-observation history (see Decide).
+// assigned forecaster over the windowed tail of an n-observation history
+// (see Decide) — the serving path behind /v1/forecast?quantiles=. dst and
+// ws may be nil.
 func (p *AppPolicy) ForecastQuantilesTail(tail []float64, n, horizon int, levels, dst []float64, ws *forecast.Workspace) []float64 {
 	cur, _ := p.currentFor(tail, n)
-	return forecast.QuantilesInto(p.model.cfg.Forecasters[cur], tail[len(tail)-min(p.model.cfg.Window, len(tail)):], horizon, levels, dst, ws)
+	return p.model.cfg.Forecasters[cur].ForecastQuantilesInto(tail[len(tail)-min(p.model.cfg.Window, len(tail)):], horizon, levels, dst, ws)
 }
 
 // CurrentForecaster returns the name of the forecaster in use.
@@ -272,6 +258,18 @@ func EvaluateQuantile(m *Model, apps []TrainApp, level float64) EvalResult {
 	return res
 }
 
+// atLevel is an AppPolicy that provisions at a fixed quantile level
+// (Decide's level; 0 is the point forecast).
+type atLevel struct {
+	*AppPolicy
+	level float64
+}
+
+// Target implements sim.Policy.
+func (a atLevel) Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
+	return a.TargetQuantilesWS(history, unitConcurrency, a.level, ws)
+}
+
 // EvaluateSingle runs one fixed forecaster over the same apps, for the
 // FeMux-vs-individual-forecasters study (Fig 17). Like Evaluate, apps are
 // simulated concurrently under cfg.Workers and per-app results are
@@ -303,7 +301,7 @@ func OneStepMAE(series []float64, fc forecast.Forecaster, window, warmup int) fl
 		if lo < 0 {
 			lo = 0
 		}
-		pred := forecast.Into(fc, series[lo:t], 1, ws.Out(1), ws)[0]
+		pred := fc.ForecastInto(series[lo:t], 1, ws.Out(1), ws)[0]
 		d := pred - series[t]
 		if d < 0 {
 			d = -d

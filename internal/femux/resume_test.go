@@ -49,15 +49,15 @@ func TestForecastClassifiesFirst(t *testing.T) {
 	levels := []float64{0.5, 0.9, 0.99}
 
 	ctl := m.NewAppPolicy(0.2)
-	ctl.Target(series, 1)
+	ctl.Target(series, 1, nil)
 	if ctl.CurrentForecaster() == m.defaultFC {
 		t.Fatal("setup: the classified block maps to the default forecaster")
 	}
-	wantQ := ctl.ForecastQuantilesWS(series, 5, levels, nil, nil)
-	want := ctl.Forecast(series, 5)
+	wantQ := ctl.ForecastQuantilesTail(series, len(series), 5, levels, nil, nil)
+	want := ctl.ForecastWS(series, 5, nil, nil)
 
 	q := m.NewAppPolicy(0.2)
-	if got := q.ForecastQuantilesWS(series, 5, levels, nil, nil); !sameBits(got, wantQ) {
+	if got := q.ForecastQuantilesTail(series, len(series), 5, levels, nil, nil); !sameBits(got, wantQ) {
 		t.Errorf("quantile forecast first: %v, want %v", got, wantQ)
 	}
 	p := m.NewAppPolicy(0.2)
@@ -91,7 +91,7 @@ func TestResumeAppPolicy(t *testing.T) {
 			t.Fatalf("n=%d: Classified ok=%v before the call", n, ok)
 		}
 		before := p.CurrentForecaster()
-		want := p.Target(h, 1)
+		want := p.Target(h, 1, nil)
 		if p.CurrentForecaster() != before {
 			switches++
 		}
@@ -113,10 +113,10 @@ func TestResumeAppPolicy(t *testing.T) {
 		}
 		// A fresh policy that classifies this history is the uncached path.
 		f := m.NewAppPolicy(0.2)
-		if got := f.Target(h, 1); got != want || r.Target(h, 1) != want {
-			t.Fatalf("n=%d: targets fresh=%d resumed=%d live=%d", n, got, r.Target(h, 1), want)
+		if got := f.Target(h, 1, nil); got != want || r.Target(h, 1, nil) != want {
+			t.Fatalf("n=%d: targets fresh=%d resumed=%d live=%d", n, got, r.Target(h, 1, nil), want)
 		}
-		if !sameBits(r.Forecast(h, 4), f.Forecast(h, 4)) {
+		if !sameBits(r.ForecastWS(h, 4, nil, nil), f.ForecastWS(h, 4, nil, nil)) {
 			t.Fatalf("n=%d: resumed forecast differs from the fresh policy's", n)
 		}
 		if r.ForecastersUsed() != f.ForecastersUsed() || r.Switches() != f.Switches() {

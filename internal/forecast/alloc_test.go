@@ -29,19 +29,15 @@ func TestForecastIntoZeroAlloc(t *testing.T) {
 	for _, window := range []int{10, 64, 600} {
 		hist := allocHistory(window)
 		for _, fc := range set {
-			into, ok := fc.(IntoForecaster)
-			if !ok {
-				t.Fatalf("%s does not implement IntoForecaster", fc.Name())
-			}
 			t.Run(fmt.Sprintf("%s/window=%d", fc.Name(), window), func(t *testing.T) {
 				const horizon = 5
 				ws := NewWorkspace()
 				dst := make([]float64, horizon)
 				// Warm up: grow buffers, build FFT plans.
-				into.ForecastInto(hist, horizon, dst, ws)
-				into.ForecastInto(hist, horizon, dst, ws)
+				fc.ForecastInto(hist, horizon, dst, ws)
+				fc.ForecastInto(hist, horizon, dst, ws)
 				allocs := testing.AllocsPerRun(20, func() {
-					into.ForecastInto(hist, horizon, dst, ws)
+					fc.ForecastInto(hist, horizon, dst, ws)
 				})
 				if allocs != 0 {
 					t.Fatalf("%s window=%d: %v allocs/op at steady state, want 0",
@@ -62,16 +58,15 @@ func TestForecastIntoZeroAllocDegenerate(t *testing.T) {
 		constant[i] = 3
 	}
 	for _, fc := range DefaultSet() {
-		into := fc.(IntoForecaster)
 		for name, hist := range map[string][]float64{"short": short, "constant": constant} {
 			t.Run(fc.Name()+"/"+name, func(t *testing.T) {
 				const horizon = 3
 				ws := NewWorkspace()
 				dst := make([]float64, horizon)
-				into.ForecastInto(hist, horizon, dst, ws)
-				into.ForecastInto(hist, horizon, dst, ws)
+				fc.ForecastInto(hist, horizon, dst, ws)
+				fc.ForecastInto(hist, horizon, dst, ws)
 				allocs := testing.AllocsPerRun(20, func() {
-					into.ForecastInto(hist, horizon, dst, ws)
+					fc.ForecastInto(hist, horizon, dst, ws)
 				})
 				if allocs != 0 {
 					t.Fatalf("%s/%s: %v allocs/op at steady state, want 0", fc.Name(), name, allocs)
@@ -92,18 +87,14 @@ func TestForecastQuantilesIntoZeroAlloc(t *testing.T) {
 	for _, window := range []int{10, 64, 600} {
 		hist := allocHistory(window)
 		for _, fc := range set {
-			qf, ok := fc.(QuantileForecaster)
-			if !ok {
-				t.Fatalf("%s does not implement QuantileForecaster", fc.Name())
-			}
 			t.Run(fmt.Sprintf("%s/window=%d", fc.Name(), window), func(t *testing.T) {
 				const horizon = 5
 				ws := NewWorkspace()
 				dst := make([]float64, len(levels)*horizon)
-				qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
-				qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+				fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+				fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				allocs := testing.AllocsPerRun(20, func() {
-					qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+					fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				})
 				if allocs != 0 {
 					t.Fatalf("%s window=%d: %v allocs/op at steady state, want 0",
@@ -125,16 +116,15 @@ func TestForecastQuantilesIntoZeroAllocDegenerate(t *testing.T) {
 		constant[i] = 3
 	}
 	for _, fc := range DefaultSet() {
-		qf := fc.(QuantileForecaster)
 		for name, hist := range map[string][]float64{"short": short, "constant": constant} {
 			t.Run(fc.Name()+"/"+name, func(t *testing.T) {
 				const horizon = 3
 				ws := NewWorkspace()
 				dst := make([]float64, len(levels)*horizon)
-				qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
-				qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+				fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+				fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				allocs := testing.AllocsPerRun(20, func() {
-					qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+					fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				})
 				if allocs != 0 {
 					t.Fatalf("%s/%s: %v allocs/op at steady state, want 0", fc.Name(), name, allocs)

@@ -60,17 +60,12 @@ func NewAR(lags int) *AR {
 // Name implements Forecaster.
 func (a *AR) Name() string { return fmt.Sprintf("ar%d", a.lags) }
 
-// Forecast implements Forecaster.
-func (a *AR) Forecast(history []float64, horizon int) []float64 {
-	return a.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (a *AR) ForecastInto(history []float64, horizon int, dst []float64, ws *Workspace) []float64 {
 	return arForecastInto(history, horizon, a.lags, dst, ws)
 }
 
-// ForecastQuantilesInto implements QuantileForecaster: a Gaussian band
+// ForecastQuantilesInto implements Forecaster: a Gaussian band
 // around the point trajectory, scaled by the in-sample one-step residual
 // standard deviation of the fitted model (a byproduct of the normal
 // equations already in the workspace) and widened by sqrt(t+1) as the

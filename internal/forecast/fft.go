@@ -28,12 +28,7 @@ func NewFFT(harmonics int) *FFT {
 // Name implements Forecaster.
 func (f *FFT) Name() string { return fmt.Sprintf("fft%d", f.harmonics) }
 
-// Forecast implements Forecaster.
-func (f *FFT) Forecast(history []float64, horizon int) []float64 {
-	return f.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster. The FFT plan (twiddle and
+// ForecastInto implements Forecaster. The FFT plan (twiddle and
 // Bluestein chirp tables) is cached per window length, process-wide, and
 // the workspace owns the transform buffers, so repeated forecasts over
 // the same window size skip all plan setup and allocate nothing.
@@ -59,7 +54,7 @@ func (f *FFT) ForecastInto(history []float64, horizon int, dst []float64, ws *Wo
 	return dst
 }
 
-// ForecastQuantilesInto implements QuantileForecaster. The scale is the
+// ForecastQuantilesInto implements Forecaster. The scale is the
 // in-sample residual of the truncated harmonic model: the top-k
 // reconstruction is synthesized back over the window (offsets 0..n-1,
 // unclamped — the model's raw output) and compared to the history. The

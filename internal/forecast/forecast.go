@@ -16,14 +16,25 @@ import "fmt"
 // Forecaster predicts future values of a fixed-interval series.
 // Implementations must be deterministic and cheap: FeMux budgets a few
 // milliseconds per forecast (§5.2 reports a 7 ms mean).
+//
+// Both forecasts read history, which may be shorter than the
+// forecaster's preferred window: every implementation degrades
+// gracefully (typically to a mean or naive forecast) rather than
+// failing. Each writes into dst, reused when cap(dst) is large enough,
+// keeps all intermediate state in ws, and returns the filled slice; dst
+// and ws may be nil, in which case the call allocates. With a warmed
+// workspace every built-in forecaster runs allocation-free
+// (alloc_test.go), and results never depend on which dst or ws a call
+// was given.
 type Forecaster interface {
 	// Name identifies the forecaster in classifier assignments and reports.
 	Name() string
-	// Forecast predicts the next horizon values following history.
-	// history may be shorter than the forecaster's preferred window; all
-	// implementations degrade gracefully (typically to a mean or naive
-	// forecast) rather than failing.
-	Forecast(history []float64, horizon int) []float64
+	// ForecastInto predicts the next horizon values following history.
+	ForecastInto(history []float64, horizon int, dst []float64, ws *Workspace) []float64
+	// ForecastQuantilesInto emits one trajectory per probability level,
+	// level-major: len(levels)*horizon values, level levels[q] at step t
+	// in dst[q*horizon+t] (quantile.go states the guarantees).
+	ForecastQuantilesInto(history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64
 }
 
 // Lookback is how many trailing values of a window-long history fc reads:

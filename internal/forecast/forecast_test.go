@@ -42,7 +42,7 @@ func TestForecastContracts(t *testing.T) {
 	for _, f := range allForecasters() {
 		for hi, h := range histories {
 			for _, horizon := range []int{0, 1, 5, 30} {
-				got := f.Forecast(h, horizon)
+				got := f.ForecastInto(h, horizon, nil, nil)
 				if horizon <= 0 {
 					if got != nil {
 						t.Errorf("%s: horizon 0 returned %v", f.Name(), got)
@@ -65,8 +65,8 @@ func TestForecastContracts(t *testing.T) {
 func TestForecastDeterminism(t *testing.T) {
 	h := sine(120, 30, 2, 4)
 	for _, f := range allForecasters() {
-		a := f.Forecast(h, 10)
-		b := f.Forecast(h, 10)
+		a := f.ForecastInto(h, 10, nil, nil)
+		b := f.ForecastInto(h, 10, nil, nil)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Errorf("%s: non-deterministic forecast", f.Name())
@@ -89,7 +89,7 @@ func TestARRecoverFromARProcess(t *testing.T) {
 	ar := NewAR(10)
 	var arErr, meanErr float64
 	for i := 200; i < n-1; i++ {
-		pred := ar.Forecast(x[:i], 1)[0]
+		pred := ar.ForecastInto(x[:i], 1, nil, nil)[0]
 		arErr += math.Abs(pred - x[i])
 		meanErr += math.Abs(mean(x[:i]) - x[i])
 	}
@@ -100,7 +100,7 @@ func TestARRecoverFromARProcess(t *testing.T) {
 
 func TestARShortHistoryFallsBackToMean(t *testing.T) {
 	h := []float64{2, 4}
-	got := NewAR(10).Forecast(h, 3)
+	got := NewAR(10).ForecastInto(h, 3, nil, nil)
 	for _, v := range got {
 		if math.Abs(v-3) > 1e-12 {
 			t.Errorf("short-history AR = %v, want mean 3", got)
@@ -113,7 +113,7 @@ func TestFFTTracksPeriodicSignal(t *testing.T) {
 	period := 24.0
 	h := sine(120, period, 3, 5)
 	f := NewFFT(10)
-	got := f.Forecast(h, 24)
+	got := f.ForecastInto(h, 24, nil, nil)
 	for i := range got {
 		want := 5 + 3*math.Sin(2*math.Pi*float64(120+i)/period)
 		if want < 0 {
@@ -141,8 +141,8 @@ func TestFFTBeatsARonPeriodic(t *testing.T) {
 			future[i] = 10
 		}
 	}
-	fftErr := sumAbsErr(NewFFT(10).Forecast(h, 60), future)
-	arErr := sumAbsErr(NewAR(10).Forecast(h, 60), future)
+	fftErr := sumAbsErr(NewFFT(10).ForecastInto(h, 60, nil, nil), future)
+	arErr := sumAbsErr(NewAR(10).ForecastInto(h, 60, nil, nil), future)
 	if fftErr >= arErr {
 		t.Errorf("FFT error %v should beat AR error %v on periodic traffic", fftErr, arErr)
 	}
@@ -176,7 +176,7 @@ func TestSETARHandlesRegimeSwitching(t *testing.T) {
 			x[i] = 0
 		}
 	}
-	got := NewSETAR(10, 2).Forecast(x, 10)
+	got := NewSETAR(10, 2).ForecastInto(x, 10, nil, nil)
 	for i, v := range got {
 		if v > 50 {
 			t.Fatalf("SETAR forecast[%d] = %v diverged", i, v)
@@ -189,7 +189,7 @@ func TestSETARConstantSeriesFallback(t *testing.T) {
 	for i := range h {
 		h[i] = 7
 	}
-	got := NewSETAR(10, 2).Forecast(h, 5)
+	got := NewSETAR(10, 2).ForecastInto(h, 5, nil, nil)
 	for _, v := range got {
 		if math.Abs(v-7) > 0.5 {
 			t.Errorf("constant series forecast = %v, want ~7", got)
@@ -208,7 +208,7 @@ func TestExpSmoothingConvergesToLevel(t *testing.T) {
 			h[i] = 8
 		}
 	}
-	got := NewExpSmoothing().Forecast(h, 5)
+	got := NewExpSmoothing().ForecastInto(h, 5, nil, nil)
 	for _, v := range got {
 		if math.Abs(v-8) > 1 {
 			t.Errorf("ES forecast = %v, want ~8", v)
@@ -228,14 +228,14 @@ func TestHoltFollowsTrend(t *testing.T) {
 	for i := range h {
 		h[i] = float64(i) * 0.5
 	}
-	holt := NewHolt().Forecast(h, 10)
+	holt := NewHolt().ForecastInto(h, 10, nil, nil)
 	for i, v := range holt {
 		want := float64(100+i) * 0.5
 		if math.Abs(v-want) > 2 {
 			t.Fatalf("Holt forecast[%d] = %v, want ~%v", i, v, want)
 		}
 	}
-	es := NewExpSmoothing().Forecast(h, 10)
+	es := NewExpSmoothing().ForecastInto(h, 10, nil, nil)
 	if es[9] >= holt[9] {
 		t.Errorf("ES %v should lag Holt %v on a ramp", es[9], holt[9])
 	}
@@ -251,7 +251,7 @@ func TestMarkovChainLearnsAlternation(t *testing.T) {
 		}
 	}
 	// history ends with h[99] = 0 (odd index), so next is 10.
-	got := NewMarkovChain(4).Forecast(h, 2)
+	got := NewMarkovChain(4).ForecastInto(h, 2, nil, nil)
 	if got[0] < 7 {
 		t.Errorf("Markov forecast[0] = %v, want ~10 (alternation)", got[0])
 	}
@@ -265,7 +265,7 @@ func TestMarkovChainConstantSeries(t *testing.T) {
 	for i := range h {
 		h[i] = 3
 	}
-	got := NewMarkovChain(4).Forecast(h, 3)
+	got := NewMarkovChain(4).ForecastInto(h, 3, nil, nil)
 	for _, v := range got {
 		if math.Abs(v-3) > 1e-9 {
 			t.Errorf("constant Markov forecast = %v, want 3", got)
@@ -275,7 +275,7 @@ func TestMarkovChainConstantSeries(t *testing.T) {
 
 func TestMovingAverageWindow(t *testing.T) {
 	h := []float64{10, 10, 10, 2, 4}
-	got := NewMovingAverage(2).Forecast(h, 3)
+	got := NewMovingAverage(2).ForecastInto(h, 3, nil, nil)
 	for _, v := range got {
 		if v != 3 {
 			t.Errorf("MA(2) = %v, want 3", got)
@@ -283,7 +283,7 @@ func TestMovingAverageWindow(t *testing.T) {
 		}
 	}
 	// Window larger than history uses everything.
-	got = NewMovingAverage(100).Forecast([]float64{2, 4}, 1)
+	got = NewMovingAverage(100).ForecastInto([]float64{2, 4}, 1, nil, nil)
 	if got[0] != 3 {
 		t.Errorf("oversized window = %v, want 3", got[0])
 	}
@@ -291,10 +291,10 @@ func TestMovingAverageWindow(t *testing.T) {
 
 func TestNaiveAndZero(t *testing.T) {
 	h := []float64{1, 2, 9}
-	if got := (Naive{}).Forecast(h, 2); got[0] != 9 || got[1] != 9 {
+	if got := (Naive{}).ForecastInto(h, 2, nil, nil); got[0] != 9 || got[1] != 9 {
 		t.Errorf("Naive = %v", got)
 	}
-	if got := (Zero{}).Forecast(h, 2); got[0] != 0 || got[1] != 0 {
+	if got := (Zero{}).ForecastInto(h, 2, nil, nil); got[0] != 0 || got[1] != 0 {
 		t.Errorf("Zero = %v", got)
 	}
 }
@@ -335,7 +335,7 @@ func TestForecastNonNegativityProperty(t *testing.T) {
 			hist = append(hist, math.Mod(math.Abs(v), 1000))
 		}
 		for _, fc := range fs {
-			out := fc.Forecast(hist, h)
+			out := fc.ForecastInto(hist, h, nil, nil)
 			if len(out) != h {
 				return false
 			}
@@ -358,7 +358,7 @@ func BenchmarkForecasters(b *testing.B) {
 		b.Run(f.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f.Forecast(h, 1)
+				f.ForecastInto(h, 1, nil, nil)
 			}
 		})
 	}

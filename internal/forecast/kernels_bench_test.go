@@ -32,25 +32,24 @@ func benchWindows() []benchWindow {
 	return append(ws, benchWindow{"sparse=120", sparse})
 }
 
-// BenchmarkForecastKernels measures the ForecastInto fast path for every
-// forecaster in the default set over benchWindows. CI's bench-smoke step
-// runs this at -benchtime=1x; the EXPERIMENTS.md delta table compares it
-// against BenchmarkForecasters (the allocating wrapper) on the reference
-// box.
+// BenchmarkForecastKernels measures ForecastInto with a warmed workspace
+// for every forecaster in the default set over benchWindows. CI's
+// bench-smoke step runs this at -benchtime=1x; the EXPERIMENTS.md delta
+// table compares it against BenchmarkForecasters (no dst, no workspace)
+// on the reference box.
 func BenchmarkForecastKernels(b *testing.B) {
 	for _, w := range benchWindows() {
 		hist := w.hist
 		for _, fc := range DefaultSet() {
-			into := fc.(IntoForecaster)
 			b.Run(fc.Name()+"/"+w.name, func(b *testing.B) {
 				const horizon = 1
 				ws := NewWorkspace()
 				dst := make([]float64, horizon)
-				into.ForecastInto(hist, horizon, dst, ws)
+				fc.ForecastInto(hist, horizon, dst, ws)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					into.ForecastInto(hist, horizon, dst, ws)
+					fc.ForecastInto(hist, horizon, dst, ws)
 				}
 			})
 		}
@@ -68,15 +67,14 @@ func BenchmarkForecastQuantiles(b *testing.B) {
 	for _, w := range benchWindows() {
 		hist := w.hist
 		for _, fc := range DefaultSet() {
-			qf := fc.(QuantileForecaster)
 			b.Run(fc.Name()+"/"+w.name, func(b *testing.B) {
 				const horizon = 1
 				ws := NewWorkspace()
 				dst := make([]float64, len(levels)*horizon)
-				qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
-				qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+				fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+				fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				if allocs := testing.AllocsPerRun(10, func() {
-					qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+					fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				}); allocs != 0 {
 					b.Fatalf("%s %s: %v allocs/op at steady state, want 0",
 						fc.Name(), w.name, allocs)
@@ -84,7 +82,7 @@ func BenchmarkForecastQuantiles(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					qf.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
+					fc.ForecastQuantilesInto(hist, horizon, levels, dst, ws)
 				}
 			})
 		}

@@ -24,8 +24,8 @@ func checkLookback(t *testing.T, h []float64, window, horizon int, levels []floa
 		short := win[len(win)-min(Lookback(fc, window), len(win)):]
 		var point, quant [2][]float64
 		for j, view := range [2][]float64{win, short} {
-			point[j] = Into(fc, view, horizon, nil, ws)
-			quant[j] = QuantilesInto(fc, view, horizon, levels, nil, ws)
+			point[j] = fc.ForecastInto(view, horizon, nil, ws)
+			quant[j] = fc.ForecastQuantilesInto(view, horizon, levels, nil, ws)
 		}
 		for j := range point[0] {
 			if math.Float64bits(point[0][j]) != math.Float64bits(point[1][j]) {

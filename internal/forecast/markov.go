@@ -23,12 +23,7 @@ func NewMarkovChain(states int) *MarkovChain {
 // Name implements Forecaster.
 func (m *MarkovChain) Name() string { return fmt.Sprintf("markov%d", m.states) }
 
-// Forecast implements Forecaster.
-func (m *MarkovChain) Forecast(history []float64, horizon int) []float64 {
-	return m.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster. The transition matrix is a flat
+// ForecastInto implements Forecaster. The transition matrix is a flat
 // row-major workspace buffer and the state distributions live in reused
 // slices; the non-negativity clamp is folded into the expected-value
 // write.
@@ -104,7 +99,7 @@ func (m *MarkovChain) ForecastInto(history []float64, horizon int, dst []float64
 	return dst
 }
 
-// ForecastQuantilesInto implements QuantileForecaster. Unlike the
+// ForecastQuantilesInto implements Forecaster. Unlike the
 // Gaussian-band forecasters, the Markov chain carries a full predictive
 // distribution — the state distribution it rolls forward — so each
 // requested level reads an exact discrete quantile off the cumulative

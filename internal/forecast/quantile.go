@@ -37,54 +37,6 @@ import (
 //   - repeated calls are Float64bits-identical, and a warmed workspace
 //     makes the whole path allocation-free (alloc_test.go).
 
-// QuantileForecaster is implemented by every built-in forecaster: emit
-// one forecast trajectory per probability level into dst (level-major,
-// len(levels)*horizon values), reusing ws for all intermediate state.
-// dst and ws may be nil, in which case the call allocates.
-type QuantileForecaster interface {
-	IntoForecaster
-	ForecastQuantilesInto(history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64
-}
-
-// QuantilesInto invokes fc's quantile fast path when it has one. Unknown
-// (external) forecasters degrade to a point mass: the point forecast
-// replicated at every level.
-func QuantilesInto(fc Forecaster, history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
-	if qf, ok := fc.(QuantileForecaster); ok {
-		return qf.ForecastQuantilesInto(history, horizon, levels, dst, ws)
-	}
-	if horizon <= 0 || len(levels) == 0 {
-		return nil
-	}
-	dst = ensureDst(dst, len(levels)*horizon)
-	pt := Into(fc, history, horizon, dst[:horizon], ws)
-	if len(pt) > horizon {
-		pt = pt[:horizon]
-	}
-	copy(dst[:horizon], pt)
-	for t := len(pt); t < horizon; t++ {
-		dst[t] = 0
-	}
-	for q := 1; q < len(levels); q++ {
-		copy(dst[q*horizon:(q+1)*horizon], dst[:horizon])
-	}
-	return dst
-}
-
-// ForecastQuantiles is the allocating wrapper: one freshly allocated
-// row per level, rows ordered like levels.
-func ForecastQuantiles(fc Forecaster, history []float64, horizon int, levels []float64) [][]float64 {
-	flat := QuantilesInto(fc, history, horizon, levels, nil, nil)
-	if flat == nil {
-		return nil
-	}
-	out := make([][]float64, len(levels))
-	for q := range out {
-		out[q] = flat[q*horizon : (q+1)*horizon : (q+1)*horizon]
-	}
-	return out
-}
-
 // GaussianQuantilesInto is the building block for forecasters outside
 // this package (the Aquatope LSTM baseline, BYOM adapters): expand an
 // already-clamped point trajectory and a per-step scale into level-major
@@ -355,9 +307,8 @@ func windowQuantilesInto(history []float64, horizon, window int, levels, dst []f
 
 // pointMassQuantilesInto replicates the point forecast at every level —
 // the quantile semantics of forecasters with no error model or demand
-// distribution to draw from (naive last-value hold, the zero floor, and
-// any external forecaster without a quantile path).
-func pointMassQuantilesInto(fc IntoForecaster, history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
+// distribution to draw from: the naive last-value hold and the zero floor.
+func pointMassQuantilesInto(fc Forecaster, history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
 	if horizon <= 0 || len(levels) == 0 {
 		return nil
 	}

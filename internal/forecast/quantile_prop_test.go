@@ -14,19 +14,9 @@ import (
 // non-negative, deterministic to the bit, and p50 == point for the
 // Gaussian-band forecasters.
 
-// quantileSet returns every built-in forecaster (all implement
-// QuantileForecaster).
-func quantileSet() []QuantileForecaster {
-	set := append(DefaultSet(), NewMovingAverage(60), Naive{}, Zero{})
-	out := make([]QuantileForecaster, len(set))
-	for i, fc := range set {
-		qf, ok := fc.(QuantileForecaster)
-		if !ok {
-			panic(fc.Name() + " does not implement QuantileForecaster")
-		}
-		out[i] = qf
-	}
-	return out
+// quantileSet returns every built-in forecaster.
+func quantileSet() []Forecaster {
+	return append(DefaultSet(), NewMovingAverage(60), Naive{}, Zero{})
 }
 
 // gaussianBand reports whether the forecaster's 0.5 level is defined to
@@ -148,14 +138,11 @@ func TestForecastQuantilesProperties(t *testing.T) {
 						}
 					}
 
-					// Fresh workspace and allocating wrapper: bit-identical.
-					rows := ForecastQuantiles(qf, hist, horizon, levels)
-					for q := range levels {
-						for s := 0; s < horizon; s++ {
-							a, b := first[q*horizon+s], rows[q][s]
-							if math.Float64bits(a) != math.Float64bits(b) {
-								t.Fatalf("fresh workspace diverged at [%d][%d]: %v vs %v", q, s, a, b)
-							}
+					// No workspace, fresh destination: bit-identical.
+					fresh := qf.ForecastQuantilesInto(hist, horizon, levels, nil, nil)
+					for i := range first {
+						if math.Float64bits(first[i]) != math.Float64bits(fresh[i]) {
+							t.Fatalf("fresh workspace diverged at %d: %v vs %v", i, first[i], fresh[i])
 						}
 					}
 				})
@@ -234,7 +221,7 @@ func TestQuantileDoesNotPerturbPointPath(t *testing.T) {
 func TestEnvelopeQuantileSemantics(t *testing.T) {
 	hist := []float64{0.2, 3, 1, 0.5, 2, 0.8, 1.5, 0.4, 2.5, 0.9}
 	const horizon = 2
-	for _, fc := range []QuantileForecaster{NewRecentPeak(10), NewCeilPeak(10)} {
+	for _, fc := range []Forecaster{NewRecentPeak(10), NewCeilPeak(10)} {
 		point := Into(fc, hist, horizon, nil, nil)
 		flat := fc.ForecastQuantilesInto(hist, horizon, []float64{0.05, 0.999}, nil, nil)
 		for s := 0; s < horizon; s++ {

@@ -518,16 +518,15 @@ func assertSameForecast(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestForecastMatchesReference checks the allocating Forecast wrapper
-// (which routes through ForecastInto with nil dst/ws) against the
-// retained reference implementations.
+// TestForecastMatchesReference checks ForecastInto with nil dst and ws,
+// the allocating form, against the retained reference implementations.
 func TestForecastMatchesReference(t *testing.T) {
 	histories := refHistories()
 	for _, p := range refPairs() {
 		for hname, h := range histories {
 			for _, horizon := range []int{0, 1, 5, 30} {
 				label := fmt.Sprintf("%s/%s/h=%d", p.fc.Name(), hname, horizon)
-				assertSameForecast(t, label, p.fc.Forecast(h, horizon), p.ref(h, horizon))
+				assertSameForecast(t, label, p.fc.ForecastInto(h, horizon, nil, nil), p.ref(h, horizon))
 			}
 		}
 	}
@@ -549,15 +548,11 @@ func TestForecastIntoSharedWorkspaceMatchesReference(t *testing.T) {
 	dst := make([]float64, 0, 4) // deliberately undersized: exercises both reuse and regrow
 	for pass := 0; pass < 2; pass++ {
 		for _, p := range refPairs() {
-			into, ok := p.fc.(IntoForecaster)
-			if !ok {
-				t.Fatalf("%s does not implement IntoForecaster", p.fc.Name())
-			}
 			for _, hname := range names {
 				h := histories[hname]
 				for _, horizon := range []int{0, 1, 5, 30} {
 					label := fmt.Sprintf("pass%d/%s/%s/h=%d", pass, p.fc.Name(), hname, horizon)
-					got := into.ForecastInto(h, horizon, dst, ws)
+					got := p.fc.ForecastInto(h, horizon, dst, ws)
 					assertSameForecast(t, label, got, p.ref(h, horizon))
 					if cap(got) > cap(dst) {
 						dst = got[:0]
@@ -566,23 +561,4 @@ func TestForecastIntoSharedWorkspaceMatchesReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestIntoHelperFallsBack checks forecast.Into on a forecaster without a
-// fast path.
-func TestIntoHelperFallsBack(t *testing.T) {
-	fc := plainForecaster{}
-	got := Into(fc, []float64{1, 2, 3}, 4, nil, NewWorkspace())
-	assertSameForecast(t, "fallback", got, []float64{3, 3, 3, 3})
-}
-
-type plainForecaster struct{}
-
-func (plainForecaster) Name() string { return "plain" }
-func (plainForecaster) Forecast(history []float64, horizon int) []float64 {
-	out := make([]float64, horizon)
-	for i := range out {
-		out[i] = history[len(history)-1]
-	}
-	return out
 }

@@ -40,12 +40,7 @@ func NewSETAR(lags, thresholds int) *SETAR {
 // Name implements Forecaster.
 func (s *SETAR) Name() string { return fmt.Sprintf("setar%d-%d", s.lags, s.thresholds) }
 
-// Forecast implements Forecaster.
-func (s *SETAR) Forecast(history []float64, horizon int) []float64 {
-	return s.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (s *SETAR) ForecastInto(history []float64, horizon int, dst []float64, ws *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -64,7 +59,7 @@ func (s *SETAR) ForecastInto(history []float64, horizon int, dst []float64, ws *
 	return dst
 }
 
-// ForecastQuantilesInto implements QuantileForecaster. The band scale is
+// ForecastQuantilesInto implements Forecaster. The band scale is
 // the pooled in-sample one-step residual of the per-row forecasts under
 // the same regime → global → mean fallback chain the forecast loop uses,
 // widened by sqrt(t+1) for the compounding rolled-forward horizon. The

@@ -28,12 +28,7 @@ func (m *MovingAverage) Name() string { return fmt.Sprintf("ma%d", m.window) }
 // Lookback is the trailing values it reads (see forecast.Lookback).
 func (m *MovingAverage) Lookback() int { return m.window }
 
-// Forecast implements Forecaster.
-func (m *MovingAverage) Forecast(history []float64, horizon int) []float64 {
-	return m.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (m *MovingAverage) ForecastInto(history []float64, horizon int, dst []float64, _ *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -74,12 +69,7 @@ func (r *RecentPeak) Name() string { return fmt.Sprintf("peak%d", r.window) }
 // Lookback is the trailing values it reads (see forecast.Lookback).
 func (r *RecentPeak) Lookback() int { return r.window }
 
-// Forecast implements Forecaster.
-func (r *RecentPeak) Forecast(history []float64, horizon int) []float64 {
-	return r.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (r *RecentPeak) ForecastInto(history []float64, horizon int, dst []float64, _ *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -128,12 +118,7 @@ func (c *CeilPeak) Name() string { return fmt.Sprintf("warm%d", c.window) }
 // Lookback is the trailing values it reads (see forecast.Lookback).
 func (c *CeilPeak) Lookback() int { return c.window }
 
-// Forecast implements Forecaster.
-func (c *CeilPeak) Forecast(history []float64, horizon int) []float64 {
-	return c.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (c *CeilPeak) ForecastInto(history []float64, horizon int, dst []float64, _ *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -165,12 +150,7 @@ func (Naive) Name() string { return "naive" }
 // Lookback is the trailing values it reads (see forecast.Lookback).
 func (Naive) Lookback() int { return 1 }
 
-// Forecast implements Forecaster.
-func (Naive) Forecast(history []float64, horizon int) []float64 {
-	return Naive{}.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (Naive) ForecastInto(history []float64, horizon int, dst []float64, _ *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -192,12 +172,7 @@ type Zero struct{}
 // Name implements Forecaster.
 func (Zero) Name() string { return "zero" }
 
-// Forecast implements Forecaster.
-func (Zero) Forecast(history []float64, horizon int) []float64 {
-	return Zero{}.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster.
+// ForecastInto implements Forecaster.
 func (Zero) ForecastInto(_ []float64, horizon int, dst []float64, _ *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -221,7 +196,7 @@ func (Zero) ForecastInto(_ []float64, horizon int, dst []float64, _ *Workspace) 
 // point masses: a last-value hold and the scale-to-zero floor have no
 // distribution to draw from.
 
-// ForecastQuantilesInto implements QuantileForecaster: Gaussian band
+// ForecastQuantilesInto implements Forecaster: Gaussian band
 // around the window mean with the window's own standard deviation as
 // sigma ("provision for the p-th percentile of demand, assuming the
 // window is representative"). Level 0.5 is bitwise the point forecast.
@@ -246,14 +221,14 @@ func (m *MovingAverage) ForecastQuantilesInto(history []float64, horizon int, le
 	return dst
 }
 
-// ForecastQuantilesInto implements QuantileForecaster: the empirical
+// ForecastQuantilesInto implements Forecaster: the empirical
 // level-quantile of the trailing window. Levels at or above (n-1)/n
 // reproduce the point forecast (the window max).
 func (r *RecentPeak) ForecastQuantilesInto(history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
 	return windowQuantilesInto(history, horizon, r.window, levels, dst, ws, false)
 }
 
-// ForecastQuantilesInto implements QuantileForecaster: the empirical
+// ForecastQuantilesInto implements Forecaster: the empirical
 // level-quantile of the trailing window with CeilPeak's keep-warm
 // rounding applied, so any level that covers a nonzero-demand interval
 // still provisions at least one full unit.
@@ -261,12 +236,12 @@ func (c *CeilPeak) ForecastQuantilesInto(history []float64, horizon int, levels,
 	return windowQuantilesInto(history, horizon, c.window, levels, dst, ws, true)
 }
 
-// ForecastQuantilesInto implements QuantileForecaster.
+// ForecastQuantilesInto implements Forecaster.
 func (n Naive) ForecastQuantilesInto(history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
 	return pointMassQuantilesInto(n, history, horizon, levels, dst, ws)
 }
 
-// ForecastQuantilesInto implements QuantileForecaster.
+// ForecastQuantilesInto implements Forecaster.
 func (z Zero) ForecastQuantilesInto(history []float64, horizon int, levels, dst []float64, ws *Workspace) []float64 {
 	return pointMassQuantilesInto(z, history, horizon, levels, dst, ws)
 }

@@ -27,12 +27,7 @@ func alphaGrid() []float64 {
 // Name implements Forecaster.
 func (e *ExpSmoothing) Name() string { return "expsmooth" }
 
-// Forecast implements Forecaster.
-func (e *ExpSmoothing) Forecast(history []float64, horizon int) []float64 {
-	return e.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster. The grid search runs all alpha
+// ForecastInto implements Forecaster. The grid search runs all alpha
 // chains interleaved — history outer, grid inner, one level/SSE slot per
 // alpha — so one pass over the history updates every candidate. Each
 // chain performs its reference operations in its reference order, so the
@@ -91,7 +86,7 @@ func esSearchWS(history, g []float64, ws *Workspace) (bestLevel, bestSSE float64
 	return bestLevel, bestSSE
 }
 
-// ForecastQuantilesInto implements QuantileForecaster. The scale
+// ForecastQuantilesInto implements Forecaster. The scale
 // combines the winning chain's one-step residual variance with the
 // disagreement (variance) of the final smoothed levels across the alpha
 // grid — both byproducts of the search already in the workspace. ES
@@ -151,12 +146,7 @@ func NewHolt() *Holt {
 // Name implements Forecaster.
 func (h *Holt) Name() string { return "holt" }
 
-// Forecast implements Forecaster.
-func (h *Holt) Forecast(history []float64, horizon int) []float64 {
-	return h.ForecastInto(history, horizon, nil, nil)
-}
-
-// ForecastInto implements IntoForecaster. Like ExpSmoothing, all
+// ForecastInto implements Forecaster. Like ExpSmoothing, all
 // (alpha, beta) chains run interleaved over a single history pass, one
 // level/trend/SSE slot per combination in (alpha outer, beta inner)
 // order. alpha*beta is precomputed per combination — the reference
@@ -247,7 +237,7 @@ func holtSearchWS(history, alphas, betas []float64, ws *Workspace) (bestLevel, b
 	return bestLevel, bestTrend, bestSSE
 }
 
-// ForecastQuantilesInto implements QuantileForecaster. The per-step
+// ForecastQuantilesInto implements Forecaster. The per-step
 // scale combines the winning chain's one-step residual variance with the
 // variance of the step-t extrapolations across the (alpha, beta) grid,
 // so the band widens with the horizon exactly as the candidate trends

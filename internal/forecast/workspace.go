@@ -122,28 +122,9 @@ func (ws *Workspace) History(n int) []float64 {
 	return ws.hist
 }
 
-// IntoForecaster is the zero-allocation fast path implemented by every
-// built-in forecaster: forecast into dst (reused when cap(dst) >= horizon)
-// using ws for all intermediate state. dst and ws may be nil, in which
-// case the call allocates like plain Forecast. The returned slice holds
-// the forecast and aliases dst when it had capacity.
-//
-// ForecastInto is bit-identical to Forecast for the same inputs
-// (ref_equiv_test.go asserts Float64bits equality), so cached results and
-// trained models are unaffected by which path produced a forecast.
-type IntoForecaster interface {
-	Forecaster
-	ForecastInto(history []float64, horizon int, dst []float64, ws *Workspace) []float64
-}
-
-// Into invokes fc's workspace fast path when it has one, falling back to
-// the allocating Forecast otherwise. It is the single call site helper
-// used by the simulators and the serving path.
+// Into is fc.ForecastInto. It stays for the bench/ module, which calls it.
 func Into(fc Forecaster, history []float64, horizon int, dst []float64, ws *Workspace) []float64 {
-	if f, ok := fc.(IntoForecaster); ok {
-		return f.ForecastInto(history, horizon, dst, ws)
-	}
-	return fc.Forecast(history, horizon)
+	return fc.ForecastInto(history, horizon, dst, ws)
 }
 
 // ensureDst returns dst resized to n, reusing its backing array when it

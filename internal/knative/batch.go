@@ -101,7 +101,7 @@ func (s *Service) batchHandler(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Accepted, resp.Rejected = accepted, len(resp.Results)-accepted
-	if sm := s.svcMetrics(); sm != nil {
+	if sm := s.metrics.Load(); sm != nil {
 		sm.BatchReqs.Inc()
 	}
 	writeJSON(w, &resp)
@@ -132,7 +132,7 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 	later := append(laterBuf[:0], make([]int, len(items))...)
 	byName, durable := byNameBuf[:0], durBuf[:0]
 
-	sm := s.svcMetrics()
+	sm := s.metrics.Load()
 	for i, obs := range items {
 		res := &results[i]
 		res.App = obs.App

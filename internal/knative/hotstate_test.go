@@ -72,7 +72,7 @@ func TestHotStateIsBounded(t *testing.T) {
 		get("/v1/apps/"+apps[i]+"/forecast?horizon=4&quantiles=0.5,0.9", &got)
 		p := models[cur].NewAppPolicy(0)
 		want := p.ForecastWS(stream[i], 4, nil, ws)
-		wantQ := p.ForecastQuantilesWS(stream[i], 4, levels, nil, ws)
+		wantQ := p.ForecastQuantilesTail(stream[i], len(stream[i]), 4, levels, nil, ws)
 		same := got.Forecaster == p.CurrentForecaster() && len(got.Values) == len(want) && len(got.Quantiles) == len(levels)
 		for k := 0; same && k < len(want); k++ {
 			same = math.Float64bits(got.Values[k]) == math.Float64bits(want[k])

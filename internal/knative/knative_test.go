@@ -411,7 +411,7 @@ func TestHTTPProviderMatchesPlainTarget(t *testing.T) {
 					t.Error("provider declined")
 					return
 				}
-				if want := ref.Target(hist, 1); got != want {
+				if want := ref.Target(hist, 1, nil); got != want {
 					t.Errorf("app %d obs %d: provider target %d, plain Target %d", app, i, got, want)
 					return
 				}

@@ -82,7 +82,7 @@ func TestBorrowedWorkspacesAreScratch(t *testing.T) {
 				}
 				p := model.NewAppPolicy(0)
 				want := p.ForecastWS(stream[k], 4, nil, ws)
-				wantQ := p.ForecastQuantilesWS(stream[k], 4, levels, nil, ws)
+				wantQ := p.ForecastQuantilesTail(stream[k], len(stream[k]), 4, levels, nil, ws)
 				same := got.Forecaster == p.CurrentForecaster() && len(got.Values) == len(want) && len(got.Quantiles) == len(levels)
 				for s := 0; same && s < len(want); s++ {
 					same = math.Float64bits(got.Values[s]) == math.Float64bits(want[s])

@@ -59,7 +59,7 @@ type Service struct {
 	// are rejected with 421 so a misconfigured client cannot split one
 	// app's history across instances.
 	shardID, shards int
-	restored        int
+	restored        int // apps the store held at construction; never changes
 
 	// tier bounds how much of the fleet is materialized and owns the app
 	// map (see tier.go): a cache of the hot tier, not the fleet roster.
@@ -71,7 +71,9 @@ type Service struct {
 	// promoted model never changes it).
 	driftBlock int
 
-	metrics *ServiceMetrics // nil when metrics are not wired
+	// metrics is nil until InstrumentWith stores it, under mu. It is an
+	// atomic pointer so a request reads it without taking mu.
+	metrics atomic.Pointer[ServiceMetrics]
 }
 
 // ServiceOptions configure the durable, shard-aware deployment mode.
@@ -182,11 +184,7 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 }
 
 // Restored reports how many apps were seeded from the durable store.
-func (s *Service) Restored() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.restored
-}
+func (s *Service) Restored() int { return s.restored }
 
 // Model returns the model currently serving requests.
 func (s *Service) Model() *femux.Model { return s.live.Load().model }
@@ -225,7 +223,7 @@ func policyFor(model *femux.Model, gen uint32, m store.Memo, n int) (p *femux.Ap
 // on an n-observation history will perform.
 func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 	if _, ok := p.Classified(n); !ok {
-		if sm := s.svcMetrics(); sm != nil {
+		if sm := s.metrics.Load(); sm != nil {
 			sm.Classifications.Inc("extract")
 		}
 	}
@@ -310,7 +308,7 @@ func (s *Service) SwapModel(m *femux.Model) {
 	defer s.mu.Unlock()
 	s.live.Store(&liveModel{m, modelVersions.Add(1)})
 	s.reloads++
-	if sm := s.metrics; sm != nil {
+	if sm := s.metrics.Load(); sm != nil {
 		sm.Reloads.Inc()
 		sm.setModelInfo(m)
 	}
@@ -395,9 +393,9 @@ func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 	reg.NewCounterFunc("femux_tier_count_anomalies_total",
 		"Tier gauge samples whose store-backed warm count was internally inconsistent.",
 		func() float64 { return float64(s.TierCountAnomalies()) })
-	sm.setModelInfo(s.Model())
 	s.mu.Lock()
-	s.metrics = sm
+	sm.setModelInfo(s.Model())
+	s.metrics.Store(sm)
 	s.mu.Unlock()
 	return sm
 }
@@ -433,12 +431,6 @@ type QuantileBand struct {
 	Values []float64 `json:"values"`
 }
 
-func (s *Service) svcMetrics() *ServiceMetrics {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.metrics
-}
-
 // count adds one to the app's child of the per-app family fam, through
 // the handle h cached on the app. The handle is resolved by the first
 // count, not when the app materializes, so the child's line enters the
@@ -467,7 +459,7 @@ func (s *Service) restore(a *svcApp) {
 	if !ok {
 		return
 	}
-	sm := s.svcMetrics()
+	sm := s.metrics.Load()
 	if sm == nil {
 		return
 	}
@@ -506,7 +498,7 @@ func (s *Service) misrouted(w http.ResponseWriter, name string) bool {
 	if msg == "" {
 		return false
 	}
-	if sm := s.svcMetrics(); sm != nil {
+	if sm := s.metrics.Load(); sm != nil {
 		sm.Misrouted.Inc()
 	}
 	w.Header().Set("X-Femux-Owner", strconv.Itoa(owner))
@@ -592,7 +584,7 @@ func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name str
 	}
 	a := s.acquire(name)
 	ws := forecast.GetWorkspace()
-	sm := s.svcMetrics()
+	sm := s.metrics.Load()
 	target, fcName := s.decide(a, ws, unitC, 0, sm)
 	forecast.PutWorkspace(ws)
 	histLen := a.n
@@ -649,7 +641,7 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 	}
 	forecast.PutWorkspace(ws)
 	fcName := a.policy.CurrentForecaster()
-	if sm := s.svcMetrics(); sm != nil {
+	if sm := s.metrics.Load(); sm != nil {
 		a.count(&a.forecasts, sm.Forecasts)
 	}
 	s.releaseApp(a)

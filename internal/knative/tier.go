@@ -188,7 +188,7 @@ func (s *Service) demote(apps []*svcApp) {
 		}
 		s.st.SetMemo(v.name, memo)
 	}
-	if sm := s.svcMetrics(); sm != nil {
+	if sm := s.metrics.Load(); sm != nil {
 		sm.Evictions.Add(float64(len(apps)))
 	}
 }

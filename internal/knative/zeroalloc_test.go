@@ -30,10 +30,10 @@ func TestServiceTargetZeroAlloc(t *testing.T) {
 	for i := 0; i < 45; i++ {
 		hist = append(hist, 2+rng.Float64())
 	}
-	a.policy.TargetWS(hist, 1, ws)
-	a.policy.TargetWS(hist, 1, ws)
+	a.policy.Target(hist, 1, ws)
+	a.policy.Target(hist, 1, ws)
 	allocs := testing.AllocsPerRun(50, func() {
-		a.policy.TargetWS(hist, 1, ws)
+		a.policy.Target(hist, 1, ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state target computation: %v allocs/op, want 0", allocs)
@@ -119,7 +119,7 @@ func TestQuantileLevelZeroMatchesPointPath(t *testing.T) {
 		if _, err := svc.observe([]BatchObservation{{App: "equiv-app-q", Concurrency: v}}, res[:]); err != nil || res[0].Error != "" {
 			t.Fatalf("obs %d: %v %s", i, err, res[0].Error)
 		}
-		if want := ref.Target(hist, 1); res[0].Target != want {
+		if want := ref.Target(hist, 1, nil); res[0].Target != want {
 			t.Fatalf("obs %d: zero-level target %d, plain Target %d", i, res[0].Target, want)
 		}
 	}

@@ -103,7 +103,7 @@ func simulateApp(app AppTrace, p Policy, cfg ConcConfig, trace bool, ws *forecas
 	prevUnits := cfg.MinScale
 	values := app.Demand.Values
 	for t := 0; t < n; t++ {
-		warm := TargetWith(p, values[:t], unitC, ws)
+		warm := p.Target(values[:t], unitC, ws)
 		if warm < cfg.MinScale {
 			warm = cfg.MinScale
 		}

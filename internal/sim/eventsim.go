@@ -171,7 +171,7 @@ func SimulateEvents(invs []trace.Invocation, p Policy, cfg EventConfig, horizon 
 		}
 		pods = live
 
-		target := TargetWith(p, history, unitC, ws)
+		target := p.Target(history, unitC, ws)
 		if target < cfg.MinScale {
 			target = cfg.MinScale
 		}

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
@@ -25,77 +24,12 @@ import (
 type Policy interface {
 	Name() string
 	// Target returns the desired warm unit count for the upcoming interval.
-	// unitConcurrency is the app's container concurrency limit.
-	Target(history []float64, unitConcurrency int) int
-}
-
-// WorkspaceTargeter is the zero-allocation fast path for policies whose
-// targets come from forecast kernels: Target with an explicit
-// forecast.Workspace holding all scratch state. ws may be nil (the call
-// then allocates like Target). Implementations must produce exactly the
-// same target as Target — the workspace only changes where intermediate
-// state lives.
-type WorkspaceTargeter interface {
-	Policy
-	TargetWS(history []float64, unitConcurrency int, ws *forecast.Workspace) int
-}
-
-// TargetWith invokes p's workspace fast path when it has one, falling back
-// to the allocating Target otherwise. The simulators call this per interval
-// with a per-simulation workspace.
-func TargetWith(p Policy, history []float64, unitConcurrency int, ws *forecast.Workspace) int {
-	if wt, ok := p.(WorkspaceTargeter); ok {
-		return wt.TargetWS(history, unitConcurrency, ws)
-	}
-	return p.Target(history, unitConcurrency)
-}
-
-// QuantileTargeter is the SLO-aware variant of WorkspaceTargeter:
-// provision for the given forecast quantile level (e.g. 0.95 = "enough
-// capacity for the p95 demand") instead of point forecast × fixed
-// headroom. A level <= 0 must reproduce TargetWS exactly — point ×
-// headroom remains the default — so a zero level is always safe to
-// thread through config.
-type QuantileTargeter interface {
-	Policy
-	TargetQuantilesWS(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) int
-}
-
-// TargetQuantilesWith invokes p's quantile path when it has one and the
-// level is positive, degrading to the point-forecast TargetWith
-// otherwise. This is the single call-site helper for quantile-aware
-// policy evaluation: policies without a quantile path (keep-alive,
-// Knative default, fixed) are unaffected by the level.
-func TargetQuantilesWith(p Policy, history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) int {
-	if level > 0 {
-		if qt, ok := p.(QuantileTargeter); ok {
-			return qt.TargetQuantilesWS(history, unitConcurrency, level, ws)
-		}
-	}
-	return TargetWith(p, history, unitConcurrency, ws)
-}
-
-// QuantilePolicy wraps a base policy with a fixed quantile level, so the
-// simulators and sweeps can treat "provision for p95" as just another
-// Policy value. The zero level reproduces the base policy exactly.
-type QuantilePolicy struct {
-	Base  Policy
-	Level float64
-}
-
-// Name implements Policy.
-func (p QuantilePolicy) Name() string {
-	return fmt.Sprintf("%s-p%g", p.Base.Name(), p.Level*100)
-}
-
-// Target implements Policy.
-func (p QuantilePolicy) Target(history []float64, unitConcurrency int) int {
-	return p.TargetWS(history, unitConcurrency, nil)
-}
-
-// TargetWS implements WorkspaceTargeter.
-func (p QuantilePolicy) TargetWS(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
-	return TargetQuantilesWith(p.Base, history, unitConcurrency, p.Level, ws)
+	// unitConcurrency is the app's container concurrency limit. ws holds
+	// the scratch state of a policy that forecasts, so a warmed workspace
+	// makes the call allocation-free; the simulators pass one per
+	// simulation. ws may be nil, and a policy that does not forecast
+	// ignores it.
+	Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int
 }
 
 // unitsFor converts a concurrency level to compute units at the given
@@ -116,11 +50,8 @@ func unitsFor(concurrency float64, unitConcurrency int) int {
 // least one unit (ceil). Forecasters signal "scale to zero" by predicting
 // zero or negative values (negative forecasts are clamped by the forecast
 // package) — exactly how a single FFT ends up forecasting zero for
-// low-traffic apps, the weakness §5.1.1 attributes to IceBreaker. history
-// is accepted for signature stability with policies that condition the
-// conversion on observed traffic.
-func ForecastUnits(predictedPeak float64, history []float64, unitConcurrency int) int {
-	_ = history
+// low-traffic apps, the weakness §5.1.1 attributes to IceBreaker.
+func ForecastUnits(predictedPeak float64, unitConcurrency int) int {
 	if predictedPeak <= 1e-9 {
 		return 0
 	}
@@ -136,8 +67,15 @@ func ForecastUnits(predictedPeak float64, history []float64, unitConcurrency int
 type ForecastPolicy struct {
 	Forecaster forecast.Forecaster
 	Horizon    int     // intervals to look ahead (>= 1)
-	Headroom   float64 // multiplicative safety margin on the forecast (>= 0)
+	Headroom   float64 // multiplicative safety margin on the point forecast (>= 0)
 	Window     int     // history window fed to the forecaster (0 = all)
+	// Level, when positive, provisions for that quantile of the forecast
+	// (0.95: enough capacity for the p95 demand) instead of the point
+	// forecast × (1 + Headroom). Headroom is then not applied: the level
+	// is the safety margin, calibrated per app from the forecaster's own
+	// uncertainty, which is the point of SLO-aware provisioning. 0 keeps
+	// the point forecast.
+	Level float64
 	// FloorWindow, when positive, keeps at least the capacity that served
 	// the last FloorWindow intervals, regardless of the forecast — the
 	// Knative semantics that a pod which served within the stable window
@@ -150,72 +88,31 @@ type ForecastPolicy struct {
 func (p ForecastPolicy) Name() string { return "forecast-" + p.Forecaster.Name() }
 
 // Target implements Policy.
-func (p ForecastPolicy) Target(history []float64, unitConcurrency int) int {
-	return p.TargetWS(history, unitConcurrency, nil)
-}
-
-// TargetWS implements WorkspaceTargeter: the same target computation with
-// all forecaster scratch state in ws, so a warmed workspace makes the
-// per-interval policy evaluation allocation-free.
-func (p ForecastPolicy) TargetWS(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
-	h := p.Horizon
-	if h < 1 {
-		h = 1
-	}
+func (p ForecastPolicy) Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
+	h := max(p.Horizon, 1)
 	full := history
 	if p.Window > 0 && p.Window < len(history) {
 		history = history[len(history)-p.Window:]
 	}
-	pred := forecast.Into(p.Forecaster, history, h, ws.Out(h), ws)
+	var pred []float64
+	scale := 1.0
+	if p.Level <= 0 {
+		pred = p.Forecaster.ForecastInto(history, h, ws.Out(h), ws)
+		scale += p.Headroom
+	} else {
+		lv := ws.Levels(1)
+		lv[0] = p.Level
+		pred = p.Forecaster.ForecastQuantilesInto(history, h, lv, ws.Out(h), ws)
+	}
 	peak := 0.0
 	for _, v := range pred {
 		if v > peak {
 			peak = v
 		}
 	}
-	peak *= 1 + p.Headroom
-	target := ForecastUnits(peak, history, unitConcurrency)
+	target := ForecastUnits(peak*scale, unitConcurrency)
 	if p.FloorWindow > 0 {
-		if floor := (KeepAlivePolicy{IdleIntervals: p.FloorWindow}).Target(full, unitConcurrency); floor > target {
-			target = floor
-		}
-	}
-	return target
-}
-
-// TargetQuantilesWS implements QuantileTargeter: scale to the peak of
-// the level-quantile forecast over the horizon. The fixed Headroom
-// multiplier is intentionally NOT applied — the quantile level IS the
-// safety margin, calibrated per app from the forecaster's own
-// uncertainty, which is the point of SLO-aware provisioning. The
-// keep-alive floor still applies: capacity that served the stable
-// window is not reaped on a dip in the quantile forecast either.
-func (p ForecastPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, level float64, ws *forecast.Workspace) int {
-	if level <= 0 {
-		return p.TargetWS(history, unitConcurrency, ws)
-	}
-	h := p.Horizon
-	if h < 1 {
-		h = 1
-	}
-	full := history
-	if p.Window > 0 && p.Window < len(history) {
-		history = history[len(history)-p.Window:]
-	}
-	lv := ws.Levels(1)
-	lv[0] = level
-	pred := forecast.QuantilesInto(p.Forecaster, history, h, lv, ws.Out(h), ws)
-	peak := 0.0
-	for _, v := range pred {
-		if v > peak {
-			peak = v
-		}
-	}
-	target := ForecastUnits(peak, history, unitConcurrency)
-	if p.FloorWindow > 0 {
-		if floor := (KeepAlivePolicy{IdleIntervals: p.FloorWindow}).Target(full, unitConcurrency); floor > target {
-			target = floor
-		}
+		target = max(target, KeepAlivePolicy{IdleIntervals: p.FloorWindow}.Target(full, unitConcurrency, nil))
 	}
 	return target
 }
@@ -232,7 +129,7 @@ type KeepAlivePolicy struct {
 func (p KeepAlivePolicy) Name() string { return "keepalive" }
 
 // Target implements Policy.
-func (p KeepAlivePolicy) Target(history []float64, unitConcurrency int) int {
+func (p KeepAlivePolicy) Target(history []float64, unitConcurrency int, _ *forecast.Workspace) int {
 	w := p.IdleIntervals
 	if w < 1 {
 		w = 1
@@ -262,7 +159,7 @@ type KnativeDefaultPolicy struct {
 func (p KnativeDefaultPolicy) Name() string { return "knative-default" }
 
 // Target implements Policy.
-func (p KnativeDefaultPolicy) Target(history []float64, unitConcurrency int) int {
+func (p KnativeDefaultPolicy) Target(history []float64, unitConcurrency int, _ *forecast.Workspace) int {
 	w := p.WindowIntervals
 	if w < 1 {
 		w = 1
@@ -289,4 +186,4 @@ type FixedPolicy struct {
 func (p FixedPolicy) Name() string { return "fixed" }
 
 // Target implements Policy.
-func (p FixedPolicy) Target([]float64, int) int { return p.Units }
+func (p FixedPolicy) Target([]float64, int, *forecast.Workspace) int { return p.Units }

@@ -30,14 +30,14 @@ func TestPolicyTargets(t *testing.T) {
 		{"fixed", FixedPolicy{Units: 7}, 1, 7},
 	}
 	for _, c := range cases {
-		if got := c.p.Target(hist, c.unitC); got != c.want {
+		if got := c.p.Target(hist, c.unitC, nil); got != c.want {
 			t.Errorf("%s: Target = %d, want %d", c.name, got, c.want)
 		}
 	}
 	// Empty history never panics.
 	for _, p := range []Policy{KeepAlivePolicy{IdleIntervals: 5}, KnativeDefaultPolicy{WindowIntervals: 5},
 		ForecastPolicy{Forecaster: forecast.Naive{}, Horizon: 1}} {
-		if got := p.Target(nil, 1); got != 0 {
+		if got := p.Target(nil, 1, nil); got != 0 {
 			t.Errorf("%s: empty history Target = %d, want 0", p.Name(), got)
 		}
 	}
@@ -46,11 +46,11 @@ func TestPolicyTargets(t *testing.T) {
 func TestForecastPolicyUsesPeak(t *testing.T) {
 	// Naive forecaster predicts last value; headroom raises target.
 	p := ForecastPolicy{Forecaster: forecast.Naive{}, Horizon: 3}
-	if got := p.Target([]float64{1, 5}, 1); got != 5 {
+	if got := p.Target([]float64{1, 5}, 1, nil); got != 5 {
 		t.Errorf("Target = %d, want 5", got)
 	}
 	p.Headroom = 0.5
-	if got := p.Target([]float64{1, 5}, 1); got != 8 {
+	if got := p.Target([]float64{1, 5}, 1, nil); got != 8 {
 		t.Errorf("headroom Target = %d, want 8", got)
 	}
 }
