@@ -56,6 +56,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -522,7 +523,7 @@ func postSingle(client *http.Client, cfg replayConfig, ev obsEvent, st *workerSt
 	var lastMsg string
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		resp, err := client.Post(cfg.BaseURL+"/v1/apps/"+ev.app+"/observe",
+		resp, err := client.Post(cfg.BaseURL+"/v1/apps/"+url.PathEscape(ev.app)+"/observe",
 			"application/json", strings.NewReader(body))
 		st.durs = append(st.durs, time.Since(start))
 		if err != nil {

@@ -265,7 +265,7 @@ func TestHandlerAdminReload(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		`femux_http_requests_total{endpoint="observe",method="POST",code="200"} 1`,
-		`femux_observations_total{app="demo"} 1`,
+		"\nfemux_observations_total 1\n",
 		"femux_model_reloads_total 1",
 		"go_goroutines",
 	} {

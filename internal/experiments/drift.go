@@ -77,12 +77,8 @@ type driftServing struct {
 	swaps     int
 }
 
-func (d *driftServing) LifecycleSnapshot(maxApps int, driftThreshold float64) lifecycle.Snapshot {
-	snap := lifecycle.SnapshotFromWindows(d.model, d.windows, d.blockSize, driftThreshold)
-	if maxApps > 0 && len(snap.Apps) > maxApps {
-		snap.Apps = snap.Apps[:maxApps]
-	}
-	return snap
+func (d *driftServing) LifecycleSnapshot(driftThreshold float64) lifecycle.Snapshot {
+	return lifecycle.SnapshotFromWindows(d.model, d.windows, d.blockSize, driftThreshold)
 }
 
 func (d *driftServing) SwapModel(m *femux.Model) { d.model = m; d.swaps++ }

@@ -190,6 +190,9 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 		}
 		forecast.PutWorkspace(ws)
 		accepted = len(durable)
+		if sm != nil {
+			sm.Observes.Add(float64(accepted))
+		}
 	}
 	// Each app is released once, through its last item.
 	own := held[:0]

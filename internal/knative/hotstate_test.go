@@ -90,7 +90,7 @@ func TestHotStateIsBounded(t *testing.T) {
 	// their LRU order.
 	bounded := func(step int) {
 		t.Helper()
-		hot := lruNames(svc, svc.tier.hot)
+		hot := lruNames(svc)
 		slices.Reverse(hot)
 		for _, name := range hot {
 			i := slices.Index(apps, name)
@@ -301,11 +301,11 @@ func TestRestoreReadsOnlyThePolicysView(t *testing.T) {
 	}
 }
 
-// TestSvcAppSize pins a hot app's fixed state in the 112-byte size class:
-// one more word moves every hot app to the 128-byte class.
+// TestSvcAppSize pins a hot app's fixed state in the 96-byte size class:
+// one more word moves every hot app to the 112-byte class.
 func TestSvcAppSize(t *testing.T) {
-	if got := unsafe.Sizeof(svcApp{}); got > 112 {
-		t.Fatalf("unsafe.Sizeof(svcApp{}) = %d B, want at most 112", got)
+	if got := unsafe.Sizeof(svcApp{}); got > 96 {
+		t.Fatalf("unsafe.Sizeof(svcApp{}) = %d B, want at most 96", got)
 	}
 }
 

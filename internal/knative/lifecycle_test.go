@@ -45,8 +45,8 @@ func TestLifecycleSnapshotParity(t *testing.T) {
 		}
 	}
 
-	a := backed.LifecycleSnapshot(0, 0.5)
-	b := plain.LifecycleSnapshot(0, 0.5)
+	a := backed.LifecycleSnapshot(0.5)
+	b := plain.LifecycleSnapshot(0.5)
 	if len(a.Apps) != len(streams) || len(b.Apps) != len(streams) {
 		t.Fatalf("app counts %d/%d, want %d", len(a.Apps), len(b.Apps), len(streams))
 	}
@@ -70,12 +70,6 @@ func TestLifecycleSnapshotParity(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("snapshot apps not sorted: %v", names)
-	}
-
-	// maxApps keeps the first names of the sorted order, deterministically.
-	capped := backed.LifecycleSnapshot(2, 0)
-	if len(capped.Apps) != 2 || capped.Apps[0].Name != "alpha" || capped.Apps[1].Name != "mid" {
-		t.Fatalf("capped snapshot = %v", capped.Apps)
 	}
 }
 
@@ -109,7 +103,7 @@ func TestLifecycleSnapshotLeavesTiersAlone(t *testing.T) {
 	if before > 2 {
 		t.Fatalf("hot tier holds %d apps despite MaxHotApps 2", before)
 	}
-	snap := svc.LifecycleSnapshot(0, 0)
+	snap := svc.LifecycleSnapshot(0)
 	if len(snap.Apps) != len(apps) {
 		t.Fatalf("snapshot returned %d apps, want %d", len(snap.Apps), len(apps))
 	}
@@ -226,7 +220,7 @@ func TestDriftGateIgnoresResidency(t *testing.T) {
 	// retrain cycle on it.
 	cycle := func(name string, svc *Service) lifecycle.CycleResult {
 		t.Helper()
-		got := svc.LifecycleSnapshot(0, threshold)
+		got := svc.LifecycleSnapshot(threshold)
 		if math.Float64bits(got.MaxDrift) != math.Float64bits(want.MaxDrift) || got.Drifted != want.Drifted || got.Tracked != want.Tracked {
 			t.Fatalf("%s: drift %v/%d/%d, the streams score %v/%d/%d", name,
 				got.MaxDrift, got.Drifted, got.Tracked, want.MaxDrift, want.Drifted, want.Tracked)

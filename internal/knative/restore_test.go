@@ -256,7 +256,7 @@ func TestDropCachedKeepsHistory(t *testing.T) {
 		t.Fatalf("setup: TierCounts = (%d, %d, %d), want (4, 2, 0)", hot, warm, cold)
 	}
 
-	hotNames := lruNames(svc, svc.tier.hot)
+	hotNames := lruNames(svc)
 	svc.dropCached(hotNames[0])
 	svc.dropCached(hotNames[1])
 	if hot, warm, cold := svc.TierCounts(); hot != 2 || warm != 4 || cold != 0 {

@@ -104,11 +104,11 @@ func (rt *ShardRouter) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // proxyApp forwards a per-app request to the shard owning the app and
-// relays its reply, a 421 from a misconfigured shard included.
+// relays its reply, a 421 from a misconfigured shard included. It routes
+// on the unescaped name and forwards the path as the client escaped it.
 func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/apps/")
-	app, _, _ := strings.Cut(rest, "/")
-	if app == "" {
+	app, _, ok := serving.AppPath(r.URL.EscapedPath())
+	if !ok {
 		http.Error(w, "expected /v1/apps/{app}/...", http.StatusNotFound)
 		return
 	}
@@ -131,7 +131,7 @@ func (rt *ShardRouter) proxyApp(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	uri := r.URL.Path
+	uri := r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		uri += "?" + r.URL.RawQuery
 	}

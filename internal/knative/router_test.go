@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -182,6 +183,53 @@ func TestShardRouterBatchOrderPreserved(t *testing.T) {
 		}
 		if res.Error != "" {
 			t.Errorf("result %d: %s", i, res.Error)
+		}
+	}
+}
+
+// TestShardRouterEscapedAppNames sends apps whose names need escaping in
+// a path through a 2-shard router: each is observed once (x/y through a
+// batch, the only way to create it; the others on its escaped per-app
+// path), then read on its escaped target path, then observed through
+// HTTPProvider, then read again. Every step must answer 200 with the
+// app's history, and the app must live on the shard that owns it.
+func TestShardRouterEscapedAppNames(t *testing.T) {
+	svcs, front := newFleet(t, 2)
+	p := &HTTPProvider{BaseURL: front.URL}
+	for _, c := range []struct {
+		name  string
+		batch bool
+	}{{"a b", false}, {"a?b", false}, {"a#b", false}, {"a%b", false}, {"x/y", true}} {
+		path := front.URL + "/v1/apps/" + url.PathEscape(c.name)
+		target := func(want int) {
+			t.Helper()
+			resp, body := doReq(t, "GET", path+"/target?concurrency=2", "")
+			var tr TargetResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(body), &tr) != nil ||
+				tr.App != c.name || tr.History != want {
+				t.Errorf("%q: target = %d %q, want 200 with historyLen %d", c.name, resp.StatusCode, body, want)
+			}
+		}
+		if c.batch {
+			resp, out := postBatchJSON(t, front.URL, marshalBatch(t, BatchObservation{App: c.name, Concurrency: 1}))
+			if resp.StatusCode != http.StatusOK || out.Accepted != 1 || out.Results[0].History != 1 {
+				t.Fatalf("%q: batch = %d %+v", c.name, resp.StatusCode, out)
+			}
+		} else {
+			resp, body := doReq(t, "POST", path+"/observe", `{"concurrency": 1}`)
+			var tr TargetResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(body), &tr) != nil ||
+				tr.App != c.name || tr.History != 1 {
+				t.Errorf("%q: observe = %d %q, want 200 with historyLen 1", c.name, resp.StatusCode, body)
+			}
+		}
+		target(1)
+		if _, ok := p.Target(c.name, 2, 1); !ok {
+			t.Errorf("%q: HTTPProvider.Target failed", c.name)
+		}
+		target(2)
+		if n := svcs[store.ShardOf(c.name, 2)].st.Window(c.name); len(n) != 2 {
+			t.Errorf("%q: owning shard holds %d observations, want 2", c.name, len(n))
 		}
 	}
 }

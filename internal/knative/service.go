@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,7 +119,7 @@ type svcApp struct {
 	due int32
 	// pins counts the requests that hold or wait for the app, guarded by
 	// tier.mu: eviction takes only entries at 0 (see tier.go). It shares
-	// due's word: 112 bytes keep svcApp in the 112-byte size class.
+	// due's word: 96 bytes keep svcApp in the 96-byte size class.
 	pins int32
 	// history is a ring of exactly lookback values for policy's
 	// forecaster (femux.RingTail): value i of the app's history lives at
@@ -128,24 +129,14 @@ type svcApp struct {
 	history []float64
 	n       int
 
-	// observes/targets/forecasts are this app's children of the per-app
-	// counter families, so a batch item costs an atomic add instead of a
-	// label-key lookup. Each is resolved on first use rather than at
-	// materialization (see count), and guarded by mu.
-	observes, targets, forecasts serving.CounterChild
-
-	// hotEl is this app's position in the tier's LRU, guarded by tier.mu.
-	hotEl *lruElem
+	// prev and next link the tier's LRU (prev toward the most recently
+	// touched end), guarded by tier.mu.
+	prev, next *svcApp
 }
 
 // maxObserveBody bounds the observe POST body; real observations are a
 // few dozen bytes, so anything near the cap is a client bug or abuse.
 const maxObserveBody = 1 << 20
-
-// maxAppLabels caps per-app metric cardinality (see InstrumentWith);
-// 10k distinct apps is already past what a dashboard can render, and
-// past it the per-child memory would scale with fleet size.
-const maxAppLabels = 10000
 
 // NewService returns a Service backed by a trained model.
 func NewService(model *femux.Model) *Service {
@@ -175,7 +166,7 @@ func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 		driftBlock: model.Config().BlockSize,
 		tier: tiers{
 			maxHot: opts.MaxHotApps,
-			apps:   map[string]*svcApp{}, hot: newLRUList(),
+			apps:   map[string]*svcApp{},
 		},
 	}
 	s.live.Store(&liveModel{model, modelVersions.Add(1)})
@@ -239,11 +230,7 @@ func (s *Service) countExtract(p *femux.AppPolicy, n int) {
 // borrowed workspace.
 func (s *Service) apply(a *svcApp, ws *forecast.Workspace, c float64, unitC, skip int, sm *ServiceMetrics) (target int, forecaster string) {
 	a.push(c)
-	target, forecaster = s.decide(a, ws, unitC, skip, sm)
-	if sm != nil {
-		a.count(&a.observes, sm.Observes)
-	}
-	return target, forecaster
+	return s.decide(a, ws, unitC, skip, sm)
 }
 
 // decide is the app's scale decision on its history as it stands — one
@@ -315,12 +302,13 @@ func (s *Service) SwapModel(m *femux.Model) {
 }
 
 // ServiceMetrics are the FeMux-semantic metric families exported next to
-// the generic HTTP metrics: per-app observation/decision counters and
-// model metadata.
+// the generic HTTP metrics: observation/decision counters, tier movement
+// and model metadata. No family has an app label: per-app state lives in
+// the tiers, and each reply's historyLen is the app's observation count.
 type ServiceMetrics struct {
-	Observes    *serving.Counter // femux_observations_total{app}
-	Targets     *serving.Counter // femux_targets_total{app}
-	Forecasts   *serving.Counter // femux_forecasts_total{app}
+	Observes    *serving.Counter // femux_observations_total
+	Targets     *serving.Counter // femux_targets_total
+	Forecasts   *serving.Counter // femux_forecasts_total
 	Reloads     *serving.Counter // femux_model_reloads_total
 	ModelInfo   *serving.Gauge   // femux_model_info{default_forecaster,clusters}
 	BatchReqs   *serving.Counter // femux_batch_requests_total
@@ -342,21 +330,12 @@ func (sm *ServiceMetrics) setModelInfo(m *femux.Model) {
 // starts recording. Call once, before serving traffic.
 func (s *Service) InstrumentWith(reg *serving.Registry) *ServiceMetrics {
 	sm := &ServiceMetrics{
-		// Per-app counter families are capped: beyond maxAppLabels apps
-		// the excess folds into one {app="_other"} child. Sums — which is
-		// what the conservation checks scrape — stay exact; only per-app
-		// attribution beyond the cap is lost. Without the cap a
-		// million-app fleet holds metric state per app ever seen, undoing
-		// the tiered bound on serving memory.
 		Observes: reg.NewCounter("femux_observations_total",
-			"Concurrency observations ingested, per application.", "app").
-			LimitCardinality(maxAppLabels),
+			"Concurrency observations ingested."),
 		Targets: reg.NewCounter("femux_targets_total",
-			"Scale-target decisions served, per application.", "app").
-			LimitCardinality(maxAppLabels),
+			"Scale-target decisions served."),
 		Forecasts: reg.NewCounter("femux_forecasts_total",
-			"Raw forecasts served, per application.", "app").
-			LimitCardinality(maxAppLabels),
+			"Raw forecasts served."),
 		Reloads: reg.NewCounter("femux_model_reloads_total",
 			"Model hot-swaps since process start."),
 		ModelInfo: reg.NewGauge("femux_model_info",
@@ -429,18 +408,6 @@ type ForecastResponse struct {
 type QuantileBand struct {
 	Level  float64   `json:"level"`
 	Values []float64 `json:"values"`
-}
-
-// count adds one to the app's child of the per-app family fam, through
-// the handle h cached on the app. The handle is resolved by the first
-// count, not when the app materializes, so the child's line enters the
-// exposition exactly when Inc(a.name) would have created it. Callers hold
-// a.mu.
-func (a *svcApp) count(h *serving.CounterChild, fam *serving.Counter) {
-	if *h == (serving.CounterChild{}) {
-		*h = fam.With(a.name)
-	}
-	h.Inc()
 }
 
 // restore fills a, just installed by acquire and locked, from the store:
@@ -525,8 +492,8 @@ func (s *Service) Handler() http.Handler {
 }
 
 func (s *Service) appsHandler(w http.ResponseWriter, r *http.Request) {
-	name, action, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/apps/"), "/")
-	if !ok || name == "" || strings.Contains(action, "/") {
+	name, action, ok := serving.AppPath(r.URL.EscapedPath())
+	if !ok || strings.Contains(action, "/") {
 		http.Error(w, "expected /v1/apps/{app}/{observe|target|forecast}", http.StatusNotFound)
 		return
 	}
@@ -588,10 +555,10 @@ func (s *Service) targetHandler(w http.ResponseWriter, r *http.Request, name str
 	target, fcName := s.decide(a, ws, unitC, 0, sm)
 	forecast.PutWorkspace(ws)
 	histLen := a.n
-	if sm != nil {
-		a.count(&a.targets, sm.Targets)
-	}
 	s.releaseApp(a)
+	if sm != nil {
+		sm.Targets.Inc()
+	}
 	writeJSON(w, &TargetResponse{
 		App: name, Target: target,
 		Forecaster: fcName, History: histLen,
@@ -641,10 +608,10 @@ func (s *Service) forecastHandler(w http.ResponseWriter, r *http.Request, name s
 	}
 	forecast.PutWorkspace(ws)
 	fcName := a.policy.CurrentForecaster()
-	if sm := s.metrics.Load(); sm != nil {
-		a.count(&a.forecasts, sm.Forecasts)
-	}
 	s.releaseApp(a)
+	if sm := s.metrics.Load(); sm != nil {
+		sm.Forecasts.Inc()
+	}
 	writeJSON(w, ForecastResponse{
 		App: name, Forecaster: fcName,
 		Values: values, Quantiles: bands,
@@ -731,7 +698,7 @@ func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int
 	if client == nil {
 		client = http.DefaultClient
 	}
-	resp, err := client.Post(p.BaseURL+"/v1/apps/"+app+"/observe", "application/json",
+	resp, err := client.Post(p.BaseURL+"/v1/apps/"+url.PathEscape(app)+"/observe", "application/json",
 		bytes.NewReader(body))
 	if err != nil {
 		return 0, false

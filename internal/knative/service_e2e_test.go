@@ -311,9 +311,9 @@ func TestE2EMetricsMatchTraffic(t *testing.T) {
 		`femux_http_requests_total{endpoint="observe",method="POST",code="400"} 1`,
 		fmt.Sprintf(`femux_http_requests_total{endpoint="target",method="GET",code="200"} %d`, targets),
 		fmt.Sprintf(`femux_http_requests_total{endpoint="forecast",method="GET",code="200"} %d`, forecasts),
-		fmt.Sprintf(`femux_observations_total{app="m"} %d`, observes),
-		fmt.Sprintf(`femux_targets_total{app="m"} %d`, targets),
-		fmt.Sprintf(`femux_forecasts_total{app="m"} %d`, forecasts),
+		fmt.Sprintf("\nfemux_observations_total %d\n", observes),
+		fmt.Sprintf("\nfemux_targets_total %d\n", targets),
+		fmt.Sprintf("\nfemux_forecasts_total %d\n", forecasts),
 		`femux_apps 1`,
 		`femux_model_reloads_total 0`,
 		fmt.Sprintf(`femux_model_info{default_forecaster="%s",clusters="%d"} 1`,
@@ -325,6 +325,9 @@ func TestE2EMetricsMatchTraffic(t *testing.T) {
 		if !strings.Contains(body, w) {
 			t.Errorf("metrics missing %q", w)
 		}
+	}
+	if strings.Contains(body, `app="`) {
+		t.Error("a metric family has an app label")
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", body)

@@ -82,7 +82,10 @@ type tiers struct {
 
 	mu   sync.Mutex
 	apps map[string]*svcApp // the hot tier by name
-	hot  *lruList           // most recently touched first
+	// head and tail end the LRU of the hot tier's entries, linked through
+	// svcApp.prev/next: head is the most recently touched. hot counts them.
+	head, tail *svcApp
+	hot        int
 
 	evictions int64 // hot -> warm demotions
 
@@ -105,12 +108,12 @@ func (s *Service) acquire(name string) *svcApp {
 		a = &svcApp{name: name, pins: 1}
 		a.mu.Lock() // before a is published: requests for name wait on it
 		t.apps[name] = a
-		a.hotEl = t.hot.PushFront(a)
+		t.pushFront(a)
 		t.mu.Unlock()
 		s.restore(a)
 		return a
 	}
-	t.hot.MoveToFront(a.hotEl)
+	t.moveToFront(a)
 	a.pins++
 	t.mu.Unlock()
 	a.mu.Lock()
@@ -140,24 +143,62 @@ func (s *Service) releaseApp(apps ...*svcApp) {
 	}
 	var buf [1]*svcApp
 	evicted := buf[:0]
-	for el := t.hot.Back(); el != nil && t.overHot(); {
-		v := el.Value
-		el = el.Prev()
+	for v := t.tail; v != nil && t.overHot(); {
+		prev := v.prev
 		if v.pins == 0 {
 			t.evict(v)
 			evicted = append(evicted, v)
 		}
+		v = prev
 	}
 	t.mu.Unlock()
 	s.demote(evicted)
 }
 
 // overHot reports whether the hot budget is exceeded. Caller holds t.mu.
-func (t *tiers) overHot() bool { return t.maxHot > 0 && t.hot.Len() > t.maxHot }
+func (t *tiers) overHot() bool { return t.maxHot > 0 && t.hot > t.maxHot }
+
+// pushFront links a, not in the LRU, as its most recently touched entry.
+// Caller holds t.mu.
+func (t *tiers) pushFront(a *svcApp) {
+	a.prev, a.next = nil, t.head
+	if t.head != nil {
+		t.head.prev = a
+	} else {
+		t.tail = a
+	}
+	t.head = a
+	t.hot++
+}
+
+// remove unlinks a from the LRU. Caller holds t.mu.
+func (t *tiers) remove(a *svcApp) {
+	if a.prev != nil {
+		a.prev.next = a.next
+	} else {
+		t.head = a.next
+	}
+	if a.next != nil {
+		a.next.prev = a.prev
+	} else {
+		t.tail = a.prev
+	}
+	a.prev, a.next = nil, nil
+	t.hot--
+}
+
+// moveToFront makes a, in the LRU, its most recently touched entry.
+// Caller holds t.mu.
+func (t *tiers) moveToFront(a *svcApp) {
+	if t.head != a {
+		t.remove(a)
+		t.pushFront(a)
+	}
+}
 
 // unlink removes a from the map and the LRU. Caller holds t.mu.
 func (t *tiers) unlink(a *svcApp) {
-	t.hot.Remove(a.hotEl)
+	t.remove(a)
 	delete(t.apps, a.name)
 }
 
@@ -197,7 +238,7 @@ func (s *Service) demote(apps []*svcApp) {
 func (s *Service) HotApps() int {
 	s.tier.mu.Lock()
 	defer s.tier.mu.Unlock()
-	return s.tier.hot.Len()
+	return s.tier.hot
 }
 
 // Evictions reports lifetime hot->warm demotions.

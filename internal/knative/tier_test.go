@@ -36,13 +36,27 @@ func (s *Service) dropCached(name string) {
 	s.demote(evicted)
 }
 
-// lruNames lists one of the tier's LRUs, most recently touched first.
-func lruNames(s *Service, l *lruList) []string {
+// lruNames lists the tier's LRU, most recently touched first.
+func lruNames(s *Service) []string {
 	s.tier.mu.Lock()
 	defer s.tier.mu.Unlock()
-	var names []string
-	for el := l.Front(); el != nil; el = el.Next() {
-		names = append(names, el.Value.name)
+	return lruOrder(&s.tier)
+}
+
+// lruOrder walks t's LRU from the head by next, checks that walking it
+// back from the tail by prev meets the same entries and that t counts
+// them, and returns their names. Caller holds t.mu.
+func lruOrder(t *tiers) []string {
+	var names, back []string
+	for a := t.head; a != nil; a = a.next {
+		names = append(names, a.name)
+	}
+	for a := t.tail; a != nil; a = a.prev {
+		back = append(back, a.name)
+	}
+	slices.Reverse(back)
+	if !slices.Equal(names, back) || len(names) != t.hot {
+		panic(fmt.Sprintf("LRU links disagree: by next %v, by prev reversed %v, count %d", names, back, t.hot))
 	}
 	return names
 }
@@ -125,7 +139,7 @@ func TestBatchOverHotBudget(t *testing.T) {
 	if n, err := svc.observe(items, results); err != nil || n != len(items) {
 		t.Fatalf("observe applied %d of %d: %v", n, len(items), err)
 	}
-	if got := fmt.Sprint(lruNames(svc, svc.tier.hot)); got != "[ob-4 ob-3]" {
+	if got := fmt.Sprint(lruNames(svc)); got != "[ob-4 ob-3]" {
 		t.Fatalf("hot set = %s, want [ob-4 ob-3]", got)
 	}
 	if ev := svc.Evictions(); ev != 3 {
@@ -270,37 +284,43 @@ func TestTierCountsAnomaly(t *testing.T) {
 	}
 }
 
-// TestLRUList covers the typed intrusive list against the container/list
-// behavior it replaced.
+// TestLRUList covers the tier's intrusive LRU: push-front, move-to-front
+// from the back, the middle and the front, and remove from each position,
+// with the links checked both ways after every step.
 func TestLRUList(t *testing.T) {
-	l := newLRUList()
+	var l tiers
 	mk := func(name string) *svcApp { return &svcApp{name: name} }
-	ea := l.PushFront(mk("a"))
-	eb := l.PushFront(mk("b"))
-	ec := l.PushFront(mk("c"))
-	if l.Len() != 3 || l.Front() != ec || l.Back() != ea {
-		t.Fatalf("push: len=%d front=%v back=%v", l.Len(), l.Front().Value.name, l.Back().Value.name)
+	step := func(what, want string) {
+		t.Helper()
+		if got := fmt.Sprint(lruOrder(&l)); got != want {
+			t.Fatalf("after %s: %s, want %s", what, got, want)
+		}
 	}
-	l.MoveToFront(ea)
-	if l.Front() != ea || l.Back() != eb {
-		t.Fatal("MoveToFront(back) broke order")
+	step("nothing", "[]")
+	a, b, c, d := mk("a"), mk("b"), mk("c"), mk("d")
+	for _, x := range []*svcApp{a, b, c, d} {
+		l.pushFront(x)
 	}
-	l.MoveToFront(ea) // already front: no-op
-	var order []string
-	for e := l.Front(); e != nil; e = e.Next() {
-		order = append(order, e.Value.name)
+	step("push", "[d c b a]")
+	l.moveToFront(a)
+	step("moveToFront(back)", "[a d c b]")
+	l.moveToFront(c)
+	step("moveToFront(middle)", "[c a d b]")
+	l.moveToFront(c)
+	step("moveToFront(front)", "[c a d b]")
+	l.remove(a)
+	step("remove(middle)", "[c d b]")
+	l.remove(b)
+	step("remove(back)", "[c d]")
+	l.remove(c)
+	step("remove(front)", "[d]")
+	l.remove(d)
+	step("remove(last)", "[]")
+	if l.head != nil || l.tail != nil {
+		t.Fatal("an empty LRU keeps an end")
 	}
-	if fmt.Sprint(order) != "[a c b]" {
-		t.Fatalf("iteration order %v, want [a c b]", order)
-	}
-	l.Remove(eb)
-	if l.Len() != 2 || l.Front() != ea || l.Back() != ec {
-		t.Fatal("Remove broke order")
-	}
-	l.Init()
-	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
-		t.Fatal("Init did not empty the list")
-	}
+	l.pushFront(b)
+	step("push after empty", "[b]")
 }
 
 // TestUnknownAppsLeaveNoHotState sends target and forecast reads for

@@ -142,7 +142,7 @@ func testTieredForecastsBitIdentical(t *testing.T, memory bool) {
 		// Drift is scored from the store's windows, so the tiered
 		// service's summary, across every evict/page/compact/restore/
 		// restart, must be Float64bits-identical to the reference's.
-		dr, dt := ref.svc.LifecycleSnapshot(0, 0.5), tiered.svc.LifecycleSnapshot(0, 0.5)
+		dr, dt := ref.svc.LifecycleSnapshot(0.5), tiered.svc.LifecycleSnapshot(0.5)
 		if math.Float64bits(dr.MaxDrift) != math.Float64bits(dt.MaxDrift) || dr.Drifted != dt.Drifted || dr.Tracked != dt.Tracked {
 			t.Fatalf("%s: tiered drift %v/%d/%d, reference %v/%d/%d", when,
 				dt.MaxDrift, dt.Drifted, dt.Tracked, dr.MaxDrift, dr.Drifted, dr.Tracked)

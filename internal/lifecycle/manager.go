@@ -42,10 +42,9 @@ type Snapshot struct {
 // *knative.Service implements it; tests and the offline regime-change
 // study substitute their own.
 type Serving interface {
-	// LifecycleSnapshot captures the retrain inputs. maxApps > 0 bounds
-	// how many windows are returned (smallest names first, so the cap is
-	// deterministic); driftThreshold feeds the Drifted count.
-	LifecycleSnapshot(maxApps int, driftThreshold float64) Snapshot
+	// LifecycleSnapshot captures the retrain inputs; driftThreshold
+	// feeds the Drifted count.
+	LifecycleSnapshot(driftThreshold float64) Snapshot
 	// SwapModel atomically replaces the serving model.
 	SwapModel(*femux.Model)
 }
@@ -66,8 +65,6 @@ type Config struct {
 	// Negative values promote even slightly-worse candidates (useful in
 	// smoke tests, dangerous in production).
 	MinImprove float64
-	// MaxApps bounds how many apps are pulled into a retrain (0 = all).
-	MaxApps int
 	// Workers is the candidate training parallelism (0 = one per CPU).
 	Workers int
 	// Seed seeds candidate training; for a fixed seed and snapshot the
@@ -249,7 +246,7 @@ func (m *Manager) RunCycle() CycleResult {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 
-	snap := m.sv.LifecycleSnapshot(m.cfg.MaxApps, m.cfg.DriftThreshold)
+	snap := m.sv.LifecycleSnapshot(m.cfg.DriftThreshold)
 	res := CycleResult{
 		MaxDrift: snap.MaxDrift, Drifted: snap.Drifted, Tracked: snap.Tracked,
 	}

@@ -27,15 +27,10 @@ type fakeServing struct {
 	swaps   int
 }
 
-func (f *fakeServing) LifecycleSnapshot(maxApps int, driftThreshold float64) Snapshot {
+func (f *fakeServing) LifecycleSnapshot(driftThreshold float64) Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ws := f.windows
-	if maxApps > 0 && len(ws) > maxApps {
-		ws = ws[:maxApps]
-	}
-	snap := SnapshotFromWindows(f.model, ws, testBlock, driftThreshold)
-	return snap
+	return SnapshotFromWindows(f.model, f.windows, testBlock, driftThreshold)
 }
 
 func (f *fakeServing) SwapModel(m *femux.Model) {

@@ -51,12 +51,6 @@ type family struct {
 	children map[string]*child
 	order    []string
 	fn       func() float64 // value callback (single-child gauges/counters)
-
-	// maxChildren, when > 0, caps the number of distinct label sets; the
-	// excess folds into one overflow child whose label values all render
-	// as "_other". Family sums stay exact — only attribution is lost.
-	maxChildren int
-	overflow    *child
 }
 
 type child struct {
@@ -65,8 +59,7 @@ type child struct {
 	// counter/gauge value as float64 bits.
 	valBits atomic.Uint64
 
-	// hist is set in histogram children only: a per-app counter family
-	// holds one child per app, so its children carry no histogram state.
+	// hist is set in histogram children only.
 	hist *histState
 }
 
@@ -114,11 +107,6 @@ func (r *Registry) OnScrape(fn func()) {
 // valid UTF-8 label values produced by this codebase.
 func labelKey(values []string) string { return strings.Join(values, "\xff") }
 
-// overflowKey is the children-map key of the cardinality-overflow child.
-// It cannot collide with a real label set: \xff never appears in valid
-// UTF-8 label values, so no joined key is the bare separator pair.
-const overflowKey = "\xff\xff"
-
 func renderLabelPairs(names, values []string) string {
 	if len(names) == 0 {
 		return ""
@@ -161,23 +149,6 @@ func (f *family) child(labelValues []string) *child {
 	if c = f.children[key]; c != nil {
 		return c
 	}
-	if f.maxChildren > 0 && len(f.children) >= f.maxChildren {
-		// At the cardinality cap: fold this label set into the overflow
-		// child instead of allocating per-value state. A million-app
-		// fleet would otherwise hold a child (map entry, key, rendered
-		// labels, value) per app ever seen — per-app serving state is
-		// tiered and bounded, so the metrics must be too.
-		if f.overflow == nil {
-			other := make([]string, len(f.labelNames))
-			for i := range other {
-				other[i] = "_other"
-			}
-			f.overflow = f.newChild(other)
-			f.children[overflowKey] = f.overflow
-			f.order = append(f.order, overflowKey)
-		}
-		return f.overflow
-	}
 	c = f.newChild(labelValues)
 	f.children[key] = c
 	f.order = append(f.order, key)
@@ -198,14 +169,6 @@ func (f *family) reset() {
 	f.mu.Lock()
 	f.children = map[string]*child{}
 	f.order = nil
-	f.overflow = nil
-	f.mu.Unlock()
-}
-
-// limitCardinality sets the family's distinct-label-set cap.
-func (f *family) limitCardinality(n int) {
-	f.mu.Lock()
-	f.maxChildren = n
 	f.mu.Unlock()
 }
 
@@ -233,10 +196,9 @@ func (c *Counter) Add(delta float64, labelValues ...string) { c.With(labelValues
 // With resolves labelValues once and returns a handle on that child, for
 // callers that update the same label set many times: a handle's Inc skips
 // the key join and map lookup Counter.Inc pays per call. The child is the
-// one Inc(labelValues...) would have used at this moment — created now if
-// new, the "_other" child if the family is at its LimitCardinality cap —
-// so resolving early versus late changes nothing a scrape can see except
-// when the child's first line appears.
+// one Inc(labelValues...) would use, created now if new, so resolving
+// early versus late changes nothing a scrape can see except when the
+// child's first line appears.
 func (c *Counter) With(labelValues ...string) CounterChild {
 	return CounterChild{c.fam.child(labelValues)}
 }
@@ -260,15 +222,6 @@ func (h CounterChild) Add(delta float64) {
 // Value reads the current value of one child (testing and self-checks).
 func (c *Counter) Value(labelValues ...string) float64 {
 	return math.Float64frombits(c.fam.child(labelValues).valBits.Load())
-}
-
-// LimitCardinality caps the number of distinct label sets this counter
-// tracks; increments beyond the cap fold into a single child labeled
-// "_other", keeping Sum exact while bounding memory on per-app families.
-// Returns the counter for call chaining at registration sites.
-func (c *Counter) LimitCardinality(n int) *Counter {
-	c.fam.limitCardinality(n)
-	return c
 }
 
 // Sum returns the sum across all children (testing and self-checks).

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -192,49 +191,15 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
-// TestCounterCardinalityCap: past the cap, new label values fold into
-// one {app="_other"} child — the family's sum stays exact (that is what
-// femux-load's conservation checks scrape), memory stays bounded, and
-// pre-cap children keep exact per-value attribution.
-func TestCounterCardinalityCap(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.NewCounter("capped_total", "test.", "app").LimitCardinality(3)
-	for i := 0; i < 50; i++ {
-		c.Add(2, fmt.Sprintf("app-%d", i%10))
-	}
-	if got := c.Sum(); got != 100 {
-		t.Fatalf("Sum = %v, want 100 (folding must not lose counts)", got)
-	}
-	// 5 increments each for app-0..app-2, the remaining 7 apps folded.
-	for i := 0; i < 3; i++ {
-		if got := c.Value(fmt.Sprintf("app-%d", i)); got != 10 {
-			t.Errorf("app-%d = %v, want 10", i, got)
-		}
-	}
-	body := scrape(t, reg)
-	if !strings.Contains(body, `capped_total{app="_other"} 70`) {
-		t.Errorf("scrape missing folded overflow child:\n%s", body)
-	}
-	if strings.Contains(body, `app="app-5"`) {
-		t.Errorf("scrape leaked a beyond-cap child:\n%s", body)
-	}
-	// The cap counts real children; the overflow child itself must not
-	// consume a slot and re-increments of pre-cap values stay attributed.
-	c.Inc("app-1")
-	if got := c.Value("app-1"); got != 11 {
-		t.Errorf("app-1 after cap = %v, want 11", got)
-	}
-}
-
 // TestWithHandlesSameExposition: updating through With handles and
 // through label values is one operation spelled two ways — the same
-// children in the same order with the same values, folded into "_other"
-// at the same point — so the two scrapes are byte-identical.
+// children in the same order with the same values — so the two scrapes
+// are byte-identical.
 func TestWithHandlesSameExposition(t *testing.T) {
 	apps := []string{"a", "b", "a", "c", "d", "b", `e"quoted`, "a"}
 	byValues, byHandles := NewRegistry(), NewRegistry()
 	{
-		c := byValues.NewCounter("femux_obs_total", "obs.", "app").LimitCardinality(3)
+		c := byValues.NewCounter("femux_obs_total", "obs.", "app")
 		h := byValues.NewHistogram("femux_lat_seconds", "lat.", []float64{0.1, 1}, "endpoint")
 		for i, app := range apps {
 			c.Inc(app)
@@ -243,7 +208,7 @@ func TestWithHandlesSameExposition(t *testing.T) {
 		}
 	}
 	{
-		c := byHandles.NewCounter("femux_obs_total", "obs.", "app").LimitCardinality(3)
+		c := byHandles.NewCounter("femux_obs_total", "obs.", "app")
 		h := byHandles.NewHistogram("femux_lat_seconds", "lat.", []float64{0.1, 1}, "endpoint")
 		counters, hists := map[string]CounterChild{}, map[string]HistogramChild{}
 		for i, app := range apps {
@@ -254,26 +219,22 @@ func TestWithHandlesSameExposition(t *testing.T) {
 			counters[app].Add(float64(i))
 			hists[app].Observe(float64(i) / 4)
 		}
-		if counters["a"] != c.With("a") || counters["d"] != counters[`e"quoted`] {
-			t.Error("With must return the child Inc uses: the same one per label set, one overflow child past the cap")
+		if counters["a"] != c.With("a") || counters["d"] == counters[`e"quoted`] {
+			t.Error("With must return the child Inc uses: the same one per label set, a distinct one per set")
 		}
 	}
 	want, got := scrape(t, byValues), scrape(t, byHandles)
 	if got != want {
 		t.Errorf("exposition differs:\nby label values:\n%s\nby handles:\n%s", want, got)
 	}
-	if !strings.Contains(want, `femux_obs_total{app="_other"} `) {
-		t.Errorf("the cap was never reached, the overflow path went untested:\n%s", want)
-	}
 }
 
 // TestExpositionGolden pins the text a registry of every kind renders —
-// labelled and unlabelled counters and gauges, callback families,
-// histograms, and overflow children of a capped counter and a capped
-// histogram — to testdata/exposition.golden, byte for byte.
+// labelled and unlabelled counters and gauges, callback families and
+// histograms — to testdata/exposition.golden, byte for byte.
 func TestExpositionGolden(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("femux_golden_requests_total", "Requests by app.", "app", "code").LimitCardinality(2)
+	c := reg.NewCounter("femux_golden_requests_total", "Requests by app.", "app", "code")
 	for i, app := range []string{"a", "b", "c", "d", "a"} {
 		c.Add(float64(i)+0.5, app, "200")
 	}
@@ -287,9 +248,8 @@ func TestExpositionGolden(t *testing.T) {
 	reg.NewGaugeFunc("femux_golden_fn", "A callback gauge.", func() float64 { return 42 })
 	reg.NewCounterFunc("femux_golden_fn_total", "A callback counter.", func() float64 { return 7 })
 	h := reg.NewHistogram("femux_golden_seconds", "Latency by endpoint.", []float64{0.01, 0.1, 1}, "endpoint")
-	h.fam.limitCardinality(2)
 	for i, v := range []float64{0.005, 0.05, 0.5, 5, 0.1, 1e-9, 2} {
-		h.Observe(v, []string{"observe", "target", "forecast", "admin"}[i%4])
+		h.Observe(v, []string{"observe", "target", "_other", "_other"}[i%4])
 	}
 	reg.NewHistogram("femux_golden_default_seconds", "Default buckets, one child.", nil).Observe(0.003)
 
@@ -302,9 +262,9 @@ func TestExpositionGolden(t *testing.T) {
 	}
 }
 
-// TestCounterChildCarriesNoHistogram: a per-app counter family holds a
-// child per app, so a counter or gauge child is its label pairs, its
-// value and one nil pointer — 32 bytes on a 64-bit target.
+// TestCounterChildCarriesNoHistogram: a counter or gauge child is its
+// label pairs, its value and one nil pointer — 32 bytes on a 64-bit
+// target.
 func TestCounterChildCarriesNoHistogram(t *testing.T) {
 	if got := unsafe.Sizeof(child{}); got > 32 {
 		t.Errorf("a counter child takes %d bytes, want at most 32", got)

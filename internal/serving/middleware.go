@@ -3,6 +3,7 @@ package serving
 import (
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,8 +41,28 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// EndpointLabel collapses a request path into a bounded-cardinality metric
-// label: app names never leak into the endpoint dimension.
+// AppPath splits the escaped path of a per-app request (URL.EscapedPath),
+// /v1/apps/{app}/{action}, into the unescaped app name and the rest of the
+// path after the name, so that a name holding a '/', '?', '#' or '%'
+// survives the round trip through url.PathEscape. ok is false for any
+// other path, a name that is empty or does not unescape, or no slash
+// after the name.
+func AppPath(escaped string) (app, action string, ok bool) {
+	rest, ok := strings.CutPrefix(escaped, "/v1/apps/")
+	if !ok {
+		return "", "", false
+	}
+	seg, action, ok := strings.Cut(rest, "/")
+	app, err := url.PathUnescape(seg)
+	if !ok || err != nil || app == "" {
+		return "", "", false
+	}
+	return app, action, true
+}
+
+// EndpointLabel collapses a request's escaped path (URL.EscapedPath) into
+// a bounded-cardinality metric label: app names never leak into the
+// endpoint dimension.
 func EndpointLabel(path string) string {
 	switch {
 	case path == "/healthz":
@@ -61,9 +82,8 @@ func EndpointLabel(path string) string {
 		}
 		return "admin_other"
 	case strings.HasPrefix(path, "/v1/apps/"):
-		rest := strings.TrimPrefix(path, "/v1/apps/")
-		if i := strings.IndexByte(rest, '/'); i >= 0 && i+1 < len(rest) {
-			switch action := rest[i+1:]; action {
+		if _, action, ok := AppPath(path); ok {
+			switch action {
 			case "observe", "target", "forecast":
 				return action
 			}
@@ -160,7 +180,7 @@ func (m *HTTPMetrics) Instrument(next http.Handler) http.Handler {
 		if !ok {
 			sw = &statusWriter{ResponseWriter: w}
 		}
-		endpoint := EndpointLabel(r.URL.Path)
+		endpoint := EndpointLabel(r.URL.EscapedPath())
 		m.InFlight.Add(1)
 		start := time.Now()
 		next.ServeHTTP(sw, r)

@@ -34,6 +34,10 @@ func TestEndpointLabel(t *testing.T) {
 		"/v1/apps/foo/whatever":    "apps_other",
 		"/v1/apps/":                "apps_other",
 		"/v1/apps/secret-app-name": "apps_other",
+		"/v1/apps/x%2Fy/observe":   "observe",
+		"/v1/apps/a%3Fb/target":    "target",
+		"/v1/apps/a%zz/observe":    "apps_other",
+		"/v1/apps//observe":        "apps_other",
 		"/anything/else":           "other",
 	}
 	for path, want := range cases {
