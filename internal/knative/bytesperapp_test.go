@@ -2,6 +2,7 @@ package knative
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -58,32 +59,39 @@ func liveHeap() uint64 {
 
 // BenchmarkBytesPerApp reports the live heap each app of a 1,000-app
 // fleet adds to a metrics-instrumented service, per tier, at 300 and
-// 1,440 values of history (seeded app-major, then one observe each):
+// 1,440 values of history (seeded app-major, then one observe each), in
+// two value shapes:
 //
 //	hot   every app keeps its serving state (MaxHotApps unlimited)
 //	warm  16 hot slots: the rest hold only their store window
 //	cold  16 hot slots and 16 inline windows on a disk store: the rest
 //	      hold a page stub
 //
-// Values are quarters below a per-app scale of 1-16, quantised as the
-// bench's hot fleets are. The metric is B/app; the timings measure
-// nothing.
+//	quarters     quarters below a per-app scale of 1-16, quantised as
+//	             the bench's hot fleets are
+//	thousandths  a per-app level of 0.2-2.2 with a ±25% wobble, rounded
+//	             to thousandths as femux-load and the bench's sparse
+//	             fleet send them
+//
+// The metric is B/app; the timings measure nothing.
 func BenchmarkBytesPerApp(b *testing.B) {
 	model := trainDefaultGeometryModel(b)
 	for _, tier := range []string{"hot", "warm", "cold"} {
 		for _, n := range []int{300, 1440} {
-			b.Run(fmt.Sprintf("%s/%d", tier, n), func(b *testing.B) {
-				var perApp float64
-				for range b.N {
-					perApp = bytesPerApp(b, model, tier, n)
-				}
-				b.ReportMetric(perApp, "B/app")
-			})
+			for _, shape := range []string{"quarters", "thousandths"} {
+				b.Run(fmt.Sprintf("%s/%d/%s", tier, n, shape), func(b *testing.B) {
+					var perApp float64
+					for range b.N {
+						perApp = bytesPerApp(b, model, tier, n, shape == "thousandths")
+					}
+					b.ReportMetric(perApp, "B/app")
+				})
+			}
 		}
 	}
 }
 
-func bytesPerApp(b *testing.B, model *femux.Model, tier string, n int) float64 {
+func bytesPerApp(b *testing.B, model *femux.Model, tier string, n int, thousandths bool) float64 {
 	const apps = 1000
 	so := ServiceOptions{}
 	if tier != "hot" {
@@ -110,8 +118,15 @@ func bytesPerApp(b *testing.B, model *femux.Model, tier string, n int) float64 {
 	base := liveHeap()
 	for _, app := range names {
 		scale := 1 + rng.Intn(16)
+		level := 0.2 + 2*float64(scale-1)/15
 		for i := range obs {
-			obs[i] = store.Observation{App: app, Concurrency: float64(rng.Intn(4*scale)) / 4}
+			var v float64
+			if thousandths {
+				v = math.Round(level*(0.75+0.5*rng.Float64())*1000) / 1000
+			} else {
+				v = float64(rng.Intn(4*scale)) / 4
+			}
+			obs[i] = store.Observation{App: app, Concurrency: v}
 		}
 		if err := st.AppendBatch(obs); err != nil {
 			b.Fatal(err)

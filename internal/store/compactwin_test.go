@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -133,26 +134,77 @@ func assertChunksBounded(t *testing.T, cw *CompactWindow, what string) {
 	}
 }
 
-// TestRawChunksWhereDeltasDoNotPay: a thousandth-valued window is stored
-// raw, 8 bytes a value plus a 2-byte marker per chunk, while a
-// quarter-valued one never converts and keeps the bytes the delta-only
-// encoder wrote.
+// chunkKinds reports each chunk's kind and, for a decimal chunk, its
+// exponent, as the stream's markers say.
+func chunkKinds(cw *CompactWindow) (kinds []chunkKind, exps []uint8) {
+	for c, start := range cw.starts {
+		end := len(cw.buf)
+		if c+1 < len(cw.starts) {
+			end = int(cw.starts[c+1])
+		}
+		body := cw.buf[start+8 : end]
+		switch {
+		case bytes.HasPrefix(body, []byte(cwRawMarker)):
+			kinds, exps = append(kinds, chunkRaw), append(exps, 0)
+		case bytes.HasPrefix(body, []byte(cwDecimalMarker)):
+			kinds, exps = append(kinds, chunkDecimal), append(exps, body[2])
+		default:
+			kinds, exps = append(kinds, chunkDelta), append(exps, 0)
+		}
+	}
+	return kinds, exps
+}
+
+// randomWindow is n values that fill their mantissas and are decimal at
+// no exponent the codec tries.
+func randomWindow(n int) []float64 {
+	rng := rand.New(rand.NewSource(int64(n)))
+	win := make([]float64, n)
+	for i := range win {
+		win[i] = rng.Float64()
+	}
+	return win
+}
+
+// TestRawChunksWhereDeltasDoNotPay: a quarter-valued window never
+// converts and keeps the bytes the delta-only encoder wrote; a
+// thousandth-valued one is stored in decimal chunks at exponent 3; and a
+// window of values decimal at no exponent is stored raw, 8 bytes a value
+// plus a 2-byte marker per chunk.
 func TestRawChunksWhereDeltasDoNotPay(t *testing.T) {
 	for _, n := range []int{5, cwChunkLen - 1, cwChunkLen, cwChunkLen + 5, 300} {
 		dyadic := benchWindow(n, true)
-		if got, head := compactWindowOf(dyadic), headCompactWindowOf(dyadic); !bytes.Equal(got.buf, head.buf) || got.raw {
-			t.Fatalf("dyadic/%d: %d bytes (raw=%v), the delta-only encoder wrote %d", n, len(got.buf), got.raw, len(head.buf))
+		if got, head := compactWindowOf(dyadic), headCompactWindowOf(dyadic); !bytes.Equal(got.buf, head.buf) || got.kind != chunkDelta {
+			t.Fatalf("dyadic/%d: %d bytes (kind %d), the delta-only encoder wrote %d", n, len(got.buf), got.kind, len(head.buf))
 		}
-		cw := compactWindowOf(benchWindow(n, false))
-		if want := 8*n + 2*len(cw.starts); len(cw.buf) != want || !cw.raw {
-			t.Fatalf("nondyadic/%d: %d bytes (raw=%v), want %d", n, len(cw.buf), cw.raw, want)
+
+		thousandths := benchWindow(n, false)
+		cw := compactWindowOf(thousandths)
+		kinds, exps := chunkKinds(&cw)
+		for c, kind := range kinds {
+			if kind != chunkDecimal || exps[c] != 3 {
+				t.Fatalf("thousandths/%d: chunk %d of kind %d at exponent %d, want decimal at 3", n, c, kind, exps[c])
+			}
 		}
-		assertChunksBounded(t, &cw, fmt.Sprintf("nondyadic/%d", n))
-		assertBitIdentical(t, cw.Values(nil), benchWindow(n, false), fmt.Sprintf("nondyadic/%d", n))
+		// 11 bytes of head, marker and exponent a chunk, then at most 3
+		// bytes a value: the differences of m in [0, 20000) fit 16 bits.
+		if limit := 11*len(cw.starts) + 3*(n-len(cw.starts)); len(cw.buf) > limit || cw.kind != chunkDecimal || cw.exp != 3 {
+			t.Fatalf("thousandths/%d: %d bytes (kind %d, exponent %d), want at most %d", n, len(cw.buf), cw.kind, cw.exp, limit)
+		}
+		assertChunksBounded(t, &cw, fmt.Sprintf("thousandths/%d", n))
+		assertBitIdentical(t, cw.Values(nil), thousandths, fmt.Sprintf("thousandths/%d", n))
+
+		random := randomWindow(n)
+		cw = compactWindowOf(random)
+		if want := 8*n + 2*len(cw.starts); len(cw.buf) != want || cw.kind != chunkRaw {
+			t.Fatalf("random/%d: %d bytes (kind %d), want %d", n, len(cw.buf), cw.kind, want)
+		}
+		assertChunksBounded(t, &cw, fmt.Sprintf("random/%d", n))
+		assertBitIdentical(t, cw.Values(nil), random, fmt.Sprintf("random/%d", n))
 	}
 	// The bound holds after every Append, before a chunk converts too.
 	rng := rand.New(rand.NewSource(4))
-	for _, seq := range append(cwTestSequences(rng), benchWindow(300, false)) {
+	for _, seq := range append(cwTestSequences(rng), benchWindow(300, false), randomWindow(300)) {
 		var cw CompactWindow
 		for i, v := range seq {
 			cw.Append(v)
@@ -161,9 +213,172 @@ func TestRawChunksWhereDeltasDoNotPay(t *testing.T) {
 	}
 }
 
+// TestDecimalChunks walks a decimal chunk through each step of the
+// writer's policy: a delta chunk that would go raw becomes decimal at the
+// smallest exponent that holds every value so far; a value that needs a
+// larger exponent re-encodes the chunk at the smallest one that holds
+// them all; a value decimal at no exponent, or one that would make the
+// chunk cost more than raw, turns it raw; and a full chunk starts the next
+// as deltas. Each step decodes bit for bit, through Values and through a
+// serialization round trip.
+func TestDecimalChunks(t *testing.T) {
+	type step struct {
+		vals []float64
+		kind chunkKind
+		exp  uint8
+	}
+	thousandths := []float64{0.137, 0.291, 0.513}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"exponent growth", []step{
+			{thousandths, chunkDecimal, 3}, // the third value would turn the chunk raw
+			{[]float64{0.25}, chunkDecimal, 3},
+			{[]float64{0.0001}, chunkDecimal, 4},
+			{[]float64{1.5, 2, 0.3}, chunkDecimal, 4},
+			{[]float64{0.00025}, chunkDecimal, 5},
+			{[]float64{1e-15}, chunkDecimal, 15},
+			{[]float64{math.Nextafter(0.3, 1)}, chunkRaw, 0}, // 0.30000000000000004: past cwMaxExp
+			{[]float64{0.137}, chunkRaw, 0},
+		}},
+		{"smallest exponent of every value", []step{
+			{[]float64{0.5, 0.25, 1.5}, chunkDelta, 0}, // few mantissa bits: short deltas
+			{[]float64{0.1, 0.3, 0.7, 0.9, 0.3, 0.7, 0.1, 0.9}, chunkDelta, 0},
+			// The deltas now cost more than raw. Every value since 0.25 is
+			// decimal at 10^-1, but 0.25 is not.
+			{[]float64{0.3}, chunkDecimal, 2},
+		}},
+		{"next chunk", []step{
+			{thousandths, chunkDecimal, 3},
+			{sparseBenchValues(rand.New(rand.NewSource(1)), cwChunkLen-3), chunkDecimal, 3},
+			{[]float64{5}, chunkDelta, 0}, // the head of the second chunk
+			{[]float64{0.137}, chunkDelta, 0},
+			{[]float64{0.291}, chunkDecimal, 3},
+		}},
+		{"-0", []step{{thousandths, chunkDecimal, 3}, {[]float64{math.Copysign(0, -1)}, chunkRaw, 0}}},
+		{"NaN", []step{{thousandths, chunkDecimal, 3}, {[]float64{math.NaN()}, chunkRaw, 0}}},
+		{"-Inf", []step{{thousandths, chunkDecimal, 3}, {[]float64{math.Inf(-1)}, chunkRaw, 0}}},
+		{"subnormal", []step{{thousandths, chunkDecimal, 3}, {[]float64{math.SmallestNonzeroFloat64}, chunkRaw, 0}}},
+		{"2^53-1", []step{
+			// An integer, but its m at 10^3 is past 2^53, and 0.137 is not
+			// decimal at 10^0.
+			{thousandths, chunkDecimal, 3},
+			{[]float64{1<<53 - 1}, chunkRaw, 0},
+		}},
+		{"decimal costs more than raw", []step{
+			// Decimal at 10^0, but each difference is an 8-byte uvarint:
+			// with the exponent byte that is one byte past the raw form.
+			{[]float64{1<<53 - 1, 3, 1<<53 - 991}, chunkRaw, 0},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cw CompactWindow
+			var want []float64
+			for i, st := range tc.steps {
+				for _, v := range st.vals {
+					cw.Append(v)
+				}
+				want = append(want, st.vals...)
+				what := fmt.Sprintf("step %d", i)
+				if cw.kind != st.kind || cw.exp != st.exp {
+					t.Fatalf("%s: chunk of kind %d at exponent %d, want kind %d at %d", what, cw.kind, cw.exp, st.kind, st.exp)
+				}
+				assertChunksBounded(t, &cw, what)
+				assertBitIdentical(t, cw.Values(nil), want, what)
+				dec, vals, err := decodeCompactWindow(cw.appendEncoded(nil), cwWindow|cwValues)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				assertBitIdentical(t, vals, want, what+": decoded")
+				if dec.kind != cw.kind || dec.exp != cw.exp || dec.prev != cw.prev || dec.tail != cw.tail {
+					t.Fatalf("%s: decoded window %+v, appended %+v", what, dec, cw)
+				}
+			}
+		})
+	}
+}
+
+// decimalImage is the appendEncoded image of one decimal chunk, written
+// by hand: head, marker, exponent e and the differences of m given.
+func decimalImage(head float64, e byte, diffs ...int64) []byte {
+	stream := binary.LittleEndian.AppendUint64(nil, math.Float64bits(head))
+	stream = append(append(stream, cwDecimalMarker...), e)
+	for _, d := range diffs {
+		stream = binary.AppendUvarint(stream, zigzag(d))
+	}
+	enc := binary.AppendUvarint(nil, uint64(1+len(diffs)))
+	return append(binary.AppendUvarint(enc, uint64(len(stream))), stream...)
+}
+
+// TestDecimalChunkRejectsCorruption: a decimal chunk Append never writes
+// fails to decode: an exponent past cwMaxExp, a head that is not decimal
+// at the exponent, an m at 2^53, or a last value whose m is not the one
+// its bits give.
+func TestDecimalChunkRejectsCorruption(t *testing.T) {
+	image := decimalImage
+	if _, vals, err := decodeCompactWindow(image(0.137, 3, 154, -1), cwValues); err != nil {
+		t.Fatalf("a valid decimal chunk: %v", err)
+	} else {
+		assertBitIdentical(t, vals, []float64{0.137, 0.291, 0.29}, "a valid decimal chunk")
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"exponent 16", image(0.137, 16, 1)},
+		{"exponent 255", image(0.137, 255, 1)},
+		{"head not decimal", image(math.Pi, 3, 1)},
+		{"head -0", image(math.Copysign(0, -1), 3, 1)},
+		{"head NaN", image(math.NaN(), 3, 1)},
+		{"m at 2^53", image(0, 0, 1<<53)},
+		{"m at -2^53", image(0, 0, -1<<53)},
+		{"m wraps", image(1, 0, math.MaxInt64)},
+	} {
+		for _, mode := range []cwMode{cwWindow, cwValues, cwWindow | cwValues} {
+			if _, _, err := decodeCompactWindow(tc.enc, mode); err == nil {
+				t.Errorf("%s: mode %d decoded", tc.name, mode)
+			}
+		}
+	}
+	// Near 2^53 at 10^-2 two m give one float: only the m its bits give
+	// may end a chunk, since Append takes the last m from the last value.
+	refused := 0
+	for _, m := range []int64{1<<53 - 2, 1<<53 - 1} {
+		_, _, err := decodeCompactWindow(image(0, 2, m), cwWindow)
+		if again, ok := decimalAt(float64(m)/100, 2); !ok || again != m {
+			refused++
+			if err == nil {
+				t.Errorf("m %d, whose value gives m %d, decoded", m, again)
+			}
+		} else if err != nil {
+			t.Errorf("m %d: %v", m, err)
+		}
+	}
+	if refused == 0 {
+		t.Error("neither m is refused: the case tests nothing")
+	}
+}
+
+// TestThousandthsWindowBytes bounds what a 300-value window of
+// femux-load's traffic costs encoded: a per-app level with a ±25% wobble,
+// rounded to thousandths, in decimal chunks instead of 8 bytes a value.
+func TestThousandthsWindowBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for app := 0; app < 20; app++ {
+		vals := sparseBenchValues(rng, 300)
+		cw := compactWindowOf(vals)
+		if got := len(cw.appendEncoded(nil)); got > 700 {
+			t.Errorf("app %d: 300 thousandths encode to %d bytes, want at most 700", app, got)
+		}
+		assertBitIdentical(t, cw.Values(nil), vals, fmt.Sprintf("app %d", app))
+	}
+}
+
 // FuzzCompactWindowRoundTrip runs a program of Append, appendEncoded and
 // decode steps, one per input byte, over the values the codec must keep
-// bit-exact: dyadic values, thousandths, -0, NaN payloads and ±Inf.
+// bit-exact: dyadic values, thousandths, decimals of up to 15 places,
+// values decimal at none, -0, NaN payloads and ±Inf.
 // After every decode and at the end the window holds exactly the values
 // appended, and no chunk is larger than its raw form.
 func FuzzCompactWindowRoundTrip(f *testing.F) {
@@ -178,6 +393,7 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 	specials := []float64{
 		0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
 		math.Float64frombits(0xfff0000000000123), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 1.0 / 3, // decimal at no exponent
 	}
 	modes := []cwMode{cwWindow, cwValues, cwWindow | cwValues}
 
@@ -208,8 +424,8 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 				for i := 0; i < 4*arg; i++ {
 					vals = append(vals, float64((i*7919+pc*31)%20000)/1000)
 				}
-			case 5:
-				vals = []float64{-float64(arg+1) / 8}
+			case 5: // arg%16 decimal places: a decimal chunk's exponent grows
+				vals = []float64{-float64(arg*7919+pc) / pow10[arg%16]}
 			case 6:
 				mode := modes[arg%len(modes)]
 				dec, got, err := decodeCompactWindow(cw.appendEncoded(nil), mode)
@@ -242,8 +458,8 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 }
 
 // sparseBenchValues is n observations of one app of the sparse bench
-// fleet: a per-app level with a ±25% wobble, in thousandths, so nearly
-// every chunk goes raw.
+// fleet: a per-app level with a ±25% wobble, in thousandths, so every
+// chunk goes decimal.
 func sparseBenchValues(rng *rand.Rand, n int) []float64 {
 	level := 0.2 + 2*rng.Float64()
 	vals := make([]float64, n)
@@ -311,11 +527,15 @@ func assertCapBounded(t *testing.T, cw *CompactWindow, what string) {
 // TestCompactWindowCapacityBounded pins what a window retains: within one
 // quarter step of its stream, after appends from empty, after a snapshot
 // reload and one append, and after a page-in and one append — on values
-// that delta-encode (quarters) and values that go raw (thousandths).
+// that delta-encode (quarters), that go decimal (thousandths) and that go
+// raw.
 func TestCompactWindowCapacityBounded(t *testing.T) {
-	for _, shape := range []string{"quarters", "raw"} {
+	for _, shape := range []string{"quarters", "thousandths", "raw"} {
 		for _, n := range []int{1, 300, 1440, 10080} {
 			vals := benchWindow(n, shape == "quarters")
+			if shape == "raw" {
+				vals = randomWindow(n)
+			}
 			what := fmt.Sprintf("%s/%d", shape, n)
 			t.Run(what, func(t *testing.T) {
 				cw := compactWindowOf(vals)

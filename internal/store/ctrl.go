@@ -77,15 +77,21 @@ func (s *Store) drop(app string) {
 }
 
 // applyPayloadLocked folds one replayed WAL payload — observation or
-// control record — into the in-memory state. Called with s.mu held.
+// control record — into the in-memory state. It keeps no byte of p.
+// Called with s.mu held.
 func (s *Store) applyPayloadLocked(p []byte, depth int) error {
 	typ, body, isCtrl := parseCtrl(p)
 	if !isCtrl {
-		obs, err := decodeObservation(p)
+		app, v, err := decodeObservation(p)
 		if err != nil {
 			return err
 		}
-		s.apply(obs)
+		// The name is copied only for an app that is not warm.
+		st := s.warm[string(app)]
+		if st == nil {
+			st = s.admit(string(app))
+		}
+		s.appendTo(st, v)
 		return nil
 	}
 	switch typ {
@@ -97,7 +103,7 @@ func (s *Store) applyPayloadLocked(p []byte, depth int) error {
 		if err != nil {
 			return err
 		}
-		_, err = readRecords(bytes.NewReader(frames), func(inner []byte) error {
+		_, err = readRecords(bytes.NewReader(frames), false, func(inner []byte) error {
 			return s.applyPayloadLocked(inner, depth+1)
 		})
 		return err

@@ -44,7 +44,7 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var n int
-		records, err := readRecords(bytes.NewReader(data), func(p []byte) error {
+		records, err := readRecords(bytes.NewReader(data), false, func(p []byte) error {
 			n++
 			if len(p) == 0 || len(p) > maxRecordLen {
 				t.Fatalf("replay surfaced out-of-range payload of %d bytes", len(p))

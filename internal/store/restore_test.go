@@ -15,10 +15,11 @@ import (
 	"testing"
 )
 
-// The three functions below are the framing and window decode as they
-// were before restore became one pass, kept verbatim: the oracles the new
-// code is compared against, byte for byte and bit for bit. The fourth,
-// headCompactWindowOf, is the encoder as it was before raw chunks.
+// headAppendRecord is the framing as it was before records were encoded
+// in place, kept verbatim: an oracle the new code is compared against,
+// byte for byte. refDecodeCompactWindow is a second, two-pass decoder of
+// all three chunk kinds, and headCompactWindowOf is the encoder as it was
+// before raw chunks.
 
 func headAppendRecord(buf, payload []byte) []byte {
 	var hdr [recordHeaderLen]byte
@@ -28,75 +29,134 @@ func headAppendRecord(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-func headDecodeCompactWindow(p []byte) (cw CompactWindow, rest []byte, err error) {
+// refChunk is one chunk refDecodeCompactWindow framed: its values and
+// where its body, the bytes after its head and marker, lies.
+type refChunk struct {
+	start, body, end int
+	kind             chunkKind
+	values           int
+}
+
+// refDecodeCompactWindow decodes an appendEncoded image in two passes:
+// the first frames every chunk by its marker and the uvarints it holds,
+// the second decodes each chunk's values from its frame alone. It
+// returns the window, its values and the bytes after the image.
+func refDecodeCompactWindow(p []byte) (cw CompactWindow, vals []float64, rest []byte, err error) {
+	bad := func(what string) (CompactWindow, []float64, []byte, error) {
+		return CompactWindow{}, nil, nil, fmt.Errorf("ref: %s", what)
+	}
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count > math.MaxInt32 {
-		return cw, nil, fmt.Errorf("store: compact window: bad count")
+		return bad("count")
 	}
 	p = p[n:]
 	nb, n := binary.Uvarint(p)
 	if n <= 0 || nb > uint64(len(p)-n) {
-		return cw, nil, fmt.Errorf("store: compact window: bad byte length")
+		return bad("byte length")
 	}
-	p = p[n:]
-	stream, rest := p[:nb], p[nb:]
+	stream, rest := p[n:n+int(nb)], p[n+int(nb):]
 
-	cw.buf = append([]byte(nil), stream...)
-	q := cw.buf
-	for decoded := 0; decoded < int(count); {
-		if len(q) < 8 {
-			return CompactWindow{}, nil, fmt.Errorf("store: compact window: truncated chunk head")
+	var chunks []refChunk
+	i := 0
+	for left := int(count); left > 0; {
+		if len(stream)-i < 8 {
+			return bad("head")
 		}
-		cw.starts = append(cw.starts, uint32(len(cw.buf)-len(q)))
-		b := binary.LittleEndian.Uint64(q[:8])
-		q = q[8:]
-		decoded++
-		cw.tail = 1
-		cw.prev = b
-		for cw.tail < cwChunkLen && decoded < int(count) {
-			d, m := binary.Uvarint(q)
-			if m <= 0 {
-				return CompactWindow{}, nil, fmt.Errorf("store: compact window: bad delta")
+		c := refChunk{start: i, values: min(left, cwChunkLen)}
+		i += 8
+		left -= c.values
+		if c.values > 1 && bytes.HasPrefix(stream[i:], []byte(cwRawMarker)) {
+			c.kind, i = chunkRaw, i+2+8*(c.values-1)
+			if i > len(stream) {
+				return bad("raw words")
 			}
-			q = q[m:]
-			b ^= bits.ReverseBytes64(d)
-			decoded++
-			cw.tail++
-			cw.prev = b
+		} else {
+			if c.values > 1 && bytes.HasPrefix(stream[i:], []byte(cwDecimalMarker)) {
+				c.kind, i = chunkDecimal, i+3
+				if i > len(stream) {
+					return bad("exponent")
+				}
+			}
+			for j := 1; j < c.values; j++ {
+				_, m := binary.Uvarint(stream[i:])
+				if m <= 0 {
+					return bad("uvarint")
+				}
+				i += m
+			}
 		}
+		c.body, c.end = c.start+8, i
+		if c.kind != chunkDelta {
+			c.body += len(cwRawMarker)
+		}
+		chunks = append(chunks, c)
 	}
-	if len(q) != 0 {
-		return CompactWindow{}, nil, fmt.Errorf("store: compact window: %d trailing bytes", len(q))
+	if i != len(stream) {
+		return bad("trailing bytes")
 	}
-	cw.n = int(count)
-	return cw, rest, nil
-}
 
-func headValues(cw *CompactWindow, dst []float64) []float64 {
-	if cap(dst) < cw.n {
-		dst = make([]float64, cw.n)
-	}
-	dst = dst[:cw.n]
-	idx := 0
-	for c := range cw.starts {
-		end := len(cw.buf)
-		if c+1 < len(cw.starts) {
-			end = int(cw.starts[c+1])
+	for _, c := range chunks {
+		cw.starts = append(cw.starts, uint32(c.start))
+		b := binary.LittleEndian.Uint64(stream[c.start:])
+		vals = append(vals, math.Float64frombits(b))
+		q := stream[c.body:c.end]
+		switch c.kind {
+		case chunkRaw:
+			for ; len(q) > 0; q = q[8:] {
+				b = binary.LittleEndian.Uint64(q)
+				vals = append(vals, math.Float64frombits(b))
+			}
+		case chunkDecimal:
+			e := q[0]
+			if e > cwMaxExp {
+				return bad("exponent")
+			}
+			pow := math.Pow10(int(e))
+			// A value is decimal at e when its m, v·10^e rounded, is below
+			// 2^53 and m/10^e has its bits.
+			mOf := func(v float64) (int64, bool) {
+				m := math.RoundToEven(v * pow)
+				return int64(m), math.Abs(m) < 1<<53 && math.Float64bits(m/pow) == math.Float64bits(v)
+			}
+			m, ok := mOf(math.Float64frombits(b))
+			if !ok {
+				return bad("head not decimal")
+			}
+			for q = q[1:]; len(q) > 0; {
+				u, k := binary.Uvarint(q)
+				q = q[k:]
+				d := int64(u >> 1)
+				if u&1 != 0 {
+					d = ^d
+				}
+				if m += d; m >= 1<<53 || m <= -1<<53 {
+					return bad("m out of range")
+				}
+				vals = append(vals, float64(m)/pow)
+			}
+			last := vals[len(vals)-1]
+			if again, ok := mOf(last); !ok || again != m {
+				return bad("last value not decimal")
+			}
+			b, cw.exp = math.Float64bits(last), e
+		default:
+			for len(q) > 0 {
+				d, k := binary.Uvarint(q)
+				q = q[k:]
+				b ^= bits.ReverseBytes64(d)
+				vals = append(vals, math.Float64frombits(b))
+			}
 		}
-		p := cw.buf[cw.starts[c]:end]
-		b := binary.LittleEndian.Uint64(p[:8])
-		p = p[8:]
-		dst[idx] = math.Float64frombits(b)
-		idx++
-		for len(p) > 0 {
-			d, m := binary.Uvarint(p)
-			p = p[m:]
-			b ^= bits.ReverseBytes64(d)
-			dst[idx] = math.Float64frombits(b)
-			idx++
+		cw.kind, cw.prev, cw.tail = c.kind, b, int32(c.values)
+		if c.kind != chunkDecimal {
+			cw.exp = 0
 		}
 	}
-	return dst[:idx]
+	cw.buf, cw.n = stream, int(count)
+	if count == 0 {
+		cw.buf = nil
+	}
+	return cw, vals, rest, nil
 }
 
 // headCompactWindowOf encodes values as every data directory written
@@ -120,9 +180,10 @@ func headCompactWindowOf(values []float64) CompactWindow {
 	return cw
 }
 
-// restoreShapes are windows of the two costs the codec has: dyadic values
-// (few mantissa bits, 1-4-byte deltas) and non-dyadic ones (thousandths,
-// 9-10-byte deltas), at lengths on and around the chunk boundaries, plus
+// restoreShapes are windows of each chunk kind: dyadic values (few
+// mantissa bits, 1-4-byte deltas), thousandths (decimal chunks) and values
+// decimal at no exponent (raw chunks), at lengths on and around the chunk
+// boundaries, plus a chunk whose exponent grows until it turns raw, and
 // every special bit pattern.
 func restoreShapes() map[string][]float64 {
 	shapes := map[string][]float64{
@@ -134,8 +195,11 @@ func restoreShapes() map[string][]float64 {
 	}
 	for _, n := range []int{cwChunkLen - 1, cwChunkLen, cwChunkLen + 1, 2 * cwChunkLen, 300} {
 		shapes[fmt.Sprintf("dyadic/%d", n)] = benchWindow(n, true)
-		shapes[fmt.Sprintf("nondyadic/%d", n)] = benchWindow(n, false)
+		shapes[fmt.Sprintf("thousandths/%d", n)] = benchWindow(n, false)
+		shapes[fmt.Sprintf("random/%d", n)] = randomWindow(n)
 	}
+	// One chunk's exponent grows to cwMaxExp, then the chunk turns raw.
+	shapes["decimal exponents"] = []float64{0.137, 0.291, 0.513, 0.25, 0.0001, 1.5, 2, 0.3, 0.00025, 1e-15, math.Nextafter(0.3, 1), 0.137}
 	return shapes
 }
 
@@ -159,10 +223,10 @@ func encodedWindow(cw CompactWindow) []byte { return cw.appendEncoded(nil) }
 // FuzzCompactWindowDecode: on arbitrary bytes the one-pass decoder never
 // panics, never allocates more than a constant factor of its input, and
 // its three modes agree on whether the bytes are a window, on its values,
-// and on the window they continue with an Append. Only a 0x80 0x00 pair
-// can mark a raw chunk, so on every input without one it also agrees with
-// the two-pass decode it replaced: on whether the bytes are a window at
-// all, on every field of the window, and on the bits of every value.
+// and on the window they continue with an Append. They also agree with a
+// two-pass decode of the three chunk kinds (refDecodeCompactWindow): on
+// whether the bytes are a window at all, on every field of the window,
+// and on the bits of every value.
 func FuzzCompactWindowDecode(f *testing.F) {
 	for _, vals := range restoreShapes() {
 		for _, enc := range [][]byte{encodedWindow(headCompactWindowOf(vals)), encodedWindow(compactWindowOf(vals))} {
@@ -183,15 +247,23 @@ func FuzzCompactWindowDecode(f *testing.F) {
 	// Raw chunks cut short: the marker alone, and one word of two.
 	f.Add(append(append(binary.AppendUvarint(binary.AppendUvarint(nil, 2), 10), make([]byte, 8)...), 0x80, 0))
 	f.Add(append(append(binary.AppendUvarint(binary.AppendUvarint(nil, 3), 18), make([]byte, 8)...), 0x80, 0, 1, 2, 3, 4, 5, 6, 7, 8))
+	// Decimal chunks: a thousandths chunk turned raw by each special; m
+	// at and below 2^53, from a head of 0 and of -(2^53-1); corrupt
+	// exponent bytes; a head that is not decimal; a chunk cut short.
+	for _, v := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 2.2250738585072014e-308} {
+		f.Add(encodedWindow(compactWindowOf([]float64{0.137, 0.291, 0.513, v, 0.137})))
+	}
+	f.Add(decimalImage(0, 0, 1<<53))
+	f.Add(decimalImage(0, 0, 1<<53-1))
+	f.Add(decimalImage(-(1<<53 - 1), 0, 1<<54-2))
+	f.Add(decimalImage(0.137, 16, 154))
+	f.Add(decimalImage(0.137, 0xff, 154))
+	f.Add(decimalImage(1.0/3, 3, 154))
+	f.Add(decimalImage(0.137, 3)[:12])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		oracle := !bytes.Contains(data, []byte(cwRawMarker))
-		want, rest, err := headDecodeCompactWindow(data)
+		want, wantVals, rest, err := refDecodeCompactWindow(data)
 		wantOK := err == nil && len(rest) == 0
-		var wantVals []float64
-		if wantOK {
-			wantVals = headValues(&want, nil)
-		}
 		var refOK bool
 		var refVals []float64
 		for _, mode := range []cwMode{cwWindow | cwValues, cwWindow, cwValues} {
@@ -209,7 +281,7 @@ func FuzzCompactWindowDecode(f *testing.F) {
 			if (err == nil) != refOK {
 				t.Fatalf("mode %d: err = %v, mode %d said ok=%v", mode, err, cwWindow|cwValues, refOK)
 			}
-			if oracle && (err == nil) != wantOK {
+			if (err == nil) != wantOK {
 				t.Fatalf("mode %d: err = %v, the two-pass decode says ok=%v", mode, err, wantOK)
 			}
 			if err != nil {
@@ -221,30 +293,28 @@ func FuzzCompactWindowDecode(f *testing.F) {
 			if mode&cwValues == 0 && vals != nil || mode&cwWindow == 0 && (cw.buf != nil || cw.starts != nil || cw.n != 0) {
 				t.Fatalf("mode %d returned %d values and window %+v", mode, len(vals), cw)
 			}
-			if oracle {
-				want := want
-				if mode&cwWindow == 0 {
-					want = CompactWindow{}
-				}
-				if !bytes.Equal(cw.buf, want.buf) || len(cw.starts) != len(want.starts) ||
-					cw.n != want.n || cw.tail != want.tail || cw.raw || cw.prev != want.prev {
-					t.Fatalf("mode %d: window %+v, want %+v", mode, cw, want)
-				}
-				for i, s := range want.starts {
-					if cw.starts[i] != s {
-						t.Fatalf("mode %d: chunk %d starts at %d, want %d", mode, i, cw.starts[i], s)
-					}
-				}
-				if mode&cwValues != 0 {
-					assertBitIdentical(t, vals, wantVals, fmt.Sprintf("mode %d", mode))
+			want := want
+			if mode&cwWindow == 0 {
+				want = CompactWindow{}
+			}
+			if !bytes.Equal(cw.buf, want.buf) || len(cw.starts) != len(want.starts) || cw.n != want.n ||
+				cw.tail != want.tail || cw.kind != want.kind || cw.exp != want.exp || cw.prev != want.prev {
+				t.Fatalf("mode %d: window %+v, want %+v", mode, cw, want)
+			}
+			for i, s := range want.starts {
+				if cw.starts[i] != s {
+					t.Fatalf("mode %d: chunk %d starts at %d, want %d", mode, i, cw.starts[i], s)
 				}
 			}
 			if mode&cwValues != 0 {
+				assertBitIdentical(t, vals, wantVals, fmt.Sprintf("mode %d", mode))
 				assertBitIdentical(t, vals, refVals, fmt.Sprintf("mode %d against mode %d", mode, cwWindow|cwValues))
 			}
 			if mode&cwWindow != 0 {
 				assertBitIdentical(t, cw.Values(nil), refVals, fmt.Sprintf("mode %d: the window", mode))
-				next := append(append([]float64(nil), refVals...), 1.234, 1.234, 0.5)
+				// Decimal at 10^-3, then at no exponent: a decimal chunk's
+				// exponent grows, or it turns raw.
+				next := append(append([]float64(nil), refVals...), 1.234, 1.234, 0.5, 1.0/3)
 				for _, v := range next[len(refVals):] {
 					cw.Append(v)
 				}
@@ -329,7 +399,7 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV3)), head.appendSnapshot(nil, app))
+		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV4)), head.appendSnapshot(nil, app))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: snapshot\n got %x\nwant %x", name, got, want)
 		}
@@ -601,7 +671,7 @@ var benchSink []float64
 
 // BenchmarkRestoreWindow times the promoting restore of one app: warm (a
 // decode of the in-memory window) and cold (a page read and its decode),
-// on windows that compress (dyadic) and windows that do not.
+// on quarters (delta chunks) and thousandths (decimal chunks).
 func BenchmarkRestoreWindow(b *testing.B) {
 	for _, tier := range []string{"warm", "cold"} {
 		for _, shape := range []string{"dyadic", "nondyadic"} {

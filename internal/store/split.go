@@ -9,7 +9,7 @@ import (
 
 // Split resizes a fleet offline: it redistributes the apps of the stopped
 // stores in srcs over len(dsts) shards, giving every app, warm or cold, to
-// dsts[ShardOf(app, len(dsts))]. Each destination receives one v3
+// dsts[ShardOf(app, len(dsts))]. Each destination receives one v4
 // snapshot of its apps' compact windows and totals, written temp ->
 // fsync -> rename, and its directory is fsynced; it gets no WAL records
 // and no memo. Destinations must be empty or missing,

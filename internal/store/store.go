@@ -270,19 +270,18 @@ func encodeObservation(buf []byte, obs Observation) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(obs.Concurrency))
 }
 
-func decodeObservation(p []byte) (Observation, error) {
+// decodeObservation parses an observation payload. The app name it
+// returns aliases p.
+func decodeObservation(p []byte) (app []byte, v float64, err error) {
 	nameLen, n := binary.Uvarint(p)
 	if n <= 0 || nameLen > uint64(len(p)-n) {
-		return Observation{}, fmt.Errorf("store: observation record: bad app length")
+		return nil, 0, fmt.Errorf("store: observation record: bad app length")
 	}
 	p = p[n:]
 	if uint64(len(p)) != nameLen+8 {
-		return Observation{}, fmt.Errorf("store: observation record: %d bytes after the app name, want 8", uint64(len(p))-nameLen)
+		return nil, 0, fmt.Errorf("store: observation record: %d bytes after the app name, want 8", uint64(len(p))-nameLen)
 	}
-	return Observation{
-		App:         string(p[:nameLen]),
-		Concurrency: math.Float64frombits(binary.LittleEndian.Uint64(p[nameLen:])),
-	}, nil
+	return p[:nameLen], math.Float64frombits(binary.LittleEndian.Uint64(p[nameLen:])), nil
 }
 
 // apply folds one observation into the in-memory state, transparently
@@ -290,12 +289,25 @@ func decodeObservation(p []byte) (Observation, error) {
 func (s *Store) apply(obs Observation) {
 	st := s.warm[obs.App]
 	if st == nil {
-		if st, _ = s.pageInLocked(obs.App, 0); st == nil {
-			st = &appState{}
-			s.addWarm(obs.App, st)
-		}
+		st = s.admit(obs.App)
 	}
-	st.cw.Append(obs.Concurrency)
+	s.appendTo(st, obs.Concurrency)
+}
+
+// admit makes an app that is not warm warm and returns its record: a cold
+// app paged in, or a new one.
+func (s *Store) admit(app string) *appState {
+	if st, _ := s.pageInLocked(app, 0); st != nil {
+		return st
+	}
+	st := &appState{}
+	s.addWarm(app, st)
+	return st
+}
+
+// appendTo appends one value to a warm app's record.
+func (s *Store) appendTo(st *appState, v float64) {
+	st.cw.Append(v)
 	st.touched = true
 	st.total++
 	s.total++

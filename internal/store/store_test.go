@@ -238,17 +238,19 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotRecordsGolden pins the bytes compaction writes: the v3
-// magic, then one record per app — a window of deltas and a window whose
-// chunk went raw inline, and a cold app as a page stub.
+// TestSnapshotRecordsGolden pins the bytes compaction writes: the v4
+// magic, then one record per app — inline, a window of deltas, a window
+// whose chunk went raw and one whose chunk went decimal, and a cold app as
+// a page stub.
 func TestSnapshotRecordsGolden(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
 	defer s.Close()
 	for app, w := range map[string][]float64{
-		"delta": {0, 0, 1.5, 1.5, 2},
-		"raw":   {0.137, 0.291, 0.513},
-		"cold":  {4, 0, 0, 4.25},
+		"delta":   {0, 0, 1.5, 1.5, 2},
+		"raw":     {1.0 / 3, 1.0 / 7, 1.0 / 9}, // decimal only past 10^-15
+		"decimal": {0.137, 0.291, 0.513},
+		"cold":    {4, 0, 0, 4.25},
 	} {
 		for _, v := range w {
 			if err := s.Append(app, v); err != nil {
@@ -272,7 +274,7 @@ func TestSnapshotRecordsGolden(t *testing.T) {
 	}
 	var magic string
 	recs := map[string]string{}
-	if _, err := readRecords(bytes.NewReader(data), func(p []byte) error {
+	if _, err := readRecords(bytes.NewReader(data), true, func(p []byte) error {
 		if magic == "" {
 			magic = string(p)
 			return nil
@@ -283,17 +285,22 @@ func TestSnapshotRecordsGolden(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if magic != snapMagicV3 || len(recs) != 3 {
-		t.Fatalf("magic %q and %d records, want %q and 3", magic, len(recs), snapMagicV3)
+	if magic != snapMagicV4 || len(recs) != 4 {
+		t.Fatalf("magic %q and %d records, want %q and 4", magic, len(recs), snapMagicV4)
 	}
 	for app, want := range map[string]string{
 		// frame (length 26, CRC) | tag 00 | name | total 5 | 5 values in 16
 		// stream bytes: head 0, then deltas 0, 1.5 (bf f0 03), 0, 2 (ff f0 03)
 		"delta": "1a000000" + "2f492a85" + "00" + "0564656c7461" + "05" + "05" + "10" +
 			"0000000000000000" + "00" + "bff003" + "00" + "fff003",
-		// head 0.137, the raw marker 80 00, then 0.291 and 0.513 as raw words
-		"raw": "22000000" + "42f4f57f" + "00" + "03726177" + "03" + "03" + "1a" +
-			"f0a7c64b3789c13f" + "8000" + "39b4c876be9fd23f" + "d122dbf97e6ae03f",
+		// head 1/3, the raw marker 80 00, then 1/7 and 1/9 as raw words
+		"raw": "22000000" + "182de02f" + "00" + "03726177" + "03" + "03" + "1a" +
+			"555555555555d53f" + "8000" + "922449922449c23f" + "1cc7711cc771bc3f",
+		// head 0.137, the decimal marker 81 00, exponent 3, then the
+		// differences of m = 137, 291, 513 as zigzag uvarints: 154 (b4 02)
+		// and 222 (bc 03)
+		"decimal": "1b000000" + "cc918762" + "00" + "07646563696d616c" + "03" + "03" + "0f" +
+			"f0a7c64b3789c13f" + "8100" + "03" + "b402" + "bc03",
 	} {
 		if recs[app] != want {
 			t.Errorf("%s record\n got %s\nwant %s", app, recs[app], want)

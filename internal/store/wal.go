@@ -78,30 +78,37 @@ func sealRecord(buf []byte, start int) []byte {
 }
 
 // readRecords streams every valid record from r into fn, stopping at the
-// first invalid frame. Each payload is its own allocation, which fn may
-// keep. It returns the number of valid records and nil on
-// a clean EOF, or an error wrapping errTorn when the segment ends in a
-// truncated or corrupt frame. fn errors abort the scan unchanged.
-func readRecords(r io.Reader, fn func(payload []byte) error) (int, error) {
+// first invalid frame. With keep, each payload is its own allocation,
+// which fn may keep (a window decoded from a snapshot record aliases it);
+// without, every payload is read into one buffer, and fn must not keep it.
+// It returns the number of valid records and nil on a clean EOF, or an
+// error wrapping errTorn when the segment ends in a truncated or corrupt
+// frame. fn errors abort the scan unchanged.
+func readRecords(r io.Reader, keep bool, fn func(payload []byte) error) (int, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
+	var buf []byte
 	n := 0
 	for {
-		var hdr [recordHeaderLen]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
+		hdr, err := br.Peek(recordHeaderLen)
+		if len(hdr) < recordHeaderLen {
+			if err == io.EOF && len(hdr) == 0 {
 				return n, nil // clean end of segment
 			}
-			if err == io.ErrUnexpectedEOF {
+			if err == io.EOF {
 				return n, fmt.Errorf("truncated record header: %w", errTorn)
 			}
 			return n, err
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
+		br.Discard(recordHeaderLen)
 		if length == 0 || length > maxRecordLen {
 			return n, fmt.Errorf("record length %d out of range: %w", length, errTorn)
 		}
-		payload := make([]byte, length)
+		if keep || cap(buf) < int(length) {
+			buf = make([]byte, length)
+		}
+		payload := buf[:length]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return n, fmt.Errorf("truncated record payload: %w", errTorn)
@@ -296,7 +303,7 @@ func (w *wal) close() error {
 }
 
 // replaySegments feeds every valid record of each listed segment (in
-// order) to fn, keeping the longest valid record prefix of each segment
+// order) to fn, which must not keep the payload, keeping the longest valid record prefix of each segment
 // and never panicking on arbitrary bytes. A torn tail is the expected
 // shape of a crash mid-write; because every process appends only to a
 // segment it created itself, records in later segments are always newer
@@ -310,7 +317,7 @@ func replaySegments(dev device, seqs []uint64, fn func(payload []byte) error) (r
 			return records, torn, err
 		}
 		validBytes := int64(0)
-		n, rerr := readRecords(io.NewSectionReader(f, 0, math.MaxInt64), func(payload []byte) error {
+		n, rerr := readRecords(io.NewSectionReader(f, 0, math.MaxInt64), false, func(payload []byte) error {
 			if err := fn(payload); err != nil {
 				return err
 			}

@@ -49,7 +49,7 @@ func TestWALTruncationEveryOffset(t *testing.T) {
 	payloads, image, ends := testRecords(25)
 	for offset := 0; offset <= len(image); offset++ {
 		var got [][]byte
-		n, err := readRecords(bytes.NewReader(image[:offset]), func(p []byte) error {
+		n, err := readRecords(bytes.NewReader(image[:offset]), false, func(p []byte) error {
 			got = append(got, append([]byte(nil), p...))
 			return nil
 		})
@@ -91,7 +91,7 @@ func TestWALCorruptionEveryByte(t *testing.T) {
 		corrupt := append([]byte(nil), image...)
 		corrupt[off] ^= 0xff
 		var got [][]byte
-		n, err := readRecords(bytes.NewReader(corrupt), func(p []byte) error {
+		n, err := readRecords(bytes.NewReader(corrupt), false, func(p []byte) error {
 			got = append(got, append([]byte(nil), p...))
 			return nil
 		})
