@@ -152,7 +152,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte(`{}`), "a<b", "é", 1e21, 0)
 	f.Add([]byte(`{}`), "q\"uote", "back\\slash", 1e-7, 421)
 	f.Add([]byte(`{}`), "nul\x00", "\xff", -1e-9, -1)
-	f.Add([]byte(`{}`), "del\x7f", " ", 123456789.125, 1<<40)
+	f.Add([]byte(`{}`), "del\x7f", " ", 123456789.125, 1<<30) // an int on 32-bit builds too
 	f.Fuzz(func(t *testing.T, data []byte, app, forecaster string, conc float64, n int) {
 		for _, m := range checkWireDecode(t, data) {
 			checkWireEncode(t, m)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // CompactWindow is a lossless, append-only encoding of a sliding float64
@@ -19,6 +20,7 @@ import (
 //	delta chunk    head | uvarint(bits.ReverseBytes64(prevBits XOR curBits)) ...
 //	raw chunk      head | 0x80 0x00 | 8 little-endian bytes per value ...
 //	decimal chunk  head | 0x81 0x00 | e | uvarint(zigzag(m_i - m_{i-1})) ...
+//	packed chunk   head | 0x82 0x00 | e | w | uvarint(zigzag(base)) | m_i - base, w bits each
 //
 // XOR of consecutive IEEE-754 bit patterns concentrates entropy in the
 // high (sign/exponent) bytes, so byte-reversing before the uvarint makes
@@ -45,26 +47,52 @@ import (
 // otherwise. A value that is not decimal at a decimal chunk's exponent
 // re-encodes the chunk at the smallest larger exponent that holds every
 // value, or raw, by the same rule; a raw chunk takes 8 bytes a value. So
-// no chunk is larger than 10 + 8·(k-1) bytes, and a stream whose deltas
-// always pay (the quarter-valued hot fleets) is the bytes it was before
-// the other kinds existed. Each marker is a two-byte uvarint of 0 or 1,
-// which binary.AppendUvarint never writes (it writes one byte), so a
-// stream with neither — every stream written before raw chunks existed —
-// decodes as deltas unchanged. The XOR transform is a bijection on
-// uint64, so the codec is bit-exact for every pattern including -0, NaN
-// payloads, and infinities.
+// no chunk is larger than 10 + 8·(k-1) bytes, and an open chunk whose
+// deltas always pay (the quarter-valued hot fleets) is the bytes it was
+// before the other kinds existed.
+//
+// A chunk that fills, at its 64th value, is re-encoded once more if that
+// is smaller: packed, the frame of reference and bit-packing of ALP. If
+// every value after the head is decimal at some exponent, e is the
+// smallest that holds them all, base is the least of their m, and each m
+// is stored as m - base in w = bits.Len64(max m - base) bits, packed
+// little-endian from the first bit after base's uvarint: 63 offsets in
+// ceil(63·w/8) bytes. Quarters within 20.48 of each other cost 11 bits a
+// value, thousandths within 16.38 14 bits, and a run of one value none.
+// The head is not packed, so it may be any float. A packed chunk's size
+// follows from its header, so a walk that wants no values skips it in
+// O(1), and one value is a shift, a mask and a division away. The
+// decoder refuses one Append never writes: a chunk that is not full, e
+// past cwMaxExp, w past cwMaxWidth, and a base or a base+2^w-1 outside
+// ±2^53, so every offset the w bits can hold decodes an exact m.
+//
+// Each marker is a two-byte uvarint of 0, 1 or 2, which
+// binary.AppendUvarint never writes (it writes one byte), so a stream
+// with none — every stream written before raw chunks existed — decodes
+// as deltas unchanged. The XOR transform is a bijection on uint64, so
+// the codec is bit-exact for every pattern including -0, NaN payloads,
+// and infinities.
 //
 // Chunking bounds two costs: Recent walks only the chunks that hold the
-// values it returns, and the per-chunk raw head re-anchors the delta
-// stream so a corrupt byte cannot silently propagate past a chunk
-// boundary on decode.
+// values it returns (and of a packed chunk unpacks only those), and the
+// per-chunk raw head re-anchors the delta stream so a corrupt byte cannot
+// silently propagate past a chunk boundary on decode.
 const cwChunkLen = 64
 
-// The markers that follow the head of a raw and of a decimal chunk.
+// The markers that follow the head of a raw, a decimal and a packed
+// chunk.
 const (
 	cwRawMarker     = "\x80\x00"
 	cwDecimalMarker = "\x81\x00"
+	cwPackedMarker  = "\x82\x00"
 )
+
+// cwMaxWidth is the widest offset of a packed chunk: two m decimal at one
+// exponent lie within 2^54-2 of each other.
+const cwMaxWidth = 54
+
+// cwPackedLen is the byte length of a packed chunk's offsets at width w.
+func cwPackedLen(w uint8) int { return ((cwChunkLen-1)*int(w) + 7) / 8 }
 
 // cwMaxExp is the largest decimal exponent. 10^15 < 2^53, so every power
 // of ten a decimal chunk scales by is exact.
@@ -79,6 +107,7 @@ const (
 	chunkDelta chunkKind = iota
 	chunkRaw
 	chunkDecimal
+	chunkPacked
 )
 
 // CompactWindow's zero value is an empty window ready for use.
@@ -88,7 +117,7 @@ type CompactWindow struct {
 	n      int       // live values across all chunks
 	tail   int32     // values in the last chunk (0 iff n == 0)
 	kind   chunkKind // how the last chunk is encoded
-	exp    uint8     // the last chunk's exponent, if it is decimal
+	exp    uint8     // the last chunk's exponent, if it is decimal or packed
 	prev   uint64    // bit pattern of the most recently appended value
 }
 
@@ -102,8 +131,17 @@ func (cw *CompactWindow) MemBytes() int { return cap(cw.buf) + 4*cap(cw.starts) 
 // quarter step (see grow); a smaller one doubles, as append grows it.
 const cwStepFrom = 256
 
-// Append adds one value to the window.
+// Append adds one value to the window, and packs the chunk it fills.
 func (cw *CompactWindow) Append(v float64) {
+	cw.appendOpen(v)
+	if cw.tail == cwChunkLen {
+		cw.pack()
+	}
+}
+
+// appendOpen adds one value to the window in an open chunk's encodings:
+// delta, decimal or raw.
+func (cw *CompactWindow) appendOpen(v float64) {
 	if cap(cw.buf) >= cwStepFrom && cap(cw.buf)-len(cw.buf) < binary.MaxVarintLen64 {
 		cw.grow(0) // then no append below outgrows buf
 	}
@@ -191,6 +229,119 @@ func (cw *CompactWindow) recode(v float64) {
 	cw.kind, cw.exp = kind, e
 }
 
+// pack re-encodes the last chunk, just filled, as a packed chunk if that
+// is smaller.
+func (cw *CompactWindow) pack() {
+	start := int(cw.starts[len(cw.starts)-1])
+	var vals [cwChunkLen]float64
+	if _, err := walkChunks(cw.buf[start:], cwChunkLen, nil, vals[:]); err != nil {
+		panic(err) // the chunk is Append's output or passed a decode
+	}
+	var scratch [8 * cwChunkLen]byte // past any packed chunk's body
+	body, e, ok := appendPacked(scratch[:0], vals[1:])
+	if ok && 8+len(body) < len(cw.buf)-start {
+		cw.buf = append(cw.buf[:start+8], body...)
+		cw.kind, cw.exp = chunkPacked, e
+	}
+}
+
+// appendPacked appends the body of a packed chunk of vals, the values
+// after its head, if every one is decimal at some exponent and their m
+// fit the frame the decoder accepts.
+func appendPacked(buf []byte, vals []float64) (_ []byte, e uint8, ok bool) {
+	var ms [cwChunkLen - 1]int64
+	for i := 0; i < len(vals); {
+		m, ok := decimalAt(vals[i], e)
+		if ok {
+			ms[i] = m
+			i++
+			continue
+		}
+		// A value decimal at e need not be decimal at a larger one, so
+		// every value is checked again at the next.
+		if e == cwMaxExp {
+			return nil, 0, false
+		}
+		e, i = e+1, 0
+	}
+	lo, hi := ms[0], ms[0]
+	for _, m := range ms[1:len(vals)] {
+		lo, hi = min(lo, m), max(hi, m)
+	}
+	w := uint8(bits.Len64(uint64(hi - lo)))
+	if lo+(1<<w-1) > 1<<53 {
+		return nil, 0, false
+	}
+	buf = append(append(buf, cwPackedMarker...), e, w)
+	buf = binary.AppendUvarint(buf, zigzag(lo))
+	var acc uint64 // bits not yet written, from bit 0
+	var held uint8
+	for _, m := range ms[:len(vals)] {
+		acc |= uint64(m-lo) << held
+		for held += w; held >= 8; held -= 8 {
+			buf = append(buf, byte(acc))
+			acc >>= 8
+		}
+	}
+	if held > 0 {
+		buf = append(buf, byte(acc))
+	}
+	return buf, e, true
+}
+
+// packedHeader parses the exponent, width and base that follow a packed
+// chunk's marker at the start of p, and returns them with the bytes they
+// take. It refuses a header Append never writes: e past cwMaxExp, w past
+// cwMaxWidth, or a frame [base, base+2^w-1] not within ±2^53.
+func packedHeader(p []byte) (e, w uint8, base int64, n int, err error) {
+	if len(p) < 2 || p[0] > cwMaxExp || p[1] > cwMaxWidth {
+		return 0, 0, 0, 0, fmt.Errorf("store: compact window: bad packed chunk exponent or width")
+	}
+	e, w = p[0], p[1]
+	u, k := binary.Uvarint(p[2:])
+	if k <= 0 {
+		return 0, 0, 0, 0, fmt.Errorf("store: compact window: bad packed chunk base")
+	}
+	base = int64(u>>1) ^ -int64(u&1)
+	if base < -1<<53 || base > 1<<53 || base+(1<<w-1) > 1<<53 {
+		return 0, 0, 0, 0, fmt.Errorf("store: compact window: packed chunk frame out of range")
+	}
+	return e, w, base, 2 + k, nil
+}
+
+// unpack decodes the offsets from to to-1 of a packed chunk of width w,
+// exponent e and base base into dst[:to-from]. p starts at the first
+// offset and holds at least cwPackedLen(w) bytes; the loads read up to 8
+// bytes at a time, past them where p goes on.
+func unpack(p []byte, e, w uint8, base int64, from, to int, dst []float64) {
+	pow, mask := pow10[e], uint64(1)<<w-1
+	dst = dst[:to-from]
+	o, j := uint(from)*uint(w), 0 // o is the bit offset of offset from+j
+	for ; j < len(dst) && o/8+7 < uint(len(p)); j++ {
+		x := binary.LittleEndian.Uint64(p[o/8 : o/8+8])
+		dst[j] = float64(base+int64(x>>(o%8)&mask)) / pow
+		o += uint(w)
+	}
+	for ; j < len(dst); j++ {
+		var x uint64
+		for i, c := range p[o/8:] {
+			x |= uint64(c) << (8 * i)
+		}
+		dst[j] = float64(base+int64(x>>(o%8)&mask)) / pow
+		o += uint(w)
+	}
+}
+
+// repack re-encodes a window written before packed chunks existed, so
+// that its full chunks pack where Append's would.
+func (cw *CompactWindow) repack() {
+	var fresh CompactWindow
+	for _, v := range cw.Values(nil) {
+		fresh.Append(v)
+	}
+	*cw = fresh
+}
+
 // encodeChunkBody appends what follows the head vals[0] of a chunk of
 // vals: a decimal chunk at the smallest exponent from `from` on that holds
 // every value, if it costs no more than the raw form, or a raw chunk.
@@ -263,7 +414,8 @@ func (cw *CompactWindow) Values(dst []float64) []float64 {
 // Recent decodes into dst (grown as needed) the k values that end skip
 // values before the window's end, Values()[Len()-skip-k : Len()-skip],
 // and returns them; when the window holds fewer than k+skip values, it
-// returns those from its start. Only the chunks holding them are walked.
+// returns those from its start. Only the chunks holding them are walked,
+// and of a packed chunk only those values are unpacked.
 func (cw *CompactWindow) Recent(k, skip int, dst []float64) []float64 {
 	hi := max(cw.n-skip, 0)
 	lo, dst := max(hi-k, 0), dst[:0]
@@ -273,11 +425,27 @@ func (cw *CompactWindow) Recent(k, skip int, dst []float64) []float64 {
 		if c+1 < len(cw.starts) {
 			end = int(cw.starts[c+1])
 		}
+		chunk := cw.buf[cw.starts[c]:end]
+		a, b := max(lo, from)-from, min(hi, to)-from
+		if to-from == cwChunkLen && string(chunk[8:10]) == cwPackedMarker {
+			if a == 0 {
+				dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(chunk)))
+				a++
+			}
+			e, w, base, n, err := packedHeader(chunk[10:])
+			if err != nil {
+				panic(err) // the stream is Append's own output
+			}
+			dst = slices.Grow(dst, b-a)
+			unpack(chunk[10+n:], e, w, base, a-1, b-1, dst[len(dst):len(dst)+b-a])
+			dst = dst[:len(dst)+b-a]
+			continue
+		}
 		var vals [cwChunkLen]float64
-		if _, err := walkChunks(cw.buf[cw.starts[c]:end], to-from, nil, vals[:to-from]); err != nil {
+		if _, err := walkChunks(chunk, to-from, nil, vals[:to-from]); err != nil {
 			panic(err) // the stream is Append's own output
 		}
-		dst = append(dst, vals[max(lo, from)-from:min(hi, to)-from]...)
+		dst = append(dst, vals[a:b]...)
 	}
 	return dst
 }
@@ -327,8 +495,9 @@ func decodeCompactWindow(p []byte, mode cwMode) (cw CompactWindow, vals []float6
 		return cw, nil, fmt.Errorf("store: compact window: %d trailing bytes", len(rest))
 	}
 	// Everything below is sized from count, so bound it by what the
-	// stream could hold first: a value costs at least one byte.
-	if count > nb {
+	// stream could hold first: under 5 values a byte, since a chunk holds
+	// at most 64 in at least 13 bytes (packed, all one value).
+	if count > 5*nb {
 		return cw, nil, fmt.Errorf("store: compact window: %d values in %d bytes", count, nb)
 	}
 	var starts []uint32
@@ -351,7 +520,8 @@ func decodeCompactWindow(p []byte, mode cwMode) (cw CompactWindow, vals []float6
 
 // walkChunks is the one decoder of a chunk stream: count values, each
 // chunk a raw 8-byte head and then up to cwChunkLen-1 values as deltas,
-// raw words or decimal differences, ending exactly where stream does.
+// raw words, decimal differences or packed offsets, ending exactly where
+// stream does. Without vals, a packed chunk is skipped from its header.
 // Each value is stored in vals (len count) and each chunk's offset
 // appended to starts, where those are non-nil. It returns the window the
 // stream encodes, with starts as its chunk offsets.
@@ -380,6 +550,8 @@ func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (Comp
 				kind = chunkRaw
 			case cwDecimalMarker:
 				kind = chunkDecimal
+			case cwPackedMarker:
+				kind = chunkPacked
 			}
 		}
 		switch kind {
@@ -411,6 +583,28 @@ func walkChunks(stream []byte, count int, starts []uint32, vals []float64) (Comp
 			exp = stream[i+2]
 			prev = math.Float64bits(float64(m) / pow10[exp])
 			i += 2 + used
+			decoded = end
+		case chunkPacked:
+			if end-decoded != cwChunkLen-1 {
+				return CompactWindow{}, fmt.Errorf("store: compact window: packed chunk of %d values", end-decoded+1)
+			}
+			e, w, base, n, err := packedHeader(stream[i+2:])
+			if err != nil {
+				return CompactWindow{}, err
+			}
+			i += 2 + n
+			if len(stream)-i < cwPackedLen(w) {
+				return CompactWindow{}, fmt.Errorf("store: compact window: truncated packed chunk")
+			}
+			var last [1]float64
+			if vals != nil {
+				unpack(stream[i:], e, w, base, 0, cwChunkLen-1, vals[decoded:end])
+				last[0] = vals[end-1]
+			} else {
+				unpack(stream[i:], e, w, base, cwChunkLen-2, cwChunkLen-1, last[:])
+			}
+			prev, exp = math.Float64bits(last[0]), e
+			i += cwPackedLen(w)
 			decoded = end
 		default:
 			for ; decoded < end; decoded++ {

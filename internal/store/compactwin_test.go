@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -134,8 +135,8 @@ func assertChunksBounded(t *testing.T, cw *CompactWindow, what string) {
 	}
 }
 
-// chunkKinds reports each chunk's kind and, for a decimal chunk, its
-// exponent, as the stream's markers say.
+// chunkKinds reports each chunk's kind and, for a decimal or a packed
+// chunk, its exponent, as the stream's markers say.
 func chunkKinds(cw *CompactWindow) (kinds []chunkKind, exps []uint8) {
 	for c, start := range cw.starts {
 		end := len(cw.buf)
@@ -148,6 +149,8 @@ func chunkKinds(cw *CompactWindow) (kinds []chunkKind, exps []uint8) {
 			kinds, exps = append(kinds, chunkRaw), append(exps, 0)
 		case bytes.HasPrefix(body, []byte(cwDecimalMarker)):
 			kinds, exps = append(kinds, chunkDecimal), append(exps, body[2])
+		case bytes.HasPrefix(body, []byte(cwPackedMarker)):
+			kinds, exps = append(kinds, chunkPacked), append(exps, body[2])
 		default:
 			kinds, exps = append(kinds, chunkDelta), append(exps, 0)
 		}
@@ -166,30 +169,53 @@ func randomWindow(n int) []float64 {
 	return win
 }
 
-// TestRawChunksWhereDeltasDoNotPay: a quarter-valued window never
-// converts and keeps the bytes the delta-only encoder wrote; a
-// thousandth-valued one is stored in decimal chunks at exponent 3; and a
-// window of values decimal at no exponent is stored raw, 8 bytes a value
-// plus a 2-byte marker per chunk.
+// TestRawChunksWhereDeltasDoNotPay: a quarter-valued window packs its
+// full chunks at exponent 2 and keeps the bytes the delta-only encoder
+// wrote for its open one; a thousandth-valued one is stored in packed
+// chunks and an open decimal chunk at exponent 3; and a window of values
+// decimal at no exponent is stored raw, 8 bytes a value plus a 2-byte
+// marker per chunk.
 func TestRawChunksWhereDeltasDoNotPay(t *testing.T) {
+	// wantKinds checks that every full chunk is packed at exponent e and
+	// the open one, if any, is of kind open (at exponent e if decimal).
+	wantKinds := func(cw *CompactWindow, open chunkKind, e uint8, what string) {
+		t.Helper()
+		kinds, exps := chunkKinds(cw)
+		for c, kind := range kinds {
+			want, wantExp := chunkPacked, e
+			if c == len(kinds)-1 && cw.tail < cwChunkLen {
+				want, wantExp = open, 0
+				if open == chunkDecimal {
+					wantExp = e
+				}
+			}
+			if kind != want || exps[c] != wantExp || c == len(kinds)-1 && (cw.kind != want || cw.exp != wantExp) {
+				t.Fatalf("%s: chunk %d of kind %d at exponent %d (the window says %d at %d), want %d at %d",
+					what, c, kind, exps[c], cw.kind, cw.exp, want, wantExp)
+			}
+		}
+	}
 	for _, n := range []int{5, cwChunkLen - 1, cwChunkLen, cwChunkLen + 5, 300} {
 		dyadic := benchWindow(n, true)
-		if got, head := compactWindowOf(dyadic), headCompactWindowOf(dyadic); !bytes.Equal(got.buf, head.buf) || got.kind != chunkDelta {
-			t.Fatalf("dyadic/%d: %d bytes (kind %d), the delta-only encoder wrote %d", n, len(got.buf), got.kind, len(head.buf))
+		got, head := compactWindowOf(dyadic), headCompactWindowOf(dyadic)
+		wantKinds(&got, chunkDelta, 2, fmt.Sprintf("dyadic/%d", n))
+		if last := len(got.starts) - 1; got.tail < cwChunkLen {
+			if open := headCompactWindowOf(dyadic[last*cwChunkLen:]); !bytes.Equal(got.buf[got.starts[last]:], open.buf) {
+				t.Fatalf("dyadic/%d: the open chunk is %x, the delta-only encoder wrote %x", n, got.buf[got.starts[last]:], open.buf)
+			}
 		}
+		if n >= cwChunkLen && len(got.buf) >= len(head.buf) {
+			t.Fatalf("dyadic/%d: %d bytes packed, %d as deltas", n, len(got.buf), len(head.buf))
+		}
+		assertBitIdentical(t, got.Values(nil), dyadic, fmt.Sprintf("dyadic/%d", n))
 
 		thousandths := benchWindow(n, false)
 		cw := compactWindowOf(thousandths)
-		kinds, exps := chunkKinds(&cw)
-		for c, kind := range kinds {
-			if kind != chunkDecimal || exps[c] != 3 {
-				t.Fatalf("thousandths/%d: chunk %d of kind %d at exponent %d, want decimal at 3", n, c, kind, exps[c])
-			}
-		}
+		wantKinds(&cw, chunkDecimal, 3, fmt.Sprintf("thousandths/%d", n))
 		// 11 bytes of head, marker and exponent a chunk, then at most 3
 		// bytes a value: the differences of m in [0, 20000) fit 16 bits.
-		if limit := 11*len(cw.starts) + 3*(n-len(cw.starts)); len(cw.buf) > limit || cw.kind != chunkDecimal || cw.exp != 3 {
-			t.Fatalf("thousandths/%d: %d bytes (kind %d, exponent %d), want at most %d", n, len(cw.buf), cw.kind, cw.exp, limit)
+		if limit := 11*len(cw.starts) + 3*(n-len(cw.starts)); len(cw.buf) > limit {
+			t.Fatalf("thousandths/%d: %d bytes, want at most %d", n, len(cw.buf), limit)
 		}
 		assertChunksBounded(t, &cw, fmt.Sprintf("thousandths/%d", n))
 		assertBitIdentical(t, cw.Values(nil), thousandths, fmt.Sprintf("thousandths/%d", n))
@@ -218,8 +244,8 @@ func TestRawChunksWhereDeltasDoNotPay(t *testing.T) {
 // smallest exponent that holds every value so far; a value that needs a
 // larger exponent re-encodes the chunk at the smallest one that holds
 // them all; a value decimal at no exponent, or one that would make the
-// chunk cost more than raw, turns it raw; and a full chunk starts the next
-// as deltas. Each step decodes bit for bit, through Values and through a
+// chunk cost more than raw, turns it raw; and a full chunk is packed and
+// starts the next as deltas. Each step decodes bit for bit, through Values and through a
 // serialization round trip.
 func TestDecimalChunks(t *testing.T) {
 	type step struct {
@@ -251,7 +277,7 @@ func TestDecimalChunks(t *testing.T) {
 		}},
 		{"next chunk", []step{
 			{thousandths, chunkDecimal, 3},
-			{sparseBenchValues(rand.New(rand.NewSource(1)), cwChunkLen-3), chunkDecimal, 3},
+			{sparseBenchValues(rand.New(rand.NewSource(1)), cwChunkLen-3), chunkPacked, 3},
 			{[]float64{5}, chunkDelta, 0}, // the head of the second chunk
 			{[]float64{0.137}, chunkDelta, 0},
 			{[]float64{0.291}, chunkDecimal, 3},
@@ -390,6 +416,10 @@ func FuzzCompactWindowRoundTrip(f *testing.F) {
 		zeros = append(zeros, 0, 7|2<<3, 1|byte(i%32)<<3) // idle minutes around a thousandth
 	}
 	f.Add(append(zeros, 6|2<<3, 5|3<<3, 6))
+	// A thousandth repeated into a packed chunk of width 0; a chunk of
+	// values of 15 places packed at exponent 15; each decoded.
+	f.Add([]byte{1 | 5<<3, 7 | 31<<3, 7 | 31<<3, 6 | 1<<3, 7 | 31<<3})
+	f.Add(append(bytes.Repeat([]byte{5 | 15<<3}, 2*cwChunkLen+1), 6|2<<3))
 	specials := []float64{
 		0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
 		math.Float64frombits(0xfff0000000000123), math.Inf(1), math.Inf(-1),
@@ -604,5 +634,215 @@ func TestCompactWindowGrowsInOneAllocation(t *testing.T) {
 	}
 	if want := sizeClass(len(full) + len(full)/4); cap(w.buf) != want {
 		t.Errorf("grew a %d-byte stream to %d bytes, want %d", len(full), cap(w.buf), want)
+	}
+}
+
+// cycle is n values that cycle through vals.
+func cycle(n int, vals ...float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = vals[i%len(vals)]
+	}
+	return out
+}
+
+// packedImage is the appendEncoded image of one full packed chunk,
+// written by hand: head, marker, exponent e, width w, base, and the 63
+// offsets, each in w bits; extra bytes are appended to (or, if negative,
+// cut from) the packed offsets.
+func packedImage(head float64, e, w byte, base int64, offsets []uint64, extra int) []byte {
+	stream := binary.LittleEndian.AppendUint64(nil, math.Float64bits(head))
+	stream = append(append(stream, cwPackedMarker...), e, w)
+	stream = binary.AppendUvarint(stream, zigzag(base))
+	bits := make([]byte, (63*int(w)+7)/8)
+	for j := 0; j < 63; j++ {
+		for b := 0; b < int(w); b++ {
+			if j < len(offsets) && offsets[j]>>b&1 != 0 {
+				o := j*int(w) + b
+				bits[o/8] |= 1 << (o % 8)
+			}
+		}
+	}
+	if extra < 0 {
+		bits = bits[:max(len(bits)+extra, 0)]
+	}
+	stream = append(append(stream, bits...), make([]byte, max(extra, 0))...)
+	enc := binary.AppendUvarint(nil, cwChunkLen)
+	return append(binary.AppendUvarint(enc, uint64(len(stream))), stream...)
+}
+
+// TestPackedChunkRejectsCorruption: a packed chunk Append never writes
+// fails to decode, in every mode: an exponent past cwMaxExp, a width past
+// cwMaxWidth, a base or a base+2^w-1 outside ±2^53, a base cut short,
+// offsets that are not exactly ceil(63·w/8) bytes, and a packed chunk
+// that is not full. The frames at the edges of the range decode.
+func TestPackedChunkRejectsCorruption(t *testing.T) {
+	ramp := make([]uint64, 63)
+	for j := range ramp {
+		ramp[j] = uint64(j)
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		want []float64 // the values after the head, if it decodes
+	}{
+		{"thousandths", packedImage(0.5, 3, 6, 137, ramp, 0), func() []float64 {
+			vals := make([]float64, 63)
+			for j := range vals {
+				vals[j] = float64(137+j) / 1000
+			}
+			return vals
+		}()},
+		{"width 0 at 2^53", packedImage(0, 0, 0, 1<<53, nil, 0), cycle(63, 1<<53)},
+		{"width 54 from -2^53", packedImage(0, 0, 54, -1<<53, []uint64{1<<54 - 1}, 0), append([]float64{1<<53 - 1}, cycle(62, -1<<53)...)},
+		{"width 54 from -2^53+1", packedImage(0, 0, 54, -1<<53+1, []uint64{1<<54 - 1}, 0), append([]float64{1 << 53}, cycle(62, -1<<53+1)...)},
+		{"exponent 16", packedImage(0, 16, 6, 0, ramp, 0), nil},
+		{"exponent 255", packedImage(0, 255, 6, 0, ramp, 0), nil},
+		{"width 55", packedImage(0, 0, 55, 0, ramp, 0), nil},
+		{"width 64", packedImage(0, 0, 64, 0, nil, 0), nil},
+		{"width 255", packedImage(0, 0, 255, 0, nil, 0), nil},
+		{"base below -2^53", packedImage(0, 0, 0, -1<<53-1, nil, 0), nil},
+		{"base above 2^53", packedImage(0, 0, 0, 1<<53+1, nil, 0), nil},
+		{"base+2^w-1 above 2^53", packedImage(0, 0, 3, 1<<53-6, nil, 0), nil},
+		{"width 54 from -2^53+2", packedImage(0, 0, 54, -1<<53+2, nil, 0), nil},
+		{"base cut short", func() []byte {
+			stream := binary.LittleEndian.AppendUint64(nil, 0)
+			stream = append(append(stream, cwPackedMarker...), 0, 0, 0x80)
+			return append(binary.AppendUvarint(binary.AppendUvarint(nil, cwChunkLen), uint64(len(stream))), stream...)
+		}(), nil},
+		{"offsets a byte short", packedImage(0.5, 3, 6, 137, ramp, -1), nil},
+		{"offsets a byte long", packedImage(0.5, 3, 6, 137, ramp, 1), nil},
+		{"width 0 with a byte", packedImage(0.5, 3, 0, 137, nil, 1), nil},
+		{"not full", func() []byte {
+			enc := packedImage(0.5, 3, 6, 137, ramp, 0)
+			return append(binary.AppendUvarint(nil, cwChunkLen-1), enc[1:]...)
+		}(), nil},
+	} {
+		for _, mode := range []cwMode{cwWindow, cwValues, cwWindow | cwValues} {
+			cw, vals, err := decodeCompactWindow(append([]byte(nil), tc.enc...), mode)
+			_, refVals, rest, refErr := refDecodeCompactWindow(tc.enc)
+			if tc.want == nil {
+				if err == nil || refErr == nil && len(rest) == 0 {
+					t.Errorf("%s: mode %d: err %v, the two-pass decode's %v with %d bytes left; want both to refuse", tc.name, mode, err, refErr, len(rest))
+				}
+				continue
+			}
+			if err != nil || refErr != nil {
+				t.Fatalf("%s: mode %d: %v, the two-pass decode: %v", tc.name, mode, err, refErr)
+			}
+			if mode&cwValues != 0 {
+				assertBitIdentical(t, vals[1:], tc.want, tc.name)
+			}
+			assertBitIdentical(t, refVals[1:], tc.want, tc.name+": the two-pass decode")
+			if mode&cwWindow != 0 && (cw.kind != chunkPacked || cw.tail != cwChunkLen || cw.prev != math.Float64bits(tc.want[62])) {
+				t.Errorf("%s: mode %d: window %+v", tc.name, mode, cw)
+			}
+		}
+	}
+}
+
+// openWindowOf encodes values as Append does, but leaves every full chunk
+// in the open chunk's encodings: the window Append would keep without
+// packing.
+func openWindowOf(values []float64) CompactWindow {
+	var cw CompactWindow
+	for _, v := range values {
+		cw.appendOpen(v)
+	}
+	return cw
+}
+
+// TestPackedMatchesOpenChunks: a window whose full chunks are packed holds
+// the values, answers Recent(k, skip) for every k and a spread of skips,
+// and has the chunks, starting at the values and the offsets a decode
+// re-derives, that the same window without packing does, Float64bits for
+// Float64bits. Its chunks pack at every exponent 0-15, at widths 0 and
+// 54, behind a -0 head, and not at all where a -0, NaN or infinity after
+// the head forces the chunk raw, or where the frame would pass 2^53.
+func TestPackedMatchesOpenChunks(t *testing.T) {
+	type chunk struct {
+		name   string
+		vals   []float64 // cwChunkLen values
+		packed bool
+		e, w   uint8
+	}
+	var chunks []chunk
+	for e := uint8(0); e <= cwMaxExp; e++ {
+		// m ends in a nonzero digit, so no smaller exponent holds it.
+		vals := []float64{1.5}
+		for j := 1; j < cwChunkLen; j++ {
+			vals = append(vals, float64(10*(j*7919%1000)+1+j%9)/pow10[e])
+		}
+		chunks = append(chunks, chunk{fmt.Sprintf("exponent %d", e), vals, true, e, 14})
+	}
+	chunks = append(chunks,
+		chunk{"width 0", append([]float64{0}, cycle(cwChunkLen-1, 0.137)...), true, 3, 0},
+		chunk{"width 54", func() []float64 {
+			// Integers all over ±(2^53-1), both ends included: raw in the
+			// open encodings, 54 bits a value packed.
+			rng := rand.New(rand.NewSource(54))
+			vals := []float64{0, 1<<53 - 1, -(1<<53 - 1)}
+			for len(vals) < cwChunkLen {
+				vals = append(vals, float64(rng.Int63n(1<<54-1)-(1<<53-1)))
+			}
+			return vals
+		}(), true, 0, 54},
+		chunk{"-0 head", append([]float64{math.Copysign(0, -1)}, cycle(cwChunkLen-1, 0.25, 0.5)...), true, 2, 5},
+	)
+	// Every m is decimal, but base+2^w-1 = 2^53+1: a frame the decoder
+	// refuses, so the chunk stays raw.
+	chunks = append(chunks, chunk{"frame past 2^53", append([]float64{0}, cycle(cwChunkLen-1, 1<<52+2, 1<<53-1)...), false, 0, 0})
+	for _, special := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		vals := benchWindow(cwChunkLen, false)
+		vals[40] = special
+		chunks = append(chunks, chunk{fmt.Sprintf("%v", special), vals, false, 0, 0})
+	}
+	var values []float64
+	for _, c := range chunks {
+		values = append(values, c.vals...)
+	}
+	values = append(values, benchWindow(20, false)...) // an open chunk last
+
+	packed, open := compactWindowOf(values), openWindowOf(values)
+	kinds, exps := chunkKinds(&packed)
+	openKinds, _ := chunkKinds(&open)
+	for i, c := range chunks {
+		width := packed.buf[packed.starts[i]+11]
+		if got := kinds[i] == chunkPacked; got != c.packed || got && (exps[i] != c.e || width != c.w) {
+			t.Fatalf("%s: chunk of kind %d at exponent %d, width %d; want packed=%v at %d, width %d", c.name, kinds[i], exps[i], width, c.packed, c.e, c.w)
+		}
+		if openKinds[i] == chunkPacked {
+			t.Fatalf("%s: the open encodings packed a chunk", c.name)
+		}
+	}
+	if len(packed.buf) >= len(open.buf) {
+		t.Fatalf("packing kept %d bytes of %d", len(packed.buf), len(open.buf))
+	}
+
+	for _, w := range []struct {
+		name string
+		cw   CompactWindow
+	}{{"packed", packed}, {"open", open}} {
+		assertBitIdentical(t, w.cw.Values(nil), values, w.name)
+		dec, vals, err := decodeCompactWindow(w.cw.appendEncoded(nil), cwWindow|cwValues)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		assertBitIdentical(t, vals, values, w.name+": decoded")
+		if !slices.Equal(dec.starts, w.cw.starts) || len(w.cw.starts) != (len(values)+cwChunkLen-1)/cwChunkLen {
+			t.Fatalf("%s: chunks start at %v, a decode finds %v", w.name, w.cw.starts, dec.starts)
+		}
+		for _, skip := range []int{0, 1, 63, 64, 65, 500} {
+			for k := 0; k <= len(values)+1; k++ {
+				hi := max(len(values)-skip, 0)
+				want := values[max(hi-k, 0):hi]
+				assertBitIdentical(t, w.cw.Recent(k, skip, nil), want, fmt.Sprintf("%s: Recent(%d, %d)", w.name, k, skip))
+			}
+		}
+	}
+	// The window a decode of each continues the same.
+	for _, cw := range []CompactWindow{packed, open} {
+		cw.Append(0.125)
+		assertBitIdentical(t, cw.Values(nil), append(slices.Clip(values), 0.125), "appended to")
 	}
 }

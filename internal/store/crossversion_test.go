@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -45,27 +46,76 @@ func v3CompactWindowOf(values []float64) CompactWindow {
 	return cw
 }
 
+// v4CompactWindowOf encodes values as a femux-snap-v4 data directory
+// holds them: by the open chunk's encodings alone, which were all of
+// Append then, so a full chunk stays decimal, delta or raw.
+func v4CompactWindowOf(values []float64) CompactWindow {
+	var cw CompactWindow
+	for _, v := range values {
+		cw.appendOpen(v)
+	}
+	return cw
+}
+
 // TestV3DirectoryReopens: a femux-snap-v3 data directory, laid out byte
 // by byte from the v3 format — a snapshot of inline and paged apps whose
 // windows hold delta and raw chunks, the page file its stubs name, and a
-// WAL tail on top — opens with every window Float64bits-identical,
-// through the peek and the promoting restore. A compaction writes it
-// femux-snap-v4, with the tail's new chunks decimal, and it reopens to the
-// same windows. A femux-snap-v5 snapshot on top fails Open.
+// WAL tail on top — reopens bit for bit and is rewritten as v5 (see
+// testOldDirectoryReopens).
 func TestV3DirectoryReopens(t *testing.T) {
+	testOldDirectoryReopens(t, snapMagicV3, v3CompactWindowOf, func(cw *CompactWindow) bool {
+		return bytes.Contains(cw.buf, []byte(cwRawMarker))
+	})
+}
+
+// TestV4DirectoryReopens: the same for a femux-snap-v4 directory, whose
+// windows' full chunks are decimal, never packed.
+func TestV4DirectoryReopens(t *testing.T) {
+	testOldDirectoryReopens(t, snapMagicV4, v4CompactWindowOf, func(cw *CompactWindow) bool {
+		kinds, _ := chunkKinds(cw)
+		return len(kinds) > 1 && kinds[0] == chunkDecimal
+	})
+}
+
+// testOldDirectoryReopens writes a data directory of an older format,
+// magic: a snapshot of inline and paged apps whose windows encode encodes,
+// the page file its stubs name, and a WAL tail of thousandths on top. It
+// opens with every window Float64bits-identical, through the peek and the
+// promoting restore. A compaction writes it femux-snap-v5, with the full
+// thousandths chunks of every window the old snapshot held inline packed
+// and the tail's open chunks decimal, and it reopens to the same windows.
+// (A window read from an old page record keeps the chunks it was written
+// with.) A femux-snap-v6
+// snapshot on top fails Open. old must hold for some window of the
+// image: the chunk kind the format is there to test.
+func testOldDirectoryReopens(t *testing.T, magic string, encode func([]float64) CompactWindow, old func(*CompactWindow) bool) {
 	dir := t.TempDir()
 	want := map[string][]float64{}
-	snap := headAppendRecord(nil, []byte(snapMagicV3))
+	snap := headAppendRecord(nil, []byte(magic))
 	var page, seg []byte
 	var total int64
-	rawChunks := 0
+	olds := 0
+	inline := map[string]bool{}
+	// In name order, so which apps are inline, paged and paged out again
+	// is the same on every run.
+	shapes := restoreShapes()
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	i := 0
-	for name, vals := range restoreShapes() {
-		app := "v3/" + name
-		st := &appState{cw: v3CompactWindowOf(vals), total: int64(len(vals)) + 5}
-		rawChunks += bytes.Count(st.cw.buf, []byte(cwRawMarker))
+	for _, name := range names {
+		vals := shapes[name]
+		app := "old/" + name
+		st := &appState{cw: encode(vals), total: int64(len(vals)) + 5}
+		if old(&st.cw) {
+			olds++
+		}
 		var rec snapRecord = st
-		if i++; i%2 == 0 {
+		if i++; i%2 != 0 {
+			inline[app] = true
+		} else {
 			framed := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
 			rec = &coldApp{total: st.total, ref: pageRef{seq: 1, off: int64(len(page)), recLen: int32(len(framed)), count: uint32(len(vals))}}
 			page = append(page, framed...)
@@ -81,8 +131,8 @@ func TestV3DirectoryReopens(t *testing.T) {
 			total++
 		}
 	}
-	if rawChunks == 0 {
-		t.Fatal("the v3 image holds no raw chunk")
+	if olds == 0 {
+		t.Fatalf("the %s image holds no window of the kind it is there to test", magic)
 	}
 	for name, data := range map[string][]byte{snapName(1): snap, pageName(1): page, segName(2): seg} {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -142,8 +192,30 @@ func TestV3DirectoryReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, headAppendRecord(nil, []byte(snapMagicV4))) {
-		t.Fatalf("the compaction wrote %q..., want the %s magic", data[recordHeaderLen:min(len(data), 21)], snapMagicV4)
+	if !bytes.HasPrefix(data, headAppendRecord(nil, []byte(snapMagicV5))) {
+		t.Fatalf("the compaction wrote %q..., want the %s magic", data[recordHeaderLen:min(len(data), 21)], snapMagicV5)
+	}
+	warm, _, err := readSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := 0
+	for app, st := range warm {
+		if !inline[app] {
+			continue
+		}
+		kinds, _ := chunkKinds(&st.cw)
+		for c, k := range kinds {
+			if k == chunkPacked {
+				packed++
+			}
+			if full := c < len(kinds)-1 || st.cw.tail == cwChunkLen; full && k == chunkDecimal {
+				t.Errorf("%s: full chunk %d of the v5 snapshot is decimal, not packed", app, c)
+			}
+		}
+	}
+	if packed == 0 {
+		t.Fatal("the v5 snapshot holds no packed chunk")
 	}
 	s = mustOpen(t, dir, opt)
 	check(s, "compacted and reopened")
@@ -151,30 +223,39 @@ func TestV3DirectoryReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newer := appendRecord(nil, []byte("femux-snap-v5"))
+	newer := appendRecord(nil, []byte("femux-snap-v6"))
 	seq, _ := parseSeq(filepath.Base(snaps[0]), snapPrefix, snapSuffix)
 	if err := os.WriteFile(filepath.Join(dir, snapName(seq+1)), newer, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := Open(dir, opt); err == nil || !strings.Contains(err.Error(), "femux-snap-v5") {
+	if s, err := Open(dir, opt); err == nil || !strings.Contains(err.Error(), "femux-snap-v6") {
 		if s != nil {
 			s.Close()
 		}
-		t.Fatalf("Open over a femux-snap-v5 snapshot = %v, want an error naming it", err)
+		t.Fatalf("Open over a femux-snap-v6 snapshot = %v, want an error naming it", err)
 	}
 }
 
-// TestV3EncoderIsTheFormat: the v3 encoder above writes what the current
-// encoder writes wherever no chunk turns decimal: on dyadic values, on
-// values decimal at no exponent, and on the specials.
+// TestV3EncoderIsTheFormat: the v3 encoder above writes what the open
+// chunk's encodings write wherever no chunk turns decimal — on dyadic
+// values, on values decimal at no exponent, and on the specials — and
+// those write what Append does wherever no full chunk packs.
 func TestV3EncoderIsTheFormat(t *testing.T) {
+	v3s := 0
 	for name, vals := range restoreShapes() {
+		v4 := v4CompactWindowOf(vals)
+		if kinds, _ := chunkKinds(&v4); !slices.Contains(kinds, chunkDecimal) {
+			v3s++
+			if v3 := v3CompactWindowOf(vals); !bytes.Equal(v3.buf, v4.buf) {
+				t.Errorf("%s: the v3 encoder wrote %x, the v4 one %x", name, v3.buf, v4.buf)
+			}
+		}
 		cw := compactWindowOf(vals)
-		if kinds, _ := chunkKinds(&cw); slices.Contains(kinds, chunkDecimal) {
-			continue
+		if kinds, _ := chunkKinds(&cw); !slices.Contains(kinds, chunkPacked) && !bytes.Equal(v4.buf, cw.buf) {
+			t.Errorf("%s: the v4 encoder wrote %x, the current one %x", name, v4.buf, cw.buf)
 		}
-		if v3 := v3CompactWindowOf(vals); !bytes.Equal(v3.buf, cw.buf) {
-			t.Errorf("%s: the v3 encoder wrote %x, the current one %x", name, v3.buf, cw.buf)
-		}
+	}
+	if v3s == 0 {
+		t.Error("no shape is free of decimal chunks: the v3 encoder is compared with nothing")
 	}
 }

@@ -13,11 +13,16 @@ import (
 // the record is replaced or the store is reopened — without costing the
 // record a byte.
 func TestMemoLifecycle(t *testing.T) {
-	if got := unsafe.Sizeof(appState{}); got != 96 {
-		t.Errorf("appState is %d bytes, want 96: the memo and the CLOCK fields must fit the 16 bytes after total", got)
+	// 32-bit builds have 4-byte words, and align a uint64 field to 4.
+	wantState, wantCold := uintptr(96), uintptr(48)
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		wantState, wantCold = 68, 44
 	}
-	if got := unsafe.Sizeof(coldApp{}); got != 48 {
-		t.Errorf("coldApp is %d bytes, want 48: the stub, total and memo in one size class", got)
+	if got := unsafe.Sizeof(appState{}); got != wantState {
+		t.Errorf("appState is %d bytes, want %d: the memo and the CLOCK fields must fit the 16 bytes after total", got, wantState)
+	}
+	if got := unsafe.Sizeof(coldApp{}); got != wantCold {
+		t.Errorf("coldApp is %d bytes, want %d: the stub, total and memo in one size class", got, wantCold)
 	}
 	dir := t.TempDir()
 	opt := Options{Sync: SyncNever, CompactEvery: -1}

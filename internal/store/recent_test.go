@@ -17,6 +17,11 @@ func FuzzCompactWindowRecent(f *testing.F) {
 	f.Add([]byte{1 + 6*10, 1 + 6*10, 0 + 6*8, 2 + 6*20}, uint16(64), uint16(64), uint16(1))
 	f.Add([]byte{2 + 6*41, 5 + 6*41, 4 + 6*41}, uint16(300), uint16(0), uint16(0))
 	f.Add([]byte{3}, uint16(0), uint16(200), uint16(64))
+	// Packed chunks: of zeros (width 0), of quarters, of decimals of up to
+	// 5 places; read across their boundaries and from their middles.
+	f.Add([]byte{0 + 6*42, 0 + 6*42, 1 + 6*42}, uint16(100), uint16(5), uint16(0))
+	f.Add([]byte{1 + 6*42, 1 + 6*42, 1 + 6*42, 1 + 6*10}, uint16(30), uint16(70), uint16(30))
+	f.Add([]byte{5 + 6*41, 5 + 6*41, 5 + 6*41, 2 + 6*41}, uint16(129), uint16(1), uint16(8))
 	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 1e-310}
 	f.Fuzz(func(t *testing.T, prog []byte, k, skip, dstCap uint16) {
 		// Each program byte appends a run of up to 43 values of one kind:

@@ -18,7 +18,7 @@ import (
 // headAppendRecord is the framing as it was before records were encoded
 // in place, kept verbatim: an oracle the new code is compared against,
 // byte for byte. refDecodeCompactWindow is a second, two-pass decoder of
-// all three chunk kinds, and headCompactWindowOf is the encoder as it was
+// all four chunk kinds, and headCompactWindowOf is the encoder as it was
 // before raw chunks.
 
 func headAppendRecord(buf, payload []byte) []byte {
@@ -69,6 +69,22 @@ func refDecodeCompactWindow(p []byte) (cw CompactWindow, vals []float64, rest []
 			c.kind, i = chunkRaw, i+2+8*(c.values-1)
 			if i > len(stream) {
 				return bad("raw words")
+			}
+		} else if c.values > 1 && bytes.HasPrefix(stream[i:], []byte(cwPackedMarker)) {
+			if c.values != cwChunkLen {
+				return bad("packed chunk not full")
+			}
+			if len(stream)-i < 4 {
+				return bad("packed header")
+			}
+			_, m := binary.Uvarint(stream[i+4:])
+			if m <= 0 {
+				return bad("packed base")
+			}
+			// 63 offsets of w bits, in whole bytes.
+			c.kind, i = chunkPacked, i+4+m+(63*int(stream[i+3])+7)/8
+			if i > len(stream) {
+				return bad("packed offsets")
 			}
 		} else {
 			if c.values > 1 && bytes.HasPrefix(stream[i:], []byte(cwDecimalMarker)) {
@@ -139,6 +155,27 @@ func refDecodeCompactWindow(p []byte) (cw CompactWindow, vals []float64, rest []
 				return bad("last value not decimal")
 			}
 			b, cw.exp = math.Float64bits(last), e
+		case chunkPacked:
+			e, w := q[0], int(q[1])
+			u, k := binary.Uvarint(q[2:])
+			base := int64(u >> 1)
+			if u&1 != 0 {
+				base = ^base
+			}
+			if e > cwMaxExp || w > 54 || base < -1<<53 || base > 1<<53 || base+(1<<w-1) > 1<<53 {
+				return bad("packed header")
+			}
+			q = q[2+k:]
+			pow := math.Pow10(int(e))
+			for j := 0; j < 63; j++ {
+				var off int64
+				for bit := 0; bit < w; bit++ {
+					o := j*w + bit
+					off |= int64(q[o/8]>>(o%8)&1) << bit
+				}
+				vals = append(vals, float64(base+off)/pow)
+			}
+			b, cw.exp = math.Float64bits(vals[len(vals)-1]), e
 		default:
 			for len(q) > 0 {
 				d, k := binary.Uvarint(q)
@@ -148,7 +185,7 @@ func refDecodeCompactWindow(p []byte) (cw CompactWindow, vals []float64, rest []
 			}
 		}
 		cw.kind, cw.prev, cw.tail = c.kind, b, int32(c.values)
-		if c.kind != chunkDecimal {
+		if c.kind != chunkDecimal && c.kind != chunkPacked {
 			cw.exp = 0
 		}
 	}
@@ -221,10 +258,11 @@ func benchWindow(n int, dyadic bool) []float64 {
 func encodedWindow(cw CompactWindow) []byte { return cw.appendEncoded(nil) }
 
 // FuzzCompactWindowDecode: on arbitrary bytes the one-pass decoder never
-// panics, never allocates more than a constant factor of its input, and
+// panics, never allocates more than a constant factor of its input (a
+// packed chunk holds 64 values, 512 bytes decoded, in 13), and
 // its three modes agree on whether the bytes are a window, on its values,
 // and on the window they continue with an Append. They also agree with a
-// two-pass decode of the three chunk kinds (refDecodeCompactWindow): on
+// two-pass decode of the four chunk kinds (refDecodeCompactWindow): on
 // whether the bytes are a window at all, on every field of the window,
 // and on the bits of every value.
 func FuzzCompactWindowDecode(f *testing.F) {
@@ -260,6 +298,24 @@ func FuzzCompactWindowDecode(f *testing.F) {
 	f.Add(decimalImage(0.137, 0xff, 154))
 	f.Add(decimalImage(1.0/3, 3, 154))
 	f.Add(decimalImage(0.137, 3)[:12])
+	// Packed chunks: at the edges of the frame and past them, at widths
+	// from 0 to 54 and past 54, cut short and overlong, one not full, and
+	// a window of zeros in chunks of width 0.
+	ramp := make([]uint64, 63)
+	for j := range ramp {
+		ramp[j] = uint64(j * 7)
+	}
+	f.Add(packedImage(0.5, 3, 9, 137, ramp, 0))
+	f.Add(packedImage(0, 0, 0, 1<<53, nil, 0))
+	f.Add(packedImage(0, 0, 54, -1<<53+1, []uint64{1<<54 - 1}, 0))
+	f.Add(packedImage(0, 0, 54, -1<<53+2, []uint64{1<<54 - 1}, 0))
+	f.Add(packedImage(0, 0, 3, 1<<53-6, nil, 0))
+	f.Add(packedImage(0, 16, 9, 0, ramp, 0))
+	f.Add(packedImage(0, 0, 55, 0, ramp, 0))
+	f.Add(packedImage(0.5, 3, 9, 137, ramp, -1))
+	f.Add(packedImage(0.5, 3, 9, 137, ramp, 1))
+	f.Add(append(binary.AppendUvarint(nil, cwChunkLen-1), packedImage(0.5, 3, 9, 137, ramp, 0)[1:]...))
+	f.Add(encodedWindow(compactWindowOf(make([]float64, 3*cwChunkLen))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantVals, rest, err := refDecodeCompactWindow(data)
@@ -272,7 +328,7 @@ func FuzzCompactWindowDecode(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			cw, vals, err := decodeCompactWindow(in, mode)
 			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(1<<16)); got > limit {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(48*len(data)+(1<<16)); got > limit {
 				t.Fatalf("mode %d: decoding %d bytes allocated %d", mode, len(data), got)
 			}
 			if mode == cwWindow|cwValues {
@@ -371,14 +427,15 @@ func TestUvarintMatchesBinary(t *testing.T) {
 // TestRecordsAreByteIdenticalToHead: framing a payload where it is encoded
 // writes the bytes that framing a separately built payload did, for the
 // three records that moved — page, snapshot and WAL observation. A dyadic
-// window never goes raw, so its page and snapshot records are the bytes
-// the delta-only encoder wrote, apart from the snapshot's magic.
+// window too short to fill a chunk never goes raw or packed, so its page
+// and snapshot records are the bytes the delta-only encoder wrote, apart
+// from the snapshot's magic.
 func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 	for name, vals := range restoreShapes() {
 		st := &appState{cw: compactWindowOf(vals), total: int64(len(vals)) + 7}
 		app := "golden/" + name
 		head := st
-		if strings.HasPrefix(name, "dyadic/") {
+		if strings.HasPrefix(name, "dyadic/") && len(vals) < cwChunkLen {
 			head = &appState{cw: headCompactWindowOf(vals), total: st.total}
 		}
 
@@ -399,7 +456,7 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV4)), head.appendSnapshot(nil, app))
+		want = headAppendRecord(headAppendRecord(nil, []byte(snapMagicV5)), head.appendSnapshot(nil, app))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: snapshot\n got %x\nwant %x", name, got, want)
 		}

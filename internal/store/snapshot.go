@@ -14,23 +14,25 @@ import (
 // (and lifetime observation count) as of the moment segments <= seq
 // were sealed. The file reuses the WAL's CRC-framed record format.
 //
-// v4 (written now) keeps apps in their in-memory shape:
+// v5 (written now) keeps apps in their in-memory shape:
 //
-//	record 0   magic "femux-snap-v4"
+//	record 0   magic "femux-snap-v5"
 //	record i   tag 0x00 | uvarint len(app) | app | uvarint total | compact window
 //	           tag 0x01 | uvarint len(app) | app | uvarint total |
 //	                      uvarint pageSeq | uvarint off | uvarint recLen | uvarint count
 //
 // Tag 0x00 is an inline (warm) app with its compact window; tag 0x01 is
-// a cold app's stub pointing into a page file. v3 has the same records,
-// but its windows never hold a decimal chunk, and v2's never hold a raw
-// one either (see CompactWindow), so v2, v3 and v4 share one decoder. The
-// magic changed each time so that a build which cannot read a chunk kind
-// does not take it for deltas; a page record is reachable only through a
-// snapshot's stub, so that gate covers page files too. v1 (raw float64
-// windows, from before tiering) is still read, so any older data
-// directory opens cleanly, and so do the ctrlAppImport records old WALs
-// hold.
+// a cold app's stub pointing into a page file. v4 has the same records,
+// but its windows never hold a packed chunk, v3's never a decimal one,
+// and v2's never a raw one either (see CompactWindow), so v2 to v5 share
+// one decoder. An inline window of v2 to v4 is re-encoded as it loads, so
+// that its full chunks pack as Append's do; a page record is read as it
+// was written. The magic changed each time so that a build which cannot
+// read a chunk kind does not take it for deltas; a page record is
+// reachable only through a snapshot's stub, so that gate covers page
+// files too. v1 (raw float64 windows, from before tiering) is still read,
+// so any older data directory opens cleanly, and so do the ctrlAppImport
+// records old WALs hold.
 //
 // A snapshot is written to snap-<seq>.snap.tmp, fsynced, and renamed
 // into place, so a crash mid-compaction leaves either the old or the new
@@ -45,6 +47,7 @@ const (
 	snapMagicV2     = "femux-snap-v2"
 	snapMagicV3     = "femux-snap-v3"
 	snapMagicV4     = "femux-snap-v4"
+	snapMagicV5     = "femux-snap-v5"
 	snapMagicPrefix = "femux-snap-"
 
 	snapTagInline = 0x00
@@ -162,18 +165,18 @@ func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	return app, &appState{cw: cw, total: int64(total)}, nil
 }
 
-// A snapRecord is a record a v4 snapshot holds: a warm app's compact
+// A snapRecord is a record a v5 snapshot holds: a warm app's compact
 // window or a cold app's stub.
 type snapRecord interface {
 	appendSnapshot(buf []byte, app string) []byte
 }
 
-// appendSnapshot frames a warm app for a v4 snapshot: its compact window.
+// appendSnapshot frames a warm app for a v5 snapshot: its compact window.
 func (st *appState) appendSnapshot(buf []byte, app string) []byte {
 	return encodeWireAppCompact(append(buf, snapTagInline), app, st)
 }
 
-// appendSnapshot frames a cold app for a v4 snapshot: just its page stub.
+// appendSnapshot frames a cold app for a v5 snapshot: just its page stub.
 func (c *coldApp) appendSnapshot(buf []byte, app string) []byte {
 	buf = append(buf, snapTagPaged)
 	buf = binary.AppendUvarint(buf, uint64(len(app)))
@@ -185,7 +188,7 @@ func (c *coldApp) appendSnapshot(buf []byte, app string) []byte {
 	return binary.AppendUvarint(buf, uint64(c.ref.count))
 }
 
-// decodeSnapshotApp parses a v2, v3 or v4 snapshot record: a warm app's state
+// decodeSnapshotApp parses a v2 to v5 snapshot record: a warm app's state
 // (*appState) or a cold app's stub (*coldApp), whichever the tag says.
 func decodeSnapshotApp(p []byte) (app string, rec snapRecord, err error) {
 	if len(p) == 0 {
@@ -235,7 +238,7 @@ func appendSnapshotRecord(buf []byte, app string, rec snapRecord) []byte {
 	return sealRecord(rec.appendSnapshot(reserveHeader(buf), app), start)
 }
 
-// writeSnapshots writes one v4 snapshot, snap-<seq>.snap, onto each of
+// writeSnapshots writes one v5 snapshot, snap-<seq>.snap, onto each of
 // devs: fill hands every record to add with the index of its device.
 // Compaction writes one snapshot through it, Split one per destination.
 // Each goes to a temp file and is fsynced, closed and renamed into place,
@@ -263,7 +266,7 @@ func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app str
 			return err
 		}
 		bufs[i] = bufio.NewWriterSize(files[i], 1<<20)
-		bufs[i].Write(appendRecord(nil, []byte(snapMagicV4))) // into an empty buffer: cannot fail
+		bufs[i].Write(appendRecord(nil, []byte(snapMagicV5))) // into an empty buffer: cannot fail
 	}
 	if err := fill(func(i int, app string, rec snapRecord) error {
 		_, err := bufs[i].Write(appendSnapshotRecord(bufs[i].AvailableBuffer(), app, rec))
@@ -313,18 +316,27 @@ func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold map[s
 
 // readSnapshot decodes a snapshot file into its warm apps and its cold
 // apps' stubs, each app in one of the two. Its first record's magic is the
-// one version gate: v4, v3 and v2 records decode as they are, v1 raw windows
-// are compressed on the way in, and an intact femux-snap- magic this build
-// does not know is errSnapshotFormat. Any framing, CRC, magic or decode
-// failure is an error.
+// one version gate: v5 records decode as they are, v2 to v4 ones too but
+// with their inline windows re-encoded, v1 raw windows are compressed on
+// the way in, and an intact femux-snap- magic this build does not know is
+// errSnapshotFormat. Any framing, CRC, magic or decode failure is an
+// error.
 func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*coldApp, err error) {
 	warm, cold = map[string]*appState{}, map[string]*coldApp{}
 	var decode func(p []byte) (string, snapRecord, error)
 	n, err := readRecords(r, true, func(payload []byte) error {
 		if decode == nil {
 			switch magic := string(payload); {
-			case magic == snapMagicV4 || magic == snapMagicV3 || magic == snapMagicV2:
+			case magic == snapMagicV5:
 				decode = decodeSnapshotApp
+			case magic == snapMagicV4 || magic == snapMagicV3 || magic == snapMagicV2:
+				decode = func(p []byte) (string, snapRecord, error) {
+					app, rec, err := decodeSnapshotApp(p)
+					if st, ok := rec.(*appState); ok {
+						st.cw.repack()
+					}
+					return app, rec, err
+				}
 			case magic == snapMagic:
 				decode = func(p []byte) (string, snapRecord, error) {
 					app, st, err := decodeWireApp(p)

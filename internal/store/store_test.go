@@ -238,10 +238,10 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotRecordsGolden pins the bytes compaction writes: the v4
+// TestSnapshotRecordsGolden pins the bytes compaction writes: the v5
 // magic, then one record per app — inline, a window of deltas, a window
-// whose chunk went raw and one whose chunk went decimal, and a cold app as
-// a page stub.
+// whose chunk went raw, one whose chunk went decimal and one whose full
+// chunk was packed, and a cold app as a page stub.
 func TestSnapshotRecordsGolden(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
@@ -251,6 +251,7 @@ func TestSnapshotRecordsGolden(t *testing.T) {
 		"raw":     {1.0 / 3, 1.0 / 7, 1.0 / 9}, // decimal only past 10^-15
 		"decimal": {0.137, 0.291, 0.513},
 		"cold":    {4, 0, 0, 4.25},
+		"packed":  append([]float64{4.25}, cycle(63, 0, 1)...),
 	} {
 		for _, v := range w {
 			if err := s.Append(app, v); err != nil {
@@ -285,8 +286,8 @@ func TestSnapshotRecordsGolden(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if magic != snapMagicV4 || len(recs) != 4 {
-		t.Fatalf("magic %q and %d records, want %q and 4", magic, len(recs), snapMagicV4)
+	if magic != snapMagicV5 || len(recs) != 5 {
+		t.Fatalf("magic %q and %d records, want %q and 5", magic, len(recs), snapMagicV5)
 	}
 	for app, want := range map[string]string{
 		// frame (length 26, CRC) | tag 00 | name | total 5 | 5 values in 16
@@ -301,6 +302,11 @@ func TestSnapshotRecordsGolden(t *testing.T) {
 		// and 222 (bc 03)
 		"decimal": "1b000000" + "cc918762" + "00" + "07646563696d616c" + "03" + "03" + "0f" +
 			"f0a7c64b3789c13f" + "8100" + "03" + "b402" + "bc03",
+		// head 4.25, the packed marker 82 00, exponent 0, width 1, base 0,
+		// then the 63 offsets 0, 1, 0, ... one bit each from bit 0: 0xaa
+		// seven times and 0x2a
+		"packed": "20000000" + "da56a3c1" + "00" + "067061636b6564" + "40" + "40" + "15" +
+			"0000000000001140" + "8200" + "00" + "01" + "00" + "aaaaaaaaaaaaaa2a",
 	} {
 		if recs[app] != want {
 			t.Errorf("%s record\n got %s\nwant %s", app, recs[app], want)
