@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net"
 	"net/http"
@@ -175,6 +179,54 @@ func TestFemuxdBoundedInMemoryChurn(t *testing.T) {
 		if got.History != sent[i] {
 			t.Errorf("sparse-%d: history %d, want the %d observations sent", i, got.History, sent[i])
 		}
+	}
+}
+
+// TestFemuxdRefusesOldDataDir: femuxd on a data directory this build no
+// longer reads, one holding a femux-snap-v3 snapshot, opens it before it
+// trains anything: it exits non-zero at once, its stderr names the format
+// and the upgrade path, it never logs "model ready", and the directory is
+// left as it was.
+func TestFemuxdRefusesOldDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
+	}
+	bin := buildFemuxd(t)
+	dataDir := t.TempDir()
+	magic := []byte("femux-snap-v3") // a snapshot's first record, framed as the WAL frames one
+	snap := binary.LittleEndian.AppendUint32(nil, uint32(len(magic)))
+	snap = binary.LittleEndian.AppendUint32(snap, crc32.Checksum(magic, crc32.MakeTable(crc32.Castagnoli)))
+	snap = append(snap, magic...)
+	if err := os.WriteFile(filepath.Join(dataDir, "snap-00000001.snap"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var stderr strings.Builder
+	cmd := exec.CommandContext(ctx, bin, "-addr", freeAddr(t), "-data-dir", dataDir)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || ctx.Err() != nil {
+		t.Fatalf("femuxd on a v3 data directory: %v, want a non-zero exit\n%s", err, stderr.String())
+	}
+	for _, want := range []string{`"femux-snap-v3"`, "femux-split -from", "a6e04f1"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr does not name %s:\n%s", want, stderr.String())
+		}
+	}
+	if strings.Contains(stderr.String(), "model ready") {
+		t.Errorf("femuxd trained a model before refusing the directory:\n%s", stderr.String())
+	}
+	ents, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Errorf("the refused directory holds %d files, want the snapshot alone", len(ents))
+	}
+	if got, _ := os.ReadFile(filepath.Join(dataDir, "snap-00000001.snap")); string(got) != string(snap) {
+		t.Error("the refused snapshot changed")
 	}
 }
 

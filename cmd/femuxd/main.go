@@ -23,11 +23,13 @@
 // With -data-dir, every acknowledged observation is persisted through a
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
-// loses no state. Restart is the recovery path: /healthz answers 503
-// once the WAL has failed, and a supervisor that kills and restarts
-// femuxd on the same -data-dir gets back every acknowledged
-// observation. Without it the same store is held in memory: same
-// tiering, no files, nothing survives the process. -max-hot-apps and
+// loses no state. The directory is opened before anything trains, so one
+// this build does not read fails at once, naming its upgrade path.
+// Restart is the recovery path: /healthz answers 503 once the WAL has
+// failed, and a supervisor that kills and restarts femuxd on the same
+// -data-dir gets back every acknowledged observation. Without it the
+// same store is held in memory: same tiering, no files, nothing
+// survives the process. -max-hot-apps and
 // -max-warm-apps bound the hot and in-memory-window tiers so a
 // million-app fleet serves in bounded RSS: the LRU excess is demoted to
 // compact windows and, past the warm budget, paged to disk, then
@@ -163,19 +165,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model, err := buildModel(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("model ready: %d clusters, default forecaster %s",
-		model.Diag.Clusters, model.DefaultForecaster().Name())
-	if cfg.savePath != "" {
-		if err := writeModel(cfg.savePath, model); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("saved model to %s", cfg.savePath)
-	}
-
+	// The store opens before any training: a data directory this build
+	// refuses fails in milliseconds.
 	var st *store.Store
 	if cfg.dataDir == "" {
 		st = store.OpenMemory()
@@ -189,6 +180,19 @@ func main() {
 		if stats.TornTail {
 			log.Printf("durable store: truncated a torn WAL tail (crash recovery)")
 		}
+	}
+
+	model, err := buildModel(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("model ready: %d clusters, default forecaster %s",
+		model.Diag.Clusters, model.DefaultForecaster().Name())
+	if cfg.savePath != "" {
+		if err := writeModel(cfg.savePath, model); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("saved model to %s", cfg.savePath)
 	}
 
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{

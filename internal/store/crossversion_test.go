@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 	"os"
@@ -57,87 +58,26 @@ func v4CompactWindowOf(values []float64) CompactWindow {
 	return cw
 }
 
-// TestV3DirectoryReopens: a femux-snap-v3 data directory, laid out byte
-// by byte from the v3 format — a snapshot of inline and paged apps whose
-// windows hold delta and raw chunks, the page file its stubs name, and a
-// WAL tail on top — reopens bit for bit and is rewritten as v5 (see
-// testOldDirectoryReopens).
-func TestV3DirectoryReopens(t *testing.T) {
-	testOldDirectoryReopens(t, snapMagicV3, v3CompactWindowOf, func(cw *CompactWindow) bool {
-		return bytes.Contains(cw.buf, []byte(cwRawMarker))
-	})
-}
-
-// TestV4DirectoryReopens: the same for a femux-snap-v4 directory, whose
-// windows' full chunks are decimal, never packed.
+// TestV4DirectoryReopens: a femux-snap-v4 data directory, laid out byte
+// by byte (see layOldDirectory) with windows whose full chunks are
+// decimal, never packed, opens with every window Float64bits-identical,
+// through the peek and the promoting restore. A compaction writes it
+// femux-snap-v5, with the full thousandths chunks of every window the old
+// snapshot held inline packed and the tail's open chunks decimal, and it
+// reopens to the same windows. (A window read from an old page record
+// keeps the chunks it was written with.) A femux-snap-v6 snapshot on top
+// fails Open.
 func TestV4DirectoryReopens(t *testing.T) {
-	testOldDirectoryReopens(t, snapMagicV4, v4CompactWindowOf, func(cw *CompactWindow) bool {
-		kinds, _ := chunkKinds(cw)
-		return len(kinds) > 1 && kinds[0] == chunkDecimal
-	})
-}
-
-// testOldDirectoryReopens writes a data directory of an older format,
-// magic: a snapshot of inline and paged apps whose windows encode encodes,
-// the page file its stubs name, and a WAL tail of thousandths on top. It
-// opens with every window Float64bits-identical, through the peek and the
-// promoting restore. A compaction writes it femux-snap-v5, with the full
-// thousandths chunks of every window the old snapshot held inline packed
-// and the tail's open chunks decimal, and it reopens to the same windows.
-// (A window read from an old page record keeps the chunks it was written
-// with.) A femux-snap-v6
-// snapshot on top fails Open. old must hold for some window of the
-// image: the chunk kind the format is there to test.
-func testOldDirectoryReopens(t *testing.T, magic string, encode func([]float64) CompactWindow, old func(*CompactWindow) bool) {
 	dir := t.TempDir()
-	want := map[string][]float64{}
-	snap := headAppendRecord(nil, []byte(magic))
-	var page, seg []byte
-	var total int64
+	want, total, inline, images := layOldDirectory(t, dir, snapMagicV4, v4CompactWindowOf)
 	olds := 0
-	inline := map[string]bool{}
-	// In name order, so which apps are inline, paged and paged out again
-	// is the same on every run.
-	shapes := restoreShapes()
-	names := make([]string, 0, len(shapes))
-	for name := range shapes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	i := 0
-	for _, name := range names {
-		vals := shapes[name]
-		app := "old/" + name
-		st := &appState{cw: encode(vals), total: int64(len(vals)) + 5}
-		if old(&st.cw) {
+	for _, cw := range images {
+		if kinds, _ := chunkKinds(&cw); len(kinds) > 1 && kinds[0] == chunkDecimal {
 			olds++
-		}
-		var rec snapRecord = st
-		if i++; i%2 != 0 {
-			inline[app] = true
-		} else {
-			framed := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
-			rec = &coldApp{total: st.total, ref: pageRef{seq: 1, off: int64(len(page)), recLen: int32(len(framed)), count: uint32(len(vals))}}
-			page = append(page, framed...)
-		}
-		snap = headAppendRecord(snap, rec.appendSnapshot(nil, app))
-		want[app] = append([]float64(nil), vals...)
-		total += st.total
-		// A tail of thousandths long enough to open a chunk of its own.
-		for j := 0; j < cwChunkLen+3; j++ {
-			o := Observation{App: app, Concurrency: float64((j*7919+i*31)%20000) / 1000}
-			seg = headAppendRecord(seg, encodeObservation(nil, o))
-			want[app] = append(want[app], o.Concurrency)
-			total++
 		}
 	}
 	if olds == 0 {
-		t.Fatalf("the %s image holds no window of the kind it is there to test", magic)
-	}
-	for name, data := range map[string][]byte{snapName(1): snap, pageName(1): page, segName(2): seg} {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal("the v4 image holds no window whose full chunks are decimal")
 	}
 	check := func(s *Store, when string) {
 		t.Helper()
@@ -228,12 +168,62 @@ func testOldDirectoryReopens(t *testing.T, magic string, encode func([]float64) 
 	if err := os.WriteFile(filepath.Join(dir, snapName(seq+1)), newer, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := Open(dir, opt); err == nil || !strings.Contains(err.Error(), "femux-snap-v6") {
+	if s, err := Open(dir, opt); err == nil || !errors.Is(err, errUpgrade) || !strings.Contains(err.Error(), "femux-snap-v6") {
 		if s != nil {
 			s.Close()
 		}
-		t.Fatalf("Open over a femux-snap-v6 snapshot = %v, want an error naming it", err)
+		t.Fatalf("Open over a femux-snap-v6 snapshot = %v, want errUpgrade naming it", err)
 	}
+}
+
+// layOldDirectory writes into dir a data directory of the snapshot format
+// magic: a snapshot of inline and paged apps whose windows encode
+// encodes, the page file its stubs name, and a WAL tail of thousandths on
+// top, long enough to open a chunk of its own per app. It returns every
+// app's window and the fleet's total as they should open, which apps the
+// snapshot holds inline, and the window images it wrote.
+func layOldDirectory(t *testing.T, dir, magic string, encode func([]float64) CompactWindow) (want map[string][]float64, total int64, inline map[string]bool, images []CompactWindow) {
+	t.Helper()
+	want, inline = map[string][]float64{}, map[string]bool{}
+	snap := headAppendRecord(nil, []byte(magic))
+	var page, seg []byte
+	// In name order, so which apps are inline, paged and paged out again
+	// is the same on every run.
+	shapes := restoreShapes()
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		vals := shapes[name]
+		app := "old/" + name
+		st := &appState{cw: encode(vals), total: int64(len(vals)) + 5}
+		images = append(images, st.cw)
+		var rec snapRecord = st
+		if i%2 == 0 {
+			inline[app] = true
+		} else {
+			framed := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
+			rec = &coldApp{total: st.total, ref: pageRef{seq: 1, off: int64(len(page)), recLen: int32(len(framed)), count: uint32(len(vals))}}
+			page = append(page, framed...)
+		}
+		snap = headAppendRecord(snap, rec.appendSnapshot(nil, app))
+		want[app] = append([]float64(nil), vals...)
+		total += st.total
+		for j := 0; j < cwChunkLen+3; j++ {
+			o := Observation{App: app, Concurrency: float64((j*7919+(i+1)*31)%20000) / 1000}
+			seg = headAppendRecord(seg, encodeObservation(nil, o))
+			want[app] = append(want[app], o.Concurrency)
+			total++
+		}
+	}
+	for name, data := range map[string][]byte{snapName(1): snap, pageName(1): page, segName(2): seg} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want, total, inline, images
 }
 
 // TestV3EncoderIsTheFormat: the v3 encoder above writes what the open

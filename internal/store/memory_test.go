@@ -95,21 +95,12 @@ func testBackendConformance(t *testing.T) {
 				n, memo, _, ok := s.RestoreMemo(app) // paged is the one answer that may differ
 				return restored{n, float64Bits(s.Window(app)), memo, ok}
 			})
-		case r < 82:
-			win := make([]float64, rng.Intn(30))
-			for i := range win {
-				win[i] = value()
-			}
-			total := int64(len(win) + rng.Intn(5))
-			each("importApp", func(s *Store) error { return s.importApp(app, win, total) })
-		case r < 85:
-			each("dropApp", func(s *Store) error { return s.dropApp(app) })
-		case r < 90:
+		case r < 86:
 			same(when+": exportApp", func(s *Store) any {
 				win, total, ok := s.exportApp(app)
 				return []any{float64Bits(win), total, ok}
 			})
-		case r < 97:
+		case r < 96:
 			each("PageOut", func(s *Store) error { return s.PageOut(app) })
 		default:
 			each("Compact", func(s *Store) error { return s.Compact() })

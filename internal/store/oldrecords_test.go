@@ -2,24 +2,23 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"maps"
 	"math"
-	"slices"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// The writers of the control records that live resharding and WAL
-// replication used to append, frozen as they were when each was removed.
-// Nothing writes these records any more, but data directories from
-// before still hold them, and replay (applyPayloadLocked) must keep
-// reading them.
+// The writers of what older builds wrote and this one refuses, frozen as
+// they were when each was removed: the v1 snapshot record, and the WAL
+// control records of WAL replication and live resharding.
 
 // encodeWireApp frames one app's state in the v1 record format — raw
-// float64 window — frozen as it was when the follower bootstrap moved to
-// v3 records. It wrote v1 snapshots, v1 bootstrap bodies and the body of
-// an app-import record; Open and replay still read the first and the
-// last.
+// float64 window — as it was when the follower bootstrap moved to v3
+// records. It wrote v1 snapshots, v1 bootstrap bodies and the body of an
+// app-import record.
 func encodeWireApp(buf []byte, app string, window []float64, total int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(app)))
 	buf = append(buf, app...)
@@ -30,6 +29,13 @@ func encodeWireApp(buf []byte, app string, window []float64, total int64) []byte
 	}
 	return buf
 }
+
+// The control record types: ctrlPrefix, one of these, then the body.
+const (
+	ctrlReplBatch = 0x01 // uvarint seq | uvarint off | framed records
+	ctrlAppImport = 0x02 // a v1 snapshot app record, which replaced the app
+	ctrlTombstone = 0x03 // uvarint len(app) | app, which dropped the app
+)
 
 func encodeAppImport(app string, window []float64, total int64) []byte {
 	buf := append([]byte(nil), ctrlPrefix...)
@@ -56,10 +62,8 @@ func encodeReplBatch(seq, off uint64, frames []byte) []byte {
 	return append(buf, frames...)
 }
 
-// followerDepth is how deep a chain of followers could nest batches:
-// maxCtrlDepth when replication was removed. Replay must keep reading
-// batches that deep, and keep refusing deeper ones, which no follower
-// ever wrote.
+// followerDepth is how deep a chain of followers nested batches: the
+// replay of the last build that read them refused deeper ones.
 const followerDepth = 4
 
 // nestReplBatch wraps frames in levels replication batches, as a chain
@@ -79,279 +83,118 @@ func (s *Store) appendRaw(payload []byte) error {
 	return s.w.appendBatch([][]byte{payload}, s.opt.Sync == SyncAlways)
 }
 
-// appendCtrl durably appends one control record and applies it, which is
-// what ImportApp and DropApp did.
-func (s *Store) appendCtrl(payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if err := s.w.appendBatch([][]byte{payload}, s.opt.Sync == SyncAlways); err != nil {
-		return err
-	}
-	return s.applyPayloadLocked(payload, 0)
-}
-
-func (s *Store) importApp(app string, window []float64, total int64) error {
-	return s.appendCtrl(encodeAppImport(app, window, total))
-}
-
-func (s *Store) dropApp(app string) error { return s.appendCtrl(encodeTombstone(app)) }
-
-// exportApp reports one app's window and durable total.
-func (s *Store) exportApp(app string) (window []float64, total int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.warm[app]; st != nil {
-		return s.windowLocked(app), st.total, true
-	}
-	if c := s.cold[app]; c != nil {
-		return s.windowLocked(app), c.total, true
-	}
-	return nil, 0, false
-}
-
-// recordModel is what a WAL of observations, imports and tombstones must
-// replay to: an import replaces an app's window and total, a tombstone
-// forgets the app, an observation appends and counts one.
-type recordModel struct {
-	wins   map[string][]float64
-	totals map[string]int64
-}
-
-func (m recordModel) clone() recordModel {
-	c := recordModel{wins: map[string][]float64{}, totals: maps.Clone(m.totals)}
-	for app, w := range m.wins {
-		c.wins[app] = slices.Clone(w)
-	}
-	return c
-}
-
-// check requires st to hold exactly the model: the same apps,
-// Float64bits-equal windows, equal totals and fleet total.
-func (m recordModel) check(t *testing.T, when string, st *Store) {
+// dirFiles reads every file in dir.
+func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	var fleet int64
-	for app, want := range m.wins {
-		got, total, ok := st.exportApp(app)
-		if !ok {
-			t.Fatalf("%s: %q missing", when, app)
+	files := map[string]string{}
+	for _, name := range listDir(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if total != m.totals[app] {
-			t.Fatalf("%s: %q total %d, want %d", when, app, total, m.totals[app])
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %q window %d values, want %d", when, app, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: %q value %d = %v, want %v", when, app, i, got[i], want[i])
-			}
-		}
-		fleet += total
+		files[name] = string(data)
 	}
-	if st.Apps() != len(m.wins) || st.TotalObservations() != fleet {
-		t.Fatalf("%s: %d apps and %d observations, want %d and %d",
-			when, st.Apps(), st.TotalObservations(), len(m.wins), fleet)
-	}
+	return files
 }
 
-// checkDir requires the directory dir to open to exactly the model, then
-// to reopen, compact, and reopen after the compaction to it again.
-func (m recordModel) checkDir(t *testing.T, dir string, opt Options) {
-	t.Helper()
-	for _, step := range []string{"opened", "reopened", "compacted", "reopened after compaction"} {
-		s := mustOpen(t, dir, opt)
-		if step == "compacted" {
-			if err := s.Compact(); err != nil {
+// TestOldDirectoriesRefused: a data directory only an older build reads —
+// a v1, v2 or v3 snapshot, or a WAL holding a control record of any kind,
+// alone or behind the observations of a v5 directory — fails Open with
+// errUpgrade, which names the upgrade path, and not as a torn tail. Every
+// file of the directory is byte for byte as it was, and no file is added
+// or removed: not even the page file an inline budget made Open write
+// while it replayed the observations in front of the record.
+func TestOldDirectoriesRefused(t *testing.T) {
+	opt := Options{Sync: SyncNever, CompactEvery: -1, InlineBudget: 2}
+	snapshot := func(magic string, encode func([]float64) CompactWindow) func(*testing.T, string) {
+		return func(t *testing.T, dir string) { layOldDirectory(t, dir, magic, encode) }
+	}
+	v1 := func(t *testing.T, dir string) {
+		buf := appendRecord(nil, []byte("femux-snap-v1"))
+		buf = appendRecord(buf, encodeWireApp(nil, "alpha", []float64{1, 2.5, 0, math.Inf(1), -0.125}, 5))
+		buf = appendRecord(buf, encodeWireApp(nil, "beta", []float64{0, 0, 0, 42}, 4))
+		if err := os.WriteFile(filepath.Join(dir, snapName(3)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// alone writes a WAL whose one record is payload.
+	alone := func(payload []byte) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			s := mustOpen(t, dir, opt)
+			if err := s.appendRaw(payload); err != nil {
 				t.Fatal(err)
 			}
+			s.Close()
 		}
-		m.check(t, step, s)
+	}
+	// behind writes a v5 snapshot of a fleet mostly paged out, then a WAL
+	// tail that touches every app of it, a tombstone, and more
+	// observations.
+	behind := func(t *testing.T, dir string) {
+		s := mustOpen(t, dir, opt)
+		if err := s.AppendBatch(pageFleet(6, 5, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(pageFleet(6, 2, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.appendRaw(encodeTombstone(appName(0))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(pageFleet(6, 2, 3)); err != nil {
+			t.Fatal(err)
+		}
 		s.Close()
 	}
-}
-
-// TestOldControlRecordsReplay writes a WAL the way a resharding fleet
-// did — observations, app imports (over warm, cold and unknown apps) and
-// tombstones (of known and unknown apps), across segment rotations and a
-// compaction — and requires the store that wrote it and a reopen of its
-// directory to hold the same windows and totals. Then it writes, from the
-// same records, the data directory of a follower that was promoted, as
-// the follower of a primary or of a chain of followers did: the primary's
-// records inside replication batches nested 1 to followerDepth deep, a
-// snapshot and the empty cursor record a bootstrap wrote behind it, more
-// batches in the WAL tail behind a later snapshot, then direct writes.
-// Each directory must open, reopen and compact to exactly what was acked.
-func TestOldControlRecordsReplay(t *testing.T) {
-	opt := Options{Sync: SyncNever, SegmentBytes: 256, CompactEvery: -1}
-	dir := t.TempDir()
-	s := mustOpen(t, dir, opt)
-	m := recordModel{wins: map[string][]float64{}, totals: map[string]int64{}}
-	// frames holds the records written since the last chunk; a chunk is
-	// what a follower fetched, with the primary's state after it.
-	var frames []byte
-	type chunk struct {
-		frames []byte
-		m      recordModel
-	}
-	var chunks []chunk
-	fetch := func() {
-		chunks = append(chunks, chunk{frames, m.clone()})
-		frames = nil
-	}
-	k := 0
-	observe := func(apps ...string) {
-		var batch []Observation
-		for _, app := range apps {
-			v := float64(k)*0.75 + 0.125
-			k++
-			batch = append(batch, Observation{App: app, Concurrency: v})
-			frames = appendRecord(frames, encodeObservation(nil, batch[len(batch)-1]))
-			m.wins[app] = append(m.wins[app], v)
-			m.totals[app]++
-		}
-		if err := s.AppendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	importApp := func(app string, n int, extra int64) {
-		win := make([]float64, n)
-		for i := range win {
-			win[i] = float64(1000+k+i) / 8
-		}
-		k += n
-		if err := s.importApp(app, win, int64(n)+extra); err != nil {
-			t.Fatal(err)
-		}
-		frames = appendRecord(frames, encodeAppImport(app, win, int64(n)+extra))
-		m.wins[app], m.totals[app] = win, int64(n)+extra
-	}
-	drop := func(app string) {
-		if err := s.dropApp(app); err != nil {
-			t.Fatal(err)
-		}
-		frames = appendRecord(frames, encodeTombstone(app))
-		delete(m.wins, app)
-		delete(m.totals, app)
-	}
-
-	for r := 0; r < 6; r++ {
-		observe("a", "b", "c", "d", "a")
-	}
-	if err := s.PageOut("c"); err != nil {
-		t.Fatal(err)
-	}
-	importApp("b", 9, 4)   // over a warm app
-	importApp("c", 5, 0)   // over a cold one
-	importApp("new", 3, 2) // an app the store never saw
-	drop("d")
-	drop("ghost") // unknown: a no-op
-	observe("b", "new", "d", "d")
-	fetch()
-	importApp("a", 0, 7) // an empty window keeps its total
-	drop("b")
-	observe("b", "c", "a")
-	for i := 0; i < 20; i++ {
-		importApp(fmt.Sprintf("bulk-%d", i%4), 6, int64(i))
-	}
-	fetch()
-	m.check(t, "live", s)
-
-	// A snapshot, then more old records in the WAL tail behind it.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	drop("bulk-1")
-	importApp("c", 4, 1)
-	observe("bulk-1", "c")
-	fetch()
-	m.check(t, "live after compaction", s)
-	s.Close()
-	s = mustOpen(t, dir, opt)
-	m.check(t, "reopened", s)
-	s.Close()
-
-	for levels := 1; levels <= followerDepth; levels++ {
-		t.Run(fmt.Sprintf("promoted_follower_nested_%d", levels), func(t *testing.T) {
-			fdir := t.TempDir()
-			f := mustOpen(t, fdir, opt)
-			var off uint64
-			replicate := func(c chunk) {
-				off += uint64(len(c.frames))
-				if err := f.appendCtrl(nestReplBatch(levels, off, c.frames)); err != nil {
-					t.Fatal(err)
-				}
-				c.m.check(t, "follower", f)
-			}
-			replicate(chunks[0])
-			// A bootstrap: a snapshot of the fleet, then the cursor.
-			if err := f.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.appendCtrl(nestReplBatch(levels, off, nil)); err != nil {
-				t.Fatal(err)
-			}
-			replicate(chunks[1])
-			if err := f.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			replicate(chunks[2])
-			// Promoted: direct writes behind the batches.
-			fm := chunks[2].m.clone()
-			for i, app := range []string{"c", "e", "c"} {
-				v := float64(i) + 0.375
-				if err := f.Append(app, v); err != nil {
-					t.Fatal(err)
-				}
-				fm.wins[app] = append(fm.wins[app], v)
-				fm.totals[app]++
-			}
-			fm.check(t, "promoted", f)
-			f.Close()
-			fm.checkDir(t, fdir, opt)
-		})
-	}
-
-	// A batch replay cannot apply is taken for a torn tail: it and what
-	// follows it are cut, and the directory opens to what came before.
-	inner := func(p []byte) []byte { return appendRecord(nil, p) }
-	obs := encodeObservation(nil, Observation{App: "late", Concurrency: 1})
-	torn := inner(obs)
-	torn[len(torn)-1] ^= 1 // the CRC no longer holds
-	batchOf := func(body ...byte) []byte {
-		return append(append(append([]byte(nil), ctrlPrefix...), ctrlReplBatch), body...)
-	}
-	for _, c := range []struct {
-		name    string
-		payload []byte
+	batch := appendRecord(nil, encodeObservation(nil, Observation{App: "a", Concurrency: 1.5}))
+	for _, row := range []struct {
+		name string
+		lay  func(*testing.T, string)
+		says string // what the error names besides the upgrade path
 	}{
-		{"over_deep", nestReplBatch(followerDepth+1, 1, inner(obs))},
-		{"bad_seq", batchOf(0x80)},
-		{"bad_offset", batchOf(0x01, 0x80)},
-		{"torn_inner_frame", encodeReplBatch(1, 1, torn)},
-		{"unknown_inner_type", encodeReplBatch(1, 1, inner(append(append([]byte(nil), ctrlPrefix...), 0x7f)))},
-		{"bad_inner_observation", encodeReplBatch(1, 1, inner([]byte{0x05, 'a'}))},
+		{"v1_snapshot", v1, `"femux-snap-v1"`},
+		{"v2_snapshot", snapshot("femux-snap-v2", headCompactWindowOf), `"femux-snap-v2"`},
+		{"v3_snapshot", snapshot("femux-snap-v3", v3CompactWindowOf), `"femux-snap-v3"`},
+		{"replication_batch", alone(nestReplBatch(1, uint64(len(batch)), batch)), segName(1)},
+		{"replication_batch_nested", alone(nestReplBatch(followerDepth, uint64(len(batch)), batch)), segName(1)},
+		{"app_import", alone(encodeAppImport("a", []float64{1, 2, 3}, 3)), segName(1)},
+		{"tombstone", alone(encodeTombstone("a")), segName(1)},
+		{"unknown_control_type", alone(append(append([]byte(nil), ctrlPrefix...), 0x7f)), segName(1)},
+		{"control_record_behind_observations", behind, "control record"},
 	} {
-		t.Run("refused_"+c.name, func(t *testing.T) {
-			fdir := t.TempDir()
-			f := mustOpen(t, fdir, opt)
-			first := chunks[0]
-			if err := f.appendCtrl(nestReplBatch(followerDepth, uint64(len(first.frames)), first.frames)); err != nil {
-				t.Fatal(err)
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			row.lay(t, dir)
+			before := dirFiles(t, dir)
+			created := map[string]bool{}
+			dev := &faultDevice{device: dirDevice(dir), inject: func(op, name string) error {
+				if op == "create" {
+					created[name] = true
+				}
+				return nil
+			}}
+			s, err := open(dev, opt)
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted the directory")
 			}
-			if err := f.appendRaw(c.payload); err != nil {
-				t.Fatal(err)
+			if !errors.Is(err, errUpgrade) || IsTorn(err) || !strings.Contains(err.Error(), row.says) {
+				t.Fatalf("Open = %v (torn %v), want errUpgrade naming %s", err, IsTorn(err), row.says)
 			}
-			f.Close()
-			f = mustOpen(t, fdir, opt)
-			if !f.Stats().TornTail {
-				t.Error("replay applied the batch")
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Errorf("the refused Open changed the directory: %d files, then %d", len(before), len(after))
 			}
-			f.Close()
-			first.m.checkDir(t, fdir, opt)
+			paged := false
+			for name := range created {
+				_, isPage := parseSeq(name, pagePrefix, pageSuffix)
+				paged = paged || isPage
+			}
+			if row.name == "control_record_behind_observations" && !paged {
+				t.Errorf("the replay in front of the record paged nothing out (created %v)", created)
+			}
 		})
 	}
-
 }

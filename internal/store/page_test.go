@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -318,32 +317,6 @@ func TestPageGCFailureKeepsColdCount(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Compat opens a data directory whose snapshot was
-// written in the pre-tiering v1 format.
-func TestSnapshotV1Compat(t *testing.T) {
-	dir := t.TempDir()
-	wins := map[string][]float64{
-		"alpha": {1, 2.5, 0, math.Inf(1), -0.125},
-		"beta":  {0, 0, 0, 42},
-	}
-	var buf []byte
-	buf = appendRecord(buf, []byte(snapMagic))
-	for app, w := range wins {
-		buf = appendRecord(buf, encodeWireApp(nil, app, w, int64(len(w))))
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(3)), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
-	defer s.Close()
-	for app, w := range wins {
-		assertBitIdentical(t, s.Window(app), w, "v1 window "+app)
-	}
-	if got := s.TotalObservations(); got != 9 {
-		t.Fatalf("total = %d, want 9", got)
-	}
-}
-
 // TestInlineBudgetSweep pins the -max-warm-apps mechanism: the CLOCK
 // sweep keeps the inline (warm) app count at the budget on the apply
 // path — which is also the boot replay path, so a restart of a big
@@ -462,9 +435,9 @@ func recountRoster(s *Store) (warm, cold int, windowBytes int64, problem string)
 }
 
 // TestInlineClockListsWarmApps drives a store over its inline budget
-// through appends, explicit page-outs, page-ins, imports that replace
-// an app, tombstones and a reopen: after each, every warm app is in the
-// CLOCK once, the sweep pages out no dropped record, and the budget
+// through appends, explicit page-outs, page-ins of the whole fleet, new
+// apps and a reopen: after each, every warm app is in the CLOCK once, the
+// sweep pages out no record that left the warm map, and the budget
 // holds. An app touched since the hand last passed is spared by the
 // next page-out for a colder one.
 func TestInlineClockListsWarmApps(t *testing.T) {
@@ -488,23 +461,18 @@ func TestInlineClockListsWarmApps(t *testing.T) {
 		s.RestoreWindow(appName(i + 1))
 	}
 	within("after page-outs and page-ins")
-	for i := 0; i < 6; i++ {
-		if err := s.importApp(appName(i), []float64{float64(i), 1}, 40); err != nil {
-			t.Fatal(err)
+	for i := 15; i >= 0; i-- {
+		if _, _, ok := s.RestoreWindow(appName(i)); !ok {
+			t.Fatalf("%s missing", appName(i))
 		}
 	}
-	checkRoster(t, s, "after imports") // which enforce no budget: the next append does
-	for i := 0; i < 6; i++ {
-		if err := s.dropApp(appName(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	within("after a page-in of every app")
 	for i := 0; i < 8; i++ {
 		if err := s.Append("fresh-"+strconv.Itoa(i), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	within("after tombstones")
+	within("after fresh apps")
 
 	// Second chance: of the warm apps, the one just touched survives the
 	// page-out the next new app forces.

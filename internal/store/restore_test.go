@@ -488,77 +488,6 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 	}
 }
 
-// TestHeadDirectoryReopens: a data directory laid out by the encoders as
-// they were before raw chunks — a v2 snapshot with inline and paged apps,
-// the page file its stubs name, and a WAL segment on top — opens, and
-// every window comes back bit for bit through the peek, the promoting
-// restore and a rewrite in the current format.
-func TestHeadDirectoryReopens(t *testing.T) {
-	dir := t.TempDir()
-	want := map[string][]float64{}
-	snap := headAppendRecord(nil, []byte(snapMagicV2))
-	var page, seg []byte
-	var total int64
-	i := 0
-	for name, vals := range restoreShapes() {
-		app := "head/" + name
-		st := &appState{cw: headCompactWindowOf(vals), total: int64(len(vals))}
-		var rec snapRecord = st
-		if i++; i%2 == 0 {
-			framed := headAppendRecord(nil, encodeWireAppCompact(nil, app, st))
-			rec = &coldApp{total: st.total, ref: pageRef{seq: 1, off: int64(len(page)), recLen: int32(len(framed)), count: uint32(len(vals))}}
-			page = append(page, framed...)
-		}
-		snap = headAppendRecord(snap, rec.appendSnapshot(nil, app))
-		o := Observation{App: app, Concurrency: 0.137 * float64(i)}
-		seg = headAppendRecord(seg, encodeObservation(nil, o))
-		want[app] = append(append([]float64(nil), vals...), o.Concurrency)
-		total += st.total + 1
-	}
-	for name, data := range map[string][]byte{snapName(1): snap, pageName(1): page, segName(2): seg} {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check := func(s *Store, when string) {
-		t.Helper()
-		if got := s.TotalObservations(); got != total {
-			t.Fatalf("%s: total %d, want %d", when, got, total)
-		}
-		if got := s.Stats().PageErrors; got != 0 {
-			t.Fatalf("%s: %d page errors", when, got)
-		}
-		for app, w := range want {
-			assertBitIdentical(t, s.Window(app), w, when+": peek "+app)
-			win, _, ok := s.RestoreWindow(app)
-			if !ok {
-				t.Fatalf("%s: %s missing", when, app)
-			}
-			assertBitIdentical(t, win, w, when+": restore "+app)
-		}
-	}
-	opt := Options{Sync: SyncNever, CompactEvery: -1}
-	s := mustOpen(t, dir, opt)
-	check(s, "first open")
-	for app := range want {
-		if err := s.PageOut(app); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = mustOpen(t, dir, opt)
-	defer s.Close()
-	if s.PagedApps() != len(want) {
-		t.Fatalf("reopened with %d cold apps, want %d", s.PagedApps(), len(want))
-	}
-	check(s, "rewritten and reopened")
-}
-
 // TestRestoredWindowIsTheCallers: what RestoreWindow returns belongs
 // to the caller. Scribbling on it, or appending to it, changes nothing
 // the store later returns or pages out — for a warm restore and for a

@@ -22,30 +22,23 @@ import (
 //	                      uvarint pageSeq | uvarint off | uvarint recLen | uvarint count
 //
 // Tag 0x00 is an inline (warm) app with its compact window; tag 0x01 is
-// a cold app's stub pointing into a page file. v4 has the same records,
-// but its windows never hold a packed chunk, v3's never a decimal one,
-// and v2's never a raw one either (see CompactWindow), so v2 to v5 share
-// one decoder. An inline window of v2 to v4 is re-encoded as it loads, so
-// that its full chunks pack as Append's do; a page record is read as it
-// was written. The magic changed each time so that a build which cannot
-// read a chunk kind does not take it for deltas; a page record is
-// reachable only through a snapshot's stub, so that gate covers page
-// files too. v1 (raw float64 windows, from before tiering) is still read,
-// so any older data directory opens cleanly, and so do the ctrlAppImport
-// records old WALs hold.
+// a cold app's stub pointing into a page file. A build reads its own
+// format and the one before it. v4 has the same records, but its windows
+// never hold a packed chunk (see CompactWindow): an inline v4 window is
+// re-encoded as it loads, so that its full chunks pack as Append's do,
+// and a page record is read as it was written. The magic changes with each
+// chunk kind, so that a build which cannot read one does not take it for
+// another; a page record is reachable only through a snapshot's stub, so
+// that gate covers page files too. Any other femux-snap- magic fails Open
+// with errUpgrade.
 //
 // A snapshot is written to snap-<seq>.snap.tmp, fsynced, and renamed
 // into place, so a crash mid-compaction leaves either the old or the new
 // snapshot — never a half-written one — and perhaps a temp file, which
-// the next Open removes. A snapshot that is torn, fails its
-// CRC or carries a foreign magic is skipped and the previous one is used
-// instead; one whose intact magic names a femux-snap format this build
-// does not know fails Open, because falling back would start the store
-// without that snapshot's data.
+// the next Open removes. A snapshot that is torn, fails its CRC or
+// carries a foreign magic is skipped and the previous one is used
+// instead.
 const (
-	snapMagic       = "femux-snap-v1"
-	snapMagicV2     = "femux-snap-v2"
-	snapMagicV3     = "femux-snap-v3"
 	snapMagicV4     = "femux-snap-v4"
 	snapMagicV5     = "femux-snap-v5"
 	snapMagicPrefix = "femux-snap-"
@@ -55,10 +48,6 @@ const (
 
 	snapTempSuffix = ".tmp"
 )
-
-// errSnapshotFormat marks a snapshot written in a format this build
-// cannot read: Open fails on it instead of falling back.
-var errSnapshotFormat = errors.New("store: snapshot format unknown to this build")
 
 // appState is one warm application's durable state: its sliding
 // observation window as a compact window, plus the lifetime count, which
@@ -93,37 +82,12 @@ type coldApp struct {
 // Memo is what the serving layer keeps beside a demoted window so a
 // restore need not reclassify it: the cluster Group of the window's last
 // completed block, at window length Len, under the caller's generation
-// Gen (0 = none). The store only carries it, in memory and in no file or
-// wire record: replacing an app's state (replaying an old import or
-// tombstone record) or restarting drops it; appends keep it,
-// and the caller tells by Len.
+// Gen (0 = none). The store only carries it, in memory and in no file:
+// appends keep it, and the caller tells by Len; a restart drops it.
 type Memo struct {
 	Len   uint32
 	Gen   uint32
 	Group uint8
-}
-
-// decodeWireApp parses a v1 record payload — a raw float64 window — into
-// a compact window. Every read is bounds-checked: a corrupt record errors
-// out instead of over-reading.
-func decodeWireApp(p []byte) (app string, st *appState, err error) {
-	app, p, total, err := decodeAppHeader(p, "snapshot")
-	if err != nil {
-		return "", nil, err
-	}
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", nil, fmt.Errorf("store: snapshot record: bad window length")
-	}
-	p = p[n:]
-	if len(p)%8 != 0 || count != uint64(len(p)/8) {
-		return "", nil, fmt.Errorf("store: snapshot record: window %d values, %d bytes", count, len(p))
-	}
-	st = &appState{total: int64(total)}
-	for i := 0; i < len(p); i += 8 {
-		st.cw.Append(math.Float64frombits(binary.LittleEndian.Uint64(p[i:])))
-	}
-	return app, st, nil
 }
 
 // decodeAppHeader parses the shared "len(app) | app | total" prefix.
@@ -143,7 +107,7 @@ func decodeAppHeader(p []byte, what string) (app string, rest []byte, total uint
 }
 
 // encodeWireAppCompact frames one inline app's state in the compact
-// form shared by v2 inline snapshot records and page records.
+// form shared by inline snapshot records and page records.
 func encodeWireAppCompact(buf []byte, app string, st *appState) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(app)))
 	buf = append(buf, app...)
@@ -188,7 +152,7 @@ func (c *coldApp) appendSnapshot(buf []byte, app string) []byte {
 	return binary.AppendUvarint(buf, uint64(c.ref.count))
 }
 
-// decodeSnapshotApp parses a v2 to v5 snapshot record: a warm app's state
+// decodeSnapshotApp parses a v4 or v5 snapshot record: a warm app's state
 // (*appState) or a cold app's stub (*coldApp), whichever the tag says.
 func decodeSnapshotApp(p []byte) (app string, rec snapRecord, err error) {
 	if len(p) == 0 {
@@ -316,11 +280,9 @@ func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold map[s
 
 // readSnapshot decodes a snapshot file into its warm apps and its cold
 // apps' stubs, each app in one of the two. Its first record's magic is the
-// one version gate: v5 records decode as they are, v2 to v4 ones too but
-// with their inline windows re-encoded, v1 raw windows are compressed on
-// the way in, and an intact femux-snap- magic this build does not know is
-// errSnapshotFormat. Any framing, CRC, magic or decode failure is an
-// error.
+// one version gate: v5 records decode as they are, v4 ones too but with
+// their inline windows re-encoded, and any other femux-snap- magic is
+// errUpgrade. Any framing, CRC, magic or decode failure is an error.
 func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*coldApp, err error) {
 	warm, cold = map[string]*appState{}, map[string]*coldApp{}
 	var decode func(p []byte) (string, snapRecord, error)
@@ -329,7 +291,7 @@ func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*cold
 			switch magic := string(payload); {
 			case magic == snapMagicV5:
 				decode = decodeSnapshotApp
-			case magic == snapMagicV4 || magic == snapMagicV3 || magic == snapMagicV2:
+			case magic == snapMagicV4:
 				decode = func(p []byte) (string, snapRecord, error) {
 					app, rec, err := decodeSnapshotApp(p)
 					if st, ok := rec.(*appState); ok {
@@ -337,13 +299,8 @@ func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*cold
 					}
 					return app, rec, err
 				}
-			case magic == snapMagic:
-				decode = func(p []byte) (string, snapRecord, error) {
-					app, st, err := decodeWireApp(p)
-					return app, st, err
-				}
 			case strings.HasPrefix(magic, snapMagicPrefix):
-				return fmt.Errorf("%w: magic %q", errSnapshotFormat, magic)
+				return fmt.Errorf("format %q: %w", magic, errUpgrade)
 			default:
 				return errors.New("bad magic")
 			}
@@ -373,8 +330,8 @@ func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*cold
 	return warm, cold, nil
 }
 
-// loadSnapshot reads snap-<seq>.snap in any format. On an error callers
-// fall back to an older snapshot, except on errSnapshotFormat.
+// loadSnapshot reads snap-<seq>.snap. On an error callers fall back to an
+// older snapshot, except on errUpgrade.
 func loadSnapshot(dev device, seq uint64) (map[string]*appState, map[string]*coldApp, error) {
 	f, err := dev.open(snapName(seq))
 	if err != nil {

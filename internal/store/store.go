@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -145,7 +146,7 @@ type Store struct {
 // loadable snapshot is applied, younger WAL segments are replayed on top,
 // and a torn tail — the signature of a crash mid-write — is truncated to
 // the longest valid record prefix. Appends then go to a fresh segment.
-// A snapshot in a format newer than this build fails Open.
+// A directory this build does not read fails Open (see errUpgrade).
 func Open(dir string, opt Options) (*Store, error) {
 	dev, err := openDir(dir)
 	if err != nil {
@@ -181,7 +182,7 @@ func open(dev device, opt Options) (*Store, error) {
 	haveSnap := false
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
 		warm, cold, err := loadSnapshot(dev, snapSeqs[i])
-		if errors.Is(err, errSnapshotFormat) {
+		if errors.Is(err, errUpgrade) {
 			return nil, err
 		}
 		if err != nil {
@@ -211,16 +212,15 @@ func open(dev device, opt Options) (*Store, error) {
 			replay = append(replay, seq)
 		}
 	}
-	n, torn, err := replaySegments(dev, replay, func(payload []byte) error {
-		if err := s.applyPayloadLocked(payload, 0); err != nil {
-			// A frame whose checksum holds but whose payload is neither an
-			// observation nor a valid control record is corruption all the
-			// same: keep the valid prefix instead of refusing to open.
-			return fmt.Errorf("%v: %w", err, errTorn)
-		}
-		return nil
-	})
+	pageSeq := s.pg.seq
+	n, torn, err := replaySegments(dev, replay, s.applyPayloadLocked)
 	if err != nil {
+		// The page file the inline budget wrote while replaying, which no
+		// snapshot names, goes too.
+		s.pg.close()
+		for seq := pageSeq; seq < s.pg.seq; seq++ {
+			dev.remove(pageName(seq))
+		}
 		return nil, err
 	}
 	s.torn = torn
@@ -282,6 +282,46 @@ func decodeObservation(p []byte) (app []byte, v float64, err error) {
 		return nil, 0, fmt.Errorf("store: observation record: %d bytes after the app name, want 8", uint64(len(p))-nameLen)
 	}
 	return p[:nameLen], math.Float64frombits(binary.LittleEndian.Uint64(p[nameLen:])), nil
+}
+
+// ctrlPrefix starts a WAL control record, which older builds wrote: a
+// follower's replication batch, or an app import or tombstone of live
+// resharding. No observation starts with it: an observation starts with
+// the minimal uvarint of its app-name length, and 0xFF 0x00 is a
+// non-minimal encoding of 127.
+var ctrlPrefix = []byte{0xFF, 0x00, 'f', 'x'}
+
+// errUpgrade fails Open on a data directory this build does not read: one
+// whose snapshot has a format other than femux-snap-v4 and -v5, or whose
+// WAL holds a control record. Open neither falls back to an older
+// snapshot nor truncates the WAL there, since either would start the
+// store without data the directory holds.
+var errUpgrade = errors.New("this build reads femux-snap-v4 and femux-snap-v5 data directories only; " +
+	"to upgrade an older one, run femux-split -from DIR -to NEWDIR built at commit a6e04f1, " +
+	"the last build that reads it, and use NEWDIR")
+
+// applyPayloadLocked folds one replayed WAL observation into the
+// in-memory state. It keeps no byte of p. Called with s.mu held.
+func (s *Store) applyPayloadLocked(p []byte) error {
+	// Before decoding: binary.Uvarint takes the non-minimal 0xFF 0x00, so
+	// a control record of the right length parses as an observation.
+	if bytes.HasPrefix(p, ctrlPrefix) {
+		return fmt.Errorf("a control record: %w", errUpgrade)
+	}
+	app, v, err := decodeObservation(p)
+	if err != nil {
+		// A frame whose checksum holds but whose payload is no observation
+		// is corruption all the same: keep the valid prefix instead of
+		// refusing to open.
+		return fmt.Errorf("%v: %w", err, errTorn)
+	}
+	// The name is copied only for an app that is not warm.
+	st := s.warm[string(app)]
+	if st == nil {
+		st = s.admit(string(app))
+	}
+	s.appendTo(st, v)
+	return nil
 }
 
 // apply folds one observation into the in-memory state, transparently

@@ -22,6 +22,20 @@ func mustOpen(t *testing.T, dir string, opt Options) *Store {
 	return st
 }
 
+// exportApp reports one app's window and durable total, reading a cold
+// app from its page without promoting it.
+func (s *Store) exportApp(app string) (window []float64, total int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.warm[app]; st != nil {
+		return s.windowLocked(app), st.total, true
+	}
+	if c := s.cold[app]; c != nil {
+		return s.windowLocked(app), c.total, true
+	}
+	return nil, 0, false
+}
+
 // buildWindows folds an observation sequence into expected per-app
 // windows (unlimited cap).
 func buildWindows(obs []Observation) map[string][]float64 {

@@ -12,9 +12,8 @@ import (
 // TestTierSplitConformance drives a random schedule through a store with
 // an inline budget of 3, on a fault device, and through a control store
 // with no budget, which never pages an app out: appends and batches,
-// page-outs, restores, Recent reads, memos, replayed import and tombstone
-// records, compactions, reopens, and a failed page fsync before a
-// compaction. After every step each app of the store is in exactly one of
+// page-outs, restores, Recent reads, memos, compactions, reopens, and a
+// failed page fsync before a compaction. After every step each app of the store is in exactly one of
 // its warm and cold maps, the CLOCK lists exactly the warm ones, Apps,
 // PagedApps, the total and Stats().WindowBytes equal a recount, and every
 // window, total and memo is Float64bits-equal to the control's.
@@ -75,7 +74,7 @@ func testTierSplit(t *testing.T, seed int64) {
 			}
 			when = fmt.Sprintf("AppendBatch of %d", len(batch))
 			both(when, func(s *Store) error { return s.AppendBatch(batch) })
-		case r < 47:
+		case r < 51:
 			when = "PageOut(" + app + ")"
 			cold := s.PagedApps()
 			if err := s.PageOut(app); err != nil { // the control never pages
@@ -84,35 +83,24 @@ func testTierSplit(t *testing.T, seed int64) {
 			if s.PagedApps() > cold {
 				pageOuts++
 			}
-		case r < 59:
+		case r < 63:
 			when = "RestoreMemo(" + app + ")"
 			n, m, _, ok := s.RestoreMemo(app)
 			cn, cm, _, cok := ctl.RestoreMemo(app)
 			if n != cn || m != cm || ok != cok {
 				t.Fatalf("%s: %d values, memo %+v, ok %v; control %d, %+v, %v", when, n, m, ok, cn, cm, cok)
 			}
-		case r < 67:
+		case r < 73:
 			k, skip := 1+rng.Intn(80), rng.Intn(20)
 			when = fmt.Sprintf("Recent(%s, %d, %d)", app, k, skip)
 			if got, want := float64Bits(s.Recent(app, k, skip, nil)), float64Bits(ctl.Recent(app, k, skip, nil)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s = %v, control %v", when, got, want)
 			}
-		case r < 75:
+		case r < 81:
 			m := Memo{Len: uint32(rng.Intn(100)), Gen: 1<<16 + uint32(rng.Intn(3)), Group: uint8(rng.Intn(4))}
 			when = fmt.Sprintf("SetMemo(%s, %+v)", app, m)
 			both(when, func(s *Store) error { s.SetMemo(app, m); return nil })
-		case r < 80:
-			win := make([]float64, rng.Intn(50))
-			for i := range win {
-				win[i] = value()
-			}
-			total := int64(len(win) + rng.Intn(5))
-			when = "importApp(" + app + ")"
-			both(when, func(s *Store) error { return s.importApp(app, win, total) })
-		case r < 84:
-			when = "dropApp(" + app + ")"
-			both(when, func(s *Store) error { return s.dropApp(app) })
-		case r < 91:
+		case r < 90:
 			when = "Compact"
 			both(when, (*Store).Compact)
 		case r < 95:

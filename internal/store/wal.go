@@ -328,7 +328,7 @@ func replaySegments(dev device, seqs []uint64, fn func(payload []byte) error) (r
 		records += n
 		if rerr != nil {
 			if !IsTorn(rerr) {
-				return records, torn, rerr
+				return records, torn, fmt.Errorf("store: %s: %w", segName(seq), rerr)
 			}
 			torn = true
 			// Repair: drop the torn tail so future opens see a clean
