@@ -9,7 +9,9 @@
 //
 // Stop every instance of the old fleet first, then start instance i of
 // the new one with -data-dir new-i -shards 3 -shard-id i, and the router
-// with the new backend list.
+// with the new backend list. The new directories hold no model: pass each
+// new instance the fleet's -model, which its first boot stores. The old
+// directories are only read.
 package main
 
 import (
@@ -31,18 +33,12 @@ func main() {
 		log.Fatal("need -from and -to")
 	}
 	srcs, dsts := strings.Split(*from, ","), strings.Split(*to, ",")
-	if err := store.Split(srcs, dsts); err != nil {
+	counts, err := store.Split(srcs, dsts)
+	if err != nil {
 		log.Fatal(err)
 	}
-	for i, dir := range dsts {
-		st, err := store.Open(dir, store.Options{CompactEvery: -1})
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, c := range counts {
 		fmt.Printf("shard %d of %d (%s): %d apps, %d observations\n",
-			i, len(dsts), dir, st.Apps(), st.TotalObservations())
-		if err := st.Close(); err != nil {
-			log.Fatal(err)
-		}
+			i, len(dsts), dsts[i], c.Apps, c.Observations)
 	}
 }

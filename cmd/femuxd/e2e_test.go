@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -119,6 +121,146 @@ func testRestartBitIdentical(t *testing.T, sig syscall.Signal) {
 			}
 		}
 	}
+}
+
+// TestFemuxdKill9KeepsPromotion: a promotion outlives kill -9. femuxd
+// boots on an empty -data-dir from -model, takes a fleet whose demand
+// changed regime, and a forced lifecycle cycle promotes a retrained
+// model; its answers must differ from the boot model's, or the test
+// would pass on a restart that reloads -model. Killed with -9 and
+// restarted with the same flags, -model included, it must serve the
+// promoted model from the directory, training nothing: every app's
+// target and forecast bit for bit what they were before the kill.
+func TestFemuxdKill9KeepsPromotion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
+	}
+	bin := buildFemuxd(t)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.json")
+	if err := writeModel(modelPath, tinyModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	flags := []string{"-data-dir", filepath.Join(dir, "data"), "-fsync", "always",
+		"-retrain-every", "1h", "-drift-threshold", "0", "-min-improve", "-1"}
+	addr := freeAddr(t)
+	base := "http://" + addr
+	apps := []string{"pay", "auth", "feed", "mail", "cart", "ship"}
+	type answer struct {
+		target   knative.TargetResponse
+		forecast knative.ForecastResponse
+	}
+	answers := func() []answer {
+		t.Helper()
+		out := make([]answer, len(apps))
+		for i, app := range apps {
+			mustGetJSON(t, base+"/v1/apps/"+app+"/target?concurrency=1", &out[i].target)
+			mustGetJSON(t, base+"/v1/apps/"+app+"/forecast?horizon=6&quantiles=0.5,0.9", &out[i].forecast)
+		}
+		return out
+	}
+	same := func(a, b answer) bool {
+		if a.target != b.target || a.forecast.Forecaster != b.forecast.Forecaster ||
+			len(a.forecast.Values) != len(b.forecast.Values) || len(a.forecast.Quantiles) != len(b.forecast.Quantiles) {
+			return false
+		}
+		bits := func(x, y []float64) bool {
+			for i := range x {
+				if len(x) != len(y) || math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		for q := range a.forecast.Quantiles {
+			if !bits(a.forecast.Quantiles[q].Values, b.forecast.Quantiles[q].Values) {
+				return false
+			}
+		}
+		return bits(a.forecast.Values, b.forecast.Values)
+	}
+
+	proc1 := startFemuxd(t, bin, addr, modelPath, flags...)
+	defer proc1.Process.Kill()
+	for m := 0; m < 150; m++ {
+		obs := make([]knative.BatchObservation, len(apps))
+		for i, app := range apps {
+			// The boot model's regime, short spikes, then a slow wave.
+			v := 0.0
+			if (m+i)%8 < 2 {
+				v = 1.5
+			}
+			if m >= 30 {
+				v = 10 + 8*math.Sin(2*math.Pi*float64(m+3*i)/20)
+			}
+			obs[i] = knative.BatchObservation{App: app, Concurrency: v}
+		}
+		postBatch(t, base, m, obs)
+	}
+	boot := answers()
+	resp, err := http.Post(base+"/v1/admin/lifecycle", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct{ Outcome, Error string }
+	json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if res.Outcome != "promoted" {
+		t.Fatalf("forced cycle: %+v, want promoted", res)
+	}
+	promoted := answers()
+	differ := 0
+	for i := range apps {
+		if !same(boot[i], promoted[i]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the promoted model answers every app as the boot model does: the test cannot tell them apart")
+	}
+
+	if err := proc1.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	proc1.Wait()
+	var logs lockedBuffer
+	proc2 := startFemuxdLog(t, &logs, bin, addr, modelPath, flags...)
+	restarted := answers()
+	proc2.Process.Signal(syscall.SIGTERM)
+	proc2.Wait()
+	for i, app := range apps {
+		if !same(promoted[i], restarted[i]) {
+			t.Errorf("%s after kill -9 and restart: %+v, before the kill %+v", app, restarted[i], promoted[i])
+		}
+	}
+	for _, want := range []string{"serving the model stored in", "is not the stored model"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("the restart did not log %q:\n%s", want, logs.String())
+		}
+	}
+	if strings.Contains(logs.String(), "training on") || strings.Contains(logs.String(), "loaded model from") {
+		t.Errorf("the restart built a model instead of serving the stored one:\n%s", logs.String())
+	}
+	t.Logf("%d of %d apps answer differently after the promotion", differ, len(apps))
+}
+
+// lockedBuffer is a buffer a running process may write while the test
+// reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestFemuxdBoundedInMemoryChurn is the CI sparse-churn smoke's third run
@@ -278,13 +420,19 @@ func freeAddr(t *testing.T) string {
 
 func startFemuxd(t *testing.T, bin, addr, modelPath string, flags ...string) *exec.Cmd {
 	t.Helper()
+	return startFemuxdLog(t, os.Stderr, bin, addr, modelPath, flags...)
+}
+
+// startFemuxdLog is startFemuxd with the process's output going to logw.
+func startFemuxdLog(t *testing.T, logw io.Writer, bin, addr, modelPath string, flags ...string) *exec.Cmd {
+	t.Helper()
 	cmd := exec.Command(bin, append([]string{
 		"-addr", addr,
 		"-model", modelPath,
 		"-shutdown-timeout", "10s",
 	}, flags...)...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stdout = logw
+	cmd.Stderr = logw
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //	femuxd -addr :8080
 //	femuxd -addr :8080 -apps ibm_apps.csv -invocations ibm_invocations.csv
 //	femuxd -addr :8080 -data-dir /var/lib/femux -fsync always
-//	femuxd -addr :8081 -model shared/model.json -watch-model \
+//	femuxd -addr :8081 -model shared/model.json \
 //	       -data-dir /var/lib/femux-0 -shards 2 -shard-id 0
 //
 // Endpoints: POST /v1/apps/{app}/observe, POST /v1/observe/batch,
@@ -23,7 +23,11 @@
 // With -data-dir, every acknowledged observation is persisted through a
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
-// loses no state. The directory is opened before anything trains, so one
+// loses no state. The directory also holds the serving model: every
+// install (boot, SIGHUP, admin reload, lifecycle promotion) is written
+// there before it serves, and a restart serves it without training;
+// -model, the CSV pair and synthetic training only seed an empty
+// directory. The directory is opened before anything trains, so one
 // this build does not read fails at once, naming its upgrade path.
 // Restart is the recovery path: /healthz answers 503 once the WAL has
 // failed, and a supervisor that kills and restarts femuxd on the same
@@ -36,12 +40,12 @@
 // restored transparently (and bit-identically) on first touch. Forecast
 // workspaces are per-request scratch, not per-app state, so no flag
 // bounds them. With -shards/-shard-id the instance owns only its FNV-1a
-// hash partition of the apps (see cmd/femux-shard for the router), and
-// -watch-model hot-reloads the -model file whenever it changes, so one
-// retrain in a shared model directory propagates across the fleet.
+// hash partition of the apps (see cmd/femux-shard for the router, whose
+// POST /v1/admin/reload reloads every shard's -model).
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -69,8 +73,9 @@ import (
 
 // config is femuxd's command line. parseConfig fills it and validate
 // refuses every bad value or combination, so a refusal comes before
-// any training, store open or listen. Startup, SIGHUP and POST
-// /v1/admin/reload all rebuild the model from the same config.
+// any training, store open or listen. A boot on a store that holds no
+// model, SIGHUP and POST /v1/admin/reload all build the model from the
+// same config.
 type config struct {
 	addr, appsCSV, invCSV      string
 	modelPath, savePath        string // -model loads instead of training
@@ -83,14 +88,9 @@ type config struct {
 	maxHotApps, maxWarmApps    int
 	quantile                   float64
 	shards, shardID            int
-	watchModel                 bool
 	retrainEvery               time.Duration
 	driftThreshold, minImprove float64
-	promoteSave                string
 }
-
-// watchEvery is how often -watch-model polls the model file.
-const watchEvery = 2 * time.Second
 
 // parseConfig parses femuxd's flags from args and validates them. -h
 // prints the flag list and returns flag.ErrHelp.
@@ -106,7 +106,7 @@ func parseConfig(args []string) (config, error) {
 	fs.Int64Var(&c.seed, "seed", 1, "seed for synthetic training")
 	fs.IntVar(&c.blockMin, "block", 144, "block size in minutes")
 	fs.IntVar(&c.workers, "workers", 0, "training worker goroutines (0 = one per CPU)")
-	fs.StringVar(&c.modelPath, "model", "", "load a trained model instead of training")
+	fs.StringVar(&c.modelPath, "model", "", "load a trained model instead of training (a -data-dir that holds a model serves that one)")
 	fs.StringVar(&c.savePath, "save", "", "save the trained model to this path")
 	fs.DurationVar(&c.shutdownTimeout, "shutdown-timeout", 15*time.Second, "drain deadline on SIGINT/SIGTERM")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable observation store directory (empty = the same store held in memory only: no WAL, no paging, nothing survives a restart)")
@@ -116,11 +116,9 @@ func parseConfig(args []string) (config, error) {
 	fs.Float64Var(&c.quantile, "quantile-level", 0, "provision pod targets for this forecast quantile of demand (e.g. 0.95) instead of the point forecast (0 = off)")
 	fs.IntVar(&c.shards, "shards", 1, "total femuxd instances in the fleet (hash-partitioned by app)")
 	fs.IntVar(&c.shardID, "shard-id", 0, "this instance's shard index in [0, shards)")
-	fs.BoolVar(&c.watchModel, "watch-model", false, "poll the -model file every 2s and hot-reload when it changes")
 	fs.DurationVar(&c.retrainEvery, "retrain-every", 0, "run a drift-aware retrain cycle this often: retrain on recent windows, shadow-evaluate, auto-promote winners (0 = disabled)")
 	fs.Float64Var(&c.driftThreshold, "drift-threshold", 0.5, "minimum per-app drift score before a retrain cycle trains a candidate (0 = retrain every cycle)")
 	fs.Float64Var(&c.minImprove, "min-improve", 0.01, "fractional shadow-RUM improvement a candidate needs to be auto-promoted")
-	fs.StringVar(&c.promoteSave, "promote-save", "", "write auto-promoted models to this path (atomic rename; feeds -watch-model fleets)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(os.Stderr)
@@ -137,9 +135,6 @@ func parseConfig(args []string) (config, error) {
 func (c *config) validate() error {
 	if c.shards < 1 || c.shardID < 0 || c.shardID >= c.shards {
 		return fmt.Errorf("invalid shard config: -shard-id %d must be in [0, %d)", c.shardID, c.shards)
-	}
-	if c.watchModel && c.modelPath == "" {
-		return errors.New("-watch-model requires -model")
 	}
 	if c.maxWarmApps > 0 && c.dataDir == "" {
 		return errors.New("-max-warm-apps requires -data-dir (paging needs a store)")
@@ -172,7 +167,7 @@ func main() {
 		st = store.OpenMemory()
 	} else {
 		if st, err = store.Open(cfg.dataDir, store.Options{Sync: cfg.sync, InlineBudget: cfg.maxWarmApps}); err != nil {
-			log.Fatal(err)
+			log.Fatalf("-data-dir %s: %v", cfg.dataDir, err)
 		}
 		stats := st.Stats()
 		log.Printf("durable store %s: restored %d observations across %d apps (fsync=%s)",
@@ -182,7 +177,7 @@ func main() {
 		}
 	}
 
-	model, err := buildModel(cfg)
+	model, err := bootModel(cfg, st)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -223,7 +218,6 @@ func main() {
 			MinImprove:     cfg.minImprove,
 			Workers:        cfg.workers,
 			Seed:           cfg.seed,
-			SaveTo:         cfg.promoteSave,
 			Logf:           log.Printf,
 		})
 		lcm.InstrumentWith(reg)
@@ -260,16 +254,6 @@ func main() {
 			return
 		}
 	}()
-
-	if cfg.watchModel {
-		go watchModelFile(cfg.modelPath, watchEvery, stop, func() {
-			if err := reloadAndSwap(svc, reload); err != nil {
-				log.Printf("model watch: reload failed: %v", err)
-			} else {
-				log.Printf("model watch: %s changed, reloaded (%d total)", cfg.modelPath, svc.Reloads())
-			}
-		})
-	}
 
 	log.Printf("serving FeMux API on %s", cfg.addr)
 	err = serving.Run(server, stop, cfg.shutdownTimeout, log.Printf)
@@ -325,37 +309,34 @@ func registerStoreMetrics(reg *serving.Registry, stats func() store.Stats) {
 	}
 }
 
-// watchModelFile polls path and fires onChange whenever its (mtime, size)
-// pair moves — the shared-model-directory hot-reload path: the offline
-// trainer writes a retrained model into the directory every instance
-// watches, and the whole fleet picks it up without being touched.
-// Polling (rather than inotify) keeps it dependency-free and works on
-// network filesystems; transient stat errors (the trainer's atomic
-// rename window) are skipped.
-func watchModelFile(path string, every time.Duration, stop <-chan struct{}, onChange func()) {
-	var lastMod time.Time
-	var lastSize int64
-	if fi, err := os.Stat(path); err == nil {
-		lastMod, lastSize = fi.ModTime(), fi.Size()
+// bootModel returns the model femuxd serves at boot: the one st holds,
+// so that a restart serves what was served, or, for a store that holds
+// none, the one c builds, which it stores. A -model that is not the
+// stored one is logged, not served: serving it would undo a promotion.
+func bootModel(c config, st *store.Store) (*femux.Model, error) {
+	stored := st.Model()
+	if stored == nil {
+		m, err := buildModel(c)
+		if err != nil {
+			return nil, err
+		}
+		var b bytes.Buffer
+		if err := m.Save(&b); err != nil {
+			return nil, err
+		}
+		return m, st.SaveModel(b.Bytes())
 	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			fi, err := os.Stat(path)
-			if err != nil {
-				continue
-			}
-			if fi.ModTime().Equal(lastMod) && fi.Size() == lastSize {
-				continue
-			}
-			lastMod, lastSize = fi.ModTime(), fi.Size()
-			onChange()
+	m, err := femux.Load(bytes.NewReader(stored))
+	if err != nil {
+		return nil, fmt.Errorf("the model stored in %s: %w", c.dataDir, err)
+	}
+	log.Printf("serving the model stored in %s", c.dataDir)
+	if c.modelPath != "" {
+		if b, err := os.ReadFile(c.modelPath); err != nil || !bytes.Equal(b, stored) {
+			log.Printf("-model %s is not the stored model: POST /v1/admin/reload or SIGHUP serves it", c.modelPath)
 		}
 	}
+	return m, nil
 }
 
 // buildModel loads or trains the serving model the config names.
@@ -433,8 +414,7 @@ func reloadAndSwap(svc *knative.Service, rebuild func() (*femux.Model, error)) e
 	if err != nil {
 		return err
 	}
-	svc.SwapModel(m)
-	return nil
+	return svc.SwapModel(m)
 }
 
 // reloadResponse is the admin reload reply.

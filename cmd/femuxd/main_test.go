@@ -115,8 +115,6 @@ func TestParseConfig(t *testing.T) {
 		{[]string{"-shards", "2", "-shard-id", "2"}, "-shard-id"},
 		{[]string{"-shard-id", "-1"}, "-shard-id"},
 		{[]string{"-shards", "0"}, "-shard-id"},
-		{[]string{"-watch-model", "-model", "m.json"}, ""},
-		{[]string{"-watch-model"}, "-watch-model requires -model"},
 		{[]string{"-max-warm-apps", "10", "-data-dir", "d"}, ""},
 		{[]string{"-max-warm-apps", "10"}, "-max-warm-apps requires -data-dir"},
 		{[]string{"-fsync", "interval"}, ""},
@@ -133,6 +131,8 @@ func TestParseConfig(t *testing.T) {
 		{[]string{"-compact-every", "256"}, "flag provided but not defined: -compact-every"},
 		{[]string{"-watch-interval", "2s"}, "flag provided but not defined: -watch-interval"},
 		{[]string{"-shadow-window", "100"}, "flag provided but not defined: -shadow-window"},
+		{[]string{"-watch-model", "-model", "m.json"}, "flag provided but not defined: -watch-model"},
+		{[]string{"-promote-save", "m.json"}, "flag provided but not defined: -promote-save"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
 			_, err := parseConfig(c.args)

@@ -81,7 +81,7 @@ func (d *driftServing) LifecycleSnapshot(driftThreshold float64) lifecycle.Snaps
 	return lifecycle.SnapshotFromWindows(d.model, d.windows, d.blockSize, driftThreshold)
 }
 
-func (d *driftServing) SwapModel(m *femux.Model) { d.model = m; d.swaps++ }
+func (d *driftServing) SwapModel(m *femux.Model) error { d.model = m; d.swaps++; return nil }
 
 // DriftEpochRow is one evaluation epoch of the study.
 type DriftEpochRow struct {

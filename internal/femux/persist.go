@@ -134,11 +134,15 @@ func Load(r io.Reader, extra ...forecast.Forecaster) (*Model, error) {
 			return nil, fmt.Errorf("femux: assignment references unknown forecaster %q", name)
 		}
 	}
+	// The file keeps no K: the centroid count is K unless training had
+	// fewer blocks than K, so a retrain from a loaded model's Config
+	// clusters as one from the trained model's does.
 	m := &Model{
 		cfg: Config{
 			BlockSize:   mj.BlockSize,
 			Window:      mj.Window,
 			Horizon:     mj.Horizon,
+			K:           len(mj.Centroids),
 			Features:    mj.Features,
 			Metric:      metric,
 			Forecasters: set,

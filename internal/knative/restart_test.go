@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
+	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
@@ -95,11 +97,13 @@ func storeStep(name string, op func(st *store.Store) error) restartStep {
 	}}
 }
 
-var swapStep = restartStep{"swap_model", func(_ *testing.T, _ *restartFleet, subjects ...*restartSubject) {
+var swapStep = restartStep{"swap_model", func(t *testing.T, _ *restartFleet, subjects ...*restartSubject) {
 	for _, s := range subjects {
 		s.cur = 1 - s.cur
 		for _, n := range s.nodes {
-			n.svc.SwapModel(s.models[s.cur])
+			if err := n.svc.SwapModel(s.models[s.cur]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }}
@@ -109,8 +113,9 @@ var swapStep = restartStep{"swap_model", func(_ *testing.T, _ *restartFleet, sub
 // batches, page-outs, a compaction and a model swap. After each step k
 // it is killed: its Service and store (shard 0's, for a fleet) are
 // abandoned without Close, as kill -9 leaves them, the directory is
-// reopened and a new Service is built on it with the model the old one
-// served. The store must hold exactly the acked stream, and every app's
+// reopened and a new Service is built on it with the model the directory
+// holds, which must be the one the old service served. The store must
+// hold exactly the acked stream, and every app's
 // first target, forecaster, forecast and quantile bands must be
 // Float64bits-equal to a control that never restarted and saw the same
 // stream; so must they after the rest of the schedule. The subject is a
@@ -185,8 +190,9 @@ func TestRestartAtEveryStep(t *testing.T) {
 }
 
 // newRestartSubject serves models[0] from shards nodes, on directory
-// stores opened with *opt, or from one node on a memory store when opt
-// is nil. A fleet is served through a ShardRouter.
+// stores opened with *opt and seeded with it, as femuxd's first boot
+// seeds a directory, or from one node on a memory store when opt is nil.
+// A fleet is served through a ShardRouter.
 func newRestartSubject(t *testing.T, models []*femux.Model, so ServiceOptions, opt *store.Options, shards int) *restartSubject {
 	s := &restartSubject{models: models}
 	urls := make([]string, shards)
@@ -196,6 +202,9 @@ func newRestartSubject(t *testing.T, models []*femux.Model, so ServiceOptions, o
 			n.dir = t.TempDir()
 			st, err := store.Open(n.dir, *opt)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SaveModel(modelBytes(t, models[0])); err != nil {
 				t.Fatal(err)
 			}
 			n.st = st
@@ -222,7 +231,8 @@ func newRestartSubject(t *testing.T, models []*femux.Model, so ServiceOptions, o
 }
 
 // restart abandons node i's service and store, reopens its directory and
-// serves a new service on it, with the model the old one served.
+// serves a new service on it, with the model the directory holds: the
+// one the old service served, byte for byte.
 func (s *restartSubject) restart(t *testing.T, i int, so ServiceOptions, opt store.Options) {
 	n := s.nodes[i]
 	st, err := store.Open(n.dir, opt)
@@ -230,8 +240,25 @@ func (s *restartSubject) restart(t *testing.T, i int, so ServiceOptions, opt sto
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
+	if !bytes.Equal(st.Model(), modelBytes(t, s.models[s.cur])) {
+		t.Fatal("the restarted directory does not hold the model its service served")
+	}
+	m, err := femux.Load(bytes.NewReader(st.Model()), forecast.NewMovingAverage(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	so.Store, so.ShardID, so.Shards = st, i, len(s.nodes)
-	n.st, n.svc = st, NewServiceWith(s.models[s.cur], so)
+	n.st, n.svc = st, NewServiceWith(m, so)
+}
+
+// modelBytes is m as a store holds it.
+func modelBytes(t testing.TB, m *femux.Model) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := m.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // checkDurable requires the subject's stores to hold exactly what was

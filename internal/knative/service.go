@@ -155,7 +155,8 @@ func (a *svcApp) push(v float64) {
 // RSS scale with the store's compacted state, not with a materialized
 // tail+policy per app — and the first request for an app
 // restores it lazily, forecasting from the same history an uninterrupted
-// process would hold.
+// process would hold. It serves model and writes nothing: the caller
+// chooses it, from the model the store holds (Store.Model) or not.
 func NewServiceWith(model *femux.Model, opts ServiceOptions) *Service {
 	if opts.Store == nil {
 		opts.Store = store.OpenMemory()
@@ -283,22 +284,34 @@ func (a *svcApp) refill(view []float64) {
 
 // SwapModel atomically replaces the serving model (the paper retrains
 // monthly offline and ships the classifier into the forecasting pods).
-// It only publishes the model, under a new version, and takes no app
-// lock: each app's next acquire finds its policy stale and gives it a
-// fresh one from the new model, keeping its observation history, so
-// forecasting continuity survives the swap — the policy's first call
-// reads the app's last completed block from the store, whatever the new
-// block size and window. Requests already holding the old policy finish
-// against the old model; nothing in flight is dropped or torn.
-func (s *Service) SwapModel(m *femux.Model) {
+// It is the one install path: SIGHUP, the admin reload and a lifecycle
+// promotion all come through it. It writes m through the store before it
+// publishes it, so a restart on the same data directory serves m; a failed
+// write publishes nothing and is returned. It only publishes the model,
+// under a new version, and takes no app lock: each app's next acquire
+// finds its policy stale and gives it a fresh one from the new model,
+// keeping its observation history, so forecasting continuity survives the
+// swap — the policy's first call reads the app's last completed block from
+// the store, whatever the new block size and window. Requests already
+// holding the old policy finish against the old model; nothing in flight
+// is dropped or torn.
+func (s *Service) SwapModel(m *femux.Model) error {
+	var b bytes.Buffer
+	if err := m.Save(&b); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.st.SaveModel(b.Bytes()); err != nil {
+		return err
+	}
 	s.live.Store(&liveModel{m, modelVersions.Add(1)})
 	s.reloads++
 	if sm := s.metrics.Load(); sm != nil {
 		sm.Reloads.Inc()
 		sm.setModelInfo(m)
 	}
+	return nil
 }
 
 // ServiceMetrics are the FeMux-semantic metric families exported next to

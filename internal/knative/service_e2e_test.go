@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -340,7 +341,9 @@ func TestE2EHotReloadKeepsHistory(t *testing.T) {
 		doReq(t, "POST", srv.URL+"/v1/apps/keep/observe", `{"concurrency": 2}`)
 	}
 	next := trainTinyModel(t)
-	svc.SwapModel(next)
+	if err := svc.SwapModel(next); err != nil {
+		t.Fatal(err)
+	}
 	if svc.Model() != next {
 		t.Fatal("model not swapped")
 	}
@@ -364,5 +367,37 @@ func TestE2EHotReloadKeepsHistory(t *testing.T) {
 	}
 	if strings.Count(body, "femux_model_info{") != 1 {
 		t.Errorf("stale model_info child left behind:\n%s", body)
+	}
+}
+
+// TestSwapModelWritesThroughStore: NewServiceWith writes nothing; a swap
+// stores the model before it serves it, so the directory holds what is
+// served; and a swap whose store write fails (here the directory is gone)
+// returns the error and publishes nothing: the model, the reload count
+// and the stored bytes stay as they were.
+func TestSwapModelWritesThroughStore(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	a, b := muxModelA(t), muxModelB(t)
+	svc := NewServiceWith(a, ServiceOptions{Store: st})
+	if st.Model() != nil {
+		t.Fatal("NewServiceWith stored a model")
+	}
+	if err := svc.SwapModel(b); err != nil {
+		t.Fatal(err)
+	}
+	want := modelBytes(t, b)
+	if !bytes.Equal(st.Model(), want) || !bytes.Equal(openTestStore(t, dir).Model(), want) {
+		t.Fatal("the directory does not hold the swapped-in model")
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SwapModel(a); err == nil {
+		t.Fatal("a swap into a removed directory succeeded")
+	}
+	if svc.Model() != b || svc.Reloads() != 1 || !bytes.Equal(st.Model(), want) {
+		t.Fatalf("after the failed swap: serving the new model %v, %d reloads; want the old one, 1",
+			svc.Model() == a, svc.Reloads())
 	}
 }

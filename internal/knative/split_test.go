@@ -100,7 +100,7 @@ func testSplitMatchesUnsplit(t *testing.T, from, to int) {
 	}
 	stopSplitFleet(t, old)
 
-	if err := store.Split(srcs, dsts); err != nil {
+	if _, err := store.Split(srcs, dsts); err != nil {
 		t.Fatal(err)
 	}
 	fleet := startSplitFleet(t, dsts)

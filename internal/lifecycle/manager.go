@@ -1,8 +1,6 @@
 package lifecycle
 
 import (
-	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -45,8 +43,9 @@ type Serving interface {
 	// LifecycleSnapshot captures the retrain inputs; driftThreshold
 	// feeds the Drifted count.
 	LifecycleSnapshot(driftThreshold float64) Snapshot
-	// SwapModel atomically replaces the serving model.
-	SwapModel(*femux.Model)
+	// SwapModel atomically replaces the serving model, or, on an error,
+	// leaves the live model as it is.
+	SwapModel(*femux.Model) error
 }
 
 // Config tunes the retrain lifecycle.
@@ -74,10 +73,6 @@ type Config struct {
 	// apps whose windows did not change between cycles are cache hits.
 	// nil gets a fresh in-memory cache.
 	Cache *memo.Cache
-	// SaveTo, when set, atomically writes every promoted model to this
-	// path (tmp + rename), which is how a promotion propagates to fleet
-	// members polling the file with -watch-model.
-	SaveTo string
 	// Logf, when set, receives one line per non-idle cycle.
 	Logf func(format string, args ...interface{})
 }
@@ -90,8 +85,8 @@ const (
 	OutcomeNoData Outcome = "no-data"
 	// OutcomeIdle: max drift below the threshold; nothing retrained.
 	OutcomeIdle Outcome = "idle"
-	// OutcomeFailed: retraining or evaluation errored; the live model
-	// is untouched.
+	// OutcomeFailed: retraining, evaluation or the promotion's swap
+	// errored; the live model is untouched.
 	OutcomeFailed Outcome = "failed"
 	// OutcomeKept: the candidate did not beat the live model by
 	// MinImprove on the shadow windows; the live model is kept.
@@ -297,13 +292,12 @@ func (m *Manager) retrainShadowPromote(snap Snapshot, res *CycleResult) {
 		res.Outcome = OutcomeKept
 		return
 	}
-	m.sv.SwapModel(candidate)
-	res.Outcome = OutcomePromoted
-	if m.cfg.SaveTo != "" {
-		if err := saveModelAtomic(m.cfg.SaveTo, candidate); err != nil {
-			res.Error = fmt.Sprintf("promoted, but saving to %s failed: %v", m.cfg.SaveTo, err)
-		}
+	if err := m.sv.SwapModel(candidate); err != nil {
+		res.Outcome = OutcomeFailed
+		res.Error = err.Error()
+		return
 	}
+	res.Outcome = OutcomePromoted
 }
 
 // record folds one cycle result into the status and metrics.
@@ -385,24 +379,4 @@ func SnapshotFromWindows(model *femux.Model, windows []AppWindow, blockSize int,
 		}
 	}
 	return snap
-}
-
-// saveModelAtomic writes the model under a temp name and renames it into
-// place, so -watch-model pollers never observe a torn file.
-func saveModelAtomic(path string, model *femux.Model) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := model.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -1,10 +1,10 @@
 package lifecycle
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +25,7 @@ type fakeServing struct {
 	model   *femux.Model
 	windows []AppWindow
 	swaps   int
+	swapErr error // SwapModel's answer: when set, nothing is swapped
 }
 
 func (f *fakeServing) LifecycleSnapshot(driftThreshold float64) Snapshot {
@@ -33,11 +34,15 @@ func (f *fakeServing) LifecycleSnapshot(driftThreshold float64) Snapshot {
 	return SnapshotFromWindows(f.model, f.windows, testBlock, driftThreshold)
 }
 
-func (f *fakeServing) SwapModel(m *femux.Model) {
+func (f *fakeServing) SwapModel(m *femux.Model) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.swapErr != nil {
+		return f.swapErr
+	}
 	f.model = m
 	f.swaps++
+	return nil
 }
 
 func (f *fakeServing) state() (*femux.Model, int) {
@@ -75,7 +80,7 @@ func trainModel(t testing.TB, apps []femux.TrainApp) *femux.Model {
 	cfg.BlockSize = testBlock
 	cfg.Window = 30
 	cfg.K = 3
-	// Registry forecasters only: the SaveTo round trip reloads by name.
+	// Registry forecasters only: the restart round trip reloads by name.
 	cfg.Forecasters = []forecast.Forecaster{
 		forecast.NewFFT(10), forecast.NewExpSmoothing(), forecast.NewCeilPeak(10),
 	}
@@ -193,34 +198,55 @@ func TestPromotionBitRepeatable(t *testing.T) {
 	}
 }
 
-// TestPromoteSaveTo checks the fleet-propagation half of promotion: the
-// winning candidate is written (atomically) where -watch-model followers
-// poll, and the file round-trips through the model loader.
-func TestPromoteSaveTo(t *testing.T) {
+// TestSwapFailureKeepsLiveModel: a promotion whose swap fails (the
+// store could not write the candidate) is a failed cycle: the error is
+// reported, nothing is promoted, and the live model serves on.
+func TestSwapFailureKeepsLiveModel(t *testing.T) {
 	live := trainModel(t, appsFrom(steadyFleet(4)))
-	path := filepath.Join(t.TempDir(), "model.json")
-	sv := &fakeServing{model: live, windows: driftedFleet(4)}
-	m := New(sv, Config{DriftThreshold: 0.5, MinImprove: -100, Seed: 42, SaveTo: path})
+	full := errors.New("no space left on device")
+	sv := &fakeServing{model: live, windows: driftedFleet(4), swapErr: full}
+	m := New(sv, Config{DriftThreshold: 0.5, MinImprove: -100, Seed: 42})
 	res := m.RunCycle()
-	if res.Outcome != OutcomePromoted || res.Error != "" {
-		t.Fatalf("cycle: %+v", res)
+	if res.Outcome != OutcomeFailed || res.Error != full.Error() {
+		t.Fatalf("cycle with a failing swap: %+v, want failed with %q", res, full)
 	}
-	f, err := os.Open(path)
+	if st := m.Status(); st.Promotions != 0 || st.Retrains != 1 {
+		t.Errorf("status after the failed swap: %+v, want 1 retrain and 0 promotions", st)
+	}
+	if cur, swaps := sv.state(); swaps != 0 || cur != live {
+		t.Fatal("a failed swap must leave the live model serving")
+	}
+}
+
+// TestRetrainAfterRestart: a restarted service serves the model it
+// loaded from its stored bytes. The lifecycle retrains from that model's
+// Config, so its candidate must be the one a never-restarted manager
+// trains on the same snapshot and seed, saved byte for byte.
+func TestRetrainAfterRestart(t *testing.T) {
+	live := trainModel(t, appsFrom(steadyFleet(4)))
+	var stored bytes.Buffer
+	if err := live.Save(&stored); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := femux.Load(bytes.NewReader(stored.Bytes()))
 	if err != nil {
-		t.Fatalf("promoted model not saved: %v", err)
+		t.Fatal(err)
 	}
-	defer f.Close()
-	loaded, err := femux.Load(f)
-	if err != nil {
-		t.Fatalf("saved model does not load: %v", err)
+	candidate := func(m *femux.Model) []byte {
+		t.Helper()
+		sv := &fakeServing{model: m, windows: driftedFleet(4)}
+		if res := New(sv, Config{DriftThreshold: 0.5, MinImprove: -100, Seed: 42}).RunCycle(); res.Outcome != OutcomePromoted {
+			t.Fatalf("cycle: %+v", res)
+		}
+		cur, _ := sv.state()
+		var b bytes.Buffer
+		if err := cur.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	cur, _ := sv.state()
-	if loaded.DefaultForecaster().Name() != cur.DefaultForecaster().Name() {
-		t.Errorf("saved model default %q != promoted %q",
-			loaded.DefaultForecaster().Name(), cur.DefaultForecaster().Name())
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind: %v", err)
+	if a, b := candidate(live), candidate(restarted); !bytes.Equal(a, b) {
+		t.Fatalf("the candidate after a restart differs from the never-restarted one:\n%s\nvs\n%s", b, a)
 	}
 }
 

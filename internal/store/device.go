@@ -10,10 +10,10 @@ import (
 )
 
 // A device is the store's file layer: the WAL, replay, the pager, snapshot
-// write and load, Split and Stats reach every file they touch
-// (all named in one flat directory) through it. Open runs on a data
-// directory, OpenMemory on a device that keeps no files, and tests wrap
-// either to fault any call.
+// write and load, the model file, Split and Stats reach every file they
+// touch (all named in one flat directory) through it. Open runs on a data
+// directory, OpenMemory on a device that keeps no files, Split reads its
+// sources through readOnly, and tests wrap any of them to fault any call.
 type device interface {
 	create(name string) (file, error) // a new file, for writing; fails if name exists
 	open(name string) (file, error)   // an existing file, for reading
@@ -108,3 +108,13 @@ func (nullFile) Write(p []byte) (int, error)       { return len(p), nil }
 func (nullFile) ReadAt([]byte, int64) (int, error) { return 0, io.EOF }
 func (nullFile) Sync() error                       { return nil }
 func (nullFile) Close() error                      { return nil }
+
+// readOnly reads a directory and drops every change, as nullDevice does:
+// Split opens its sources through it, so that a split writes nothing there.
+type readOnly struct {
+	nullDevice
+	dir dirDevice
+}
+
+func (d readOnly) open(name string) (file, error)  { return d.dir.open(name) }
+func (d readOnly) list() (map[string]int64, error) { return d.dir.list() }

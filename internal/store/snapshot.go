@@ -202,25 +202,26 @@ func appendSnapshotRecord(buf []byte, app string, rec snapRecord) []byte {
 	return sealRecord(rec.appendSnapshot(reserveHeader(buf), app), start)
 }
 
-// writeSnapshots writes one v5 snapshot, snap-<seq>.snap, onto each of
-// devs: fill hands every record to add with the index of its device.
-// Compaction writes one snapshot through it, Split one per destination.
-// Each goes to a temp file and is fsynced, closed and renamed into place,
-// then its directory is fsynced, so a crash leaves the old snapshot or the
-// new one, never half of one. On any error nothing is left behind: every
-// temp file, and every snapshot already renamed, is removed.
-func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app string, rec snapRecord) error) error) (err error) {
-	name := snapName(seq)
+// writeFiles writes one file, name, onto each of devs, framed as a
+// snapshot is: a magic record, then the records fill hands to add with the
+// index of their device. Compaction writes one v5 snapshot through it,
+// Split one per destination, and SaveModel the model file. Each goes to a
+// temp file and is fsynced, closed and renamed into place, then its
+// directory is fsynced, so a crash leaves the old file or the new one,
+// never half of one. On any error nothing is left behind: every temp
+// file, and every file already renamed into place, is removed.
+func writeFiles(devs []device, name, magic string, fill func(add func(i int, app string, rec snapRecord) error) error) (err error) {
 	tmp := name + snapTempSuffix
 	files := make([]file, len(devs))
 	bufs := make([]*bufio.Writer, len(devs))
+	renamed := 0 // devs[:renamed] hold the new file under name
 	defer func() {
 		for i, f := range files {
 			if f != nil { // not renamed into place
 				f.Close()
 				devs[i].remove(tmp)
 			}
-			if err != nil {
+			if err != nil && i < renamed {
 				devs[i].remove(name)
 			}
 		}
@@ -230,7 +231,7 @@ func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app str
 			return err
 		}
 		bufs[i] = bufio.NewWriterSize(files[i], 1<<20)
-		bufs[i].Write(appendRecord(nil, []byte(snapMagicV5))) // into an empty buffer: cannot fail
+		bufs[i].Write(appendRecord(nil, []byte(magic))) // into an empty buffer: cannot fail
 	}
 	if err := fill(func(i int, app string, rec snapRecord) error {
 		_, err := bufs[i].Write(appendSnapshotRecord(bufs[i].AvailableBuffer(), app, rec))
@@ -250,7 +251,7 @@ func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app str
 			err = devs[i].rename(tmp, name)
 		}
 		if err == nil {
-			files[i] = nil
+			files[i], renamed = nil, i+1
 			err = devs[i].syncDir()
 		}
 		if err != nil {
@@ -263,7 +264,7 @@ func writeSnapshots(devs []device, seq uint64, fill func(add func(i int, app str
 // writeSnapshot persists a store's warm and cold apps as snap-<seq>.snap
 // on dev.
 func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold map[string]*coldApp) error {
-	return writeSnapshots([]device{dev}, seq, func(add func(int, string, snapRecord) error) error {
+	return writeFiles([]device{dev}, snapName(seq), snapMagicV5, func(add func(int, string, snapRecord) error) error {
 		for app, st := range warm {
 			if err := add(0, app, st); err != nil {
 				return err

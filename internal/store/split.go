@@ -9,32 +9,41 @@ import (
 
 // Split resizes a fleet offline: it redistributes the apps of the stopped
 // stores in srcs over len(dsts) shards, giving every app, warm or cold, to
-// dsts[ShardOf(app, len(dsts))]. Each destination receives one v5
-// snapshot of its apps' compact windows and totals, written temp ->
-// fsync -> rename, and its directory is fsynced; it gets no WAL records
-// and no memo. Destinations must be empty or missing,
-// none may be a source, and an app held by two sources is refused. The
-// sources are only read (and reopen to the same state), so a failed
-// split leaves every destination empty and can be run again.
+// dsts[ShardOf(app, len(dsts))], and returns what each destination got.
+// Each destination receives one v5 snapshot of its apps' compact windows
+// and totals, written temp -> fsync -> rename, and its directory is
+// fsynced; it gets no WAL records, no memo and no model file (a new
+// shard's first boot seeds its model). Destinations must be empty or
+// missing, none may be a source, and an app held by two sources is
+// refused. The sources are only read, through a device that drops every
+// write, so a failed split leaves every destination empty and can be run
+// again.
 //
 // Every source is opened in turn, as Open would at boot, so a split costs
 // about one boot replay of the fleet.
-func Split(srcs, dsts []string) error {
+func Split(srcs, dsts []string) ([]SplitCount, error) {
 	if len(srcs) == 0 || len(dsts) == 0 {
-		return errors.New("store: split needs at least one source and one destination")
+		return nil, errors.New("store: split needs at least one source and one destination")
 	}
 	if err := checkSplitDirs(srcs, dsts); err != nil {
-		return err
+		return nil, err
 	}
 	devs := make([]device, len(dsts))
 	for i, dir := range dsts {
 		dev, err := openDir(dir)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		devs[i] = dev
 	}
 	return split(srcs, devs)
+}
+
+// SplitCount is what Split wrote to one destination: its apps and their
+// lifetime observations.
+type SplitCount struct {
+	Apps         int
+	Observations int64
 }
 
 // splitSnapSeq numbers the snapshot a destination starts from. A snapshot
@@ -42,11 +51,12 @@ func Split(srcs, dsts []string) error {
 // 2.
 const splitSnapSeq = 1
 
-func split(srcs []string, dsts []device) error {
+func split(srcs []string, dsts []device) ([]SplitCount, error) {
 	owner := map[string]int{} // app -> the source it came from
-	return writeSnapshots(dsts, splitSnapSeq, func(add func(int, string, snapRecord) error) error {
+	counts := make([]SplitCount, len(dsts))
+	err := writeFiles(dsts, snapName(splitSnapSeq), snapMagicV5, func(add func(int, string, snapRecord) error) error {
 		for si, src := range srcs {
-			s, err := Open(src, Options{Sync: SyncNever, CompactEvery: -1})
+			s, err := open(readOnly{dir: dirDevice(src)}, Options{Sync: SyncNever, CompactEvery: -1})
 			if err != nil {
 				return fmt.Errorf("store: split: open %s: %w", src, err)
 			}
@@ -61,9 +71,12 @@ func split(srcs []string, dsts []device) error {
 					err = fmt.Errorf("store: split: page in %q from %s: %w", app, src, err)
 					break
 				}
-				if err = add(ShardOf(app, len(dsts)), app, st); err != nil {
+				i := ShardOf(app, len(dsts))
+				if err = add(i, app, st); err != nil {
 					break
 				}
+				counts[i].Apps++
+				counts[i].Observations += st.total
 			}
 			if cerr := s.Close(); err == nil {
 				err = cerr
@@ -74,6 +87,10 @@ func split(srcs []string, dsts []device) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
 // checkSplitDirs refuses a source that is not a directory (Open would

@@ -138,7 +138,7 @@ func TestSplitMovesEveryApp(t *testing.T) {
 			for i := 0; i < c.to; i++ {
 				dsts = append(dsts, filepath.Join(t.TempDir(), "new"))
 			}
-			if err := Split(srcs, dsts); err != nil {
+			if _, err := Split(srcs, dsts); err != nil {
 				t.Fatal(err)
 			}
 			assertSplit(t, dsts, wins)
@@ -175,7 +175,7 @@ func TestSplitRefusesNonEmptyDestination(t *testing.T) {
 		{"app in two sources", []string{srcs[0], srcs[1], dupDir}, []string{fresh(), fresh()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if err := Split(c.srcs, c.dsts); err == nil {
+			if _, err := Split(c.srcs, c.dsts); err == nil {
 				t.Fatal("split succeeded")
 			}
 			for _, dst := range c.dsts {
@@ -214,16 +214,80 @@ func TestSplitFaultAtEveryDestination(t *testing.T) {
 				}
 				armed, err := true, map[string]error{"write": errShortWrite, "sync": syscall.EIO, "close": syscall.EIO}[mode]
 				devs[k] = &faultDevice{devs[k], faultOnce(&armed, mode, snapPrefix, err)}
-				if err := split(srcs, devs); err == nil {
+				if _, err := split(srcs, devs); err == nil {
 					t.Fatal("split succeeded through the fault")
 				}
 				assertSourcesUnchanged(t, srcs, before)
 				assertEmptyDirs(t, dsts)
-				if err := Split(srcs, dsts); err != nil {
+				if _, err := Split(srcs, dsts); err != nil {
 					t.Fatalf("retry: %v", err)
 				}
 				assertSplit(t, dsts, wins)
 			})
 		}
 	}
+}
+
+// TestSplitWritesOnlyDestinations lists every file of the sources and
+// destinations before and after a 2->3 split. The sources, one ending in
+// a torn WAL frame and one holding a snapshot temp file, as a crash
+// leaves them, must be byte-identical afterwards: Split reads around
+// both and repairs neither, and writes no WAL segment there. Each
+// destination must hold exactly its snapshot, and the counts Split
+// returns must be what each destination reopens to.
+func TestSplitWritesOnlyDestinations(t *testing.T) {
+	srcs, wins := splitFleet(t, 2)
+	segs, err := listSeqs(srcs[0], segPrefix, segSuffix)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("setup: source segments %v, %v", segs, err)
+	}
+	f, err := os.OpenFile(filepath.Join(srcs[0], segName(segs[len(segs)-1])), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2}); err != nil { // half a frame header
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := os.WriteFile(filepath.Join(srcs[1], snapName(9)+snapTempSuffix), []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]map[string]string, len(srcs))
+	for i, src := range srcs {
+		before[i] = dirFiles(t, src)
+	}
+	var dsts []string
+	for i := 0; i < 3; i++ {
+		dsts = append(dsts, filepath.Join(t.TempDir(), "new"))
+	}
+	counts, err := Split(srcs, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range srcs {
+		after := dirFiles(t, src)
+		if len(after) != len(before[i]) {
+			t.Errorf("source %d: %d files before the split, %d after: %v", i, len(before[i]), len(after), listDir(t, src))
+		}
+		for name, data := range before[i] {
+			if after[name] != data {
+				t.Errorf("source %d: %s changed", i, name)
+			}
+		}
+	}
+	want := make([]SplitCount, len(dsts))
+	for app, win := range wins {
+		i := ShardOf(app, len(dsts))
+		want[i].Apps++
+		want[i].Observations += int64(len(win))
+	}
+	for i, dst := range dsts {
+		if names := listDir(t, dst); len(names) != 1 || names[0] != snapName(splitSnapSeq) {
+			t.Errorf("destination %d holds %v, want its snapshot alone", i, names)
+		}
+		if counts[i] != want[i] {
+			t.Errorf("destination %d: Split counted %+v, want %+v", i, counts[i], want[i])
+		}
+	}
+	assertSplit(t, dsts, wins)
 }

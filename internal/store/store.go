@@ -136,6 +136,11 @@ type Store struct {
 	clock []clockEntry
 	hand  int
 
+	// model is the serving model's bytes (see SaveModel), guarded by
+	// modelMu: a model write does not hold up an append.
+	modelMu sync.Mutex
+	model   []byte
+
 	closeOnce sync.Once
 	stopSync  chan struct{}
 	syncDone  chan struct{}
@@ -170,11 +175,16 @@ func open(dev device, opt Options) (*Store, error) {
 		return nil, err
 	}
 	for name := range files {
-		if strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapTempSuffix) {
-			dev.remove(name) // left by a crash mid-snapshot
+		if strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapTempSuffix) || name == modelName+snapTempSuffix {
+			dev.remove(name) // left by a crash mid-snapshot or mid-model write
 		}
 	}
 	s := &Store{dev: dev, opt: opt, warm: map[string]*appState{}, cold: map[string]*coldApp{}, pg: openPager(dev, files)}
+	if _, ok := files[modelName]; ok {
+		if s.model, err = readModel(dev); err != nil {
+			return nil, err
+		}
+	}
 
 	// Load the newest snapshot that passes its CRC and magic checks.
 	snapSeqs := seqsOf(files, snapPrefix, snapSuffix)
