@@ -3,6 +3,7 @@ package knative
 import (
 	"log"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -105,6 +106,9 @@ func (s *Service) acquire(name string) *svcApp {
 	t.mu.Lock()
 	a := t.apps[name]
 	if a == nil {
+		// A copy: name may be a substring of the request line, which the
+		// entry would pin for as long as it lives.
+		name = strings.Clone(name)
 		a = &svcApp{name: name, pins: 1}
 		a.mu.Lock() // before a is published: requests for name wait on it
 		t.apps[name] = a

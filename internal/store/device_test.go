@@ -478,11 +478,12 @@ func TestPageSyncFailureRecovers(t *testing.T) {
 				if len(s.warm) != 0 {
 					t.Fatalf("%d warm apps after the recovery, want all cold", len(s.warm))
 				}
-				for app, c := range s.cold {
-					if c.ref.seq != s.pg.seq {
-						t.Fatalf("%s: stub %+v after the recovery, want one in the fresh page file %d", app, c.ref, s.pg.seq)
+				s.cold.each(func(app string, e *coldEntry) error {
+					if e.ref().seq != s.pg.seq {
+						t.Fatalf("%s: stub %+v after the recovery, want one in the fresh page file %d", app, e.ref(), s.pg.seq)
 					}
-				}
+					return nil
+				})
 			}
 			// A crash now keeps what that compaction made durable.
 			now := &crashDevice{files: maps.Clone(cd.files), stable: maps.Clone(cd.stable)}

@@ -13,15 +13,15 @@ import (
 // store is reopened — without costing the record a byte.
 func TestMemoLifecycle(t *testing.T) {
 	// 32-bit builds have 4-byte words, and align a uint64 field to 4.
-	wantState, wantCold := uintptr(96), uintptr(48)
+	wantState := uintptr(96)
 	if unsafe.Sizeof(uintptr(0)) == 4 {
-		wantState, wantCold = 68, 44
+		wantState = 68
 	}
 	if got := unsafe.Sizeof(appState{}); got != wantState {
 		t.Errorf("appState is %d bytes, want %d: the memo and the CLOCK fields must fit the 16 bytes after total", got, wantState)
 	}
-	if got := unsafe.Sizeof(coldApp{}); got != wantCold {
-		t.Errorf("coldApp is %d bytes, want %d: the stub, total and memo in one size class", got, wantCold)
+	if got := unsafe.Sizeof(coldEntry{}); got != 40 {
+		t.Errorf("coldEntry is %d bytes, want 40: the stub, total, memo and name address packed", got)
 	}
 	dir := t.TempDir()
 	opt := Options{Sync: SyncNever, CompactEvery: -1}
@@ -177,7 +177,7 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 	type fixture struct {
 		s    *Store
 		path string   // the page file
-		ref  *pageRef // the stub's own, in the store's cold map
+		ref  *pageRef // a copy of the stub, which goes back into its entry
 	}
 	cases := []struct {
 		name   string
@@ -201,11 +201,11 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 			flipByte(t, f.path, f.ref.off)
 		}, "one valid record"},
 		{"empty stub", func(t *testing.T, f fixture) { f.ref.recLen = recordHeaderLen }, "out of range"},
-		{"negative stub", func(t *testing.T, f fixture) { f.ref.recLen = -5 }, "out of range"},
-		{"oversized stub", func(t *testing.T, f fixture) { f.ref.recLen = maxRecordLen + recordHeaderLen + 1 }, "out of range"},
+		{"zero-length stub", func(t *testing.T, f fixture) { f.ref.recLen = 0 }, "out of range"},
+		{"oversized stub", func(t *testing.T, f fixture) { f.ref.recLen = maxRefLen }, "out of range"},
 		{"another app's record", func(t *testing.T, f fixture) {
 			f.s.mu.Lock()
-			other := f.s.cold[appName(1)].ref
+			other := f.s.cold.get(appName(1)).ref()
 			f.s.mu.Unlock()
 			f.ref.off, f.ref.recLen = other.off, other.recLen
 		}, "holds"},
@@ -228,11 +228,13 @@ func TestPageReadBackRejectsBadRecords(t *testing.T) {
 				}
 			}
 			s.mu.Lock()
-			f := fixture{s, dir + "/" + pageName(1), &s.cold[appName(0)].ref}
+			e := s.cold.get(appName(0))
+			ref := e.ref()
 			s.mu.Unlock()
-			tc.damage(t, f)
+			tc.damage(t, fixture{s, dir + "/" + pageName(1), &ref})
 
 			s.mu.Lock()
+			e.setRef(ref)
 			_, err := s.warmState(appName(0))
 			s.mu.Unlock()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

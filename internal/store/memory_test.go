@@ -291,19 +291,20 @@ func TestStatsListsOutsideTheLock(t *testing.T) {
 }
 
 // TestColdAppBytes pins what an app costs the store's live heap, its
-// 8-byte name and map entry included: 5,000 apps of 300 quarter-quantised
-// values each on a directory store, measured after the store and one
-// first app are in place. With an inline budget of 1, all but one are
-// cold, and each holds a 48-byte stub in the cold map: ~99 B an app,
-// where a cold app that kept a whole warm record and a separate page ref
-// cost ~179 B. With no budget every app is warm, and its record and
-// window cost what they did before the cold map existed, ~1,091 B.
+// 8-byte name and map or index entry included: 5,000 apps of 300
+// quarter-quantised values each on a directory store, measured after the
+// store and one first app are in place. With an inline budget of 1, all
+// but one are cold, and each holds a 40-byte entry of the cold table,
+// its name in the table's arena and its index slots: ~57 B an app, where
+// a 48-byte stub in a map cost ~100 B and a cold app that kept a whole
+// warm record and a separate page ref ~179 B. With no budget every app is
+// warm: its record, window, name and map entry cost ~734 B.
 func TestColdAppBytes(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		budget int
 		max    float64 // B/app
-	}{{"cold", 1, 104}, {"warm", 0, 1100}} {
+	}{{"cold", 1, 64}, {"warm", 0, 1100}} {
 		t.Run(c.name, func(t *testing.T) {
 			const apps, n = 5000, 300
 			rng := rand.New(rand.NewSource(47))

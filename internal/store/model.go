@@ -55,7 +55,9 @@ func (s *Store) SaveModel(b []byte) error {
 }
 
 func writeModel(dev device, b []byte) error {
-	return writeFiles([]device{dev}, modelName, modelMagic, func(add func(int, string, snapRecord) error) error {
+	// The buffer holds the whole file, up to a snapshot's.
+	size := recordHeaderLen*(2+len(b)/maxRecordLen) + len(modelMagic) + len(b)
+	return writeFiles([]device{dev}, modelName, modelMagic, min(size, snapBufSize), func(add func(int, string, snapRecord) error) error {
 		for ; len(b) > 0; b = b[min(len(b), maxRecordLen):] {
 			if err := add(0, "", modelChunk(b[:min(len(b), maxRecordLen)])); err != nil {
 				return err

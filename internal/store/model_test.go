@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -214,5 +215,23 @@ func TestModelWriteAtEverySyscall(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSaveModelAllocatesItsBytes saves a 2 KiB model to a memory store:
+// the write buffer is sized to the model file, not to a snapshot's
+// 1 MiB, so the save allocates a few times the model's bytes.
+func TestSaveModelAllocatesItsBytes(t *testing.T) {
+	s := OpenMemory()
+	defer s.Close()
+	b := bytes.Repeat([]byte("femux"), 410)[:2048]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.SaveModel(b); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("saving a %d-byte model allocated %d B, want under 64 KiB", len(b), got)
 	}
 }

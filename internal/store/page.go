@@ -2,13 +2,15 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Cold apps page their compacted window out of memory into
-// page-<seq>.page files, leaving only a coldApp stub (48 bytes) in the
-// store's cold map. Page files reuse the WAL's CRC-framed record
+// page-<seq>.page files, leaving only a 40-byte entry in the store's cold
+// table (see coldTable). Page files reuse the WAL's CRC-framed record
 // format; each record is one app's self-contained state:
 //
 //	uvarint len(app) | app | uvarint total | compact window encoding
@@ -83,7 +85,7 @@ func openPager(dev device, files map[string]int64) *pager {
 
 // noteLive moves one stub's bytes from the dead to the live column
 // (boot-time accounting).
-func (p *pager) noteLive(ref *pageRef) {
+func (p *pager) noteLive(ref pageRef) {
 	p.liveBytes += int64(ref.recLen)
 	p.deadBytes -= int64(ref.recLen)
 }
@@ -99,6 +101,9 @@ func appendPageRecord(buf []byte, app string, st *appState) []byte {
 // returns its stub.
 func (p *pager) writeOut(app string, st *appState) (pageRef, error) {
 	if p.f == nil {
+		if p.seq > math.MaxUint32 { // what a cold entry holds
+			return pageRef{}, errors.New("store: page file numbers exhausted")
+		}
 		f, err := p.dev.create(pageName(p.seq))
 		if err != nil {
 			return pageRef{}, err
@@ -114,10 +119,13 @@ func (p *pager) writeOut(app string, st *appState) (pageRef, error) {
 		p.seal()
 		return pageRef{}, err
 	}
+	// A record longer than any frame is written, and refused when read
+	// back (see load): its ref's length saturates, and the rest is dead.
 	recLen := int64(len(p.buf))
-	ref := pageRef{seq: p.seq, off: p.size, recLen: int32(recLen), count: uint32(st.cw.Len())}
+	ref := pageRef{seq: p.seq, off: p.size, recLen: int32(min(recLen, maxRefLen)), count: uint32(st.cw.Len())}
 	p.size += recLen
-	p.liveBytes += recLen
+	p.liveBytes += int64(ref.recLen)
+	p.deadBytes += recLen - int64(ref.recLen)
 	p.dirty = true
 	return ref, nil
 }
@@ -146,7 +154,7 @@ const pageReadSpare = 32
 // returns owns that buffer. The stub must span exactly one frame; the
 // frame CRC plus the embedded app name guard
 // against stale or misdirected refs. An error returns nothing decoded.
-func (p *pager) load(app string, ref *pageRef, mode cwMode) (appState, []float64, error) {
+func (p *pager) load(app string, ref pageRef, mode cwMode) (appState, []float64, error) {
 	f, err := p.reader(ref.seq)
 	if err != nil {
 		return appState{}, nil, err
@@ -168,7 +176,7 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode) (appState, []float64
 	if err != nil {
 		return appState{}, nil, err
 	}
-	if name != app {
+	if string(name) != app {
 		return appState{}, nil, fmt.Errorf("store: page %d@%d: holds %q, want %q", ref.seq, ref.off, name, app)
 	}
 	cw, vals, err := decodeCompactWindow(body, mode)
@@ -179,7 +187,7 @@ func (p *pager) load(app string, ref *pageRef, mode cwMode) (appState, []float64
 }
 
 // free retires a stub's bytes (app restored, replaced, or dropped).
-func (p *pager) free(ref *pageRef) {
+func (p *pager) free(ref pageRef) {
 	p.liveBytes -= int64(ref.recLen)
 	p.deadBytes += int64(ref.recLen)
 }
@@ -208,10 +216,10 @@ func (p *pager) sync() error {
 // and that file is fsynced. If a page-in has lost a record of one of
 // them, or the rewrite fails, the error is kept: only the WAL chain
 // still holds that window, and no snapshot may supersede it.
-func (p *pager) recover(cold map[string]*coldApp) error {
+func (p *pager) recover(cold *coldTable) error {
 	failed := p.errSeq
 	p.seal()
-	if p.lostSeq >= failed || p.rewrite(cold, func(ref *pageRef) bool { return ref.seq >= failed }) != nil {
+	if p.lostSeq >= failed || p.rewrite(cold, func(ref pageRef) bool { return ref.seq >= failed }) != nil {
 		return p.err
 	}
 	p.err = nil
@@ -238,14 +246,14 @@ const pageGCMinDead = 1 << 20
 // compaction can delete the old files after the next snapshot commits
 // the new refs. A failed rewrite is counted in gcFails and retried next
 // compaction.
-func (p *pager) maybeGC(cold map[string]*coldApp) error {
+func (p *pager) maybeGC(cold *coldTable) error {
 	if p.deadBytes < pageGCMinDead || p.deadBytes <= p.liveBytes {
 		return nil
 	}
 	if err := p.seal(); err != nil {
 		return err
 	}
-	err := p.rewrite(cold, func(*pageRef) bool { return true })
+	err := p.rewrite(cold, func(pageRef) bool { return true })
 	if err != nil {
 		p.gcFails++
 	}
@@ -257,24 +265,24 @@ func (p *pager) maybeGC(cold map[string]*coldApp) error {
 // the stubs. On any error the old stubs are still intact and the copies
 // already written are freed, so liveBytes still counts exactly the cold
 // apps' records.
-func (p *pager) rewrite(cold map[string]*coldApp, pick func(*pageRef) bool) (err error) {
+func (p *pager) rewrite(cold *coldTable, pick func(pageRef) bool) (err error) {
 	type rebind struct {
-		c   *coldApp
+		e   *coldEntry
 		ref pageRef
 	}
 	var rebinds []rebind
 	defer func() {
 		if err != nil {
 			for _, r := range rebinds {
-				p.free(&r.ref)
+				p.free(r.ref)
 			}
 		}
 	}()
-	for app, c := range cold {
-		if !pick(&c.ref) {
-			continue
+	if err := cold.each(func(app string, e *coldEntry) error {
+		if !pick(e.ref()) {
+			return nil
 		}
-		full, _, err := p.load(app, &c.ref, cwWindow)
+		full, _, err := p.load(app, e.ref(), cwWindow)
 		if err != nil {
 			return err
 		}
@@ -283,11 +291,14 @@ func (p *pager) rewrite(cold map[string]*coldApp, pick func(*pageRef) bool) (err
 			return err
 		}
 		// Double-count live bytes until the swap below settles them.
-		rebinds = append(rebinds, rebind{c, ref})
+		rebinds = append(rebinds, rebind{e, ref})
+		return nil
+	}); err != nil {
+		return err
 	}
 	for _, r := range rebinds {
-		p.free(&r.c.ref)
-		r.c.ref = r.ref
+		p.free(r.e.ref())
+		r.e.setRef(r.ref)
 	}
 	return nil
 }
@@ -295,11 +306,12 @@ func (p *pager) rewrite(cold map[string]*coldApp, pick func(*pageRef) bool) (err
 // deleteBelow removes the page files among files whose sequence number
 // is below the lowest live reference (cleanup, not correctness —
 // leftovers are re-deleted on the next compaction).
-func (p *pager) deleteBelow(cold map[string]*coldApp, files map[string]int64) {
+func (p *pager) deleteBelow(cold *coldTable, files map[string]int64) {
 	minLive := p.seq
-	for _, c := range cold {
-		minLive = min(minLive, c.ref.seq)
-	}
+	cold.each(func(_ string, e *coldEntry) error {
+		minLive = min(minLive, uint64(e.seq))
+		return nil
+	})
 	for name, size := range files {
 		seq, ok := parseSeq(name, pagePrefix, pageSuffix)
 		if !ok || seq >= minLive {

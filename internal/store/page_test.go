@@ -291,7 +291,7 @@ func TestPageGCFailureKeepsColdCount(t *testing.T) {
 	s := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
 	defer s.Close()
 	pageChurn(t, s, 1)
-	ref := s.cold[appName(3)].ref
+	ref := s.cold.get(appName(3)).ref()
 	f, err := os.OpenFile(filepath.Join(dir, pageName(ref.seq)), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -406,15 +406,20 @@ func recountRoster(s *Store) (warm, cold int, windowBytes int64, problem string)
 	defer s.mu.Unlock()
 	var total, pageBytes int64
 	for app, st := range s.warm {
-		if s.cold[app] != nil {
+		if s.cold.get(app) != nil {
 			return 0, 0, 0, app + " is both warm and cold"
 		}
 		total += st.total
 		windowBytes += int64(st.cw.MemBytes())
 	}
-	for _, c := range s.cold {
-		total += c.total
-		pageBytes += int64(c.ref.recLen)
+	s.cold.each(func(_ string, e *coldEntry) error {
+		cold++
+		total += e.total
+		pageBytes += int64(e.ref().recLen)
+		return nil
+	})
+	if cold != s.cold.len() {
+		return 0, 0, 0, fmt.Sprintf("%d cold entries, but the table counts %d", cold, s.cold.len())
 	}
 	if total != s.total || pageBytes != s.pg.liveBytes {
 		return 0, 0, 0, fmt.Sprintf("total %d and live page bytes %d, want the recounts %d and %d", s.total, s.pg.liveBytes, total, pageBytes)
@@ -431,7 +436,7 @@ func recountRoster(s *Store) (warm, cold int, windowBytes int64, problem string)
 			return 0, 0, 0, fmt.Sprintf("clock entry %d (%s) is not its app's warm record at its index", i, e.app)
 		}
 	}
-	return len(s.warm), len(s.cold), windowBytes, ""
+	return len(s.warm), cold, windowBytes, ""
 }
 
 // TestInlineClockListsWarmApps drives a store over its inline budget

@@ -449,7 +449,7 @@ func TestRecordsAreByteIdenticalToHead(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		if err := writeSnapshot(dirDevice(dir), 4, map[string]*appState{app: st}, nil); err != nil {
+		if err := writeSnapshot(dirDevice(dir), 4, map[string]*appState{app: st}, &coldTable{}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, snapName(4)))

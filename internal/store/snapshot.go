@@ -70,9 +70,10 @@ func (st *appState) memo() Memo { return Memo{st.memoLen, st.memoGen, st.memoGro
 
 func (st *appState) setMemo(m Memo) { st.memoLen, st.memoGen, st.memoGroup = m.Len, m.Gen, m.Group }
 
-// coldApp is a cold application: the stub of its window, paged to disk,
-// with the durable total and the Memo kept beside it. One allocation of
-// 48 bytes.
+// coldApp is a cold application unpacked: the stub of its window, paged
+// to disk, with the durable total and the Memo kept beside it. The store
+// keeps it packed, as a coldEntry of its cold table; this form is what
+// the snapshot decoder makes.
 type coldApp struct {
 	ref   pageRef
 	total int64
@@ -90,18 +91,18 @@ type Memo struct {
 	Group uint8
 }
 
-// decodeAppHeader parses the shared "len(app) | app | total" prefix.
-func decodeAppHeader(p []byte, what string) (app string, rest []byte, total uint64, err error) {
+// decodeAppHeader parses the shared "len(app) | app | total" prefix. The
+// app name it returns aliases p.
+func decodeAppHeader(p []byte, what string) (app, rest []byte, total uint64, err error) {
 	nameLen, n := binary.Uvarint(p)
 	if n <= 0 || nameLen > uint64(len(p)-n) {
-		return "", nil, 0, fmt.Errorf("store: %s record: bad app length", what)
+		return nil, nil, 0, fmt.Errorf("store: %s record: bad app length", what)
 	}
 	p = p[n:]
-	app = string(p[:nameLen])
-	p = p[nameLen:]
+	app, p = p[:nameLen], p[nameLen:]
 	total, n = binary.Uvarint(p)
 	if n <= 0 {
-		return "", nil, 0, fmt.Errorf("store: %s record: bad total", what)
+		return nil, nil, 0, fmt.Errorf("store: %s record: bad total", what)
 	}
 	return app, p[n:], total, nil
 }
@@ -118,7 +119,7 @@ func encodeWireAppCompact(buf []byte, app string, st *appState) []byte {
 // decodeWireAppCompact parses an encodeWireAppCompact payload. The
 // returned window aliases p (see decodeCompactWindow).
 func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
-	app, p, total, err := decodeAppHeader(p, "page")
+	name, p, total, err := decodeAppHeader(p, "page")
 	if err != nil {
 		return "", nil, err
 	}
@@ -126,7 +127,7 @@ func decodeWireAppCompact(p []byte) (app string, st *appState, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return app, &appState{cw: cw, total: int64(total)}, nil
+	return string(name), &appState{cw: cw, total: int64(total)}, nil
 }
 
 // A snapRecord is a record a v5 snapshot holds: a warm app's compact
@@ -181,13 +182,15 @@ func decodeSnapshotApp(p []byte) (app string, rec snapRecord, err error) {
 			return "", nil, fmt.Errorf("store: snapshot record: %d trailing bytes", len(p))
 		}
 		// A length past any record's reads as one, which the page read
-		// refuses; no window holds more values than a uint32 counts.
-		return app, &coldApp{
+		// refuses; no window holds more values than a uint32 counts, and
+		// no page file number this build writes is past one (a ref to a
+		// file that holds another record fails that record's name check).
+		return string(app), &coldApp{
 			total: int64(total),
 			ref: pageRef{
-				seq:    vals[0],
+				seq:    min(vals[0], math.MaxUint32),
 				off:    int64(vals[1]),
-				recLen: int32(min(vals[2], maxRecordLen+recordHeaderLen+1)),
+				recLen: int32(min(vals[2], maxRefLen)),
 				count:  uint32(min(vals[3], math.MaxUint32)),
 			},
 		}, nil
@@ -204,13 +207,14 @@ func appendSnapshotRecord(buf []byte, app string, rec snapRecord) []byte {
 
 // writeFiles writes one file, name, onto each of devs, framed as a
 // snapshot is: a magic record, then the records fill hands to add with the
-// index of their device. Compaction writes one v5 snapshot through it,
-// Split one per destination, and SaveModel the model file. Each goes to a
+// index of their device, through a buffer of bufSize bytes per device.
+// Compaction writes one v5 snapshot through it, Split one per
+// destination, and SaveModel the model file. Each goes to a
 // temp file and is fsynced, closed and renamed into place, then its
 // directory is fsynced, so a crash leaves the old file or the new one,
 // never half of one. On any error nothing is left behind: every temp
 // file, and every file already renamed into place, is removed.
-func writeFiles(devs []device, name, magic string, fill func(add func(i int, app string, rec snapRecord) error) error) (err error) {
+func writeFiles(devs []device, name, magic string, bufSize int, fill func(add func(i int, app string, rec snapRecord) error) error) (err error) {
 	tmp := name + snapTempSuffix
 	files := make([]file, len(devs))
 	bufs := make([]*bufio.Writer, len(devs))
@@ -230,7 +234,7 @@ func writeFiles(devs []device, name, magic string, fill func(add func(i int, app
 		if files[i], err = dev.create(tmp); err != nil {
 			return err
 		}
-		bufs[i] = bufio.NewWriterSize(files[i], 1<<20)
+		bufs[i] = bufio.NewWriterSize(files[i], bufSize)
 		bufs[i].Write(appendRecord(nil, []byte(magic))) // into an empty buffer: cannot fail
 	}
 	if err := fill(func(i int, app string, rec snapRecord) error {
@@ -261,21 +265,19 @@ func writeFiles(devs []device, name, magic string, fill func(add func(i int, app
 	return nil
 }
 
+// snapBufSize is the write buffer of a snapshot.
+const snapBufSize = 1 << 20
+
 // writeSnapshot persists a store's warm and cold apps as snap-<seq>.snap
 // on dev.
-func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold map[string]*coldApp) error {
-	return writeFiles([]device{dev}, snapName(seq), snapMagicV5, func(add func(int, string, snapRecord) error) error {
+func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold *coldTable) error {
+	return writeFiles([]device{dev}, snapName(seq), snapMagicV5, snapBufSize, func(add func(int, string, snapRecord) error) error {
 		for app, st := range warm {
 			if err := add(0, app, st); err != nil {
 				return err
 			}
 		}
-		for app, c := range cold {
-			if err := add(0, app, c); err != nil {
-				return err
-			}
-		}
-		return nil
+		return cold.each(func(app string, e *coldEntry) error { return add(0, app, e) })
 	})
 }
 
@@ -284,8 +286,8 @@ func writeSnapshot(dev device, seq uint64, warm map[string]*appState, cold map[s
 // one version gate: v5 records decode as they are, v4 ones too but with
 // their inline windows re-encoded, and any other femux-snap- magic is
 // errUpgrade. Any framing, CRC, magic or decode failure is an error.
-func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*coldApp, err error) {
-	warm, cold = map[string]*appState{}, map[string]*coldApp{}
+func readSnapshot(r io.Reader) (warm map[string]*appState, cold *coldTable, err error) {
+	warm, cold = map[string]*appState{}, &coldTable{}
 	var decode func(p []byte) (string, snapRecord, error)
 	n, err := readRecords(r, true, func(payload []byte) error {
 		if decode == nil {
@@ -311,14 +313,16 @@ func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*cold
 		if err != nil {
 			return err
 		}
-		// A later record of an app replaces an earlier one, in either map.
+		// A later record of an app replaces an earlier one, in either tier.
 		switch r := rec.(type) {
 		case *appState:
-			delete(cold, app)
+			if e := cold.get(app); e != nil {
+				cold.markWarm(e)
+			}
 			warm[app] = r
 		case *coldApp:
 			delete(warm, app)
-			cold[app] = r
+			return cold.add(app, *r)
 		}
 		return nil
 	})
@@ -333,7 +337,7 @@ func readSnapshot(r io.Reader) (warm map[string]*appState, cold map[string]*cold
 
 // loadSnapshot reads snap-<seq>.snap. On an error callers fall back to an
 // older snapshot, except on errUpgrade.
-func loadSnapshot(dev device, seq uint64) (map[string]*appState, map[string]*coldApp, error) {
+func loadSnapshot(dev device, seq uint64) (map[string]*appState, *coldTable, error) {
 	f, err := dev.open(snapName(seq))
 	if err != nil {
 		return nil, nil, err

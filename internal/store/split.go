@@ -54,7 +54,7 @@ const splitSnapSeq = 1
 func split(srcs []string, dsts []device) ([]SplitCount, error) {
 	owner := map[string]int{} // app -> the source it came from
 	counts := make([]SplitCount, len(dsts))
-	err := writeFiles(dsts, snapName(splitSnapSeq), snapMagicV5, func(add func(int, string, snapRecord) error) error {
+	err := writeFiles(dsts, snapName(splitSnapSeq), snapMagicV5, snapBufSize, func(add func(int, string, snapRecord) error) error {
 		for si, src := range srcs {
 			s, err := open(readOnly{dir: dirDevice(src)}, Options{Sync: SyncNever, CompactEvery: -1})
 			if err != nil {

@@ -64,7 +64,7 @@ type Options struct {
 	CompactEvery int
 	// InlineBudget bounds how many apps keep their compact window in
 	// memory (0 = unlimited): the excess is paged to disk by a CLOCK
-	// sweep, each leaving a 48-byte stub. Enforced on the apply
+	// sweep, each leaving a 40-byte cold-table entry. Enforced on the apply
 	// path, so boot replay of a fleet larger than the budget also lands
 	// mostly cold instead of materializing every app.
 	InlineBudget int
@@ -111,10 +111,12 @@ type Stats struct {
 
 // Store is a durable per-app observation store: in-memory sliding
 // windows backed by the segmented WAL and periodic snapshots. Every app
-// is in exactly one of two maps: warm holds the apps whose compact window
-// is in memory, cold the stubs of those paged to disk. A page-out moves
-// an app from warm to cold, a page-in back. All methods are safe for
-// concurrent use.
+// is in exactly one of two tiers: the warm map holds the apps whose
+// compact window is in memory, the cold table the stubs of those paged
+// to disk. A page-out moves an app from warm to cold, a page-in back. No
+// key of either points into a caller's buffer: a new app is keyed by a
+// copy of its name, and a page-in by the cold table's copy. All methods
+// are safe for concurrent use.
 type Store struct {
 	mu       sync.Mutex
 	dev      device
@@ -122,7 +124,7 @@ type Store struct {
 	w        *wal
 	pg       *pager
 	warm     map[string]*appState
-	cold     map[string]*coldApp
+	cold     coldTable
 	total    int64
 	restored int64
 	torn     bool
@@ -179,7 +181,7 @@ func open(dev device, opt Options) (*Store, error) {
 			dev.remove(name) // left by a crash mid-snapshot or mid-model write
 		}
 	}
-	s := &Store{dev: dev, opt: opt, warm: map[string]*appState{}, cold: map[string]*coldApp{}, pg: openPager(dev, files)}
+	s := &Store{dev: dev, opt: opt, warm: map[string]*appState{}, pg: openPager(dev, files)}
 	if _, ok := files[modelName]; ok {
 		if s.model, err = readModel(dev); err != nil {
 			return nil, err
@@ -198,7 +200,7 @@ func open(dev device, opt Options) (*Store, error) {
 		if err != nil {
 			continue // half-written or corrupt snapshot: fall back
 		}
-		s.warm, s.cold = warm, cold
+		s.warm, s.cold = warm, *cold
 		snapSeq, haveSnap = snapSeqs[i], true
 		break
 	}
@@ -206,10 +208,11 @@ func open(dev device, opt Options) (*Store, error) {
 		s.total += st.total
 		s.list(app, st)
 	}
-	for _, c := range s.cold {
-		s.total += c.total
-		s.pg.noteLive(&c.ref)
-	}
+	s.cold.each(func(_ string, e *coldEntry) error {
+		s.total += e.total
+		s.pg.noteLive(e.ref())
+		return nil
+	})
 	s.restored = s.total
 
 	var replay []uint64
@@ -325,7 +328,7 @@ func (s *Store) applyPayloadLocked(p []byte) error {
 		// refusing to open.
 		return fmt.Errorf("%v: %w", err, errTorn)
 	}
-	// The name is copied only for an app that is not warm.
+	// The name is converted only for an app that is not warm.
 	st := s.warm[string(app)]
 	if st == nil {
 		st = s.admit(string(app))
@@ -339,13 +342,15 @@ func (s *Store) applyPayloadLocked(p []byte) error {
 func (s *Store) apply(obs Observation) {
 	st := s.warm[obs.App]
 	if st == nil {
-		st = s.admit(obs.App)
+		// A copy: obs.App may be a substring of a buffer the caller is
+		// done with, such as a request.
+		st = s.admit(strings.Clone(obs.App))
 	}
 	s.appendTo(st, obs.Concurrency)
 }
 
 // admit makes an app that is not warm warm and returns its record: a cold
-// app paged in, or a new one.
+// app paged in, or a new one, keyed by app, which the store keeps.
 func (s *Store) admit(app string) *appState {
 	if st, _ := s.pageInLocked(app, 0); st != nil {
 		return st
@@ -385,8 +390,11 @@ func (s *Store) pageOutLocked(app string, st *appState) error {
 	if err != nil {
 		return err
 	}
+	if err := s.cold.add(app, coldApp{ref: ref, total: st.total, memo: st.memo()}); err != nil {
+		s.pg.free(ref)
+		return err
+	}
 	s.removeWarm(app, st)
-	s.cold[app] = &coldApp{ref: ref, total: st.total, memo: st.memo()}
 	s.pageOuts++
 	return nil
 }
@@ -397,22 +405,24 @@ func (s *Store) pageOutLocked(app string, st *appState) error {
 // until the next compaction, so a read failure here — torn page file after
 // a crash mid-page-out, bit rot — costs the window only in the rare case
 // that chain was already compacted past it; the durable total is kept
-// either way and the app restarts with an empty window.
+// either way and the app restarts with an empty window. The app is keyed
+// by the cold table's copy of its name, not by app.
 func (s *Store) pageInLocked(app string, mode cwMode) (*appState, []float64) {
-	c := s.cold[app]
-	if c == nil {
+	e := s.cold.get(app)
+	if e == nil {
 		return nil, nil
 	}
-	full, vals, err := s.pg.load(app, &c.ref, mode|cwWindow)
+	ref := e.ref()
+	full, vals, err := s.pg.load(app, ref, mode|cwWindow)
 	if err != nil {
 		s.pageErrs++ // full and vals are empty: the window is lost
-		s.pg.lostSeq = max(s.pg.lostSeq, c.ref.seq)
+		s.pg.lostSeq = max(s.pg.lostSeq, ref.seq)
 	}
-	s.pg.free(&c.ref)
-	delete(s.cold, app)
-	st := &appState{cw: full.cw, total: c.total}
-	st.setMemo(c.memo)
-	s.addWarm(app, st)
+	s.pg.free(ref)
+	s.cold.markWarm(e)
+	st := &appState{cw: full.cw, total: e.total}
+	st.setMemo(e.memo())
+	s.addWarm(s.cold.name(e), st)
 	return st, vals
 }
 
@@ -473,14 +483,16 @@ func (s *Store) windowLocked(app string) []float64 {
 	if st := s.warm[app]; st != nil {
 		return st.cw.Values(nil)
 	}
-	c := s.cold[app]
-	if c == nil {
-		return nil
+	if e := s.cold.get(app); e != nil {
+		return s.coldWindow(app, e)
 	}
-	_, win, err := s.pg.load(app, &c.ref, cwValues)
-	if err != nil {
-		return nil
-	}
+	return nil
+}
+
+// coldWindow reads a cold app's window from its page; nil if the page
+// does not read.
+func (s *Store) coldWindow(app string, e *coldEntry) []float64 {
+	_, win, _ := s.pg.load(app, e.ref(), cwValues) // nil on an error
 	return win
 }
 
@@ -491,7 +503,7 @@ func (s *Store) warmState(app string) (*appState, error) {
 	if st := s.warm[app]; st != nil {
 		return st, nil
 	}
-	full, _, err := s.pg.load(app, &s.cold[app].ref, cwWindow)
+	full, _, err := s.pg.load(app, s.cold.get(app).ref(), cwWindow)
 	return &full, err
 }
 
@@ -543,13 +555,14 @@ func (s *Store) Window(app string) []float64 {
 func (s *Store) Windows() map[string][]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string][]float64, len(s.warm)+len(s.cold))
+	out := make(map[string][]float64, len(s.warm)+s.cold.len())
 	for app, st := range s.warm {
 		out[app] = st.cw.Values(nil)
 	}
-	for app := range s.cold {
-		out[app] = s.windowLocked(app)
-	}
+	s.cold.each(func(app string, e *coldEntry) error {
+		out[app] = s.coldWindow(app, e)
+		return nil
+	})
 	return out
 }
 
@@ -567,8 +580,8 @@ func (s *Store) SetMemo(app string, m Memo) {
 	defer s.mu.Unlock()
 	if st := s.warm[app]; st != nil {
 		st.setMemo(m)
-	} else if c := s.cold[app]; c != nil {
-		c.memo = m
+	} else if e := s.cold.get(app); e != nil {
+		e.setMemo(m)
 	}
 }
 
@@ -613,8 +626,8 @@ func (s *Store) Recent(app string, k, skip int, dst []float64) []float64 {
 	var cw CompactWindow
 	if st := s.warm[app]; st != nil {
 		cw = st.cw
-	} else if c := s.cold[app]; c != nil {
-		cold, _, _ := s.pg.load(app, &c.ref, cwWindow) // empty on an error
+	} else if e := s.cold.get(app); e != nil {
+		cold, _, _ := s.pg.load(app, e.ref(), cwWindow) // empty on an error
 		cw = cold.cw
 	}
 	return cw.Recent(k, skip, dst)
@@ -643,7 +656,7 @@ func (s *Store) PageOut(app string) error {
 func (s *Store) PagedApps() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cold)
+	return s.cold.len()
 }
 
 // TotalObservations reports lifetime observations (restored + appended).
@@ -659,20 +672,21 @@ func (s *Store) TotalObservations() int64 {
 func (s *Store) Apps() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.warm) + len(s.cold)
+	return len(s.warm) + s.cold.len()
 }
 
 // AppNames returns the name of every app with durable state, sorted.
 func (s *Store) AppNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.warm)+len(s.cold))
+	names := make([]string, 0, len(s.warm)+s.cold.len())
 	for app := range s.warm {
 		names = append(names, app)
 	}
-	for app := range s.cold {
+	s.cold.each(func(app string, _ *coldEntry) error {
 		names = append(names, app)
-	}
+		return nil
+	})
 	sort.Strings(names)
 	return names
 }
@@ -704,20 +718,20 @@ func (s *Store) compactLocked() error {
 	// first durable state to *depend* on page records, so they must be on
 	// disk before it exists. A failed fsync, now or earlier, is recovered
 	// from by rewriting the records it left in doubt.
-	s.pg.maybeGC(s.cold)
+	s.pg.maybeGC(&s.cold)
 	if s.pg.sync() != nil {
-		if err := s.pg.recover(s.cold); err != nil {
+		if err := s.pg.recover(&s.cold); err != nil {
 			return err
 		}
 	}
 	snapSeq := s.w.seq - 1
-	if err := writeSnapshot(s.dev, snapSeq, s.warm, s.cold); err != nil {
+	if err := writeSnapshot(s.dev, snapSeq, s.warm, &s.cold); err != nil {
 		return err
 	}
 	// Deletion is cleanup, not correctness: leftovers are re-deleted on
 	// the next compaction, and restore ignores segments <= snapshot seq.
 	files, _ := s.dev.list()
-	s.pg.deleteBelow(s.cold, files)
+	s.pg.deleteBelow(&s.cold, files)
 	for name := range files {
 		seg, isSeg := parseSeq(name, segPrefix, segSuffix)
 		snap, isSnap := parseSeq(name, snapPrefix, snapSuffix)
@@ -767,11 +781,11 @@ func (s *Store) Sync() error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Apps:         len(s.warm) + len(s.cold),
+		Apps:         len(s.warm) + s.cold.len(),
 		Observations: s.total,
 		TornTail:     s.torn,
 		Restored:     s.restored,
-		PagedApps:    len(s.cold),
+		PagedApps:    s.cold.len(),
 		PageErrors:   s.pageErrs,
 		PageOuts:     s.pageOuts,
 		PageGCFails:  s.pg.gcFails,

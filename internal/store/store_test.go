@@ -30,8 +30,8 @@ func (s *Store) exportApp(app string) (window []float64, total int64, ok bool) {
 	if st := s.warm[app]; st != nil {
 		return s.windowLocked(app), st.total, true
 	}
-	if c := s.cold[app]; c != nil {
-		return s.windowLocked(app), c.total, true
+	if e := s.cold.get(app); e != nil {
+		return s.windowLocked(app), e.total, true
 	}
 	return nil, 0, false
 }
@@ -355,7 +355,7 @@ func TestSnapshotOfANewerFormatFailsOpen(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			old := map[string]*appState{"a": {cw: compactWindowOf([]float64{1, 2.5, 3}), total: 3}}
-			if err := writeSnapshot(dirDevice(dir), 1, old, nil); err != nil {
+			if err := writeSnapshot(dirDevice(dir), 1, old, &coldTable{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, snapName(2)), tc.snap, 0o644); err != nil {

@@ -162,8 +162,8 @@ func memoOf(s *Store, app string) Memo {
 	if st := s.warm[app]; st != nil {
 		return st.memo()
 	}
-	if c := s.cold[app]; c != nil {
-		return c.memo
+	if e := s.cold.get(app); e != nil {
+		return e.memo()
 	}
 	return Memo{}
 }
