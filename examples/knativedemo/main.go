@@ -17,6 +17,7 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/knative"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
+	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
 
@@ -55,14 +56,10 @@ func main() {
 			})
 		}
 	}
-	spec := knative.AppSpec{Name: "burst-api", Config: appCfg, Invocations: invs}
+	spec := sim.AppSpec{Name: "burst-api", Config: appCfg, Invocations: invs}
 
-	run := func(name string, provider knative.ScaleProvider) rum.Sample {
-		out := knative.Run([]knative.AppSpec{spec}, knative.EmulatorConfig{
-			Autoscaler: knative.DefaultAutoscalerConfig(),
-			Provider:   provider,
-		}, horizon)
-		s := out[0].Sample
+	run := func(name string, provider sim.ScaleProvider) rum.Sample {
+		s := sim.Emulate(spec, provider, horizon)
 		fmt.Printf("%-18s cold starts %4d  cold-start sec %7.1f  wasted %8.1f GB-s  RUM %7.2f\n",
 			name, s.ColdStarts, s.ColdStartSec, s.WastedGBSec, rum.Default().Eval(s))
 		return s

@@ -9,7 +9,6 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
-	"github.com/ubc-cirrus-lab/femux-go/internal/stats"
 	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
@@ -319,13 +318,4 @@ func TrendSlope(series []float64) float64 {
 func DelaySummary(ds characterize.DelayStats) string {
 	return fmt.Sprintf("sub-ms delays %.0f%%, workload p99<10ms %.0f%% (paper 73%%), p99>1s %.0f%% (paper ~20%%), max %.0fs (paper >300s)",
 		ds.SubMsInvFrac*100, ds.P99Below10msFrac*100, ds.P99Above1sFrac*100, ds.MaxDelay)
-}
-
-// Percentiles is re-exported for CLI reporting convenience.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = stats.Percentile(xs, p)
-	}
-	return out
 }

@@ -68,10 +68,6 @@ func SetCacheDir(dir string) error {
 	return nil
 }
 
-// DisableCache turns off experiment memoization (used to measure uncached
-// baselines).
-func DisableCache() { sweepCache = nil }
-
 // CacheStats reports the process cache's hit/miss counters.
 func CacheStats() memo.Stats { return sweepCache.Stats() }
 
@@ -81,9 +77,6 @@ type Scale struct {
 	Apps int
 	Days float64
 }
-
-// DefaultScale returns the laptop-scale defaults.
-func DefaultScale() Scale { return Scale{Seed: 1, Apps: 60, Days: 2} }
 
 // AzureFleet synthesizes an Azure-2019-shape dataset and converts it to
 // FeMux training apps: per-minute average concurrency derived from the

@@ -10,6 +10,7 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/knative"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
+	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
 	"github.com/ubc-cirrus-lab/femux-go/internal/stats"
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
@@ -18,8 +19,8 @@ import (
 // invocation events for the Knative emulation, distributing each minute's
 // invocations uniformly within the minute (the paper's replay methodology)
 // and attaching default configurations.
-func SpecsFromTrainApps(apps []femux.TrainApp) []knative.AppSpec {
-	specs := make([]knative.AppSpec, 0, len(apps))
+func SpecsFromTrainApps(apps []femux.TrainApp) []sim.AppSpec {
+	specs := make([]sim.AppSpec, 0, len(apps))
 	for i, a := range apps {
 		cfg := trace.DefaultConfig()
 		cfg.Concurrency = 100
@@ -46,7 +47,7 @@ func SpecsFromTrainApps(apps []femux.TrainApp) []knative.AppSpec {
 		if name == "" {
 			name = fmt.Sprintf("app-%d", i)
 		}
-		specs = append(specs, knative.AppSpec{Name: name, Config: cfg, Invocations: invs})
+		specs = append(specs, sim.AppSpec{Name: name, Config: cfg, Invocations: invs})
 	}
 	return specs
 }
@@ -111,42 +112,30 @@ type Fig14Result struct {
 	knativeSamples, femuxSamples []rum.Sample // per app, in spec order
 }
 
-// Fig14Prototype runs the emulated cluster twice — default Knative
-// autoscaling versus FeMux-overridden scaling — over the same replay. The
-// FeMux run asks the real REST service (Fig 13) over loopback HTTP.
-func Fig14Prototype(model *femux.Model, specs []knative.AppSpec, horizon time.Duration) Fig14Result {
+// Fig14Prototype replays each app on the emulated Knative cluster twice —
+// default Knative autoscaling versus FeMux-overridden scaling. The FeMux
+// arm asks the real REST service (Fig 13) over loopback HTTP.
+func Fig14Prototype(model *femux.Model, specs []sim.AppSpec, horizon time.Duration) Fig14Result {
 	return Fig14PrototypeQuantile(model, specs, horizon, 0)
 }
 
 // Fig14PrototypeQuantile is Fig14Prototype with FeMux's pod conversion
 // provisioning for the given forecast quantile (0 = point forecast,
 // knative-emu's -quantile-level knob).
-func Fig14PrototypeQuantile(model *femux.Model, specs []knative.AppSpec, horizon time.Duration, level float64) Fig14Result {
-	var res Fig14Result
-	res.Apps = len(specs)
-
-	base := knative.Run(specs, knative.EmulatorConfig{
-		Autoscaler: knative.DefaultAutoscalerConfig(),
-	}, horizon)
+func Fig14PrototypeQuantile(model *femux.Model, specs []sim.AppSpec, horizon time.Duration, level float64) Fig14Result {
+	res := Fig14Result{Apps: len(specs)}
 	srv := httptest.NewServer(knative.NewServiceWith(model, knative.ServiceOptions{QuantileLevel: level}).Handler())
 	defer srv.Close()
 	provider := &countingProvider{ScaleProvider: &knative.HTTPProvider{BaseURL: srv.URL}}
-	fm := knative.Run(specs, knative.EmulatorConfig{
-		Autoscaler: knative.DefaultAutoscalerConfig(),
-		Provider:   provider,
-	}, horizon)
-	res.ProviderFailures = provider.failures
 
-	metric := rum.Default()
-	baseSamples := make([]rum.Sample, len(base))
-	fmSamples := make([]rum.Sample, len(fm))
 	var halved, maintained int
-	for i := range base {
-		baseSamples[i] = base[i].Sample
-		fmSamples[i] = fm[i].Sample
-		res.Invocations += base[i].Sample.Invocations
-		bFrac := base[i].Sample.ColdStartFraction()
-		fFrac := fm[i].Sample.ColdStartFraction()
+	for _, spec := range specs {
+		base := sim.Emulate(spec, nil, horizon)
+		fm := sim.Emulate(spec, provider, horizon)
+		res.knativeSamples = append(res.knativeSamples, base)
+		res.femuxSamples = append(res.femuxSamples, fm)
+		res.Invocations += base.Invocations
+		bFrac, fFrac := base.ColdStartFraction(), fm.ColdStartFraction()
 		if bFrac > 0 && fFrac <= bFrac/2 {
 			halved++
 		}
@@ -154,15 +143,17 @@ func Fig14PrototypeQuantile(model *femux.Model, specs []knative.AppSpec, horizon
 			maintained++
 		}
 	}
-	res.knativeSamples, res.femuxSamples = baseSamples, fmSamples
-	res.KnativeRUM = rum.EvalPerApp(metric, baseSamples)
-	res.FeMuxRUM = rum.EvalPerApp(metric, fmSamples)
+	res.ProviderFailures = provider.failures
+
+	metric := rum.Default()
+	res.KnativeRUM = rum.EvalPerApp(metric, res.knativeSamples)
+	res.FeMuxRUM = rum.EvalPerApp(metric, res.femuxSamples)
 	if res.KnativeRUM > 0 {
 		res.RUMReduction = 1 - res.FeMuxRUM/res.KnativeRUM
 	}
-	if len(base) > 0 {
-		res.AppsHalved = float64(halved) / float64(len(base))
-		res.AppsMaintained = float64(maintained) / float64(len(base))
+	if len(specs) > 0 {
+		res.AppsHalved = float64(halved) / float64(len(specs))
+		res.AppsMaintained = float64(maintained) / float64(len(specs))
 	}
 	return res
 }
@@ -170,7 +161,7 @@ func Fig14PrototypeQuantile(model *femux.Model, specs []knative.AppSpec, horizon
 // countingProvider counts the calls its ScaleProvider answers with no
 // target. The emulator calls it from one goroutine.
 type countingProvider struct {
-	knative.ScaleProvider
+	sim.ScaleProvider
 	failures int
 }
 

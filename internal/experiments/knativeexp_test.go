@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -79,7 +80,9 @@ func hashSamples(h hash.Hash, samples []rum.Sample) {
 // every app's RUM sample under default Knative and under FeMux, and the
 // two aggregate RUM values, at the point forecast and at p90
 // provisioning. Any change to what the FeMux path decides, by one pod at
-// one minute of one app, changes a digest.
+// one minute of one app, changes a digest. The digests equal those of each
+// app replayed alone on the fleet-wide emulator this one replaced, whose
+// shared event loop coupled the apps (TestFig14AppsReplayIndependently).
 func TestFig14PrototypeDigest(t *testing.T) {
 	model := shortBlockModel(t)
 	specs := SpecsFromTrainApps(digestReplay())
@@ -93,8 +96,8 @@ func TestFig14PrototypeDigest(t *testing.T) {
 		level float64
 		want  string
 	}{
-		{0, "920cc3e0738377d43296d5923d7847019694cb12c3b9db4d8545ee72711cc549"},
-		{0.9, "33f18263d130bc42b3c42afc142872213ad5c8110655fb0493444908750d47e1"},
+		{0, "05ac041ed70c11bdddb9fbe62f260a71c7f11d93badc15257ffa12ae4a1e1ece"},
+		{0.9, "ffb04662902b8ea52637577954926dea2d3d8d8854d2524eb858e0e5a796aa99"},
 	} {
 		res := Fig14PrototypeQuantile(model, specs, 4*time.Hour, c.level)
 		if len(res.femuxSamples) != len(specs) || len(res.knativeSamples) != len(specs) {
@@ -140,5 +143,39 @@ func TestCountingProviderCountsDeclines(t *testing.T) {
 	}
 	if declined != 3 || p.failures != declined {
 		t.Fatalf("%d calls declined, %d counted; want 3 and 3", declined, p.failures)
+	}
+}
+
+// TestFig14AppsReplayIndependently pins that an app's Fig 14 result does
+// not depend on the apps replayed beside it, as Knative's autoscaler
+// scales each revision on its own: two copies of one steady app, 0.5
+// requests a second of 50 ms each, get bit-identical samples in both
+// arms. A fleet-wide event loop that served one app per instant made the
+// second copy's queued requests wait for its next event, a 2 s tick.
+func TestFig14AppsReplayIndependently(t *testing.T) {
+	model := shortBlockModel(t)
+	steady := make([]float64, 60)
+	for m := range steady {
+		steady[m] = 30
+	}
+	apps := []femux.TrainApp{
+		{Name: "steady-a", Invocations: steady, ExecSec: 0.05, MemoryGB: 0.25},
+		{Name: "steady-b", Invocations: steady, ExecSec: 0.05, MemoryGB: 0.25},
+	}
+	res := Fig14Prototype(model, SpecsFromTrainApps(apps), time.Hour)
+	for _, c := range []struct {
+		arm     string
+		samples []rum.Sample
+	}{{"knative", res.knativeSamples}, {"femux", res.femuxSamples}} {
+		arm, samples := c.arm, c.samples
+		if len(samples) != 2 {
+			t.Fatalf("%s: %d samples for 2 apps", arm, len(samples))
+		}
+		a, b := sha256.New(), sha256.New()
+		hashSamples(a, samples[:1])
+		hashSamples(b, samples[1:])
+		if !bytes.Equal(a.Sum(nil), b.Sum(nil)) {
+			t.Errorf("%s: copies differ: %+v against %+v", arm, samples[0], samples[1])
+		}
 	}
 }

@@ -15,198 +15,10 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
+	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
 	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
-
-// --- Autoscaler ---
-
-func TestAutoscalerScalesUpOnLoad(t *testing.T) {
-	a := NewAutoscaler(DefaultAutoscalerConfig(), 10)
-	now := time.Duration(0)
-	for i := 0; i < 30; i++ {
-		now += 2 * time.Second
-		a.Observe(now, 35) // sustained concurrency 35, CC=10 -> 4 pods
-	}
-	if got := a.Desired(now, 1, 0); got != 4 {
-		t.Errorf("desired = %d, want 4", got)
-	}
-}
-
-func TestAutoscalerStableWindowSmoothsSpikes(t *testing.T) {
-	a := NewAutoscaler(DefaultAutoscalerConfig(), 1)
-	now := time.Duration(0)
-	// 60s of zeros, then one observation of 1.
-	for i := 0; i < 30; i++ {
-		now += 2 * time.Second
-		a.Observe(now, 0)
-	}
-	now += 2 * time.Second
-	a.Observe(now, 1)
-	// Stable average is 1/31 -> still 1 pod wanted (ceil), demonstrating
-	// the sliding-window persistence of the 1-minute view.
-	if got := a.Desired(now, 1, 0); got != 1 {
-		t.Errorf("desired = %d, want 1", got)
-	}
-}
-
-func TestAutoscalerPanicMode(t *testing.T) {
-	a := NewAutoscaler(DefaultAutoscalerConfig(), 1)
-	now := time.Duration(0)
-	// Quiet for 54s.
-	for i := 0; i < 27; i++ {
-		now += 2 * time.Second
-		a.Observe(now, 0)
-	}
-	// Burst of concurrency 10 for 6s with 1 pod: panic threshold 2.0 is
-	// exceeded (10/1 >= 2), so the autoscaler jumps to the panic-window
-	// demand instead of the diluted stable average.
-	for i := 0; i < 3; i++ {
-		now += 2 * time.Second
-		a.Observe(now, 10)
-	}
-	got := a.Desired(now, 1, 0)
-	if got < 10 {
-		t.Errorf("panic desired = %d, want >= 10", got)
-	}
-	// During panic, no scale-down even after the burst fades briefly.
-	now += 2 * time.Second
-	a.Observe(now, 0)
-	if got := a.Desired(now, 10, 0); got < 10 {
-		t.Errorf("panic hold desired = %d, want >= 10", got)
-	}
-}
-
-func TestAutoscalerScaleToZeroGrace(t *testing.T) {
-	cfg := DefaultAutoscalerConfig()
-	a := NewAutoscaler(cfg, 1)
-	now := 2 * time.Second
-	a.Observe(now, 1)
-	if got := a.Desired(now, 1, 0); got != 1 {
-		t.Fatalf("active desired = %d", got)
-	}
-	// Traffic stops; within the grace period the last pod stays.
-	for i := 0; i < 40; i++ {
-		now += 2 * time.Second
-		a.Observe(now, 0)
-	}
-	// Stable window is now all zeros; want 0 but grace keeps 1 briefly.
-	first := a.Desired(now, 1, 0)
-	if first != 1 {
-		t.Fatalf("first zero decision = %d, want 1 (grace)", first)
-	}
-	now += cfg.ScaleToZeroWait + 2*time.Second
-	a.Observe(now, 0)
-	if got := a.Desired(now, 1, 0); got != 0 {
-		t.Errorf("post-grace desired = %d, want 0", got)
-	}
-}
-
-func TestAutoscalerMinScale(t *testing.T) {
-	a := NewAutoscaler(DefaultAutoscalerConfig(), 1)
-	if got := a.Desired(time.Minute, 3, 2); got != 2 {
-		t.Errorf("desired = %d, want min scale 2", got)
-	}
-}
-
-// --- Emulator ---
-
-func steadyApp(name string, rate float64, execMS int, horizon time.Duration, conc int, minScale int) AppSpec {
-	cfg := trace.DefaultConfig()
-	cfg.Concurrency = conc
-	cfg.MinScale = minScale
-	cfg.MemoryGB = 0.5
-	cfg.ColdStart = 800 * time.Millisecond
-	var invs []trace.Invocation
-	gap := time.Duration(float64(time.Second) / rate)
-	for at := gap; at < horizon; at += gap {
-		invs = append(invs, trace.Invocation{Arrival: at, Duration: time.Duration(execMS) * time.Millisecond})
-	}
-	return AppSpec{Name: name, Config: cfg, Invocations: invs}
-}
-
-func TestEmulatorServesAllRequests(t *testing.T) {
-	horizon := 10 * time.Minute
-	app := steadyApp("a", 2, 100, horizon, 100, 0)
-	out := Run([]AppSpec{app}, EmulatorConfig{Autoscaler: DefaultAutoscalerConfig()}, horizon)
-	if len(out) != 1 {
-		t.Fatalf("results = %d", len(out))
-	}
-	if out[0].Sample.Invocations != len(app.Invocations) {
-		t.Errorf("served %d of %d invocations", out[0].Sample.Invocations, len(app.Invocations))
-	}
-	if out[0].Sample.AllocatedGBSec <= 0 {
-		t.Error("no allocation recorded")
-	}
-}
-
-func TestEmulatorMinScaleEliminatesFirstColdStart(t *testing.T) {
-	horizon := 5 * time.Minute
-	cold := steadyApp("cold", 0.2, 100, horizon, 100, 0)
-	warm := steadyApp("warm", 0.2, 100, horizon, 100, 1)
-	out := Run([]AppSpec{cold, warm}, EmulatorConfig{Autoscaler: DefaultAutoscalerConfig(), CaptureDelays: true}, horizon)
-	if out[0].Sample.ColdStarts == 0 {
-		t.Error("zero-min-scale app should cold start")
-	}
-	if out[1].Sample.ColdStarts != 0 {
-		t.Errorf("min-scale-1 app cold starts = %d, want 0", out[1].Sample.ColdStarts)
-	}
-}
-
-func TestEmulatorColdStartDelayMatchesProvisioning(t *testing.T) {
-	horizon := 3 * time.Minute
-	app := steadyApp("a", 0.5, 50, horizon, 100, 0)
-	out := Run([]AppSpec{app}, EmulatorConfig{Autoscaler: DefaultAutoscalerConfig(), CaptureDelays: true}, horizon)
-	if len(out[0].PlatformDelays) == 0 {
-		t.Fatal("no delays captured")
-	}
-	// First request arrives with no pods: its delay spans the scale-up
-	// decision (next 2 s tick) plus the 0.8 s cold start.
-	first := out[0].PlatformDelays[0]
-	if first < 0.8 || first > 5 {
-		t.Errorf("first delay = %v s, want ~0.8-3 s", first)
-	}
-	// Most subsequent requests are warm.
-	warm := 0
-	for _, d := range out[0].PlatformDelays[1:] {
-		if d == 0 {
-			warm++
-		}
-	}
-	if frac := float64(warm) / float64(len(out[0].PlatformDelays)-1); frac < 0.8 {
-		t.Errorf("warm fraction = %v, want most requests warm", frac)
-	}
-}
-
-func TestEmulatorScalesToZeroWhenIdle(t *testing.T) {
-	horizon := 30 * time.Minute
-	// Traffic only in the first minute.
-	cfg := trace.DefaultConfig()
-	cfg.Concurrency = 100
-	cfg.MemoryGB = 1
-	app := AppSpec{Name: "burst", Config: cfg, Invocations: []trace.Invocation{
-		{Arrival: 5 * time.Second, Duration: 100 * time.Millisecond},
-		{Arrival: 10 * time.Second, Duration: 100 * time.Millisecond},
-	}}
-	out := Run([]AppSpec{app}, EmulatorConfig{Autoscaler: DefaultAutoscalerConfig()}, horizon)
-	// Pod must be reaped after the stable window + grace, so allocation is
-	// far below 30 minutes.
-	if out[0].Sample.AllocatedGBSec > 5*60 {
-		t.Errorf("allocated %v GB-s: pod never scaled to zero", out[0].Sample.AllocatedGBSec)
-	}
-}
-
-func TestEmulatorCapacityCap(t *testing.T) {
-	horizon := 4 * time.Minute
-	// Demand needing ~4 pods with a 2-pod cluster cap.
-	app := steadyApp("a", 8, 500, horizon, 1, 0)
-	capped := Run([]AppSpec{app}, EmulatorConfig{Autoscaler: DefaultAutoscalerConfig(), MaxPods: 2}, horizon)
-	free := Run([]AppSpec{app}, EmulatorConfig{Autoscaler: DefaultAutoscalerConfig()}, horizon)
-	if capped[0].Sample.AllocatedGBSec >= free[0].Sample.AllocatedGBSec {
-		t.Errorf("cap should reduce allocation: %v vs %v",
-			capped[0].Sample.AllocatedGBSec, free[0].Sample.AllocatedGBSec)
-	}
-}
 
 // --- FeMux integration ---
 
@@ -241,22 +53,6 @@ func trainTinyModel(t testing.TB) *femux.Model {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestEmulatorWithFeMuxProvider runs the emulator with the FeMux REST
-// service as its scale provider.
-func TestEmulatorWithFeMuxProvider(t *testing.T) {
-	horizon := 12 * time.Minute
-	app := steadyApp("a", 1, 200, horizon, 100, 0)
-	srv := httptest.NewServer(NewService(trainTinyModel(t)).Handler())
-	defer srv.Close()
-	out := Run([]AppSpec{app}, EmulatorConfig{
-		Autoscaler: DefaultAutoscalerConfig(),
-		Provider:   &HTTPProvider{BaseURL: srv.URL},
-	}, horizon)
-	if out[0].Sample.Invocations != len(app.Invocations) {
-		t.Errorf("served %d of %d", out[0].Sample.Invocations, len(app.Invocations))
-	}
 }
 
 // --- HTTP service ---
@@ -453,20 +249,23 @@ func TestHTTPProviderDeclinesFailedReplies(t *testing.T) {
 	}
 }
 
+// TestEmulatorWithHTTPProvider runs the full Fig 13 path: emulation ->
+// REST -> FeMux service -> target.
 func TestEmulatorWithHTTPProvider(t *testing.T) {
-	// Full Fig 13 path: emulation -> REST -> FeMux service -> target.
 	svc := NewService(trainTinyModel(t))
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	horizon := 8 * time.Minute
-	app := steadyApp("a", 1, 150, horizon, 100, 0)
-	out := Run([]AppSpec{app}, EmulatorConfig{
-		Autoscaler: DefaultAutoscalerConfig(),
-		Provider:   &HTTPProvider{BaseURL: srv.URL},
-	}, horizon)
-	if out[0].Sample.Invocations != len(app.Invocations) {
-		t.Errorf("served %d of %d", out[0].Sample.Invocations, len(app.Invocations))
+	cfg := trace.DefaultConfig()
+	cfg.Concurrency = 100
+	var invs []trace.Invocation
+	for at := time.Second; at < horizon; at += time.Second {
+		invs = append(invs, trace.Invocation{Arrival: at, Duration: 150 * time.Millisecond})
+	}
+	s := sim.Emulate(sim.AppSpec{Name: "a", Config: cfg, Invocations: invs}, &HTTPProvider{BaseURL: srv.URL}, horizon)
+	if s.Invocations != len(invs) {
+		t.Errorf("served %d of %d", s.Invocations, len(invs))
 	}
 	if svc.Apps() != 1 {
 		t.Errorf("service tracked %d apps", svc.Apps())
@@ -497,32 +296,4 @@ func BenchmarkServiceObserveLatency(b *testing.B) {
 		}
 		resp.Body.Close()
 	}
-}
-
-func TestEmulatorScaleEvents(t *testing.T) {
-	horizon := 6 * time.Minute
-	app := steadyApp("a", 1, 200, horizon, 1, 0)
-	out := Run([]AppSpec{app}, EmulatorConfig{
-		Autoscaler:         DefaultAutoscalerConfig(),
-		CaptureScaleEvents: true,
-	}, horizon)
-	evs := out[0].ScaleEvents
-	if len(evs) == 0 {
-		t.Fatal("no scale events captured")
-	}
-	// First event must be a scale-up from zero; pod counts must be
-	// consistent with the deltas.
-	if evs[0].Delta <= 0 || evs[0].Pods != evs[0].Delta {
-		t.Errorf("first event = %+v, want scale-up from zero", evs[0])
-	}
-	var sawDown bool
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatal("scale events out of order")
-		}
-		if evs[i].Delta < 0 {
-			sawDown = true
-		}
-	}
-	_ = sawDown // traffic is steady; scale-down may only occur at horizon
 }

@@ -1,3 +1,13 @@
+// Package knative is the FeMux forecasting service that a Knative
+// Serving cluster consults in place of its reactive autoscaler (§5.2,
+// Fig 13): a net/http REST API that takes each app's per-interval average
+// concurrency and answers the pod target for the next interval. Service
+// holds the API, the per-app policies in hot, warm and cold tiers
+// (tier.go) over a durable observation store, the batched commit path
+// (batch.go) and its wire codec (wire.go), and the lifecycle's snapshot
+// (lifecycle.go); ShardRouter (router.go) spreads apps over several
+// instances; HTTPProvider is the client the Knative emulator
+// (sim.Emulate) calls the service through.
 package knative
 
 import (
@@ -695,13 +705,13 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 func (s *Service) Apps() int { return s.st.Apps() }
 
 // HTTPProvider adapts a running FeMux service to the emulator's
-// ScaleProvider interface, exercising the real REST path end-to-end.
+// sim.ScaleProvider interface, exercising the real REST path end-to-end.
 type HTTPProvider struct {
 	BaseURL string
 	Client  *http.Client
 }
 
-// Target implements ScaleProvider.
+// Target implements sim.ScaleProvider.
 func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int) (int, bool) {
 	body, err := marshalWire(&ObserveRequest{Concurrency: minuteAvg, UnitConcurrency: unitConcurrency})
 	if err != nil {

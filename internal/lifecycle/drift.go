@@ -1,8 +1,7 @@
 // Package lifecycle closes the loop from drift signals to automatic,
 // safely-evaluated model promotion: once per cycle, per-app feature drift
 // is scored from the fleet's stored windows, a retrainer re-clusters on
-// recent windows (memoized through internal/memo so unchanged apps are
-// cache hits), candidates are shadow-evaluated against the live model on
+// recent windows, candidates are shadow-evaluated against the live model on
 // the same windows, and winners are promoted through the service's
 // atomic model swap.
 //

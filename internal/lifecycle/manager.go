@@ -69,9 +69,11 @@ type Config struct {
 	// Seed seeds candidate training; for a fixed seed and snapshot the
 	// promotion decision is bit-repeatable. 0 means seed 1.
 	Seed int64
-	// Cache memoizes per-app training/evaluation work across cycles, so
-	// apps whose windows did not change between cycles are cache hits.
-	// nil gets a fresh in-memory cache.
+	// Cache, when set, memoizes per-app training and evaluation work, so
+	// an app whose window did not change since a cycle that used the same
+	// cache is a hit. nil caches nothing: in a server every cycle's
+	// windows are new, so a cache kept across cycles only grows. The
+	// offline drift study shares its process-wide cache this way.
 	Cache *memo.Cache
 	// Logf, when set, receives one line per non-idle cycle.
 	Logf func(format string, args ...interface{})
@@ -127,7 +129,7 @@ type Manager struct {
 	sv  Serving
 
 	// runMu serializes cycles (ticker vs admin POST): the newest snapshot
-	// wins, overlapping retrains would just waste the cache.
+	// wins, overlapping retrains would just duplicate the work.
 	runMu sync.Mutex
 
 	mu     sync.Mutex
@@ -151,9 +153,6 @@ type Metrics struct {
 func New(sv Serving, cfg Config) *Manager {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Cache == nil {
-		cfg.Cache = memo.New()
 	}
 	return &Manager{cfg: cfg, sv: sv}
 }
@@ -266,8 +265,7 @@ func (m *Manager) retrainShadowPromote(snap Snapshot, res *CycleResult) {
 
 	// The candidate inherits the live model's geometry, forecaster set,
 	// and metric; only the training data (recent windows), seed, and
-	// cache differ. Reusing the cycle-persistent cache is what makes
-	// apps with unchanged windows free to re-train.
+	// cache differ.
 	cfg := snap.Model.Config()
 	cfg.Seed = m.cfg.Seed
 	cfg.Cache = m.cfg.Cache

@@ -250,6 +250,21 @@ func TestRetrainAfterRestart(t *testing.T) {
 	}
 }
 
+// TestPromotionKeepsNoCache: a Manager built without a Cache memoizes
+// nothing, so the candidate it promotes carries no cache into the next
+// cycle. Each cycle's windows are new, so a cache kept across cycles
+// only grew, and within one cycle Train and Evaluate compute each stage
+// once.
+func TestPromotionKeepsNoCache(t *testing.T) {
+	sv := &fakeServing{model: trainModel(t, appsFrom(steadyFleet(4))), windows: driftedFleet(4)}
+	if res := New(sv, Config{DriftThreshold: 0.5, MinImprove: -100, Seed: 42}).RunCycle(); res.Outcome != OutcomePromoted {
+		t.Fatalf("cycle: %+v", res)
+	}
+	if cur, _ := sv.state(); cur.Config().Cache != nil {
+		t.Fatalf("the promoted candidate holds a cache of %d entries", cur.Config().Cache.Len())
+	}
+}
+
 // TestShadowWindowTrims checks the recency bound: with ShadowWindow set,
 // retraining sees only each app's trailing observations.
 func TestShadowWindowTrims(t *testing.T) {

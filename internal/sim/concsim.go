@@ -166,15 +166,3 @@ func applyScaleLimit(target, prev int, cfg ConcConfig, stepSec float64) int {
 	}
 	return target
 }
-
-// SimulateFleet runs a policy over many app traces and returns per-app
-// samples in input order.
-func SimulateFleet(apps []AppTrace, p Policy, cfg ConcConfig) []rum.Sample {
-	out := make([]rum.Sample, len(apps))
-	ws := forecast.GetWorkspace()
-	for i, a := range apps {
-		out[i] = simulateApp(a, p, cfg, false, ws).Sample
-	}
-	forecast.PutWorkspace(ws)
-	return out
-}

@@ -188,20 +188,6 @@ func TestScaleLimit(t *testing.T) {
 	}
 }
 
-func TestSimulateFleetOrder(t *testing.T) {
-	apps := []AppTrace{
-		{Demand: demandSeries([]float64{1, 1})},
-		{Demand: demandSeries([]float64{0, 0})},
-	}
-	out := SimulateFleet(apps, ForecastPolicy{Forecaster: forecast.Zero{}, Horizon: 1}, DefaultConcConfig())
-	if len(out) != 2 {
-		t.Fatalf("len = %d", len(out))
-	}
-	if out[0].ColdStarts == 0 || out[1].ColdStarts != 0 {
-		t.Errorf("fleet order broken: %+v", out)
-	}
-}
-
 // --- Event simulator ---
 
 func evConfig() EventConfig {
@@ -343,15 +329,6 @@ func TestEventSimFasterScalingReducesColdStarts(t *testing.T) {
 	if fast.ColdStartSec >= slow.ColdStartSec {
 		t.Errorf("10s ticks cold-start sec %v should beat 60s ticks %v",
 			fast.ColdStartSec, slow.ColdStartSec)
-	}
-}
-
-func TestPercentOver(t *testing.T) {
-	if got := PercentOver([]float64{0.1, 2, 3}, 1); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("PercentOver = %v", got)
-	}
-	if PercentOver(nil, 1) != 0 {
-		t.Error("empty PercentOver should be 0")
 	}
 }
 

@@ -21,7 +21,7 @@ const (
 	// still cost one fsync total (group commit).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs from a background ticker every
-	// Options.SyncInterval: bounded loss window, much cheaper appends.
+	// syncInterval (100 ms): bounded loss window, much cheaper appends.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache.
 	SyncNever
@@ -57,8 +57,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // 64k records.
 type Options struct {
 	Sync         SyncPolicy
-	SyncInterval time.Duration // SyncInterval policy only; default 100ms
-	SegmentBytes int64         // WAL segment rotation threshold; default 4 MiB
+	SegmentBytes int64 // WAL segment rotation threshold; default 4 MiB
 	// CompactEvery compacts the WAL into a snapshot after this many
 	// appended records (0 = default 65536, negative = never).
 	CompactEvery int
@@ -70,10 +69,11 @@ type Options struct {
 	InlineBudget int
 }
 
+// syncInterval is the SyncInterval policy's fsync period: the most a
+// crash can lose of acknowledged appends.
+const syncInterval = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -259,7 +259,7 @@ func (s *Store) Durable() bool { return s.dev.durable() }
 
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
-	t := time.NewTicker(s.opt.SyncInterval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {
