@@ -63,9 +63,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/experiments"
 	"github.com/ubc-cirrus-lab/femux-go/internal/knative"
-	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
-	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
 
 func main() {
@@ -197,52 +196,25 @@ type workload struct {
 	minutes int // minutes actually replayed (after -start-minute)
 }
 
-// csvWorkload derives per-app per-minute average concurrency from a
-// tracegen CSV pair, exactly as femuxd does for training, keeping only
-// minutes [startMin, startMin+maxMinutes).
+// csvWorkload replays a tracegen CSV pair's per-app per-minute average
+// concurrency, the series femux-train trains on
+// (experiments.ReadTrainApps), keeping only minutes
+// [startMin, startMin+maxMinutes) (maxMinutes 0 = to the trace's end).
 func csvWorkload(appsPath, invPath string, startMin, maxMinutes int) (workload, error) {
-	af, err := os.Open(appsPath)
+	limit := 0 // to the trace's end
+	if maxMinutes > 0 {
+		limit = startMin + maxMinutes
+	}
+	apps, err := experiments.ReadTrainApps(appsPath, invPath, limit)
 	if err != nil {
 		return workload{}, err
 	}
-	defer af.Close()
-	inf, err := os.Open(invPath)
-	if err != nil {
-		return workload{}, err
-	}
-	defer inf.Close()
-	ds, err := trace.ReadDataset(af, inf, 62*24*time.Hour)
-	if err != nil {
-		return workload{}, err
-	}
-
-	var maxEnd time.Duration
-	for _, a := range ds.Apps {
-		for _, inv := range a.Invocations {
-			if end := inv.Arrival + inv.Duration; end > maxEnd {
-				maxEnd = end
-			}
+	wl := workload{apps: len(apps)}
+	for _, a := range apps {
+		wl.minutes = max(a.Demand.Len()-startMin, 0)
+		for m := startMin; m < a.Demand.Len(); m++ {
+			wl.events = append(wl.events, obsEvent{app: a.Name, minute: m, conc: a.Demand.Values[m]})
 		}
-	}
-	minutes := int(maxEnd/time.Minute) + 1
-	if maxMinutes > 0 && minutes > startMin+maxMinutes {
-		minutes = startMin + maxMinutes
-	}
-	var wl workload
-	wl.minutes = minutes - startMin
-	if wl.minutes < 0 {
-		wl.minutes = 0
-	}
-	for _, a := range ds.Apps {
-		spans := make([]timeseries.Interval, len(a.Invocations))
-		for i, inv := range a.Invocations {
-			spans[i] = timeseries.Interval{Start: inv.Arrival, End: inv.Arrival + inv.Duration}
-		}
-		series := timeseries.AverageConcurrency(spans, time.Minute, minutes)
-		for m := startMin; m < minutes; m++ {
-			wl.events = append(wl.events, obsEvent{app: a.Name, minute: m, conc: series.Values[m]})
-		}
-		wl.apps++
 	}
 	sortEvents(wl.events)
 	return wl, nil
@@ -653,7 +625,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 }
 
 // waitHealthy polls /healthz until the server answers or the deadline
-// passes (femuxd trains its model before it starts listening).
+// passes (femuxd opens its store and loads its model before it listens).
 func waitHealthy(baseURL string, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
 	client := &http.Client{Timeout: 2 * time.Second}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -243,6 +245,57 @@ func TestCSVWorkloadRoundTrip(t *testing.T) {
 	}
 	if rep.Requests != len(wl.events) {
 		t.Errorf("requests = %d, want %d", rep.Requests, len(wl.events))
+	}
+}
+
+// TestCSVWorkloadGolden pins the events femux-load replays from a
+// tracegen CSV pair, with -start-minute and -minutes set, to the
+// SHA-256 of those its own conversion loop produced before it shared
+// experiments.ReadTrainApps with femux-train: app, minute and the
+// concurrency's bits. The rows cover a window inside the trace, the
+// whole trace, one running past its end and one wholly after it.
+func TestCSVWorkloadGolden(t *testing.T) {
+	ds := trace.GenerateIBM(trace.IBMGenConfig{Seed: 5, Apps: 4, Days: 90.0 / (24 * 60)})
+	dir := t.TempDir()
+	appsPath, invPath := filepath.Join(dir, "apps.csv"), filepath.Join(dir, "inv.csv")
+	var apps, invs bytes.Buffer
+	if err := trace.WriteApps(&apps, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteInvocations(&invs, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(appsPath, apps.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(invPath, invs.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		startMin, maxMinutes  int
+		apps, minutes, events int
+		sha256                string
+	}{
+		{17, 40, 4, 40, 160, "bf9801ea6fd5dcccacefe2d55ce731582e1536b653710be128efb66d0d0e7ca7"},
+		{0, 0, 4, 91, 364, "195a8f2fed1ad1f67b48a5909ff5d0677e4118387f1c378136453d867e64bbe0"},
+		{80, 30, 4, 11, 44, "b0742de0864f4c143219ee49d0f2dd913bb1aff6d201c5ad8e7350020183871d"},
+		{200, 10, 4, 0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		wl, err := csvWorkload(appsPath, invPath, c.startMin, c.maxMinutes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, ev := range wl.events {
+			fmt.Fprintf(h, "%s %d %x\n", ev.app, ev.minute, math.Float64bits(ev.conc))
+		}
+		if wl.apps != c.apps || wl.minutes != c.minutes || len(wl.events) != c.events {
+			t.Errorf("-start-minute %d -minutes %d: %d apps, %d minutes, %d events; want %d, %d, %d",
+				c.startMin, c.maxMinutes, wl.apps, wl.minutes, len(wl.events), c.apps, c.minutes, c.events)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+			t.Errorf("-start-minute %d -minutes %d: events hash to %s, want %s", c.startMin, c.maxMinutes, got, c.sha256)
+		}
 	}
 }
 

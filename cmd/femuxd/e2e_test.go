@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/knative"
+	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
 // TestFemuxdSigtermRestartBitIdentical is the process-level
@@ -52,9 +53,7 @@ func testRestartBitIdentical(t *testing.T, sig syscall.Signal) {
 	modelPath := filepath.Join(dir, "model.json")
 	dataDir := filepath.Join(dir, "data")
 	model := tinyModel(t)
-	if err := writeModel(modelPath, model); err != nil {
-		t.Fatal(err)
-	}
+	writeModelFile(t, modelPath, model)
 
 	apps := []string{"pay", "auth", "feed"}
 	feed := func(baseURL string, from, to int) {
@@ -129,7 +128,7 @@ func testRestartBitIdentical(t *testing.T, sig syscall.Signal) {
 // model; its answers must differ from the boot model's, or the test
 // would pass on a restart that reloads -model. Killed with -9 and
 // restarted with the same flags, -model included, it must serve the
-// promoted model from the directory, training nothing: every app's
+// promoted model from the directory, not reading -model: every app's
 // target and forecast bit for bit what they were before the kill.
 func TestFemuxdKill9KeepsPromotion(t *testing.T) {
 	if testing.Short() {
@@ -138,9 +137,7 @@ func TestFemuxdKill9KeepsPromotion(t *testing.T) {
 	bin := buildFemuxd(t)
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.json")
-	if err := writeModel(modelPath, tinyModel(t)); err != nil {
-		t.Fatal(err)
-	}
+	writeModelFile(t, modelPath, tinyModel(t))
 	flags := []string{"-data-dir", filepath.Join(dir, "data"), "-fsync", "always",
 		"-retrain-every", "1h", "-drift-threshold", "0", "-min-improve", "-1"}
 	addr := freeAddr(t)
@@ -238,8 +235,8 @@ func TestFemuxdKill9KeepsPromotion(t *testing.T) {
 			t.Errorf("the restart did not log %q:\n%s", want, logs.String())
 		}
 	}
-	if strings.Contains(logs.String(), "training on") || strings.Contains(logs.String(), "loaded model from") {
-		t.Errorf("the restart built a model instead of serving the stored one:\n%s", logs.String())
+	if strings.Contains(logs.String(), "loaded model from") {
+		t.Errorf("the restart loaded -model instead of serving the stored model:\n%s", logs.String())
 	}
 	t.Logf("%d of %d apps answer differently after the promotion", differ, len(apps))
 }
@@ -275,9 +272,7 @@ func TestFemuxdBoundedInMemoryChurn(t *testing.T) {
 	}
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.json")
-	if err := writeModel(modelPath, tinyModel(t)); err != nil {
-		t.Fatal(err)
-	}
+	writeModelFile(t, modelPath, tinyModel(t))
 	addr := freeAddr(t)
 	proc := startFemuxd(t, buildFemuxd(t), addr, modelPath,
 		"-max-hot-apps", "4")
@@ -326,7 +321,7 @@ func TestFemuxdBoundedInMemoryChurn(t *testing.T) {
 
 // TestFemuxdRefusesOldDataDir: femuxd on a data directory this build no
 // longer reads, one holding a femux-snap-v3 snapshot, opens it before it
-// trains anything: it exits non-zero at once, its stderr names the format
+// reads a model: it exits non-zero at once, its stderr names the format
 // and the upgrade path, it never logs "model ready", and the directory is
 // left as it was.
 func TestFemuxdRefusesOldDataDir(t *testing.T) {
@@ -342,23 +337,14 @@ func TestFemuxdRefusesOldDataDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dataDir, "snap-00000001.snap"), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var stderr strings.Builder
-	cmd := exec.CommandContext(ctx, bin, "-addr", freeAddr(t), "-data-dir", dataDir)
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || ctx.Err() != nil {
-		t.Fatalf("femuxd on a v3 data directory: %v, want a non-zero exit\n%s", err, stderr.String())
-	}
+	stderr := refusal(t, bin, "-data-dir", dataDir)
 	for _, want := range []string{`"femux-snap-v3"`, "femux-split -from", "a6e04f1"} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("stderr does not name %s:\n%s", want, stderr.String())
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr does not name %s:\n%s", want, stderr)
 		}
 	}
-	if strings.Contains(stderr.String(), "model ready") {
-		t.Errorf("femuxd trained a model before refusing the directory:\n%s", stderr.String())
+	if strings.Contains(stderr, "model ready") {
+		t.Errorf("femuxd loaded a model before refusing the directory:\n%s", stderr)
 	}
 	ents, err := os.ReadDir(dataDir)
 	if err != nil {
@@ -370,6 +356,60 @@ func TestFemuxdRefusesOldDataDir(t *testing.T) {
 	if got, _ := os.ReadFile(filepath.Join(dataDir, "snap-00000001.snap")); string(got) != string(snap) {
 		t.Error("the refused snapshot changed")
 	}
+}
+
+// TestFemuxdRefusesNoModelSource: a femuxd with nothing to serve exits
+// non-zero before it listens, whether no -model is given without
+// -data-dir, the -data-dir it opens holds no model, or the -model that
+// would seed it does not exist, and its stderr names what to pass. An
+// empty directory is left holding no model.
+func TestFemuxdRefusesNoModelSource(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the femuxd binary; skipped in -short")
+	}
+	bin := buildFemuxd(t)
+	dataDir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-model is required without -data-dir"},
+		{[]string{"-data-dir", dataDir}, "femux-train"},
+		{[]string{"-data-dir", dataDir, "-model", filepath.Join(dataDir, "missing.json")}, "-model"},
+	} {
+		stderr := refusal(t, bin, c.args...)
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("femuxd %v: stderr does not name %q:\n%s", c.args, c.want, stderr)
+		}
+		if strings.Contains(stderr, "serving FeMux API") {
+			t.Errorf("femuxd %v listened before refusing:\n%s", c.args, stderr)
+		}
+	}
+	st, err := store.Open(dataDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Model() != nil {
+		t.Error("the refused empty directory holds a model")
+	}
+}
+
+// refusal runs femuxd with args, requires it to exit non-zero within
+// two minutes, and returns its stderr.
+func refusal(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var stderr strings.Builder
+	cmd := exec.CommandContext(ctx, bin, append([]string{"-addr", freeAddr(t)}, args...)...)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || ctx.Err() != nil {
+		t.Fatalf("femuxd %v: %v, want a non-zero exit\n%s", args, err, stderr.String())
+	}
+	return stderr.String()
 }
 
 // postBatch posts one minute's batch, requires every item accepted, and

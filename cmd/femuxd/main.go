@@ -1,34 +1,34 @@
 // Command femuxd runs the FeMux forecasting microservice (Fig 13): it
-// trains a model (on a synthetic fleet by default, or on a CSV trace pair
-// produced by tracegen) and serves the REST API that Knative's autoscaler
-// integration queries for predictive scale targets.
+// serves a model trained offline by cmd/femux-train over the REST API
+// that Knative's autoscaler integration queries for predictive scale
+// targets. It trains nothing.
 //
 // Usage:
 //
-//	femuxd -addr :8080
-//	femuxd -addr :8080 -apps ibm_apps.csv -invocations ibm_invocations.csv
-//	femuxd -addr :8080 -data-dir /var/lib/femux -fsync always
+//	femux-train -o model.json
+//	femuxd -addr :8080 -model model.json
+//	femuxd -addr :8080 -model model.json -data-dir /var/lib/femux -fsync always
 //	femuxd -addr :8081 -model shared/model.json \
 //	       -data-dir /var/lib/femux-0 -shards 2 -shard-id 0
 //
 // Endpoints: POST /v1/apps/{app}/observe, POST /v1/observe/batch,
 // GET /v1/apps/{app}/target, GET /v1/apps/{app}/forecast, GET /healthz,
-// GET /metrics (Prometheus text), POST /v1/admin/reload (hot-swap a
-// retrained model; SIGHUP does the same), and /debug/pprof.
-// SIGINT/SIGTERM drain in-flight requests before exiting. A bad flag is
-// refused before anything trains, opens or listens. No request has a
-// server-side deadline: the caller owns it (Knative's autoscaler falls
-// back to its reactive logic), so every reply reports what was done.
+// GET /metrics (Prometheus text), POST /v1/admin/reload (re-read
+// -model; SIGHUP does the same), and /debug/pprof. SIGINT/SIGTERM drain
+// in-flight requests before exiting. A bad flag is refused before
+// anything loads, opens or listens. No request has a server-side
+// deadline: the caller owns it (Knative's autoscaler falls back to its
+// reactive logic), so every reply reports what was done.
 //
 // With -data-dir, every acknowledged observation is persisted through a
 // CRC-framed write-ahead log before it is applied, and the per-app
 // sliding windows are restored on boot — a restart or reload-from-disk
 // loses no state. The directory also holds the serving model: every
 // install (boot, SIGHUP, admin reload, lifecycle promotion) is written
-// there before it serves, and a restart serves it without training;
-// -model, the CSV pair and synthetic training only seed an empty
-// directory. The directory is opened before anything trains, so one
-// this build does not read fails at once, naming its upgrade path.
+// there before it serves, and a restart serves it: -model only seeds an
+// empty directory, and an empty one without -model is refused. The
+// directory is opened first, so one this build does not read fails at
+// once, naming its upgrade path.
 // Restart is the recovery path: /healthz answers 503 once the WAL has
 // failed, and a supervisor that kills and restarts femuxd on the same
 // -data-dir gets back every acknowledged observation. Without it the
@@ -60,28 +60,19 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/ubc-cirrus-lab/femux-go/internal/experiments"
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/knative"
 	"github.com/ubc-cirrus-lab/femux-go/internal/lifecycle"
-	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 	"github.com/ubc-cirrus-lab/femux-go/internal/serving"
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
-	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
-	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
 
 // config is femuxd's command line. parseConfig fills it and validate
 // refuses every bad value or combination, so a refusal comes before
-// any training, store open or listen. A boot on a store that holds no
-// model, SIGHUP and POST /v1/admin/reload all build the model from the
-// same config.
+// any model load, store open or listen. A boot on a store that holds no
+// model, SIGHUP and POST /v1/admin/reload all read -model (loadModel).
 type config struct {
-	addr, appsCSV, invCSV      string
-	modelPath, savePath        string // -model loads instead of training
-	fleet, blockMin, workers   int
-	days                       float64
-	seed                       int64
+	addr, modelPath            string
 	shutdownTimeout            time.Duration
 	dataDir, fsync             string
 	sync                       store.SyncPolicy // parsed from fsync by validate
@@ -99,15 +90,7 @@ func parseConfig(args []string) (config, error) {
 	fs := flag.NewFlagSet("femuxd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // the caller reports the error
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&c.appsCSV, "apps", "", "apps CSV from tracegen (optional)")
-	fs.StringVar(&c.invCSV, "invocations", "", "invocations CSV from tracegen (optional)")
-	fs.IntVar(&c.fleet, "fleet", 48, "synthetic training fleet size when no CSV is given")
-	fs.Float64Var(&c.days, "days", 2, "synthetic training trace length in days")
-	fs.Int64Var(&c.seed, "seed", 1, "seed for synthetic training")
-	fs.IntVar(&c.blockMin, "block", 144, "block size in minutes")
-	fs.IntVar(&c.workers, "workers", 0, "training worker goroutines (0 = one per CPU)")
-	fs.StringVar(&c.modelPath, "model", "", "load a trained model instead of training (a -data-dir that holds a model serves that one)")
-	fs.StringVar(&c.savePath, "save", "", "save the trained model to this path")
+	fs.StringVar(&c.modelPath, "model", "", "model file from femux-train: served at boot when the store holds none (required without -data-dir), and reloaded by SIGHUP and POST /v1/admin/reload")
 	fs.DurationVar(&c.shutdownTimeout, "shutdown-timeout", 15*time.Second, "drain deadline on SIGINT/SIGTERM")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable observation store directory (empty = the same store held in memory only: no WAL, no paging, nothing survives a restart)")
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL fsync policy: always, interval (every 100ms), or never")
@@ -130,9 +113,12 @@ func parseConfig(args []string) (config, error) {
 	return c, err
 }
 
-// validate refuses what would otherwise fail later: after a model was
-// trained, or while serving.
+// validate refuses what would otherwise fail later: after the store was
+// opened, or while serving.
 func (c *config) validate() error {
+	if c.modelPath == "" && c.dataDir == "" {
+		return errors.New("-model is required without -data-dir (train one with femux-train)")
+	}
 	if c.shards < 1 || c.shardID < 0 || c.shardID >= c.shards {
 		return fmt.Errorf("invalid shard config: -shard-id %d must be in [0, %d)", c.shardID, c.shards)
 	}
@@ -160,8 +146,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The store opens before any training: a data directory this build
-	// refuses fails in milliseconds.
+	// The store opens before the model is read: a data directory this
+	// build refuses fails in milliseconds.
 	var st *store.Store
 	if cfg.dataDir == "" {
 		st = store.OpenMemory()
@@ -183,12 +169,6 @@ func main() {
 	}
 	log.Printf("model ready: %d clusters, default forecaster %s",
 		model.Diag.Clusters, model.DefaultForecaster().Name())
-	if cfg.savePath != "" {
-		if err := writeModel(cfg.savePath, model); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("saved model to %s", cfg.savePath)
-	}
 
 	svc := knative.NewServiceWith(model, knative.ServiceOptions{
 		Store: st, ShardID: cfg.shardID, Shards: cfg.shards,
@@ -216,8 +196,6 @@ func main() {
 			RetrainEvery:   cfg.retrainEvery,
 			DriftThreshold: cfg.driftThreshold,
 			MinImprove:     cfg.minImprove,
-			Workers:        cfg.workers,
-			Seed:           cfg.seed,
 			Logf:           log.Printf,
 		})
 		lcm.InstrumentWith(reg)
@@ -226,10 +204,9 @@ func main() {
 			cfg.retrainEvery, cfg.driftThreshold, cfg.minImprove)
 	}
 
-	reload := func() (*femux.Model, error) { return buildModel(cfg) }
 	server := &http.Server{
 		Addr:        cfg.addr,
-		Handler:     newHandler(svc, reg, reload, log.Default(), lcm),
+		Handler:     newHandler(svc, reg, cfg.loadModel, log.Default(), lcm),
 		ReadTimeout: 10 * time.Second, // no WriteTimeout: the caller owns the deadline
 	}
 
@@ -241,7 +218,7 @@ func main() {
 			if sig == syscall.SIGHUP {
 				log.Printf("SIGHUP: reloading model")
 				go func() {
-					if err := reloadAndSwap(svc, reload); err != nil {
+					if err := reloadAndSwap(svc, cfg.loadModel); err != nil {
 						log.Printf("reload failed: %v", err)
 					} else {
 						log.Printf("reload complete: %d total", svc.Reloads())
@@ -311,12 +288,12 @@ func registerStoreMetrics(reg *serving.Registry, stats func() store.Stats) {
 
 // bootModel returns the model femuxd serves at boot: the one st holds,
 // so that a restart serves what was served, or, for a store that holds
-// none, the one c builds, which it stores. A -model that is not the
+// none, the -model file, which it stores. A -model that is not the
 // stored one is logged, not served: serving it would undo a promotion.
 func bootModel(c config, st *store.Store) (*femux.Model, error) {
 	stored := st.Model()
 	if stored == nil {
-		m, err := buildModel(c)
+		m, err := c.loadModel()
 		if err != nil {
 			return nil, err
 		}
@@ -339,60 +316,21 @@ func bootModel(c config, st *store.Store) (*femux.Model, error) {
 	return m, nil
 }
 
-// buildModel loads or trains the serving model the config names.
-func buildModel(c config) (*femux.Model, error) {
-	if c.modelPath != "" {
-		m, err := loadModelFile(c.modelPath)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("loaded model from %s", c.modelPath)
-		return m, nil
+// loadModel reads the -model file, a model serialized by femux.Model.Save.
+func (c config) loadModel() (*femux.Model, error) {
+	if c.modelPath == "" {
+		return nil, errors.New("no -model given: train one with femux-train -o model.json and pass -model model.json")
 	}
-	var train []femux.TrainApp
-	if c.appsCSV != "" && c.invCSV != "" {
-		ds, err := loadDataset(c.appsCSV, c.invCSV)
-		if err != nil {
-			return nil, err
-		}
-		train = trainAppsFromDataset(ds)
-		log.Printf("loaded %d apps from %s", len(train), c.appsCSV)
-	} else {
-		train = experiments.AzureFleet(experiments.Scale{Seed: c.seed, Apps: c.fleet, Days: c.days})
-		log.Printf("training on synthetic fleet of %d apps", len(train))
-	}
-	cfg := femux.DefaultConfig(rum.Default())
-	cfg.BlockSize = c.blockMin
-	cfg.Window = 120
-	cfg.Workers = c.workers
-	return femux.Train(train, cfg)
-}
-
-// loadModelFile reads a model serialized by femux.Model.Save.
-func loadModelFile(path string) (*femux.Model, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(c.modelPath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-model: %w", err)
 	}
-	defer f.Close()
-	return femux.Load(f)
-}
-
-// writeModel saves the model, reporting Close errors: on a full disk the
-// final flush is what fails, and ignoring it would ship a truncated model.
-func writeModel(path string, m *femux.Model) error {
-	f, err := os.Create(path)
+	m, err := femux.Load(bytes.NewReader(b))
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("-model %s: %w", c.modelPath, err)
 	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("femuxd: closing %s: %w", path, err)
-	}
-	return nil
+	log.Printf("loaded model from %s", c.modelPath)
+	return m, nil
 }
 
 // reloadBusy serializes hot reloads: a second reload while one is in
@@ -488,59 +426,4 @@ func newHandler(svc *knative.Service, reg *serving.Registry, rebuild func() (*fe
 
 	hm := serving.NewHTTPMetrics(reg)
 	return serving.LogRequests(logger, hm.Instrument(root))
-}
-
-func loadDataset(appsPath, invPath string) (*trace.Dataset, error) {
-	af, err := os.Open(appsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	inf, err := os.Open(invPath)
-	if err != nil {
-		return nil, err
-	}
-	defer inf.Close()
-	return trace.ReadDataset(af, inf, 62*24*time.Hour)
-}
-
-// trainAppsFromDataset converts millisecond events into per-minute average
-// concurrency for training.
-func trainAppsFromDataset(d *trace.Dataset) []femux.TrainApp {
-	var maxEnd time.Duration
-	for _, a := range d.Apps {
-		for _, inv := range a.Invocations {
-			if end := inv.Arrival + inv.Duration; end > maxEnd {
-				maxEnd = end
-			}
-		}
-	}
-	minutes := int(maxEnd/time.Minute) + 1
-	out := make([]femux.TrainApp, 0, len(d.Apps))
-	for _, a := range d.Apps {
-		spans := make([]timeseries.Interval, len(a.Invocations))
-		counts := make([]float64, minutes)
-		var execSum float64
-		for i, inv := range a.Invocations {
-			spans[i] = timeseries.Interval{Start: inv.Arrival, End: inv.Arrival + inv.Duration}
-			m := int(inv.Arrival / time.Minute)
-			if m >= 0 && m < minutes {
-				counts[m]++
-			}
-			execSum += inv.Duration.Seconds()
-		}
-		exec := 0.0
-		if len(a.Invocations) > 0 {
-			exec = execSum / float64(len(a.Invocations))
-		}
-		out = append(out, femux.TrainApp{
-			Name:            a.Name,
-			Demand:          timeseries.AverageConcurrency(spans, time.Minute, minutes),
-			Invocations:     counts,
-			ExecSec:         exec,
-			MemoryGB:        a.Config.MemoryGB,
-			UnitConcurrency: a.Config.Concurrency,
-		})
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -28,6 +30,12 @@ import (
 
 func tinyModel(t testing.TB) *femux.Model {
 	t.Helper()
+	return tinyModelSeeded(t, 11)
+}
+
+// tinyModelSeeded trains tinyModel's geometry on a fleet drawn from seed.
+func tinyModelSeeded(t testing.TB, seed int64) *femux.Model {
+	t.Helper()
 	cfg := femux.DefaultConfig(rum.Default())
 	cfg.BlockSize = 30
 	cfg.Window = 30
@@ -38,7 +46,7 @@ func tinyModel(t testing.TB) *femux.Model {
 		forecast.NewExpSmoothing(),
 		forecast.NewCeilPeak(10),
 	}
-	rng := rand.New(rand.NewSource(11))
+	rng := rand.New(rand.NewSource(seed))
 	apps := make([]femux.TrainApp, 6)
 	for i := range apps {
 		vals := make([]float64, 120)
@@ -56,57 +64,61 @@ func tinyModel(t testing.TB) *femux.Model {
 	return m
 }
 
-// TestModelSaveLoadRoundTrip is the regression test for the CLI
-// save/load path (writeModel previously ignored the Close error, so a
-// full disk could silently truncate the model file).
-func TestModelSaveLoadRoundTrip(t *testing.T) {
-	m := tinyModel(t)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := writeModel(path, m); err != nil {
-		t.Fatalf("writeModel: %v", err)
+// writeModelFile saves m where a test's femuxd reads its -model.
+func writeModelFile(t testing.TB, path string, m *femux.Model) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := m.Save(&b); err != nil {
+		t.Fatal(err)
 	}
-	got, err := loadModelFile(path)
-	if err != nil {
-		t.Fatalf("loadModelFile: %v", err)
-	}
-	if got.DefaultForecaster().Name() != m.DefaultForecaster().Name() {
-		t.Errorf("default forecaster %q != %q",
-			got.DefaultForecaster().Name(), m.DefaultForecaster().Name())
-	}
-	if got.Diag.Clusters != m.Diag.Clusters {
-		t.Errorf("clusters %d != %d", got.Diag.Clusters, m.Diag.Clusters)
-	}
-	// Decisions must survive the round trip byte-for-byte.
-	hist := []float64{0, 1, 2, 3, 2, 1, 0, 1, 2, 3}
-	p1, p2 := m.NewAppPolicy(0), got.NewAppPolicy(0)
-	for i := 1; i <= len(hist); i++ {
-		if a, b := p1.Target(hist[:i], 1, nil), p2.Target(hist[:i], 1, nil); a != b {
-			t.Fatalf("target diverged at step %d: %d != %d", i, a, b)
-		}
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestParseConfig pins femuxd's command line in process: the defaults
-// an empty command line parses to, each refused value or combination
-// (refused by parseConfig, so before any model is trained or store
-// opened) naming its flag, and each removed flag being a flag error
-// rather than a setting silently ignored.
+// a command line naming only -model parses to, each refused value or
+// combination (refused by parseConfig, so before any model is loaded or
+// store opened) naming its flag, and each removed flag being a flag
+// error rather than a setting silently ignored. The training flags left
+// for femux-train.
 func TestParseConfig(t *testing.T) {
 	t.Run("defaults", func(t *testing.T) {
-		got, err := parseConfig(nil)
+		got, err := parseConfig([]string{"-model", "m.json"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := config{
-			addr: ":8080", fleet: 48, days: 2, seed: 1, blockMin: 144,
+			addr: ":8080", modelPath: "m.json",
 			shutdownTimeout: 15 * time.Second,
 			fsync:           "always", sync: store.SyncAlways,
 			shards: 1, driftThreshold: 0.5, minImprove: 0.01,
 		}
 		if got != want {
-			t.Errorf("parseConfig(nil) = %+v\nwant %+v", got, want)
+			t.Errorf("parseConfig(-model m.json) = %+v\nwant %+v", got, want)
 		}
 	})
+	// The model source: -model, or a -data-dir that may hold one.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-model is required without -data-dir"},
+		{[]string{"-addr", ":9090", "-shards", "2"}, "-model is required without -data-dir"},
+		{[]string{"-data-dir", "d"}, ""},
+	} {
+		t.Run("source "+strings.Join(c.args, " "), func(t *testing.T) {
+			_, err := parseConfig(c.args)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+	// Every other row names -model, so only its own flags decide.
 	for _, c := range []struct {
 		args []string
 		want string // "" = accepted; else a substring of the error
@@ -133,9 +145,17 @@ func TestParseConfig(t *testing.T) {
 		{[]string{"-shadow-window", "100"}, "flag provided but not defined: -shadow-window"},
 		{[]string{"-watch-model", "-model", "m.json"}, "flag provided but not defined: -watch-model"},
 		{[]string{"-promote-save", "m.json"}, "flag provided but not defined: -promote-save"},
+		{[]string{"-apps", "apps.csv"}, "flag provided but not defined: -apps"},
+		{[]string{"-invocations", "inv.csv"}, "flag provided but not defined: -invocations"},
+		{[]string{"-fleet", "8"}, "flag provided but not defined: -fleet"},
+		{[]string{"-days", "0.5"}, "flag provided but not defined: -days"},
+		{[]string{"-seed", "1"}, "flag provided but not defined: -seed"},
+		{[]string{"-block", "60"}, "flag provided but not defined: -block"},
+		{[]string{"-workers", "2"}, "flag provided but not defined: -workers"},
+		{[]string{"-save", "m.json"}, "flag provided but not defined: -save"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
-			_, err := parseConfig(c.args)
+			_, err := parseConfig(append([]string{"-model", "m.json"}, c.args...))
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("refused: %v", err)
@@ -147,18 +167,93 @@ func TestParseConfig(t *testing.T) {
 	}
 }
 
-func TestWriteModelErrors(t *testing.T) {
-	m := tinyModel(t)
-	if err := writeModel(filepath.Join(t.TempDir(), "no", "such", "dir", "m.json"), m); err == nil {
-		t.Error("writeModel into a missing directory should fail")
+// TestBootModel pins where femuxd's boot model comes from: a store that
+// holds a model serves it, and -model is only logged; an empty store is
+// seeded from -model, which it then holds; an empty store with no
+// -model is refused, naming femux-train, and one whose -model is
+// missing or truncated is refused, naming it; a refused store still
+// holds nothing.
+func TestBootModel(t *testing.T) {
+	saved := func(m *femux.Model) []byte {
+		var b bytes.Buffer
+		if err := m.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	// Loading garbage fails cleanly.
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeModel(path, m); err != nil {
-		t.Fatal(err)
+	storedModel, fileModel := tinyModel(t), tinyModelSeeded(t, 12)
+	if bytes.Equal(saved(storedModel), saved(fileModel)) {
+		t.Fatal("the two models save to the same bytes: the test cannot tell them apart")
 	}
-	if _, err := loadModelFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("loading a missing file should fail")
+	for _, c := range []struct {
+		name       string
+		stored     *femux.Model // in the store before boot
+		model      string       // -model: "" none, "file" holding fileModel, "missing", "truncated"
+		serve      *femux.Model // want served and held by the store after boot
+		wantErr    string
+		wantLogged []string
+	}{
+		{"stored model served, -model logged", storedModel, "file", storedModel, "",
+			[]string{"serving the model stored in", "is not the stored model"}},
+		{"empty store seeded from -model", nil, "file", fileModel, "",
+			[]string{"loaded model from"}},
+		{"empty store without -model refused", nil, "", nil, "femux-train", nil},
+		{"empty store with a missing -model refused", nil, "missing", nil, "-model", nil},
+		{"empty store with a truncated -model refused", nil, "truncated", nil, "model.json", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := config{dataDir: filepath.Join(dir, "data")}
+			if c.model != "" {
+				cfg.modelPath = filepath.Join(dir, "model.json")
+			}
+			switch c.model {
+			case "file":
+				writeModelFile(t, cfg.modelPath, fileModel)
+			case "truncated":
+				b := saved(fileModel)
+				if err := os.WriteFile(cfg.modelPath, b[:len(b)/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := store.Open(cfg.dataDir, store.Options{Sync: store.SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if c.stored != nil {
+				if err := st.SaveModel(saved(c.stored)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var logs strings.Builder
+			log.SetOutput(&logs)
+			defer log.SetOutput(os.Stderr)
+
+			m, err := bootModel(cfg, st)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, c.wantErr)
+				}
+				if st.Model() != nil {
+					t.Error("a refused boot stored a model")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := saved(c.serve); !bytes.Equal(saved(m), want) {
+				t.Error("bootModel serves the wrong model")
+			} else if !bytes.Equal(st.Model(), want) {
+				t.Error("the store does not hold the served model")
+			}
+			for _, want := range c.wantLogged {
+				if !strings.Contains(logs.String(), want) {
+					t.Errorf("boot did not log %q:\n%s", want, logs.String())
+				}
+			}
+		})
 	}
 }
 
@@ -245,6 +340,23 @@ func TestHandlerAdminReload(t *testing.T) {
 	}
 	if svc.Model() != next {
 		t.Error("failed reload must not swap the model")
+	}
+
+	// Started without -model (a -data-dir that held one): a reload fails,
+	// naming the flag, and swaps nothing.
+	noModel := httptest.NewServer(newHandler(svc, serving.NewRegistry(), config{}.loadModel, logger, nil))
+	defer noModel.Close()
+	resp, err = http.Post(noModel.URL+"/v1/admin/reload", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "-model") {
+		t.Errorf("reload without -model = %d %q, want 500 naming -model", resp.StatusCode, msg)
+	}
+	if svc.Model() != next || svc.Reloads() != 1 {
+		t.Error("a reload without -model must not swap the model")
 	}
 
 	// The stack serves API traffic and reflects it in /metrics.

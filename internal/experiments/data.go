@@ -109,6 +109,62 @@ func AzureToTrainApps(ds *trace.AzureDataset) []femux.TrainApp {
 	return apps
 }
 
+// ReadTrainApps reads a tracegen CSV pair (apps, invocations) and
+// converts its millisecond events to FeMux training apps: per-minute
+// average concurrency (queueing-free, every invocation counted from its
+// arrival to its end) and per-minute arrival counts, over the minutes up
+// to the trace's last invocation end, or over the first maxMinutes of
+// them if that is fewer (0 = no cap): a caller that needs a window of a
+// long trace builds no series past it.
+func ReadTrainApps(appsPath, invPath string, maxMinutes int) ([]femux.TrainApp, error) {
+	af, err := os.Open(appsPath)
+	if err != nil {
+		return nil, err
+	}
+	defer af.Close()
+	inf, err := os.Open(invPath)
+	if err != nil {
+		return nil, err
+	}
+	defer inf.Close()
+	ds, err := trace.ReadDataset(af, inf, 62*24*time.Hour)
+	if err != nil {
+		return nil, err
+	}
+	var maxEnd time.Duration
+	for _, a := range ds.Apps {
+		for _, inv := range a.Invocations {
+			maxEnd = max(maxEnd, inv.Arrival+inv.Duration)
+		}
+	}
+	minutes := int(maxEnd/time.Minute) + 1
+	if maxMinutes > 0 {
+		minutes = min(minutes, maxMinutes)
+	}
+	apps := make([]femux.TrainApp, 0, len(ds.Apps))
+	for _, a := range ds.Apps {
+		spans := make([]timeseries.Interval, len(a.Invocations))
+		counts := make([]float64, minutes)
+		var execSum float64
+		for i, inv := range a.Invocations {
+			spans[i] = timeseries.Interval{Start: inv.Arrival, End: inv.Arrival + inv.Duration}
+			if m := int(inv.Arrival / time.Minute); m >= 0 && m < minutes {
+				counts[m]++
+			}
+			execSum += inv.Duration.Seconds()
+		}
+		apps = append(apps, femux.TrainApp{
+			Name:            a.Name,
+			Demand:          timeseries.AverageConcurrency(spans, time.Minute, minutes),
+			Invocations:     counts,
+			ExecSec:         execSum / float64(max(len(a.Invocations), 1)),
+			MemoryGB:        a.Config.MemoryGB,
+			UnitConcurrency: a.Config.Concurrency,
+		})
+	}
+	return apps, nil
+}
+
 // SplitTrainTest partitions apps into train and test sets with the paper's
 // 70-30 split, shuffled deterministically.
 func SplitTrainTest(apps []femux.TrainApp, seed int64) (train, test []femux.TrainApp) {

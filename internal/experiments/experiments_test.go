@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/femux"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
+	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
 
@@ -55,6 +59,108 @@ func TestSplitTrainTestDisjointAndComplete(t *testing.T) {
 			t.Fatalf("app %s in both sets", a.Name)
 		}
 		seen[a.Name] = true
+	}
+}
+
+// TestReadTrainApps pins the one tracegen CSV → training-series
+// conversion (femux-train's -apps/-invocations, femux-load's -apps-csv)
+// on a small IBM-shape trace: every app's demand is the average
+// concurrency of its invocations' spans over the minutes up to the
+// trace's last invocation end, its per-minute counts sum to its
+// invocation count, its configuration carries over, and a minutes cap
+// only cuts the series short.
+func TestReadTrainApps(t *testing.T) {
+	ds := trace.GenerateIBM(trace.IBMGenConfig{Seed: 5, Apps: 6, Days: 3.0 / 24})
+	dir := t.TempDir()
+	appsPath, invPath := filepath.Join(dir, "apps.csv"), filepath.Join(dir, "inv.csv")
+	var appsCSV, invCSV bytes.Buffer
+	if err := trace.WriteApps(&appsCSV, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteInvocations(&invCSV, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(appsPath, appsCSV.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(invPath, invCSV.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	apps, err := ReadTrainApps(appsPath, invPath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The CSV keeps microseconds, so the spans are the ones read back.
+	read, err := trace.ReadDataset(bytes.NewReader(appsCSV.Bytes()), bytes.NewReader(invCSV.Bytes()), 62*24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last time.Duration
+	for _, a := range read.Apps {
+		for _, inv := range a.Invocations {
+			if end := inv.Arrival + inv.Duration; end > last {
+				last = end
+			}
+		}
+	}
+	minutes := int(last/time.Minute) + 1
+	if len(apps) != len(ds.Apps) || len(read.Apps) != len(ds.Apps) {
+		t.Fatalf("%d apps converted, %d read, %d generated", len(apps), len(read.Apps), len(ds.Apps))
+	}
+	total := 0
+	for i, a := range apps {
+		gen, r := ds.Apps[i], read.Apps[i]
+		if a.Name != gen.Name || a.MemoryGB != gen.Config.MemoryGB || a.UnitConcurrency != gen.Config.Concurrency {
+			t.Errorf("app %d: %s %g GB concurrency %d, generated %s %g GB concurrency %d",
+				i, a.Name, a.MemoryGB, a.UnitConcurrency, gen.Name, gen.Config.MemoryGB, gen.Config.Concurrency)
+		}
+		spans := make([]timeseries.Interval, len(r.Invocations))
+		for j, inv := range r.Invocations {
+			spans[j] = timeseries.Interval{Start: inv.Arrival, End: inv.Arrival + inv.Duration}
+		}
+		want := timeseries.AverageConcurrency(spans, time.Minute, minutes)
+		if a.Demand.Step != time.Minute || len(a.Demand.Values) != minutes {
+			t.Fatalf("%s: demand of %d steps of %s, want %d minutes", a.Name, len(a.Demand.Values), a.Demand.Step, minutes)
+		}
+		for m, v := range want.Values {
+			if math.Float64bits(a.Demand.Values[m]) != math.Float64bits(v) {
+				t.Fatalf("%s: demand[%d] = %v, want the spans' average concurrency %v", a.Name, m, a.Demand.Values[m], v)
+			}
+		}
+		sum := 0.0
+		for _, c := range a.Invocations {
+			sum += c
+		}
+		if int(sum) != len(gen.Invocations) || len(a.Invocations) != minutes {
+			t.Errorf("%s: %v invocations over %d minutes, generated %d over %d", a.Name, sum, len(a.Invocations), len(gen.Invocations), minutes)
+		}
+		total += len(gen.Invocations)
+	}
+	if total == 0 {
+		t.Fatal("the trace has no invocations: the test checks nothing")
+	}
+	// A cap keeps the leading minutes bit for bit; one past the trace's
+	// end does not lengthen it.
+	for _, c := range []struct{ limit, want int }{{30, 30}, {minutes + 50, minutes}} {
+		capped, err := ReadTrainApps(appsPath, invPath, c.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range capped {
+			if len(a.Demand.Values) != c.want || len(a.Invocations) != c.want {
+				t.Fatalf("cap %d: %s has %d demand and %d count minutes, want %d",
+					c.limit, a.Name, len(a.Demand.Values), len(a.Invocations), c.want)
+			}
+			for m := range c.want {
+				if math.Float64bits(a.Demand.Values[m]) != math.Float64bits(apps[i].Demand.Values[m]) ||
+					a.Invocations[m] != apps[i].Invocations[m] {
+					t.Fatalf("cap %d: %s minute %d differs from the uncapped series", c.limit, a.Name, m)
+				}
+			}
+		}
+	}
+	if _, err := ReadTrainApps(filepath.Join(dir, "missing.csv"), invPath, 0); err == nil {
+		t.Error("a missing apps CSV should fail")
 	}
 }
 
