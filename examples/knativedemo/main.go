@@ -59,7 +59,7 @@ func main() {
 	spec := sim.AppSpec{Name: "burst-api", Config: appCfg, Invocations: invs}
 
 	run := func(name string, provider sim.ScaleProvider) rum.Sample {
-		s := sim.Emulate(spec, provider, horizon)
+		s, _ := sim.Emulate(spec, provider, horizon)
 		fmt.Printf("%-18s cold starts %4d  cold-start sec %7.1f  wasted %8.1f GB-s  RUM %7.2f\n",
 			name, s.ColdStarts, s.ColdStartSec, s.WastedGBSec, rum.Default().Eval(s))
 		return s

@@ -219,7 +219,7 @@ type DelayStats struct {
 }
 
 // PlatformDelay computes the delay characterization from per-app delay
-// vectors (as produced by the event simulator or Knative emulation).
+// vectors, in seconds (as the Knative emulator, sim.Emulate, returns them).
 func PlatformDelay(perApp [][]float64) DelayStats {
 	var out DelayStats
 	var subMs, total int

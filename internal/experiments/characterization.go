@@ -209,22 +209,15 @@ func (h *heldPolicy) Target(history []float64, unitConcurrency int, ws *forecast
 	return h.target
 }
 
-// Fig6 measures platform delays by replaying the dataset through the event
-// simulator with Knative's default reactive policy and per-app cold starts
-// (custom images produce the long tail, §3.3).
+// Fig6 measures platform delays by replaying each app on the Knative
+// emulator (sim.Emulate) under its default autoscaler, with per-app cold
+// starts (custom images produce the long tail, §3.3).
 func Fig6(d *trace.Dataset) characterize.DelayStats {
 	perApp := make([][]float64, 0, len(d.Apps))
 	for _, app := range d.Apps {
-		cfg := sim.EventConfig{
-			ScaleInterval:   2 * time.Second,
-			UnitConcurrency: app.Config.Concurrency,
-			MemoryGB:        app.Config.MemoryGB,
-			ColdStart:       app.Config.ColdStart,
-			MinScale:        app.Config.MinScale,
-			CaptureDelays:   true,
-		}
-		out := sim.SimulateEvents(app.Invocations, sim.KnativeDefaultPolicy{WindowIntervals: 30}, cfg, d.Horizon)
-		perApp = append(perApp, out.PlatformDelays)
+		spec := sim.AppSpec{Name: app.Name, Config: app.Config, Invocations: app.Invocations}
+		_, delays := sim.Emulate(spec, nil, d.Horizon)
+		perApp = append(perApp, delays)
 	}
 	return characterize.PlatformDelay(perApp)
 }

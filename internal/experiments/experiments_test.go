@@ -236,9 +236,9 @@ func TestCharacterizationExperiments(t *testing.T) {
 
 func TestFig5SubMinuteScaling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("event-driven sub-minute sim (~25s)")
+		t.Skip("sub-minute scaling sim (~25s)")
 	}
-	// Small dataset keeps the event sim fast; the orderings are the claim.
+	// Small dataset keeps the sim fast; the orderings are the claim.
 	d := trace.GenerateIBM(trace.IBMGenConfig{Seed: 6, Apps: 25, Days: 0.5, TrafficScale: 0.5})
 	res := Fig5(d)
 	if len(res.Rows) != 4 {

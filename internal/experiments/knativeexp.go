@@ -130,8 +130,8 @@ func Fig14PrototypeQuantile(model *femux.Model, specs []sim.AppSpec, horizon tim
 
 	var halved, maintained int
 	for _, spec := range specs {
-		base := sim.Emulate(spec, nil, horizon)
-		fm := sim.Emulate(spec, provider, horizon)
+		base, _ := sim.Emulate(spec, nil, horizon)
+		fm, _ := sim.Emulate(spec, provider, horizon)
 		res.knativeSamples = append(res.knativeSamples, base)
 		res.femuxSamples = append(res.femuxSamples, fm)
 		res.Invocations += base.Invocations

@@ -80,9 +80,9 @@ func hashSamples(h hash.Hash, samples []rum.Sample) {
 // every app's RUM sample under default Knative and under FeMux, and the
 // two aggregate RUM values, at the point forecast and at p90
 // provisioning. Any change to what the FeMux path decides, by one pod at
-// one minute of one app, changes a digest. The digests equal those of each
-// app replayed alone on the fleet-wide emulator this one replaced, whose
-// shared event loop coupled the apps (TestFig14AppsReplayIndependently).
+// one minute of one app, changes a digest, and so does any change to the
+// concurrency the emulator integrates for the KPA and for FeMux
+// (TestEmulateMinuteConcurrencyMatchesOracle in internal/sim).
 func TestFig14PrototypeDigest(t *testing.T) {
 	model := shortBlockModel(t)
 	specs := SpecsFromTrainApps(digestReplay())
@@ -96,8 +96,8 @@ func TestFig14PrototypeDigest(t *testing.T) {
 		level float64
 		want  string
 	}{
-		{0, "05ac041ed70c11bdddb9fbe62f260a71c7f11d93badc15257ffa12ae4a1e1ece"},
-		{0.9, "ffb04662902b8ea52637577954926dea2d3d8d8854d2524eb858e0e5a796aa99"},
+		{0, "07b61612865d248ef98794985f5f08ba53087ff6f47691345aa01ec193ddd219"},
+		{0.9, "4425729d3d8b01485b60fddf98bdbd88c7cc3154e1391e78e83ac14f922e3215"},
 	} {
 		res := Fig14PrototypeQuantile(model, specs, 4*time.Hour, c.level)
 		if len(res.femuxSamples) != len(specs) || len(res.knativeSamples) != len(specs) {

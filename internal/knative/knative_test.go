@@ -263,7 +263,7 @@ func TestEmulatorWithHTTPProvider(t *testing.T) {
 	for at := time.Second; at < horizon; at += time.Second {
 		invs = append(invs, trace.Invocation{Arrival: at, Duration: 150 * time.Millisecond})
 	}
-	s := sim.Emulate(sim.AppSpec{Name: "a", Config: cfg, Invocations: invs}, &HTTPProvider{BaseURL: srv.URL}, horizon)
+	s, _ := sim.Emulate(sim.AppSpec{Name: "a", Config: cfg, Invocations: invs}, &HTTPProvider{BaseURL: srv.URL}, horizon)
 	if s.Invocations != len(invs) {
 		t.Errorf("served %d of %d", s.Invocations, len(invs))
 	}

@@ -134,36 +134,42 @@ type AppSpec struct {
 }
 
 // Emulate replays one app on the Knative Serving control loop over
-// [0, horizon) and returns its sample. Knative scales each revision on
-// its own, so an app's outcome does not depend on any other app.
+// [0, horizon) and returns its sample and the platform delay, in seconds,
+// of each request it served, in arrival order. A request still queued at
+// the horizon has neither. Knative scales each revision on its own, so an
+// app's outcome does not depend on any other app.
 //
 // Semantics (§5.2, Fig 13):
 //
 //   - A request waits at the activator until a ready pod has a free slot;
-//     the longest-idle such pod serves it, and any wait is a cold start.
+//     the longest-idle such pod serves it. The wait is its platform
+//     delay, and any wait is a cold start.
 //   - Every 2 s the KPA observes the tick's average concurrency, queued
 //     requests included, and retargets with its stable and panic windows
-//     and its scale-to-zero grace. Pods scale as in SimulateEvents, but
-//     none is pinned by a cold start.
+//     and its scale-to-zero grace. Scale-up provisions pods that serve
+//     after the cold start; scale-down reaps idle pods, longest idle
+//     first, and never preempts a busy one.
 //   - With p set, at every minute boundary p gets the minute's average
 //     concurrency, and the target it answers holds until the next
 //     answer. The KPA's target still wins when it is higher, so a burst
 //     the forecast missed is served.
-func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) rum.Sample {
+func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) (rum.Sample, []float64) {
 	cfg := app.Config
 	f := newFleet(cfg.Concurrency, cfg.MemoryGB, cfg.ColdStart, cfg.MinScale)
 	scaler := newKPA(f.unitC)
 
 	arrivals := app.Invocations
-	next := 0       // the next arrival
-	var queue []int // the activator's buffer: indexes into arrivals
+	// The activator's buffer is arrivals[head:next]: requests start in
+	// arrival order, so the queued ones are always the latest arrivals.
+	head, next := 0, 0
+	delays := make([]float64, 0, len(arrivals))
 
 	// Concurrency integrals, executing plus queued: over the current tick
 	// for the KPA, over the current minute for p.
 	var tickNS, minuteNS float64
 	var lastTick, lastMinute time.Duration
 	observe := func(now time.Duration) {
-		load := float64(f.inFlight + len(queue))
+		load := float64(f.inFlight + next - head)
 		if now > lastTick {
 			tickNS += load * float64(now-lastTick)
 			lastTick = now
@@ -177,7 +183,7 @@ func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) rum.Sample {
 	// drain assigns queued requests, in arrival order, to free slots on
 	// ready pods.
 	drain := func(now time.Duration) {
-		for len(queue) > 0 {
+		for head < next {
 			var slot *pod
 			for _, pd := range f.pods {
 				if pd.dead || pd.readyAt > now || pd.busy >= f.unitC {
@@ -190,13 +196,18 @@ func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) rum.Sample {
 			if slot == nil {
 				return
 			}
-			inv := arrivals[queue[0]]
-			queue = queue[1:]
+			// Settle the integrals while the request still counts as
+			// queued: dequeuing it first would drop it from every
+			// interval since the last event.
 			observe(now)
+			inv := arrivals[head]
+			head++
 			f.start(slot, now, inv.Duration)
 			f.sample.Invocations++
 			f.sample.ExecSec += inv.Duration.Seconds()
-			if delay := now - inv.Arrival; delay > 0 {
+			delay := now - inv.Arrival
+			delays = append(delays, delay.Seconds())
+			if delay > 0 {
 				f.sample.ColdStarts++
 				f.sample.ColdStartSec += delay.Seconds()
 			}
@@ -216,7 +227,7 @@ func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) rum.Sample {
 	// ready is an event, since it unblocks the queue.
 	nextReady := func(after time.Duration) time.Duration {
 		best := time.Duration(-1)
-		if len(queue) == 0 {
+		if head == next {
 			return best
 		}
 		for _, pd := range f.pods {
@@ -280,7 +291,6 @@ func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) rum.Sample {
 		switch kind {
 		case arrival:
 			observe(now)
-			queue = append(queue, next)
 			next++
 		case scaleTick:
 			tick(now)
@@ -291,5 +301,5 @@ func Emulate(app AppSpec, p ScaleProvider, horizon time.Duration) rum.Sample {
 	}
 	finish(horizon)
 	f.close(horizon)
-	return f.sample
+	return f.sample, delays
 }

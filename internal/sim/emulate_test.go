@@ -112,7 +112,7 @@ func steadyApp(name string, rate float64, execMS int, horizon time.Duration, con
 func TestEmulatorServesAllRequests(t *testing.T) {
 	horizon := 10 * time.Minute
 	app := steadyApp("a", 2, 100, horizon, 100, 0)
-	s := Emulate(app, nil, horizon)
+	s, _ := Emulate(app, nil, horizon)
 	if s.Invocations != len(app.Invocations) {
 		t.Errorf("served %d of %d invocations", s.Invocations, len(app.Invocations))
 	}
@@ -125,11 +125,11 @@ func TestEmulatorMinScaleEliminatesFirstColdStart(t *testing.T) {
 	horizon := 5 * time.Minute
 	cold := steadyApp("cold", 0.2, 100, horizon, 100, 0)
 	warm := steadyApp("warm", 0.2, 100, horizon, 100, 1)
-	if Emulate(cold, nil, horizon).ColdStarts == 0 {
+	if s, _ := Emulate(cold, nil, horizon); s.ColdStarts == 0 {
 		t.Error("zero-min-scale app should cold start")
 	}
-	if n := Emulate(warm, nil, horizon).ColdStarts; n != 0 {
-		t.Errorf("min-scale-1 app cold starts = %d, want 0", n)
+	if s, _ := Emulate(warm, nil, horizon); s.ColdStarts != 0 {
+		t.Errorf("min-scale-1 app cold starts = %d, want 0", s.ColdStarts)
 	}
 }
 
@@ -137,16 +137,62 @@ func TestEmulatorMinScaleEliminatesFirstColdStart(t *testing.T) {
 // second of 50 ms each. The first request, at 2 s, finds no pod: the tick
 // at 4 s sees it queued and scales from zero, and the pod is ready 0.8 s
 // later, so it waits 2.8 s. The second, at 4 s, queues behind the same
-// provisioning pod and waits 0.8 s. Every later request finds the pod warm.
+// provisioning pod and waits 0.8 s. Every later request finds the pod
+// warm and waits 0 s, and the delays say so request by request.
 func TestEmulatorColdStartDelayMatchesProvisioning(t *testing.T) {
 	horizon := 3 * time.Minute
 	app := steadyApp("a", 0.5, 50, horizon, 100, 0)
-	s := Emulate(app, nil, horizon)
-	if s.Invocations != len(app.Invocations) {
-		t.Fatalf("served %d of %d invocations", s.Invocations, len(app.Invocations))
+	s, delays := Emulate(app, nil, horizon)
+	if s.Invocations != len(app.Invocations) || len(delays) != s.Invocations {
+		t.Fatalf("served %d of %d invocations, %d delays", s.Invocations, len(app.Invocations), len(delays))
 	}
 	if s.ColdStarts != 2 || math.Abs(s.ColdStartSec-3.6) > 1e-9 {
 		t.Errorf("%d cold starts, %v s of waiting; want 2 and 3.6 s", s.ColdStarts, s.ColdStartSec)
+	}
+	for i, d := range delays {
+		want := 0.0
+		switch i {
+		case 0:
+			want = 2.8
+		case 1:
+			want = 0.8
+		}
+		if math.Abs(d-want) > 1e-9 {
+			t.Errorf("request %d waited %v s, want %v s", i, d, want)
+		}
+	}
+}
+
+// TestEmulatorDelaysOmitQueuedAtHorizon ends the replay while the only
+// request still waits for its pod: it is neither served nor given a
+// delay.
+func TestEmulatorDelaysOmitQueuedAtHorizon(t *testing.T) {
+	app := steadyApp("a", 0.5, 50, 3*time.Second, 100, 0) // one request, at 2 s
+	s, delays := Emulate(app, nil, 4500*time.Millisecond) // its pod is ready at 4.8 s
+	if s.Invocations != 0 || len(delays) != 0 {
+		t.Errorf("served %d, %d delays; want neither for a request queued at the horizon", s.Invocations, len(delays))
+	}
+	s, delays = Emulate(app, nil, 5*time.Second)
+	if s.Invocations != 1 || len(delays) != 1 || math.Abs(delays[0]-2.8) > 1e-9 {
+		t.Errorf("served %d, delays %v; want one request that waited 2.8 s", s.Invocations, delays)
+	}
+}
+
+// TestEmulatorWasteAccounting keeps one pod by MinScale and sends it no
+// traffic: the pod wastes exactly what it is allocated, its memory over
+// the whole horizon.
+func TestEmulatorWasteAccounting(t *testing.T) {
+	cfg := trace.DefaultConfig()
+	cfg.MinScale = 1
+	cfg.MemoryGB = 0.15
+	horizon := 10 * time.Minute
+	s, delays := Emulate(AppSpec{Name: "idle", Config: cfg}, nil, horizon)
+	want := horizon.Seconds() * cfg.MemoryGB
+	if s.AllocatedGBSec != want || s.WastedGBSec != want {
+		t.Errorf("allocated %v, wasted %v GB-s; want both %v", s.AllocatedGBSec, s.WastedGBSec, want)
+	}
+	if s.Invocations != 0 || len(delays) != 0 {
+		t.Errorf("%d invocations, %d delays with no traffic", s.Invocations, len(delays))
 	}
 }
 
@@ -162,7 +208,11 @@ func TestEmulatorScalesToZeroWhenIdle(t *testing.T) {
 	}}
 	// Pod must be reaped after the stable window + grace, so allocation is
 	// far below 30 minutes.
-	if s := Emulate(app, nil, horizon); s.AllocatedGBSec > 5*60 {
+	s, _ := Emulate(app, nil, horizon)
+	if s.AllocatedGBSec > 5*60 {
 		t.Errorf("allocated %v GB-s: pod never scaled to zero", s.AllocatedGBSec)
+	}
+	if s.AllocatedGBSec <= 0 {
+		t.Error("no allocation recorded")
 	}
 }

@@ -13,7 +13,6 @@ type pod struct {
 	readyAt    time.Duration // when the pod can first serve
 	busy       int           // in-flight requests
 	idleSince  time.Duration // valid when busy == 0
-	coldUntil  time.Duration // cold-provisioned pods are pinned until here
 	aliveFrom  time.Duration
 	busySlotNS float64 // integral of busy slots over time, in ns-slots
 	lastChange time.Duration
@@ -47,10 +46,9 @@ func (h *completionHeap) Pop() interface{} {
 	return it
 }
 
-// fleet is one app's pods and the requests running on them: the data
-// plane the event simulator and the Knative emulator share. Its sample
-// accrues the app's memory charges as pods are reaped; the caller adds
-// the per-request fields.
+// fleet is one app's pods and the requests running on them: the Knative
+// emulator's data plane. Its sample accrues the app's memory charges as
+// pods are reaped; the caller adds the per-request fields.
 type fleet struct {
 	pods      []*pod
 	comps     completionHeap
@@ -135,7 +133,7 @@ func (f *fleet) alive() int {
 // scale moves the fleet toward target at now. Scale-up provisions pods
 // that serve after the cold start, charging no request. Scale-down reaps
 // idle pods only, longest idle first: a busy pod finishes its work (no
-// preemption), and a provisioning pod or one pinned by coldUntil stays.
+// preemption), and a provisioning pod stays.
 func (f *fleet) scale(target int, now time.Duration) {
 	alive := f.alive()
 	if target > alive {
@@ -150,7 +148,7 @@ func (f *fleet) scale(target int, now time.Duration) {
 	}
 	idle := make([]*pod, 0, excess)
 	for _, pd := range f.pods {
-		if pd.busy == 0 && pd.readyAt <= now && pd.coldUntil <= now {
+		if pd.busy == 0 && pd.readyAt <= now {
 			idle = append(idle, pd)
 		}
 	}

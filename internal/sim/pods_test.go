@@ -7,8 +7,8 @@ import (
 )
 
 // TestFleetScaleDownReapsLongestIdleFirst pins scale-down's choice: only
-// idle, ready, unpinned pods go, longest idle first, and a target above
-// the live count provisions pods that serve after the cold start.
+// idle, ready pods go, longest idle first, and a target above the live
+// count provisions pods that serve after the cold start.
 func TestFleetScaleDownReapsLongestIdleFirst(t *testing.T) {
 	s := time.Second
 	f := newFleet(1, 1, 2*s, 0)
@@ -18,35 +18,33 @@ func TestFleetScaleDownReapsLongestIdleFirst(t *testing.T) {
 	newer.idleSince = 5 * s
 	busy := f.spawn(0, 0)
 	f.start(busy, 2*s, time.Hour)
-	pinned := f.spawn(0, 0)
-	pinned.coldUntil = 30 * s
 	provisioning := f.spawn(9*s, 20*s)
 
-	f.scale(4, 10*s)
+	f.scale(3, 10*s)
 	if !older.dead {
 		t.Error("the longest-idle pod survived scale-down")
 	}
-	if newer.dead || busy.dead || pinned.dead || provisioning.dead {
-		t.Errorf("scale-down to 4 reaped more than one pod: newer %v busy %v pinned %v provisioning %v",
-			newer.dead, busy.dead, pinned.dead, provisioning.dead)
+	if newer.dead || busy.dead || provisioning.dead {
+		t.Errorf("scale-down to 3 reaped more than one pod: newer %v busy %v provisioning %v",
+			newer.dead, busy.dead, provisioning.dead)
 	}
-	if n := f.alive(); n != 4 {
-		t.Errorf("alive = %d after reaping 1 of 5 pods, want 4", n)
+	if n := f.alive(); n != 3 {
+		t.Errorf("alive = %d after reaping 1 of 4 pods, want 3", n)
 	}
 
 	f.scale(0, 11*s)
 	if !newer.dead {
 		t.Error("the last idle pod survived scale-down to zero")
 	}
-	if n := f.alive(); n != 3 {
-		t.Errorf("alive = %d, want the busy, pinned and provisioning pods", n)
+	if n := f.alive(); n != 2 {
+		t.Errorf("alive = %d, want the busy and provisioning pods", n)
 	}
 
 	f.scale(5, 12*s)
 	if n := f.alive(); n != 5 {
 		t.Fatalf("alive = %d after scaling up to 5", n)
 	}
-	for _, pd := range f.pods[3:] {
+	for _, pd := range f.pods[2:] {
 		if pd.aliveFrom != 12*s || pd.readyAt != 14*s {
 			t.Errorf("new pod alive from %v, ready at %v; want 12s and 14s", pd.aliveFrom, pd.readyAt)
 		}

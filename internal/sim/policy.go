@@ -1,22 +1,21 @@
 // Package sim contains the serverless-platform simulators used for every
 // offline experiment, mirroring the paper's methodology (§5): an
-// interval-level concurrency simulator for training and fleet-scale policy
-// comparison, an event-driven simulator for millisecond-level studies
-// (sub-minute scaling, platform delay), and an emulator of the Knative
-// prototype (Figs 13 and 14).
+// interval-level concurrency simulator (SimulateApp) for training,
+// fleet-scale policy comparison and the sub-minute scaling study, and an
+// emulator of the Knative prototype (Emulate) for millisecond-level
+// studies: platform delay (Fig 6) and FeMux on Knative (Figs 13 and 14).
 //
-// The two simulators apply the paper's overriding rules (§4.3.5): compute
+// SimulateApp applies the paper's overriding rules (§4.3.5): compute
 // units are never preempted mid-execution, and units provisioned due to a
 // cold start stay alive until the end of the scaling interval. Scaling-rate
 // limits follow AWS Lambda's published behaviour: at most 500 new instances
 // per minute once an app exceeds 3,000 instances (§5.1).
 //
-// The emulator (Emulate) follows Knative's KPA instead: an activator
-// buffers requests until a pod is ready, the autoscaler ticks every 2 s
-// with stable and panic windows and a scale-to-zero grace, and FeMux may
-// override its target once a minute through a ScaleProvider. It shares
-// the event simulator's pods: no pod is preempted, but none is pinned by
-// a cold start either.
+// Emulate follows Knative's KPA instead: an activator buffers requests
+// until a pod is ready, the autoscaler ticks every 2 s with stable and
+// panic windows and a scale-to-zero grace, and FeMux may override its
+// target once a minute through a ScaleProvider. No pod is preempted, but
+// none is pinned by a cold start either.
 package sim
 
 import (
@@ -34,7 +33,7 @@ type Policy interface {
 	// Target returns the desired warm unit count for the upcoming interval.
 	// unitConcurrency is the app's container concurrency limit. ws holds
 	// the scratch state of a policy that forecasts, so a warmed workspace
-	// makes the call allocation-free; the simulators pass one per
+	// makes the call allocation-free; SimulateApp passes one per
 	// simulation. ws may be nil, and a policy that does not forecast
 	// ignores it.
 	Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int

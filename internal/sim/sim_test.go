@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
-	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 	"github.com/ubc-cirrus-lab/femux-go/internal/timeseries"
 	"github.com/ubc-cirrus-lab/femux-go/internal/trace"
 )
@@ -188,151 +187,9 @@ func TestScaleLimit(t *testing.T) {
 	}
 }
 
-// --- Event simulator ---
-
-func evConfig() EventConfig {
-	return EventConfig{
-		ScaleInterval:   time.Minute,
-		UnitConcurrency: 1,
-		MemoryGB:        0.15,
-		ColdStart:       800 * time.Millisecond,
-		CaptureDelays:   true,
-	}
-}
-
-func TestEventSimColdThenWarm(t *testing.T) {
-	invs := []trace.Invocation{
-		{Arrival: 10 * time.Second, Duration: time.Second},
-		{Arrival: 70 * time.Second, Duration: time.Second}, // pod still warm (KA window)
-	}
-	cfg := evConfig()
-	res := SimulateEvents(invs, KeepAlivePolicy{IdleIntervals: 5}, cfg, 3*time.Minute)
-	if res.Sample.Invocations != 2 {
-		t.Fatalf("invocations = %d", res.Sample.Invocations)
-	}
-	if res.Sample.ColdStarts != 1 {
-		t.Errorf("cold starts = %d, want 1 (first request only)", res.Sample.ColdStarts)
-	}
-	if math.Abs(res.PlatformDelays[0]-0.8) > 1e-9 {
-		t.Errorf("first delay = %v, want 0.8", res.PlatformDelays[0])
-	}
-	if res.PlatformDelays[1] != 0 {
-		t.Errorf("second delay = %v, want 0 (warm)", res.PlatformDelays[1])
-	}
-}
-
-func TestEventSimMinScaleAvoidsColdStart(t *testing.T) {
-	invs := []trace.Invocation{{Arrival: 5 * time.Second, Duration: time.Second}}
-	cfg := evConfig()
-	cfg.MinScale = 1
-	res := SimulateEvents(invs, KeepAlivePolicy{IdleIntervals: 1}, cfg, 2*time.Minute)
-	if res.Sample.ColdStarts != 0 {
-		t.Errorf("cold starts = %d, want 0 with min scale", res.Sample.ColdStarts)
-	}
-}
-
-func TestEventSimConcurrencySharing(t *testing.T) {
-	// Two near-simultaneous requests, pod concurrency 2: the second queues
-	// on the still-provisioning pod (ready at 1.8 s) with a partial delay.
-	invs := []trace.Invocation{
-		{Arrival: time.Second, Duration: 10 * time.Second},
-		{Arrival: 1200 * time.Millisecond, Duration: 10 * time.Second},
-	}
-	cfg := evConfig()
-	cfg.UnitConcurrency = 2
-	res := SimulateEvents(invs, KeepAlivePolicy{IdleIntervals: 1}, cfg, time.Minute)
-	if res.Sample.ColdStarts != 2 {
-		// First is a full cold start; second queues on the provisioning
-		// pod and experiences a partial delay — both are delayed starts.
-		t.Errorf("cold starts = %d, want 2 delayed starts", res.Sample.ColdStarts)
-	}
-	// Second request's delay is shorter than a full cold start: it shares
-	// the provisioning pod.
-	if res.PlatformDelays[1] >= res.PlatformDelays[0] {
-		t.Errorf("queued delay %v should be below full cold start %v",
-			res.PlatformDelays[1], res.PlatformDelays[0])
-	}
-}
-
-func TestEventSimOverlapSingleConcurrency(t *testing.T) {
-	// Two overlapping requests, concurrency 1: two pods, two cold starts.
-	invs := []trace.Invocation{
-		{Arrival: time.Second, Duration: 10 * time.Second},
-		{Arrival: 2 * time.Second, Duration: 10 * time.Second},
-	}
-	res := SimulateEvents(invs, KeepAlivePolicy{IdleIntervals: 1}, evConfig(), time.Minute)
-	if res.Sample.ColdStarts != 2 {
-		t.Errorf("cold starts = %d, want 2", res.Sample.ColdStarts)
-	}
-	if res.PlatformDelays[1] != res.PlatformDelays[0] {
-		t.Errorf("both delays should be full cold starts: %v", res.PlatformDelays)
-	}
-}
-
-func TestEventSimKeepAliveScaleDown(t *testing.T) {
-	// One request, then silence: with a 1-interval KA the pod must be
-	// reaped, bounding allocated GB-s well below the horizon.
-	invs := []trace.Invocation{{Arrival: time.Second, Duration: time.Second}}
-	cfg := evConfig()
-	horizon := 30 * time.Minute
-	res := SimulateEvents(invs, KeepAlivePolicy{IdleIntervals: 1}, cfg, horizon)
-	// Pod should live ~2 minutes (its interval + one KA window), not 30.
-	maxAlloc := 5 * 60 * cfg.MemoryGB
-	if res.Sample.AllocatedGBSec > maxAlloc {
-		t.Errorf("allocated = %v GB-s, pod not scaled down (max %v)",
-			res.Sample.AllocatedGBSec, maxAlloc)
-	}
-	if res.Sample.AllocatedGBSec <= 0 {
-		t.Error("allocated should be positive")
-	}
-}
-
-func TestEventSimWasteAccounting(t *testing.T) {
-	// A min-scale pod with no traffic wastes exactly its allocation.
-	cfg := evConfig()
-	cfg.MinScale = 1
-	horizon := 10 * time.Minute
-	res := SimulateEvents(nil, FixedPolicy{Units: 1}, cfg, horizon)
-	want := horizon.Seconds() * cfg.MemoryGB
-	if math.Abs(res.Sample.AllocatedGBSec-want) > 1e-6 {
-		t.Errorf("allocated = %v, want %v", res.Sample.AllocatedGBSec, want)
-	}
-	if math.Abs(res.Sample.WastedGBSec-want) > 1e-6 {
-		t.Errorf("wasted = %v, want %v", res.Sample.WastedGBSec, want)
-	}
-}
-
-func TestEventSimFasterScalingReducesColdStarts(t *testing.T) {
-	// Fig 5's core claim at miniature scale: with bursty periodic traffic,
-	// a forecaster at 10-second ticks beats the same forecaster at
-	// 60-second ticks on cold starts.
-	var invs []trace.Invocation
-	for burst := 0; burst < 30; burst++ {
-		base := time.Duration(burst) * 2 * time.Minute
-		for i := 0; i < 5; i++ {
-			invs = append(invs, trace.Invocation{
-				Arrival:  base + time.Duration(i)*200*time.Millisecond,
-				Duration: 30 * time.Second,
-			})
-		}
-	}
-	horizon := 61 * time.Minute
-	mk := func(tick time.Duration) rum.Sample {
-		cfg := evConfig()
-		cfg.ScaleInterval = tick
-		cfg.UnitConcurrency = 1
-		p := ForecastPolicy{Forecaster: forecast.NewFFT(10), Horizon: int(time.Minute / tick)}
-		return SimulateEvents(invs, p, cfg, horizon).Sample
-	}
-	fast := mk(10 * time.Second)
-	slow := mk(60 * time.Second)
-	if fast.ColdStartSec >= slow.ColdStartSec {
-		t.Errorf("10s ticks cold-start sec %v should beat 60s ticks %v",
-			fast.ColdStartSec, slow.ColdStartSec)
-	}
-}
-
-func BenchmarkEventSim(b *testing.B) {
+// BenchmarkEmulate replays 5,000 requests of 150 ms, one every 200 ms,
+// on the Knative emulator over 20 minutes.
+func BenchmarkEmulate(b *testing.B) {
 	var invs []trace.Invocation
 	for i := 0; i < 5000; i++ {
 		invs = append(invs, trace.Invocation{
@@ -340,13 +197,15 @@ func BenchmarkEventSim(b *testing.B) {
 			Duration: 150 * time.Millisecond,
 		})
 	}
-	cfg := evConfig()
-	cfg.CaptureDelays = false
-	cfg.UnitConcurrency = 100
+	cfg := trace.DefaultConfig()
+	cfg.Concurrency = 100
+	cfg.MemoryGB = 0.15
+	cfg.ColdStart = 800 * time.Millisecond
+	app := AppSpec{Name: "bench", Config: cfg, Invocations: invs}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateEvents(invs, KeepAlivePolicy{IdleIntervals: 5}, cfg, 20*time.Minute)
+		Emulate(app, nil, 20*time.Minute)
 	}
 }
 
