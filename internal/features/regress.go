@@ -20,8 +20,8 @@ import (
 // that starts at +0 is never -0. A column holding an infinity — first
 // differences of finite values beyond ±8.9e307 — is outside the contract.
 
-// scratch holds the mutable buffers of one Extract; FFT plans are shared
-// process-wide by mathx, so a pooled scratch stays a few KB.
+// scratch holds the mutable buffers of one Extract, and its FFT scratch
+// the Bluestein plan of the block length, built once per pooled scratch.
 type scratch struct {
 	diffs []float64   // first differences (ADF)
 	ones  []float64   // the intercept column, all 1

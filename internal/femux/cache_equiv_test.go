@@ -9,12 +9,27 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 )
 
+// trained is a model with the per-block tables its training produced.
+type trained struct {
+	*Model
+	tb blockTables
+}
+
+func mustTrain(t *testing.T, apps []TrainApp, cfg Config) trained {
+	t.Helper()
+	m, tb, err := train(apps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trained{m, tb}
+}
+
 // assertModelsIdentical is the bit-identity check shared by the cache
 // equivalence tests: every training output — diagnostics, per-block RUM,
 // cluster assignments, scaler, centroids, forecaster table — must be
 // exactly equal, not approximately (same discipline as the worker
 // equivalence tests).
-func assertModelsIdentical(t *testing.T, want, got *Model, label string) {
+func assertModelsIdentical(t *testing.T, want, got trained, label string) {
 	t.Helper()
 	if want.Diag.Blocks != got.Diag.Blocks || want.Diag.Clusters != got.Diag.Clusters {
 		t.Errorf("%s: blocks/clusters %d/%d vs %d/%d", label,
@@ -24,17 +39,17 @@ func assertModelsIdentical(t *testing.T, want, got *Model, label string) {
 		t.Errorf("%s: forecaster wins differ:\n want %v\n got  %v", label,
 			want.Diag.ForecasterWins, got.Diag.ForecasterWins)
 	}
-	if !reflect.DeepEqual(want.Diag.GroupOf, got.Diag.GroupOf) {
+	if !reflect.DeepEqual(want.tb.groupOf, got.tb.groupOf) {
 		t.Errorf("%s: per-block cluster assignments differ", label)
 	}
-	if len(want.Diag.BlockRUM) != len(got.Diag.BlockRUM) {
-		t.Fatalf("%s: block RUM rows %d vs %d", label, len(want.Diag.BlockRUM), len(got.Diag.BlockRUM))
+	if len(want.tb.rum) != len(got.tb.rum) {
+		t.Fatalf("%s: block RUM rows %d vs %d", label, len(want.tb.rum), len(got.tb.rum))
 	}
-	for i := range want.Diag.BlockRUM {
-		for fi := range want.Diag.BlockRUM[i] {
-			if want.Diag.BlockRUM[i][fi] != got.Diag.BlockRUM[i][fi] {
+	for i := range want.tb.rum {
+		for fi := range want.tb.rum[i] {
+			if want.tb.rum[i][fi] != got.tb.rum[i][fi] {
 				t.Fatalf("%s: block %d forecaster %d RUM %v vs %v (must be bit-identical)",
-					label, i, fi, want.Diag.BlockRUM[i][fi], got.Diag.BlockRUM[i][fi])
+					label, i, fi, want.tb.rum[i][fi], got.tb.rum[i][fi])
 			}
 		}
 	}
@@ -72,21 +87,15 @@ func TestTrainCacheEquivalence(t *testing.T) {
 	apps := mixedFleet(29, 9, 288)
 	test := mixedFleet(31, 6, 288)
 
-	plain, err := Train(apps, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainEval := Evaluate(plain, test)
+	plain := mustTrain(t, apps, testConfig())
+	plainEval := Evaluate(plain.Model, test)
 
 	cache := memo.New()
 	cachedCfg := testConfig()
 	cachedCfg.Cache = cache
-	cold, err := Train(apps, cachedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustTrain(t, apps, cachedCfg)
 	assertModelsIdentical(t, plain, cold, "cold cache")
-	coldEval := Evaluate(cold, test)
+	coldEval := Evaluate(cold.Model, test)
 	assertEvalsIdentical(t, plainEval, coldEval, "cold cache eval")
 
 	st := cache.Stats()
@@ -94,12 +103,9 @@ func TestTrainCacheEquivalence(t *testing.T) {
 		t.Fatal("cold run recorded no cache misses — cache not consulted")
 	}
 
-	warm, err := Train(apps, cachedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mustTrain(t, apps, cachedCfg)
 	assertModelsIdentical(t, plain, warm, "warm cache")
-	warmEval := Evaluate(warm, test)
+	warmEval := Evaluate(warm.Model, test)
 	assertEvalsIdentical(t, plainEval, warmEval, "warm cache eval")
 
 	st2 := cache.Stats()
@@ -133,10 +139,7 @@ func TestCacheSharesAcrossMetricsAndFeatures(t *testing.T) {
 	variant.Cache = cache
 	variant.Metric = rum.ColdStartHeavy()
 	variant.Features = []string{"harmonics", "density"}
-	cached, err := Train(apps, variant)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached := mustTrain(t, apps, variant)
 	st := cache.Stats()
 	if st.Misses != after.Misses {
 		t.Errorf("metric/feature variant caused %d new misses; sweeps must be shared",
@@ -146,10 +149,7 @@ func TestCacheSharesAcrossMetricsAndFeatures(t *testing.T) {
 	plainVariant := testConfig()
 	plainVariant.Metric = rum.ColdStartHeavy()
 	plainVariant.Features = []string{"harmonics", "density"}
-	plain, err := Train(apps, plainVariant)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustTrain(t, apps, plainVariant)
 	assertModelsIdentical(t, plain, cached, "shared-sweep variant")
 }
 
@@ -188,11 +188,8 @@ func TestTrainCacheDiskRoundTrip(t *testing.T) {
 	}
 	cfg1 := testConfig()
 	cfg1.Cache = c1
-	first, err := Train(apps, cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstEval := Evaluate(first, apps)
+	first := mustTrain(t, apps, cfg1)
+	firstEval := Evaluate(first.Model, apps)
 
 	c2, err := memo.NewDisk(dir)
 	if err != nil {
@@ -200,12 +197,9 @@ func TestTrainCacheDiskRoundTrip(t *testing.T) {
 	}
 	cfg2 := testConfig()
 	cfg2.Cache = c2
-	second, err := Train(apps, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := mustTrain(t, apps, cfg2)
 	assertModelsIdentical(t, first, second, "disk round-trip")
-	secondEval := Evaluate(second, apps)
+	secondEval := Evaluate(second.Model, apps)
 	assertEvalsIdentical(t, firstEval, secondEval, "disk round-trip eval")
 
 	st := c2.Stats()

@@ -38,7 +38,7 @@ func TestTrainDigest(t *testing.T) {
 				cfg.Forecasters = forecast.DefaultSet()
 				cfg.Horizon = c.horizon
 				cfg.Workers = workers
-				m, err := Train(apps, cfg)
+				m, tb, err := train(apps, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,12 +53,12 @@ func TestTrainDigest(t *testing.T) {
 					binary.LittleEndian.PutUint64(b[:], v)
 					h.Write(b[:])
 				}
-				for _, row := range m.Diag.BlockRUM {
+				for _, row := range tb.rum {
 					for _, v := range row {
 						put(math.Float64bits(v))
 					}
 				}
-				for _, g := range m.Diag.GroupOf {
+				for _, g := range tb.groupOf {
 					put(uint64(g))
 				}
 				if c.level > 0 {

@@ -99,19 +99,24 @@ type Model struct {
 	Diag Diagnostics
 }
 
-// Diagnostics captures training statistics used by the sensitivity studies
-// and by the serial-vs-parallel equivalence tests.
+// Diagnostics summarizes a training for logs and the sensitivity studies.
+// Its size depends on the forecaster set and the cluster count, never on
+// how many blocks were trained: a served model carries no per-block state.
 type Diagnostics struct {
 	Blocks          int
 	Clusters        int
 	TrainTime       time.Duration
 	ForecasterWins  map[string]int // blocks where each forecaster was per-block best
 	GroupForecaster []string
-	// BlockRUM[i][f] is the RUM of forecaster f on global block i, in
-	// training input order; GroupOf[i] is block i's assigned group. Both
-	// are deterministic for a fixed seed and independent of Workers.
-	BlockRUM [][]float64
-	GroupOf  []int
+}
+
+// blockTables are a training's per-block intermediates, in training input
+// order: rum[i][f] is the RUM of forecaster f on global block i and
+// groupOf[i] is block i's assigned group. Both are deterministic for a
+// fixed seed and independent of Workers; only the tests read them.
+type blockTables struct {
+	rum     [][]float64
+	groupOf []int
 }
 
 // Train builds a FeMux model from training apps. It follows §4.3.3-4.3.4:
@@ -119,15 +124,20 @@ type Diagnostics struct {
 // standardization, clustering (or a supervised classifier), and per-group
 // forecaster assignment by lowest summed RUM.
 func Train(apps []TrainApp, cfg Config) (*Model, error) {
+	m, _, err := train(apps, cfg)
+	return m, err
+}
+
+func train(apps []TrainApp, cfg Config) (*Model, blockTables, error) {
 	start := time.Now()
 	if len(apps) == 0 {
-		return nil, errors.New("femux: no training apps")
+		return nil, blockTables{}, errors.New("femux: no training apps")
 	}
 	if cfg.BlockSize < 8 {
-		return nil, fmt.Errorf("femux: block size %d too small", cfg.BlockSize)
+		return nil, blockTables{}, fmt.Errorf("femux: block size %d too small", cfg.BlockSize)
 	}
 	if n := len(cfg.Forecasters); n == 0 || n > maxForecasters {
-		return nil, fmt.Errorf("femux: forecaster set of %d, want 1..%d", n, maxForecasters)
+		return nil, blockTables{}, fmt.Errorf("femux: forecaster set of %d, want 1..%d", n, maxForecasters)
 	}
 	if cfg.Horizon < 1 {
 		cfg.Horizon = 1
@@ -164,7 +174,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 		nBlocks += len(blocks)
 	}
 	if nBlocks == 0 {
-		return nil, errors.New("femux: no completed blocks in training data")
+		return nil, blockTables{}, errors.New("femux: no completed blocks in training data")
 	}
 
 	// Sweep 1 — the hot path (§4.3.3): one full-series simulation per
@@ -225,7 +235,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 
 	scaler, err := cluster.FitScaler(rows)
 	if err != nil {
-		return nil, fmt.Errorf("femux: %w", err)
+		return nil, blockTables{}, fmt.Errorf("femux: %w", err)
 	}
 	scaled := scaler.TransformAll(rows)
 
@@ -244,7 +254,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 	case "", "kmeans":
 		km, err := cluster.FitKMeans(scaled, cfg.K, cfg.Seed, 100)
 		if err != nil {
-			return nil, fmt.Errorf("femux: %w", err)
+			return nil, blockTables{}, fmt.Errorf("femux: %w", err)
 		}
 		m.kmeans = km
 		nGroups = km.K()
@@ -263,7 +273,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 		if cfg.Classifier == "tree" {
 			tr, err := cluster.FitTree(scaled, labels, cluster.DefaultTreeConfig())
 			if err != nil {
-				return nil, fmt.Errorf("femux: %w", err)
+				return nil, blockTables{}, fmt.Errorf("femux: %w", err)
 			}
 			m.tree = tr
 			groupOf = make([]int, len(scaled))
@@ -273,7 +283,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 		} else {
 			fo, err := cluster.FitForest(scaled, labels, 15, cfg.Seed)
 			if err != nil {
-				return nil, fmt.Errorf("femux: %w", err)
+				return nil, blockTables{}, fmt.Errorf("femux: %w", err)
 			}
 			m.forest = fo
 			groupOf = make([]int, len(scaled))
@@ -282,7 +292,7 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("femux: unknown classifier %q", cfg.Classifier)
+		return nil, blockTables{}, fmt.Errorf("femux: unknown classifier %q", cfg.Classifier)
 	}
 
 	// Assign each group the forecaster with the lowest RUM sum across its
@@ -336,10 +346,8 @@ func Train(apps []TrainApp, cfg Config) (*Model, error) {
 	}
 	m.Diag.Clusters = nGroups
 	m.Diag.GroupForecaster = append([]string(nil), m.perGroup...)
-	m.Diag.BlockRUM = rumByBlock
-	m.Diag.GroupOf = groupOf
 	m.Diag.TrainTime = time.Since(start)
-	return m.index(), nil
+	return m.index(), blockTables{rum: rumByBlock, groupOf: groupOf}, nil
 }
 
 // blockSamples simulates one forecaster over the app's whole series and

@@ -16,13 +16,13 @@ func TestTrainWorkerEquivalence(t *testing.T) {
 
 	serialCfg := testConfig()
 	serialCfg.Workers = 1
-	serial, err := Train(apps, serialCfg)
+	serial, serialTB, err := train(apps, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parCfg := testConfig()
 	parCfg.Workers = 4
-	par, err := Train(apps, parCfg)
+	par, parTB, err := train(apps, parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,17 +41,17 @@ func TestTrainWorkerEquivalence(t *testing.T) {
 		t.Errorf("group forecasters differ:\n serial %v\n par    %v",
 			serial.Diag.GroupForecaster, par.Diag.GroupForecaster)
 	}
-	if !reflect.DeepEqual(serial.Diag.GroupOf, par.Diag.GroupOf) {
+	if !reflect.DeepEqual(serialTB.groupOf, parTB.groupOf) {
 		t.Error("per-block cluster assignments differ")
 	}
-	if len(serial.Diag.BlockRUM) != len(par.Diag.BlockRUM) {
-		t.Fatalf("block RUM rows: %d vs %d", len(serial.Diag.BlockRUM), len(par.Diag.BlockRUM))
+	if len(serialTB.rum) != len(parTB.rum) {
+		t.Fatalf("block RUM rows: %d vs %d", len(serialTB.rum), len(parTB.rum))
 	}
-	for i := range serial.Diag.BlockRUM {
-		for fi := range serial.Diag.BlockRUM[i] {
-			if serial.Diag.BlockRUM[i][fi] != par.Diag.BlockRUM[i][fi] {
+	for i := range serialTB.rum {
+		for fi := range serialTB.rum[i] {
+			if serialTB.rum[i][fi] != parTB.rum[i][fi] {
 				t.Fatalf("block %d forecaster %d RUM: %v vs %v (must be bit-identical)",
-					i, fi, serial.Diag.BlockRUM[i][fi], par.Diag.BlockRUM[i][fi])
+					i, fi, serialTB.rum[i][fi], parTB.rum[i][fi])
 			}
 		}
 	}
@@ -90,17 +90,17 @@ func TestTrainWorkerEquivalence(t *testing.T) {
 func TestTrainWorkersDefaultMatchesExplicit(t *testing.T) {
 	apps := mixedFleet(37, 6, 216)
 	cfg0 := testConfig() // Workers: 0
-	a, err := Train(apps, cfg0)
+	a, aTB, err := train(apps, cfg0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg1 := testConfig()
 	cfg1.Workers = 1
-	b, err := Train(apps, cfg1)
+	b, bTB, err := train(apps, cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Diag.BlockRUM, b.Diag.BlockRUM) {
+	if !reflect.DeepEqual(aTB.rum, bTB.rum) {
 		t.Error("Workers=0 and Workers=1 disagree on block RUM")
 	}
 	if !reflect.DeepEqual(a.perGroup, b.perGroup) || a.defaultFC != b.defaultFC {

@@ -48,6 +48,38 @@ func TestForecastIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestForecastIntoZeroAllocMixedLengths pins the pooled-workspace case:
+// one workspace serves apps at the full window and apps whose history is
+// still shorter, so the history length changes from call to call. After
+// one pass over the lengths, no call allocates, including the FFT
+// forecaster's, which keeps the window's Bluestein plan and rebuilds its
+// other plan in place.
+func TestForecastIntoZeroAllocMixedLengths(t *testing.T) {
+	lens := []int{120, 100, 120, 90, 75}
+	hists := make([][]float64, len(lens))
+	for i, n := range lens {
+		hists[i] = allocHistory(n)
+	}
+	for _, fc := range DefaultSet() {
+		t.Run(fc.Name(), func(t *testing.T) {
+			const horizon = 5
+			ws := NewWorkspace()
+			dst := make([]float64, horizon)
+			for _, h := range hists {
+				fc.ForecastInto(h, horizon, dst, ws)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				fc.ForecastInto(hists[i%len(hists)], horizon, dst, ws)
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("%s: %v allocs/op over lengths %v, want 0", fc.Name(), allocs, lens)
+			}
+		})
+	}
+}
+
 // TestForecastIntoZeroAllocDegenerate covers the fallback paths (short
 // history, constant history) — they must be allocation-free too, since
 // real fleets are full of idle apps that hit exactly these branches.

@@ -28,10 +28,10 @@ func NewFFT(harmonics int) *FFT {
 // Name implements Forecaster.
 func (f *FFT) Name() string { return fmt.Sprintf("fft%d", f.harmonics) }
 
-// ForecastInto implements Forecaster. The FFT plan (twiddle and
-// Bluestein chirp tables) is cached per window length, process-wide, and
-// the workspace owns the transform buffers, so repeated forecasts over
-// the same window size skip all plan setup and allocate nothing.
+// ForecastInto implements Forecaster. The workspace owns the transform
+// buffers and Bluestein plans (see mathx.FFTScratch; twiddle tables
+// are process-wide), so repeated forecasts over the same window size skip
+// all plan setup and allocate nothing.
 func (f *FFT) ForecastInto(history []float64, horizon int, dst []float64, ws *Workspace) []float64 {
 	if horizon <= 0 {
 		return nil

@@ -7,9 +7,9 @@ import (
 )
 
 // Workspace holds every scratch buffer the ForecastInto kernels need:
-// cached FFT plans keyed by window length, pooled least-squares matrices
-// for AR/SETAR, the smoothing grid-search state, and the Markov chain
-// buffers. One workspace serves every forecaster; buffers are grown
+// the FFT plans of its longest and latest window lengths, pooled
+// least-squares matrices for AR/SETAR, the smoothing grid-search state,
+// and the Markov chain buffers. One workspace serves every forecaster; buffers are grown
 // lazily and reused across calls, so a warmed workspace makes every
 // forecast allocation-free (alloc_test.go asserts this).
 //
