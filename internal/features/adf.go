@@ -8,7 +8,8 @@
 // -block defaults to 144, well under that minimum, so a served app's
 // linearity feature is a finite-sample statistic rather than the
 // asymptotic test — consistently so between training and serving, which
-// is all the classifier needs.
+// is all the classifier needs. An Extractor owns the scratch its
+// extractions run in and serves one goroutine at a time.
 package features
 
 import (
@@ -39,9 +40,7 @@ type ADFResult struct {
 // observations. A constant series is reported as stationary with a strongly
 // negative sentinel statistic.
 func ADF(series []float64, lags int) ADFResult {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return sc.adfTest(series, lags, isConstant(series))
+	return new(scratch).adfTest(series, lags, isConstant(series))
 }
 
 // adfTest is ADF with the series' constancy precomputed.
@@ -64,7 +63,7 @@ func (sc *scratch) adfTest(series []float64, lags int, constant bool) ADFResult 
 		lags = 0
 	}
 
-	diffs := floats(&sc.diffs, n-1)
+	diffs := resize(&sc.diffs, n-1)
 	for i := 1; i < n; i++ {
 		diffs[i-1] = series[i] - series[i-1]
 	}
@@ -109,7 +108,7 @@ func (sc *scratch) olsWithSE(cols [][]float64, y []float64, j int) (coef, se flo
 	}
 	sigma2 := rss / float64(dof)
 	// (X'X)^{-1}_{jj} via solving X'X z = e_j.
-	z := floats(&sc.unit, k)
+	z := resize(&sc.unit, k)
 	clear(z)
 	z[j] = 1
 	copy(sc.work, sc.xtx)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // BDSResult reports a Broock-Dechert-Scheinkman independence test.
@@ -43,12 +42,11 @@ const BDSCritical5 = 1.96
 // statistic is bit-for-bit unchanged (asserted against a reference
 // implementation in the tests).
 func BDS(series []float64, m int, eps float64) BDSResult {
-	return bdsWithMoments(series, m, eps, computeMoments(series))
+	return new(scratch).bds(series, m, eps, computeMoments(series))
 }
 
-// bdsWithMoments is BDS with the series moments precomputed (the extractor
-// shares one moments pass across kernels; see moments.go).
-func bdsWithMoments(series []float64, m int, eps float64, mom moments) BDSResult {
+// bds is BDS with the series moments precomputed, in sc's buffers.
+func (sc *scratch) bds(series []float64, m int, eps float64, mom moments) BDSResult {
 	n := len(series)
 	if m < 2 {
 		m = 2
@@ -70,11 +68,10 @@ func bdsWithMoments(series []float64, m int, eps float64, mom moments) BDSResult
 	}
 
 	nm := n - m + 1 // points usable at dimension m
-	sc := bdsScratchPool.Get().(*bdsScratch)
-	defer bdsScratchPool.Put(sc)
 	stride := (n + 63) / 64
-	rows := sc.rows(n, stride)
-	deg := sc.degrees(nm)
+	// The sweep below writes every word of rows and every degree once.
+	rows := resize(&sc.words, n*stride)
+	deg := resize(&sc.deg, nm)
 
 	// Sort the points by value (ties in any order: closeness depends only
 	// on the value). idx maps sorted position -> original index.
@@ -82,8 +79,10 @@ func bdsWithMoments(series []float64, m int, eps float64, mom moments) BDSResult
 
 	// Prefix bitsets over sorted order: P_k holds the original indices of
 	// the k smallest values, so any sorted interval [a, b) converts to an
-	// original-index bitset as P_b &^ P_a in stride word ops.
-	prefixes := sc.prefixBits(n, stride)
+	// original-index bitset as P_b &^ P_a in stride word ops. Only the
+	// empty prefix P_0 needs zeroing; each later one is copy-then-set.
+	prefixes := resize(&sc.prefixes, (n+1)*stride)
+	clear(prefixes[:stride])
 	for k := 0; k < n; k++ {
 		src := prefixes[k*stride : (k+1)*stride]
 		dst := prefixes[(k+1)*stride : (k+2)*stride]
@@ -135,7 +134,7 @@ func bdsWithMoments(series []float64, m int, eps float64, mom moments) BDSResult
 	// (i+d, j+d) are close. Bit j of (row[i+d] >> d) is exactly
 	// close(i+d, j+d), so AND-ing the shifted rows and popcounting bits
 	// (i, nm) counts a whole row of pairs per word op.
-	acc := sc.accumulator(stride)
+	acc := resize(&sc.acc, stride)
 	cmCount := 0
 	for i := 0; i < nm; i++ {
 		copy(acc, rows[i*stride:(i+1)*stride])
@@ -229,57 +228,16 @@ func popcountRange(words []uint64, lo, hi int) int {
 	return count
 }
 
-// bdsScratch holds the reusable buffers of one BDS evaluation. Training
-// extracts features for thousands of blocks; pooling the ~64 KB of bitset
-// storage removes the dominant per-block allocation.
-type bdsScratch struct {
-	words    []uint64
-	prefixes []uint64
-	acc      []uint64
-	deg      []int
-	idx      []int
-	vals     []float64
-}
-
-var bdsScratchPool = sync.Pool{New: func() any { return &bdsScratch{} }}
-
-// rows returns storage for n rows of the given word stride. Contents are
-// unspecified: the fill writes every word of every row exactly once.
-func (s *bdsScratch) rows(n, stride int) []uint64 {
-	need := n * stride
-	if cap(s.words) < need {
-		s.words = make([]uint64, need)
-	}
-	s.words = s.words[:need]
-	return s.words
-}
-
-// prefixBits returns storage for the n+1 prefix bitsets. Only the empty
-// prefix P_0 needs zeroing; each later row is copy-then-set in full.
-func (s *bdsScratch) prefixBits(n, stride int) []uint64 {
-	need := (n + 1) * stride
-	if cap(s.prefixes) < need {
-		s.prefixes = make([]uint64, need)
-	}
-	s.prefixes = s.prefixes[:need]
-	clear(s.prefixes[:stride])
-	return s.prefixes
-}
-
 // sorted returns the series' indices in ascending value order alongside the
 // values in that order. Tie order is irrelevant: closeness depends only on
 // the value, never the index, so any permutation of equal values yields the
 // same close sets.
-func (s *bdsScratch) sorted(series []float64) (idx []int, vals []float64) {
-	n := len(series)
-	if cap(s.idx) < n {
-		s.idx = make([]int, n)
+func (sc *scratch) sorted(series []float64) (idx []int, vals []float64) {
+	idx = resize(&sc.idx, len(series))
+	for i := range idx {
+		idx[i] = i
 	}
-	s.idx = s.idx[:n]
-	for i := range s.idx {
-		s.idx[i] = i
-	}
-	slices.SortFunc(s.idx, func(a, b int) int {
+	slices.SortFunc(idx, func(a, b int) int {
 		switch {
 		case series[a] < series[b]:
 			return -1
@@ -288,32 +246,11 @@ func (s *bdsScratch) sorted(series []float64) (idx []int, vals []float64) {
 		}
 		return 0
 	})
-	if cap(s.vals) < n {
-		s.vals = make([]float64, n)
+	vals = resize(&sc.vals, len(series))
+	for k, id := range idx {
+		vals[k] = series[id]
 	}
-	s.vals = s.vals[:n]
-	for k, id := range s.idx {
-		s.vals[k] = series[id]
-	}
-	return s.idx, s.vals
-}
-
-// accumulator returns zeroed storage for one shifted-AND row.
-func (s *bdsScratch) accumulator(stride int) []uint64 {
-	if cap(s.acc) < stride {
-		s.acc = make([]uint64, stride)
-	}
-	return s.acc[:stride]
-}
-
-// degrees returns zeroed degree counters for the C_1 index range.
-func (s *bdsScratch) degrees(nm int) []int {
-	if cap(s.deg) < nm {
-		s.deg = make([]int, nm)
-	}
-	s.deg = s.deg[:nm]
-	clear(s.deg)
-	return s.deg
+	return idx, vals
 }
 
 // LinearityTest prewhitens the series with an AR fit and applies BDS to the
@@ -321,9 +258,7 @@ func (s *bdsScratch) degrees(nm int) []int {
 // that no linear model can capture, steering the classifier toward SETAR or
 // the Markov chain.
 func LinearityTest(series []float64, arLags, bdsDim int) BDSResult {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return sc.linearityTest(series, arLags, bdsDim, isConstant(series))
+	return new(scratch).linearityTest(series, arLags, bdsDim, isConstant(series))
 }
 
 // linearityTest is LinearityTest with the series' constancy precomputed.
@@ -332,7 +267,7 @@ func (sc *scratch) linearityTest(series []float64, arLags, bdsDim int, constant 
 	if res == nil {
 		return BDSResult{Stat: 0, Linear: true}
 	}
-	return BDS(res, bdsDim, 0)
+	return sc.bds(res, bdsDim, 0, computeMoments(res))
 }
 
 // arResiduals fits AR(lags) by least squares and returns the residuals

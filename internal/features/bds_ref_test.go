@@ -156,18 +156,19 @@ func TestBDSBitsetMatchesBoolMatrix(t *testing.T) {
 	}
 }
 
-// TestBDSScratchReuse runs interleaved sizes back-to-back so pooled
-// scratch from a large series is reused for a small one and vice versa —
-// stale bits or degrees would corrupt the counts.
+// TestBDSScratchReuse runs interleaved sizes back-to-back through one
+// scratch, so buffers sized by a large series are reused for a small one
+// and vice versa — stale bits or degrees would corrupt the counts.
 func TestBDSScratchReuse(t *testing.T) {
 	series := bdsTestSeries()
+	sc := &scratch{}
 	order := []string{
 		seriesName("iid", 504), seriesName("ar", 16), seriesName("periodic", 504),
 		seriesName("sparse", 65), seriesName("iid", 504), seriesName("ar", 128),
 	}
 	for round := 0; round < 3; round++ {
 		for _, name := range order {
-			got := BDS(series[name], 2, 0)
+			got := sc.bds(series[name], 2, 0, computeMoments(series[name]))
 			want := bdsBoolMatrix(series[name], 2, 0)
 			if got.Stat != want.Stat {
 				t.Fatalf("round %d %s: stat %v != %v (scratch reuse corrupted state)",
@@ -223,9 +224,10 @@ func benchSeries(n int) []float64 {
 func BenchmarkBDS(b *testing.B) {
 	series := benchSeries(504)
 	b.Run("bitset", func(b *testing.B) {
+		sc, mom := &scratch{}, computeMoments(series)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			BDS(series, 2, 0)
+			sc.bds(series, 2, 0, mom)
 		}
 	})
 	b.Run("boolmatrix", func(b *testing.B) {

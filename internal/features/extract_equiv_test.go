@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -144,7 +145,7 @@ func TestExtractMatchesHead(t *testing.T) {
 			for i := 0; i < perCell; i++ {
 				block := shape.gen(rng, n)
 				what := fmt.Sprintf("%s/%d#%d", shape.name, n, i)
-				sameVector(t, what, block, e.Extract(block, 0), refExtract(e, block, 0))
+				sameVector(t, what, block, e.Extract(block, 0), refExtract(block, 0))
 				blocks++
 
 				// The early returns, counted from the reference's side so
@@ -153,7 +154,7 @@ func TestExtractMatchesHead(t *testing.T) {
 				if n >= 8 && !constant && refADFTest(block, -1, constant).Stat == 0 {
 					singular++
 				}
-				if !constant && refARResiduals(block, e.arLags, constant) == nil {
+				if !constant && refARResiduals(block, ARLags, constant) == nil {
 					shortAR++
 				}
 			}
@@ -202,7 +203,7 @@ func TestKernelsMatchHead(t *testing.T) {
 	}
 	e := NewExtractor()
 	block := blockShapes[0].gen(rng, 144)
-	sameVector(t, "exec-time", block, e.Extract(block, 1.5), refExtract(e, block, 1.5))
+	sameVector(t, "exec-time", block, e.Extract(block, 1.5), refExtract(block, 1.5))
 }
 
 // fuzzBlock decodes 8 bytes per sample. Non-finite samples are skipped,
@@ -239,46 +240,53 @@ func FuzzExtractMatchesHead(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		sameVector(t, "fuzz", block, e.Extract(block, 0), refExtract(e, block, 0))
+		sameVector(t, "fuzz", block, e.Extract(block, 0), refExtract(block, 0))
 	})
 }
 
-// poolDropsItems reports whether sync.Pool is discarding items at random,
-// as it does under the race detector: the pooled scratch is then rebuilt
-// now and again and steady-state allocation counts mean nothing.
-func poolDropsItems() bool {
-	var p sync.Pool
-	for i := 0; i < 64; i++ {
-		x := new(int)
-		p.Put(x)
-		if p.Get() != any(x) {
-			return true
-		}
-	}
-	return false
-}
-
 func TestExtractAllocs(t *testing.T) {
-	if poolDropsItems() {
-		t.Skip("sync.Pool is dropping items (race detector)")
-	}
 	e := NewExtractor()
 	for _, n := range []int{144, 504} {
 		block := benchBlock(n)
-		e.Extract(block, 0) // size the pooled scratch and build the plans
+		e.Extract(block, 0) // size the scratch and build the plans
 		if avg := testing.AllocsPerRun(50, func() { e.Extract(block, 0) }); avg > 2 {
 			t.Errorf("Extract of %d samples: %.1f allocations per call, want at most 2 (the returned Vector)", n, avg)
 		}
 	}
 }
 
-// TestExtractConcurrent runs Extract from 8 goroutines at once, on equal
-// lengths (one shared plan, pooled scratch changing hands) and on distinct
-// ones (plans built concurrently); every result must equal the serial one.
-// Meaningful under -race.
-func TestExtractConcurrent(t *testing.T) {
+// TestExtractAllocsAfterGC checks that an Extractor's scratch is its own:
+// collections in between take none of it, so a warmed Extractor still
+// allocates only the returned Vector. mallocs are read from MemStats, not
+// AllocsPerRun, whose warm-up call would rebuild whatever a collection
+// took. The counter is process-wide and a runtime goroutine may allocate
+// meanwhile, so the fewest of five rounds counts.
+func TestExtractAllocsAfterGC(t *testing.T) {
 	e := NewExtractor()
-	lengths := []int{100, 101, 102, 103, 104, 105, 106, 107} // lengths no other test has planned
+	block := benchBlock(144)
+	e.Extract(block, 0)
+	e.Extract(block, 0)
+	fewest := ^uint64(0)
+	for round := 0; round < 5; round++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Extract(block, 0)
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	if fewest > 2 {
+		t.Errorf("Extract after two collections: %d allocations, want at most 2 (the returned Vector)", fewest)
+	}
+}
+
+// TestExtractConcurrent runs Extract from 8 goroutines at once, each on an
+// Extractor of its own, on equal lengths and on distinct ones: each builds
+// its own plans concurrently over the process-wide radix-2 tables, and
+// every result must equal the serial one. Meaningful under -race.
+func TestExtractConcurrent(t *testing.T) {
+	lengths := []int{100, 101, 102, 103, 104, 105, 106, 107}
 	for _, distinct := range []bool{true, false} {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -289,10 +297,11 @@ func TestExtractConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(g, n int) {
 				defer wg.Done()
+				e := NewExtractor()
 				rng := rand.New(rand.NewSource(int64(g)))
 				for i := 0; i < 20; i++ {
 					block := blockShapes[i%len(blockShapes)].gen(rng, n)
-					sameVector(t, fmt.Sprintf("goroutine %d/%d#%d", g, n, i), block, e.Extract(block, 0), refExtract(e, block, 0))
+					sameVector(t, fmt.Sprintf("goroutine %d/%d#%d", g, n, i), block, e.Extract(block, 0), refExtract(block, 0))
 				}
 			}(g, n)
 		}
@@ -324,21 +333,22 @@ func BenchmarkExtract(b *testing.B) {
 		b.Run(fmt.Sprintf("head%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = refExtract(e, block, 0)[FeatStationarity]
+				benchSink = refExtract(block, 0)[FeatStationarity]
 			}
 		})
 	}
 }
 
-// BenchmarkADF measures the stationarity test alone (Schwert-rule lags),
-// likewise beside HEAD's.
+// BenchmarkADF measures the stationarity test alone (Schwert-rule lags)
+// in a warmed scratch, likewise beside HEAD's.
 func BenchmarkADF(b *testing.B) {
+	sc := &scratch{}
 	for _, n := range []int{144, 504} {
 		block := benchBlock(n)
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = ADF(block, -1).Stat
+				benchSink = sc.adfTest(block, -1, false).Stat
 			}
 		})
 		b.Run(fmt.Sprintf("head%d", n), func(b *testing.B) {

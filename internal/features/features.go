@@ -33,28 +33,24 @@ func (v Vector) Select(names []string) []float64 {
 	return out
 }
 
-// Extractor computes block feature vectors. The zero value is not usable;
-// call NewExtractor.
-type Extractor struct {
-	arLags    int
-	bdsDim    int
-	harmonics int
-}
+// The extractor's settings, the paper's: AR(10) prewhitening for the
+// linearity test, BDS embedding dimension 2, and the top 10 harmonics for
+// periodicity. Callers that memoize extraction results hash them.
+const (
+	ARLags    = 10
+	BDSDim    = 2
+	Harmonics = 10
+)
 
-// NewExtractor returns an extractor with the paper's settings: AR(10)
-// prewhitening for the linearity test, BDS dimension 2, and the top 10
-// harmonics for periodicity.
-func NewExtractor() *Extractor {
-	return &Extractor{arLags: 10, bdsDim: 2, harmonics: 10}
-}
+// Extractor computes block feature vectors in scratch it owns: buffers
+// sized to the longest block it has seen and the FFT plan of its block
+// length, ~43 KB at a 144-value block. Like a forecast.Workspace, an
+// Extractor is not safe for concurrent use: give each goroutine its own.
+// The zero value is ready to use.
+type Extractor struct{ sc scratch }
 
-// Params returns the extractor's kernel settings (AR prewhitening lags, BDS
-// embedding dimension, harmonic count). Callers that memoize extraction
-// results hash these so a future parameterized extractor cannot alias a
-// cached vector computed under different settings.
-func (e *Extractor) Params() (arLags, bdsDim, harmonics int) {
-	return e.arLags, e.bdsDim, e.harmonics
-}
+// NewExtractor returns an empty Extractor.
+func NewExtractor() *Extractor { return &Extractor{} }
 
 // Extract computes the feature vector of one block of average-concurrency
 // values. execSec, when positive, adds the execution-time feature used by
@@ -73,8 +69,7 @@ func (e *Extractor) Params() (arLags, bdsDim, harmonics int) {
 //     concurrency), a popularity proxy (§4.2.2).
 func (e *Extractor) Extract(block []float64, execSec float64) Vector {
 	v := Vector{}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := &e.sc
 
 	// One moments pass serves every kernel: ADF and the linearity test
 	// need the constancy check, density is the running sum.
@@ -83,14 +78,14 @@ func (e *Extractor) Extract(block []float64, execSec float64) Vector {
 	adf := sc.adfTest(block, -1, mom.constant)
 	v[FeatStationarity] = mathx.Clamp(adf.Stat, -10, 10)
 
-	bds := sc.linearityTest(block, e.arLags, e.bdsDim, mom.constant)
+	bds := sc.linearityTest(block, ARLags, BDSDim, mom.constant)
 	abs := bds.Stat
 	if abs < 0 {
 		abs = -abs
 	}
 	v[FeatLinearity] = mathx.Clamp(abs, 0, 20)
 
-	v[FeatHarmonics] = sc.harmonicConcentration(block, e.harmonics, mom.constant)
+	v[FeatHarmonics] = sc.harmonicConcentration(block, Harmonics, mom.constant)
 
 	v[FeatDensity] = mom.sum
 
@@ -104,9 +99,7 @@ func (e *Extractor) Extract(block []float64, execSec float64) Vector {
 // top-k harmonics. A finite number of prominent harmonics — high
 // concentration — indicates a periodic or quasi-periodic block (§4.3.2).
 func HarmonicConcentration(block []float64, k int) float64 {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return sc.harmonicConcentration(block, k, isConstant(block))
+	return new(scratch).harmonicConcentration(block, k, isConstant(block))
 }
 
 // harmonicConcentration is HarmonicConcentration with the block's
@@ -119,7 +112,7 @@ func (sc *scratch) harmonicConcentration(block []float64, k int, constant bool) 
 		return 0
 	}
 	spec := sc.fft.FFTReal(block)
-	amps := floats(&sc.amps, n/2)
+	amps := resize(&sc.amps, n/2)
 	for i := range amps {
 		amps[i] = cmplx.Abs(spec[i+1]) * 2 / float64(n)
 	}

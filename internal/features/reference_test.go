@@ -29,7 +29,7 @@ import (
 //     harmonics, in [0, 1]; near 1 indicates a (quasi-)periodic block.
 //   - density: total traffic volume in the block (sum of average
 //     concurrency), a popularity proxy (§4.2.2).
-func refExtract(e *Extractor, block []float64, execSec float64) Vector {
+func refExtract(block []float64, execSec float64) Vector {
 	v := Vector{}
 
 	// One moments pass serves every kernel: ADF and the linearity test
@@ -40,14 +40,14 @@ func refExtract(e *Extractor, block []float64, execSec float64) Vector {
 	adf := refADFTest(block, -1, mom.constant)
 	v[FeatStationarity] = mathx.Clamp(adf.Stat, -10, 10)
 
-	bds := refLinearityTest(block, e.arLags, e.bdsDim, mom.constant)
+	bds := refLinearityTest(block, ARLags, BDSDim, mom.constant)
 	abs := bds.Stat
 	if abs < 0 {
 		abs = -abs
 	}
 	v[FeatLinearity] = mathx.Clamp(abs, 0, 20)
 
-	v[FeatHarmonics] = refHarmonicConcentration(block, e.harmonics, mom.constant)
+	v[FeatHarmonics] = refHarmonicConcentration(block, Harmonics, mom.constant)
 
 	v[FeatDensity] = mom.sum
 

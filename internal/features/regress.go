@@ -1,10 +1,6 @@
 package features
 
-import (
-	"sync"
-
-	"github.com/ubc-cirrus-lab/femux-go/internal/mathx"
-)
+import "github.com/ubc-cirrus-lab/femux-go/internal/mathx"
 
 // The two regressions behind Extract — the ADF test's and the linearity
 // test's AR prewhitening — fit lagged copies of one series, so every
@@ -20,8 +16,9 @@ import (
 // that starts at +0 is never -0. A column holding an infinity — first
 // differences of finite values beyond ±8.9e307 — is outside the contract.
 
-// scratch holds the mutable buffers of one Extract, and its FFT scratch
-// the Bluestein plan of the block length, built once per pooled scratch.
+// scratch holds the mutable buffers of an Extractor, sized to the longest
+// block it has seen, and its FFT scratch the Bluestein plan of the block
+// length.
 type scratch struct {
 	diffs []float64   // first differences (ADF)
 	ones  []float64   // the intercept column, all 1
@@ -34,14 +31,18 @@ type scratch struct {
 	fit   []float64   // fitted values, then AR residuals
 	amps  []float64   // harmonic amplitudes
 	fft   mathx.FFTScratch
+
+	// BDS: the closeness rows and prefix bitsets (~64 KB at 504 points),
+	// one shifted-AND row, the degrees, and the points in value order.
+	words, prefixes, acc []uint64
+	deg, idx             []int
+	vals                 []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
-
-// floats resizes *buf to n (contents unspecified) and returns it.
-func floats(buf *[]float64, n int) []float64 {
+// resize resizes *buf to n (contents unspecified) and returns it.
+func resize[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -81,13 +82,13 @@ func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 // a further solve against it.
 func (s *scratch) solveOLS(cols [][]float64, y []float64) (beta []float64, ok bool) {
 	k := len(cols)
-	xtx := floats(&s.xtx, k*k)
-	beta = floats(&s.beta, k)
+	xtx := resize(&s.xtx, k*k)
+	beta = resize(&s.beta, k)
 	// Row a of the upper triangle and X'y[a], four cells per pass: the
 	// response rides along as column k, and a short last group repeats it
 	// into row's spare slots rather than run a slower one-chain loop.
 	all := append(cols, y)
-	row := floats(&s.row, k+4)
+	row := resize(&s.row, k+4)
 	for a, ca := range cols {
 		for b := a; b <= k; b += 4 {
 			row[b], row[b+1], row[b+2], row[b+3] = dot4(ca, all[b], all[min(b+1, k)], all[min(b+2, k)], all[min(b+3, k)])
@@ -102,7 +103,7 @@ func (s *scratch) solveOLS(cols [][]float64, y []float64) (beta []float64, ok bo
 			xtx[b*k+a] = xtx[a*k+b]
 		}
 	}
-	copy(floats(&s.work, k*k), xtx)
+	copy(resize(&s.work, k*k), xtx)
 	if mathx.SolveLinearFlat(s.work, beta, k) != nil {
 		return nil, false
 	}
@@ -113,7 +114,7 @@ func (s *scratch) solveOLS(cols [][]float64, y []float64) (beta []float64, ok bo
 // summed from zero in ascending column order, as mathx.Dot over a
 // materialised row would.
 func (s *scratch) fitted(cols [][]float64, beta []float64, rows int) []float64 {
-	fit := floats(&s.fit, rows)
+	fit := resize(&s.fit, rows)
 	clear(fit)
 	for c, col := range cols {
 		bc := beta[c]

@@ -110,10 +110,9 @@ func cachedExtract(c *memo.Cache, ext *features.Extractor, block []float64, exec
 		return ext.Extract(block, execFeat)
 	}
 	h := memo.NewHasher(domExtract)
-	ar, bd, hk := ext.Params()
-	h.Int(int64(ar))
-	h.Int(int64(bd))
-	h.Int(int64(hk))
+	h.Int(features.ARLags)
+	h.Int(features.BDSDim)
+	h.Int(features.Harmonics)
 	h.Floats(block)
 	h.Float(execFeat)
 	return memo.Do(c, h.Sum(), func() features.Vector {
@@ -143,10 +142,9 @@ func (m *Model) evalFingerprint() (memo.Key, bool) {
 		names[i] = fc.Name()
 	}
 	h.Strings(names)
-	ar, bd, hk := m.extractor.Params()
-	h.Int(int64(ar))
-	h.Int(int64(bd))
-	h.Int(int64(hk))
+	h.Int(features.ARLags)
+	h.Int(features.BDSDim)
+	h.Int(features.Harmonics)
 	h.Floats(m.scaler.Mean)
 	h.Floats(m.scaler.Scale)
 	h.Int(int64(len(m.kmeans.Centroids)))

@@ -93,7 +93,6 @@ type Model struct {
 	defaultFC string   // forecaster for apps without a completed block
 	fcIndex   []int    // see index
 	fcNames   []string // cfg.Forecasters[i].Name(), formatted once
-	extractor *features.Extractor
 
 	// Diagnostics from training.
 	Diag Diagnostics
@@ -152,7 +151,6 @@ func train(apps []TrainApp, cfg Config) (*Model, blockTables, error) {
 		cfg.K = 8
 	}
 
-	ext := features.NewExtractor()
 	nf := len(cfg.Forecasters)
 	workers := parallel.Workers(cfg.Workers)
 
@@ -197,8 +195,10 @@ func train(apps []TrainApp, cfg Config) (*Model, blockTables, error) {
 		perForecaster[ui][fi] = cachedBlockSamples(cfg.Cache, appKeys[ui], units[ui].app, cfg.Forecasters[fi], cfg)
 	})
 
-	// Sweep 2: per-block feature extraction and RUM scoring, fanned out
-	// over global block indices. unitOf[i] locates block i's unit.
+	// Sweep 2: per-block feature extraction and RUM scoring over global
+	// block indices. unitOf[i] locates block i's unit. Every block is the
+	// same length, so worker w takes every ew-th block, all with one
+	// Extractor.
 	unitOf := make([]int, nBlocks)
 	for ui, u := range units {
 		for bi := range u.blocks {
@@ -208,20 +208,24 @@ func train(apps []TrainApp, cfg Config) (*Model, blockTables, error) {
 	rows := make([][]float64, nBlocks)
 	rumByBlock := make([][]float64, nBlocks) // rumByBlock[i][f]: RUM of forecaster f on block i
 	execFeature := hasExecFeature(cfg.Features)
-	parallel.ForEach(workers, nBlocks, func(i int) {
-		u := units[unitOf[i]]
-		bi := i - u.row0
-		execFeat := 0.0
-		if execFeature {
-			execFeat = u.app.ExecSec
+	ew := min(workers, nBlocks)
+	parallel.ForEach(ew, ew, func(w int) {
+		ext := features.NewExtractor()
+		for i := w; i < nBlocks; i += ew {
+			u := units[unitOf[i]]
+			bi := i - u.row0
+			execFeat := 0.0
+			if execFeature {
+				execFeat = u.app.ExecSec
+			}
+			vec := cachedExtract(cfg.Cache, ext, u.blocks[bi].Values, execFeat)
+			rows[i] = vec.Select(cfg.Features)
+			scores := make([]float64, nf)
+			for fi := 0; fi < nf; fi++ {
+				scores[fi] = cfg.Metric.Eval(perForecaster[unitOf[i]][fi][bi])
+			}
+			rumByBlock[i] = scores
 		}
-		vec := cachedExtract(cfg.Cache, ext, u.blocks[bi].Values, execFeat)
-		rows[i] = vec.Select(cfg.Features)
-		scores := make([]float64, nf)
-		for fi := 0; fi < nf; fi++ {
-			scores[fi] = cfg.Metric.Eval(perForecaster[unitOf[i]][fi][bi])
-		}
-		rumByBlock[i] = scores
 	})
 
 	// Serial reduction in block-index order: float summation order is
@@ -239,7 +243,7 @@ func train(apps []TrainApp, cfg Config) (*Model, blockTables, error) {
 	}
 	scaled := scaler.TransformAll(rows)
 
-	m := &Model{cfg: cfg, scaler: scaler, extractor: ext}
+	m := &Model{cfg: cfg, scaler: scaler}
 	m.Diag.Blocks = len(rows)
 	m.Diag.ForecasterWins = map[string]int{}
 	for _, scores := range rumByBlock {

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/cluster"
-	"github.com/ubc-cirrus-lab/femux-go/internal/features"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
 	"github.com/ubc-cirrus-lab/femux-go/internal/sim"
@@ -153,7 +152,6 @@ func Load(r io.Reader, extra ...forecast.Forecaster) (*Model, error) {
 		kmeans:    &cluster.KMeans{Centroids: mj.Centroids},
 		perGroup:  mj.PerGroup,
 		defaultFC: mj.DefaultFC,
-		extractor: features.NewExtractor(),
 	}
 	m.Diag.Clusters = len(mj.PerGroup)
 	m.Diag.GroupForecaster = append([]string(nil), mj.PerGroup...)

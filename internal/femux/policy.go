@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"github.com/ubc-cirrus-lab/femux-go/internal/features"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
 	"github.com/ubc-cirrus-lab/femux-go/internal/parallel"
 	"github.com/ubc-cirrus-lab/femux-go/internal/rum"
@@ -151,7 +152,9 @@ func (p *AppPolicy) Decide(tail []float64, n, unitConcurrency int, level float64
 // cfg.Forecasters, and whether it extracted features to get there — the
 // shared front half of every Target and Forecast variant. tail ends an
 // n-observation history (see Decide); n = 0 completes no block, so it
-// only reads.
+// only reads. An extraction runs in an Extractor of its own, garbage when
+// the call returns: a block completes once per BlockSize observations, so
+// no scratch is kept between them.
 func (p *AppPolicy) currentFor(tail []float64, n int) (cur int, extracted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -163,7 +166,7 @@ func (p *AppPolicy) currentFor(tail []float64, n int) (cur int, extracted bool) 
 		if hasExecFeature(p.model.cfg.Features) {
 			execFeat = p.execSec
 		}
-		vec := p.model.extractor.Extract(tail[start:start+bs], execFeat)
+		vec := features.NewExtractor().Extract(tail[start:start+bs], execFeat)
 		p.assign(p.model.Classify(vec), completed)
 	}
 	return p.cur, extracted

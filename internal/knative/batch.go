@@ -145,7 +145,6 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 			msg, owner := s.foreign(obs.App)
 			if msg == "" {
 				byName = append(byName, i)
-				durable = append(durable, store.Observation{App: obs.App, Concurrency: obs.Concurrency})
 				continue
 			}
 			o := owner // escapes: declared only on this path
@@ -171,6 +170,13 @@ func (s *Service) observe(items []BatchObservation, results []BatchItemResult) (
 	for j := len(byName) - 2; j >= 0; j-- {
 		if i, next := byName[j], byName[j+1]; held[i] == held[next] {
 			later[i] = later[next] + 1
+		}
+	}
+	// Under the entries' names: a new app's store record shares its
+	// entry's copy of the name.
+	for i, a := range held {
+		if a != nil {
+			durable = append(durable, store.Observation{App: a.name, Concurrency: items[i].Concurrency})
 		}
 	}
 	if err = s.st.AppendBatch(durable); err != nil {

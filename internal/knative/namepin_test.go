@@ -10,12 +10,13 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
-// TestAppNamesPinNoRequest creates an app by an HTTP observe, then pages
-// it out and restores it by another. The name a handler reads is a
-// substring of its request's URL; after each observe, neither the hot
-// tier's key and entry name nor the store's key may point into that
-// request's bytes, which the app would keep alive for as long as it
-// lives.
+// TestAppNamesPinNoRequest creates an app by an HTTP observe, then
+// restores it by another, once from the warm tier and once from its page.
+// The name a handler reads is a substring of its request's URL; after
+// each observe, neither the hot tier's key and entry name nor the store's
+// key may point into that request's bytes, which the app would keep alive
+// for as long as it lives, and the hot tier must share the store's key
+// rather than keep a copy of its own.
 func TestAppNamesPinNoRequest(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, CompactEvery: -1})
 	if err != nil {
@@ -41,13 +42,6 @@ func TestAppNamesPinNoRequest(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: observe answered %d: %s", when, rec.Code, rec.Body)
 		}
-		svc.tier.mu.Lock()
-		for key, a := range svc.tier.apps {
-			if within(key, target) || within(a.name, target) {
-				t.Errorf("%s: the hot tier's name of %q points into the request", when, key)
-			}
-		}
-		svc.tier.mu.Unlock()
 		names := st.AppNames() // the store's own keys, not copies
 		if len(names) != 1 {
 			t.Fatalf("%s: the store holds %q", when, names)
@@ -55,8 +49,21 @@ func TestAppNamesPinNoRequest(t *testing.T) {
 		if within(names[0], target) {
 			t.Errorf("%s: the store's key of %q points into the request", when, names[0])
 		}
+		stored := unsafe.StringData(names[0])
+		svc.tier.mu.Lock()
+		for key, a := range svc.tier.apps {
+			if within(key, target) || within(a.name, target) {
+				t.Errorf("%s: the hot tier's name of %q points into the request", when, key)
+			}
+			if unsafe.StringData(key) != stored || unsafe.StringData(a.name) != stored {
+				t.Errorf("%s: the hot tier keeps a copy of %q apart from the store's key", when, key)
+			}
+		}
+		svc.tier.mu.Unlock()
 	}
 	observe("created")
+	svc.dropCached(app)
+	observe("restored from the warm tier")
 	svc.dropCached(app)
 	if err := st.PageOut(app); err != nil {
 		t.Fatal(err)

@@ -437,21 +437,19 @@ type QuantileBand struct {
 // a genuinely new app starts empty, a demoted one takes its count and memo
 // (it may page the app in from disk). Its ring starts empty and awaiting a
 // refill, so the first call reads from the store exactly the values its
-// policy needs.
-func (s *Service) restore(a *svcApp) {
+// policy needs. It returns the store's key of a known app, "" for a new
+// one.
+func (s *Service) restore(a *svcApp) (key string) {
 	start := time.Now()
 	m := s.live.Load()
-	n, memo, paged, ok := s.st.RestoreMemo(a.name)
+	key, n, memo, paged, ok := s.st.RestoreMemo(a.name)
 	var resumed bool
 	a.policy, resumed = policyFor(m.model, memoGen(m.version), memo, n)
 	a.n, a.version = n, m.version
 	a.refill(nil)
-	if !ok {
-		return
-	}
 	sm := s.metrics.Load()
-	if sm == nil {
-		return
+	if !ok || sm == nil {
+		return key
 	}
 	from := "warm"
 	if paged {
@@ -462,6 +460,7 @@ func (s *Service) restore(a *svcApp) {
 	if resumed {
 		sm.Classifications.Inc("resumed")
 	}
+	return key
 }
 
 // foreign reports, for an app another shard owns, why this instance

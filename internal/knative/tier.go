@@ -107,14 +107,22 @@ func (s *Service) acquire(name string) *svcApp {
 	a := t.apps[name]
 	if a == nil {
 		// A copy: name may be a substring of the request line, which the
-		// entry would pin for as long as it lives.
+		// entry would pin for as long as it lives. A new app's store
+		// record takes this copy (observe appends under a.name), and a
+		// restored app's entry takes the store's key instead.
 		name = strings.Clone(name)
 		a = &svcApp{name: name, pins: 1}
 		a.mu.Lock() // before a is published: requests for name wait on it
 		t.apps[name] = a
 		t.pushFront(a)
 		t.mu.Unlock()
-		s.restore(a)
+		if key := s.restore(a); key != "" {
+			t.mu.Lock()
+			delete(t.apps, name) // so that the assignment stores key as the key
+			a.name = key
+			t.apps[key] = a
+			t.mu.Unlock()
+		}
 		return a
 	}
 	t.moveToFront(a)

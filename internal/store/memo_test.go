@@ -33,7 +33,7 @@ func TestMemoLifecycle(t *testing.T) {
 	memo := Memo{Len: 10, Gen: 7, Group: 2}
 	memoOf := func(app string) Memo {
 		t.Helper()
-		_, m, _, ok := s.RestoreMemo(app)
+		_, _, m, _, ok := s.RestoreMemo(app)
 		if !ok {
 			t.Fatalf("%s: restore found no such app", app)
 		}
@@ -65,7 +65,7 @@ func TestMemoLifecycle(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, m, paged, _ := s.RestoreMemo(a); !paged || m != memo {
+	if _, _, m, paged, _ := s.RestoreMemo(a); !paged || m != memo {
 		t.Fatalf("page-in: paged=%v memo %+v", paged, m)
 	}
 	expect("after page-out, compaction and page-in", a, memo)

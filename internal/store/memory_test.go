@@ -92,7 +92,7 @@ func testBackendConformance(t *testing.T) {
 			each("SetMemo", func(s *Store) error { s.SetMemo(app, m); return nil })
 		case r < 76:
 			same(when+": RestoreMemo", func(s *Store) any {
-				n, memo, _, ok := s.RestoreMemo(app) // paged is the one answer that may differ
+				_, n, memo, _, ok := s.RestoreMemo(app) // paged is the one answer that may differ
 				return restored{n, float64Bits(s.Window(app)), memo, ok}
 			})
 		case r < 86:
@@ -114,7 +114,7 @@ func testBackendConformance(t *testing.T) {
 		same(app+": Window", func(s *Store) any { return float64Bits(s.Window(app)) })
 		same(app+": final state", func(s *Store) any {
 			win, total, ok := s.exportApp(app)
-			_, memo, _, _ := s.RestoreMemo(app)
+			_, _, memo, _, _ := s.RestoreMemo(app)
 			return []any{float64Bits(win), total, ok, memo}
 		})
 	}

@@ -631,7 +631,7 @@ func TestColdRestoreAllocations(t *testing.T) {
 		t.Fatalf("a cold restore of 300 values made %d allocations, want at most 6", got)
 	}
 	countOnly := func() {
-		if n, _, paged, _ := s.RestoreMemo("a"); n != 300 {
+		if _, n, _, paged, _ := s.RestoreMemo("a"); n != 300 {
 			t.Fatalf("RestoreMemo: paged=%v n=%d", paged, n)
 		}
 	}

@@ -113,10 +113,11 @@ type Stats struct {
 // windows backed by the segmented WAL and periodic snapshots. Every app
 // is in exactly one of two tiers: the warm map holds the apps whose
 // compact window is in memory, the cold table the stubs of those paged
-// to disk. A page-out moves an app from warm to cold, a page-in back. No
-// key of either points into a caller's buffer: a new app is keyed by a
-// copy of its name, and a page-in by the cold table's copy. All methods
-// are safe for concurrent use.
+// to disk. A page-out moves an app from warm to cold, a page-in back. A
+// new app is keyed by the name AppendBatch is given, a page-in by the
+// cold table's copy, and RestoreMemo hands the key to its caller, so one
+// copy of a name serves the store and the service. All methods are safe
+// for concurrent use.
 type Store struct {
 	mu       sync.Mutex
 	dev      device
@@ -338,13 +339,11 @@ func (s *Store) applyPayloadLocked(p []byte) error {
 }
 
 // apply folds one observation into the in-memory state, transparently
-// paging a cold app back in first.
+// paging a cold app back in first. A new app is keyed by obs.App itself.
 func (s *Store) apply(obs Observation) {
 	st := s.warm[obs.App]
 	if st == nil {
-		// A copy: obs.App may be a substring of a buffer the caller is
-		// done with, such as a request.
-		st = s.admit(strings.Clone(obs.App))
+		st = s.admit(obs.App)
 	}
 	s.appendTo(st, obs.Concurrency)
 }
@@ -518,6 +517,9 @@ func (s *Store) Append(app string, concurrency float64) error {
 // acknowledged. An error means none of the batch was applied in memory;
 // a crash immediately after a failed batch write may still replay a
 // prefix of it, which restore treats like any other observation.
+// The store keeps a new app's name as given, with its bytes: pass a name
+// that holds no more than itself, not a substring of a request (the
+// service passes its hot-tier entry's own copy, so both share one).
 func (s *Store) AppendBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -567,10 +569,10 @@ func (s *Store) Windows() map[string][]float64 {
 }
 
 // RestoreWindow returns one app's window, paging a cold app back in (it
-// becomes warm). paged reports whether a disk read happened; ok is false
-// for unknown apps.
+// becomes warm) and keying it as RestoreMemo does. paged reports whether
+// a disk read happened; ok is false for unknown apps.
 func (s *Store) RestoreWindow(app string) (win []float64, paged bool, ok bool) {
-	win, _, _, paged, ok = s.restore(app, cwValues)
+	win, _, _, _, paged, ok = s.restore(app, cwValues)
 	return win, paged, ok
 }
 
@@ -587,15 +589,19 @@ func (s *Store) SetMemo(app string, m Memo) {
 
 // RestoreMemo is the lazy serving-state restore: one app's count and
 // Memo, paging a cold app back in (it becomes warm) without decoding a
-// value. The values a restored app reads come from Recent.
-func (s *Store) RestoreMemo(app string) (n int, m Memo, paged, ok bool) {
-	_, n, m, paged, ok = s.restore(app, 0)
-	return n, m, paged, ok
+// value. The values a restored app reads come from Recent. key is the
+// name the store keys the app by, for the caller to keep instead of a
+// copy of its own (see restore).
+func (s *Store) RestoreMemo(app string) (key string, n int, m Memo, paged, ok bool) {
+	_, key, n, m, paged, ok = s.restore(app, 0)
+	return key, n, m, paged, ok
 }
 
-// restore promotes app to the warm tier and reports its window length and
-// Memo, and its values if mode has cwValues.
-func (s *Store) restore(app string, mode cwMode) (win []float64, n int, m Memo, paged, ok bool) {
+// restore promotes app to the warm tier and reports the name it keys the
+// app by, its window length and Memo, and its values if mode has
+// cwValues. The key is the cold table's copy of the name for an app that
+// has been cold; any other app is keyed by app from then on.
+func (s *Store) restore(app string, mode cwMode) (win []float64, key string, n int, m Memo, paged, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.warm[app]
@@ -603,7 +609,17 @@ func (s *Store) restore(app string, mode cwMode) (win []float64, n int, m Memo, 
 		// A page-in decodes any values asked for in the same walk that
 		// rebuilds the window.
 		if st, win = s.pageInLocked(app, mode); st == nil {
-			return nil, 0, Memo{}, false, false
+			return nil, "", 0, Memo{}, false, false
+		}
+	}
+	if e, _ := s.cold.find(app); e != nil {
+		key = s.cold.name(e) // what a page-in keys the app by
+	} else {
+		key = app
+		delete(s.warm, app) // so that the assignment stores app as the key
+		s.warm[app] = st
+		if s.opt.InlineBudget > 0 {
+			s.clock[st.clock].app = app
 		}
 	}
 	if win == nil && mode&cwValues != 0 {
@@ -614,7 +630,7 @@ func (s *Store) restore(app string, mode cwMode) (win []float64, n int, m Memo, 
 	// legitimately re-demote this very app (tiny budgets), which leaves st
 	// and the window we are about to hand to the caller as they are.
 	s.enforceInlineBudgetLocked()
-	return win, st.cw.Len(), st.memo(), paged, true
+	return win, key, st.cw.Len(), st.memo(), paged, true
 }
 
 // Recent is CompactWindow.Recent over app's window, read from its page

@@ -85,8 +85,8 @@ func testTierSplit(t *testing.T, seed int64) {
 			}
 		case r < 63:
 			when = "RestoreMemo(" + app + ")"
-			n, m, _, ok := s.RestoreMemo(app)
-			cn, cm, _, cok := ctl.RestoreMemo(app)
+			_, n, m, _, ok := s.RestoreMemo(app)
+			_, cn, cm, _, cok := ctl.RestoreMemo(app)
 			if n != cn || m != cm || ok != cok {
 				t.Fatalf("%s: %d values, memo %+v, ok %v; control %d, %+v, %v", when, n, m, ok, cn, cm, cok)
 			}
