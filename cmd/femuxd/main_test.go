@@ -657,7 +657,10 @@ func TestObserveReplyMatchesStore(t *testing.T) {
 	if refused > 0 {
 		t.Errorf("%d of %d observes were not answered 200", refused, clients*perClient)
 	}
-	stored := st.Windows()
+	stored := make(map[string][]float64)
+	for _, app := range st.AppNames() {
+		stored[app] = st.Window(app)
+	}
 	for _, app := range apps {
 		got, want := stored[app], acked[app]
 		slices.Sort(got)

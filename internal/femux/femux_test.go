@@ -214,15 +214,9 @@ func TestFeMuxSwitchesForecasters(t *testing.T) {
 		t.Error("no forecaster recorded")
 	}
 	// Blocks completed: 4; classification must have run.
-	if got := pBlocksSeen(p); got != 4 {
+	if got := p.blocksSeen; got != 4 {
 		t.Errorf("blocks seen = %d, want 4", got)
 	}
-}
-
-func pBlocksSeen(p *AppPolicy) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.blocksSeen
 }
 
 func TestAppPolicyForecastAndName(t *testing.T) {

@@ -2,7 +2,6 @@ package femux
 
 import (
 	"math/bits"
-	"sync"
 
 	"github.com/ubc-cirrus-lab/femux-go/internal/features"
 	"github.com/ubc-cirrus-lab/femux-go/internal/forecast"
@@ -15,13 +14,13 @@ import (
 // completion, re-classifies on each completed block, and forecasts with the
 // currently assigned forecaster. One AppPolicy serves exactly one
 // application (matching the paper's one-thread-per-app deployment, §5.2);
-// it implements sim.Policy for simulator integration and is safe for
-// concurrent use.
+// it implements sim.Policy for simulator integration. It is not safe for
+// concurrent use: its caller serializes calls (the service holds the
+// app's lock around each one).
 type AppPolicy struct {
 	model   *Model
 	execSec float64
 
-	mu         sync.Mutex
 	cur, group int // the forecaster in use, as an index into cfg.Forecasters; its cluster group
 	blocksSeen int
 	switches   int
@@ -55,13 +54,10 @@ func (m *Model) ResumeAppPolicy(execSec float64, n, group int) (p *AppPolicy, re
 // whether p is up to date for an n-observation history: the next call on
 // it extracts nothing, and ResumeAppPolicy(execSec, n, group) rebuilds p.
 func (p *AppPolicy) Classified(n int) (group int, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.group, n/p.model.cfg.BlockSize == p.blocksSeen
 }
 
-// assign installs the forecaster of a newly classified block. Caller
-// holds p.mu (or owns p exclusively).
+// assign installs the forecaster of a newly classified block.
 func (p *AppPolicy) assign(group, completed int) {
 	i := p.model.forecasterOf(group)
 	if i != p.cur {
@@ -76,9 +72,7 @@ func (p *AppPolicy) Name() string { return "femux-" + p.model.cfg.Metric.Name() 
 
 // Target implements sim.Policy: it re-classifies when a new block has
 // completed, then provisions for the peak of the assigned forecaster's
-// point forecast over the horizon. The workspace (not the policy) carries
-// all forecast scratch state, so concurrent calls remain safe as long as
-// each caller supplies its own workspace.
+// point forecast over the horizon, with forecast scratch state in ws.
 func (p *AppPolicy) Target(history []float64, unitConcurrency int, ws *forecast.Workspace) int {
 	return p.TargetQuantilesWS(history, unitConcurrency, 0, ws)
 }
@@ -97,8 +91,6 @@ func (p *AppPolicy) TargetQuantilesWS(history []float64, unitConcurrency int, le
 // view = history[n-k:]. No block is due before the history holds due
 // values.
 func (p *AppPolicy) Reads(n int) (k, lookback, due int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	bs, w := p.model.cfg.BlockSize, p.model.cfg.Window
 	lookback = forecast.Lookback(p.model.cfg.Forecasters[p.cur], w)
 	if k = min(n, lookback); n/bs > p.blocksSeen {
@@ -134,11 +126,10 @@ func (p *AppPolicy) Model() *Model { return p.model }
 // returns the target of the assigned forecaster's sim.ForecastPolicy over
 // the model's window and horizon, with no headroom and at the given
 // quantile level (0: the point forecast), the name of that forecaster,
-// and whether this call extracted features — all from one hold of the
-// policy lock. tail holds at least the last Reads(n) values of the app's
-// n-observation history; a shorter one (a capped store that no longer
-// holds a due block) leaves the block unclassified, to be tried again on
-// the next call.
+// and whether this call extracted features. tail holds at least the last
+// Reads(n) values of the app's n-observation history; a shorter one (a
+// capped store that no longer holds a due block) leaves the block
+// unclassified, to be tried again on the next call.
 func (p *AppPolicy) Decide(tail []float64, n, unitConcurrency int, level float64, ws *forecast.Workspace) (target int, forecaster string, extracted bool) {
 	cur, extracted := p.currentFor(tail, n)
 	cfg := &p.model.cfg
@@ -156,8 +147,6 @@ func (p *AppPolicy) Decide(tail []float64, n, unitConcurrency int, level float64
 // the call returns: a block completes once per BlockSize observations, so
 // no scratch is kept between them.
 func (p *AppPolicy) currentFor(tail []float64, n int) (cur int, extracted bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	bs := p.model.cfg.BlockSize
 	completed := n / bs
 	start := (completed-1)*bs - (n - len(tail)) // the block's offset in tail
@@ -204,15 +193,11 @@ func (p *AppPolicy) CurrentForecaster() string {
 
 // Switches returns how many times the policy changed forecasters.
 func (p *AppPolicy) Switches() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.switches
 }
 
 // ForecastersUsed returns the distinct forecasters this app has used.
 func (p *AppPolicy) ForecastersUsed() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return bits.OnesCount64(p.used)
 }
 

@@ -2,6 +2,7 @@ package knative
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"slices"
@@ -228,7 +229,7 @@ func batchSizeOK(w http.ResponseWriter, n int) bool {
 // ObserveBatch posts a batch of observations through the real REST path
 // (used by knative-emu's scalability study and tests).
 func (p *HTTPProvider) ObserveBatch(items []BatchObservation) (*BatchObserveResponse, error) {
-	body, err := marshalWire(&BatchObserveRequest{Observations: items})
+	body, err := json.Marshal(&BatchObserveRequest{Observations: items})
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +247,7 @@ func (p *HTTPProvider) ObserveBatch(items []BatchObservation) (*BatchObserveResp
 		return nil, fmt.Errorf("batch observe: HTTP %d", resp.StatusCode)
 	}
 	var out BatchObserveResponse
-	if err := decodeWire(resp.Body, &out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -189,7 +189,8 @@ func (rt *ShardRouter) splitBatch(w http.ResponseWriter, r *http.Request) {
 		items = make([]routedItem, len(req.Observations))
 		for i := range req.Observations {
 			obs, start := &req.Observations[i], len(doc.b)
-			doc.putItem(obs)
+			b, _ := json.Marshal(obs) // cannot fail: no NaN decodes
+			doc.b = append(doc.b, b...)
 			items[i] = routedItem{start, len(doc.b), store.ShardOf(obs.App, n)}
 		}
 	}

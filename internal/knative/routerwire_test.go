@@ -147,7 +147,7 @@ func checkScanRouted(t *testing.T, data []byte) {
 
 func TestScanRoutedMatchesScanWire(t *testing.T) {
 	req, _ := wireBenchBatch(16)
-	doc, err := marshalWire(req)
+	doc, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRouterSplitAllocs(t *testing.T) {
 	}
 	const n, shards = 64, 2
 	req, _ := wireBenchBatch(n)
-	body, err := marshalWire(req)
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestRouterSplitAllocs(t *testing.T) {
 			}
 		}
 		_, resp := wireBenchBatch(len(subs[s].Observations))
-		reply, err := marshalWire(resp)
+		reply, err := json.Marshal(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestRouterSplitAllocs(t *testing.T) {
 
 	subBodies := make([][]byte, shards)
 	for s, sub := range subs {
-		if subBodies[s], err = marshalWire(sub); err != nil {
+		if subBodies[s], err = json.Marshal(sub); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,7 +394,7 @@ func BenchmarkShardRouterBatch(b *testing.B) {
 	}
 	router := rt.Handler()
 	req, _ := wireBenchBatch(64)
-	body, err := marshalWire(req)
+	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -666,7 +666,7 @@ func parseQuantileLevels(raw string) ([]float64, bool) {
 
 // decodeBody decodes r's body, capped at limit bytes, into m. On failure
 // it has answered 413 or 400 and reports false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, m wireMessage) bool {
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, m wireRequest) bool {
 	return bodyOK(w, decodeWire(http.MaxBytesReader(w, r.Body, limit), m))
 }
 
@@ -686,13 +686,13 @@ func bodyOK(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// writeJSON answers 200 with v as a JSON document: the four hot messages
+// writeJSON answers 200 with v as a JSON document: the two hot replies
 // through the wire codec, everything else through encoding/json.
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	// A failed write means the client is gone; headers are already sent
 	// and there is nothing more to do.
-	if m, ok := v.(wireMessage); ok {
+	if m, ok := v.(wireReply); ok {
 		_ = encodeWire(w, m)
 		return
 	}
@@ -712,7 +712,7 @@ type HTTPProvider struct {
 
 // Target implements sim.ScaleProvider.
 func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int) (int, bool) {
-	body, err := marshalWire(&ObserveRequest{Concurrency: minuteAvg, UnitConcurrency: unitConcurrency})
+	body, err := json.Marshal(&ObserveRequest{Concurrency: minuteAvg, UnitConcurrency: unitConcurrency})
 	if err != nil {
 		return 0, false
 	}
@@ -730,7 +730,7 @@ func (p *HTTPProvider) Target(app string, minuteAvg float64, unitConcurrency int
 		return 0, false
 	}
 	var tr TargetResponse
-	if err := decodeWire(resp.Body, &tr); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		return 0, false
 	}
 	return tr.Target, true

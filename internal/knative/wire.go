@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,26 +11,38 @@ import (
 	"github.com/ubc-cirrus-lab/femux-go/internal/store"
 )
 
-// The wire codec for the four fixed-shape hot messages — ObserveRequest,
-// TargetResponse, BatchObserveRequest, BatchObserveResponse. A batch of 64
+// The server's wire codec: it reads the two requests a service takes,
+// ObserveRequest and BatchObserveRequest, and writes the two replies it
+// gives, TargetResponse and BatchObserveResponse; scanRouted and scanReply
+// are the router's passes over a batch and a shard's reply. Each half
+// stays for a gate that measures it: the single-request pair for
+// hot_observe and TestObserveHandlerAllocs, the batch pair and the
+// router's passes for routed_batch and TestWireCodecAllocs. A batch of 64
 // observations costs well under a microsecond each of policy and WAL work,
 // so reflecting every one through encoding/json on the way into the router,
 // into the shard, out of the shard and out of the router was most of the
-// request. The router now decodes nothing: scanRouted and scanReply record
+// request. The router decodes nothing: scanRouted and scanReply record
 // where each item lies and it forwards those bytes, so an item is parsed
-// at its shard alone. The codec is deliberately narrow: it recognises only
-// the canonical shape — the known lower-case keys, at most once each,
-// strings of plain ASCII, no null — and on anything else it declines and
-// the same bytes (or the same struct) go to encoding/json. What is
-// accepted, every error text and every emitted byte are therefore
-// encoding/json's by construction; FuzzWireCodec and FuzzRouterBatch hold
-// the two together.
+// at its shard alone. Clients (HTTPProvider) use encoding/json, which
+// writes the canonical shape the scanners take. The codec is deliberately
+// narrow: it recognises only the canonical shape — the known lower-case
+// keys, at most once each, strings of plain ASCII, no null — and on
+// anything else it declines and the same bytes (or the same struct) go to
+// encoding/json. What is accepted, every error text and every emitted byte
+// are therefore encoding/json's by construction; FuzzWireCodec and
+// FuzzRouterBatch hold the two together.
 
-// wireMessage is implemented by pointers to the four hot messages.
-type wireMessage interface {
+// wireRequest is implemented by pointers to the two requests a server
+// reads.
+type wireRequest interface {
 	// scanWire decodes the canonical shape from w into the receiver and
 	// reports whether it did; on false the receiver is untouched.
 	scanWire(w *wireBuf) bool
+}
+
+// wireReply is implemented by pointers to the two replies a server
+// writes.
+type wireReply interface {
 	// appendWire appends what json.Marshal would emit, or marks w bad.
 	appendWire(w *wireBuf)
 }
@@ -73,7 +84,7 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // decodeWire reads r to its end and decodes one message from it, exactly
 // as json.NewDecoder(r).Decode(m) would, except that a body overrunning
 // an http.MaxBytesReader is refused even after a complete value.
-func decodeWire(r io.Reader, m wireMessage) error {
+func decodeWire(r io.Reader, m wireRequest) error {
 	w := getWireBuf()
 	defer putWireBuf(w)
 	return w.decode(w.readFrom(r), m)
@@ -88,7 +99,7 @@ func (w *wireBuf) readFrom(r io.Reader) error {
 }
 
 // decode decodes m from w.b, the bytes of a read that ended in err.
-func (w *wireBuf) decode(err error, m wireMessage) error {
+func (w *wireBuf) decode(err error, m wireRequest) error {
 	if _, tooBig := err.(*http.MaxBytesError); tooBig {
 		return err // encoding/json would take a whole value ahead of the excess
 	}
@@ -103,19 +114,8 @@ func (w *wireBuf) decode(err error, m wireMessage) error {
 	return json.NewDecoder(io.MultiReader(bytes.NewReader(w.b), errReader{err})).Decode(m)
 }
 
-// marshalWire returns m as json.Marshal would, in a slice of its own (an
-// HTTP transport may still be reading a request body after Do returns).
-func marshalWire(m wireMessage) ([]byte, error) {
-	w := getWireBuf()
-	defer putWireBuf(w)
-	if m.appendWire(w); w.bad {
-		return json.Marshal(m)
-	}
-	return bytes.Clone(w.b), nil
-}
-
 // encodeWire writes m to dst as json.NewEncoder(dst).Encode(m) would.
-func encodeWire(dst io.Writer, m wireMessage) error {
+func encodeWire(dst io.Writer, m wireReply) error {
 	w := getWireBuf()
 	defer putWireBuf(w)
 	if m.appendWire(w); w.bad {
@@ -322,23 +322,6 @@ func (w *wireBuf) putStr(lit, s string) {
 	w.b = append(append(append(append(w.b, lit...), '"'), s...), '"')
 }
 
-// putFloat mirrors encoding/json's float64 format: shortest 'f', or 'e'
-// with a two-digit exponent trimmed (e-09 -> e-9) outside [1e-6, 1e21);
-// NaN and infinities fail.
-func (w *wireBuf) putFloat(lit string, f float64) {
-	w.bad = w.bad || math.IsNaN(f) || math.IsInf(f, 0)
-	w.raw(lit)
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
-	if n := len(w.b); format == 'e' && n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1]
-		w.b = w.b[:n-1]
-	}
-}
-
 var observeKeys = []string{"concurrency", "unitConcurrency"}
 
 func (v *ObserveRequest) scanWire(s *wireBuf) bool {
@@ -350,38 +333,6 @@ func (v *ObserveRequest) scanWire(s *wireBuf) bool {
 			t.Concurrency = s.float()
 		case 1:
 			t.UnitConcurrency = s.int()
-		}
-	}
-	if !s.end() {
-		return false
-	}
-	*v = t
-	return true
-}
-
-func (v *ObserveRequest) appendWire(e *wireBuf) {
-	e.putFloat(`{"concurrency":`, v.Concurrency)
-	if v.UnitConcurrency != 0 {
-		e.putInt(`,"unitConcurrency":`, v.UnitConcurrency)
-	}
-	e.raw(`}`)
-}
-
-var targetKeys = []string{"app", "target", "forecaster", "historyLen"}
-
-func (v *TargetResponse) scanWire(s *wireBuf) bool {
-	var t TargetResponse
-	o := wireObject{names: targetKeys}
-	for s.member(&o) {
-		switch o.k {
-		case 0:
-			t.App = string(s.str())
-		case 1:
-			t.Target = s.int()
-		case 2:
-			t.Forecaster = string(s.str())
-		case 3:
-			t.History = s.int()
 		}
 	}
 	if !s.end() {
@@ -451,34 +402,13 @@ func (s *wireBuf) observation(parse bool) (app []byte, conc float64, unit int) {
 	return app, conc, unit
 }
 
-func (v *BatchObserveRequest) appendWire(e *wireBuf) {
-	e.bad = e.bad || v.Observations == nil // encoding/json says null
-	e.raw(`{"observations":[`)
-	for i := range v.Observations {
-		if i > 0 {
-			e.raw(`,`)
-		}
-		v.Observations[i].appendWire(e)
-	}
-	e.raw(`]}`)
-}
-
-func (it *BatchObservation) appendWire(e *wireBuf) {
-	e.putStr(`{"app":`, it.App)
-	e.putFloat(`,"concurrency":`, it.Concurrency)
-	if it.UnitConcurrency != 0 {
-		e.putInt(`,"unitConcurrency":`, it.UnitConcurrency)
-	}
-	e.raw(`}`)
-}
-
-// putItem appends one batch item as json.Marshal would, handing that item
-// alone to encoding/json if the appender declines it.
-func (w *wireBuf) putItem(it interface{ appendWire(*wireBuf) }) {
+// putItem appends one batch result as json.Marshal would, handing it to
+// encoding/json if the appender declines it.
+func (w *wireBuf) putItem(it *BatchItemResult) {
 	n := len(w.b)
 	w.bad = false
 	if it.appendWire(w); w.bad {
-		b, _ := json.Marshal(it) // cannot fail: no NaN decodes, a result has no float
+		b, _ := json.Marshal(it) // cannot fail: a result has no float
 		w.b, w.bad = append(w.b[:n], b...), false
 	}
 }
@@ -509,56 +439,6 @@ var (
 	batchResponseKeys = []string{"results", "accepted", "rejected"}
 	batchResultKeys   = []string{"app", "target", "forecaster", "historyLen", "error", "status", "owner"}
 )
-
-func (v *BatchObserveResponse) scanWire(s *wireBuf) bool {
-	var t BatchObserveResponse
-	o := wireObject{names: batchResponseKeys}
-	for s.member(&o) {
-		switch o.k {
-		case 0:
-			forecaster := ""
-			t.Results = make([]BatchItemResult, 0, s.itemHint())
-			for started := false; s.next('[', ']', &started); {
-				var it BatchItemResult
-				item := wireObject{names: batchResultKeys}
-				for s.member(&item) {
-					switch item.k {
-					case 0:
-						it.App = string(s.str())
-					case 1:
-						it.Target = s.int()
-					case 2:
-						// A reply names the same few forecasters over and
-						// over: copy a name out only when it changes.
-						if name := s.str(); string(name) != forecaster {
-							forecaster = string(name)
-						}
-						it.Forecaster = forecaster
-					case 3:
-						it.History = s.int()
-					case 4:
-						it.Error = string(s.str())
-					case 5:
-						it.Status = s.int()
-					case 6:
-						owner := s.int()
-						it.Owner = &owner
-					}
-				}
-				t.Results = append(t.Results, it)
-			}
-		case 1:
-			t.Accepted = s.int()
-		case 2:
-			t.Rejected = s.int()
-		}
-	}
-	if !s.end() {
-		return false
-	}
-	*v = t
-	return true
-}
 
 func (v *BatchObserveResponse) appendWire(e *wireBuf) {
 	e.bad = e.bad || v.Results == nil // encoding/json says null

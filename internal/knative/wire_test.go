@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -52,7 +53,8 @@ var nonCanonicalBodies = []string{
 	`{"observations":[`,
 	`{"observations":{}}`,
 	`[]`, `{}`, ``, ` `, `null`, `0`, "\xef\xbb\xbf{}",
-	// The other three messages.
+	// A single observe, and the two replies, which FuzzWireCodec decodes
+	// with encoding/json to encode again.
 	`{"concurrency":1.5,"unitConcurrency":3}`,
 	`{"concurrency":2}`,
 	`{"unitConcurrency":-0,"concurrency":-0}`,
@@ -68,11 +70,10 @@ var nonCanonicalBodies = []string{
 	`{"accepted":1e0,"rejected":0}`,
 }
 
-// wireMessages returns fresh zero values of the four messages.
-func wireMessages() []wireMessage {
-	return []wireMessage{
-		&ObserveRequest{}, &TargetResponse{}, &BatchObserveRequest{}, &BatchObserveResponse{},
-	}
+// wireRequests returns fresh zero values of the two requests a server
+// scans.
+func wireRequests() []wireRequest {
+	return []wireRequest{&ObserveRequest{}, &BatchObserveRequest{}}
 }
 
 func errText(err error) string {
@@ -84,20 +85,20 @@ func errText(err error) string {
 
 // sameMessage is reflect.DeepEqual plus the sign of zero, which DeepEqual
 // cannot see and json.Marshal prints.
-func sameMessage(a, b wireMessage) bool {
+func sameMessage(a, b wireRequest) bool {
 	ja, _ := json.Marshal(a)
 	jb, _ := json.Marshal(b)
 	return reflect.DeepEqual(a, b) && bytes.Equal(ja, jb)
 }
 
-// checkWireDecode holds every decoder to encoding/json on one input: the
-// scanner alone either declines, leaving its target untouched, or agrees
-// with json.Decoder; decodeWire — scanner plus fallback — always agrees,
-// error text included.
-func checkWireDecode(t *testing.T, data []byte) []wireMessage {
+// checkWireDecode holds every request decoder to encoding/json on one
+// input: the scanner alone either declines, leaving its target untouched,
+// or agrees with json.Decoder; decodeWire — scanner plus fallback —
+// always agrees, error text included.
+func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
-	want := wireMessages()
-	for i, got := range wireMessages() {
+	want := wireRequests()
+	for i, got := range wireRequests() {
 		refErr := json.NewDecoder(bytes.NewReader(data)).Decode(want[i])
 		if got.scanWire(&wireBuf{b: data}) {
 			if refErr != nil {
@@ -106,35 +107,30 @@ func checkWireDecode(t *testing.T, data []byte) []wireMessage {
 			if !sameMessage(got, want[i]) {
 				t.Fatalf("%T from %q: scanner %+v, encoding/json %+v", got, data, got, want[i])
 			}
-		} else if zero := wireMessages()[i]; !reflect.DeepEqual(got, zero) {
+		} else if zero := wireRequests()[i]; !reflect.DeepEqual(got, zero) {
 			t.Fatalf("%T: scanner declined %q but left %+v behind", got, data, got)
 		}
-		full := wireMessages()[i]
+		full := wireRequests()[i]
 		err := decodeWire(bytes.NewReader(data), full)
 		if errText(err) != errText(refErr) || !sameMessage(full, want[i]) {
 			t.Fatalf("%T from %q: decodeWire (%+v, %v), encoding/json (%+v, %v)",
 				full, data, full, err, want[i], refErr)
 		}
 	}
-	return want
 }
 
-// checkWireEncode holds one encoder to encoding/json on one value: the
-// appender alone either declines or matches json.Marshal; marshalWire and
-// encodeWire always match json.Marshal and json.Encoder, errors included.
-func checkWireEncode(t *testing.T, m wireMessage) {
+// checkWireEncode holds one reply encoder to encoding/json on one value:
+// the appender alone either declines or matches json.Marshal, and
+// encodeWire always matches json.Encoder, errors included.
+func checkWireEncode(t *testing.T, m wireReply) {
 	t.Helper()
 	ref, refErr := json.Marshal(m)
 	w := &wireBuf{}
 	if m.appendWire(w); !w.bad && (refErr != nil || !bytes.Equal(w.b, ref)) {
 		t.Fatalf("%T %+v: appender %q, json.Marshal %q (%v)", m, m, w.b, ref, refErr)
 	}
-	got, err := marshalWire(m)
-	if errText(err) != errText(refErr) || !bytes.Equal(got, ref) {
-		t.Fatalf("%T %+v: marshalWire (%q, %v), json.Marshal (%q, %v)", m, m, got, err, ref, refErr)
-	}
 	var gotLine, refLine bytes.Buffer
-	err, refErr = encodeWire(&gotLine, m), json.NewEncoder(&refLine).Encode(m)
+	err, refErr := encodeWire(&gotLine, m), json.NewEncoder(&refLine).Encode(m)
 	if errText(err) != errText(refErr) || !bytes.Equal(gotLine.Bytes(), refLine.Bytes()) {
 		t.Fatalf("%T %+v: encodeWire (%q, %v), json.Encoder (%q, %v)",
 			m, m, gotLine.Bytes(), err, refLine.Bytes(), refErr)
@@ -142,29 +138,27 @@ func checkWireEncode(t *testing.T, m wireMessage) {
 }
 
 // FuzzWireCodec is the differential test that lets the codec stand in for
-// encoding/json: arbitrary bytes through every decoder, and arbitrary
-// structs — built from the fuzzer's scalars, plus whatever the bytes
-// decoded to — through every encoder.
+// encoding/json where a server uses it: arbitrary bytes through both
+// request decoders, and arbitrary replies — built from the fuzzer's
+// scalars, plus whatever encoding/json decodes the bytes to — through both
+// reply encoders.
 func FuzzWireCodec(f *testing.F) {
 	for i, body := range nonCanonicalBodies {
-		f.Add([]byte(body), "app-"+body[:min(len(body), 3)], "fft-10", float64(i)/4, i-2)
+		f.Add([]byte(body), "app-"+body[:min(len(body), 3)], "fft-10", i-2)
 	}
-	f.Add([]byte(`{}`), "a<b", "é", 1e21, 0)
-	f.Add([]byte(`{}`), "q\"uote", "back\\slash", 1e-7, 421)
-	f.Add([]byte(`{}`), "nul\x00", "\xff", -1e-9, -1)
-	f.Add([]byte(`{}`), "del\x7f", " ", 123456789.125, 1<<30) // an int on 32-bit builds too
-	f.Fuzz(func(t *testing.T, data []byte, app, forecaster string, conc float64, n int) {
-		for _, m := range checkWireDecode(t, data) {
+	f.Add([]byte(`{}`), "a<b", "é", 0)
+	f.Add([]byte(`{}`), "q\"uote", "back\\slash", 421)
+	f.Add([]byte(`{}`), "nul\x00", "\xff", -1)
+	f.Add([]byte(`{}`), "del\x7f", " ", 1<<30) // an int on 32-bit builds too
+	f.Fuzz(func(t *testing.T, data []byte, app, forecaster string, n int) {
+		checkWireDecode(t, data)
+		for _, m := range []wireReply{&TargetResponse{}, &BatchObserveResponse{}} {
+			_ = json.Unmarshal(data, m) // on an error, whatever it filled in
 			checkWireEncode(t, m)
 		}
 		owner := n / 3
-		for _, m := range []wireMessage{
-			&ObserveRequest{Concurrency: conc, UnitConcurrency: n},
+		for _, m := range []wireReply{
 			&TargetResponse{App: app, Target: n, Forecaster: forecaster, History: -n},
-			&BatchObserveRequest{},
-			&BatchObserveRequest{Observations: []BatchObservation{}},
-			&BatchObserveRequest{Observations: []BatchObservation{
-				{App: app, Concurrency: conc, UnitConcurrency: n}, {App: forecaster, Concurrency: -conc}}},
 			&BatchObserveResponse{},
 			&BatchObserveResponse{Results: []BatchItemResult{}, Accepted: n},
 			&BatchObserveResponse{Results: []BatchItemResult{
@@ -320,77 +314,132 @@ func wireBenchBatch(n int) (*BatchObserveRequest, *BatchObserveResponse) {
 }
 
 // BenchmarkWireCodec times one 64-item batch through the codec and
-// through encoding/json, each way, request and reply.
+// through encoding/json, the request decoded and the reply encoded.
 func BenchmarkWireCodec(b *testing.B) {
 	req, resp := wireBenchBatch(64)
-	for _, m := range []wireMessage{req, resp} {
-		m := m
-		doc, err := json.Marshal(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := reflect.TypeOf(m).Elem().Name()
-		b.Run("decode/"+name+"/wire", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				if err := decodeWire(bytes.NewReader(doc), m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("decode/"+name+"/json", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				into := reflect.New(reflect.TypeOf(m).Elem()).Interface()
-				if err := json.NewDecoder(bytes.NewReader(doc)).Decode(into); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("encode/"+name+"/wire", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				if err := encodeWire(io.Discard, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("encode/"+name+"/json", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				if err := json.NewEncoder(io.Discard).Encode(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	doc, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("decode/BatchObserveRequest/wire", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			var into BatchObserveRequest
+			if err := decodeWire(bytes.NewReader(doc), &into); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/BatchObserveRequest/json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			var into BatchObserveRequest
+			if err := json.NewDecoder(bytes.NewReader(doc)).Decode(&into); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	reply, err := json.Marshal(resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode/BatchObserveResponse/wire", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(reply)))
+		for i := 0; i < b.N; i++ {
+			if err := encodeWire(io.Discard, resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode/BatchObserveResponse/json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(reply)))
+		for i := 0; i < b.N; i++ {
+			if err := json.NewEncoder(io.Discard).Encode(resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestWireCanonicalAccepted keeps the differential test honest: a scanner
 // that declined everything would pass it. The canonical shapes — inner
-// whitespace, any key order, absent keys, exponents — take the fast path.
+// whitespace, any key order, absent keys, exponents — take the fast path,
+// and so do the replies a service writes.
 func TestWireCanonicalAccepted(t *testing.T) {
 	for i, docs := range [][]string{
 		{`{"concurrency":1.5}`, `{"concurrency":1.5,"unitConcurrency":3}`, "{ \"unitConcurrency\" : 2 ,\n\"concurrency\":2E-3}\r\n", `{}`},
-		{`{"app":"a","target":3,"forecaster":"fft-10","historyLen":45}`, `{"historyLen":1,"app":"del` + "\x7f" + `"}`},
 		{`{"observations":[{"app":"a","concurrency":1.5,"unitConcurrency":2},{"concurrency":-0,"app":"b"}]}`, `{"observations":[]}`, `{"observations":[ ]}`},
-		{`{"results":[{"app":"a","target":1,"forecaster":"ar","historyLen":9},{"app":"","target":0,"error":"missing app"},` +
-			`{"app":"c","target":0,"error":"moved","status":421,"owner":0}],"accepted":1,"rejected":2}`, `{"results":[],"accepted":0,"rejected":0}`},
 	} {
 		for _, doc := range docs {
-			m := wireMessages()[i]
-			if !m.scanWire(&wireBuf{b: []byte(doc)}) {
+			if m := wireRequests()[i]; !m.scanWire(&wireBuf{b: []byte(doc)}) {
 				t.Errorf("%T: scanner declined canonical %q", m, doc)
 			}
 			checkWireDecode(t, []byte(doc))
-			w := &wireBuf{}
-			if m.appendWire(w); w.bad {
-				t.Errorf("%T: appender declined %+v", m, m)
-			}
 		}
+	}
+	owner := 0
+	for _, m := range []wireReply{
+		&TargetResponse{App: "a", Target: 3, Forecaster: "fft-10", History: 45},
+		&TargetResponse{App: "del\x7f", History: 1},
+		&BatchObserveResponse{Results: []BatchItemResult{
+			{App: "a", Target: 1, Forecaster: "ar", History: 9}, {App: "", Error: "missing app"},
+			{App: "c", Error: "moved", Status: 421, Owner: &owner}}, Accepted: 1, Rejected: 2},
+		&BatchObserveResponse{Results: []BatchItemResult{}},
+	} {
+		w := &wireBuf{}
+		if m.appendWire(w); w.bad {
+			t.Errorf("%T: appender declined %+v", m, m)
+		}
+		checkWireEncode(t, m)
+	}
+}
+
+// TestHTTPProviderBodiesTakeFastPath: the bodies HTTPProvider's two calls
+// send, written by encoding/json, are ones the server's scanners take, so
+// a client never puts a service on its encoding/json fallback.
+func TestHTTPProviderBodiesTakeFastPath(t *testing.T) {
+	svc := NewService(trainTinyModel(t)).Handler()
+	var mu sync.Mutex
+	var bodies [][]byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, b)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(b))
+		svc.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	p := &HTTPProvider{BaseURL: srv.URL}
+
+	sent := []ObserveRequest{{Concurrency: 1.5, UnitConcurrency: 2}, {Concurrency: 1e-7}, {}}
+	for _, o := range sent {
+		if _, ok := p.Target("fast-path", o.Concurrency, o.UnitConcurrency); !ok {
+			t.Fatalf("Target(%+v) declined", o)
+		}
+	}
+	items := []BatchObservation{{App: "a", Concurrency: 0.25, UnitConcurrency: 2}, {App: "b", Concurrency: 3e21}}
+	if resp, err := p.ObserveBatch(items); err != nil || resp.Accepted != len(items) {
+		t.Fatalf("ObserveBatch: %+v, %v", resp, err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != len(sent)+1 {
+		t.Fatalf("%d bodies sent, want %d", len(bodies), len(sent)+1)
+	}
+	for i, o := range sent {
+		var got ObserveRequest
+		if !got.scanWire(&wireBuf{b: bodies[i]}) || got != o {
+			t.Errorf("Target body %q: scanned %+v, want %+v on the fast path", bodies[i], got, o)
+		}
+	}
+	var got BatchObserveRequest
+	if body := bodies[len(sent)]; !got.scanWire(&wireBuf{b: body}) || !reflect.DeepEqual(got.Observations, items) {
+		t.Errorf("ObserveBatch body %q: scanned %+v, want %+v on the fast path", body, got.Observations, items)
 	}
 }

@@ -39,7 +39,10 @@ func newTwiddleTable(n int) *twiddleTable {
 		for size := 2; size <= n; size <<= 1 {
 			half := size >> 1
 			step := sign * 2 * math.Pi / float64(size)
-			wStep := cmplx.Exp(complex(0, step))
+			// The bits of fft.go's cmplx.Exp(complex(0, step)), which
+			// scales this same Sincos by math.Exp(0) = 1.
+			s, c := math.Sincos(step)
+			wStep := complex(c, s)
 			w := complex(1, 0)
 			for k := 0; k < half; k++ {
 				tbl = append(tbl, w)
@@ -73,7 +76,8 @@ func (p *bluesteinPlan) build(n int) {
 	w := growC(p.chirp, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		w[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(kk)/float64(n)))
+		s, c := math.Sincos(sign * math.Pi * float64(kk) / float64(n)) // as in newTwiddleTable
+		w[k] = complex(c, s)
 	}
 	m := 1 << bits.Len(uint(2*n-2)) // the least power of two >= 2n-1
 	tw := sharedTwiddle(m)

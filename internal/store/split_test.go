@@ -56,7 +56,7 @@ func assertSplit(t *testing.T, dirs []string, wins map[string][]float64) {
 	for i, dir := range dirs {
 		st := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
 		var total int64
-		for app, got := range st.Windows() {
+		for app, got := range windowsOf(st) {
 			want := wins[app]
 			if owner := ShardOf(app, len(dirs)); owner != i {
 				t.Fatalf("%q is on shard %d of %d, its owner is %d", app, i, len(dirs), owner)
@@ -93,7 +93,7 @@ func readSources(t *testing.T, dirs []string) []sourceState {
 	out := make([]sourceState, len(dirs))
 	for i, dir := range dirs {
 		st := mustOpen(t, dir, Options{Sync: SyncNever, CompactEvery: -1})
-		out[i] = sourceState{st.Windows(), st.TotalObservations()}
+		out[i] = sourceState{windowsOf(st), st.TotalObservations()}
 		st.Close()
 	}
 	return out

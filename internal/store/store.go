@@ -551,23 +551,6 @@ func (s *Store) Window(app string) []float64 {
 	return s.windowLocked(app)
 }
 
-// Windows returns a copy of every app's sliding window. Cold apps are
-// materialized from disk without being promoted. Prefer RestoreWindow
-// per app on serving paths: this walks (and decodes) the entire fleet.
-func (s *Store) Windows() map[string][]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string][]float64, len(s.warm)+s.cold.len())
-	for app, st := range s.warm {
-		out[app] = st.cw.Values(nil)
-	}
-	s.cold.each(func(app string, e *coldEntry) error {
-		out[app] = s.coldWindow(app, e)
-		return nil
-	})
-	return out
-}
-
 // RestoreWindow returns one app's window, paging a cold app back in (it
 // becomes warm) and keying it as RestoreMemo does. paged reports whether
 // a disk read happened; ok is false for unknown apps.

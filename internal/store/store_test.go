@@ -56,9 +56,19 @@ func assertExactPrefix(t *testing.T, st *Store, prefix []Observation) {
 	}
 }
 
+// windowsOf returns a copy of every app's window in st, cold apps read
+// from their pages without being promoted.
+func windowsOf(st *Store) map[string][]float64 {
+	out := make(map[string][]float64)
+	for _, app := range st.AppNames() {
+		out[app] = st.Window(app)
+	}
+	return out
+}
+
 func exactPrefix(st *Store, prefix []Observation) error {
 	want := buildWindows(prefix)
-	got := st.Windows()
+	got := windowsOf(st)
 	if int64(len(prefix)) != st.TotalObservations() {
 		return fmt.Errorf("store total %d, want exact prefix of %d", st.TotalObservations(), len(prefix))
 	}
@@ -83,7 +93,7 @@ func exactPrefix(st *Store, prefix []Observation) error {
 // assertWindowsEqual requires st to hold exactly the windows wins.
 func assertWindowsEqual(t *testing.T, st *Store, wins map[string][]float64) {
 	t.Helper()
-	got := st.Windows()
+	got := windowsOf(st)
 	if len(got) != len(wins) {
 		t.Fatalf("store tracks %d apps, want %d", len(got), len(wins))
 	}
